@@ -110,10 +110,11 @@ impl Config {
     ///   `metrics`, and all of `sim` (engine, engines, scenario pipeline —
     ///   everything that feeds a `SimReport`).
     /// * `det-clock` — everywhere except the real-network runtime and
-    ///   emulator (`crates/net/src/runtime.rs`, `emulator.rs`), the socket
-    ///   transport's deadline code
-    ///   (`crates/sim/src/engine/exchange/socket.rs`), the benchmark crate
-    ///   (wall clocks are its purpose) and the dependency shims.
+    ///   emulator (`crates/net/src/runtime.rs`, `emulator.rs`), the one
+    ///   engine file that holds only the TCP dial-retry and deadline code
+    ///   (`crates/sim/src/engine/exchange/socket.rs` — not the shared
+    ///   stream link), the benchmark crate (wall clocks are its purpose)
+    ///   and the dependency shims.
     /// * `wire-panic` / `wire-cast` — the untrusted-input decode surface:
     ///   `crates/net/src/codec.rs` and the anti-entropy digest/delta frame
     ///   readers.

@@ -394,6 +394,11 @@ fn run(args: &[String]) -> ExitCode {
             Err(e) => return fail("invalid protocol override", e),
         },
     };
+    // On the socket transport the shard count *is* the worker count.
+    let requested_shards = match &transport {
+        Transport::Socket(workers) => workers.len(),
+        _ => shards.unwrap_or(file.config.shards),
+    };
     let mut runner = Runner::new(&dataset, protocol)
         .config(file.config.clone())
         .scenario(file.scenario.clone())
@@ -417,7 +422,7 @@ fn run(args: &[String]) -> ExitCode {
     // report because the report is byte-identical across shard counts.
     let shard_counts = whatsup_sim::engine::planned_shard_node_counts(
         dataset.n_users(),
-        shards.unwrap_or(file.config.shards),
+        requested_shards,
         &file.scenario,
     );
     eprintln!(

@@ -1,22 +1,25 @@
 //! The simulation driver: owns the run-level state (records, counters,
-//! oracle, schedule), orchestrates the phase round-trips against any
-//! [`ShardTransport`], and exposes the public [`Simulation`] API.
+//! oracle, schedule), orchestrates the phase round-trips over any slice of
+//! `ShardLink`s, and exposes the public [`Simulation`] API.
 //!
 //! The driver never touches node state directly during a cycle — every
 //! phase is a command to the shards and a fold of their replies, in shard
 //! order (= node-id order, since shard ranges are contiguous ascending).
 //! That is what lets the same `run_cycle` drive the inline single-shard
-//! path, the in-process channel workers, the `sim-shard-worker` child
+//! path, the in-process worker threads, the `sim-shard-worker` child
 //! processes and remote socket workers to bit-identical reports.
 
-use crate::config::{Protocol, SimConfig};
+use crate::config::{Protocol, SimConfig, Transport};
+use crate::engine::exchange::socket::DIAL_RETRY_WINDOW;
+use crate::engine::exchange::stream::{Peer, StreamLink};
+use crate::engine::exchange::supervisor::Supervised;
 use crate::engine::exchange::{
-    Command, NewsOutcome, Outbound, ProcessTransport, Reply, ShardTransport, SocketTransport,
-    SupervisedTransport, Supervision, TransportError,
+    roundtrip, Command, InlineLink, NewsOutcome, Outbound, Reply, ShardLink, Supervision,
+    ThreadLink, TransportError,
 };
+use crate::engine::node_stream;
 use crate::engine::partition::Partition;
-use crate::engine::shard::{self, ShardInit, ShardState};
-use crate::engine::{node_stream, ChannelTransport};
+use crate::engine::shard::{ShardInit, ShardState};
 use crate::oracle::Oracle;
 use crate::record::{ItemRecord, NodeIr, SimReport};
 use crate::scenario::{Event, Scenario, WindowSpec};
@@ -25,7 +28,6 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
 use std::io;
-use std::path::Path;
 use whatsup_core::{NewsItem, NodeId, Opinions, Params, Profile, WhatsUpNode};
 use whatsup_datasets::Dataset;
 use whatsup_graph::Graph;
@@ -286,12 +288,11 @@ fn bundles_for(outs: &[Outbound], dest: usize) -> Vec<Bytes> {
 /// Fetches one node's view snapshot from its owning shard.
 fn fetch_snapshot(
     core: &DriverCore,
-    t: &mut impl ShardTransport,
+    t: &mut [impl ShardLink],
     id: NodeId,
 ) -> Result<Bytes, TransportError> {
     let owner = core.partition.shard_of(id);
-    let reply = t
-        .roundtrip(vec![(owner, Command::TakeSnapshots { ids: vec![id] })])?
+    let reply = roundtrip(t, vec![(owner, Command::TakeSnapshots { ids: vec![id] })])?
         .pop()
         .expect("one snapshot reply");
     let Reply::Snapshots(mut frames) = reply else {
@@ -305,15 +306,15 @@ fn fetch_snapshot(
 /// (last) shard. Returns the joiner's id.
 fn join_clone(
     core: &mut DriverCore,
-    t: &mut impl ShardTransport,
+    t: &mut [impl ShardLink],
     reference: NodeId,
 ) -> Result<NodeId, TransportError> {
     let contact = core.rng.gen_range(0..core.partition.total()) as NodeId;
     let snapshot = fetch_snapshot(core, t, contact)?;
     let id = core.oracle.add_clone_of(reference);
     core.partition.push_node();
-    let last = t.n_shards() - 1;
-    let batch = (0..t.n_shards())
+    let last = t.len() - 1;
+    let batch = (0..t.len())
         .map(|s| {
             (
                 s,
@@ -324,7 +325,7 @@ fn join_clone(
             )
         })
         .collect();
-    t.roundtrip(batch)?;
+    roundtrip(t, batch)?;
     core.liked_this_cycle.push(0);
     core.per_node.push(NodeIr::default());
     Ok(id)
@@ -334,7 +335,7 @@ fn join_clone(
 /// docs for when events fire and which RNG they draw from).
 fn apply_event(
     core: &mut DriverCore,
-    t: &mut impl ShardTransport,
+    t: &mut [impl ShardLink],
     event: Event,
 ) -> Result<(), TransportError> {
     match event {
@@ -343,10 +344,10 @@ fn apply_event(
         }
         Event::SwapInterests { a, b } => {
             core.oracle.swap_interests(a, b);
-            let batch = (0..t.n_shards())
+            let batch = (0..t.len())
                 .map(|s| (s, Command::SwapInterests { a, b }))
                 .collect();
-            t.roundtrip(batch)?;
+            roundtrip(t, batch)?;
         }
         Event::ResetNode { node } => {
             let n = core.partition.total();
@@ -359,12 +360,10 @@ fn apply_event(
             } as NodeId;
             let snapshot = fetch_snapshot(core, t, contact)?;
             let owner = core.partition.shard_of(node);
-            t.roundtrip(vec![(
-                owner,
-                Command::ApplyChurn {
-                    resets: vec![(node, snapshot)],
-                },
-            )])?;
+            let reset = Command::ApplyChurn {
+                resets: vec![(node, snapshot)],
+            };
+            roundtrip(t, vec![(owner, reset)])?;
             core.cycle_stats.crashed += 1;
         }
     }
@@ -375,7 +374,7 @@ fn apply_event(
 /// then the timeline events stamped for this cycle, in list order.
 fn apply_cycle_start(
     core: &mut DriverCore,
-    t: &mut impl ShardTransport,
+    t: &mut [impl ShardLink],
 ) -> Result<(), TransportError> {
     let cycle = core.cycle;
     for _ in 0..core.scenario.environment.churn.joins_at(cycle) {
@@ -397,20 +396,17 @@ fn apply_cycle_start(
 
 /// Advances the run by one cycle over `t`: scenario events, gossip, churn,
 /// publications.
-fn run_cycle(core: &mut DriverCore, t: &mut impl ShardTransport) -> Result<(), TransportError> {
+fn run_cycle(core: &mut DriverCore, t: &mut [impl ShardLink]) -> Result<(), TransportError> {
     apply_cycle_start(core, t)?;
     let cycle = core.cycle;
-    let shards = t.n_shards();
+    let shards = t.len();
     core.liked_this_cycle.iter_mut().for_each(|c| *c = 0);
 
     // --- Gossip phase: collect, then route/deliver until quiet ------------
-    let mut outs = expect_outbound(
-        t.roundtrip(
-            (0..shards)
-                .map(|s| (s, Command::Collect { cycle }))
-                .collect(),
-        )?,
-    );
+    let collect = (0..shards)
+        .map(|s| (s, Command::Collect { cycle }))
+        .collect();
+    let mut outs = expect_outbound(roundtrip(t, collect)?);
     loop {
         let sent: u64 = outs.iter().map(|o| o.sent).sum();
         if sent == 0 {
@@ -429,7 +425,7 @@ fn run_cycle(core: &mut DriverCore, t: &mut impl ShardTransport) -> Result<(), T
                 )
             })
             .collect();
-        outs = expect_outbound(t.roundtrip(batch)?);
+        outs = expect_outbound(roundtrip(t, batch)?);
     }
 
     // --- Churn phase ------------------------------------------------------
@@ -437,11 +433,10 @@ fn run_cycle(core: &mut DriverCore, t: &mut impl ShardTransport) -> Result<(), T
     // moves contact view snapshots (all taken from the pre-churn state, so
     // application order cannot matter) to the crashing shards.
     if core.scenario.environment.churn.crash_rate(cycle) > 0.0 && core.partition.total() > 1 {
-        let decisions = t.roundtrip(
-            (0..shards)
-                .map(|s| (s, Command::ChurnDecide { cycle }))
-                .collect(),
-        )?;
+        let decide = (0..shards)
+            .map(|s| (s, Command::ChurnDecide { cycle }))
+            .collect();
+        let decisions = roundtrip(t, decide)?;
         let mut pairs: Vec<(NodeId, NodeId)> = Vec::new();
         for reply in decisions {
             let Reply::ChurnDecisions(p) = reply else {
@@ -466,7 +461,7 @@ fn run_cycle(core: &mut DriverCore, t: &mut impl ShardTransport) -> Result<(), T
                 .map(|(s, w)| (s, Command::TakeSnapshots { ids: w.clone() }))
                 .collect();
             let targets: Vec<usize> = batch.iter().map(|(s, _)| *s).collect();
-            let replies = t.roundtrip(batch)?;
+            let replies = roundtrip(t, batch)?;
             let mut snapshots: BTreeMap<NodeId, Bytes> = BTreeMap::new();
             for (s, reply) in targets.into_iter().zip(replies) {
                 let Reply::Snapshots(frames) = reply else {
@@ -486,13 +481,13 @@ fn run_cycle(core: &mut DriverCore, t: &mut impl ShardTransport) -> Result<(), T
                 .filter(|(_, r)| !r.is_empty())
                 .map(|(s, r)| (s, Command::ApplyChurn { resets: r }))
                 .collect();
-            t.roundtrip(batch)?;
+            roundtrip(t, batch)?;
         }
     }
 
     // --- Publication phase ------------------------------------------------
     if !core.published_at_cycle[cycle as usize].is_empty() {
-        t.roundtrip((0..shards).map(|s| (s, Command::BeginNews)).collect())?;
+        roundtrip(t, (0..shards).map(|s| (s, Command::BeginNews)).collect())?;
     }
     for k in 0..core.published_at_cycle[cycle as usize].len() {
         let index = core.published_at_cycle[cycle as usize][k];
@@ -510,10 +505,6 @@ fn run_cycle(core: &mut DriverCore, t: &mut impl ShardTransport) -> Result<(), T
     if core.cfg.collect_series {
         core.series.push(stats);
     }
-    // Cycle boundary: mailboxes are provably drained here, which is what
-    // lets the supervised transports checkpoint shard state without any
-    // in-flight mail (plain transports no-op).
-    t.cycle_boundary(cycle)?;
     core.cycle += 1;
     Ok(())
 }
@@ -523,11 +514,11 @@ fn run_cycle(core: &mut DriverCore, t: &mut impl ShardTransport) -> Result<(), T
 /// outcome folds happen in receiver order.
 fn disseminate(
     core: &mut DriverCore,
-    t: &mut impl ShardTransport,
+    t: &mut [impl ShardLink],
     index: u32,
     cycle: u32,
 ) -> Result<(), TransportError> {
-    let shards = t.n_shards();
+    let shards = t.len();
     let source = core.sources[index as usize];
     let item = core.items[index as usize].clone();
     let item_id = core.item_ids[index as usize];
@@ -549,8 +540,7 @@ fn disseminate(
     }
 
     let owner = core.partition.shard_of(source);
-    let reply = t
-        .roundtrip(vec![(owner, Command::Publish { cycle, item })])?
+    let reply = roundtrip(t, vec![(owner, Command::Publish { cycle, item })])?
         .pop()
         .expect("one publish reply");
     let Reply::Published {
@@ -601,7 +591,7 @@ fn disseminate(
                 )
             })
             .collect();
-        let replies = t.roundtrip(batch)?;
+        let replies = roundtrip(t, batch)?;
         let mut next_outs: Vec<Outbound> = (0..shards).map(|_| Outbound::empty(shards)).collect();
         for (&dest, reply) in active.iter().zip(replies) {
             let Reply::NewsDelivered { out, outcomes } = reply else {
@@ -644,30 +634,106 @@ fn fold_outcomes(core: &mut DriverCore, index: u32, measured: bool, outcomes: &[
     }
 }
 
-/// Single-shard fast path: drive the shard in place, no serialization.
-struct InlineTransport<'a> {
-    shards: &'a mut [ShardState],
-}
-
-impl ShardTransport for InlineTransport<'_> {
-    fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn roundtrip(&mut self, batch: Vec<(usize, Command)>) -> Result<Vec<Reply>, TransportError> {
-        Ok(batch
-            .into_iter()
-            .map(|(s, cmd)| self.shards[s].handle(cmd))
-            .collect())
-    }
-}
-
-/// Runs every remaining cycle of `core` over `t`.
-fn drive(core: &mut DriverCore, t: &mut impl ShardTransport) -> Result<(), TransportError> {
+/// Runs every remaining cycle of `core` over `t`. With `checkpoint_every`
+/// (supervised links, which keep the replies on their way up), every shard
+/// is sent a `TakeCheckpoint` each time that many cycles completed: at a
+/// cycle boundary every mailbox is provably drained, so no in-flight mail
+/// is ever serialized.
+fn drive(
+    core: &mut DriverCore,
+    t: &mut [impl ShardLink],
+    checkpoint_every: Option<u32>,
+) -> Result<(), TransportError> {
     while core.cycle < core.cfg.cycles {
         run_cycle(core, t)?;
+        if checkpoint_every.is_some_and(|every| core.cycle.is_multiple_of(every)) {
+            roundtrip(
+                t,
+                (0..t.len()).map(|s| (s, Command::TakeCheckpoint)).collect(),
+            )?;
+        }
     }
     Ok(())
+}
+
+/// Tears every link down; reports the first failure but still stops and
+/// reaps every worker.
+fn shutdown_all(links: Vec<impl ShardLink>) -> Result<(), TransportError> {
+    let mut outcome = Ok(());
+    for link in links {
+        outcome = outcome.and(link.shutdown());
+    }
+    outcome
+}
+
+/// Builds and runs a whole simulation on external shard workers, one
+/// stream link each (see [`Transport`] for where they live; on
+/// [`Transport::Socket`] the shard count *is* the worker count, overriding
+/// `cfg.shards`). Events flow to the workers as phase commands, so the
+/// full scenario grammar works across process boundaries. With
+/// `supervision`, crashed or hung workers are restarted and recovered by
+/// checkpoint/replay instead of failing the run (see [`Supervised`]).
+pub(crate) fn run_external(
+    dataset: &Dataset,
+    protocol: Protocol,
+    mut cfg: SimConfig,
+    scenario: Scenario,
+    transport: &Transport,
+    supervision: Option<Supervision>,
+) -> io::Result<SimReport> {
+    if let Transport::Socket(workers) = transport {
+        if workers.is_empty() {
+            return Err(io::Error::other(
+                "socket transport needs at least one worker address",
+            ));
+        }
+        if workers.len() > dataset.n_users() {
+            return Err(io::Error::other(format!(
+                "{} socket workers for {} nodes — shards cannot outnumber nodes",
+                workers.len(),
+                dataset.n_users()
+            )));
+        }
+        cfg.shards = workers.len();
+    }
+    let (mut core, inits) = build(dataset, protocol, cfg, scenario, None);
+    // On any error from here on, dropping the links stops the workers
+    // (children are killed and reaped, connections closed), so none
+    // lingers behind an aborted run.
+    let mut links = Vec::with_capacity(inits.len());
+    for init in &inits {
+        let peer = match transport {
+            Transport::Process(worker) => Peer::Pipe {
+                worker: worker.clone(),
+            },
+            Transport::Socket(workers) => Peer::Tcp {
+                addr: workers[init.index].clone(),
+                dial_window: supervision
+                    .as_ref()
+                    .map_or(DIAL_RETRY_WINDOW, |sup| sup.dial_window),
+                deadline: supervision.as_ref().map(|sup| sup.deadline),
+            },
+            Transport::InProcess => unreachable!("in-process runs step a Simulation"),
+        };
+        links.push(StreamLink::open(peer, init)?);
+    }
+    let Some(sup) = supervision else {
+        drive(&mut core, &mut links, None)?;
+        shutdown_all(links)?;
+        return Ok(core.into_report());
+    };
+    let mut links: Vec<_> = links
+        .into_iter()
+        .enumerate()
+        .map(|(s, link)| Supervised::new(link, s, sup.clone()))
+        .collect();
+    drive(&mut core, &mut links, Some(sup.checkpoint_every))?;
+    let restarts: u32 = links.iter().map(Supervised::restarts).sum();
+    shutdown_all(links)?;
+    if restarts > 0 {
+        eprintln!("supervisor: recovered {restarts} worker restart(s)");
+    }
+    Ok(core.into_report())
 }
 
 /// A running simulation of one node-based protocol over one dataset.
@@ -719,117 +785,6 @@ impl Simulation {
         let (core, inits) = build(dataset, protocol, cfg, scenario, Some(sparse));
         let shards = inits.into_iter().map(ShardState::from_init).collect();
         Self { core, shards }
-    }
-
-    /// Builds and runs the whole simulation on child worker processes (one
-    /// `sim-shard-worker` per shard, mailbox bundles over stdio pipes).
-    /// Bit-identical to the in-process engine for the same config.
-    pub fn run_multiprocess(
-        dataset: &Dataset,
-        protocol: Protocol,
-        cfg: SimConfig,
-        worker: &Path,
-    ) -> io::Result<SimReport> {
-        let scenario = Scenario::from_config(&cfg);
-        Self::run_multiprocess_scenario(dataset, protocol, cfg, scenario, worker, None)
-    }
-
-    /// [`Simulation::run_multiprocess`] under an explicit scenario. Events
-    /// flow to the workers as phase commands, so the full scenario grammar
-    /// works across process boundaries. With `supervision`, crashed
-    /// children are respawned and recovered by checkpoint/replay instead
-    /// of failing the run (see [`SupervisedTransport`]).
-    pub(crate) fn run_multiprocess_scenario(
-        dataset: &Dataset,
-        protocol: Protocol,
-        cfg: SimConfig,
-        scenario: Scenario,
-        worker: &Path,
-        supervision: Option<Supervision>,
-    ) -> io::Result<SimReport> {
-        let (mut core, inits) = build(dataset, protocol, cfg, scenario, None);
-        // On any error, dropping the transport stops + reaps the children.
-        let transport = ProcessTransport::spawn(worker, &inits)?;
-        match supervision {
-            None => {
-                let mut t = transport;
-                drive(&mut core, &mut t)?;
-                t.shutdown()?;
-            }
-            Some(sup) => {
-                let mut t = SupervisedTransport::new(transport, sup);
-                drive(&mut core, &mut t)?;
-                let restarts = t.restarts_used();
-                t.shutdown()?;
-                if restarts > 0 {
-                    eprintln!("supervisor: recovered {restarts} worker restart(s)");
-                }
-            }
-        }
-        Ok(core.into_report())
-    }
-
-    /// Builds and runs the whole simulation on already-listening
-    /// `sim-shard-worker --listen` processes, one per `workers` address
-    /// (shard `k` goes to `workers[k]`; the shard count *is* the worker
-    /// count, overriding `cfg.shards`). Bit-identical to the in-process
-    /// engine for the same config.
-    pub fn run_socket(
-        dataset: &Dataset,
-        protocol: Protocol,
-        cfg: SimConfig,
-        workers: &[String],
-    ) -> io::Result<SimReport> {
-        let scenario = Scenario::from_config(&cfg);
-        Self::run_socket_scenario(dataset, protocol, cfg, scenario, workers, None)
-    }
-
-    /// [`Simulation::run_socket`] under an explicit scenario. With
-    /// `supervision`, crashed or hung workers are redialed (a replacement
-    /// listener must take over the address) and recovered by
-    /// checkpoint/replay instead of failing the run.
-    pub(crate) fn run_socket_scenario(
-        dataset: &Dataset,
-        protocol: Protocol,
-        mut cfg: SimConfig,
-        scenario: Scenario,
-        workers: &[String],
-        supervision: Option<Supervision>,
-    ) -> io::Result<SimReport> {
-        if workers.is_empty() {
-            return Err(io::Error::other(
-                "socket transport needs at least one worker address",
-            ));
-        }
-        if workers.len() > dataset.n_users() {
-            return Err(io::Error::other(format!(
-                "{} socket workers for {} nodes — shards cannot outnumber nodes",
-                workers.len(),
-                dataset.n_users()
-            )));
-        }
-        cfg.shards = workers.len();
-        let (mut core, inits) = build(dataset, protocol, cfg, scenario, None);
-        // On any error, dropping the transport sends Stop and closes the
-        // connections, so the remote workers exit instead of lingering.
-        match supervision {
-            None => {
-                let mut t = SocketTransport::connect(workers, &inits)?;
-                drive(&mut core, &mut t)?;
-                t.shutdown()?;
-            }
-            Some(sup) => {
-                let socket = SocketTransport::connect_with(workers, &inits, sup.dial_window)?;
-                let mut t = SupervisedTransport::new(socket, sup);
-                drive(&mut core, &mut t)?;
-                let restarts = t.restarts_used();
-                t.shutdown()?;
-                if restarts > 0 {
-                    eprintln!("supervisor: recovered {restarts} worker restart(s)");
-                }
-            }
-        }
-        Ok(core.into_report())
     }
 
     pub fn protocol(&self) -> Protocol {
@@ -931,33 +886,18 @@ impl Simulation {
         let core = &mut self.core;
         let states = &mut self.shards;
         if states.len() == 1 {
-            run_cycle(core, &mut InlineTransport { shards: states })
-                .expect("inline transport cannot fail");
+            run_cycle(core, &mut InlineLink::over(states)).expect("inline links cannot fail");
         } else {
             std::thread::scope(|scope| {
-                let mut to = Vec::with_capacity(states.len());
-                let mut from = Vec::with_capacity(states.len());
-                for state in states.iter_mut() {
-                    let (cmd_tx, cmd_rx) = crossbeam::channel::unbounded::<Command>();
-                    let (rep_tx, rep_rx) = crossbeam::channel::unbounded::<Reply>();
-                    scope.spawn(move || {
-                        shard::serve(
-                            state,
-                            || cmd_rx.recv().ok(),
-                            |reply| {
-                                let _ = rep_tx.send(reply);
-                            },
-                        )
-                    });
-                    to.push(cmd_tx);
-                    from.push(rep_rx);
-                }
-                let mut transport = ChannelTransport::new(to, from);
-                // A channel failure means a shard thread panicked; the
-                // scope re-raises that panic when it joins, so this
-                // expect only adds context.
-                run_cycle(core, &mut transport).expect("shard worker thread failed");
-                transport.stop();
+                let mut links: Vec<ThreadLink> = states
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(shard, state)| ThreadLink::spawn(scope, shard, state))
+                    .collect();
+                // A link failure means a shard thread panicked; the scope
+                // re-raises that panic when it joins, so this expect only
+                // adds context.
+                run_cycle(core, &mut links).expect("shard worker thread failed");
             });
         }
     }
@@ -968,12 +908,10 @@ impl Simulation {
     pub fn reset_node(&mut self, id: NodeId) {
         apply_event(
             &mut self.core,
-            &mut InlineTransport {
-                shards: &mut self.shards,
-            },
+            &mut InlineLink::over(&mut self.shards),
             Event::ResetNode { node: id },
         )
-        .expect("inline transport cannot fail");
+        .expect("inline links cannot fail");
     }
 
     /// Registers a node joining mid-run (§V-C): interests mirror
@@ -984,12 +922,10 @@ impl Simulation {
     pub fn add_joining_node(&mut self, reference: NodeId) -> NodeId {
         join_clone(
             &mut self.core,
-            &mut InlineTransport {
-                shards: &mut self.shards,
-            },
+            &mut InlineLink::over(&mut self.shards),
             reference,
         )
-        .expect("inline transport cannot fail")
+        .expect("inline links cannot fail")
     }
 
     /// Swaps the ground-truth interests of two nodes (§V-C). Equivalent to
@@ -997,12 +933,10 @@ impl Simulation {
     pub fn swap_interests(&mut self, a: NodeId, b: NodeId) {
         apply_event(
             &mut self.core,
-            &mut InlineTransport {
-                shards: &mut self.shards,
-            },
+            &mut InlineLink::over(&mut self.shards),
             Event::SwapInterests { a, b },
         )
-        .expect("inline transport cannot fail");
+        .expect("inline links cannot fail");
     }
 
     /// Mean live similarity between `id`'s profile and the *current*

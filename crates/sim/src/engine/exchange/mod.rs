@@ -1,21 +1,19 @@
-//! The shard command protocol and the pluggable exchange transports.
+//! The shard command protocol and the one link that carries it.
 //!
 //! The driver orchestrates every phase as a lockstep *round-trip*: one
-//! [`Command`] per participating shard, one [`Reply`] back from each. The
-//! [`ShardTransport`] trait abstracts how the serialized frames move:
-//!
-//! * [`ChannelTransport`] — shards as worker threads, frames over
-//!   crossbeam channels (in-process);
-//! * [`ProcessTransport`] — shards as `sim-shard-worker` child processes,
-//!   length-prefixed frames over stdio pipes (multi-process);
-//! * [`SocketTransport`] — shards as `sim-shard-worker --listen` processes
-//!   anywhere on the network, the same frames over TCP (distributed);
-//! * the single-shard driver calls the shard inline without serializing.
-//!
-//! The [`stream`] submodule holds everything the byte-stream transports
-//! (pipes and sockets) share: length-prefixed framing over generic
-//! `Read`/`Write`, the versioned bootstrap handshake, and the worker serve
-//! loop — `sim-shard-worker` is a thin shell around it.
+//! [`Command`] per participating shard, one [`Reply`] back from each.
+//! `ShardLink` is one shard's end of that conversation and
+//! `roundtrip` the only send-all/receive-all loop in the crate;
+//! `engine::driver` is generic over both. Three base links exist because
+//! three kinds of traffic do (tabulated in the engine module docs):
+//! `InlineLink` runs the shard in place, `ThreadLink` hands values to
+//! a worker thread, `stream::StreamLink` moves frames to a worker
+//! process. Pipe and TCP workers are that one struct — [`stream`] owns
+//! framing, the versioned handshake, `Stop`/teardown sequencing, restart
+//! and the worker serve loop (`sim-shard-worker` is a thin shell around
+//! it), while `process` and `socket` only say how a connection is
+//! opened and (TCP) deadline-armed. `supervisor::Supervised` wraps a
+//! restartable link and is a `ShardLink` itself.
 //!
 //! Every frame is hand-encoded little-endian via the `bytes` buffers;
 //! mailbox traffic and view snapshots embed the `whatsup-net` wire codec's
@@ -26,18 +24,15 @@
 //! handshake, a peer vanishing, a frame truncated on the wire — surfaces
 //! as a typed [`TransportError`] naming the endpoint instead.
 
-pub mod process;
-pub mod socket;
+pub(crate) mod process;
+pub(crate) mod socket;
 pub mod stream;
 pub mod supervisor;
 
-pub use process::ProcessTransport;
-pub use socket::SocketTransport;
-pub use stream::{read_frame, write_frame};
-pub use supervisor::{SupervisedTransport, Supervision};
+pub use supervisor::Supervision;
 
 use crate::engine::partition::Partition;
-use crate::engine::shard::ShardInit;
+use crate::engine::shard::{ShardInit, ShardState};
 use crate::oracle::Oracle;
 use crate::scenario::{ChurnModel, LossModel};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -261,26 +256,130 @@ pub enum Reply {
     Checkpoint(Bytes),
 }
 
-/// Moves command/reply frames between the driver and the shard workers.
-///
-/// A batch sends at most one command per shard; replies come back in batch
-/// order. Implementations must preserve per-shard FIFO ordering. A failed
-/// round-trip leaves the transport in an unspecified state: the driver
-/// must abandon the run (dropping the transport tears the workers down) —
-/// unless the transport is a [`SupervisedTransport`], which recovers the
-/// failed shard internally and only fails after exhausting its restart
-/// budget.
-pub trait ShardTransport {
-    fn n_shards(&self) -> usize;
-    fn roundtrip(&mut self, batch: Vec<(usize, Command)>) -> Result<Vec<Reply>, TransportError>;
+/// One shard's end of the driver↔shard conversation: commands go in,
+/// exactly one reply comes back per command, in FIFO order. A failed call
+/// leaves the link in an unspecified state: the driver must abandon the
+/// run (dropping the link tears its worker down) — unless the link is a
+/// [`supervisor::Supervised`] wrapper, which recovers the shard internally
+/// and only fails after exhausting its restart budget.
+pub(crate) trait ShardLink {
+    /// Human-readable worker endpoint, named in errors.
+    fn endpoint(&self) -> String;
 
-    /// Hook the driver calls once per completed cycle, after the cycle's
-    /// last round-trip. Plain transports ignore it; the supervised wrapper
-    /// uses it to checkpoint shards on its configured cadence (a cycle
-    /// boundary is the one point where every mailbox is provably empty).
-    fn cycle_boundary(&mut self, completed_cycle: u32) -> Result<(), TransportError> {
-        let _ = completed_cycle;
+    /// Hands one command to the shard. Must not wait for the reply, so
+    /// that a batch keeps every shard computing at once.
+    fn send(&mut self, cmd: Command) -> Result<(), TransportError>;
+
+    /// The reply to the oldest unanswered command.
+    fn recv(&mut self) -> Result<Reply, TransportError>;
+
+    /// Graceful teardown once the run is over: the worker is told to stop
+    /// and waited for. Links with nothing to reap tear down by dropping.
+    fn shutdown(self) -> Result<(), TransportError>
+    where
+        Self: Sized,
+    {
         Ok(())
+    }
+}
+
+/// The lockstep round-trip — the one send-all/receive-all loop of the
+/// engine. `batch` names at most one command per shard; every command is
+/// sent before the first reply is read (the shards compute in parallel),
+/// and the replies come back in batch order.
+pub(crate) fn roundtrip<L: ShardLink>(
+    links: &mut [L],
+    batch: Vec<(usize, Command)>,
+) -> Result<Vec<Reply>, TransportError> {
+    let targets: Vec<usize> = batch.iter().map(|(s, _)| *s).collect();
+    for (s, cmd) in batch {
+        links[s].send(cmd)?;
+    }
+    targets.into_iter().map(|s| links[s].recv()).collect()
+}
+
+/// Single-shard fast path: the shard is driven in place on the calling
+/// thread — `send` runs the command, the reply waits for `recv`. No codec,
+/// no copy.
+pub(crate) struct InlineLink<'a> {
+    shard: &'a mut ShardState,
+    reply: Option<Reply>,
+}
+
+impl<'a> InlineLink<'a> {
+    /// One link per shard, in shard order.
+    pub(crate) fn over(shards: &'a mut [ShardState]) -> Vec<Self> {
+        let link = |shard| Self { shard, reply: None };
+        shards.iter_mut().map(link).collect()
+    }
+}
+
+impl ShardLink for InlineLink<'_> {
+    fn endpoint(&self) -> String {
+        "inline shard".into()
+    }
+
+    fn send(&mut self, cmd: Command) -> Result<(), TransportError> {
+        self.reply = Some(self.shard.handle(cmd));
+        Ok(())
+    }
+
+    fn recv(&mut self) -> Result<Reply, TransportError> {
+        Ok(self.reply.take().expect("recv follows a send"))
+    }
+}
+
+/// In-process link to a shard worker thread: [`Command`] and [`Reply`]
+/// *values* over channels, dispatched through [`ShardState::handle`].
+///
+/// No command/reply codec runs on this path: the workers share the
+/// driver's address space, so the `Bytes` bundles inside commands and
+/// replies travel as refcounted clones. Encoding frames here would
+/// deep-copy every gossip bundle once per shard per phase — the dominant
+/// term in the multi-shard in-process memory footprint. The byte-stream
+/// link still exercises the full codec, and bundles themselves are
+/// wire-encoded on every link, so cross-link byte parity is unaffected.
+pub(crate) struct ThreadLink {
+    shard: usize,
+    to: crossbeam::channel::Sender<Command>,
+    from: crossbeam::channel::Receiver<Reply>,
+}
+
+impl ThreadLink {
+    /// Spawns the worker thread of shard number `shard` on `scope`. The
+    /// thread serves until the link is dropped (the command channel
+    /// closes), which is what lets the scope join.
+    pub(crate) fn spawn<'scope>(
+        scope: &'scope std::thread::Scope<'scope, '_>,
+        shard: usize,
+        state: &'scope mut ShardState,
+    ) -> Self {
+        let (to, commands) = crossbeam::channel::unbounded();
+        let (replies, from) = crossbeam::channel::unbounded();
+        scope.spawn(move || {
+            while let Ok(cmd) = commands.recv() {
+                let _ = replies.send(state.handle(cmd));
+            }
+        });
+        Self { shard, to, from }
+    }
+
+    fn hung_up(&self) -> TransportError {
+        TransportError::closed(self.endpoint(), "shard thread hung up")
+    }
+}
+
+impl ShardLink for ThreadLink {
+    fn endpoint(&self) -> String {
+        format!("in-process thread (shard {})", self.shard)
+    }
+
+    fn send(&mut self, cmd: Command) -> Result<(), TransportError> {
+        self.to.send(cmd).map_err(|_| self.hung_up())
+    }
+
+    fn recv(&mut self) -> Result<Reply, TransportError> {
+        self.from.recv().map_err(|_| self.hung_up())
     }
 }
 
@@ -964,74 +1063,67 @@ pub fn decode_init(mut frame: &[u8]) -> ShardInit {
     }
 }
 
-// ---------------------------------------------------------------------------
-// In-process transport
-// ---------------------------------------------------------------------------
-
-/// In-process transport: one worker thread per shard, [`Command`] and
-/// [`Reply`] *values* over channels. The worker threads run
-/// [`crate::engine::shard::serve`].
-///
-/// No command/reply codec runs on this path: the workers share the
-/// driver's address space, so the `Bytes` bundles inside commands and
-/// replies travel as refcounted clones. Encoding frames here would
-/// deep-copy every gossip bundle once per shard per phase — the dominant
-/// term in the multi-shard in-process memory footprint. The byte-stream
-/// transports ([`ProcessTransport`], [`SocketTransport`]) still exercise
-/// the full codec, and bundles themselves are wire-encoded on every
-/// transport, so cross-transport byte parity is unaffected.
-pub struct ChannelTransport {
-    to: Vec<crossbeam::channel::Sender<Command>>,
-    from: Vec<crossbeam::channel::Receiver<Reply>>,
-}
-
-impl ChannelTransport {
-    pub fn new(
-        to: Vec<crossbeam::channel::Sender<Command>>,
-        from: Vec<crossbeam::channel::Receiver<Reply>>,
-    ) -> Self {
-        assert_eq!(to.len(), from.len());
-        Self { to, from }
-    }
-
-    /// Tells every worker to exit its serve loop.
-    pub fn stop(&mut self) {
-        for tx in &self.to {
-            let _ = tx.send(Command::Stop);
-        }
-    }
-}
-
-impl ShardTransport for ChannelTransport {
-    fn n_shards(&self) -> usize {
-        self.to.len()
-    }
-
-    fn roundtrip(&mut self, batch: Vec<(usize, Command)>) -> Result<Vec<Reply>, TransportError> {
-        let targets: Vec<usize> = batch.iter().map(|(s, _)| *s).collect();
-        for (s, cmd) in batch {
-            self.to[s]
-                .send(cmd)
-                .map_err(|_| TransportError::closed(thread_endpoint(s), "shard thread hung up"))?;
-        }
-        targets
-            .into_iter()
-            .map(|s| {
-                self.from[s]
-                    .recv()
-                    .map_err(|_| TransportError::closed(thread_endpoint(s), "shard thread hung up"))
-            })
-            .collect()
-    }
-}
-
-fn thread_endpoint(shard: usize) -> String {
-    format!("in-process thread (shard {shard})")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// A link that records every call in a log shared by all shards and
+    /// answers `Collect` with its own shard index as the `sent` total.
+    struct RecordingLink {
+        shard: u64,
+        calls: Rc<RefCell<Vec<String>>>,
+    }
+
+    impl ShardLink for RecordingLink {
+        fn endpoint(&self) -> String {
+            format!("recording link {}", self.shard)
+        }
+
+        fn send(&mut self, cmd: Command) -> Result<(), TransportError> {
+            assert!(matches!(cmd, Command::Collect { cycle: 7 }));
+            self.calls.borrow_mut().push(format!("send {}", self.shard));
+            Ok(())
+        }
+
+        fn recv(&mut self) -> Result<Reply, TransportError> {
+            self.calls.borrow_mut().push(format!("recv {}", self.shard));
+            Ok(Reply::Outbound(Outbound {
+                sent: self.shard,
+                ..Outbound::default()
+            }))
+        }
+    }
+
+    #[test]
+    fn roundtrip_sends_the_whole_batch_before_reading_replies_in_batch_order() {
+        let calls = Rc::new(RefCell::new(Vec::new()));
+        let mut links: Vec<RecordingLink> = (0..4)
+            .map(|shard| RecordingLink {
+                shard,
+                calls: Rc::clone(&calls),
+            })
+            .collect();
+        // A subset of the shards, deliberately not in shard order.
+        let batch = [3, 0, 2]
+            .map(|s| (s, Command::Collect { cycle: 7 }))
+            .to_vec();
+        let replies = roundtrip(&mut links, batch).expect("mock links cannot fail");
+        let sent: Vec<u64> = replies
+            .iter()
+            .map(|r| match r {
+                Reply::Outbound(o) => o.sent,
+                other => panic!("expected Outbound, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(sent, [3, 0, 2], "replies come back in batch order");
+        assert_eq!(
+            *calls.borrow(),
+            ["send 3", "send 0", "send 2", "recv 3", "recv 0", "recv 2"],
+            "every send precedes the first recv; shard 1 is never touched"
+        );
+    }
 
     #[test]
     fn command_frames_roundtrip() {

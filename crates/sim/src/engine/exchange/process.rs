@@ -1,80 +1,52 @@
-//! Multi-process transport: one `sim-shard-worker` child per shard,
-//! length-prefixed frames over stdio pipes.
-//!
-//! Children are never leaked: the graceful [`ProcessTransport::shutdown`]
-//! sends `Stop` and waits, and [`Drop`] covers every early-error path
-//! (spawn failures after the first child, a failed round-trip, a driver
-//! panic) with a best-effort `Stop`, then `kill` + `wait` so an aborted
-//! multiprocess run cannot leave zombie workers behind.
-//!
-//! The transport keeps the worker binary path and every shard's original
-//! init, so the supervision layer ([`super::SupervisedTransport`]) can
-//! respawn a crashed child through [`ShardLink::restart`]: kill + reap the
-//! old process, spawn a replacement, re-run the bootstrap handshake.
-//! Pipes cannot arm read deadlines, so `set_deadline` is a no-op here — a
-//! crashed child surfaces promptly as EOF instead.
+//! How a pipe connection is opened: spawn one `sim-shard-worker` child and
+//! talk length-prefixed frames over its stdio. Everything after the open —
+//! handshake, traffic, teardown, respawn — is [`super::stream::StreamLink`].
 
-use super::stream::{check_hello, encode_handshake, HANDSHAKE_TIMEOUT};
-use super::supervisor::ShardLink;
-use super::{
-    decode_reply, encode_command, read_frame, write_frame, Command, Reply, ShardTransport,
-    TransportError, TransportErrorKind,
-};
-use crate::engine::shard::ShardInit;
-use std::io::BufReader;
-use std::path::{Path, PathBuf};
-use std::process::{Child, ChildStdin, ChildStdout, Stdio};
+use super::stream::{read_frame, Conn, Handle, Opened, HANDSHAKE_TIMEOUT};
+use super::TransportError;
+use std::io::{self, BufReader};
+use std::path::Path;
+use std::process::Stdio;
 use std::sync::mpsc;
-use std::time::Duration;
 
-/// The human-readable name of one worker child, used in every error.
-fn worker_endpoint(pid: u32, shard: usize) -> String {
-    format!("sim-shard-worker pid {pid} (shard {shard})")
-}
-
-pub struct ProcessTransport {
-    /// The worker binary, kept for supervised respawns.
-    worker: PathBuf,
-    /// Every shard's handshake frame (magic + version + encoded init),
-    /// encoded once at bootstrap and replayed verbatim on respawn — the
-    /// init never changes, so a recovery never re-serializes it.
-    handshakes: Vec<Vec<u8>>,
-    children: Vec<Child>,
-    stdins: Vec<ChildStdin>,
-    stdouts: Vec<BufReader<ChildStdout>>,
-    /// Set by [`ProcessTransport::shutdown`] so [`Drop`] skips the
-    /// kill path after a graceful teardown.
-    stopped: bool,
-}
-
-/// Reads and validates a just-spawned child's hello, bounded by
+/// Spawns the worker for `shard` and reads its hello, bounded by
 /// [`HANDSHAKE_TIMEOUT`]. Pipes cannot arm read timeouts, so the read runs
-/// on a watchdog thread: on timeout the child is killed (not a shard
-/// worker — e.g. a binary that never speaks), which unblocks the reader
-/// thread with an EOF and lets it exit. Returns the stdout reader for the
-/// command/reply phase.
-fn read_hello_bounded(
-    endpoint: &str,
-    child: &mut Child,
-    mut stdout: BufReader<ChildStdout>,
-) -> Result<BufReader<ChildStdout>, TransportError> {
+/// on a watchdog thread: on timeout the child is killed and reaped (not a
+/// shard worker — e.g. a binary that never speaks), which unblocks the
+/// reader thread with an EOF and lets it exit. Returns the connection and
+/// the raw hello for the shared handshake check.
+pub(crate) fn spawn(worker: &Path, shard: usize) -> Result<Opened, TransportError> {
+    let mut child = std::process::Command::new(worker)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::inherit())
+        .spawn()
+        .map_err(|e| TransportError::io(format!("spawn {}", worker.display()), e))?;
+    let endpoint = format!("sim-shard-worker pid {} (shard {shard})", child.id());
+    let stdin = child.stdin.take().expect("piped stdin");
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || {
         let hello = read_frame(&mut stdout);
         let _ = tx.send((hello, stdout));
     });
     match rx.recv_timeout(HANDSHAKE_TIMEOUT) {
-        Ok((hello, stdout)) => {
-            check_hello(endpoint, hello)?;
-            Ok(stdout)
-        }
+        Ok((hello, stdout)) => Ok((
+            Conn {
+                endpoint,
+                reader: Box::new(stdout),
+                writer: Box::new(stdin),
+                handle: Handle::Child(child),
+            },
+            hello,
+        )),
         Err(_) => {
             let _ = child.kill();
             let _ = child.wait();
             Err(TransportError::io(
                 endpoint,
-                std::io::Error::new(
-                    std::io::ErrorKind::TimedOut,
+                io::Error::new(
+                    io::ErrorKind::TimedOut,
                     format!(
                         "no hello within {HANDSHAKE_TIMEOUT:?} — \
                          is this a sim-shard-worker binary?"
@@ -82,175 +54,5 @@ fn read_hello_bounded(
                 ),
             ))
         }
-    }
-}
-
-/// Spawns one worker child and runs the bootstrap handshake with it. The
-/// child is killed and reaped on any failure, so the caller never inherits
-/// a half-handshaken process.
-fn spawn_worker(
-    worker: &Path,
-    shard: usize,
-    handshake: &[u8],
-) -> Result<(Child, ChildStdin, BufReader<ChildStdout>), TransportError> {
-    let mut child = std::process::Command::new(worker)
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit())
-        .spawn()
-        .map_err(|e| TransportError::io(format!("spawn {}", worker.display()), e))?;
-    let endpoint = worker_endpoint(child.id(), shard);
-    let mut stdin = child.stdin.take().expect("piped stdin");
-    let stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
-    let stdout = read_hello_bounded(&endpoint, &mut child, stdout)?;
-    if let Err(e) = write_frame(&mut stdin, handshake) {
-        let _ = child.kill();
-        let _ = child.wait();
-        return Err(TransportError::io(&*endpoint, e));
-    }
-    Ok((child, stdin, stdout))
-}
-
-impl ProcessTransport {
-    /// Spawns one worker per init and runs the bootstrap handshake with
-    /// each (see [`super::stream`]). On failure, the children spawned so
-    /// far are killed and reaped before returning.
-    pub fn spawn(worker: &Path, inits: &[ShardInit]) -> Result<Self, TransportError> {
-        let mut t = Self {
-            worker: worker.to_path_buf(),
-            handshakes: inits.iter().map(encode_handshake).collect(),
-            children: Vec::with_capacity(inits.len()),
-            stdins: Vec::with_capacity(inits.len()),
-            stdouts: Vec::with_capacity(inits.len()),
-            stopped: false,
-        };
-        for (shard, init) in inits.iter().enumerate() {
-            debug_assert_eq!(init.index, shard, "inits must be in shard order");
-            // Failures propagate after the partial registration below, so
-            // Drop reaps the children spawned so far.
-            let (child, stdin, stdout) = spawn_worker(worker, shard, &t.handshakes[shard])?;
-            t.children.push(child);
-            t.stdins.push(stdin);
-            t.stdouts.push(stdout);
-        }
-        Ok(t)
-    }
-
-    fn endpoint_of(&self, shard: usize) -> String {
-        worker_endpoint(self.children[shard].id(), shard)
-    }
-
-    /// Stops every worker and reaps the processes. Errors report the first
-    /// failure but still reap every child.
-    pub fn shutdown(mut self) -> Result<(), TransportError> {
-        self.stopped = true;
-        let stop = encode_command(&Command::Stop);
-        let mut first_err: Option<TransportError> = None;
-        for (s, stdin) in self.stdins.iter_mut().enumerate() {
-            if let Err(e) = write_frame(stdin, &stop) {
-                let endpoint = worker_endpoint(self.children[s].id(), s);
-                first_err.get_or_insert(TransportError::io(endpoint, e));
-            }
-        }
-        self.stdins.clear();
-        for (s, child) in self.children.iter_mut().enumerate() {
-            let endpoint = worker_endpoint(child.id(), s);
-            match child.wait() {
-                Ok(status) if !status.success() => {
-                    first_err.get_or_insert(TransportError {
-                        endpoint,
-                        kind: TransportErrorKind::WorkerExit(status.to_string()),
-                    });
-                }
-                Ok(_) => {}
-                Err(e) => {
-                    first_err.get_or_insert(TransportError::io(endpoint, e));
-                }
-            }
-        }
-        self.children.clear();
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
-    }
-}
-
-impl Drop for ProcessTransport {
-    fn drop(&mut self) {
-        if self.stopped {
-            return;
-        }
-        // Best-effort Stop so healthy workers exit cleanly, then close the
-        // pipes, then make sure: kill + wait reaps even a wedged child.
-        let stop = encode_command(&Command::Stop);
-        for stdin in &mut self.stdins {
-            let _ = write_frame(stdin, &stop);
-        }
-        self.stdins.clear();
-        for child in &mut self.children {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-    }
-}
-
-impl ShardLink for ProcessTransport {
-    fn n_shards(&self) -> usize {
-        self.children.len()
-    }
-
-    fn endpoint(&self, shard: usize) -> String {
-        self.endpoint_of(shard)
-    }
-
-    fn send(&mut self, shard: usize, frame: &[u8]) -> Result<(), TransportError> {
-        write_frame(&mut self.stdins[shard], frame)
-            .map_err(|e| TransportError::io(self.endpoint_of(shard), e))
-    }
-
-    fn recv(&mut self, shard: usize) -> Result<Vec<u8>, TransportError> {
-        read_frame(&mut self.stdouts[shard])
-            .map_err(|e| TransportError::io(self.endpoint_of(shard), e))?
-            .ok_or_else(|| {
-                TransportError::closed(self.endpoint_of(shard), "worker exited mid-phase")
-            })
-    }
-
-    fn restart(&mut self, shard: usize) -> Result<(), TransportError> {
-        // Reap the old child first (it may already be gone — ignore
-        // errors) so a respawn loop cannot accumulate zombies.
-        let _ = self.children[shard].kill();
-        let _ = self.children[shard].wait();
-        let (child, stdin, stdout) = spawn_worker(&self.worker, shard, &self.handshakes[shard])?;
-        self.children[shard] = child;
-        self.stdins[shard] = stdin;
-        self.stdouts[shard] = stdout;
-        Ok(())
-    }
-
-    /// Pipes cannot arm read/write deadlines; hang detection is
-    /// socket-only. A dead child still unblocks reads with EOF.
-    fn set_deadline(&mut self, _deadline: Option<Duration>) {}
-
-    fn shutdown(self) -> Result<(), TransportError> {
-        ProcessTransport::shutdown(self)
-    }
-}
-
-impl ShardTransport for ProcessTransport {
-    fn n_shards(&self) -> usize {
-        self.children.len()
-    }
-
-    fn roundtrip(&mut self, batch: Vec<(usize, Command)>) -> Result<Vec<Reply>, TransportError> {
-        let targets: Vec<usize> = batch.iter().map(|(s, _)| *s).collect();
-        for (s, cmd) in &batch {
-            ShardLink::send(self, *s, &encode_command(cmd))?;
-        }
-        targets
-            .into_iter()
-            .map(|s| Ok(decode_reply(&ShardLink::recv(self, s)?)))
-            .collect()
     }
 }

@@ -1,63 +1,33 @@
-//! Distributed transport: shard workers as `sim-shard-worker --listen`
-//! processes reachable over TCP, exchanging exactly the frames the pipe
-//! transport uses. This is what lets shard workers live on other machines:
-//! the bundle payloads already are the `whatsup-net` wire codec.
+//! How a TCP connection is opened and deadline-armed: shard workers as
+//! `sim-shard-worker --listen` processes, possibly on other machines,
+//! exchanging exactly the frames a pipe worker does (the bundle payloads
+//! already are the `whatsup-net` wire codec). Everything after the dial —
+//! handshake, traffic, teardown, redial — is [`super::stream::StreamLink`].
 //!
 //! Launch order is *workers first, then driver* — but only loosely: each
 //! worker binds, prints its address, and blocks in accept, while the
-//! driver retries refused/unreachable dials over [`DIAL_RETRY_WINDOW`]
-//! (configurable via [`SocketTransport::connect_with`]), so a worker that
-//! comes up a moment after the driver still gets its shard. Dialing and
-//! the handshake are guarded by [`CONNECT_TIMEOUT`]/[`HANDSHAKE_TIMEOUT`],
-//! so a worker that stays down, is unreachable, or speaks a different
-//! protocol version surfaces as a typed [`TransportError`] naming the
-//! address — a run never hangs on bootstrap and never panics on a foreign
-//! greeting.
+//! driver retries refused/unreachable dials over a window
+//! ([`DIAL_RETRY_WINDOW`] by default), so a worker that comes up a moment
+//! after the driver still gets its shard. Dialing and the hello are
+//! guarded by [`CONNECT_TIMEOUT`]/[`HANDSHAKE_TIMEOUT`], so a worker that
+//! stays down, is unreachable, or never speaks surfaces as a typed
+//! [`TransportError`] naming the address — a run never hangs on bootstrap.
 //!
-//! The transport keeps every shard's original init and the dial window, so
-//! the supervision layer ([`super::SupervisedTransport`]) can redial a
-//! crashed worker's address through [`ShardLink::restart`] and re-run the
-//! handshake with a replacement listener. Hang detection is armed through
-//! [`ShardLink::set_deadline`]: a per-read/write deadline on every
-//! conversation, so a wedged worker surfaces as a timed-out (retryable)
-//! I/O error instead of blocking the driver forever.
+//! This is the one engine file allowed to read the wall clock (the
+//! `det-clock` lint excludes it by path): the retry window and the
+//! read/write deadlines are real-time by nature and never reach a report.
 
-use super::stream::{
-    drive_handshake_encoded, encode_handshake, CONNECT_TIMEOUT, HANDSHAKE_TIMEOUT,
-};
-use super::supervisor::ShardLink;
-use super::{
-    decode_reply, encode_command, read_frame, write_frame, Command, Reply, ShardTransport,
-    TransportError,
-};
-use crate::engine::shard::ShardInit;
-use std::io::{BufReader, BufWriter};
-use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
+use super::stream::{read_frame, Conn, Handle, Opened, CONNECT_TIMEOUT, HANDSHAKE_TIMEOUT};
+use super::TransportError;
+use std::io::{self, BufReader, BufWriter};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
-/// Default window over which an initial dial (or a supervised redial) is
-/// retried before failing. Covers the workers-come-up-late race without
-/// making a genuinely-down worker slow to diagnose.
-pub const DIAL_RETRY_WINDOW: Duration = Duration::from_secs(3);
-
-pub struct SocketTransport {
-    /// One worker address per shard, as given by the caller (named in
-    /// errors).
-    endpoints: Vec<String>,
-    /// Every shard's handshake frame (magic + version + encoded init),
-    /// encoded once at bootstrap and replayed verbatim on redial — the
-    /// init never changes, so a recovery never re-serializes it.
-    handshakes: Vec<Vec<u8>>,
-    readers: Vec<BufReader<TcpStream>>,
-    writers: Vec<BufWriter<TcpStream>>,
-    /// Per-read/write hang deadline; `None` (unsupervised) blocks freely.
-    deadline: Option<Duration>,
-    /// Retry window for dials, shared by bootstrap and redials.
-    dial_window: Duration,
-    /// Set by [`SocketTransport::shutdown`] so [`Drop`] skips the
-    /// best-effort teardown after a graceful one.
-    stopped: bool,
-}
+/// Default window over which an initial dial is retried before failing
+/// (supervised runs use [`super::Supervision::dial_window`], for redials
+/// too). Covers the workers-come-up-late race without making a
+/// genuinely-down worker slow to diagnose.
+pub(crate) const DIAL_RETRY_WINDOW: Duration = Duration::from_secs(3);
 
 /// Dials `addr` with [`CONNECT_TIMEOUT`], trying every resolved socket
 /// address in order (like `TcpStream::connect`, which has no timeout
@@ -67,8 +37,8 @@ fn dial_once(addr: &str) -> Result<TcpStream, TransportError> {
         .to_socket_addrs()
         .map_err(|e| TransportError::io(addr, e))?
         .collect();
-    let mut last_err = std::io::Error::new(
-        std::io::ErrorKind::AddrNotAvailable,
+    let mut last_err = io::Error::new(
+        io::ErrorKind::AddrNotAvailable,
         "address resolved to nothing",
     );
     for sock_addr in resolved {
@@ -102,35 +72,34 @@ fn dial_retry(addr: &str, window: Duration) -> Result<TcpStream, TransportError>
     }
 }
 
-/// Dials one worker and runs the bootstrap handshake, returning the framed
-/// conversation with `deadline` armed (or unbounded reads if `None`).
-fn connect_worker(
-    addr: &str,
-    handshake: &[u8],
-    window: Duration,
-    deadline: Option<Duration>,
-) -> Result<(BufReader<TcpStream>, BufWriter<TcpStream>), TransportError> {
+/// Dials the worker at `addr` (retrying over `window`) and reads its
+/// hello under a [`HANDSHAKE_TIMEOUT`] read timeout, which stays armed
+/// until [`arm_deadline`] replaces it after the handshake. Returns the
+/// connection and the raw hello for the shared handshake check.
+pub(crate) fn dial(addr: &str, window: Duration) -> Result<Opened, TransportError> {
     let stream = dial_retry(addr, window)?;
     let _ = stream.set_nodelay(true);
     stream
         .set_read_timeout(Some(HANDSHAKE_TIMEOUT))
         .map_err(|e| TransportError::io(addr, e))?;
-    let mut reader = BufReader::new(
-        stream
-            .try_clone()
-            .map_err(|e| TransportError::io(addr, e))?,
-    );
-    let mut writer = BufWriter::new(stream);
-    drive_handshake_encoded(addr, &mut reader, &mut writer, handshake)?;
-    // Handshake done: arm the steady-state deadline. `None` lets long
-    // lockstep rounds block freely; supervised runs bound every read and
-    // write so a hung worker is detected and treated as dead.
-    arm_deadline(addr, writer.get_ref(), deadline)?;
-    Ok((reader, writer))
+    let clone = || stream.try_clone().map_err(|e| TransportError::io(addr, e));
+    let mut reader = BufReader::new(clone()?);
+    let writer = BufWriter::new(clone()?);
+    let hello = read_frame(&mut reader);
+    let conn = Conn {
+        endpoint: addr.to_string(),
+        reader: Box::new(reader),
+        writer: Box::new(writer),
+        handle: Handle::Socket(stream),
+    };
+    Ok((conn, hello))
 }
 
-/// Applies `deadline` as both the read and write timeout of `stream`.
-fn arm_deadline(
+/// Applies `deadline` as both the read and write timeout of `stream`:
+/// `None` lets long lockstep rounds block freely; supervised runs bound
+/// every read and write, so a wedged worker surfaces as a timed-out
+/// (retryable) I/O error instead of blocking the driver forever.
+pub(crate) fn arm_deadline(
     addr: &str,
     stream: &TcpStream,
     deadline: Option<Duration>,
@@ -139,167 +108,4 @@ fn arm_deadline(
         .set_read_timeout(deadline)
         .and_then(|()| stream.set_write_timeout(deadline))
         .map_err(|e| TransportError::io(addr, e))
-}
-
-impl SocketTransport {
-    /// Dials one worker per init (`workers[k]` becomes shard `k`) with the
-    /// default [`DIAL_RETRY_WINDOW`] and runs the bootstrap handshake with
-    /// each. Connect and handshake are bounded by timeouts; after the
-    /// handshake the streams block freely (a lockstep round may
-    /// legitimately take long on big shards) until a supervisor arms a
-    /// deadline.
-    pub fn connect(workers: &[String], inits: &[ShardInit]) -> Result<Self, TransportError> {
-        Self::connect_with(workers, inits, DIAL_RETRY_WINDOW)
-    }
-
-    /// [`SocketTransport::connect`] with an explicit dial-retry window
-    /// (tests shrink it; deployments with slow worker rollout raise it).
-    /// The window is kept for supervised redials.
-    pub fn connect_with(
-        workers: &[String],
-        inits: &[ShardInit],
-        dial_window: Duration,
-    ) -> Result<Self, TransportError> {
-        assert_eq!(workers.len(), inits.len(), "one worker address per shard");
-        let mut t = Self {
-            endpoints: workers.to_vec(),
-            handshakes: inits.iter().map(encode_handshake).collect(),
-            readers: Vec::with_capacity(workers.len()),
-            writers: Vec::with_capacity(workers.len()),
-            deadline: None,
-            dial_window,
-            stopped: false,
-        };
-        for (shard, addr) in workers.iter().enumerate() {
-            let (reader, writer) = connect_worker(addr, &t.handshakes[shard], dial_window, None)?;
-            t.readers.push(reader);
-            t.writers.push(writer);
-        }
-        Ok(t)
-    }
-
-    /// Stops every worker and closes the connections; errors report the
-    /// first failure but still close every stream.
-    pub fn shutdown(mut self) -> Result<(), TransportError> {
-        self.stopped = true;
-        let stop = encode_command(&Command::Stop);
-        let mut first_err: Option<TransportError> = None;
-        for (s, writer) in self.writers.iter_mut().enumerate() {
-            if let Err(e) = write_frame(writer, &stop) {
-                first_err.get_or_insert(TransportError::io(&*self.endpoints[s], e));
-            }
-            let _ = writer.get_ref().shutdown(Shutdown::Write);
-        }
-        // Wait for each worker to acknowledge the Stop by closing its end:
-        // a clean EOF here proves the worker exited its serve loop rather
-        // than being left behind mid-conversation. Unlike mid-round reads
-        // (unbounded — shard compute takes as long as it takes), this is a
-        // bounded-time event, so re-arm the timeout: a wedged or
-        // partitioned worker must not hang a completed run.
-        for (s, reader) in self.readers.iter_mut().enumerate() {
-            let _ = reader.get_ref().set_read_timeout(Some(HANDSHAKE_TIMEOUT));
-            match read_frame(reader) {
-                Ok(None) => {}
-                Ok(Some(_)) => {
-                    first_err.get_or_insert(TransportError::closed(
-                        &*self.endpoints[s],
-                        "worker sent a frame after Stop",
-                    ));
-                }
-                Err(e) => {
-                    first_err.get_or_insert(TransportError::io(&*self.endpoints[s], e));
-                }
-            }
-        }
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
-    }
-}
-
-impl Drop for SocketTransport {
-    fn drop(&mut self) {
-        if self.stopped {
-            return;
-        }
-        // Early-error path: tell every worker to stop, then close both
-        // directions so a worker blocked in read sees EOF immediately.
-        let stop = encode_command(&Command::Stop);
-        for writer in &mut self.writers {
-            let _ = write_frame(writer, &stop);
-            let _ = writer.get_ref().shutdown(Shutdown::Both);
-        }
-    }
-}
-
-impl ShardLink for SocketTransport {
-    fn n_shards(&self) -> usize {
-        self.writers.len()
-    }
-
-    fn endpoint(&self, shard: usize) -> String {
-        self.endpoints[shard].clone()
-    }
-
-    fn send(&mut self, shard: usize, frame: &[u8]) -> Result<(), TransportError> {
-        write_frame(&mut self.writers[shard], frame)
-            .map_err(|e| TransportError::io(&*self.endpoints[shard], e))
-    }
-
-    fn recv(&mut self, shard: usize) -> Result<Vec<u8>, TransportError> {
-        read_frame(&mut self.readers[shard])
-            .map_err(|e| TransportError::io(&*self.endpoints[shard], e))?
-            .ok_or_else(|| {
-                TransportError::closed(
-                    &*self.endpoints[shard],
-                    "worker closed the connection mid-phase",
-                )
-            })
-    }
-
-    fn restart(&mut self, shard: usize) -> Result<(), TransportError> {
-        // Close the wedged/dead connection first (a listen worker serves
-        // one connection, so its replacement needs the address free), then
-        // redial within the dial window. Replacing the reader/writer drops
-        // any half-read frame with the old connection.
-        let _ = self.writers[shard].get_ref().shutdown(Shutdown::Both);
-        let (reader, writer) = connect_worker(
-            &self.endpoints[shard],
-            &self.handshakes[shard],
-            self.dial_window,
-            self.deadline,
-        )?;
-        self.readers[shard] = reader;
-        self.writers[shard] = writer;
-        Ok(())
-    }
-
-    fn set_deadline(&mut self, deadline: Option<Duration>) {
-        self.deadline = deadline;
-        for (s, writer) in self.writers.iter().enumerate() {
-            let _ = arm_deadline(&self.endpoints[s], writer.get_ref(), deadline);
-        }
-    }
-
-    fn shutdown(self) -> Result<(), TransportError> {
-        SocketTransport::shutdown(self)
-    }
-}
-
-impl ShardTransport for SocketTransport {
-    fn n_shards(&self) -> usize {
-        self.writers.len()
-    }
-
-    fn roundtrip(&mut self, batch: Vec<(usize, Command)>) -> Result<Vec<Reply>, TransportError> {
-        let targets: Vec<usize> = batch.iter().map(|(s, _)| *s).collect();
-        for (s, cmd) in &batch {
-            ShardLink::send(self, *s, &encode_command(cmd))?;
-        }
-        targets
-            .into_iter()
-            .map(|s| Ok(decode_reply(&ShardLink::recv(self, s)?)))
-            .collect()
-    }
 }

@@ -1,6 +1,7 @@
-//! Byte-stream plumbing shared by every framed transport (stdio pipes and
-//! TCP sockets): length-prefixed framing over generic [`Read`]/[`Write`],
-//! the versioned bootstrap handshake, and the worker serve loop.
+//! The byte-stream half of the exchange: length-prefixed framing over
+//! generic [`Read`]/[`Write`], the versioned bootstrap handshake, the one
+//! driver-side link for framed workers (`StreamLink` — child-process
+//! pipes and TCP sockets alike) and the worker serve loop.
 //!
 //! # Bootstrap handshake
 //!
@@ -19,11 +20,18 @@
 //! instead of a frame-decode panic. Bumping [`PROTOCOL_VERSION`] whenever
 //! a frame layout changes is what keeps that promise.
 
-use super::{decode_init, encode_init, TransportError, TransportErrorKind};
+use super::supervisor::Restartable;
+use super::{
+    decode_command, decode_init, decode_reply, encode_command, encode_init, encode_reply, process,
+    socket, Command, Reply, ShardLink, TransportError, TransportErrorKind,
+};
 use crate::engine::shard::{ShardInit, ShardState};
 use bytes::{Buf, BufMut, BytesMut};
 use std::fmt;
 use std::io::{self, Read, Write};
+use std::net::{Shutdown, TcpStream};
+use std::path::PathBuf;
+use std::process::Child;
 use std::time::Duration;
 
 /// `"WUPS"` — first bytes of every hello/handshake frame.
@@ -43,8 +51,8 @@ pub const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// How long either side waits for the other's half of the handshake
 /// before declaring the peer dead or foreign. Sockets arm it as a read
-/// timeout; the process transport bounds its hello wait with it (a child
-/// can be alive yet silent — e.g. not a shard worker at all).
+/// timeout; a pipe bounds its hello wait with it (a child can be alive yet
+/// silent — e.g. not a shard worker at all).
 pub const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Upper bound on a single frame, as a guard against garbage length
@@ -56,8 +64,20 @@ pub const MAX_FRAME_LEN: usize = 1 << 28;
 // Framing
 // ---------------------------------------------------------------------------
 
-/// Writes one `len:u32` + payload frame and flushes.
+/// Writes one `len:u32` + payload frame and flushes. A frame over
+/// [`MAX_FRAME_LEN`] is an [`io::ErrorKind::InvalidInput`] error and
+/// nothing is written: the peer's [`read_frame`] would refuse it mid-run
+/// (and past 4 GiB the prefix would silently truncate).
 pub fn write_frame(w: &mut impl Write, frame: &[u8]) -> io::Result<()> {
+    if frame.len() > MAX_FRAME_LEN {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "frame of {} bytes exceeds the {MAX_FRAME_LEN}-byte limit",
+                frame.len()
+            ),
+        ));
+    }
     w.write_all(&(frame.len() as u32).to_le_bytes())?;
     w.write_all(frame)?;
     w.flush()
@@ -154,57 +174,231 @@ pub fn decode_handshake(frame: &[u8]) -> Result<ShardInit, TransportErrorKind> {
 }
 
 /// Driver-side validation of a worker's hello: takes the raw outcome of
-/// [`read_frame`] so callers can bound the read however their stream
+/// [`read_frame`] so openers can bound the read however their stream
 /// allows (socket read timeout, watchdog thread for pipes). `endpoint`
 /// names the worker in errors.
-pub fn check_hello(
-    endpoint: &str,
-    hello: io::Result<Option<Vec<u8>>>,
-) -> Result<(), TransportError> {
+fn check_hello(endpoint: &str, hello: io::Result<Option<Vec<u8>>>) -> Result<(), TransportError> {
+    let fail = |kind| TransportError {
+        endpoint: endpoint.into(),
+        kind,
+    };
     let frame = hello
         .map_err(|e| TransportError::io(endpoint, e))?
         .ok_or_else(|| TransportError::closed(endpoint, "worker closed before its hello"))?;
-    let version = decode_hello(&frame).map_err(|kind| TransportError {
-        endpoint: endpoint.into(),
-        kind,
-    })?;
-    if version != PROTOCOL_VERSION {
-        return Err(TransportError {
-            endpoint: endpoint.into(),
-            kind: TransportErrorKind::HandshakeVersion {
-                got: version,
-                want: PROTOCOL_VERSION,
-            },
-        });
+    match decode_hello(&frame).map_err(fail)? {
+        PROTOCOL_VERSION => Ok(()),
+        got => Err(fail(TransportErrorKind::HandshakeVersion {
+            got,
+            want: PROTOCOL_VERSION,
+        })),
     }
-    Ok(())
 }
 
-/// Driver side of the bootstrap over an established stream: read and
-/// validate the worker's hello, then send the versioned handshake carrying
-/// `init`. `endpoint` names the worker in errors.
-pub fn drive_handshake(
-    endpoint: &str,
-    input: &mut impl Read,
-    output: &mut impl Write,
-    init: &ShardInit,
-) -> Result<(), TransportError> {
-    drive_handshake_encoded(endpoint, input, output, &encode_handshake(init))
+// ---------------------------------------------------------------------------
+// The driver-side link
+// ---------------------------------------------------------------------------
+
+/// Where a framed worker lives — the only thing a pipe and a TCP worker
+/// differ in: how the connection is opened ([`process::spawn`] /
+/// [`socket::dial`]), closed, and — TCP only — deadline-armed.
+pub(crate) enum Peer {
+    /// A `sim-shard-worker` child of this process, frames over its stdio.
+    Pipe { worker: PathBuf },
+    /// A `sim-shard-worker --listen` process at `addr` (`host:port`).
+    Tcp {
+        addr: String,
+        /// Window over which a refused or unreachable dial is retried.
+        dial_window: Duration,
+        /// Per-read/write hang deadline of the command/reply phase; `None`
+        /// (unsupervised) blocks freely — a lockstep round may
+        /// legitimately take long on big shards.
+        deadline: Option<Duration>,
+    },
 }
 
-/// [`drive_handshake`] with the handshake frame already encoded. The init
-/// never changes over a transport's lifetime, so supervised transports
-/// encode it once at bootstrap and replay the same bytes on every
-/// respawn/redial instead of re-serializing the full shard init (which for
-/// large shards dominates recovery time).
-pub fn drive_handshake_encoded(
-    endpoint: &str,
-    input: &mut impl Read,
-    output: &mut impl Write,
-    handshake: &[u8],
-) -> Result<(), TransportError> {
-    check_hello(endpoint, read_frame(input))?;
-    write_frame(output, handshake).map_err(|e| TransportError::io(endpoint, e))
+/// One open connection: the framed byte stream plus the handle that
+/// closes it.
+pub(crate) struct Conn {
+    /// Names the worker in errors (`host:port`, or the child's pid).
+    pub(crate) endpoint: String,
+    pub(crate) reader: Box<dyn Read>,
+    pub(crate) writer: Box<dyn Write>,
+    pub(crate) handle: Handle,
+}
+
+pub(crate) enum Handle {
+    Child(Child),
+    Socket(TcpStream),
+}
+
+/// What an opener hands back: the connection and the raw outcome of
+/// reading the worker's hello on it.
+pub(crate) type Opened = (Conn, io::Result<Option<Vec<u8>>>);
+
+impl Conn {
+    /// Hard close: kill + reap the child (it may already be gone — errors
+    /// are ignored — so a respawn loop cannot accumulate zombies), or shut
+    /// both socket directions down so a worker blocked in read sees EOF
+    /// immediately and its replacement finds the address free.
+    fn close(&mut self) {
+        match &mut self.handle {
+            Handle::Child(child) => {
+                // Close the pipe first: a healthy worker exits on EOF.
+                self.writer = Box::new(io::sink());
+                let _ = child.kill();
+                let _ = child.wait();
+            }
+            Handle::Socket(stream) => {
+                let _ = stream.shutdown(Shutdown::Both);
+            }
+        }
+    }
+
+    /// Orderly close after a `Stop`: close the write side, then wait for
+    /// the worker to acknowledge by exiting 0 (child) or closing its end
+    /// (socket) — proof it left its serve loop instead of being left
+    /// behind mid-conversation.
+    fn finish(&mut self) -> Result<(), TransportError> {
+        self.writer = Box::new(io::sink());
+        match &mut self.handle {
+            Handle::Child(child) => match child.wait() {
+                Ok(status) if !status.success() => Err(TransportError {
+                    endpoint: self.endpoint.clone(),
+                    kind: TransportErrorKind::WorkerExit(status.to_string()),
+                }),
+                Ok(_) => Ok(()),
+                Err(e) => Err(TransportError::io(&*self.endpoint, e)),
+            },
+            Handle::Socket(stream) => {
+                let _ = stream.shutdown(Shutdown::Write);
+                // Unlike mid-round reads (unbounded — shard compute takes
+                // as long as it takes), the EOF is a bounded-time event,
+                // so re-arm the timeout: a wedged or partitioned worker
+                // must not hang a completed run.
+                let _ = stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT));
+                match read_frame(&mut self.reader) {
+                    Ok(None) => Ok(()),
+                    Ok(Some(_)) => Err(TransportError::closed(
+                        &*self.endpoint,
+                        "worker sent a frame after Stop",
+                    )),
+                    Err(e) => Err(TransportError::io(&*self.endpoint, e)),
+                }
+            }
+        }
+    }
+}
+
+/// The driver's link to one framed worker. Workers are never leaked: the
+/// graceful [`ShardLink::shutdown`] sends `Stop` and waits, and [`Drop`]
+/// covers every early-error path (a sibling that failed to open, a failed
+/// round-trip, a driver panic) with a best-effort `Stop` and a hard close,
+/// so an aborted run cannot leave zombie or lingering workers behind.
+pub(crate) struct StreamLink {
+    shard: usize,
+    peer: Peer,
+    /// The handshake frame (magic + version + encoded init), encoded once
+    /// at bootstrap and replayed verbatim on restart — the init never
+    /// changes, so a recovery never re-serializes it (which for large
+    /// shards would dominate recovery time).
+    handshake: Vec<u8>,
+    conn: Conn,
+    /// Set by a graceful shutdown so [`Drop`] skips the hard close.
+    stopped: bool,
+}
+
+/// Opens a connection to `peer` and runs the driver half of the bootstrap
+/// on it: validate the worker's hello (read by the opener under
+/// [`HANDSHAKE_TIMEOUT`], by whatever means its stream allows), send the
+/// handshake, arm the steady-state deadline. The connection is closed on
+/// any failure, so the caller never inherits a half-handshaken worker.
+fn connect(shard: usize, peer: &Peer, handshake: &[u8]) -> Result<Conn, TransportError> {
+    let (mut conn, hello) = match peer {
+        Peer::Pipe { worker } => process::spawn(worker, shard)?,
+        Peer::Tcp {
+            addr, dial_window, ..
+        } => socket::dial(addr, *dial_window)?,
+    };
+    let greeted = check_hello(&conn.endpoint, hello).and_then(|()| {
+        write_frame(&mut conn.writer, handshake).map_err(|e| TransportError::io(&*conn.endpoint, e))
+    });
+    let armed = greeted.and_then(|()| match (&conn.handle, peer) {
+        (Handle::Socket(stream), Peer::Tcp { deadline, .. }) => {
+            socket::arm_deadline(&conn.endpoint, stream, *deadline)
+        }
+        _ => Ok(()),
+    });
+    if let Err(e) = armed {
+        conn.close();
+        return Err(e);
+    }
+    Ok(conn)
+}
+
+impl StreamLink {
+    /// Connects shard `init.index` to its worker at `peer`.
+    pub(crate) fn open(peer: Peer, init: &ShardInit) -> Result<Self, TransportError> {
+        let handshake = encode_handshake(init);
+        let conn = connect(init.index, &peer, &handshake)?;
+        Ok(Self {
+            shard: init.index,
+            peer,
+            handshake,
+            conn,
+            stopped: false,
+        })
+    }
+}
+
+impl ShardLink for StreamLink {
+    fn endpoint(&self) -> String {
+        self.conn.endpoint.clone()
+    }
+
+    fn send(&mut self, cmd: Command) -> Result<(), TransportError> {
+        write_frame(&mut self.conn.writer, &encode_command(&cmd))
+            .map_err(|e| TransportError::io(&*self.conn.endpoint, e))
+    }
+
+    fn recv(&mut self) -> Result<Reply, TransportError> {
+        let frame = read_frame(&mut self.conn.reader)
+            .map_err(|e| TransportError::io(&*self.conn.endpoint, e))?
+            .ok_or_else(|| {
+                TransportError::closed(&*self.conn.endpoint, "worker closed the stream mid-phase")
+            })?;
+        Ok(decode_reply(&frame))
+    }
+
+    /// Errors report the failure but the worker is still reaped/closed.
+    fn shutdown(mut self) -> Result<(), TransportError> {
+        self.stopped = true;
+        let stopped = self.send(Command::Stop);
+        let finished = self.conn.finish();
+        stopped.and(finished)
+    }
+}
+
+impl Restartable for StreamLink {
+    /// Respawns the child / redials the address, then replays the
+    /// bootstrap handshake. On failure the closed connection stays in
+    /// place, so further traffic fails with I/O errors and another restart
+    /// can be attempted.
+    fn restart(&mut self) -> Result<(), TransportError> {
+        self.conn.close();
+        self.conn = connect(self.shard, &self.peer, &self.handshake)?;
+        Ok(())
+    }
+}
+
+impl Drop for StreamLink {
+    fn drop(&mut self) {
+        if !self.stopped {
+            // Best-effort Stop so a healthy worker exits cleanly, then
+            // make sure: the hard close reaps even a wedged child.
+            let _ = self.send(Command::Stop);
+            self.conn.close();
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -274,9 +468,9 @@ pub fn run_worker(input: &mut impl Read, output: &mut impl Write) -> Result<(), 
 }
 
 /// The post-handshake serve loop: one reply frame per command frame, until
-/// `Stop` (`Ok`) or the stream dies (`Err`). Command dispatch is
-/// [`crate::engine::shard::handle_frame`], shared with the channel-thread
-/// workers, so the transports cannot diverge on command semantics.
+/// `Stop` (`Ok`) or the stream dies (`Err`). Commands run through
+/// [`ShardState::handle`], the single dispatch point every link shares, so
+/// the links cannot diverge on command semantics.
 pub fn serve_stream(
     state: &mut ShardState,
     input: &mut impl Read,
@@ -291,10 +485,12 @@ pub fn serve_stream(
                     "driver closed the stream without sending Stop",
                 ))
             })?;
-        match crate::engine::shard::handle_frame(state, &frame) {
-            Some(reply) => write_frame(output, &reply).map_err(WorkerError::ConnectionLost)?,
-            None => return Ok(()),
+        let cmd = decode_command(&frame);
+        if matches!(cmd, Command::Stop) {
+            return Ok(());
         }
+        write_frame(output, &encode_reply(&state.handle(cmd)))
+            .map_err(WorkerError::ConnectionLost)?;
     }
 }
 
@@ -332,6 +528,16 @@ mod tests {
         let mut r: &[u8] = &pipe;
         let err = read_frame(&mut r).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn oversized_frame_is_refused_on_the_write_side() {
+        let frame = vec![0u8; MAX_FRAME_LEN + 1];
+        let mut pipe = Vec::new();
+        let err = write_frame(&mut pipe, &frame).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains(&frame.len().to_string()), "{err}");
+        assert!(pipe.is_empty(), "nothing may reach the wire");
     }
 
     #[test]

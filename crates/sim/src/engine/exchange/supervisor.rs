@@ -1,38 +1,38 @@
-//! Worker supervision: checkpoint/replay recovery around the external
-//! transports, so a crashed or hung `sim-shard-worker` becomes a pause
-//! instead of a dead run.
+//! Worker supervision: checkpoint/replay recovery around a restartable
+//! link, so a crashed or hung `sim-shard-worker` becomes a pause instead
+//! of a dead run.
 //!
-//! [`SupervisedTransport`] wraps a [`ShardLink`] (the per-shard
-//! conversation primitives of [`super::ProcessTransport`] and
-//! [`super::SocketTransport`]) and implements [`ShardTransport`] itself,
-//! so the driver above is oblivious: a round-trip either succeeds — the
-//! failure handled internally — or fails only after the restart budget is
-//! exhausted or a fatal (non-retryable) error surfaces.
+//! `Supervised` wraps one shard's `Restartable` link and is a
+//! `ShardLink` itself, so the driver above is oblivious: a call either
+//! succeeds — the failure handled internally — or fails only after the
+//! restart budget is exhausted or a fatal (non-retryable) error surfaces.
+//! Wrapping per shard is what makes recovery local: one shard's traffic
+//! is re-issued while the others' pipes keep their unread replies.
 //!
 //! # Recovery protocol
 //!
-//! Per shard, the supervisor keeps the last checkpoint frame (taken every
-//! [`Supervision::checkpoint_every`] cycles through the
-//! [`ShardTransport::cycle_boundary`] hook) and the log of every command
-//! frame issued since. When a shard's conversation fails with a
+//! The wrapper keeps the shard's last checkpoint (the driver issues a
+//! `TakeCheckpoint` round-trip every [`Supervision::checkpoint_every`]
+//! cycles; the wrapper keeps the reply on its way up) and the log of
+//! every command answered since. When the conversation fails with a
 //! *retryable* error ([`super::TransportErrorKind::is_retryable`]):
 //!
 //! 1. back off (bounded exponential, deterministic jitter);
-//! 2. [`ShardLink::restart`]: respawn the child or redial the address and
-//!    re-run the versioned handshake with the shard's original init;
+//! 2. `Restartable::restart`: respawn the child or redial the address
+//!    and re-run the versioned handshake with the shard's original init;
 //! 3. send [`Command::Restore`] with the last checkpoint (skipped before
 //!    the first checkpoint — the freshly handshaken worker already sits at
 //!    the `from_init` state the log starts from);
 //! 4. replay the logged commands, discarding the replies — shards are
 //!    deterministic functions of `(init, command sequence)`, so the
-//!    replayed replies are byte-identical to the ones the driver already
+//!    replayed replies are identical to the ones the driver already
 //!    consumed;
 //! 5. re-issue the in-flight command and hand its reply to the driver.
 //!
 //! A crash *during* recovery simply burns another restart from the same
 //! budget and tries again; exhaustion surfaces the original error.
 
-use super::{decode_reply, encode_command, Command, Reply, ShardTransport, TransportError};
+use super::{Command, Reply, ShardLink, TransportError};
 use bytes::Bytes;
 use std::time::Duration;
 use whatsup_core::fnv1a64;
@@ -86,122 +86,99 @@ impl Supervision {
     }
 }
 
-/// Per-shard conversation primitives an external transport exposes so the
-/// supervisor can drive each worker independently. A monolithic
-/// `roundtrip` cannot recover one shard without corrupting the others
-/// (their pipes would hold unread replies); these primitives let the
-/// supervisor re-issue exactly the failed shard's traffic.
-pub trait ShardLink {
-    fn n_shards(&self) -> usize;
-
-    /// Human-readable worker endpoint, named in errors.
-    fn endpoint(&self, shard: usize) -> String;
-
-    /// Writes one command frame to one worker.
-    fn send(&mut self, shard: usize, frame: &[u8]) -> Result<(), TransportError>;
-
-    /// Reads one reply frame from one worker (EOF is an error: a reply
-    /// was owed).
-    fn recv(&mut self, shard: usize) -> Result<Vec<u8>, TransportError>;
-
-    /// Tears down and re-establishes the conversation with one worker:
-    /// respawn the child / redial the address, then re-run the versioned
-    /// bootstrap handshake carrying the shard's original init. On success
-    /// the replacement worker sits at the `from_init` state.
-    fn restart(&mut self, shard: usize) -> Result<(), TransportError>;
-
-    /// Arms (or disarms) the per-read/write hang deadline on every current
-    /// and future conversation. Links that cannot time out (pipes) ignore
-    /// it.
-    fn set_deadline(&mut self, deadline: Option<Duration>);
-
-    /// Graceful teardown: `Stop` every worker and reap/EOF-wait.
-    fn shutdown(self) -> Result<(), TransportError>;
+/// A link whose worker can be replaced.
+pub(crate) trait Restartable: ShardLink {
+    /// Tears the conversation down and re-establishes it with a fresh
+    /// worker, which on success sits at the `from_init` state.
+    fn restart(&mut self) -> Result<(), TransportError>;
 }
 
-/// The supervision wrapper. See the module docs for the protocol.
-pub struct SupervisedTransport<L: ShardLink> {
+/// The supervision wrapper of one shard's link. See the module docs for
+/// the protocol.
+pub(crate) struct Supervised<L> {
     link: L,
+    shard: usize,
     sup: Supervision,
-    /// Last checkpoint frame per shard; `None` until the first cadence
-    /// point (recovery then replays from the `from_init` state).
-    checkpoints: Vec<Option<Bytes>>,
-    /// Encoded command frames issued since the last checkpoint, per shard
-    /// (appended only after the command's reply arrived).
-    logs: Vec<Vec<Vec<u8>>>,
-    /// Restarts consumed per shard.
-    restarts: Vec<u32>,
+    /// Last checkpoint; `None` until the first cadence point (recovery
+    /// then replays from the `from_init` state).
+    checkpoint: Option<Bytes>,
+    /// Commands answered since the last checkpoint (appended only after
+    /// the command's reply arrived).
+    log: Vec<Command>,
+    /// Restarts consumed.
+    restarts: u32,
+    /// The command sent and not yet answered.
+    inflight: Option<Command>,
+    /// The in-flight command's reply when a failed send already recovered
+    /// the shard completely; handed out by the next `recv`.
+    parked: Option<Reply>,
 }
 
-impl<L: ShardLink> SupervisedTransport<L> {
-    /// Wraps `link`, arming its hang deadline from `sup`.
+impl<L: Restartable> Supervised<L> {
+    /// Wraps the link of `shard` (the index only seeds the backoff
+    /// jitter).
     ///
     /// # Panics
     /// Panics if `sup.checkpoint_every` is 0.
-    pub fn new(mut link: L, sup: Supervision) -> Self {
+    pub(crate) fn new(link: L, shard: usize, sup: Supervision) -> Self {
         assert!(sup.checkpoint_every >= 1, "checkpoint cadence must be ≥ 1");
-        link.set_deadline(Some(sup.deadline));
-        let n = link.n_shards();
         Self {
             link,
+            shard,
             sup,
-            checkpoints: vec![None; n],
-            logs: vec![Vec::new(); n],
-            restarts: vec![0; n],
+            checkpoint: None,
+            log: Vec::new(),
+            restarts: 0,
+            inflight: None,
+            parked: None,
         }
     }
 
-    /// Total restarts consumed across all shards (observability/tests).
-    pub fn restarts_used(&self) -> u32 {
-        self.restarts.iter().sum()
-    }
-
-    /// Graceful teardown of the underlying link.
-    pub fn shutdown(self) -> Result<(), TransportError> {
-        self.link.shutdown()
+    /// Restarts consumed so far (observability/tests).
+    pub(crate) fn restarts(&self) -> u32 {
+        self.restarts
     }
 
     /// Bounded exponential backoff with deterministic jitter: attempt `k`
     /// sleeps in `[d/2, d)` for `d = backoff·2^k` capped at 2 s. The
     /// jitter is a pure function of `(shard, restart count, attempt)` —
     /// no entropy source, so supervised runs stay reproducible end to end.
-    fn backoff_sleep(&self, shard: usize, attempt: u32) {
+    fn backoff_sleep(&self, attempt: u32) {
         if self.sup.backoff.is_zero() {
             return;
         }
         let exp = self.sup.backoff.saturating_mul(1 << attempt.min(4));
         let capped = exp.min(Duration::from_secs(2));
         let mut key = [0u8; 24];
-        key[..8].copy_from_slice(&(shard as u64).to_le_bytes());
-        key[8..16].copy_from_slice(&u64::from(self.restarts[shard]).to_le_bytes());
+        key[..8].copy_from_slice(&(self.shard as u64).to_le_bytes());
+        key[8..16].copy_from_slice(&u64::from(self.restarts).to_le_bytes());
         key[16..].copy_from_slice(&u64::from(attempt).to_le_bytes());
         let frac = (fnv1a64(&key) % 1024) as f64 / 2048.0;
         std::thread::sleep(capped.mul_f64(0.5 + frac));
     }
 
-    /// Recovers `shard` after `original` failed its conversation, then
-    /// re-issues the in-flight `frame` and returns its reply. Retries the
-    /// whole recovery (a replacement can die mid-replay) until the
-    /// per-shard restart budget runs out, at which point the *original*
-    /// error surfaces; non-retryable errors surface immediately.
+    /// Recovers the shard after `original` failed its conversation, then
+    /// re-issues the in-flight `cmd` and returns its reply. Retries the
+    /// whole recovery (a replacement can die mid-replay) until the restart
+    /// budget runs out, at which point the *original* error surfaces;
+    /// non-retryable errors surface immediately.
     fn recover_and_reissue(
         &mut self,
-        shard: usize,
-        frame: &[u8],
+        cmd: &Command,
         original: TransportError,
-    ) -> Result<Vec<u8>, TransportError> {
+    ) -> Result<Reply, TransportError> {
         if !original.kind.is_retryable() {
             return Err(original);
         }
         let mut attempt = 0u32;
         loop {
-            if self.restarts[shard] >= self.sup.max_restarts {
+            if self.restarts >= self.sup.max_restarts {
                 return Err(original);
             }
-            self.restarts[shard] += 1;
-            self.backoff_sleep(shard, attempt);
+            self.restarts += 1;
+            self.backoff_sleep(attempt);
             attempt += 1;
-            match self.try_recover(shard, frame) {
+            match self.try_recover(cmd) {
                 Ok(reply) => return Ok(reply),
                 Err(e) if e.kind.is_retryable() => continue,
                 // A fatal error from the *replacement* (e.g. a
@@ -214,105 +191,81 @@ impl<L: ShardLink> SupervisedTransport<L> {
 
     /// One recovery attempt: restart, restore the last checkpoint, replay
     /// the command log (replies discarded — determinism makes them
-    /// byte-identical to the ones already consumed), re-issue the
-    /// in-flight frame and return its reply.
-    fn try_recover(&mut self, shard: usize, inflight: &[u8]) -> Result<Vec<u8>, TransportError> {
-        self.link.restart(shard)?;
-        if let Some(cp) = &self.checkpoints[shard] {
-            let restore = encode_command(&Command::Restore { frame: cp.clone() });
-            self.link.send(shard, &restore)?;
-            let reply = self.link.recv(shard)?;
-            debug_assert!(matches!(decode_reply(&reply), Reply::Ack));
+    /// identical to the ones already consumed), re-issue the in-flight
+    /// command and return its reply.
+    fn try_recover(&mut self, inflight: &Command) -> Result<Reply, TransportError> {
+        self.link.restart()?;
+        if let Some(cp) = &self.checkpoint {
+            self.link.send(Command::Restore { frame: cp.clone() })?;
+            let reply = self.link.recv()?;
+            debug_assert!(matches!(reply, Reply::Ack));
         }
-        for logged in &self.logs[shard] {
-            self.link.send(shard, logged)?;
-            self.link.recv(shard)?;
+        for logged in &self.log {
+            self.link.send(logged.clone())?;
+            self.link.recv()?;
         }
-        self.link.send(shard, inflight)?;
-        self.link.recv(shard)
+        self.link.send(inflight.clone())?;
+        self.link.recv()
     }
 }
 
-impl<L: ShardLink> ShardTransport for SupervisedTransport<L> {
-    fn n_shards(&self) -> usize {
-        self.link.n_shards()
+impl<L: Restartable> ShardLink for Supervised<L> {
+    fn endpoint(&self) -> String {
+        self.link.endpoint()
     }
 
-    fn roundtrip(&mut self, batch: Vec<(usize, Command)>) -> Result<Vec<Reply>, TransportError> {
-        let frames: Vec<(usize, Vec<u8>)> = batch
-            .iter()
-            .map(|(s, cmd)| (*s, encode_command(cmd)))
-            .collect();
-        // Send phase, pipelined like the plain transports: every command
-        // goes out before any reply is read, so the shards compute in
-        // parallel. A send failure recovers the shard completely — its
-        // reply is parked for the read phase.
-        let mut parked: Vec<Option<Vec<u8>>> = vec![None; frames.len()];
-        for (i, (s, frame)) in frames.iter().enumerate() {
-            if let Err(e) = self.link.send(*s, frame) {
-                parked[i] = Some(self.recover_and_reissue(*s, frame, e)?);
-            }
+    /// A send failure recovers the shard completely, in-flight command
+    /// included — its reply is parked for `recv`, so the batch above stays
+    /// pipelined.
+    fn send(&mut self, cmd: Command) -> Result<(), TransportError> {
+        if let Err(e) = self.link.send(cmd.clone()) {
+            self.parked = Some(self.recover_and_reissue(&cmd, e)?);
         }
-        let mut replies = Vec::with_capacity(frames.len());
-        for (i, (s, frame)) in frames.iter().enumerate() {
-            let reply_frame = match parked[i].take() {
-                Some(reply) => reply,
-                None => match self.link.recv(*s) {
-                    Ok(reply) => reply,
-                    Err(e) => self.recover_and_reissue(*s, frame, e)?,
-                },
-            };
-            self.logs[*s].push(frame.clone());
-            replies.push(decode_reply(&reply_frame));
-        }
-        Ok(replies)
+        self.inflight = Some(cmd);
+        Ok(())
     }
 
-    /// The checkpoint cadence: every `checkpoint_every` completed cycles,
-    /// snapshot every shard and clear its replay log. The checkpoint
-    /// command itself is recovered like any other — and is never logged.
-    fn cycle_boundary(&mut self, completed_cycle: u32) -> Result<(), TransportError> {
-        if !(completed_cycle + 1).is_multiple_of(self.sup.checkpoint_every) {
-            return Ok(());
-        }
-        let frame = encode_command(&Command::TakeCheckpoint);
-        let n = self.link.n_shards();
-        let mut parked: Vec<Option<Vec<u8>>> = vec![None; n];
-        for (s, slot) in parked.iter_mut().enumerate() {
-            if let Err(e) = self.link.send(s, &frame) {
-                *slot = Some(self.recover_and_reissue(s, &frame, e)?);
-            }
-        }
-        for (s, slot) in parked.iter_mut().enumerate() {
-            let reply_frame = match slot.take() {
-                Some(reply) => reply,
-                None => match self.link.recv(s) {
-                    Ok(reply) => reply,
-                    Err(e) => self.recover_and_reissue(s, &frame, e)?,
-                },
-            };
-            let Reply::Checkpoint(cp) = decode_reply(&reply_frame) else {
+    /// A checkpoint reply is kept and truncates the replay log — the
+    /// checkpoint command itself is recovered like any other, and is never
+    /// logged.
+    fn recv(&mut self) -> Result<Reply, TransportError> {
+        let cmd = self.inflight.take().expect("recv follows a send");
+        let reply = match self.parked.take() {
+            Some(reply) => reply,
+            None => match self.link.recv() {
+                Ok(reply) => reply,
+                Err(e) => self.recover_and_reissue(&cmd, e)?,
+            },
+        };
+        if matches!(cmd, Command::TakeCheckpoint) {
+            let Reply::Checkpoint(cp) = &reply else {
                 panic!("expected a checkpoint reply");
             };
-            self.checkpoints[s] = Some(cp);
-            self.logs[s].clear();
+            self.checkpoint = Some(cp.clone());
+            self.log.clear();
+        } else {
+            self.log.push(cmd);
         }
-        Ok(())
+        Ok(reply)
+    }
+
+    fn shutdown(self) -> Result<(), TransportError> {
+        self.link.shutdown()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::exchange::{decode_command, encode_reply, Outbound, TransportErrorKind};
+    use crate::engine::exchange::{roundtrip, Outbound, TransportErrorKind};
     use std::collections::VecDeque;
 
-    /// A scripted in-memory worker pool: each "worker" is a counter that
-    /// `BeginNews` increments — a stand-in for deterministic shard state.
-    /// `Collect` exposes the counter (as the outbound `sent` total),
-    /// `TakeCheckpoint`/`Restore` snapshot and reinstate it, and `restart`
-    /// resets it to 0 (a fresh `from_init` worker). Failures are injected
-    /// per shard as a queue of [`Fault`]s consumed by `recv`/`restart`.
+    /// A scripted in-memory worker: a counter that `BeginNews` increments
+    /// — a stand-in for deterministic shard state. `Collect` exposes the
+    /// counter (as the outbound `sent` total), `TakeCheckpoint`/`Restore`
+    /// snapshot and reinstate it, and `restart` resets it to 0 (a fresh
+    /// `from_init` worker). Failures are injected as a queue of [`Fault`]s
+    /// consumed by `recv`/`restart`.
     #[derive(Clone, Copy)]
     enum Fault {
         /// The next `recv` fails retryably (the worker "died").
@@ -323,236 +276,263 @@ mod tests {
         RestartVersionSkew,
     }
 
+    #[derive(Default)]
     struct MockLink {
-        counters: Vec<u64>,
-        inbox: Vec<VecDeque<Vec<u8>>>,
-        faults: Vec<VecDeque<Fault>>,
-        restart_count: Vec<u32>,
+        counter: u64,
+        inbox: VecDeque<Reply>,
+        faults: VecDeque<Fault>,
+        restart_count: u32,
     }
 
     impl MockLink {
-        fn new(shards: usize) -> Self {
-            Self {
-                counters: vec![0; shards],
-                inbox: vec![VecDeque::new(); shards],
-                faults: vec![VecDeque::new(); shards],
-                restart_count: vec![0; shards],
-            }
-        }
-
-        fn fail_next(&mut self, shard: usize, fault: Fault) {
-            self.faults[shard].push_back(fault);
-        }
-
-        fn err(&self, shard: usize) -> TransportError {
+        fn err(&self) -> TransportError {
             TransportError::io(
-                self.endpoint(shard),
+                self.endpoint(),
                 std::io::Error::new(std::io::ErrorKind::ConnectionReset, "mock fault"),
             )
         }
     }
 
     impl ShardLink for MockLink {
-        fn n_shards(&self) -> usize {
-            self.counters.len()
+        fn endpoint(&self) -> String {
+            "mock worker".into()
         }
 
-        fn endpoint(&self, shard: usize) -> String {
-            format!("mock worker {shard}")
-        }
-
-        fn send(&mut self, shard: usize, frame: &[u8]) -> Result<(), TransportError> {
-            let reply = match decode_command(frame) {
+        fn send(&mut self, cmd: Command) -> Result<(), TransportError> {
+            let reply = match cmd {
                 Command::BeginNews => {
-                    self.counters[shard] += 1;
+                    self.counter += 1;
                     Reply::Ack
                 }
                 Command::Collect { .. } => Reply::Outbound(Outbound {
-                    sent: self.counters[shard],
+                    sent: self.counter,
                     local: 0,
                     bundles: Vec::new(),
                 }),
                 Command::TakeCheckpoint => {
-                    Reply::Checkpoint(Bytes::copy_from_slice(&self.counters[shard].to_le_bytes()))
+                    Reply::Checkpoint(Bytes::copy_from_slice(&self.counter.to_le_bytes()))
                 }
                 Command::Restore { frame } => {
-                    self.counters[shard] =
+                    self.counter =
                         u64::from_le_bytes(frame.as_ref().try_into().expect("8-byte checkpoint"));
                     Reply::Ack
                 }
                 other => panic!("mock worker got {other:?}"),
             };
-            self.inbox[shard].push_back(encode_reply(&reply));
+            self.inbox.push_back(reply);
             Ok(())
         }
 
-        fn recv(&mut self, shard: usize) -> Result<Vec<u8>, TransportError> {
-            if let Some(Fault::RecvIo) = self.faults[shard].front() {
-                self.faults[shard].pop_front();
-                self.inbox[shard].clear();
-                return Err(self.err(shard));
+        fn recv(&mut self) -> Result<Reply, TransportError> {
+            if let Some(Fault::RecvIo) = self.faults.front() {
+                self.faults.pop_front();
+                self.inbox.clear();
+                return Err(self.err());
             }
-            Ok(self.inbox[shard].pop_front().expect("a reply was owed"))
+            Ok(self.inbox.pop_front().expect("a reply was owed"))
         }
+    }
 
-        fn restart(&mut self, shard: usize) -> Result<(), TransportError> {
-            match self.faults[shard].front() {
+    impl Restartable for MockLink {
+        fn restart(&mut self) -> Result<(), TransportError> {
+            match self.faults.front() {
                 Some(Fault::RestartIo) => {
-                    self.faults[shard].pop_front();
-                    return Err(self.err(shard));
+                    self.faults.pop_front();
+                    return Err(self.err());
                 }
                 Some(Fault::RestartVersionSkew) => {
-                    self.faults[shard].pop_front();
+                    self.faults.pop_front();
                     return Err(TransportError {
-                        endpoint: self.endpoint(shard),
+                        endpoint: self.endpoint(),
                         kind: TransportErrorKind::HandshakeVersion { got: 1, want: 2 },
                     });
                 }
                 _ => {}
             }
-            self.restart_count[shard] += 1;
-            self.counters[shard] = 0;
-            self.inbox[shard].clear();
-            Ok(())
-        }
-
-        fn set_deadline(&mut self, _deadline: Option<Duration>) {}
-
-        fn shutdown(self) -> Result<(), TransportError> {
+            self.restart_count += 1;
+            self.counter = 0;
+            self.inbox.clear();
             Ok(())
         }
     }
 
-    /// Zero-backoff supervision so the fault loops run instantly.
-    fn sup(max_restarts: u32, checkpoint_every: u32) -> Supervision {
-        Supervision {
+    type Links = Vec<Supervised<MockLink>>;
+
+    /// `shards` supervised mock links with zero backoff, so the fault
+    /// loops run instantly.
+    fn links(shards: usize, max_restarts: u32, checkpoint_every: u32) -> Links {
+        let sup = Supervision {
             max_restarts,
             checkpoint_every,
             backoff: Duration::ZERO,
             ..Supervision::default()
-        }
+        };
+        (0..shards)
+            .map(|s| Supervised::new(MockLink::default(), s, sup.clone()))
+            .collect()
     }
 
-    fn bump(t: &mut SupervisedTransport<MockLink>, shards: usize) {
-        let replies = t
-            .roundtrip((0..shards).map(|s| (s, Command::BeginNews)).collect())
-            .expect("bump");
+    /// One round-trip of `cmd` to every shard.
+    fn all(t: &mut Links, cmd: Command) -> Vec<Reply> {
+        let batch = (0..t.len()).map(|s| (s, cmd.clone())).collect();
+        roundtrip(t, batch).expect("supervised round-trip")
+    }
+
+    fn bump(t: &mut Links) {
+        let replies = all(t, Command::BeginNews);
         assert!(replies.iter().all(|r| matches!(r, Reply::Ack)));
     }
 
-    fn counter(t: &mut SupervisedTransport<MockLink>, shard: usize) -> u64 {
-        let replies = t
-            .roundtrip(vec![(shard, Command::Collect { cycle: 0 })])
-            .expect("counter probe");
+    /// The cadence round-trip the driver issues at a checkpoint boundary.
+    fn checkpoint(t: &mut Links) {
+        let replies = all(t, Command::TakeCheckpoint);
+        assert!(replies.iter().all(|r| matches!(r, Reply::Checkpoint(_))));
+    }
+
+    fn counter(t: &mut Links, shard: usize) -> u64 {
+        let replies =
+            roundtrip(t, vec![(shard, Command::Collect { cycle: 0 })]).expect("counter probe");
         let Reply::Outbound(o) = &replies[0] else {
             panic!("expected outbound");
         };
         o.sent
     }
 
+    fn restarts_used(t: &Links) -> u32 {
+        t.iter().map(Supervised::restarts).sum()
+    }
+
     #[test]
     fn crash_recovers_from_checkpoint_plus_replay() {
-        let mut t = SupervisedTransport::new(MockLink::new(2), sup(3, 1));
-        bump(&mut t, 2);
-        t.cycle_boundary(0).expect("checkpoint"); // snapshots counter = 1
-        bump(&mut t, 2); // logged since the checkpoint
-        t.link.fail_next(1, Fault::RecvIo);
-        bump(&mut t, 2); // shard 1 dies here and recovers mid-roundtrip
+        let mut t = links(2, 3, 1);
+        bump(&mut t);
+        checkpoint(&mut t); // snapshots counter = 1
+        bump(&mut t); // logged since the checkpoint
+        t[1].link.faults.push_back(Fault::RecvIo);
+        bump(&mut t); // shard 1 dies here and recovers mid-roundtrip
         assert_eq!(counter(&mut t, 0), 3, "undisturbed shard");
         assert_eq!(
             counter(&mut t, 1),
             3,
             "restore(1) + replay(1) + reissue(1) must equal the fault-free state"
         );
-        assert_eq!(t.restarts_used(), 1);
-        assert_eq!(t.link.restart_count, vec![0, 1]);
+        assert_eq!(restarts_used(&t), 1);
+        assert_eq!((t[0].link.restart_count, t[1].link.restart_count), (0, 1));
     }
 
     #[test]
     fn crash_before_any_checkpoint_replays_from_scratch() {
-        let mut t = SupervisedTransport::new(MockLink::new(1), sup(3, 10));
-        bump(&mut t, 1);
-        bump(&mut t, 1);
-        t.link.fail_next(0, Fault::RecvIo);
-        bump(&mut t, 1);
+        let mut t = links(1, 3, 10);
+        bump(&mut t);
+        bump(&mut t);
+        t[0].link.faults.push_back(Fault::RecvIo);
+        bump(&mut t);
         assert_eq!(counter(&mut t, 0), 3, "full replay from the init state");
     }
 
     #[test]
     fn crash_during_replay_burns_another_restart_and_recovers() {
-        let mut t = SupervisedTransport::new(MockLink::new(1), sup(3, 1));
-        bump(&mut t, 1);
-        t.cycle_boundary(0).expect("checkpoint");
-        bump(&mut t, 1);
+        let mut t = links(1, 3, 1);
+        bump(&mut t);
+        checkpoint(&mut t);
+        bump(&mut t);
         // The worker dies; its first replacement dies again during the
         // replay (first recv after the restart); the second replacement
         // completes recovery.
-        t.link.fail_next(0, Fault::RecvIo);
-        t.link.fail_next(0, Fault::RecvIo);
-        bump(&mut t, 1);
+        t[0].link.faults.extend([Fault::RecvIo, Fault::RecvIo]);
+        bump(&mut t);
         assert_eq!(counter(&mut t, 0), 3);
-        assert_eq!(t.restarts_used(), 2);
-        assert_eq!(t.link.restart_count, vec![2]);
+        assert_eq!(restarts_used(&t), 2);
+        assert_eq!(t[0].link.restart_count, 2);
     }
 
     #[test]
     fn failed_restarts_burn_budget_until_exhaustion_surfaces_the_original_error() {
-        let mut t = SupervisedTransport::new(MockLink::new(1), sup(2, 1));
-        t.link.fail_next(0, Fault::RecvIo);
-        t.link.fail_next(0, Fault::RestartIo);
-        t.link.fail_next(0, Fault::RestartIo);
-        let err = t
-            .roundtrip(vec![(0, Command::BeginNews)])
-            .expect_err("budget exhausted");
+        let mut t = links(1, 2, 1);
+        t[0].link
+            .faults
+            .extend([Fault::RecvIo, Fault::RestartIo, Fault::RestartIo]);
+        let err = roundtrip(&mut t, vec![(0, Command::BeginNews)]).expect_err("budget exhausted");
         // The surfaced error is the ORIGINAL conversation failure, not the
         // last redial failure — that is what names the actual fault.
-        assert_eq!(err.to_string(), t.link.err(0).to_string());
-        assert_eq!(t.restarts_used(), 2);
-        assert_eq!(t.link.restart_count, vec![0], "no restart ever succeeded");
+        assert_eq!(err.to_string(), t[0].link.err().to_string());
+        assert_eq!(restarts_used(&t), 2);
+        assert_eq!(t[0].link.restart_count, 0, "no restart ever succeeded");
     }
 
     #[test]
     fn fatal_error_during_recovery_surfaces_immediately() {
-        let mut t = SupervisedTransport::new(MockLink::new(1), sup(5, 1));
-        t.link.fail_next(0, Fault::RecvIo);
-        t.link.fail_next(0, Fault::RestartVersionSkew);
-        let err = t
-            .roundtrip(vec![(0, Command::BeginNews)])
-            .expect_err("version skew is fatal");
+        let mut t = links(1, 5, 1);
+        t[0].link
+            .faults
+            .extend([Fault::RecvIo, Fault::RestartVersionSkew]);
+        let err =
+            roundtrip(&mut t, vec![(0, Command::BeginNews)]).expect_err("version skew is fatal");
         assert!(
             matches!(err.kind, TransportErrorKind::HandshakeVersion { .. }),
             "the skew must surface, not be retried or masked: {err}"
         );
-        assert_eq!(t.restarts_used(), 1, "only the one attempt that hit it");
+        assert_eq!(restarts_used(&t), 1, "only the one attempt that hit it");
     }
 
     #[test]
     fn non_retryable_original_error_is_not_recovered() {
-        let mut t = SupervisedTransport::new(MockLink::new(1), sup(5, 1));
+        let mut t = links(1, 5, 1);
         let fatal = TransportError {
-            endpoint: "mock worker 0".into(),
+            endpoint: "mock worker".into(),
             kind: TransportErrorKind::HandshakeMagic,
         };
-        let err = t
-            .recover_and_reissue(0, &encode_command(&Command::BeginNews), fatal)
+        let err = t[0]
+            .recover_and_reissue(&Command::BeginNews, fatal)
             .expect_err("fatal errors pass through");
         assert!(matches!(err.kind, TransportErrorKind::HandshakeMagic));
-        assert_eq!(t.restarts_used(), 0);
+        assert_eq!(restarts_used(&t), 0);
     }
 
     #[test]
     fn checkpoint_cadence_truncates_the_replay_log() {
-        let mut t = SupervisedTransport::new(MockLink::new(1), sup(3, 2));
+        let mut t = links(1, 3, 2);
         for cycle in 0..4 {
-            bump(&mut t, 1);
-            t.cycle_boundary(cycle).expect("boundary");
+            bump(&mut t);
+            // Cadence 2: the driver checkpoints after cycles 1 and 3.
+            if cycle % 2 == 1 {
+                checkpoint(&mut t);
+            }
         }
-        // Cadence 2: boundaries after cycles 1 and 3 checkpointed.
-        assert_eq!(t.checkpoints[0].as_deref(), Some(&4u64.to_le_bytes()[..]));
-        assert!(t.logs[0].is_empty(), "log cleared at the checkpoint");
-        bump(&mut t, 1);
-        assert_eq!(t.logs[0].len(), 1, "post-checkpoint commands logged");
-        t.link.fail_next(0, Fault::RecvIo);
+        assert_eq!(t[0].checkpoint.as_deref(), Some(&4u64.to_le_bytes()[..]));
+        assert!(t[0].log.is_empty(), "log cleared at the checkpoint");
+        bump(&mut t);
+        assert_eq!(t[0].log.len(), 1, "post-checkpoint commands logged");
+        t[0].link.faults.push_back(Fault::RecvIo);
         assert_eq!(counter(&mut t, 0), 5, "restore(4) + replay(1)");
+    }
+
+    #[test]
+    fn fault_at_the_checkpoint_roundtrip_recovers_and_is_never_logged() {
+        let mut t = links(2, 3, 1);
+        bump(&mut t);
+        checkpoint(&mut t); // counter = 1 stored on both shards
+        bump(&mut t);
+        bump(&mut t);
+        // Shard 1 dies with the TakeCheckpoint in flight: it is restored
+        // from the old checkpoint, replays both bumps, and the re-issued
+        // TakeCheckpoint snapshots the recovered state.
+        t[1].link.faults.push_back(Fault::RecvIo);
+        checkpoint(&mut t);
+        assert_eq!(restarts_used(&t), 1);
+        for link in &t {
+            assert_eq!(link.checkpoint.as_deref(), Some(&3u64.to_le_bytes()[..]));
+            assert!(link.log.is_empty(), "the checkpoint clears the log");
+        }
+        // A later crash restores the *new* checkpoint and replays only
+        // what followed it — TakeCheckpoint itself is never in the log
+        // (the mock would answer a replayed one, but the counts would
+        // betray a stale restore).
+        bump(&mut t);
+        assert!(t
+            .iter()
+            .all(|l| l.log.len() == 1 && matches!(l.log[0], Command::BeginNews)));
+        t[1].link.faults.push_back(Fault::RecvIo);
+        assert_eq!(counter(&mut t, 1), 4, "restore(3) + replay(1)");
     }
 }

@@ -28,10 +28,9 @@
 //!    shard and serializes each group into a *mailbox bundle* (the
 //!    `whatsup-net` wire codec's bundle frame: addressed single-message
 //!    frames, in `(sender id, emission order)` order). The driver forwards
-//!    every bundle to its destination shard through the pluggable
-//!    [`exchange::ShardTransport`]. Messages that stay on their own shard
-//!    skip serialization entirely and wait in the shard's local pending
-//!    queue.
+//!    every bundle to its destination shard inside the next phase command.
+//!    Messages that stay on their own shard skip serialization entirely
+//!    and wait in the shard's local pending queue.
 //! 3. **Deliver** — each shard merges the inbound bundles *in source-shard
 //!    order* (its own pending queue takes its shard's slot) into per-node
 //!    mailboxes, then drains each receiver in ascending id order, drawing
@@ -53,114 +52,127 @@
 //!    series (see "Measurement pipeline" below). Skipped when
 //!    `SimConfig::collect_series` is off.
 //!
-//! Three transports implement the exchange: an in-process one (shards as
-//! scoped worker threads trading `Vec<u8>` frames over channels), a
-//! multi-process one (shards as `sim-shard-worker` child processes trading
-//! length-prefixed frames over stdio pipes) and a socket one (shards as
-//! `sim-shard-worker --listen` processes trading the same frames over
-//! TCP, possibly on other machines). With a single shard the driver runs
-//! the shard inline. All four paths execute the same
-//! [`shard::ShardState`] code on the same command protocol.
+//! Every phase is the same operation: `exchange::roundtrip` sends one
+//! [`Command`] to each participating shard, then reads one [`Reply`] from
+//! each, over a slice of per-shard *links*. That loop exists once and the
+//! driver is generic over the one link trait (`exchange::ShardLink`: send
+//! a command, receive a reply, name the endpoint, tear down), so the ways
+//! of running a shard differ only in how a command reaches it:
+//!
+//! | link            | shard runs…                        | moves  | restartable | deadline       |
+//! |-----------------|------------------------------------|--------|-------------|----------------|
+//! | inline          | in place, on the driver thread     | values | no          | —              |
+//! | thread          | on a scoped worker thread          | values | no          | —              |
+//! | stream (pipe)   | in a `sim-shard-worker` child      | frames | respawn     | hello watchdog |
+//! | stream (TCP)    | in a `sim-shard-worker --listen`   | frames | redial      | per read/write |
+//!
+//! A single shard runs inline; more shards in one process get a thread
+//! each ([`crate::Transport::InProcess`]). Value links hand `Command` and
+//! `Reply` over as they are — no codec, bundles travel as refcounted
+//! `Bytes`; the stream link encodes both into length-prefixed frames. All
+//! of them execute the same [`shard::ShardState`] code on the same command
+//! sequence.
 //!
 //! # Distributed topology
 //!
-//! The socket transport turns the simulator into a distributable system:
-//! one driver, `S` workers, one TCP connection per worker, each worker
-//! owning one shard. The moving parts:
+//! Over TCP the simulator is a distributable system: one driver, `S`
+//! workers, one connection per worker, each worker owning one shard.
 //!
 //! * **Launch order** — *workers first, then driver*, but only loosely:
 //!   each worker binds its `--listen` address, prints `LISTEN <addr>` on
 //!   stdout, and blocks in accept; the driver dials every address
 //!   (`--transport socket --workers host:port,…`), retrying refused or
-//!   unreachable dials over a bounded window (default 3 s —
-//!   [`exchange::SocketTransport::connect_with`] widens it), so workers
-//!   that come up moments after the driver still get their shard. The
-//!   `k`-th address becomes shard `k`, and the shard count *is* the
-//!   worker count.
-//! * **Handshake frame layout** (all frames `len:u32` little-endian
-//!   length-prefixed; see [`exchange::stream`]): on accept the worker
-//!   sends a *hello* `magic:u32 = "WUPS", version:u16`; the driver
-//!   validates both and answers with a *handshake*
-//!   `magic:u32, version:u16, ShardInit payload` (the same
-//!   [`exchange::encode_init`] encoding the pipe transport uses — params,
-//!   partition, environment models, oracle, bootstrap contacts). Version
-//!   skew or a foreign peer is a typed error naming the address on the
-//!   driver, a one-line stderr exit on the worker — never a
-//!   frame-decode panic. The stdio transport runs the identical
-//!   handshake over its pipes.
-//! * **Failure paths** — connect and handshake are bounded by timeouts,
-//!   so a dead or unreachable worker fails the run cleanly instead of
-//!   hanging it. Mid-run, a worker that loses its driver (EOF/broken pipe
-//!   before `Stop`) exits non-zero with a one-line message; a driver that
-//!   loses a worker surfaces a typed [`exchange::TransportError`] naming
-//!   the endpoint, and tearing the transport down stops (and, for child
-//!   processes, kills + reaps) the surviving workers.
-//! * **Determinism** — the contract below is transport-blind: a scenario
+//!   unreachable dials over a bounded window (3 s; supervised runs use
+//!   [`Supervision::dial_window`]), so workers that come up moments after
+//!   the driver still get their shard. The `k`-th address becomes shard
+//!   `k`, and the shard count *is* the worker count.
+//! * **Handshake** (frame layouts: [`exchange::stream`]) — as soon as the
+//!   stream exists the worker sends a versioned *hello*; the driver
+//!   validates it and answers with a versioned *handshake* carrying the
+//!   shard's `ShardInit` ([`exchange::encode_init`] — params, partition,
+//!   environment models, oracle, bootstrap contacts). Version skew or a
+//!   foreign peer is a typed error naming the endpoint on the driver, a
+//!   one-line stderr exit on the worker — never a frame-decode panic.
+//!   Pipes run the identical handshake; a restart replays the same bytes.
+//! * **Failure paths** — connect and handshake are bounded by timeouts (a
+//!   read timeout on sockets, a watchdog thread on pipes), so a dead,
+//!   unreachable or mute worker fails the run cleanly instead of hanging
+//!   it. Mid-run, a worker that loses its driver (EOF/broken pipe before
+//!   `Stop`) exits non-zero with a one-line message; a driver that loses a
+//!   worker surfaces a typed [`exchange::TransportError`] naming the
+//!   endpoint, and dropping the links stops (and, for child processes,
+//!   kills + reaps) the surviving workers. A completed run sends `Stop`
+//!   and waits for each worker to exit 0 / close its end.
+//! * **Determinism** — the contract below is link-blind: a scenario
 //!   report is bit-identical whether the shards run inline, as threads,
 //!   as child processes, or spread over socket workers on other machines,
 //!   because every ordering and every RNG draw is fixed by the command
-//!   protocol itself, not by who executes it (property-tested across all
-//!   three transports, CI-smoked over loopback sockets).
+//!   sequence itself, not by who executes it (property-tested across all
+//!   links, CI-smoked over loopback sockets).
 //!
 //! # Supervision & recovery
 //!
-//! The external transports can be wrapped in
-//! [`exchange::SupervisedTransport`] ([`crate::Runner::supervised`],
+//! A stream link can be wrapped, per shard, in
+//! `exchange::supervisor::Supervised` ([`crate::Runner::supervised`],
 //! `whatsup-sim run --supervise`), which turns a crashed or hung worker
 //! from a fatal [`exchange::TransportError`] into a recoverable event —
-//! without changing a single byte of the final report. Three pieces:
+//! without changing a single byte of the final report. The wrapper is a
+//! link itself, so nothing above it changes. Three pieces:
 //!
 //! * **Checkpoints** — every `checkpoint_every` completed cycles the
-//!   supervisor sends each shard a `TakeCheckpoint` command at the cycle
-//!   boundary (mailboxes are provably drained there, so no in-flight mail
-//!   is ever serialized). The `Checkpoint` reply is one wire frame
-//!   holding the shard's full state via the standard codec: the partition
-//!   node range, engine params, environment models, per-node channel
-//!   states, known items sorted by id, the oracle copy, then per-node
-//!   profile / RPS view / WUP view / seen-set / stats blocks (per-cycle
-//!   counters live in the driver, so there is no counter residue to
-//!   capture). A `Restore` command feeds the same frame back into a
-//!   fresh worker and is acknowledged with `Ack`.
-//! * **Command log + replay** — every command frame sent since the last
-//!   checkpoint is logged (after its reply arrives) and cleared when a
-//!   checkpoint succeeds. On a retryable failure the supervisor restarts
-//!   the worker (respawn for child processes, redial for sockets),
-//!   re-runs the versioned handshake with the original `ShardInit`,
-//!   restores the last checkpoint, replays the logged frames discarding
-//!   their replies, then re-issues the in-flight command. Replay is exact
-//!   because a shard is a deterministic function of
-//!   `(init, command sequence)` — the determinism contract below means
-//!   the replayed replies are byte-identical to the originals, so
-//!   discarding them loses nothing and the driver above the
-//!   [`exchange::ShardTransport`] trait never notices. The restart budget
-//!   (`max_restarts` per shard) bounds the loop; when it is exhausted the
-//!   *original* error surfaces, not the last recovery attempt's. Fatal
-//!   errors (handshake magic/version skew —
+//!   driver issues one more ordinary round-trip, `TakeCheckpoint` to every
+//!   shard, at the cycle boundary (mailboxes are provably drained there,
+//!   so no in-flight mail is ever serialized); each wrapper keeps its
+//!   shard's `Checkpoint` reply as it passes: one frame holding the
+//!   shard's full dynamic state (layout and what is deliberately left
+//!   out: [`shard::ShardState::encode_checkpoint`]). A `Restore` command
+//!   feeds the same frame back into a fresh worker and is acknowledged
+//!   with `Ack`.
+//! * **Command log + replay** — every command answered since the last
+//!   checkpoint is logged and the log is cleared when a checkpoint
+//!   arrives (`TakeCheckpoint` itself is never logged). On a retryable
+//!   failure the wrapper restarts the worker (respawn for child
+//!   processes, redial for sockets), which re-runs the versioned
+//!   handshake with the original `ShardInit`, restores the last
+//!   checkpoint, replays the log discarding the replies, then re-issues
+//!   the in-flight command. Replay is exact because a shard is a
+//!   deterministic function of `(init, command sequence)` — the
+//!   determinism contract below means the replayed replies are identical
+//!   to the originals, so discarding them loses nothing. The restart
+//!   budget (`max_restarts` per shard) bounds the loop; when it is
+//!   exhausted the *original* error surfaces, not the last recovery
+//!   attempt's. Fatal errors (handshake magic/version skew —
 //!   [`exchange::TransportErrorKind::is_retryable`]) are never retried.
-//! * **Hang detection** — the socket transport arms read/write deadlines
-//!   on every stream, so a frozen worker trips a timeout (a retryable
-//!   I/O error) instead of hanging the run; pipes surface EOF when the
-//!   child dies. Initial dials retry over a bounded window, and
-//!   supervised redials reuse it.
+//! * **Hang detection** — supervised TCP connections arm read/write
+//!   deadlines, so a frozen worker trips a timeout (a retryable I/O
+//!   error) instead of hanging the run; pipes cannot arm deadlines and
+//!   surface EOF when the child dies. Initial dials retry over a bounded
+//!   window, and supervised redials reuse it.
 //!
 //! The fault-injection suite (`tests/transport_faults.rs`) kills and
-//! freezes workers mid-run on both external transports and asserts the
+//! freezes workers mid-run over both pipes and sockets and asserts the
 //! recovered report is bit-identical to a fault-free run; CI repeats the
 //! kill over loopback sockets and `cmp`s the report JSON.
 //!
 //! # Shard-exchange protocol
 //!
-//! Bundle layout (see `whatsup_net::codec`): `tag=MAILBOX_BUNDLE`,
-//! `from_shard:u32`, `count:u32`, then `count` entries of
+//! A conversation is hello, handshake, then strictly alternating command
+//! and reply frames until `Stop` (no reply); [`Command`] and [`Reply`]
+//! list every frame, and `exchange::stream::PROTOCOL_VERSION` changes with
+//! any layout. Mailbox traffic rides inside them as *bundles* (see
+//! `whatsup_net::codec`): `tag=MAILBOX_BUNDLE`, `from_shard:u32`,
+//! `count:u32`, then `count` entries of
 //! `to:u32 len:u32 frame`, where `frame` is the standard single-message
 //! wire frame — the simulator and the deployment stack share one message
 //! encoding, so anything that crosses a shard boundary is by construction
-//! expressible on the real network. News frames carry full item content;
+//! expressible on the real network. Bundles are wire-encoded on every
+//! link, value links included. News frames carry full item content;
 //! receiving shards recompute ids and cache content for re-forwarding,
 //! exactly like real receivers.
 //!
 //! Ordering guarantees, which make the exchange invisible to the results:
 //!
+//! * a link is FIFO, and a round-trip returns replies in batch order;
 //! * a bundle preserves the emitting shard's `(sender id, emission order)`
 //!   order;
 //! * receivers merge bundles in ascending source-shard order, and shard
@@ -193,8 +205,8 @@
 //! reply folds that happen **in shard-index (or ascending receiver)
 //! order**, and the fold is pure integer addition over that fixed order,
 //! so the series inherits the engine's determinism contract verbatim:
-//! **the full time series is bit-identical across shard counts and all
-//! three transports** (property-tested in `tests/determinism.rs` and
+//! **the full time series is bit-identical across shard counts and every
+//! link** (property-tested in `tests/determinism.rs` and
 //! `tests/scenario.rs`, CI-smoked by `cmp`ing report JSON across shard
 //! counts).
 //!
@@ -300,9 +312,9 @@
 //! * **Sparse oracle** — [`crate::Oracle`] holds likes as CSR or dense
 //!   bit-plane, chosen by measured byte cost
 //!   (`whatsup_datasets::LikeStore`), and is **process-`Arc`-shared**:
-//!   in-process transports hand every shard one pointer. Only the
-//!   external transports (child process / socket) pay one copy per
-//!   worker, which is the price of actually being distributed.
+//!   in-process links hand every shard one pointer. Only the stream
+//!   links (child process / socket) pay one copy per worker, which is
+//!   the price of actually being distributed.
 //! * **Report data is sacred** — item records (per-reception hop and
 //!   opinion vectors) feed `SimReport` and cannot be thinned without
 //!   changing results; they are driver-owned and exist once regardless
@@ -313,7 +325,7 @@
 //! phase RNGs, per-node stats. **Process-shared** (one per process,
 //! `Arc`): the oracle and the dataset's item table. Nothing is globally
 //! mutable — a shard can be checkpointed, moved, or restored from its
-//! own frame alone ([`exchange::SupervisedTransport`]).
+//! own frame alone (`exchange::supervisor::Supervised`).
 //!
 //! [`partition::Partition`] is load-aware: `Partition::plan` consumes
 //! the scenario's scheduled joins so shards are balanced by their
@@ -324,14 +336,14 @@
 //!
 //! # Determinism contract & static checks
 //!
-//! Reports are **bit-identical across shard counts and transports**
+//! Reports are **bit-identical across shard counts and links**
 //! (including the single-shard inline case) for a fixed seed, because no
 //! randomness or ordering leaks from the partitioned execution:
 //!
 //! * every node draws from its own counter-based RNG stream, derived by
 //!   [`node_stream`]`(seed, node, cycle, phase)` — never from a shared
 //!   generator, and never dependent on how many other nodes exist, where
-//!   the shard boundaries fall, or which transport moves the bundles.
+//!   the shard boundaries fall, or which link moves the bundles.
 //!   Adding nodes (`add_joining_node`) therefore never shifts the streams
 //!   of existing nodes;
 //! * mailbox contents and the driver folds follow the fixed total orders
@@ -347,7 +359,7 @@
 //! The interactive mutators (`add_joining_node`, `swap_interests`,
 //! `reset_node`) draw from a dedicated engine RNG on the driving thread and
 //! are deterministic in call order. They run through the same shard
-//! commands as the scenario events below, so they work on every transport.
+//! commands as the scenario events below, so they work on every link.
 //!
 //! The contract is *enforced statically* by the in-tree `whatsup-lint`
 //! pass (`cargo run -p whatsup-lint -- --check`, a blocking CI gate):
@@ -403,10 +415,7 @@ pub mod partition;
 pub mod shard;
 
 pub use driver::{planned_shard_node_counts, Simulation};
-pub use exchange::{
-    ChannelTransport, Command, ProcessTransport, Reply, ShardTransport, SocketTransport,
-    SupervisedTransport, Supervision, TransportError,
-};
+pub use exchange::{Command, Reply, Supervision, TransportError};
 pub use partition::Partition;
 pub use shard::{ShardInit, ShardState};
 

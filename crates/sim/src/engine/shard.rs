@@ -807,42 +807,3 @@ fn message_dropped(
         },
     }
 }
-
-/// Executes one command frame against the shard: `None` when the frame is
-/// a `Stop`, otherwise the encoded reply frame. The single dispatch point
-/// every serve loop shares — the in-process channel workers ([`serve`])
-/// and the byte-stream transports
-/// ([`crate::engine::exchange::stream::serve_stream`], which the
-/// `sim-shard-worker` binary runs over pipes and sockets).
-pub fn handle_frame(state: &mut ShardState, frame: &[u8]) -> Option<Vec<u8>> {
-    let cmd = exchange::decode_command(frame);
-    if matches!(cmd, Command::Stop) {
-        return None;
-    }
-    Some(exchange::encode_reply(&state.handle(cmd)))
-}
-
-/// The channel-worker serve loop: pull [`Command`] *values*, dispatch
-/// through [`ShardState::handle`], push [`Reply`] values — until a `Stop`
-/// command or the input closes.
-///
-/// Unlike the byte-stream loop ([`handle_frame`] via
-/// [`crate::engine::exchange::stream::serve_stream`]), no command/reply
-/// codec runs here: in-process workers share the driver's address space,
-/// so bundle `Bytes` inside commands and replies move as refcounted
-/// clones instead of being re-encoded into per-shard frame copies. The
-/// bundles themselves stay wire-encoded (shards produce and consume them
-/// through the same codec on every transport), so byte-level parity with
-/// the process and socket transports is untouched.
-pub fn serve(
-    state: &mut ShardState,
-    mut next: impl FnMut() -> Option<Command>,
-    mut send: impl FnMut(Reply),
-) {
-    while let Some(cmd) = next() {
-        if matches!(cmd, Command::Stop) {
-            return;
-        }
-        send(state.handle(cmd));
-    }
-}

@@ -26,6 +26,7 @@
 //! counts and transports (see the engine module docs for the contract).
 
 use crate::config::{Protocol, SimConfig, Transport};
+use crate::engine::driver::run_external;
 use crate::engine::exchange::Supervision;
 use crate::engine::Simulation;
 use crate::engines::{antientropy, cascade, centralized, pubsub};
@@ -222,20 +223,12 @@ impl<'a> Runner<'a> {
                             .run(),
                     )
                 }
-                Transport::Process(worker) => Simulation::run_multiprocess_scenario(
+                external => run_external(
                     self.dataset,
                     node_protocol,
                     self.cfg,
                     scenario,
-                    &worker,
-                    self.supervision,
-                ),
-                Transport::Socket(workers) => Simulation::run_socket_scenario(
-                    self.dataset,
-                    node_protocol,
-                    self.cfg,
-                    scenario,
-                    &workers,
+                    &external,
                     self.supervision,
                 ),
             },

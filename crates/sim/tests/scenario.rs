@@ -336,6 +336,42 @@ fn cli_runs_the_committed_scenario_identically() {
     );
 }
 
+/// On the socket transport the worker count *is* the shard count: the
+/// one-line run summary on stderr must say so, whatever `shards` the
+/// scenario file configures (the committed file says 1).
+#[test]
+fn cli_socket_summary_counts_one_shard_per_worker() {
+    let (w1, a1) = common::spawn_listen_worker();
+    let (w2, a2) = common::spawn_listen_worker();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_whatsup-sim"))
+        .args(["run", COMMITTED, "--transport", "socket", "--workers"])
+        .arg(format!("{a1},{a2}"))
+        .output()
+        .expect("spawn whatsup-sim");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "whatsup-sim failed: {stderr}");
+    common::assert_clean_exit(w1, "worker 1");
+    common::assert_clean_exit(w2, "worker 2");
+    let summary = stderr
+        .lines()
+        .find(|l| l.starts_with("run: "))
+        .unwrap_or_else(|| panic!("no run summary on stderr: {stderr}"));
+    assert!(
+        summary.contains(" 2 shard(s) with ["),
+        "the summary must count the two socket workers: {summary}"
+    );
+    let counts = summary
+        .rsplit_once('[')
+        .unwrap()
+        .1
+        .trim_end_matches(" nodes");
+    assert_eq!(
+        counts.split(", ").count(),
+        2,
+        "one node count per worker: {summary}"
+    );
+}
+
 /// A denser composite than the committed file — diurnal workload, timed
 /// partition, mass join plus every event type — stays bit-identical across
 /// shard counts.

@@ -1,0 +1,52 @@
+#!/usr/bin/env python3
+"""Print the two size quantities ROADMAP tracks, per crate.
+
+Usage: loc.py [DIR ...]      (run from the repository root)
+
+For every crate (a directory with a Cargo.toml and a src/) plus every
+extra DIR given, over its `src/**/*.rs` (or `DIR/**/*.rs`):
+
+* non-test lines — the lines of each file before its first line that
+  starts with `#[cfg(test)]` (the in-file unit-test module, by this
+  repo's convention always last);
+* public items — lines among those that declare a `pub fn`, `pub struct`,
+  `pub enum` or `pub trait` (`pub(crate)` items are not public).
+
+Record the output in CHANGES.md with every PR; CI prints it.
+"""
+
+import pathlib
+import re
+import sys
+
+PUB_ITEM = re.compile(r"^\s*pub\s+(?:(?:const|async|unsafe)\s+)*(?:fn|struct|enum|trait)\b")
+
+
+def count(root):
+    lines = items = 0
+    for path in sorted(root.rglob("*.rs")):
+        for line in path.read_text().splitlines():
+            if line.startswith("#[cfg(test)]"):
+                break
+            lines += 1
+            items += bool(PUB_ITEM.match(line))
+    return lines, items
+
+
+def main():
+    repo = pathlib.Path(".")
+    crates = sorted(
+        m.parent for m in repo.glob("crates/**/Cargo.toml") if (m.parent / "src").is_dir()
+    )
+    rows = [(str(c), count(c / "src")) for c in crates]
+    if (repo / "src").is_dir():
+        rows.insert(0, (". (facade)", count(repo / "src")))
+    rows += [(d.rstrip("/"), count(pathlib.Path(d))) for d in sys.argv[1:]]
+    width = max(len(name) for name, _ in rows)
+    print(f"{'crate':<{width}}  non-test lines  pub items")
+    for name, (lines, items) in rows:
+        print(f"{name:<{width}}  {lines:>14}  {items:>9}")
+
+
+if __name__ == "__main__":
+    main()

@@ -3,11 +3,29 @@
 //! methodological claim). Also exercises the experiment drivers' plumbing
 //! end-to-end at tiny scale.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use whatsup::prelude::*;
 use whatsup::sim::experiments;
 
+/// The emulator and the UDP swarm run one thread per peer (~58) against
+/// the wall clock, so sibling tests competing for the same cores can starve
+/// a peer past its cycle. Every test of this binary holds this lock for
+/// its whole body: the real-time testbeds never share the machine with
+/// the others (one of which generates three datasets).
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+fn exclusive() -> MutexGuard<'static, ()> {
+    ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[test]
 fn simulator_emulator_udp_agree_on_f1() {
+    let _alone = exclusive();
+    // The peer threads of one cycle must all get scheduled within it:
+    // 80 ms is comfortable on four cores, fewer cores get proportionally
+    // longer cycles (available_parallelism honours CPU affinity).
+    let cores = std::thread::available_parallelism().map_or(1, |p| p.get() as u64);
+    let cycle_ms = 80 * (4 / cores).max(1);
     let dataset = whatsup::datasets::survey::generate(&SurveyConfig::paper().scaled(0.12), 8);
     // Simulator.
     let sim_cfg = SimConfig {
@@ -21,7 +39,7 @@ fn simulator_emulator_udp_agree_on_f1() {
     let swarm = SwarmConfig {
         params: Params::whatsup(5),
         cycles: 16,
-        cycle_ms: 80,
+        cycle_ms,
         publish_from: 2,
         measure_from: 6,
         drain_cycles: 2,
@@ -50,6 +68,7 @@ fn simulator_emulator_udp_agree_on_f1() {
 
 #[test]
 fn experiment_json_artifacts_roundtrip() {
+    let _alone = exclusive();
     experiments::save_json("integration-selftest", &vec![1.0f64, 2.0, 3.0]);
     let path = experiments::output_dir().join("integration-selftest.json");
     let text = std::fs::read_to_string(path).expect("artifact written");
@@ -59,6 +78,7 @@ fn experiment_json_artifacts_roundtrip() {
 
 #[test]
 fn table1_driver_end_to_end() {
+    let _alone = exclusive();
     // table1 only generates datasets; safe at any scale.
     let t = experiments::tables::table1();
     assert_eq!(t.stats.len(), 3);
@@ -70,6 +90,7 @@ fn table1_driver_end_to_end() {
 
 #[test]
 fn wire_codec_carries_simulated_dissemination() {
+    let _alone = exclusive();
     // Encode/decode a full news payload produced by a live node.
     use rand::SeedableRng;
     use whatsup::core::prelude::*;
