@@ -7,7 +7,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
 use whatsup_core::prelude::*;
-use whatsup_core::similarity::jaccard_similarity;
+use whatsup_core::similarity::{jaccard_similarity, Prepared};
 use whatsup_datasets::{survey, SurveyConfig};
 use whatsup_sim::{Protocol, Runner, SimConfig};
 
@@ -32,6 +32,68 @@ fn bench_similarity(c: &mut Criterion) {
         });
         group.bench_function(format!("jaccard/{n}"), |bench| {
             bench.iter(|| black_box(jaccard_similarity(black_box(&a), black_box(&b))))
+        });
+    }
+    group.finish();
+}
+
+/// One item profile ranked against the thirty snapshots of an RPS view —
+/// what every disliked first reception does (and, with ~70 candidates,
+/// every WUP merge): the pairwise merge-join per candidate versus the
+/// prepared one-vs-many scorer, build included. Ids are content hashes;
+/// the item profile rates a random 4/5 of a shared universe and a snapshot
+/// 13/20 of it, so ~80 % of a snapshot's items are common. `deep` is the
+/// paper regime (a 13-cycle window: ~160 against ~130 entries), `shallow`
+/// the scale regime (~33 against ~27). Every iteration takes the next of 64 different views: a
+/// single repeated view would let the branch predictor learn the
+/// merge-join's compare sequence, which no real run offers it.
+fn bench_one_vs_many(c: &mut Criterion) {
+    let mut group = c.benchmark_group("similarity");
+    let rated = |universe: u64, seed: u64, keep_of_twenty: u64, real: bool| {
+        let hash = |words: [u64; 3]| fnv1a64(&words.map(u64::to_le_bytes).concat());
+        let draw = |item: u64, salt: u64| hash([item, seed, salt]) >> 20;
+        Profile::from_entries(
+            (0..universe)
+                .filter(|&i| draw(i, 1) % 20 < keep_of_twenty)
+                .map(|i| ProfileEntry {
+                    item: hash([i, 0, 0]),
+                    timestamp: 0,
+                    score: if real {
+                        (draw(i, 2) % 5) as f32 / 4.0
+                    } else {
+                        (draw(i, 2) % 2) as f32
+                    },
+                }),
+        )
+    };
+    for (regime, universe) in [("deep", 200u64), ("shallow", 41)] {
+        let item_profile = rated(universe, 0, 16, true);
+        let views: Vec<Vec<Profile>> = (0..64)
+            .map(|v| {
+                (0..30)
+                    .map(|n| rated(universe, 1 + v * 30 + n, 13, false))
+                    .collect()
+            })
+            .collect();
+        let mut next = 0;
+        group.bench_function(format!("pairwise_1x30/{regime}"), |bench| {
+            bench.iter(|| {
+                next = (next + 1) % views.len();
+                views[next]
+                    .iter()
+                    .map(|pc| Metric::Wup.score(black_box(&item_profile), pc))
+                    .sum::<f64>()
+            })
+        });
+        group.bench_function(format!("prepared_1x30/{regime}"), |bench| {
+            bench.iter(|| {
+                next = (next + 1) % views.len();
+                let scorer = Prepared::new(black_box(&item_profile));
+                views[next]
+                    .iter()
+                    .map(|pc| scorer.score(Metric::Wup, pc))
+                    .sum::<f64>()
+            })
         });
     }
     group.finish();
@@ -157,6 +219,7 @@ fn bench_simulation(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_similarity,
+    bench_one_vs_many,
     bench_profile_ops,
     bench_node_paths,
     bench_codec,

@@ -16,7 +16,7 @@
 //! [`BeepConfig`]s rather than separate protocol stacks.
 
 use crate::profile::{Profile, SharedProfile};
-use crate::similarity::Metric;
+use crate::similarity::{Metric, Prepared};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use whatsup_gossip::{NodeId, View};
@@ -156,46 +156,37 @@ pub fn select_most_similar_k(
     if k == 0 || rps_view.is_empty() {
         return Vec::new();
     }
-    // BEEP proper always asks for a single target (dislike fanout 1), and
-    // that call sits on the news hot path: a running max under the same
-    // (score desc, tie-mix) order replaces the sort — and the allocation —
-    // entirely. The mix is precomputed per candidate in both paths; the
-    // sort comparator would otherwise re-derive it O(n log n) times.
-    if k == 1 {
-        let best = rps_view
-            .entries()
-            .iter()
-            .map(|d| {
-                (
-                    metric.score(item_profile, &d.payload),
-                    tie_mix(salt, d.node),
-                    d.node,
-                )
-            })
-            .max_by(|(sa, ma, _), (sb, mb, _)| {
-                sa.partial_cmp(sb)
-                    .expect("similarity is never NaN")
-                    .then(mb.cmp(ma))
-            })
-            .map(|(_, _, n)| n);
-        return best.into_iter().collect();
-    }
-    let mut scored: Vec<(f64, u64, NodeId)> = rps_view
-        .entries()
-        .iter()
-        .map(|d| {
-            (
-                metric.score(item_profile, &d.payload),
-                tie_mix(salt, d.node),
-                d.node,
-            )
-        })
-        .collect();
-    scored.sort_by(|(sa, ma, _), (sb, mb, _)| {
+    // This sits on the news hot path — one call per disliked first
+    // reception, the whole RPS view each time — so the item profile is
+    // prepared once and the candidates stream past it. The tie mix is
+    // precomputed per candidate; a sort comparator would otherwise
+    // re-derive it O(n log n) times.
+    let scorer = Prepared::new(item_profile);
+    let scored = rps_view.entries().iter().map(|d| {
+        (
+            scorer.score(metric, &d.payload),
+            tie_mix(salt, d.node),
+            d.node,
+        )
+    });
+    // Best first: score descending, then tie mix ascending.
+    let best_first = |(sa, ma, _): &(f64, u64, NodeId), (sb, mb, _): &(f64, u64, NodeId)| {
         sb.partial_cmp(sa)
             .expect("similarity is never NaN")
             .then(ma.cmp(mb))
-    });
+    };
+    // BEEP proper always asks for a single target (dislike fanout 1): a
+    // running minimum under the same order replaces the sort — and its
+    // allocation — entirely.
+    if k == 1 {
+        return scored
+            .min_by(best_first)
+            .map(|(_, _, n)| n)
+            .into_iter()
+            .collect();
+    }
+    let mut scored: Vec<(f64, u64, NodeId)> = scored.collect();
+    scored.sort_by(best_first);
     scored.truncate(k);
     scored.into_iter().map(|(_, _, n)| n).collect()
 }

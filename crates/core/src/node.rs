@@ -22,6 +22,7 @@ use crate::obfuscation::Obfuscation;
 use crate::params::Params;
 use crate::profile::{Profile, ProfileEntry, SharedProfile};
 use crate::seen::SeenSet;
+use crate::similarity::Prepared;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use whatsup_gossip::{Clustering, ClusteringConfig, Descriptor, NodeId, Rps};
@@ -431,46 +432,52 @@ impl WhatsUpNode {
                 Vec::new()
             }
             Payload::WupRequest(descs) => {
-                let metric = self.params.metric;
-                let shared = self.shared_profile();
-                // Rank candidates against the *true* profile (split borrow:
-                // no clone); the payload that travels is the (possibly
-                // obfuscated) shared one.
-                let Self {
-                    wup,
-                    rps,
-                    profile,
-                    score_cache,
-                    ..
-                } = self;
-                let profile: &Profile = profile;
-                let cache = std::cell::RefCell::new(score_cache);
-                let sim = |_own: &SharedProfile, cand: &SharedProfile| {
-                    memoized_score(&cache, metric, profile, cand)
-                };
-                let resp = wup.on_request(descs, rps.view().entries(), shared, &sim);
+                let resp = self.merge_wup(descs, true);
                 stats.wup_sent += 1;
                 vec![OutMessage::new(from, Payload::WupResponse(resp))]
             }
             Payload::WupResponse(descs) => {
-                let metric = self.params.metric;
-                let shared = self.shared_profile();
-                let Self {
-                    wup,
-                    rps,
-                    profile,
-                    score_cache,
-                    ..
-                } = self;
-                let profile: &Profile = profile;
-                let cache = std::cell::RefCell::new(score_cache);
-                let sim = |_own: &SharedProfile, cand: &SharedProfile| {
-                    memoized_score(&cache, metric, profile, cand)
-                };
-                wup.on_response(descs, rps.view().entries(), &shared, &sim);
+                self.merge_wup(descs, false);
                 Vec::new()
             }
             Payload::News(msg) => self.handle_news(msg, now, opinions, stats, rng),
+        }
+    }
+
+    /// One WUP view merge (§II): ranks own view ∪ `received` ∪ RPS view
+    /// against the *true* profile (split borrow: no clone) — the payload
+    /// that travels is the (possibly obfuscated) shared one. With `answer`
+    /// (a request) returns the view to send back, as it was before the
+    /// merge; otherwise an empty vector.
+    ///
+    /// The profile is prepared once for the ~70 candidates of the merge
+    /// ([`Prepared`] builds its index on the first candidate the memo and
+    /// the fingerprint rejection both let through) and dropped with it.
+    fn merge_wup(
+        &mut self,
+        received: Vec<Descriptor<SharedProfile>>,
+        answer: bool,
+    ) -> Vec<Descriptor<SharedProfile>> {
+        let metric = self.params.metric;
+        let shared = self.shared_profile();
+        let Self {
+            wup,
+            rps,
+            profile,
+            score_cache,
+            ..
+        } = self;
+        let scorer = Prepared::new(profile);
+        let cache = std::cell::RefCell::new(score_cache);
+        let sim = |_own: &SharedProfile, cand: &SharedProfile| {
+            memoized_score(&cache, cand, || scorer.score(metric, cand))
+        };
+        let rps_candidates = rps.view().entries();
+        if answer {
+            wup.on_request(received, rps_candidates, shared, &sim)
+        } else {
+            wup.on_response(received, rps_candidates, &shared, &sim);
+            Vec::new()
         }
     }
 
@@ -611,25 +618,24 @@ impl WhatsUpNode {
     }
 }
 
-/// Looks up or computes one view-merge similarity score (see
-/// [`WhatsUpNode`]'s `score_cache`). A hit returns the exact `f64` the
-/// metric would recompute: keys are snapshot addresses, each entry pins its
-/// snapshot's `Arc` alive, and the cache is cleared whenever the ranking
-/// profile mutates.
+/// Looks up one view-merge similarity score, or computes it with `score`
+/// (see [`WhatsUpNode`]'s `score_cache`). A hit returns the exact `f64`
+/// `score` would recompute: keys are snapshot addresses, each entry pins
+/// its snapshot's `Arc` alive, and the cache is cleared whenever the
+/// ranking profile mutates.
 fn memoized_score(
     cache: &std::cell::RefCell<
         // lint:allow(det-map) same probe-only memo as the score_cache field
         &mut std::collections::HashMap<usize, (SharedProfile, f64), crate::hash::BuildIdHasher>,
     >,
-    metric: crate::similarity::Metric,
-    own: &Profile,
     cand: &SharedProfile,
+    score: impl FnOnce() -> f64,
 ) -> f64 {
     let key = SharedProfile::as_ptr(cand) as usize;
     if let Some((_, s)) = cache.borrow().get(&key) {
         return *s;
     }
-    let s = metric.score(own, cand);
+    let s = score();
     cache
         .borrow_mut()
         .insert(key, (SharedProfile::clone(cand), s));

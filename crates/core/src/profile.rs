@@ -23,7 +23,11 @@ use serde::{Deserialize, Serialize};
 /// averaged intermediate values.
 pub type Score = f32;
 
-/// One `<id, t, s>` triple.
+/// One `<id, t, s>` triple. Invariant: `score` is finite and in `[0, 1]` —
+/// ratings are 0 or 1, `addToNewsProfile` averages stay in between, and
+/// the wire codec rejects anything else (`DecodeError::BadScore`). The
+/// constructors do not check it: similarity ranking relies on it only to
+/// never meet a `NaN`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ProfileEntry {
     pub item: ItemId,
@@ -31,7 +35,8 @@ pub struct ProfileEntry {
     pub score: Score,
 }
 
-/// A profile: sorted-by-item-id vector of entries, unique per item.
+/// A profile: sorted-by-item-id vector of entries, unique per item, scores
+/// finite and in `[0, 1]` (see [`ProfileEntry`]).
 ///
 /// The Euclidean norm of the score vector is memoized at mutation time:
 /// similarity scoring reads it on every candidate ranking (the hottest loop

@@ -148,6 +148,56 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// BEEP orientation scores the RPS view through the prepared
+    /// one-vs-many scorer; the targets must be exactly those a ranking by
+    /// the pairwise `Metric::score` picks, for the single-target call and
+    /// the widened one, under every metric.
+    #[test]
+    fn orientation_picks_what_pairwise_ranking_picks(
+        salt in 0u64..u64::MAX,
+        item_profile in prop::collection::vec((0u64..60, 0u32..5), 0..60),
+        view in prop::collection::vec(
+            prop::collection::vec((0u64..60, prop::bool::ANY), 0..40),
+            1..30,
+        ),
+    ) {
+        use whatsup_core::beep::select_most_similar_k;
+        use whatsup_core::similarity::Metric;
+        // Real-valued scores, as an item profile aggregated over several
+        // likers carries.
+        let item_profile = Profile::from_entries(item_profile.iter().map(|&(item, q)| {
+            ProfileEntry { item, timestamp: 0, score: q as f32 / 4.0 }
+        }));
+        let mut rps = View::new(view.len());
+        for (node, entries) in view.iter().enumerate() {
+            rps.insert(Descriptor::fresh(
+                node as NodeId,
+                SharedProfile::new(profile_of(entries)),
+            ));
+        }
+        // The salt-keyed tie order, read off the function itself: against
+        // an empty item profile every candidate scores 0.
+        let tie_order = select_most_similar_k(&Profile::new(), &rps, Metric::Wup, rps.len(), salt);
+        prop_assert_eq!(tie_order.len(), rps.len());
+        for metric in [Metric::Wup, Metric::Cosine, Metric::Jaccard] {
+            let mut ranked = tie_order.clone();
+            // Stable: equal scores keep the tie order.
+            ranked.sort_by(|&a, &b| {
+                let score = |n| metric.score(&item_profile, &rps.get(n).unwrap().payload);
+                score(b).partial_cmp(&score(a)).unwrap()
+            });
+            for k in [1, 3] {
+                let picked = select_most_similar_k(&item_profile, &rps, metric, k, salt);
+                let expected = &ranked[..k.min(ranked.len())];
+                prop_assert_eq!(&picked[..], expected, "{} k={}", metric.label(), k);
+            }
+        }
+    }
+}
+
 #[test]
 fn window_purge_enables_reintegration() {
     // §II-E: a user inactive for a full window has an empty profile and is

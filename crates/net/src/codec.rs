@@ -146,6 +146,10 @@ pub enum DecodeError {
     /// A mailbox bundle where a protocol payload was required: bundles are
     /// transport batches and never convert to a [`Payload`].
     BundlePayload,
+    /// A profile entry whose score is not a finite number in `[0, 1]` (the
+    /// [`Profile`] invariant). Carries the offending `f32`'s bits: `NaN`
+    /// would make the error unequal to itself.
+    BadScore(u32),
 }
 
 impl std::fmt::Display for DecodeError {
@@ -156,6 +160,9 @@ impl std::fmt::Display for DecodeError {
             DecodeError::BadUtf8 => write!(f, "invalid utf-8 in string field"),
             DecodeError::BundlePayload => {
                 write!(f, "mailbox bundle is not a protocol payload")
+            }
+            DecodeError::BadScore(bits) => {
+                write!(f, "profile score {} outside [0, 1]", f32::from_bits(*bits))
             }
         }
     }
@@ -616,7 +623,8 @@ pub fn decode_bundle_entry(
     }
 }
 
-/// Inverse of [`put_profile`].
+/// Inverse of [`put_profile`]. Enforces the [`Profile`] score invariant —
+/// finite, in `[0, 1]` — on what is untrusted input here.
 pub fn get_profile(buf: &mut &[u8]) -> Result<Profile, DecodeError> {
     if buf.remaining() < 2 {
         return Err(DecodeError::Truncated);
@@ -630,6 +638,11 @@ pub fn get_profile(buf: &mut &[u8]) -> Result<Profile, DecodeError> {
         let item = buf.get_u64_le();
         let timestamp = buf.get_u32_le();
         let score = buf.get_f32_le();
+        // Similarity ranks by `partial_cmp` and expects it to succeed; one
+        // `NaN` here would be one datagram that panics the receiver.
+        if !(0.0..=1.0).contains(&score) {
+            return Err(DecodeError::BadScore(score.to_bits()));
+        }
         entries.push(ProfileEntry {
             item,
             timestamp,

@@ -21,8 +21,8 @@ use whatsup_core::{
 };
 use whatsup_net::codec::{
     bundle_view, decode, decode_bundle_entry, decode_delta, decode_digest, encode, encode_bundle,
-    encode_delta, encode_digest, get_descriptors, get_profile, DeltaEntry, DeltaValue, DigestLine,
-    NewsDecodeCache,
+    encode_delta, encode_digest, get_descriptors, get_profile, DecodeError, DeltaEntry, DeltaValue,
+    DigestLine, NewsDecodeCache,
 };
 
 fn profile(entries: &[(u64, u32, bool)]) -> Profile {
@@ -256,6 +256,70 @@ fn every_prefix_and_single_bit_flip_is_panic_free() {
                 corrupt[at] ^= 1 << bit;
                 exercise_all_decoders(&corrupt);
             }
+        }
+    }
+}
+
+/// A score that is not a finite number in `[0, 1]` is a typed decode error
+/// in every frame kind that carries a profile: similarity ranks with
+/// `partial_cmp(..).expect(..)`, so a `NaN` let through here is a peer
+/// panicked by one datagram. The boundary values and `-0.0` are scores.
+#[test]
+fn out_of_range_scores_are_rejected_by_every_profile_decoder() {
+    let item = news_item(1, 5);
+    let resolve = |id| (id == item.id()).then(|| item.clone());
+    let frames_with = |score: f32| {
+        let profile = || {
+            SharedProfile::new(Profile::from_entries([ProfileEntry {
+                item: 42,
+                timestamp: 9,
+                score,
+            }]))
+        };
+        let gossip = Payload::WupRequest(vec![Descriptor::fresh(5, profile())]);
+        let news = Payload::News(NewsMessage {
+            header: item.header(),
+            profile: profile(),
+            dislikes: 0,
+            hops: 0,
+        });
+        let bundle = encode_bundle(9, &[(1, 5, gossip.clone()), (2, 5, news.clone())], resolve);
+        (
+            encode(5, &gossip, resolve).unwrap(),
+            encode(5, &news, resolve).unwrap(),
+            bundle,
+        )
+    };
+    for score in [
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        -0.25,
+        1.0 + f32::EPSILON,
+    ] {
+        let bad = DecodeError::BadScore(score.to_bits());
+        let (gossip, news, bundle) = frames_with(score);
+        assert_eq!(decode(&gossip).unwrap_err(), bad, "gossip, {score}");
+        assert_eq!(decode(&news).unwrap_err(), bad, "news, {score}");
+        let mut cache = NewsDecodeCache::default();
+        for entry in bundle_view(&bundle).unwrap() {
+            let (_, inner) = entry.unwrap();
+            assert_eq!(
+                decode_bundle_entry(inner, &mut cache).unwrap_err(),
+                bad,
+                "bundle entry, {score}"
+            );
+        }
+        assert!(!bad.to_string().is_empty());
+    }
+    for score in [0.0, -0.0, 0.5, 1.0] {
+        let (gossip, news, bundle) = frames_with(score);
+        assert!(decode(&gossip).is_ok(), "gossip, {score}");
+        assert!(decode(&news).is_ok(), "news, {score}");
+        let mut cache = NewsDecodeCache::default();
+        for entry in bundle_view(&bundle).unwrap() {
+            let (_, inner) = entry.unwrap();
+            assert!(decode_bundle_entry(inner, &mut cache).is_ok());
         }
     }
 }
