@@ -46,7 +46,8 @@ fn bench_similarity(c: &mut Criterion) {
 /// paper regime (a 13-cycle window: ~160 against ~130 entries), `shallow`
 /// the scale regime (~33 against ~27). Every iteration takes the next of 64 different views: a
 /// single repeated view would let the branch predictor learn the
-/// merge-join's compare sequence, which no real run offers it.
+/// merge-join's compare sequence, which no real run offers it. The
+/// `planes_1x70` rows are the other one-vs-many call site, the WUP merge.
 fn bench_one_vs_many(c: &mut Criterion) {
     let mut group = c.benchmark_group("similarity");
     let rated = |universe: u64, seed: u64, keep_of_twenty: u64, real: bool| {
@@ -67,6 +68,48 @@ fn bench_one_vs_many(c: &mut Criterion) {
         )
     };
     for (regime, universe) in [("deep", 200u64), ("shallow", 41)] {
+        // A WUP merge: the node's own *binary* profile (131 and 33 entries)
+        // against the ~70 snapshots of own view ∪ received view ∪ RPS
+        // view, every one binary — the counting path. Snapshots outlive a
+        // merge (view slots pin them, and with obfuscation off they are
+        // the owners' live profiles), so the steady state scores planes
+        // that already exist; `_cold` clones all 71 profiles first — a
+        // clone leaves the planes behind — and merges twice: the first
+        // pass walks every candidate, the second builds all 71 pairs of
+        // planes, slot-table lookups included, and counts.
+        let own = rated(universe, 0, if universe > 100 { 13 } else { 16 }, false);
+        let merges: Vec<Vec<Profile>> = (0..16)
+            .map(|v| {
+                (0..70)
+                    .map(|n| rated(universe, 5_000 + v * 70 + n, 13, false))
+                    .collect()
+            })
+            .collect();
+        let score_all = |own: &Profile, candidates: &[Profile]| {
+            let scorer = Prepared::new(black_box(own));
+            candidates
+                .iter()
+                .map(|pc| scorer.score(Metric::Wup, pc))
+                .sum::<f64>()
+        };
+        let mut next = 0;
+        group.bench_function(format!("planes_1x70/{regime}"), |bench| {
+            bench.iter(|| {
+                next = (next + 1) % merges.len();
+                score_all(&own, &merges[next])
+            })
+        });
+        group.bench_function(format!("planes_1x70_cold/{regime}"), |bench| {
+            bench.iter_batched(
+                || {
+                    next = (next + 1) % merges.len();
+                    (own.clone(), merges[next].clone())
+                },
+                |(own, candidates)| score_all(&own, &candidates) + score_all(&own, &candidates),
+                BatchSize::SmallInput,
+            )
+        });
+
         let item_profile = rated(universe, 0, 16, true);
         let views: Vec<Vec<Profile>> = (0..64)
             .map(|v| {
@@ -180,6 +223,43 @@ fn bench_node_paths(c: &mut Criterion) {
     group.finish();
 }
 
+/// One WUP response merged into a full view: the union of the 20-entry
+/// view, 21 received descriptors and the 30-entry RPS view, deduplicated,
+/// ranked, cut to 20. Every profile is empty, so every score is one
+/// fingerprint rejection and they all tie (the state of every view before
+/// profiles mature): the time is the merge's bookkeeping — union, dedup,
+/// id mix, selection of the survivors — and none of it similarity.
+fn bench_view_merge(c: &mut Criterion) {
+    let mut group = c.benchmark_group("view");
+    let empty = SharedProfile::new(Profile::new());
+    let mut node = WhatsUpNode::new(0, Params::whatsup(10));
+    node.seed_views_arcs(
+        (1..=30).map(|i| (i, empty.clone())),
+        (21..=40).map(|i| (i, empty.clone())),
+    );
+    let received: Vec<Descriptor<SharedProfile>> = (35..=55)
+        .map(|i| Descriptor::fresh(i, empty.clone()))
+        .collect();
+    group.bench_function("merge_topk", |bench| {
+        bench.iter_batched(
+            || (node.clone(), Payload::WupResponse(received.clone())),
+            |(mut node, response)| {
+                node.on_message(
+                    35,
+                    response,
+                    5,
+                    &|_: NodeId, _: ItemId| true,
+                    &mut NodeStats::default(),
+                    &mut ChaCha8Rng::seed_from_u64(1),
+                );
+                node
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    group.finish();
+}
+
 fn bench_codec(c: &mut Criterion) {
     let mut group = c.benchmark_group("codec");
     let descs: Vec<Descriptor<SharedProfile>> = (0..15)
@@ -222,6 +302,7 @@ criterion_group!(
     bench_one_vs_many,
     bench_profile_ops,
     bench_node_paths,
+    bench_view_merge,
     bench_codec,
     bench_simulation
 );

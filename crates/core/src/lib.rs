@@ -53,6 +53,7 @@ pub mod message;
 pub mod node;
 pub mod obfuscation;
 pub mod params;
+mod planes;
 pub mod profile;
 pub mod seen;
 pub mod similarity;

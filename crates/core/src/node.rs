@@ -105,15 +105,6 @@ pub struct WhatsUpNode {
     /// obfuscation-off path shares [`Self::profile`] directly and never
     /// uses this); invalidated whenever `profile` mutates.
     shared_cache: Option<SharedProfile>,
-    /// Memoized view-merge similarity scores, keyed by candidate-snapshot
-    /// identity (`Arc` address) and invalidated with [`Self::shared_cache`].
-    /// The two WUP merges of one gossip phase rank mostly the same
-    /// candidates (own view + the full RPS view) against an unchanged
-    /// profile; a hit returns the identical `f64` the metric would
-    /// recompute. Each entry pins its snapshot alive, so an address can
-    /// never be reused by a different profile while it is a key here.
-    // lint:allow(det-map) BuildIdHasher keys, probe-only memo; never iterated
-    score_cache: std::collections::HashMap<usize, (SharedProfile, f64), crate::hash::BuildIdHasher>,
     seen: SeenSet,
 }
 
@@ -146,7 +137,6 @@ impl WhatsUpNode {
             profile: SharedProfile::new(Profile::new()),
             obfuscation,
             shared_cache: None,
-            score_cache: std::collections::HashMap::default(), // lint:allow(det-map) see field
             seen: SeenSet::new(),
         }
     }
@@ -174,48 +164,26 @@ impl WhatsUpNode {
         shared
     }
 
-    /// Marks the disclosed-profile snapshot and the merge-score memo stale
-    /// after a profile mutation. Dropping the memo's table (rather than
-    /// `clear`, which keeps it) releases both the high-water bucket array
-    /// and the pinned candidate snapshots; the next gossip phase rebuilds
-    /// a table sized to the live candidate set.
+    /// Marks the disclosed-profile snapshot stale after a profile mutation.
     fn invalidate_shared(&mut self) {
         self.shared_cache = None;
-        self.score_cache = std::collections::HashMap::default(); // lint:allow(det-map) see field
     }
 
     /// Releases memory that stopped paying its way at the last cycle
     /// boundary. Called by the engine at each cycle start; reports are
     /// byte-identical with or without it.
     ///
-    /// * Capacity slack: profile entry slots doubled by sorted inserts and
-    ///   seen-set run slack from merges are trimmed to fit. The profile is
-    ///   only trimmed while uniquely owned — the within-cycle phase order
-    ///   guarantees that here (gossip discloses *before* news mutates, and
-    ///   the first mutation un-shares via `Arc::make_mut`); trimming a
-    ///   shared allocation would copy it instead.
-    /// * The merge-score memo is dropped outright. Its hits are the two
-    ///   WUP merges of a gossip phase ranking the same candidates — a
-    ///   within-cycle pattern — while across cycles every retained entry
-    ///   pins a candidate snapshot whose view slot may long since have
-    ///   been replaced. The memo is probe-only (recomputing a miss yields
-    ///   the identical `f64`), so eviction can never change results.
+    /// Capacity slack: profile entry slots doubled by sorted inserts and
+    /// seen-set run slack from merges are trimmed to fit. The profile is
+    /// only trimmed while uniquely owned — the within-cycle phase order
+    /// guarantees that here (gossip discloses *before* news mutates, and
+    /// the first mutation un-shares via `Arc::make_mut`); trimming a
+    /// shared allocation would copy it instead.
     pub fn compact(&mut self) {
         if let Some(p) = SharedProfile::get_mut(&mut self.profile) {
             p.trim_capacity();
         }
         self.seen.trim_capacity();
-        self.drop_score_memo();
-    }
-
-    /// Drops the merge-score memo. Safe at any point — the memo is
-    /// probe-only (recomputing a miss yields the identical `f64`), so
-    /// eviction can never change results. The engine calls this when the
-    /// gossip phase ends (the memo's hits all happen within one gossip
-    /// phase), so the news phase's growth reuses the freed memory instead
-    /// of stacking on top of a dead table and its pinned snapshots.
-    pub fn drop_score_memo(&mut self) {
-        self.score_cache = std::collections::HashMap::default(); // lint:allow(det-map) see field
     }
 
     pub fn id(&self) -> NodeId {
@@ -310,11 +278,11 @@ impl WhatsUpNode {
         }
     }
 
-    /// Memory accounting (diagnostics): own-profile heap bytes, seen-set
-    /// heap bytes, per-node cache/bookkeeping bytes (score memo + view
-    /// vectors), and a visit of every profile snapshot this node pins —
-    /// view descriptors, the score-memo keys, the disclosed-snapshot memo.
-    /// Visited `Arc`s may repeat; callers dedup by address.
+    /// Memory accounting (diagnostics): own-profile heap bytes (entries
+    /// and planes), seen-set heap bytes, per-node bookkeeping bytes (the
+    /// view vectors), and a visit of every profile snapshot this node pins
+    /// — view descriptors, the disclosed-snapshot memo. Visited `Arc`s may
+    /// repeat; callers dedup by address.
     #[doc(hidden)]
     pub fn debug_heap_stats(&self, visit: &mut dyn FnMut(&SharedProfile)) -> (usize, usize, usize) {
         for d in self.rps.view().entries() {
@@ -323,21 +291,13 @@ impl WhatsUpNode {
         for d in self.wup.view().entries() {
             visit(&d.payload);
         }
-        for (snapshot, _) in self.score_cache.values() {
-            visit(snapshot);
-        }
         if let Some(c) = &self.shared_cache {
             visit(c);
         }
         let descriptor = std::mem::size_of::<whatsup_gossip::Descriptor<SharedProfile>>();
-        let caches = self.score_cache.capacity()
-            * (std::mem::size_of::<(usize, (SharedProfile, f64))>() + 1)
-            + (self.rps.view().entries().len() + self.wup.view().entries().len()) * descriptor;
-        (
-            self.profile.entries_capacity() * std::mem::size_of::<crate::profile::ProfileEntry>(),
-            self.seen.capacity_bytes(),
-            caches,
-        )
+        let views =
+            (self.rps.view().entries().len() + self.wup.view().entries().len()) * descriptor;
+        (self.profile.heap_bytes(), self.seen.capacity_bytes(), views)
     }
 
     /// Full behavioral state of this node, for checkpointing. Everything
@@ -450,9 +410,11 @@ impl WhatsUpNode {
     /// (a request) returns the view to send back, as it was before the
     /// merge; otherwise an empty vector.
     ///
-    /// The profile is prepared once for the ~70 candidates of the merge
-    /// ([`Prepared`] builds its index on the first candidate the memo and
-    /// the fingerprint rejection both let through) and dropped with it.
+    /// The profile is prepared once for the ~70 candidates of the merge:
+    /// snapshots with bit planes — any binary one that has been scored
+    /// before, i.e. everything a view has held for a merge — are counted
+    /// against the profile's own planes, and [`Prepared`] builds its index
+    /// only for a candidate that has none.
     fn merge_wup(
         &mut self,
         received: Vec<Descriptor<SharedProfile>>,
@@ -461,17 +423,10 @@ impl WhatsUpNode {
         let metric = self.params.metric;
         let shared = self.shared_profile();
         let Self {
-            wup,
-            rps,
-            profile,
-            score_cache,
-            ..
+            wup, rps, profile, ..
         } = self;
         let scorer = Prepared::new(profile);
-        let cache = std::cell::RefCell::new(score_cache);
-        let sim = |_own: &SharedProfile, cand: &SharedProfile| {
-            memoized_score(&cache, cand, || scorer.score(metric, cand))
-        };
+        let sim = |_own: &SharedProfile, cand: &SharedProfile| scorer.score(metric, cand);
         let rps_candidates = rps.view().entries();
         if answer {
             wup.on_request(received, rps_candidates, shared, &sim)
@@ -616,30 +571,6 @@ impl WhatsUpNode {
         }
         out
     }
-}
-
-/// Looks up one view-merge similarity score, or computes it with `score`
-/// (see [`WhatsUpNode`]'s `score_cache`). A hit returns the exact `f64`
-/// `score` would recompute: keys are snapshot addresses, each entry pins
-/// its snapshot's `Arc` alive, and the cache is cleared whenever the
-/// ranking profile mutates.
-fn memoized_score(
-    cache: &std::cell::RefCell<
-        // lint:allow(det-map) same probe-only memo as the score_cache field
-        &mut std::collections::HashMap<usize, (SharedProfile, f64), crate::hash::BuildIdHasher>,
-    >,
-    cand: &SharedProfile,
-    score: impl FnOnce() -> f64,
-) -> f64 {
-    let key = SharedProfile::as_ptr(cand) as usize;
-    if let Some((_, s)) = cache.borrow().get(&key) {
-        return *s;
-    }
-    let s = score();
-    cache
-        .borrow_mut()
-        .insert(key, (SharedProfile::clone(cand), s));
-    s
 }
 
 impl crate::item::ItemHeader {

@@ -16,7 +16,12 @@
 //! similarity computation.
 
 use crate::item::{ItemId, Timestamp};
+#[doc(hidden)]
+pub use crate::planes::slot_table_bytes;
+use crate::planes::Planes;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::OnceLock;
 
 /// Opinion strength for an item: `1.0` = interesting, `0.0` = not.
 /// User profiles only ever store the two extremes; item profiles hold
@@ -41,15 +46,17 @@ pub struct ProfileEntry {
 /// The Euclidean norm of the score vector is memoized at mutation time:
 /// similarity scoring reads it on every candidate ranking (the hottest loop
 /// in the system), while mutations are comparatively rare. The cache is
-/// recomputed with a full deterministic scan on every mutation, so two
-/// profiles with equal entries always carry bit-identical cached norms
-/// regardless of the operation history that produced them. Equality is
+/// recomputed with a full deterministic scan on every mutation — or, for
+/// a profile of 0/1 scores, from the like count, which gives the scan's
+/// bits (see [`Self::upsert`]) — so two profiles with equal entries
+/// always carry bit-identical cached norms regardless of the operation
+/// history that produced them. Equality is
 /// defined over `entries` alone (see the manual `PartialEq` below), so a
 /// path that bypasses the mutating methods — e.g. a field-wise
 /// deserializer leaving the skipped cache at `0.0` — cannot break `==`;
 /// [`Self::norm`] additionally debug-asserts the cache against a fresh
 /// recompute to catch such a stale cache before it skews similarity.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Default, Serialize, Deserialize)]
 pub struct Profile {
     entries: Vec<ProfileEntry>,
     /// Memoized `‖scores‖₂`; maintained by every mutating method. Never
@@ -69,6 +76,30 @@ pub struct Profile {
     /// `entries`.
     #[serde(skip)]
     fingerprint: u128,
+    /// Number of entries with `score > 0.5` ([`Self::like_count`]), kept
+    /// by every mutating method. Derived state like the norm.
+    #[serde(skip)]
+    likes: u32,
+    /// Number of entries whose score is neither `0` nor `1`. Zero — the
+    /// profile is *binary* — for everything [`Self::rate`] builds: every
+    /// user profile, every gossip snapshot. A binary profile's norm is
+    /// `sqrt(likes)`, bit-identical to the scan (a sum of 0s and 1s is
+    /// exact), and only a binary profile can have [`Self::planes`].
+    #[serde(skip)]
+    non_binary: u32,
+    /// The rated and liked item sets as bit planes, for the counting path
+    /// of `crate::similarity`. Built on demand ([`Self::planes`],
+    /// [`Self::planes_when_rescored`]), and only for a binary profile;
+    /// `Some(None)` records that the build declined (see
+    /// [`Planes::build`]). Derived state: never serialized, never
+    /// compared, not copied by `Clone`, dropped by every mutation — and
+    /// shared, once built, by every holder of a [`SharedProfile`].
+    #[serde(skip)]
+    planes: OnceLock<Option<Planes>>,
+    /// Whether a one-vs-many scorer has met this profile as a candidate
+    /// before (see [`Self::planes_when_rescored`]). Reset with the planes.
+    #[serde(skip)]
+    scored_before: AtomicBool,
 }
 
 /// Entries fully determine a profile; the memoized norm is derived state
@@ -77,6 +108,41 @@ impl PartialEq for Profile {
     fn eq(&self, other: &Self) -> bool {
         self.entries == other.entries
     }
+}
+
+/// The planes stay behind: a profile is cloned to be mutated (the
+/// copy-on-write `Arc::make_mut` of a node's own profile), and a mutation
+/// drops them anyway.
+impl Clone for Profile {
+    fn clone(&self) -> Self {
+        Self {
+            entries: self.entries.clone(),
+            planes: OnceLock::new(),
+            scored_before: AtomicBool::new(false),
+            ..*self
+        }
+    }
+}
+
+/// What `derive(Debug)` printed before the counting path's fields existed.
+/// The serde shim serializes through `Debug`, so this is the profile's
+/// serialized shape; whether planes happen to be built must not show in it.
+impl std::fmt::Debug for Profile {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Profile")
+            .field("entries", &self.entries)
+            .field("norm", &self.norm)
+            .field("fingerprint", &self.fingerprint)
+            .finish()
+    }
+}
+
+/// Whether `score` is exactly `0` (`-0.0` included) or `1`. No
+/// short-circuit: the derived-state scan calls this per entry, and a
+/// branch on the first comparison mispredicts on real-valued profiles.
+#[inline]
+fn is_binary(score: Score) -> bool {
+    (score == 0.0) | (score == 1.0)
 }
 
 /// Euclidean norm of the entries' score vector — the single definition both
@@ -179,31 +245,49 @@ impl Profile {
         if entries.windows(2).any(|w| w[0].item >= w[1].item) {
             return Self::from_entries(entries);
         }
+        Self::from_sorted(entries)
+    }
+
+    /// Wraps entries already sorted by strictly ascending item id.
+    fn from_sorted(entries: Vec<ProfileEntry>) -> Self {
         let mut p = Self {
             entries,
-            norm: 0.0,
-            fingerprint: 0,
+            ..Self::default()
         };
         p.recompute_norm();
         p
     }
 
-    /// Recomputes the memoized derived state (norm + fingerprint) in one
-    /// fused scan. The norm accumulator runs the exact op sequence of
-    /// [`norm_of`] (ascending entry order, `sum += s·s`, then `sqrt`), so
-    /// the cache stays bit-identical to the reference recompute; the
-    /// fingerprint is an OR-fold and is order-independent by construction.
+    /// Recomputes the memoized derived state (norm, fingerprint, like and
+    /// non-binary counts) in one fused scan and drops the planes. The norm
+    /// accumulator runs the exact op sequence of [`norm_of`] (ascending
+    /// entry order, `sum += s·s`, then `sqrt`), so the cache stays
+    /// bit-identical to the reference recompute; the fingerprint is an
+    /// OR-fold and is order-independent by construction.
     fn recompute_norm(&mut self) {
         let mut sum = 0.0f64;
         let mut fp = 0u128;
+        let (mut likes, mut non_binary) = (0, 0);
         for e in &self.entries {
             let s = e.score as f64;
             sum += s * s;
             fp |= fingerprint_bit(e.item);
+            likes += u32::from(e.score > 0.5);
+            non_binary += u32::from(!is_binary(e.score));
         }
         let n = sum.sqrt();
         self.norm = if n == 0.0 { 0.0 } else { n };
         self.fingerprint = fp;
+        self.likes = likes;
+        self.non_binary = non_binary;
+        self.drop_planes();
+    }
+
+    /// Every mutation ends here: planes describe the entries they were
+    /// built from.
+    fn drop_planes(&mut self) {
+        self.planes.take();
+        *self.scored_before.get_mut() = false;
     }
 
     /// Insert/replace without touching the derived-state caches; callers
@@ -228,10 +312,21 @@ impl Profile {
         &self.entries
     }
 
-    /// Allocated (not occupied) entry slots — memory diagnostics only.
+    /// Heap bytes this profile owns: the allocated (not occupied) entry
+    /// slots plus the planes, if built — memory diagnostics only.
     #[doc(hidden)]
-    pub fn entries_capacity(&self) -> usize {
-        self.entries.capacity()
+    pub fn heap_bytes(&self) -> usize {
+        self.entries.capacity() * std::mem::size_of::<ProfileEntry>() + self.plane_bytes()
+    }
+
+    /// Heap bytes of the planes, `0` while there are none (not built yet,
+    /// not binary, or declined). Builds nothing — diagnostics and tests.
+    #[doc(hidden)]
+    pub fn plane_bytes(&self) -> usize {
+        match self.planes.get() {
+            Some(Some(planes)) => planes.heap_bytes(),
+            _ => 0,
+        }
     }
 
     /// Releases entry-slot slack left by amortized growth. Capacity never
@@ -257,21 +352,35 @@ impl Profile {
     /// Inserts or replaces the entry for `e.item` (§II-B: "each profile
     /// contains only a single entry for a given identifier").
     ///
-    /// The norm is recomputed with the full reference scan (f64 summation
-    /// is order-sensitive, so only the canonical scan is bit-exact); the
-    /// fingerprint is updated incrementally — an OR-fold over the item set
-    /// is order-independent, a replace keeps the item set unchanged, and an
-    /// insert adds exactly one bit.
+    /// The fingerprint and the two counts are updated incrementally — an
+    /// OR-fold over the item set is order-independent, a replace keeps the
+    /// item set unchanged, an insert adds exactly one bit, and a count
+    /// loses the replaced entry and gains the new one. The norm of a
+    /// binary profile follows from the like count: its squares are 0s and
+    /// 1s, whose f64 sum is exact in any order, so `sqrt(likes)` is what
+    /// the scan returns, bit for bit. Any other profile gets the full
+    /// reference scan (f64 summation is order-sensitive, so only the
+    /// canonical scan is bit-exact).
     pub fn upsert(&mut self, e: ProfileEntry) {
-        let bit = fingerprint_bit(e.item);
         match self.entries.binary_search_by_key(&e.item, |x| x.item) {
-            Ok(i) => self.entries[i] = e,
+            Ok(i) => {
+                let old = std::mem::replace(&mut self.entries[i], e);
+                self.likes -= u32::from(old.score > 0.5);
+                self.non_binary -= u32::from(!is_binary(old.score));
+            }
             Err(i) => {
                 self.entries.insert(i, e);
-                self.fingerprint |= bit;
+                self.fingerprint |= fingerprint_bit(e.item);
             }
         }
-        self.norm = norm_of(&self.entries);
+        self.likes += u32::from(e.score > 0.5);
+        self.non_binary += u32::from(!is_binary(e.score));
+        self.norm = if self.non_binary == 0 {
+            f64::from(self.likes).sqrt()
+        } else {
+            norm_of(&self.entries)
+        };
+        self.drop_planes();
     }
 
     /// Records the user's opinion on an item (Algorithm 1, lines 5/7/14).
@@ -354,13 +463,7 @@ impl Profile {
         }
         merged.extend_from_slice(&a[i..]);
         merged.extend_from_slice(&b[j..]);
-        let mut out = Profile {
-            entries: merged,
-            norm: 0.0,
-            fingerprint: 0,
-        };
-        out.recompute_norm();
-        out
+        Self::from_sorted(merged)
     }
 
     /// Removes entries strictly older than `cutoff` (profile window, §II-E).
@@ -389,9 +492,56 @@ impl Profile {
             .map(|e| e.item)
     }
 
-    /// Number of liked items.
+    /// Number of liked items (memoized; O(1)).
     pub fn like_count(&self) -> usize {
-        self.entries.iter().filter(|e| e.score > 0.5).count()
+        debug_assert!(
+            self.likes as usize == self.liked_items().count(),
+            "stale like count: a construction path skipped recompute_norm"
+        );
+        self.likes as usize
+    }
+
+    /// The bit planes of a *binary* profile, built now if need be — what
+    /// the fixed side of a one-vs-many scoring asks for: its build is
+    /// shared by all the candidates. `None` for a profile holding any
+    /// other score and for one whose build declined.
+    pub(crate) fn planes(&self) -> Option<&Planes> {
+        if self.non_binary != 0 {
+            return None;
+        }
+        self.planes
+            .get_or_init(|| Planes::build(&self.entries))
+            .as_ref()
+    }
+
+    /// Whether [`Self::planes`] can still answer `Some`: the profile is
+    /// binary and no build has declined. Decided from memoized state —
+    /// nothing is built, no lock is taken.
+    pub(crate) fn may_have_planes(&self) -> bool {
+        self.non_binary == 0 && !matches!(self.planes.get(), Some(None))
+    }
+
+    /// The planes a *candidate* is scored with: those it has, or — from
+    /// the second time it is asked — [`Self::planes`]. A build costs
+    /// several entry walks (every id is looked up in the slot table), so
+    /// it pays only for an allocation that is scored again and again: a
+    /// snapshot held in a view is, one decoded from a frame and dropped
+    /// after the merge it arrived for is not, and neither is told apart
+    /// by anything but being asked twice. The first ask answers `None`
+    /// and the caller walks the entries — same bits.
+    pub(crate) fn planes_when_rescored(&self) -> Option<&Planes> {
+        if self.non_binary != 0 {
+            return None;
+        }
+        if let Some(built) = self.planes.get() {
+            return built.as_ref();
+        }
+        // Relaxed: the flag publishes nothing. Two threads asking at once
+        // cost one walk more or one build earlier, never a wrong score.
+        if !self.scored_before.swap(true, Ordering::Relaxed) {
+            return None;
+        }
+        self.planes()
     }
 
     /// Euclidean norm of the score vector (memoized; O(1)).
@@ -565,6 +715,31 @@ mod tests {
                     .sum::<f64>()
                     .sqrt();
                 prop_assert_eq!(profile.norm(), expected, "cache must be exact");
+            }
+        }
+
+        /// The incrementally kept counts — and the binary profile's norm
+        /// derived from them — against a fresh scan, as ratings and real
+        /// values replace one another. `norm()` and `like_count()`
+        /// debug-assert their caches; the reference expressions are
+        /// repeated here so the property also holds in release builds.
+        #[test]
+        fn counts_follow_upserts(
+            ops in prop::collection::vec((0u64..12, 0u32..5), 0..80),
+        ) {
+            let mut p = Profile::new();
+            for &(item, class) in &ops {
+                p.upsert(e(item, 0, [0.0, 1.0, -0.0, 0.5, 0.75][class as usize]));
+                prop_assert_eq!(p.like_count(), p.liked_items().count());
+                prop_assert_eq!(p.norm().to_bits(), norm_of(p.entries()).to_bits());
+                let rescanned = Profile::from_entries(p.entries().to_vec());
+                prop_assert_eq!(
+                    (p.likes, p.non_binary, p.fingerprint),
+                    (rescanned.likes, rescanned.non_binary, rescanned.fingerprint)
+                );
+                let binary = p.entries().iter().all(|x| is_binary(x.score));
+                prop_assert_eq!(p.non_binary == 0, binary);
+                prop_assert!(binary || p.planes().is_none());
             }
         }
 

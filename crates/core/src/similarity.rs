@@ -63,9 +63,8 @@
 //! entries: look the id up (four compares, conditional moves), multiply,
 //! add. No branch in that loop depends on the data (~0.35 µs per 130-entry
 //! candidate, build included). It is what the two hot call sites use
-//! (`WhatsUpNode`'s WUP merge, behind its score memo, and
-//! `beep::select_most_similar_k`); everything else keeps the pairwise
-//! functions.
+//! (`WhatsUpNode`'s WUP merge and `beep::select_most_similar_k`);
+//! everything else keeps the pairwise functions.
 //!
 //! * **Bit-identity.** f64 addition is not associative, so the sums must
 //!   run over the common items in the reference's order: ascending item
@@ -83,13 +82,78 @@
 //!   64-byte buckets per entry) against the ~2 KiB of the profile it is
 //!   built from; hundreds of nodes each keeping one would multiply a
 //!   shard's resident set. It lives for one merge or one orientation, is
-//!   built lazily (a merge whose candidates are all memoized or rejected
-//!   by their fingerprints builds nothing), and its allocation is handed
-//!   from one index to the next through a per-thread spare.
+//!   built lazily (a merge whose candidates are all counted — see below —
+//!   or rejected by their fingerprints builds nothing), and its
+//!   allocation is handed from one index to the next through a per-thread
+//!   spare.
 //! * **It declines rather than degrades.** A bucket holds four entries;
 //!   if a fifth hashes there the table is doubled once, and if that does
 //!   not help (ids crafted to collide) the scorer falls back to the
 //!   pairwise join for that profile — same bits, the old speed.
+//!
+//! ## Counting path for binary profiles
+//!
+//! A *user* profile only ever holds the scores 1 (like) and 0 (dislike)
+//! (§II-B); real values exist only in *item* profiles. In a WUP merge both
+//! sides of every score are user profiles, so the two sums are **counts**
+//! — `dot = |liked_n ∩ liked_c|`, `‖sub(Pn,Pc)‖² = |liked_n ∩ rated_c|` —
+//! and [`Prepared`] counts them instead of walking entries whenever both
+//! profiles have *bit planes*: a rated set and a liked set as bit sets
+//! (`crate::planes`), intersected 64 items at a time with an `&` and a
+//! `count_ones`. Jaccard is counted the same way (`common = dot`,
+//! `union = likes_n + likes_c − dot`). Nothing selects the path but the
+//! two profiles themselves; the fingerprint rejection stays in front, and
+//! the counts feed the same `ratio(..)` expressions, with the same
+//! memoized norms, as the walked sums.
+//!
+//! * **Exactness.** With every score in `{0, 1}` each product `pn·pc` and
+//!   `pn·pn` is 0 or 1, so every partial sum of the reference's
+//!   accumulation is an integer below 2⁵³: representable, hence exact,
+//!   hence independent of the order of the additions. The count *is* the
+//!   reference's sum, bit for bit. A `-0.0` score counts as 0 (it is rated
+//!   and not liked): its products are `±0.0` terms, which leave an
+//!   accumulator that started at `+0.0` unchanged. No common item gives
+//!   `ratio(0, 0) = +0.0`, what the fingerprint rejection returns.
+//! * **Planes belong to the profile.** They are derived state of a
+//!   [`Profile`] allocation — built on demand, never serialized or
+//!   compared, dropped by every mutation — so every view slot and message
+//!   pinning a snapshot shares one pair, and a node keeps no scoring state
+//!   of its own. A pair is 16 bytes per 64 slots spanned: a few words
+//!   beside a KiB-sized entry vector.
+//! * **Built for what is scored again.** Building planes looks every id
+//!   up in the slot table, which costs several walks of the entries; it
+//!   pays for an allocation scored many times — a node's own profile
+//!   (the fixed side of ~60 scores per merge, and with obfuscation off
+//!   the very allocation its neighbours' views hold), a snapshot sitting
+//!   in a view — and not for one scored once: a descriptor decoded from a
+//!   frame, ranked in the merge it arrived for and dropped. So the fixed
+//!   side's planes are built as soon as one candidate has planes to count
+//!   against, and a *candidate's* the second time a scorer meets it; its
+//!   first score is walked. (Building eagerly made runs whose shards
+//!   exchange encoded bundles up to 2× slower: every cross-shard
+//!   descriptor is a fresh allocation.) Which of the two exact paths a
+//!   score took is history; its bits are not.
+//! * **Slots are process-wide, and their numbering is invisible.** Two
+//!   profiles can only be intersected if an item owns the same bit in
+//!   both, so item ids map to bit positions through one process-wide
+//!   append-only table, in order of first sight. That order depends on
+//!   which node — under the thread link, which *thread* — asked first;
+//!   it cannot reach a result because only intersection sizes leave the
+//!   planes, and a renumbering of the items changes no set's size. The
+//!   table is read while planes are built (one shared-lock pass per
+//!   profile; the exclusive lock only for a never-seen id) and not at all
+//!   while they are scored.
+//! * **It declines rather than degrades.** A profile gets no planes — and
+//!   is scored on the index or pairwise, same bits — when a score is
+//!   neither 0 nor 1; when its ids were first seen so far apart that the
+//!   planes would span more words than it has entries; and when the slot
+//!   table, which is bounded by a constant so that wire-supplied ids
+//!   cannot grow a peer without limit, is full and does not know one of
+//!   its ids — and since a candidate registers its ids only when scored a
+//!   second time, a peer's one-shot descriptors never reach the table.
+//!   The fixed side is tested first: a real-valued item profile (BEEP
+//!   orientation) answers "no planes" from a memoized count, and none of
+//!   its 30 candidates gets planes built on its account.
 
 use crate::profile::Profile;
 use serde::{Deserialize, Serialize};
@@ -313,9 +377,10 @@ pub fn jaccard_similarity(pn: &Profile, pc: &Profile) -> f64 {
 /// bit-identical to [`Metric::score`]`(pn, candidate)`.
 ///
 /// The index is built on the first candidate that gets past the
-/// fingerprint rejection, so a scorer that only ever meets disjoint (or
-/// memoized) candidates costs nothing; it lives exactly as long as this
-/// value — one view merge, one BEEP orientation.
+/// fingerprint rejection and is not counted on bit planes, so a scorer
+/// that only ever meets disjoint or counted candidates costs nothing; it
+/// lives exactly as long as this value — one view merge, one BEEP
+/// orientation.
 pub struct Prepared<'a> {
     pn: &'a Profile,
     /// `None` inside the cell: the index declined `pn` (see
@@ -332,13 +397,14 @@ impl<'a> Prepared<'a> {
     }
 
     /// [`Metric::score`]`(pn, pc)`. Jaccard needs the union, which a walk
-    /// of one side cannot see, and stays pairwise.
+    /// of one side cannot see: it is counted when both profiles have
+    /// planes and stays pairwise otherwise.
     #[inline]
     pub fn score(&self, metric: Metric, pc: &Profile) -> f64 {
         match metric {
             Metric::Wup => self.wup(pc),
             Metric::Cosine => self.cosine(pc),
-            Metric::Jaccard => jaccard_similarity(self.pn, pc),
+            Metric::Jaccard => self.jaccard(pc),
         }
     }
 
@@ -360,7 +426,41 @@ impl<'a> Prepared<'a> {
         ratio(dot, self.pn.norm() * pc.norm())
     }
 
+    /// [`jaccard_similarity`]`(pn, pc)`.
+    fn jaccard(&self, pc: &Profile) -> f64 {
+        if provably_disjoint(self.pn, pc) {
+            return 0.0;
+        }
+        let Some((common_likes, _)) = self.counted(pc) else {
+            return jaccard_similarity(self.pn, pc);
+        };
+        let union_likes = self.pn.like_count() + pc.like_count() - common_likes as usize;
+        if union_likes == 0 {
+            0.0
+        } else {
+            f64::from(common_likes) / union_likes as f64
+        }
+    }
+
+    /// `(|liked_n ∩ liked_c|, |liked_n ∩ rated_c|)` when both profiles have
+    /// planes (see "Counting path for binary profiles" in the module
+    /// docs). The fixed side is asked first, from memoized state: a
+    /// real-valued item profile builds nothing for itself, and none of its
+    /// candidates gets planes built for a score that cannot use them. Its
+    /// own planes are built once a candidate has some to count against.
+    #[inline]
+    fn counted(&self, pc: &Profile) -> Option<(u32, u32)> {
+        if !self.pn.may_have_planes() {
+            return None;
+        }
+        let theirs = pc.planes_when_rescored()?;
+        Some(self.pn.planes()?.overlap(theirs))
+    }
+
     fn common_sums(&self, pc: &Profile) -> (f64, f64) {
+        if let Some((dot, sub_norm2)) = self.counted(pc) {
+            return (f64::from(dot), f64::from(sub_norm2));
+        }
         // The index masks a miss by multiplying with zero, which is exact
         // only for finite candidate scores (see `Index::common_sums`).
         match self.index.get_or_init(|| Index::build(self.pn)) {
@@ -819,6 +919,149 @@ mod tests {
         }
     }
 
+    /// The first of `n` item ids no test has used yet — ids the slot
+    /// table has never seen, whatever the other tests of this process
+    /// (which run in parallel and share the table) have registered.
+    fn fresh_ids(n: u64) -> u64 {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static NEXT: AtomicU64 = AtomicU64::new(1 << 40);
+        NEXT.fetch_add(n, Ordering::Relaxed)
+    }
+
+    /// Registers `ids` with the slot table in one step, so that they get
+    /// consecutive slots (ascending with the id) no matter what other
+    /// tests register meanwhile.
+    fn register(ids: impl IntoIterator<Item = u64>) {
+        let all = profile(&ids.into_iter().collect::<Vec<_>>(), &[]);
+        assert!(all.planes().is_some() || all.len() < 2);
+    }
+
+    #[test]
+    fn planes_follow_the_profile_through_clones_and_mutations() {
+        let base = fresh_ids(64);
+        register(base..base + 64);
+        let ids = |offsets: &[u64]| offsets.iter().map(|o| base + o).collect::<Vec<_>>();
+        let other = profile(&ids(&[1, 2, 3, 9, 20]), &ids(&[4, 5]));
+        let check = |p: &Profile| {
+            assert_scorer_matches_reference(&Prepared::new(p), p, &other);
+            assert_scorer_matches_reference(&Prepared::new(&other), &other, p);
+        };
+        let original = profile(&ids(&[1, 2, 3, 4]), &ids(&[9, 10]));
+        check(&original);
+        assert!(original.plane_bytes() > 0, "a binary profile is counted");
+
+        // A clone starts without planes and builds its own.
+        let mut shared = crate::profile::SharedProfile::new(original.clone());
+        assert_eq!(shared.plane_bytes(), 0);
+        check(&shared);
+        assert!(shared.plane_bytes() > 0);
+
+        // Copy-on-write while a snapshot is pinned: the snapshot keeps its
+        // planes, the copy's are rebuilt from the new entries.
+        let snapshot = crate::profile::SharedProfile::clone(&shared);
+        crate::profile::SharedProfile::make_mut(&mut shared).rate(base + 20, 5, true);
+        assert!(snapshot.plane_bytes() > 0);
+        assert_eq!(shared.plane_bytes(), 0, "a mutation drops the planes");
+        check(&shared);
+        check(&snapshot);
+        assert!(shared.plane_bytes() > 0);
+        // Re-rating flips a bit of the liked plane only.
+        crate::profile::SharedProfile::make_mut(&mut shared).rate(base + 20, 6, false);
+        check(&shared);
+
+        // A purge that removes nothing keeps the planes; one that removes
+        // an entry drops them.
+        let mut purged = (*shared).clone();
+        check(&purged);
+        purged.purge_older_than(1);
+        assert_eq!(purged.len(), 1);
+        assert_eq!(purged.plane_bytes(), 0);
+        check(&purged);
+        purged.purge_older_than(1);
+        assert!(purged.plane_bytes() > 0);
+
+        // Averaging two opinions leaves a real value: no planes, and the
+        // index scores it. Re-rating the item makes the profile binary
+        // again.
+        let mut folded = original.aggregated_with(&profile(&ids(&[9]), &[]));
+        assert_eq!(folded.get(base + 9).unwrap().score, 0.5);
+        assert!(folded.planes().is_none());
+        check(&folded);
+        folded.rate(base + 9, 0, true);
+        assert!(folded.planes().is_some());
+        check(&folded);
+        // Folding disjoint binary profiles stays binary.
+        let merged = original.aggregated_with(&profile(&ids(&[30, 31]), &ids(&[32])));
+        assert!(merged.planes().is_some());
+        check(&merged);
+    }
+
+    #[test]
+    fn a_candidate_is_walked_once_then_counted() {
+        let base = fresh_ids(16);
+        let own = profile(&[base, base + 1, base + 2], &[base + 3]);
+        let mut snapshot = profile(&[base + 1, base + 2, base + 5], &[base]);
+        let scorer = Prepared::new(&own);
+        // Scored once — a decoded descriptor dropped after its merge —
+        // nothing is built on either side, no id is registered.
+        let first = scorer.wup(&snapshot);
+        assert_eq!(own.plane_bytes() + snapshot.plane_bytes(), 0);
+        // Scored again — a snapshot a view holds — both are.
+        assert_eq!(scorer.wup(&snapshot).to_bits(), first.to_bits());
+        assert!(own.plane_bytes() > 0 && snapshot.plane_bytes() > 0);
+        assert_scorer_matches_reference(&scorer, &own, &snapshot);
+        // A mutation starts the count again.
+        snapshot.rate(base + 6, 0, true);
+        let _ = scorer.wup(&snapshot);
+        assert_eq!(snapshot.plane_bytes(), 0);
+        let _ = scorer.wup(&snapshot);
+        assert!(snapshot.plane_bytes() > 0);
+        assert_scorer_matches_reference(&scorer, &own, &snapshot);
+    }
+
+    #[test]
+    fn ids_first_seen_far_apart_decline() {
+        // Two ids 30 words of slots apart: the planes of a profile holding
+        // both would be mostly padding.
+        let base = fresh_ids(2_000);
+        register(base..base + 1_921);
+        let near = profile(&[base, base + 1, base + 2], &[]);
+        let wide = profile(&[base, base + 1], &[base + 1_920]);
+        let far = profile(&[base + 1_919], &[base + 1_920]);
+        assert!(near.planes().is_some());
+        assert!(wide.planes().is_none(), "31 words for 3 entries");
+        assert!(far.planes().is_some());
+        for pn in [&near, &wide, &far] {
+            let scorer = Prepared::new(pn);
+            for pc in [&near, &wide, &far] {
+                assert_scorer_matches_reference(&scorer, pn, pc);
+            }
+        }
+    }
+
+    #[test]
+    fn a_real_valued_fixed_side_builds_no_planes() {
+        let base = fresh_ids(8);
+        let mut item_profile = profile(&[base, base + 1], &[]);
+        item_profile.add_to_news_profile(ProfileEntry {
+            item: base + 1,
+            timestamp: 0,
+            score: 0.0,
+        });
+        let candidates: Vec<Profile> = (0..4)
+            .map(|k| profile(&[base + k, base + k + 1], &[base + k + 2]))
+            .collect();
+        let scorer = Prepared::new(&item_profile);
+        for pc in &candidates {
+            assert_scorer_matches_reference(&scorer, &item_profile, pc);
+            assert_eq!(
+                pc.plane_bytes(),
+                0,
+                "built for a score that cannot use them"
+            );
+        }
+    }
+
     #[test]
     fn metric_labels() {
         assert_eq!(Metric::Wup.label(), "wup");
@@ -922,6 +1165,69 @@ mod tests {
                 let pc = spread_profile(kind, &raw[..raw.len().min(cand_max)]);
                 assert_scorer_matches_reference(&scorer, &pn, &pc);
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The counting path against the scan-only reference, by bits, in
+        /// both directions of every pair — over binary profiles (`-0.0`
+        /// included) with empty and one-entry sides, and with one side
+        /// made real-valued (which must then have no planes and fall
+        /// back). The same pair is built over three id ranges whose slots
+        /// were handed out in different orders — ascending with the item,
+        /// descending, evens before odds — and must score the same bits
+        /// under each: the slot numbering shows in no result.
+        #[test]
+        fn counting_path_is_bit_identical_to_reference(
+            shape in 0usize..4,
+            real_valued in 0usize..3,
+            ea in prop::collection::vec((0u64..96, 0u32..4), 0..80),
+            eb in prop::collection::vec((0u64..96, 0u32..4), 0..80),
+        ) {
+            let (a_max, b_max) = [(80, 80), (0, 80), (1, 80), (80, 1)][shape];
+            let (ea, eb) = (&ea[..ea.len().min(a_max)], &eb[..eb.len().min(b_max)]);
+            let mut per_numbering = Vec::new();
+            for numbering in 0..3 {
+                let base = fresh_ids(96);
+                let id_of = |i: u64| if numbering == 1 { base + 95 - i } else { base + i };
+                if numbering == 2 {
+                    register((0..96).step_by(2).map(id_of));
+                    register((1..96).step_by(2).map(id_of));
+                } else {
+                    register(base..base + 96);
+                }
+                let build = |raw: &[(u64, u32)], real: bool| {
+                    let mut p = Profile::from_entries(raw.iter().map(|&(i, class)| ProfileEntry {
+                        item: id_of(i),
+                        timestamp: 0,
+                        score: [0.0, 1.0, -0.0, 1.0][class as usize],
+                    }));
+                    if let (true, Some(first)) = (real, raw.first()) {
+                        p.upsert(ProfileEntry { item: id_of(first.0), timestamp: 0, score: 0.25 });
+                    }
+                    p
+                };
+                let a = build(ea, real_valued == 1);
+                let b = build(eb, real_valued == 2);
+                for (p, real) in [(&a, real_valued == 1), (&b, real_valued == 2)] {
+                    if real && !p.is_empty() {
+                        prop_assert!(p.planes().is_none());
+                    } else if p.len() >= 3 || p.len() == 1 {
+                        // (Two entries may straddle three words and decline.)
+                        prop_assert!(p.planes().is_some());
+                    }
+                }
+                assert_scorer_matches_reference(&Prepared::new(&a), &a, &b);
+                assert_scorer_matches_reference(&Prepared::new(&b), &b, &a);
+                let scorer = Prepared::new(&a);
+                per_numbering.push(
+                    [Metric::Wup, Metric::Cosine, Metric::Jaccard].map(|m| scorer.score(m, &b).to_bits()),
+                );
+            }
+            prop_assert_eq!(per_numbering[0], per_numbering[1]);
+            prop_assert_eq!(per_numbering[0], per_numbering[2]);
         }
     }
 }

@@ -303,3 +303,87 @@ fn item_profile_windowing_applies_in_flight() {
     );
     assert!(nm.profile.contains(98), "fresh entry survives");
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A WUP merge scores its candidates through the prepared scorer —
+    /// counting bit planes where both profiles are binary, walking an
+    /// index or the pair where one is not — and keeps its survivors by
+    /// selection. What it leaves in the view, *and in which order*, must
+    /// be what the clustering layer leaves when every candidate is scored
+    /// by the pairwise `Metric::score`: for a request and a response,
+    /// under every metric, with and without obfuscation (which changes
+    /// what the node discloses, never what it ranks by).
+    #[test]
+    fn wup_merge_keeps_what_pairwise_ranking_keeps(
+        own in prop::collection::vec((0u64..60, prop::bool::ANY), 0..40),
+        descriptors in prop::collection::vec(
+            (0u32..40, 0u32..3, 0u32..4,
+             prop::collection::vec((0u64..60, 0u32..5), 0..40)),
+            0..90,
+        ),
+        obfuscated in prop::bool::ANY,
+        request in prop::bool::ANY,
+    ) {
+        use whatsup_core::similarity::Metric;
+        use whatsup_gossip::{Clustering, ClusteringConfig};
+        const ME: NodeId = 7;
+        // One snapshot in four is real-valued (what only a foreign peer
+        // sends); tied scores and equal ages are common by construction.
+        let descriptors: Vec<Descriptor<SharedProfile>> = descriptors
+            .iter()
+            .map(|(node, age, kind, entries)| Descriptor {
+                node: *node,
+                age: *age,
+                payload: SharedProfile::new(Profile::from_entries(entries.iter().map(
+                    |&(item, q)| ProfileEntry {
+                        item,
+                        timestamp: 0,
+                        score: if *kind == 0 { q as f32 / 4.0 } else { (q % 2) as f32 },
+                    },
+                ))),
+            })
+            .collect();
+        let (views, received) = descriptors.split_at(descriptors.len() * 2 / 3);
+        let (wup_view, rps_view) = views.split_at(views.len() / 2);
+        for metric in [Metric::Wup, Metric::Cosine, Metric::Jaccard] {
+            let params = Params {
+                metric,
+                obfuscation_epsilon: if obfuscated { 0.3 } else { 0.0 },
+                ..Params::whatsup(4)
+            };
+            let mut seeded = WhatsUpNode::new(ME, params.clone());
+            seeded.seed_views_arcs(
+                rps_view.iter().map(|d| (d.node, d.payload.clone())),
+                wup_view.iter().map(|d| (d.node, d.payload.clone())),
+            );
+            let mut state = seeded.export_state();
+            state.profile = profile_of(&own).entries().to_vec();
+            let mut node = WhatsUpNode::from_state(ME, params.clone(), state.clone());
+
+            let mut expected = Clustering::new(ME, ClusteringConfig { view_size: params.wup_view_size });
+            expected.seed(state.wup_view.clone());
+            let own_profile = profile_of(&own);
+            expected.on_response(
+                received.to_vec(),
+                &state.rps_view,
+                &SharedProfile::new(Profile::new()),
+                &|_: &SharedProfile, cand: &SharedProfile| metric.score(&own_profile, cand),
+            );
+
+            let payload = if request {
+                Payload::WupRequest(received.to_vec())
+            } else {
+                Payload::WupResponse(received.to_vec())
+            };
+            let mut rng = ChaCha8Rng::seed_from_u64(1);
+            let _ = node.on_message(3, payload, 0, &Mix, &mut NodeStats::default(), &mut rng);
+            prop_assert_eq!(
+                &node.export_state().wup_view[..],
+                expected.view().entries(),
+                "{} obfuscated={} request={}", metric.label(), obfuscated, request
+            );
+        }
+    }
+}

@@ -165,25 +165,62 @@ impl<P: Clone> Clustering<P> {
         // (O(n log n) avalanche evaluations per merge, on the per-cycle
         // gossip path).
         let self_id = self.id;
-        let mut scored: Vec<(f64, u64, Descriptor<P>)> = deduped
+        let scored = deduped
             .drain(..)
             .map(|d| (sim.score(own_payload, &d.payload), mix(self_id, d.node), d))
             .collect();
-        scored.sort_by(|(sa, ma, da), (sb, mb, db)| {
-            sb.partial_cmp(sa)
-                .expect("similarity scores must not be NaN")
-                .then(da.age.cmp(&db.age))
-                .then(ma.cmp(mb))
-        });
-        scored.truncate(self.config.view_size);
-        self.view
-            .replace_with(scored.into_iter().map(|(_, _, d)| d).collect());
+        self.view.replace_with(
+            closest(scored, self.config.view_size)
+                .into_iter()
+                .map(|(_, _, d)| d)
+                .collect(),
+        );
     }
+}
+
+/// A merge candidate: similarity score, id mix, descriptor.
+type Scored<P> = (f64, u64, Descriptor<P>);
+
+/// The merge's ranking (see [`Clustering::merge`]).
+fn rank<P>((sa, ma, da): &Scored<P>, (sb, mb, db): &Scored<P>) -> std::cmp::Ordering {
+    sb.partial_cmp(sa)
+        .expect("similarity scores must not be NaN")
+        .then(da.age.cmp(&db.age))
+        .then(ma.cmp(mb))
+}
+
+/// The `keep` best-ranked candidates, best first. A merge ranks ~60
+/// candidates to keep 20, so the survivors are selected first and only
+/// they are sorted. [`rank`] is a strict total order over the candidates
+/// of one merge — after `dedup_freshest` their nodes are distinct, and
+/// `mix(self_id, ·)` is injective (an XOR with a constant, then a
+/// bijective finaliser) — so there is exactly one sorted sequence: the
+/// survivors *and their order in the view* (which `View::oldest` ties and
+/// the index shuffle of `View::sample_ids` depend on) are those of
+/// [`closest_by_full_sort`], although neither the selection nor the sort
+/// is stable.
+fn closest<P>(mut scored: Vec<Scored<P>>, keep: usize) -> Vec<Scored<P>> {
+    if keep < scored.len() {
+        scored.select_nth_unstable_by(keep, rank);
+        scored.truncate(keep);
+    }
+    scored.sort_unstable_by(rank);
+    scored
+}
+
+/// [`closest`] as it was first written — sort everything, cut — kept as
+/// the executable statement of what the selection must return.
+#[cfg(test)]
+fn closest_by_full_sort<P>(mut scored: Vec<Scored<P>>, keep: usize) -> Vec<Scored<P>> {
+    scored.sort_by(rank);
+    scored.truncate(keep);
+    scored
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Similarity for test payloads: negative distance between bytes.
     fn byte_sim(own: &u8, cand: &u8) -> f64 {
@@ -268,5 +305,36 @@ mod tests {
         let distinct: std::collections::HashSet<Vec<NodeId>> =
             (0..16).map(|id| run(id + 100)).collect();
         assert!(distinct.len() > 1, "tie-breaking collapsed onto one order");
+    }
+
+    proptest! {
+        /// Same survivors in the same order as the full stable sort, for
+        /// every cut — including no cut at all and a cut inside a run of
+        /// candidates that tie on score and age. `score_levels = 1` ties
+        /// every score (the state of every view before profiles mature),
+        /// `age_levels = 1` every age; nodes are distinct, as they are
+        /// after `dedup_freshest`.
+        #[test]
+        fn selection_matches_the_full_sort(
+            self_id in 0u32..64,
+            keep in 1usize..40,
+            score_levels in 1u32..4,
+            age_levels in 1u32..4,
+            raw in prop::collection::vec((0u32..1_000, 0u32..1_000), 0..90),
+        ) {
+            let scored: Vec<Scored<usize>> = raw
+                .iter()
+                .enumerate()
+                .map(|(at, &(score, age))| {
+                    let node = 1_000 + at as NodeId;
+                    let d = Descriptor { node, age: age % age_levels, payload: at };
+                    (f64::from(score % score_levels) / 4.0, mix(self_id, node), d)
+                })
+                .collect();
+            prop_assert_eq!(
+                closest(scored.clone(), keep),
+                closest_by_full_sort(scored, keep)
+            );
+        }
     }
 }

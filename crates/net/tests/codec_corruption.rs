@@ -323,3 +323,72 @@ fn out_of_range_scores_are_rejected_by_every_profile_decoder() {
         }
     }
 }
+
+/// A peer chooses the item ids it sends, and scoring a binary profile
+/// registers its ids in a process-wide table (the bit planes' numbering).
+/// That table must stop growing: frame after frame of never-seen ids —
+/// 3 500 a datagram, half a million in all — fills it to its fixed
+/// capacity and no further; later strangers get no planes and are scored
+/// by walking, bit-identically; ids registered while there was room keep
+/// theirs.
+#[test]
+fn never_seen_item_ids_cannot_grow_the_slot_table_without_bound() {
+    use whatsup_core::profile::slot_table_bytes;
+    use whatsup_core::similarity::{reference, Prepared};
+
+    const PER_FRAME: u64 = 3_500;
+    let id = |frame: u64, k: u64| 0xfeed_0000_0000 + frame * PER_FRAME + k;
+    // A binary profile of `len` ids of `frame`, as a receiver decodes it.
+    let received = |frame: u64, len: u64| {
+        let entries: Vec<(u64, u32, bool)> =
+            (0..len).map(|k| (id(frame, k), 1, k % 3 != 2)).collect();
+        let sent = Payload::WupRequest(vec![descriptor(7, &entries)]);
+        let bytes = encode(7, &sent, |_| None).expect("3 500 entries fit a datagram");
+        let (_, wire) = decode(&bytes).expect("well-formed frame");
+        match wire.try_into_payload().expect("valid payload") {
+            Payload::WupRequest(mut descriptors) => descriptors.remove(0).payload,
+            other => panic!("a WUP request decodes as one, not {other:?}"),
+        }
+    };
+    // Twice: a candidate is walked the first time it is scored and gets
+    // its planes — its ids their slots — the second.
+    let score = |own: &Profile, candidate: &Profile| {
+        let walked = reference::wup_similarity(own, candidate);
+        assert!(walked > 0.0, "they share likes");
+        for _ in 0..2 {
+            let scored = Prepared::new(own).wup(candidate);
+            assert_eq!(scored.to_bits(), walked.to_bits());
+        }
+    };
+
+    let (first_own, first) = (received(0, 4), received(0, PER_FRAME));
+    score(&first_own, &first);
+    assert!(first_own.plane_bytes() > 0 && first.plane_bytes() > 0);
+    let mut sizes = Vec::new();
+    for frame in 1..150 {
+        score(&received(frame, 4), &received(frame, PER_FRAME));
+        sizes.push(slot_table_bytes());
+    }
+    let full = *sizes.last().expect("149 frames");
+    assert!(full <= 9 << 20, "the slot table holds {full} bytes");
+    assert_eq!(
+        sizes[sizes.len() - 10],
+        full,
+        "still growing at 500 000 ids"
+    );
+
+    // No room left: strangers on either side of a score decline…
+    let (late_own, late) = (received(150, 4), received(150, 40));
+    score(&late_own, &late);
+    let mut mixed = (*late).clone();
+    mixed.rate(id(0, 0), 1, true);
+    score(&first_own, &mixed);
+    for stranger in [&*late_own, &*late, &mixed] {
+        assert_eq!(stranger.plane_bytes(), 0);
+    }
+    assert_eq!(slot_table_bytes(), full);
+    // …and known ids are counted as before, in a fresh decode.
+    let again = received(0, PER_FRAME);
+    score(&first_own, &again);
+    assert!(again.plane_bytes() > 0);
+}

@@ -839,6 +839,8 @@ impl Simulation {
             })
             .sum();
         totals.push(("item records", records));
+        // Process-wide, so counted here once and not per shard.
+        totals.push(("slot table", whatsup_core::profile::slot_table_bytes()));
         totals.push((
             "driver per-node",
             core.per_node.capacity() * std::mem::size_of::<NodeIr>()

@@ -258,13 +258,14 @@
 //!   (no shared rated item ⇒ the score is `+0.0` bit-for-bit), so the
 //!   fast path cannot perturb determinism — property-tested against the
 //!   scan-only reference implementations in `whatsup_core::similarity`.
-//! * **Memoized view-merge scores** — each node caches WUP merge
-//!   similarity scores keyed by candidate-snapshot identity (`Arc`
-//!   address, entry pinning its snapshot alive so the address cannot be
-//!   reused) and clears the cache whenever its own profile mutates; a hit
-//!   returns the exact `f64` the metric would recompute on the same
-//!   operands, so ranking order — and every downstream bit — is
-//!   unchanged.
+//! * **Counted view-merge scores** — user profiles and gossip snapshots
+//!   hold only the scores 0 and 1, so a WUP merge scores each candidate
+//!   by intersecting bit planes (`whatsup_core::similarity`, "Counting
+//!   path for binary profiles"). The planes are derived state of the
+//!   profile allocation, built once — for a snapshot, the second time a
+//!   merge ranks it — and shared by every view slot that pins it; the
+//!   counts are exact, so the ranking — and every downstream bit — is
+//!   what the entry-walking reference produces.
 //!
 //! None of this changes observable ordering: the arena preserves push
 //! order per receiver, routing preserves `(sender id, emission order)`,
@@ -289,7 +290,7 @@
 //! | own profiles                  |      ~210 MiB | rated items per node        |
 //! | pinned view snapshots         |      ~260 MiB | view size × profile size    |
 //! | seen sets                     |       ~95 MiB | receptions per node (8 B/id)|
-//! | view descriptors + score memo |       ~60 MiB | view size (memo dropped)    |
+//! | view descriptors              |       ~60 MiB | view size                   |
 //! | item records (driver)         |      ~120 MiB | receptions per item         |
 //! | mailbox arena + scratch       |       ~40 MiB | peak per-round traffic      |
 //! | oracle (CSR)                  |   likes-sized | non-zero likes (4 B each)   |
@@ -300,15 +301,14 @@
 //!   ([`shard::ShardState`]'s collect) each node runs
 //!   [`whatsup_core::WhatsUpNode::compact`]: profile and seen-set
 //!   capacity slack from amortized growth is trimmed to fit (capacities
-//!   never influence behavior, so this is invisible to reports), and the
-//!   merge-score memo is dropped. The memo is *also* dropped at
-//!   `BeginNews` — its hits all happen within a gossip phase, so holding
-//!   it (and the candidate snapshots it pins) across the news phase
-//!   would stack dead weight under live growth.
+//!   never influence behavior, so this is invisible to reports).
 //! * **Snapshot sharing** — a disclosed profile is one `Arc` allocation
 //!   shared by every view slot and in-flight message that references it;
-//!   "pinned view snapshots" counts each allocation once. Cross-shard
-//!   the decode cache restores the sharing on the receiving side.
+//!   "pinned view snapshots" counts each allocation once, bit planes
+//!   included (a few words beside a KiB-sized entry vector; the item →
+//!   slot table they are numbered by is the breakdown's "slot table"
+//!   row, one per process). Cross-shard the decode cache restores the
+//!   sharing on the receiving side.
 //! * **Sparse oracle** — [`crate::Oracle`] holds likes as CSR or dense
 //!   bit-plane, chosen by measured byte cost
 //!   (`whatsup_datasets::LikeStore`), and is **process-`Arc`-shared**:

@@ -203,10 +203,10 @@ impl ShardState {
             let (p, s, c) = node.debug_heap_stats(&mut |shared| {
                 let key = shared.entries().as_ptr() as usize;
                 if !own.contains(&key) && pinned.insert(key) {
-                    // Two allocations per snapshot: the Arc block (counts +
-                    // Profile struct) and the entries buffer (capacity).
-                    snapshot_bytes += shared.entries_capacity()
-                        * std::mem::size_of::<whatsup_core::profile::ProfileEntry>()
+                    // The Arc block (counts + Profile struct) plus what the
+                    // profile owns: the entries buffer (capacity) and, once
+                    // a merge has scored it, its bit planes.
+                    snapshot_bytes += shared.heap_bytes()
                         + std::mem::size_of::<whatsup_core::profile::Profile>()
                         + 16;
                 }
@@ -291,12 +291,6 @@ impl ShardState {
             }
             Command::BeginNews => {
                 self.phase_rngs.iter_mut().for_each(|r| *r = None);
-                // Gossip is over for this cycle: the merge-score memo's
-                // hits all happen within a gossip phase, so drop it (and
-                // the candidate snapshots it pins) before the news phase
-                // grows into the freed memory. Probe-only — see
-                // `WhatsUpNode::drop_score_memo`.
-                self.nodes.iter_mut().for_each(WhatsUpNode::drop_score_memo);
                 Reply::Ack
             }
             Command::Publish { cycle, item } => self.publish(cycle, item),

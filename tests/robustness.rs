@@ -210,3 +210,203 @@ fn nan_scores_on_the_wire_are_dropped_not_fatal() {
     );
     assert!(!peer.node().has_seen(other.id()));
 }
+
+/// Item ids are whatever a peer puts on the wire, and the counting path of
+/// the WUP merge numbers them in a process-wide table. Gossip frames whose
+/// (binary) profiles carry thousands of never-seen ids, the ids `0` and
+/// `u64::MAX`, and ids first seen so far apart that their bit planes would
+/// be mostly padding must be handled like any other: decoded, merged — the
+/// wide profile declining its planes and being ranked pairwise — and the
+/// view left exactly as a ranking by the pairwise metric leaves it.
+#[test]
+fn hostile_item_ids_in_gossip_merge_like_the_pairwise_ranking() {
+    use whatsup::gossip::{Clustering, ClusteringConfig};
+    use whatsup::net::codec;
+
+    const ME: NodeId = 9;
+    let binary = |likes: &[u64], dislikes: &[u64]| {
+        let entry = |score| {
+            move |&item| ProfileEntry {
+                item,
+                timestamp: 1,
+                score,
+            }
+        };
+        Profile::from_entries(
+            likes
+                .iter()
+                .map(entry(1.0))
+                .chain(dislikes.iter().map(entry(0.0))),
+        )
+    };
+    // Ids no other test of this process uses.
+    let id = |k: u64| 0x0bad_1d00_0000_0000 + k;
+    let own = binary(&[0, u64::MAX, id(1), id(2), id(3_000)], &[id(3)]);
+    let params = Params::whatsup(2);
+    let mut node = WhatsUpNode::from_state(
+        ME,
+        params.clone(),
+        NodeState {
+            profile: own.entries().to_vec(),
+            rps_view: Vec::new(),
+            wup_view: Vec::new(),
+            seen: Vec::new(),
+        },
+    );
+    let mut expected = Clustering::new(
+        ME,
+        ClusteringConfig {
+            view_size: params.wup_view_size,
+        },
+    );
+
+    let crowd: Vec<u64> = (10..3_510).map(id).collect();
+    let frames = [
+        // The extremes of the id space, liked and disliked.
+        vec![
+            Descriptor::fresh(1, SharedProfile::new(binary(&[0, id(1)], &[u64::MAX]))),
+            Descriptor::fresh(2, SharedProfile::new(binary(&[u64::MAX], &[0, id(2)]))),
+        ],
+        // 3 500 ids nobody has seen, in one profile (a full datagram).
+        vec![Descriptor::fresh(
+            3,
+            SharedProfile::new(binary(&crowd, &[id(1)])),
+        )],
+        // An id seen first and an id seen last: 50-odd words of slots
+        // apart, for a profile of three entries.
+        vec![
+            Descriptor::fresh(4, SharedProfile::new(binary(&[id(1), id(3_400)], &[id(2)]))),
+            Descriptor::fresh(5, SharedProfile::new(binary(&[id(2), id(3)], &[id(1)]))),
+        ],
+    ];
+    let mut rng = <rand_chacha::ChaCha8Rng as rand::SeedableRng>::seed_from_u64(37);
+    let mut stats = NodeStats::default();
+    let table_before = whatsup::core::profile::slot_table_bytes();
+    for descriptors in frames {
+        let frame = codec::encode(8, &Payload::WupRequest(descriptors), |_| None)
+            .expect("frame fits a datagram");
+        let (from, wire) = codec::decode(&frame).expect("well-formed frame");
+        let Payload::WupRequest(received) = wire.try_into_payload().expect("valid payload") else {
+            panic!("a WUP request decodes as one");
+        };
+        expected.on_response(
+            received.clone(),
+            &[],
+            &SharedProfile::new(Profile::new()),
+            &|_: &SharedProfile, cand: &SharedProfile| Metric::Wup.score(&own, cand),
+        );
+        let reply = node.on_message(
+            from,
+            Payload::WupRequest(received),
+            2,
+            &|_: NodeId, _: u64| true,
+            &mut stats,
+            &mut rng,
+        );
+        assert_eq!(reply.len(), 1, "a request is answered");
+        assert_eq!(&node.export_state().wup_view[..], expected.view().entries());
+    }
+    // Candidates get planes the second time they are scored: one more
+    // (empty) request re-ranks what the view kept.
+    let _ = node.on_message(
+        8,
+        Payload::WupRequest(Vec::new()),
+        3,
+        &|_: NodeId, _: u64| true,
+        &mut stats,
+        &mut rng,
+    );
+    let view = node.export_state().wup_view;
+    assert_eq!(view.len(), 4, "view of 4, five candidates: {view:?}");
+    let planes_of = |n: NodeId| {
+        let d = view.iter().find(|d| d.node == n).expect("kept");
+        d.payload.plane_bytes()
+    };
+    assert!(planes_of(5) > 0, "a compact binary snapshot is counted");
+    assert_eq!(planes_of(4), 0, "a wide one declines and is walked");
+    // 3 500 new ids cost what a few thousand table entries cost (the
+    // other tests of this process register theirs meanwhile).
+    let grown = whatsup::core::profile::slot_table_bytes() - table_before;
+    assert!(grown < 1 << 20, "slot table grew by {grown} bytes");
+}
+
+/// The slot table is shared by every thread that builds planes (shards
+/// under the thread link do). Four threads, released together, build
+/// planes over overlapping id sets — their own profiles and ones all four
+/// share — and every score, within and across threads, must be the
+/// reference's: an id that two threads register at once gets one slot.
+#[test]
+fn concurrent_plane_builds_agree_on_every_slot() {
+    use std::sync::Barrier;
+    use whatsup::core::similarity::{reference, Prepared};
+
+    const THREADS: u64 = 4;
+    let id = |k: u64| 0x5107_7ab1_0000_0000 + k;
+    // Thread `t` profile `k`: 40 ids out of a universe of 400, a stride
+    // apart, so that any two profiles share some and the registration
+    // order of the universe is up to the race.
+    let build = |t: u64, k: u64| {
+        Profile::from_entries((0..40u64).map(|i| ProfileEntry {
+            item: id((t * 7 + k * 13 + i * (k % 5 + 1)) % 400),
+            timestamp: 0,
+            score: if (t + k + i).is_multiple_of(3) {
+                0.0
+            } else {
+                1.0
+            },
+        }))
+    };
+    let check = |pn: &Profile, pc: &Profile| {
+        let scorer = Prepared::new(pn);
+        for (fast, slow) in [
+            (scorer.wup(pc), reference::wup_similarity(pn, pc)),
+            (scorer.cosine(pc), reference::cosine_similarity(pn, pc)),
+            (
+                scorer.score(Metric::Jaccard, pc),
+                reference::jaccard_similarity(pn, pc),
+            ),
+        ] {
+            assert_eq!(fast.to_bits(), slow.to_bits(), "{pn:?} vs {pc:?}");
+        }
+    };
+    let shared: Vec<Profile> = (0..16).map(|k| build(THREADS, k)).collect();
+    let barrier = Barrier::new(THREADS as usize);
+    let per_thread: Vec<Vec<Profile>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (shared, barrier) = (&shared, &barrier);
+                scope.spawn(move || {
+                    let own: Vec<Profile> = (0..16).map(|k| build(t, k)).collect();
+                    barrier.wait();
+                    for (a, b) in own.iter().zip(shared.iter().cycle().skip(t as usize)) {
+                        check(a, b);
+                        check(b, a);
+                    }
+                    for pair in own.windows(2) {
+                        check(&pair[0], &pair[1]);
+                    }
+                    own
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("no thread panics"))
+            .collect()
+    });
+    // Planes built on different threads, scored against each other.
+    for (t, own) in per_thread.iter().enumerate() {
+        let other = &per_thread[(t + 1) % per_thread.len()];
+        for (a, b) in own.iter().zip(other) {
+            check(a, b);
+        }
+    }
+    // The scores above were counted, not walked: (nearly) every profile
+    // has been scored twice as a candidate and has its planes — short of
+    // a pair the fingerprints reject, or a span the simulations running
+    // beside this test stretched.
+    for profiles in per_thread.iter().chain([&shared]) {
+        let counted = profiles.iter().filter(|p| p.plane_bytes() > 0).count();
+        assert!(counted >= 12, "{counted} of 16 profiles have planes");
+    }
+}
