@@ -213,20 +213,6 @@ impl WhatsUpNode {
         self.seen.contains(item)
     }
 
-    /// Mean similarity between the node's profile and its WUP view's
-    /// profile *snapshots* (the node-local view of Fig. 7's y-axis).
-    pub fn avg_wup_similarity(&self) -> f64 {
-        let entries = self.wup.view().entries();
-        if entries.is_empty() {
-            return 0.0;
-        }
-        let sum: f64 = entries
-            .iter()
-            .map(|d| self.params.metric.score(&self.profile, &d.payload))
-            .sum();
-        sum / entries.len() as f64
-    }
-
     /// Seeds both views directly — test/bootstrap helper. Each profile is
     /// wrapped in its own allocation; bulk seeding with a shared payload
     /// (e.g. one empty profile for a whole shard's bootstrap) goes through

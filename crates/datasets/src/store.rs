@@ -96,11 +96,6 @@ impl CsrLikes {
     pub fn nnz(&self) -> usize {
         self.items.len()
     }
-
-    /// Payload bytes of this representation.
-    pub fn payload_bytes(&self) -> usize {
-        4 * (self.offsets.len() + self.items.len())
-    }
 }
 
 /// Like storage in whichever representation costs fewer bytes.

@@ -7,7 +7,7 @@
 //! `HashMap` in a report path or reading a wall clock inside an engine.
 //! This crate is the compile-adjacent gate: a small hand-rolled token
 //! scanner (no crates.io access, so no `syn`; see [`scan`]) walks every
-//! `.rs` file in the workspace and enforces five rules with per-crate
+//! `.rs` file in the workspace and enforces six rules with per-crate
 //! scopes (see [`rules::Config::workspace_default`]):
 //!
 //! | rule | contract |
@@ -17,6 +17,7 @@
 //! | `wire-panic` | no panicking decode of untrusted wire input |
 //! | `wire-cast` | no truncating `as` casts on wire length/count fields |
 //! | `safety-comment` | every `unsafe` carries a `// SAFETY:` line |
+//! | `env-draw` | no `gen_bool(` in `crates/sim/src` outside its environment module |
 //!
 //! Sites that are individually safe carry an inline escape hatch —
 //! `// lint:allow(<rule>) <reason>` — which suppresses the finding but

@@ -5,7 +5,7 @@ use crate::scan::{scan, TokKind, Token};
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// The five contract rules. Names (the `lint:allow` keys) are kebab-case.
+/// The six contract rules. Names (the `lint:allow` keys) are kebab-case.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
     /// No `HashMap`/`HashSet` in determinism-critical code: report paths
@@ -26,14 +26,19 @@ pub enum Rule {
     /// Every `unsafe` carries a `// SAFETY:` comment on the same or an
     /// immediately preceding line.
     SafetyComment,
+    /// No `gen_bool(` in the simulator outside its environment module:
+    /// loss, channel and crash coins are defined once, so an engine that
+    /// flips its own can no longer drift from the others.
+    EnvDraw,
 }
 
-pub const ALL_RULES: [Rule; 5] = [
+pub const ALL_RULES: [Rule; 6] = [
     Rule::DetMap,
     Rule::DetClock,
     Rule::WirePanic,
     Rule::WireCast,
     Rule::SafetyComment,
+    Rule::EnvDraw,
 ];
 
 impl Rule {
@@ -44,6 +49,7 @@ impl Rule {
             Rule::WirePanic => "wire-panic",
             Rule::WireCast => "wire-cast",
             Rule::SafetyComment => "safety-comment",
+            Rule::EnvDraw => "env-draw",
         }
     }
 
@@ -120,6 +126,9 @@ impl Config {
     ///   readers.
     /// * `safety-comment` — everywhere except the shims (which mirror
     ///   upstream crates' APIs verbatim).
+    /// * `env-draw` — all of `crates/sim/src` except
+    ///   `crates/sim/src/environment.rs`, the one place the simulator's
+    ///   loss/churn coins are flipped.
     pub fn workspace_default() -> Self {
         let mut scopes = BTreeMap::new();
         scopes.insert(
@@ -162,6 +171,13 @@ impl Config {
             Scope {
                 include: vec!["crates/".into(), "src/".into()],
                 exclude: vec!["crates/shims/".into()],
+            },
+        );
+        scopes.insert(
+            Rule::EnvDraw,
+            Scope {
+                include: vec!["crates/sim/src/".into()],
+                exclude: vec!["crates/sim/src/environment.rs".into()],
             },
         );
         Config { scopes }
@@ -308,6 +324,14 @@ pub fn check_file(rel_path: &str, source: &str, config: &Config) -> Vec<Finding>
                                 && matches!(n.text.as_str(), "u8" | "u16" | "u32")
                         })
                         && lookback_has_length_ident(toks, i)
+                    {
+                        emit(rule, t.line);
+                    }
+                }
+                Rule::EnvDraw => {
+                    if t.kind == TokKind::Ident
+                        && t.text == "gen_bool"
+                        && next_punct(toks, i) == Some('(')
                     {
                         emit(rule, t.line);
                     }

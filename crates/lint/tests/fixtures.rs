@@ -76,6 +76,20 @@ fn safety_comment_requires_a_safety_line() {
 }
 
 #[test]
+fn env_draw_flags_coins_flipped_outside_the_environment() {
+    assert_eq!(findings("env_draw.rs"), vec![(Rule::EnvDraw, 4, false)]);
+    assert_eq!(findings("env_draw_clean.rs"), vec![]);
+    // Under the workspace contract the rule covers the simulator crate
+    // minus its environment module, and nothing else.
+    let source = fixture("env_draw.rs");
+    let config = Config::workspace_default();
+    let hits = |path: &str| check_file(path, &source, &config).len();
+    assert_eq!(hits("crates/sim/src/engines/cascade.rs"), 1);
+    assert_eq!(hits("crates/sim/src/environment.rs"), 0);
+    assert_eq!(hits("crates/datasets/src/survey.rs"), 0);
+}
+
+#[test]
 fn allow_hatch_suppresses_with_reason_and_records() {
     // Trailing (line 1) and standalone (line 3 → 4) allows with reasons
     // suppress but stay in the report; a reasonless allow (line 8) does

@@ -54,12 +54,6 @@ impl Histogram {
         self.counts[idx] += 1;
     }
 
-    /// Records `n` samples of the same value.
-    pub fn record_n(&mut self, x: f64, n: u64) {
-        let idx = self.bin_of(x);
-        self.counts[idx] += n;
-    }
-
     /// Raw bin counts.
     pub fn counts(&self) -> &[u64] {
         &self.counts

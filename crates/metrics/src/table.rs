@@ -32,10 +32,6 @@ impl TextTable {
         self.row(&owned)
     }
 
-    pub fn n_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders with `|`-separated aligned columns and a rule under the header.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();

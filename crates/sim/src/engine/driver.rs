@@ -20,18 +20,18 @@ use crate::engine::exchange::{
 use crate::engine::node_stream;
 use crate::engine::partition::Partition;
 use crate::engine::shard::{ShardInit, ShardState};
+use crate::environment::{rejoin_contact, CycleStart, Publications};
 use crate::oracle::Oracle;
-use crate::record::{ItemRecord, NodeIr, SimReport};
-use crate::scenario::{Event, Scenario, WindowSpec};
+use crate::record::{Ledger, Reception, SimReport};
+use crate::scenario::{Event, Scenario};
 use bytes::Bytes;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
 use std::io;
-use whatsup_core::{NewsItem, NodeId, Opinions, Params, Profile, WhatsUpNode};
+use whatsup_core::{NodeId, Opinions, Params, Profile, WhatsUpNode};
 use whatsup_datasets::Dataset;
 use whatsup_graph::Graph;
-use whatsup_metrics::{CycleSeries, CycleStats};
 
 /// Driver-side run state: everything that is not node state.
 pub(crate) struct DriverCore {
@@ -40,82 +40,29 @@ pub(crate) struct DriverCore {
     scenario: Scenario,
     params: Params,
     dataset_name: String,
-    items: Vec<NewsItem>,
-    /// Cached content hashes of `items` (hashing is string-heavy).
-    item_ids: Vec<whatsup_core::ItemId>,
-    sources: Vec<NodeId>,
-    /// cycle → dataset item indices published that cycle. Also serves the
-    /// windowed ground-truth lookups (O(window), not O(items)).
-    published_at_cycle: Vec<Vec<u32>>,
+    /// What publishes when (also serves the windowed ground-truth lookups:
+    /// O(window), not O(items)).
+    plan: Publications,
     oracle: Oracle,
-    records: Vec<ItemRecord>,
+    /// Records, counters and series; fed from the phase replies the driver
+    /// already folds, so there is no dedicated counter round-trip. Lives on
+    /// the core (not `run_cycle`) so interactive mutators between cycles
+    /// are booked under the next cycle.
+    ledger: Ledger,
     /// Driving-thread RNG for bootstrap and the interactive mutators; the
     /// cycle phases use [`node_stream`] exclusively.
     rng: ChaCha8Rng,
     cycle: u32,
-    gossip_messages: u64,
-    news_messages_all: u64,
-    news_messages_measured: u64,
     /// Liked first receptions per node during the current cycle (Fig. 7c).
     liked_this_cycle: Vec<u32>,
-    /// Per-node delivery counters over measured items (Fig. 11).
-    per_node: Vec<NodeIr>,
-    /// The current cycle's counters, accumulated from the phase replies
-    /// the driver already folds (route totals, churn resets, reception
-    /// outcomes) and flushed into `series` at the end of every cycle — no
-    /// dedicated counter round-trip. Lives on the core (not `run_cycle`)
-    /// so interactive mutators between cycles land in the next flush.
-    cycle_stats: CycleStats,
-    /// Per-cycle measurement series (empty when `cfg.collect_series` is
-    /// off).
-    series: CycleSeries,
     partition: Partition,
 }
 
 impl DriverCore {
     fn into_report(self) -> SimReport {
-        let mut report = SimReport {
-            protocol: self.protocol.label(),
-            dataset: self.dataset_name,
-            fanout: self.protocol.fanout(),
-            n_nodes: self.partition.total(),
-            cycles: self.cycle,
-            items: self.records,
-            per_node: self.per_node,
-            news_messages: self.news_messages_measured,
-            news_messages_all: self.news_messages_all,
-            gossip_messages: self.gossip_messages,
-            series: self.series,
-            windows: Vec::new(),
-        };
-        // Resolve the scenario's measurement windows against the finished
-        // series: anchors were validated at build time, so a recovery
-        // window that cannot resolve here is a bug, not bad input.
-        report.windows = self
-            .scenario
-            .measurements
-            .iter()
-            .map(|m| {
-                let (from, until, recovery) = match &m.window {
-                    WindowSpec::Cycles { from, until } => {
-                        (*from, (*until).min(report.cycles), None)
-                    }
-                    WindowSpec::Recovery { anchor, baseline } => {
-                        let at = anchor
-                            .resolve(&self.scenario)
-                            .expect("anchor validated against the scenario");
-                        let recovery = report.series.recovery(at, *baseline);
-                        let until = recovery
-                            .and_then(|r| r.recovered_at)
-                            .map(|c| c + 1)
-                            .unwrap_or(report.cycles);
-                        (at, until, recovery)
-                    }
-                };
-                report.window_report(&m.name, from, until, recovery)
-            })
-            .collect();
-        report
+        let n_nodes = self.partition.total();
+        self.ledger
+            .into_report(self.protocol, self.dataset_name, n_nodes, &self.scenario)
     }
 }
 
@@ -166,34 +113,10 @@ fn build(
     let n = dataset.n_users();
     assert!(n > 0, "dataset has no users");
     scenario.validate_events(n).expect("invalid scenario");
-    let topics: Vec<u32> = dataset.items.iter().map(|spec| spec.topic).collect();
-    let item_cycles = scenario.workload.schedule(&cfg, &topics);
-    let mut schedule = vec![Vec::new(); cfg.cycles as usize];
-    let mut items = Vec::with_capacity(dataset.n_items());
-    let mut sources = Vec::with_capacity(dataset.n_items());
-    let mut id_to_index = crate::oracle::ItemIndexMap::with_capacity_and_hasher(
-        dataset.n_items(),
-        Default::default(),
-    );
-    for spec in &dataset.items {
-        let cycle = item_cycles[spec.index as usize];
-        let item = NewsItem::new(
-            format!("{}-news-{}", dataset.name, spec.index),
-            format!("topic-{}", spec.topic),
-            format!("https://news.example/{}/{}", dataset.name, spec.index),
-            spec.source,
-            cycle,
-        );
-        id_to_index.insert(item.id(), spec.index);
-        schedule[cycle as usize].push(spec.index);
-        items.push(item);
-        sources.push(spec.source);
-    }
-    assert_eq!(id_to_index.len(), items.len(), "item id (hash) collision");
-    let item_ids: Vec<whatsup_core::ItemId> = items.iter().map(|i| i.id()).collect();
+    let plan = Publications::plan(dataset, &scenario, &cfg);
     let oracle = match force_store {
-        None => Oracle::new(dataset.likes.clone(), id_to_index),
-        Some(sparse) => Oracle::new_forced(dataset.likes.clone(), id_to_index, sparse),
+        None => Oracle::new(dataset.likes.clone(), plan.id_to_index()),
+        Some(sparse) => Oracle::new_forced(dataset.likes.clone(), plan.id_to_index(), sparse),
     };
 
     // Bootstrap: every node learns `bootstrap_degree` distinct random
@@ -212,17 +135,6 @@ fn build(
             .collect();
         bootstrap.push(contacts);
     }
-
-    let records = dataset
-        .items
-        .iter()
-        .map(|spec| ItemRecord {
-            index: spec.index,
-            published_at: item_cycles[spec.index as usize],
-            measured: item_cycles[spec.index as usize] >= cfg.measure_from,
-            ..ItemRecord::default()
-        })
-        .collect();
 
     // Load-aware split: the last shard absorbs every scheduled join, so
     // plan its initial range against the final population. Boundaries
@@ -246,25 +158,16 @@ fn build(
 
     let core = DriverCore {
         protocol,
+        ledger: Ledger::open(&plan.cycle_of, &cfg, n),
         cfg,
         scenario,
         params,
         dataset_name: dataset.name.clone(),
-        items,
-        item_ids,
-        sources,
-        published_at_cycle: schedule,
+        plan,
         oracle,
-        records,
         rng,
         cycle: 0,
-        gossip_messages: 0,
-        news_messages_all: 0,
-        news_messages_measured: 0,
         liked_this_cycle: vec![0; n],
-        per_node: vec![NodeIr::default(); n],
-        cycle_stats: CycleStats::default(),
-        series: CycleSeries::new(),
         partition,
     };
     (core, inits)
@@ -327,7 +230,7 @@ fn join_clone(
         .collect();
     roundtrip(t, batch)?;
     core.liked_this_cycle.push(0);
-    core.per_node.push(NodeIr::default());
+    core.ledger.joined();
     Ok(id)
 }
 
@@ -352,44 +255,15 @@ fn apply_event(
         Event::ResetNode { node } => {
             let n = core.partition.total();
             assert!(n > 1, "a 1-node network has no rejoin contact");
-            let contact = loop {
-                let c = core.rng.gen_range(0..n);
-                if c != node as usize {
-                    break c;
-                }
-            } as NodeId;
+            let contact = rejoin_contact(&mut core.rng, node, n);
             let snapshot = fetch_snapshot(core, t, contact)?;
             let owner = core.partition.shard_of(node);
             let reset = Command::ApplyChurn {
                 resets: vec![(node, snapshot)],
             };
             roundtrip(t, vec![(owner, reset)])?;
-            core.cycle_stats.crashed += 1;
+            core.ledger.crashed(core.cycle, 1);
         }
-    }
-    Ok(())
-}
-
-/// Start-of-cycle scenario boundary: the churn model's mass-join arrivals,
-/// then the timeline events stamped for this cycle, in list order.
-fn apply_cycle_start(
-    core: &mut DriverCore,
-    t: &mut [impl ShardLink],
-) -> Result<(), TransportError> {
-    let cycle = core.cycle;
-    for _ in 0..core.scenario.environment.churn.joins_at(cycle) {
-        let reference = core.rng.gen_range(0..core.partition.total()) as NodeId;
-        join_clone(core, t, reference)?;
-    }
-    let due: Vec<Event> = core
-        .scenario
-        .events
-        .iter()
-        .filter(|e| e.at == cycle)
-        .map(|e| e.event)
-        .collect();
-    for event in due {
-        apply_event(core, t, event)?;
     }
     Ok(())
 }
@@ -397,8 +271,11 @@ fn apply_cycle_start(
 /// Advances the run by one cycle over `t`: scenario events, gossip, churn,
 /// publications.
 fn run_cycle(core: &mut DriverCore, t: &mut [impl ShardLink]) -> Result<(), TransportError> {
-    apply_cycle_start(core, t)?;
     let cycle = core.cycle;
+    let mut start = CycleStart::new(&core.scenario, cycle);
+    while let Some(event) = start.next(&core.scenario, &mut core.rng, core.partition.total()) {
+        apply_event(core, t, event)?;
+    }
     let shards = t.len();
     core.liked_this_cycle.iter_mut().for_each(|c| *c = 0);
 
@@ -412,8 +289,7 @@ fn run_cycle(core: &mut DriverCore, t: &mut [impl ShardLink]) -> Result<(), Tran
         if sent == 0 {
             break;
         }
-        core.gossip_messages += sent;
-        core.cycle_stats.gossip_sent += sent;
+        core.ledger.gossip_sent(cycle, sent);
         let batch = (0..shards)
             .map(|dest| {
                 (
@@ -444,7 +320,7 @@ fn run_cycle(core: &mut DriverCore, t: &mut [impl ShardLink]) -> Result<(), Tran
             };
             pairs.extend(p);
         }
-        core.cycle_stats.crashed += pairs.len() as u64;
+        core.ledger.crashed(cycle, pairs.len() as u64);
         if !pairs.is_empty() {
             let mut wanted: Vec<Vec<NodeId>> = vec![Vec::new(); shards];
             for &(_, contact) in &pairs {
@@ -486,25 +362,20 @@ fn run_cycle(core: &mut DriverCore, t: &mut [impl ShardLink]) -> Result<(), Tran
     }
 
     // --- Publication phase ------------------------------------------------
-    if !core.published_at_cycle[cycle as usize].is_empty() {
+    if !core.plan.at_cycle[cycle as usize].is_empty() {
         roundtrip(t, (0..shards).map(|s| (s, Command::BeginNews)).collect())?;
     }
-    for k in 0..core.published_at_cycle[cycle as usize].len() {
-        let index = core.published_at_cycle[cycle as usize][k];
+    for k in 0..core.plan.at_cycle[cycle as usize].len() {
+        let index = core.plan.at_cycle[cycle as usize][k];
         disseminate(core, t, index, cycle)?;
     }
 
     // --- Measurement flush -------------------------------------------------
-    // The counters were accumulated from the phase replies this cycle
-    // already produced (integer sums in a fixed fold order), so the series
-    // stays bit-identical across shard counts and transports without a
-    // dedicated end-of-cycle counter round-trip (see the engine module
-    // docs' "measurement pipeline").
-    let mut stats = std::mem::take(&mut core.cycle_stats);
-    stats.live_nodes = core.partition.total() as u64;
-    if core.cfg.collect_series {
-        core.series.push(stats);
-    }
+    // The cycle's counters were booked from the phase replies it already
+    // produced (integer sums in a fixed fold order), so the series stays
+    // bit-identical across shard counts and transports (see the engine
+    // module docs' "measurement pipeline").
+    core.ledger.end_cycle(cycle, core.partition.total());
     core.cycle += 1;
     Ok(())
 }
@@ -519,25 +390,13 @@ fn disseminate(
     cycle: u32,
 ) -> Result<(), TransportError> {
     let shards = t.len();
-    let source = core.sources[index as usize];
-    let item = core.items[index as usize].clone();
-    let item_id = core.item_ids[index as usize];
-    let measured = core.records[index as usize].measured;
+    let item = core.plan.items[index as usize].clone();
+    let item_id = core.plan.ids[index as usize];
+    let source = item.source;
 
-    // Ground truth at publication (excluding the source).
-    let interested: Vec<NodeId> = core
-        .oracle
-        .interested(index)
-        .into_iter()
-        .filter(|&u| u != source)
-        .collect();
-    core.records[index as usize].interested = interested.len() as u32;
-    core.cycle_stats.interested += interested.len() as u64;
-    if measured {
-        for &u in &interested {
-            core.per_node[u as usize].interested += 1;
-        }
-    }
+    // Ground truth at publication.
+    core.ledger
+        .published(index, source, &core.oracle.interested(index));
 
     let owner = core.partition.shard_of(source);
     let reply = roundtrip(t, vec![(owner, Command::Publish { cycle, item })])?
@@ -553,7 +412,7 @@ fn disseminate(
     // Fig. 6 forwarding record for the source's own publication.
     if let Some(hop) = first_forward_hop {
         let liked = core.oracle.likes(source, item_id);
-        core.records[index as usize].forward_hops.push((hop, liked));
+        core.ledger.forwarded(index, hop, liked);
     }
 
     let mut outs: Vec<Outbound> = (0..shards).map(|_| Outbound::empty(shards)).collect();
@@ -563,12 +422,7 @@ fn disseminate(
         if sent == 0 {
             break;
         }
-        core.records[index as usize].news_sent += sent;
-        core.news_messages_all += sent;
-        core.cycle_stats.news_sent += sent;
-        if measured {
-            core.news_messages_measured += sent;
-        }
+        core.ledger.sent(cycle, index, sent);
         // Sparse BFS tails leave most shards with no inbound mail at all
         // (no bundle addressed to them, nothing in their pending queue).
         // Skipping their round-trip cannot change any mailbox: a skipped
@@ -597,7 +451,7 @@ fn disseminate(
             let Reply::NewsDelivered { out, outcomes } = reply else {
                 panic!("expected NewsDelivered");
             };
-            fold_outcomes(core, index, measured, &outcomes);
+            fold_outcomes(core, cycle, index, &outcomes);
             next_outs[dest] = out;
         }
         outs = next_outs;
@@ -605,31 +459,22 @@ fn disseminate(
     Ok(())
 }
 
-/// Folds one shard's per-receiver outcomes into the shared records
-/// (receivers arrive in ascending order, shards fold in shard order).
-fn fold_outcomes(core: &mut DriverCore, index: u32, measured: bool, outcomes: &[NewsOutcome]) {
+/// Books one shard's per-receiver outcomes (receivers arrive in ascending
+/// order, shards fold in shard order).
+fn fold_outcomes(core: &mut DriverCore, cycle: u32, index: u32, outcomes: &[NewsOutcome]) {
     for o in outcomes {
-        let to = o.receiver as usize;
         if let Some(first) = o.first {
-            let rec = &mut core.records[index as usize];
-            rec.reached += 1;
-            rec.infection_hops.push((first.hop, first.sender_liked));
-            core.cycle_stats.first_receptions += 1;
-            if measured {
-                core.per_node[to].received += 1;
-            }
-            if first.receiver_likes {
-                rec.hits += 1;
-                core.cycle_stats.hits += 1;
-                rec.dislikes_at_liked_reception.push(first.dislikes);
-                core.liked_this_cycle[to] += 1;
-                if measured {
-                    core.per_node[to].hits += 1;
-                }
-            }
+            let reception = Reception {
+                likes: first.receiver_likes,
+                hop: Some((first.hop, first.sender_liked)),
+                dislikes: Some(first.dislikes),
+            };
+            core.ledger
+                .first_reception(cycle, index, o.receiver, reception);
+            core.liked_this_cycle[o.receiver as usize] += u32::from(first.receiver_likes);
         }
         if let Some((hop, liked)) = o.forward {
-            core.records[index as usize].forward_hops.push((hop, liked));
+            core.ledger.forwarded(index, hop, liked);
         }
     }
 }
@@ -804,16 +649,6 @@ impl Simulation {
         self.shards.len()
     }
 
-    /// Nodes currently owned by each shard, in shard order. Run-summary
-    /// instrumentation (the CLI prints it next to peak RSS) — deliberately
-    /// *not* part of [`SimReport`], which must stay byte-identical across
-    /// shard counts.
-    pub fn shard_node_counts(&self) -> Vec<usize> {
-        (0..self.shards.len())
-            .map(|s| self.core.partition.range(s).len())
-            .collect()
-    }
-
     /// Aggregated per-component heap accounting across shards
     /// (diagnostics; see `ShardState::memory_breakdown`).
     #[doc(hidden)]
@@ -827,24 +662,13 @@ impl Simulation {
                 }
             }
         }
-        let core = &self.core;
-        let records: usize = core
-            .records
-            .iter()
-            .map(|r| {
-                std::mem::size_of::<ItemRecord>()
-                    + r.dislikes_at_liked_reception.capacity()
-                    + (r.forward_hops.capacity() + r.infection_hops.capacity())
-                        * std::mem::size_of::<(u16, bool)>()
-            })
-            .sum();
+        let (records, per_node) = self.core.ledger.heap_bytes();
         totals.push(("item records", records));
         // Process-wide, so counted here once and not per shard.
         totals.push(("slot table", whatsup_core::profile::slot_table_bytes()));
         totals.push((
             "driver per-node",
-            core.per_node.capacity() * std::mem::size_of::<NodeIr>()
-                + core.liked_this_cycle.capacity() * 4,
+            per_node + self.core.liked_this_cycle.capacity() * 4,
         ));
         totals
     }
@@ -966,14 +790,14 @@ impl Simulation {
         let window = self.core.params.profile_window;
         let now = self.core.cycle;
         let cutoff = now.saturating_sub(window);
-        let last = now.min(self.core.published_at_cycle.len() as u32);
+        let last = now.min(self.core.plan.at_cycle.len() as u32);
         Profile::from_entries((cutoff..last).flat_map(|cycle| {
-            self.core.published_at_cycle[cycle as usize]
+            self.core.plan.at_cycle[cycle as usize]
                 .iter()
                 .map(move |&index| {
                     let liked = self.core.oracle.likes_index(id, index);
                     whatsup_core::ProfileEntry {
-                        item: self.core.item_ids[index as usize],
+                        item: self.core.plan.ids[index as usize],
                         timestamp: cycle,
                         score: if liked { 1.0 } else { 0.0 },
                     }

@@ -185,10 +185,11 @@
 //! # Measurement pipeline
 //!
 //! Measurement is streaming and windowed, not a single end-of-run
-//! aggregate. The driver accumulates a per-cycle counter block
-//! ([`whatsup_metrics::CycleStats`]) from the phase replies every cycle
-//! already produces — the counters ride the existing round-trips, so
-//! there is no dedicated end-of-cycle counter exchange:
+//! aggregate. The driver books a per-cycle counter block
+//! ([`whatsup_metrics::CycleStats`]) into the run's ledger
+//! (`crate::record`, shared with every other engine) from the phase
+//! replies every cycle already produces — the counters ride the existing
+//! round-trips, so there is no dedicated end-of-cycle counter exchange:
 //!
 //! * *gossip_sent* from the `Outbound` totals of the collect + gossip
 //!   delivery rounds, *news_sent* from the publish + BFS rounds — lost
@@ -200,8 +201,9 @@
 //! * *crashed* from the churn decisions and explicit node resets;
 //!   *live_nodes* is stamped with the population total at the flush.
 //!
-//! At the end of every cycle the driver flushes the accumulator into the
-//! run's [`whatsup_metrics::CycleSeries`]. Every input arrives through
+//! At the end of every cycle the driver ends the ledger's block, which
+//! becomes one row of the run's [`whatsup_metrics::CycleSeries`]. Every
+//! input arrives through
 //! reply folds that happen **in shard-index (or ascending receiver)
 //! order**, and the fold is pure integer addition over that fixed order,
 //! so the series inherits the engine's determinism contract verbatim:
@@ -348,8 +350,11 @@
 //!   of existing nodes;
 //! * mailbox contents and the driver folds follow the fixed total orders
 //!   above;
-//! * message-loss coins are drawn from the *receiver's* stream at delivery
-//!   time, in mailbox order;
+//! * the environment's coins — message loss, channel transitions, crashes
+//!   — follow the draw rules of `crate::environment`, *the* definition
+//!   shared with every other engine; this engine only fixes where they
+//!   fall: loss coins on the receiver's phase stream at delivery time, in
+//!   mailbox order;
 //! * churn rejoins inherit contact views snapshotted from the pre-churn
 //!   state, so application order cannot matter;
 //! * the wire codec is lossless for everything behavior depends on
@@ -377,36 +382,28 @@
 //! # Scenario application points
 //!
 //! A [`crate::scenario::Scenario`] is applied entirely at phase boundaries,
-//! which is what extends the determinism contract to every scenario. In
-//! cycle order:
+//! which is what extends the determinism contract to every scenario. What
+//! each step draws is defined in `crate::environment`; in cycle order:
 //!
-//! 1. **Start of cycle** (before collect): the churn model's mass-join
-//!    arrivals, then every timeline event stamped `at == cycle`, in list
-//!    order. Joins and resets draw their random contact from the driver's
-//!    engine RNG (one stream, driving thread, call order = list order) and
-//!    move view snapshots via `TakeSnapshots`/`Admit`/`ApplyChurn`
-//!    commands; interest swaps broadcast `SwapInterests` so every shard's
-//!    oracle copy stays in lockstep.
-//! 2. **Collect**: each shard advances its nodes' Gilbert–Elliott channel
-//!    chains (one transition per node per cycle, from the node's CHANNEL
-//!    stream) before emitting; the states are fixed for the whole cycle.
-//! 3. **Deliver (gossip and news)**: the loss model drops messages at the
-//!    receiver — constant and Gilbert–Elliott draw one coin per message
-//!    from the receiver's phase stream (no draw when the effective
-//!    probability is zero); a partition window drops frontier-crossing
-//!    messages deterministically, coin-free.
-//! 4. **Churn phase**: the churn model's `crash_rate(cycle)` feeds the
-//!    per-node crash coins (uniform churn has a constant rate; a crash
-//!    wave is non-zero for exactly one cycle).
-//! 5. **Publish**: the workload's schedule decides which items publish
-//!    this cycle; dissemination itself is scenario-independent. Delivery
-//!    round-trips skip shards with no inbound mail (empty bundles
+//! 1. **Start of cycle** (before collect): the environment's cycle-start
+//!    events — mass-join arrivals, then the timeline events stamped
+//!    `at == cycle`, in list order. Join references, join contacts and
+//!    reset contacts come from the driver's engine RNG (one stream,
+//!    driving thread, in that order); view snapshots move via
+//!    `TakeSnapshots`/`Admit`/`ApplyChurn` commands, and interest swaps
+//!    broadcast `SwapInterests` so every shard's oracle copy stays in
+//!    lockstep.
+//! 2. **Collect**: each shard advances its nodes' channel states before
+//!    emitting; they are fixed for the whole cycle.
+//! 3. **Deliver (gossip and news)**: every message passes the loss model
+//!    at its receiver.
+//! 4. **Churn phase**: shards flip the crash coins of the cycle's
+//!    `crash_rate` (skipped entirely when it is zero).
+//! 5. **Publish**: the environment's publication plan decides which items
+//!    publish this cycle; dissemination itself is scenario-independent.
+//!    Delivery round-trips skip shards with no inbound mail (empty bundles
 //!    everywhere and nothing pending locally) — a pure traffic
 //!    optimization in the sparse BFS tail that cannot change any mailbox.
-//!
-//! The workload schedule is a pure function of `(workload, config,
-//! topics)` computed once at build time; it never consumes engine
-//! randomness.
 
 pub mod driver;
 pub mod exchange;

@@ -11,10 +11,10 @@ use crate::engine::exchange::{self, Command, FirstReception, NewsOutcome, Outbou
 use crate::engine::mailbox::{decode_shard_bundle_each, MailEntry, Mailbox};
 use crate::engine::partition::Partition;
 use crate::engine::{node_stream, phase};
+use crate::environment::{advance_channels, crash_coin, dropped, partition_cut, rejoin_contact};
 use crate::oracle::Oracle;
 use crate::scenario::{ChurnModel, LossModel};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 // lint:allow(det-map) import for the probe-only item store annotated below
 use std::collections::HashMap;
@@ -70,9 +70,7 @@ pub struct ShardState {
     loss: LossModel,
     churn: ChurnModel,
     /// Per-node Gilbert–Elliott channel state (`true` = Bad), advanced once
-    /// per cycle at the collect phase from each node's CHANNEL stream. The
-    /// channel belongs to the *network*, so churn resets leave it alone;
-    /// unused (all-Good) under the other loss models.
+    /// per cycle at the collect phase; all-Good under the other loss models.
     channel_bad: Vec<bool>,
     params: Params,
     /// This shard's oracle copy; the driver keeps every copy in lockstep
@@ -499,31 +497,6 @@ impl ShardState {
         }
     }
 
-    /// Advances the per-node Gilbert–Elliott channel chains (one transition
-    /// per cycle, from each node's CHANNEL stream). No-op for the other
-    /// loss models.
-    fn advance_channels(&mut self, cycle: u32) {
-        let LossModel::GilbertElliott {
-            good_to_bad,
-            bad_to_good,
-            ..
-        } = self.loss
-        else {
-            return;
-        };
-        let base = self.base();
-        for (local, bad) in self.channel_bad.iter_mut().enumerate() {
-            let flip = if *bad { bad_to_good } else { good_to_bad };
-            if flip > 0.0 {
-                let id = base + local as NodeId;
-                let mut rng = node_stream(self.seed, id, cycle, phase::CHANNEL);
-                if rng.gen_bool(flip) {
-                    *bad = !*bad;
-                }
-            }
-        }
-    }
-
     /// Collect phase: every owned node's cycle tick, in id order.
     fn collect(&mut self, cycle: u32) -> Outbound {
         // Cycle start: trim last cycle's allocation slack before growing
@@ -534,9 +507,9 @@ impl ShardState {
         // Fresh gossip-phase streams for the delivery rounds that follow,
         // and this cycle's channel states for the loss coins.
         self.phase_rngs.iter_mut().for_each(|r| *r = None);
-        self.advance_channels(cycle);
         let base = self.base();
         let seed = self.seed;
+        advance_channels(self.loss, seed, base, cycle, &mut self.channel_bad);
         let Self {
             nodes,
             node_stats,
@@ -555,22 +528,6 @@ impl ShardState {
         self.route_out()
     }
 
-    /// The active partition frontier at `cycle`, if the loss model opens a
-    /// split window: node ids below the cut form one side.
-    fn partition_cut(&self, cycle: u32) -> Option<NodeId> {
-        if let LossModel::Partition {
-            from,
-            until,
-            frontier,
-        } = self.loss
-        {
-            if cycle >= from && cycle < until {
-                return Some((frontier * self.partition.total() as f64).floor() as NodeId);
-            }
-        }
-        None
-    }
-
     /// One gossip delivery round over the owned receivers, ascending.
     fn deliver_gossip(&mut self, cycle: u32, bundles: &[Bytes]) -> Outbound {
         self.merge_inbound(bundles);
@@ -578,7 +535,7 @@ impl ShardState {
         let base = self.base();
         let seed = self.seed;
         let loss = self.loss;
-        let cut = self.partition_cut(cycle);
+        let cut = partition_cut(loss, cycle, self.partition.total());
         let Self {
             nodes,
             node_stats,
@@ -596,7 +553,7 @@ impl ShardState {
             let node = &mut nodes[local];
             let stats = &mut node_stats[local];
             mailbox.drain_mail(id, |from, payload| {
-                if message_dropped(loss, channel_bad[local], cut, from, id, rng) {
+                if dropped(loss, channel_bad[local], cut, from, id, rng) {
                     return;
                 }
                 for reply in node.on_message(from, payload, cycle, oracle, stats, rng) {
@@ -613,29 +570,19 @@ impl ShardState {
         self.route_out()
     }
 
-    /// Churn coins for the owned nodes: each node crashes with probability
-    /// `churn` and picks a uniform rejoin contact from the whole
-    /// population, all from its own CHURN stream.
+    /// Churn decisions for the owned nodes: `(crasher, rejoin contact)` per
+    /// node whose crash coin fires, the contact uniform over the whole
+    /// population.
     fn churn_decide(&mut self, cycle: u32) -> Vec<(NodeId, NodeId)> {
         let n = self.partition.total();
         let rate = self.churn.crash_rate(cycle);
-        let mut pairs = Vec::new();
-        if rate == 0.0 {
-            return pairs;
-        }
-        for id in self.partition.range(self.index) {
-            let mut rng = node_stream(self.seed, id, cycle, phase::CHURN);
-            if rng.gen_bool(rate) {
-                let contact = loop {
-                    let c = rng.gen_range(0..n);
-                    if c != id as usize {
-                        break c;
-                    }
-                };
-                pairs.push((id, contact as NodeId));
-            }
-        }
-        pairs
+        self.partition
+            .range(self.index)
+            .filter_map(|id| {
+                let mut rng = crash_coin(self.seed, id, cycle, rate)?;
+                Some((id, rejoin_contact(&mut rng, id, n)))
+            })
+            .collect()
     }
 
     /// Applies churn resets: each crashed node rejoins as a fresh instance
@@ -689,7 +636,7 @@ impl ShardState {
         let base = self.base();
         let seed = self.seed;
         let loss = self.loss;
-        let cut = self.partition_cut(cycle);
+        let cut = partition_cut(loss, cycle, self.partition.total());
         let mut outcomes = Vec::with_capacity(receivers.len());
         let Self {
             nodes,
@@ -721,7 +668,7 @@ impl ShardState {
                 forward: None,
             };
             mailbox.drain_mail(id, |from, payload| {
-                if message_dropped(loss, channel_bad[local], cut, from, id, rng) {
+                if dropped(loss, channel_bad[local], cut, from, id, rng) {
                     return;
                 }
                 let Payload::News(news) = &payload else {
@@ -772,32 +719,5 @@ fn get_node_stats(buf: &mut &[u8]) -> NodeStats {
         news_duplicates: buf.get_u64_le(),
         news_liked: buf.get_u64_le(),
         published: buf.get_u64_le(),
-    }
-}
-
-/// Whether one message `from → to` is dropped at delivery time.
-///
-/// Constant and Gilbert–Elliott losses draw one coin from the *receiver's*
-/// phase stream per message (never when the effective probability is zero,
-/// so lossless runs draw nothing); the partition window is deterministic —
-/// a message crossing the id-space `cut` during the window always drops.
-fn message_dropped(
-    loss: LossModel,
-    receiver_bad: bool,
-    cut: Option<NodeId>,
-    from: NodeId,
-    to: NodeId,
-    rng: &mut ChaCha8Rng,
-) -> bool {
-    match loss {
-        LossModel::Constant { p } => p > 0.0 && rng.gen_bool(p),
-        LossModel::GilbertElliott { p_good, p_bad, .. } => {
-            let p = if receiver_bad { p_bad } else { p_good };
-            p > 0.0 && rng.gen_bool(p)
-        }
-        LossModel::Partition { .. } => match cut {
-            Some(cut) => (from < cut) != (to < cut),
-            None => false,
-        },
     }
 }

@@ -1,34 +1,33 @@
 //! The anti-entropy cycle loop: heartbeats, scuttlebutt exchanges, churn
 //! with real downtime, publications as news keys, and phi evaluation.
 //!
-//! Determinism contract (same as the sharded engine): every random draw
-//! comes from a counter-based ChaCha8 stream keyed by `(seed, node,
-//! cycle, phase)` or from the single driver RNG seeded with `cfg.seed`,
-//! and every loop runs in ascending id order — repeated runs at the same
-//! seed are bit-identical.
+//! Determinism: every random draw comes from a counter-based ChaCha8
+//! stream keyed by `(seed, node, cycle, phase)` or from the single driving
+//! RNG seeded with `cfg.seed`, and every loop runs in ascending id order —
+//! repeated runs at the same seed are bit-identical.
 //!
-//! Phase streams: partner selection draws from each initiator's GOSSIP
-//! stream; per-delivery loss coins draw from the *receiver's* NEWS stream
-//! (lazily created per cycle, sequential draws — mirroring the sharded
-//! engine's receiver-side coins); Gilbert–Elliott channel flips from the
-//! CHANNEL stream and crash coins from the CHURN stream use exactly the
-//! sharded engine's draw rules, so the environment models mean the same
-//! thing under both engines.
+//! The engine's own draw is partner selection, from each initiator's
+//! GOSSIP stream. Loss, channel, crash and join draws are the
+//! `crate::environment` module's; the engine only supplies the stream its
+//! datagram loss coins come from — the *receiver's* NEWS stream, created
+//! lazily once per cycle.
 
 use super::delta::pack_delta;
 use super::digest::DigestIndex;
 use super::phi::PhiDetector;
 use super::state::Replica;
-use crate::config::SimConfig;
+use crate::config::{Protocol, SimConfig};
 use crate::engine::{node_stream, phase};
-use crate::oracle::{ItemIndexMap, Oracle};
-use crate::record::{ItemRecord, NodeIr, SimReport};
-use crate::scenario::{Event, LossModel, Scenario, WindowSpec};
-use rand::{Rng, SeedableRng};
+use crate::environment::{
+    advance_channels, crash_coin, dropped, partition_cut, CycleStart, Publications,
+};
+use crate::oracle::Oracle;
+use crate::record::{Ledger, Reception, SimReport};
+use crate::scenario::{Event, Scenario};
+use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use whatsup_core::{NewsItem, NodeId};
+use whatsup_core::NodeId;
 use whatsup_datasets::Dataset;
-use whatsup_metrics::{CycleSeries, CycleStats};
 use whatsup_net::codec::{DeltaEntry, DeltaValue};
 
 /// What the phi-accrual layer concluded over the run: every crash victim,
@@ -56,11 +55,6 @@ impl DetectionReport {
             .filter(|v| !self.detections.iter().any(|&(d, _)| d == *v))
             .collect()
     }
-}
-
-/// Runs anti-entropy under the default scenario derived from `cfg`.
-pub fn run(dataset: &Dataset, cfg: &SimConfig, fanout: usize) -> SimReport {
-    run_scenario(dataset, cfg, &Scenario::from_config(cfg), fanout)
 }
 
 /// Runs anti-entropy under an explicit scenario.
@@ -103,8 +97,6 @@ struct Engine<'a> {
     fanout: usize,
     dataset_name: String,
     oracle: Oracle,
-    /// Item index → publishing node.
-    sources: Vec<NodeId>,
     /// Current population (grows on joins; includes down nodes).
     n: usize,
     replicas: Vec<Replica>,
@@ -121,8 +113,7 @@ struct Engine<'a> {
     owned_items: Vec<Vec<u32>>,
     /// Items scheduled while their source was down, inserted at rejoin.
     pending_publish: Vec<Vec<u32>>,
-    /// Gilbert–Elliott channel state; belongs to the network, survives
-    /// crashes (same rule as the sharded engine).
+    /// Gilbert–Elliott channel state per node (`true` = Bad).
     channel_bad: Vec<bool>,
     /// Per-receiver loss-coin streams for the current cycle.
     phase_rngs: Vec<Option<ChaCha8Rng>>,
@@ -134,58 +125,25 @@ struct Engine<'a> {
     /// pinned: a clone joining (or an interest swap) after publication
     /// must not shift an already-published item's interested set.
     liked_at_publish: Vec<Vec<bool>>,
-    records: Vec<ItemRecord>,
-    per_node: Vec<NodeIr>,
-    series: CycleSeries,
-    cycle_stats: CycleStats,
-    gossip_messages: u64,
-    news_all: u64,
-    news_measured: u64,
-    /// Driving RNG for join references (mirrors the sharded driver).
+    ledger: Ledger,
+    /// Driving RNG for the cycle-start join references.
     driver_rng: ChaCha8Rng,
-    published_at_cycle: Vec<Vec<u32>>,
+    plan: Publications,
     detection: DetectionReport,
-    cycles_run: u32,
 }
 
 impl<'a> Engine<'a> {
     fn new(dataset: &Dataset, cfg: &'a SimConfig, scenario: &'a Scenario, fanout: usize) -> Self {
         let n = dataset.n_users();
-        let topics: Vec<u32> = dataset.items.iter().map(|spec| spec.topic).collect();
-        let item_cycles = scenario.workload.schedule(cfg, &topics);
-        let mut published_at_cycle = vec![Vec::new(); cfg.cycles as usize];
-        let mut id_to_index =
-            ItemIndexMap::with_capacity_and_hasher(dataset.n_items(), Default::default());
-        for spec in &dataset.items {
-            published_at_cycle[item_cycles[spec.index as usize] as usize].push(spec.index);
-            // The id map is only needed so the oracle can be constructed;
-            // anti-entropy addresses items by dataset index throughout.
-            let item = NewsItem::new(
-                format!("{}-news-{}", dataset.name, spec.index),
-                format!("topic-{}", spec.topic),
-                format!("https://news.example/{}/{}", dataset.name, spec.index),
-                spec.source,
-                item_cycles[spec.index as usize],
-            );
-            id_to_index.insert(item.id(), spec.index);
-        }
-        let records: Vec<ItemRecord> = dataset
-            .items
-            .iter()
-            .map(|spec| ItemRecord {
-                index: spec.index,
-                published_at: item_cycles[spec.index as usize],
-                measured: item_cycles[spec.index as usize] >= cfg.measure_from,
-                ..ItemRecord::default()
-            })
-            .collect();
+        // Anti-entropy addresses items by dataset index throughout; the
+        // id map only serves the oracle's construction.
+        let plan = Publications::plan(dataset, scenario, cfg);
         let mut engine = Engine {
             cfg,
             scenario,
             fanout,
             dataset_name: dataset.name.clone(),
-            oracle: Oracle::new(dataset.likes.clone(), id_to_index),
-            sources: dataset.items.iter().map(|spec| spec.source).collect(),
+            oracle: Oracle::new(dataset.likes.clone(), plan.id_to_index()),
             n,
             replicas: (0..n).map(|_| Replica::new(n)).collect(),
             detectors: (0..n).map(|_| PhiDetector::new(n)).collect(),
@@ -200,20 +158,13 @@ impl<'a> Engine<'a> {
             phase_rngs: vec![None; n],
             seen: vec![vec![false; n]; dataset.n_items()],
             liked_at_publish: vec![Vec::new(); dataset.n_items()],
-            records,
-            per_node: vec![NodeIr::default(); n],
-            series: CycleSeries::default(),
-            cycle_stats: CycleStats::default(),
-            gossip_messages: 0,
-            news_all: 0,
-            news_measured: 0,
+            ledger: Ledger::open(&plan.cycle_of, cfg, n),
             driver_rng: ChaCha8Rng::seed_from_u64(cfg.seed),
-            published_at_cycle,
+            plan,
             detection: DetectionReport {
                 threshold: cfg.phi_threshold,
                 ..DetectionReport::default()
             },
-            cycles_run: 0,
         };
         for id in 0..n as NodeId {
             let digest = engine.profile_digest(id);
@@ -242,19 +193,9 @@ impl<'a> Engine<'a> {
                 self.rejoin(id as NodeId);
             }
         }
-        for _ in 0..self.scenario.environment.churn.joins_at(cycle) {
-            let reference = self.driver_rng.gen_range(0..self.n) as NodeId;
-            self.join_clone(reference);
-        }
-        let due: Vec<Event> = self
-            .scenario
-            .events
-            .iter()
-            .filter(|e| e.at == cycle)
-            .map(|e| e.event)
-            .collect();
-        for event in due {
-            self.apply_event(event);
+        let mut start = CycleStart::new(self.scenario, cycle);
+        while let Some(event) = start.next(self.scenario, &mut self.driver_rng, self.n) {
+            self.apply_event(event, cycle);
         }
 
         // --- Heartbeats: every up node stamps the cycle ------------------
@@ -265,9 +206,10 @@ impl<'a> Engine<'a> {
         }
 
         // --- Environment for this cycle ----------------------------------
-        self.advance_channels(cycle);
+        let loss = self.scenario.environment.loss;
+        advance_channels(loss, self.cfg.seed, 0, cycle, &mut self.channel_bad);
         self.phase_rngs.iter_mut().for_each(|r| *r = None);
-        let cut = self.partition_cut(cycle);
+        let cut = partition_cut(loss, cycle, self.n);
 
         // --- Gossip: every up node initiates `fanout` exchanges ----------
         for u in 0..self.n {
@@ -279,36 +221,25 @@ impl<'a> Engine<'a> {
             }
         }
 
-        // --- Churn: crash coins from each node's CHURN stream ------------
+        // --- Churn: every up node's crash coin ---------------------------
         let rate = self.scenario.environment.churn.crash_rate(cycle);
-        if rate > 0.0 && self.n > 1 {
-            for id in 0..self.n {
-                if !self.up[id] {
-                    continue;
-                }
-                let mut rng = node_stream(self.cfg.seed, id as NodeId, cycle, phase::CHURN);
-                if rng.gen_bool(rate) {
-                    self.crash(id as NodeId, cycle);
+        if self.n > 1 {
+            for id in 0..self.n as NodeId {
+                if self.up[id as usize] && crash_coin(self.cfg.seed, id, cycle, rate).is_some() {
+                    self.crash(id, cycle);
                 }
             }
         }
 
         // --- Publications ------------------------------------------------
-        let indices = std::mem::take(&mut self.published_at_cycle[cycle as usize]);
-        for index in indices {
-            self.publish(index, cycle);
+        for k in 0..self.plan.at_cycle[cycle as usize].len() {
+            self.publish(self.plan.at_cycle[cycle as usize][k], cycle);
         }
 
         // --- Phi evaluation + suspicion transitions ----------------------
         self.evaluate_suspicion(cycle);
 
-        // --- Measurement flush -------------------------------------------
-        let mut stats = std::mem::take(&mut self.cycle_stats);
-        stats.live_nodes = self.n as u64;
-        if self.cfg.collect_series {
-            self.series.push(stats);
-        }
-        self.cycles_run = cycle + 1;
+        self.ledger.end_cycle(cycle, self.n);
     }
 
     // --- Membership ------------------------------------------------------
@@ -328,7 +259,7 @@ impl<'a> Engine<'a> {
         self.pending_publish.push(Vec::new());
         self.channel_bad.push(false);
         self.phase_rngs.push(None);
-        self.per_node.push(NodeIr::default());
+        self.ledger.joined();
         let digest = self.profile_digest(id);
         self.replicas[id as usize].set_profile(id, digest);
     }
@@ -336,7 +267,7 @@ impl<'a> Engine<'a> {
     fn crash(&mut self, id: NodeId, cycle: u32) {
         self.up[id as usize] = false;
         self.rejoin_at[id as usize] = Some(cycle + self.cfg.down_cycles);
-        self.cycle_stats.crashed += 1;
+        self.ledger.crashed(cycle, 1);
         self.detection.victims.push((id, cycle));
     }
 
@@ -351,7 +282,7 @@ impl<'a> Engine<'a> {
         self.cold_restart(id);
     }
 
-    fn apply_event(&mut self, event: Event) {
+    fn apply_event(&mut self, event: Event, cycle: u32) {
         match event {
             Event::JoinClone { reference } => self.join_clone(reference),
             Event::SwapInterests { a, b } => {
@@ -371,7 +302,7 @@ impl<'a> Engine<'a> {
                 self.rejoin_at[node as usize] = None;
                 self.up[node as usize] = true;
                 self.cold_restart(node);
-                self.cycle_stats.crashed += 1;
+                self.ledger.crashed(cycle, 1);
             }
         }
     }
@@ -391,7 +322,7 @@ impl<'a> Engine<'a> {
         self.owned_items[idx].extend(deferred);
         let owned = self.owned_items[idx].clone();
         for item in owned {
-            let published_at = self.records[item as usize].published_at;
+            let published_at = self.plan.cycle_of[item as usize];
             self.replicas[idx].insert_news(id, item, published_at);
         }
         // Carry the bumped incarnation into the owner's own record so its
@@ -399,73 +330,14 @@ impl<'a> Engine<'a> {
         self.replicas[idx].records[idx].incarnation = self.incarnation[idx];
     }
 
-    // --- Environment ------------------------------------------------------
-
-    /// Mirrors the sharded engine's per-cycle Gilbert–Elliott chain
-    /// advance: one flip coin per node from its CHANNEL stream, drawn only
-    /// when the flip probability is nonzero.
-    fn advance_channels(&mut self, cycle: u32) {
-        let LossModel::GilbertElliott {
-            good_to_bad,
-            bad_to_good,
-            ..
-        } = self.scenario.environment.loss
-        else {
-            return;
-        };
-        for id in 0..self.n {
-            let bad = &mut self.channel_bad[id];
-            let flip = if *bad { bad_to_good } else { good_to_bad };
-            if flip > 0.0 {
-                let mut rng = node_stream(self.cfg.seed, id as NodeId, cycle, phase::CHANNEL);
-                if rng.gen_bool(flip) {
-                    *bad = !*bad;
-                }
-            }
-        }
-    }
-
-    fn partition_cut(&self, cycle: u32) -> Option<NodeId> {
-        if let LossModel::Partition {
-            from,
-            until,
-            frontier,
-        } = self.scenario.environment.loss
-        {
-            if cycle >= from && cycle < until {
-                return Some((frontier * self.n as f64).floor() as NodeId);
-            }
-        }
-        None
-    }
-
-    /// Whether one `from → to` datagram is dropped at delivery time. Same
-    /// rules as the sharded engine: constant/Gilbert–Elliott draw one coin
-    /// from the receiver's per-cycle stream (never when the effective
-    /// probability is zero); partition drops are deterministic.
+    /// Whether one `from → to` datagram is lost, its coin (if the loss
+    /// model draws one) coming from the receiver's per-cycle stream.
     fn dropped(&mut self, from: NodeId, to: NodeId, cycle: u32, cut: Option<NodeId>) -> bool {
-        match self.scenario.environment.loss {
-            LossModel::Constant { p } => p > 0.0 && self.coin(to, cycle, p),
-            LossModel::GilbertElliott { p_good, p_bad, .. } => {
-                let p = if self.channel_bad[to as usize] {
-                    p_bad
-                } else {
-                    p_good
-                };
-                p > 0.0 && self.coin(to, cycle, p)
-            }
-            LossModel::Partition { .. } => match cut {
-                Some(cut) => (from < cut) != (to < cut),
-                None => false,
-            },
-        }
-    }
-
-    fn coin(&mut self, receiver: NodeId, cycle: u32, p: f64) -> bool {
         let seed = self.cfg.seed;
-        let rng = self.phase_rngs[receiver as usize]
-            .get_or_insert_with(|| node_stream(seed, receiver, cycle, phase::NEWS));
-        rng.gen_bool(p)
+        let rng = self.phase_rngs[to as usize]
+            .get_or_insert_with(|| node_stream(seed, to, cycle, phase::NEWS));
+        let bad = self.channel_bad[to as usize];
+        dropped(self.scenario.environment.loss, bad, cut, from, to, rng)
     }
 
     // --- Gossip ------------------------------------------------------------
@@ -497,7 +369,7 @@ impl<'a> Engine<'a> {
     /// the rest of the handshake.
     fn exchange(&mut self, u: NodeId, v: NodeId, cycle: u32, cut: Option<NodeId>) {
         // Syn: u → v carries u's digest.
-        self.count_datagram();
+        self.ledger.gossip_sent(cycle, 1);
         if !self.up[v as usize] || self.dropped(u, v, cycle, cut) {
             return;
         }
@@ -508,8 +380,8 @@ impl<'a> Engine<'a> {
             &DigestIndex::new(&u_digest),
             self.cfg.datagram_budget,
         );
-        self.count_news_entries(&delta_vu);
-        self.count_datagram();
+        self.count_news_entries(&delta_vu, cycle);
+        self.ledger.gossip_sent(cycle, 1);
         if self.dropped(v, u, cycle, cut) {
             return;
         }
@@ -521,31 +393,20 @@ impl<'a> Engine<'a> {
             &DigestIndex::new(&v_digest),
             self.cfg.datagram_budget,
         );
-        self.count_news_entries(&delta_uv);
-        self.count_datagram();
+        self.count_news_entries(&delta_uv, cycle);
+        self.ledger.gossip_sent(cycle, 1);
         if self.dropped(u, v, cycle, cut) {
             return;
         }
         self.apply_delta(v, &delta_uv, cycle);
     }
 
-    fn count_datagram(&mut self) {
-        self.gossip_messages += 1;
-        self.cycle_stats.gossip_sent += 1;
-    }
-
     /// News-key entries packed into an emitted delta count as news copies
     /// sent (lost ones included — the paper's "number of sent messages").
-    fn count_news_entries(&mut self, delta: &[DeltaEntry]) {
+    fn count_news_entries(&mut self, delta: &[DeltaEntry], cycle: u32) {
         for e in delta {
             if let DeltaValue::NewsKey { item, .. } = e.value {
-                let rec = &mut self.records[item as usize];
-                rec.news_sent += 1;
-                self.news_all += 1;
-                self.cycle_stats.news_sent += 1;
-                if rec.measured {
-                    self.news_measured += 1;
-                }
+                self.ledger.sent(cycle, item, 1);
             }
         }
     }
@@ -558,7 +419,7 @@ impl<'a> Engine<'a> {
             let applied = self.replicas[receiver as usize].apply(receiver, e);
             if applied {
                 if let DeltaValue::NewsKey { item, .. } = e.value {
-                    self.reception(receiver, item);
+                    self.reception(receiver, item, cycle);
                 }
             }
         }
@@ -566,7 +427,7 @@ impl<'a> Engine<'a> {
 
     /// First reception of `item` by `receiver` (globally deduplicated, so
     /// state re-learned after a crash never recounts).
-    fn reception(&mut self, receiver: NodeId, item: u32) {
+    fn reception(&mut self, receiver: NodeId, item: u32, cycle: u32) {
         let row = &mut self.seen[item as usize];
         let idx = receiver as usize;
         if idx >= row.len() {
@@ -580,43 +441,28 @@ impl<'a> Engine<'a> {
             .get(idx)
             .copied()
             .unwrap_or(false);
-        let rec = &mut self.records[item as usize];
-        rec.reached += 1;
-        self.cycle_stats.first_receptions += 1;
-        if likes {
-            rec.hits += 1;
-            rec.dislikes_at_liked_reception.push(0);
-            self.cycle_stats.hits += 1;
-        }
-        if rec.measured {
-            self.per_node[idx].received += 1;
-            if likes {
-                self.per_node[idx].hits += 1;
-            }
-        }
+        // Keys reconcile state-to-state: no hop path, and a dislike
+        // counter that is always zero.
+        let reception = Reception {
+            likes,
+            hop: None,
+            dislikes: Some(0),
+        };
+        self.ledger
+            .first_reception(cycle, item, receiver, reception);
     }
 
     // --- Publications ------------------------------------------------------
 
     fn publish(&mut self, index: u32, cycle: u32) {
-        let source = self.sources[index as usize];
+        let source = self.plan.items[index as usize].source;
         // Freeze the ground truth: the interested set at publication is
         // what the item is scored against for the rest of the run.
+        let likers = self.oracle.interested(index);
+        self.ledger.published(index, source, &likers);
         let mut liked = vec![false; self.n];
-        let mut interested = 0u32;
-        for u in self.oracle.interested(index) {
-            if u != source {
-                liked[u as usize] = true;
-                interested += 1;
-            }
-        }
-        let rec = &mut self.records[index as usize];
-        rec.interested = interested;
-        self.cycle_stats.interested += u64::from(interested);
-        if rec.measured {
-            for (u, _) in liked.iter().enumerate().filter(|(_, l)| **l) {
-                self.per_node[u].interested += 1;
-            }
+        for u in likers.into_iter().filter(|&u| u != source) {
+            liked[u as usize] = true;
         }
         self.liked_at_publish[index as usize] = liked;
         if self.up[source as usize] {
@@ -671,47 +517,13 @@ impl<'a> Engine<'a> {
         }
     }
 
-    // --- Report ------------------------------------------------------------
-
     fn into_reports(self) -> (SimReport, DetectionReport) {
-        let mut report = SimReport {
-            protocol: "Anti-Entropy".into(),
-            dataset: self.dataset_name,
-            fanout: Some(self.fanout),
-            n_nodes: self.n,
-            cycles: self.cycles_run,
-            items: self.records,
-            per_node: self.per_node,
-            news_messages: self.news_measured,
-            news_messages_all: self.news_all,
-            gossip_messages: self.gossip_messages,
-            series: self.series,
-            windows: Vec::new(),
+        let protocol = Protocol::AntiEntropy {
+            fanout: self.fanout,
         };
-        report.windows = self
-            .scenario
-            .measurements
-            .iter()
-            .map(|m| {
-                let (from, until, recovery) = match &m.window {
-                    WindowSpec::Cycles { from, until } => {
-                        (*from, (*until).min(report.cycles), None)
-                    }
-                    WindowSpec::Recovery { anchor, baseline } => {
-                        let at = anchor
-                            .resolve(self.scenario)
-                            .expect("anchor validated against the scenario");
-                        let recovery = report.series.recovery(at, *baseline);
-                        let until = recovery
-                            .and_then(|r| r.recovered_at)
-                            .map(|c| c + 1)
-                            .unwrap_or(report.cycles);
-                        (at, until, recovery)
-                    }
-                };
-                report.window_report(&m.name, from, until, recovery)
-            })
-            .collect();
+        let report = self
+            .ledger
+            .into_report(protocol, self.dataset_name, self.n, self.scenario);
         (report, self.detection)
     }
 }

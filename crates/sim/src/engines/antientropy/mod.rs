@@ -40,8 +40,10 @@
 //!
 //! The engine runs under the full scenario grid (crash waves, mass joins,
 //! Gilbert–Elliott loss, partitions, timeline events, measurement
-//! windows) with the same deterministic counter-based ChaCha8 streams as
-//! the sharded engine; reports are bit-identical across repeated runs.
+//! windows): every environment draw is `crate::environment`'s and the
+//! report comes out of the shared `crate::record` ledger, so a scenario
+//! means here what it means under BEEP; reports are bit-identical across
+//! repeated runs.
 
 pub mod delta;
 pub mod digest;
@@ -49,4 +51,4 @@ pub mod engine;
 pub mod phi;
 pub mod state;
 
-pub use engine::{run, run_scenario, run_with_detection, DetectionReport};
+pub use engine::{run_scenario, run_with_detection, DetectionReport};

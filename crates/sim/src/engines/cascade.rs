@@ -6,109 +6,73 @@
 //! which is why cascade recall is so low (0.09 on the paper's Digg trace)
 //! despite decent precision.
 
-use crate::config::SimConfig;
-use crate::record::{ItemRecord, SimReport};
-use rand::{Rng, SeedableRng};
+use crate::config::{Protocol, SimConfig};
+use crate::environment::{dropped, Publications};
+use crate::record::{Ledger, Reception, SimReport};
+use crate::scenario::Scenario;
+use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::VecDeque;
 use whatsup_datasets::Dataset;
 
-/// Runs the cascade baseline under the uniform publication schedule.
+/// Runs the cascade baseline under `scenario`'s publication schedule and
+/// (constant) loss model — the caller validates the scenario
+/// ([`crate::Runner`] does). Loss coins come from one run-wide stream
+/// seeded with `cfg.seed`, one per delivery attempt in BFS order.
 ///
 /// # Panics
 /// Panics if the dataset has no explicit social graph.
-pub fn run(dataset: &Dataset, cfg: &SimConfig) -> SimReport {
-    run_scheduled(dataset, cfg, &cfg.schedule(dataset.n_items()))
-}
-
-/// [`run`] with an explicit item → publication-cycle schedule (the
-/// scenario workload layer; `schedule[i]` is item `i`'s cycle).
-pub fn run_scheduled(dataset: &Dataset, cfg: &SimConfig, schedule: &[u32]) -> SimReport {
+pub fn run_scenario(dataset: &Dataset, cfg: &SimConfig, scenario: &Scenario) -> SimReport {
     let graph = dataset
         .social
         .as_ref()
         .expect("cascade requires a dataset with an explicit social graph");
     let n = dataset.n_users();
+    let loss = scenario.environment.loss;
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-
-    let mut items = Vec::with_capacity(dataset.n_items());
-    let mut news_measured = 0u64;
-    let mut news_all = 0u64;
+    let plan = Publications::plan(dataset, scenario, cfg);
+    let mut ledger = Ledger::open(&plan.cycle_of, cfg, 0);
 
     for spec in &dataset.items {
-        let index = spec.index as usize;
-        let published_at = schedule[index];
-        let measured = published_at >= cfg.measure_from;
+        let index = spec.index;
+        let cycle = plan.cycle_of[index as usize];
         let source = spec.source;
-        let interested = dataset
-            .likes
-            .interested_users(index)
-            .into_iter()
-            .filter(|&u| u != source)
-            .count() as u32;
+        ledger.published(
+            index,
+            source,
+            &dataset.likes.interested_users(index as usize),
+        );
 
-        let mut rec = ItemRecord {
-            index: spec.index,
-            published_at,
-            interested,
-            measured,
-            ..ItemRecord::default()
-        };
-
-        // BFS along friendship edges; only likers forward.
+        // BFS along friendship edges; only likers forward — first the
+        // source, which liked (generated) the item.
         let mut seen = vec![false; n];
         seen[source as usize] = true;
-        let mut queue: VecDeque<(u32, u16)> = VecDeque::new(); // (node, hop)
-
-        // The source liked (generated) the item: it forwards to all friends.
-        rec.forward_hops.push((0, true));
-        for &f in graph.neighbors(source) {
-            rec.news_sent += 1;
-            queue.push_back((f, 1));
-        }
-        while let Some((node, hop)) = queue.pop_front() {
-            if cfg.loss > 0.0 && rng.gen_bool(cfg.loss) {
-                continue;
-            }
-            if seen[node as usize] {
+        let mut queue: VecDeque<(u32, u32, u16)> = VecDeque::new(); // (from, to, hop)
+        let forward = |ledger: &mut Ledger, queue: &mut VecDeque<_>, from: u32, hop: u16| {
+            ledger.forwarded(index, hop, true);
+            let friends = graph.neighbors(from);
+            ledger.sent(cycle, index, friends.len() as u64);
+            queue.extend(friends.iter().map(|&f| (from, f, hop + 1)));
+        };
+        forward(&mut ledger, &mut queue, source, 0);
+        while let Some((from, node, hop)) = queue.pop_front() {
+            if dropped(loss, false, None, from, node, &mut rng) || seen[node as usize] {
                 continue;
             }
             seen[node as usize] = true;
-            let likes = dataset.likes.likes(node as usize, index);
-            rec.reached += 1;
-            rec.infection_hops.push((hop, true)); // cascade only forwards on like
-            if likes {
-                rec.hits += 1;
-                rec.dislikes_at_liked_reception.push(0);
-                rec.forward_hops.push((hop, true));
-                for &f in graph.neighbors(node) {
-                    rec.news_sent += 1;
-                    queue.push_back((f, hop + 1));
-                }
+            let reception = Reception {
+                likes: dataset.likes.likes(node as usize, index as usize),
+                hop: Some((hop, true)), // cascade only forwards on like
+                dislikes: Some(0),
+            };
+            ledger.first_reception(cycle, index, node, reception);
+            if reception.likes {
+                forward(&mut ledger, &mut queue, node, hop);
             }
         }
-        news_all += rec.news_sent;
-        if measured {
-            news_measured += rec.news_sent;
-        }
-        items.push(rec);
     }
-
-    let series = super::series_from_items(&items, cfg, n);
-    SimReport {
-        protocol: "Cascade".into(),
-        dataset: dataset.name.clone(),
-        fanout: None,
-        n_nodes: n,
-        cycles: cfg.cycles,
-        items,
-        per_node: Vec::new(),
-        news_messages: news_measured,
-        news_messages_all: news_all,
-        gossip_messages: 0,
-        series,
-        windows: Vec::new(),
-    }
+    ledger.end_cycle(cfg.cycles - 1, n);
+    ledger.into_report(Protocol::Cascade, dataset.name.clone(), n, scenario)
 }
 
 #[cfg(test)]
@@ -118,6 +82,10 @@ mod tests {
 
     fn dataset() -> Dataset {
         digg::generate(&DiggConfig::paper().scaled(0.15), 9)
+    }
+
+    fn run(dataset: &Dataset, cfg: &SimConfig) -> SimReport {
+        run_scenario(dataset, cfg, &Scenario::from_config(cfg))
     }
 
     #[test]

@@ -17,48 +17,39 @@
 //! the centralized variant gains ~17% precision, loses ~14% recall, and
 //! ends up ~5% ahead in F1 — the same shape this engine reproduces.
 
-use crate::config::SimConfig;
-use crate::record::{ItemRecord, SimReport};
+use crate::config::{Protocol, SimConfig};
+use crate::environment::Publications;
+use crate::record::{Ledger, Reception, SimReport};
+use crate::scenario::Scenario;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::VecDeque;
-use whatsup_core::{cosine_similarity, NewsItem, Profile};
+use whatsup_core::{cosine_similarity, Profile};
 use whatsup_datasets::Dataset;
 
 const TTL: u8 = 4;
 const F_DISLIKE: usize = 1;
 
-/// Runs C-WhatsUp with like-fanout `f_like` under the uniform publication
-/// schedule. The server is reliable, so `cfg.loss` is ignored (the paper
-/// compares against the ideal).
-pub fn run(dataset: &Dataset, f_like: usize, cfg: &SimConfig) -> SimReport {
-    run_scheduled(dataset, f_like, cfg, &cfg.schedule(dataset.n_items()))
-}
-
-/// [`run`] with an explicit item → publication-cycle schedule (the
-/// scenario workload layer; `schedule[i]` is item `i`'s cycle).
-pub fn run_scheduled(
+/// Runs C-WhatsUp with like-fanout `f_like` under `scenario`'s publication
+/// schedule. The server is reliable (the paper compares against the
+/// ideal), so the scenario's environment is not consulted.
+pub fn run_scenario(
     dataset: &Dataset,
     f_like: usize,
     cfg: &SimConfig,
-    schedule: &[u32],
+    scenario: &Scenario,
 ) -> SimReport {
     let n = dataset.n_users();
     let window = 13u32;
 
     let mut profiles: Vec<Profile> = vec![Profile::new(); n];
-    let mut items_out = Vec::with_capacity(dataset.n_items());
-    let mut news_measured = 0u64;
-    let mut news_all = 0u64;
-
-    // Items in publication order, cycle by cycle.
-    let mut order: Vec<u32> = (0..dataset.n_items() as u32).collect();
-    order.sort_by_key(|&i| schedule[i as usize]);
+    let plan = Publications::plan(dataset, scenario, cfg);
+    let mut ledger = Ledger::open(&plan.cycle_of, cfg, 0);
 
     let mut current_cycle = 0u32;
-    for &index in &order {
-        let spec = &dataset.items[index as usize];
-        let published_at = schedule[index as usize];
+    // Items in publication order, cycle by cycle.
+    for &index in plan.at_cycle.iter().flatten() {
+        let published_at = plan.cycle_of[index as usize];
         // Advance the clock: purge profile windows on cycle boundaries.
         while current_cycle < published_at {
             current_cycle += 1;
@@ -67,30 +58,13 @@ pub fn run_scheduled(
                 p.purge_older_than(cutoff);
             }
         }
-        let measured = published_at >= cfg.measure_from;
-        let source = spec.source;
-        let item = NewsItem::new(
-            format!("{}-news-{}", dataset.name, index),
-            format!("topic-{}", spec.topic),
-            format!("https://news.example/{}/{}", dataset.name, index),
-            source,
-            published_at,
-        );
-        let item_id = item.id();
-        let interested = dataset
-            .likes
-            .interested_users(index as usize)
-            .into_iter()
-            .filter(|&u| u != source)
-            .count() as u32;
-
-        let mut rec = ItemRecord {
+        let source = plan.items[index as usize].source;
+        let item_id = plan.ids[index as usize];
+        ledger.published(
             index,
-            published_at,
-            interested,
-            measured,
-            ..ItemRecord::default()
-        };
+            source,
+            &dataset.likes.interested_users(index as usize),
+        );
 
         let mut seen = vec![false; n];
         seen[source as usize] = true;
@@ -118,7 +92,7 @@ pub fn run_scheduled(
         let deliver = |targets: Vec<u32>,
                        seen: &mut Vec<bool>,
                        queue: &mut VecDeque<(u32, u8, u16)>,
-                       rec: &mut ItemRecord,
+                       ledger: &mut Ledger,
                        dislikes: u8,
                        hop: u16| {
             for t in targets {
@@ -126,7 +100,7 @@ pub fn run_scheduled(
                     continue;
                 }
                 seen[t as usize] = true;
-                rec.news_sent += 1;
+                ledger.sent(published_at, index, 1);
                 queue.push_back((t, dislikes, hop));
             }
         };
@@ -156,20 +130,22 @@ pub fn run_scheduled(
             first.sort_unstable();
             first.dedup();
         }
-        deliver(first, &mut seen, &mut queue, &mut rec, 0, 1);
-        rec.forward_hops.push((0, true));
+        deliver(first, &mut seen, &mut queue, &mut ledger, 0, 1);
+        ledger.forwarded(index, 0, true);
 
         while let Some((user, dislikes, hop)) = queue.pop_front() {
             let u = user as usize;
             let likes = dataset.likes.likes(u, index as usize);
-            rec.reached += 1;
-            rec.infection_hops.push((hop, true));
+            let reception = Reception {
+                likes,
+                hop: Some((hop, true)),
+                dislikes: Some(dislikes),
+            };
+            ledger.first_reception(published_at, index, user, reception);
             if likes {
-                rec.hits += 1;
-                rec.dislikes_at_liked_reception.push(dislikes);
                 // Fold the liker into the item (community) profile.
                 item_profile.aggregate_user_profile(&profiles[u]);
-                rec.forward_hops.push((hop, true));
+                ledger.forwarded(index, hop, true);
                 // The server replaces WhatsUp's gossip-sampled WUP view by
                 // the exact global top-2·fLIKE similarity pools, then — like
                 // BEEP — delivers to fLIKE random members of each pool:
@@ -185,11 +161,12 @@ pub fn run_scheduled(
                 });
                 let by_user = sample_k(pool_user, f_like, &mut pick);
                 let by_item = sample_k(pool_item, f_like, &mut pick);
-                deliver(by_user, &mut seen, &mut queue, &mut rec, dislikes, hop + 1);
-                deliver(by_item, &mut seen, &mut queue, &mut rec, dislikes, hop + 1);
+                let next = hop + 1;
+                deliver(by_user, &mut seen, &mut queue, &mut ledger, dislikes, next);
+                deliver(by_item, &mut seen, &mut queue, &mut ledger, dislikes, next);
             } else {
                 if dislikes < TTL {
-                    rec.forward_hops.push((hop, false));
+                    ledger.forwarded(index, hop, false);
                     let targets = top_k_all(&profiles, u, F_DISLIKE, |p| {
                         cosine_similarity(&item_profile, p)
                     });
@@ -197,37 +174,17 @@ pub fn run_scheduled(
                         targets,
                         &mut seen,
                         &mut queue,
-                        &mut rec,
+                        &mut ledger,
                         dislikes + 1,
                         hop + 1,
                     );
                 }
             }
         }
-
-        news_all += rec.news_sent;
-        if measured {
-            news_measured += rec.news_sent;
-        }
-        items_out.push(rec);
     }
-    items_out.sort_by_key(|r| r.index);
-
-    let series = super::series_from_items(&items_out, cfg, n);
-    SimReport {
-        protocol: "C-WhatsUp".into(),
-        dataset: dataset.name.clone(),
-        fanout: Some(f_like),
-        n_nodes: n,
-        cycles: cfg.cycles,
-        items: items_out,
-        per_node: Vec::new(),
-        news_messages: news_measured,
-        news_messages_all: news_all,
-        gossip_messages: 0,
-        series,
-        windows: Vec::new(),
-    }
+    ledger.end_cycle(cfg.cycles - 1, n);
+    let protocol = Protocol::CWhatsUp { f_like };
+    ledger.into_report(protocol, dataset.name.clone(), n, scenario)
 }
 
 /// Uniform sample of `k` entries from a candidate pool (deterministic given
@@ -283,6 +240,10 @@ mod tests {
             measure_from: 8,
             ..Default::default()
         }
+    }
+
+    fn run(dataset: &Dataset, f_like: usize, cfg: &SimConfig) -> SimReport {
+        run_scenario(dataset, f_like, cfg, &Scenario::from_config(cfg))
     }
 
     #[test]

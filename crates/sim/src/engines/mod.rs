@@ -5,15 +5,24 @@
 //! | Engine | Assumptions | Message complexity | Failure model |
 //! |---|---|---|---|
 //! | **BEEP gossip** (`crate::engine`, protocols `whatsup`/`gossip`/`cf_*`) | Per-node state only; partial views via RPS/WUP sampling; no global knowledge | Per item: `O(reached · fanout)` push copies, plus a steady `O(n · view)` gossip layer per cycle | Crash-stop with instant cold rejoin from a contact's view; hard timeouts implicit in view aging; loses profile/view/seen state |
-//! | **Cascade** ([`cascade`]) | Explicit social graph, global knowledge of edges; forwards only on likes | Per item: `O(Σ likers' degrees)` — bounded by the likers' neighborhoods, which caps recall | None: the walk is a one-shot BFS, nodes never fail |
-//! | **Centralized pub/sub & C-WhatsUp** ([`pubsub`], [`centralized`]) | Omniscient reliable server; complete subscription/interest knowledge | Per item: exactly one message per subscriber (pub/sub) or per selected receiver (C-WhatsUp) | None: the server is assumed reliable (scenario validation rejects churn/loss for these) |
+//! | **Cascade** ([`cascade`]) | Explicit social graph, global knowledge of edges; forwards only on likes | Per item: `O(Σ likers' degrees)` — bounded by the likers' neighborhoods, which caps recall | Nodes never fail; honours the workload schedule and *constant* message loss (one coin per delivery attempt) |
+//! | **Centralized pub/sub & C-WhatsUp** ([`pubsub`], [`centralized`]) | Omniscient reliable server; complete subscription/interest knowledge | Per item: exactly one message per subscriber (pub/sub) or per selected receiver (C-WhatsUp) | None: the server is assumed reliable; honours the workload schedule only (a constant-loss or uniform-churn knob passes validation and is not consulted) |
 //! | **Anti-entropy** ([`antientropy`]) | Full membership list known; only *state* is reconciled; versioned single-writer records | Per cycle: `O(n · fanout)` datagrams of ≤ `datagram_budget` bytes each, independent of item count (keys batch into deltas); eventual delivery | Phi-accrual suspicion from heartbeat inter-arrival history — a continuous scale, no hard timeout; crashes have real downtime and rejoin with a bumped incarnation |
 //!
 //! Cascade and the centralized engines do not run per-cycle: they walk a
-//! server-side model once per item ([`Runner`] validates that scenarios
-//! with environments/events are not asked of them). The anti-entropy
-//! engine *is* per-cycle and supports the full scenario grid, which is
-//! what makes its recovery metrics comparable against BEEP's.
+//! server-side model once per item, and everything an item causes is
+//! booked under its publication cycle — so they do report a per-cycle
+//! series, with the full population live every cycle and no gossip
+//! traffic. [`crate::Scenario::validate_for_global`] rejects what they
+//! cannot honour (timeline events, bursty loss or partitions, crash waves,
+//! mass joins, measurement windows). The anti-entropy engine *is*
+//! per-cycle and supports the full scenario grid, which is what makes its
+//! recovery metrics comparable against BEEP's.
+//!
+//! Every engine takes the resolved [`crate::Scenario`], draws loss, churn
+//! and schedule through `crate::environment`, and books its run into the
+//! `crate::record` ledger that renders the report — an engine is its
+//! state machine plus message handling, nothing else.
 //!
 //! [`run_protocol`] dispatches uniformly so sweeps and harnesses treat all
 //! protocols alike.
@@ -24,46 +33,14 @@ pub mod centralized;
 pub mod pubsub;
 
 use crate::config::{Protocol, SimConfig};
-use crate::record::{ItemRecord, SimReport};
+use crate::record::SimReport;
 use crate::runner::Runner;
 use whatsup_datasets::Dataset;
-use whatsup_metrics::{CycleSeries, CycleStats};
 
 /// Runs any protocol over a dataset and returns its report (the classic
 /// entry point, kept as a thin [`Runner`] shorthand).
 pub fn run_protocol(dataset: &Dataset, protocol: Protocol, cfg: &SimConfig) -> SimReport {
     Runner::new(dataset, protocol).config(cfg.clone()).run()
-}
-
-/// Folds per-item records into a per-cycle series for the one-shot
-/// engines (cascade, pub/sub, centralized): each item's walk completes
-/// within its publication cycle, so everything it caused lands there.
-/// `live_nodes` stays the full population — these engines have no churn —
-/// and `gossip_sent` stays zero — they have no gossip layer.
-pub(crate) fn series_from_items(
-    items: &[ItemRecord],
-    cfg: &SimConfig,
-    n_nodes: usize,
-) -> CycleSeries {
-    if !cfg.collect_series {
-        return CycleSeries::default();
-    }
-    let mut stats = vec![CycleStats::default(); cfg.cycles as usize];
-    for rec in items {
-        let Some(s) = stats.get_mut(rec.published_at as usize) else {
-            continue;
-        };
-        s.first_receptions += u64::from(rec.reached);
-        s.hits += u64::from(rec.hits);
-        s.interested += u64::from(rec.interested);
-        s.news_sent += rec.news_sent;
-    }
-    let mut series = CycleSeries::new();
-    for mut s in stats {
-        s.live_nodes = n_nodes as u64;
-        series.push(s);
-    }
-    series
 }
 
 #[cfg(test)]

@@ -11,8 +11,10 @@
 //! interest structure, exactly as the paper extracts them "from keywords
 //! associated with the RSS feeds".
 
-use crate::config::SimConfig;
-use crate::record::{ItemRecord, SimReport};
+use crate::config::{Protocol, SimConfig};
+use crate::environment::Publications;
+use crate::record::{Ledger, Reception, SimReport};
+use crate::scenario::Scenario;
 use whatsup_datasets::Dataset;
 
 /// Subscription table: `subscribers[topic]` = users liking ≥ 1 item of it.
@@ -35,74 +37,39 @@ pub fn subscriptions(dataset: &Dataset) -> Vec<Vec<u32>> {
     subs
 }
 
-/// Runs the C-Pub/Sub baseline under the uniform publication schedule. The
-/// centralized server is assumed reliable (the paper treats it as the
-/// ideal reference), so `cfg.loss` is ignored.
-pub fn run(dataset: &Dataset, cfg: &SimConfig) -> SimReport {
-    run_scheduled(dataset, cfg, &cfg.schedule(dataset.n_items()))
-}
-
-/// [`run`] with an explicit item → publication-cycle schedule (the
-/// scenario workload layer; `schedule[i]` is item `i`'s cycle).
-pub fn run_scheduled(dataset: &Dataset, cfg: &SimConfig, schedule: &[u32]) -> SimReport {
+/// Runs the C-Pub/Sub baseline under `scenario`'s publication schedule.
+/// The centralized server is assumed reliable (the paper treats it as the
+/// ideal reference), so the scenario's environment is not consulted.
+pub fn run_scenario(dataset: &Dataset, cfg: &SimConfig, scenario: &Scenario) -> SimReport {
     let subs = subscriptions(dataset);
-    let mut items = Vec::with_capacity(dataset.n_items());
-    let mut news_measured = 0u64;
-    let mut news_all = 0u64;
+    let plan = Publications::plan(dataset, scenario, cfg);
+    let mut ledger = Ledger::open(&plan.cycle_of, cfg, 0);
 
     for spec in &dataset.items {
-        let index = spec.index as usize;
-        let published_at = schedule[index];
-        let measured = published_at >= cfg.measure_from;
+        let index = spec.index;
+        let cycle = plan.cycle_of[index as usize];
         let source = spec.source;
-        let interested: Vec<u32> = dataset
-            .likes
-            .interested_users(index)
-            .into_iter()
-            .filter(|&u| u != source)
-            .collect();
-        let topic = dataset.pubsub_topic(index);
-        let reached: Vec<u32> = subs[topic as usize]
-            .iter()
-            .copied()
-            .filter(|&u| u != source)
-            .collect();
-        let hits = reached
-            .iter()
-            .filter(|&&u| dataset.likes.likes(u as usize, index))
-            .count() as u32;
-        let rec = ItemRecord {
-            index: spec.index,
-            published_at,
-            interested: interested.len() as u32,
-            reached: reached.len() as u32,
-            hits,
-            news_sent: reached.len() as u64,
-            measured,
-            ..ItemRecord::default()
-        };
-        news_all += rec.news_sent;
-        if measured {
-            news_measured += rec.news_sent;
+        ledger.published(
+            index,
+            source,
+            &dataset.likes.interested_users(index as usize),
+        );
+        // One message per subscriber of the item's feed; no hop paths, no
+        // dislike counters.
+        let topic = dataset.pubsub_topic(index as usize);
+        for &u in subs[topic as usize].iter().filter(|&&u| u != source) {
+            ledger.sent(cycle, index, 1);
+            let reception = Reception {
+                likes: dataset.likes.likes(u as usize, index as usize),
+                hop: None,
+                dislikes: None,
+            };
+            ledger.first_reception(cycle, index, u, reception);
         }
-        items.push(rec);
     }
-
-    let series = super::series_from_items(&items, cfg, dataset.n_users());
-    SimReport {
-        protocol: "C-Pub/Sub".into(),
-        dataset: dataset.name.clone(),
-        fanout: None,
-        n_nodes: dataset.n_users(),
-        cycles: cfg.cycles,
-        items,
-        per_node: Vec::new(),
-        news_messages: news_measured,
-        news_messages_all: news_all,
-        gossip_messages: 0,
-        series,
-        windows: Vec::new(),
-    }
+    ledger.end_cycle(cfg.cycles - 1, dataset.n_users());
+    let name = dataset.name.clone();
+    ledger.into_report(Protocol::CPubSub, name, dataset.n_users(), scenario)
 }
 
 #[cfg(test)]
@@ -112,6 +79,10 @@ mod tests {
 
     fn dataset() -> Dataset {
         survey::generate(&SurveyConfig::paper().scaled(0.15), 21)
+    }
+
+    fn run(dataset: &Dataset, cfg: &SimConfig) -> SimReport {
+        run_scenario(dataset, cfg, &Scenario::from_config(cfg))
     }
 
     #[test]

@@ -32,6 +32,7 @@ pub mod config;
 pub mod dynamics;
 pub mod engine;
 pub mod engines;
+mod environment;
 pub mod experiments;
 pub mod oracle;
 pub mod record;

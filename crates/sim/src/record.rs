@@ -1,8 +1,14 @@
 //! Per-item dissemination records and the aggregated simulation report,
-//! including the per-cycle time series and its measurement windows.
+//! including the per-cycle time series and its measurement windows — and
+//! the `Ledger` every engine books its run into to produce one.
 
+use crate::config::{Protocol, SimConfig};
+use crate::scenario::{Scenario, WindowSpec};
 use serde::{Deserialize, Serialize};
-use whatsup_metrics::{CycleSeries, IrAggregate, IrScores, ItemOutcome, RecoveryMetrics};
+use whatsup_core::NodeId;
+use whatsup_metrics::{
+    CycleSeries, CycleStats, IrAggregate, IrScores, ItemOutcome, RecoveryMetrics,
+};
 
 /// Version stamp of the report summary JSON (`SimReport::summary_json`).
 /// Bump on any breaking change to the summary's shape; `whatsup-sim check`
@@ -113,9 +119,9 @@ pub struct SimReport {
     pub news_messages_all: u64,
     /// Gossip-layer messages (RPS + WUP) over the whole run.
     pub gossip_messages: u64,
-    /// Per-cycle measurement series, folded from the shards' counter
-    /// frames in shard-index order — bit-identical across shard counts
-    /// and transports. Empty for the global engines and for runs with
+    /// Per-cycle measurement series — on the sharded engine folded from
+    /// the phase replies in shard-index order, so bit-identical across
+    /// shard counts and transports. Empty for runs with
     /// `SimConfig::collect_series` off.
     pub series: CycleSeries,
     /// The scenario's named measurement windows, resolved against the
@@ -160,11 +166,6 @@ impl SimReport {
     /// headline numbers.
     pub fn scores(&self) -> IrScores {
         self.aggregate().micro()
-    }
-
-    /// Macro-averaged (per-item mean) scores.
-    pub fn scores_macro(&self) -> IrScores {
-        self.aggregate().macro_avg()
     }
 
     /// IR aggregate over the items published in the cycle window
@@ -421,6 +422,217 @@ impl SimReport {
             }
         }
         p
+    }
+}
+
+/// One first reception, as far as the booking engine models it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Reception {
+    /// Whether the receiver likes the item (a *hit*).
+    pub likes: bool,
+    /// `(hop, sender_liked)` where items travel hop by hop (Fig. 6).
+    pub hop: Option<(u16, bool)>,
+    /// Dislike counter of the delivering copy, where copies carry one
+    /// (Table IV; only liked receptions record it).
+    pub dislikes: Option<u8>,
+}
+
+/// The run's books: per-item records, per-node and per-cycle counters and
+/// the measured/all message totals, fed by the events of whichever engine
+/// runs, and the only way to a [`SimReport`]. An event names the cycle it
+/// is booked under, so per-cycle engines pass the running cycle and the
+/// one-shot engines, which walk items in dataset order, the item's
+/// publication cycle.
+pub(crate) struct Ledger {
+    records: Vec<ItemRecord>,
+    /// Empty for engines that do not track per-node counters.
+    per_node: Vec<NodeIr>,
+    /// Counter blocks of the cycles touched so far (index = cycle).
+    cycles: Vec<CycleStats>,
+    /// Cycles ended so far; later blocks are still accumulating.
+    ended: u32,
+    collect_series: bool,
+    gossip_messages: u64,
+    news_all: u64,
+    news_measured: u64,
+}
+
+fn slot(cycles: &mut Vec<CycleStats>, cycle: u32) -> &mut CycleStats {
+    if cycles.len() <= cycle as usize {
+        cycles.resize(cycle as usize + 1, CycleStats::default());
+    }
+    &mut cycles[cycle as usize]
+}
+
+impl Ledger {
+    /// Opens one record per item of the schedule `cycle_of` (item index →
+    /// publication cycle) and per-node counters for `tracked_nodes` nodes
+    /// (0 = the engine reports none).
+    pub(crate) fn open(cycle_of: &[u32], cfg: &SimConfig, tracked_nodes: usize) -> Self {
+        Self {
+            records: (0u32..)
+                .zip(cycle_of)
+                .map(|(index, &published_at)| ItemRecord {
+                    index,
+                    published_at,
+                    measured: published_at >= cfg.measure_from,
+                    ..ItemRecord::default()
+                })
+                .collect(),
+            per_node: vec![NodeIr::default(); tracked_nodes],
+            cycles: Vec::new(),
+            ended: 0,
+            collect_series: cfg.collect_series,
+            gossip_messages: 0,
+            news_all: 0,
+            news_measured: 0,
+        }
+    }
+
+    /// Item `index` is published (at its scheduled cycle) by `source`;
+    /// `likers` is everyone who likes it right now. The ground truth it is
+    /// scored against is the likers other than the source.
+    pub(crate) fn published(&mut self, index: u32, source: NodeId, likers: &[NodeId]) {
+        let rec = &mut self.records[index as usize];
+        for &u in likers.iter().filter(|&&u| u != source) {
+            rec.interested += 1;
+            if rec.measured {
+                if let Some(node) = self.per_node.get_mut(u as usize) {
+                    node.interested += 1;
+                }
+            }
+        }
+        slot(&mut self.cycles, rec.published_at).interested += u64::from(rec.interested);
+    }
+
+    /// `copies` news copies of item `index` were sent (lost ones included
+    /// — the paper's "number of sent messages").
+    pub(crate) fn sent(&mut self, cycle: u32, index: u32, copies: u64) {
+        let rec = &mut self.records[index as usize];
+        rec.news_sent += copies;
+        self.news_all += copies;
+        if rec.measured {
+            self.news_measured += copies;
+        }
+        slot(&mut self.cycles, cycle).news_sent += copies;
+    }
+
+    pub(crate) fn gossip_sent(&mut self, cycle: u32, messages: u64) {
+        self.gossip_messages += messages;
+        slot(&mut self.cycles, cycle).gossip_sent += messages;
+    }
+
+    /// `node` receives item `index` for the first time.
+    pub(crate) fn first_reception(&mut self, cycle: u32, index: u32, node: NodeId, r: Reception) {
+        let rec = &mut self.records[index as usize];
+        rec.reached += 1;
+        rec.infection_hops.extend(r.hop);
+        if r.likes {
+            rec.hits += 1;
+            rec.dislikes_at_liked_reception.extend(r.dislikes);
+        }
+        if rec.measured {
+            if let Some(node) = self.per_node.get_mut(node as usize) {
+                node.received += 1;
+                node.hits += u64::from(r.likes);
+            }
+        }
+        let stats = slot(&mut self.cycles, cycle);
+        stats.first_receptions += 1;
+        stats.hits += u64::from(r.likes);
+    }
+
+    /// A node at hop distance `hop` forwarded item `index` (Fig. 6).
+    pub(crate) fn forwarded(&mut self, index: u32, hop: u16, liked: bool) {
+        self.records[index as usize].forward_hops.push((hop, liked));
+    }
+
+    pub(crate) fn crashed(&mut self, cycle: u32, nodes: u64) {
+        slot(&mut self.cycles, cycle).crashed += nodes;
+    }
+
+    /// A node joined (per-node engines only): its counters start at zero.
+    pub(crate) fn joined(&mut self) {
+        self.per_node.push(NodeIr::default());
+    }
+
+    /// Ends every cycle up to and including `cycle` that has not ended
+    /// yet, stamping each with the population `live_nodes`.
+    pub(crate) fn end_cycle(&mut self, cycle: u32, live_nodes: usize) {
+        slot(&mut self.cycles, cycle);
+        for stats in &mut self.cycles[self.ended as usize..=cycle as usize] {
+            stats.live_nodes = live_nodes as u64;
+        }
+        self.ended = cycle + 1;
+    }
+
+    /// `(item records, per-node counters)` heap bytes (diagnostics).
+    pub(crate) fn heap_bytes(&self) -> (usize, usize) {
+        let records = self
+            .records
+            .iter()
+            .map(|r| {
+                std::mem::size_of::<ItemRecord>()
+                    + r.dislikes_at_liked_reception.capacity()
+                    + (r.forward_hops.capacity() + r.infection_hops.capacity())
+                        * std::mem::size_of::<(u16, bool)>()
+            })
+            .sum();
+        let per_node = self.per_node.capacity() * std::mem::size_of::<NodeIr>();
+        (records, per_node)
+    }
+
+    /// Closes the books over the cycles ended so far and resolves the
+    /// scenario's measurement windows against the finished series
+    /// (anchors were validated up front, so one that cannot resolve here
+    /// is a bug, not bad input).
+    pub(crate) fn into_report(
+        mut self,
+        protocol: Protocol,
+        dataset: String,
+        n_nodes: usize,
+        scenario: &Scenario,
+    ) -> SimReport {
+        self.cycles.truncate(self.ended as usize);
+        let mut report = SimReport {
+            protocol: protocol.label(),
+            dataset,
+            fanout: protocol.fanout(),
+            n_nodes,
+            cycles: self.ended,
+            items: self.records,
+            per_node: self.per_node,
+            news_messages: self.news_measured,
+            news_messages_all: self.news_all,
+            gossip_messages: self.gossip_messages,
+            series: if self.collect_series {
+                self.cycles.into_iter().collect()
+            } else {
+                CycleSeries::default()
+            },
+            windows: Vec::new(),
+        };
+        report.windows = scenario
+            .measurements
+            .iter()
+            .map(|m| {
+                let (from, until, recovery) = match m.window {
+                    WindowSpec::Cycles { from, until } => (from, until.min(report.cycles), None),
+                    WindowSpec::Recovery { anchor, baseline } => {
+                        let at = anchor
+                            .resolve(scenario)
+                            .expect("anchor validated against the scenario");
+                        let recovery = report.series.recovery(at, baseline);
+                        let until = recovery
+                            .and_then(|r| r.recovered_at)
+                            .map_or(report.cycles, |c| c + 1);
+                        (at, until, recovery)
+                    }
+                };
+                report.window_report(&m.name, from, until, recovery)
+            })
+            .collect();
+        report
     }
 }
 

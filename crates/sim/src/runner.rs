@@ -170,25 +170,21 @@ impl<'a> Runner<'a> {
     pub fn try_run(self) -> io::Result<SimReport> {
         let scenario = self.resolved_scenario();
         match self.protocol {
-            // Global baselines have no gossip layer: the workload schedule
-            // applies; the environment and events do not (the centralized
-            // server is assumed reliable — cf. the engines' module docs).
+            // Global baselines walk a server-side model once per item: the
+            // workload schedule applies (and constant loss, to cascade);
+            // everything else is rejected here rather than ignored.
             p if p.is_global() => {
                 self.cfg.validate().expect("invalid simulation config");
                 scenario.validate(&self.cfg).expect("invalid scenario");
                 scenario
                     .validate_for_global(&self.protocol)
                     .expect("scenario not expressible on a global engine");
-                scenario
-                    .validate_events(self.dataset.n_users())
-                    .expect("invalid scenario");
-                let topics: Vec<u32> = self.dataset.items.iter().map(|spec| spec.topic).collect();
-                let schedule = scenario.workload.schedule(&self.cfg, &topics);
+                let (d, cfg) = (self.dataset, &self.cfg);
                 Ok(match self.protocol {
-                    Protocol::Cascade => cascade::run_scheduled(self.dataset, &self.cfg, &schedule),
-                    Protocol::CPubSub => pubsub::run_scheduled(self.dataset, &self.cfg, &schedule),
+                    Protocol::Cascade => cascade::run_scenario(d, cfg, &scenario),
+                    Protocol::CPubSub => pubsub::run_scenario(d, cfg, &scenario),
                     Protocol::CWhatsUp { f_like } => {
-                        centralized::run_scheduled(self.dataset, f_like, &self.cfg, &schedule)
+                        centralized::run_scenario(d, f_like, cfg, &scenario)
                     }
                     _ => unreachable!("matched above"),
                 })
@@ -204,11 +200,6 @@ impl<'a> Runner<'a> {
                         "the anti-entropy engine is in-process only; drop --worker/--workers",
                     ));
                 }
-                self.cfg.validate().expect("invalid simulation config");
-                scenario.validate(&self.cfg).expect("invalid scenario");
-                scenario
-                    .validate_events(self.dataset.n_users())
-                    .expect("invalid scenario");
                 Ok(antientropy::run_scenario(
                     self.dataset,
                     &self.cfg,
@@ -303,6 +294,30 @@ mod tests {
             .run();
         // fraction 1.0: every item publishes in the burst cycle.
         assert!(burst.items.iter().all(|r| r.published_at == 7));
+    }
+
+    #[test]
+    fn cascade_honours_an_explicit_scenario_loss() {
+        // Regression: cascade used to read `cfg.loss` while the runner
+        // handed it no environment, so an explicit scenario's constant
+        // loss was validated and then silently ignored.
+        let d = digg::generate(&DiggConfig::paper().scaled(0.15), 9);
+        let lossy = Environment {
+            loss: LossModel::Constant { p: 0.6 },
+            churn: ChurnModel::None,
+        };
+        let via_scenario = Runner::new(&d, Protocol::Cascade)
+            .config(cfg())
+            .scenario(Scenario::default().with_environment(lossy))
+            .run();
+        let via_knob = Runner::new(&d, Protocol::Cascade)
+            .config(SimConfig { loss: 0.6, ..cfg() })
+            .run();
+        let lossless = Runner::new(&d, Protocol::Cascade).config(cfg()).run();
+        assert_eq!(format!("{via_scenario:?}"), format!("{via_knob:?}"));
+        assert_ne!(via_scenario, lossless);
+        let reached = |r: &SimReport| r.items.iter().map(|i| i.reached).sum::<u32>();
+        assert!(reached(&via_scenario) < reached(&lossless));
     }
 
     #[test]

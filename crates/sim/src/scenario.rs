@@ -601,11 +601,14 @@ impl Scenario {
     }
 
     /// Checks that this scenario is expressible on the global baseline
-    /// engines (cascade, pub/sub, centralized). They have no per-cycle
-    /// gossip layer, so only the workload schedule applies there; timeline
-    /// events and the non-trivial environment models would be silently
-    /// ignored — reject them instead. (Constant loss and uniform churn pass
-    /// through for config-knob parity; the engines document ignoring them.)
+    /// engines, which walk a server-side model once per item. What each
+    /// honours: **cascade** — the workload schedule and constant message
+    /// loss; **pub/sub** and **C-WhatsUp** — the workload schedule only
+    /// (their server is reliable by assumption). Timeline events, bursty
+    /// loss, partitions, crash waves, mass joins and measurement windows
+    /// have no counterpart there and are rejected rather than silently
+    /// ignored. Uniform churn passes for config-knob parity and is not
+    /// consulted, as is constant loss on the two centralized engines.
     pub fn validate_for_global(&self, protocol: &Protocol) -> Result<(), String> {
         if !protocol.is_global() {
             return Ok(());
@@ -631,8 +634,8 @@ impl Scenario {
         }
         if !self.measurements.is_empty() {
             return Err(format!(
-                "measurement windows need the per-cycle engine — the global {engine} \
-                 engine produces no time series"
+                "measurement windows need a per-cycle engine — the global {engine} engine \
+                 books everything an item causes under its publication cycle"
             ));
         }
         Ok(())
