@@ -258,22 +258,28 @@ fn run_quick() {
         msgs,
         rss
     );
-    whatsup_bench::experiments::save_json_value(
-        "scale_engine",
-        &Value::Array(vec![row_value(
-            d.n_users(),
-            1,
-            "uniform",
-            "off",
-            cps,
-            msgs,
-            rss,
-        )]),
-    );
+    save_rows(vec![row_value(
+        d.n_users(),
+        1,
+        "uniform",
+        "off",
+        cps,
+        msgs,
+        rss,
+    )]);
     assert!(
         rss < QUICK_RSS_CEILING_MB,
         "peak RSS {rss:.1} MiB exceeds the {QUICK_RSS_CEILING_MB} MiB ceiling — memory regression"
     );
+}
+
+/// Persists the rows where `scripts/compare_scale_baseline.py` reads them;
+/// the table on stdout is the primary artifact, so a failed write only warns.
+fn save_rows(rows: Vec<Value>) {
+    let path = whatsup_bench::artifact("scale_engine");
+    if let Err(e) = whatsup_bench::save_json_value(&path, &Value::Array(rows)) {
+        eprintln!("warning: cannot write {}: {e}", path.display());
+    }
 }
 
 fn main() {
@@ -349,6 +355,6 @@ fn main() {
             println!();
         }
     }
-    whatsup_bench::experiments::save_json_value("scale_engine", &Value::Array(rows));
+    save_rows(rows);
     whatsup_bench::finish("scale_engine", t);
 }

@@ -15,7 +15,7 @@
 //! graph. The generators here synthesize those objects with the same
 //! first-order statistics (community structure, mean like rate, popularity
 //! skew, hub-dominated follower graph), which is what preserves the paper's
-//! qualitative results; see DESIGN.md §3 for the substitution argument.
+//! qualitative results (PAPER.md; workloads: paper §IV-A, Table I).
 //!
 //! All generators are deterministic given a seed.
 
@@ -34,8 +34,8 @@ pub use survey::SurveyConfig;
 pub use synthetic::SyntheticConfig;
 
 /// The three paper workloads at a given scale factor (1.0 = paper scale).
-/// Scale shrinks users and items proportionally — experiment harnesses use
-/// reduced scale by default and 1.0 under `WHATSUP_FULL=1`.
+/// Scale shrinks users and items proportionally — the `paper` bench harness
+/// runs at 0.35 by default and takes `--scale 1.0` for the paper's sizes.
 pub fn paper_workloads(scale: f64, seed: u64) -> Vec<Dataset> {
     vec![
         synthetic::generate(&SyntheticConfig::paper().scaled(scale), seed),

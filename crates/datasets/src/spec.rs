@@ -102,7 +102,7 @@ impl Dataset {
     }
 
     /// Table I row plus the first-order statistics the substitution argument
-    /// rests on (DESIGN.md §3).
+    /// rests on (see the crate docs).
     pub fn stats(&self) -> DatasetStats {
         let n_items = self.n_items();
         let mut pops: Vec<f64> = (0..n_items).map(|i| self.likes.popularity(i)).collect();

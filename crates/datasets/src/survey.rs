@@ -35,7 +35,7 @@ pub struct SurveyConfig {
     /// Base users before replication (paper: 120).
     pub base_users: usize,
     /// Base items before replication (250 × 4 = Table I's 1000; the paper
-    /// text says 200 — Table I wins, see DESIGN.md §3).
+    /// text, §IV-A, says 200 — Table I wins).
     pub base_items: usize,
     /// Replication factor (paper: 4).
     pub replication: usize,

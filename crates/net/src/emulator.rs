@@ -13,12 +13,11 @@ use crate::peer::{NetOracle, Peer};
 use crate::stats::TrafficStats;
 use crate::swarm::{ItemTable, SwarmConfig, SwarmReport};
 use bytes::Bytes;
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use whatsup_core::NodeId;
 use whatsup_datasets::Dataset;
@@ -82,11 +81,11 @@ pub fn run(dataset: &Dataset, cfg: &EmulatorConfig) -> SwarmReport {
     let deliveries = Arc::new(Mutex::new(Vec::new()));
 
     // Peer inboxes and the router channel.
-    let (router_tx, router_rx) = channel::unbounded::<RouterMsg>();
+    let (router_tx, router_rx) = mpsc::channel::<RouterMsg>();
     let mut inbox_tx: Vec<Sender<Bytes>> = Vec::with_capacity(n);
     let mut inbox_rx: Vec<Option<Receiver<Bytes>>> = Vec::with_capacity(n);
     for _ in 0..n {
-        let (tx, rx) = channel::unbounded::<Bytes>();
+        let (tx, rx) = mpsc::channel::<Bytes>();
         inbox_tx.push(tx);
         inbox_rx.push(Some(rx));
     }
@@ -209,7 +208,7 @@ pub fn run(dataset: &Dataset, cfg: &EmulatorConfig) -> SwarmReport {
     let _ = router.join();
 
     let duration_secs = cfg.swarm.duration().as_secs_f64();
-    let deliveries = deliveries.lock().clone();
+    let deliveries = crate::lock(&deliveries).clone();
     SwarmReport::from_deliveries(
         "ModelNet",
         dataset,
@@ -268,7 +267,7 @@ mod tests {
 
     #[test]
     fn emulated_swarm_disseminates() {
-        let _guard = crate::test_support::SWARM_LOCK.lock();
+        let _guard = crate::lock(&crate::test_support::SWARM_LOCK);
         let d = survey::generate(&SurveyConfig::paper().scaled(0.12), 17);
         let report = run(&d, &quick_cfg());
         let s = report.scores();
@@ -280,7 +279,7 @@ mod tests {
 
     #[test]
     fn heavy_link_loss_reduces_recall() {
-        let _guard = crate::test_support::SWARM_LOCK.lock();
+        let _guard = crate::lock(&crate::test_support::SWARM_LOCK);
         let d = survey::generate(&SurveyConfig::paper().scaled(0.12), 17);
         let clean = run(&d, &quick_cfg());
         let mut lossy_cfg = quick_cfg();

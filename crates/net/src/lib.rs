@@ -12,7 +12,7 @@
 //!   and in-order delivery. This is the "cluster" testbed.
 //! * [`runtime`] — a real UDP swarm on the loopback interface, one socket
 //!   per peer, with receive-side loss injection standing in for PlanetLab's
-//!   flaky wide-area links (DESIGN.md §3 documents the substitution).
+//!   flaky wide-area links.
 //! * [`peer`] — the shared peer event loop (`whatsup-core`'s sans-io node +
 //!   codec + traffic accounting) used by both fabrics.
 //! * [`swarm`] — experiment configuration and the report both fabrics
@@ -35,11 +35,19 @@ pub use runtime::UdpConfig;
 pub use stats::TrafficStats;
 pub use swarm::{SwarmConfig, SwarmReport};
 
+/// Locks `m` whether or not a peer thread panicked while holding it: every
+/// update under these locks is a single push or clone, so the data is
+/// valid at every step and one dead peer must not take the swarm's
+/// delivery log (or the next test) down with it.
+pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// Swarm runs are wall-clock sensitive (hundreds of peer threads ticking on
 /// real timers); concurrent swarm tests starve each other's schedulers and
 /// produce bogus delivery numbers. Every test that spins up a swarm holds
 /// this lock for its full duration.
 #[cfg(test)]
 pub(crate) mod test_support {
-    pub static SWARM_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
+    pub static SWARM_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 }

@@ -13,10 +13,9 @@ use crate::codec;
 use crate::stats::TrafficStats;
 use crate::swarm::{Delivery, ItemTable, SwarmConfig};
 use bytes::Bytes;
-use parking_lot::Mutex;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use whatsup_core::{
     ItemId, NodeId, NodeStats, Opinions, OutMessage, Payload, Profile, WhatsUpNode,
 };
@@ -147,7 +146,7 @@ impl Peer {
             if !self.node.has_seen(id) {
                 if let Some(&idx) = self.oracle.table.by_id.get(&id) {
                     let liked = self.oracle.likes(self.node.id(), id);
-                    self.deliveries.lock().push(Delivery {
+                    crate::lock(&self.deliveries).push(Delivery {
                         item_index: idx,
                         node: self.node.id(),
                         liked,
@@ -262,14 +261,14 @@ mod tests {
         );
         let (to, bytes) = &frames[0];
         let replies = peers[*to as usize].handle_frame(bytes, 1);
-        let recorded = deliveries.lock();
+        let recorded = crate::lock(&deliveries);
         assert_eq!(recorded.len(), 1);
         assert_eq!(recorded[0].item_index, 0);
         assert_eq!(recorded[0].node, *to);
         drop(recorded);
         // Duplicate delivery is not recorded twice.
         let _ = peers[*to as usize].handle_frame(bytes, 1);
-        assert_eq!(deliveries.lock().len(), 1);
+        assert_eq!(crate::lock(&deliveries).len(), 1);
         let _ = replies;
     }
 
@@ -282,7 +281,7 @@ mod tests {
             let replies = peers[*to as usize].handle_frame(bytes, 1);
             assert!(replies.is_empty());
         }
-        assert!(deliveries.lock().is_empty());
+        assert!(crate::lock(&deliveries).is_empty());
     }
 
     #[test]

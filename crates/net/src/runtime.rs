@@ -12,9 +12,8 @@ use crate::peer::{NetOracle, Peer};
 use crate::stats::TrafficStats;
 use crate::swarm::{ItemTable, SwarmConfig, SwarmReport};
 use bytes::Bytes;
-use parking_lot::Mutex;
 use std::net::{SocketAddr, UdpSocket};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use whatsup_core::NodeId;
 use whatsup_datasets::Dataset;
@@ -126,7 +125,7 @@ pub fn run(dataset: &Dataset, cfg: &UdpConfig) -> SwarmReport {
     }
 
     let duration_secs = cfg.swarm.duration().as_secs_f64();
-    let deliveries = deliveries.lock().clone();
+    let deliveries = crate::lock(&deliveries).clone();
     SwarmReport::from_deliveries(
         "UDP",
         dataset,
@@ -160,7 +159,7 @@ mod tests {
 
     #[test]
     fn udp_swarm_disseminates() {
-        let _guard = crate::test_support::SWARM_LOCK.lock();
+        let _guard = crate::lock(&crate::test_support::SWARM_LOCK);
         let d = survey::generate(&SurveyConfig::paper().scaled(0.12), 23);
         let report = run(&d, &quick_cfg(0.0));
         let s = report.scores();
@@ -171,7 +170,7 @@ mod tests {
 
     #[test]
     fn injected_loss_reduces_recall() {
-        let _guard = crate::test_support::SWARM_LOCK.lock();
+        let _guard = crate::lock(&crate::test_support::SWARM_LOCK);
         let d = survey::generate(&SurveyConfig::paper().scaled(0.12), 23);
         let clean = run(&d, &quick_cfg(0.0));
         let lossy = run(&d, &quick_cfg(0.9));

@@ -1,8 +1,8 @@
 //! Minimal `serde` shim.
 //!
-//! * [`Serialize`] is a marker blanket-implemented for every `Debug` type;
-//!   the `serde_json` shim renders values through `Debug` (valid JSON for
-//!   the primitive/vector shapes the workspace ever parses back).
+//! * [`Serialize`] is a marker blanket-implemented for every `Debug` type,
+//!   kept so `#[derive]`s and bounds compile unchanged; nothing serializes
+//!   through it — JSON text is written from a [`json::Value`] tree.
 //! * [`Deserialize`] is implemented by hand for primitives, `String`,
 //!   tuples and `Vec`, over the [`json::Value`] tree.
 //! * The derives are no-ops from `serde_derive`, kept so `#[derive]`
@@ -10,7 +10,7 @@
 
 pub use serde_derive::{Deserialize, Serialize};
 
-/// Marker for serializable values; the shim serializes via `Debug`.
+/// Marker for serializable values (see the crate docs).
 pub trait Serialize: std::fmt::Debug {}
 
 impl<T: std::fmt::Debug + ?Sized> Serialize for T {}

@@ -1,62 +1,9 @@
-//! Minimal `serde_json` shim.
-//!
-//! * [`to_string_pretty`] renders through pretty `Debug`, then strips the
-//!   trailing commas Debug emits so the output is strict JSON for the
-//!   shapes the workspace round-trips (numeric vectors, primitives) —
-//!   external tooling (python, jq, the CI baseline check) can consume the
-//!   artifacts directly. Struct artifacts still render as Debug trees —
-//!   readable, stable, but not strict JSON; nothing in-tree parses those
-//!   back.
-//! * [`from_str`] parses via the shared lenient parser in `serde::json`.
-//! * [`json!`] builds a [`Value`] for ad-hoc artifacts.
+//! Minimal `serde_json` shim: [`from_str`] over the shared lenient parser
+//! in `serde::json`. There is no serializer here — JSON text is written
+//! from a [`Value`] tree (`Value::pretty`, `Display`), which is strict JSON
+//! by construction; a Debug rendering of a struct is not.
 
 pub use serde::json::{Error, Value};
-
-/// Serializes `value` through pretty `Debug`.
-pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    Ok(strip_trailing_commas(&format!("{value:#?}")))
-}
-
-/// Serializes `value` through compact `Debug`.
-pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    Ok(strip_trailing_commas(&format!("{value:?}")))
-}
-
-/// Removes commas that directly precede a closing `]`/`}` (ignoring
-/// whitespace), skipping string literals — Debug's multi-line layout writes
-/// one, strict JSON forbids it.
-fn strip_trailing_commas(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    let mut in_string = false;
-    let mut escaped = false;
-    for (i, c) in text.char_indices() {
-        if in_string {
-            out.push(c);
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_string = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => {
-                in_string = true;
-                out.push('"');
-            }
-            ',' => {
-                let next = text[i + 1..].chars().find(|c| !c.is_whitespace());
-                if !matches!(next, Some(']') | Some('}')) {
-                    out.push(',');
-                }
-            }
-            _ => out.push(c),
-        }
-    }
-    out
-}
 
 /// Parses lenient JSON into any hand-implemented [`serde::Deserialize`].
 pub fn from_str<T: serde::Deserialize>(text: &str) -> Result<T, Error> {
@@ -64,111 +11,22 @@ pub fn from_str<T: serde::Deserialize>(text: &str) -> Result<T, Error> {
     T::from_json_value(&value)
 }
 
-/// Builds a [`Value`] literal. Supports the object/array/scalar shapes the
-/// workspace uses (`json!({"ok": true})`, nested arrays, numbers, strings).
-#[macro_export]
-macro_rules! json {
-    (null) => { $crate::Value::Null };
-    (true) => { $crate::Value::Bool(true) };
-    (false) => { $crate::Value::Bool(false) };
-    ([ $( $item:tt ),* $(,)? ]) => {
-        $crate::Value::Array(vec![ $( $crate::json!($item) ),* ])
-    };
-    ({ $( $key:literal : $val:tt ),* $(,)? }) => {{
-        #[allow(unused_mut)]
-        let mut map = std::collections::BTreeMap::new();
-        $( map.insert($key.to_string(), $crate::json!($val)); )*
-        $crate::Value::Object(map)
-    }};
-    ($other:expr) => { $crate::value_from($other) };
-}
-
-/// Converts common scalars into [`Value`] (used by `json!`).
-pub fn value_from<T: IntoValue>(v: T) -> Value {
-    v.into_value()
-}
-
-pub trait IntoValue {
-    fn into_value(self) -> Value;
-}
-
-macro_rules! into_value_num {
-    ($($t:ty),*) => {$(
-        impl IntoValue for $t {
-            fn into_value(self) -> Value {
-                Value::Number(self as f64)
-            }
-        }
-    )*};
-}
-into_value_num!(f64, f32, u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
-
-impl IntoValue for bool {
-    fn into_value(self) -> Value {
-        Value::Bool(self)
-    }
-}
-
-impl IntoValue for &str {
-    fn into_value(self) -> Value {
-        Value::String(self.to_string())
-    }
-}
-
-impl IntoValue for String {
-    fn into_value(self) -> Value {
-        Value::String(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn float_vec_round_trips() {
-        let v = vec![1.0f64, 2.0, 3.0];
-        let text = to_string_pretty(&v).unwrap();
-        let back: Vec<f64> = from_str(&text).unwrap();
-        assert_eq!(back, v);
-    }
-
-    #[test]
-    fn json_macro_builds_objects() {
-        let v = json!({"ok": true, "n": 3, "xs": [1, 2]});
-        let Value::Object(map) = v else {
-            panic!("expected object")
-        };
-        assert_eq!(map["ok"], Value::Bool(true));
-        assert_eq!(map["n"], Value::Number(3.0));
-    }
-
-    #[test]
-    fn pretty_output_is_strict_json() {
-        let rows = vec![vec![1000.0f64, 1.0, 4.43], vec![20000.0, 4.0, 0.07]];
-        let text = to_string_pretty(&rows).unwrap();
-        assert!(
-            !text.contains(",\n]") && !text.contains(",\n    ]"),
-            "{text}"
-        );
-        for line in text.lines() {
-            let t = line.trim_end();
-            assert!(!t.ends_with(",]") && !t.ends_with(", ]"), "{t}");
+    fn value_text_round_trips() {
+        let rows = Value::Array(vec![Value::Number(1000.0), Value::Number(4.43)]);
+        for text in [rows.pretty(), rows.to_string()] {
+            let back: Vec<f64> = from_str(&text).unwrap();
+            assert_eq!(back, [1000.0, 4.43]);
         }
-        let back: Vec<Vec<f64>> = from_str(&text).unwrap();
-        assert_eq!(back, rows);
-    }
-
-    #[test]
-    fn strip_keeps_commas_inside_strings() {
-        let v = json!({"s": "a,]", "xs": [1, 2]});
-        let text = to_string(&v);
-        assert!(text.unwrap().contains("a,]"));
     }
 
     #[test]
     fn empty_and_scalar_round_trip() {
-        let empty: Vec<f64> = from_str(&to_string_pretty(&Vec::<f64>::new()).unwrap()).unwrap();
+        let empty: Vec<f64> = from_str("[]").unwrap();
         assert!(empty.is_empty());
         let x: f64 = from_str("2.5").unwrap();
         assert_eq!(x, 2.5);

@@ -49,7 +49,8 @@
 //!   text tables (the `whatsup-metrics` table format) — the human view of
 //!   a report that was archived as JSON.
 //! * `sweep` runs the scenario file across a `--shards` × `--fanouts`
-//!   grid through the same Runner path, emitting one JSON row per cell
+//!   grid (`Runner::grid_sweep`: the same Runner path, cells in parallel
+//!   on the workspace's one job pool), emitting one JSON row per cell
 //!   (JSON Lines: `{"shards": …, "fanout": …, "report": …}`). Omitting
 //!   `--fanouts` keeps the file's own protocol knob; omitting `--shards`
 //!   sweeps only the file's shard count.
@@ -64,7 +65,6 @@
 use std::process::ExitCode;
 use whatsup_metrics::table::{f2, human_count};
 use whatsup_metrics::TextTable;
-use whatsup_sim::sweep::scenario_grid_sweep;
 use whatsup_sim::{
     Protocol, Runner, ScenarioFile, Supervision, Transport, REPORT_SCHEMA_VERSION, SERIES_COLUMNS,
 };
@@ -279,14 +279,10 @@ fn sweep(args: &[String]) -> ExitCode {
     }
     // No --shards axis = the file's own shard count, a 1×F grid.
     let shard_counts = shard_counts.unwrap_or_else(|| vec![file.config.shards]);
-    let cells = scenario_grid_sweep(
-        &dataset,
-        file.protocol,
-        &shard_counts,
-        &fanouts,
-        &file.config,
-        &file.scenario,
-    );
+    let cells = Runner::new(&dataset, file.protocol)
+        .config(file.config.clone())
+        .scenario(file.scenario.clone())
+        .grid_sweep(&shard_counts, &fanouts);
     // JSON Lines: one compact row per grid cell, in grid order.
     let mut rows = String::new();
     for cell in &cells {
@@ -295,7 +291,8 @@ fn sweep(args: &[String]) -> ExitCode {
             ("shards", Value::Number(cell.shards as f64)),
             (
                 "fanout",
-                cell.fanout
+                cell.report
+                    .fanout
                     .map(|f| Value::Number(f as f64))
                     .unwrap_or(Value::Null),
             ),

@@ -38,6 +38,7 @@ use crate::scenario::{ChurnModel, LossModel};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
 use std::io;
+use std::sync::mpsc;
 use whatsup_core::beep::{DislikeRule, TargetPool};
 use whatsup_core::{ColdStart, ItemId, Metric, NewsItem, NodeId, Params};
 use whatsup_datasets::{CsrLikes, LikeMatrix, LikeStore};
@@ -341,8 +342,8 @@ impl ShardLink for InlineLink<'_> {
 /// wire-encoded on every link, so cross-link byte parity is unaffected.
 pub(crate) struct ThreadLink {
     shard: usize,
-    to: crossbeam::channel::Sender<Command>,
-    from: crossbeam::channel::Receiver<Reply>,
+    to: mpsc::Sender<Command>,
+    from: mpsc::Receiver<Reply>,
 }
 
 impl ThreadLink {
@@ -354,8 +355,8 @@ impl ThreadLink {
         shard: usize,
         state: &'scope mut ShardState,
     ) -> Self {
-        let (to, commands) = crossbeam::channel::unbounded();
-        let (replies, from) = crossbeam::channel::unbounded();
+        let (to, commands) = mpsc::channel();
+        let (replies, from) = mpsc::channel();
         scope.spawn(move || {
             while let Ok(cmd) = commands.recv() {
                 let _ = replies.send(state.handle(cmd));

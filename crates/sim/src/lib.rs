@@ -23,22 +23,23 @@
 //!   datagram budget, with phi-accrual failure detection (an eventual-
 //!   delivery contrast to WhatsUp's within-cycle epidemics).
 //!
-//! Everything is deterministic given a seed, and every experiment driver in
-//! [`experiments`] is exercised by both the benchmark harnesses and the
-//! integration tests.
+//! Everything is deterministic given a seed. There is one way to run any
+//! of it: a [`Runner`] (protocol × config × [`Scenario`], any shard count
+//! or transport), and one way to run many: [`runner::pool_map`], the job
+//! pool behind `whatsup-sim sweep` and the `paper` bench harness. The
+//! paper's figures and tables are not library surface: they are one table
+//! of jobs in `crates/bench` (`cargo bench -p whatsup_bench --bench paper`),
+//! with [`analysis`] holding the post-run measurements they share.
 
 pub mod analysis;
 pub mod config;
-pub mod dynamics;
 pub mod engine;
 pub mod engines;
 mod environment;
-pub mod experiments;
 pub mod oracle;
 pub mod record;
 pub mod runner;
 pub mod scenario;
-pub mod sweep;
 
 pub use config::{Protocol, SimConfig, Transport};
 pub use engine::exchange::Supervision;
@@ -46,5 +47,5 @@ pub use engine::Simulation;
 pub use engines::run_protocol;
 pub use oracle::Oracle;
 pub use record::{ItemRecord, SimReport, WindowReport, REPORT_SCHEMA_VERSION, SERIES_COLUMNS};
-pub use runner::Runner;
+pub use runner::{pool_map, Runner};
 pub use scenario::{Scenario, ScenarioFile};

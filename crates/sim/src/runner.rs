@@ -20,10 +20,17 @@
 //!     .run();
 //! ```
 //!
-//! `run_protocol`, the sweeps, the dynamics experiment and the `whatsup-sim`
-//! CLI all route through here. Reports are a pure function of
-//! `(dataset, protocol, config, scenario)` — bit-identical across shard
-//! counts and transports (see the engine module docs for the contract).
+//! `run_protocol`, the `whatsup-sim` CLI and the `paper` bench harness
+//! (every figure and table of the evaluation) all route through here.
+//! Reports are a pure function of `(dataset, protocol, config, scenario)` —
+//! bit-identical across shard counts and transports (see the engine module
+//! docs for the contract).
+//!
+//! Many independent runs go through [`pool_map`], the one job pool of the
+//! workspace: a scoped work queue as wide as the machine. Each run being
+//! deterministic, the pool changes nothing but wall-clock time.
+//! [`Runner::grid_sweep`] (the `whatsup-sim sweep` subcommand) and the
+//! `paper` harness are its users.
 
 use crate::config::{Protocol, SimConfig, Transport};
 use crate::engine::driver::run_external;
@@ -33,8 +40,53 @@ use crate::engines::{antientropy, cascade, centralized, pubsub};
 use crate::record::SimReport;
 use crate::scenario::Scenario;
 use std::io;
+use std::panic::resume_unwind;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::thread;
 use whatsup_datasets::Dataset;
+
+/// Maps `run` over `jobs` on one scoped thread per available core, each
+/// pulling the next unclaimed job off a shared index; results come back in
+/// input order.
+///
+/// # Panics
+/// A panicking job propagates its panic once the other workers have
+/// drained the queue.
+pub fn pool_map<T: Sync, R: Send>(jobs: &[T], run: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let width = thread::available_parallelism().map_or(1, |n| n.get());
+    // Relaxed: the counter only hands out distinct indices; the results
+    // reach this thread through `join`.
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(job) = jobs.get(i) else { return done };
+            done.push((i, run(job)));
+        }
+    };
+    let mut done: Vec<(usize, R)> = thread::scope(|s| {
+        let workers: Vec<_> = (0..width.min(jobs.len()))
+            .map(|_| s.spawn(worker))
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|panic| resume_unwind(panic)))
+            .collect()
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, result)| result).collect()
+}
+
+/// One cell of [`Runner::grid_sweep`]; `report.fanout` names its column.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SweepCell {
+    /// Engine shard count the cell ran on (a pure execution knob — cells
+    /// that differ only in `shards` carry identical reports).
+    pub shards: usize,
+    pub report: SimReport,
+}
 
 /// Builder for one simulation run. See the module docs for the grammar.
 #[derive(Debug, Clone)]
@@ -234,6 +286,38 @@ impl<'a> Runner<'a> {
     pub fn run(self) -> SimReport {
         self.try_run().expect("shard worker transport failed")
     }
+
+    /// Runs this runner across a shards × fanout grid on the job pool —
+    /// the `whatsup-sim sweep` subcommand's engine — in grid order, shard
+    /// count outermost. An empty `fanouts` keeps the protocol's own knob.
+    ///
+    /// A protocol without a fanout knob ignores the fanout axis
+    /// ([`Protocol::with_fanout`] is the identity there), so every cell of
+    /// a row would be identical — callers should reject that combination
+    /// up front, as the CLI does.
+    pub fn grid_sweep(&self, shard_counts: &[usize], fanouts: &[usize]) -> Vec<SweepCell> {
+        let protocols: Vec<Protocol> = if fanouts.is_empty() {
+            vec![self.protocol]
+        } else {
+            fanouts
+                .iter()
+                .map(|&f| self.protocol.with_fanout(f))
+                .collect()
+        };
+        let cells: Vec<(usize, Protocol)> = shard_counts
+            .iter()
+            .flat_map(|&s| protocols.iter().map(move |&p| (s, p)))
+            .collect();
+        pool_map(&cells, |&(shards, protocol)| SweepCell {
+            shards,
+            report: Runner {
+                protocol,
+                ..self.clone()
+            }
+            .shards(shards)
+            .run(),
+        })
+    }
 }
 
 #[cfg(test)]
@@ -256,6 +340,57 @@ mod tests {
             measure_from: 6,
             ..Default::default()
         }
+    }
+
+    #[test]
+    fn pool_map_equals_the_sequential_map_in_input_order() {
+        let width = thread::available_parallelism().map_or(1, |n| n.get());
+        for n in [0, 1, 4 * width + 3] {
+            let jobs: Vec<usize> = (0..n).collect();
+            let sequential: Vec<usize> = jobs.iter().map(|j| j * j + 1).collect();
+            assert_eq!(pool_map(&jobs, |j| j * j + 1), sequential, "{n} jobs");
+        }
+    }
+
+    #[test]
+    fn pool_map_propagates_a_job_panic() {
+        let jobs: Vec<u32> = (0..16).collect();
+        let caught = std::panic::catch_unwind(|| {
+            pool_map(&jobs, |&j| {
+                assert_ne!(j, 5, "job five fails");
+                j
+            })
+        });
+        let panic = caught.expect_err("the panic must reach the caller");
+        let message = panic.downcast_ref::<String>().expect("assert message");
+        assert!(message.contains("job five fails"), "{message}");
+    }
+
+    #[test]
+    fn grid_sweep_covers_every_cell_and_shards_stay_invisible() {
+        let d = dataset();
+        let base = Runner::new(&d, Protocol::WhatsUp { f_like: 0 }).config(cfg());
+        let cells = base.grid_sweep(&[1, 2], &[3, 5]);
+        let grid: Vec<_> = cells.iter().map(|c| (c.shards, c.report.fanout)).collect();
+        assert_eq!(
+            grid,
+            [(1, Some(3)), (1, Some(5)), (2, Some(3)), (2, Some(5))]
+        );
+        // Same fanout, different shard count → bit-identical report.
+        assert_eq!(cells[0].report, cells[2].report);
+        assert_eq!(cells[1].report, cells[3].report);
+        assert_ne!(cells[0].report.scores(), cells[1].report.scores());
+        // A pooled cell is the plain run of the same protocol.
+        let alone = Runner::new(&d, Protocol::WhatsUp { f_like: 5 })
+            .config(cfg())
+            .run();
+        assert_eq!(cells[1].report, alone);
+        // An empty fanout axis keeps the protocol's own knob.
+        let own = Runner::new(&d, Protocol::WhatsUp { f_like: 4 })
+            .config(cfg())
+            .grid_sweep(&[1], &[]);
+        assert_eq!(own.len(), 1);
+        assert_eq!(own[0].report.fanout, Some(4));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Generate the three paper workloads and inspect their first-order
 //! statistics (Table I plus the distributions the substitutions are
-//! calibrated against — see DESIGN.md §3).
+//! calibrated against — paper §IV-A).
 //!
 //! Run with:
 //! ```sh

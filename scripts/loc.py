@@ -3,8 +3,10 @@
 
 Usage: loc.py [DIR ...]      (run from the repository root)
 
-For every crate (a directory with a Cargo.toml and a src/) plus every
-extra DIR given, over its `src/**/*.rs` (or `DIR/**/*.rs`):
+For every crate (a directory with a Cargo.toml and a src/) over the `*.rs`
+files of its `src/`, `benches/` and `examples/` — bench targets and
+examples are shipped code too, so nothing leaves the ledger by moving
+there — and for every extra DIR given over `DIR/**/*.rs`:
 
 * non-test lines — the lines of each file before its first line that
   starts with `#[cfg(test)]` (the in-file unit-test module, by this
@@ -22,9 +24,9 @@ import sys
 PUB_ITEM = re.compile(r"^\s*pub\s+(?:(?:const|async|unsafe)\s+)*(?:fn|struct|enum|trait)\b")
 
 
-def count(root):
+def count(*roots):
     lines = items = 0
-    for path in sorted(root.rglob("*.rs")):
+    for path in sorted(p for root in roots for p in root.rglob("*.rs")):
         for line in path.read_text().splitlines():
             if line.startswith("#[cfg(test)]"):
                 break
@@ -33,14 +35,18 @@ def count(root):
     return lines, items
 
 
+def count_crate(crate):
+    return count(*(crate / d for d in ("src", "benches", "examples")))
+
+
 def main():
     repo = pathlib.Path(".")
     crates = sorted(
         m.parent for m in repo.glob("crates/**/Cargo.toml") if (m.parent / "src").is_dir()
     )
-    rows = [(str(c), count(c / "src")) for c in crates]
+    rows = [(str(c), count_crate(c)) for c in crates]
     if (repo / "src").is_dir():
-        rows.insert(0, (". (facade)", count(repo / "src")))
+        rows.insert(0, (". (facade)", count_crate(repo)))
     rows += [(d.rstrip("/"), count(pathlib.Path(d))) for d in sys.argv[1:]]
     width = max(len(name) for name, _ in rows)
     print(f"{'crate':<{width}}  non-test lines  pub items")

@@ -24,7 +24,7 @@
 //! | [`gossip`](whatsup_gossip) | random peer sampling + clustering substrate |
 //! | [`graph`](whatsup_graph) | SCC/WCC/clustering-coefficient analytics, generators |
 //! | [`datasets`](whatsup_datasets) | synthetic Arxiv/Digg/survey workloads |
-//! | [`sim`](whatsup_sim) | cycle simulator, baselines, paper experiments |
+//! | [`sim`](whatsup_sim) | cycle simulator, baselines, scenario grammar, the job pool |
 //! | [`net`](whatsup_net) | wire codec, ModelNet-like emulator, UDP swarm |
 //! | [`metrics`](whatsup_metrics) | precision/recall/F1, histograms, tables |
 //!

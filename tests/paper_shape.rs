@@ -1,9 +1,9 @@
 //! Cross-crate integration tests: the paper's qualitative claims at reduced
 //! scale. These are the headline relationships every figure/table rests on;
-//! the full-scale numbers live in the bench harnesses and EXPERIMENTS.md.
+//! the magnitudes are pinned by the `paper` bench harness in `BENCH_paper.json`.
 
 use whatsup::prelude::*;
-use whatsup::sim::sweep::{f1_vs_fanout, grid_sweep};
+use whatsup::sim::pool_map;
 
 fn survey(scale: f64, seed: u64) -> Dataset {
     whatsup::datasets::survey::generate(&SurveyConfig::paper().scaled(scale), seed)
@@ -105,20 +105,16 @@ fn whatsup_needs_fewer_messages_than_gossip() {
 #[test]
 fn f1_grows_with_fanout_then_plateaus() {
     let d = survey(0.2, 15);
-    let reports = grid_sweep(&d, &[Protocol::WhatsUp { f_like: 0 }], &[2, 6, 12], &cfg());
-    let set = f1_vs_fanout(&reports, "sweep");
-    let s = &set.series[0];
-    assert!(
-        s.points[1].1 > s.points[0].1,
-        "F1 should rise from starved fanouts: {:?}",
-        s.points
-    );
-    let gain_low = s.points[1].1 - s.points[0].1;
-    let gain_high = s.points[2].1 - s.points[1].1;
+    let f1 = pool_map(&[2, 6, 12], |&f_like| {
+        run_protocol(&d, Protocol::WhatsUp { f_like }, &cfg())
+            .scores()
+            .f1
+    });
+    assert!(f1[1] > f1[0], "F1 should rise from starved fanouts: {f1:?}");
+    let (gain_low, gain_high) = (f1[1] - f1[0], f1[2] - f1[1]);
     assert!(
         gain_high < gain_low + 0.05,
-        "diminishing returns expected at high fanout: {:?}",
-        s.points
+        "diminishing returns expected at high fanout: {f1:?}"
     );
 }
 

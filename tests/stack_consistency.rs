@@ -1,11 +1,11 @@
 //! The three testbeds (simulator, emulator, UDP swarm) run the same
 //! `whatsup-core` node; their delivery quality must agree (Fig. 8a's
-//! methodological claim). Also exercises the experiment drivers' plumbing
-//! end-to-end at tiny scale.
+//! methodological claim). Also drives the paper harness end to end on its
+//! two simulation-free ids.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use whatsup::prelude::*;
-use whatsup::sim::experiments;
+use whatsup_bench::paper;
 
 /// The emulator and the UDP swarm run one thread per peer (~58) against
 /// the wall clock, so sibling tests competing for the same cores can starve
@@ -69,22 +69,60 @@ fn simulator_emulator_udp_agree_on_f1() {
 #[test]
 fn experiment_json_artifacts_roundtrip() {
     let _alone = exclusive();
-    experiments::save_json("integration-selftest", &vec![1.0f64, 2.0, 3.0]);
-    let path = experiments::output_dir().join("integration-selftest.json");
-    let text = std::fs::read_to_string(path).expect("artifact written");
-    let back: Vec<f64> = serde_json::from_str(&text).expect("valid JSON");
-    assert_eq!(back, vec![1.0, 2.0, 3.0]);
+    // `paper -- table1 table2`, as the bench target runs it: the artifact
+    // it leaves must parse back as an object with named columns.
+    let args = ["table1", "table2", "--bench"].map(String::from);
+    assert_eq!(paper::cli(&args), std::process::ExitCode::SUCCESS);
+    let text = std::fs::read_to_string(whatsup_bench::artifact("paper")).expect("artifact written");
+    let artifact = serde::json::parse(&text).expect("valid JSON");
+    assert_eq!(
+        artifact.get("scale").and_then(|s| s.as_f64()),
+        Some(paper::DEFAULT_SCALE)
+    );
+    let cell = |id: &str, key: &str, field: &str| {
+        let cell = artifact.get("ids")?.get(id)?.get(key)?;
+        cell.get(field)?.as_f64()
+    };
+    assert_eq!(cell("table2", "RPSvs", "value"), Some(30.0));
+    assert!(cell("table2", "RPSvs", "tol").is_some_and(|tol| tol > 0.0));
+    assert!(cell("table1", "survey.like_rate", "value").is_some_and(|rate| rate > 0.0));
+    // An unknown id or flag is a usage error, not a run.
+    for bad in ["table7", "--full"] {
+        assert_eq!(
+            paper::cli(&[bad.to_string()]),
+            std::process::ExitCode::from(2)
+        );
+    }
 }
 
 #[test]
 fn table1_driver_end_to_end() {
     let _alone = exclusive();
-    // table1 only generates datasets; safe at any scale.
-    let t = experiments::tables::table1();
-    assert_eq!(t.stats.len(), 3);
-    let rendered = t.render();
+    // Tables I and II need no simulation; safe at any scale.
+    let ids = ["table1", "table2"].map(String::from);
+    let ctx = paper::Ctx::new(0.1);
+    let entries = paper::select(&ctx, &ids, false).expect("known ids");
+    let results = paper::run(&ctx, &entries);
+    let boards: Vec<paper::Board> = entries
+        .iter()
+        .map(|e| e.board(&ctx, Some(&results), true))
+        .collect();
+    let value = |board: &paper::Board, key: &str| {
+        let pin = board.pins.iter().find(|p| p.key == key);
+        pin.unwrap_or_else(|| panic!("no pin {key}")).value
+    };
     for name in ["synthetic", "digg", "survey"] {
-        assert!(rendered.contains(name), "missing {name} in:\n{rendered}");
+        assert!(value(&boards[0], &format!("{name}.users")) >= 15.0);
+        assert!(value(&boards[0], &format!("{name}.news")) >= 20.0);
+    }
+    assert!(boards[0].text.contains("scale 0.10"), "{}", boards[0].text);
+    // Table II: the per-node defaults are the paper's.
+    assert_eq!(value(&boards[1], "RPSvs"), 30.0);
+    assert_eq!(value(&boards[1], "WUPvs_per_fLIKE"), 2.0);
+    assert_eq!(value(&boards[1], "profile_window"), 13.0);
+    assert_eq!(value(&boards[1], "BEEP_TTL"), 4.0);
+    for pin in &boards[1].pins {
+        assert_eq!(Some(pin.value), pin.paper, "{}", pin.key);
     }
 }
 
