@@ -40,11 +40,13 @@ fn bench_similarity(c: &mut Criterion) {
 /// One item profile ranked against the thirty snapshots of an RPS view —
 /// what every disliked first reception does (and, with ~70 candidates,
 /// every WUP merge): the pairwise merge-join per candidate versus the
-/// prepared one-vs-many scorer, build included. Ids are content hashes;
-/// the item profile rates a random 4/5 of a shared universe and a snapshot
-/// 13/20 of it, so ~80 % of a snapshot's items are common. `deep` is the
-/// paper regime (a 13-cycle window: ~160 against ~130 entries), `shallow`
-/// the scale regime (~33 against ~27). Every iteration takes the next of 64 different views: a
+/// prepared one-vs-many scorer, build included (the item profile's scores
+/// are quarters, so it is weighed against the snapshots' planes). Ids are
+/// content hashes; the item profile rates a random 4/5 of a shared
+/// universe and a snapshot 13/20 of it, so ~80 % of a snapshot's items are
+/// common. `deep` is the paper regime (a 13-cycle window: ~160 against
+/// ~130 entries), `shallow` the scale regime (~33 against ~27). Every
+/// iteration takes the next of 64 different views: a
 /// single repeated view would let the branch predictor learn the
 /// merge-join's compare sequence, which no real run offers it. The
 /// `planes_1x70` rows are the other one-vs-many call site, the WUP merge.

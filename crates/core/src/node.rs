@@ -328,7 +328,7 @@ impl WhatsUpNode {
         // Copy-on-write: touch the profile allocation only when the purge
         // would actually remove an entry.
         let cutoff = now.saturating_sub(self.params.profile_window);
-        if self.profile.entries().iter().any(|e| e.timestamp < cutoff) {
+        if self.profile.any_older_than(cutoff) {
             SharedProfile::make_mut(&mut self.profile).purge_older_than(cutoff);
             self.invalidate_shared();
         }
@@ -399,8 +399,8 @@ impl WhatsUpNode {
     /// The profile is prepared once for the ~70 candidates of the merge:
     /// snapshots with bit planes — any binary one that has been scored
     /// before, i.e. everything a view has held for a merge — are counted
-    /// against the profile's own planes, and [`Prepared`] builds its index
-    /// only for a candidate that has none.
+    /// against the profile's own planes, and one that has none is walked
+    /// pairwise.
     fn merge_wup(
         &mut self,
         received: Vec<Descriptor<SharedProfile>>,
@@ -504,7 +504,7 @@ impl WhatsUpNode {
         // actually remove something — the read-only scan is cheap and the
         // common case (all entries inside the window) stays zero-copy.
         let cutoff = now.saturating_sub(self.params.profile_window);
-        if msg.profile.entries().iter().any(|e| e.timestamp < cutoff) {
+        if msg.profile.any_older_than(cutoff) {
             SharedProfile::make_mut(&mut msg.profile).purge_older_than(cutoff);
         }
         let decision = beep::decide(

@@ -1,42 +1,64 @@
-//! Bit planes of a binary profile (see "Counting path for binary
-//! profiles" in [`crate::similarity`]).
+//! Bit planes of a binary profile, and the weights of a real-valued one
+//! (see "Counting path" in [`crate::similarity`]).
 //!
 //! A profile whose scores are all exactly 0 or 1 is two item sets — what
 //! it *rated* and what it *liked* — and every similarity sum between two
 //! such profiles is the size of an intersection. Stored as bit sets over a
 //! shared numbering of the items, an intersection is an `&` and a
-//! `count_ones` per 64 items instead of a walk of the entries.
+//! `count_ones` per 64 items instead of a walk of the entries, and a
+//! real-valued profile laid out over the same numbering ([`Weights`]) is
+//! summed by walking a binary candidate's set bits.
 //!
 //! The shared numbering is the **slot table**: one process-wide,
 //! append-only map item id → slot, slots handed out in order of first
 //! sight. It is process-wide because the two profiles of a score belong to
 //! different nodes (and, under the thread link, to shards on different
 //! threads) and must agree on the bit an item owns; it is consulted only
-//! while planes are *built* (when that happens is `Profile`'s decision,
-//! see `Profile::planes_when_rescored`), never while they are scored.
-//! Slot numbers depend on who asked first — on thread interleaving, even —
-//! and that must never show: planes only ever yield intersection *sizes*,
-//! which no renumbering changes.
+//! while a layout is *built* (when that happens is the caller's decision,
+//! see `Profile::planes_when_rescored`), never while it is scored. Slot
+//! numbers depend on who asked first — on thread interleaving, even — and
+//! that must never show: a layout only ever yields sums over an
+//! intersection, which no renumbering changes.
+//!
+//! Every BEEP orientation looks the item profile's ~90–300 ids up (and
+//! registers none: only [`Planes`] take the exclusive lock), so the
+//! table's hasher is on the news hot path, where SipHash cost more than
+//! counting saves. The ids are wire-supplied, so its replacement is keyed
+//! ([`IdHasher::keyed`]), and the table bounded whatever a peer sends.
 
+use crate::hash::IdHasher;
 use crate::item::ItemId;
-use crate::profile::ProfileEntry;
-// lint:allow(det-map) the slot table: probed by id, never iterated; slot numbers only ever yield counts
+use crate::profile::{ProfileEntry, Score};
+// lint:allow(det-map) the slot table: probed by id, never iterated; slot numbers only ever yield sums over intersections
 use std::collections::HashMap;
 use std::sync::{LazyLock, RwLock};
 
 /// Most item ids the slot table registers. Item ids arrive from the wire,
 /// so the table must not grow with what a peer sends: at this size it
 /// stays under 9 MiB (a 2¹⁹-bucket table at the standard map's ⅞ load),
-/// and a profile holding an id it has no room for gets no planes.
+/// and a profile holding an id it has no room for gets no layout.
 const SLOT_CAPACITY: usize = 7 << 16;
 
-// lint:allow(det-map) see the import: default (keyed) hasher because ids are wire-supplied
-static SLOTS: LazyLock<RwLock<HashMap<ItemId, u32>>> = LazyLock::new(RwLock::default);
+// lint:allow(det-map) see the import: keyed hasher because ids are wire-supplied
+type SlotMap = HashMap<ItemId, u32, IdHasher>;
+static SLOTS: LazyLock<RwLock<SlotMap>> =
+    LazyLock::new(|| RwLock::new(SlotMap::with_hasher(IdHasher::keyed())));
 
 /// Heap bytes of the slot table (memory diagnostics).
 pub fn slot_table_bytes() -> usize {
     let table = SLOTS.read().expect("slot table lock poisoned");
     table.capacity() * (std::mem::size_of::<(ItemId, u32)>() + 1)
+}
+
+/// The slot of `item`, the next free one if the table has never seen it
+/// (`None` if there is none).
+fn slot_or_next(table: &mut SlotMap, item: ItemId) -> Option<u32> {
+    let next = table.len();
+    if next < SLOT_CAPACITY {
+        Some(*table.entry(item).or_insert(next as u32))
+    } else {
+        table.get(&item).copied()
+    }
 }
 
 /// The slot of every entry, registering ids seen for the first time:
@@ -52,19 +74,32 @@ fn slots_of(entries: &[ProfileEntry]) -> Option<Vec<u32>> {
     if slots.len() < entries.len() {
         let mut table = SLOTS.write().expect("slot table lock poisoned");
         for e in &entries[slots.len()..] {
-            let next = table.len();
-            let slot = match table.get(&e.item) {
-                Some(&slot) => slot,
-                None if next < SLOT_CAPACITY => {
-                    table.insert(e.item, next as u32);
-                    next as u32
-                }
-                None => return None,
-            };
-            slots.push(slot);
+            slots.push(slot_or_next(&mut table, e.item)?);
         }
     }
     Some(slots)
+}
+
+/// The words `first..end` of 64 slots that `slots` touch — unless they
+/// were first seen so far apart that the span holds more words than there
+/// are slots: such a profile is cheaper to walk than to lay out, and the
+/// bound keeps wire-supplied ids from sizing an allocation.
+fn word_span(slots: impl Iterator<Item = u32> + Clone) -> Option<(u32, u32)> {
+    let first = slots.clone().min().map_or(0, |s| s / 64);
+    let end = slots.clone().max().map_or(0, |s| s / 64 + 1);
+    ((end - first) as usize <= slots.count()).then_some((first, end))
+}
+
+/// The words two layouts have in common, pair by pair: `a[0]` is word
+/// `a_first` of the untrimmed layout, `b[0]` word `b_first`.
+fn shared_words<'a, A, B>(
+    (a_first, a): (u32, &'a [A]),
+    (b_first, b): (u32, &'a [B]),
+) -> impl Iterator<Item = (&'a A, &'a B)> {
+    let from = a_first.max(b_first);
+    let a = a.get((from - a_first) as usize..).unwrap_or_default();
+    a.iter()
+        .zip(b.get((from - b_first) as usize..).unwrap_or_default())
 }
 
 /// The rated and liked item sets of one binary profile, as bit sets over
@@ -81,18 +116,12 @@ pub(crate) struct Planes {
 impl Planes {
     /// Planes of `entries`, whose scores must all be `0` or `1`. Declines
     /// (`None`) when the slot table has no room for one of the ids, and
-    /// when the ids were first seen so far apart that the planes would
-    /// span more words than the profile has entries — such a profile is
-    /// cheaper to walk than to count.
+    /// when the planes would span more words than the profile has entries
+    /// (see [`word_span`]).
     pub(crate) fn build(entries: &[ProfileEntry]) -> Option<Self> {
         let slots = slots_of(entries)?;
-        let first_word = slots.iter().min().map_or(0, |s| s / 64);
-        let end_word = slots.iter().max().map_or(0, |s| s / 64 + 1);
-        let span = (end_word - first_word) as usize;
-        if span > entries.len() {
-            return None;
-        }
-        let mut words = vec![[0u64; 2]; span].into_boxed_slice();
+        let (first_word, end_word) = word_span(slots.iter().copied())?;
+        let mut words = vec![[0u64; 2]; (end_word - first_word) as usize].into_boxed_slice();
         for (e, slot) in entries.iter().zip(slots) {
             let word = &mut words[(slot / 64 - first_word) as usize];
             let bit = 1u64 << (slot % 64);
@@ -107,24 +136,23 @@ impl Planes {
     /// `(|liked ∩ cand.liked|, |liked ∩ cand.rated|)`: for binary profiles
     /// the metrics' `Σ pn·pc` and `Σ pn²` over the common items.
     pub(crate) fn overlap(&self, cand: &Planes) -> (u32, u32) {
-        let from = self.first_word.max(cand.first_word);
-        let to = self.end_word().min(cand.end_word());
-        if from >= to {
-            return (0, 0);
-        }
-        let own = &self.words[(from - self.first_word) as usize..(to - self.first_word) as usize];
-        let theirs =
-            &cand.words[(from - cand.first_word) as usize..(to - cand.first_word) as usize];
         let (mut both_liked, mut liked_and_rated) = (0, 0);
-        for ([_, liked], [cand_rated, cand_liked]) in own.iter().zip(theirs) {
+        let shared = shared_words(
+            (self.first_word, &self.words),
+            (cand.first_word, &cand.words),
+        );
+        for ([_, liked], [cand_rated, cand_liked]) in shared {
             both_liked += (liked & cand_liked).count_ones();
             liked_and_rated += (liked & cand_rated).count_ones();
         }
         (both_liked, liked_and_rated)
     }
 
-    fn end_word(&self) -> u32 {
-        self.first_word + self.words.len() as u32
+    /// One past the highest slot the profile rates: its last word is that
+    /// slot's, so never empty.
+    fn end_slot(&self) -> u32 {
+        let end = 64 * (self.first_word + self.words.len() as u32);
+        self.words.last().map_or(0, |w| end - w[0].leading_zeros())
     }
 
     /// Heap bytes of the planes (memory diagnostics).
@@ -133,9 +161,132 @@ impl Planes {
     }
 }
 
+/// The fixed-point unit of [`Weights`]: a score is `q / ONE`.
+const ONE: u32 = 1 << 20;
+
+/// Most entries a weighed profile may have: with `q ≤ 2²⁰` a sum of this
+/// many `q²` stays at or below 2⁵³, where f64 still holds every integer.
+const MAX_WEIGHED: usize = 1 << 13;
+
+/// `score · 2²⁰` if that is a whole number in `0..=2²⁰`. The round trip is
+/// compared by bits, which also turns NaN and `-0.0` away.
+fn fixed_point(score: f32) -> Option<u32> {
+    let scaled = score * ONE as f32;
+    // Saturating; NaN becomes 0. `q ≤ 2²⁰` converts back exactly.
+    let q = scaled as u32;
+    (q <= ONE && (q as f32).to_bits() == scaled.to_bits()).then_some(q)
+}
+
+thread_local! {
+    /// The allocation of the last [`Weights`] dropped on this thread, for
+    /// the next to build in: they live for one BEEP orientation each, and
+    /// KiB-sized blocks bought and returned at that rate fragment the heap.
+    static SCRATCH: std::cell::Cell<Vec<[u32; 64]>> = const { std::cell::Cell::new(Vec::new()) };
+}
+
+/// A real-valued profile laid out by slot, to be summed against the planes
+/// of binary candidates. Its ids arrive with every news frame, so unlike
+/// [`Planes`] it registers none and leaves out what the table does not
+/// know (see "Only what is scored again registers ids" in
+/// [`crate::similarity`]).
+pub(crate) struct Weights {
+    /// Position of `q[0]` in the untrimmed layout, as in [`Planes`].
+    first_word: u32,
+    /// Per 64 consecutive slots, `score · 2²⁰` of the entry owning each
+    /// slot; 0 for a slot no entry owns, which then adds nothing to a sum.
+    q: Vec<[u32; 64]>,
+    /// The size of the slot table when an id was left out: planes that end
+    /// below it cannot rate that id. `u32::MAX` when none was.
+    complete_below: u32,
+}
+
+impl Drop for Weights {
+    fn drop(&mut self) {
+        // What a hostile profile with far-apart slots blew up is not worth
+        // pinning; honest ones need a fraction of this.
+        if self.q.capacity() <= 1 << 10 {
+            SCRATCH.set(std::mem::take(&mut self.q));
+        }
+    }
+}
+
+impl Weights {
+    /// Weights of `entries` over the ids the slot table knows. Declines
+    /// (`None`) unless every score is a whole multiple of 2⁻²⁰ in `[0, 1]`
+    /// and there are at most 2¹³ of them — what makes [`Self::sums`] exact
+    /// — and when the layout would span more words than it places entries
+    /// (see [`word_span`]).
+    pub(crate) fn build(entries: &[ProfileEntry]) -> Option<Self> {
+        if entries.len() > MAX_WEIGHED || entries.iter().any(|e| fixed_point(e.score).is_none()) {
+            return None;
+        }
+        let table = SLOTS.read().expect("slot table lock poisoned");
+        let placed: Vec<(u32, Score)> = entries
+            .iter()
+            .filter_map(|e| Some((*table.get(&e.item)?, e.score)))
+            .collect();
+        let complete = placed.len() == entries.len();
+        let complete_below = if complete {
+            u32::MAX
+        } else {
+            table.len() as u32
+        };
+        drop(table);
+        let (first_word, end_word) = word_span(placed.iter().map(|&(slot, _)| slot))?;
+        let mut q = SCRATCH.take();
+        q.clear();
+        q.resize((end_word - first_word) as usize, [0; 64]);
+        for (slot, score) in placed {
+            q[(slot / 64 - first_word) as usize][(slot % 64) as usize] =
+                fixed_point(score).expect("checked above");
+        }
+        Some(Self {
+            first_word,
+            q,
+            complete_below,
+        })
+    }
+
+    /// The metrics' `(Σ pn·pc, Σ pn²)` over the items `cand` rated, as the
+    /// reference's f64 accumulation yields them, bit for bit (see
+    /// "Exactness of weights" in [`crate::similarity`]) — `None` for a
+    /// candidate that may rate an id this layout left out. Walks the set
+    /// bits of the candidate's `rated` plane; whether an item is liked is
+    /// a mask, not a branch.
+    pub(crate) fn sums(&self, cand: &Planes) -> Option<(f64, f64)> {
+        if cand.end_slot() > self.complete_below {
+            return None;
+        }
+        let (mut dot, mut sub_norm2) = (0u64, 0u64);
+        let shared = shared_words((self.first_word, &self.q), (cand.first_word, &cand.words));
+        for (q, [rated, liked]) in shared {
+            let mut rest = *rated;
+            while rest != 0 {
+                let bit = rest.trailing_zeros() % 64;
+                rest &= rest - 1;
+                let weight = u64::from(q[bit as usize]);
+                sub_norm2 += weight * weight;
+                dot += weight & 0u64.wrapping_sub(liked >> bit & 1);
+            }
+        }
+        let unit = 1.0 / f64::from(ONE);
+        Some((dot as f64 * unit, sub_norm2 as f64 * (unit * unit)))
+    }
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Registers `ids` in the order given under one hold of the exclusive
+    /// lock: never-seen ids get consecutive slots in that order, whatever the
+    /// other tests of the process register meanwhile.
+    pub(crate) fn register_in_order(ids: impl IntoIterator<Item = ItemId>) {
+        let mut table = SLOTS.write().expect("slot table lock poisoned");
+        for id in ids {
+            slot_or_next(&mut table, id).expect("room in the slot table");
+        }
+    }
 
     fn entries(ids: impl IntoIterator<Item = u64>) -> Vec<ProfileEntry> {
         ids.into_iter()
@@ -185,5 +336,108 @@ mod tests {
         assert_eq!(empty.overlap(&all), (0, 0));
         assert_eq!(all.overlap(&empty), (0, 0));
         assert_eq!(empty.heap_bytes(), 0);
+    }
+
+    #[test]
+    fn fixed_point_takes_whole_multiples_of_two_to_the_minus_twenty_only() {
+        let unit = 0.5f32.powi(20);
+        assert_eq!(fixed_point(0.0), Some(0));
+        assert_eq!(fixed_point(unit), Some(1));
+        assert_eq!(fixed_point(0.5 + unit), Some((1 << 19) + 1));
+        assert_eq!(fixed_point(1.0), Some(ONE));
+        let not_one = [
+            unit / 2.0,
+            1.5 * unit,
+            1.0 + f32::EPSILON,
+            2.0,
+            -0.0,
+            -unit,
+            f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        for score in not_one {
+            assert_eq!(fixed_point(score), None, "{score}");
+        }
+    }
+
+    #[test]
+    fn weights_are_summed_over_the_shared_words_only() {
+        let base = 3u64 << 40;
+        Planes::build(&entries(base..base + 640)).expect("room for 640 ids");
+        // Scores k/16 by item id, zero included.
+        let weighed = |ids: std::ops::Range<u64>| -> Vec<ProfileEntry> {
+            let scored = |item| ProfileEntry {
+                item,
+                timestamp: 0,
+                score: (item % 17) as f32 / 16.0,
+            };
+            (base + ids.start..base + ids.end)
+                .step_by(2)
+                .map(scored)
+                .collect()
+        };
+        let sums_by_search = |own: &[ProfileEntry], cand: &[ProfileEntry]| {
+            let (mut dot, mut sub_norm2) = (0.0f64, 0.0f64);
+            for c in cand {
+                if let Some(e) = own.iter().find(|e| e.item == c.item) {
+                    dot += e.score as f64 * c.score as f64;
+                    sub_norm2 += e.score as f64 * e.score as f64;
+                }
+            }
+            (dot, sub_norm2)
+        };
+        let spans = [0..640u64, 0..100, 50..300, 290..640, 600..640];
+        for a in &spans {
+            let own = weighed(a.clone());
+            let own_weights = Weights::build(&own).expect("dense span of sixteenths");
+            for b in &spans {
+                let cand = entries((base + b.start..base + b.end).step_by(5));
+                let cand_planes = Planes::build(&cand).expect("dense span");
+                assert_eq!(
+                    own_weights.sums(&cand_planes),
+                    Some(sums_by_search(&own, &cand)),
+                    "{a:?} against {b:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn weights_register_nothing_and_turn_away_planes_laid_out_since() {
+        let base = 4u64 << 40;
+        let known = |table: &SlotMap, id: u64| table.contains_key(&id);
+        register_in_order(base..base + 64);
+        let before = Planes::build(&entries(base..base + 64)).expect("one step");
+        // Half an item profile the table knows, half it has never seen.
+        let halves = |score: f32| -> Vec<ProfileEntry> {
+            let scored = |item| ProfileEntry {
+                item,
+                timestamp: 0,
+                score,
+            };
+            (base + 32..base + 96).map(scored).collect()
+        };
+        let weights = Weights::build(&halves(0.75)).expect("32 entries in two words at most");
+        assert!(!known(&SLOTS.read().unwrap(), base + 64));
+        assert_eq!(weights.sums(&before), Some((0.75 * 21.0, 0.5625 * 32.0)));
+        // A candidate that registers ids of the other half rates what the
+        // weights left out, and any other laid out since may, for all they
+        // know; one laid out before cannot.
+        let since = Planes::build(&entries(base + 64..base + 74)).expect("one step");
+        let unrelated = Planes::build(&entries((5 << 40)..(5 << 40) + 3)).expect("one step");
+        assert_eq!(weights.sums(&since), None);
+        assert_eq!(weights.sums(&unrelated), None);
+        assert_eq!(weights.sums(&before), Some((0.75 * 21.0, 0.5625 * 32.0)));
+        // Weights that left nothing out turn nobody away.
+        let complete = Weights::build(&halves(0.5)[32..42]).expect("one step");
+        assert_eq!(complete.sums(&since), Some((0.5 * 7.0, 0.25 * 10.0)));
+        assert_eq!(complete.sums(&unrelated), Some((0.0, 0.0)));
+        // Nor do weights that know no id at all: nothing to sum.
+        let strangers = Weights::build(&entries((6 << 40)..(6 << 40) + 9)).expect("scores 0, 1");
+        assert_eq!(strangers.sums(&before), Some((0.0, 0.0)));
+        assert!(!known(&SLOTS.read().unwrap(), 6 << 40));
     }
 }

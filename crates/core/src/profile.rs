@@ -245,11 +245,6 @@ impl Profile {
         if entries.windows(2).any(|w| w[0].item >= w[1].item) {
             return Self::from_entries(entries);
         }
-        Self::from_sorted(entries)
-    }
-
-    /// Wraps entries already sorted by strictly ascending item id.
-    fn from_sorted(entries: Vec<ProfileEntry>) -> Self {
         let mut p = Self {
             entries,
             ..Self::default()
@@ -259,25 +254,27 @@ impl Profile {
     }
 
     /// Recomputes the memoized derived state (norm, fingerprint, like and
-    /// non-binary counts) in one fused scan and drops the planes. The norm
-    /// accumulator runs the exact op sequence of [`norm_of`] (ascending
-    /// entry order, `sum += s·s`, then `sqrt`), so the cache stays
-    /// bit-identical to the reference recompute; the fingerprint is an
-    /// OR-fold and is order-independent by construction.
+    /// non-binary counts) and drops the planes.
     fn recompute_norm(&mut self) {
+        self.fingerprint = fingerprint_of(&self.entries);
+        self.recompute_scores();
+    }
+
+    /// [`Self::recompute_norm`] for a caller that knows the fingerprint.
+    /// The norm accumulator runs the exact op sequence of [`norm_of`]
+    /// (ascending entry order, `sum += s·s`, then `sqrt`), so the cache
+    /// stays bit-identical to the reference recompute.
+    fn recompute_scores(&mut self) {
         let mut sum = 0.0f64;
-        let mut fp = 0u128;
         let (mut likes, mut non_binary) = (0, 0);
         for e in &self.entries {
             let s = e.score as f64;
             sum += s * s;
-            fp |= fingerprint_bit(e.item);
             likes += u32::from(e.score > 0.5);
             non_binary += u32::from(!is_binary(e.score));
         }
         let n = sum.sqrt();
         self.norm = if n == 0.0 { 0.0 } else { n };
-        self.fingerprint = fp;
         self.likes = likes;
         self.non_binary = non_binary;
         self.drop_planes();
@@ -413,15 +410,7 @@ impl Profile {
     }
 
     /// Folds an entire user profile into this item profile (Algorithm 1,
-    /// lines 3–4 and 15–16).
-    ///
-    /// Runs as one linear merge of the two sorted entry vectors rather than
-    /// per-entry binary-search inserts: the fold is the hottest profile
-    /// mutation (every liked reception executes it), and repeated
-    /// mid-vector inserts are O(n·m) in memmoves. The merge applies the
-    /// exact per-item rule of [`Self::add_to_news_profile`] (average the
-    /// score, keep the freshest timestamp), so the resulting entries — and
-    /// the recomputed derived state — are identical to the sequential fold.
+    /// lines 3–4 and 15–16): [`Self::aggregated_with`], in place.
     pub fn aggregate_user_profile(&mut self, user: &Profile) {
         if user.is_empty() {
             return;
@@ -429,14 +418,18 @@ impl Profile {
         *self = self.aggregated_with(user);
     }
 
-    /// [`Self::aggregate_user_profile`] as a pure function: returns the
-    /// merged profile, leaving `self` untouched. The copy-on-write news path
-    /// builds the next hop's item profile directly from a shared (`Arc`ed)
-    /// predecessor with this, instead of deep-cloning the predecessor only
-    /// to overwrite the clone's entries.
+    /// This item profile with an entire user profile folded in, leaving
+    /// `self` untouched: the copy-on-write news path builds the next hop's
+    /// item profile straight from a shared (`Arc`ed) predecessor. Every
+    /// liked reception runs it, so it is one linear merge of the two sorted
+    /// entry vectors under the per-item rule of
+    /// [`Self::add_to_news_profile`] — entries and derived state are those
+    /// of folding the user's entries in one by one.
+    ///
+    /// The merged item set is the union of the two, so its fingerprint is
+    /// the OR of theirs; only the score-derived state is rescanned.
     pub fn aggregated_with(&self, user: &Profile) -> Profile {
-        let a = &self.entries;
-        let b = user.entries();
+        let (a, b) = (self.entries(), user.entries());
         let mut merged = Vec::with_capacity(a.len() + b.len());
         let (mut i, mut j) = (0, 0);
         while i < a.len() && j < b.len() {
@@ -463,24 +456,31 @@ impl Profile {
         }
         merged.extend_from_slice(&a[i..]);
         merged.extend_from_slice(&b[j..]);
-        Self::from_sorted(merged)
+        let mut p = Self {
+            entries: merged,
+            fingerprint: self.fingerprint | user.fingerprint,
+            ..Self::default()
+        };
+        p.recompute_scores();
+        p
     }
 
     /// Removes entries strictly older than `cutoff` (profile window, §II-E).
     /// `cutoff = now - window`; an entry stamped exactly at the cutoff
     /// survives.
     pub fn purge_older_than(&mut self, cutoff: Timestamp) {
-        // Unsigned timestamps are never below zero, so a zero cutoff (every
-        // run whose clock has not yet passed the window length) retains
-        // everything — skip the scan.
-        if cutoff == 0 {
-            return;
-        }
-        let before = self.entries.len();
-        self.entries.retain(|e| e.timestamp >= cutoff);
-        if self.entries.len() != before {
+        if self.any_older_than(cutoff) {
+            self.entries.retain(|e| e.timestamp >= cutoff);
             self.recompute_norm();
         }
+    }
+
+    /// Whether [`Self::purge_older_than`] would remove an entry — asked
+    /// before copying a shared profile to purge it. Unsigned timestamps are
+    /// never below zero, so a zero cutoff (every run whose clock has not yet
+    /// passed the window length) skips the scan.
+    pub(crate) fn any_older_than(&self, cutoff: Timestamp) -> bool {
+        cutoff > 0 && self.entries.iter().any(|e| e.timestamp < cutoff)
     }
 
     /// Item ids the profile *likes* (score > 0.5 — exact 1.0 for user
@@ -514,6 +514,12 @@ impl Profile {
             .as_ref()
     }
 
+    /// Whether every score is exactly `0` or `1` — what [`Self::rate`]
+    /// builds, and the only kind of profile that can have planes.
+    pub(crate) fn is_binary(&self) -> bool {
+        self.non_binary == 0
+    }
+
     /// Whether [`Self::planes`] can still answer `Some`: the profile is
     /// binary and no build has declined. Decided from memoized state —
     /// nothing is built, no lock is taken.
@@ -522,13 +528,9 @@ impl Profile {
     }
 
     /// The planes a *candidate* is scored with: those it has, or — from
-    /// the second time it is asked — [`Self::planes`]. A build costs
-    /// several entry walks (every id is looked up in the slot table), so
-    /// it pays only for an allocation that is scored again and again: a
-    /// snapshot held in a view is, one decoded from a frame and dropped
-    /// after the merge it arrived for is not, and neither is told apart
-    /// by anything but being asked twice. The first ask answers `None`
-    /// and the caller walks the entries — same bits.
+    /// the second time it is asked — [`Self::planes`] (see "Built for what
+    /// is scored again" in `crate::similarity`). The first ask answers
+    /// `None` and the caller walks the entries — same bits.
     pub(crate) fn planes_when_rescored(&self) -> Option<&Planes> {
         if self.non_binary != 0 {
             return None;
@@ -716,6 +718,44 @@ mod tests {
                     .sqrt();
                 prop_assert_eq!(profile.norm(), expected, "cache must be exact");
             }
+        }
+
+        /// The one-pass merge against the definition it replaces: folding
+        /// the user's entries in one at a time with `add_to_news_profile`.
+        /// Entries (scores by bits), norm bits, fingerprint, like count and
+        /// binariness must all agree, whichever side is empty, shorter or
+        /// runs out first, and whether the user's scores are the ratings a
+        /// node folds or the averages of another item profile.
+        #[test]
+        fn aggregated_with_equals_the_sequential_fold(
+            item in prop::collection::vec((0u64..120, 0u32..50, 0u32..9), 0..100),
+            user in prop::collection::vec((0u64..120, 0u32..50, 0u32..9), 0..100),
+            user_is_binary in prop::bool::ANY,
+        ) {
+            let item = Profile::from_entries(
+                item.iter().map(|&(i, t, eighths)| e(i, t, eighths as f32 / 8.0)),
+            );
+            let user = Profile::from_entries(user.iter().map(|&(i, t, eighths)| {
+                let score = if user_is_binary { (eighths % 2) as f32 } else { eighths as f32 / 8.0 };
+                e(i, t, score)
+            }));
+            let merged = item.aggregated_with(&user);
+            let mut folded = item.clone();
+            for &entry in user.entries() {
+                folded.add_to_news_profile(entry);
+            }
+            let bits = |p: &Profile| -> Vec<(ItemId, Timestamp, u32)> {
+                p.entries().iter().map(|x| (x.item, x.timestamp, x.score.to_bits())).collect()
+            };
+            prop_assert_eq!(bits(&merged), bits(&folded));
+            prop_assert_eq!(merged.norm().to_bits(), folded.norm().to_bits());
+            prop_assert_eq!(merged.fingerprint(), folded.fingerprint());
+            prop_assert_eq!(merged.fingerprint, fingerprint_of(merged.entries()));
+            prop_assert_eq!(merged.like_count(), folded.like_count());
+            prop_assert_eq!(merged.non_binary, folded.non_binary);
+            let mut in_place = item.clone();
+            in_place.aggregate_user_profile(&user);
+            prop_assert_eq!(bits(&in_place), bits(&folded));
         }
 
         /// The incrementally kept counts — and the binary profile's norm

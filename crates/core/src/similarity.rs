@@ -56,108 +56,102 @@
 //! first reception. The pairwise functions above re-walk the fixed profile
 //! for every candidate, and their merge-join is bound by the branch
 //! predictor, not by memory: two ~130-entry profiles sharing ~80 % of
-//! their items turn the three-way `cmp` into a near coin flip, ~1.3 µs per
-//! pair where the same loop over identical profiles takes ~0.4 µs.
-//! [`Prepared`] pays for the fixed side once — a hash index item id →
-//! score — and then scores a candidate in one walk of the *candidate's*
-//! entries: look the id up (four compares, conditional moves), multiply,
-//! add. No branch in that loop depends on the data (~0.35 µs per 130-entry
-//! candidate, build included). It is what the two hot call sites use
-//! (`WhatsUpNode`'s WUP merge and `beep::select_most_similar_k`);
-//! everything else keeps the pairwise functions.
+//! their items turn the three-way `cmp` into a near coin flip. The two
+//! hot call sites (`WhatsUpNode`'s WUP merge, `beep::select_most_similar_k`)
+//! use [`Prepared`], which pays for the fixed side once and then scores a
+//! candidate without walking either entry vector — on the counting path
+//! below whenever the two profiles allow it, pairwise when they do not.
+//! That makes three ways to score a pair: the counting path, the pairwise
+//! join, and the scan-only [`reference`] tests hold both to, bit for bit.
 //!
-//! * **Bit-identity.** f64 addition is not associative, so the sums must
-//!   run over the common items in the reference's order: ascending item
-//!   id. That *is* the order of the candidate's entries, so the walk adds
-//!   the same products in the same sequence. An item the fixed profile
-//!   does not rate is not skipped (that would be the branch) but reads the
-//!   score `+0.0` and contributes `±0.0` to both sums — which leaves an
-//!   accumulator that started at `+0.0` unchanged, since a sum of two
-//!   terms is `-0.0` only when both are.
-//! * **Finite-score precondition.** `0.0 · sb` is a zero only for finite
-//!   `sb`. Scores are finite by the [`Profile`] invariant — the wire codec
-//!   rejects anything else — and a candidate whose norm says otherwise
-//!   takes the pairwise path, so the identity holds for every input.
-//! * **One index per call, none per node.** An index is tens of KiB (two
-//!   64-byte buckets per entry) against the ~2 KiB of the profile it is
-//!   built from; hundreds of nodes each keeping one would multiply a
-//!   shard's resident set. It lives for one merge or one orientation, is
-//!   built lazily (a merge whose candidates are all counted — see below —
-//!   or rejected by their fingerprints builds nothing), and its
-//!   allocation is handed from one index to the next through a per-thread
-//!   spare.
-//! * **It declines rather than degrades.** A bucket holds four entries;
-//!   if a fifth hashes there the table is doubled once, and if that does
-//!   not help (ids crafted to collide) the scorer falls back to the
-//!   pairwise join for that profile — same bits, the old speed.
-//!
-//! ## Counting path for binary profiles
+//! ## Counting path
 //!
 //! A *user* profile only ever holds the scores 1 (like) and 0 (dislike)
-//! (§II-B); real values exist only in *item* profiles. In a WUP merge both
-//! sides of every score are user profiles, so the two sums are **counts**
-//! — `dot = |liked_n ∩ liked_c|`, `‖sub(Pn,Pc)‖² = |liked_n ∩ rated_c|` —
-//! and [`Prepared`] counts them instead of walking entries whenever both
-//! profiles have *bit planes*: a rated set and a liked set as bit sets
-//! (`crate::planes`), intersected 64 items at a time with an `&` and a
-//! `count_ones`. Jaccard is counted the same way (`common = dot`,
-//! `union = likes_n + likes_c − dot`). Nothing selects the path but the
-//! two profiles themselves; the fingerprint rejection stays in front, and
-//! the counts feed the same `ratio(..)` expressions, with the same
-//! memoized norms, as the walked sums.
+//! (§II-B); real values exist only in *item* profiles, as averages of 0/1
+//! votes. Every candidate of either call site is a user profile, so both
+//! sums run over the items the candidate rated and read them off *bit
+//! planes* — its rated set and its liked set as bit sets (`crate::planes`):
 //!
-//! * **Exactness.** With every score in `{0, 1}` each product `pn·pc` and
-//!   `pn·pn` is 0 or 1, so every partial sum of the reference's
-//!   accumulation is an integer below 2⁵³: representable, hence exact,
-//!   hence independent of the order of the additions. The count *is* the
-//!   reference's sum, bit for bit. A `-0.0` score counts as 0 (it is rated
-//!   and not liked): its products are `±0.0` terms, which leave an
-//!   accumulator that started at `+0.0` unchanged. No common item gives
-//!   `ratio(0, 0) = +0.0`, what the fingerprint rejection returns.
-//! * **Planes belong to the profile.** They are derived state of a
-//!   [`Profile`] allocation — built on demand, never serialized or
-//!   compared, dropped by every mutation — so every view slot and message
-//!   pinning a snapshot shares one pair, and a node keeps no scoring state
-//!   of its own. A pair is 16 bytes per 64 slots spanned: a few words
-//!   beside a KiB-sized entry vector.
-//! * **Built for what is scored again.** Building planes looks every id
-//!   up in the slot table, which costs several walks of the entries; it
-//!   pays for an allocation scored many times — a node's own profile
-//!   (the fixed side of ~60 scores per merge, and with obfuscation off
-//!   the very allocation its neighbours' views hold), a snapshot sitting
-//!   in a view — and not for one scored once: a descriptor decoded from a
-//!   frame, ranked in the merge it arrived for and dropped. So the fixed
-//!   side's planes are built as soon as one candidate has planes to count
-//!   against, and a *candidate's* the second time a scorer meets it; its
-//!   first score is walked. (Building eagerly made runs whose shards
-//!   exchange encoded bundles up to 2× slower: every cross-shard
-//!   descriptor is a fresh allocation.) Which of the two exact paths a
-//!   score took is history; its bits are not.
-//! * **Slots are process-wide, and their numbering is invisible.** Two
-//!   profiles can only be intersected if an item owns the same bit in
-//!   both, so item ids map to bit positions through one process-wide
-//!   append-only table, in order of first sight. That order depends on
-//!   which node — under the thread link, which *thread* — asked first;
-//!   it cannot reach a result because only intersection sizes leave the
-//!   planes, and a renumbering of the items changes no set's size. The
-//!   table is read while planes are built (one shared-lock pass per
-//!   profile; the exclusive lock only for a never-seen id) and not at all
-//!   while they are scored.
-//! * **It declines rather than degrades.** A profile gets no planes — and
-//!   is scored on the index or pairwise, same bits — when a score is
-//!   neither 0 nor 1; when its ids were first seen so far apart that the
-//!   planes would span more words than it has entries; and when the slot
-//!   table, which is bounded by a constant so that wire-supplied ids
-//!   cannot grow a peer without limit, is full and does not know one of
-//!   its ids — and since a candidate registers its ids only when scored a
-//!   second time, a peer's one-shot descriptors never reach the table.
-//!   The fixed side is tested first: a real-valued item profile (BEEP
-//!   orientation) answers "no planes" from a memoized count, and none of
-//!   its 30 candidates gets planes built on its account.
+//! * **Binary fixed side (WUP merge): counts.** `dot = |liked_n ∩
+//!   liked_c|`, `‖sub(Pn,Pc)‖² = |liked_n ∩ rated_c|`: planes against
+//!   planes, 64 items to an `&` and a `count_ones`. Jaccard likewise
+//!   (`common = dot`, `union = likes_n + likes_c − dot`).
+//! * **Real-valued fixed side (BEEP orientation): integer weights.** The
+//!   item profile is laid out by slot once per [`Prepared`],
+//!   `q[slot] = score · 2²⁰`, and a candidate is scored by walking the set
+//!   bits of its `rated` plane: `‖sub‖² += q²`, and `dot += q` where the
+//!   `liked` bit is set (a mask, not a branch). A slot the item profile
+//!   does not rate holds 0. Jaccard needs the common *likes*, which
+//!   weights do not give, and stays pairwise.
+//!
+//! Nothing selects a path but the two profiles themselves; the fingerprint
+//! rejection stays in front, and the sums feed the same `ratio(..)`
+//! expressions, with the same memoized norms, as the walked ones.
+//!
+//! * **Exactness of counts.** With every score in `{0, 1}` each product
+//!   `pn·pc` and `pn·pn` is 0 or 1, so every partial sum of the
+//!   reference's accumulation is an integer below 2⁵³: representable,
+//!   hence exact, hence independent of the order of the additions. The
+//!   count *is* the reference's sum, bit for bit. A `-0.0` score counts as
+//!   0 (it is rated and not liked): its products are `±0.0` terms, which
+//!   leave an accumulator that started at `+0.0` unchanged. No common item
+//!   gives `ratio(0, 0) = +0.0`, what the fingerprint rejection returns.
+//! * **Exactness of weights.** The same argument with units. If every
+//!   fixed score is `q · 2⁻²⁰` for an integer `0 ≤ q ≤ 2²⁰`, then against
+//!   a 0/1 candidate every `pn·pc` is `q · 2⁻²⁰` or a zero and every `pn²`
+//!   is `q² · 2⁻⁴⁰`; with at most 2¹³ entries every partial sum of the
+//!   reference is a whole number of such units no greater than 2⁵³ —
+//!   exact, hence order-free — and `(Σq) · 2⁻²⁰`, `(Σq²) · 2⁻⁴⁰` are its
+//!   bits. Item profiles qualify by construction: `addToNewsProfile`
+//!   halves, so a score that met `k` opinions is a multiple of 2⁻ᵏ, and no
+//!   copy's path in any perfbench workload holds twenty likers (the build
+//!   declined nothing there). It checks both conditions all the same.
+//! * **Planes belong to the profile, weights to the scorer.** Planes are
+//!   derived state of a [`Profile`] allocation — built on demand, never
+//!   serialized or compared, dropped by every mutation — so every view
+//!   slot and message pinning a snapshot shares one pair (16 bytes per 64
+//!   slots spanned), and a node keeps no scoring state of its own. An item
+//!   profile is oriented by one node, once, then forwarded: its weights
+//!   (256 bytes per 64 slots) live for that orientation, in a per-thread
+//!   scratch allocation handed from one scorer to the next.
+//! * **Built for what is scored again.** Building looks every id up in
+//!   the slot table, which costs several walks of the entries; it pays for
+//!   a node's own profile or a snapshot sitting in a view, not for a
+//!   descriptor decoded from a frame, ranked once and dropped. So the fixed
+//!   side is laid out as soon as one candidate has planes to be scored
+//!   with, and a *candidate* the second time a scorer meets it; its first
+//!   score is walked. (Building eagerly made runs whose shards exchange
+//!   encoded bundles up to 2× slower.) Which of the exact paths a score
+//!   took is history; its bits are not.
+//! * **Only what is scored again registers ids.** Item ids map to bit
+//!   positions through one process-wide, append-only, bounded table, in
+//!   order of first sight (see `crate::planes`; the numbering cannot reach
+//!   a result, since only sums over an intersection leave a layout). Planes
+//!   register their ids, so a peer's one-shot descriptors never reach the
+//!   table. An item profile, which arrives with every news frame, registers
+//!   nothing: its weights are laid out over the ids the table knows. That
+//!   loses no term — a candidate has planes only once every id it holds
+//!   has a slot — except to a candidate laid out *after* the weights (its
+//!   second sight falling inside this orientation), which may have
+//!   registered an id they left out: such weights remember how large the
+//!   table was and turn away planes that reach beyond. (An item profile
+//!   still binary — its source's own snapshot — is a binary fixed side
+//!   like any other, and gets planes.)
+//! * **It declines rather than degrades.** A pair is walked pairwise —
+//!   same bits, the merge-join's speed — when the candidate has no planes
+//!   (a score that is neither 0 nor 1, a first meeting, an id the full
+//!   table does not know) or was laid out after weights that left an id
+//!   out; when the fixed side holds a score that is no whole multiple of
+//!   2⁻²⁰ in `[0, 1]` (`-0.0` and non-finite values included) or more than
+//!   2¹³ entries; and when either side's ids were first seen so far apart
+//!   that its layout would span more 64-slot words than it has entries,
+//!   which also keeps wire-supplied ids from sizing an allocation. A fixed
+//!   side that declined is not asked again by the same scorer, and no
+//!   candidate gets planes built on its account.
 
+use crate::planes::Weights;
 use crate::profile::Profile;
 use serde::{Deserialize, Serialize};
-use std::hint::select_unpredictable;
 
 /// Metric selector: which similarity a node family uses for clustering,
 /// BEEP orientation and CF neighbor ranking.
@@ -246,16 +240,8 @@ fn merge_join(pn: &Profile, pc: &Profile) -> JoinSums {
             }
         }
     }
-    for e in &a[i..] {
-        if e.score > 0.5 {
-            sums.union_likes += 1;
-        }
-    }
-    for e in &b[j..] {
-        if e.score > 0.5 {
-            sums.union_likes += 1;
-        }
-    }
+    let rest = a[i..].iter().chain(&b[j..]);
+    sums.union_likes += rest.filter(|e| e.score > 0.5).count();
     sums
 }
 
@@ -329,8 +315,8 @@ fn common_sums(pn: &Profile, pc: &Profile) -> (f64, f64) {
     (dot, sub_norm2)
 }
 
-/// `dot / denom`, or 0 when the denominator vanishes (no overlap, or a
-/// side with no likes).
+/// `dot / denom`, or 0 when the denominator vanishes (no overlap, a side
+/// with no likes, an empty union).
 #[inline]
 fn ratio(dot: f64, denom: f64) -> f64 {
     if denom <= 0.0 {
@@ -365,90 +351,63 @@ pub fn jaccard_similarity(pn: &Profile, pc: &Profile) -> f64 {
         return 0.0;
     }
     let sums = merge_join(pn, pc);
-    if sums.union_likes == 0 {
-        0.0
-    } else {
-        sums.common_likes as f64 / sums.union_likes as f64
-    }
+    ratio(sums.common_likes as f64, sums.union_likes as f64)
 }
 
 /// One fixed profile `pn`, prepared to be scored against many candidates
 /// (see "One-vs-many scoring" in the module docs). Every score is
 /// bit-identical to [`Metric::score`]`(pn, candidate)`.
 ///
-/// The index is built on the first candidate that gets past the
-/// fingerprint rejection and is not counted on bit planes, so a scorer
-/// that only ever meets disjoint or counted candidates costs nothing; it
-/// lives exactly as long as this value — one view merge, one BEEP
-/// orientation.
+/// What is built for the fixed side — its planes, which stay with the
+/// profile, or its weights, which live as long as this value: one BEEP
+/// orientation — is built on the first candidate that gets past the
+/// fingerprint rejection and has planes, so a scorer that only ever meets
+/// disjoint or first-sight candidates costs nothing.
 pub struct Prepared<'a> {
     pn: &'a Profile,
-    /// `None` inside the cell: the index declined `pn` (see
-    /// [`Index::build`]) and candidates are scored pairwise.
-    index: std::cell::OnceCell<Option<Index>>,
+    /// `None` inside the cell: [`Weights::build`] declined `pn`, and
+    /// candidates are scored pairwise.
+    weights: std::cell::OnceCell<Option<Weights>>,
 }
 
 impl<'a> Prepared<'a> {
     pub fn new(pn: &'a Profile) -> Self {
         Self {
             pn,
-            index: std::cell::OnceCell::new(),
+            weights: std::cell::OnceCell::new(),
         }
     }
 
-    /// [`Metric::score`]`(pn, pc)`. Jaccard needs the union, which a walk
-    /// of one side cannot see: it is counted when both profiles have
-    /// planes and stays pairwise otherwise.
-    #[inline]
+    /// [`Metric::score`]`(pn, pc)`.
     pub fn score(&self, metric: Metric, pc: &Profile) -> f64 {
+        if provably_disjoint(self.pn, pc) {
+            return 0.0;
+        }
         match metric {
-            Metric::Wup => self.wup(pc),
-            Metric::Cosine => self.cosine(pc),
+            Metric::Wup => {
+                let (dot, sub_norm2) = self.common_sums(pc);
+                ratio(dot, sub_norm2.sqrt() * pc.norm())
+            }
+            Metric::Cosine => ratio(self.common_sums(pc).0, self.pn.norm() * pc.norm()),
             Metric::Jaccard => self.jaccard(pc),
         }
     }
 
-    /// [`wup_similarity`]`(pn, pc)`.
-    pub fn wup(&self, pc: &Profile) -> f64 {
-        if provably_disjoint(self.pn, pc) {
-            return 0.0;
-        }
-        let (dot, sub_norm2) = self.common_sums(pc);
-        ratio(dot, sub_norm2.sqrt() * pc.norm())
-    }
-
-    /// [`cosine_similarity`]`(pn, pc)`.
-    pub fn cosine(&self, pc: &Profile) -> f64 {
-        if provably_disjoint(self.pn, pc) {
-            return 0.0;
-        }
-        let (dot, _) = self.common_sums(pc);
-        ratio(dot, self.pn.norm() * pc.norm())
-    }
-
-    /// [`jaccard_similarity`]`(pn, pc)`.
+    /// Jaccard needs the union, which a walk of one side cannot see: it is
+    /// counted when both profiles have planes and stays pairwise otherwise.
     fn jaccard(&self, pc: &Profile) -> f64 {
-        if provably_disjoint(self.pn, pc) {
-            return 0.0;
-        }
         let Some((common_likes, _)) = self.counted(pc) else {
             return jaccard_similarity(self.pn, pc);
         };
         let union_likes = self.pn.like_count() + pc.like_count() - common_likes as usize;
-        if union_likes == 0 {
-            0.0
-        } else {
-            f64::from(common_likes) / union_likes as f64
-        }
+        ratio(f64::from(common_likes), union_likes as f64)
     }
 
     /// `(|liked_n ∩ liked_c|, |liked_n ∩ rated_c|)` when both profiles have
-    /// planes (see "Counting path for binary profiles" in the module
-    /// docs). The fixed side is asked first, from memoized state: a
-    /// real-valued item profile builds nothing for itself, and none of its
-    /// candidates gets planes built for a score that cannot use them. Its
-    /// own planes are built once a candidate has some to count against.
-    #[inline]
+    /// planes (see "Counting path" in the module docs). The fixed side is
+    /// asked first, from memoized state: one that cannot have planes costs
+    /// a candidate nothing here. Its own planes are built once a candidate
+    /// has some to count against.
     fn counted(&self, pc: &Profile) -> Option<(u32, u32)> {
         if !self.pn.may_have_planes() {
             return None;
@@ -457,140 +416,27 @@ impl<'a> Prepared<'a> {
         Some(self.pn.planes()?.overlap(theirs))
     }
 
+    /// `(Σ pn·pc, Σ pn²)` over the common items for a real-valued `pn`
+    /// against a binary `pc` with planes. A binary `pn` is not tried: it is
+    /// [`Self::counted`], or its planes declined over its slots, and its
+    /// weights would over the same. Weights that declined are not asked
+    /// again, and no candidate gets planes built on their account.
+    fn weighed(&self, pc: &Profile) -> Option<(f64, f64)> {
+        if self.pn.is_binary() || matches!(self.weights.get(), Some(None)) {
+            return None;
+        }
+        let theirs = pc.planes_when_rescored()?;
+        let weights = self
+            .weights
+            .get_or_init(|| Weights::build(self.pn.entries()));
+        weights.as_ref()?.sums(theirs)
+    }
+
     fn common_sums(&self, pc: &Profile) -> (f64, f64) {
         if let Some((dot, sub_norm2)) = self.counted(pc) {
             return (f64::from(dot), f64::from(sub_norm2));
         }
-        // The index masks a miss by multiplying with zero, which is exact
-        // only for finite candidate scores (see `Index::common_sums`).
-        match self.index.get_or_init(|| Index::build(self.pn)) {
-            Some(index) if pc.norm().is_finite() => index.common_sums(pc),
-            _ => common_sums(self.pn, pc),
-        }
-    }
-}
-
-/// One cache line of the [`Index`]: the (up to) four entries of the fixed
-/// profile whose item id hashes here, filled from slot 0 up. A free slot is
-/// the all-zero pair, so the candidate item `0` "matches" it — and reads
-/// the score `+0.0`, which is what a miss reads anyway; a lookup lets the
-/// lowest matching slot win, so a rated item `0` is found before them.
-/// (The entry `(0, +0.0)` itself looks free and may be overwritten: found
-/// or missed, it reads `+0.0`.)
-#[derive(Clone, Copy)]
-#[repr(align(64))]
-struct Bucket {
-    items: [crate::item::ItemId; Bucket::SLOTS],
-    /// `score as f64`, widened once here instead of once per lookup.
-    scores: [f64; Bucket::SLOTS],
-}
-
-impl Bucket {
-    const SLOTS: usize = 4;
-    const EMPTY: Self = Self {
-        items: [0; Self::SLOTS],
-        scores: [0.0; Self::SLOTS],
-    };
-}
-
-thread_local! {
-    /// The allocation of the last [`Index`] dropped on this thread, for
-    /// the next one to build in. An index lives for one merge or one
-    /// orientation and is tens of KiB; bought from the allocator each time,
-    /// those transient blocks fragment the heap (+2 MiB peak RSS on a
-    /// 17 MiB run, measured) — and a node may not own one either: hundreds
-    /// of nodes × tens of KiB is more than everything else they hold.
-    static SPARE: std::cell::Cell<Vec<Bucket>> = const { std::cell::Cell::new(Vec::new()) };
-}
-
-/// Item id → score of the fixed profile, as a one-probe hash table: the
-/// bucket is a pure function of the id, so a lookup compares the four
-/// slots of one bucket and never walks a chain.
-struct Index {
-    buckets: Vec<Bucket>,
-}
-
-impl Drop for Index {
-    fn drop(&mut self) {
-        // A table a hostile 60 KiB item profile blew up is not worth
-        // pinning; what honest profiles need is a fraction of this.
-        if self.buckets.capacity() <= 1 << 14 {
-            SPARE.set(std::mem::take(&mut self.buckets));
-        }
-    }
-}
-
-impl Index {
-    /// Two buckets per entry, then four. Ids being content hashes, bucket
-    /// occupancy is Poisson: at mean ½ some bucket of a 160-entry profile
-    /// gets a fifth entry about one time in twenty (a 300-entry one, one in
-    /// six), at mean ¼ one in a thousand. What still overflows then — ids
-    /// crafted to collide — makes the index decline; it never degrades.
-    fn build(pn: &Profile) -> Option<Self> {
-        let mut index = Self {
-            buckets: SPARE.take(),
-        };
-        [2, 4]
-            .into_iter()
-            .any(|per_entry| index.fill(pn, per_entry * pn.len() + 1))
-            .then_some(index)
-    }
-
-    /// Re-sizes the table to `buckets` and inserts `pn`'s entries; `false`
-    /// as soon as one does not fit.
-    fn fill(&mut self, pn: &Profile, buckets: usize) -> bool {
-        self.buckets.clear();
-        self.buckets.resize(buckets, Bucket::EMPTY);
-        for e in pn.entries() {
-            let at = self.bucket_of(e.item);
-            let bucket = &mut self.buckets[at];
-            let free = (0..Bucket::SLOTS)
-                .find(|&slot| bucket.items[slot] == 0 && bucket.scores[slot].to_bits() == 0);
-            let Some(slot) = free else {
-                return false;
-            };
-            bucket.items[slot] = e.item;
-            bucket.scores[slot] = e.score as f64;
-        }
-        true
-    }
-
-    /// Fibonacci hashing spreads dense dataset ids (`0, 1, 2…`) as evenly
-    /// as content hashes; folding the high half in first keeps ids on an
-    /// arithmetic progression with an unlucky stride from lining up. The
-    /// widening multiply then maps the hash onto `0..buckets.len()` without
-    /// requiring a power-of-two table.
-    #[inline]
-    fn bucket_of(&self, item: crate::item::ItemId) -> usize {
-        let hash = (item ^ (item >> 32)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        ((u128::from(hash) * self.buckets.len() as u128) >> 64) as usize
-    }
-
-    /// `(Σ pn·pc, Σ pn²)` over the common items — the two sums of the
-    /// pairwise [`common_sums`], accumulated in the same (ascending item
-    /// id) order, because that is the order of `pc`'s entries. An entry of
-    /// `pc` that `pn` does not rate reads `sa = +0.0` and adds `±0.0` to
-    /// both sums, which leaves an accumulator that started at `+0.0`
-    /// unchanged bit for bit (a sum is `-0.0` only when both terms are).
-    /// That needs `0.0 · sb` to be a zero: `pc`'s scores must be finite.
-    ///
-    /// No branch depends on whether an item is common — the four slots are
-    /// all compared and the match is a chain of conditional moves
-    /// (`select_unpredictable` keeps the compiler from turning them back
-    /// into branches).
-    fn common_sums(&self, pc: &Profile) -> (f64, f64) {
-        let (mut dot, mut sub_norm2) = (0.0f64, 0.0f64);
-        for e in pc.entries() {
-            let bucket = &self.buckets[self.bucket_of(e.item)];
-            let mut sa_bits = 0u64;
-            for (item, score) in bucket.items.iter().zip(&bucket.scores).rev() {
-                sa_bits = select_unpredictable(*item == e.item, score.to_bits(), sa_bits);
-            }
-            let (sa, sb) = (f64::from_bits(sa_bits), e.score as f64);
-            dot += sa * sb;
-            sub_norm2 += sa * sa;
-        }
-        (dot, sub_norm2)
+        self.weighed(pc).unwrap_or_else(|| common_sums(self.pn, pc))
     }
 }
 
@@ -599,35 +445,20 @@ impl Index {
 /// bit-identical to the scalar merge-join over arbitrary profiles.
 #[doc(hidden)]
 pub mod reference {
-    use super::{merge_join, Profile};
+    use super::{merge_join, ratio, Profile};
 
     pub fn wup_similarity(pn: &Profile, pc: &Profile) -> f64 {
         let sums = merge_join(pn, pc);
-        let denom = sums.sub_norm2.sqrt() * pc.norm();
-        if denom <= 0.0 {
-            0.0
-        } else {
-            sums.dot / denom
-        }
+        ratio(sums.dot, sums.sub_norm2.sqrt() * pc.norm())
     }
 
     pub fn cosine_similarity(pn: &Profile, pc: &Profile) -> f64 {
-        let sums = merge_join(pn, pc);
-        let denom = pn.norm() * pc.norm();
-        if denom <= 0.0 {
-            0.0
-        } else {
-            sums.dot / denom
-        }
+        ratio(merge_join(pn, pc).dot, pn.norm() * pc.norm())
     }
 
     pub fn jaccard_similarity(pn: &Profile, pc: &Profile) -> f64 {
         let sums = merge_join(pn, pc);
-        if sums.union_likes == 0 {
-            0.0
-        } else {
-            sums.common_likes as f64 / sums.union_likes as f64
-        }
+        ratio(sums.common_likes as f64, sums.union_likes as f64)
     }
 }
 
@@ -768,41 +599,26 @@ mod tests {
         assert!((s - expected).abs() < 1e-6);
     }
 
-    /// The item id the index hashes to `hash`: multiply by the inverse of
-    /// its (odd) multiplier modulo 2⁶⁴ — Newton iteration, each round
-    /// doubles the number of correct bits — then undo the fold of the high
-    /// half, which is its own inverse.
-    fn item_hashing_to(hash: u64) -> u64 {
-        let fib: u64 = 0x9e37_79b9_7f4a_7c15;
-        let inverse = (0..6).fold(fib, |x, _| {
-            x.wrapping_mul(2u64.wrapping_sub(fib.wrapping_mul(x)))
-        });
-        assert_eq!(fib.wrapping_mul(inverse), 1);
-        let folded = hash.wrapping_mul(inverse);
-        folded ^ (folded >> 32)
-    }
-
     /// Item ids for the scorer tests, from a small shared universe (so
-    /// profiles overlap) spread three ways: dense ids from 0 (dataset
-    /// style), content hashes, and ids whose hashes are `0, 1, 2…` — they
-    /// share bucket 0 of any table, so the index must decline and the
-    /// scorer fall back.
+    /// profiles overlap): dense ids from 0 (dataset style) or content
+    /// hashes.
     fn spread(kind: u64, raw: u64) -> u64 {
         let id = raw % 256;
         match kind {
             0 => id,
-            1 => crate::hash::fnv1a64(&id.to_le_bytes()),
-            _ => item_hashing_to(id),
+            _ => crate::hash::fnv1a64(&id.to_le_bytes()),
         }
     }
 
-    /// Scores for the scorer tests: the binary extremes, `-0.0`, and
-    /// item-profile style reals.
+    /// Scores for the scorer tests: the binary extremes, `-0.0`,
+    /// item-profile style averages (whole multiples of 2⁻¹⁰) and reals
+    /// that are no such thing.
     fn score_of(raw: u32) -> f32 {
         match raw % 8 {
             0 | 1 => 0.0,
             2 | 3 => 1.0,
             4 => -0.0,
+            5 | 6 => (raw / 8 % 1025) as f32 / 1024.0,
             _ => (raw / 8 % 1000) as f32 / 999.0,
         }
     }
@@ -819,19 +635,13 @@ mod tests {
     /// reference, by bits.
     fn assert_scorer_matches_reference(scorer: &Prepared, pn: &Profile, pc: &Profile) {
         let pairs = [
-            (scorer.wup(pc), reference::wup_similarity(pn, pc)),
-            (scorer.cosine(pc), reference::cosine_similarity(pn, pc)),
-            (
-                scorer.score(Metric::Jaccard, pc),
-                reference::jaccard_similarity(pn, pc),
-            ),
-            (scorer.score(Metric::Wup, pc), Metric::Wup.score(pn, pc)),
-            (
-                scorer.score(Metric::Cosine, pc),
-                Metric::Cosine.score(pn, pc),
-            ),
+            (Metric::Wup, reference::wup_similarity(pn, pc)),
+            (Metric::Cosine, reference::cosine_similarity(pn, pc)),
+            (Metric::Jaccard, reference::jaccard_similarity(pn, pc)),
+            (Metric::Wup, Metric::Wup.score(pn, pc)),
+            (Metric::Cosine, Metric::Cosine.score(pn, pc)),
         ];
-        for (fast, slow) in pairs {
+        for (fast, slow) in pairs.map(|(metric, slow)| (scorer.score(metric, pc), slow)) {
             assert_eq!(
                 fast.to_bits(),
                 slow.to_bits(),
@@ -841,19 +651,12 @@ mod tests {
     }
 
     #[test]
-    fn prepared_handles_empty_sides_and_item_zero() {
-        let empty = Profile::new();
-        // Item 0 is what a free index slot holds; rated 1.0 it must still
-        // be found, and unrated it must still be a miss.
-        let with_zero = profile(&[0, 1, 2, 3], &[4]);
-        let without_zero = profile(&[1, 2, 3], &[4]);
-        // Disliked, item 0 is the pair `(0, +0.0)` — a free slot's twin.
-        let zero_disliked = profile(&[1, 2], &[0]);
+    fn prepared_handles_empty_and_one_entry_sides() {
         let profiles = [
-            empty,
-            with_zero,
-            without_zero,
-            zero_disliked,
+            Profile::new(),
+            profile(&[0, 1, 2, 3], &[4]),
+            profile(&[1, 2, 3], &[4]),
+            profile(&[1, 2], &[0]),
             profile(&[7], &[]),
         ];
         for pn in &profiles {
@@ -865,41 +668,10 @@ mod tests {
     }
 
     #[test]
-    fn index_doubles_its_table_once_then_declines() {
-        // 20 entries: 41 buckets at first, 81 on the second attempt. The
-        // hashes `k · 2⁶⁴/81 + 1` lie in bucket `k` of the larger table
-        // and, for `k < 2`, in bucket 0 of the smaller.
-        let (n, step) = (20u64, u64::MAX / 81);
-        let with_hashes = |hashes: &[u64]| {
-            let likes: Vec<u64> = hashes.iter().map(|&h| item_hashing_to(h)).collect();
-            profile(&likes, &[])
-        };
-        let spaced: Vec<u64> = (0..n).map(|k| 4 * k * step + 1).collect();
-        let roomy = with_hashes(&spaced);
-        assert_eq!(Index::build(&roomy).unwrap().buckets.len(), 41);
-        // Five entries in bucket 0 of 41; three and two in buckets 0 and 1
-        // of 81.
-        let mut hashes = spaced.clone();
-        hashes[..5].copy_from_slice(&[1, 2, 3, step + 1, step + 2]);
-        let crowded = with_hashes(&hashes);
-        assert_eq!(Index::build(&crowded).unwrap().buckets.len(), 81);
-        // Five entries in bucket 0 of any table.
-        hashes[..5].copy_from_slice(&[1, 2, 3, 4, 5]);
-        let hostile = with_hashes(&hashes);
-        assert!(Index::build(&hostile).is_none());
-        for pn in [&roomy, &crowded, &hostile] {
-            let scorer = Prepared::new(pn);
-            for pc in [&roomy, &crowded, &hostile] {
-                assert_scorer_matches_reference(&scorer, pn, pc);
-            }
-        }
-    }
-
-    #[test]
     fn prepared_matches_reference_on_non_finite_scores() {
         // Unreachable from the wire (the codec rejects them) but not from
-        // `Profile::from_entries`: a non-finite candidate takes the
-        // pairwise path, a non-finite fixed profile needs nothing special.
+        // `Profile::from_entries`: a non-finite candidate has no planes, a
+        // non-finite fixed profile no weights — both are walked pairwise.
         let odd = |score: f32| {
             Profile::from_entries([(1, 1.0), (2, score), (3, 0.5), (9, 1.0)].map(
                 |(item, score)| ProfileEntry {
@@ -914,7 +686,9 @@ mod tests {
         for score in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
             let weird = odd(score);
             for (pn, pc) in [(&plain, &weird), (&weird, &plain), (&unrated, &weird)] {
-                assert_scorer_matches_reference(&Prepared::new(pn), pn, pc);
+                let scorer = Prepared::new(pn);
+                assert_scorer_matches_reference(&scorer, pn, pc);
+                assert!(!weighs(&scorer));
             }
         }
     }
@@ -929,11 +703,10 @@ mod tests {
     }
 
     /// Registers `ids` with the slot table in one step, so that they get
-    /// consecutive slots (ascending with the id) no matter what other
-    /// tests register meanwhile.
+    /// consecutive slots, in the order given, no matter what other tests
+    /// register meanwhile.
     fn register(ids: impl IntoIterator<Item = u64>) {
-        let all = profile(&ids.into_iter().collect::<Vec<_>>(), &[]);
-        assert!(all.planes().is_some() || all.len() < 2);
+        crate::planes::tests::register_in_order(ids);
     }
 
     #[test]
@@ -980,8 +753,8 @@ mod tests {
         purged.purge_older_than(1);
         assert!(purged.plane_bytes() > 0);
 
-        // Averaging two opinions leaves a real value: no planes, and the
-        // index scores it. Re-rating the item makes the profile binary
+        // Averaging two opinions leaves a real value: no planes — it is
+        // weighed instead. Re-rating the item makes the profile binary
         // again.
         let mut folded = original.aggregated_with(&profile(&ids(&[9]), &[]));
         assert_eq!(folded.get(base + 9).unwrap().score, 0.5);
@@ -999,22 +772,26 @@ mod tests {
     #[test]
     fn a_candidate_is_walked_once_then_counted() {
         let base = fresh_ids(16);
+        register(base..base + 16);
         let own = profile(&[base, base + 1, base + 2], &[base + 3]);
         let mut snapshot = profile(&[base + 1, base + 2, base + 5], &[base]);
         let scorer = Prepared::new(&own);
         // Scored once — a decoded descriptor dropped after its merge —
-        // nothing is built on either side, no id is registered.
-        let first = scorer.wup(&snapshot);
+        // nothing is built on either side.
+        let first = scorer.score(Metric::Wup, &snapshot);
         assert_eq!(own.plane_bytes() + snapshot.plane_bytes(), 0);
         // Scored again — a snapshot a view holds — both are.
-        assert_eq!(scorer.wup(&snapshot).to_bits(), first.to_bits());
+        assert_eq!(
+            scorer.score(Metric::Wup, &snapshot).to_bits(),
+            first.to_bits()
+        );
         assert!(own.plane_bytes() > 0 && snapshot.plane_bytes() > 0);
         assert_scorer_matches_reference(&scorer, &own, &snapshot);
         // A mutation starts the count again.
         snapshot.rate(base + 6, 0, true);
-        let _ = scorer.wup(&snapshot);
+        let _ = scorer.score(Metric::Wup, &snapshot);
         assert_eq!(snapshot.plane_bytes(), 0);
-        let _ = scorer.wup(&snapshot);
+        let _ = scorer.score(Metric::Wup, &snapshot);
         assert!(snapshot.plane_bytes() > 0);
         assert_scorer_matches_reference(&scorer, &own, &snapshot);
     }
@@ -1039,9 +816,31 @@ mod tests {
         }
     }
 
+    /// Whether the scorer's fixed side has been laid out by slot.
+    fn weighs(scorer: &Prepared) -> bool {
+        matches!(scorer.weights.get(), Some(Some(_)))
+    }
+
+    /// Whether the scorer tried to lay its fixed side out and declined.
+    fn declined_to_weigh(scorer: &Prepared) -> bool {
+        matches!(scorer.weights.get(), Some(None))
+    }
+
+    /// An item profile over `ids`, every score `rest` except the first
+    /// entry's, which is `odd`.
+    fn item_profile(ids: std::ops::Range<u64>, odd: f32, rest: f32) -> Profile {
+        let first = ids.start;
+        Profile::from_entries(ids.map(|item| ProfileEntry {
+            item,
+            timestamp: 0,
+            score: if item == first { odd } else { rest },
+        }))
+    }
+
     #[test]
-    fn a_real_valued_fixed_side_builds_no_planes() {
-        let base = fresh_ids(8);
+    fn a_real_valued_fixed_side_builds_planes_for_no_first_sight_candidate() {
+        let base = fresh_ids(16);
+        register(base..base + 16);
         let mut item_profile = profile(&[base, base + 1], &[]);
         item_profile.add_to_news_profile(ProfileEntry {
             item: base + 1,
@@ -1049,17 +848,126 @@ mod tests {
             score: 0.0,
         });
         let candidates: Vec<Profile> = (0..4)
-            .map(|k| profile(&[base + k, base + k + 1], &[base + k + 2]))
+            .map(|k| profile(&[base + 1, base + 2 + k], &[base + 6 + k]))
             .collect();
         let scorer = Prepared::new(&item_profile);
-        for pc in &candidates {
+        // First sight — a descriptor decoded for this one orientation: the
+        // candidate is walked, nothing is built on either side.
+        let first: Vec<u64> = candidates
+            .iter()
+            .map(|pc| scorer.score(Metric::Wup, pc).to_bits())
+            .collect();
+        assert!(candidates.iter().all(|pc| pc.plane_bytes() == 0));
+        assert!(scorer.weights.get().is_none());
+        // Second sight — a snapshot an RPS view holds: the candidates get
+        // planes, the item profile weights, and never planes of its own.
+        for (pc, first) in candidates.iter().zip(first) {
+            assert_eq!(scorer.score(Metric::Wup, pc).to_bits(), first);
+            assert!(pc.plane_bytes() > 0);
             assert_scorer_matches_reference(&scorer, &item_profile, pc);
-            assert_eq!(
-                pc.plane_bytes(),
-                0,
-                "built for a score that cannot use them"
-            );
         }
+        assert!(weighs(&scorer));
+        assert_eq!(item_profile.plane_bytes(), 0);
+    }
+
+    #[test]
+    fn weighing_declines_at_each_boundary_of_its_exactness() {
+        let base = fresh_ids(8_200);
+        register(base..base + 8_193);
+        let all = profile(&(base..base + 8_193).collect::<Vec<_>>(), &[]);
+        let some = profile(&[base, base + 2, base + 64], &[base + 1, base + 65]);
+        for pc in [&all, &some] {
+            assert!(pc.planes().is_some());
+        }
+        let unit = 0.5f32.powi(20);
+        // (fixed side, whether it is weighed). The sums of the 8192-entry
+        // one against `all` fall just short of the 2⁵³ units that are the
+        // reason for the bound.
+        let hundred = |odd: f32| item_profile(base..base + 100, odd, 0.75);
+        let cases = [
+            (hundred(unit), true),
+            (hundred(0.0), true),
+            (hundred(unit / 2.0), false),
+            (hundred(1.0 + f32::EPSILON), false),
+            (hundred(-0.0), false),
+            (hundred(-0.25), false),
+            (item_profile(base..base + 8_192, 0.5, 1.0 - unit), true),
+            (item_profile(base..base + 8_193, 0.5, 1.0 - unit), false),
+        ];
+        for (pn, weighed) in &cases {
+            let scorer = Prepared::new(pn);
+            for pc in [&all, &some] {
+                assert_scorer_matches_reference(&scorer, pn, pc);
+            }
+            assert_eq!(weighs(&scorer), *weighed, "{:?}", pn.entries()[0]);
+            assert_eq!(declined_to_weigh(&scorer), !*weighed);
+        }
+    }
+
+    #[test]
+    fn only_a_binary_candidate_with_planes_is_weighed_against() {
+        let base = fresh_ids(16);
+        register(base..base + 16);
+        let pn = item_profile(base..base + 12, 0.5, 0.75);
+        let scorer = Prepared::new(&pn);
+        // A real-valued candidate (one item profile ranked against
+        // another) has no planes, however often it is scored.
+        let real = item_profile(base + 4..base + 16, 0.25, 0.5);
+        for _ in 0..2 {
+            assert_scorer_matches_reference(&scorer, &pn, &real);
+        }
+        assert!(scorer.weights.get().is_none(), "nothing to weigh against");
+        // A binary one has them from its second score on.
+        let binary = profile(&[base + 1, base + 2], &[base + 3]);
+        let walked = scorer.score(Metric::Wup, &binary);
+        assert!(scorer.weights.get().is_none() && binary.plane_bytes() == 0);
+        assert_eq!(
+            scorer.score(Metric::Wup, &binary).to_bits(),
+            walked.to_bits()
+        );
+        assert!(weighs(&scorer) && binary.plane_bytes() > 0);
+        assert_scorer_matches_reference(&scorer, &pn, &binary);
+    }
+
+    #[test]
+    fn an_id_registered_in_mid_orientation_is_walked_not_lost() {
+        let base = fresh_ids(32);
+        register(base..base + 16);
+        // The item profile rates eight ids no profile was laid out with.
+        let pn = item_profile(base + 8..base + 24, 0.5, 0.75);
+        let scorer = Prepared::new(&pn);
+        let seen = profile(&[base + 8, base + 9], &[base + 10]);
+        assert!(seen.planes().is_some());
+        assert_scorer_matches_reference(&scorer, &pn, &seen);
+        assert!(weighs(&scorer));
+        // A snapshot rating three of them comes by a second time while the
+        // orientation runs: its planes give them slots the weights lack.
+        let newcomer = profile(&[base + 20], &[base + 21, base + 22]);
+        assert!(reference::wup_similarity(&pn, &newcomer) > 0.0);
+        for _ in 0..2 {
+            assert_scorer_matches_reference(&scorer, &pn, &newcomer);
+        }
+        assert!(newcomer.plane_bytes() > 0);
+        assert_scorer_matches_reference(&scorer, &pn, &seen);
+    }
+
+    #[test]
+    fn ids_first_seen_far_apart_are_not_weighed() {
+        // As for planes: 31 words of layout for 3 entries.
+        let base = fresh_ids(2_000);
+        register(base..base + 1_921);
+        let wide = Profile::from_entries([(base, 0.5), (base + 1, 1.0), (base + 1_920, 0.25)].map(
+            |(item, score)| ProfileEntry {
+                item,
+                timestamp: 0,
+                score,
+            },
+        ));
+        let pc = profile(&[base, base + 2], &[base + 1]);
+        assert!(pc.planes().is_some());
+        let scorer = Prepared::new(&wide);
+        assert_scorer_matches_reference(&scorer, &wide, &pc);
+        assert!(declined_to_weigh(&scorer));
     }
 
     #[test]
@@ -1146,11 +1054,10 @@ mod tests {
         /// scan-only reference — so nothing of one candidate may survive
         /// into the next. `shape` skews the sizes both ways (a one-entry
         /// side against hundreds) besides the balanced case; `kind` picks
-        /// the id family (see `spread`), including the one the index must
-        /// decline.
+        /// the id family (see `spread`).
         #[test]
         fn prepared_is_bit_identical_to_reference(
-            kind in 0u64..3,
+            kind in 0u64..2,
             shape in 0usize..4,
             fixed in prop::collection::vec((0u64..1_000, 0u32..100_000), 0..300),
             cands in prop::collection::vec(
@@ -1170,6 +1077,50 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The weighted path against the scan-only reference, by bits: a
+        /// fixed side whose scores are whole multiples of 2⁻²⁰ — a few
+        /// coarse averages, as a short path leaves them, or arbitrary ones
+        /// — against binary candidates (`-0.0` included) with planes. Each
+        /// profile draws its ids from its own 512-slot window of 1024
+        /// consecutive slots, so the layouts overlap fully, in part, in
+        /// one word or not at all.
+        #[test]
+        fn weighed_path_is_bit_identical_to_reference(
+            coarse in prop::bool::ANY,
+            fixed_at in 0u64..512,
+            fixed in prop::collection::vec((0u64..512, 0u32..(1 << 20) + 1), 16..300),
+            cands in prop::collection::vec(
+                (0u64..512, prop::collection::vec((0u64..512, 0u32..4), 16..200)),
+                1..8,
+            ),
+        ) {
+            let base = fresh_ids(1_024);
+            register(base..base + 1_024);
+            let units = |q: u32| if coarse { q >> 17 << 17 } else { q };
+            // The last entry wins: one score (½) that is certainly no 0 or
+            // 1, coarse or not.
+            let odd = (fixed[0].0, 1 << 19);
+            let pn = Profile::from_entries(fixed.iter().chain([&odd]).map(|&(i, q)| ProfileEntry {
+                item: base + fixed_at + i,
+                timestamp: 0,
+                score: units(q) as f32 / (1u32 << 20) as f32,
+            }));
+            let scorer = Prepared::new(&pn);
+            let mut met = false;
+            for (at, raw) in &cands {
+                let pc = Profile::from_entries(raw.iter().map(|&(i, class)| ProfileEntry {
+                    item: base + at + i,
+                    timestamp: 0,
+                    score: [0.0, 1.0, -0.0, 1.0][class as usize],
+                }));
+                prop_assert!(pc.planes().is_some());
+                met |= pc.entries().iter().any(|e| pn.contains(e.item));
+                assert_scorer_matches_reference(&scorer, &pn, &pc);
+            }
+            prop_assert!(!met || weighs(&scorer));
+            prop_assert!(!declined_to_weigh(&scorer));
+        }
 
         /// The counting path against the scan-only reference, by bits, in
         /// both directions of every pair — over binary profiles (`-0.0`
@@ -1193,8 +1144,7 @@ mod tests {
                 let base = fresh_ids(96);
                 let id_of = |i: u64| if numbering == 1 { base + 95 - i } else { base + i };
                 if numbering == 2 {
-                    register((0..96).step_by(2).map(id_of));
-                    register((1..96).step_by(2).map(id_of));
+                    register((0..96).step_by(2).chain((1..96).step_by(2)).map(id_of));
                 } else {
                     register(base..base + 96);
                 }

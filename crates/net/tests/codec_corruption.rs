@@ -330,11 +330,12 @@ fn out_of_range_scores_are_rejected_by_every_profile_decoder() {
 /// 3 500 a datagram, half a million in all — fills it to its fixed
 /// capacity and no further; later strangers get no planes and are scored
 /// by walking, bit-identically; ids registered while there was room keep
-/// theirs.
+/// theirs. The item profile of a news frame, oriented once, registers
+/// nothing at all.
 #[test]
 fn never_seen_item_ids_cannot_grow_the_slot_table_without_bound() {
     use whatsup_core::profile::slot_table_bytes;
-    use whatsup_core::similarity::{reference, Prepared};
+    use whatsup_core::similarity::{reference, Metric, Prepared};
 
     const PER_FRAME: u64 = 3_500;
     let id = |frame: u64, k: u64| 0xfeed_0000_0000 + frame * PER_FRAME + k;
@@ -356,7 +357,7 @@ fn never_seen_item_ids_cannot_grow_the_slot_table_without_bound() {
         let walked = reference::wup_similarity(own, candidate);
         assert!(walked > 0.0, "they share likes");
         for _ in 0..2 {
-            let scored = Prepared::new(own).wup(candidate);
+            let scored = Prepared::new(own).score(Metric::Wup, candidate);
             assert_eq!(scored.to_bits(), walked.to_bits());
         }
     };
@@ -364,6 +365,41 @@ fn never_seen_item_ids_cannot_grow_the_slot_table_without_bound() {
     let (first_own, first) = (received(0, 4), received(0, PER_FRAME));
     score(&first_own, &first);
     assert!(first_own.plane_bytes() > 0 && first.plane_bytes() > 0);
+
+    // The news route: item profiles of never-seen ids with scores that can
+    // be weighed, each oriented against a view of snapshots with planes —
+    // forty frames' worth, which as candidates would have grown the table
+    // some sixteenfold.
+    let item = news_item(3, 7);
+    let oriented = |frame: u64| {
+        let averaged = (0..PER_FRAME).map(|k| ProfileEntry {
+            item: if k < 4 { id(0, k) } else { id(frame, k) },
+            timestamp: 1,
+            score: 0.5,
+        });
+        let sent = Payload::News(NewsMessage {
+            header: item.header(),
+            profile: SharedProfile::new(Profile::from_entries(averaged)),
+            dislikes: 0,
+            hops: 1,
+        });
+        let resolve = |id| (id == item.id()).then(|| item.clone());
+        let bytes = encode(7, &sent, resolve).expect("3 500 entries fit a datagram");
+        match decode(&bytes)
+            .expect("well-formed frame")
+            .1
+            .try_into_payload()
+        {
+            Ok(Payload::News(news)) => news.profile,
+            other => panic!("a news frame decodes as one, not {other:?}"),
+        }
+    };
+    let before_news = slot_table_bytes();
+    for frame in 1_000..1_040 {
+        score(&oriented(frame), &first);
+    }
+    assert_eq!(slot_table_bytes(), before_news, "oriented ids registered");
+
     let mut sizes = Vec::new();
     for frame in 1..150 {
         score(&received(frame, 4), &received(frame, PER_FRAME));
