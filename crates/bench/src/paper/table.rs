@@ -8,13 +8,12 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::fmt::Write as _;
 use whatsup_core::Params;
-use whatsup_datasets::{survey, SurveyConfig};
 use whatsup_metrics::{mean, std_dev, Series, SeriesSet};
-use whatsup_net::{emulator, runtime, EmulatorConfig, SwarmConfig, UdpConfig};
+use whatsup_net::TrafficSnapshot;
 use whatsup_sim::analysis::{self, BinnedSeries, MeanSeries, OverlayStats};
 use whatsup_sim::record::HopProfile;
 use whatsup_sim::scenario::{Event, TimedEvent};
-use whatsup_sim::{Protocol, SimReport};
+use whatsup_sim::{Fabric, Protocol, Runner, SimConfig, SimReport};
 
 pub static TABLE: &[Entry] = &[
     Entry {
@@ -374,38 +373,30 @@ fn fig7(ctx: &Ctx, b: &mut Board) {
 
 // --- Fig. 8: deployment ---
 
-/// Renders, but pins nothing: the two real-time testbeds tick against the
-/// wall clock, one after the other (their peer threads must not share the
-/// machine).
+/// Wall-clock length of one swarm cycle in Fig. 8.
+const FIG8_CYCLE_MS: u64 = 70;
+
+/// Renders, but pins nothing: the two swarms tick against the wall clock,
+/// one after the other (their peer threads must not share the machine).
 fn fig8(ctx: &Ctx, b: &mut Board) {
     let fanouts = [2, 4, 6, 9, 12];
-    let simulated = sweep(Survey245, whatsup(0), &fanouts);
-    // The paper's testbed held 245 users (roughly half the survey) on a
-    // *shorter trace*: "very fast gossip and news-generation cycles of
-    // 30 sec, with 5 news items per cycle" and a 4-minute (8-cycle)
-    // profile window (§V-D). We reproduce that shape: few items per
-    // cycle, a short window, and an RPS layer that fires far less often
-    // than the news cycle (Table II: RPSf = 1h).
-    let swarm = |f: usize, loss: f64| {
-        let mut params = Params::whatsup(f);
-        params.profile_window = 8; // 4 min of 30 s cycles
-        params.rps_period = 10; // RPS much slower than the news cycle
-        SwarmConfig {
-            params,
-            cycles: 22,
-            cycle_ms: 70,
-            publish_from: 2,
-            measure_from: 8,
-            drain_cycles: 3,
-            loss,
-            ..Default::default()
-        }
-    };
+    // The testbed's trace is short: "very fast gossip and news-generation
+    // cycles of 30 sec" with a 4-minute (8-cycle) profile window (§V-D).
+    // The simulation and both swarms run exactly this config.
+    let simulated: Vec<Job> = sweep(Survey245, whatsup(0), &fanouts)
+        .into_iter()
+        .map(|job| {
+            job.with(|cfg| {
+                cfg.cycles = 22;
+                cfg.publish_from = 2;
+                cfg.measure_from = 8;
+                cfg.profile_window = Some(8);
+            })
+        })
+        .collect();
     b.jobs.extend_from_slice(&simulated);
     b.text(|r| {
-        let mut population = SurveyConfig::paper().scaled(245.0 / 480.0 * ctx.scale);
-        population.base_items = (population.base_items / 7).max(10);
-        let dataset = survey::generate(&population, SEED ^ 0x5eed_0002);
+        let dataset = ctx.data(Survey245);
         let legend = ["Simulation", "ModelNet", "PlanetLab (UDP+loss)"];
         let mut f1_curves = legend.map(|label| (label.to_string(), Vec::new()));
         let mut bandwidth = format!(
@@ -413,22 +404,25 @@ fn fig8(ctx: &Ctx, b: &mut Board) {
             "fanout", "total Kbps", "WUP", "BEEP"
         );
         for (f, job) in fanouts.into_iter().zip(&simulated) {
-            let (latency_ms, link_loss) = ((1, 8), 0.0);
-            let emulated = EmulatorConfig {
-                swarm: swarm(f, 0.0),
-                latency_ms,
-                link_loss,
+            let runner = Runner::new(dataset, job.protocol).config(job.cfg.clone());
+            let emu = runner.clone().deploy(Fabric::Emulated, FIG8_CYCLE_MS);
+            let emu = emu.expect("emulated fabric");
+            // PlanetLab analogue: real sockets + 25% loss (the paper
+            // measured up to 30% effective loss at small fanouts).
+            let lossy = SimConfig {
+                loss: 0.25,
+                ..job.cfg.clone()
             };
-            let emu = emulator::run(&dataset, &emulated);
-            // PlanetLab analogue: real sockets + 25% receive loss (the
-            // paper measured up to 30% effective loss at small fanouts).
-            let lossy = swarm(f, 0.25);
-            let udp = runtime::run(&dataset, &UdpConfig { swarm: lossy });
-            let measured = [f1(&r.get(job).report), emu.scores().f1, udp.scores().f1];
+            let udp = runner.config(lossy).deploy(Fabric::Udp, FIG8_CYCLE_MS);
+            let udp = udp.expect("loopback UDP");
+            let measured = [&r.get(job).report, &emu.report, &udp.report].map(f1);
             for (curve, y) in f1_curves.iter_mut().zip(measured) {
                 curve.1.push((f as f64, y));
             }
-            let (total, wup, news) = (emu.total_kbps(), emu.wup_kbps(), emu.news_kbps());
+            let kbps = |bytes| TrafficSnapshot::kbps_per_node(bytes, dataset.n_users(), emu.wall_s);
+            let t = &emu.traffic;
+            let (total, wup, news) = (t.total_bytes(), t.wup_layer_bytes(), t.news_bytes);
+            let (total, wup, news) = (kbps(total), kbps(wup), kbps(news));
             let _ = writeln!(bandwidth, "{f:>7} {total:>12.1} {wup:>10.1} {news:>10.1}");
         }
         let (users, items) = (dataset.n_users(), dataset.n_items());

@@ -13,11 +13,11 @@
 //! | rule | contract |
 //! |------|----------|
 //! | `det-map` | no `HashMap`/`HashSet` in determinism-critical crates |
-//! | `det-clock` | no `Instant::now`/`SystemTime` outside the net runtime |
+//! | `det-clock` | no `Instant::now`/`SystemTime` outside the swarm executor, its links and socket deadlines |
 //! | `wire-panic` | no panicking decode of untrusted wire input |
 //! | `wire-cast` | no truncating `as` casts on wire length/count fields |
 //! | `safety-comment` | every `unsafe` carries a `// SAFETY:` line |
-//! | `env-draw` | no `gen_bool(` in `crates/sim/src` outside its environment module |
+//! | `env-draw` | no `gen_bool(` in `crates/sim/src` outside its environment module, nor in `crates/net/src` |
 //!
 //! Sites that are individually safe carry an inline escape hatch —
 //! `// lint:allow(<rule>) <reason>` — which suppresses the finding but

@@ -12,8 +12,8 @@ pub enum Rule {
     /// must never depend on unspecified iteration order. Use `BTreeMap`/
     /// `BTreeSet` or annotate a probe-only/sorted-before-iteration use.
     DetMap,
-    /// No wall-clock reads (`Instant::now`, `SystemTime`) outside the
-    /// real-network runtime/emulator and the socket-transport deadline
+    /// No wall-clock reads (`Instant::now`, `SystemTime`) outside the swarm
+    /// executor, its datagram links and the socket-transport deadline
     /// code: simulated time is the only clock the engines may see.
     DetClock,
     /// No `unwrap`/`expect`/`panic!`-family macros or unchecked slice
@@ -26,9 +26,10 @@ pub enum Rule {
     /// Every `unsafe` carries a `// SAFETY:` comment on the same or an
     /// immediately preceding line.
     SafetyComment,
-    /// No `gen_bool(` in the simulator outside its environment module:
-    /// loss, channel and crash coins are defined once, so an engine that
-    /// flips its own can no longer drift from the others.
+    /// No `gen_bool(` in the simulator outside its environment module, nor
+    /// in the deployment crate: loss, channel and crash coins are defined
+    /// once, so an engine or a peer that flips its own can no longer drift
+    /// from the others.
     EnvDraw,
 }
 
@@ -115,20 +116,22 @@ impl Config {
     /// * `det-map` — the determinism-critical crates: `core`, `gossip`,
     ///   `metrics`, and all of `sim` (engine, engines, scenario pipeline —
     ///   everything that feeds a `SimReport`).
-    /// * `det-clock` — everywhere except the real-network runtime and
-    ///   emulator (`crates/net/src/runtime.rs`, `emulator.rs`), the one
-    ///   engine file that holds only the TCP dial-retry and deadline code
-    ///   (`crates/sim/src/engine/exchange/socket.rs` — not the shared
-    ///   stream link), the benchmark crate (wall clocks are its purpose)
-    ///   and the dependency shims.
+    /// * `det-clock` — everywhere except the wall-clock swarm executor
+    ///   (`crates/sim/src/engines/swarm.rs`), the datagram links whose
+    ///   router holds frames on a deadline heap (`crates/net/src/link.rs`),
+    ///   the one engine file that holds only the TCP dial-retry and
+    ///   deadline code (`crates/sim/src/engine/exchange/socket.rs` — not
+    ///   the shared stream link), the benchmark crate (wall clocks are its
+    ///   purpose) and the dependency shims.
     /// * `wire-panic` / `wire-cast` — the untrusted-input decode surface:
     ///   `crates/net/src/codec.rs` and the anti-entropy digest/delta frame
     ///   readers.
     /// * `safety-comment` — everywhere except the shims (which mirror
     ///   upstream crates' APIs verbatim).
     /// * `env-draw` — all of `crates/sim/src` except
-    ///   `crates/sim/src/environment.rs`, the one place the simulator's
-    ///   loss/churn coins are flipped.
+    ///   `crates/sim/src/environment.rs`, the one place the loss/churn
+    ///   coins are flipped, and all of `crates/net/src`, whose peers and
+    ///   links take their coins from the swarm executor.
     pub fn workspace_default() -> Self {
         let mut scopes = BTreeMap::new();
         scopes.insert(
@@ -148,8 +151,8 @@ impl Config {
             Scope {
                 include: vec!["crates/".into(), "src/".into()],
                 exclude: vec![
-                    "crates/net/src/runtime.rs".into(),
-                    "crates/net/src/emulator.rs".into(),
+                    "crates/sim/src/engines/swarm.rs".into(),
+                    "crates/net/src/link.rs".into(),
                     "crates/sim/src/engine/exchange/socket.rs".into(),
                     "crates/bench/".into(),
                     "crates/shims/".into(),
@@ -176,7 +179,7 @@ impl Config {
         scopes.insert(
             Rule::EnvDraw,
             Scope {
-                include: vec!["crates/sim/src/".into()],
+                include: vec!["crates/sim/src/".into(), "crates/net/src/".into()],
                 exclude: vec!["crates/sim/src/environment.rs".into()],
             },
         );

@@ -44,6 +44,14 @@ fn det_clock_flags_wall_clock_reads() {
         vec![(Rule::DetClock, 3, false), (Rule::DetClock, 4, false)]
     );
     assert_eq!(findings("det_clock_clean.rs"), vec![]);
+    // Under the workspace contract the swarm executor and its links read
+    // the clock; the peer, like the engines, may not.
+    let source = fixture("det_clock.rs");
+    let config = Config::workspace_default();
+    let hits = |path: &str| check_file(path, &source, &config).len();
+    assert_eq!(hits("crates/net/src/peer.rs"), 2);
+    assert_eq!(hits("crates/net/src/link.rs"), 0);
+    assert_eq!(hits("crates/sim/src/engines/swarm.rs"), 0);
 }
 
 #[test]
@@ -80,12 +88,15 @@ fn env_draw_flags_coins_flipped_outside_the_environment() {
     assert_eq!(findings("env_draw.rs"), vec![(Rule::EnvDraw, 4, false)]);
     assert_eq!(findings("env_draw_clean.rs"), vec![]);
     // Under the workspace contract the rule covers the simulator crate
-    // minus its environment module, and nothing else.
+    // minus its environment module, and the deployment crate — its peers
+    // and links flip no coin of their own — and nothing else.
     let source = fixture("env_draw.rs");
     let config = Config::workspace_default();
     let hits = |path: &str| check_file(path, &source, &config).len();
     assert_eq!(hits("crates/sim/src/engines/cascade.rs"), 1);
     assert_eq!(hits("crates/sim/src/environment.rs"), 0);
+    assert_eq!(hits("crates/net/src/peer.rs"), 1);
+    assert_eq!(hits("crates/net/src/link.rs"), 1);
     assert_eq!(hits("crates/datasets/src/survey.rs"), 0);
 }
 

@@ -1,185 +1,103 @@
-//! The peer event core shared by the emulator and the UDP runtime.
+//! One deployed peer: the sans-io `WhatsUpNode` with the wire codec on both
+//! sides of it and per-protocol traffic accounting.
 //!
-//! A [`Peer`] wraps the sans-io `WhatsUpNode` with:
-//! * the wire codec (encode outgoing, decode incoming),
-//! * ground-truth opinions (the like matrix, as in the simulator),
-//! * first-delivery recording for the quality metrics,
-//! * traffic accounting for the bandwidth metrics.
-//!
-//! Transports stay trivial: they move `(to, Bytes)` pairs and call
-//! [`Peer::tick`] once per gossip cycle.
+//! Everything a peer does not own comes from its executor
+//! (`whatsup_sim::Runner::deploy`): the RNG each call draws from, the
+//! ground-truth opinions a news reception consults, which received frames a
+//! lossy network drops, and when the peer ticks. A [`Peer`] only turns
+//! frames into protocol calls and protocol output back into frames.
 
-use crate::codec;
+use crate::codec::{self, WireMessage};
 use crate::stats::TrafficStats;
-use crate::swarm::{Delivery, ItemTable, SwarmConfig};
 use bytes::Bytes;
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
-use std::sync::{Arc, Mutex};
+use rand::Rng;
+use std::collections::HashMap;
+use std::sync::Arc;
 use whatsup_core::{
-    ItemId, NodeId, NodeStats, Opinions, OutMessage, Payload, Profile, WhatsUpNode,
+    ItemId, NewsItem, NodeId, NodeStats, Opinions, OutMessage, Payload, WhatsUpNode,
 };
-use whatsup_datasets::LikeMatrix;
 
-/// Ground-truth opinions backed by the dataset (shared, read-only).
-#[derive(Debug, Clone)]
-pub struct NetOracle {
-    matrix: Arc<LikeMatrix>,
-    table: Arc<ItemTable>,
-}
-
-impl NetOracle {
-    pub fn new(matrix: Arc<LikeMatrix>, table: Arc<ItemTable>) -> Self {
-        Self { matrix, table }
-    }
-
-    pub fn table(&self) -> &ItemTable {
-        &self.table
-    }
-}
-
-impl Opinions for NetOracle {
-    fn likes(&self, node: NodeId, item: ItemId) -> bool {
-        match self.table.by_id.get(&item) {
-            Some(&idx) => self.matrix.likes(node as usize, idx as usize),
-            None => false,
-        }
-    }
-}
-
-/// One peer: protocol node + codec + recording.
+/// One peer: protocol node + codec + traffic accounting.
 pub struct Peer {
     node: WhatsUpNode,
     /// Protocol counters (the node itself stores none — see
     /// [`WhatsUpNode`]'s SoA contract).
-    node_stats: NodeStats,
-    rng: ChaCha8Rng,
-    oracle: NetOracle,
-    stats: Arc<TrafficStats>,
-    deliveries: Arc<Mutex<Vec<Delivery>>>,
-    loss: f64,
+    stats: NodeStats,
+    traffic: Arc<TrafficStats>,
+    /// News content this peer can forward: the wire carries items as
+    /// content, so a peer learns them from its own publications and from
+    /// the news frames it receives, like any real receiver.
+    items: HashMap<ItemId, NewsItem>,
 }
 
 impl Peer {
-    pub fn new(
-        id: NodeId,
-        cfg: &SwarmConfig,
-        oracle: NetOracle,
-        stats: Arc<TrafficStats>,
-        deliveries: Arc<Mutex<Vec<Delivery>>>,
-    ) -> Self {
-        let node = WhatsUpNode::new(id, cfg.params.clone());
-        let rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ (id as u64).wrapping_mul(0x9e37_79b9));
+    pub fn new(node: WhatsUpNode, traffic: Arc<TrafficStats>) -> Self {
         Self {
             node,
-            node_stats: NodeStats::default(),
-            rng,
-            oracle,
-            stats,
-            deliveries,
-            loss: cfg.loss,
+            stats: NodeStats::default(),
+            traffic,
+            items: HashMap::new(),
         }
-    }
-
-    pub fn id(&self) -> NodeId {
-        self.node.id()
     }
 
     pub fn node(&self) -> &WhatsUpNode {
         &self.node
     }
 
-    /// Seeds the bootstrap views (same contact-graph shape as the
-    /// simulator: `degree` random contacts, half of them in the WUP view).
-    pub fn bootstrap(&mut self, n: usize, degree: usize) {
-        let id = self.node.id();
-        let mut contacts: Vec<NodeId> = Vec::with_capacity(degree);
-        while contacts.len() < degree.min(n.saturating_sub(1)) {
-            let c = self.rng.gen_range(0..n) as NodeId;
-            if c != id && !contacts.contains(&c) {
-                contacts.push(c);
-            }
-        }
-        let wup_take = (contacts.len() / 2).max(1);
-        self.node.seed_views(
-            contacts.iter().map(|&c| (c, Profile::new())),
-            contacts.iter().take(wup_take).map(|&c| (c, Profile::new())),
-        );
-    }
-
     /// One gossip cycle at logical time `now`.
-    pub fn tick(&mut self, now: u32) -> Vec<(NodeId, Bytes)> {
-        let out = self.node.on_cycle(now, &mut self.node_stats, &mut self.rng);
+    pub fn tick(&mut self, now: u32, rng: &mut impl Rng) -> Vec<(NodeId, Bytes)> {
+        let out = self.node.on_cycle(now, &mut self.stats, rng);
         self.encode_all(out)
     }
 
-    /// Publishes the dataset item with the given index.
-    pub fn publish(&mut self, index: u32, now: u32) -> Vec<(NodeId, Bytes)> {
-        let item = self.oracle.table.items[index as usize].clone();
+    /// Publishes `item` (this peer is its source).
+    pub fn publish(
+        &mut self,
+        item: &NewsItem,
+        now: u32,
+        rng: &mut impl Rng,
+    ) -> Vec<(NodeId, Bytes)> {
+        self.items.insert(item.id(), item.clone());
+        let out = self.node.publish(item, now, &mut self.stats, rng);
+        self.encode_all(out)
+    }
+
+    /// Decodes one received frame into `(sender, payload)`. `None` for any
+    /// frame the codec rejects — truncated, a non-finite score, a
+    /// shard-exchange bundle (a simulator batch, never a peer datagram) —
+    /// which is then dropped, never answered: robustness over crash.
+    pub fn decode(&mut self, frame: &[u8]) -> Option<(NodeId, Payload)> {
+        let (from, wire) = codec::decode(frame).ok()?;
+        if let WireMessage::News { item, .. } = &wire {
+            self.items.entry(item.id()).or_insert_with(|| item.clone());
+        }
+        Some((from, wire.try_into_payload().ok()?))
+    }
+
+    /// Hands one decoded message to the node and encodes its replies and
+    /// forwards.
+    pub fn handle(
+        &mut self,
+        from: NodeId,
+        payload: Payload,
+        now: u32,
+        opinions: &impl Opinions,
+        rng: &mut impl Rng,
+    ) -> Vec<(NodeId, Bytes)> {
         let out = self
             .node
-            .publish(&item, now, &mut self.node_stats, &mut self.rng);
+            .on_message(from, payload, now, opinions, &mut self.stats, rng);
         self.encode_all(out)
     }
 
-    /// Handles one received frame. Applies receive-side loss injection,
-    /// records first deliveries, and returns the frames to send in response.
-    pub fn handle_frame(&mut self, frame: &[u8], now: u32) -> Vec<(NodeId, Bytes)> {
-        if self.loss > 0.0 && self.rng.gen_bool(self.loss) {
-            return Vec::new();
-        }
-        let Ok((from, wire)) = codec::decode(frame) else {
-            // Corrupt frames are dropped: robustness over crash.
-            return Vec::new();
-        };
-        // Mailbox bundles are the simulator's shard-exchange batches, never
-        // a peer-level datagram: `try_into_payload` rejects them with a
-        // typed error (as it does hand-built frames with a bad gossip
-        // kind), so a confused or malicious sender cannot smuggle a batch
-        // past the per-message path — the frame is dropped like any other
-        // corrupt input.
-        let Ok(payload) = wire.try_into_payload() else {
-            return Vec::new();
-        };
-        if let Payload::News(msg) = &payload {
-            let id = msg.header.id;
-            if !self.node.has_seen(id) {
-                if let Some(&idx) = self.oracle.table.by_id.get(&id) {
-                    let liked = self.oracle.likes(self.node.id(), id);
-                    crate::lock(&self.deliveries).push(Delivery {
-                        item_index: idx,
-                        node: self.node.id(),
-                        liked,
-                    });
-                }
-            }
-        }
-        let out = self.node.on_message(
-            from,
-            payload,
-            now,
-            &self.oracle.clone(),
-            &mut self.node_stats,
-            &mut self.rng,
-        );
-        self.encode_all(out)
-    }
-
-    fn encode_all(&mut self, out: Vec<OutMessage>) -> Vec<(NodeId, Bytes)> {
+    fn encode_all(&self, out: Vec<OutMessage>) -> Vec<(NodeId, Bytes)> {
         let id = self.node.id();
         out.into_iter()
             .filter_map(|m| {
                 let kind = m.payload.kind();
-                let table = &self.oracle.table;
-                let encoded = codec::encode(id, &m.payload, |item_id| {
-                    table
-                        .by_id
-                        .get(&item_id)
-                        .map(|&idx| table.items[idx as usize].clone())
-                });
-                match encoded {
+                match codec::encode(id, &m.payload, |item| self.items.get(&item).cloned()) {
                     Ok(bytes) => {
-                        self.stats.record(kind, bytes.len());
+                        self.traffic.record(kind, bytes.len());
                         Some((m.to, bytes))
                     }
                     Err(e) => {
@@ -197,108 +115,81 @@ impl Peer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::swarm::ItemTable;
-    use whatsup_datasets::{survey, SurveyConfig};
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+    use whatsup_core::{Params, Profile};
 
-    fn setup(loss: f64) -> (Vec<Peer>, Arc<Mutex<Vec<Delivery>>>, Arc<ItemTable>) {
-        let dataset = survey::generate(&SurveyConfig::paper().scaled(0.1), 3);
-        let cfg = SwarmConfig {
-            loss,
-            ..Default::default()
-        };
-        let table = Arc::new(ItemTable::build(&dataset, &cfg));
-        let matrix = Arc::new(dataset.likes.clone());
-        let stats = Arc::new(TrafficStats::new());
-        let deliveries = Arc::new(Mutex::new(Vec::new()));
-        let n = dataset.n_users();
-        let peers = (0..n as NodeId)
+    const N: NodeId = 6;
+
+    /// `N` peers, each knowing every other one in both views.
+    fn peers() -> Vec<Peer> {
+        let traffic = Arc::new(TrafficStats::new());
+        (0..N)
             .map(|id| {
-                let oracle = NetOracle::new(Arc::clone(&matrix), Arc::clone(&table));
-                let mut p = Peer::new(
-                    id,
-                    &cfg,
-                    oracle,
-                    Arc::clone(&stats),
-                    Arc::clone(&deliveries),
-                );
-                p.bootstrap(n, 6);
-                p
+                let mut node = WhatsUpNode::new(id, Params::whatsup(3));
+                let others = || {
+                    (0..N)
+                        .filter(move |&c| c != id)
+                        .map(|c| (c, Profile::new()))
+                };
+                node.seed_views(others(), others());
+                Peer::new(node, Arc::clone(&traffic))
             })
-            .collect();
-        (peers, deliveries, table)
+            .collect()
+    }
+
+    fn rng() -> ChaCha8Rng {
+        ChaCha8Rng::seed_from_u64(7)
     }
 
     #[test]
-    fn bundle_frames_from_the_network_are_dropped() {
+    fn corrupt_and_bundle_frames_do_not_decode() {
+        let mut peer = peers().remove(0);
+        assert!(peer.decode(&[0xff, 0x01]).is_none());
         // A shard-exchange bundle is not a peer-level datagram: a confused
-        // or malicious sender must not crash the peer or smuggle a batch
-        // past the per-message path.
-        let (mut peers, _, _) = setup(0.0);
-        let inner = vec![(0u32, 7u32, whatsup_core::Payload::RpsRequest(vec![]))];
-        let bundle = codec::encode_bundle(0, &inner, |_| None);
-        assert!(peers[0].handle_frame(&bundle, 0).is_empty());
+        // or malicious sender must not smuggle a batch past the
+        // per-message path.
+        let inner = vec![(0u32, 7u32, Payload::RpsRequest(vec![]))];
+        assert!(peer
+            .decode(&codec::encode_bundle(0, &inner, |_| None))
+            .is_none());
     }
 
     #[test]
-    fn tick_produces_encoded_gossip() {
-        let (mut peers, _, _) = setup(0.0);
-        let frames = peers[0].tick(0);
-        assert!(!frames.is_empty());
-        for (_, bytes) in &frames {
-            assert!(codec::decode(bytes).is_ok());
-        }
-    }
-
-    #[test]
-    fn publish_and_deliver_records_first_reception() {
-        let (mut peers, deliveries, table) = setup(0.0);
-        // Find item 0's source and let it publish.
-        let source = table.items[0].source;
-        let frames = peers[source as usize].publish(0, 1);
-        assert!(
-            !frames.is_empty(),
-            "source must have bootstrap WUP neighbors"
-        );
-        let (to, bytes) = &frames[0];
-        let replies = peers[*to as usize].handle_frame(bytes, 1);
-        let recorded = crate::lock(&deliveries);
-        assert_eq!(recorded.len(), 1);
-        assert_eq!(recorded[0].item_index, 0);
-        assert_eq!(recorded[0].node, *to);
-        drop(recorded);
-        // Duplicate delivery is not recorded twice.
-        let _ = peers[*to as usize].handle_frame(bytes, 1);
-        assert_eq!(crate::lock(&deliveries).len(), 1);
-        let _ = replies;
-    }
-
-    #[test]
-    fn full_loss_silences_everything() {
-        let (mut peers, deliveries, table) = setup(1.0);
-        let source = table.items[0].source;
-        let frames = peers[source as usize].publish(0, 1);
-        for (to, bytes) in &frames {
-            let replies = peers[*to as usize].handle_frame(bytes, 1);
-            assert!(replies.is_empty());
-        }
-        assert!(crate::lock(&deliveries).is_empty());
-    }
-
-    #[test]
-    fn corrupt_frames_are_dropped() {
-        let (mut peers, _, _) = setup(0.0);
-        let out = peers[0].handle_frame(&[0xff, 0x01], 0);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn gossip_roundtrip_between_peers() {
-        let (mut peers, _, _) = setup(0.0);
-        let frames = peers[0].tick(0);
+    fn gossip_round_trips_between_peers_and_is_accounted() {
+        let mut peers = peers();
+        let requests = peers[0].tick(0, &mut rng());
+        assert!(!requests.is_empty());
         let mut responses = Vec::new();
-        for (to, bytes) in frames {
-            responses.extend(peers[to as usize].handle_frame(&bytes, 0));
+        for (to, frame) in requests {
+            let (from, payload) = peers[to as usize].decode(&frame).expect("a valid frame");
+            assert_eq!(from, 0);
+            let nobody = |_: NodeId, _: ItemId| false;
+            responses.extend(peers[to as usize].handle(from, payload, 0, &nobody, &mut rng()));
         }
         assert!(!responses.is_empty(), "gossip requests produce responses");
+        let traffic = peers[0].traffic.snapshot();
+        assert_eq!(traffic.total_msgs() as usize, 2 * responses.len());
+    }
+
+    #[test]
+    fn a_receiver_learns_news_content_and_can_forward_it() {
+        let mut peers = peers();
+        let item = NewsItem::new("t", "d", "https://l", 0, 1);
+        let frames = peers[0].publish(&item, 1, &mut rng());
+        let (to, frame) = frames.first().expect("the source has neighbours");
+        let receiver = &mut peers[*to as usize];
+        let (from, payload) = receiver.decode(frame).expect("a valid frame");
+        let everyone = |_: NodeId, _: ItemId| true;
+        let forwards = receiver.handle(from, payload, 1, &everyone, &mut rng());
+        assert!(receiver.node().has_seen(item.id()));
+        // Forwarding needs the content the wire carried in.
+        assert!(!forwards.is_empty());
+        for (_, frame) in &forwards {
+            assert!(matches!(
+                codec::decode(frame),
+                Ok((_, WireMessage::News { item: fwd, .. })) if fwd == item
+            ));
+        }
     }
 }

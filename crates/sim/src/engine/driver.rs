@@ -20,7 +20,7 @@ use crate::engine::exchange::{
 use crate::engine::node_stream;
 use crate::engine::partition::Partition;
 use crate::engine::shard::{ShardInit, ShardState};
-use crate::environment::{rejoin_contact, CycleStart, Publications};
+use crate::environment::{bootstrap_contacts, rejoin_contact, CycleStart, Publications};
 use crate::oracle::Oracle;
 use crate::record::{Ledger, Reception, SimReport};
 use crate::scenario::{Event, Scenario};
@@ -119,22 +119,8 @@ fn build(
         Some(sparse) => Oracle::new_forced(dataset.likes.clone(), plan.id_to_index(), sparse),
     };
 
-    // Bootstrap: every node learns `bootstrap_degree` distinct random
-    // contacts (empty profiles), split across both layers, as a stand-in
-    // for the paper's bootstrap server. Partial Fisher–Yates over the
-    // other `n - 1` ids; drawn here so the engine RNG stays on the driving
-    // thread and the contact lists are shard-independent.
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-    let take = cfg.bootstrap_degree.min(n - 1);
-    let mut bootstrap: Vec<Vec<NodeId>> = Vec::with_capacity(n);
-    for id in 0..n {
-        let contacts: Vec<NodeId> = rand::seq::index::sample(&mut rng, n - 1, take)
-            .into_iter()
-            // Skip over `id` itself: [0, n-1) minus {id} ≅ shift ≥ id.
-            .map(|c| if c >= id { c + 1 } else { c } as NodeId)
-            .collect();
-        bootstrap.push(contacts);
-    }
+    let bootstrap = bootstrap_contacts(&mut rng, n, cfg.bootstrap_degree);
 
     // Load-aware split: the last shard absorbs every scheduled join, so
     // plan its initial range against the final population. Boundaries

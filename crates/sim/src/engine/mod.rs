@@ -371,11 +371,12 @@
 //! `det-map` forbids `HashMap`/`HashSet` in the crates that feed a
 //! `SimReport` — unspecified iteration order is exactly the kind of
 //! nondeterminism the property tests can miss — and `det-clock` forbids
-//! `Instant::now`/`SystemTime` outside the real-network runtime, so
-//! simulated time stays the only clock the engines can observe. Sites
-//! that are individually safe (probe-only maps keyed by the deterministic
-//! `BuildIdHasher`, maps whose iteration is sorted before it escapes)
-//! carry a `// lint:allow(<rule>) <reason>` annotation, which the lint
+//! `Instant::now`/`SystemTime` outside the wall-clock swarm executor
+//! (`crate::engines::swarm`), its datagram links and the socket
+//! deadlines, so simulated time stays the only clock the engines can
+//! observe. Sites that are individually safe (probe-only maps keyed by the
+//! deterministic `BuildIdHasher`, maps whose iteration is sorted before it
+//! escapes) carry a `// lint:allow(<rule>) <reason>` annotation, which the lint
 //! records in its report instead of suppressing silently — the audit
 //! trail for every exception lives next to the code it excuses.
 //!

@@ -62,6 +62,25 @@ pub struct ShardInit {
     pub bootstrap: Vec<Vec<NodeId>>,
 }
 
+/// A fresh node whose views start at its bootstrap `contacts`, every one
+/// carrying the `empty` profile: the RPS view gets all of them, the WUP
+/// view the first half (at least one).
+pub(crate) fn bootstrapped(
+    id: NodeId,
+    params: &Params,
+    contacts: &[NodeId],
+    empty: &SharedProfile,
+) -> WhatsUpNode {
+    let mut node = WhatsUpNode::new(id, params.clone());
+    let wup_take = (contacts.len() / 2).max(1);
+    let descriptor = |&c: &NodeId| (c, SharedProfile::clone(empty));
+    node.seed_views_arcs(
+        contacts.iter().map(descriptor),
+        contacts.iter().take(wup_take).map(descriptor),
+    );
+    node
+}
+
 /// The owned state of one shard.
 pub struct ShardState {
     index: usize,
@@ -108,23 +127,14 @@ impl ShardState {
     pub fn from_init(init: ShardInit) -> Self {
         let range = init.partition.range(init.index);
         assert_eq!(range.len(), init.bootstrap.len(), "bootstrap list mismatch");
-        let mut nodes = Vec::with_capacity(range.len());
         // Every bootstrap descriptor carries the same empty profile: one
         // allocation for the whole shard instead of one per view slot.
         let empty = SharedProfile::new(Profile::new());
-        for (local, id) in range.clone().enumerate() {
-            let mut node = WhatsUpNode::new(id, init.params.clone());
-            let contacts = &init.bootstrap[local];
-            let wup_take = (contacts.len() / 2).max(1);
-            node.seed_views_arcs(
-                contacts.iter().map(|&c| (c, SharedProfile::clone(&empty))),
-                contacts
-                    .iter()
-                    .take(wup_take)
-                    .map(|&c| (c, SharedProfile::clone(&empty))),
-            );
-            nodes.push(node);
-        }
+        let nodes: Vec<WhatsUpNode> = range
+            .clone()
+            .zip(&init.bootstrap)
+            .map(|(id, contacts)| bootstrapped(id, &init.params, contacts, &empty))
+            .collect();
         let n_local = nodes.len();
         Self {
             index: init.index,

@@ -1,6 +1,7 @@
-//! Alternative dissemination engines beyond the per-node gossip stack.
+//! Alternative dissemination engines beyond the per-node gossip stack, and
+//! the swarm that deploys that stack on a live network.
 //!
-//! # Four-way engine comparison
+//! # Engine comparison
 //!
 //! | Engine | Assumptions | Message complexity | Failure model |
 //! |---|---|---|---|
@@ -8,6 +9,7 @@
 //! | **Cascade** ([`cascade`]) | Explicit social graph, global knowledge of edges; forwards only on likes | Per item: `O(Σ likers' degrees)` — bounded by the likers' neighborhoods, which caps recall | Nodes never fail; honours the workload schedule and *constant* message loss (one coin per delivery attempt) |
 //! | **Centralized pub/sub & C-WhatsUp** ([`pubsub`], [`centralized`]) | Omniscient reliable server; complete subscription/interest knowledge | Per item: exactly one message per subscriber (pub/sub) or per selected receiver (C-WhatsUp) | None: the server is assumed reliable; honours the workload schedule only (a constant-loss or uniform-churn knob passes validation and is not consulted) |
 //! | **Anti-entropy** ([`antientropy`]) | Full membership list known; only *state* is reconciled; versioned single-writer records | Per cycle: `O(n · fanout)` datagrams of ≤ `datagram_budget` bytes each, independent of item count (keys batch into deltas); eventual delivery | Phi-accrual suspicion from heartbeat inter-arrival history — a continuous scale, no hard timeout; crashes have real downtime and rejoin with a bumped incarnation |
+//! | **Swarm** ([`swarm`], [`crate::Runner::deploy`]) | The BEEP gossip stack, one thread per node against the wall clock, real wire frames over an emulated router or loopback UDP; no driver | As BEEP gossip; an epidemic runs at link latency instead of as a within-cycle BFS, so it may cross a cycle boundary | Constant, bursty and partition loss at the receiver; crash-stop with instant cold rejoin from the contact's id alone; no timeline events or mass joins |
 //!
 //! Cascade and the centralized engines do not run per-cycle: they walk a
 //! server-side model once per item, and everything an item causes is
@@ -31,6 +33,7 @@ pub mod antientropy;
 pub mod cascade;
 pub mod centralized;
 pub mod pubsub;
+pub mod swarm;
 
 use crate::config::{Protocol, SimConfig};
 use crate::record::SimReport;

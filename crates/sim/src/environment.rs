@@ -1,9 +1,10 @@
-//! The run environment: *the* definition of every loss, churn, join and
-//! schedule draw a [`Scenario`] implies. Every engine — the sharded cycle
-//! engine, anti-entropy, and the one-shot baselines — consumes these
-//! functions and owns none of its own, so "30 % loss" or "a crash wave at
-//! cycle 8" means the same coins under each of them (`whatsup-lint`'s
-//! `env-draw` rule keeps `gen_bool` out of the rest of the crate).
+//! The run environment: *the* definition of every bootstrap, loss, churn,
+//! join and schedule draw a [`Scenario`] implies. Every engine — the
+//! sharded cycle engine, anti-entropy, the one-shot baselines and the
+//! wall-clock swarm — consumes these functions and owns none of its own,
+//! so "30 % loss" or "a crash wave at cycle 8" means the same coins under
+//! each of them (`whatsup-lint`'s `env-draw` rule keeps `gen_bool` out of
+//! the rest of the crate and out of `whatsup_net`).
 //!
 //! Draw rules, shared by all consumers:
 //!
@@ -113,6 +114,28 @@ pub(crate) fn rejoin_contact(rng: &mut ChaCha8Rng, node: NodeId, population: usi
             return c;
         }
     }
+}
+
+/// The bootstrap overlay, a stand-in for the paper's bootstrap server:
+/// `degree` distinct random contacts for each of the `n` nodes, in id
+/// order, by partial Fisher–Yates over the other `n - 1` ids. Drawn from
+/// the engine's one driving RNG, which continues on the same stream, so
+/// the contact lists depend on neither shards nor peer threads.
+pub(crate) fn bootstrap_contacts(
+    rng: &mut ChaCha8Rng,
+    n: usize,
+    degree: usize,
+) -> Vec<Vec<NodeId>> {
+    let take = degree.min(n - 1);
+    (0..n)
+        .map(|id| {
+            rand::seq::index::sample(rng, n - 1, take)
+                .into_iter()
+                // Skip over `id` itself: [0, n-1) minus {id} ≅ shift ≥ id.
+                .map(|c| if c >= id { c + 1 } else { c } as NodeId)
+                .collect()
+        })
+        .collect()
 }
 
 /// Cursor over one cycle's start-of-cycle population changes: first the

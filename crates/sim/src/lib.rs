@@ -22,10 +22,14 @@
 //!   per-node state reconciled through digest/delta exchanges packed to a
 //!   datagram budget, with phi-accrual failure detection (an eventual-
 //!   delivery contrast to WhatsUp's within-cycle epidemics).
+//! * [`engines::swarm`] — not a simulation: the node-based protocols
+//!   deployed as live peers over an emulated router or loopback UDP
+//!   ([`Runner::deploy`], Fig. 8), under the same scenario, draws and
+//!   report.
 //!
-//! Everything is deterministic given a seed. There is one way to run any
-//! of it: a [`Runner`] (protocol × config × [`Scenario`], any shard count
-//! or transport), and one way to run many: [`runner::pool_map`], the job
+//! Everything simulated is deterministic given a seed. There is one way to
+//! run any of it: a [`Runner`] (protocol × config × [`Scenario`], any shard
+//! count or transport), and one way to run many: [`runner::pool_map`], the job
 //! pool behind `whatsup-sim sweep` and the `paper` bench harness. The
 //! paper's figures and tables are not library surface: they are one table
 //! of jobs in `crates/bench` (`cargo bench -p whatsup_bench --bench paper`),
@@ -45,6 +49,7 @@ pub use config::{Protocol, SimConfig, Transport};
 pub use engine::exchange::Supervision;
 pub use engine::Simulation;
 pub use engines::run_protocol;
+pub use engines::swarm::{Deployment, Fabric};
 pub use oracle::Oracle;
 pub use record::{ItemRecord, SimReport, WindowReport, REPORT_SCHEMA_VERSION, SERIES_COLUMNS};
 pub use runner::{pool_map, Runner};

@@ -26,6 +26,11 @@
 //! bit-identical across shard counts and transports (see the engine module
 //! docs for the contract).
 //!
+//! The same chain ending in [`Runner::deploy`] instead of `run` executes
+//! the run on a live swarm (paper §V-D) — the workspace's one wall-clock
+//! entry point, and the only one whose result, a [`Deployment`], carries
+//! wall-clock time and is not a pure function of its inputs.
+//!
 //! Many independent runs go through [`pool_map`], the one job pool of the
 //! workspace: a scoped work queue as wide as the machine. Each run being
 //! deterministic, the pool changes nothing but wall-clock time.
@@ -36,6 +41,7 @@ use crate::config::{Protocol, SimConfig, Transport};
 use crate::engine::driver::run_external;
 use crate::engine::exchange::Supervision;
 use crate::engine::Simulation;
+use crate::engines::swarm::{self, Deployment, Fabric};
 use crate::engines::{antientropy, cascade, centralized, pubsub};
 use crate::record::SimReport;
 use crate::scenario::Scenario;
@@ -285,6 +291,33 @@ impl<'a> Runner<'a> {
     /// failures (use [`Runner::try_run`] to handle those).
     pub fn run(self) -> SimReport {
         self.try_run().expect("shard worker transport failed")
+    }
+
+    /// Deploys the run instead of simulating it — the one wall-clock entry
+    /// point: live peers, a thread each, exchanging wire frames over
+    /// `fabric` and ticking every `cycle_ms` ([`crate::engines::swarm`]).
+    /// The report comes from the plan, environment draws and ledger
+    /// [`Runner::run`] uses; beside it, the traffic and wall-clock time a
+    /// simulation has no use for. The execution knobs (shards, transport,
+    /// supervision) do not apply.
+    ///
+    /// `Err` for what no swarm can express — a global or anti-entropy
+    /// protocol, timeline events or mass joins (`Unsupported`, naming the
+    /// offender), a zero `cycle_ms` — and for a fabric that cannot be set
+    /// up or fails mid-run.
+    ///
+    /// # Panics
+    /// Panics if the config or scenario is invalid.
+    pub fn deploy(self, fabric: Fabric, cycle_ms: u64) -> io::Result<Deployment> {
+        let scenario = self.resolved_scenario();
+        swarm::deploy(
+            self.dataset,
+            self.protocol,
+            &self.cfg,
+            &scenario,
+            fabric,
+            cycle_ms,
+        )
     }
 
     /// Runs this runner across a shards × fanout grid on the job pool —

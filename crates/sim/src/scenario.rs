@@ -291,6 +291,17 @@ pub enum Event {
     ResetNode { node: NodeId },
 }
 
+impl Event {
+    /// The event's JSON `"kind"`.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Event::JoinClone { .. } => "join_clone",
+            Event::SwapInterests { .. } => "swap_interests",
+            Event::ResetNode { .. } => "reset_node",
+        }
+    }
+}
+
 /// An [`Event`] stamped with the cycle it fires at (start of that cycle,
 /// before the collect phase; same-cycle events apply in list order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -600,6 +611,27 @@ impl Scenario {
         Ok(())
     }
 
+    /// Checks that this scenario scripts nothing an executor without a
+    /// driving thread could fire: no timeline events and no mass-join
+    /// arrivals. The error names the first offender and the `engine`
+    /// refusing it. The first half of [`Scenario::validate_for_global`],
+    /// and all a swarm ([`crate::Runner::deploy`]) asks.
+    pub fn validate_unscripted(&self, engine: &str) -> Result<(), String> {
+        if let Some(e) = self.events.first() {
+            return Err(format!(
+                "timeline event {} at cycle {} cannot fire on the {engine}",
+                e.event.kind(),
+                e.at
+            ));
+        }
+        if let ChurnModel::MassJoin { at, .. } = self.environment.churn {
+            return Err(format!(
+                "mass join at cycle {at} cannot fire on the {engine}"
+            ));
+        }
+        Ok(())
+    }
+
     /// Checks that this scenario is expressible on the global baseline
     /// engines, which walk a server-side model once per item. What each
     /// honours: **cascade** — the workload schedule and constant message
@@ -613,28 +645,17 @@ impl Scenario {
         if !protocol.is_global() {
             return Ok(());
         }
-        let engine = protocol.label();
-        if !self.events.is_empty() {
-            return Err(format!(
-                "timeline events cannot fire on the global {engine} engine"
-            ));
-        }
+        let engine = format!("global {} engine", protocol.label());
+        self.validate_unscripted(&engine)?;
         if !matches!(self.environment.loss, LossModel::Constant { .. }) {
-            return Err(format!(
-                "only constant loss is expressible on the global {engine} engine"
-            ));
+            return Err(format!("only constant loss is expressible on the {engine}"));
         }
-        if !matches!(
-            self.environment.churn,
-            ChurnModel::None | ChurnModel::Uniform { .. }
-        ) {
-            return Err(format!(
-                "crash waves and mass joins cannot fire on the global {engine} engine"
-            ));
+        if let ChurnModel::CrashWave { .. } = self.environment.churn {
+            return Err(format!("crash waves cannot fire on the {engine}"));
         }
         if !self.measurements.is_empty() {
             return Err(format!(
-                "measurement windows need a per-cycle engine — the global {engine} engine \
+                "measurement windows need a per-cycle engine — the {engine} \
                  books everything an item causes under its publication cycle"
             ));
         }
@@ -805,21 +826,14 @@ impl ChurnModel {
 
 impl TimedEvent {
     pub fn to_json(&self) -> Value {
-        let mut entries = vec![("at", num(self.at))];
+        let mut entries = vec![("at", num(self.at)), ("kind", string(self.event.kind()))];
         match self.event {
-            Event::JoinClone { reference } => {
-                entries.push(("kind", string("join_clone")));
-                entries.push(("reference", num(reference)));
-            }
+            Event::JoinClone { reference } => entries.push(("reference", num(reference))),
             Event::SwapInterests { a, b } => {
-                entries.push(("kind", string("swap_interests")));
                 entries.push(("a", num(a)));
                 entries.push(("b", num(b)));
             }
-            Event::ResetNode { node } => {
-                entries.push(("kind", string("reset_node")));
-                entries.push(("node", num(node)));
-            }
+            Event::ResetNode { node } => entries.push(("node", num(node))),
         }
         obj(entries)
     }
@@ -1551,6 +1565,25 @@ mod tests {
         }]);
         assert!(with_events.validate_for_global(&global).is_err());
         assert!(with_events.validate_for_global(&node).is_ok());
+        // The unscripted half names what it refuses, and lets crash waves
+        // through: a swarm's peers flip those coins themselves.
+        let with_churn = |churn| {
+            Scenario::default().with_environment(Environment {
+                loss: LossModel::Constant { p: 0.0 },
+                churn,
+            })
+        };
+        let err = with_events.validate_unscripted("swarm").unwrap_err();
+        assert!(err.contains("reset_node") && err.contains("swarm"), "{err}");
+        let join = with_churn(ChurnModel::MassJoin { at: 3, count: 2 });
+        let err = join.validate_unscripted("swarm").unwrap_err();
+        assert!(err.contains("mass join"), "{err}");
+        let wave = with_churn(ChurnModel::CrashWave {
+            at: 3,
+            fraction: 0.5,
+        });
+        assert!(wave.validate_unscripted("swarm").is_ok());
+        assert!(wave.validate_for_global(&global).is_err());
         let bursty = Scenario::default().with_environment(Environment {
             loss: LossModel::GilbertElliott {
                 p_good: 0.0,

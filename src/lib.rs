@@ -24,8 +24,8 @@
 //! | [`gossip`](whatsup_gossip) | random peer sampling + clustering substrate |
 //! | [`graph`](whatsup_graph) | SCC/WCC/clustering-coefficient analytics, generators |
 //! | [`datasets`](whatsup_datasets) | synthetic Arxiv/Digg/survey workloads |
-//! | [`sim`](whatsup_sim) | cycle simulator, baselines, scenario grammar, the job pool |
-//! | [`net`](whatsup_net) | wire codec, ModelNet-like emulator, UDP swarm |
+//! | [`sim`](whatsup_sim) | cycle simulator, baselines, scenario grammar, the job pool, the wall-clock swarm executor |
+//! | [`net`](whatsup_net) | wire codec, deployed peer, emulated-router and UDP datagram links |
 //! | [`metrics`](whatsup_metrics) | precision/recall/F1, histograms, tables |
 //!
 //! ## Quickstart
@@ -58,11 +58,12 @@ pub mod prelude {
     pub use whatsup_core::prelude::*;
     pub use whatsup_datasets::{Dataset, DiggConfig, LikeMatrix, SurveyConfig, SyntheticConfig};
     pub use whatsup_metrics::{IrAggregate, IrScores, ItemOutcome, Series, SeriesSet, TextTable};
-    pub use whatsup_net::{EmulatorConfig, SwarmConfig, SwarmReport, UdpConfig};
+    pub use whatsup_net::TrafficSnapshot;
     pub use whatsup_sim::scenario::{
         ChurnModel, Environment, Event, LossModel, TimedEvent, Workload,
     };
     pub use whatsup_sim::{
-        run_protocol, Protocol, Runner, Scenario, ScenarioFile, SimConfig, SimReport, Simulation,
+        run_protocol, Deployment, Fabric, Protocol, Runner, Scenario, ScenarioFile, SimConfig,
+        SimReport, Simulation,
     };
 }

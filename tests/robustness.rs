@@ -129,36 +129,34 @@ fn every_protocol_survives_every_dataset() {
 /// used to decode, reach the similarity ranking (`partial_cmp(..).expect`
 /// in the WUP merge and in BEEP orientation) and panic; the codec now
 /// rejects the score, so the frame is dropped like any other corrupt input
-/// — at a `Peer`, and on the decode → `on_message` path a runtime runs.
+/// — at a `Peer`, and on the bare decode → `on_message` path.
 #[test]
 fn nan_scores_on_the_wire_are_dropped_not_fatal() {
-    use std::sync::Arc;
-    use whatsup::net::codec;
-    use whatsup::net::peer::{NetOracle, Peer};
-    use whatsup::net::swarm::ItemTable;
+    use rand::SeedableRng;
+    use whatsup::net::{codec, Peer};
 
-    let dataset = survey(0.1, 36);
-    let cfg = SwarmConfig {
-        loss: 0.0,
-        ..Default::default()
+    let item = |k: u32| NewsItem::new(format!("news-{k}"), "d", "https://l", 5, 0);
+    let (item0, other) = (item(0), item(1));
+    // Only the victim likes anything.
+    let victim: NodeId = item0.source;
+    let oracle = |node: NodeId, _: ItemId| node == victim;
+    let params = Params::whatsup(6);
+    let seeded = || {
+        let mut node = WhatsUpNode::new(victim, params.clone());
+        node.seed_views(
+            (0..8).filter(|&n| n != victim).map(|n| (n, Profile::new())),
+            (0..4).filter(|&n| n != victim).map(|n| (n, Profile::new())),
+        );
+        node
     };
-    let table = Arc::new(ItemTable::build(&dataset, &cfg));
-    let oracle = NetOracle::new(Arc::new(dataset.likes.clone()), Arc::clone(&table));
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(36);
     // The victim publishes item 0, so it has rated (liked) that item.
-    let victim: NodeId = table.items[0].source;
-    let mut peer = Peer::new(
-        victim,
-        &cfg,
-        oracle.clone(),
-        Default::default(),
-        Default::default(),
-    );
-    peer.bootstrap(dataset.n_users(), 6);
-    assert!(!peer.publish(0, 1).is_empty());
-    let rated = table.items[0].id();
+    let mut peer = Peer::new(seeded(), Default::default());
+    assert!(!peer.publish(&item0, 1, &mut rng).is_empty());
+    let rated = item0.id();
     assert!(peer.node().profile().contains(rated));
 
-    let attacker: NodeId = if victim == 0 { 1 } else { 0 };
+    let attacker: NodeId = 0;
     let poisoned = || {
         SharedProfile::new(Profile::from_entries([ProfileEntry {
             item: rated,
@@ -166,7 +164,6 @@ fn nan_scores_on_the_wire_are_dropped_not_fatal() {
             score: f32::NAN,
         }]))
     };
-    let other = &table.items[1];
     let resolve = |id| (id == other.id()).then(|| other.clone());
     let payloads = [
         Payload::WupRequest(vec![Descriptor::fresh(attacker, poisoned())]),
@@ -179,22 +176,15 @@ fn nan_scores_on_the_wire_are_dropped_not_fatal() {
             hops: 1,
         }),
     ];
-    // The second target: a bare node fed through the codec, as the UDP and
-    // emulator runtimes feed theirs.
-    let mut node = WhatsUpNode::new(victim, cfg.params.clone());
-    node.seed_views(
-        (0..8).filter(|&n| n != victim).map(|n| (n, Profile::new())),
-        (0..4).filter(|&n| n != victim).map(|n| (n, Profile::new())),
-    );
-    let item0 = &table.items[0];
-    let mut rng = <rand_chacha::ChaCha8Rng as rand::SeedableRng>::seed_from_u64(36);
+    // The second target: a bare node fed through the codec.
+    let mut node = seeded();
     let mut stats = NodeStats::default();
-    let _ = node.publish(item0, 1, &mut stats, &mut rng);
+    let _ = node.publish(&item0, 1, &mut stats, &mut rng);
     let views_before = (node.rps_neighbor_ids(), node.wup_neighbor_ids());
     for payload in &payloads {
         let frame = codec::encode(attacker, payload, resolve).expect("frame fits a datagram");
         assert!(
-            peer.handle_frame(&frame, 2).is_empty(),
+            peer.decode(&frame).is_none(),
             "a poisoned frame must be dropped, not answered: {payload:?}"
         );
         let delivered = codec::decode(&frame)
