@@ -18,11 +18,10 @@
 use crate::profile::{Profile, SharedProfile};
 use crate::similarity::{Metric, Prepared};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use whatsup_gossip::{NodeId, View};
 
 /// Where like-forwarding picks its targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TargetPool {
     /// The WUP clustering view (WhatsUp, CF).
     Wup,
@@ -31,7 +30,7 @@ pub enum TargetPool {
 }
 
 /// What to do with an item the user dislikes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DislikeRule {
     /// Drop it (CF baselines take "no action", §IV-B).
     Drop,
@@ -46,7 +45,7 @@ pub enum DislikeRule {
 }
 
 /// BEEP policy knobs (a [`crate::params::Params`] fragment).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BeepConfig {
     /// Fanout for liked items (`fLIKE`).
     pub f_like: usize,
@@ -60,7 +59,7 @@ pub struct BeepConfig {
 }
 
 /// Outcome of Algorithm 2 for one received copy.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ForwardDecision {
     /// Nodes to send the copy to (empty = drop).
     pub targets: Vec<NodeId>,

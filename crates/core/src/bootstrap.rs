@@ -10,11 +10,10 @@
 
 use crate::item::{ItemId, Timestamp};
 use crate::profile::SharedProfile;
-use serde::{Deserialize, Serialize};
 use whatsup_gossip::Descriptor;
 
 /// The view snapshots a joining node inherits from its contact.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ColdStart {
     pub rps_view: Vec<Descriptor<SharedProfile>>,
     pub wup_view: Vec<Descriptor<SharedProfile>>,

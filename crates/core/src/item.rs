@@ -6,7 +6,6 @@
 //! transmitted — by every node that receives it.
 
 use crate::hash::Fnv1a;
-use serde::{Deserialize, Serialize};
 
 /// 8-byte content identifier of a news item (§II-A).
 pub type ItemId = u64;
@@ -16,7 +15,7 @@ pub type ItemId = u64;
 pub type Timestamp = u32;
 
 /// A full news item as published by its source.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NewsItem {
     pub title: String,
     pub description: String,
@@ -67,7 +66,7 @@ impl NewsItem {
 
 /// The `<idI, tI>` pair of Algorithms 1–2: what dissemination actually
 /// manipulates once the content has been hashed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ItemHeader {
     pub id: ItemId,
     pub created_at: Timestamp,

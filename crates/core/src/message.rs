@@ -5,7 +5,6 @@
 
 use crate::item::ItemHeader;
 use crate::profile::SharedProfile;
-use serde::{Deserialize, Serialize};
 use whatsup_gossip::{Descriptor, NodeId};
 
 /// A copy of a news item in flight (Algorithm 2's
@@ -13,7 +12,7 @@ use whatsup_gossip::{Descriptor, NodeId};
 ///
 /// `hops` is measurement instrumentation (Fig. 6 plots dissemination actions
 /// by hop distance); it does not influence any forwarding decision.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NewsMessage {
     pub header: ItemHeader,
     /// The aggregated item profile, shared copy-on-write: fanning one
@@ -28,7 +27,7 @@ pub struct NewsMessage {
 }
 
 /// Wire payloads of the three protocols sharing the node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Payload {
     /// RPS push (half view + fresh self-descriptor).
     RpsRequest(Vec<Descriptor<SharedProfile>>),
@@ -55,7 +54,7 @@ impl Payload {
 
 /// Coarse message family used by the bandwidth and message-count metrics
 /// (the paper reports WUP vs BEEP traffic separately, Fig. 8b).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PayloadKind {
     Rps,
     Wup,
@@ -104,7 +103,7 @@ impl Payload {
 
 /// An outgoing message: destination plus payload. The sender id is implicit
 /// (the node that returned it).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OutMessage {
     pub to: NodeId,
     pub payload: Payload,

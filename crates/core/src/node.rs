@@ -24,7 +24,6 @@ use crate::profile::{Profile, ProfileEntry, SharedProfile};
 use crate::seen::SeenSet;
 use crate::similarity::Prepared;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use whatsup_gossip::{Clustering, ClusteringConfig, Descriptor, NodeId, Rps};
 
 /// Oracle answering "would this user like this item?" (the `iLike` predicate
@@ -40,7 +39,7 @@ impl<F: Fn(NodeId, ItemId) -> bool> Opinions for F {
 }
 
 /// Per-node traffic and dissemination counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NodeStats {
     /// RPS messages sent (requests + responses).
     pub rps_sent: u64,

@@ -24,11 +24,10 @@
 
 use crate::item::ItemId;
 use crate::profile::{Profile, ProfileEntry};
-use serde::{Deserialize, Serialize};
 use whatsup_gossip::NodeId;
 
 /// Obfuscation policy for everything a node shares.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Obfuscation {
     /// Randomized-response noise level in `[0, 1]`: the probability that an
     /// entry's shared score is replaced by a coin flip. 0 = share truth.

@@ -2,12 +2,17 @@
 
 use crate::beep::{BeepConfig, DislikeRule, TargetPool};
 use crate::similarity::Metric;
-use serde::{Deserialize, Serialize};
 use whatsup_gossip::RpsConfig;
+
+/// Upper bound on any view size (RPS, WUP, and with it `fLIKE`) — a
+/// capacity guard, far above any plausible experiment (the paper's views
+/// hold a few dozen peers), so a typo'd scenario file or sweep axis cannot
+/// make every node preallocate gigabytes of view storage.
+pub const MAX_VIEW_SIZE: usize = 10_000;
 
 /// All per-node tunables. `Params::default()` reproduces Table II with the
 /// survey-optimal `fLIKE = 10`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Params {
     /// Random peer sampling layer configuration (`RPSvs = 30`).
     pub rps: RpsConfig,
@@ -44,7 +49,7 @@ impl Params {
         Self {
             rps: RpsConfig::default(),
             rps_period: 1,
-            wup_view_size: 2 * f_like,
+            wup_view_size: f_like.saturating_mul(2),
             metric: Metric::Wup,
             profile_window: 13,
             beep: BeepConfig {
@@ -96,7 +101,7 @@ impl Params {
         Self {
             rps: RpsConfig::default(),
             rps_period: 1,
-            wup_view_size: 2 * fanout.max(1),
+            wup_view_size: fanout.max(1).saturating_mul(2),
             metric: Metric::Wup,
             profile_window: 13,
             beep: BeepConfig {
@@ -123,10 +128,17 @@ impl Params {
     }
 
     /// Validates the invariants the paper states (§IV-D): `WUPvs ≥ fLIKE`,
-    /// non-zero window and fanout.
+    /// non-zero window and fanout — and view sizes within [`MAX_VIEW_SIZE`].
     pub fn validate(&self) -> Result<(), String> {
         if self.beep.f_like == 0 {
             return Err("fLIKE must be ≥ 1".into());
+        }
+        for (view, size) in [("WUP", self.wup_view_size), ("RPS", self.rps.view_size)] {
+            if size > MAX_VIEW_SIZE {
+                return Err(format!(
+                    "{view} view size ({size}) exceeds the engine limit ({MAX_VIEW_SIZE})"
+                ));
+            }
         }
         if self.wup_view_size < self.beep.f_like {
             return Err(format!(
@@ -199,6 +211,22 @@ mod tests {
         assert!(p.validate().is_err());
         let mut p = Params::whatsup(10);
         p.profile_window = 0;
+        assert!(p.validate().is_err());
+    }
+
+    #[test]
+    fn view_sizes_are_capacity_guarded() {
+        assert!(Params::whatsup(MAX_VIEW_SIZE / 2).validate().is_ok());
+        assert!(Params::whatsup(MAX_VIEW_SIZE / 2 + 1).validate().is_err());
+        assert!(Params::cf(MAX_VIEW_SIZE + 1, Metric::Wup)
+            .validate()
+            .is_err());
+        assert!(
+            Params::gossip(usize::MAX).validate().is_err(),
+            "no overflow"
+        );
+        let mut p = Params::whatsup(10);
+        p.rps.view_size = MAX_VIEW_SIZE + 1;
         assert!(p.validate().is_err());
     }
 

@@ -19,7 +19,6 @@ use crate::item::{ItemId, Timestamp};
 #[doc(hidden)]
 pub use crate::planes::slot_table_bytes;
 use crate::planes::Planes;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
@@ -33,7 +32,7 @@ pub type Score = f32;
 /// the wire codec rejects anything else (`DecodeError::BadScore`). The
 /// constructors do not check it: similarity ranking relies on it only to
 /// never meet a `NaN`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProfileEntry {
     pub item: ItemId,
     pub timestamp: Timestamp,
@@ -52,18 +51,16 @@ pub struct ProfileEntry {
 /// always carry bit-identical cached norms regardless of the operation
 /// history that produced them. Equality is
 /// defined over `entries` alone (see the manual `PartialEq` below), so a
-/// path that bypasses the mutating methods — e.g. a field-wise
-/// deserializer leaving the skipped cache at `0.0` — cannot break `==`;
+/// path that bypasses the mutating methods cannot break `==`;
 /// [`Self::norm`] additionally debug-asserts the cache against a fresh
 /// recompute to catch such a stale cache before it skews similarity.
-#[derive(Default, Serialize, Deserialize)]
+#[derive(Default)]
 pub struct Profile {
     entries: Vec<ProfileEntry>,
     /// Memoized `‖scores‖₂`; maintained by every mutating method. Never
     /// serialized — it is derived state, and a deserializer must recompute
     /// it from `entries` (as the wire codec does via `from_entries`) rather
     /// than trust external data for an internal invariant.
-    #[serde(skip)]
     norm: f64,
     /// Memoized 128-bit Bloom fingerprint of the *rated* item-id set (one
     /// hashed bit per entry). Similarity scoring uses it to reject
@@ -74,18 +71,15 @@ pub struct Profile {
     /// by the same mutation-time recompute as the norm, and like the norm
     /// it is derived state: never serialized, always rebuilt from
     /// `entries`.
-    #[serde(skip)]
     fingerprint: u128,
     /// Number of entries with `score > 0.5` ([`Self::like_count`]), kept
     /// by every mutating method. Derived state like the norm.
-    #[serde(skip)]
     likes: u32,
     /// Number of entries whose score is neither `0` nor `1`. Zero — the
     /// profile is *binary* — for everything [`Self::rate`] builds: every
     /// user profile, every gossip snapshot. A binary profile's norm is
     /// `sqrt(likes)`, bit-identical to the scan (a sum of 0s and 1s is
     /// exact), and only a binary profile can have [`Self::planes`].
-    #[serde(skip)]
     non_binary: u32,
     /// The rated and liked item sets as bit planes, for the counting path
     /// of `crate::similarity`. Built on demand ([`Self::planes`],
@@ -94,11 +88,9 @@ pub struct Profile {
     /// [`Planes::build`]). Derived state: never serialized, never
     /// compared, not copied by `Clone`, dropped by every mutation — and
     /// shared, once built, by every holder of a [`SharedProfile`].
-    #[serde(skip)]
     planes: OnceLock<Option<Planes>>,
     /// Whether a one-vs-many scorer has met this profile as a candidate
     /// before (see [`Self::planes_when_rescored`]). Reset with the planes.
-    #[serde(skip)]
     scored_before: AtomicBool,
 }
 
@@ -124,9 +116,8 @@ impl Clone for Profile {
     }
 }
 
-/// What `derive(Debug)` printed before the counting path's fields existed.
-/// The serde shim serializes through `Debug`, so this is the profile's
-/// serialized shape; whether planes happen to be built must not show in it.
+/// What `derive(Debug)` printed before the counting path's fields existed:
+/// whether planes happen to be built must not show in it.
 impl std::fmt::Debug for Profile {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Profile")
@@ -184,32 +175,6 @@ fn fingerprint_of(entries: &[ProfileEntry]) -> u128 {
     entries
         .iter()
         .fold(0u128, |fp, e| fp | fingerprint_bit(e.item))
-}
-
-/// Hand-written deserialization (`[item, timestamp, score]` triple). The
-/// shim's derive emits nothing, so these are the impls that actually run.
-impl serde::Deserialize for ProfileEntry {
-    fn from_json_value(v: &serde::json::Value) -> Result<Self, serde::json::Error> {
-        let (item, timestamp, score) = <(ItemId, Timestamp, Score)>::from_json_value(v)?;
-        Ok(Self {
-            item,
-            timestamp,
-            score,
-        })
-    }
-}
-
-/// Hand-written deserialization: rebuilds through [`Profile::from_entries`]
-/// so the memoized norm is always *recomputed*, never trusted from external
-/// data. When the serde shims are swapped for the real crates (see
-/// ROADMAP.md), this impl stops compiling — port it to
-/// `#[serde(from = "Vec<ProfileEntry>")]` (or a `deserialize_with`) so the
-/// recompute guarantee survives the swap; a derived field-wise deserializer
-/// would leave the skipped norm cache at `0.0`.
-impl serde::Deserialize for Profile {
-    fn from_json_value(v: &serde::json::Value) -> Result<Self, serde::json::Error> {
-        Ok(Self::from_entries(Vec::<ProfileEntry>::from_json_value(v)?))
-    }
 }
 
 /// A profile shared immutably across views, messages and threads.
@@ -651,18 +616,6 @@ mod tests {
         let p = Profile::from_entries([e(1, 0, 1.0), e(1, 9, 0.0)]);
         assert_eq!(p.len(), 1);
         assert_eq!(p.get(1).unwrap().score, 0.0);
-    }
-
-    #[test]
-    fn deserialize_recomputes_norm() {
-        use serde::Deserialize;
-        let v = serde::json::parse("[[2, 6, 0.0], [1, 5, 1.0]]").unwrap();
-        let p = Profile::from_json_value(&v).unwrap();
-        assert_eq!(p.len(), 2);
-        // `norm()` debug-asserts the cache against a fresh recompute, so a
-        // deserializer that skipped `from_entries` would panic here.
-        assert_eq!(p.norm(), 1.0);
-        assert_eq!(p, Profile::from_entries([e(1, 5, 1.0), e(2, 6, 0.0)]));
     }
 
     proptest! {

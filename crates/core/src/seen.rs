@@ -15,7 +15,6 @@
 //! hash-set implementation it replaced.
 
 use crate::item::ItemId;
-use serde::{Deserialize, Serialize};
 
 /// Recent-window capacity before a merge into the sorted run. Small
 /// enough that the linear probe stays cache-resident; large enough that
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 const RECENT_CAP: usize = 32;
 
 /// Sorted-run + recent-window set of item ids. See the module docs.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SeenSet {
     /// Ascending, deduplicated.
     sorted: Vec<ItemId>,

@@ -151,11 +151,10 @@
 
 use crate::planes::Weights;
 use crate::profile::Profile;
-use serde::{Deserialize, Serialize};
 
 /// Metric selector: which similarity a node family uses for clustering,
 /// BEEP orientation and CF neighbor ranking.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Metric {
     /// The asymmetric WUP metric (WhatsUp, CF-WUP).
     #[default]

@@ -23,11 +23,10 @@ use rand::distributions::WeightedIndex;
 use rand::prelude::Distribution;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use whatsup_graph::Graph;
 
 /// Generator knobs for the Digg-like workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiggConfig {
     pub n_users: usize,
     pub n_items: usize,

@@ -4,10 +4,8 @@
 //! largest matrix is 3180 × 2000 bits ≈ 800 kB — small enough to clone per
 //! experiment, large enough that a `Vec<Vec<bool>>` would hurt.
 
-use serde::{Deserialize, Serialize};
-
 /// A dense boolean matrix over `users × items`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LikeMatrix {
     n_users: usize,
     n_items: usize,

@@ -1,11 +1,10 @@
 //! The [`Dataset`] container shared by all generators, plus Table I stats.
 
 use crate::matrix::LikeMatrix;
-use serde::{Deserialize, Serialize};
 use whatsup_graph::Graph;
 
 /// Static description of one news item in a workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ItemSpec {
     /// Dense index of the item within the dataset.
     pub index: u32,
@@ -19,7 +18,7 @@ pub struct ItemSpec {
 
 /// A complete workload: ground-truth likes, item specs and (optionally) an
 /// explicit social graph.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dataset {
     pub name: String,
     pub items: Vec<ItemSpec>,
@@ -125,7 +124,7 @@ impl Dataset {
 }
 
 /// Summary row for the Table I harness.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetStats {
     pub name: String,
     pub n_users: usize,

@@ -15,11 +15,10 @@ use crate::matrix::LikeMatrix;
 use crate::spec::{Dataset, ItemSpec};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use whatsup_graph::generate::community_sizes;
 
 /// Generator knobs for the synthetic workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SyntheticConfig {
     pub n_users: usize,
     pub n_communities: usize,

@@ -12,7 +12,6 @@
 //! cosine, giving the paper's four-way comparison (Fig. 3) for free.
 
 use crate::view::{dedup_freshest, Descriptor, NodeId, View};
-use serde::{Deserialize, Serialize};
 
 /// Ranks a candidate payload against the node's own payload. Higher is more
 /// similar. Implementations must be pure (no interior mutability observable
@@ -37,7 +36,7 @@ pub fn mix(a: NodeId, b: NodeId) -> u64 {
 }
 
 /// Clustering-layer parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusteringConfig {
     /// View size (`WUPvs`; the paper sets it to `2 · fLIKE`).
     pub view_size: usize,

@@ -11,10 +11,9 @@
 use crate::view::{dedup_freshest, Descriptor, NodeId, View};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// RPS tuning parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RpsConfig {
     /// View size (`RPSvs` in Table II; paper default 30).
     pub view_size: usize,

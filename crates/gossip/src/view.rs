@@ -8,13 +8,12 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a node (user) in the overlay.
 pub type NodeId = u32;
 
 /// A view entry: node id, payload snapshot, and the snapshot's age in cycles.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Descriptor<P> {
     pub node: NodeId,
     pub age: u32,
@@ -33,7 +32,7 @@ impl<P> Descriptor<P> {
 }
 
 /// A bounded set of descriptors with at most one entry per node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct View<P> {
     capacity: usize,
     entries: Vec<Descriptor<P>>,

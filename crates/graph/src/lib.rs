@@ -14,14 +14,12 @@ pub mod components;
 pub mod generate;
 pub mod scc;
 
-use serde::{Deserialize, Serialize};
-
 /// A directed graph over nodes `0..n` stored as adjacency lists.
 ///
 /// Parallel edges are permitted at construction but deduplicated by
 /// [`Graph::dedup`]; self-loops are ignored by the analytics that do not
 /// define them (clustering coefficient).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Graph {
     adj: Vec<Vec<u32>>,
 }

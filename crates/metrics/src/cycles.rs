@@ -24,12 +24,11 @@
 //! time series across shard counts and transports.
 
 use crate::ir::IrScores;
-use serde::{Deserialize, Serialize};
 
 /// Raw measurement counters of one gossip cycle (or a pooled window of
 /// cycles — the counters are additive, except `live_nodes`, which pooling
 /// takes from the *last* cycle of the window).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CycleStats {
     /// First receptions among this cycle's published items (every item's
     /// epidemic completes within its publication cycle).
@@ -98,7 +97,7 @@ fn ratio(num: u64, den: u64) -> f64 {
 
 /// The per-cycle time series of one run: `cycles()[c]` holds cycle `c`'s
 /// counters.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CycleSeries {
     cycles: Vec<CycleStats>,
 }
@@ -201,7 +200,7 @@ impl FromIterator<CycleStats> for CycleSeries {
 }
 
 /// How one event played out: dip depth, time to recover, messages spent.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryMetrics {
     /// The event cycle the window is anchored to.
     pub anchor: u32,

@@ -1,13 +1,11 @@
 //! Fixed-bin histograms for the distribution figures (Tables IV, Figs. 6, 10, 11).
 
-use serde::{Deserialize, Serialize};
-
 /// A histogram over `[lo, hi)` with uniformly sized bins.
 ///
 /// Out-of-range samples are clamped into the first/last bin so that totals
 /// are conserved (the paper's popularity/sociability axes are bounded and we
 /// never want to silently drop samples).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     lo: f64,
     hi: f64,
@@ -102,7 +100,7 @@ impl Histogram {
 /// Per-bin mean of a y-value keyed by an x-value — the "recall vs popularity"
 /// (Fig. 10) and "F1 vs sociability" (Fig. 11) shape: bucket items/users by x
 /// and average their y within each bucket.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BinnedMean {
     lo: f64,
     hi: f64,

@@ -14,10 +14,8 @@
 //! numbers) and *macro* averaging (mean of per-item scores, used in the
 //! per-item breakdowns of Figs. 10–11).
 
-use serde::{Deserialize, Serialize};
-
 /// Raw dissemination outcome for one news item.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ItemOutcome {
     /// Number of users interested in the item (would click *like*).
     pub interested: usize,
@@ -65,7 +63,7 @@ impl ItemOutcome {
 }
 
 /// A precision/recall/F1 triple.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct IrScores {
     pub precision: f64,
     pub recall: f64,
@@ -84,7 +82,7 @@ impl IrScores {
 }
 
 /// Accumulates [`ItemOutcome`]s over a workload.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct IrAggregate {
     outcomes: Vec<ItemOutcome>,
 }

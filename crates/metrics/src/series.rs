@@ -1,10 +1,9 @@
 //! Named x/y series — the data behind every figure the harnesses regenerate.
 
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// One plottable curve: a label plus `(x, y)` points.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Series {
     pub label: String,
     pub points: Vec<(f64, f64)>,
@@ -73,7 +72,7 @@ impl Series {
 
 /// A figure: a set of curves sharing axes, renderable as aligned text columns
 /// (the format the paper's gnuplot data files used).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SeriesSet {
     pub title: String,
     pub x_label: String,

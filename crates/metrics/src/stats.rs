@@ -1,7 +1,5 @@
 //! Scalar statistics used throughout the experiment harnesses.
 
-use serde::{Deserialize, Serialize};
-
 /// Arithmetic mean; 0 for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -45,7 +43,7 @@ pub fn percentile(xs: &[f64], q: f64) -> f64 {
 }
 
 /// Five-number style summary of a sample.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Summary {
     pub count: usize,
     pub mean: f64,
@@ -78,7 +76,7 @@ impl Summary {
 
 /// Online mean/variance accumulator (Welford). Useful in hot loops where
 /// materializing a `Vec<f64>` per series would churn the allocator.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Welford {
     n: u64,
     mean: f64,

@@ -1,9 +1,7 @@
 //! Minimal ASCII table renderer for the paper's tables (III–VI).
 
-use serde::{Deserialize, Serialize};
-
 /// A simple text table with a header row and aligned columns.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TextTable {
     title: String,
     header: Vec<String>,

@@ -1,6 +1,5 @@
 //! Per-protocol traffic accounting (Fig. 8b: WUP vs BEEP bandwidth).
 
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use whatsup_core::message::PayloadKind;
 
@@ -46,7 +45,7 @@ impl TrafficStats {
 }
 
 /// Plain-data traffic totals.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrafficSnapshot {
     pub rps_bytes: u64,
     pub wup_bytes: u64,

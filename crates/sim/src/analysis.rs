@@ -3,7 +3,6 @@
 
 use crate::engine::Simulation;
 use crate::record::SimReport;
-use serde::{Deserialize, Serialize};
 
 /// `(x, mean y, samples)` rows of a binned scatter.
 pub type BinnedSeries = Vec<(f64, f64, u64)>;
@@ -16,7 +15,7 @@ use whatsup_graph::scc::tarjan_scc;
 use whatsup_metrics::hist::BinnedMean;
 
 /// Topology numbers the paper quotes for the WUP overlay (§V-A, Fig. 4).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverlayStats {
     /// Fraction of nodes in the largest strongly connected component.
     pub lscc_fraction: f64,

@@ -62,6 +62,7 @@
 //! * `echo` parses, validates and re-renders a scenario file in canonical
 //!   form (round-trip check / formatter).
 
+use serde::Json;
 use std::process::ExitCode;
 use whatsup_metrics::table::{f2, human_count};
 use whatsup_metrics::TextTable;
@@ -276,6 +277,15 @@ fn sweep(args: &[String]) -> ExitCode {
                 file.protocol.label()
             ),
         );
+    }
+    // Every fanout's node parameters pass the same checks as the file's
+    // own, view-size capacity guard included, before the first cell runs.
+    for &f in &fanouts {
+        if let Some(params) = file.config.build_params(&file.protocol.with_fanout(f)) {
+            if let Err(e) = params.validate() {
+                return fail("invalid sweep", format!("--fanouts {f}: {e}"));
+            }
+        }
     }
     // No --shards axis = the file's own shard count, a 1×F grid.
     let shard_counts = shard_counts.unwrap_or_else(|| vec![file.config.shards]);

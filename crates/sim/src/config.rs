@@ -1,7 +1,6 @@
 //! Simulation configuration, the protocol selector and the transport
 //! selector.
 
-use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 use whatsup_core::{Metric, Params};
 
@@ -48,7 +47,7 @@ impl Transport {
 
 /// One protocol under evaluation (§IV-B). Everything the paper's Figs. 3–11
 /// and Tables III–VI compare is expressible here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Protocol {
     /// The full system: WUP metric + BEEP amplification/orientation.
     WhatsUp { f_like: usize },
@@ -74,6 +73,22 @@ pub enum Protocol {
     /// pairwise digest/delta exchange, phi-accrual failure detection. The
     /// modern point of comparison BEEP is measured against (ROADMAP).
     AntiEntropy { fanout: usize },
+}
+
+serde::json_codec! {
+    enum Protocol {
+        "whatsup" => WhatsUp { f_like },
+        "whatsup_cos" => WhatsUpCos { f_like },
+        "cf_wup" => CfWup { k },
+        "cf_cos" => CfCos { k },
+        "gossip" => Gossip { fanout },
+        "cascade" => Cascade,
+        "c_pub_sub" => CPubSub,
+        "c_whatsup" => CWhatsUp { f_like },
+        "no_amplification" => NoAmplification { fanout },
+        "no_orientation" => NoOrientation { f_like },
+        "anti_entropy" => AntiEntropy { fanout },
+    }
 }
 
 impl Protocol {
@@ -176,7 +191,7 @@ impl Protocol {
 }
 
 /// Simulation run configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Total gossip cycles. The paper's profile window of 13 cycles is 1/5
     /// of the experiment, giving 65 cycles.
@@ -233,6 +248,16 @@ pub struct SimConfig {
     /// nodes instantly; anti-entropy needs real downtime for heartbeats to
     /// go stale, or φ would have nothing to detect.
     pub down_cycles: u32,
+}
+
+serde::json_codec! {
+    struct SimConfig {
+        cycles: default, publish_from: default, measure_from: default, loss: default,
+        seed: default, bootstrap_degree: default, profile_window: default,
+        ttl_override: default, wup_view_override: default, obfuscation: default,
+        churn_per_cycle: default, collect_series: default, shards: default,
+        datagram_budget: default, phi_threshold: default, down_cycles: default,
+    }
 }
 
 impl Default for SimConfig {

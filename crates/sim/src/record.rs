@@ -4,7 +4,6 @@
 
 use crate::config::{Protocol, SimConfig};
 use crate::scenario::{Scenario, WindowSpec};
-use serde::{Deserialize, Serialize};
 use whatsup_core::NodeId;
 use whatsup_metrics::{
     CycleSeries, CycleStats, IrAggregate, IrScores, ItemOutcome, RecoveryMetrics,
@@ -31,7 +30,7 @@ pub const SERIES_COLUMNS: [&str; 9] = [
 ];
 
 /// Everything the evaluation needs to know about one item's dissemination.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ItemRecord {
     /// Dataset index of the item.
     pub index: u32,
@@ -72,7 +71,7 @@ impl ItemRecord {
 
 /// Per-node delivery counters over measured items (Fig. 11 needs per-user
 /// precision/recall).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NodeIr {
     /// Measured items delivered to this node (first receptions).
     pub received: u64,
@@ -100,7 +99,7 @@ impl NodeIr {
 }
 
 /// Aggregated result of one simulation run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimReport {
     pub protocol: String,
     pub dataset: String,
@@ -130,7 +129,7 @@ pub struct SimReport {
 }
 
 /// One resolved measurement window of the report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WindowReport {
     /// The scenario's window name.
     pub name: String,
@@ -637,7 +636,7 @@ impl Ledger {
 }
 
 /// Per-hop dissemination activity (Fig. 6), averaged per item.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HopProfile {
     pub forward_like: Vec<f64>,
     pub forward_dislike: Vec<f64>,

@@ -27,9 +27,17 @@
 //!
 //! # JSON schema
 //!
-//! Scenarios round-trip through JSON (`to_json` / `serde_json::from_str`).
-//! Every enum is a tagged object with a `"kind"` discriminator; all numbers
-//! are JSON numbers (f64-precision — seeds above 2^53 do not round-trip).
+//! Scenarios round-trip through JSON ([`serde::Json`]). Each type declares
+//! its JSON form once, in the `serde::json_codec!` block next to it: that
+//! block is the one place the schema lives, and both the encoder and the
+//! decoder are generated from it. Every enum is a tagged object with a
+//! `"kind"` discriminator.
+//!
+//! Files are strict JSON: quoted keys, one comma between members, no
+//! trailing commas, nesting at most 128 deep. An integer field accepts a
+//! number only if it is whole, non-negative, at most 2^53 and in range for
+//! its type; anything else — like a missing required field or an unknown
+//! `"kind"` — is an error naming the field's path (`scenario.events[2].at`).
 //!
 //! ```json
 //! {
@@ -109,14 +117,14 @@
 //! file's protocol from the CLI, and `whatsup-sim compare` runs both.
 
 use crate::config::{Protocol, SimConfig};
-use serde::json::{Error, Value};
-use serde::{Deserialize, Serialize};
+use serde::json::Error;
+use serde::Json;
 use whatsup_core::NodeId;
 use whatsup_datasets::{digg, survey, synthetic, Dataset};
 use whatsup_datasets::{DiggConfig, SurveyConfig, SyntheticConfig};
 
 /// When the dataset's items are published (the x-axis of every epidemic).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Workload {
     /// Items spread evenly over `[publish_from, cycles)` (the paper's
     /// methodology, and the legacy `SimConfig::schedule`).
@@ -132,6 +140,15 @@ pub enum Workload {
     /// One topic goes hot: its items publish inside `[at, at + span)`;
     /// items of other topics keep their uniform slot.
     TopicHotspot { topic: u32, at: u32, span: u32 },
+}
+
+serde::json_codec! {
+    enum Workload {
+        "uniform" => Uniform,
+        "flash_crowd" => FlashCrowd { at, fraction },
+        "diurnal" => Diurnal { period, amplitude },
+        "topic_hotspot" => TopicHotspot { topic, at, span },
+    }
 }
 
 impl Workload {
@@ -202,7 +219,7 @@ impl Workload {
 /// Per-message loss (paper §V-E generalized). Every model draws its coins
 /// from the *receiver's* phase stream (or none at all), so it cannot leak
 /// across shard boundaries.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LossModel {
     /// Independent per-message loss with a fixed probability (the legacy
     /// `SimConfig::loss`).
@@ -228,8 +245,16 @@ pub enum LossModel {
     },
 }
 
+serde::json_codec! {
+    enum LossModel {
+        "constant" => Constant { p },
+        "gilbert_elliott" => GilbertElliott { p_good, p_bad, good_to_bad, bad_to_good },
+        "partition" => Partition { from, until, frontier },
+    }
+}
+
 /// Node arrivals and departures.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ChurnModel {
     /// A stable population.
     None,
@@ -242,6 +267,15 @@ pub enum ChurnModel {
     /// `count` fresh nodes join at cycle `at`, each cloning the interests
     /// of a uniformly drawn existing node.
     MassJoin { at: u32, count: u32 },
+}
+
+serde::json_codec! {
+    enum ChurnModel {
+        "none" => None,
+        "uniform" => Uniform { per_cycle },
+        "crash_wave" => CrashWave { at, fraction },
+        "mass_join" => MassJoin { at, count },
+    }
 }
 
 impl ChurnModel {
@@ -264,11 +298,13 @@ impl ChurnModel {
 }
 
 /// The network conditions of a run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Environment {
     pub loss: LossModel,
     pub churn: ChurnModel,
 }
+
+serde::json_codec! { struct Environment { loss, churn } }
 
 impl Default for Environment {
     fn default() -> Self {
@@ -280,7 +316,7 @@ impl Default for Environment {
 }
 
 /// One typed timeline event (paper §V-C's interactive experiments as data).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Event {
     /// A node joins with interests cloned from `reference` (cold start from
     /// a random contact's views, §II-D). Joiners take the next free id.
@@ -291,29 +327,28 @@ pub enum Event {
     ResetNode { node: NodeId },
 }
 
-impl Event {
-    /// The event's JSON `"kind"`.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Event::JoinClone { .. } => "join_clone",
-            Event::SwapInterests { .. } => "swap_interests",
-            Event::ResetNode { .. } => "reset_node",
-        }
+serde::json_codec! {
+    enum Event {
+        "join_clone" => JoinClone { reference },
+        "swap_interests" => SwapInterests { a, b },
+        "reset_node" => ResetNode { node },
     }
 }
 
 /// An [`Event`] stamped with the cycle it fires at (start of that cycle,
 /// before the collect phase; same-cycle events apply in list order).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimedEvent {
     pub at: u32,
     pub event: Event,
 }
 
+serde::json_codec! { struct TimedEvent { at, event: flatten } }
+
 /// Where a recovery measurement window is anchored: either an explicit
 /// cycle, or one of the scenario's own events — so the window follows the
 /// event when the scenario is tuned, instead of drifting out of sync.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Anchor {
     /// An explicit cycle.
     Cycle { at: u32 },
@@ -329,6 +364,18 @@ pub enum Anchor {
     PartitionEnd,
     /// The `index`-th timeline event's cycle (list order).
     Event { index: usize },
+}
+
+serde::json_codec! {
+    enum Anchor {
+        "cycle" => Cycle { at },
+        "crash_wave" => CrashWave,
+        "mass_join" => MassJoin,
+        "flash_crowd" => FlashCrowd,
+        "partition_start" => PartitionStart,
+        "partition_end" => PartitionEnd,
+        "event" => Event { index },
+    }
 }
 
 impl Anchor {
@@ -376,7 +423,7 @@ impl Anchor {
 }
 
 /// The cycle span one measurement covers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WindowSpec {
     /// An explicit half-open cycle range `[from, until)`.
     Cycles { from: u32, until: u32 },
@@ -387,14 +434,23 @@ pub enum WindowSpec {
     Recovery { anchor: Anchor, baseline: u32 },
 }
 
+serde::json_codec! {
+    enum WindowSpec {
+        "cycles" => Cycles { from, until },
+        "recovery" => Recovery { anchor, baseline },
+    }
+}
+
 /// One named measurement window, rendered into the report as a
 /// `crate::record::WindowReport` (window-scoped IR aggregate + traffic,
 /// plus recovery metrics for [`WindowSpec::Recovery`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Measurement {
     pub name: String,
     pub window: WindowSpec,
 }
+
+serde::json_codec! { struct Measurement { name, window: flatten } }
 
 /// Upper bound on one mass-join burst — a capacity guard, far above any
 /// plausible experiment, so a typo'd scenario file cannot ask the engine to
@@ -403,7 +459,7 @@ pub const MAX_MASS_JOIN: usize = 100_000;
 
 /// A complete workload description: what publishes when, under which
 /// network conditions, with which choreographed population changes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     pub workload: Workload,
     pub environment: Environment,
@@ -411,6 +467,10 @@ pub struct Scenario {
     /// Named measurement windows rendered into the report (empty = only
     /// the whole-run aggregates).
     pub measurements: Vec<Measurement>,
+}
+
+serde::json_codec! {
+    struct Scenario { workload, environment, events: default, measurements: default }
 }
 
 impl Default for Scenario {
@@ -620,7 +680,7 @@ impl Scenario {
         if let Some(e) = self.events.first() {
             return Err(format!(
                 "timeline event {} at cycle {} cannot fire on the {engine}",
-                e.event.kind(),
+                e.event.to_json(),
                 e.at
             ));
         }
@@ -732,554 +792,29 @@ impl Scenario {
     }
 }
 
-// ---------------------------------------------------------------------------
-// JSON encoding
-// ---------------------------------------------------------------------------
-
-fn obj(entries: Vec<(&str, Value)>) -> Value {
-    Value::object(entries)
-}
-
-fn num(n: impl Into<f64>) -> Value {
-    Value::Number(n.into())
-}
-
-fn string(s: &str) -> Value {
-    Value::String(s.to_string())
-}
-
-impl Workload {
-    pub fn to_json(&self) -> Value {
-        match *self {
-            Workload::Uniform => obj(vec![("kind", string("uniform"))]),
-            Workload::FlashCrowd { at, fraction } => obj(vec![
-                ("kind", string("flash_crowd")),
-                ("at", num(at)),
-                ("fraction", num(fraction)),
-            ]),
-            Workload::Diurnal { period, amplitude } => obj(vec![
-                ("kind", string("diurnal")),
-                ("period", num(period)),
-                ("amplitude", num(amplitude)),
-            ]),
-            Workload::TopicHotspot { topic, at, span } => obj(vec![
-                ("kind", string("topic_hotspot")),
-                ("topic", num(topic)),
-                ("at", num(at)),
-                ("span", num(span)),
-            ]),
-        }
-    }
-}
-
-impl LossModel {
-    pub fn to_json(&self) -> Value {
-        match *self {
-            LossModel::Constant { p } => obj(vec![("kind", string("constant")), ("p", num(p))]),
-            LossModel::GilbertElliott {
-                p_good,
-                p_bad,
-                good_to_bad,
-                bad_to_good,
-            } => obj(vec![
-                ("kind", string("gilbert_elliott")),
-                ("p_good", num(p_good)),
-                ("p_bad", num(p_bad)),
-                ("good_to_bad", num(good_to_bad)),
-                ("bad_to_good", num(bad_to_good)),
-            ]),
-            LossModel::Partition {
-                from,
-                until,
-                frontier,
-            } => obj(vec![
-                ("kind", string("partition")),
-                ("from", num(from)),
-                ("until", num(until)),
-                ("frontier", num(frontier)),
-            ]),
-        }
-    }
-}
-
-impl ChurnModel {
-    pub fn to_json(&self) -> Value {
-        match *self {
-            ChurnModel::None => obj(vec![("kind", string("none"))]),
-            ChurnModel::Uniform { per_cycle } => obj(vec![
-                ("kind", string("uniform")),
-                ("per_cycle", num(per_cycle)),
-            ]),
-            ChurnModel::CrashWave { at, fraction } => obj(vec![
-                ("kind", string("crash_wave")),
-                ("at", num(at)),
-                ("fraction", num(fraction)),
-            ]),
-            ChurnModel::MassJoin { at, count } => obj(vec![
-                ("kind", string("mass_join")),
-                ("at", num(at)),
-                ("count", num(count)),
-            ]),
-        }
-    }
-}
-
-impl TimedEvent {
-    pub fn to_json(&self) -> Value {
-        let mut entries = vec![("at", num(self.at)), ("kind", string(self.event.kind()))];
-        match self.event {
-            Event::JoinClone { reference } => entries.push(("reference", num(reference))),
-            Event::SwapInterests { a, b } => {
-                entries.push(("a", num(a)));
-                entries.push(("b", num(b)));
-            }
-            Event::ResetNode { node } => entries.push(("node", num(node))),
-        }
-        obj(entries)
-    }
-}
-
-impl Anchor {
-    pub fn to_json(&self) -> Value {
-        match *self {
-            Anchor::Cycle { at } => obj(vec![("kind", string("cycle")), ("at", num(at))]),
-            Anchor::CrashWave => obj(vec![("kind", string("crash_wave"))]),
-            Anchor::MassJoin => obj(vec![("kind", string("mass_join"))]),
-            Anchor::FlashCrowd => obj(vec![("kind", string("flash_crowd"))]),
-            Anchor::PartitionStart => obj(vec![("kind", string("partition_start"))]),
-            Anchor::PartitionEnd => obj(vec![("kind", string("partition_end"))]),
-            Anchor::Event { index } => obj(vec![
-                ("kind", string("event")),
-                ("index", num(index as u32)),
-            ]),
-        }
-    }
-}
-
-impl Measurement {
-    pub fn to_json(&self) -> Value {
-        let mut entries = vec![("name", string(&self.name))];
-        match self.window {
-            WindowSpec::Cycles { from, until } => {
-                entries.push(("kind", string("cycles")));
-                entries.push(("from", num(from)));
-                entries.push(("until", num(until)));
-            }
-            WindowSpec::Recovery { anchor, baseline } => {
-                entries.push(("kind", string("recovery")));
-                entries.push(("anchor", anchor.to_json()));
-                entries.push(("baseline", num(baseline)));
-            }
-        }
-        obj(entries)
-    }
-}
-
-impl Scenario {
-    pub fn to_json(&self) -> Value {
-        obj(vec![
-            ("workload", self.workload.to_json()),
-            (
-                "environment",
-                obj(vec![
-                    ("loss", self.environment.loss.to_json()),
-                    ("churn", self.environment.churn.to_json()),
-                ]),
-            ),
-            (
-                "events",
-                Value::Array(self.events.iter().map(TimedEvent::to_json).collect()),
-            ),
-            (
-                "measurements",
-                Value::Array(self.measurements.iter().map(Measurement::to_json).collect()),
-            ),
-        ])
-    }
-}
-
-// ---------------------------------------------------------------------------
-// JSON decoding
-// ---------------------------------------------------------------------------
-
-fn field<'v>(v: &'v Value, key: &str) -> Result<&'v Value, Error> {
-    v.get(key)
-        .ok_or_else(|| Error::new(format!("missing field {key:?}")))
-}
-
-fn f64_field(v: &Value, key: &str) -> Result<f64, Error> {
-    field(v, key)?
-        .as_f64()
-        .ok_or_else(|| Error::new(format!("field {key:?} must be a number")))
-}
-
-fn u32_field(v: &Value, key: &str) -> Result<u32, Error> {
-    field(v, key)?
-        .as_u64()
-        .and_then(|n| u32::try_from(n).ok())
-        .ok_or_else(|| Error::new(format!("field {key:?} must be a u32")))
-}
-
-fn kind_of(v: &Value) -> Result<&str, Error> {
-    field(v, "kind")?
-        .as_str()
-        .ok_or_else(|| Error::new("field \"kind\" must be a string"))
-}
-
-impl Deserialize for Workload {
-    fn from_json_value(v: &Value) -> Result<Self, Error> {
-        match kind_of(v)? {
-            "uniform" => Ok(Workload::Uniform),
-            "flash_crowd" => Ok(Workload::FlashCrowd {
-                at: u32_field(v, "at")?,
-                fraction: f64_field(v, "fraction")?,
-            }),
-            "diurnal" => Ok(Workload::Diurnal {
-                period: u32_field(v, "period")?,
-                amplitude: f64_field(v, "amplitude")?,
-            }),
-            "topic_hotspot" => Ok(Workload::TopicHotspot {
-                topic: u32_field(v, "topic")?,
-                at: u32_field(v, "at")?,
-                span: u32_field(v, "span")?,
-            }),
-            other => Err(Error::new(format!("unknown workload kind {other:?}"))),
-        }
-    }
-}
-
-impl Deserialize for LossModel {
-    fn from_json_value(v: &Value) -> Result<Self, Error> {
-        match kind_of(v)? {
-            "constant" => Ok(LossModel::Constant {
-                p: f64_field(v, "p")?,
-            }),
-            "gilbert_elliott" => Ok(LossModel::GilbertElliott {
-                p_good: f64_field(v, "p_good")?,
-                p_bad: f64_field(v, "p_bad")?,
-                good_to_bad: f64_field(v, "good_to_bad")?,
-                bad_to_good: f64_field(v, "bad_to_good")?,
-            }),
-            "partition" => Ok(LossModel::Partition {
-                from: u32_field(v, "from")?,
-                until: u32_field(v, "until")?,
-                frontier: f64_field(v, "frontier")?,
-            }),
-            other => Err(Error::new(format!("unknown loss kind {other:?}"))),
-        }
-    }
-}
-
-impl Deserialize for ChurnModel {
-    fn from_json_value(v: &Value) -> Result<Self, Error> {
-        match kind_of(v)? {
-            "none" => Ok(ChurnModel::None),
-            "uniform" => Ok(ChurnModel::Uniform {
-                per_cycle: f64_field(v, "per_cycle")?,
-            }),
-            "crash_wave" => Ok(ChurnModel::CrashWave {
-                at: u32_field(v, "at")?,
-                fraction: f64_field(v, "fraction")?,
-            }),
-            "mass_join" => Ok(ChurnModel::MassJoin {
-                at: u32_field(v, "at")?,
-                count: u32_field(v, "count")?,
-            }),
-            other => Err(Error::new(format!("unknown churn kind {other:?}"))),
-        }
-    }
-}
-
-impl Deserialize for TimedEvent {
-    fn from_json_value(v: &Value) -> Result<Self, Error> {
-        let at = u32_field(v, "at")?;
-        let event = match kind_of(v)? {
-            "join_clone" => Event::JoinClone {
-                reference: u32_field(v, "reference")?,
-            },
-            "swap_interests" => Event::SwapInterests {
-                a: u32_field(v, "a")?,
-                b: u32_field(v, "b")?,
-            },
-            "reset_node" => Event::ResetNode {
-                node: u32_field(v, "node")?,
-            },
-            other => return Err(Error::new(format!("unknown event kind {other:?}"))),
-        };
-        Ok(TimedEvent { at, event })
-    }
-}
-
-impl Deserialize for Anchor {
-    fn from_json_value(v: &Value) -> Result<Self, Error> {
-        Ok(match kind_of(v)? {
-            "cycle" => Anchor::Cycle {
-                at: u32_field(v, "at")?,
-            },
-            "crash_wave" => Anchor::CrashWave,
-            "mass_join" => Anchor::MassJoin,
-            "flash_crowd" => Anchor::FlashCrowd,
-            "partition_start" => Anchor::PartitionStart,
-            "partition_end" => Anchor::PartitionEnd,
-            "event" => Anchor::Event {
-                index: u32_field(v, "index")? as usize,
-            },
-            other => return Err(Error::new(format!("unknown anchor kind {other:?}"))),
-        })
-    }
-}
-
-impl Deserialize for Measurement {
-    fn from_json_value(v: &Value) -> Result<Self, Error> {
-        let name = field(v, "name")?
-            .as_str()
-            .ok_or_else(|| Error::new("field \"name\" must be a string"))?
-            .to_string();
-        let window = match kind_of(v)? {
-            "cycles" => WindowSpec::Cycles {
-                from: u32_field(v, "from")?,
-                until: u32_field(v, "until")?,
-            },
-            "recovery" => WindowSpec::Recovery {
-                anchor: Anchor::from_json_value(field(v, "anchor")?)?,
-                baseline: u32_field(v, "baseline")?,
-            },
-            other => return Err(Error::new(format!("unknown measurement kind {other:?}"))),
-        };
-        Ok(Measurement { name, window })
-    }
-}
-
-impl Deserialize for Scenario {
-    fn from_json_value(v: &Value) -> Result<Self, Error> {
-        let environment = field(v, "environment")?;
-        Ok(Scenario {
-            workload: Workload::from_json_value(field(v, "workload")?)?,
-            environment: Environment {
-                loss: LossModel::from_json_value(field(environment, "loss")?)?,
-                churn: ChurnModel::from_json_value(field(environment, "churn")?)?,
-            },
-            events: match v.get("events") {
-                None => Vec::new(),
-                Some(events) => Vec::<TimedEvent>::from_json_value(events)?,
-            },
-            measurements: match v.get("measurements") {
-                None => Vec::new(),
-                Some(ms) => Vec::<Measurement>::from_json_value(ms)?,
-            },
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Protocol / SimConfig / dataset recipe codecs (the scenario-file surface)
-// ---------------------------------------------------------------------------
-
-impl Protocol {
-    pub fn to_json(&self) -> Value {
-        match *self {
-            Protocol::WhatsUp { f_like } => obj(vec![
-                ("kind", string("whatsup")),
-                ("f_like", num(f_like as u32)),
-            ]),
-            Protocol::WhatsUpCos { f_like } => obj(vec![
-                ("kind", string("whatsup_cos")),
-                ("f_like", num(f_like as u32)),
-            ]),
-            Protocol::CfWup { k } => obj(vec![("kind", string("cf_wup")), ("k", num(k as u32))]),
-            Protocol::CfCos { k } => obj(vec![("kind", string("cf_cos")), ("k", num(k as u32))]),
-            Protocol::Gossip { fanout } => obj(vec![
-                ("kind", string("gossip")),
-                ("fanout", num(fanout as u32)),
-            ]),
-            Protocol::Cascade => obj(vec![("kind", string("cascade"))]),
-            Protocol::CPubSub => obj(vec![("kind", string("c_pub_sub"))]),
-            Protocol::CWhatsUp { f_like } => obj(vec![
-                ("kind", string("c_whatsup")),
-                ("f_like", num(f_like as u32)),
-            ]),
-            Protocol::NoAmplification { fanout } => obj(vec![
-                ("kind", string("no_amplification")),
-                ("fanout", num(fanout as u32)),
-            ]),
-            Protocol::NoOrientation { f_like } => obj(vec![
-                ("kind", string("no_orientation")),
-                ("f_like", num(f_like as u32)),
-            ]),
-            Protocol::AntiEntropy { fanout } => obj(vec![
-                ("kind", string("anti_entropy")),
-                ("fanout", num(fanout as u32)),
-            ]),
-        }
-    }
-}
-
-impl Deserialize for Protocol {
-    fn from_json_value(v: &Value) -> Result<Self, Error> {
-        let usize_field = |key: &str| u32_field(v, key).map(|n| n as usize);
-        Ok(match kind_of(v)? {
-            "whatsup" => Protocol::WhatsUp {
-                f_like: usize_field("f_like")?,
-            },
-            "whatsup_cos" => Protocol::WhatsUpCos {
-                f_like: usize_field("f_like")?,
-            },
-            "cf_wup" => Protocol::CfWup {
-                k: usize_field("k")?,
-            },
-            "cf_cos" => Protocol::CfCos {
-                k: usize_field("k")?,
-            },
-            "gossip" => Protocol::Gossip {
-                fanout: usize_field("fanout")?,
-            },
-            "cascade" => Protocol::Cascade,
-            "c_pub_sub" => Protocol::CPubSub,
-            "c_whatsup" => Protocol::CWhatsUp {
-                f_like: usize_field("f_like")?,
-            },
-            "no_amplification" => Protocol::NoAmplification {
-                fanout: usize_field("fanout")?,
-            },
-            "no_orientation" => Protocol::NoOrientation {
-                f_like: usize_field("f_like")?,
-            },
-            "anti_entropy" => Protocol::AntiEntropy {
-                fanout: usize_field("fanout")?,
-            },
-            other => return Err(Error::new(format!("unknown protocol kind {other:?}"))),
-        })
-    }
-}
-
-impl SimConfig {
-    pub fn to_json(&self) -> Value {
-        let opt_num = |o: Option<f64>| o.map(Value::Number).unwrap_or(Value::Null);
-        obj(vec![
-            ("cycles", num(self.cycles)),
-            ("publish_from", num(self.publish_from)),
-            ("measure_from", num(self.measure_from)),
-            ("loss", num(self.loss)),
-            ("seed", num(self.seed as f64)),
-            ("bootstrap_degree", num(self.bootstrap_degree as u32)),
-            (
-                "profile_window",
-                opt_num(self.profile_window.map(f64::from)),
-            ),
-            ("ttl_override", opt_num(self.ttl_override.map(f64::from))),
-            (
-                "wup_view_override",
-                opt_num(self.wup_view_override.map(|v| v as f64)),
-            ),
-            ("obfuscation", opt_num(self.obfuscation)),
-            ("churn_per_cycle", num(self.churn_per_cycle)),
-            ("collect_series", Value::Bool(self.collect_series)),
-            ("shards", num(self.shards as u32)),
-            ("datagram_budget", num(self.datagram_budget as u32)),
-            ("phi_threshold", num(self.phi_threshold)),
-            ("down_cycles", num(self.down_cycles)),
-        ])
-    }
-}
-
-/// Partial decode: any missing field keeps its [`SimConfig::default`].
-impl Deserialize for SimConfig {
-    fn from_json_value(v: &Value) -> Result<Self, Error> {
-        let mut cfg = SimConfig::default();
-        let set_u32 = |slot: &mut u32, key: &str| -> Result<(), Error> {
-            if let Some(val) = v.get(key) {
-                *slot = val
-                    .as_u64()
-                    .and_then(|n| u32::try_from(n).ok())
-                    .ok_or_else(|| Error::new(format!("field {key:?} must be a u32")))?;
-            }
-            Ok(())
-        };
-        set_u32(&mut cfg.cycles, "cycles")?;
-        set_u32(&mut cfg.publish_from, "publish_from")?;
-        set_u32(&mut cfg.measure_from, "measure_from")?;
-        if let Some(val) = v.get("loss") {
-            cfg.loss = val
-                .as_f64()
-                .ok_or_else(|| Error::new("field \"loss\" must be a number"))?;
-        }
-        if let Some(val) = v.get("seed") {
-            cfg.seed = val
-                .as_u64()
-                .ok_or_else(|| Error::new("field \"seed\" must be a non-negative integer"))?;
-        }
-        if let Some(val) = v.get("bootstrap_degree") {
-            cfg.bootstrap_degree = val
-                .as_u64()
-                .ok_or_else(|| Error::new("field \"bootstrap_degree\" must be an integer"))?
-                as usize;
-        }
-        // Optional overrides: absent or null = None; anything else must be
-        // an in-range number (a typo'd string or out-of-range value must
-        // not silently run with defaults).
-        let opt_int = |key: &str, max: u64| -> Result<Option<u64>, Error> {
-            match v.get(key) {
-                None | Some(Value::Null) => Ok(None),
-                Some(val) => val.as_u64().filter(|&n| n <= max).map(Some).ok_or_else(|| {
-                    Error::new(format!("field {key:?} must be an integer ≤ {max} or null"))
-                }),
-            }
-        };
-        cfg.profile_window = opt_int("profile_window", u64::from(u32::MAX))?.map(|n| n as u32);
-        cfg.ttl_override = opt_int("ttl_override", u64::from(u8::MAX))?.map(|n| n as u8);
-        cfg.wup_view_override = opt_int("wup_view_override", u32::MAX as u64)?.map(|n| n as usize);
-        cfg.obfuscation = match v.get("obfuscation") {
-            None | Some(Value::Null) => None,
-            Some(val) => Some(
-                val.as_f64()
-                    .ok_or_else(|| Error::new("field \"obfuscation\" must be a number or null"))?,
-            ),
-        };
-        if let Some(val) = v.get("churn_per_cycle") {
-            cfg.churn_per_cycle = val
-                .as_f64()
-                .ok_or_else(|| Error::new("field \"churn_per_cycle\" must be a number"))?;
-        }
-        if let Some(val) = v.get("collect_series") {
-            cfg.collect_series = val
-                .as_bool()
-                .ok_or_else(|| Error::new("field \"collect_series\" must be a boolean"))?;
-        }
-        if let Some(val) = v.get("shards") {
-            cfg.shards = val
-                .as_u64()
-                .ok_or_else(|| Error::new("field \"shards\" must be an integer"))?
-                as usize;
-        }
-        if let Some(val) = v.get("datagram_budget") {
-            cfg.datagram_budget = val
-                .as_u64()
-                .ok_or_else(|| Error::new("field \"datagram_budget\" must be an integer"))?
-                as usize;
-        }
-        if let Some(val) = v.get("phi_threshold") {
-            cfg.phi_threshold = val
-                .as_f64()
-                .ok_or_else(|| Error::new("field \"phi_threshold\" must be a number"))?;
-        }
-        set_u32(&mut cfg.down_cycles, "down_cycles")?;
-        Ok(cfg)
-    }
-}
-
 /// A reproducible dataset: generator kind + scale + seed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DatasetRecipe {
     pub kind: DatasetKind,
     pub scale: f64,
     pub seed: u64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+serde::json_codec! { struct DatasetRecipe { kind: flatten, scale, seed } }
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DatasetKind {
     Survey,
     Digg,
     Synthetic,
+}
+
+serde::json_codec! {
+    enum DatasetKind {
+        "survey" => Survey,
+        "digg" => Digg,
+        "synthetic" => Synthetic,
+    }
 }
 
 impl DatasetRecipe {
@@ -1295,41 +830,10 @@ impl DatasetRecipe {
             }
         }
     }
-
-    pub fn to_json(&self) -> Value {
-        let kind = match self.kind {
-            DatasetKind::Survey => "survey",
-            DatasetKind::Digg => "digg",
-            DatasetKind::Synthetic => "synthetic",
-        };
-        obj(vec![
-            ("kind", string(kind)),
-            ("scale", num(self.scale)),
-            ("seed", num(self.seed as f64)),
-        ])
-    }
-}
-
-impl Deserialize for DatasetRecipe {
-    fn from_json_value(v: &Value) -> Result<Self, Error> {
-        let kind = match kind_of(v)? {
-            "survey" => DatasetKind::Survey,
-            "digg" => DatasetKind::Digg,
-            "synthetic" => DatasetKind::Synthetic,
-            other => return Err(Error::new(format!("unknown dataset kind {other:?}"))),
-        };
-        Ok(DatasetRecipe {
-            kind,
-            scale: f64_field(v, "scale")?,
-            seed: field(v, "seed")?
-                .as_u64()
-                .ok_or_else(|| Error::new("field \"seed\" must be a non-negative integer"))?,
-        })
-    }
 }
 
 /// Everything the `whatsup-sim` CLI needs to execute one run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioFile {
     pub dataset: DatasetRecipe,
     pub protocol: Protocol,
@@ -1337,44 +841,30 @@ pub struct ScenarioFile {
     pub scenario: Scenario,
 }
 
-impl ScenarioFile {
-    pub fn to_json(&self) -> Value {
-        obj(vec![
-            ("dataset", self.dataset.to_json()),
-            ("protocol", self.protocol.to_json()),
-            ("config", self.config.to_json()),
-            ("scenario", self.scenario.to_json()),
-        ])
-    }
-
-    /// Parses a scenario file and validates it.
-    pub fn from_json_str(text: &str) -> Result<Self, Error> {
-        let file: ScenarioFile = serde_json::from_str(text)?;
-        file.scenario.validate(&file.config).map_err(Error::new)?;
-        file.config.validate().map_err(Error::new)?;
-        Ok(file)
+// A missing `config` block is the default config, and a missing `scenario`
+// block the scenario that config describes: its loss/churn knobs must not
+// be silently discarded (the library path without `.scenario()` resolves
+// the same way).
+serde::json_codec! {
+    struct ScenarioFile {
+        dataset,
+        protocol,
+        config = SimConfig::default(),
+        scenario = Scenario::from_config(&config),
     }
 }
 
-impl Deserialize for ScenarioFile {
-    fn from_json_value(v: &Value) -> Result<Self, Error> {
-        let config = match v.get("config") {
-            None => SimConfig::default(),
-            Some(cfg) => SimConfig::from_json_value(cfg)?,
-        };
-        // No explicit scenario block = the scenario the config describes
-        // (its loss/churn knobs must not be silently discarded — the
-        // library path without `.scenario()` resolves the same way).
-        let scenario = match v.get("scenario") {
-            None => Scenario::from_config(&config),
-            Some(s) => Scenario::from_json_value(s)?,
-        };
-        Ok(ScenarioFile {
-            dataset: DatasetRecipe::from_json_value(field(v, "dataset")?)?,
-            protocol: Protocol::from_json_value(field(v, "protocol")?)?,
-            config,
-            scenario,
-        })
+impl ScenarioFile {
+    /// Parses a scenario file and validates it, node parameters included
+    /// (view sizes are capacity-guarded before anything allocates them).
+    pub fn from_json_str(text: &str) -> Result<Self, Error> {
+        let file = Self::from_json(&serde::json::parse(text)?)?;
+        file.scenario.validate(&file.config).map_err(Error::new)?;
+        file.config.validate().map_err(Error::new)?;
+        if let Some(params) = file.config.build_params(&file.protocol) {
+            params.validate().map_err(Error::new)?;
+        }
+        Ok(file)
     }
 }
 
@@ -1531,6 +1021,23 @@ mod tests {
         assert!(with(r#""ttl_override": "4""#).is_err(), "string typo");
         assert!(with(r#""obfuscation": "0.5""#).is_err(), "string typo");
         assert!(with(r#""profile_window": 13"#).is_ok());
+        assert!(with(r#""seed": 9007199254740992"#).is_ok(), "2^53 is exact");
+        assert!(with(r#""seed": 9007199254740994"#).is_err(), "above 2^53");
+        assert!(with(r#""seed": 1e30"#).is_err(), "no saturation");
+        assert!(with(r#""seed": -1"#).is_err(), "negative");
+        assert!(with(r#""cycles": 30.5"#).is_err(), "fractional");
+        let err = with(r#""seed": 1e30"#).unwrap_err().to_string();
+        assert!(err.contains("config.seed"), "{err}");
+        // View sizes are capacity-guarded before any node allocates one.
+        let err = with(r#""wup_view_override": 4294967295"#).unwrap_err();
+        assert!(err.to_string().contains("view size"), "{err}");
+        let protocol = |p: &str| {
+            let text = base.replace(r#"{"kind": "whatsup", "f_like": 4}"#, p);
+            ScenarioFile::from_json_str(&text.replace(", CONFIG", ""))
+        };
+        assert!(protocol(r#"{"kind": "whatsup", "f_like": 4294967295}"#).is_err());
+        assert!(protocol(r#"{"kind": "gossip", "fanout": 4294967295}"#).is_err());
+        assert!(protocol(r#"{"kind": "gossip", "fanout": 6}"#).is_ok());
     }
 
     #[test]
@@ -1722,7 +1229,7 @@ mod tests {
             ],
         };
         let text = scenario.to_json().pretty();
-        let back: Scenario = serde_json::from_str(&text).unwrap();
+        let back = Scenario::from_json(&serde::json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, scenario);
     }
 
@@ -1877,9 +1384,10 @@ mod tests {
 
     #[test]
     fn malformed_scenarios_are_rejected() {
-        assert!(serde_json::from_str::<Scenario>("{}").is_err());
+        let parse = |text: &str| serde::json::parse(text).unwrap();
+        assert!(Scenario::from_json(&parse("{}")).is_err());
         assert!(
-            serde_json::from_str::<Workload>(r#"{"kind": "surprise"}"#).is_err(),
+            Workload::from_json(&parse(r#"{"kind": "surprise"}"#)).is_err(),
             "unknown kinds must fail"
         );
         assert!(

@@ -1,7 +1,8 @@
 //! The scenario layer's two contracts:
 //!
-//! 1. **Serialization** — every scenario the grammar can express round-trips
-//!    through JSON (property-tested over the full grammar).
+//! 1. **Serialization** — every scenario file the grammar can express
+//!    round-trips through JSON (property-tested over the full grammar, every
+//!    protocol, config field and dataset kind).
 //! 2. **Determinism** — reports are bit-identical across shard counts and
 //!    exchange transports for *every* scenario (bursty loss, crash waves,
 //!    timeline events, mass joins), not just the default one. The committed
@@ -11,9 +12,10 @@
 mod common;
 
 use proptest::prelude::*;
+use serde::Json;
 use whatsup_sim::scenario::{
-    Anchor, ChurnModel, Environment, Event, LossModel, Measurement, Scenario, TimedEvent,
-    WindowSpec, Workload,
+    Anchor, ChurnModel, DatasetKind, DatasetRecipe, Environment, Event, LossModel, Measurement,
+    Scenario, TimedEvent, WindowSpec, Workload,
 };
 use whatsup_sim::{Protocol, Runner, ScenarioFile, SimConfig, SimReport};
 
@@ -114,11 +116,65 @@ fn measurement_from(i: usize, sel: u8, a: u32, b: u32) -> Measurement {
     }
 }
 
+/// Every protocol kind, at one knob value.
+fn protocols(knob: usize) -> [Protocol; 11] {
+    [
+        Protocol::WhatsUp { f_like: knob },
+        Protocol::WhatsUpCos { f_like: knob },
+        Protocol::CfWup { k: knob },
+        Protocol::CfCos { k: knob },
+        Protocol::Gossip { fanout: knob },
+        Protocol::Cascade,
+        Protocol::CPubSub,
+        Protocol::CWhatsUp { f_like: knob },
+        Protocol::NoAmplification { fanout: knob },
+        Protocol::NoOrientation { f_like: knob },
+        Protocol::AntiEntropy { fanout: knob },
+    ]
+}
+
+const DATASET_KINDS: [DatasetKind; 3] = [
+    DatasetKind::Survey,
+    DatasetKind::Digg,
+    DatasetKind::Synthetic,
+];
+
+/// A config setting every field; bit `i` of `mask` makes the `i`-th
+/// `Option` field `Some` (and bit 4 turns `collect_series` on).
+fn config_from(
+    (cycles, publish_from, measure_from, down_cycles): (u32, u32, u32, u32),
+    (seed, bootstrap_degree, shards, datagram_budget): (u64, usize, usize, usize),
+    (loss, churn_per_cycle, phi_threshold, obfuscation): (f64, f64, f64, f64),
+    (mask, profile_window, ttl, wup_view): (u8, u32, u8, usize),
+) -> SimConfig {
+    let some = |bit: u8| mask & (1 << bit) != 0;
+    SimConfig {
+        cycles,
+        publish_from,
+        measure_from,
+        loss,
+        seed,
+        bootstrap_degree,
+        profile_window: some(0).then_some(profile_window),
+        ttl_override: some(1).then_some(ttl),
+        wup_view_override: some(2).then_some(wup_view),
+        obfuscation: some(3).then_some(obfuscation),
+        churn_per_cycle,
+        collect_series: some(4),
+        shards,
+        datagram_budget,
+        phi_threshold,
+        down_cycles,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Any scenario the grammar can express survives JSON round-trips, in
-    /// both the pretty and the compact rendering.
+    /// Any scenario file the grammar can express — all 11 protocol kinds,
+    /// all 3 dataset kinds, every config field with each `Option` both
+    /// `Some` and `None` — survives JSON round-trips, in both the pretty
+    /// and the compact rendering (integers up to 2^53 included).
     #[test]
     fn scenario_grammar_round_trips(
         w in (0u8..4, 1u32..60, 0.05f64..1.0, 1u32..40),
@@ -126,6 +182,16 @@ proptest! {
         c in (0u8..4, 0.0f64..1.0, 1u32..60),
         evs in prop::collection::vec((0u8..3, 0u32..64, 0u32..30), 0..6),
         ms in prop::collection::vec((0u8..7, 0u32..60, 1u32..20), 0..4),
+        knob in 0usize..64,
+        recipe in (0.01f64..2.0, 0u64..(1 << 53) + 1),
+        cfg_ints in (
+            (1u32..500, 0u32..500, 0u32..500, 0u32..50),
+            (0u64..(1 << 53) + 1, 0usize..64, 0usize..16, 0usize..65_536),
+        ),
+        cfg_rest in (
+            (0.0f64..1.0, 0.0f64..1.0, 0.0f64..8.0, 0.0f64..1.0),
+            (0u8..32, 0u32..100, 0u8..255, 0usize..100),
+        ),
     ) {
         let scenario = Scenario {
             workload: workload_from(w.0, w.1, w.2, w.3),
@@ -143,12 +209,24 @@ proptest! {
                 .map(|(i, (sel, a, b))| measurement_from(i, sel, a, b))
                 .collect(),
         };
-        let pretty: Scenario =
-            serde_json::from_str(&scenario.to_json().pretty()).expect("pretty parses");
-        prop_assert_eq!(&pretty, &scenario);
-        let compact: Scenario =
-            serde_json::from_str(&scenario.to_json().to_string()).expect("compact parses");
-        prop_assert_eq!(&compact, &scenario);
+        let config = config_from(cfg_ints.0, cfg_ints.1, cfg_rest.0, cfg_rest.1);
+        for (i, protocol) in protocols(knob).into_iter().enumerate() {
+            let file = ScenarioFile {
+                dataset: DatasetRecipe {
+                    kind: DATASET_KINDS[i % 3],
+                    scale: recipe.0,
+                    seed: recipe.1,
+                },
+                protocol,
+                config: config.clone(),
+                scenario: scenario.clone(),
+            };
+            let json = file.to_json();
+            for text in [json.pretty(), json.to_string()] {
+                let value = serde::json::parse(&text).expect("rendering parses");
+                prop_assert_eq!(&ScenarioFile::from_json(&value).expect("decodes"), &file);
+            }
+        }
     }
 }
 

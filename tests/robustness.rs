@@ -398,3 +398,57 @@ fn concurrent_plane_builds_agree_on_every_slot() {
         assert!(counted >= 12, "{counted} of 16 profiles have planes");
     }
 }
+
+const COMMITTED_SCENARIO: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/scenarios/flash_crowd_crash_wave.json"
+);
+
+/// The committed scenario file is hand-formatted and partial; its
+/// canonical form (what `whatsup-sim echo` prints) is a fixpoint: render,
+/// parse, render again is byte-identical, and the parse is the committed
+/// file.
+#[test]
+fn committed_scenario_canonical_form_is_a_fixpoint() {
+    use serde::Json;
+    let text = std::fs::read_to_string(COMMITTED_SCENARIO).expect("committed scenario");
+    let committed = ScenarioFile::from_json_str(&text).expect("committed scenario parses");
+    let canonical = committed.to_json().pretty();
+    let reparsed = ScenarioFile::from_json_str(&canonical).expect("canonical form parses");
+    assert_eq!(reparsed, committed);
+    assert_eq!(reparsed.to_json().pretty(), canonical);
+}
+
+/// A malformed scenario file is an error that names the field's path,
+/// never a guess: missing and mistyped fields, integers an f64 cannot hold
+/// exactly, Debug-style leniency and hostile nesting.
+#[test]
+fn malformed_scenario_files_name_the_field() {
+    let text = std::fs::read_to_string(COMMITTED_SCENARIO).expect("committed scenario");
+    let error = |from: &str, to: &str| {
+        assert!(text.contains(from), "fixture drifted: {from}");
+        let err = ScenarioFile::from_json_str(&text.replacen(from, to, 1))
+            .expect_err("malformed file must be rejected");
+        err.to_string()
+    };
+    let missing = error(r#""at": 6, "fraction": 0.3"#, r#""at": 6"#);
+    assert!(
+        missing.contains(r#"scenario.workload: missing field "fraction""#),
+        "{missing}"
+    );
+    let mistyped = error(r#""seed": 77"#, r#""seed": "77""#);
+    assert!(
+        mistyped.contains("config.seed: expected an integer"),
+        "{mistyped}"
+    );
+    let inexact = error(r#""seed": 77"#, r#""seed": 1e30"#);
+    assert!(inexact.contains("config.seed"), "{inexact}");
+    let fractional = error(r#""at": 7,"#, r#""at": 7.5,"#);
+    assert!(fractional.contains("scenario.events[1].at"), "{fractional}");
+    let kind = error(r#""kind": "crash_wave""#, r#""kind": "meteor""#);
+    assert!(kind.contains(r#"unknown kind "meteor""#), "{kind}");
+    error(r#""seed": 11}"#, r#""seed": 11,}"#);
+    error(r#""dataset""#, "dataset");
+    let deep = "[".repeat(200_000);
+    assert!(ScenarioFile::from_json_str(&deep).is_err());
+}
