@@ -41,7 +41,11 @@ fn bench_similarity(c: &mut Criterion) {
 /// what every disliked first reception does (and, with ~70 candidates,
 /// every WUP merge): the pairwise merge-join per candidate versus the
 /// prepared one-vs-many scorer, build included (the item profile's scores
-/// are quarters, so it is weighed against the snapshots' planes). Ids are
+/// are quarters, so it is weighed against the snapshots' planes; every
+/// iteration orients a fresh clone, which leaves the weights behind).
+/// `prepared_3x30` orients one fresh item profile against three RPS views
+/// in a row — its `f_like` siblings' receivers, or a dislike chain
+/// forwarding it unchanged — which build its weights once. Ids are
 /// content hashes; the item profile rates a random 4/5 of a shared
 /// universe and a snapshot 13/20 of it, so ~80 % of a snapshot's items are
 /// common. `deep` is the paper regime (a 13-cycle window: ~160 against
@@ -130,15 +134,35 @@ fn bench_one_vs_many(c: &mut Criterion) {
                     .sum::<f64>()
             })
         });
+        let orient = |item_profile: &Profile, view: &[Profile]| {
+            let scorer = Prepared::new(black_box(item_profile));
+            view.iter()
+                .map(|pc| scorer.score(Metric::Wup, pc))
+                .sum::<f64>()
+        };
         group.bench_function(format!("prepared_1x30/{regime}"), |bench| {
-            bench.iter(|| {
-                next = (next + 1) % views.len();
-                let scorer = Prepared::new(black_box(&item_profile));
-                views[next]
-                    .iter()
-                    .map(|pc| scorer.score(Metric::Wup, pc))
-                    .sum::<f64>()
-            })
+            bench.iter_batched(
+                || {
+                    next = (next + 1) % views.len();
+                    (item_profile.clone(), next)
+                },
+                |(fresh, at)| orient(&fresh, &views[at]),
+                BatchSize::SmallInput,
+            )
+        });
+        group.bench_function(format!("prepared_3x30/{regime}"), |bench| {
+            bench.iter_batched(
+                || {
+                    next = (next + 3) % views.len();
+                    (item_profile.clone(), next)
+                },
+                |(fresh, at)| {
+                    (at..at + 3)
+                        .map(|v| orient(&fresh, &views[v % views.len()]))
+                        .sum::<f64>()
+                },
+                BatchSize::SmallInput,
+            )
         });
     }
     group.finish();

@@ -1,5 +1,6 @@
-//! Bit planes of a binary profile, and the weights of a real-valued one
-//! (see "Counting path" in [`crate::similarity`]).
+//! Bit planes of a binary profile, and the weights of a real-valued one:
+//! the two [`Layout`]s a profile allocation keeps as derived state (see
+//! "Counting path" in [`crate::similarity`]).
 //!
 //! A profile whose scores are all exactly 0 or 1 is two item sets — what
 //! it *rated* and what it *liked* — and every similarity sum between two
@@ -20,15 +21,16 @@
 //! that must never show: a layout only ever yields sums over an
 //! intersection, which no renumbering changes.
 //!
-//! Every BEEP orientation looks the item profile's ~90–300 ids up (and
-//! registers none: only [`Planes`] take the exclusive lock), so the
-//! table's hasher is on the news hot path, where SipHash cost more than
-//! counting saves. The ids are wire-supplied, so its replacement is keyed
+//! Every item profile allocation looks the non-zero-scored ~60 % of its
+//! ~90–300 ids up once, at its first BEEP orientation (and registers none:
+//! only [`Planes`] take the exclusive lock), so the table's hasher is on
+//! the news hot path, where SipHash cost more than counting saves. The
+//! ids are wire-supplied, so its replacement is keyed
 //! ([`IdHasher::keyed`]), and the table bounded whatever a peer sends.
 
 use crate::hash::IdHasher;
 use crate::item::ItemId;
-use crate::profile::{ProfileEntry, Score};
+use crate::profile::ProfileEntry;
 // lint:allow(det-map) the slot table: probed by id, never iterated; slot numbers only ever yield sums over intersections
 use std::collections::HashMap;
 use std::sync::{LazyLock, RwLock};
@@ -154,11 +156,6 @@ impl Planes {
         let end = 64 * (self.first_word + self.words.len() as u32);
         self.words.last().map_or(0, |w| end - w[0].leading_zeros())
     }
-
-    /// Heap bytes of the planes (memory diagnostics).
-    pub(crate) fn heap_bytes(&self) -> usize {
-        std::mem::size_of_val(&*self.words)
-    }
 }
 
 /// The fixed-point unit of [`Weights`]: a score is `q / ONE`.
@@ -177,72 +174,54 @@ fn fixed_point(score: f32) -> Option<u32> {
     (q <= ONE && (q as f32).to_bits() == scaled.to_bits()).then_some(q)
 }
 
-thread_local! {
-    /// The allocation of the last [`Weights`] dropped on this thread, for
-    /// the next to build in: they live for one BEEP orientation each, and
-    /// KiB-sized blocks bought and returned at that rate fragment the heap.
-    static SCRATCH: std::cell::Cell<Vec<[u32; 64]>> = const { std::cell::Cell::new(Vec::new()) };
-}
-
 /// A real-valued profile laid out by slot, to be summed against the planes
 /// of binary candidates. Its ids arrive with every news frame, so unlike
 /// [`Planes`] it registers none and leaves out what the table does not
-/// know (see "Only what is scored again registers ids" in
+/// know; an entry scored exactly 0 adds nothing to a sum and is left out
+/// too, unlooked-up (see "Only what is scored again registers ids" in
 /// [`crate::similarity`]).
 pub(crate) struct Weights {
-    /// Position of `q[0]` in the untrimmed layout, as in [`Planes`].
+    /// Position of `words[0]` in the untrimmed layout, as in [`Planes`].
     first_word: u32,
-    /// Per 64 consecutive slots, `score · 2²⁰` of the entry owning each
-    /// slot; 0 for a slot no entry owns, which then adds nothing to a sum.
-    q: Vec<[u32; 64]>,
-    /// The size of the slot table when an id was left out: planes that end
-    /// below it cannot rate that id. `u32::MAX` when none was.
+    /// Per 64 consecutive slots: the mask of those holding a non-zero
+    /// weight, and `score · 2²⁰` of the entry owning each of them.
+    words: Box<[(u64, [u32; 64])]>,
+    /// The size of the slot table when a non-zero entry's id was left out:
+    /// planes that end below it cannot rate that id. `u32::MAX` when none
+    /// was.
     complete_below: u32,
 }
 
-impl Drop for Weights {
-    fn drop(&mut self) {
-        // What a hostile profile with far-apart slots blew up is not worth
-        // pinning; honest ones need a fraction of this.
-        if self.q.capacity() <= 1 << 10 {
-            SCRATCH.set(std::mem::take(&mut self.q));
-        }
-    }
-}
-
 impl Weights {
-    /// Weights of `entries` over the ids the slot table knows. Declines
-    /// (`None`) unless every score is a whole multiple of 2⁻²⁰ in `[0, 1]`
-    /// and there are at most 2¹³ of them — what makes [`Self::sums`] exact
-    /// — and when the layout would span more words than it places entries
-    /// (see [`word_span`]).
+    /// Weights of the non-zero entries whose ids the slot table knows.
+    /// Declines (`None`) unless every score is a whole multiple of 2⁻²⁰ in
+    /// `[0, 1]` and there are at most 2¹³ of them — what makes
+    /// [`Self::sums`] exact — and when the layout would span more words
+    /// than it places entries (see [`word_span`]).
     pub(crate) fn build(entries: &[ProfileEntry]) -> Option<Self> {
-        if entries.len() > MAX_WEIGHED || entries.iter().any(|e| fixed_point(e.score).is_none()) {
+        if entries.len() > MAX_WEIGHED {
             return None;
         }
+        let (mut placed, mut complete_below) = (Vec::with_capacity(entries.len()), u32::MAX);
         let table = SLOTS.read().expect("slot table lock poisoned");
-        let placed: Vec<(u32, Score)> = entries
-            .iter()
-            .filter_map(|e| Some((*table.get(&e.item)?, e.score)))
-            .collect();
-        let complete = placed.len() == entries.len();
-        let complete_below = if complete {
-            u32::MAX
-        } else {
-            table.len() as u32
-        };
+        for e in entries {
+            match (fixed_point(e.score)?, table.get(&e.item)) {
+                (0, _) => {}
+                (q, Some(&slot)) => placed.push((slot, q)),
+                (_, None) => complete_below = table.len() as u32,
+            }
+        }
         drop(table);
         let (first_word, end_word) = word_span(placed.iter().map(|&(slot, _)| slot))?;
-        let mut q = SCRATCH.take();
-        q.clear();
-        q.resize((end_word - first_word) as usize, [0; 64]);
-        for (slot, score) in placed {
-            q[(slot / 64 - first_word) as usize][(slot % 64) as usize] =
-                fixed_point(score).expect("checked above");
+        let mut words = vec![(0, [0; 64]); (end_word - first_word) as usize].into_boxed_slice();
+        for (slot, q) in placed {
+            let (nonzero, weights) = &mut words[(slot / 64 - first_word) as usize];
+            *nonzero |= 1 << (slot % 64);
+            weights[(slot % 64) as usize] = q;
         }
         Some(Self {
             first_word,
-            q,
+            words,
             complete_below,
         })
     }
@@ -251,16 +230,19 @@ impl Weights {
     /// reference's f64 accumulation yields them, bit for bit (see
     /// "Exactness of weights" in [`crate::similarity`]) — `None` for a
     /// candidate that may rate an id this layout left out. Walks the set
-    /// bits of the candidate's `rated` plane; whether an item is liked is
-    /// a mask, not a branch.
+    /// bits of the candidate's `rated` plane that carry a non-zero weight;
+    /// whether an item is liked is a mask, not a branch.
     pub(crate) fn sums(&self, cand: &Planes) -> Option<(f64, f64)> {
         if cand.end_slot() > self.complete_below {
             return None;
         }
         let (mut dot, mut sub_norm2) = (0u64, 0u64);
-        let shared = shared_words((self.first_word, &self.q), (cand.first_word, &cand.words));
-        for (q, [rated, liked]) in shared {
-            let mut rest = *rated;
+        let shared = shared_words(
+            (self.first_word, &self.words),
+            (cand.first_word, &cand.words),
+        );
+        for ((nonzero, q), [rated, liked]) in shared {
+            let mut rest = rated & nonzero;
             while rest != 0 {
                 let bit = rest.trailing_zeros() % 64;
                 rest &= rest - 1;
@@ -271,6 +253,23 @@ impl Weights {
         }
         let unit = 1.0 / f64::from(ONE);
         Some((dot as f64 * unit, sub_norm2 as f64 * (unit * unit)))
+    }
+}
+
+/// What a profile allocation is laid out as (`Profile::layout`): planes if
+/// every score is 0 or 1, weights otherwise.
+pub(crate) enum Layout {
+    Planes(Planes),
+    Weights(Weights),
+}
+
+impl Layout {
+    /// Heap bytes of the layout (memory diagnostics).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        match self {
+            Self::Planes(planes) => std::mem::size_of_val(&*planes.words),
+            Self::Weights(weights) => std::mem::size_of_val(&*weights.words),
+        }
     }
 }
 
@@ -335,7 +334,7 @@ pub(crate) mod tests {
         let all = Planes::build(&entries(base..base + 640)).expect("registered above");
         assert_eq!(empty.overlap(&all), (0, 0));
         assert_eq!(all.overlap(&empty), (0, 0));
-        assert_eq!(empty.heap_bytes(), 0);
+        assert!(empty.words.is_empty());
     }
 
     #[test]
@@ -435,6 +434,13 @@ pub(crate) mod tests {
         let complete = Weights::build(&halves(0.5)[32..42]).expect("one step");
         assert_eq!(complete.sums(&since), Some((0.5 * 7.0, 0.25 * 10.0)));
         assert_eq!(complete.sums(&unrelated), Some((0.0, 0.0)));
+        // Nor do weights whose only unknown ids are scored 0: such an entry
+        // adds nothing to a sum, so it is neither looked up nor laid out.
+        let mut zeros = halves(0.0);
+        zeros[0].score = 0.5;
+        let sparse = Weights::build(&zeros).expect("one entry placed");
+        assert_eq!(sparse.words.len(), 1);
+        assert_eq!(sparse.sums(&since), Some((0.0, 0.0)));
         // Nor do weights that know no id at all: nothing to sum.
         let strangers = Weights::build(&entries((6 << 40)..(6 << 40) + 9)).expect("scores 0, 1");
         assert_eq!(strangers.sums(&before), Some((0.0, 0.0)));

@@ -18,7 +18,7 @@
 use crate::item::{ItemId, Timestamp};
 #[doc(hidden)]
 pub use crate::planes::slot_table_bytes;
-use crate::planes::Planes;
+use crate::planes::{Layout, Planes, Weights};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
@@ -81,16 +81,17 @@ pub struct Profile {
     /// `sqrt(likes)`, bit-identical to the scan (a sum of 0s and 1s is
     /// exact), and only a binary profile can have [`Self::planes`].
     non_binary: u32,
-    /// The rated and liked item sets as bit planes, for the counting path
-    /// of `crate::similarity`. Built on demand ([`Self::planes`],
-    /// [`Self::planes_when_rescored`]), and only for a binary profile;
-    /// `Some(None)` records that the build declined (see
-    /// [`Planes::build`]). Derived state: never serialized, never
+    /// The entries laid out for the counting path of `crate::similarity`:
+    /// bit planes if the profile is binary, weights otherwise. Built on
+    /// demand ([`Self::layout`], [`Self::planes_when_rescored`]);
+    /// `Some(None)` records that the build declined (see [`Planes::build`],
+    /// [`Weights::build`]). Derived state: never serialized, never
     /// compared, not copied by `Clone`, dropped by every mutation — and
-    /// shared, once built, by every holder of a [`SharedProfile`].
-    planes: OnceLock<Option<Planes>>,
+    /// shared, once built, by every holder of a [`SharedProfile`] on every
+    /// thread.
+    layout: OnceLock<Option<Layout>>,
     /// Whether a one-vs-many scorer has met this profile as a candidate
-    /// before (see [`Self::planes_when_rescored`]). Reset with the planes.
+    /// before (see [`Self::planes_when_rescored`]). Reset with the layout.
     scored_before: AtomicBool,
 }
 
@@ -102,14 +103,14 @@ impl PartialEq for Profile {
     }
 }
 
-/// The planes stay behind: a profile is cloned to be mutated (the
-/// copy-on-write `Arc::make_mut` of a node's own profile), and a mutation
-/// drops them anyway.
+/// The layout stays behind: a profile is cloned to be mutated (the
+/// copy-on-write `Arc::make_mut` of a node's own profile or of an item
+/// profile to purge), and a mutation drops it anyway.
 impl Clone for Profile {
     fn clone(&self) -> Self {
         Self {
             entries: self.entries.clone(),
-            planes: OnceLock::new(),
+            layout: OnceLock::new(),
             scored_before: AtomicBool::new(false),
             ..*self
         }
@@ -117,7 +118,7 @@ impl Clone for Profile {
 }
 
 /// What `derive(Debug)` printed before the counting path's fields existed:
-/// whether planes happen to be built must not show in it.
+/// whether a layout happens to be built must not show in it.
 impl std::fmt::Debug for Profile {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Profile")
@@ -219,7 +220,7 @@ impl Profile {
     }
 
     /// Recomputes the memoized derived state (norm, fingerprint, like and
-    /// non-binary counts) and drops the planes.
+    /// non-binary counts) and drops the layout.
     fn recompute_norm(&mut self) {
         self.fingerprint = fingerprint_of(&self.entries);
         self.recompute_scores();
@@ -242,13 +243,13 @@ impl Profile {
         self.norm = if n == 0.0 { 0.0 } else { n };
         self.likes = likes;
         self.non_binary = non_binary;
-        self.drop_planes();
+        self.drop_layout();
     }
 
-    /// Every mutation ends here: planes describe the entries they were
+    /// Every mutation ends here: a layout describes the entries it was
     /// built from.
-    fn drop_planes(&mut self) {
-        self.planes.take();
+    fn drop_layout(&mut self) {
+        self.layout.take();
         *self.scored_before.get_mut() = false;
     }
 
@@ -275,18 +276,19 @@ impl Profile {
     }
 
     /// Heap bytes this profile owns: the allocated (not occupied) entry
-    /// slots plus the planes, if built — memory diagnostics only.
+    /// slots plus the layout, if built — memory diagnostics only.
     #[doc(hidden)]
     pub fn heap_bytes(&self) -> usize {
-        self.entries.capacity() * std::mem::size_of::<ProfileEntry>() + self.plane_bytes()
+        let layout = self.built_layout().flatten().map_or(0, Layout::heap_bytes);
+        self.entries.capacity() * std::mem::size_of::<ProfileEntry>() + layout
     }
 
     /// Heap bytes of the planes, `0` while there are none (not built yet,
     /// not binary, or declined). Builds nothing — diagnostics and tests.
     #[doc(hidden)]
     pub fn plane_bytes(&self) -> usize {
-        match self.planes.get() {
-            Some(Some(planes)) => planes.heap_bytes(),
+        match self.built_layout() {
+            Some(Some(layout @ Layout::Planes(_))) => layout.heap_bytes(),
             _ => 0,
         }
     }
@@ -342,7 +344,7 @@ impl Profile {
         } else {
             norm_of(&self.entries)
         };
-        self.drop_planes();
+        self.drop_layout();
     }
 
     /// Records the user's opinion on an item (Algorithm 1, lines 5/7/14).
@@ -466,30 +468,37 @@ impl Profile {
         self.likes as usize
     }
 
-    /// The bit planes of a *binary* profile, built now if need be — what
-    /// the fixed side of a one-vs-many scoring asks for: its build is
-    /// shared by all the candidates. `None` for a profile holding any
-    /// other score and for one whose build declined.
+    /// The layout, built now if need be — planes if the profile is binary,
+    /// weights otherwise — and shared by every scorer of this allocation,
+    /// on every thread.
+    pub(crate) fn layout(&self) -> Option<&Layout> {
+        let build = || match self.is_binary() {
+            true => Planes::build(&self.entries).map(Layout::Planes),
+            false => Weights::build(&self.entries).map(Layout::Weights),
+        };
+        self.layout.get_or_init(build).as_ref()
+    }
+
+    /// The layout if one was asked for: `Some(None)` if its build
+    /// declined. Builds nothing.
+    pub(crate) fn built_layout(&self) -> Option<Option<&Layout>> {
+        self.layout.get().map(Option::as_ref)
+    }
+
+    /// The bit planes of a *binary* profile, built now if need be. `None`
+    /// for one whose build declined, and for a profile holding any other
+    /// score (whose weights it builds instead).
     pub(crate) fn planes(&self) -> Option<&Planes> {
-        if self.non_binary != 0 {
-            return None;
+        match self.layout()? {
+            Layout::Planes(planes) => Some(planes),
+            Layout::Weights(_) => None,
         }
-        self.planes
-            .get_or_init(|| Planes::build(&self.entries))
-            .as_ref()
     }
 
     /// Whether every score is exactly `0` or `1` — what [`Self::rate`]
     /// builds, and the only kind of profile that can have planes.
-    pub(crate) fn is_binary(&self) -> bool {
+    fn is_binary(&self) -> bool {
         self.non_binary == 0
-    }
-
-    /// Whether [`Self::planes`] can still answer `Some`: the profile is
-    /// binary and no build has declined. Decided from memoized state —
-    /// nothing is built, no lock is taken.
-    pub(crate) fn may_have_planes(&self) -> bool {
-        self.non_binary == 0 && !matches!(self.planes.get(), Some(None))
     }
 
     /// The planes a *candidate* is scored with: those it has, or — from
@@ -497,15 +506,10 @@ impl Profile {
     /// is scored again" in `crate::similarity`). The first ask answers
     /// `None` and the caller walks the entries — same bits.
     pub(crate) fn planes_when_rescored(&self) -> Option<&Planes> {
-        if self.non_binary != 0 {
-            return None;
-        }
-        if let Some(built) = self.planes.get() {
-            return built.as_ref();
-        }
         // Relaxed: the flag publishes nothing. Two threads asking at once
         // cost one walk more or one build earlier, never a wrong score.
-        if !self.scored_before.swap(true, Ordering::Relaxed) {
+        let first_ask = || !self.scored_before.swap(true, Ordering::Relaxed);
+        if !self.is_binary() || self.built_layout().is_none() && first_ask() {
             return None;
         }
         self.planes()

@@ -77,12 +77,14 @@
 //!   planes, 64 items to an `&` and a `count_ones`. Jaccard likewise
 //!   (`common = dot`, `union = likes_n + likes_c − dot`).
 //! * **Real-valued fixed side (BEEP orientation): integer weights.** The
-//!   item profile is laid out by slot once per [`Prepared`],
-//!   `q[slot] = score · 2²⁰`, and a candidate is scored by walking the set
-//!   bits of its `rated` plane: `‖sub‖² += q²`, and `dot += q` where the
+//!   item profile is laid out by slot once per allocation,
+//!   `q[slot] = score · 2²⁰` beside a mask of the slots whose `q` is not
+//!   0, and a candidate is scored by walking the set bits of its `rated`
+//!   plane under that mask: `‖sub‖² += q²`, and `dot += q` where the
 //!   `liked` bit is set (a mask, not a branch). A slot the item profile
-//!   does not rate holds 0. Jaccard needs the common *likes*, which
-//!   weights do not give, and stays pairwise.
+//!   does not rate, or rates 0, adds nothing and is not visited. Jaccard
+//!   needs the common *likes*, which weights do not give, and stays
+//!   pairwise.
 //!
 //! Nothing selects a path but the two profiles themselves; the fingerprint
 //! rejection stays in front, and the sums feed the same `ratio(..)`
@@ -106,14 +108,16 @@
 //!   halves, so a score that met `k` opinions is a multiple of 2⁻ᵏ, and no
 //!   copy's path in any perfbench workload holds twenty likers (the build
 //!   declined nothing there). It checks both conditions all the same.
-//! * **Planes belong to the profile, weights to the scorer.** Planes are
+//! * **Layouts belong to the profile.** Planes and weights alike are
 //!   derived state of a [`Profile`] allocation — built on demand, never
-//!   serialized or compared, dropped by every mutation — so every view
-//!   slot and message pinning a snapshot shares one pair (16 bytes per 64
-//!   slots spanned), and a node keeps no scoring state of its own. An item
-//!   profile is oriented by one node, once, then forwarded: its weights
-//!   (256 bytes per 64 slots) live for that orientation, in a per-thread
-//!   scratch allocation handed from one scorer to the next.
+//!   serialized or compared, dropped by every mutation — and [`Prepared`]
+//!   keeps nothing but the profile. Every view slot and message pinning a
+//!   snapshot shares one pair of planes (16 bytes per 64 slots spanned),
+//!   and a node keeps no scoring state of its own. Every copy of an item
+//!   profile shares one set of weights (264 bytes per 64 slots spanned):
+//!   the receivers of its `f_like` siblings and the nodes down a dislike
+//!   chain, which forward it unchanged, orient it with the weights the
+//!   first of them built, on whichever thread.
 //! * **Built for what is scored again.** Building looks every id up in
 //!   the slot table, which costs several walks of the entries; it pays for
 //!   a node's own profile or a snapshot sitting in a view, not for a
@@ -129,27 +133,31 @@
 //!   a result, since only sums over an intersection leave a layout). Planes
 //!   register their ids, so a peer's one-shot descriptors never reach the
 //!   table. An item profile, which arrives with every news frame, registers
-//!   nothing: its weights are laid out over the ids the table knows. That
-//!   loses no term — a candidate has planes only once every id it holds
-//!   has a slot — except to a candidate laid out *after* the weights (its
-//!   second sight falling inside this orientation), which may have
-//!   registered an id they left out: such weights remember how large the
-//!   table was and turn away planes that reach beyond. (An item profile
-//!   still binary — its source's own snapshot — is a binary fixed side
-//!   like any other, and gets planes.)
+//!   nothing: its weights are laid out over the ids the table knows, and
+//!   an entry scored exactly 0 — a product of 0 whatever the candidate
+//!   says — is not even looked up. That loses no term — a candidate has
+//!   planes only once every id it holds has a slot — except to a candidate
+//!   laid out *after* the weights (its second sight falling inside any
+//!   later orientation of the same allocation), which may have registered
+//!   a non-zero entry's id they left out: such weights remember how large
+//!   the table was and turn away planes that reach beyond, however long
+//!   they stay cached. (An item profile still binary — its source's own
+//!   snapshot — is a binary fixed side like any other, and gets planes.)
 //! * **It declines rather than degrades.** A pair is walked pairwise —
 //!   same bits, the merge-join's speed — when the candidate has no planes
 //!   (a score that is neither 0 nor 1, a first meeting, an id the full
-//!   table does not know) or was laid out after weights that left an id
-//!   out; when the fixed side holds a score that is no whole multiple of
-//!   2⁻²⁰ in `[0, 1]` (`-0.0` and non-finite values included) or more than
-//!   2¹³ entries; and when either side's ids were first seen so far apart
-//!   that its layout would span more 64-slot words than it has entries,
-//!   which also keeps wire-supplied ids from sizing an allocation. A fixed
-//!   side that declined is not asked again by the same scorer, and no
-//!   candidate gets planes built on its account.
+//!   table does not know) or was laid out after weights that left a
+//!   non-zero entry's id out; when the fixed side holds a score that is no
+//!   whole multiple of 2⁻²⁰ in `[0, 1]` (`-0.0` and non-finite values
+//!   included) or more than 2¹³ entries, zeros counted; and when either
+//!   side's ids were first seen so far apart that its layout would span
+//!   more 64-slot words than it places entries (a weighed side places its
+//!   non-zero ones), which also keeps wire-supplied ids from sizing an
+//!   allocation. A declined build is remembered by the allocation: no
+//!   scorer asks it again, and no candidate gets planes built on its
+//!   account.
 
-use crate::planes::Weights;
+use crate::planes::{Layout, Planes};
 use crate::profile::Profile;
 
 /// Metric selector: which similarity a node family uses for clustering,
@@ -357,24 +365,18 @@ pub fn jaccard_similarity(pn: &Profile, pc: &Profile) -> f64 {
 /// (see "One-vs-many scoring" in the module docs). Every score is
 /// bit-identical to [`Metric::score`]`(pn, candidate)`.
 ///
-/// What is built for the fixed side — its planes, which stay with the
-/// profile, or its weights, which live as long as this value: one BEEP
-/// orientation — is built on the first candidate that gets past the
-/// fingerprint rejection and has planes, so a scorer that only ever meets
-/// disjoint or first-sight candidates costs nothing.
+/// The scorer keeps no state of its own: the fixed side's layout — planes
+/// or weights — belongs to the profile allocation, and is built on the
+/// first candidate of any scorer that gets past the fingerprint rejection
+/// and has planes, so a scorer that only ever meets disjoint or
+/// first-sight candidates costs nothing.
 pub struct Prepared<'a> {
     pn: &'a Profile,
-    /// `None` inside the cell: [`Weights::build`] declined `pn`, and
-    /// candidates are scored pairwise.
-    weights: std::cell::OnceCell<Option<Weights>>,
 }
 
 impl<'a> Prepared<'a> {
     pub fn new(pn: &'a Profile) -> Self {
-        Self {
-            pn,
-            weights: std::cell::OnceCell::new(),
-        }
+        Self { pn }
     }
 
     /// [`Metric::score`]`(pn, pc)`.
@@ -395,47 +397,39 @@ impl<'a> Prepared<'a> {
     /// Jaccard needs the union, which a walk of one side cannot see: it is
     /// counted when both profiles have planes and stays pairwise otherwise.
     fn jaccard(&self, pc: &Profile) -> f64 {
-        let Some((common_likes, _)) = self.counted(pc) else {
+        let Some((Layout::Planes(own), theirs)) = self.layouts(pc) else {
             return jaccard_similarity(self.pn, pc);
         };
+        let (common_likes, _) = own.overlap(theirs);
         let union_likes = self.pn.like_count() + pc.like_count() - common_likes as usize;
         ratio(f64::from(common_likes), union_likes as f64)
     }
 
-    /// `(|liked_n ∩ liked_c|, |liked_n ∩ rated_c|)` when both profiles have
-    /// planes (see "Counting path" in the module docs). The fixed side is
-    /// asked first, from memoized state: one that cannot have planes costs
-    /// a candidate nothing here. Its own planes are built once a candidate
-    /// has some to count against.
-    fn counted(&self, pc: &Profile) -> Option<(u32, u32)> {
-        if !self.pn.may_have_planes() {
+    /// The fixed side's layout and the candidate's planes, when both exist
+    /// (see "Counting path" in the module docs). The fixed side is asked
+    /// first, from memoized state: one whose build declined costs a
+    /// candidate nothing here, and gets no candidate's planes built on its
+    /// account. Its own layout is built once a candidate has planes.
+    fn layouts<'b>(&self, pc: &'b Profile) -> Option<(&'a Layout, &'b Planes)> {
+        if matches!(self.pn.built_layout(), Some(None)) {
             return None;
         }
         let theirs = pc.planes_when_rescored()?;
-        Some(self.pn.planes()?.overlap(theirs))
+        Some((self.pn.layout()?, theirs))
     }
 
-    /// `(Σ pn·pc, Σ pn²)` over the common items for a real-valued `pn`
-    /// against a binary `pc` with planes. A binary `pn` is not tried: it is
-    /// [`Self::counted`], or its planes declined over its slots, and its
-    /// weights would over the same. Weights that declined are not asked
-    /// again, and no candidate gets planes built on their account.
-    fn weighed(&self, pc: &Profile) -> Option<(f64, f64)> {
-        if self.pn.is_binary() || matches!(self.weights.get(), Some(None)) {
-            return None;
-        }
-        let theirs = pc.planes_when_rescored()?;
-        let weights = self
-            .weights
-            .get_or_init(|| Weights::build(self.pn.entries()));
-        weights.as_ref()?.sums(theirs)
-    }
-
+    /// `(Σ pn·pc, Σ pn²)` over the common items: planes against planes are
+    /// counted, weights against planes summed, and anything else walked.
     fn common_sums(&self, pc: &Profile) -> (f64, f64) {
-        if let Some((dot, sub_norm2)) = self.counted(pc) {
-            return (f64::from(dot), f64::from(sub_norm2));
-        }
-        self.weighed(pc).unwrap_or_else(|| common_sums(self.pn, pc))
+        let laid_out = match self.layouts(pc) {
+            Some((Layout::Planes(own), theirs)) => {
+                let (dot, sub_norm2) = own.overlap(theirs);
+                Some((f64::from(dot), f64::from(sub_norm2)))
+            }
+            Some((Layout::Weights(own), theirs)) => own.sums(theirs),
+            None => None,
+        };
+        laid_out.unwrap_or_else(|| common_sums(self.pn, pc))
     }
 }
 
@@ -687,7 +681,7 @@ mod tests {
             for (pn, pc) in [(&plain, &weird), (&weird, &plain), (&unrated, &weird)] {
                 let scorer = Prepared::new(pn);
                 assert_scorer_matches_reference(&scorer, pn, pc);
-                assert!(!weighs(&scorer));
+                assert!(!weighs(pn));
             }
         }
     }
@@ -815,14 +809,14 @@ mod tests {
         }
     }
 
-    /// Whether the scorer's fixed side has been laid out by slot.
-    fn weighs(scorer: &Prepared) -> bool {
-        matches!(scorer.weights.get(), Some(Some(_)))
+    /// Whether a real-valued profile has been laid out by slot.
+    fn weighs(pn: &Profile) -> bool {
+        matches!(pn.built_layout(), Some(Some(Layout::Weights(_))))
     }
 
-    /// Whether the scorer tried to lay its fixed side out and declined.
-    fn declined_to_weigh(scorer: &Prepared) -> bool {
-        matches!(scorer.weights.get(), Some(None))
+    /// Whether a profile tried to lay itself out and declined.
+    fn declined_to_weigh(pn: &Profile) -> bool {
+        matches!(pn.built_layout(), Some(None))
     }
 
     /// An item profile over `ids`, every score `rest` except the first
@@ -857,7 +851,7 @@ mod tests {
             .map(|pc| scorer.score(Metric::Wup, pc).to_bits())
             .collect();
         assert!(candidates.iter().all(|pc| pc.plane_bytes() == 0));
-        assert!(scorer.weights.get().is_none());
+        assert!(item_profile.built_layout().is_none());
         // Second sight — a snapshot an RPS view holds: the candidates get
         // planes, the item profile weights, and never planes of its own.
         for (pc, first) in candidates.iter().zip(first) {
@@ -865,7 +859,7 @@ mod tests {
             assert!(pc.plane_bytes() > 0);
             assert_scorer_matches_reference(&scorer, &item_profile, pc);
         }
-        assert!(weighs(&scorer));
+        assert!(weighs(&item_profile));
         assert_eq!(item_profile.plane_bytes(), 0);
     }
 
@@ -898,8 +892,8 @@ mod tests {
             for pc in [&all, &some] {
                 assert_scorer_matches_reference(&scorer, pn, pc);
             }
-            assert_eq!(weighs(&scorer), *weighed, "{:?}", pn.entries()[0]);
-            assert_eq!(declined_to_weigh(&scorer), !*weighed);
+            assert_eq!(weighs(pn), *weighed, "{:?}", pn.entries()[0]);
+            assert_eq!(declined_to_weigh(pn), !*weighed);
         }
     }
 
@@ -915,16 +909,16 @@ mod tests {
         for _ in 0..2 {
             assert_scorer_matches_reference(&scorer, &pn, &real);
         }
-        assert!(scorer.weights.get().is_none(), "nothing to weigh against");
+        assert!(pn.built_layout().is_none(), "nothing to weigh against");
         // A binary one has them from its second score on.
         let binary = profile(&[base + 1, base + 2], &[base + 3]);
         let walked = scorer.score(Metric::Wup, &binary);
-        assert!(scorer.weights.get().is_none() && binary.plane_bytes() == 0);
+        assert!(pn.built_layout().is_none() && binary.plane_bytes() == 0);
         assert_eq!(
             scorer.score(Metric::Wup, &binary).to_bits(),
             walked.to_bits()
         );
-        assert!(weighs(&scorer) && binary.plane_bytes() > 0);
+        assert!(weighs(&pn) && binary.plane_bytes() > 0);
         assert_scorer_matches_reference(&scorer, &pn, &binary);
     }
 
@@ -938,7 +932,7 @@ mod tests {
         let seen = profile(&[base + 8, base + 9], &[base + 10]);
         assert!(seen.planes().is_some());
         assert_scorer_matches_reference(&scorer, &pn, &seen);
-        assert!(weighs(&scorer));
+        assert!(weighs(&pn));
         // A snapshot rating three of them comes by a second time while the
         // orientation runs: its planes give them slots the weights lack.
         let newcomer = profile(&[base + 20], &[base + 21, base + 22]);
@@ -948,6 +942,83 @@ mod tests {
         }
         assert!(newcomer.plane_bytes() > 0);
         assert_scorer_matches_reference(&scorer, &pn, &seen);
+        // The weights stay with the item profile: the next node to orient
+        // it — down a dislike chain — reuses them, and they still turn the
+        // newcomer away.
+        let bytes = pn.heap_bytes();
+        assert_scorer_matches_reference(&Prepared::new(&pn), &pn, &newcomer);
+        assert_scorer_matches_reference(&Prepared::new(&pn), &pn, &seen);
+        assert_eq!(pn.heap_bytes(), bytes);
+    }
+
+    #[test]
+    fn a_layout_is_built_once_per_allocation_and_dropped_by_mutations() {
+        let base = fresh_ids(16);
+        register(base..base + 16);
+        let seen = profile(&[base + 1, base + 2], &[base + 3]);
+        assert!(seen.planes().is_some());
+        let orient = |pn: &Profile| {
+            assert_scorer_matches_reference(&Prepared::new(pn), pn, &seen);
+            weighs(pn)
+        };
+        let mut pn = item_profile(base..base + 8, 0.5, 0.75);
+        pn.rate(base + 9, 4, true);
+        assert!(orient(&pn));
+        let built = pn.built_layout().flatten().map(|l| l as *const Layout);
+        assert!(orient(&pn));
+        assert_eq!(
+            pn.built_layout().flatten().map(|l| l as *const Layout),
+            built
+        );
+        // A clone leaves the layout behind; every mutation drops it.
+        assert!(pn.clone().built_layout().is_none());
+        pn.purge_older_than(0);
+        assert!(pn.built_layout().is_some(), "a purge that removes nothing");
+        pn.purge_older_than(4);
+        assert_eq!(pn.len(), 1);
+        assert!(pn.built_layout().is_none(), "a purge that removes");
+        assert!(!orient(&pn), "one liked entry: binary, planes instead");
+        pn.add_to_news_profile(ProfileEntry {
+            item: base + 2,
+            timestamp: 5,
+            score: 0.5,
+        });
+        assert!(pn.built_layout().is_none());
+        assert!(orient(&pn));
+        pn.add_to_news_profile(ProfileEntry {
+            item: base + 2,
+            timestamp: 5,
+            score: 1.0,
+        });
+        assert!(pn.built_layout().is_none());
+        assert!(orient(&pn));
+        assert_scorer_matches_reference(&Prepared::new(&pn), &pn, &seen);
+    }
+
+    #[test]
+    fn two_threads_orienting_one_item_profile_both_get_the_reference() {
+        let base = fresh_ids(64);
+        register(base..base + 64);
+        let pn = crate::profile::SharedProfile::new(item_profile(base..base + 48, 0.5, 0.75));
+        let view: Vec<Profile> = (0..30)
+            .map(|k| profile(&[base + k, base + k + 11], &[base + k + 23]))
+            .collect();
+        assert!(view.iter().all(|pc| pc.planes().is_some()));
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                let copy = crate::profile::SharedProfile::clone(&pn);
+                let (view, barrier) = (&view, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    let scorer = Prepared::new(&copy);
+                    for pc in view {
+                        assert_scorer_matches_reference(&scorer, &copy, pc);
+                    }
+                });
+            }
+        });
+        assert!(weighs(&pn));
     }
 
     #[test]
@@ -966,7 +1037,7 @@ mod tests {
         assert!(pc.planes().is_some());
         let scorer = Prepared::new(&wide);
         assert_scorer_matches_reference(&scorer, &wide, &pc);
-        assert!(declined_to_weigh(&scorer));
+        assert!(declined_to_weigh(&wide));
     }
 
     #[test]
@@ -1077,48 +1148,94 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// The weighted path against the scan-only reference, by bits: a
-        /// fixed side whose scores are whole multiples of 2⁻²⁰ — a few
-        /// coarse averages, as a short path leaves them, or arbitrary ones
-        /// — against binary candidates (`-0.0` included) with planes. Each
-        /// profile draws its ids from its own 512-slot window of 1024
-        /// consecutive slots, so the layouts overlap fully, in part, in
-        /// one word or not at all.
+        /// The weighted path against the scan-only reference, by bits: one
+        /// item profile, shared as an `Arc`, oriented by up to three
+        /// scorers in turn — the first lays it out, the rest reuse the
+        /// layout — over binary candidates (`-0.0` included). Its scores
+        /// are whole multiples of 2⁻²⁰ — a few coarse averages, as a short
+        /// path leaves them, or arbitrary ones — zeros included, and it
+        /// rates ids the slot table never saw: scored 0, which the weights
+        /// skip, or ¼, which they leave out. A candidate that rates some of
+        /// those is not laid out up front: its second score registers them,
+        /// after the weights were built, and they must turn it away.
+        /// `decline` spoils the weights: a `-0.0`, a score that is no
+        /// multiple of 2⁻²⁰, or 2¹³ + 1 entries. Each profile draws its
+        /// other ids from its own 512-slot window of 1024 consecutive
+        /// slots, so the layouts overlap fully, in part, in one word or not
+        /// at all.
         #[test]
         fn weighed_path_is_bit_identical_to_reference(
             coarse in prop::bool::ANY,
+            decline in 0usize..4,
+            scorers in 1usize..4,
             fixed_at in 0u64..512,
             fixed in prop::collection::vec((0u64..512, 0u32..(1 << 20) + 1), 16..300),
+            unseen in prop::collection::vec((0u64..16, prop::bool::ANY), 0..16),
             cands in prop::collection::vec(
-                (0u64..512, prop::collection::vec((0u64..512, 0u32..4), 16..200)),
+                (
+                    0u64..512,
+                    prop::collection::vec((0u64..512, 0u32..4), 16..200),
+                    prop::collection::vec((0u64..16, 0u32..4), 0..4),
+                ),
                 1..8,
             ),
         ) {
             let base = fresh_ids(1_024);
             register(base..base + 1_024);
+            // Never registered but by the candidates that rate them.
+            let never_seen = fresh_ids(16 + 8_193);
+            let entry = |item, score| ProfileEntry { item, timestamp: 0, score };
             let units = |q: u32| if coarse { q >> 17 << 17 } else { q };
+            let mut entries: Vec<ProfileEntry> = fixed
+                .iter()
+                .map(|&(i, q)| entry(base + fixed_at + i, units(q) as f32 / (1u32 << 20) as f32))
+                .collect();
             // The last entry wins: one score (½) that is certainly no 0 or
             // 1, coarse or not.
-            let odd = (fixed[0].0, 1 << 19);
-            let pn = Profile::from_entries(fixed.iter().chain([&odd]).map(|&(i, q)| ProfileEntry {
-                item: base + fixed_at + i,
-                timestamp: 0,
-                score: units(q) as f32 / (1u32 << 20) as f32,
-            }));
-            let scorer = Prepared::new(&pn);
-            let mut met = false;
-            for (at, raw) in &cands {
-                let pc = Profile::from_entries(raw.iter().map(|&(i, class)| ProfileEntry {
-                    item: base + at + i,
-                    timestamp: 0,
-                    score: [0.0, 1.0, -0.0, 1.0][class as usize],
-                }));
-                prop_assert!(pc.planes().is_some());
-                met |= pc.entries().iter().any(|e| pn.contains(e.item));
-                assert_scorer_matches_reference(&scorer, &pn, &pc);
+            entries.push(entry(base + fixed_at + fixed[0].0, 0.5));
+            let unseen_score = |zero| if zero { 0.0 } else { 0.25 };
+            entries.extend(unseen.iter().map(|&(i, zero)| entry(never_seen + i, unseen_score(zero))));
+            let spoiled = never_seen + 16;
+            match decline {
+                1 => entries.push(entry(spoiled, -0.0)),
+                2 => entries.push(entry(spoiled, 1.0 / 3.0)),
+                3 => entries.extend((0..8_193).map(|k| entry(spoiled + k, 0.5))),
+                _ => {}
             }
-            prop_assert!(!met || weighs(&scorer));
-            prop_assert!(!declined_to_weigh(&scorer));
+            let pn = crate::profile::SharedProfile::new(Profile::from_entries(entries));
+            let cands: Vec<(Profile, bool)> = cands
+                .iter()
+                .map(|(at, raw, rates_unseen)| {
+                    let class = |c: u32| [0.0, 1.0, -0.0, 1.0][c as usize];
+                    let pc = Profile::from_entries(
+                        raw.iter()
+                            .map(|&(i, c)| entry(base + at + i, class(c)))
+                            .chain(rates_unseen.iter().map(|&(i, c)| entry(never_seen + i, class(c)))),
+                    );
+                    (pc, rates_unseen.is_empty())
+                })
+                .collect();
+            let mut met = false;
+            for (pc, laid_out) in &cands {
+                if *laid_out {
+                    prop_assert!(pc.planes().is_some());
+                    met |= pc.entries().iter().any(|e| pn.contains(e.item));
+                }
+            }
+            for k in 0..scorers {
+                let copy = crate::profile::SharedProfile::clone(&pn);
+                let scorer = Prepared::new(&copy);
+                for (pc, _) in cands.iter().cycle().skip(k).take(cands.len()) {
+                    assert_scorer_matches_reference(&scorer, &pn, pc);
+                }
+            }
+            if decline != 0 {
+                prop_assert!(!weighs(&pn));
+                prop_assert!(!met || declined_to_weigh(&pn));
+            } else if cands.iter().all(|(_, laid_out)| *laid_out) {
+                prop_assert_eq!(weighs(&pn), met);
+                prop_assert!(!declined_to_weigh(&pn));
+            }
         }
 
         /// The counting path against the scan-only reference, by bits, in

@@ -278,13 +278,11 @@ fn sweep(args: &[String]) -> ExitCode {
             ),
         );
     }
-    // Every fanout's node parameters pass the same checks as the file's
+    // Every fanout's protocol knobs pass the same checks as the file's
     // own, view-size capacity guard included, before the first cell runs.
     for &f in &fanouts {
-        if let Some(params) = file.config.build_params(&file.protocol.with_fanout(f)) {
-            if let Err(e) = params.validate() {
-                return fail("invalid sweep", format!("--fanouts {f}: {e}"));
-            }
+        if let Err(e) = file.config.validate_protocol(&file.protocol.with_fanout(f)) {
+            return fail("invalid sweep", format!("--fanouts {f}: {e}"));
         }
     }
     // No --shards axis = the file's own shard count, a 1×F grid.

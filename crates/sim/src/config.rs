@@ -310,6 +310,19 @@ impl SimConfig {
         }
         Some(params)
     }
+
+    /// Checks `protocol`'s knobs under this config: the node parameters
+    /// of the gossip stack (view sizes capacity-guarded), and the fanout
+    /// of anti-entropy, which runs its own engine.
+    pub fn validate_protocol(&self, protocol: &Protocol) -> Result<(), String> {
+        match self.build_params(protocol) {
+            Some(params) => params.validate(),
+            None if *protocol == (Protocol::AntiEntropy { fanout: 0 }) => {
+                Err("anti-entropy needs a fanout ≥ 1".into())
+            }
+            None => Ok(()),
+        }
+    }
 }
 
 impl SimConfig {

@@ -295,6 +295,7 @@
 //! | view descriptors              |       ~60 MiB | view size                   |
 //! | item records (driver)         |      ~120 MiB | receptions per item         |
 //! | mailbox arena + scratch       |       ~40 MiB | peak per-round traffic      |
+//! | item-profile weights          |     in flight | spanned words (264 B each)  |
 //! | oracle (CSR)                  |   likes-sized | non-zero likes (4 B each)   |
 //!
 //! What keeps each row tight:
@@ -310,7 +311,9 @@
 //!   included (a few words beside a KiB-sized entry vector; the item →
 //!   slot table they are numbered by is the breakdown's "slot table"
 //!   row, one per process). Cross-shard the decode cache restores the
-//!   sharing on the receiving side.
+//!   sharing on the receiving side. An item profile's weights — a
+//!   non-zero mask and 64 × `u32` per spanned 64-slot word — are shared
+//!   the same way, alive while any copy holds the item profile.
 //! * **Sparse oracle** — [`crate::Oracle`] holds likes as CSR or dense
 //!   bit-plane, chosen by measured byte cost
 //!   (`whatsup_datasets::LikeStore`), and is **process-`Arc`-shared**:

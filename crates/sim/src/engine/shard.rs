@@ -685,15 +685,20 @@ impl ShardState {
                     unreachable!("only news flows in the publication phase")
                 };
                 debug_assert_eq!(news.header.id, item_id);
-                if !node.has_seen(item_id) {
+                let (hop, dislikes) = (news.hops + 1, news.dislikes);
+                // The node's own verdict books a first reception: it counts
+                // one exactly when the copy is neither a duplicate nor one
+                // it sent itself.
+                let received = stats.news_received;
+                let replies = node.on_message(from, payload, cycle, &opinions, stats, rng);
+                if stats.news_received > received {
                     outcome.first = Some(FirstReception {
-                        hop: news.hops + 1,
+                        hop,
                         sender_liked: opinions.likes(from, item_id),
                         receiver_likes,
-                        dislikes: news.dislikes,
+                        dislikes,
                     });
                 }
-                let replies = node.on_message(from, payload, cycle, &opinions, stats, rng);
                 if let Some(Payload::News(first_out)) = replies.first().map(|m| &m.payload) {
                     outcome.forward = Some((first_out.hops, receiver_likes));
                 }

@@ -81,7 +81,8 @@ pub fn run_with_detection(
     scenario.validate(cfg).expect("invalid scenario");
     let n = dataset.n_users();
     assert!(n > 0, "dataset has no users");
-    assert!(fanout > 0, "anti-entropy needs a fanout ≥ 1");
+    cfg.validate_protocol(&Protocol::AntiEntropy { fanout })
+        .expect("invalid protocol");
     scenario.validate_events(n).expect("invalid scenario");
 
     let mut engine = Engine::new(dataset, cfg, scenario, fanout);

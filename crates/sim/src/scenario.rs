@@ -855,15 +855,15 @@ serde::json_codec! {
 }
 
 impl ScenarioFile {
-    /// Parses a scenario file and validates it, node parameters included
+    /// Parses a scenario file and validates it, protocol knobs included
     /// (view sizes are capacity-guarded before anything allocates them).
     pub fn from_json_str(text: &str) -> Result<Self, Error> {
         let file = Self::from_json(&serde::json::parse(text)?)?;
         file.scenario.validate(&file.config).map_err(Error::new)?;
         file.config.validate().map_err(Error::new)?;
-        if let Some(params) = file.config.build_params(&file.protocol) {
-            params.validate().map_err(Error::new)?;
-        }
+        file.config
+            .validate_protocol(&file.protocol)
+            .map_err(Error::new)?;
         Ok(file)
     }
 }
@@ -1038,6 +1038,9 @@ mod tests {
         assert!(protocol(r#"{"kind": "whatsup", "f_like": 4294967295}"#).is_err());
         assert!(protocol(r#"{"kind": "gossip", "fanout": 4294967295}"#).is_err());
         assert!(protocol(r#"{"kind": "gossip", "fanout": 6}"#).is_ok());
+        let err = protocol(r#"{"kind": "anti_entropy", "fanout": 0}"#).unwrap_err();
+        assert!(err.to_string().contains("fanout ≥ 1"), "{err}");
+        assert!(protocol(r#"{"kind": "anti_entropy", "fanout": 2}"#).is_ok());
     }
 
     #[test]

@@ -390,6 +390,27 @@ fn cli_runs_the_committed_scenario_identically() {
         "error must name the version: {stderr}"
     );
 
+    // So is a scenario whose protocol no engine can run: the committed
+    // file with anti-entropy at fanout 0 is one line and exit 1, not the
+    // engine's assertion.
+    let committed = std::fs::read_to_string(COMMITTED).unwrap();
+    let fanless = dir.join("anti_entropy_fanout_0.json");
+    let swapped = committed.replace(
+        r#"{"kind": "whatsup", "f_like": 4}"#,
+        r#"{"kind": "anti_entropy", "fanout": 0}"#,
+    );
+    assert_ne!(swapped, committed);
+    std::fs::write(&fanless, swapped).unwrap();
+    let out = std::process::Command::new(cli)
+        .arg("run")
+        .arg(&fanless)
+        .output()
+        .expect("spawn whatsup-sim run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.contains("fanout ≥ 1"), "{stderr}");
+
     // The sweep subcommand emits one row per grid cell through the same
     // Runner path; cells differing only in shard count are identical.
     let out = std::process::Command::new(cli)
