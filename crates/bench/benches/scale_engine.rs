@@ -1,7 +1,6 @@
 //! Engine scaling: single-run throughput (cycles/sec) across shard counts
 //! (1/2/4) at 1k/5k/20k nodes — plus a 100k-node axis — under a uniform
-//! and a flash-crowd publication workload, with per-cycle metrics
-//! collection on and off.
+//! and a flash-crowd publication workload.
 //!
 //! The sharded engine is deterministic across shard counts, so the speedup
 //! columns are pure wall-clock: same seed, same report, more shard worker
@@ -9,26 +8,22 @@
 //! shard runs inline; more shards add exchange overhead without
 //! parallelism). The flash-crowd axis stresses the publication phase: a
 //! quarter of the items disseminate in one cycle, which is where the
-//! sparse-BFS-tail round-trip skipping pays. The metrics axis isolates the
-//! cost of the windowed measurement pipeline (shard counter accumulation +
-//! one extra round-trip per cycle): `metrics=off` sets
-//! `SimConfig::collect_series = false`, everything else identical.
+//! sparse-BFS-tail round-trip skipping pays.
 //!
 //! The 100k- and 1M-node axes run a reduced subgrid (1 shard, uniform
-//! workload; 1M additionally drops the metrics-on row): on a single host
-//! the multi-shard rows at that scale only measure exchange overhead
-//! again, several minutes per row — the full grid there is a
-//! multi-machine job (socket transport), not a bench row.
+//! workload): on a single host the multi-shard rows at that scale only
+//! measure exchange overhead again, several minutes per row — the full
+//! grid there is a multi-machine job (socket transport), not a bench row.
 //!
 //! `WHATSUP_SCALE_MAX_NODES=<n>` caps the largest population (useful for
 //! quick local/CI runs); the default exercises every axis including 1M.
 //! `WHATSUP_SCALE_QUICK=1` instead runs exactly one row — 100k nodes, 1
-//! shard, uniform, metrics off — and asserts its peak RSS stays under
+//! shard, uniform — and asserts its peak RSS stays under
 //! [`QUICK_RSS_CEILING_MB`]; CI uses it as the memory-regression smoke.
 //! Rows are saved as JSON objects with named columns: `{"nodes", "shards",
-//! "workload" ("uniform"/"flash"), "metrics" ("on"/"off"), "secs" (wall
-//! clock for the 10 cycles), "messages", "peak_rss_mb"}`. The committed
-//! `BENCH_scale.json` at the repo root is a snapshot of those rows — the
+//! "workload" ("uniform"/"flash"), "secs" (wall clock for the 10 cycles),
+//! "messages", "peak_rss_mb"}`. The committed `BENCH_scale.json` at the
+//! repo root is a snapshot of those rows — the
 //! perf trajectory baseline CI prints deltas against (and fails on
 //! `messages` divergence, which would mean a determinism break, and on
 //! `peak_rss_mb` regressions past the comparison script's tolerance).
@@ -82,7 +77,7 @@ fn workloads() -> [(&'static str, Workload); 2] {
 }
 
 /// Ceiling for the `WHATSUP_SCALE_QUICK` smoke row (100k nodes, 1 shard,
-/// uniform, metrics off): the committed row's peak RSS plus headroom for
+/// uniform): the committed row's peak RSS plus headroom for
 /// allocator and host noise. A run past this is a memory regression.
 const QUICK_RSS_CEILING_MB: f64 = 1550.0;
 
@@ -124,18 +119,12 @@ fn reset_peak_rss() {
     let _ = std::fs::write("/proc/self/clear_refs", "5");
 }
 
-fn run(
-    dataset: &whatsup_datasets::Dataset,
-    shards: usize,
-    workload: Workload,
-    collect_series: bool,
-) -> (f64, u64) {
+fn run(dataset: &whatsup_datasets::Dataset, shards: usize, workload: Workload) -> (f64, u64) {
     let cfg = SimConfig {
         cycles: CYCLES,
         publish_from: 2,
         measure_from: 4,
         shards,
-        collect_series,
         ..Default::default()
     };
     let started = Instant::now();
@@ -144,45 +133,31 @@ fn run(
         .scenario(Scenario::default().with_workload(workload))
         .run();
     let secs = started.elapsed().as_secs_f64();
-    assert_eq!(
-        report.series.is_empty(),
-        !collect_series,
-        "collect_series knob must gate the time series"
-    );
     (
         CYCLES as f64 / secs,
         report.gossip_messages + report.news_messages_all,
     )
 }
 
-fn row_value(
-    n_users: usize,
-    shards: usize,
-    w: &str,
-    m: &str,
-    cps: f64,
-    msgs: u64,
-    rss: f64,
-) -> Value {
+fn row_value(n_users: usize, shards: usize, w: &str, cps: f64, msgs: u64, rss: f64) -> Value {
     Value::object(vec![
         ("nodes", Value::Number(n_users as f64)),
         ("shards", Value::Number(shards as f64)),
         ("workload", Value::String(w.into())),
-        ("metrics", Value::String(m.into())),
         ("secs", Value::Number(f64::from(CYCLES) / cps)),
         ("messages", Value::Number(msgs as f64)),
         ("peak_rss_mb", Value::Number(rss)),
     ])
 }
 
-/// Child mode: `WHATSUP_SCALE_ONE_ROW="nodes,shards,workload,metrics"`.
+/// Child mode: `WHATSUP_SCALE_ONE_ROW="nodes,shards,workload"`.
 /// Runs exactly that row in this (fresh) process and prints one
 /// machine-readable line; the parent grid loop parses it. Keeping rows in
 /// separate processes is what makes the `peak_rss_mb` column honest —
 /// see the module docs.
 fn run_one_row(spec: &str) -> Result<(), String> {
     let parts: Vec<&str> = spec.split(',').collect();
-    let [nodes, shards, w_name, metrics] = parts[..] else {
+    let [nodes, shards, w_name] = parts[..] else {
         return Err(format!("bad WHATSUP_SCALE_ONE_ROW spec: {spec:?}"));
     };
     let nodes: usize = nodes.parse().map_err(|e| format!("nodes: {e}"))?;
@@ -192,14 +167,9 @@ fn run_one_row(spec: &str) -> Result<(), String> {
         .find(|(n, _)| *n == w_name)
         .ok_or_else(|| format!("unknown workload {w_name:?}"))?
         .1;
-    let metrics_on = match metrics {
-        "on" => true,
-        "off" => false,
-        other => return Err(format!("metrics must be on/off, got {other:?}")),
-    };
     let d = dataset(nodes);
     reset_peak_rss();
-    let (cps, msgs) = run(&d, shards, workload, metrics_on);
+    let (cps, msgs) = run(&d, shards, workload);
     println!(
         "ROW {} {} {} {:.6}",
         d.n_users(),
@@ -243,30 +213,22 @@ fn spawn_row(spec: &str) -> (usize, f64, u64, f64) {
     )
 }
 
-/// The `WHATSUP_SCALE_QUICK` path: the single 100k / 1 shard / uniform /
-/// metrics-off row, asserted under [`QUICK_RSS_CEILING_MB`]. CI's
+/// The `WHATSUP_SCALE_QUICK` path: the single 100k / 1 shard / uniform
+/// row, asserted under [`QUICK_RSS_CEILING_MB`]. CI's
 /// memory-regression smoke.
 fn run_quick() {
     let d = dataset(100_000);
     reset_peak_rss();
-    let (cps, msgs) = run(&d, 1, Workload::Uniform, false);
+    let (cps, msgs) = run(&d, 1, Workload::Uniform);
     let rss = peak_rss_mb();
     println!(
-        "quick: nodes={} shards=1 uniform metrics=off -> {:.2} cyc/s, messages={}, peak rss {:.1} MiB (ceiling {QUICK_RSS_CEILING_MB})",
+        "quick: nodes={} shards=1 uniform -> {:.2} cyc/s, messages={}, peak rss {:.1} MiB (ceiling {QUICK_RSS_CEILING_MB})",
         d.n_users(),
         cps,
         msgs,
         rss
     );
-    save_rows(vec![row_value(
-        d.n_users(),
-        1,
-        "uniform",
-        "off",
-        cps,
-        msgs,
-        rss,
-    )]);
+    save_rows(vec![row_value(d.n_users(), 1, "uniform", cps, msgs, rss)]);
     assert!(
         rss < QUICK_RSS_CEILING_MB,
         "peak RSS {rss:.1} MiB exceeds the {QUICK_RSS_CEILING_MB} MiB ceiling — memory regression"
@@ -292,7 +254,7 @@ fn main() {
     }
     let t = whatsup_bench::start(
         "scale_engine",
-        "single-run engine scaling across shard counts, workloads and metrics collection",
+        "single-run engine scaling across shard counts and workloads",
     );
     if std::env::var("WHATSUP_SCALE_QUICK").is_ok() {
         run_quick();
@@ -308,8 +270,8 @@ fn main() {
         .unwrap_or(1_000_000);
     println!("host parallelism: {cores} core(s); {CYCLES} cycles per run\n");
     println!(
-        "{:>8} {:>8} {:>7} {:>7} {:>12} {:>9} {:>12} {:>9}",
-        "nodes", "workload", "shards", "metrics", "cyc/s", "vs 1-sh", "messages", "rss MiB"
+        "{:>8} {:>8} {:>7} {:>12} {:>9} {:>12} {:>9}",
+        "nodes", "workload", "shards", "cyc/s", "vs 1-sh", "messages", "rss MiB"
     );
     let mut rows = Vec::new();
     for &n in [1_000usize, 5_000, 20_000, 100_000, 1_000_000]
@@ -319,38 +281,27 @@ fn main() {
         let full_grid = n <= FULL_GRID_MAX_NODES;
         let shard_counts: &[usize] = if full_grid { &SHARD_COUNTS } else { &[1] };
         let n_workloads = if full_grid { 2 } else { 1 };
-        // The 1M row is memory-bound: keep the one column that matters
-        // (metrics off) and skip the metrics-on duplicate.
-        let metrics_axes: &[bool] = if n >= 1_000_000 {
-            &[false]
-        } else {
-            &[false, true]
-        };
         for (w_name, _) in workloads().into_iter().take(n_workloads) {
-            for &metrics_on in metrics_axes {
-                let mut baseline = 0.0f64;
-                let mut baseline_msgs = 0u64;
-                for &shards in shard_counts {
-                    let metrics = if metrics_on { "on" } else { "off" };
-                    let spec = format!("{n},{shards},{w_name},{metrics}");
-                    let (n_users, secs, msgs, rss) = spawn_row(&spec);
-                    let cps = f64::from(CYCLES) / secs;
-                    if shards == 1 {
-                        baseline = cps;
-                        baseline_msgs = msgs;
-                    } else {
-                        assert_eq!(
-                            msgs, baseline_msgs,
-                            "shard count changed the traffic — determinism broken"
-                        );
-                    }
-                    let speedup = cps / baseline;
-                    println!(
-                        "{:>8} {:>8} {:>7} {:>7} {:>12.2} {:>8.2}x {:>12} {:>9.1}",
-                        n_users, w_name, shards, metrics, cps, speedup, msgs, rss
+            let mut baseline = 0.0f64;
+            let mut baseline_msgs = 0u64;
+            for &shards in shard_counts {
+                let (n_users, secs, msgs, rss) = spawn_row(&format!("{n},{shards},{w_name}"));
+                let cps = f64::from(CYCLES) / secs;
+                if shards == 1 {
+                    baseline = cps;
+                    baseline_msgs = msgs;
+                } else {
+                    assert_eq!(
+                        msgs, baseline_msgs,
+                        "shard count changed the traffic — determinism broken"
                     );
-                    rows.push(row_value(n_users, shards, w_name, metrics, cps, msgs, rss));
                 }
+                let speedup = cps / baseline;
+                println!(
+                    "{:>8} {:>8} {:>7} {:>12.2} {:>8.2}x {:>12} {:>9.1}",
+                    n_users, w_name, shards, cps, speedup, msgs, rss
+                );
+                rows.push(row_value(n_users, shards, w_name, cps, msgs, rss));
             }
             println!();
         }

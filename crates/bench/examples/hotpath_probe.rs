@@ -1,5 +1,5 @@
 //! Quick single-row probe of the scale_engine configuration space:
-//! `cargo run --release -p whatsup_bench --example hotpath_probe -- <nodes> <shards> <metrics 0|1> [cycles]`
+//! `cargo run --release -p whatsup_bench --example hotpath_probe -- <nodes> <shards> [cycles]`
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -47,8 +47,7 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let nodes: usize = args.get(1).and_then(|v| v.parse().ok()).unwrap_or(20_000);
     let shards: usize = args.get(2).and_then(|v| v.parse().ok()).unwrap_or(1);
-    let metrics: bool = args.get(3).map(|v| v == "1").unwrap_or(true);
-    let cycles: u32 = args.get(4).and_then(|v| v.parse().ok()).unwrap_or(10);
+    let cycles: u32 = args.get(3).and_then(|v| v.parse().ok()).unwrap_or(10);
     let cfg = SurveyConfig {
         base_users: (nodes / 4).max(15),
         base_items: 100,
@@ -70,7 +69,6 @@ fn main() {
         publish_from,
         measure_from: publish_from.saturating_add(2).min(cycles.saturating_sub(1)),
         shards,
-        collect_series: metrics,
         ..Default::default()
     };
     let started = Instant::now();
@@ -107,10 +105,9 @@ fn main() {
     };
     let secs = started.elapsed().as_secs_f64();
     println!(
-        "nodes={} shards={} metrics={} cycles={} -> {:.3}s ({:.2} cyc/s) messages={} rss={:.1}MiB",
+        "nodes={} shards={} cycles={} -> {:.3}s ({:.2} cyc/s) messages={} rss={:.1}MiB",
         d.n_users(),
         shards,
-        metrics,
         cycles,
         secs,
         cycles as f64 / secs,

@@ -19,14 +19,12 @@
 //! choices — are implemented on the same merge-join skeleton.
 //!
 //! The pairwise functions are allocation-free scans over the two sorted
-//! entry vectors. Jaccard needs the full union and always runs the linear
-//! merge-join (`O(|Pn| + |Pc|)`); WUP and cosine only need sums over the
-//! *common* items (their union terms are the memoized norms), so they use a
-//! size-adaptive join — linear merge for comparable sizes, iterate-small /
-//! binary-search-big (`O(min·log max)`) when the sizes are skewed, which
-//! they chronically are on the news hot path (aggregated item profiles vs
-//! slim view snapshots). Both strategies visit common items in ascending id
-//! order, so the f64 accumulation — and every output bit — is identical.
+//! entry vectors: one linear merge-join over the common items
+//! (`O(|Pn| + |Pc|)`), the very one the [`reference`] runs; Jaccard takes
+//! its union by inclusion–exclusion over the liked counts. [`Prepared`]
+//! walks only the pairs its counting paths decline (6 506 of the 1.67 M
+//! it scores past the fingerprint on perfbench's `paper-1shard`, seed 1),
+//! so the plain join is all its fallback needs.
 //!
 //! ## Fingerprint fast path
 //!
@@ -194,16 +192,14 @@ impl Metric {
     }
 }
 
-/// Accumulated inner products of one merge-join pass over two profiles.
+/// Sums over the common items of one merge-join pass over two profiles.
 struct JoinSums {
-    /// Σ pn·pc over common items.
+    /// Σ pn·pc.
     dot: f64,
-    /// Σ pn² over common items (‖sub(Pn,Pc)‖²).
+    /// Σ pn² (‖sub(Pn,Pc)‖²).
     sub_norm2: f64,
-    /// Number of common items where both scores are > 0.5 (common likes).
+    /// Items both profiles score > 0.5 (common likes).
     common_likes: usize,
-    /// Number of items liked in at least one of the two profiles.
-    union_likes: usize,
 }
 
 #[inline]
@@ -213,42 +209,23 @@ fn merge_join(pn: &Profile, pc: &Profile) -> JoinSums {
         dot: 0.0,
         sub_norm2: 0.0,
         common_likes: 0,
-        union_likes: 0,
     };
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
         let (ea, eb) = (&a[i], &b[j]);
         match ea.item.cmp(&eb.item) {
-            std::cmp::Ordering::Less => {
-                if ea.score > 0.5 {
-                    sums.union_likes += 1;
-                }
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                if eb.score > 0.5 {
-                    sums.union_likes += 1;
-                }
-                j += 1;
-            }
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
             std::cmp::Ordering::Equal => {
                 let (sa, sb) = (ea.score as f64, eb.score as f64);
                 sums.dot += sa * sb;
                 sums.sub_norm2 += sa * sa;
-                let (la, lb) = (ea.score > 0.5, eb.score > 0.5);
-                if la && lb {
-                    sums.common_likes += 1;
-                }
-                if la || lb {
-                    sums.union_likes += 1;
-                }
+                sums.common_likes += usize::from(ea.score > 0.5 && eb.score > 0.5);
                 i += 1;
                 j += 1;
             }
         }
     }
-    let rest = a[i..].iter().chain(&b[j..]);
-    sums.union_likes += rest.filter(|e| e.score > 0.5).count();
     sums
 }
 
@@ -257,69 +234,6 @@ fn merge_join(pn: &Profile, pc: &Profile) -> JoinSums {
 #[inline]
 fn provably_disjoint(pn: &Profile, pc: &Profile) -> bool {
     pn.fingerprint() & pc.fingerprint() == 0
-}
-
-/// Common-item sums (`dot`, `sub_norm2`) for the metrics that never look at
-/// non-shared items — WUP (its union terms are the memoized norms) and
-/// cosine. Size-adaptive: profile sizes in a live overlay are wildly skewed
-/// (item profiles aggregate hundreds of entries, view snapshots often hold
-/// a handful), and the full merge scan pays for the big side even when the
-/// intersection is tiny. When one side is much smaller, iterate it and
-/// binary-search the other; both strategies visit the common items in
-/// ascending id order, so the f64 accumulation sequence — and therefore
-/// every result bit — matches the reference merge-join exactly.
-#[inline]
-fn common_sums(pn: &Profile, pc: &Profile) -> (f64, f64) {
-    let (a, b) = (pn.entries(), pc.entries());
-    let (mut dot, mut sub_norm2) = (0.0f64, 0.0f64);
-    // `own_is_small` tracks which side of the asymmetric sums the probe
-    // entry belongs to: `sub_norm2` is always Σ pn² over common items.
-    let (small, big, own_is_small) = if a.len() * 8 <= b.len() {
-        (a, b, true)
-    } else if b.len() * 8 <= a.len() {
-        (b, a, false)
-    } else {
-        // Comparable sizes: the linear merge is cheaper than n·log m.
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            let (ea, eb) = (&a[i], &b[j]);
-            match ea.item.cmp(&eb.item) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    let (sa, sb) = (ea.score as f64, eb.score as f64);
-                    dot += sa * sb;
-                    sub_norm2 += sa * sa;
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        return (dot, sub_norm2);
-    };
-    // `from` narrows the search window: the small side ascends, so matches
-    // can only lie to the right of the previous one.
-    let mut from = 0;
-    for e in small {
-        match big[from..].binary_search_by_key(&e.item, |x| x.item) {
-            Ok(k) => {
-                let other = &big[from + k];
-                let (sa, sb) = if own_is_small {
-                    (e.score as f64, other.score as f64)
-                } else {
-                    (other.score as f64, e.score as f64)
-                };
-                dot += sa * sb;
-                sub_norm2 += sa * sa;
-                from += k + 1;
-            }
-            Err(k) => from += k,
-        }
-        if from >= big.len() {
-            break;
-        }
-    }
-    (dot, sub_norm2)
 }
 
 /// `dot / denom`, or 0 when the denominator vanishes (no overlap, a side
@@ -339,8 +253,7 @@ pub fn wup_similarity(pn: &Profile, pc: &Profile) -> f64 {
     if provably_disjoint(pn, pc) {
         return 0.0;
     }
-    let (dot, sub_norm2) = common_sums(pn, pc);
-    ratio(dot, sub_norm2.sqrt() * pc.norm())
+    reference::wup_similarity(pn, pc)
 }
 
 /// Classic cosine similarity over the full score vectors.
@@ -348,8 +261,7 @@ pub fn cosine_similarity(pn: &Profile, pc: &Profile) -> f64 {
     if provably_disjoint(pn, pc) {
         return 0.0;
     }
-    let (dot, _) = common_sums(pn, pc);
-    ratio(dot, pn.norm() * pc.norm())
+    reference::cosine_similarity(pn, pc)
 }
 
 /// Jaccard index over the *liked* item sets.
@@ -357,8 +269,7 @@ pub fn jaccard_similarity(pn: &Profile, pc: &Profile) -> f64 {
     if provably_disjoint(pn, pc) {
         return 0.0;
     }
-    let sums = merge_join(pn, pc);
-    ratio(sums.common_likes as f64, sums.union_likes as f64)
+    reference::jaccard_similarity(pn, pc)
 }
 
 /// One fixed profile `pn`, prepared to be scored against many candidates
@@ -386,10 +297,10 @@ impl<'a> Prepared<'a> {
         }
         match metric {
             Metric::Wup => {
-                let (dot, sub_norm2) = self.common_sums(pc);
+                let (dot, sub_norm2) = self.sums(pc);
                 ratio(dot, sub_norm2.sqrt() * pc.norm())
             }
-            Metric::Cosine => ratio(self.common_sums(pc).0, self.pn.norm() * pc.norm()),
+            Metric::Cosine => ratio(self.sums(pc).0, self.pn.norm() * pc.norm()),
             Metric::Jaccard => self.jaccard(pc),
         }
     }
@@ -420,7 +331,7 @@ impl<'a> Prepared<'a> {
 
     /// `(Σ pn·pc, Σ pn²)` over the common items: planes against planes are
     /// counted, weights against planes summed, and anything else walked.
-    fn common_sums(&self, pc: &Profile) -> (f64, f64) {
+    fn sums(&self, pc: &Profile) -> (f64, f64) {
         let laid_out = match self.layouts(pc) {
             Some((Layout::Planes(own), theirs)) => {
                 let (dot, sub_norm2) = own.overlap(theirs);
@@ -429,7 +340,10 @@ impl<'a> Prepared<'a> {
             Some((Layout::Weights(own), theirs)) => own.sums(theirs),
             None => None,
         };
-        laid_out.unwrap_or_else(|| common_sums(self.pn, pc))
+        laid_out.unwrap_or_else(|| {
+            let sums = merge_join(self.pn, pc);
+            (sums.dot, sums.sub_norm2)
+        })
     }
 }
 
@@ -449,9 +363,12 @@ pub mod reference {
         ratio(merge_join(pn, pc).dot, pn.norm() * pc.norm())
     }
 
+    /// The union of the liked sets, by inclusion–exclusion over likes
+    /// counted here, not the profiles' memoized counts.
     pub fn jaccard_similarity(pn: &Profile, pc: &Profile) -> f64 {
-        let sums = merge_join(pn, pc);
-        ratio(sums.common_likes as f64, sums.union_likes as f64)
+        let common = merge_join(pn, pc).common_likes;
+        let union = pn.liked_items().count() + pc.liked_items().count() - common;
+        ratio(common as f64, union as f64)
     }
 }
 
@@ -1067,14 +984,12 @@ mod tests {
             }
         }
 
-        /// The fast paths must be invisible in the output: every metric
-        /// returns the *bit-identical* f64 the scan-only reference
+        /// The fingerprint rejection must be invisible in the output: every
+        /// metric returns the *bit-identical* f64 the scan-only reference
         /// produces, over random pairs of mixed binary/real-valued profiles
         /// (narrow id range ⇒ plenty of overlapping pairs; disjoint ranges
-        /// covered by the offset). The size ranges are deliberately skewed
-        /// (`a` small, `b` up to ~150 entries) so the size-adaptive
-        /// binary-search join — both orientations — is exercised alongside
-        /// the balanced merge and the fingerprint rejection.
+        /// covered by the offset), in both directions of a skewed pair (`a`
+        /// small, `b` up to ~150 entries).
         #[test]
         fn fast_path_is_bit_identical_to_scalar_merge_join(
             ea in prop::collection::vec((0u64..60, prop::bool::ANY), 0..40),

@@ -10,13 +10,29 @@
 //! Integers decode exactly or not at all: a JSON number is accepted only
 //! if it is whole, non-negative, at most 2^53 and in range for the type.
 //! Every decode error names the path of the field it happened in.
+//! [`Json::from_json_exact`] also rejects keys the type does not declare,
+//! which `from_json` skips.
 
 use json::{Error, Value};
 
 /// A type with a JSON form; `from_json(to_json(x)) == x`.
 pub trait Json: Sized {
+    /// A record's field names in declaration order (empty for the rest).
+    const FIELDS: &'static [&'static str] = &[];
+
     fn to_json(&self) -> Value;
     fn from_json(v: &Value) -> Result<Self, Error>;
+
+    /// [`Json::from_json`], then every key of `v` must be one the decoded
+    /// value's own `to_json` writes back at the same path. That covers
+    /// flattened fields and `"kind"`-tagged variants without a key list
+    /// per type: a misspelled key is an error naming its path, not a field
+    /// left at its default.
+    fn from_json_exact(v: &Value) -> Result<Self, Error> {
+        let decoded = Self::from_json(v)?;
+        json::known_keys_only(v, &decoded.to_json())?;
+        Ok(decoded)
+    }
 }
 
 /// Declares a type's JSON form once, generating its [`Json`] impl.
@@ -25,7 +41,8 @@ pub trait Json: Sized {
 /// `struct TimedEvent { at, event: flatten }`. A field is `name`
 /// (required), `name: default` (missing → the field of `Self::default()`),
 /// `name = expr` (missing → `expr`, which may read earlier fields) or
-/// `name: flatten` (encoded into and decoded from this same object).
+/// `name: flatten` (encoded into and decoded from this same object). The
+/// record's [`Json::FIELDS`] are those names, in that order.
 ///
 /// An enum is an object tagged by `"kind"`, one tag per variant:
 /// `enum ChurnModel { "none" => None, "crash_wave" => CrashWave { at, fraction } }`.
@@ -33,6 +50,8 @@ pub trait Json: Sized {
 macro_rules! json_codec {
     (struct $ty:ident { $($field:ident $(: $mode:ident)? $(= $fallback:expr)?),+ $(,)? }) => {
         impl $crate::Json for $ty {
+            const FIELDS: &'static [&'static str] = &[$(stringify!($field)),+];
+
             fn to_json(&self) -> $crate::json::Value {
                 let mut map = ::std::collections::BTreeMap::new();
                 $($crate::__json_field!(@put map, $field, &self.$field $(, $mode)?);)+
@@ -344,6 +363,31 @@ pub mod json {
             },
             other => Err(mismatch("an object", other)),
         }
+    }
+
+    /// Checks that every object key of `given` is also a key of `known` at
+    /// the same path (arrays pair up by index); the first one that is not
+    /// is an error naming its path and the keys that are.
+    pub(crate) fn known_keys_only(given: &Value, known: &Value) -> Result<(), Error> {
+        match (given, known) {
+            (Value::Object(given), Value::Object(known)) => {
+                for (key, value) in given {
+                    let Some(expected) = known.get(key) else {
+                        let keys: Vec<&String> = known.keys().collect();
+                        return Err(Error::new(format!("unknown key, expected one of {keys:?}"))
+                            .within(key.clone()));
+                    };
+                    known_keys_only(value, expected).map_err(|e| e.within(key.clone()))?;
+                }
+            }
+            (Value::Array(given), Value::Array(known)) => {
+                for (i, (value, expected)) in given.iter().zip(known).enumerate() {
+                    known_keys_only(value, expected).map_err(|e| e.within(format!("[{i}]")))?;
+                }
+            }
+            _ => {}
+        }
+        Ok(())
     }
 
     /// A mistyped value: what was expected, what came.
@@ -887,7 +931,7 @@ mod tests {
             text,
             r#"{"copies": 2, "inner": {"a": 7, "b": null}, "kind": "line", "len": 3, "name": "x"}"#
         );
-        assert_eq!(Outer::from_json(&parse(&text).unwrap()), Ok(outer));
+        assert_eq!(Outer::from_json(&parse(&text).unwrap()), Ok(outer.clone()));
         // Defaults: a missing record field, a field of `Self::default()`,
         // and a fallback reading an earlier field.
         let sparse =
@@ -909,5 +953,19 @@ mod tests {
         let bad = err(r#"{"name": "z", "kind": "cube"}"#);
         assert!(bad.contains(r#"unknown kind "cube""#), "{bad}");
         assert!(err(r#"{"name": "z", "kind": "dot", "inner": 5}"#).contains("expected an object"));
+        // The exact decode turns away what nothing declares, by path: a
+        // nested key, and a key of another variant of a flattened enum.
+        assert_eq!(Outer::FIELDS, ["name", "shape", "inner", "copies"]);
+        let exact = |text: &str| Outer::from_json_exact(&parse(text).unwrap());
+        assert_eq!(exact(&text), Ok(outer));
+        let nested = r#"{"name": "z", "kind": "dot", "inner": {"a": 1, "c": 2}}"#;
+        assert!(Outer::from_json(&parse(nested).unwrap()).is_ok());
+        let bad = exact(nested).unwrap_err().to_string();
+        assert!(
+            bad.contains(r#"inner.c: unknown key, expected one of ["a", "b"]"#),
+            "{bad}"
+        );
+        let bad = exact(r#"{"name": "z", "kind": "dot", "len": 3}"#).unwrap_err();
+        assert!(bad.to_string().contains("len: unknown key"), "{bad}");
     }
 }

@@ -44,21 +44,21 @@
 //!   protocol: messages sent, recall/precision/F1 and time-to-recover
 //!   (from the first recovery window). This is the head-to-head the
 //!   anti-entropy engine exists for.
-//! * `render` re-reads a report JSON written by `run` and renders its
-//!   per-cycle `series` and resolved measurement `windows` as aligned
-//!   text tables (the `whatsup-metrics` table format) — the human view of
-//!   a report that was archived as JSON.
+//! * `render` re-reads a report JSON written by `run`, exactly as `check`
+//!   does, and renders its per-cycle `series` and resolved measurement
+//!   `windows` as aligned text tables (the `whatsup-metrics` table format)
+//!   — the human view of a report that was archived as JSON.
 //! * `sweep` runs the scenario file across a `--shards` × `--fanouts`
 //!   grid (`Runner::grid_sweep`: the same Runner path, cells in parallel
 //!   on the workspace's one job pool), emitting one JSON row per cell
 //!   (JSON Lines: `{"shards": …, "fanout": …, "report": …}`). Omitting
 //!   `--fanouts` keeps the file's own protocol knob; omitting `--shards`
 //!   sweeps only the file's shard count.
-//! * `check` parses a report produced by `run`, validates its
-//!   `schema_version` and verifies its shape (headline numbers, series
-//!   columns, windows table) — the CI smoke test. `--require-recovery`
-//!   additionally fails unless at least one window carries recovery
-//!   metrics.
+//! * `check` reads a report produced by `run` — the CI smoke test: the
+//!   `schema_version` gate, then the one report schema (`Summary`, which
+//!   `run` encodes; an unknown key is an error), then `Summary::validate`.
+//!   Errors name the field's path. `--require-recovery` additionally fails
+//!   unless at least one window carries recovery metrics.
 //! * `echo` parses, validates and re-renders a scenario file in canonical
 //!   form (round-trip check / formatter).
 
@@ -66,8 +66,9 @@ use serde::Json;
 use std::process::ExitCode;
 use whatsup_metrics::table::{f2, human_count};
 use whatsup_metrics::TextTable;
+use whatsup_sim::record::Series;
 use whatsup_sim::{
-    Protocol, Runner, ScenarioFile, Supervision, Transport, REPORT_SCHEMA_VERSION, SERIES_COLUMNS,
+    Protocol, Runner, ScenarioFile, Summary, Supervision, Transport, REPORT_SCHEMA_VERSION,
 };
 
 fn usage() -> ExitCode {
@@ -223,9 +224,43 @@ fn emit(text: &str, out: Option<&str>, note: &str) -> ExitCode {
     }
 }
 
-/// Parses a `--shards 1,2,4`-style comma list of non-negative integers.
-fn parse_usize_list(list: &str) -> Option<Vec<usize>> {
-    let parts: Vec<&str> = list
+/// The arguments after a flag.
+type Args<'a> = std::slice::Iter<'a, String>;
+
+/// Walks a subcommand's arguments: returns its one operand and hands every
+/// flag to `flag`, with `it` after the flag. `None` — a usage error — for
+/// no or a second operand, or a flag `flag` rejects (`None`).
+fn parse_args(
+    args: &[String],
+    mut flag: impl FnMut(&str, &mut Args) -> Option<()>,
+) -> Option<String> {
+    let mut path = None;
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        if arg.starts_with("--") {
+            flag(arg, &mut it)?;
+        } else if path.replace(arg.clone()).is_some() {
+            return None;
+        }
+    }
+    path
+}
+
+/// A flag's value: the next argument, unless it is missing or a flag.
+fn value(it: &mut Args) -> Option<String> {
+    it.next().filter(|v| !v.starts_with("--")).cloned()
+}
+
+/// A flag's value, parsed as a number.
+fn number<T: std::str::FromStr>(it: &mut Args) -> Option<T> {
+    it.next()?.parse().ok()
+}
+
+/// A flag's value, parsed as a `1,2,4`-style comma list of non-negative
+/// integers.
+fn numbers(it: &mut Args) -> Option<Vec<usize>> {
+    let parts: Vec<&str> = it
+        .next()?
         .split(',')
         .map(str::trim)
         .filter(|s| !s.is_empty())
@@ -236,31 +271,25 @@ fn parse_usize_list(list: &str) -> Option<Vec<usize>> {
     parts.iter().map(|p| p.parse::<usize>().ok()).collect()
 }
 
+/// One `sweep` output line: a grid cell and its report.
+struct SweepRow {
+    shards: usize,
+    fanout: Option<usize>,
+    report: Summary,
+}
+
+serde::json_codec! { struct SweepRow { shards, fanout, report } }
+
 fn sweep(args: &[String]) -> ExitCode {
-    let mut path = None;
     let mut out = None;
     let mut shard_counts: Option<Vec<usize>> = None;
     let mut fanouts: Vec<usize> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--out" => match it.next() {
-                Some(v) if !v.starts_with("--") => out = Some(v.clone()),
-                _ => return usage(),
-            },
-            "--shards" => match it.next().and_then(|v| parse_usize_list(v)) {
-                Some(list) => shard_counts = Some(list),
-                None => return usage(),
-            },
-            "--fanouts" => match it.next().and_then(|v| parse_usize_list(v)) {
-                Some(list) => fanouts = list,
-                None => return usage(),
-            },
-            flag if flag.starts_with("--") => return usage(),
-            _ if path.is_none() => path = Some(arg.clone()),
-            _ => return usage(),
-        }
-    }
+    let path = parse_args(args, |flag, it| match flag {
+        "--out" => value(it).map(|v| out = Some(v)),
+        "--shards" => numbers(it).map(|l| shard_counts = Some(l)),
+        "--fanouts" => numbers(it).map(|l| fanouts = l),
+        _ => None,
+    });
     let Some(path) = path else { return usage() };
     let (file, dataset) = match load_for_run(&path) {
         Ok(loaded) => loaded,
@@ -294,19 +323,12 @@ fn sweep(args: &[String]) -> ExitCode {
     // JSON Lines: one compact row per grid cell, in grid order.
     let mut rows = String::new();
     for cell in &cells {
-        use serde::json::Value;
-        let row = Value::object(vec![
-            ("shards", Value::Number(cell.shards as f64)),
-            (
-                "fanout",
-                cell.report
-                    .fanout
-                    .map(|f| Value::Number(f as f64))
-                    .unwrap_or(Value::Null),
-            ),
-            ("report", cell.report.summary_json()),
-        ]);
-        rows.push_str(&row.to_string());
+        let row = SweepRow {
+            shards: cell.shards,
+            fanout: cell.report.fanout,
+            report: cell.report.summary(),
+        };
+        rows.push_str(&row.to_json().to_string());
         rows.push('\n');
     }
     let note = format!(
@@ -319,7 +341,6 @@ fn sweep(args: &[String]) -> ExitCode {
 }
 
 fn run(args: &[String]) -> ExitCode {
-    let mut path = None;
     let mut out = None;
     let mut shards = None;
     let mut worker = None;
@@ -329,47 +350,23 @@ fn run(args: &[String]) -> ExitCode {
     let mut max_restarts = None;
     let mut checkpoint_every = None;
     let mut protocol_override = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--out" => match it.next() {
-                Some(v) if !v.starts_with("--") => out = Some(v.clone()),
-                _ => return usage(),
-            },
-            "--shards" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) => shards = Some(n),
-                None => return usage(),
-            },
-            "--protocol" => match it.next() {
-                Some(v) if !v.starts_with("--") => protocol_override = Some(v.clone()),
-                _ => return usage(),
-            },
-            "--multiprocess" => match it.next() {
-                Some(v) if !v.starts_with("--") => worker = Some(v.clone()),
-                _ => return usage(),
-            },
-            "--transport" => match it.next() {
-                Some(v) if !v.starts_with("--") => transport_kind = Some(v.clone()),
-                _ => return usage(),
-            },
-            "--workers" => match it.next() {
-                Some(v) if !v.starts_with("--") => workers = Some(v.clone()),
-                _ => return usage(),
-            },
-            "--supervise" => supervise = true,
-            "--max-restarts" => match it.next().and_then(|v| v.parse::<u32>().ok()) {
-                Some(n) => max_restarts = Some(n),
-                None => return usage(),
-            },
-            "--checkpoint-every" => match it.next().and_then(|v| v.parse::<u32>().ok()) {
-                Some(n) if n > 0 => checkpoint_every = Some(n),
-                _ => return usage(),
-            },
-            flag if flag.starts_with("--") => return usage(),
-            _ if path.is_none() => path = Some(arg.clone()),
-            _ => return usage(),
+    let path = parse_args(args, |flag, it| match flag {
+        "--out" => value(it).map(|v| out = Some(v)),
+        "--shards" => number(it).map(|n| shards = Some(n)),
+        "--protocol" => value(it).map(|v| protocol_override = Some(v)),
+        "--multiprocess" => value(it).map(|v| worker = Some(v)),
+        "--transport" => value(it).map(|v| transport_kind = Some(v)),
+        "--workers" => value(it).map(|v| workers = Some(v)),
+        "--supervise" => {
+            supervise = true;
+            Some(())
         }
-    }
+        "--max-restarts" => number(it).map(|n| max_restarts = Some(n)),
+        "--checkpoint-every" => number(it)
+            .filter(|&n| n > 0)
+            .map(|n| checkpoint_every = Some(n)),
+        _ => None,
+    });
     let Some(path) = path else { return usage() };
     let transport = match resolve_transport(transport_kind, worker, workers, shards) {
         Ok(t) => t,
@@ -438,7 +435,7 @@ fn run(args: &[String]) -> ExitCode {
         shard_counts.len(),
         shard_counts
     );
-    let json = report.summary_json().pretty() + "\n";
+    let json = report.summary().to_json().pretty() + "\n";
     let note = format!(
         "{} on {} ({} nodes, F1 {:.3}, {} windows)",
         report.protocol,
@@ -481,25 +478,13 @@ fn comparison_row(report: &whatsup_sim::SimReport) -> Vec<String> {
 }
 
 fn compare(args: &[String]) -> ExitCode {
-    let mut path = None;
     let mut out = None;
     let mut fanout = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--out" => match it.next() {
-                Some(v) if !v.starts_with("--") => out = Some(v.clone()),
-                _ => return usage(),
-            },
-            "--fanout" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(f) if f > 0 => fanout = Some(f),
-                _ => return usage(),
-            },
-            flag if flag.starts_with("--") => return usage(),
-            _ if path.is_none() => path = Some(arg.clone()),
-            _ => return usage(),
-        }
-    }
+    let path = parse_args(args, |flag, it| match flag {
+        "--out" => value(it).map(|v| out = Some(v)),
+        "--fanout" => number(it).filter(|&f| f > 0).map(|f| fanout = Some(f)),
+        _ => None,
+    });
     let Some(path) = path else { return usage() };
     let (file, dataset) = match load_for_run(&path) {
         Ok(loaded) => loaded,
@@ -558,80 +543,58 @@ fn compare(args: &[String]) -> ExitCode {
     emit(&table.render(), out.as_deref(), "comparison table (2 rows)")
 }
 
-fn render(args: &[String]) -> ExitCode {
-    let mut path = None;
-    let mut out = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--out" => match it.next() {
-                Some(v) if !v.starts_with("--") => out = Some(v.clone()),
-                _ => return usage(),
-            },
-            flag if flag.starts_with("--") => return usage(),
-            _ if path.is_none() => path = Some(arg.clone()),
-            _ => return usage(),
-        }
+/// Reads a report written by `run`: its `schema_version` first (under
+/// another version the rest of the shape cannot be trusted), then the one
+/// [`Summary`] schema, unknown keys included, then what the types cannot
+/// say ([`Summary::validate`]). Failures are reported here.
+fn read_report(path: &str, require_recovery: bool) -> Result<Summary, ExitCode> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| fail("cannot read report", format!("{path}: {e}")))?;
+    let value = serde::json::parse(&text).map_err(|e| fail("report is not valid JSON", e))?;
+    let unsupported = match value.get("schema_version").and_then(|v| v.as_u64()) {
+        Some(v) if v == u64::from(REPORT_SCHEMA_VERSION) => None,
+        Some(v) => Some(format!(
+            "schema_version {v} is not supported — this binary reads v{REPORT_SCHEMA_VERSION}"
+        )),
+        None => Some(
+            "missing schema_version — not a whatsup-sim report, or one predating the \
+             versioned schema"
+                .to_string(),
+        ),
+    };
+    if let Some(e) = unsupported {
+        return Err(fail("report schema", format!("{path}: {e}")));
     }
-    let Some(path) = path else { return usage() };
-    let path = path.as_str();
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) => return fail("cannot read report", format!("{path}: {e}")),
-    };
-    let value = match serde::json::parse(&text) {
-        Ok(value) => value,
-        Err(e) => return fail("report is not valid JSON", e),
-    };
-    match value.get("schema_version").and_then(|v| v.as_u64()) {
-        Some(v) if v == u64::from(REPORT_SCHEMA_VERSION) => {}
-        _ => {
-            return fail(
-                "report schema",
-                format!(
-                    "{path}: missing or unsupported schema_version — this binary renders \
-                     v{REPORT_SCHEMA_VERSION} reports (produce one with whatsup-sim run)"
-                ),
-            )
-        }
-    }
-    let str_of = |key: &str| {
-        value
-            .get(key)
-            .and_then(|v| v.as_str())
-            .unwrap_or("?")
-            .to_string()
-    };
-    let heading = format!("{} on {}", str_of("protocol"), str_of("dataset"));
+    let shape = |e: String| fail("report shape", format!("{path}: {e}"));
+    let summary = Summary::from_json_exact(&value).map_err(|e| shape(e.to_string()))?;
+    summary.validate(require_recovery).map_err(shape)?;
+    Ok(summary)
+}
 
-    // Per-cycle series: one row per cycle, the columns exactly as `run`
-    // wrote them (and `check` validates them).
-    let mut header = vec!["cycle"];
-    header.extend(SERIES_COLUMNS);
-    let mut series_table = TextTable::new(format!("{heading} — per-cycle series"), &header);
-    let series = value.get("series");
-    let column = |key: &str| {
-        series
-            .and_then(|s| s.get(key))
-            .and_then(|c| c.as_array())
-            .map(<[serde::json::Value]>::to_vec)
-            .unwrap_or_default()
+fn render(args: &[String]) -> ExitCode {
+    let mut out = None;
+    let path = parse_args(args, |flag, it| match flag {
+        "--out" => value(it).map(|v| out = Some(v)),
+        _ => None,
+    });
+    let Some(path) = path else { return usage() };
+    let summary = match read_report(&path, false) {
+        Ok(summary) => summary,
+        Err(code) => return code,
     };
-    let columns: Vec<(&str, Vec<serde::json::Value>)> = SERIES_COLUMNS
-        .iter()
-        .map(|key| (*key, column(key)))
-        .collect();
-    let n_cycles = columns.iter().map(|(_, c)| c.len()).max().unwrap_or(0);
+    let heading = format!("{} on {}", summary.protocol, summary.dataset);
+
+    // Per-cycle series: one row per cycle, the columns as `run` wrote them.
+    let mut header = vec!["cycle"];
+    header.extend(Series::FIELDS);
+    let mut series_table = TextTable::new(format!("{heading} — per-cycle series"), &header);
+    let (counts, ratios) = summary.series.columns();
+    let n_cycles = counts[0].len();
     for cycle in 0..n_cycles {
         let mut row = vec![cycle.to_string()];
-        for (key, cells) in &columns {
-            row.push(match cells.get(cycle).and_then(|v| v.as_f64()) {
-                // The derived ratio columns are null on quiet cycles.
-                None => "-".to_string(),
-                Some(x) if matches!(*key, "recall" | "precision") => f2(x),
-                Some(x) => format!("{x:.0}"),
-            });
-        }
+        row.extend(counts.map(|c| c[cycle].to_string()));
+        // The derived ratio columns are empty on quiet cycles.
+        row.extend(ratios.map(|c| c[cycle].map_or_else(|| "-".into(), f2)));
         series_table.row(&row);
     }
 
@@ -652,231 +615,49 @@ fn render(args: &[String]) -> ExitCode {
             "MessagesSpent",
         ],
     );
-    let windows = value
-        .get("windows")
-        .and_then(|w| w.as_array())
-        .map(<[serde::json::Value]>::to_vec)
-        .unwrap_or_default();
-    for w in &windows {
-        let num = |key: &str| w.get(key).and_then(|v| v.as_f64()).unwrap_or(f64::NAN);
-        let score = |key: &str| {
-            w.get("scores")
-                .and_then(|s| s.get(key))
-                .and_then(|v| v.as_f64())
-                .map_or_else(|| "-".to_string(), f2)
-        };
-        let recovery = w
-            .get("recovery")
-            .filter(|r| !matches!(r, serde::json::Value::Null));
-        let rec_num = |key: &str| {
-            recovery
-                .and_then(|r| r.get(key))
-                .and_then(|v| v.as_f64())
-                .map_or_else(|| "-".to_string(), |x| format!("{x:.0}"))
-        };
-        let dip = recovery
-            .and_then(|r| r.get("dip_depth"))
-            .and_then(|v| v.as_f64())
-            .map_or_else(|| "-".to_string(), f2);
+    let dash = || "-".to_string();
+    for w in &summary.windows {
+        let r = w.recovery.as_ref();
         windows_table.row(&[
-            w.get("name")
-                .and_then(|n| n.as_str())
-                .unwrap_or("?")
-                .to_string(),
-            format!("[{:.0}, {:.0})", num("from"), num("until")),
-            format!("{:.0}", num("items")),
-            score("recall"),
-            score("precision"),
-            score("f1"),
-            human_count(num("news_sent")),
-            human_count(num("gossip_sent")),
-            dip,
-            rec_num("time_to_recover"),
-            rec_num("messages_spent"),
+            w.name.clone(),
+            format!("[{}, {})", w.from, w.until),
+            w.items.to_string(),
+            f2(w.scores.recall),
+            f2(w.scores.precision),
+            f2(w.scores.f1),
+            human_count(w.news_sent as f64),
+            human_count(w.gossip_sent as f64),
+            r.map_or_else(dash, |r| f2(r.dip_depth)),
+            r.and_then(|r| r.time_to_recover)
+                .map_or_else(dash, |t| t.to_string()),
+            r.map_or_else(dash, |r| r.messages_spent.to_string()),
         ]);
     }
 
     let text = format!("{}\n{}", series_table.render(), windows_table.render());
-    let note = format!("{n_cycles} cycles, {} windows", windows.len());
+    let note = format!("{n_cycles} cycles, {} windows", summary.windows.len());
     emit(&text, out.as_deref(), &note)
 }
 
 fn check(args: &[String]) -> ExitCode {
-    let mut path = None;
     let mut require_recovery = false;
-    for arg in args {
-        match arg.as_str() {
-            "--require-recovery" => require_recovery = true,
-            flag if flag.starts_with("--") => return usage(),
-            _ if path.is_none() => path = Some(arg.clone()),
-            _ => return usage(),
+    let path = parse_args(args, |flag, _| match flag {
+        "--require-recovery" => {
+            require_recovery = true;
+            Some(())
         }
-    }
+        _ => None,
+    });
     let Some(path) = path else { return usage() };
-    let path = path.as_str();
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) => return fail("cannot read report", format!("{path}: {e}")),
+    let summary = match read_report(&path, require_recovery) {
+        Ok(summary) => summary,
+        Err(code) => return code,
     };
-    let value = match serde::json::parse(&text) {
-        Ok(value) => value,
-        Err(e) => return fail("report is not valid JSON", e),
-    };
-    // Schema version gates everything else: an unknown version means the
-    // rest of the shape cannot be trusted, so reject it with a clean error
-    // instead of a cascade of shape violations.
-    match value.get("schema_version").and_then(|v| v.as_u64()) {
-        Some(v) if v == u64::from(REPORT_SCHEMA_VERSION) => {}
-        Some(v) => {
-            return fail(
-                "report schema",
-                format!(
-                    "{path}: schema_version {v} is not supported — this binary \
-                     reads v{REPORT_SCHEMA_VERSION}"
-                ),
-            )
-        }
-        None => {
-            return fail(
-                "report schema",
-                format!(
-                    "{path}: missing schema_version — not a whatsup-sim report, \
-                     or one predating the versioned schema"
-                ),
-            )
-        }
-    }
-    // The summary shape `run` promises: every key a downstream consumer
-    // (CI, dashboards) relies on, with sane ranges.
-    let scores = value.get("scores");
-    let checks: [(&str, bool); 6] = [
-        (
-            "protocol is a string",
-            value.get("protocol").and_then(|v| v.as_str()).is_some(),
-        ),
-        (
-            "dataset is a string",
-            value.get("dataset").and_then(|v| v.as_str()).is_some(),
-        ),
-        (
-            "n_nodes is a positive number",
-            value
-                .get("n_nodes")
-                .and_then(|v| v.as_u64())
-                .is_some_and(|n| n > 0),
-        ),
-        (
-            "cycles is a positive number",
-            value
-                .get("cycles")
-                .and_then(|v| v.as_u64())
-                .is_some_and(|n| n > 0),
-        ),
-        (
-            "scores.{precision,recall,f1} are probabilities",
-            scores.is_some_and(|s| {
-                ["precision", "recall", "f1"].iter().all(|k| {
-                    s.get(k)
-                        .and_then(|v| v.as_f64())
-                        .is_some_and(|x| (0.0..=1.0).contains(&x))
-                })
-            }),
-        ),
-        (
-            "message counters are numbers",
-            ["news_messages", "news_messages_all", "gossip_messages"]
-                .iter()
-                .all(|k| value.get(k).and_then(|v| v.as_f64()).is_some()),
-        ),
-    ];
-    for (what, ok) in checks {
-        if !ok {
-            return fail("report shape", format!("{path}: {what} — violated"));
-        }
-    }
-    // Per-cycle series: every column an equally long array of numbers (the
-    // derived recall/precision columns allow null on quiet cycles).
-    let Some(series) = value.get("series") else {
-        return fail("report shape", format!("{path}: series object missing"));
-    };
-    let mut column_len = None;
-    for key in SERIES_COLUMNS {
-        let Some(column) = series.get(key).and_then(|c| c.as_array()) else {
-            return fail(
-                "report shape",
-                format!("{path}: series.{key} is not an array"),
-            );
-        };
-        if *column_len.get_or_insert(column.len()) != column.len() {
-            return fail(
-                "report shape",
-                format!("{path}: series.{key} length differs from its siblings"),
-            );
-        }
-        if !column
-            .iter()
-            .all(|v| v.as_f64().is_some() || matches!(v, serde::json::Value::Null))
-        {
-            return fail(
-                "report shape",
-                format!("{path}: series.{key} holds a non-number"),
-            );
-        }
-    }
-    // Measurement windows: named, cycle-ranged, with probability scores;
-    // recovery is null or a metrics object.
-    let Some(windows) = value.get("windows").and_then(|w| w.as_array()) else {
-        return fail("report shape", format!("{path}: windows array missing"));
-    };
-    let mut recoveries = 0usize;
-    for w in windows {
-        let name = w.get("name").and_then(|n| n.as_str());
-        let Some(name) = name.filter(|n| !n.is_empty()) else {
-            return fail(
-                "report shape",
-                format!("{path}: window without a non-empty name"),
-            );
-        };
-        let shaped = w.get("from").and_then(|v| v.as_u64()).is_some()
-            && w.get("until").and_then(|v| v.as_u64()).is_some()
-            && w.get("scores").is_some_and(|s| {
-                ["precision", "recall", "f1"].iter().all(|k| {
-                    s.get(k)
-                        .and_then(|v| v.as_f64())
-                        .is_some_and(|x| (0.0..=1.0).contains(&x))
-                })
-            });
-        if !shaped {
-            return fail(
-                "report shape",
-                format!("{path}: window {name:?} is missing cycles or scores"),
-            );
-        }
-        match w.get("recovery") {
-            Some(serde::json::Value::Null) | None => {}
-            Some(r) => {
-                let shaped = ["anchor", "baseline_recall", "dip_depth", "messages_spent"]
-                    .iter()
-                    .all(|k| r.get(k).and_then(|v| v.as_f64()).is_some());
-                if !shaped {
-                    return fail(
-                        "report shape",
-                        format!("{path}: window {name:?} has a malformed recovery block"),
-                    );
-                }
-                recoveries += 1;
-            }
-        }
-    }
-    if require_recovery && recoveries == 0 {
-        return fail(
-            "report shape",
-            format!("{path}: no window carries recovery metrics (--require-recovery)"),
-        );
-    }
+    let recoveries = summary.windows.iter().filter(|w| w.recovery.is_some());
     println!(
-        "{path}: ok ({} windows, {recoveries} with recovery)",
-        windows.len()
+        "{path}: ok ({} windows, {} with recovery)",
+        summary.windows.len(),
+        recoveries.count()
     );
     ExitCode::SUCCESS
 }

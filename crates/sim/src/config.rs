@@ -220,12 +220,6 @@ pub struct SimConfig {
     /// Churn: expected fraction of nodes that crash and rejoin fresh per
     /// cycle (profile, views and seen-set lost; cold start on return).
     pub churn_per_cycle: f64,
-    /// Whether the engine folds the shards' per-cycle counters into the
-    /// report's time series (`SimReport::series`). On by default; turning
-    /// it off skips the end-of-cycle counter round-trip (the bench knob
-    /// for measuring the accounting overhead) and leaves the series — and
-    /// therefore every measurement window — empty.
-    pub collect_series: bool,
     /// Engine shards the node table is partitioned into (contiguous id
     /// ranges, each run by its own worker). `0` = one shard per available
     /// core; the count is clamped to the population size. Pure execution
@@ -255,8 +249,8 @@ serde::json_codec! {
         cycles: default, publish_from: default, measure_from: default, loss: default,
         seed: default, bootstrap_degree: default, profile_window: default,
         ttl_override: default, wup_view_override: default, obfuscation: default,
-        churn_per_cycle: default, collect_series: default, shards: default,
-        datagram_budget: default, phi_threshold: default, down_cycles: default,
+        churn_per_cycle: default, shards: default, datagram_budget: default,
+        phi_threshold: default, down_cycles: default,
     }
 }
 
@@ -274,7 +268,6 @@ impl Default for SimConfig {
             wup_view_override: None,
             obfuscation: None,
             churn_per_cycle: 0.0,
-            collect_series: true,
             shards: 1,
             datagram_budget: 1400,
             phi_threshold: 1.0,
@@ -323,9 +316,7 @@ impl SimConfig {
             None => Ok(()),
         }
     }
-}
 
-impl SimConfig {
     /// Uniform per-cycle publication schedule: dataset item index → cycle.
     /// Items are spread evenly over `[publish_from, cycles)`.
     pub fn schedule(&self, n_items: usize) -> Vec<u32> {

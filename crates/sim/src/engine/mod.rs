@@ -49,8 +49,7 @@
 //!    receiver order.
 //! 6. **Measurement flush** — the driver flushes the cycle's counters
 //!    (accumulated from the phase replies above) into the run's time
-//!    series (see "Measurement pipeline" below). Skipped when
-//!    `SimConfig::collect_series` is off.
+//!    series (see "Measurement pipeline" below).
 //!
 //! Every phase is the same operation: `exchange::roundtrip` sends one
 //! [`Command`] to each participating shard, then reads one [`Reply`] from
@@ -283,7 +282,7 @@
 //! `bench/examples/hotpath_probe.rs`), and allocator overhead is ~10% of
 //! RSS — so the only levers that matter are the bytes the protocol
 //! actually keeps alive. The budget below is the measured breakdown of a
-//! 100 k-node, 10-cycle uniform run (1 shard, metrics off,
+//! 100 k-node, 10-cycle uniform run (1 shard,
 //! `Simulation::memory_breakdown`); absolute numbers scale with nodes ×
 //! cycles × publication rate, the *shape* is what to remember:
 //!

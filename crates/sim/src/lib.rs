@@ -51,6 +51,6 @@ pub use engine::Simulation;
 pub use engines::run_protocol;
 pub use engines::swarm::{Deployment, Fabric};
 pub use oracle::Oracle;
-pub use record::{ItemRecord, SimReport, WindowReport, REPORT_SCHEMA_VERSION, SERIES_COLUMNS};
+pub use record::{ItemRecord, SimReport, Summary, WindowReport, REPORT_SCHEMA_VERSION};
 pub use runner::{pool_map, Runner};
 pub use scenario::{Scenario, ScenarioFile};

@@ -1,33 +1,22 @@
 //! Per-item dissemination records and the aggregated simulation report,
-//! including the per-cycle time series and its measurement windows — and
-//! the `Ledger` every engine books its run into to produce one.
+//! including the per-cycle time series and its measurement windows — the
+//! `Ledger` every engine books its run into to produce one — and the
+//! report's one on-disk form, [`Summary`]: what `whatsup-sim run` writes
+//! and `sweep` nests, and what `check` and `render` decode. Its
+//! `json_codec!` blocks are the only place a report key is declared.
 
 use crate::config::{Protocol, SimConfig};
 use crate::scenario::{Scenario, WindowSpec};
+use serde::Json;
 use whatsup_core::NodeId;
 use whatsup_metrics::{
     CycleSeries, CycleStats, IrAggregate, IrScores, ItemOutcome, RecoveryMetrics,
 };
 
-/// Version stamp of the report summary JSON (`SimReport::summary_json`).
+/// Version stamp of the report summary ([`Summary::schema_version`]).
 /// Bump on any breaking change to the summary's shape; `whatsup-sim check`
-/// rejects reports carrying any other version.
+/// and `render` reject reports carrying any other version.
 pub const REPORT_SCHEMA_VERSION: u32 = 1;
-
-/// Column names of the summary JSON's `series` object, in rendering
-/// order — the single source of truth shared by the renderer
-/// (`SimReport::summary_json`) and the `whatsup-sim check` validator.
-pub const SERIES_COLUMNS: [&str; 9] = [
-    "first_receptions",
-    "hits",
-    "interested",
-    "news_sent",
-    "gossip_sent",
-    "live_nodes",
-    "crashed",
-    "recall",
-    "precision",
-];
 
 /// Everything the evaluation needs to know about one item's dissemination.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -120,8 +109,7 @@ pub struct SimReport {
     pub gossip_messages: u64,
     /// Per-cycle measurement series — on the sharded engine folded from
     /// the phase replies in shard-index order, so bit-identical across
-    /// shard counts and transports. Empty for runs with
-    /// `SimConfig::collect_series` off.
+    /// shard counts and transports.
     pub series: CycleSeries,
     /// The scenario's named measurement windows, resolved against the
     /// finished series (empty when the scenario declares none).
@@ -213,132 +201,60 @@ impl SimReport {
         self.items.iter().filter(|r| r.measured).count()
     }
 
-    /// The per-cycle series as parallel JSON arrays (index = cycle; the
-    /// derived `recall`/`precision` columns are `null` on cycles without
-    /// publications/receptions). Renders exactly the [`SERIES_COLUMNS`],
-    /// in that order — `whatsup-sim check` validates against the same
-    /// list.
-    fn series_json(&self) -> serde::json::Value {
-        use serde::json::Value;
-        use whatsup_metrics::CycleStats;
+    /// The report as written to disk. Every derived field is computed
+    /// here and nowhere else: `measured_items`, `messages_per_user`, the
+    /// series' `recall`/`precision` columns and `time_to_recover`.
+    pub fn summary(&self) -> Summary {
         let cycles = self.series.cycles();
-        let ints = |f: fn(&CycleStats) -> u64| {
-            Value::Array(cycles.iter().map(|c| Value::Number(f(c) as f64)).collect())
-        };
-        let ratios = |f: fn(&CycleStats) -> Option<f64>| {
-            Value::Array(
-                cycles
-                    .iter()
-                    .map(|c| f(c).map(Value::Number).unwrap_or(Value::Null))
-                    .collect(),
-            )
-        };
-        let column = |key: &'static str| match key {
-            "first_receptions" => ints(|c| c.first_receptions),
-            "hits" => ints(|c| c.hits),
-            "interested" => ints(|c| c.interested),
-            "news_sent" => ints(|c| c.news_sent),
-            "gossip_sent" => ints(|c| c.gossip_sent),
-            "live_nodes" => ints(|c| c.live_nodes),
-            "crashed" => ints(|c| c.crashed),
-            "recall" => ratios(CycleStats::recall),
-            "precision" => ratios(CycleStats::precision),
-            other => unreachable!("SERIES_COLUMNS names an unrendered column {other:?}"),
-        };
-        Value::object(SERIES_COLUMNS.map(|key| (key, column(key))))
-    }
-
-    /// The measurement windows (and their recovery metrics) as JSON.
-    fn windows_json(&self) -> serde::json::Value {
-        use serde::json::Value;
-        let opt_u32 = |o: Option<u32>| {
-            o.map(|n| Value::Number(f64::from(n)))
-                .unwrap_or(Value::Null)
-        };
-        Value::Array(
-            self.windows
+        let counts = |f: fn(&CycleStats) -> u64| cycles.iter().map(f).collect();
+        let ratios = |f: fn(&CycleStats) -> Option<f64>| cycles.iter().map(f).collect();
+        Summary {
+            schema_version: REPORT_SCHEMA_VERSION,
+            protocol: self.protocol.clone(),
+            dataset: self.dataset.clone(),
+            fanout: self.fanout,
+            n_nodes: self.n_nodes,
+            cycles: self.cycles,
+            measured_items: self.measured_items(),
+            scores: self.scores().into(),
+            news_messages: self.news_messages,
+            news_messages_all: self.news_messages_all,
+            gossip_messages: self.gossip_messages,
+            messages_per_user: self.messages_per_user(),
+            series: Series {
+                first_receptions: counts(|c| c.first_receptions),
+                hits: counts(|c| c.hits),
+                interested: counts(|c| c.interested),
+                news_sent: counts(|c| c.news_sent),
+                gossip_sent: counts(|c| c.gossip_sent),
+                live_nodes: counts(|c| c.live_nodes),
+                crashed: counts(|c| c.crashed),
+                recall: ratios(CycleStats::recall),
+                precision: ratios(CycleStats::precision),
+            },
+            windows: self
+                .windows
                 .iter()
-                .map(|w| {
-                    let recovery = match &w.recovery {
-                        None => Value::Null,
-                        Some(r) => Value::object(vec![
-                            ("anchor", Value::Number(f64::from(r.anchor))),
-                            ("baseline_recall", Value::Number(r.baseline_recall)),
-                            ("dip_depth", Value::Number(r.dip_depth)),
-                            ("dip_cycle", Value::Number(f64::from(r.dip_cycle))),
-                            ("recovered_at", opt_u32(r.recovered_at)),
-                            ("time_to_recover", opt_u32(r.time_to_recover())),
-                            ("messages_spent", Value::Number(r.messages_spent as f64)),
-                        ]),
-                    };
-                    Value::object(vec![
-                        ("name", Value::String(w.name.clone())),
-                        ("from", Value::Number(f64::from(w.from))),
-                        ("until", Value::Number(f64::from(w.until))),
-                        ("items", Value::Number(f64::from(w.items))),
-                        (
-                            "scores",
-                            Value::object(vec![
-                                ("precision", Value::Number(w.scores.precision)),
-                                ("recall", Value::Number(w.scores.recall)),
-                                ("f1", Value::Number(w.scores.f1)),
-                            ]),
-                        ),
-                        ("news_sent", Value::Number(w.news_sent as f64)),
-                        ("gossip_sent", Value::Number(w.gossip_sent as f64)),
-                        ("recovery", recovery),
-                    ])
+                .map(|w| Window {
+                    name: w.name.clone(),
+                    from: w.from,
+                    until: w.until,
+                    items: w.items,
+                    scores: w.scores.into(),
+                    news_sent: w.news_sent,
+                    gossip_sent: w.gossip_sent,
+                    recovery: w.recovery.map(|r| Recovery {
+                        anchor: r.anchor,
+                        baseline_recall: r.baseline_recall,
+                        dip_depth: r.dip_depth,
+                        dip_cycle: r.dip_cycle,
+                        recovered_at: r.recovered_at,
+                        time_to_recover: r.time_to_recover(),
+                        messages_spent: r.messages_spent,
+                    }),
                 })
                 .collect(),
-        )
-    }
-
-    /// The run's headline numbers as a strict-JSON value tree (what the
-    /// `whatsup-sim` CLI writes; stable keys, machine-parseable), plus the
-    /// per-cycle series and the resolved measurement windows.
-    pub fn summary_json(&self) -> serde::json::Value {
-        use serde::json::Value;
-        let s = self.scores();
-        Value::object(vec![
-            (
-                "schema_version",
-                Value::Number(f64::from(REPORT_SCHEMA_VERSION)),
-            ),
-            ("protocol", Value::String(self.protocol.clone())),
-            ("dataset", Value::String(self.dataset.clone())),
-            (
-                "fanout",
-                self.fanout
-                    .map(|f| Value::Number(f as f64))
-                    .unwrap_or(Value::Null),
-            ),
-            ("n_nodes", Value::Number(self.n_nodes as f64)),
-            ("cycles", Value::Number(f64::from(self.cycles))),
-            (
-                "measured_items",
-                Value::Number(self.measured_items() as f64),
-            ),
-            (
-                "scores",
-                Value::object(vec![
-                    ("precision", Value::Number(s.precision)),
-                    ("recall", Value::Number(s.recall)),
-                    ("f1", Value::Number(s.f1)),
-                ]),
-            ),
-            ("news_messages", Value::Number(self.news_messages as f64)),
-            (
-                "news_messages_all",
-                Value::Number(self.news_messages_all as f64),
-            ),
-            (
-                "gossip_messages",
-                Value::Number(self.gossip_messages as f64),
-            ),
-            ("messages_per_user", Value::Number(self.messages_per_user())),
-            ("series", self.series_json()),
-            ("windows", self.windows_json()),
-        ])
+        }
     }
 
     /// Fig. 3 x-axis: news messages per cycle per node (measured items,
@@ -424,6 +340,180 @@ impl SimReport {
     }
 }
 
+/// The report as written to disk, built by [`SimReport::summary`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Summary {
+    pub schema_version: u32,
+    pub protocol: String,
+    pub dataset: String,
+    pub fanout: Option<usize>,
+    pub n_nodes: usize,
+    pub cycles: u32,
+    pub measured_items: usize,
+    /// Over the measured items.
+    pub scores: Scores,
+    pub news_messages: u64,
+    pub news_messages_all: u64,
+    pub gossip_messages: u64,
+    pub messages_per_user: f64,
+    pub series: Series,
+    pub windows: Vec<Window>,
+}
+
+serde::json_codec! {
+    struct Summary {
+        schema_version, protocol, dataset, fanout, n_nodes, cycles, measured_items, scores,
+        news_messages, news_messages_all, gossip_messages, messages_per_user, series, windows,
+    }
+}
+
+/// Micro-averaged precision, recall and F1.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Scores {
+    pub precision: f64,
+    pub recall: f64,
+    pub f1: f64,
+}
+
+serde::json_codec! { struct Scores { precision, recall, f1 } }
+
+impl From<IrScores> for Scores {
+    fn from(s: IrScores) -> Self {
+        Self {
+            precision: s.precision,
+            recall: s.recall,
+            f1: s.f1,
+        }
+    }
+}
+
+/// The per-cycle series as parallel columns (index = cycle). The derived
+/// `recall`/`precision` columns are `None` on cycles without
+/// publications/receptions.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Series {
+    pub first_receptions: Vec<u64>,
+    pub hits: Vec<u64>,
+    pub interested: Vec<u64>,
+    pub news_sent: Vec<u64>,
+    pub gossip_sent: Vec<u64>,
+    pub live_nodes: Vec<u64>,
+    pub crashed: Vec<u64>,
+    pub recall: Vec<Option<f64>>,
+    pub precision: Vec<Option<f64>>,
+}
+
+serde::json_codec! {
+    struct Series {
+        first_receptions, hits, interested, news_sent, gossip_sent, live_nodes, crashed, recall,
+        precision,
+    }
+}
+
+impl Series {
+    /// The columns in the order of [`Json::FIELDS`]: the seven counts,
+    /// then the two ratios.
+    pub fn columns(&self) -> ([&[u64]; 7], [&[Option<f64>]; 2]) {
+        let counts = [
+            &self.first_receptions,
+            &self.hits,
+            &self.interested,
+            &self.news_sent,
+            &self.gossip_sent,
+            &self.live_nodes,
+            &self.crashed,
+        ];
+        (
+            counts.map(|c| &c[..]),
+            [&self.recall, &self.precision].map(|c| &c[..]),
+        )
+    }
+}
+
+/// One resolved measurement window.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Window {
+    pub name: String,
+    pub from: u32,
+    pub until: u32,
+    pub items: u32,
+    pub scores: Scores,
+    pub news_sent: u64,
+    pub gossip_sent: u64,
+    /// Present for event-anchored recovery windows.
+    pub recovery: Option<Recovery>,
+}
+
+serde::json_codec! {
+    struct Window { name, from, until, items, scores, news_sent, gossip_sent, recovery }
+}
+
+/// A recovery window's metrics ([`RecoveryMetrics`] plus
+/// `time_to_recover`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Recovery {
+    pub anchor: u32,
+    pub baseline_recall: f64,
+    pub dip_depth: f64,
+    pub dip_cycle: u32,
+    pub recovered_at: Option<u32>,
+    pub time_to_recover: Option<u32>,
+    pub messages_spent: u64,
+}
+
+serde::json_codec! {
+    struct Recovery {
+        anchor, baseline_recall, dip_depth, dip_cycle, recovered_at, time_to_recover,
+        messages_spent,
+    }
+}
+
+impl Summary {
+    /// Checks what the types cannot say, naming the offending field's path:
+    /// positive `n_nodes` and `cycles`, probability scores, equally long
+    /// series columns, named windows and, when `require_recovery`, one
+    /// with recovery metrics. (Per-cycle ratios are no scores: anti-entropy
+    /// delivers in later cycles, and its recall column exceeds 1.)
+    pub fn validate(&self, require_recovery: bool) -> Result<(), String> {
+        if self.n_nodes == 0 {
+            return Err("n_nodes: must be positive".into());
+        }
+        if self.cycles == 0 {
+            return Err("cycles: must be positive".into());
+        }
+        let probabilities = |path: &str, s: &Scores| {
+            let named = Scores::FIELDS.iter().zip([s.precision, s.recall, s.f1]);
+            match named.into_iter().find(|(_, x)| !(0.0..=1.0).contains(x)) {
+                Some((key, x)) => Err(format!("{path}.{key}: {x} is not a probability")),
+                None => Ok(()),
+            }
+        };
+        probabilities("scores", &self.scores)?;
+        let (counts, ratios) = self.series.columns();
+        let lens = counts
+            .map(<[_]>::len)
+            .into_iter()
+            .chain(ratios.map(<[_]>::len));
+        let mut keyed = Series::FIELDS.iter().zip(lens);
+        if let Some((key, n)) = keyed.find(|&(_, n)| n != counts[0].len()) {
+            let (first, len) = (Series::FIELDS[0], counts[0].len());
+            return Err(format!(
+                "series.{key}: {n} entries, series.{first} has {len}"
+            ));
+        }
+        for (i, w) in self.windows.iter().enumerate() {
+            if w.name.is_empty() {
+                return Err(format!("windows[{i}].name: must not be empty"));
+            }
+            probabilities(&format!("windows[{i}].scores"), &w.scores)?;
+        }
+        if require_recovery && self.windows.iter().all(|w| w.recovery.is_none()) {
+            return Err("windows: no window carries recovery metrics".into());
+        }
+        Ok(())
+    }
+}
+
 /// One first reception, as far as the booking engine models it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Reception {
@@ -450,7 +540,6 @@ pub(crate) struct Ledger {
     cycles: Vec<CycleStats>,
     /// Cycles ended so far; later blocks are still accumulating.
     ended: u32,
-    collect_series: bool,
     gossip_messages: u64,
     news_all: u64,
     news_measured: u64,
@@ -481,7 +570,6 @@ impl Ledger {
             per_node: vec![NodeIr::default(); tracked_nodes],
             cycles: Vec::new(),
             ended: 0,
-            collect_series: cfg.collect_series,
             gossip_messages: 0,
             news_all: 0,
             news_measured: 0,
@@ -604,11 +692,7 @@ impl Ledger {
             news_messages: self.news_measured,
             news_messages_all: self.news_all,
             gossip_messages: self.gossip_messages,
-            series: if self.collect_series {
-                self.cycles.into_iter().collect()
-            } else {
-                CycleSeries::default()
-            },
+            series: self.cycles.into_iter().collect(),
             windows: Vec::new(),
         };
         report.windows = scenario
@@ -678,6 +762,7 @@ impl HopProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::json::Value;
 
     fn record(measured: bool) -> ItemRecord {
         ItemRecord {
@@ -811,41 +896,97 @@ mod tests {
         assert!(w.recovery.is_none());
     }
 
+    /// The committed scenario's report: two windows, the second one a
+    /// crash-wave recovery.
+    fn committed_summary() -> Summary {
+        let text = include_str!("../../../scenarios/flash_crowd_crash_wave.json");
+        let file = crate::ScenarioFile::from_json_str(text).unwrap();
+        crate::Runner::new(&file.dataset.build(), file.protocol)
+            .config(file.config)
+            .scenario(file.scenario)
+            .run()
+            .summary()
+    }
+
     #[test]
-    fn summary_json_carries_schema_series_and_windows() {
-        let mut r = report();
-        r.series = vec![whatsup_metrics::CycleStats {
-            first_receptions: 4,
-            hits: 2,
-            interested: 8,
-            news_sent: 10,
-            gossip_sent: 20,
-            live_nodes: 100,
-            crashed: 1,
-        }]
-        .into_iter()
-        .collect();
-        r.windows = vec![r.window_report("w", 0, 1, None)];
-        let v = r.summary_json();
-        assert_eq!(
-            v.get("schema_version").and_then(|x| x.as_u64()),
-            Some(u64::from(REPORT_SCHEMA_VERSION))
-        );
-        let series = v.get("series").expect("series object");
-        for key in SERIES_COLUMNS {
-            let col = series.get(key).and_then(|c| c.as_array());
-            assert_eq!(col.map(<[_]>::len), Some(1), "column {key}");
+    fn summary_round_trips_through_its_schema() {
+        let s = committed_summary();
+        assert!(s.windows[1].recovery.is_some());
+        assert_eq!(s.validate(true), Ok(()));
+        let json = s.to_json();
+        for text in [json.pretty(), json.to_string()] {
+            let back = Summary::from_json_exact(&serde::json::parse(&text).unwrap());
+            assert_eq!(back, Ok(s.clone()));
         }
+        // `columns` lists the columns in the order `FIELDS` names them.
+        let (counts, ratios) = s.series.columns();
+        let columns = counts.map(|c| c.to_vec().to_json());
+        let columns = columns
+            .into_iter()
+            .chain(ratios.map(|c| c.to_vec().to_json()));
+        for (key, column) in Series::FIELDS.iter().zip(columns) {
+            assert_eq!(json.get("series").unwrap().get(key), Some(&column), "{key}");
+        }
+    }
+
+    /// The value under `path`: object keys, and array indices.
+    fn at<'a>(v: &'a mut Value, path: &[&str]) -> &'a mut Value {
+        path.iter().fold(v, |v, step| match v {
+            Value::Object(map) => map.get_mut(*step).unwrap(),
+            Value::Array(items) => &mut items[step.parse::<usize>().unwrap()],
+            _ => panic!("nothing under {step}"),
+        })
+    }
+
+    #[test]
+    fn tampered_reports_name_their_fault() {
+        let read = |v: &Value| {
+            let s = Summary::from_json_exact(v).map_err(|e| e.to_string())?;
+            s.validate(false)
+        };
+        let report = committed_summary().to_json();
+        assert_eq!(read(&report), Ok(()));
+        type Tamper = fn(&mut Value);
+        let cases: [(&str, Tamper); 6] = [
+            ("scores.recall: 1.5 is not a probability", |v| {
+                *at(v, &["scores", "recall"]) = 1.5f64.to_json();
+            }),
+            (
+                "series.hits: 13 entries, series.first_receptions has 14",
+                |v| {
+                    if let Value::Array(hits) = at(v, &["series", "hits"]) {
+                        hits.pop();
+                    }
+                },
+            ),
+            ("windows[0].name: must not be empty", |v| {
+                *at(v, &["windows", "0", "name"]) = Value::String(String::new());
+            }),
+            (r#"windows[1].recovery: missing field "dip_depth""#, |v| {
+                if let Value::Object(recovery) = at(v, &["windows", "1", "recovery"]) {
+                    recovery.remove("dip_depth");
+                }
+            }),
+            ("n_nodes: expected an integer", |v| {
+                *at(v, &["n_nodes"]) = Value::String("61".into());
+            }),
+            ("series.misses: unknown key", |v| {
+                if let Value::Object(series) = at(v, &["series"]) {
+                    series.insert("misses".into(), Value::Array(Vec::new()));
+                }
+            }),
+        ];
+        for (fault, tamper) in cases {
+            let mut v = report.clone();
+            tamper(&mut v);
+            let err = read(&v).unwrap_err();
+            assert!(err.contains(fault), "{fault}: {err}");
+        }
+        let mut plain = committed_summary();
+        plain.windows[1].recovery = None;
         assert_eq!(
-            series
-                .get("recall")
-                .and_then(|c| c.as_array())
-                .and_then(|a| a[0].as_f64()),
-            Some(0.25)
+            plain.validate(true),
+            Err("windows: no window carries recovery metrics".into())
         );
-        let windows = v.get("windows").and_then(|w| w.as_array()).unwrap();
-        assert_eq!(windows.len(), 1);
-        assert_eq!(windows[0].get("name").and_then(|n| n.as_str()), Some("w"));
-        assert!(windows[0].get("recovery").is_some());
     }
 }

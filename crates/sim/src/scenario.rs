@@ -36,8 +36,9 @@
 //! Files are strict JSON: quoted keys, one comma between members, no
 //! trailing commas, nesting at most 128 deep. An integer field accepts a
 //! number only if it is whole, non-negative, at most 2^53 and in range for
-//! its type; anything else — like a missing required field or an unknown
-//! `"kind"` — is an error naming the field's path (`scenario.events[2].at`).
+//! its type; anything else — like a missing required field, an unknown
+//! `"kind"` or a key the schema does not declare (`"cycels"`) — is an error
+//! naming the field's path (`scenario.events[2].at`, `config.cycels`).
 //!
 //! ```json
 //! {
@@ -79,10 +80,9 @@
 //! `"flash_crowd"`, `"partition_start"`, `"partition_end"`, or
 //! `{"kind": "event", "index": k}` for the `k`-th timeline event.
 //! Validation rejects anchors the scenario cannot resolve (e.g. a
-//! `crash_wave` anchor without a crash-wave churn model), empty or
-//! duplicate window names, and measurements on runs that disable
-//! `collect_series`. Window names are free-form; each becomes one entry of
-//! the report's `windows` table.
+//! `crash_wave` anchor without a crash-wave churn model) and empty or
+//! duplicate window names. Window names are free-form; each becomes one
+//! entry of the report's `windows` table.
 //!
 //! A [`ScenarioFile`] wraps a scenario with everything else a run needs —
 //! dataset recipe, protocol and [`SimConfig`] — and is what the
@@ -627,11 +627,6 @@ impl Scenario {
                 ));
             }
         }
-        if !self.measurements.is_empty() && !cfg.collect_series {
-            return Err(
-                "measurement windows need the per-cycle series — enable collect_series".into(),
-            );
-        }
         let mut names = std::collections::BTreeSet::new();
         for m in &self.measurements {
             if m.name.is_empty() {
@@ -858,7 +853,7 @@ impl ScenarioFile {
     /// Parses a scenario file and validates it, protocol knobs included
     /// (view sizes are capacity-guarded before anything allocates them).
     pub fn from_json_str(text: &str) -> Result<Self, Error> {
-        let file = Self::from_json(&serde::json::parse(text)?)?;
+        let file = Self::from_json_exact(&serde::json::parse(text)?)?;
         file.scenario.validate(&file.config).map_err(Error::new)?;
         file.config.validate().map_err(Error::new)?;
         file.config
@@ -1028,6 +1023,8 @@ mod tests {
         assert!(with(r#""cycles": 30.5"#).is_err(), "fractional");
         let err = with(r#""seed": 1e30"#).unwrap_err().to_string();
         assert!(err.contains("config.seed"), "{err}");
+        let err = with(r#""cycels": 14"#).unwrap_err().to_string();
+        assert!(err.contains("config.cycels: unknown key"), "{err}");
         // View sizes are capacity-guarded before any node allocates one.
         let err = with(r#""wup_view_override": 4294967295"#).unwrap_err();
         assert!(err.to_string().contains("view size"), "{err}");
@@ -1329,17 +1326,11 @@ mod tests {
             },
         ]);
         assert!(dup.validate(&c).is_err());
-        // Measurements without the series to measure on.
-        let off = SimConfig {
-            collect_series: false,
-            ..c.clone()
-        };
         let good = with(Measurement {
             name: "w".into(),
             window: WindowSpec::Cycles { from: 0, until: 5 },
         });
         assert!(good.validate(&c).is_ok());
-        assert!(good.validate(&off).is_err());
         // And not on the global engines.
         assert!(good.validate_for_global(&Protocol::CPubSub).is_err());
         assert!(good
@@ -1402,5 +1393,39 @@ mod tests {
             .is_err(),
             "file-level validation must run"
         );
+        // A key the schema does not declare is an error naming its path,
+        // wherever it sits: the top level, a nested enum, a flattened
+        // event, and a variant that lacks the field another one has.
+        let file = r#"{"dataset": {"kind": "survey", "scale": 0.1, "seed": 1},
+                       "protocol": {"kind": "whatsup", "f_like": 4},
+                       "config": {"cycles": 30},
+                       "scenario": {
+                         "workload": {"kind": "uniform"},
+                         "environment": {"loss": {"kind": "constant", "p": 0.1},
+                                         "churn": {"kind": "none"}},
+                         "events": [{"at": 3, "kind": "reset_node", "node": 1}]}}"#;
+        assert!(ScenarioFile::from_json_str(file).is_ok());
+        for (from, to, path) in [
+            (r#""config""#, r#""cycels": 14, "config""#, "cycels"),
+            (
+                r#""p": 0.1"#,
+                r#""p": 0.1, "q": 0.2"#,
+                "scenario.environment.loss.q",
+            ),
+            (
+                r#""node": 1"#,
+                r#""node": 1, "nod": 2"#,
+                "scenario.events[0].nod",
+            ),
+            (
+                r#""kind": "none""#,
+                r#""kind": "none", "per_cycle": 0.1"#,
+                "scenario.environment.churn.per_cycle",
+            ),
+        ] {
+            let text = file.replacen(from, to, 1);
+            let err = ScenarioFile::from_json_str(&text).unwrap_err().to_string();
+            assert!(err.contains(&format!("{path}: unknown key")), "{err}");
+        }
     }
 }

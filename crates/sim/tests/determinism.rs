@@ -201,26 +201,6 @@ proptest! {
 }
 
 #[test]
-fn disabling_series_collection_changes_nothing_else() {
-    // `collect_series` must be a pure measurement knob: same records, same
-    // counters, just no time series (and therefore no extra round-trips).
-    let on = run_with_shards(2, cfg());
-    let off = run_with_shards(
-        2,
-        SimConfig {
-            collect_series: false,
-            ..cfg()
-        },
-    );
-    assert!(!on.series.is_empty());
-    assert!(off.series.is_empty());
-    assert_eq!(on.items, off.items);
-    assert_eq!(on.per_node, off.per_node);
-    assert_eq!(on.news_messages_all, off.news_messages_all);
-    assert_eq!(on.gossip_messages, off.gossip_messages);
-}
-
-#[test]
 fn joining_node_does_not_shift_existing_streams() {
     // Two simulations over *different-sized* populations, one of which also
     // inserts joiners mid-run. An existing node's streams must not depend on

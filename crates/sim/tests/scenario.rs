@@ -140,7 +140,7 @@ const DATASET_KINDS: [DatasetKind; 3] = [
 ];
 
 /// A config setting every field; bit `i` of `mask` makes the `i`-th
-/// `Option` field `Some` (and bit 4 turns `collect_series` on).
+/// `Option` field `Some`.
 fn config_from(
     (cycles, publish_from, measure_from, down_cycles): (u32, u32, u32, u32),
     (seed, bootstrap_degree, shards, datagram_budget): (u64, usize, usize, usize),
@@ -160,7 +160,6 @@ fn config_from(
         wup_view_override: some(2).then_some(wup_view),
         obfuscation: some(3).then_some(obfuscation),
         churn_per_cycle,
-        collect_series: some(4),
         shards,
         datagram_budget,
         phi_threshold,
@@ -190,7 +189,7 @@ proptest! {
         ),
         cfg_rest in (
             (0.0f64..1.0, 0.0f64..1.0, 0.0f64..8.0, 0.0f64..1.0),
-            (0u8..32, 0u32..100, 0u8..255, 0usize..100),
+            (0u8..16, 0u32..100, 0u8..255, 0usize..100),
         ),
     ) {
         let scenario = Scenario {
@@ -389,6 +388,25 @@ fn cli_runs_the_committed_scenario_identically() {
         stderr.contains("schema_version 99"),
         "error must name the version: {stderr}"
     );
+
+    // A ragged series fails `render` as it fails `check`: one line naming
+    // the column, exit 1.
+    let shortened = text.replacen("\"hits\": [\n      0,\n", "\"hits\": [\n", 1);
+    assert_ne!(shortened, text, "fixture drifted: the first cycle has hits");
+    let ragged = dir.join("ragged.json");
+    std::fs::write(&ragged, shortened).unwrap();
+    for command in ["check", "render"] {
+        let out = std::process::Command::new(cli)
+            .arg(command)
+            .arg(&ragged)
+            .output()
+            .expect("spawn whatsup-sim");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{command}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{command}: {stderr}");
+        assert!(stderr.contains("series.hits: 13 entries"), "{stderr}");
+        assert!(out.stdout.is_empty(), "{command} printed a ragged report");
+    }
 
     // So is a scenario whose protocol no engine can run: the committed
     // file with anti-entropy at fanout 0 is one line and exit 1, not the

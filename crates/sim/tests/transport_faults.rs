@@ -7,6 +7,7 @@
 
 mod common;
 
+use serde::Json;
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -277,8 +278,8 @@ fn fault_free_report() -> whatsup_sim::SimReport {
 fn assert_bit_identical(survived: &whatsup_sim::SimReport, reference: &whatsup_sim::SimReport) {
     assert_eq!(survived, reference);
     assert_eq!(
-        survived.summary_json().pretty(),
-        reference.summary_json().pretty(),
+        survived.summary().to_json().pretty(),
+        reference.summary().to_json().pretty(),
         "the report JSON must be byte-identical to a fault-free run"
     );
 }

@@ -4,9 +4,8 @@
 Usage: compare_scale_baseline.py <baseline.json> <fresh.json>
 
 Both files hold the rows scale_engine saves: objects with named columns
-{nodes, shards, workload ("uniform"/"flash"), metrics ("on"/"off"), secs,
-messages, peak_rss_mb}. Rows are keyed by (nodes, shards, workload,
-metrics).
+{nodes, shards, workload ("uniform"/"flash"), secs, messages,
+peak_rss_mb}. Rows are keyed by (nodes, shards, workload).
 
 For every fresh row with a committed counterpart the script prints the
 wall-clock (secs) delta — informational. It FAILS (exit 1) when:
@@ -34,8 +33,7 @@ def load_rows(path):
         rows = json.load(f)
     keyed = {}
     for row in rows:
-        key = (int(row["nodes"]), int(row["shards"]),
-               str(row["workload"]), str(row["metrics"]))
+        key = (int(row["nodes"]), int(row["shards"]), str(row["workload"]))
         keyed[key] = {
             "secs": float(row["secs"]),
             "messages": int(row["messages"]),
@@ -50,10 +48,10 @@ def main():
     baseline = load_rows(sys.argv[1])
     fresh = load_rows(sys.argv[2])
     failures = []
-    print(f"{'nodes':>8} {'shards':>6} {'wload':>8} {'metrics':>7} "
+    print(f"{'nodes':>8} {'shards':>6} {'wload':>8} "
           f"{'base secs':>10} {'new secs':>9} {'delta':>8} {'rss delta':>9}  messages")
     for key in sorted(fresh):
-        nodes, shards, wload, metrics = key
+        nodes, shards, wload = key
         new = fresh[key]
         base = baseline.get(key)
         if base is None:
@@ -76,7 +74,7 @@ def main():
                 f"({base['rss']:.1f} -> {new['rss']:.1f} MiB, "
                 f"tolerance {RSS_TOLERANCE * 100.0:.0f}%)"
             )
-        print(f"{nodes:>8} {shards:>6} {wload:>8} {metrics:>7} "
+        print(f"{nodes:>8} {shards:>6} {wload:>8} "
               f"{base['secs']:>10.3f} {new['secs']:>9.3f} {delta:>+7.1f}% "
               f"{rss_delta * 100.0:>+8.1f}%  {verdict}")
     if failures:
