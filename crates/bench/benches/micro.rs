@@ -250,38 +250,60 @@ fn bench_node_paths(c: &mut Criterion) {
 }
 
 /// One WUP response merged into a full view: the union of the 20-entry
-/// view, 21 received descriptors and the 30-entry RPS view, deduplicated,
-/// ranked, cut to 20. Every profile is empty, so every score is one
-/// fingerprint rejection and they all tie (the state of every view before
-/// profiles mature): the time is the merge's bookkeeping — union, dedup,
-/// id mix, selection of the survivors — and none of it similarity.
+/// view (nodes 21–40), 21 received descriptors (35–55) and the 30-entry
+/// RPS view (1–30), deduplicated, ranked, cut to 20.
+///
+/// `merge_topk`: every profile is empty, so every score is one fingerprint
+/// rejection and they all tie (the state of every view before profiles
+/// mature): the time is the merge's bookkeeping — union, dedup, id mix,
+/// selection of the survivors — and none of it similarity.
+/// `merge_scored`: the node rates 64 items and every node's descriptor
+/// carries its own 64-entry binary profile (one allocation per node,
+/// shared by both views and the response), so scores differ and are
+/// counted on planes — built by the first iterations, then reused, as a
+/// view's snapshots are — and the ranking decides which 20 survive.
 fn bench_view_merge(c: &mut Criterion) {
     let mut group = c.benchmark_group("view");
+    let mut merge_row = |name: &str, own: Profile, payload: &dyn Fn(NodeId) -> SharedProfile| {
+        let descriptors =
+            |nodes: std::ops::RangeInclusive<NodeId>| -> Vec<Descriptor<SharedProfile>> {
+                nodes.map(|i| Descriptor::fresh(i, payload(i))).collect()
+            };
+        let state = NodeState {
+            profile: own.entries().to_vec(),
+            rps_view: descriptors(1..=30),
+            wup_view: descriptors(21..=40),
+            seen: Vec::new(),
+        };
+        let node = WhatsUpNode::from_state(0, Params::whatsup(10), state);
+        let received = descriptors(35..=55);
+        group.bench_function(name, |bench| {
+            bench.iter_batched(
+                || (node.clone(), Payload::WupResponse(received.clone())),
+                |(mut node, response)| {
+                    node.on_message(
+                        35,
+                        response,
+                        5,
+                        &|_: NodeId, _: ItemId| true,
+                        &mut NodeStats::default(),
+                        &mut ChaCha8Rng::seed_from_u64(1),
+                    );
+                    node
+                },
+                BatchSize::SmallInput,
+            )
+        });
+    };
     let empty = SharedProfile::new(Profile::new());
-    let mut node = WhatsUpNode::new(0, Params::whatsup(10));
-    node.seed_views_arcs(
-        (1..=30).map(|i| (i, empty.clone())),
-        (21..=40).map(|i| (i, empty.clone())),
-    );
-    let received: Vec<Descriptor<SharedProfile>> = (35..=55)
-        .map(|i| Descriptor::fresh(i, empty.clone()))
+    merge_row("merge_topk", Profile::new(), &|_| empty.clone());
+    // Node i rates items 3i, 3i + 3, …: it shares 64 − i of them with the
+    // node's own profile, so the scores spread over the candidates.
+    let profiles: Vec<SharedProfile> = (0..=55u64)
+        .map(|i| SharedProfile::new(profile_with(64, i * 3)))
         .collect();
-    group.bench_function("merge_topk", |bench| {
-        bench.iter_batched(
-            || (node.clone(), Payload::WupResponse(received.clone())),
-            |(mut node, response)| {
-                node.on_message(
-                    35,
-                    response,
-                    5,
-                    &|_: NodeId, _: ItemId| true,
-                    &mut NodeStats::default(),
-                    &mut ChaCha8Rng::seed_from_u64(1),
-                );
-                node
-            },
-            BatchSize::SmallInput,
-        )
+    merge_row("merge_scored", profile_with(64, 0), &|i| {
+        profiles[i as usize].clone()
     });
     group.finish();
 }

@@ -390,34 +390,38 @@ impl WhatsUpNode {
     }
 
     /// One WUP view merge (§II): ranks own view ∪ `received` ∪ RPS view
-    /// against the *true* profile (split borrow: no clone) — the payload
-    /// that travels is the (possibly obfuscated) shared one. With `answer`
+    /// against the *true* profile (split borrow: no clone). With `answer`
     /// (a request) returns the view to send back, as it was before the
-    /// merge; otherwise an empty vector.
+    /// merge, with the (possibly obfuscated) shared snapshot — the payload
+    /// that travels; otherwise an empty vector, and no snapshot is taken.
     ///
     /// The profile is prepared once for the ~70 candidates of the merge:
     /// snapshots with bit planes — any binary one that has been scored
     /// before, i.e. everything a view has held for a merge — are counted
     /// against the profile's own planes, and one that has none is walked
-    /// pairwise.
+    /// pairwise. The candidates are scored by reference; the merge moves
+    /// the survivors of the old view and of `received` into the new view
+    /// and clones only those that join from the RPS view ([`Clustering`]'s
+    /// merge).
     fn merge_wup(
         &mut self,
         received: Vec<Descriptor<SharedProfile>>,
         answer: bool,
     ) -> Vec<Descriptor<SharedProfile>> {
         let metric = self.params.metric;
-        let shared = self.shared_profile();
+        let shared = answer.then(|| self.shared_profile());
         let Self {
             wup, rps, profile, ..
         } = self;
         let scorer = Prepared::new(profile);
         let sim = |_own: &SharedProfile, cand: &SharedProfile| scorer.score(metric, cand);
         let rps_candidates = rps.view().entries();
-        if answer {
-            wup.on_request(received, rps_candidates, shared, &sim)
-        } else {
-            wup.on_response(received, rps_candidates, &shared, &sim);
-            Vec::new()
+        match shared {
+            Some(shared) => wup.on_request(received, rps_candidates, shared, &sim),
+            None => {
+                wup.on_response(received, rps_candidates, profile, &sim);
+                Vec::new()
+            }
         }
     }
 

@@ -11,11 +11,15 @@
 //! plugs the asymmetric WUP metric here, the `*-Cos` variants plug plain
 //! cosine, giving the paper's four-way comparison (Fig. 3) for free.
 
-use crate::view::{dedup_freshest, Descriptor, NodeId, View};
+use crate::view::{dedup_freshest, gather, Descriptor, NodeId, View};
 
 /// Ranks a candidate payload against the node's own payload. Higher is more
 /// similar. Implementations must be pure (no interior mutability observable
 /// across calls) so that selection is deterministic.
+///
+/// A merge ranks on the score's value only: −0.0 and +0.0 rank equal (the
+/// tie falls to age, then to the id mix), and a NaN score panics the merge
+/// with "similarity scores must not be NaN".
 pub trait Similarity<P> {
     fn score(&self, own: &P, candidate: &P) -> f64;
 }
@@ -117,9 +121,7 @@ impl<P: Clone> Clustering<P> {
         self.merge(received, rps_candidates, own_payload, sim);
     }
 
-    /// Re-ranks the current view against an updated own profile, dropping
-    /// nothing but reordering nothing either — views are sets; ranking only
-    /// matters during merges. Exposed for completeness/testing.
+    /// Whether `node` is in the view.
     pub fn contains(&self, node: NodeId) -> bool {
         self.view.contains(node)
     }
@@ -137,7 +139,126 @@ impl<P: Clone> Clustering<P> {
 
     /// "The receiving node selects the nodes from the union of its own and
     /// the received views whose profiles are closest to its own" (§II).
+    ///
+    /// Rank by similarity descending; ties by freshness, then by a per-node
+    /// id mix. The mix matters: before profiles mature, *all* scores tie,
+    /// and any globally consistent tie order (e.g. lowest id first) would
+    /// collapse every node's view onto the same few peers, wrecking the
+    /// overlay. Mixing with the local id keeps tie-breaking deterministic
+    /// per node but decorrelated across nodes.
+    ///
+    /// The union own view ++ `received` ++ `rps_candidates` is deduplicated
+    /// and scored by reference and ranked on integer keys ([`rank_key`]);
+    /// only the survivors are gathered — moved out of the old view and
+    /// `received`, cloned from the RPS view. The union's order and the
+    /// ranking are those of the cloning twin (`merge_by_cloning`, the
+    /// merge as first written), and so is the view.
     fn merge<S: Similarity<P>>(
+        &mut self,
+        received: Vec<Descriptor<P>>,
+        rps_candidates: &[Descriptor<P>],
+        own_payload: &P,
+        sim: &S,
+    ) {
+        let old = self.view.take_entries();
+        let union: Vec<&Descriptor<P>> =
+            old.iter().chain(&received).chain(rps_candidates).collect();
+        let self_id = self.id;
+        let ranked = dedup_freshest(union.iter().map(|d| (d.node, d.age)), self_id)
+            .into_iter()
+            .map(|at| {
+                let d = union[at];
+                let (high, low) = rank_key(
+                    sim.score(own_payload, &d.payload),
+                    d.age,
+                    mix(self_id, d.node),
+                );
+                (high, low, at)
+            })
+            .collect();
+        let picks = closest(ranked, self.config.view_size);
+        self.view.replace_with(gather(
+            old,
+            received,
+            rps_candidates,
+            picks.into_iter().map(|(_, _, at)| at),
+        ));
+    }
+}
+
+/// A merge candidate: its [`rank_key`], then its position in the union.
+/// Keys are distinct within a merge, so the position never decides.
+type Ranked = (u128, u32, usize);
+
+/// The merge's ranking as one integer key, lower first: the score
+/// descending, then the age ascending, then `mix` ascending — the order of
+/// `rank`, the float comparator of the cloning twin, for every non-NaN
+/// score. The high word holds, most significant first, the score's IEEE
+/// total-order bits inverted (higher scores first), the age and the high
+/// half of `mix`; the low word the low half of `mix`. −0.0 is folded into
+/// +0.0 first: the total order would tell them apart, and `rank`,
+/// comparing values, does not.
+fn rank_key(score: f64, age: u32, mix: u64) -> (u128, u32) {
+    assert!(!score.is_nan(), "similarity scores must not be NaN");
+    let bits = if score == 0.0 { 0 } else { score.to_bits() };
+    // Flipping a negative's bits and setting a positive's sign bit makes
+    // the unsigned order the numeric one.
+    let ascending = if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    };
+    let high = u128::from(!ascending) << 64 | u128::from(age) << 32 | u128::from(mix >> 32);
+    (high, mix as u32)
+}
+
+/// The `keep` best-ranked candidates, best first. A merge ranks ~60
+/// candidates to keep 20, so the survivors are selected first and only
+/// they are sorted. The key is a strict total order over the candidates of
+/// one merge — after `dedup_freshest` their nodes are distinct, and
+/// `mix(self_id, ·)` is injective (an XOR with a constant, then a
+/// bijective finaliser) — so there is exactly one sorted sequence: the
+/// survivors *and their order in the view* (which `View::oldest` ties and
+/// the index shuffle of `View::sample_ids` depend on) are those of
+/// [`closest_by_full_sort`], although neither the selection nor the sort
+/// is stable.
+fn closest(mut ranked: Vec<Ranked>, keep: usize) -> Vec<Ranked> {
+    if keep < ranked.len() {
+        ranked.select_nth_unstable(keep);
+        ranked.truncate(keep);
+    }
+    ranked.sort_unstable();
+    ranked
+}
+
+/// A merge candidate of the cloning twin: score, id mix, descriptor.
+#[cfg(test)]
+type Scored<P> = (f64, u64, Descriptor<P>);
+
+/// The merge's ranking as first written, on floats.
+#[cfg(test)]
+fn rank<P>((sa, ma, da): &Scored<P>, (sb, mb, db): &Scored<P>) -> std::cmp::Ordering {
+    sb.partial_cmp(sa)
+        .expect("similarity scores must not be NaN")
+        .then(da.age.cmp(&db.age))
+        .then(ma.cmp(mb))
+}
+
+/// [`closest`] as it was first written — sort everything on [`rank`], cut
+/// — kept as the executable statement of what the selection must return.
+#[cfg(test)]
+fn closest_by_full_sort<P>(mut scored: Vec<Scored<P>>, keep: usize) -> Vec<Scored<P>> {
+    scored.sort_by(rank);
+    scored.truncate(keep);
+    scored
+}
+
+#[cfg(test)]
+impl<P: Clone> Clustering<P> {
+    /// [`Self::merge`] as it was first written — clone the union, dedup
+    /// it, score it, sort it whole on [`rank`], cut — kept as the
+    /// executable statement of the view a merge must produce.
+    fn merge_by_cloning<S: Similarity<P>>(
         &mut self,
         received: Vec<Descriptor<P>>,
         rps_candidates: &[Descriptor<P>],
@@ -150,26 +271,13 @@ impl<P: Clone> Clustering<P> {
             .iter()
             .cloned()
             .chain(received)
-            .chain(rps_candidates.iter().cloned())
-            .collect::<Vec<_>>();
-        let mut deduped = dedup_freshest(union, self.id);
-        // Rank by similarity descending; ties by freshness, then by a
-        // per-node id mix. The mix matters: before profiles mature, *all*
-        // scores tie, and any globally consistent tie order (e.g. lowest id
-        // first) would collapse every node's view onto the same few peers,
-        // wrecking the overlay. Mixing with the local id keeps tie-breaking
-        // deterministic per node but decorrelated across nodes.
-        // The id mix is precomputed per candidate: the sort comparator
-        // would otherwise re-derive both sides' mixes on every comparison
-        // (O(n log n) avalanche evaluations per merge, on the per-cycle
-        // gossip path).
-        let self_id = self.id;
-        let scored = deduped
-            .drain(..)
-            .map(|d| (sim.score(own_payload, &d.payload), mix(self_id, d.node), d))
+            .chain(rps_candidates.iter().cloned());
+        let scored = crate::view::dedup_freshest_by_search(union, self.id)
+            .into_iter()
+            .map(|d| (sim.score(own_payload, &d.payload), mix(self.id, d.node), d))
             .collect();
         self.view.replace_with(
-            closest(scored, self.config.view_size)
+            closest_by_full_sort(scored, self.config.view_size)
                 .into_iter()
                 .map(|(_, _, d)| d)
                 .collect(),
@@ -177,49 +285,12 @@ impl<P: Clone> Clustering<P> {
     }
 }
 
-/// A merge candidate: similarity score, id mix, descriptor.
-type Scored<P> = (f64, u64, Descriptor<P>);
-
-/// The merge's ranking (see [`Clustering::merge`]).
-fn rank<P>((sa, ma, da): &Scored<P>, (sb, mb, db): &Scored<P>) -> std::cmp::Ordering {
-    sb.partial_cmp(sa)
-        .expect("similarity scores must not be NaN")
-        .then(da.age.cmp(&db.age))
-        .then(ma.cmp(mb))
-}
-
-/// The `keep` best-ranked candidates, best first. A merge ranks ~60
-/// candidates to keep 20, so the survivors are selected first and only
-/// they are sorted. [`rank`] is a strict total order over the candidates
-/// of one merge — after `dedup_freshest` their nodes are distinct, and
-/// `mix(self_id, ·)` is injective (an XOR with a constant, then a
-/// bijective finaliser) — so there is exactly one sorted sequence: the
-/// survivors *and their order in the view* (which `View::oldest` ties and
-/// the index shuffle of `View::sample_ids` depend on) are those of
-/// [`closest_by_full_sort`], although neither the selection nor the sort
-/// is stable.
-fn closest<P>(mut scored: Vec<Scored<P>>, keep: usize) -> Vec<Scored<P>> {
-    if keep < scored.len() {
-        scored.select_nth_unstable_by(keep, rank);
-        scored.truncate(keep);
-    }
-    scored.sort_unstable_by(rank);
-    scored
-}
-
-/// [`closest`] as it was first written — sort everything, cut — kept as
-/// the executable statement of what the selection must return.
-#[cfg(test)]
-fn closest_by_full_sort<P>(mut scored: Vec<Scored<P>>, keep: usize) -> Vec<Scored<P>> {
-    scored.sort_by(rank);
-    scored.truncate(keep);
-    scored
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::view::same_entries;
     use proptest::prelude::*;
+    use std::sync::Arc;
 
     /// Similarity for test payloads: negative distance between bytes.
     fn byte_sim(own: &u8, cand: &u8) -> f64 {
@@ -306,34 +377,131 @@ mod tests {
         assert!(distinct.len() > 1, "tie-breaking collapsed onto one order");
     }
 
+    #[test]
+    #[should_panic(expected = "similarity scores must not be NaN")]
+    fn a_nan_score_panics_the_merge() {
+        let mut c: Clustering<u8> = Clustering::new(0, ClusteringConfig { view_size: 2 });
+        let nan_for_two = |_: &u8, cand: &u8| if *cand == 2 { f64::NAN } else { 1.0 };
+        c.on_response(vec![d(1, 1), d(2, 2), d(3, 3)], &[], &0, &nan_for_two);
+    }
+
+    #[test]
+    fn signed_zeros_tie_and_fall_to_age_then_mix() {
+        let (zero, negative_zero) = (rank_key(0.0, 3, 7), rank_key(-0.0, 3, 7));
+        assert_eq!(zero, negative_zero);
+        assert!(rank_key(-0.0, 2, u64::MAX) < rank_key(0.0, 3, 0));
+        assert!(rank_key(0.0, 3, 1 << 32) < rank_key(-0.0, 3, (1 << 32) + 1));
+        assert!(rank_key(f64::MIN_POSITIVE, 9, 9) < zero);
+        assert!(zero < rank_key(-f64::MIN_POSITIVE, 0, 0));
+        assert!(rank_key(f64::INFINITY, 0, 0) < rank_key(f64::MAX, 0, 0));
+        assert!(rank_key(-f64::MAX, 0, 0) < rank_key(f64::NEG_INFINITY, 0, 0));
+    }
+
+    /// A score for each test code, by `mode`: all tied, signed zeros only,
+    /// negative levels (with ties), distinct values of both signs, or all
+    /// of these mixed. Codes are below 1 000.
+    fn score_of(mode: u32, code: u32) -> f64 {
+        let mixed = [
+            0.5,
+            -0.0,
+            0.0,
+            -f64::from(code % 4) / 4.0,
+            f64::from(code) / 7.0 - 50.0,
+        ];
+        match mode {
+            0 => 0.5,
+            1 => mixed[1 + code as usize % 2],
+            2 => mixed[3],
+            3 => mixed[4],
+            _ => mixed[code as usize % mixed.len()],
+        }
+    }
+
     proptest! {
-        /// Same survivors in the same order as the full stable sort, for
-        /// every cut — including no cut at all and a cut inside a run of
-        /// candidates that tie on score and age. `score_levels = 1` ties
-        /// every score (the state of every view before profiles mature),
-        /// `age_levels = 1` every age; nodes are distinct, as they are
-        /// after `dedup_freshest`.
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Same survivors in the same order as the full stable sort on the
+        /// float comparator, for every cut — including no cut at all and a
+        /// cut inside a run of candidates that tie on score and age. Mode 0
+        /// ties every score (the state of every view before profiles
+        /// mature), `age_levels = 1` every age, mode 1 draws only −0.0 and
+        /// +0.0; nodes are distinct, as they are after `dedup_freshest`.
         #[test]
         fn selection_matches_the_full_sort(
             self_id in 0u32..64,
             keep in 1usize..40,
-            score_levels in 1u32..4,
+            mode in 0u32..5,
             age_levels in 1u32..4,
             raw in prop::collection::vec((0u32..1_000, 0u32..1_000), 0..90),
         ) {
             let scored: Vec<Scored<usize>> = raw
                 .iter()
                 .enumerate()
-                .map(|(at, &(score, age))| {
+                .map(|(at, &(code, age))| {
                     let node = 1_000 + at as NodeId;
                     let d = Descriptor { node, age: age % age_levels, payload: at };
-                    (f64::from(score % score_levels) / 4.0, mix(self_id, node), d)
+                    (score_of(mode, code), mix(self_id, node), d)
                 })
                 .collect();
-            prop_assert_eq!(
-                closest(scored.clone(), keep),
-                closest_by_full_sort(scored, keep)
+            let ranked: Vec<Ranked> = scored
+                .iter()
+                .map(|(score, mix, d)| {
+                    let (high, low) = rank_key(*score, d.age, *mix);
+                    (high, low, d.payload)
+                })
+                .collect();
+            let fast: Vec<usize> = closest(ranked, keep).into_iter().map(|(_, _, at)| at).collect();
+            let slow: Vec<usize> =
+                closest_by_full_sort(scored, keep).into_iter().map(|(_, _, d)| d.payload).collect();
+            prop_assert_eq!(fast, slow);
+        }
+
+        /// The clone-free merge leaves the view its cloning twin leaves,
+        /// entry by entry — node, age and which `Arc` — through
+        /// `on_request` and `on_response`. Few nodes and ages, so nodes
+        /// repeat across the own, received and RPS lists, ages tie and
+        /// self-descriptors occur; the payload is the candidate's score.
+        /// The new view's allocation fits it, as views stand until the
+        /// next merge.
+        #[test]
+        fn merges_match_the_cloning_twin(
+            self_id in 0u32..12,
+            view_size in 1usize..12,
+            mode in 0u32..5,
+            request in prop::bool::ANY,
+            own in prop::collection::vec((0u32..20, 0u32..4, 0u32..1_000), 0..14),
+            received in prop::collection::vec((0u32..20, 0u32..4, 0u32..1_000), 0..24),
+            rps in prop::collection::vec((0u32..20, 0u32..4, 0u32..1_000), 0..30),
+        ) {
+            let arcs = |raw: &[(NodeId, u32, u32)]| -> Vec<Descriptor<Arc<f64>>> {
+                raw.iter()
+                    .map(|&(node, age, code)| Descriptor {
+                        node,
+                        age,
+                        payload: Arc::new(score_of(mode, code)),
+                    })
+                    .collect()
+            };
+            let by_payload = |_: &Arc<f64>, cand: &Arc<f64>| **cand;
+            let mut fast = Clustering::new(self_id, ClusteringConfig { view_size });
+            fast.seed(arcs(&own));
+            let mut slow = fast.clone();
+            let (received, rps) = (arcs(&received), arcs(&rps));
+            let own_payload = Arc::new(0.0);
+            if request {
+                fast.on_request(received.clone(), &rps, Arc::clone(&own_payload), &by_payload);
+            } else {
+                fast.on_response(received.clone(), &rps, &own_payload, &by_payload);
+            }
+            slow.merge_by_cloning(received, &rps, &own_payload, &by_payload);
+            prop_assert!(
+                same_entries(fast.view().entries(), slow.view().entries()),
+                "{:?} != {:?}",
+                fast.view().entries(),
+                slow.view().entries()
             );
+            let len = fast.view().len();
+            prop_assert_eq!(fast.view.take_entries().capacity(), len);
         }
     }
 }

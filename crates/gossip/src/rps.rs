@@ -8,7 +8,7 @@
 //! what gives WhatsUp its connectivity and its serendipity reservoir (BEEP's
 //! dislike path picks targets here).
 
-use crate::view::{dedup_freshest, Descriptor, NodeId, View};
+use crate::view::{dedup_freshest, gather, Descriptor, NodeId, View};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -122,15 +122,30 @@ impl<P: Clone> Rps<P> {
 
     /// "Keeping a random sample of the union of its own view and the received
     /// one" (§II) — with per-node dedup keeping the freshest descriptor.
+    ///
+    /// The union is deduplicated by reference and its survivors' positions
+    /// are shuffled — a shuffle's draws depend only on the length, so they
+    /// are those of shuffling the descriptors — then the sample moves out
+    /// of the old view and `received`: the view of the cloning twin
+    /// (`merge_by_cloning`, the merge as first written), without a clone.
     fn merge(&mut self, received: Vec<Descriptor<P>>, rng: &mut impl Rng) {
-        let union = self
-            .view
-            .entries()
-            .iter()
-            .cloned()
-            .chain(received)
-            .collect::<Vec<_>>();
-        let mut deduped = dedup_freshest(union, self.id);
+        let old = self.view.take_entries();
+        let union: Vec<&Descriptor<P>> = old.iter().chain(&received).collect();
+        let mut picks = dedup_freshest(union.iter().map(|d| (d.node, d.age)), self.id);
+        picks.shuffle(rng);
+        picks.truncate(self.config.view_size);
+        self.view.replace_with(gather(old, received, &[], picks));
+    }
+}
+
+#[cfg(test)]
+impl<P: Clone> Rps<P> {
+    /// [`Self::merge`] as it was first written — clone the union, dedup
+    /// it, shuffle it, cut — kept as the executable statement of the view a
+    /// merge must produce.
+    fn merge_by_cloning(&mut self, received: Vec<Descriptor<P>>, rng: &mut impl Rng) {
+        let union = self.view.entries().iter().cloned().chain(received);
+        let mut deduped = crate::view::dedup_freshest_by_search(union, self.id);
         deduped.shuffle(rng);
         deduped.truncate(self.config.view_size);
         self.view.replace_with(deduped);
@@ -140,8 +155,11 @@ impl<P: Clone> Rps<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use crate::view::same_entries;
+    use proptest::prelude::*;
+    use rand::{RngCore, SeedableRng};
     use rand_chacha::ChaCha8Rng;
+    use std::sync::Arc;
 
     fn rng() -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(99)
@@ -260,5 +278,57 @@ mod tests {
         rps.seed(descriptors(&[1, 2]));
         rps.evict(1);
         assert!(!rps.view().contains(1));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `on_request` and `on_response` leave the view the cloning union
+        /// leaves, entry by entry — node, age and which `Arc` — and a
+        /// request answers the same, from one RNG seed per case, after the
+        /// same number of draws. Few nodes and ages: nodes repeated across
+        /// the view and the received list, age ties and self-descriptors
+        /// are all common.
+        #[test]
+        fn merges_match_the_cloning_union(
+            self_id in 0u32..12,
+            view_size in 1usize..10,
+            seed in 0u64..1_000_000,
+            request in prop::bool::ANY,
+            own in prop::collection::vec((0u32..16, 0u32..4), 0..12),
+            received in prop::collection::vec((0u32..16, 0u32..4), 0..20),
+        ) {
+            let arcs = |raw: &[(NodeId, u32)]| -> Vec<Descriptor<Arc<NodeId>>> {
+                raw.iter()
+                    .map(|&(node, age)| Descriptor { node, age, payload: Arc::new(node) })
+                    .collect()
+            };
+            let mut fast = Rps::new(self_id, RpsConfig::with_view_size(view_size));
+            fast.seed(arcs(&own));
+            let mut slow = fast.clone();
+            let received = arcs(&received);
+            let mut rng_fast = ChaCha8Rng::seed_from_u64(seed);
+            let mut rng_slow = ChaCha8Rng::seed_from_u64(seed);
+            let (answer_fast, answer_slow) = if request {
+                let own_payload = Arc::new(self_id);
+                let answer_fast =
+                    fast.on_request(received.clone(), Arc::clone(&own_payload), &mut rng_fast);
+                let answer_slow = slow.exchange_payload(own_payload, &mut rng_slow);
+                slow.merge_by_cloning(received, &mut rng_slow);
+                (answer_fast, answer_slow)
+            } else {
+                fast.on_response(received.clone(), &mut rng_fast);
+                slow.merge_by_cloning(received, &mut rng_slow);
+                (Vec::new(), Vec::new())
+            };
+            prop_assert!(
+                same_entries(fast.view().entries(), slow.view().entries()),
+                "{:?} != {:?}",
+                fast.view().entries(),
+                slow.view().entries()
+            );
+            prop_assert!(same_entries(&answer_fast, &answer_slow));
+            prop_assert_eq!(rng_fast.next_u64(), rng_slow.next_u64());
+        }
     }
 }

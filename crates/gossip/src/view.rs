@@ -52,16 +52,6 @@ impl<P: Clone> View<P> {
         self.capacity
     }
 
-    /// Changes the capacity, truncating the freshest-first ordering if needed.
-    pub fn set_capacity(&mut self, capacity: usize) {
-        assert!(capacity > 0);
-        self.capacity = capacity;
-        if self.entries.len() > capacity {
-            self.entries.sort_by_key(|d| d.age);
-            self.entries.truncate(capacity);
-        }
-    }
-
     pub fn len(&self) -> usize {
         self.entries.len()
     }
@@ -146,6 +136,12 @@ impl<P: Clone> View<P> {
         idx.into_iter().map(|i| self.entries[i].node).collect()
     }
 
+    /// Empties the view and hands its entries to a merge, which computes the
+    /// next view in full from them ([`Self::replace_with`]).
+    pub(crate) fn take_entries(&mut self) -> Vec<Descriptor<P>> {
+        std::mem::take(&mut self.entries)
+    }
+
     /// Replaces the whole content with `entries` (already ≤ capacity, one per
     /// node). Used by the merge procedures which compute the next view in
     /// full.
@@ -163,60 +159,90 @@ impl<P: Clone> View<P> {
     }
 }
 
-/// Deduplicates descriptors by node id, keeping the freshest (lowest age) for
-/// each node — the earliest of equally fresh ones — and drops `self_id`.
+/// Deduplicates merge candidates, given as `(node, age)`, by node: returns
+/// the positions of the survivors, the freshest (lowest age) descriptor of
+/// each node — the earliest of equally fresh ones — with `self_id` dropped.
 /// Order of first occurrence is preserved: the survivor takes the place of
 /// its node's first descriptor.
 ///
-/// Every WUP and RPS merge runs this over ~70 candidates, so a node's
-/// earlier descriptor is found through a throw-away open-addressing table
-/// (expected O(n)) rather than by searching the output once per candidate.
-/// The table only answers "seen before, and where"; it is never iterated,
-/// so the output order owes nothing to it.
-pub fn dedup_freshest<P: Clone>(
-    candidates: impl IntoIterator<Item = Descriptor<P>>,
-    self_id: NodeId,
-) -> Vec<Descriptor<P>> {
-    let mut out: Vec<Descriptor<P>> = candidates
-        .into_iter()
-        .filter(|d| d.node != self_id)
-        .collect();
-    // At most half full. A slot holds 1 + the position, within the kept
-    // prefix `out[..kept]`, of the node that claimed it; 0 is free.
-    let mask = (2 * out.len()).next_power_of_two() - 1;
-    let mut slots = vec![0usize; mask + 1];
-    let mut kept = 0;
-    for at in 0..out.len() {
-        let node = out[at].node;
+/// Every WUP and RPS merge runs this over ~70 borrowed candidates, so a
+/// node's earlier descriptor is found through a throw-away open-addressing
+/// table (expected O(n)) rather than by searching the output once per
+/// candidate. The table only answers "seen before, how fresh, and where";
+/// it is never iterated, so the output order owes nothing to it.
+pub fn dedup_freshest<I>(candidates: I, self_id: NodeId) -> Vec<usize>
+where
+    I: IntoIterator<Item = (NodeId, u32)>,
+    I::IntoIter: ExactSizeIterator,
+{
+    let candidates = candidates.into_iter();
+    let mut out = Vec::with_capacity(candidates.len());
+    // At most half full. A slot holds the node that claimed it, the age of
+    // its freshest descriptor so far and 1 + that node's place in `out`;
+    // a place of 0 is free.
+    let mask = (2 * candidates.len()).next_power_of_two() - 1;
+    let mut slots = vec![(0, 0, 0); mask + 1];
+    for (at, (node, age)) in candidates.enumerate() {
+        if node == self_id {
+            continue;
+        }
         // An odd multiplier permutes the low bits: dense ids never collide.
         let mut slot = node.wrapping_mul(0x9e37_79b1) as usize & mask;
         loop {
-            match slots[slot] {
-                0 => {
-                    slots[slot] = kept + 1;
-                    out.swap(kept, at);
-                    kept += 1;
-                    break;
-                }
-                claimed if out[claimed - 1].node == node => {
-                    if out[at].age < out[claimed - 1].age {
-                        out.swap(claimed - 1, at);
-                    }
-                    break;
-                }
-                _ => slot = (slot + 1) & mask,
+            let (claimed, freshest, place) = &mut slots[slot];
+            if *place == 0 {
+                out.push(at);
+                (*claimed, *freshest, *place) = (node, age, out.len());
+                break;
             }
+            if *claimed == node {
+                if age < *freshest {
+                    *freshest = age;
+                    out[*place - 1] = at;
+                }
+                break;
+            }
+            slot = (slot + 1) & mask;
         }
     }
-    out.truncate(kept);
     out
 }
 
-/// [`dedup_freshest`] as it was first written — a search of the output per
+/// The next view of a merge: the candidates at `picks`, in `picks` order,
+/// out of the union `old ++ received ++ borrowed`; `picks` are distinct.
+/// A picked descriptor of `old` or `received` moves, a picked one of
+/// `borrowed` is cloned, and the rest of `old` and `received` drops — so a
+/// payload (an `Arc` in WhatsUp) is touched only when its holder changes.
+///
+/// The view is allocated to fit: it lives until the next merge, and a
+/// `collect` may reuse the buffer `picks` came in, several times its size.
+pub(crate) fn gather<P: Clone, I>(
+    old: Vec<Descriptor<P>>,
+    received: Vec<Descriptor<P>>,
+    borrowed: &[Descriptor<P>],
+    picks: I,
+) -> Vec<Descriptor<P>>
+where
+    I: IntoIterator<Item = usize>,
+    I::IntoIter: ExactSizeIterator,
+{
+    let mut owned: Vec<Option<Descriptor<P>>> = old.into_iter().chain(received).map(Some).collect();
+    let n_owned = owned.len();
+    let picks = picks.into_iter();
+    let mut view = Vec::with_capacity(picks.len());
+    view.extend(picks.map(|at| match owned.get_mut(at) {
+        Some(slot) => slot.take().expect("a merge picks each candidate once"),
+        None => borrowed[at - n_owned].clone(),
+    }));
+    view
+}
+
+/// The first written dedup — clone every candidate, search the output per
 /// candidate — kept as the executable statement of the order and
-/// freshest-wins rules the faster one must reproduce.
+/// freshest-wins rules [`dedup_freshest`] must reproduce, and as the dedup
+/// of the merges' cloning twins.
 #[cfg(test)]
-fn dedup_freshest_by_search<P: Clone>(
+pub(crate) fn dedup_freshest_by_search<P: Clone>(
     candidates: impl IntoIterator<Item = Descriptor<P>>,
     self_id: NodeId,
 ) -> Vec<Descriptor<P>> {
@@ -235,6 +261,20 @@ fn dedup_freshest_by_search<P: Clone>(
         }
     }
     out
+}
+
+/// Whether two entry lists are equal entry by entry, in order: node, age
+/// and payload *identity* — which of a node's descriptors survived, not
+/// only an equal one.
+#[cfg(test)]
+pub(crate) fn same_entries<T>(
+    a: &[Descriptor<std::sync::Arc<T>>],
+    b: &[Descriptor<std::sync::Arc<T>>],
+) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| {
+            x.node == y.node && x.age == y.age && std::sync::Arc::ptr_eq(&x.payload, &y.payload)
+        })
 }
 
 #[cfg(test)]
@@ -325,27 +365,30 @@ mod tests {
     }
 
     #[test]
-    fn set_capacity_truncates_oldest_out() {
-        let mut v = View::new(3);
-        v.insert(d(1, 9));
-        v.insert(d(2, 1));
-        v.insert(d(3, 5));
-        v.set_capacity(2);
-        assert_eq!(v.len(), 2);
-        assert!(v.contains(2));
-        assert!(v.contains(3));
-        assert!(!v.contains(1));
+    fn dedup_keeps_freshest_and_drops_self() {
+        let cands = [(1, 5), (2, 2), (1, 1), (7, 0), (2, 9)];
+        assert_eq!(dedup_freshest(cands, 7), [2, 1]);
     }
 
     #[test]
-    fn dedup_keeps_freshest_and_drops_self() {
-        let cands = vec![d(1, 5), d(2, 2), d(1, 1), d(7, 0), d(2, 9)];
-        let out = dedup_freshest(cands, 7);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].node, 1);
-        assert_eq!(out[0].age, 1);
-        assert_eq!(out[1].node, 2);
-        assert_eq!(out[1].age, 2);
+    fn gather_moves_owned_picks_and_clones_borrowed_ones() {
+        use std::sync::Arc;
+        let arc = |node| Descriptor::fresh(node, Arc::new(node));
+        let old = vec![arc(1), arc(2)];
+        let received = vec![arc(3)];
+        let borrowed = [arc(4), arc(5)];
+        let (kept, dropped) = (Arc::clone(&old[1].payload), Arc::clone(&old[0].payload));
+        let view = gather(old, received, &borrowed, [4, 1, 2]);
+        let nodes: Vec<NodeId> = view.iter().map(|d| d.node).collect();
+        assert_eq!(nodes, [5, 2, 3]);
+        assert!(Arc::ptr_eq(&view[0].payload, &borrowed[1].payload));
+        assert!(Arc::ptr_eq(&view[1].payload, &kept));
+        // Moved: only the view and `kept` hold node 2's payload; the
+        // unpicked one of node 1 was dropped; the borrowed one was cloned.
+        assert_eq!(Arc::strong_count(&kept), 2);
+        assert_eq!(Arc::strong_count(&dropped), 1);
+        assert_eq!(Arc::strong_count(&borrowed[1].payload), 2);
+        assert_eq!(Arc::strong_count(&borrowed[0].payload), 1);
     }
 
     proptest! {
@@ -371,10 +414,12 @@ mod tests {
                 })
                 .collect();
             let self_id = self_id << (28 * spread);
-            prop_assert_eq!(
-                dedup_freshest(candidates.clone(), self_id),
-                dedup_freshest_by_search(candidates, self_id)
-            );
+            let survivors: Vec<Descriptor<usize>> =
+                dedup_freshest(candidates.iter().map(|d| (d.node, d.age)), self_id)
+                    .into_iter()
+                    .map(|at| candidates[at].clone())
+                    .collect();
+            prop_assert_eq!(survivors, dedup_freshest_by_search(candidates, self_id));
         }
     }
 }

@@ -267,6 +267,22 @@
 //!   merge ranks it — and shared by every view slot that pins it; the
 //!   counts are exact, so the ranking — and every downstream bit — is
 //!   what the entry-walking reference produces.
+//! * **Clone-free view merges** — a WUP or RPS merge takes the old view
+//!   out of the node and deduplicates and scores own view ∪ received ∪
+//!   (WUP only) RPS view *by reference*; the WUP merge ranks on one packed
+//!   integer key (score, age, id mix). The survivors of the old view and
+//!   of the received message are moved into the new view, only those that
+//!   join from the RPS view are cloned, and the rest drop: a snapshot's
+//!   `Arc` count moves only when a holder changes. The new view is
+//!   allocated to fit (the cloning merge collected it in place, so a
+//!   20-entry WUP view kept the buffer of its ~60 ranked candidates, room
+//!   for ~120 descriptors, until the next merge). The union is walked in
+//!   the order the cloning merge built it, the RPS shuffle permutes the
+//!   survivors' positions with the draws it spent on the descriptors, and
+//!   the key orders candidates exactly as the float comparator did
+//!   (−0.0 = +0.0, a NaN panics), so the views — entries and order — are
+//!   the same (`whatsup_gossip`'s `#[cfg(test)]` twins and their
+//!   proptests pin it).
 //!
 //! None of this changes observable ordering: the arena preserves push
 //! order per receiver, routing preserves `(sender id, emission order)`,
