@@ -6,6 +6,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
+use whatsup_core::beep::select_most_similar_k;
 use whatsup_core::prelude::*;
 use whatsup_core::similarity::{jaccard_similarity, Prepared};
 use whatsup_datasets::{survey, SurveyConfig};
@@ -37,6 +38,27 @@ fn bench_similarity(c: &mut Criterion) {
     group.finish();
 }
 
+/// A profile over a universe of `universe` content-hashed ids: it rates a
+/// `seed`-drawn `keep_of_twenty`/20 of them, with scores in quarters if
+/// `real`, else 0 or 1.
+fn rated(universe: u64, seed: u64, keep_of_twenty: u64, real: bool) -> Profile {
+    let hash = |words: [u64; 3]| fnv1a64(&words.map(u64::to_le_bytes).concat());
+    let draw = |item: u64, salt: u64| hash([item, seed, salt]) >> 20;
+    Profile::from_entries(
+        (0..universe)
+            .filter(|&i| draw(i, 1) % 20 < keep_of_twenty)
+            .map(|i| ProfileEntry {
+                item: hash([i, 0, 0]),
+                timestamp: 0,
+                score: if real {
+                    (draw(i, 2) % 5) as f32 / 4.0
+                } else {
+                    (draw(i, 2) % 2) as f32
+                },
+            }),
+    )
+}
+
 /// One item profile ranked against the thirty snapshots of an RPS view —
 /// what every disliked first reception does (and, with ~70 candidates,
 /// every WUP merge): the pairwise merge-join per candidate versus the
@@ -56,23 +78,6 @@ fn bench_similarity(c: &mut Criterion) {
 /// `planes_1x70` rows are the other one-vs-many call site, the WUP merge.
 fn bench_one_vs_many(c: &mut Criterion) {
     let mut group = c.benchmark_group("similarity");
-    let rated = |universe: u64, seed: u64, keep_of_twenty: u64, real: bool| {
-        let hash = |words: [u64; 3]| fnv1a64(&words.map(u64::to_le_bytes).concat());
-        let draw = |item: u64, salt: u64| hash([item, seed, salt]) >> 20;
-        Profile::from_entries(
-            (0..universe)
-                .filter(|&i| draw(i, 1) % 20 < keep_of_twenty)
-                .map(|i| ProfileEntry {
-                    item: hash([i, 0, 0]),
-                    timestamp: 0,
-                    score: if real {
-                        (draw(i, 2) % 5) as f32 / 4.0
-                    } else {
-                        (draw(i, 2) % 2) as f32
-                    },
-                }),
-        )
-    };
     for (regime, universe) in [("deep", 200u64), ("shallow", 41)] {
         // A WUP merge: the node's own *binary* profile (131 and 33 entries)
         // against the ~70 snapshots of own view ∪ received view ∪ RPS
@@ -161,6 +166,48 @@ fn bench_one_vs_many(c: &mut Criterion) {
                         .map(|v| orient(&fresh, &views[v % views.len()]))
                         .sum::<f64>()
                 },
+                BatchSize::SmallInput,
+            )
+        });
+    }
+    group.finish();
+}
+
+/// `select_most_similar_k` end to end, as a disliked first reception runs
+/// it: a fresh clone of the item profile (its weights built on the way)
+/// picks one of a 30-entry RPS view — scoring, tie mixes and the ranking
+/// loop — over the profiles of `prepared_1x30`. The views are warm: every
+/// snapshot has been scored twice before, so it carries planes, as the
+/// snapshots a view keeps do. Every iteration takes the next of 64 views
+/// and salts its ties anew.
+fn bench_beep(c: &mut Criterion) {
+    let mut group = c.benchmark_group("beep");
+    for (regime, universe) in [("deep", 200u64), ("shallow", 41)] {
+        let item_profile = rated(universe, 0, 16, true);
+        let views: Vec<View<SharedProfile>> = (0..64u64)
+            .map(|v| {
+                let mut view = View::new(30);
+                for n in 0..30u32 {
+                    let snapshot = rated(universe, 1 + v * 30 + u64::from(n), 13, false);
+                    view.insert(Descriptor::fresh(n, SharedProfile::new(snapshot)));
+                }
+                view
+            })
+            .collect();
+        let orient = |fresh: &Profile, at: usize| {
+            select_most_similar_k(fresh, &views[at], Metric::Wup, 1, at as u64)
+        };
+        for at in (0..views.len()).chain(0..views.len()) {
+            orient(&item_profile.clone(), at);
+        }
+        let mut next = 0;
+        group.bench_function(format!("orient_1x30/{regime}"), |bench| {
+            bench.iter_batched(
+                || {
+                    next = (next + 1) % views.len();
+                    (item_profile.clone(), next)
+                },
+                |(fresh, at)| orient(&fresh, at),
                 BatchSize::SmallInput,
             )
         });
@@ -348,6 +395,7 @@ criterion_group!(
     benches,
     bench_similarity,
     bench_one_vs_many,
+    bench_beep,
     bench_profile_ops,
     bench_node_paths,
     bench_view_merge,

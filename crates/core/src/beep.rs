@@ -168,22 +168,28 @@ pub fn select_most_similar_k(
             d.node,
         )
     });
-    // Best first: score descending, then tie mix ascending.
+    // Best first: score descending, then tie mix ascending. BEEP proper
+    // always asks for a single target (dislike fanout 1): one loop keeps
+    // the best so far — a later candidate replaces it only if strictly
+    // better, so the first of equals wins, as in the stable sort below —
+    // instead of sorting. As there, comparing a NaN panics.
+    if k == 1 {
+        let mut scored = scored;
+        let mut best = scored.next().expect("the view is not empty");
+        for (score, mix, node) in scored {
+            let nan = score.is_nan() || best.0.is_nan();
+            assert!(!nan, "similarity is never NaN");
+            if score > best.0 || score == best.0 && mix < best.1 {
+                best = (score, mix, node);
+            }
+        }
+        return vec![best.2];
+    }
     let best_first = |(sa, ma, _): &(f64, u64, NodeId), (sb, mb, _): &(f64, u64, NodeId)| {
         sb.partial_cmp(sa)
             .expect("similarity is never NaN")
             .then(ma.cmp(mb))
     };
-    // BEEP proper always asks for a single target (dislike fanout 1): a
-    // running minimum under the same order replaces the sort — and its
-    // allocation — entirely.
-    if k == 1 {
-        return scored
-            .min_by(best_first)
-            .map(|(_, _, n)| n)
-            .into_iter()
-            .collect();
-    }
     let mut scored: Vec<(f64, u64, NodeId)> = scored.collect();
     scored.sort_by(best_first);
     scored.truncate(k);
@@ -421,6 +427,23 @@ mod tests {
         targets.sort_unstable();
         assert_eq!(targets, vec![1, 2], "both similar nodes targeted");
         assert_eq!(d.dislikes, 1);
+    }
+
+    #[test]
+    fn the_single_pick_heads_the_sorted_ranking() {
+        // Scores tie in groups (likes of 0–3 of the item's four items), so
+        // the tie mix and the first-of-equals rule decide most picks.
+        let likes: Vec<Vec<u64>> = (0..12u64).map(|n| (1..=n % 4).collect()).collect();
+        let entries: Vec<(NodeId, &[u64])> = (0..12u32)
+            .map(|n| (n * 7 % 12, likes[n as usize].as_slice()))
+            .collect();
+        let rps = view(&entries);
+        let item = profile(&[1, 2, 3, 4]);
+        for salt in 0..64u64 {
+            let sorted = select_most_similar_k(&item, &rps, Metric::Wup, 12, salt);
+            let single = select_most_similar_k(&item, &rps, Metric::Wup, 1, salt);
+            assert_eq!(single, sorted[..1], "salt {salt}");
+        }
     }
 
     #[test]

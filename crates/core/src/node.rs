@@ -62,6 +62,17 @@ impl NodeStats {
     pub fn total_sent(&self) -> u64 {
         self.rps_sent + self.wup_sent + self.news_sent
     }
+
+    /// Books one copy, sent by `from`, of an item its receiver `to` has
+    /// already received — the SIR rule of Algorithm 1: the copy is dropped
+    /// unanswered and counted as a duplicate, unless it claims to come from
+    /// `to` itself, which [`WhatsUpNode::on_message`] drops before any rule
+    /// and counts nowhere. The rule's one statement: the node's news path
+    /// calls it, and so does an engine that books a copy it knows to be a
+    /// duplicate without delivering it.
+    pub fn book_duplicate(&mut self, from: NodeId, to: NodeId) {
+        self.news_duplicates += u64::from(from != to);
+    }
 }
 
 /// Everything a [`WhatsUpNode`] remembers, in a canonical serializable
@@ -385,7 +396,7 @@ impl WhatsUpNode {
                 self.merge_wup(descs, false);
                 Vec::new()
             }
-            Payload::News(msg) => self.handle_news(msg, now, opinions, stats, rng),
+            Payload::News(msg) => self.handle_news(from, msg, now, opinions, stats, rng),
         }
     }
 
@@ -463,6 +474,7 @@ impl WhatsUpNode {
     /// Algorithm 1 (receive path) + Algorithm 2 (forward).
     fn handle_news(
         &mut self,
+        from: NodeId,
         mut msg: NewsMessage,
         now: Timestamp,
         opinions: &impl Opinions,
@@ -472,7 +484,7 @@ impl WhatsUpNode {
         let id = msg.header.id;
         // SIR: a node receiving an item it has already received drops it.
         if !self.seen.insert(id) {
-            stats.news_duplicates += 1;
+            stats.book_duplicate(from, self.id);
             return Vec::new();
         }
         stats.news_received += 1;

@@ -27,6 +27,11 @@
 //! the news hot path, where SipHash cost more than counting saves. The
 //! ids are wire-supplied, so its replacement is keyed
 //! ([`IdHasher::keyed`]), and the table bounded whatever a peer sends.
+//! That one lookup pass also tracks the lowest and highest slot placed,
+//! so the span of the layout costs no walk of its own ([`word_span`]);
+//! planes likewise take theirs in one pass over their slots, and record
+//! their end slot, the highest they rate plus one, which [`Weights::sums`]
+//! compares per candidate instead of recounting it from the last word.
 
 use crate::hash::IdHasher;
 use crate::item::ItemId;
@@ -82,14 +87,24 @@ fn slots_of(entries: &[ProfileEntry]) -> Option<Vec<u32>> {
     Some(slots)
 }
 
-/// The words `first..end` of 64 slots that `slots` touch — unless they
-/// were first seen so far apart that the span holds more words than there
-/// are slots: such a profile is cheaper to walk than to lay out, and the
-/// bound keeps wire-supplied ids from sizing an allocation.
-fn word_span(slots: impl Iterator<Item = u32> + Clone) -> Option<(u32, u32)> {
-    let first = slots.clone().min().map_or(0, |s| s / 64);
-    let end = slots.clone().max().map_or(0, |s| s / 64 + 1);
-    ((end - first) as usize <= slots.count()).then_some((first, end))
+/// The words `first..end` of 64 slots that `placed` slots, the lowest `lo`
+/// and the highest `hi`, touch — unless they were first seen so far apart
+/// that the span holds more words than there are slots: such a profile is
+/// cheaper to walk than to lay out, and the bound keeps wire-supplied ids
+/// from sizing an allocation. A build tracks `lo` and `hi` while it places
+/// the slots, so the span costs no walk of its own.
+fn word_span((lo, hi): (u32, u32), placed: usize) -> Option<(u32, u32)> {
+    if placed == 0 {
+        return Some((0, 0));
+    }
+    let (first, end) = (lo / 64, hi / 64 + 1);
+    ((end - first) as usize <= placed).then_some((first, end))
+}
+
+/// `(lo, hi)` of [`word_span`] widened by `slot`; `(u32::MAX, 0)` before
+/// the first.
+fn widen((lo, hi): (u32, u32), slot: u32) -> (u32, u32) {
+    (lo.min(slot), hi.max(slot))
 }
 
 /// The words two layouts have in common, pair by pair: `a[0]` is word
@@ -111,6 +126,10 @@ pub(crate) struct Planes {
     /// Position of `words[0]` in the untrimmed bit sets: it covers slots
     /// `64 · first_word ..`.
     first_word: u32,
+    /// One past the highest slot the profile rates (`0` if it rates
+    /// none), recorded at build: what [`Weights::sums`] compares with
+    /// the table size its weights were built at.
+    end_slot: u32,
     /// `[rated, liked]` bits of 64 consecutive slots.
     words: Box<[[u64; 2]]>,
 }
@@ -122,7 +141,8 @@ impl Planes {
     /// (see [`word_span`]).
     pub(crate) fn build(entries: &[ProfileEntry]) -> Option<Self> {
         let slots = slots_of(entries)?;
-        let (first_word, end_word) = word_span(slots.iter().copied())?;
+        let (lo, hi) = slots.iter().fold((u32::MAX, 0), |b, &slot| widen(b, slot));
+        let (first_word, end_word) = word_span((lo, hi), slots.len())?;
         let mut words = vec![[0u64; 2]; (end_word - first_word) as usize].into_boxed_slice();
         for (e, slot) in entries.iter().zip(slots) {
             let word = &mut words[(slot / 64 - first_word) as usize];
@@ -132,7 +152,11 @@ impl Planes {
                 word[1] |= bit;
             }
         }
-        Some(Self { first_word, words })
+        Some(Self {
+            first_word,
+            end_slot: if entries.is_empty() { 0 } else { hi + 1 },
+            words,
+        })
     }
 
     /// `(|liked ∩ cand.liked|, |liked ∩ cand.rated|)`: for binary profiles
@@ -148,13 +172,6 @@ impl Planes {
             liked_and_rated += (liked & cand_rated).count_ones();
         }
         (both_liked, liked_and_rated)
-    }
-
-    /// One past the highest slot the profile rates: its last word is that
-    /// slot's, so never empty.
-    fn end_slot(&self) -> u32 {
-        let end = 64 * (self.first_word + self.words.len() as u32);
-        self.words.last().map_or(0, |w| end - w[0].leading_zeros())
     }
 }
 
@@ -197,22 +214,27 @@ impl Weights {
     /// Declines (`None`) unless every score is a whole multiple of 2⁻²⁰ in
     /// `[0, 1]` and there are at most 2¹³ of them — what makes
     /// [`Self::sums`] exact — and when the layout would span more words
-    /// than it places entries (see [`word_span`]).
+    /// than it places entries (see [`word_span`]). The one pass that looks
+    /// the ids up also tracks the span.
     pub(crate) fn build(entries: &[ProfileEntry]) -> Option<Self> {
         if entries.len() > MAX_WEIGHED {
             return None;
         }
         let (mut placed, mut complete_below) = (Vec::with_capacity(entries.len()), u32::MAX);
+        let mut bounds = (u32::MAX, 0);
         let table = SLOTS.read().expect("slot table lock poisoned");
         for e in entries {
             match (fixed_point(e.score)?, table.get(&e.item)) {
                 (0, _) => {}
-                (q, Some(&slot)) => placed.push((slot, q)),
+                (q, Some(&slot)) => {
+                    placed.push((slot, q));
+                    bounds = widen(bounds, slot);
+                }
                 (_, None) => complete_below = table.len() as u32,
             }
         }
         drop(table);
-        let (first_word, end_word) = word_span(placed.iter().map(|&(slot, _)| slot))?;
+        let (first_word, end_word) = word_span(bounds, placed.len())?;
         let mut words = vec![(0, [0; 64]); (end_word - first_word) as usize].into_boxed_slice();
         for (slot, q) in placed {
             let (nonzero, weights) = &mut words[(slot / 64 - first_word) as usize];
@@ -233,7 +255,7 @@ impl Weights {
     /// bits of the candidate's `rated` plane that carry a non-zero weight;
     /// whether an item is liked is a mask, not a branch.
     pub(crate) fn sums(&self, cand: &Planes) -> Option<(f64, f64)> {
-        if cand.end_slot() > self.complete_below {
+        if cand.end_slot > self.complete_below {
             return None;
         }
         let (mut dot, mut sub_norm2) = (0u64, 0u64);
@@ -276,6 +298,7 @@ impl Layout {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Registers `ids` in the order given under one hold of the exclusive
     /// lock: never-seen ids get consecutive slots in that order, whatever the
@@ -296,6 +319,78 @@ pub(crate) mod tests {
                 score: if item % 3 == 0 { 0.0 } else { 1.0 },
             })
             .collect()
+    }
+
+    /// [`word_span`] by its definition: three walks of the placed slots.
+    fn word_span_by_walks(slots: impl Iterator<Item = u32> + Clone) -> Option<(u32, u32)> {
+        let first = slots.clone().min().map_or(0, |s| s / 64);
+        let end = slots.clone().max().map_or(0, |s| s / 64 + 1);
+        ((end - first) as usize <= slots.count()).then_some((first, end))
+    }
+
+    /// The slot the table holds for `item`.
+    fn slot(item: ItemId) -> Option<u32> {
+        SLOTS.read().unwrap().get(&item).copied()
+    }
+
+    proptest! {
+        /// The one-pass builds against the definitions they replace:
+        /// weights span what [`word_span_by_walks`] makes of the slots of
+        /// their non-zero, known entries, and decline exactly when it does;
+        /// planes likewise, and the end slot they record is the one their
+        /// last word's leading zeros give.
+        #[test]
+        fn one_pass_spans_match_their_definition(
+            picks in prop::collection::vec((0u64..400, 0usize..5), 0..40),
+            binary in prop::collection::vec(0u64..300, 0..40),
+        ) {
+            // 300 consecutive slots the weights may find, and 100 ids the
+            // table never sees.
+            let weighed_base = 7u64 << 40;
+            register_in_order(weighed_base..weighed_base + 300);
+            let mut weighed: Vec<ProfileEntry> = picks
+                .iter()
+                .map(|&(i, class)| ProfileEntry {
+                    item: weighed_base + i,
+                    timestamp: 0,
+                    score: [0.0, 0.25, 0.5, 0.75, 1.0][class],
+                })
+                .collect();
+            weighed.sort_by_key(|e| e.item);
+            weighed.dedup_by_key(|e| e.item);
+            let placed = weighed
+                .iter()
+                .filter(|e| e.score != 0.0)
+                .filter_map(|e| slot(e.item));
+            let layout = Weights::build(&weighed).map(|w| {
+                (w.first_word, w.first_word + w.words.len() as u32)
+            });
+            prop_assert_eq!(layout, word_span_by_walks(placed));
+
+            let planes_base = 8u64 << 40;
+            register_in_order(planes_base..planes_base + 300);
+            let mut rated: Vec<ProfileEntry> = binary
+                .iter()
+                .map(|&i| ProfileEntry {
+                    item: planes_base + i,
+                    timestamp: 0,
+                    score: (i % 2) as f32,
+                })
+                .collect();
+            rated.sort_by_key(|e| e.item);
+            rated.dedup_by_key(|e| e.item);
+            let slots = rated.iter().filter_map(|e| slot(e.item));
+            let planes = Planes::build(&rated);
+            let span = planes
+                .as_ref()
+                .map(|p| (p.first_word, p.first_word + p.words.len() as u32));
+            prop_assert_eq!(span, word_span_by_walks(slots));
+            if let Some(p) = planes {
+                let end = 64 * (p.first_word + p.words.len() as u32);
+                let recomputed = p.words.last().map_or(0, |w| end - w[0].leading_zeros());
+                prop_assert_eq!(p.end_slot, recomputed);
+            }
+        }
     }
 
     /// [`Planes::overlap`] by definition, on the entries.

@@ -53,8 +53,8 @@ pub struct ProfileEntry {
 /// defined over `entries` alone (see the manual `PartialEq` below), so a
 /// path that bypasses the mutating methods cannot break `==`;
 /// [`Self::norm`] additionally debug-asserts the cache against a fresh
-/// recompute to catch such a stale cache before it skews similarity.
-#[derive(Default)]
+/// recompute to catch such a stale cache before it skews similarity, and
+/// [`Self::any_older_than`] does the same for the oldest timestamp.
 pub struct Profile {
     entries: Vec<ProfileEntry>,
     /// Memoized `‖scores‖₂`; maintained by every mutating method. Never
@@ -81,6 +81,12 @@ pub struct Profile {
     /// `sqrt(likes)`, bit-identical to the scan (a sum of 0s and 1s is
     /// exact), and only a binary profile can have [`Self::planes`].
     non_binary: u32,
+    /// The oldest entry's timestamp, `Timestamp::MAX` while there is none:
+    /// what [`Self::any_older_than`] compares a window cutoff with, on
+    /// every first reception of an item and at every cycle start. Computed
+    /// by the same scan as the norm and kept by [`Self::upsert`]; derived
+    /// state like the norm.
+    oldest: Timestamp,
     /// The entries laid out for the counting path of `crate::similarity`:
     /// bit planes if the profile is binary, weights otherwise. Built on
     /// demand ([`Self::layout`], [`Self::planes_when_rescored`]);
@@ -93,6 +99,22 @@ pub struct Profile {
     /// Whether a one-vs-many scorer has met this profile as a candidate
     /// before (see [`Self::planes_when_rescored`]). Reset with the layout.
     scored_before: AtomicBool,
+}
+
+/// The empty profile; its oldest timestamp is the one no cutoff is above.
+impl Default for Profile {
+    fn default() -> Self {
+        Self {
+            entries: Vec::new(),
+            norm: 0.0,
+            fingerprint: 0,
+            likes: 0,
+            non_binary: 0,
+            oldest: Timestamp::MAX,
+            layout: OnceLock::new(),
+            scored_before: AtomicBool::new(false),
+        }
+    }
 }
 
 /// Entries fully determine a profile; the memoized norm is derived state
@@ -178,6 +200,14 @@ fn fingerprint_of(entries: &[ProfileEntry]) -> u128 {
         .fold(0u128, |fp, e| fp | fingerprint_bit(e.item))
 }
 
+/// The oldest timestamp of an entry slice, `Timestamp::MAX` if it is empty
+/// — the rescan [`Profile::upsert`] falls back on.
+fn oldest_of(entries: &[ProfileEntry]) -> Timestamp {
+    entries
+        .iter()
+        .fold(Timestamp::MAX, |oldest, e| oldest.min(e.timestamp))
+}
+
 /// A profile shared immutably across views, messages and threads.
 /// Gossip descriptors carry these so exchanges and merges never deep-clone
 /// entry vectors.
@@ -220,7 +250,7 @@ impl Profile {
     }
 
     /// Recomputes the memoized derived state (norm, fingerprint, like and
-    /// non-binary counts) and drops the layout.
+    /// non-binary counts, oldest timestamp) and drops the layout.
     fn recompute_norm(&mut self) {
         self.fingerprint = fingerprint_of(&self.entries);
         self.recompute_scores();
@@ -232,17 +262,19 @@ impl Profile {
     /// stays bit-identical to the reference recompute.
     fn recompute_scores(&mut self) {
         let mut sum = 0.0f64;
-        let (mut likes, mut non_binary) = (0, 0);
+        let (mut likes, mut non_binary, mut oldest) = (0, 0, Timestamp::MAX);
         for e in &self.entries {
             let s = e.score as f64;
             sum += s * s;
             likes += u32::from(e.score > 0.5);
             non_binary += u32::from(!is_binary(e.score));
+            oldest = oldest.min(e.timestamp);
         }
         let n = sum.sqrt();
         self.norm = if n == 0.0 { 0.0 } else { n };
         self.likes = likes;
         self.non_binary = non_binary;
+        self.oldest = oldest;
         self.drop_layout();
     }
 
@@ -324,17 +356,25 @@ impl Profile {
     /// 1s, whose f64 sum is exact in any order, so `sqrt(likes)` is what
     /// the scan returns, bit for bit. Any other profile gets the full
     /// reference scan (f64 summation is order-sensitive, so only the
-    /// canonical scan is bit-exact).
+    /// canonical scan is bit-exact). The oldest timestamp can only fall,
+    /// except when a replace moves the oldest entry forward: that one
+    /// rescans.
     pub fn upsert(&mut self, e: ProfileEntry) {
         match self.entries.binary_search_by_key(&e.item, |x| x.item) {
             Ok(i) => {
                 let old = std::mem::replace(&mut self.entries[i], e);
                 self.likes -= u32::from(old.score > 0.5);
                 self.non_binary -= u32::from(!is_binary(old.score));
+                self.oldest = if old.timestamp == self.oldest && e.timestamp > old.timestamp {
+                    oldest_of(&self.entries)
+                } else {
+                    self.oldest.min(e.timestamp)
+                };
             }
             Err(i) => {
                 self.entries.insert(i, e);
                 self.fingerprint |= fingerprint_bit(e.item);
+                self.oldest = self.oldest.min(e.timestamp);
             }
         }
         self.likes += u32::from(e.score > 0.5);
@@ -443,11 +483,16 @@ impl Profile {
     }
 
     /// Whether [`Self::purge_older_than`] would remove an entry — asked
-    /// before copying a shared profile to purge it. Unsigned timestamps are
-    /// never below zero, so a zero cutoff (every run whose clock has not yet
-    /// passed the window length) skips the scan.
+    /// before copying a shared profile to purge it. One comparison with the
+    /// memoized oldest timestamp, debug-asserted against the scan it
+    /// replaces.
     pub(crate) fn any_older_than(&self, cutoff: Timestamp) -> bool {
-        cutoff > 0 && self.entries.iter().any(|e| e.timestamp < cutoff)
+        debug_assert_eq!(
+            self.oldest < cutoff,
+            self.entries.iter().any(|e| e.timestamp < cutoff),
+            "stale oldest timestamp: a construction path skipped recompute_norm"
+        );
+        self.oldest < cutoff
     }
 
     /// Item ids the profile *likes* (score > 0.5 — exact 1.0 for user
@@ -553,6 +598,15 @@ mod tests {
             timestamp: t,
             score: s,
         }
+    }
+
+    /// [`Profile::any_older_than`] by its definition, at each cutoff.
+    fn older_by_scan(p: &Profile, cutoffs: &[Timestamp]) {
+        for &c in cutoffs {
+            let scan = p.entries().iter().any(|x| x.timestamp < c);
+            assert_eq!(p.any_older_than(c), scan, "cutoff {c}");
+        }
+        assert_eq!(p.oldest, oldest_of(p.entries()));
     }
 
     #[test]
@@ -688,6 +742,7 @@ mod tests {
             item in prop::collection::vec((0u64..120, 0u32..50, 0u32..9), 0..100),
             user in prop::collection::vec((0u64..120, 0u32..50, 0u32..9), 0..100),
             user_is_binary in prop::bool::ANY,
+            cutoffs in prop::collection::vec(0u32..52, 4..5),
         ) {
             let item = Profile::from_entries(
                 item.iter().map(|&(i, t, eighths)| e(i, t, eighths as f32 / 8.0)),
@@ -710,23 +765,31 @@ mod tests {
             prop_assert_eq!(merged.fingerprint, fingerprint_of(merged.entries()));
             prop_assert_eq!(merged.like_count(), folded.like_count());
             prop_assert_eq!(merged.non_binary, folded.non_binary);
+            older_by_scan(&merged, &cutoffs);
+            older_by_scan(&folded, &cutoffs);
             let mut in_place = item.clone();
             in_place.aggregate_user_profile(&user);
             prop_assert_eq!(bits(&in_place), bits(&folded));
+            older_by_scan(&in_place, &cutoffs);
         }
 
-        /// The incrementally kept counts — and the binary profile's norm
-        /// derived from them — against a fresh scan, as ratings and real
-        /// values replace one another. `norm()` and `like_count()`
-        /// debug-assert their caches; the reference expressions are
-        /// repeated here so the property also holds in release builds.
+        /// The incrementally kept counts and oldest timestamp — and the
+        /// binary profile's norm derived from the counts — against a fresh
+        /// scan, as ratings and real values replace one another and
+        /// timestamps move both ways. `norm()`, `like_count()` and
+        /// `any_older_than()` debug-assert their caches; the reference
+        /// expressions are repeated here so the property also holds in
+        /// release builds.
         #[test]
         fn counts_follow_upserts(
-            ops in prop::collection::vec((0u64..12, 0u32..5), 0..80),
+            ops in prop::collection::vec((0u64..12, 0u32..5, 0u32..8), 0..80),
+            cutoffs in prop::collection::vec(0u32..10, 3..4),
         ) {
             let mut p = Profile::new();
-            for &(item, class) in &ops {
-                p.upsert(e(item, 0, [0.0, 1.0, -0.0, 0.5, 0.75][class as usize]));
+            older_by_scan(&p, &cutoffs);
+            for &(item, class, t) in &ops {
+                p.upsert(e(item, t, [0.0, 1.0, -0.0, 0.5, 0.75][class as usize]));
+                older_by_scan(&p, &cutoffs);
                 prop_assert_eq!(p.like_count(), p.liked_items().count());
                 prop_assert_eq!(p.norm().to_bits(), norm_of(p.entries()).to_bits());
                 let rescanned = Profile::from_entries(p.entries().to_vec());
@@ -743,15 +806,19 @@ mod tests {
         #[test]
         fn purge_is_monotone(
             ts in prop::collection::vec(0u32..100, 0..50),
-            cutoff in 0u32..100
+            cutoff in 0u32..100,
+            cutoffs in prop::collection::vec(0u32..102, 4..5),
         ) {
             let mut p = Profile::from_entries(
                 ts.iter().enumerate().map(|(i, &t)| e(i as u64, t, 1.0))
             );
+            older_by_scan(&p, &cutoffs);
             let before = p.len();
             p.purge_older_than(cutoff);
             prop_assert!(p.len() <= before);
             prop_assert!(p.entries().iter().all(|x| x.timestamp >= cutoff));
+            older_by_scan(&p, &cutoffs);
+            prop_assert!(!p.any_older_than(cutoff));
         }
     }
 }

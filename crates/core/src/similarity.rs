@@ -117,9 +117,10 @@
 //!   chain, which forward it unchanged, orient it with the weights the
 //!   first of them built, on whichever thread.
 //! * **Built for what is scored again.** Building looks every id up in
-//!   the slot table, which costs several walks of the entries; it pays for
-//!   a node's own profile or a snapshot sitting in a view, not for a
-//!   descriptor decoded from a frame, ranked once and dropped. So the fixed
+//!   the slot table — one pass, which also finds the span the layout
+//!   covers — and fills the words in a second; that pays for a node's own
+//!   profile or a snapshot sitting in a view, not for a descriptor decoded
+//!   from a frame, ranked once and dropped. So the fixed
 //!   side is laid out as soon as one candidate has planes to be scored
 //!   with, and a *candidate* the second time a scorer meets it; its first
 //!   score is walked. (Building eagerly made runs whose shards exchange
@@ -138,8 +139,9 @@
 //!   laid out *after* the weights (its second sight falling inside any
 //!   later orientation of the same allocation), which may have registered
 //!   a non-zero entry's id they left out: such weights remember how large
-//!   the table was and turn away planes that reach beyond, however long
-//!   they stay cached. (An item profile still binary — its source's own
+//!   the table was and turn away planes that reach beyond — planes record
+//!   the highest slot they rate when they are built, so that is one
+//!   comparison per candidate — however long they stay cached. (An item profile still binary — its source's own
 //!   snapshot — is a binary fixed side like any other, and gets planes.)
 //! * **It declines rather than degrades.** A pair is walked pairwise —
 //!   same bits, the merge-join's speed — when the candidate has no planes

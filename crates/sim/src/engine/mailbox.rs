@@ -83,11 +83,6 @@ impl Mailbox {
 
     /// Appends one message to its receiver's chain (mailbox order is push
     /// order — callers must push in the global total order).
-    pub fn push(&mut self, entry: MailEntry) {
-        self.push_parts(entry.to, entry.from, entry.payload);
-    }
-
-    /// [`Self::push`] without requiring a materialized [`MailEntry`].
     pub fn push_parts(&mut self, to: NodeId, from: NodeId, payload: Payload) {
         let local = self.slot_index(to);
         let idx = self.arena.len() as u32;
@@ -236,20 +231,16 @@ mod tests {
     use super::*;
     use whatsup_core::{NewsMessage, Profile, SharedProfile};
 
-    fn entry(to: NodeId, from: NodeId) -> MailEntry {
-        MailEntry {
-            to,
-            from,
-            payload: Payload::RpsRequest(vec![]),
-        }
+    fn push(m: &mut Mailbox, to: NodeId, from: NodeId) {
+        m.push_parts(to, from, Payload::RpsRequest(vec![]));
     }
 
     #[test]
     fn mailbox_preserves_push_order_and_sorts_receivers() {
         let mut m = Mailbox::new(10..20);
-        m.push(entry(15, 1));
-        m.push(entry(12, 2));
-        m.push(entry(15, 3));
+        push(&mut m, 15, 1);
+        push(&mut m, 12, 2);
+        push(&mut m, 15, 3);
         let receivers = m.take_receivers();
         assert_eq!(receivers, vec![12, 15]);
         let mut senders = Vec::new();
@@ -268,7 +259,7 @@ mod tests {
         let mut m = Mailbox::new(0..4);
         for round in 0..3 {
             for i in 0..50u32 {
-                m.push(entry(i % 4, i));
+                push(&mut m, i % 4, i);
             }
             let receivers = m.take_receivers();
             for &id in &receivers {
@@ -284,7 +275,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "wrong shard")]
     fn foreign_id_rejected() {
-        Mailbox::new(10..20).push(entry(3, 0));
+        push(&mut Mailbox::new(10..20), 3, 0);
     }
 
     #[test]

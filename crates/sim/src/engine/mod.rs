@@ -283,6 +283,30 @@
 //!   (−0.0 = +0.0, a NaN panics), so the views — entries and order — are
 //!   the same (`whatsup_gossip`'s `#[cfg(test)]` twins and their
 //!   proptests pin it).
+//! * **Duplicates booked at the mailbox** — BEEP sends `fLIKE` copies of
+//!   every liked item and a node drops any item it already received, so
+//!   most news copies are duplicates (~80 % on perfbench's `paper` and
+//!   `stress` workloads). A news BFS delivers one item, and a node's seen
+//!   set cannot lose it during the BFS, so once one copy from another node
+//!   went through a node's `on_message`, every later copy to it is a
+//!   duplicate whatever the order. The shard keeps one bit per node for
+//!   the item in flight (cleared word by word when the item changes, and
+//!   on churn, joins and restores) and books each later copy where it is
+//!   merged — its loss coin, drawn from the receiver's NEWS stream through
+//!   `environment.rs` (created only for a model that draws), then
+//!   `NodeStats::book_duplicate`, the rule `on_message` applies — so it
+//!   never enters the arena, the drain or the node; in the drain, copies
+//!   after a receiver's first handled one are booked the same way. Coin
+//!   order cannot change: a contacted receiver gets only duplicates that
+//!   round, so the merge is the only thing drawing from its stream, and
+//!   merge order per receiver is drain order. Checkpoints cannot change:
+//!   the counters end the same, and the record is never serialized — a
+//!   restored shard starts it empty, which only sends the next copies
+//!   through the node. A receiver whose mail was all booked reports no
+//!   outcome, where it used to report an empty one. The delivery loop as
+//!   first written is kept as a `#[cfg(test)]` twin, and a proptest holds
+//!   replies, checkpoints and every NEWS stream to it under each loss
+//!   model.
 //!
 //! None of this changes observable ordering: the arena preserves push
 //! order per receiver, routing preserves `(sender id, emission order)`,

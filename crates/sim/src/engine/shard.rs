@@ -11,7 +11,9 @@ use crate::engine::exchange::{self, Command, FirstReception, NewsOutcome, Outbou
 use crate::engine::mailbox::{decode_shard_bundle_each, MailEntry, Mailbox};
 use crate::engine::partition::Partition;
 use crate::engine::{node_stream, phase};
-use crate::environment::{advance_channels, crash_coin, dropped, partition_cut, rejoin_contact};
+use crate::environment::{
+    advance_channels, crash_coin, dropped, dropped_lazily, partition_cut, rejoin_contact,
+};
 use crate::oracle::Oracle;
 use crate::scenario::{ChurnModel, LossModel};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -41,6 +43,67 @@ impl Opinions for ItemOpinions<'_> {
             Some(ix) => self.oracle.likes_index(node, ix),
             None => false,
         }
+    }
+}
+
+/// Which owned nodes have handled a copy of the item in flight: one bit
+/// per node, set once [`WhatsUpNode::on_message`] has handled a copy from
+/// another node. Every later copy to such a node is a duplicate (see
+/// "Duplicates booked at the mailbox" in the engine docs). A reset clears
+/// only the words it set, so it costs the nodes touched, not the shard.
+#[derive(Default)]
+struct Contacted {
+    /// The item the bits are about; `None` after a reset.
+    item: Option<ItemId>,
+    words: Vec<u64>,
+    /// The indices of the non-zero words.
+    touched: Vec<usize>,
+}
+
+impl Contacted {
+    fn new(n_nodes: usize) -> Self {
+        Self {
+            words: vec![0; n_nodes.div_ceil(64)],
+            ..Self::default()
+        }
+    }
+
+    /// Keeps the record if it is about `item`, else starts one that is.
+    fn track(&mut self, item: ItemId) {
+        if self.item != Some(item) {
+            self.reset();
+            self.item = Some(item);
+        }
+    }
+
+    /// Forgets every node: node state was replaced.
+    fn reset(&mut self) {
+        for w in self.touched.drain(..) {
+            self.words[w] = 0;
+        }
+        self.item = None;
+    }
+
+    /// [`Self::reset`], with room for `n_nodes`.
+    fn resize(&mut self, n_nodes: usize) {
+        self.reset();
+        self.words.resize(n_nodes.div_ceil(64), 0);
+    }
+
+    /// Whether owned node `local` handled a copy; `false` for an index
+    /// past the shard, which the mailbox then turns away.
+    fn contains(&self, local: usize) -> bool {
+        self.words
+            .get(local / 64)
+            .is_some_and(|w| w >> (local % 64) & 1 != 0)
+    }
+
+    fn insert(&mut self, local: usize) {
+        let w = &mut self.words[local / 64];
+        if *w == 0 {
+            self.touched.push(local / 64);
+        }
+        *w |= 1 << (local % 64);
     }
 }
 
@@ -118,6 +181,9 @@ pub struct ShardState {
     /// Bundle encode buffer, reused round-over-round so steady-state
     /// encoding never grows a fresh allocation.
     encode_buf: BytesMut,
+    /// The nodes that handled a copy of the item [`Self::deliver_news`]
+    /// last delivered.
+    contacted: Contacted,
 }
 
 impl ShardState {
@@ -154,6 +220,7 @@ impl ShardState {
             emit_scratch: Vec::new(),
             route_scratch: Vec::new(),
             encode_buf: BytesMut::new(),
+            contacted: Contacted::new(n_local),
         }
     }
 
@@ -266,6 +333,7 @@ impl ShardState {
             self.channel_bad.push(false);
             self.mailbox.grow();
         }
+        self.contacted.resize(self.nodes.len());
     }
 
     /// Executes one phase command. The single entry point shared by the
@@ -427,6 +495,7 @@ impl ShardState {
         self.phase_rngs = vec![None; n_nodes];
         self.mailbox = Mailbox::new(self.partition.range(self.index));
         self.pending_local = Vec::new();
+        self.contacted = Contacted::new(n_nodes);
     }
 
     /// Groups the staged emissions ([`Self::emit_scratch`]) by destination
@@ -477,36 +546,6 @@ impl ShardState {
         }
     }
 
-    /// Merges one round's inbound mail into the per-node mailboxes, in
-    /// ascending source-shard order (this shard's own pending queue takes
-    /// its slot). With contiguous ascending shard ranges this reproduces
-    /// the global `(sender id, emission order)` mailbox order of a
-    /// single-shard run.
-    fn merge_inbound(&mut self, bundles: &[Bytes]) {
-        debug_assert_eq!(bundles.len(), self.partition.n_shards());
-        let Self {
-            pending_local,
-            mailbox,
-            known_items,
-            ..
-        } = self;
-        for (src, bundle) in bundles.iter().enumerate() {
-            if src == self.index {
-                for entry in pending_local.drain(..) {
-                    mailbox.push(entry);
-                }
-            } else if !bundle.is_empty() {
-                decode_shard_bundle_each(
-                    bundle,
-                    &mut |item| {
-                        known_items.insert(item.id(), item);
-                    },
-                    |to, from, payload| mailbox.push_parts(to, from, payload),
-                );
-            }
-        }
-    }
-
     /// Collect phase: every owned node's cycle tick, in id order.
     fn collect(&mut self, cycle: u32) -> Outbound {
         // Cycle start: trim last cycle's allocation slack before growing
@@ -540,7 +579,20 @@ impl ShardState {
 
     /// One gossip delivery round over the owned receivers, ascending.
     fn deliver_gossip(&mut self, cycle: u32, bundles: &[Bytes]) -> Outbound {
-        self.merge_inbound(bundles);
+        let Self {
+            index,
+            pending_local,
+            known_items,
+            mailbox,
+            ..
+        } = self;
+        merge_inbound(
+            *index,
+            bundles,
+            pending_local,
+            known_items,
+            |to, from, payload| mailbox.push_parts(to, from, payload),
+        );
         let receivers = self.mailbox.take_receivers();
         let base = self.base();
         let seed = self.seed;
@@ -609,6 +661,7 @@ impl ShardState {
             // with it, exactly as when they lived inside the node.
             self.node_stats[local] = NodeStats::default();
         }
+        self.contacted.reset();
     }
 
     /// Publishes `item` from its source node (owned by this shard), drawing
@@ -640,24 +693,54 @@ impl ShardState {
 
     /// One news (BFS) delivery round over the owned receivers, ascending,
     /// reporting per-receiver reception outcomes for the driver's fold.
+    ///
+    /// A copy to a node that already handled a copy of the item is booked
+    /// where it is merged — its loss coin, then the duplicate rule — and
+    /// never queued, and so is every copy after the first a receiver
+    /// handles in the drain (see "Duplicates booked at the mailbox" in the
+    /// engine docs). A receiver whose mail was all booked reports no
+    /// outcome; it had nothing to report.
     fn deliver_news(&mut self, cycle: u32, item_id: ItemId, bundles: &[Bytes]) -> Reply {
-        self.merge_inbound(bundles);
-        let receivers = self.mailbox.take_receivers();
+        self.contacted.track(item_id);
         let base = self.base();
         let seed = self.seed;
         let loss = self.loss;
         let cut = partition_cut(loss, cycle, self.partition.total());
-        let mut outcomes = Vec::with_capacity(receivers.len());
         let Self {
+            index,
             nodes,
             node_stats,
             phase_rngs,
             mailbox,
+            pending_local,
+            known_items,
             oracle,
             channel_bad,
             emit_scratch,
+            contacted,
             ..
         } = self;
+        let news_stream = |id: NodeId| move || node_stream(seed, id, cycle, phase::NEWS);
+        merge_inbound(
+            *index,
+            bundles,
+            pending_local,
+            known_items,
+            |to, from, payload| {
+                let local = to.wrapping_sub(base) as usize;
+                if !contacted.contains(local) {
+                    mailbox.push_parts(to, from, payload);
+                    return;
+                }
+                debug_assert!(nodes[local].has_seen(item_id));
+                let (bad, rng) = (channel_bad[local], &mut phase_rngs[local]);
+                if !dropped_lazily(loss, bad, cut, from, to, rng, news_stream(to)) {
+                    node_stats[local].book_duplicate(from, to);
+                }
+            },
+        );
+        let receivers = mailbox.take_receivers();
+        let mut outcomes = Vec::with_capacity(receivers.len());
         let oracle: &Oracle = oracle;
         let opinions = ItemOpinions {
             oracle,
@@ -665,8 +748,7 @@ impl ShardState {
         };
         for &id in &receivers {
             let local = (id - base) as usize;
-            let rng =
-                phase_rngs[local].get_or_insert_with(|| node_stream(seed, id, cycle, phase::NEWS));
+            let rng = phase_rngs[local].get_or_insert_with(news_stream(id));
             let node = &mut nodes[local];
             let stats = &mut node_stats[local];
             // Fixed per (receiver, round): hoisted out of the per-message
@@ -677,8 +759,16 @@ impl ShardState {
                 first: None,
                 forward: None,
             };
+            // Whether `on_message` handled a copy from another node: every
+            // later copy is a duplicate.
+            let mut handled = false;
             mailbox.drain_mail(id, |from, payload| {
                 if dropped(loss, channel_bad[local], cut, from, id, rng) {
+                    return;
+                }
+                if handled {
+                    debug_assert!(node.has_seen(item_id));
+                    stats.book_duplicate(from, id);
                     return;
                 }
                 let Payload::News(news) = &payload else {
@@ -691,6 +781,7 @@ impl ShardState {
                 // it sent itself.
                 let received = stats.news_received;
                 let replies = node.on_message(from, payload, cycle, &opinions, stats, rng);
+                handled = from != id;
                 if stats.news_received > received {
                     outcome.first = Some(FirstReception {
                         hop,
@@ -704,12 +795,40 @@ impl ShardState {
                 }
                 emit_scratch.extend(replies.into_iter().map(|m| (id, m)));
             });
+            if handled {
+                contacted.insert(local);
+            }
             outcomes.push(outcome);
         }
         mailbox.restore_receiver_buf(receivers);
         mailbox.recycle();
         let out = self.route_out();
         Reply::NewsDelivered { out, outcomes }
+    }
+}
+
+/// Hands one round's inbound mail to `sink` as `(to, from, payload)`, in
+/// ascending source-shard order — the shard's own `pending_local` queue
+/// takes slot `index` — and adds each news content the bundles carry to
+/// `known_items`. With contiguous ascending shard ranges this reproduces
+/// the global `(sender id, emission order)` mailbox order of a
+/// single-shard run.
+fn merge_inbound(
+    index: usize,
+    bundles: &[Bytes],
+    pending_local: &mut Vec<MailEntry>,
+    known_items: &mut impl Extend<(ItemId, NewsItem)>,
+    mut sink: impl FnMut(NodeId, NodeId, Payload),
+) {
+    let mut register = |item: NewsItem| known_items.extend([(item.id(), item)]);
+    for (src, bundle) in bundles.iter().enumerate() {
+        if src == index {
+            for entry in pending_local.drain(..) {
+                sink(entry.to, entry.from, entry.payload);
+            }
+        } else if !bundle.is_empty() {
+            decode_shard_bundle_each(bundle, &mut register, &mut sink);
+        }
     }
 }
 
@@ -734,5 +853,308 @@ fn get_node_stats(buf: &mut &[u8]) -> NodeStats {
         news_duplicates: buf.get_u64_le(),
         news_liked: buf.get_u64_le(),
         published: buf.get_u64_le(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::mailbox::encode_shard_bundle;
+    use crate::environment::bootstrap_contacts;
+    use proptest::prelude::*;
+    use rand::{Rng, RngCore, SeedableRng};
+    use std::collections::BTreeMap;
+    use whatsup_core::{NewsMessage, ProfileEntry};
+    use whatsup_datasets::LikeMatrix;
+
+    /// The news delivery round as first written — every copy goes through
+    /// the arena, the drain and `on_message`, and every drained receiver
+    /// reports an outcome — the reference [`ShardState::deliver_news`] is
+    /// held to. It neither reads nor writes the contacted record.
+    fn deliver_news_by_node(
+        shard: &mut ShardState,
+        cycle: u32,
+        item_id: ItemId,
+        bundles: &[Bytes],
+    ) -> Reply {
+        let ShardState {
+            index,
+            pending_local,
+            known_items,
+            mailbox,
+            ..
+        } = shard;
+        merge_inbound(
+            *index,
+            bundles,
+            pending_local,
+            known_items,
+            |to, from, payload| mailbox.push_parts(to, from, payload),
+        );
+        let receivers = shard.mailbox.take_receivers();
+        let base = shard.base();
+        let seed = shard.seed;
+        let loss = shard.loss;
+        let cut = partition_cut(loss, cycle, shard.partition.total());
+        let mut outcomes = Vec::with_capacity(receivers.len());
+        let ShardState {
+            nodes,
+            node_stats,
+            phase_rngs,
+            mailbox,
+            oracle,
+            channel_bad,
+            emit_scratch,
+            ..
+        } = shard;
+        let oracle: &Oracle = oracle;
+        let opinions = ItemOpinions {
+            oracle,
+            idx: oracle.index_of(item_id),
+        };
+        for &id in &receivers {
+            let local = (id - base) as usize;
+            let rng =
+                phase_rngs[local].get_or_insert_with(|| node_stream(seed, id, cycle, phase::NEWS));
+            let node = &mut nodes[local];
+            let stats = &mut node_stats[local];
+            let receiver_likes = opinions.likes(id, item_id);
+            let mut outcome = NewsOutcome {
+                receiver: id,
+                first: None,
+                forward: None,
+            };
+            mailbox.drain_mail(id, |from, payload| {
+                if dropped(loss, channel_bad[local], cut, from, id, rng) {
+                    return;
+                }
+                let Payload::News(news) = &payload else {
+                    unreachable!("only news flows in the publication phase")
+                };
+                let (hop, dislikes) = (news.hops + 1, news.dislikes);
+                let received = stats.news_received;
+                let replies = node.on_message(from, payload, cycle, &opinions, stats, rng);
+                if stats.news_received > received {
+                    outcome.first = Some(FirstReception {
+                        hop,
+                        sender_liked: opinions.likes(from, item_id),
+                        receiver_likes,
+                        dislikes,
+                    });
+                }
+                if let Some(Payload::News(first_out)) = replies.first().map(|m| &m.payload) {
+                    outcome.forward = Some((first_out.hops, receiver_likes));
+                }
+                emit_scratch.extend(replies.into_iter().map(|m| (id, m)));
+            });
+            outcomes.push(outcome);
+        }
+        mailbox.restore_receiver_buf(receivers);
+        mailbox.recycle();
+        let out = shard.route_out();
+        Reply::NewsDelivered { out, outcomes }
+    }
+
+    const CYCLE: u32 = 20;
+
+    /// Shard 1 of three over 30 nodes — it owns ids 10..20, and mail
+    /// reaches it from a lower and a higher shard — with three items whose
+    /// sources it owns; likes and bootstrap contacts drawn from `seed`.
+    fn middle_shard(seed: u64, loss: LossModel) -> (ShardInit, Vec<NewsItem>) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let items: Vec<NewsItem> = (0..3)
+            .map(|k| NewsItem::new(format!("item {k}"), "d", "l", 10 + 3 * k, CYCLE))
+            .collect();
+        let mut likes = LikeMatrix::new(30, items.len());
+        for user in 0..30 {
+            for item in 0..items.len() {
+                likes.set(user, item, rng.gen_bool(0.5));
+            }
+        }
+        let ids = items.iter().map(NewsItem::id).zip(0..).collect();
+        let contacts = bootstrap_contacts(&mut rng, 30, 6);
+        let init = ShardInit {
+            index: 1,
+            partition: Partition::new(30, 3),
+            seed,
+            loss,
+            churn: ChurnModel::None,
+            params: Params::whatsup(3),
+            oracle: Oracle::new(likes, ids),
+            bootstrap: contacts[10..20].to_vec(),
+        };
+        (init, items)
+    }
+
+    /// A copy of `item` with a small random item profile.
+    fn copy(item: &NewsItem, dislikes: u8, rng: &mut ChaCha8Rng) -> Payload {
+        let entries = (0..rng.gen_range(0..6u32)).map(|_| ProfileEntry {
+            item: 1000 + rng.gen_range(0..10u64),
+            timestamp: rng.gen_range(0..CYCLE),
+            score: [0.0, 0.5, 1.0][rng.gen_range(0..3usize)],
+        });
+        Payload::News(NewsMessage {
+            header: item.header(),
+            profile: SharedProfile::new(Profile::from_entries(entries)),
+            dislikes,
+            hops: rng.gen_range(0..4),
+        })
+    }
+
+    /// A reply with the outcomes that report nothing left out: the twin
+    /// reports one for every receiver whose mail the booked path took at
+    /// the merge.
+    fn reporting(reply: Reply) -> Reply {
+        match reply {
+            Reply::NewsDelivered { out, mut outcomes } => {
+                outcomes.retain(|o| o.first.is_some() || o.forward.is_some());
+                Reply::NewsDelivered { out, outcomes }
+            }
+            other => other,
+        }
+    }
+
+    /// Every owned node's next NEWS draw, creating the streams not yet
+    /// created.
+    fn next_news_draws(shard: &ShardState) -> Vec<u64> {
+        let base = shard.base();
+        let stream =
+            |local: usize| node_stream(shard.seed, base + local as NodeId, CYCLE, phase::NEWS);
+        (0..shard.nodes.len())
+            .map(|local| {
+                let mut rng = shard.phase_rngs[local]
+                    .clone()
+                    .unwrap_or_else(|| stream(local));
+                rng.next_u64()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_copy_to_a_contacted_node_is_booked_at_the_merge() {
+        let (init, items) = middle_shard(3, LossModel::Constant { p: 0.0 });
+        let mut shard = ShardState::from_init(init);
+        let id = items[0].id();
+        let map = BTreeMap::from([(id, items[0].clone())]);
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let mut deliver = |from: &[NodeId]| {
+            let entries: Vec<_> = from
+                .iter()
+                .map(|&f| (12, f, copy(&items[0], 4, &mut rng)))
+                .collect();
+            let bundles = [
+                encode_shard_bundle(0, &entries, &map),
+                Bytes::new(),
+                Bytes::new(),
+            ];
+            match shard.deliver_news(CYCLE, id, &bundles) {
+                Reply::NewsDelivered { outcomes, .. } => outcomes,
+                other => panic!("unexpected {other:?}"),
+            }
+        };
+        let first = deliver(&[0, 1]);
+        assert_eq!(first.len(), 1);
+        assert!(first[0].first.is_some());
+        assert!(deliver(&[2, 3, 4]).is_empty(), "all booked, no outcome");
+        assert!(shard.contacted.contains(2));
+        assert_eq!(shard.node_stats[2].news_duplicates, 4);
+        assert_eq!(shard.node_stats[2].news_received, 1);
+        assert!(shard.mailbox.is_empty());
+        // A new item starts a new record.
+        let other = items[1].id();
+        shard.deliver_news(CYCLE, other, &[Bytes::new(), Bytes::new(), Bytes::new()]);
+        assert!(!shard.contacted.contains(2));
+        assert_eq!(shard.contacted.touched, Vec::<usize>::new());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The booked path against the node path, bit for bit: two shards
+        /// built from one init, one delivering through
+        /// [`ShardState::deliver_news`], the other through its twin, over
+        /// random rounds of one item at a time — copies repeated across
+        /// rounds, self-sent copies, copies from the lower and the higher
+        /// shard and from the shard's own queue — under each loss model.
+        /// After every round the replies (less the outcomes that report
+        /// nothing) and every node's next NEWS draw agree, and whenever
+        /// the item changes, so do the checkpoints, which carry the
+        /// duplicate counts no report shows.
+        #[test]
+        fn booked_duplicates_match_the_node_path(
+            seed in 0u64..1 << 40,
+            loss_kind in 0usize..3,
+            rounds in prop::collection::vec(
+                (0usize..3, prop::collection::vec((0usize..3, 0u32..10, 0u32..10, 0u8..5), 0..16)),
+                1..14,
+            ),
+        ) {
+            let loss = [
+                LossModel::Constant { p: 0.3 },
+                LossModel::GilbertElliott {
+                    p_good: 0.2,
+                    p_bad: 0.7,
+                    good_to_bad: 0.3,
+                    bad_to_good: 0.3,
+                },
+                LossModel::Partition { from: 0, until: 100, frontier: 0.5 },
+            ][loss_kind];
+            let (init, items) = middle_shard(seed, loss);
+            let mut booked = ShardState::from_init(init.clone());
+            let mut by_node = ShardState::from_init(init);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
+            let bad: Vec<bool> = (0..10).map(|_| rng.gen_bool(0.5)).collect();
+            let map: BTreeMap<ItemId, NewsItem> = items.iter().map(|i| (i.id(), i.clone())).collect();
+            for shard in [&mut booked, &mut by_node] {
+                shard.channel_bad.clone_from(&bad);
+                shard.handle(Command::BeginNews);
+            }
+            let (mut current, mut published) = (None, [false; 3]);
+            for (k, copies) in rounds {
+                let item = &items[k];
+                if current != Some(k) {
+                    // The last item's epidemic ends: its local copies drop.
+                    for shard in [&mut booked, &mut by_node] {
+                        shard.pending_local.clear();
+                    }
+                    prop_assert_eq!(booked.encode_checkpoint(), by_node.encode_checkpoint());
+                    current = Some(k);
+                    if !std::mem::replace(&mut published[k], true) {
+                        let publish = || Command::Publish { cycle: CYCLE, item: item.clone() };
+                        prop_assert_eq!(booked.handle(publish()), by_node.handle(publish()));
+                    }
+                }
+                let mut remote: [Vec<(NodeId, NodeId, Payload)>; 3] = Default::default();
+                for (src, from, to, dislikes) in copies {
+                    let (to, from) = (10 + to, 10 * src as NodeId + from);
+                    let payload = copy(item, dislikes, &mut rng);
+                    if src == 1 {
+                        for shard in [&mut booked, &mut by_node] {
+                            let payload = payload.clone();
+                            shard.pending_local.push(MailEntry { to, from, payload });
+                        }
+                    } else {
+                        remote[src].push((to, from, payload));
+                    }
+                }
+                let bundles: Vec<Bytes> = remote
+                    .iter()
+                    .enumerate()
+                    .map(|(src, entries)| match entries.is_empty() {
+                        true => Bytes::new(),
+                        false => encode_shard_bundle(src as u32, entries, &map),
+                    })
+                    .collect();
+                let deliver = Command::DeliverNews { cycle: CYCLE, item: item.id(), bundles: bundles.clone() };
+                let reply = booked.handle(deliver);
+                let reference = deliver_news_by_node(&mut by_node, CYCLE, item.id(), &bundles);
+                prop_assert_eq!(reporting(reply), reporting(reference));
+                prop_assert_eq!(next_news_draws(&booked), next_news_draws(&by_node));
+            }
+            for shard in [&mut booked, &mut by_node] {
+                shard.pending_local.clear();
+            }
+            prop_assert_eq!(booked.encode_checkpoint(), by_node.encode_checkpoint());
+        }
     }
 }

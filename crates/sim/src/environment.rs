@@ -72,6 +72,25 @@ pub(crate) fn partition_cut(loss: LossModel, cycle: u32, population: usize) -> O
     }
 }
 
+/// The probability of the loss coin a delivery to a receiver in channel
+/// state `receiver_bad` draws; `None` when it draws none — a coin of
+/// probability zero, or a partition, which drops by position.
+#[inline]
+fn loss_coin(loss: LossModel, receiver_bad: bool) -> Option<f64> {
+    let p = match loss {
+        LossModel::Constant { p } => p,
+        LossModel::GilbertElliott { p_good, p_bad, .. } => {
+            if receiver_bad {
+                p_bad
+            } else {
+                p_good
+            }
+        }
+        LossModel::Partition { .. } => return None,
+    };
+    (p > 0.0).then_some(p)
+}
+
 /// Whether one message `from → to` is dropped at delivery time.
 /// `receiver_bad` is the receiver's channel state, `cut` this cycle's
 /// [`partition_cut`], `rng` the receiver's delivery stream.
@@ -84,13 +103,27 @@ pub(crate) fn dropped(
     to: NodeId,
     rng: &mut ChaCha8Rng,
 ) -> bool {
-    match loss {
-        LossModel::Constant { p } => p > 0.0 && rng.gen_bool(p),
-        LossModel::GilbertElliott { p_good, p_bad, .. } => {
-            let p = if receiver_bad { p_bad } else { p_good };
-            p > 0.0 && rng.gen_bool(p)
-        }
-        LossModel::Partition { .. } => cut.is_some_and(|cut| (from < cut) != (to < cut)),
+    match loss_coin(loss, receiver_bad) {
+        Some(p) => rng.gen_bool(p),
+        None => cut.is_some_and(|cut| (from < cut) != (to < cut)),
+    }
+}
+
+/// [`dropped`] for a receiver whose delivery stream may not exist yet:
+/// `stream` creates it in `rng`, and only if the model draws a coin.
+#[inline]
+pub(crate) fn dropped_lazily(
+    loss: LossModel,
+    receiver_bad: bool,
+    cut: Option<NodeId>,
+    from: NodeId,
+    to: NodeId,
+    rng: &mut Option<ChaCha8Rng>,
+    stream: impl FnOnce() -> ChaCha8Rng,
+) -> bool {
+    match loss_coin(loss, receiver_bad) {
+        Some(p) => rng.get_or_insert_with(stream).gen_bool(p),
+        None => cut.is_some_and(|cut| (from < cut) != (to < cut)),
     }
 }
 
@@ -274,6 +307,48 @@ mod tests {
         assert!(!untouched(|rng| {
             dropped(LossModel::Constant { p: 0.5 }, false, None, 0, 1, rng);
         }));
+    }
+
+    #[test]
+    fn a_lazy_stream_is_created_for_a_coin_only_and_draws_as_the_eager_one() {
+        let fresh = || ChaCha8Rng::seed_from_u64(5);
+        let lossy_ge = LossModel::GilbertElliott {
+            p_good: 0.0,
+            p_bad: 0.7,
+            good_to_bad: 0.0,
+            bad_to_good: 1.0,
+        };
+        let partition = LossModel::Partition {
+            from: 0,
+            until: 9,
+            frontier: 0.5,
+        };
+        // (model, whether it draws in the Good state, in the Bad state)
+        let models = [
+            (LossModel::Constant { p: 0.0 }, false, false),
+            (LossModel::Constant { p: 0.5 }, true, true),
+            (GE, false, false),
+            (lossy_ge, false, true),
+            (partition, false, false),
+        ];
+        for (loss, draws_good, draws_bad) in models {
+            for bad in [false, true] {
+                let cut = partition_cut(loss, 3, 10);
+                let (mut eager, mut lazy) = (fresh(), None);
+                for (from, to) in [(0, 9), (9, 0), (1, 2), (7, 8), (3, 4)] {
+                    assert_eq!(
+                        dropped(loss, bad, cut, from, to, &mut eager),
+                        dropped_lazily(loss, bad, cut, from, to, &mut lazy, fresh),
+                        "{loss:?} {from}->{to}"
+                    );
+                }
+                assert_eq!(lazy.is_some(), if bad { draws_bad } else { draws_good });
+                // Both streams stand at the same draw; one never created
+                // means the eager one was never drawn from.
+                let next = lazy.get_or_insert_with(fresh).next_u64();
+                assert_eq!(next, eager.next_u64(), "{loss:?} bad={bad}");
+            }
+        }
     }
 
     #[test]
