@@ -71,7 +71,7 @@ pub mod prelude {
     pub use crate::profile::{Profile, ProfileEntry, Score, SharedProfile};
     pub use crate::seen::SeenSet;
     pub use crate::similarity::{cosine_similarity, wup_similarity, Metric};
-    pub use whatsup_gossip::{Descriptor, NodeId, View};
+    pub use whatsup_gossip::{Descriptor, NodeId, RpsConfig, View};
 }
 
 pub use prelude::*;

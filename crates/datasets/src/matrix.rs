@@ -65,23 +65,16 @@ impl LikeMatrix {
         &self.bits
     }
 
-    /// Rebuilds a matrix from its shape and raw words.
-    ///
-    /// # Panics
-    /// Panics if `words` does not match the shape.
-    pub fn from_words(n_users: usize, n_items: usize, words: Vec<u64>) -> Self {
+    /// Rebuilds a matrix from its shape and raw words; `None` if `words`
+    /// does not match the shape.
+    pub fn from_words(n_users: usize, n_items: usize, words: Vec<u64>) -> Option<Self> {
         let words_per_row = n_items.div_ceil(64);
-        assert_eq!(
-            words.len(),
-            n_users * words_per_row,
-            "word count does not match matrix shape"
-        );
-        Self {
+        (n_users.checked_mul(words_per_row) == Some(words.len())).then_some(Self {
             n_users,
             n_items,
             words_per_row,
             bits: words,
-        }
+        })
     }
 
     /// Users that like `item`.
@@ -181,6 +174,10 @@ mod tests {
         assert!(!m.likes(0, 1));
         m.set(0, 0, false);
         assert!(!m.likes(0, 0));
+        let words = m.words().to_vec();
+        assert_eq!(LikeMatrix::from_words(3, 130, words.clone()), Some(m));
+        assert_eq!(LikeMatrix::from_words(3, 128, words.clone()), None);
+        assert_eq!(LikeMatrix::from_words(usize::MAX, 130, words), None);
     }
 
     #[test]

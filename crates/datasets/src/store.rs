@@ -49,20 +49,17 @@ impl CsrLikes {
         }
     }
 
-    /// Rebuilds from wire parts.
-    ///
-    /// # Panics
-    /// Panics if the offsets are not a monotone prefix index over `items`.
-    pub fn from_parts(n_items: usize, offsets: Vec<u32>, items: Vec<u32>) -> Self {
-        assert!(!offsets.is_empty(), "offsets need a leading 0");
-        assert_eq!(offsets[0], 0, "offsets need a leading 0");
-        assert_eq!(*offsets.last().unwrap() as usize, items.len());
-        assert!(offsets.windows(2).all(|w| w[0] <= w[1]), "offsets monotone");
-        Self {
+    /// Rebuilds from wire parts; `None` unless the offsets are a monotone
+    /// prefix index over `items` starting at 0.
+    pub fn from_parts(n_items: usize, offsets: Vec<u32>, items: Vec<u32>) -> Option<Self> {
+        let valid = offsets.first() == Some(&0)
+            && offsets.last().map(|&end| end as usize) == Some(items.len())
+            && offsets.windows(2).all(|w| w[0] <= w[1]);
+        valid.then_some(Self {
             n_items,
             offsets,
             items,
-        }
+        })
     }
 
     pub fn n_users(&self) -> usize {
@@ -192,12 +189,17 @@ mod tests {
         let m = matrix(9, 4_000, |u, i| i % (u + 2) == 0 && i % 97 == 0);
         let c = CsrLikes::from_matrix(&m);
         let r = CsrLikes::from_parts(c.n_items(), c.offsets().to_vec(), c.items().to_vec());
-        assert_eq!(c, r);
+        assert_eq!(Some(c), r);
     }
 
     #[test]
-    #[should_panic(expected = "offsets monotone")]
     fn malformed_offsets_rejected() {
-        CsrLikes::from_parts(10, vec![0, 5, 2, 6], (0..6).collect());
+        assert_eq!(
+            CsrLikes::from_parts(10, vec![0, 5, 2, 6], (0..6).collect()),
+            None
+        );
+        assert_eq!(CsrLikes::from_parts(10, vec![1, 6], (0..6).collect()), None);
+        assert_eq!(CsrLikes::from_parts(10, vec![0, 5], (0..6).collect()), None);
+        assert_eq!(CsrLikes::from_parts(10, vec![], vec![]), None);
     }
 }

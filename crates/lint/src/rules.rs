@@ -124,8 +124,10 @@ impl Config {
     ///   the shared stream link), the benchmark crate (wall clocks are its
     ///   purpose) and the dependency shims.
     /// * `wire-panic` / `wire-cast` — the untrusted-input decode surface:
-    ///   `crates/net/src/codec.rs` and the anti-entropy digest/delta frame
-    ///   readers.
+    ///   `crates/net/src/codec.rs`, the shard-exchange codec
+    ///   (`crates/sim/src/engine/exchange/wire.rs`: the primitive impls,
+    ///   `wire_codec!` and the hand-written oracle and partition impls) and
+    ///   the anti-entropy digest/delta frame readers.
     /// * `safety-comment` — everywhere except the shims (which mirror
     ///   upstream crates' APIs verbatim).
     /// * `env-draw` — all of `crates/sim/src` except
@@ -162,6 +164,7 @@ impl Config {
         let wire = Scope {
             include: vec![
                 "crates/net/src/codec.rs".into(),
+                "crates/sim/src/engine/exchange/wire.rs".into(),
                 "crates/sim/src/engines/antientropy/digest.rs".into(),
                 "crates/sim/src/engines/antientropy/delta.rs".into(),
             ],

@@ -168,11 +168,25 @@ fn workspace_scopes_gate_rules_by_path() {
     );
     // Wire rules likewise apply only on the decode surface.
     let panicky = fixture("wire_panic.rs");
-    assert!(!check_file("crates/net/src/codec.rs", &panicky, &config).is_empty());
-    assert_eq!(
-        check_file("crates/net/src/peer.rs", &panicky, &config),
-        vec![]
-    );
+    for decoder in [
+        "crates/net/src/codec.rs",
+        "crates/sim/src/engine/exchange/wire.rs",
+    ] {
+        assert!(
+            !check_file(decoder, &panicky, &config).is_empty(),
+            "{decoder}"
+        );
+    }
+    for elsewhere in [
+        "crates/net/src/peer.rs",
+        "crates/sim/src/engine/exchange/stream.rs",
+    ] {
+        assert_eq!(
+            check_file(elsewhere, &panicky, &config),
+            vec![],
+            "{elsewhere}"
+        );
+    }
 }
 
 /// The committed tree is lint-clean under the workspace contract: zero

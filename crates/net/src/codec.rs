@@ -150,6 +150,10 @@ pub enum DecodeError {
     /// [`Profile`] invariant). Carries the offending `f32`'s bits: `NaN`
     /// would make the error unequal to itself.
     BadScore(u32),
+    /// A frame whose fields decode but break the invariant they form
+    /// together (e.g. bytes left over after the last field, a count that
+    /// disagrees with the data it describes). Names the broken invariant.
+    Invalid(&'static str),
 }
 
 impl std::fmt::Display for DecodeError {
@@ -164,6 +168,7 @@ impl std::fmt::Display for DecodeError {
             DecodeError::BadScore(bits) => {
                 write!(f, "profile score {} outside [0, 1]", f32::from_bits(*bits))
             }
+            DecodeError::Invalid(what) => write!(f, "invalid frame: {what}"),
         }
     }
 }
@@ -266,14 +271,15 @@ pub fn encode_bundle_into(
 /// per-shard mail volumes), so overflow here is a caller bug — but a
 /// *silent* `as` truncation would corrupt the frame for every later field,
 /// so the narrowing is checked and panics with the field name instead.
-/// Decode paths never use these: untrusted input gets typed errors.
-fn wire_count_u32(n: usize, what: &str) -> u32 {
+/// Decode paths never use these: untrusted input gets typed errors. The
+/// simulator's shard-exchange codec narrows through these two as well.
+pub fn wire_count_u32(n: usize, what: &str) -> u32 {
     // lint:allow(wire-panic) encode path: loud failure beats silent wire truncation
     u32::try_from(n).unwrap_or_else(|_| panic!("{what} {n} exceeds u32 wire bound"))
 }
 
 /// As [`wire_count_u32`], for `u16` wire fields.
-fn wire_count_u16(n: usize, what: &str) -> u16 {
+pub fn wire_count_u16(n: usize, what: &str) -> u16 {
     // lint:allow(wire-panic) encode path: loud failure beats silent wire truncation
     u16::try_from(n).unwrap_or_else(|_| panic!("{what} {n} exceeds u16 wire bound"))
 }

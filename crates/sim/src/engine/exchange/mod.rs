@@ -15,14 +15,16 @@
 //! opened and (TCP) deadline-armed. `supervisor::Supervised` wraps a
 //! restartable link and is a `ShardLink` itself.
 //!
-//! Every frame is hand-encoded little-endian via the `bytes` buffers;
-//! mailbox traffic and view snapshots embed the `whatsup-net` wire codec's
-//! encodings, so the two stacks share one message format. Command/reply
-//! payloads are engine-internal: both peers have already passed the
-//! versioned handshake, so a malformed *payload* is an engine bug and
-//! panics. Everything at the conversation boundary — connecting, the
-//! handshake, a peer vanishing, a frame truncated on the wire — surfaces
-//! as a typed [`TransportError`] naming the endpoint instead.
+//! Every frame goes through one codec (`wire`): each command, reply, init
+//! and checkpoint layout is declared once, with `wire_codec!`, next to
+//! its type, and decoding is fallible. Mailbox traffic and view snapshots
+//! embed the `whatsup-net` wire codec's encodings, so the two stacks share
+//! one message format. Connecting, the handshake, a peer vanishing, a
+//! frame truncated on the wire and a reply that does not decode all
+//! surface as a typed [`TransportError`] naming the endpoint, and a worker
+//! handed a frame that does not decode exits with a one-line
+//! [`stream::WorkerError`]. A command that decodes but does not fit the
+//! shard (a node it does not own) still panics it.
 
 pub(crate) mod process;
 pub(crate) mod socket;
@@ -31,18 +33,18 @@ pub mod supervisor;
 
 pub use supervisor::Supervision;
 
-use crate::engine::partition::Partition;
-use crate::engine::shard::{ShardInit, ShardState};
-use crate::oracle::Oracle;
-use crate::scenario::{ChurnModel, LossModel};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+mod wire;
+
+pub(crate) use wire::{decode, encode, ensure, wire_codec, Wire};
+
+use crate::engine::shard::ShardState;
+use bytes::Bytes;
 use std::fmt;
 use std::io;
 use std::sync::mpsc;
-use whatsup_core::beep::{DislikeRule, TargetPool};
-use whatsup_core::{ColdStart, ItemId, Metric, NewsItem, NodeId, Params};
-use whatsup_datasets::{CsrLikes, LikeMatrix, LikeStore};
-use whatsup_net::codec;
+use whatsup_core::beep::{BeepConfig, DislikeRule, TargetPool};
+use whatsup_core::{ColdStart, ItemId, Metric, NewsItem, NodeId, Params, RpsConfig};
+use whatsup_net::codec::DecodeError;
 
 /// A transport-level failure: the conversation with a shard worker could
 /// not start or could not continue. Carries the worker's endpoint (a
@@ -68,6 +70,8 @@ pub enum TransportErrorKind {
     HandshakeVersion { got: u16, want: u16 },
     /// A worker process exited with a failure status.
     WorkerExit(String),
+    /// A frame arrived whole but does not decode: an init or a reply.
+    Decode(DecodeError),
 }
 
 impl TransportErrorKind {
@@ -77,13 +81,15 @@ impl TransportErrorKind {
     /// succeed. Handshake failures are *configuration* errors: the peer is
     /// not a shard worker, or speaks a different protocol version, and a
     /// restarted peer would fail identically — restart-looping it would
-    /// mask a version-skewed deployment instead of reporting it.
+    /// mask a version-skewed deployment instead of reporting it. So would a
+    /// peer that passed the handshake and then sent a frame that does not
+    /// decode.
     pub fn is_retryable(&self) -> bool {
         match self {
             TransportErrorKind::Io(_) | TransportErrorKind::WorkerExit(_) => true,
-            TransportErrorKind::HandshakeMagic | TransportErrorKind::HandshakeVersion { .. } => {
-                false
-            }
+            TransportErrorKind::HandshakeMagic
+            | TransportErrorKind::HandshakeVersion { .. }
+            | TransportErrorKind::Decode(_) => false,
         }
     }
 }
@@ -123,6 +129,9 @@ impl fmt::Display for TransportError {
             ),
             TransportErrorKind::WorkerExit(status) => {
                 write!(f, "shard worker {}: exited with {status}", self.endpoint)
+            }
+            TransportErrorKind::Decode(e) => {
+                write!(f, "shard worker {}: malformed frame — {e}", self.endpoint)
             }
         }
     }
@@ -385,690 +394,95 @@ impl ShardLink for ThreadLink {
 }
 
 // ---------------------------------------------------------------------------
-// Frame encoding helpers
+// Frame layouts
 // ---------------------------------------------------------------------------
 
-fn put_bytes(buf: &mut BytesMut, b: &[u8]) {
-    buf.put_u32_le(b.len() as u32);
-    buf.put_slice(b);
-}
-
-fn get_bytes(buf: &mut &[u8]) -> Bytes {
-    let len = buf.get_u32_le() as usize;
-    let out = Bytes::copy_from_slice(&buf[..len]);
-    buf.advance(len);
-    out
-}
-
-fn put_str(buf: &mut BytesMut, s: &str) {
-    assert!(s.len() <= u16::MAX as usize, "string field too long");
-    buf.put_u16_le(s.len() as u16);
-    buf.put_slice(s.as_bytes());
-}
-
-fn get_str(buf: &mut &[u8]) -> String {
-    let len = buf.get_u16_le() as usize;
-    let out = String::from_utf8(buf[..len].to_vec()).expect("utf-8 string field");
-    buf.advance(len);
-    out
-}
-
-fn put_bundle_list(buf: &mut BytesMut, bundles: &[Bytes]) {
-    buf.put_u32_le(bundles.len() as u32);
-    for b in bundles {
-        put_bytes(buf, b);
+wire_codec! {
+    enum Command {
+        1 => Collect { cycle },
+        2 => DeliverGossip { cycle, bundles },
+        3 => ChurnDecide { cycle },
+        4 => TakeSnapshots { ids },
+        5 => ApplyChurn { resets },
+        6 => BeginNews,
+        7 => Publish { cycle, item },
+        8 => DeliverNews { cycle, item, bundles },
+        9 => Stop,
+        10 => Admit { reference, snapshot },
+        11 => SwapInterests { a, b },
+        // Tag 12 was `TakeCycleCounters` until protocol v3.
+        13 => TakeCheckpoint,
+        14 => Restore { frame },
     }
 }
 
-fn get_bundle_list(buf: &mut &[u8]) -> Vec<Bytes> {
-    let n = buf.get_u32_le() as usize;
-    (0..n).map(|_| get_bytes(buf)).collect()
-}
-
-pub(crate) fn put_news_item(buf: &mut BytesMut, item: &NewsItem) {
-    put_str(buf, &item.title);
-    put_str(buf, &item.description);
-    put_str(buf, &item.link);
-    buf.put_u32_le(item.source);
-    buf.put_u32_le(item.created_at);
-}
-
-pub(crate) fn get_news_item(buf: &mut &[u8]) -> NewsItem {
-    let title = get_str(buf);
-    let description = get_str(buf);
-    let link = get_str(buf);
-    let source = buf.get_u32_le();
-    let created_at = buf.get_u32_le();
-    NewsItem {
-        title,
-        description,
-        link,
-        source,
-        created_at,
+wire_codec! {
+    enum Reply {
+        1 => Outbound(out),
+        2 => ChurnDecisions(pairs),
+        3 => Snapshots(frames),
+        4 => Ack,
+        5 => Published { first_forward_hop, out },
+        6 => NewsDelivered { out, outcomes },
+        // Tag 7 was `CycleCounters` until protocol v3.
+        8 => Checkpoint(frame),
     }
+}
+
+wire_codec! { struct Outbound { sent, local, bundles } }
+wire_codec! { struct NewsOutcome { receiver, first, forward } }
+wire_codec! { struct FirstReception { hop, sender_liked, receiver_likes, dislikes } }
+wire_codec! { struct NewsItem { title, description, link, source, created_at } }
+
+wire_codec! {
+    struct Params {
+        rps, rps_period, wup_view_size, metric, profile_window, beep, cold_start_items,
+        obfuscation_epsilon,
+    }
+}
+wire_codec! { struct RpsConfig { view_size, exchange_len } }
+wire_codec! { struct BeepConfig { f_like, like_pool, like_entire_view, dislike } }
+wire_codec! { enum Metric { 0 => Wup, 1 => Cosine, 2 => Jaccard } }
+wire_codec! { enum TargetPool { 0 => Wup, 1 => Rps } }
+wire_codec! { enum DislikeRule { 0 => Drop, 1 => Forward { fanout, ttl, oriented } } }
+
+/// Encodes a reply frame.
+pub fn encode_reply(reply: &Reply) -> Vec<u8> {
+    wire::encode(reply)
+}
+
+/// Decodes a command frame this process encoded.
+///
+/// # Panics
+/// Panics on a malformed frame. The worker loop decodes untrusted frames
+/// fallibly instead ([`stream::serve_stream`]).
+pub fn decode_command(frame: &[u8]) -> Command {
+    wire::decode(frame).expect("malformed command frame")
 }
 
 /// Serializes a view snapshot with the wire codec's descriptor encoding.
 pub fn encode_cold_start(cs: &ColdStart) -> Bytes {
-    let mut buf = BytesMut::with_capacity(256);
-    codec::put_descriptors(&mut buf, &cs.rps_view);
-    codec::put_descriptors(&mut buf, &cs.wup_view);
-    buf.freeze()
+    Bytes::from(wire::encode(cs))
 }
 
 /// Inverse of [`encode_cold_start`].
-pub fn decode_cold_start(mut frame: &[u8]) -> ColdStart {
-    let rps_view = codec::get_descriptors(&mut frame).expect("malformed snapshot");
-    let wup_view = codec::get_descriptors(&mut frame).expect("malformed snapshot");
-    ColdStart { rps_view, wup_view }
-}
-
-// ---------------------------------------------------------------------------
-// Command / reply frames
-// ---------------------------------------------------------------------------
-
-const CMD_COLLECT: u8 = 1;
-const CMD_DELIVER_GOSSIP: u8 = 2;
-const CMD_CHURN_DECIDE: u8 = 3;
-const CMD_TAKE_SNAPSHOTS: u8 = 4;
-const CMD_APPLY_CHURN: u8 = 5;
-const CMD_BEGIN_NEWS: u8 = 6;
-const CMD_PUBLISH: u8 = 7;
-const CMD_DELIVER_NEWS: u8 = 8;
-const CMD_STOP: u8 = 9;
-const CMD_ADMIT: u8 = 10;
-const CMD_SWAP_INTERESTS: u8 = 11;
-// Opcode 12 was `TakeCycleCounters` in protocol v2; the driver now folds
-// cycle counters from the phase replies it already receives, so the
-// end-of-cycle counter round-trip no longer exists.
-const CMD_TAKE_CHECKPOINT: u8 = 13;
-const CMD_RESTORE: u8 = 14;
-
-pub fn encode_command(cmd: &Command) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(64);
-    match cmd {
-        Command::Collect { cycle } => {
-            buf.put_u8(CMD_COLLECT);
-            buf.put_u32_le(*cycle);
-        }
-        Command::DeliverGossip { cycle, bundles } => {
-            buf.put_u8(CMD_DELIVER_GOSSIP);
-            buf.put_u32_le(*cycle);
-            put_bundle_list(&mut buf, bundles);
-        }
-        Command::ChurnDecide { cycle } => {
-            buf.put_u8(CMD_CHURN_DECIDE);
-            buf.put_u32_le(*cycle);
-        }
-        Command::TakeSnapshots { ids } => {
-            buf.put_u8(CMD_TAKE_SNAPSHOTS);
-            buf.put_u32_le(ids.len() as u32);
-            for id in ids {
-                buf.put_u32_le(*id);
-            }
-        }
-        Command::ApplyChurn { resets } => {
-            buf.put_u8(CMD_APPLY_CHURN);
-            buf.put_u32_le(resets.len() as u32);
-            for (node, snapshot) in resets {
-                buf.put_u32_le(*node);
-                put_bytes(&mut buf, snapshot);
-            }
-        }
-        Command::BeginNews => buf.put_u8(CMD_BEGIN_NEWS),
-        Command::Publish { cycle, item } => {
-            buf.put_u8(CMD_PUBLISH);
-            buf.put_u32_le(*cycle);
-            put_news_item(&mut buf, item);
-        }
-        Command::DeliverNews {
-            cycle,
-            item,
-            bundles,
-        } => {
-            buf.put_u8(CMD_DELIVER_NEWS);
-            buf.put_u32_le(*cycle);
-            buf.put_u64_le(*item);
-            put_bundle_list(&mut buf, bundles);
-        }
-        Command::Admit {
-            reference,
-            snapshot,
-        } => {
-            buf.put_u8(CMD_ADMIT);
-            buf.put_u32_le(*reference);
-            buf.put_u8(u8::from(snapshot.is_some()));
-            if let Some(frame) = snapshot {
-                put_bytes(&mut buf, frame);
-            }
-        }
-        Command::SwapInterests { a, b } => {
-            buf.put_u8(CMD_SWAP_INTERESTS);
-            buf.put_u32_le(*a);
-            buf.put_u32_le(*b);
-        }
-        Command::TakeCheckpoint => buf.put_u8(CMD_TAKE_CHECKPOINT),
-        Command::Restore { frame } => {
-            buf.put_u8(CMD_RESTORE);
-            put_bytes(&mut buf, frame);
-        }
-        Command::Stop => buf.put_u8(CMD_STOP),
-    }
-    Vec::from(buf)
-}
-
-pub fn decode_command(mut frame: &[u8]) -> Command {
-    let buf = &mut frame;
-    match buf.get_u8() {
-        CMD_COLLECT => Command::Collect {
-            cycle: buf.get_u32_le(),
-        },
-        CMD_DELIVER_GOSSIP => Command::DeliverGossip {
-            cycle: buf.get_u32_le(),
-            bundles: get_bundle_list(buf),
-        },
-        CMD_CHURN_DECIDE => Command::ChurnDecide {
-            cycle: buf.get_u32_le(),
-        },
-        CMD_TAKE_SNAPSHOTS => {
-            let n = buf.get_u32_le() as usize;
-            Command::TakeSnapshots {
-                ids: (0..n).map(|_| buf.get_u32_le()).collect(),
-            }
-        }
-        CMD_APPLY_CHURN => {
-            let n = buf.get_u32_le() as usize;
-            Command::ApplyChurn {
-                resets: (0..n)
-                    .map(|_| {
-                        let node = buf.get_u32_le();
-                        let snapshot = get_bytes(buf);
-                        (node, snapshot)
-                    })
-                    .collect(),
-            }
-        }
-        CMD_BEGIN_NEWS => Command::BeginNews,
-        CMD_PUBLISH => Command::Publish {
-            cycle: buf.get_u32_le(),
-            item: get_news_item(buf),
-        },
-        CMD_DELIVER_NEWS => Command::DeliverNews {
-            cycle: buf.get_u32_le(),
-            item: buf.get_u64_le(),
-            bundles: get_bundle_list(buf),
-        },
-        CMD_ADMIT => {
-            let reference = buf.get_u32_le();
-            let has_snapshot = buf.get_u8() != 0;
-            Command::Admit {
-                reference,
-                snapshot: has_snapshot.then(|| get_bytes(buf)),
-            }
-        }
-        CMD_SWAP_INTERESTS => Command::SwapInterests {
-            a: buf.get_u32_le(),
-            b: buf.get_u32_le(),
-        },
-        CMD_TAKE_CHECKPOINT => Command::TakeCheckpoint,
-        CMD_RESTORE => Command::Restore {
-            frame: get_bytes(buf),
-        },
-        CMD_STOP => Command::Stop,
-        other => panic!("unknown command opcode {other}"),
-    }
-}
-
-const REP_OUTBOUND: u8 = 1;
-const REP_CHURN: u8 = 2;
-const REP_SNAPSHOTS: u8 = 3;
-const REP_ACK: u8 = 4;
-const REP_PUBLISHED: u8 = 5;
-const REP_NEWS: u8 = 6;
-// Opcode 7 was `CycleCounters` in protocol v2 (see the command-side note).
-const REP_CHECKPOINT: u8 = 8;
-
-fn put_outbound(buf: &mut BytesMut, out: &Outbound) {
-    buf.put_u64_le(out.sent);
-    buf.put_u64_le(out.local);
-    put_bundle_list(buf, &out.bundles);
-}
-
-fn get_outbound(buf: &mut &[u8]) -> Outbound {
-    Outbound {
-        sent: buf.get_u64_le(),
-        local: buf.get_u64_le(),
-        bundles: get_bundle_list(buf),
-    }
-}
-
-pub fn encode_reply(reply: &Reply) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(64);
-    match reply {
-        Reply::Outbound(out) => {
-            buf.put_u8(REP_OUTBOUND);
-            put_outbound(&mut buf, out);
-        }
-        Reply::ChurnDecisions(pairs) => {
-            buf.put_u8(REP_CHURN);
-            buf.put_u32_le(pairs.len() as u32);
-            for (node, contact) in pairs {
-                buf.put_u32_le(*node);
-                buf.put_u32_le(*contact);
-            }
-        }
-        Reply::Snapshots(snaps) => {
-            buf.put_u8(REP_SNAPSHOTS);
-            put_bundle_list(&mut buf, snaps);
-        }
-        Reply::Ack => buf.put_u8(REP_ACK),
-        Reply::Published {
-            first_forward_hop,
-            out,
-        } => {
-            buf.put_u8(REP_PUBLISHED);
-            buf.put_u8(u8::from(first_forward_hop.is_some()));
-            buf.put_u16_le(first_forward_hop.unwrap_or(0));
-            put_outbound(&mut buf, out);
-        }
-        Reply::NewsDelivered { out, outcomes } => {
-            buf.put_u8(REP_NEWS);
-            put_outbound(&mut buf, out);
-            buf.put_u32_le(outcomes.len() as u32);
-            for o in outcomes {
-                buf.put_u32_le(o.receiver);
-                let first = o.first.unwrap_or(FirstReception {
-                    hop: 0,
-                    sender_liked: false,
-                    receiver_likes: false,
-                    dislikes: 0,
-                });
-                let (fwd_hop, fwd_liked) = o.forward.unwrap_or((0, false));
-                let flags = u8::from(o.first.is_some())
-                    | u8::from(first.sender_liked) << 1
-                    | u8::from(first.receiver_likes) << 2
-                    | u8::from(o.forward.is_some()) << 3
-                    | u8::from(fwd_liked) << 4;
-                buf.put_u8(flags);
-                buf.put_u16_le(first.hop);
-                buf.put_u8(first.dislikes);
-                buf.put_u16_le(fwd_hop);
-            }
-        }
-        Reply::Checkpoint(frame) => {
-            buf.put_u8(REP_CHECKPOINT);
-            put_bytes(&mut buf, frame);
-        }
-    }
-    Vec::from(buf)
-}
-
-pub fn decode_reply(mut frame: &[u8]) -> Reply {
-    let buf = &mut frame;
-    match buf.get_u8() {
-        REP_OUTBOUND => Reply::Outbound(get_outbound(buf)),
-        REP_CHURN => {
-            let n = buf.get_u32_le() as usize;
-            Reply::ChurnDecisions(
-                (0..n)
-                    .map(|_| {
-                        let node = buf.get_u32_le();
-                        let contact = buf.get_u32_le();
-                        (node, contact)
-                    })
-                    .collect(),
-            )
-        }
-        REP_SNAPSHOTS => Reply::Snapshots(get_bundle_list(buf)),
-        REP_ACK => Reply::Ack,
-        REP_PUBLISHED => {
-            let has_hop = buf.get_u8() != 0;
-            let hop = buf.get_u16_le();
-            Reply::Published {
-                first_forward_hop: has_hop.then_some(hop),
-                out: get_outbound(buf),
-            }
-        }
-        REP_NEWS => {
-            let out = get_outbound(buf);
-            let n = buf.get_u32_le() as usize;
-            let outcomes = (0..n)
-                .map(|_| {
-                    let receiver = buf.get_u32_le();
-                    let flags = buf.get_u8();
-                    let hop = buf.get_u16_le();
-                    let dislikes = buf.get_u8();
-                    let fwd_hop = buf.get_u16_le();
-                    NewsOutcome {
-                        receiver,
-                        first: (flags & 1 != 0).then_some(FirstReception {
-                            hop,
-                            sender_liked: flags & 2 != 0,
-                            receiver_likes: flags & 4 != 0,
-                            dislikes,
-                        }),
-                        forward: (flags & 8 != 0).then_some((fwd_hop, flags & 16 != 0)),
-                    }
-                })
-                .collect();
-            Reply::NewsDelivered { out, outcomes }
-        }
-        REP_CHECKPOINT => Reply::Checkpoint(get_bytes(buf)),
-        other => panic!("unknown reply opcode {other}"),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Shard init frame (multi-process bootstrap)
-// ---------------------------------------------------------------------------
-
-fn put_params(buf: &mut BytesMut, p: &Params) {
-    buf.put_u32_le(p.rps.view_size as u32);
-    buf.put_u32_le(p.rps.exchange_len as u32);
-    buf.put_u32_le(p.rps_period);
-    buf.put_u32_le(p.wup_view_size as u32);
-    buf.put_u8(match p.metric {
-        Metric::Wup => 0,
-        Metric::Cosine => 1,
-        Metric::Jaccard => 2,
-    });
-    buf.put_u32_le(p.profile_window);
-    buf.put_u32_le(p.beep.f_like as u32);
-    buf.put_u8(match p.beep.like_pool {
-        TargetPool::Wup => 0,
-        TargetPool::Rps => 1,
-    });
-    buf.put_u8(u8::from(p.beep.like_entire_view));
-    match p.beep.dislike {
-        DislikeRule::Drop => {
-            buf.put_u8(0);
-            buf.put_u32_le(0);
-            buf.put_u8(0);
-            buf.put_u8(0);
-        }
-        DislikeRule::Forward {
-            fanout,
-            ttl,
-            oriented,
-        } => {
-            buf.put_u8(1);
-            buf.put_u32_le(fanout as u32);
-            buf.put_u8(ttl);
-            buf.put_u8(u8::from(oriented));
-        }
-    }
-    buf.put_u32_le(p.cold_start_items as u32);
-    buf.put_f64_le(p.obfuscation_epsilon);
-}
-
-fn get_params(buf: &mut &[u8]) -> Params {
-    let mut p = Params::default();
-    p.rps.view_size = buf.get_u32_le() as usize;
-    p.rps.exchange_len = buf.get_u32_le() as usize;
-    p.rps_period = buf.get_u32_le();
-    p.wup_view_size = buf.get_u32_le() as usize;
-    p.metric = match buf.get_u8() {
-        0 => Metric::Wup,
-        1 => Metric::Cosine,
-        2 => Metric::Jaccard,
-        other => panic!("unknown metric tag {other}"),
-    };
-    p.profile_window = buf.get_u32_le();
-    p.beep.f_like = buf.get_u32_le() as usize;
-    p.beep.like_pool = match buf.get_u8() {
-        0 => TargetPool::Wup,
-        1 => TargetPool::Rps,
-        other => panic!("unknown target pool tag {other}"),
-    };
-    p.beep.like_entire_view = buf.get_u8() != 0;
-    let dislike_tag = buf.get_u8();
-    let fanout = buf.get_u32_le() as usize;
-    let ttl = buf.get_u8();
-    let oriented = buf.get_u8() != 0;
-    p.beep.dislike = match dislike_tag {
-        0 => DislikeRule::Drop,
-        1 => DislikeRule::Forward {
-            fanout,
-            ttl,
-            oriented,
-        },
-        other => panic!("unknown dislike tag {other}"),
-    };
-    p.cold_start_items = buf.get_u32_le() as usize;
-    p.obfuscation_epsilon = buf.get_f64_le();
-    p
-}
-
-fn put_loss_model(buf: &mut BytesMut, loss: &LossModel) {
-    match *loss {
-        LossModel::Constant { p } => {
-            buf.put_u8(0);
-            buf.put_f64_le(p);
-        }
-        LossModel::GilbertElliott {
-            p_good,
-            p_bad,
-            good_to_bad,
-            bad_to_good,
-        } => {
-            buf.put_u8(1);
-            buf.put_f64_le(p_good);
-            buf.put_f64_le(p_bad);
-            buf.put_f64_le(good_to_bad);
-            buf.put_f64_le(bad_to_good);
-        }
-        LossModel::Partition {
-            from,
-            until,
-            frontier,
-        } => {
-            buf.put_u8(2);
-            buf.put_u32_le(from);
-            buf.put_u32_le(until);
-            buf.put_f64_le(frontier);
-        }
-    }
-}
-
-fn get_loss_model(buf: &mut &[u8]) -> LossModel {
-    match buf.get_u8() {
-        0 => LossModel::Constant {
-            p: buf.get_f64_le(),
-        },
-        1 => LossModel::GilbertElliott {
-            p_good: buf.get_f64_le(),
-            p_bad: buf.get_f64_le(),
-            good_to_bad: buf.get_f64_le(),
-            bad_to_good: buf.get_f64_le(),
-        },
-        2 => LossModel::Partition {
-            from: buf.get_u32_le(),
-            until: buf.get_u32_le(),
-            frontier: buf.get_f64_le(),
-        },
-        other => panic!("unknown loss model tag {other}"),
-    }
-}
-
-fn put_churn_model(buf: &mut BytesMut, churn: &ChurnModel) {
-    match *churn {
-        ChurnModel::None => buf.put_u8(0),
-        ChurnModel::Uniform { per_cycle } => {
-            buf.put_u8(1);
-            buf.put_f64_le(per_cycle);
-        }
-        ChurnModel::CrashWave { at, fraction } => {
-            buf.put_u8(2);
-            buf.put_u32_le(at);
-            buf.put_f64_le(fraction);
-        }
-        ChurnModel::MassJoin { at, count } => {
-            buf.put_u8(3);
-            buf.put_u32_le(at);
-            buf.put_u32_le(count);
-        }
-    }
-}
-
-fn get_churn_model(buf: &mut &[u8]) -> ChurnModel {
-    match buf.get_u8() {
-        0 => ChurnModel::None,
-        1 => ChurnModel::Uniform {
-            per_cycle: buf.get_f64_le(),
-        },
-        2 => ChurnModel::CrashWave {
-            at: buf.get_u32_le(),
-            fraction: buf.get_f64_le(),
-        },
-        3 => ChurnModel::MassJoin {
-            at: buf.get_u32_le(),
-            count: buf.get_u32_le(),
-        },
-        other => panic!("unknown churn model tag {other}"),
-    }
-}
-
-/// Like-store wire tags (see [`put_oracle`]).
-const ORACLE_STORE_DENSE: u8 = 0;
-const ORACLE_STORE_SPARSE: u8 = 1;
-
-pub(crate) fn put_oracle(buf: &mut BytesMut, oracle: &Oracle) {
-    // One tag byte selects the like-store representation; the chosen form
-    // travels as-is, so a worker reconstructs the exact store the driver
-    // measured cheaper (never re-deciding, which keeps every copy equal).
-    match oracle.store() {
-        LikeStore::Dense(m) => {
-            buf.put_u8(ORACLE_STORE_DENSE);
-            buf.put_u32_le(m.n_users() as u32);
-            buf.put_u32_le(m.n_items() as u32);
-            buf.put_u32_le(m.words().len() as u32);
-            for &w in m.words() {
-                buf.put_u64_le(w);
-            }
-        }
-        LikeStore::Sparse(c) => {
-            buf.put_u8(ORACLE_STORE_SPARSE);
-            buf.put_u32_le(c.n_users() as u32);
-            buf.put_u32_le(c.n_items() as u32);
-            buf.put_u32_le(c.items().len() as u32);
-            // offsets[0] is always 0: ship the n_users tail offsets.
-            for &o in &c.offsets()[1..] {
-                buf.put_u32_le(o);
-            }
-            for &i in c.items() {
-                buf.put_u32_le(i);
-            }
-        }
-    }
-    // HashMap iteration order is unspecified; sort for a canonical frame.
-    let mut pairs: Vec<(ItemId, u32)> = oracle.id_map().iter().map(|(&k, &v)| (k, v)).collect();
-    pairs.sort_unstable();
-    buf.put_u32_le(pairs.len() as u32);
-    for (id, index) in pairs {
-        buf.put_u64_le(id);
-        buf.put_u32_le(index);
-    }
-    buf.put_u32_le(oracle.alias().len() as u32);
-    for &row in oracle.alias() {
-        buf.put_u32_le(row);
-    }
-}
-
-pub(crate) fn get_oracle(buf: &mut &[u8]) -> Oracle {
-    let store = match buf.get_u8() {
-        ORACLE_STORE_DENSE => {
-            let n_users = buf.get_u32_le() as usize;
-            let n_items = buf.get_u32_le() as usize;
-            let n_words = buf.get_u32_le() as usize;
-            let words = (0..n_words).map(|_| buf.get_u64_le()).collect();
-            LikeStore::Dense(LikeMatrix::from_words(n_users, n_items, words))
-        }
-        ORACLE_STORE_SPARSE => {
-            let n_users = buf.get_u32_le() as usize;
-            let n_items = buf.get_u32_le() as usize;
-            let nnz = buf.get_u32_le() as usize;
-            let mut offsets = Vec::with_capacity(n_users + 1);
-            offsets.push(0u32);
-            offsets.extend((0..n_users).map(|_| buf.get_u32_le()));
-            let items = (0..nnz).map(|_| buf.get_u32_le()).collect();
-            LikeStore::Sparse(CsrLikes::from_parts(n_items, offsets, items))
-        }
-        other => panic!("unknown like-store tag {other}"),
-    };
-    let n_pairs = buf.get_u32_le() as usize;
-    let id_to_index: crate::oracle::ItemIndexMap = (0..n_pairs)
-        .map(|_| {
-            let id = buf.get_u64_le();
-            let index = buf.get_u32_le();
-            (id, index)
-        })
-        .collect();
-    let n_alias = buf.get_u32_le() as usize;
-    let alias = (0..n_alias).map(|_| buf.get_u32_le()).collect();
-    Oracle::restore(store, id_to_index, alias)
-}
-
-/// Serializes everything a worker process needs to build its
-/// [`crate::engine::ShardState`].
-pub fn encode_init(init: &ShardInit) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(1024);
-    buf.put_u32_le(init.index as u32);
-    let starts = init.partition.starts();
-    buf.put_u32_le(starts.len() as u32);
-    for &s in starts {
-        buf.put_u32_le(s);
-    }
-    buf.put_u64_le(init.seed);
-    put_loss_model(&mut buf, &init.loss);
-    put_churn_model(&mut buf, &init.churn);
-    put_params(&mut buf, &init.params);
-    put_oracle(&mut buf, &init.oracle);
-    buf.put_u32_le(init.bootstrap.len() as u32);
-    for contacts in &init.bootstrap {
-        buf.put_u32_le(contacts.len() as u32);
-        for &c in contacts {
-            buf.put_u32_le(c);
-        }
-    }
-    Vec::from(buf)
-}
-
-/// Inverse of [`encode_init`].
-pub fn decode_init(mut frame: &[u8]) -> ShardInit {
-    let buf = &mut frame;
-    let index = buf.get_u32_le() as usize;
-    let n_starts = buf.get_u32_le() as usize;
-    let starts = (0..n_starts).map(|_| buf.get_u32_le()).collect();
-    let partition = Partition::from_starts(starts);
-    let seed = buf.get_u64_le();
-    let loss = get_loss_model(buf);
-    let churn = get_churn_model(buf);
-    let params = get_params(buf);
-    let oracle = get_oracle(buf);
-    let n_nodes = buf.get_u32_le() as usize;
-    let bootstrap = (0..n_nodes)
-        .map(|_| {
-            let n = buf.get_u32_le() as usize;
-            (0..n).map(|_| buf.get_u32_le()).collect()
-        })
-        .collect();
-    ShardInit {
-        index,
-        partition,
-        seed,
-        loss,
-        churn,
-        params,
-        oracle,
-        bootstrap,
-    }
+pub fn decode_cold_start(frame: &[u8]) -> Result<ColdStart, DecodeError> {
+    wire::decode(frame)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::partition::Partition;
+    use crate::engine::shard::ShardInit;
+    use crate::oracle::Oracle;
+    use crate::scenario::{ChurnModel, LossModel};
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
     use std::cell::RefCell;
     use std::rc::Rc;
+    use whatsup_datasets::{LikeMatrix, LikeStore};
 
     /// A link that records every call in a log shared by all shards and
     /// answers `Collect` with its own shard index as the `sent` total.
@@ -1126,118 +540,142 @@ mod tests {
         );
     }
 
-    #[test]
-    fn command_frames_roundtrip() {
-        let cmds = vec![
-            Command::Collect { cycle: 7 },
-            Command::DeliverGossip {
-                cycle: 7,
-                bundles: vec![Bytes::new(), Bytes::copy_from_slice(b"abc")],
-            },
-            Command::ChurnDecide { cycle: 9 },
-            Command::TakeSnapshots { ids: vec![3, 5, 8] },
-            Command::ApplyChurn {
-                resets: vec![(2, Bytes::copy_from_slice(b"xy"))],
-            },
-            Command::BeginNews,
-            Command::Publish {
-                cycle: 3,
-                item: NewsItem::new("t", "d", "l", 9, 3),
-            },
-            Command::DeliverNews {
-                cycle: 3,
-                item: 0xdead_beef,
-                bundles: vec![Bytes::copy_from_slice(b"zz")],
-            },
-            Command::Admit {
-                reference: 4,
-                snapshot: Some(Bytes::copy_from_slice(b"view")),
-            },
-            Command::Admit {
-                reference: 9,
-                snapshot: None,
-            },
-            Command::SwapInterests { a: 3, b: 17 },
-            Command::TakeCheckpoint,
-            Command::Restore {
-                frame: Bytes::copy_from_slice(b"checkpointed state"),
-            },
-            Command::Stop,
-        ];
-        for cmd in cmds {
-            assert_eq!(decode_command(&encode_command(&cmd)), cmd);
+    /// A few random bytes, empty included.
+    fn blob(rng: &mut ChaCha8Rng) -> Bytes {
+        let len = rng.gen_range(0..6usize);
+        Bytes::from((0..len).map(|_| rng.gen::<u8>()).collect::<Vec<u8>>())
+    }
+
+    fn blobs(rng: &mut ChaCha8Rng) -> Vec<Bytes> {
+        (0..rng.gen_range(0..4usize)).map(|_| blob(rng)).collect()
+    }
+
+    fn outbound(rng: &mut ChaCha8Rng) -> Outbound {
+        Outbound {
+            sent: rng.gen(),
+            local: rng.gen(),
+            bundles: blobs(rng),
         }
     }
 
-    #[test]
-    fn reply_frames_roundtrip() {
-        let replies = vec![
-            Reply::Outbound(Outbound {
-                sent: 12,
-                local: 3,
-                bundles: vec![Bytes::new(), Bytes::copy_from_slice(b"q")],
-            }),
-            Reply::ChurnDecisions(vec![(1, 9), (4, 2)]),
-            Reply::Snapshots(vec![Bytes::copy_from_slice(b"snap")]),
-            Reply::Ack,
-            Reply::Published {
-                first_forward_hop: Some(3),
-                out: Outbound::default(),
+    fn news_item(rng: &mut ChaCha8Rng) -> NewsItem {
+        let title = format!("item {}", rng.gen::<u16>());
+        NewsItem::new(title, "déjà vu", "", rng.gen(), rng.gen())
+    }
+
+    fn command(rng: &mut ChaCha8Rng) -> Command {
+        let cycle = rng.gen();
+        match rng.gen_range(0..14u32) {
+            0 => Command::Collect { cycle },
+            1 => Command::DeliverGossip {
+                cycle,
+                bundles: blobs(rng),
             },
-            Reply::Published {
-                first_forward_hop: None,
-                out: Outbound::default(),
+            2 => Command::ChurnDecide { cycle },
+            3 => Command::TakeSnapshots {
+                ids: (0..rng.gen_range(0..5usize)).map(|_| rng.gen()).collect(),
             },
-            Reply::NewsDelivered {
-                out: Outbound {
-                    sent: 2,
-                    local: 1,
-                    bundles: vec![],
-                },
-                outcomes: vec![
-                    NewsOutcome {
-                        receiver: 5,
-                        first: Some(FirstReception {
-                            hop: 2,
-                            sender_liked: true,
-                            receiver_likes: false,
-                            dislikes: 3,
+            4 => Command::ApplyChurn {
+                resets: (0..rng.gen_range(0..3usize))
+                    .map(|_| (rng.gen(), blob(rng)))
+                    .collect(),
+            },
+            5 => Command::Admit {
+                reference: rng.gen(),
+                snapshot: rng.gen::<bool>().then(|| blob(rng)),
+            },
+            6 => Command::SwapInterests {
+                a: rng.gen(),
+                b: rng.gen(),
+            },
+            7 => Command::BeginNews,
+            8 => Command::Publish {
+                cycle,
+                item: news_item(rng),
+            },
+            9 => Command::DeliverNews {
+                cycle,
+                item: rng.gen(),
+                bundles: blobs(rng),
+            },
+            10 => Command::TakeCheckpoint,
+            11 => Command::Restore { frame: blob(rng) },
+            _ => Command::Stop,
+        }
+    }
+
+    fn reply(rng: &mut ChaCha8Rng) -> Reply {
+        match rng.gen_range(0..7u32) {
+            0 => Reply::Outbound(outbound(rng)),
+            1 => Reply::ChurnDecisions(
+                (0..rng.gen_range(0..4usize))
+                    .map(|_| (rng.gen(), rng.gen()))
+                    .collect(),
+            ),
+            2 => Reply::Snapshots(blobs(rng)),
+            3 => Reply::Ack,
+            4 => Reply::Published {
+                first_forward_hop: rng.gen::<bool>().then(|| rng.gen()),
+                out: outbound(rng),
+            },
+            5 => Reply::NewsDelivered {
+                out: outbound(rng),
+                outcomes: (0..rng.gen_range(0..4usize))
+                    .map(|_| NewsOutcome {
+                        receiver: rng.gen(),
+                        first: rng.gen::<bool>().then(|| FirstReception {
+                            hop: rng.gen(),
+                            sender_liked: rng.gen(),
+                            receiver_likes: rng.gen(),
+                            dislikes: rng.gen(),
                         }),
-                        forward: None,
-                    },
-                    NewsOutcome {
-                        receiver: 6,
-                        first: None,
-                        forward: Some((4, true)),
-                    },
-                ],
+                        forward: rng.gen::<bool>().then(|| (rng.gen(), rng.gen())),
+                    })
+                    .collect(),
             },
-            Reply::Checkpoint(Bytes::copy_from_slice(b"shard state frame")),
-        ];
-        for reply in replies {
-            assert_eq!(decode_reply(&encode_reply(&reply)), reply);
+            _ => Reply::Checkpoint(blob(rng)),
         }
     }
 
-    #[test]
-    fn params_roundtrip_all_presets() {
-        for p in [
-            Params::whatsup(7),
-            Params::whatsup_cos(3),
-            Params::cf(9, Metric::Wup),
-            Params::gossip(4),
-        ] {
-            let mut buf = BytesMut::new();
-            put_params(&mut buf, &p);
-            let mut slice: &[u8] = &buf;
-            assert_eq!(get_params(&mut slice), p);
+    /// A shard of a random population: 2 to 12 nodes in up to three
+    /// shards, likes over up to 70 items (two bit-plane words per row), the
+    /// like store dense or sparse, interests swapped, every environment
+    /// model and parameter preset.
+    fn shard_init(rng: &mut ChaCha8Rng, sparse: bool) -> (ShardInit, Vec<NewsItem>) {
+        let n = rng.gen_range(2..13usize);
+        let shards = rng.gen_range(1..4usize).min(n);
+        let index = rng.gen_range(0..shards);
+        let items: Vec<NewsItem> = (0..rng.gen_range(1..71usize))
+            .map(|_| news_item(rng))
+            .collect();
+        let mut likes = LikeMatrix::new(n, items.len());
+        for user in 0..n {
+            for item in 0..items.len() {
+                likes.set(user, item, rng.gen());
+            }
         }
-    }
-
-    #[test]
-    fn environment_models_roundtrip() {
-        let losses = [
-            LossModel::Constant { p: 0.25 },
+        let ids = items.iter().map(NewsItem::id).zip(0..).collect();
+        let mut oracle = Oracle::new_forced(likes, ids, sparse);
+        oracle.swap_interests(0, rng.gen_range(0..n as NodeId));
+        let partition = Partition::new(n, shards);
+        let bootstrap = partition
+            .range(index)
+            .map(|_| {
+                let degree = rng.gen_range(1..4usize);
+                (0..degree).map(|_| rng.gen_range(0..n as NodeId)).collect()
+            })
+            .collect();
+        let f_like = rng.gen_range(1..5usize);
+        let mut params = [
+            Params::whatsup(f_like),
+            Params::whatsup_cos(f_like),
+            Params::cf(f_like, Metric::Jaccard),
+            Params::gossip(f_like),
+        ][rng.gen_range(0..4usize)]
+        .clone();
+        params.obfuscation_epsilon = [0.0, 0.25][rng.gen_range(0..2usize)];
+        let loss = [
+            LossModel::Constant { p: 0.1 },
             LossModel::GilbertElliott {
                 p_good: 0.01,
                 p_bad: 0.6,
@@ -1249,14 +687,8 @@ mod tests {
                 until: 9,
                 frontier: 0.5,
             },
-        ];
-        for loss in losses {
-            let mut buf = BytesMut::new();
-            put_loss_model(&mut buf, &loss);
-            let mut slice: &[u8] = &buf;
-            assert_eq!(get_loss_model(&mut slice), loss);
-        }
-        let churns = [
+        ][rng.gen_range(0..3usize)];
+        let churn = [
             ChurnModel::None,
             ChurnModel::Uniform { per_cycle: 0.05 },
             ChurnModel::CrashWave {
@@ -1264,12 +696,114 @@ mod tests {
                 fraction: 0.3,
             },
             ChurnModel::MassJoin { at: 2, count: 11 },
-        ];
-        for churn in churns {
-            let mut buf = BytesMut::new();
-            put_churn_model(&mut buf, &churn);
-            let mut slice: &[u8] = &buf;
-            assert_eq!(get_churn_model(&mut slice), churn);
+        ][rng.gen_range(0..4usize)];
+        let init = ShardInit {
+            index,
+            partition,
+            seed: rng.gen(),
+            loss,
+            churn,
+            params,
+            oracle,
+            bootstrap,
+        };
+        (init, items)
+    }
+
+    /// Runs `cmd` and then delivers the shard's own mail until none is
+    /// left (the other shards' bundles are dropped), leaving the shard at
+    /// a boundary where it can checkpoint.
+    fn settle(shard: &mut ShardState, shards: usize, cmd: Command) {
+        let deliver = |cycle| match &cmd {
+            Command::Publish { item, .. } => Command::DeliverNews {
+                cycle,
+                item: item.id(),
+                bundles: vec![Bytes::new(); shards],
+            },
+            _ => Command::DeliverGossip {
+                cycle,
+                bundles: vec![Bytes::new(); shards],
+            },
+        };
+        let mut next = Some(cmd.clone());
+        while let Some(cmd) = next.take() {
+            let local = match shard.handle(cmd) {
+                Reply::Outbound(out)
+                | Reply::Published { out, .. }
+                | Reply::NewsDelivered { out, .. } => out.local,
+                _ => 0,
+            };
+            if local > 0 {
+                next = Some(deliver(5));
+            }
+        }
+    }
+
+    /// Every strict prefix of `frame` is refused, and flipping any one
+    /// byte of it decodes to a value or an error, never a panic.
+    fn hostile_variants_of(frame: &[u8], mask: u8, decodes: &mut dyn FnMut(&[u8]) -> bool) {
+        for len in 0..frame.len() {
+            assert!(!decodes(&frame[..len]), "prefix of {len} bytes decoded");
+        }
+        let mut flipped = frame.to_vec();
+        for at in 0..frame.len() {
+            flipped[at] ^= mask;
+            decodes(&flipped);
+            flipped[at] ^= mask;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The codec over random commands, replies, inits (both like-store
+        /// forms) and checkpoints: values round-trip, every strict prefix
+        /// is refused, a flipped byte never panics the decoder, and a
+        /// restored checkpoint re-encodes to the same bytes.
+        #[test]
+        fn frames_roundtrip_and_hostile_bytes_never_panic(
+            seed in 0u64..1 << 40,
+            mask in 1u8..255,
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            for _ in 0..8 {
+                let cmd = command(&mut rng);
+                let frame = encode(&cmd);
+                prop_assert_eq!(&decode::<Command>(&frame).unwrap(), &cmd);
+                prop_assert_eq!(&decode_command(&frame), &cmd);
+                hostile_variants_of(&frame, mask, &mut |f| decode::<Command>(f).is_ok());
+                let rep = reply(&mut rng);
+                let frame = encode_reply(&rep);
+                prop_assert_eq!(&decode::<Reply>(&frame).unwrap(), &rep);
+                hostile_variants_of(&frame, mask, &mut |f| decode::<Reply>(f).is_ok());
+            }
+            for sparse in [false, true] {
+                let (init, items) = shard_init(&mut rng, sparse);
+                init.check().unwrap();
+                let frame = encode(&init);
+                let back: ShardInit = decode(&frame).unwrap();
+                prop_assert_eq!(matches!(back.oracle.store(), LikeStore::Sparse(_)), sparse);
+                prop_assert_eq!(encode(&back), frame.clone());
+                hostile_variants_of(&frame, mask, &mut |f| {
+                    decode::<ShardInit>(f).is_ok_and(|init| init.check().is_ok())
+                });
+
+                let shards = init.partition.n_shards();
+                let mut shard = ShardState::from_init(init.clone());
+                settle(&mut shard, shards, Command::Collect { cycle: 4 });
+                let base = init.partition.range(init.index).start;
+                let mut item = items[0].clone();
+                item.source = base;
+                settle(&mut shard, shards, Command::Publish { cycle: 5, item });
+                let checkpoint = shard.encode_checkpoint();
+                let mut restored = ShardState::from_init(init.clone());
+                restored.restore_checkpoint(&checkpoint).unwrap();
+                prop_assert_eq!(restored.encode_checkpoint(), checkpoint.clone());
+                let mut scratch = ShardState::from_init(init);
+                hostile_variants_of(&checkpoint, mask, &mut |f| {
+                    scratch.restore_checkpoint(f).is_ok()
+                });
+            }
         }
     }
 }

@@ -12,27 +12,28 @@
 //! 1. **worker → driver** *hello*: `magic:u32 version:u16` — sent as soon
 //!    as the stream exists (on spawn for pipes, on accept for sockets).
 //! 2. **driver → worker** *handshake*: `magic:u32 version:u16` followed by
-//!    the [`ShardInit`] payload ([`super::encode_init`]).
+//!    the [`ShardInit`] payload (its layout is declared next to the type).
 //! 3. Command/reply frames until a `Stop` command ends the conversation.
 //!
 //! Each side validates the other's magic and version *before* touching the
-//! payload, so mixed-version deployments fail with a one-line typed error
-//! instead of a frame-decode panic. Bumping [`PROTOCOL_VERSION`] whenever
-//! a frame layout changes is what keeps that promise.
+//! payload, so a mixed-version deployment fails with a one-line typed error
+//! that names both versions. Bumping [`PROTOCOL_VERSION`] whenever a frame
+//! layout changes is what keeps that promise. A frame that still does not
+//! decode is a typed error as well, never a panic.
 
 use super::supervisor::Restartable;
 use super::{
-    decode_command, decode_init, decode_reply, encode_command, encode_init, encode_reply, process,
-    socket, Command, Reply, ShardLink, TransportError, TransportErrorKind,
+    decode, encode, process, socket, wire_codec, Command, Reply, ShardLink, TransportError,
+    TransportErrorKind,
 };
 use crate::engine::shard::{ShardInit, ShardState};
-use bytes::{Buf, BufMut, BytesMut};
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::path::PathBuf;
 use std::process::Child;
 use std::time::Duration;
+use whatsup_net::codec::DecodeError;
 
 /// `"WUPS"` — first bytes of every hello/handshake frame.
 pub const HANDSHAKE_MAGIC: u32 = 0x5755_5053;
@@ -43,8 +44,13 @@ pub const HANDSHAKE_MAGIC: u32 = 0x5755_5053;
 /// `TakeCycleCounters`/`CycleCounters` frames (counters are now folded
 /// driver-side from the phase replies) and the counter residue from
 /// checkpoint frames; v4 added the like-store tag to oracle frames
-/// (dense bit-plane or compressed sparse rows).
-pub const PROTOCOL_VERSION: u16 = 4;
+/// (dense bit-plane or compressed sparse rows); v5 declares every layout
+/// once (`wire_codec!`): an absent `Option` is its `0` tag alone (a
+/// `Published` reply without a forward hop), a news outcome is its
+/// receiver and two `Option`s instead of a packed flag byte, the `Drop`
+/// dislike rule carries no padding, and a sparse like store sends
+/// `n_items`, then its offsets and items as counted sequences.
+pub const PROTOCOL_VERSION: u16 = 5;
 
 /// How long the driver waits for a TCP connect to a worker.
 pub const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
@@ -128,49 +134,61 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
 // Handshake frames
 // ---------------------------------------------------------------------------
 
+/// The opening of both greetings: `"WUPS"` and a protocol version.
+struct Hello {
+    magic: u32,
+    version: u16,
+}
+
+wire_codec! { struct Hello { magic, version } }
+
 /// The worker's greeting: magic + the version it speaks. Takes the version
 /// as a parameter so fault-injection tests can impersonate a mismatched
 /// worker; real workers always send [`PROTOCOL_VERSION`].
 pub fn encode_hello(version: u16) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(6);
-    buf.put_u32_le(HANDSHAKE_MAGIC);
-    buf.put_u16_le(version);
-    Vec::from(buf)
+    encode(&Hello {
+        magic: HANDSHAKE_MAGIC,
+        version,
+    })
 }
 
 /// Parses a hello frame into the peer's version; `Err` when the frame is
 /// not a shard-worker greeting at all.
 pub fn decode_hello(frame: &[u8]) -> Result<u16, TransportErrorKind> {
-    let mut buf = frame;
-    if buf.len() != 6 || buf.get_u32_le() != HANDSHAKE_MAGIC {
-        return Err(TransportErrorKind::HandshakeMagic);
+    match decode(frame) {
+        Ok(Hello {
+            magic: HANDSHAKE_MAGIC,
+            version,
+        }) => Ok(version),
+        _ => Err(TransportErrorKind::HandshakeMagic),
     }
-    Ok(buf.get_u16_le())
 }
 
-/// The driver's reply to a hello: magic + version + the shard's init.
+/// The driver's reply to a hello: a hello at [`PROTOCOL_VERSION`], then
+/// the shard's init.
 pub fn encode_handshake(init: &ShardInit) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(1024);
-    buf.put_u32_le(HANDSHAKE_MAGIC);
-    buf.put_u16_le(PROTOCOL_VERSION);
-    buf.put_slice(&encode_init(init));
-    Vec::from(buf)
+    let mut frame = encode_hello(PROTOCOL_VERSION);
+    frame.extend_from_slice(&encode(init));
+    frame
 }
 
-/// Validates magic + version, then decodes the carried [`ShardInit`].
+/// Validates magic + version, then decodes the carried [`ShardInit`] and
+/// checks it describes a shard that can be built.
 pub fn decode_handshake(frame: &[u8]) -> Result<ShardInit, TransportErrorKind> {
-    let mut buf = frame;
-    if buf.len() < 6 || buf.get_u32_le() != HANDSHAKE_MAGIC {
-        return Err(TransportErrorKind::HandshakeMagic);
+    // The hello is the first 6 bytes, `magic:u32 version:u16`.
+    let (hello, init) = frame.split_at_checked(6).unwrap_or((frame, &[]));
+    match decode_hello(hello)? {
+        PROTOCOL_VERSION => {}
+        got => {
+            return Err(TransportErrorKind::HandshakeVersion {
+                got,
+                want: PROTOCOL_VERSION,
+            })
+        }
     }
-    let got = buf.get_u16_le();
-    if got != PROTOCOL_VERSION {
-        return Err(TransportErrorKind::HandshakeVersion {
-            got,
-            want: PROTOCOL_VERSION,
-        });
-    }
-    Ok(decode_init(buf))
+    let init: ShardInit = decode(init).map_err(TransportErrorKind::Decode)?;
+    init.check().map_err(TransportErrorKind::Decode)?;
+    Ok(init)
 }
 
 /// Driver-side validation of a worker's hello: takes the raw outcome of
@@ -356,7 +374,7 @@ impl ShardLink for StreamLink {
     }
 
     fn send(&mut self, cmd: Command) -> Result<(), TransportError> {
-        write_frame(&mut self.conn.writer, &encode_command(&cmd))
+        write_frame(&mut self.conn.writer, &encode(&cmd))
             .map_err(|e| TransportError::io(&*self.conn.endpoint, e))
     }
 
@@ -366,7 +384,10 @@ impl ShardLink for StreamLink {
             .ok_or_else(|| {
                 TransportError::closed(&*self.conn.endpoint, "worker closed the stream mid-phase")
             })?;
-        Ok(decode_reply(&frame))
+        decode(&frame).map_err(|e| TransportError {
+            endpoint: self.conn.endpoint.clone(),
+            kind: TransportErrorKind::Decode(e),
+        })
     }
 
     /// Errors report the failure but the worker is still reaped/closed.
@@ -413,6 +434,9 @@ pub enum WorkerError {
     /// The driver vanished mid-conversation: EOF or I/O error before
     /// `Stop`. A driver killed mid-run lands here.
     ConnectionLost(io::Error),
+    /// A command frame, or a snapshot or checkpoint frame inside one, did
+    /// not decode.
+    Malformed(DecodeError),
 }
 
 impl fmt::Display for WorkerError {
@@ -426,8 +450,12 @@ impl fmt::Display for WorkerError {
             WorkerError::Handshake(TransportErrorKind::HandshakeMagic) => {
                 write!(f, "handshake failed: peer is not a whatsup-sim driver")
             }
+            WorkerError::Handshake(TransportErrorKind::Decode(e)) => {
+                write!(f, "handshake failed: malformed init — {e}")
+            }
             WorkerError::Handshake(other) => write!(f, "handshake failed: {other:?}"),
             WorkerError::ConnectionLost(e) => write!(f, "driver connection lost: {e}"),
+            WorkerError::Malformed(e) => write!(f, "malformed command: {e}"),
         }
     }
 }
@@ -468,9 +496,10 @@ pub fn run_worker(input: &mut impl Read, output: &mut impl Write) -> Result<(), 
 }
 
 /// The post-handshake serve loop: one reply frame per command frame, until
-/// `Stop` (`Ok`) or the stream dies (`Err`). Commands run through
-/// [`ShardState::handle`], the single dispatch point every link shares, so
-/// the links cannot diverge on command semantics.
+/// `Stop` (`Ok`), the stream dies or a frame does not decode (`Err`).
+/// Commands run through [`ShardState::handle`]'s fallible form, the single
+/// dispatch point every link shares, so the links cannot diverge on
+/// command semantics.
 pub fn serve_stream(
     state: &mut ShardState,
     input: &mut impl Read,
@@ -485,18 +514,19 @@ pub fn serve_stream(
                     "driver closed the stream without sending Stop",
                 ))
             })?;
-        let cmd = decode_command(&frame);
+        let cmd: Command = decode(&frame).map_err(WorkerError::Malformed)?;
         if matches!(cmd, Command::Stop) {
             return Ok(());
         }
-        write_frame(output, &encode_reply(&state.handle(cmd)))
-            .map_err(WorkerError::ConnectionLost)?;
+        let reply = state.try_handle(cmd).map_err(WorkerError::Malformed)?;
+        write_frame(output, &encode(&reply)).map_err(WorkerError::ConnectionLost)?;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::{BufMut, BytesMut};
 
     #[test]
     fn framing_roundtrip_and_clean_eof() {
@@ -570,5 +600,28 @@ mod tests {
             decode_handshake(b"junk"),
             Err(TransportErrorKind::HandshakeMagic)
         ));
+    }
+
+    #[test]
+    fn handshake_rejects_a_garbage_init_after_a_valid_header() {
+        let mut buf = BytesMut::new();
+        buf.put_u32_le(HANDSHAKE_MAGIC);
+        buf.put_u16_le(PROTOCOL_VERSION);
+        buf.put_slice(&[0xff; 7]);
+        assert!(matches!(
+            decode_handshake(&buf),
+            Err(TransportErrorKind::Decode(_))
+        ));
+        let mut input: &[u8] = &{
+            let mut stream = Vec::new();
+            write_frame(&mut stream, &buf).unwrap();
+            stream
+        };
+        let err = run_worker(&mut input, &mut Vec::new()).unwrap_err();
+        assert!(matches!(
+            err,
+            WorkerError::Handshake(TransportErrorKind::Decode(_))
+        ));
+        assert!(err.to_string().contains("malformed init"), "{err}");
     }
 }

@@ -216,16 +216,6 @@ pub fn decode_shard_bundle_each(
     }
 }
 
-/// Decodes a wire bundle into owned mail entries (see
-/// [`decode_shard_bundle_each`] for the streaming form the engine uses).
-pub fn decode_shard_bundle(frame: &[u8], register: &mut impl FnMut(NewsItem)) -> Vec<MailEntry> {
-    let mut entries = Vec::new();
-    decode_shard_bundle_each(frame, register, |to, from, payload| {
-        entries.push(MailEntry { to, from, payload });
-    });
-    entries
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,7 +288,10 @@ mod tests {
         ];
         let frame = encode_shard_bundle(0, &entries, &items);
         let mut registered = Vec::new();
-        let mail = decode_shard_bundle(&frame, &mut |i| registered.push(i));
+        let mut mail = Vec::new();
+        decode_shard_bundle_each(&frame, &mut |i| registered.push(i), |to, from, payload| {
+            mail.push(MailEntry { to, from, payload })
+        });
         assert_eq!(mail.len(), 2);
         assert_eq!((mail[0].to, mail[0].from), (7, 4));
         assert_eq!(mail[0].payload, entries[0].2);

@@ -88,9 +88,9 @@
 //! * **Handshake** (frame layouts: [`exchange::stream`]) — as soon as the
 //!   stream exists the worker sends a versioned *hello*; the driver
 //!   validates it and answers with a versioned *handshake* carrying the
-//!   shard's `ShardInit` ([`exchange::encode_init`] — params, partition,
-//!   environment models, oracle, bootstrap contacts). Version skew or a
-//!   foreign peer is a typed error naming the endpoint on the driver, a
+//!   shard's [`ShardInit`] (params, partition, environment models, oracle,
+//!   bootstrap contacts). Version skew, a foreign peer or an init that does
+//!   not decode is a typed error naming the endpoint on the driver, a
 //!   one-line stderr exit on the worker — never a frame-decode panic.
 //!   Pipes run the identical handshake; a restart replays the same bytes.
 //! * **Failure paths** — connect and handshake are bounded by timeouts (a
@@ -158,7 +158,12 @@
 //! A conversation is hello, handshake, then strictly alternating command
 //! and reply frames until `Stop` (no reply); [`Command`] and [`Reply`]
 //! list every frame, and `exchange::stream::PROTOCOL_VERSION` changes with
-//! any layout. Mailbox traffic rides inside them as *bundles* (see
+//! any layout. Each layout is declared once, with `wire_codec!` next to
+//! its type, and both directions are generated from it (`exchange::wire`
+//! tabulates the encoding). A frame that does not decode — truncated, an
+//! unknown tag, a count its bytes cannot hold — is a typed error: a
+//! [`TransportError`] on the driver, a one-line exit 1 on the worker.
+//! Mailbox traffic rides inside them as *bundles* (see
 //! `whatsup_net::codec`): `tag=MAILBOX_BUNDLE`, `from_shard:u32`,
 //! `count:u32`, then `count` entries of
 //! `to:u32 len:u32 frame`, where `frame` is the standard single-message

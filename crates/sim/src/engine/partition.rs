@@ -118,19 +118,18 @@ impl Partition {
         &self.starts
     }
 
-    /// Rebuilds a partition from its boundaries.
-    ///
-    /// # Panics
-    /// Panics unless the boundaries start at 0 and are non-decreasing with
-    /// at least one shard.
-    pub fn from_starts(starts: Vec<NodeId>) -> Self {
-        assert!(starts.len() >= 2, "need at least one shard");
-        assert_eq!(starts[0], 0, "partition must start at node 0");
-        assert!(
-            starts.windows(2).all(|w| w[0] <= w[1]),
-            "boundaries must be non-decreasing"
-        );
-        Self { starts }
+    /// Rebuilds a partition from its boundaries; `None` unless they start
+    /// at 0 and never decrease, with at least one shard.
+    pub fn from_starts(starts: Vec<NodeId>) -> Option<Self> {
+        let valid = starts.len() >= 2
+            && starts.first() == Some(&0)
+            && starts.windows(2).all(|w| w[0] <= w[1]);
+        valid.then_some(Self { starts })
+    }
+
+    /// The id range shard `s` owns, if there is a shard `s`.
+    pub(crate) fn try_range(&self, s: usize) -> Option<std::ops::Range<NodeId>> {
+        Some(*self.starts.get(s)?..*self.starts.get(s + 1)?)
     }
 }
 
@@ -227,7 +226,10 @@ mod tests {
     fn starts_roundtrip() {
         let p = Partition::new(11, 4);
         let q = Partition::from_starts(p.starts().to_vec());
-        assert_eq!(p, q);
+        assert_eq!(Some(p), q);
+        assert_eq!(Partition::from_starts(vec![0]), None);
+        assert_eq!(Partition::from_starts(vec![1, 4]), None);
+        assert_eq!(Partition::from_starts(vec![0, 4, 3]), None);
     }
 
     #[test]

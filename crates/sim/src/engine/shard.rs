@@ -7,7 +7,9 @@
 //! which is exactly what keeps the execution identical across shard counts
 //! and transports (see the module docs of [`crate::engine`]).
 
-use crate::engine::exchange::{self, Command, FirstReception, NewsOutcome, Outbound, Reply};
+use crate::engine::exchange::{
+    self, ensure, wire_codec, Command, FirstReception, NewsOutcome, Outbound, Reply,
+};
 use crate::engine::mailbox::{decode_shard_bundle_each, MailEntry, Mailbox};
 use crate::engine::partition::Partition;
 use crate::engine::{node_stream, phase};
@@ -16,7 +18,7 @@ use crate::environment::{
 };
 use crate::oracle::Oracle;
 use crate::scenario::{ChurnModel, LossModel};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Bytes, BytesMut};
 use rand_chacha::ChaCha8Rng;
 // lint:allow(det-map) import for the probe-only item store annotated below
 use std::collections::HashMap;
@@ -24,7 +26,7 @@ use whatsup_core::{
     ColdStart, ItemId, NewsItem, NodeId, NodeState, NodeStats, Opinions, OutMessage, Params,
     Payload, Profile, SharedProfile, WhatsUpNode,
 };
-use whatsup_net::codec;
+use whatsup_net::codec::{self, DecodeError};
 
 /// Fixed-item opinion view for the news phase: one publication round
 /// delivers exactly one item, so the oracle's id→index map is probed once
@@ -108,7 +110,7 @@ impl Contacted {
 }
 
 /// Everything needed to build one shard's state — produced by the driver,
-/// consumed directly (in-process) or via `exchange::encode_init` (worker
+/// consumed directly (in-process) or as the handshake's init frame (worker
 /// processes). Both paths construct through [`ShardState::from_init`], so
 /// the transports cannot diverge at bootstrap.
 #[derive(Debug, Clone)]
@@ -123,6 +125,56 @@ pub struct ShardInit {
     /// Bootstrap contacts per owned node, in local id order (drawn by the
     /// driver so the engine RNG stays on the driving thread).
     pub bootstrap: Vec<Vec<NodeId>>,
+}
+
+wire_codec! { struct ShardInit { index, partition, seed, loss, churn, params, oracle, bootstrap } }
+
+impl ShardInit {
+    /// What [`ShardState::from_init`] relies on and a decoded frame may
+    /// break: the shard exists, one bootstrap list per owned node, every
+    /// contact and every node inside the population, valid parameters.
+    pub(crate) fn check(&self) -> Result<(), DecodeError> {
+        let owned = self.partition.try_range(self.index).map(|r| r.len());
+        ensure(owned == Some(self.bootstrap.len()), "bootstrap lists")?;
+        let total = self.partition.total();
+        let last = self.bootstrap.iter().flatten().max();
+        ensure(last.is_none_or(|&c| (c as usize) < total), "contacts")?;
+        ensure(self.oracle.n_nodes() == total, "oracle size")?;
+        ensure(self.params.validate().is_ok(), "params")
+    }
+}
+
+/// One shard's dynamic state at a cycle boundary: the frame
+/// [`ShardState::encode_checkpoint`] writes.
+struct Checkpoint {
+    partition: Partition,
+    /// Per-node channel states.
+    channel_bad: Vec<bool>,
+    /// The known news items, ascending id (identical shards must
+    /// checkpoint to identical bytes).
+    known_items: Vec<NewsItem>,
+    oracle: Oracle,
+    /// One per owned node, in id order.
+    nodes: Vec<NodeRecord>,
+}
+
+wire_codec! { struct Checkpoint { partition, channel_bad, known_items, oracle, nodes } }
+
+/// One node in a [`Checkpoint`]: its [`NodeState`] (views in the wire
+/// codec's descriptor encoding, seen ids ascending) and its counters.
+struct NodeRecord {
+    profile: Profile,
+    views: ColdStart,
+    seen: Vec<ItemId>,
+    stats: NodeStats,
+}
+
+wire_codec! { struct NodeRecord { profile, views, seen, stats } }
+
+wire_codec! {
+    struct NodeStats {
+        rps_sent, wup_sent, news_sent, news_received, news_duplicates, news_liked, published,
+    }
 }
 
 /// A fresh node whose views start at its bootstrap `contacts`, every one
@@ -316,17 +368,18 @@ impl ShardState {
     /// oracle copies; the owning (last) shard additionally receives the
     /// rejoin view `snapshot` and builds the node from it (§II-D cold
     /// start).
-    pub fn admit(&mut self, reference: NodeId, snapshot: Option<&[u8]>) {
+    pub fn admit(&mut self, reference: NodeId, snapshot: Option<&[u8]>) -> Result<(), DecodeError> {
+        let snapshot = snapshot.map(exchange::decode_cold_start).transpose()?;
         self.oracle.add_clone_of(reference);
         let id = self.partition.push_node();
-        if let Some(frame) = snapshot {
+        if let Some(snapshot) = snapshot {
             assert_eq!(
                 self.index + 1,
                 self.partition.n_shards(),
                 "joiners belong to the last shard"
             );
             let mut node = WhatsUpNode::new(id, self.params.clone());
-            node.cold_start(exchange::decode_cold_start(frame), &self.oracle);
+            node.cold_start(snapshot, &self.oracle);
             self.nodes.push(node);
             self.node_stats.push(NodeStats::default());
             self.phase_rngs.push(None);
@@ -334,12 +387,24 @@ impl ShardState {
             self.mailbox.grow();
         }
         self.contacted.resize(self.nodes.len());
+        Ok(())
     }
 
     /// Executes one phase command. The single entry point shared by the
     /// inline driver, the channel workers and the worker processes.
+    ///
+    /// # Panics
+    /// Panics if a snapshot or checkpoint frame inside `cmd` does not
+    /// decode; the worker loop uses the fallible [`Self::try_handle`].
     pub fn handle(&mut self, cmd: Command) -> Reply {
-        match cmd {
+        self.try_handle(cmd)
+            .expect("malformed frame inside a command")
+    }
+
+    /// [`Self::handle`], with a frame nested in `cmd` that does not decode
+    /// returned as an error before it changes any state.
+    pub(crate) fn try_handle(&mut self, cmd: Command) -> Result<Reply, DecodeError> {
+        Ok(match cmd {
             Command::Collect { cycle } => Reply::Outbound(self.collect(cycle)),
             Command::DeliverGossip { cycle, bundles } => {
                 Reply::Outbound(self.deliver_gossip(cycle, &bundles))
@@ -351,14 +416,14 @@ impl ShardState {
                     .collect(),
             ),
             Command::ApplyChurn { resets } => {
-                self.apply_churn(&resets);
+                self.apply_churn(&resets)?;
                 Reply::Ack
             }
             Command::Admit {
                 reference,
                 snapshot,
             } => {
-                self.admit(reference, snapshot.as_deref());
+                self.admit(reference, snapshot.as_deref())?;
                 Reply::Ack
             }
             Command::SwapInterests { a, b } => {
@@ -377,22 +442,20 @@ impl ShardState {
             } => self.deliver_news(cycle, item, &bundles),
             Command::TakeCheckpoint => Reply::Checkpoint(self.encode_checkpoint()),
             Command::Restore { frame } => {
-                self.restore_checkpoint(&frame);
+                self.restore_checkpoint(&frame)?;
                 Reply::Ack
             }
             Command::Stop => Reply::Ack,
-        }
+        })
     }
 
-    /// Serializes this shard's full dynamic state as one checkpoint frame.
-    ///
-    /// Layout (all little-endian, wire-codec encodings for the node data):
-    /// partition starts, per-node channel states, the known news items
-    /// (ascending item id, canonical), the oracle copy, then one
-    /// [`NodeState`] per owned node in id order (profile entries, RPS view,
-    /// WUP view, seen ids ascending, stats). Per-cycle measurement counters
-    /// live in the driver (folded from the phase replies), so checkpoints
-    /// carry no counter residue.
+    /// Serializes this shard's full dynamic state as one checkpoint frame,
+    /// laid out as [`Checkpoint`] declares: partition boundaries, per-node
+    /// channel states, the known news items (ascending id, canonical), the
+    /// oracle copy, then one [`NodeRecord`] per owned node in id order
+    /// (profile, RPS and WUP views, seen ids ascending, stats). Per-cycle
+    /// measurement counters live in the driver (folded from the phase
+    /// replies), so checkpoints carry no counter residue.
     ///
     /// Static state (`index`, `seed`, loss/churn models, params) is *not*
     /// serialized: a restoring worker already received it via the bootstrap
@@ -408,94 +471,70 @@ impl ShardState {
             self.mailbox.is_empty() && self.pending_local.is_empty(),
             "checkpoint requires an empty mailbox (cycle boundary)"
         );
-        let mut buf = BytesMut::with_capacity(4096);
-        let starts = self.partition.starts();
-        buf.put_u32_le(starts.len() as u32);
-        for &s in starts {
-            buf.put_u32_le(s);
-        }
-        buf.put_u32_le(self.channel_bad.len() as u32);
-        for &bad in &self.channel_bad {
-            buf.put_u8(u8::from(bad));
-        }
-        // HashMap iteration order is unspecified; sort for a canonical
-        // frame (identical shards must checkpoint to identical bytes).
-        let mut items: Vec<&NewsItem> = self.known_items.values().collect();
-        items.sort_unstable_by_key(|item| item.id());
-        buf.put_u32_le(items.len() as u32);
-        for item in items {
-            exchange::put_news_item(&mut buf, item);
-        }
-        exchange::put_oracle(&mut buf, &self.oracle);
-        buf.put_u32_le(self.nodes.len() as u32);
-        for (node, stats) in self.nodes.iter().zip(&self.node_stats) {
-            let st = node.export_state();
-            codec::put_profile(&mut buf, &Profile::from_vec(st.profile));
-            codec::put_descriptors(&mut buf, &st.rps_view);
-            codec::put_descriptors(&mut buf, &st.wup_view);
-            buf.put_u32_le(st.seen.len() as u32);
-            for item in &st.seen {
-                buf.put_u64_le(*item);
-            }
-            put_node_stats(&mut buf, stats);
-        }
-        buf.freeze()
+        let mut known_items: Vec<NewsItem> = self.known_items.values().cloned().collect();
+        known_items.sort_unstable_by_key(NewsItem::id);
+        let nodes = self.nodes.iter().zip(&self.node_stats);
+        let checkpoint = Checkpoint {
+            partition: self.partition.clone(),
+            channel_bad: self.channel_bad.clone(),
+            known_items,
+            oracle: self.oracle.clone(),
+            nodes: nodes
+                .map(|(node, &stats)| {
+                    let st = node.export_state();
+                    NodeRecord {
+                        profile: Profile::from_vec(st.profile),
+                        views: ColdStart {
+                            rps_view: st.rps_view,
+                            wup_view: st.wup_view,
+                        },
+                        seen: st.seen,
+                        stats,
+                    }
+                })
+                .collect(),
+        };
+        Bytes::from(exchange::encode(&checkpoint))
     }
 
     /// Replaces this shard's dynamic state with a checkpoint frame
     /// (recovery path — the shard was just rebuilt from its original init).
-    /// Transient state is reset: mailboxes empty (guaranteed at the
-    /// checkpointed boundary), phase RNGs re-derived on first use.
-    pub fn restore_checkpoint(&mut self, mut frame: &[u8]) {
-        let buf = &mut frame;
-        let n_starts = buf.get_u32_le() as usize;
-        let starts = (0..n_starts).map(|_| buf.get_u32_le()).collect();
-        self.partition = Partition::from_starts(starts);
-        let n_channels = buf.get_u32_le() as usize;
-        self.channel_bad = (0..n_channels).map(|_| buf.get_u8() != 0).collect();
-        let n_items = buf.get_u32_le() as usize;
-        self.known_items = (0..n_items)
-            .map(|_| {
-                let item = exchange::get_news_item(buf);
-                (item.id(), item)
+    /// The frame is decoded and checked against the shard in full first: a
+    /// frame that does not decode, or describes another shard, is an error
+    /// and leaves the state as it was. Transient state is reset: mailboxes
+    /// empty (guaranteed at the checkpointed boundary), phase RNGs
+    /// re-derived on first use.
+    pub fn restore_checkpoint(&mut self, frame: &[u8]) -> Result<(), DecodeError> {
+        let cp: Checkpoint = exchange::decode(frame)?;
+        let n_nodes = cp.nodes.len();
+        let range = cp.partition.try_range(self.index).unwrap_or_default();
+        let fits = range.len() == n_nodes && cp.channel_bad.len() == n_nodes;
+        ensure(fits, "checkpoint of another shard")?;
+        ensure(cp.oracle.n_nodes() == cp.partition.total(), "oracle size")?;
+        let (nodes, node_stats) = range
+            .zip(cp.nodes)
+            .map(|(id, record)| {
+                let state = NodeState {
+                    profile: record.profile.entries().to_vec(),
+                    rps_view: record.views.rps_view,
+                    wup_view: record.views.wup_view,
+                    seen: record.seen,
+                };
+                let node = WhatsUpNode::from_state(id, self.params.clone(), state);
+                (node, record.stats)
             })
-            .collect();
-        self.oracle = exchange::get_oracle(buf);
-        let range = self.partition.range(self.index);
-        let n_nodes = buf.get_u32_le() as usize;
-        assert_eq!(range.len(), n_nodes, "checkpoint/partition node mismatch");
-        assert_eq!(n_channels, n_nodes, "checkpoint channel-state mismatch");
-        let mut node_stats = Vec::with_capacity(n_nodes);
-        self.nodes = range
-            .zip(0..n_nodes)
-            .map(|(id, _)| {
-                let profile = codec::get_profile(buf)
-                    .expect("malformed checkpoint profile")
-                    .entries()
-                    .to_vec();
-                let rps_view = codec::get_descriptors(buf).expect("malformed checkpoint view");
-                let wup_view = codec::get_descriptors(buf).expect("malformed checkpoint view");
-                let n_seen = buf.get_u32_le() as usize;
-                let seen = (0..n_seen).map(|_| buf.get_u64_le()).collect();
-                let node = WhatsUpNode::from_state(
-                    id,
-                    self.params.clone(),
-                    NodeState {
-                        profile,
-                        rps_view,
-                        wup_view,
-                        seen,
-                    },
-                );
-                node_stats.push(get_node_stats(buf));
-                node
-            })
-            .collect();
+            .unzip();
+        self.nodes = nodes;
         self.node_stats = node_stats;
+        self.partition = cp.partition;
+        self.channel_bad = cp.channel_bad;
+        self.known_items = cp.known_items.into_iter().map(|i| (i.id(), i)).collect();
+        self.oracle = cp.oracle;
         self.phase_rngs = vec![None; n_nodes];
         self.mailbox = Mailbox::new(self.partition.range(self.index));
         self.pending_local = Vec::new();
         self.contacted = Contacted::new(n_nodes);
+        Ok(())
     }
 
     /// Groups the staged emissions ([`Self::emit_scratch`]) by destination
@@ -650,18 +689,22 @@ impl ShardState {
     /// Applies churn resets: each crashed node rejoins as a fresh instance
     /// cold-started from its contact's (pre-churn) view snapshot. Snapshot
     /// state makes the application order irrelevant.
-    fn apply_churn(&mut self, resets: &[(NodeId, Bytes)]) {
-        for (id, frame) in resets {
-            let snapshot = exchange::decode_cold_start(frame);
-            let mut fresh = WhatsUpNode::new(*id, self.params.clone());
+    fn apply_churn(&mut self, resets: &[(NodeId, Bytes)]) -> Result<(), DecodeError> {
+        let snapshots = resets
+            .iter()
+            .map(|(id, frame)| Ok((*id, exchange::decode_cold_start(frame)?)))
+            .collect::<Result<Vec<_>, DecodeError>>()?;
+        for (id, snapshot) in snapshots {
+            let mut fresh = WhatsUpNode::new(id, self.params.clone());
             fresh.cold_start(snapshot, &self.oracle);
-            let local = self.local(*id);
+            let local = self.local(id);
             self.nodes[local] = fresh;
             // A rejoining node is a fresh instance: its counters restart
             // with it, exactly as when they lived inside the node.
             self.node_stats[local] = NodeStats::default();
         }
         self.contacted.reset();
+        Ok(())
     }
 
     /// Publishes `item` from its source node (owned by this shard), drawing
@@ -829,30 +872,6 @@ fn merge_inbound(
         } else if !bundle.is_empty() {
             decode_shard_bundle_each(bundle, &mut register, &mut sink);
         }
-    }
-}
-
-/// Wire form of one node's counters: seven `u64`s in [`NodeStats`] field
-/// order.
-fn put_node_stats(buf: &mut BytesMut, stats: &NodeStats) {
-    buf.put_u64_le(stats.rps_sent);
-    buf.put_u64_le(stats.wup_sent);
-    buf.put_u64_le(stats.news_sent);
-    buf.put_u64_le(stats.news_received);
-    buf.put_u64_le(stats.news_duplicates);
-    buf.put_u64_le(stats.news_liked);
-    buf.put_u64_le(stats.published);
-}
-
-fn get_node_stats(buf: &mut &[u8]) -> NodeStats {
-    NodeStats {
-        rps_sent: buf.get_u64_le(),
-        wup_sent: buf.get_u64_le(),
-        news_sent: buf.get_u64_le(),
-        news_received: buf.get_u64_le(),
-        news_duplicates: buf.get_u64_le(),
-        news_liked: buf.get_u64_le(),
-        published: buf.get_u64_le(),
     }
 }
 
@@ -1028,6 +1047,26 @@ mod tests {
                 rng.next_u64()
             })
             .collect()
+    }
+
+    #[test]
+    fn init_check_refuses_what_from_init_cannot_build() {
+        let (init, _) = middle_shard(1, LossModel::Constant { p: 0.0 });
+        assert_eq!(init.check(), Ok(()));
+        let broken: [fn(&mut ShardInit); 5] = [
+            |i| i.index = 3,
+            |i| i.bootstrap.truncate(9),
+            |i| i.bootstrap[4].push(30),
+            |i| {
+                i.oracle.add_clone_of(0);
+            },
+            |i| i.params.beep.f_like = 0,
+        ];
+        for (k, breaks) in broken.iter().enumerate() {
+            let mut init = init.clone();
+            breaks(&mut init);
+            assert!(init.check().is_err(), "break {k} passed");
+        }
     }
 
     #[test]

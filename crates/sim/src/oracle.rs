@@ -72,20 +72,18 @@ impl Oracle {
     }
 
     /// Rebuilds an oracle from serialized parts, preserving a non-identity
-    /// alias (shard-worker init path).
-    ///
-    /// # Panics
-    /// Panics if an alias entry names a row outside the store.
-    pub fn restore(store: LikeStore, id_to_index: ItemIndexMap, alias: Vec<u32>) -> Self {
-        assert!(
-            alias.iter().all(|&r| (r as usize) < store.n_users()),
-            "alias row out of range"
-        );
-        Self {
+    /// alias (shard-worker init path); `None` if an alias entry names a row,
+    /// or the id map an item, outside the store.
+    pub fn restore(store: LikeStore, id_to_index: ItemIndexMap, alias: Vec<u32>) -> Option<Self> {
+        let valid = alias.iter().all(|&r| (r as usize) < store.n_users())
+            && id_to_index
+                .values()
+                .all(|&i| (i as usize) < store.n_items());
+        valid.then(|| Self {
             store: Arc::new(store),
             id_to_index: Arc::new(id_to_index),
             alias: Arc::new(alias),
-        }
+        })
     }
 
     /// The current node → matrix-row aliasing.
@@ -210,5 +208,18 @@ mod tests {
         assert!(o.likes(0, 200));
         assert!(!o.likes(0, 100));
         assert!(o.likes(1, 100));
+    }
+
+    #[test]
+    fn restore_refuses_rows_and_items_past_the_store() {
+        let o = oracle();
+        let parts = |alias: Vec<u32>, map: ItemIndexMap| {
+            Oracle::restore(o.store().clone(), map, alias).map(|r| r.alias().to_vec())
+        };
+        let map = || o.id_map().clone();
+        assert_eq!(parts(vec![2, 2, 0], map()), Some(vec![2, 2, 0]));
+        assert_eq!(parts(vec![0, 3], map()), None, "row 3 of 3");
+        let past = ItemIndexMap::from_iter([(100u64, 2u32)]);
+        assert_eq!(parts(vec![0], past), None, "item 2 of 2");
     }
 }

@@ -31,7 +31,9 @@
 //! its JSON form once, in the `serde::json_codec!` block next to it: that
 //! block is the one place the schema lives, and both the encoder and the
 //! decoder are generated from it. Every enum is a tagged object with a
-//! `"kind"` discriminator.
+//! `"kind"` discriminator. The loss and churn models also travel to shard
+//! workers; their binary form is declared the same way, in the
+//! `wire_codec!` block after the JSON one.
 //!
 //! Files are strict JSON: quoted keys, one comma between members, no
 //! trailing commas, nesting at most 128 deep. An integer field accepts a
@@ -253,6 +255,14 @@ serde::json_codec! {
     }
 }
 
+crate::engine::exchange::wire_codec! {
+    enum LossModel {
+        0 => Constant { p },
+        1 => GilbertElliott { p_good, p_bad, good_to_bad, bad_to_good },
+        2 => Partition { from, until, frontier },
+    }
+}
+
 /// Node arrivals and departures.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ChurnModel {
@@ -275,6 +285,15 @@ serde::json_codec! {
         "uniform" => Uniform { per_cycle },
         "crash_wave" => CrashWave { at, fraction },
         "mass_join" => MassJoin { at, count },
+    }
+}
+
+crate::engine::exchange::wire_codec! {
+    enum ChurnModel {
+        0 => None,
+        1 => Uniform { per_cycle },
+        2 => CrashWave { at, fraction },
+        3 => MassJoin { at, count },
     }
 }
 

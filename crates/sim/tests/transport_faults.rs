@@ -13,9 +13,13 @@ use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use whatsup_sim::engine::exchange::stream::{
-    encode_hello, read_frame, write_frame, PROTOCOL_VERSION,
+    encode_handshake, encode_hello, read_frame, run_worker, write_frame, WorkerError,
+    HANDSHAKE_MAGIC, PROTOCOL_VERSION,
 };
-use whatsup_sim::{Protocol, Runner, SimConfig, Supervision};
+use whatsup_sim::engine::exchange::TransportErrorKind;
+use whatsup_sim::engine::{Partition, ShardInit};
+use whatsup_sim::scenario::{ChurnModel, LossModel};
+use whatsup_sim::{Oracle, Protocol, Runner, SimConfig, Supervision};
 
 fn dataset() -> whatsup_datasets::Dataset {
     whatsup_datasets::survey::generate(&whatsup_datasets::SurveyConfig::paper().scaled(0.08), 5)
@@ -126,6 +130,22 @@ fn truncated_reply_frame_fails_cleanly() {
     });
     let msg = socket_run_err(vec![addr.clone()]);
     assert!(msg.contains(&addr), "error must name the address: {msg}");
+    handle.join().expect("fake worker thread");
+}
+
+#[test]
+fn undecodable_reply_frame_fails_cleanly_naming_the_address() {
+    let (handle, addr) = fake_worker(|mut stream| {
+        write_frame(&mut stream, &encode_hello(PROTOCOL_VERSION)).expect("send hello");
+        let _ = read_frame(&mut stream).expect("read handshake");
+        let _ = read_frame(&mut stream).expect("read first command");
+        // A whole frame, but no reply has tag 99.
+        write_frame(&mut stream, &[99]).expect("send garbage reply");
+        let _ = read_frame(&mut stream);
+    });
+    let msg = socket_run_err(vec![addr.clone()]);
+    assert!(msg.contains(&addr), "error must name the address: {msg}");
+    assert!(msg.contains("malformed"), "error must say why: {msg}");
     handle.join().expect("fake worker thread");
 }
 
@@ -609,5 +629,133 @@ fn killing_the_driver_leaves_no_zombie_and_no_backtrace() {
             stderr.lines().any(|l| l.starts_with("sim-shard-worker:")),
             "one-line message expected: {stderr:?}"
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Worker-side faults: hostile command streams end in a typed error
+// ---------------------------------------------------------------------------
+
+/// The handshake frame a driver sends shard 0 of a four-node run.
+fn real_handshake() -> Vec<u8> {
+    let likes = whatsup_datasets::LikeMatrix::new(4, 1);
+    let ids = [(7u64, 0u32)].into_iter().collect();
+    let partition = Partition::new(4, 2);
+    let init = ShardInit {
+        index: 0,
+        bootstrap: partition.range(0).map(|id| vec![(id + 1) % 4]).collect(),
+        partition,
+        seed: 1,
+        loss: LossModel::Constant { p: 0.0 },
+        churn: ChurnModel::None,
+        params: whatsup_core::Params::whatsup(2),
+        oracle: Oracle::new(likes, ids),
+    };
+    encode_handshake(&init)
+}
+
+/// A handshake header at the current version followed by `init`.
+fn handshake_with(init: &[u8]) -> Vec<u8> {
+    let mut frame = HANDSHAKE_MAGIC.to_le_bytes().to_vec();
+    frame.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
+    frame.extend_from_slice(init);
+    frame
+}
+
+/// Frames with this tag and these bytes after it.
+fn tagged(tag: u8, rest: &[&[u8]]) -> Vec<u8> {
+    let mut frame = vec![tag];
+    rest.iter().for_each(|part| frame.extend_from_slice(part));
+    frame
+}
+
+/// Hostile streams — each a sequence of frames a driver could send — and
+/// what they exercise. The first six once crashed the worker (unknown
+/// opcode, truncation, counts no frame can hold, a garbage init); the last
+/// two carry well-formed commands whose nested frames do not decode.
+fn hostile_streams() -> Vec<(&'static str, Vec<Vec<u8>>)> {
+    let handshake = real_handshake();
+    let stream = |cmd: Vec<u8>| vec![handshake.clone(), cmd];
+    let max = u32::MAX.to_le_bytes();
+    vec![
+        ("unknown opcode", stream(vec![99])),
+        ("truncated Collect", stream(tagged(1, &[&[0, 0]]))),
+        (
+            "TakeSnapshots with 2^30 ids",
+            stream(tagged(4, &[&(1u32 << 30).to_le_bytes()])),
+        ),
+        (
+            "DeliverGossip with 2^32-1 bundles",
+            stream(tagged(2, &[&3u32.to_le_bytes(), &max])),
+        ),
+        ("5-byte Restore", stream(tagged(14, &[&max]))),
+        ("garbage init", vec![handshake_with(&[0xff; 7])]),
+        (
+            "ApplyChurn with a garbage snapshot",
+            stream(tagged(
+                5,
+                &[
+                    &1u32.to_le_bytes(),
+                    &0u32.to_le_bytes(),
+                    &[2, 0, 0, 0, 9, 9],
+                ],
+            )),
+        ),
+        (
+            "Restore with a garbage checkpoint",
+            stream(tagged(14, &[&3u32.to_le_bytes(), &[1, 2, 3]])),
+        ),
+    ]
+}
+
+fn framed(frames: &[Vec<u8>]) -> Vec<u8> {
+    let mut stream = Vec::new();
+    for frame in frames {
+        write_frame(&mut stream, frame).expect("in-memory write");
+    }
+    stream
+}
+
+#[test]
+fn hostile_command_streams_end_in_a_typed_worker_error() {
+    for (what, frames) in hostile_streams() {
+        let mut output = Vec::new();
+        let err = run_worker(&mut &framed(&frames)[..], &mut output)
+            .expect_err(what)
+            .to_string();
+        assert_eq!(err.lines().count(), 1, "{what}: one line, got {err:?}");
+        let typed = match run_worker(&mut &framed(&frames)[..], &mut Vec::new()) {
+            Err(WorkerError::Malformed(_)) => frames.len() == 2,
+            Err(WorkerError::Handshake(TransportErrorKind::Decode(_))) => frames.len() == 1,
+            _ => false,
+        };
+        assert!(typed, "{what}: {err}");
+    }
+}
+
+#[test]
+fn stdio_worker_exits_1_on_each_hostile_command_stream() {
+    let worker = env!("CARGO_BIN_EXE_sim-shard-worker");
+    for (what, frames) in hostile_streams() {
+        let mut child = std::process::Command::new(worker)
+            .stdin(std::process::Stdio::piped())
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn worker");
+        let mut stdin = child.stdin.take().expect("worker stdin");
+        // The worker may exit before it reads everything: ignore EPIPE.
+        let _ = stdin.write_all(&framed(&frames));
+        drop(stdin);
+        let out = child.wait_with_output().expect("wait for worker");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{what}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{what}: {stderr:?}");
+        assert!(
+            stderr.starts_with("sim-shard-worker:"),
+            "{what}: {stderr:?}"
+        );
+        assert!(!stderr.contains("panicked"), "{what}: {stderr}");
+        assert!(!stderr.contains("memory allocation"), "{what}: {stderr}");
     }
 }
