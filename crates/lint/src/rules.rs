@@ -124,10 +124,12 @@ impl Config {
     ///   the shared stream link), the benchmark crate (wall clocks are its
     ///   purpose) and the dependency shims.
     /// * `wire-panic` / `wire-cast` — the untrusted-input decode surface:
-    ///   `crates/net/src/codec.rs`, the shard-exchange codec
-    ///   (`crates/sim/src/engine/exchange/wire.rs`: the primitive impls,
-    ///   `wire_codec!` and the hand-written oracle and partition impls) and
-    ///   the anti-entropy digest/delta frame readers.
+    ///   the one binary codec (`crates/net/src/wire.rs`: the primitive
+    ///   impls, `wire_codec!`, the profile and descriptor-list impls), the
+    ///   datagram layouts on it (`crates/net/src/codec.rs`), the shard
+    ///   exchange's hand-written oracle and partition impls
+    ///   (`crates/sim/src/engine/exchange/wire.rs`) and the anti-entropy
+    ///   digest/delta frame readers.
     /// * `safety-comment` — everywhere except the shims (which mirror
     ///   upstream crates' APIs verbatim).
     /// * `env-draw` — all of `crates/sim/src` except
@@ -163,6 +165,7 @@ impl Config {
         );
         let wire = Scope {
             include: vec![
+                "crates/net/src/wire.rs".into(),
                 "crates/net/src/codec.rs".into(),
                 "crates/sim/src/engine/exchange/wire.rs".into(),
                 "crates/sim/src/engines/antientropy/digest.rs".into(),

@@ -169,6 +169,7 @@ fn workspace_scopes_gate_rules_by_path() {
     // Wire rules likewise apply only on the decode surface.
     let panicky = fixture("wire_panic.rs");
     for decoder in [
+        "crates/net/src/wire.rs",
         "crates/net/src/codec.rs",
         "crates/sim/src/engine/exchange/wire.rs",
     ] {

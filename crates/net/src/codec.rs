@@ -1,18 +1,22 @@
-//! Binary wire format.
+//! Binary wire format: every frame a peer or a shard sends.
 //!
-//! Layout (little-endian throughout; tags are the stable wire ids of
-//! [`whatsup_core::message::wire`]):
+//! Little-endian throughout; tags are the stable wire ids of
+//! [`whatsup_core::message::wire`]; each body is a [`Wire`] declaration
+//! (`crate::wire` tabulates the primitives):
 //!
 //! ```text
-//! frame      := tag:u8 from:u32 body
-//! gossip     := count:u16 descriptor*
-//! descriptor := node:u32 age:u32 profile
-//! profile    := len:u16 entry*
-//! entry      := item:u64 timestamp:u32 score:f32
-//! news       := source:u32 created:u32 title:str desc:str link:str
-//!               dislikes:u8 hops:u16 profile
-//! str        := len:u16 utf8-bytes
-//! bundle     := count:u32 (to:u32 len:u32 frame)*       [from = shard id]
+//! frame        := tag:u8 from:u32 body
+//! gossip       := descriptor list: count:u16 (node:u32 age:u32 profile)*
+//! news         := item forwarding
+//! item         := source:u32 created:u32 title:str desc:str link:str
+//! forwarding   := dislikes:u8 hops:u16 profile
+//! profile      := len:u16 (item:u64 timestamp:u32 score:f32)*
+//! str          := len:u16 utf8-bytes
+//! bundle       := count:u32 (to:u32 len:u32 frame)*      [from = shard id]
+//! digest       := count:u32 (node:u32 incarnation:u32 max_version:u64)*
+//! delta        := count:u32 (node:u32 incarnation:u32 version:u64 value)*
+//! value        := 0:u8 heartbeat:u32 | 1:u8 profile_digest:u64
+//!               | 2:u8 item:u32 published_at:u32
 //! ```
 //!
 //! The news item's 8-byte id is deliberately absent from the wire: receivers
@@ -26,100 +30,28 @@
 //! [`MAX_FRAME`] applies to single-message frames only, and bundles never
 //! nest.
 //!
-//! This codec is also the `whatsup-sim` distributed wire format: the
-//! sharded engine's socket transport (`sim-shard-worker --listen`, one
-//! shard per remote machine) moves these very bundle encodings inside its
-//! length-prefixed command frames, so anything the simulator exchanges
-//! across machines is by construction expressible on the deployment
-//! stack's network encoding. The engine's per-cycle measurement counters
-//! are folded driver-side from the phase replies, so no engine-internal
-//! counter frame rides on top of this codec. See the
-//! `whatsup_sim::engine` module docs, "distributed topology" and
-//! "measurement pipeline".
+//! The sharded engine's transports (`sim-shard-worker`, one shard per
+//! process or machine) move these very bundle encodings inside their
+//! command frames, so anything the simulator exchanges is expressible on
+//! the deployment stack's network encoding (see the `whatsup_sim::engine`
+//! module docs, "distributed topology").
+//!
+//! Anti-entropy deltas for one node are emitted in ascending version order
+//! so that a budget-truncated delta always leaves the receiver's per-node
+//! max version at a resumable point: the next digest advertises exactly
+//! the cut, and the following delta resumes from there. Out-of-order
+//! emission would let the digest max leapfrog unsent versions and stall
+//! convergence forever.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::wire::{put_seq, take_slice, Wire};
+use bytes::{Bytes, BytesMut};
 use whatsup_core::message::wire;
-use whatsup_core::{
-    Descriptor, ItemHeader, NewsItem, NewsMessage, NodeId, Payload, Profile, ProfileEntry,
-    SharedProfile,
-};
+use whatsup_core::{ItemHeader, NewsItem, NewsMessage, NodeId, Payload, SharedProfile};
 
 /// Maximum single-message frame size we allow on the wire (UDP datagram
 /// safety margin). Mailbox bundles are exempt — they are batches for
 /// stream-like transports.
 pub const MAX_FRAME: usize = 60 * 1024;
-
-/// One addressed message inside a mailbox bundle.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BundleEntry {
-    /// Destination node.
-    pub to: NodeId,
-    /// Sending node (the inner frame's `from`).
-    pub from: NodeId,
-    /// The message itself (never a nested bundle).
-    pub message: WireMessage,
-}
-
-/// A decoded frame: the sender and what it sent. News carries the full item
-/// content; the protocol-level [`Payload`] is derived via
-/// [`WireMessage::try_into_payload`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum WireMessage {
-    Gossip {
-        kind: u8,
-        descriptors: Vec<Descriptor<SharedProfile>>,
-    },
-    News {
-        item: NewsItem,
-        profile: SharedProfile,
-        dislikes: u8,
-        hops: u16,
-    },
-    /// A shard-exchange mailbox bundle; the frame-level `from` is the
-    /// emitting shard's index, not a node id.
-    Bundle(Vec<BundleEntry>),
-}
-
-impl WireMessage {
-    /// Converts to the sans-io node's payload. News ids are recomputed from
-    /// content here — the wire never carried them.
-    ///
-    /// Fallible because a [`WireMessage`] can be built by hand with a
-    /// gossip kind [`decode`] would never produce, and because a
-    /// [`WireMessage::Bundle`] is a transport batch, not a protocol
-    /// payload — unpack the entries instead. Both cases surface typed
-    /// errors so no frame handler on an untrusted input path has a panic
-    /// to reach.
-    pub fn try_into_payload(self) -> Result<Payload, DecodeError> {
-        match self {
-            WireMessage::Gossip { kind, descriptors } => match kind {
-                wire::RPS_REQUEST => Ok(Payload::RpsRequest(descriptors)),
-                wire::RPS_RESPONSE => Ok(Payload::RpsResponse(descriptors)),
-                wire::WUP_REQUEST => Ok(Payload::WupRequest(descriptors)),
-                wire::WUP_RESPONSE => Ok(Payload::WupResponse(descriptors)),
-                other => Err(DecodeError::BadTag(other)),
-            },
-            WireMessage::News {
-                item,
-                profile,
-                dislikes,
-                hops,
-            } => {
-                let header = ItemHeader {
-                    id: item.id(),
-                    created_at: item.created_at,
-                };
-                Ok(Payload::News(NewsMessage {
-                    header,
-                    profile,
-                    dislikes,
-                    hops,
-                }))
-            }
-            WireMessage::Bundle(_) => Err(DecodeError::BundlePayload),
-        }
-    }
-}
 
 /// Encoding error: the only failure mode is an oversized frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -143,12 +75,9 @@ pub enum DecodeError {
     Truncated,
     BadTag(u8),
     BadUtf8,
-    /// A mailbox bundle where a protocol payload was required: bundles are
-    /// transport batches and never convert to a [`Payload`].
-    BundlePayload,
     /// A profile entry whose score is not a finite number in `[0, 1]` (the
-    /// [`Profile`] invariant). Carries the offending `f32`'s bits: `NaN`
-    /// would make the error unequal to itself.
+    /// [`whatsup_core::Profile`] invariant). Carries the offending `f32`'s
+    /// bits: `NaN` would make the error unequal to itself.
     BadScore(u32),
     /// A frame whose fields decode but break the invariant they form
     /// together (e.g. bytes left over after the last field, a count that
@@ -162,9 +91,6 @@ impl std::fmt::Display for DecodeError {
             DecodeError::Truncated => write!(f, "frame truncated"),
             DecodeError::BadTag(t) => write!(f, "unknown frame tag {t}"),
             DecodeError::BadUtf8 => write!(f, "invalid utf-8 in string field"),
-            DecodeError::BundlePayload => {
-                write!(f, "mailbox bundle is not a protocol payload")
-            }
             DecodeError::BadScore(bits) => {
                 write!(f, "profile score {} outside [0, 1]", f32::from_bits(*bits))
             }
@@ -174,6 +100,32 @@ impl std::fmt::Display for DecodeError {
 }
 
 impl std::error::Error for DecodeError {}
+
+/// BEEP's forwarding state: what follows the item in a news frame.
+#[derive(Debug, Clone)]
+struct Forwarding {
+    dislikes: u8,
+    hops: u16,
+    profile: SharedProfile,
+}
+
+crate::wire_codec! { struct Forwarding { dislikes, hops, profile } }
+
+/// Reads a frame's `tag:u8 from:u32` header, refusing any tag but `tag`.
+fn take_header(buf: &mut &[u8], tag: u8) -> Result<NodeId, DecodeError> {
+    match <(u8, NodeId)>::take(buf)? {
+        (got, from) if got == tag => Ok(from),
+        (other, _) => Err(DecodeError::BadTag(other)),
+    }
+}
+
+/// `buf` frozen, unless it outgrew [`MAX_FRAME`].
+fn datagram(buf: BytesMut) -> Result<Bytes, FrameTooLarge> {
+    if buf.len() > MAX_FRAME {
+        return Err(FrameTooLarge(buf.len()));
+    }
+    Ok(buf.freeze())
+}
 
 /// Encodes a payload from `from`. News payloads need the full item content
 /// (the header alone is not enough to reconstruct the wire form), so the
@@ -185,10 +137,7 @@ pub fn encode(
 ) -> Result<Bytes, FrameTooLarge> {
     let mut buf = BytesMut::with_capacity(256);
     encode_into(&mut buf, from, payload, resolve);
-    if buf.len() > MAX_FRAME {
-        return Err(FrameTooLarge(buf.len()));
-    }
-    Ok(buf.freeze())
+    datagram(buf)
 }
 
 /// Appends the single-message frame for `payload` to `buf` without the
@@ -200,28 +149,22 @@ pub fn encode_into(
     payload: &Payload,
     resolve: impl Fn(u64) -> Option<NewsItem>,
 ) {
+    (payload.wire_id(), from).put(buf);
     match payload {
         Payload::RpsRequest(d)
         | Payload::RpsResponse(d)
         | Payload::WupRequest(d)
-        | Payload::WupResponse(d) => {
-            buf.put_u8(payload.wire_id());
-            buf.put_u32_le(from);
-            put_descriptors(buf, d);
-        }
+        | Payload::WupResponse(d) => d.put(buf),
         Payload::News(msg) => {
             let item =
                 resolve(msg.header.id).expect("news content must be resolvable for encoding"); // lint:allow(wire-panic) encode path: the emitting node holds the content it forwards
-            buf.put_u8(wire::NEWS);
-            buf.put_u32_le(from);
-            buf.put_u32_le(item.source);
-            buf.put_u32_le(item.created_at);
-            put_str(buf, &item.title);
-            put_str(buf, &item.description);
-            put_str(buf, &item.link);
-            buf.put_u8(msg.dislikes);
-            buf.put_u16_le(msg.hops);
-            put_profile(buf, &msg.profile);
+            item.put(buf);
+            let forwarding = Forwarding {
+                dislikes: msg.dislikes,
+                hops: msg.hops,
+                profile: SharedProfile::clone(&msg.profile),
+            };
+            forwarding.put(buf);
         }
     }
 }
@@ -252,13 +195,12 @@ pub fn encode_bundle_into(
     entries: &[(NodeId, NodeId, Payload)],
     resolve: impl Fn(u64) -> Option<NewsItem>,
 ) {
-    buf.put_u8(wire::MAILBOX_BUNDLE);
-    buf.put_u32_le(from_shard);
-    buf.put_u32_le(wire_count_u32(entries.len(), "bundle entry count"));
+    (wire::MAILBOX_BUNDLE, from_shard).put(buf);
+    entries.len().put(buf);
     for (to, from, payload) in entries {
-        buf.put_u32_le(*to);
+        to.put(buf);
         let at = buf.len();
-        buf.put_u32_le(0); // length placeholder
+        0u32.put(buf); // length placeholder
         encode_into(buf, *from, payload, &resolve);
         let len = wire_count_u32(buf.len() - at - 4, "bundle inner frame length");
         // lint:allow(wire-panic) encode path: patching the 4-byte placeholder written just above
@@ -271,8 +213,7 @@ pub fn encode_bundle_into(
 /// per-shard mail volumes), so overflow here is a caller bug — but a
 /// *silent* `as` truncation would corrupt the frame for every later field,
 /// so the narrowing is checked and panics with the field name instead.
-/// Decode paths never use these: untrusted input gets typed errors. The
-/// simulator's shard-exchange codec narrows through these two as well.
+/// Decode paths never use these: untrusted input gets typed errors.
 pub fn wire_count_u32(n: usize, what: &str) -> u32 {
     // lint:allow(wire-panic) encode path: loud failure beats silent wire truncation
     u32::try_from(n).unwrap_or_else(|_| panic!("{what} {n} exceeds u32 wire bound"))
@@ -285,10 +226,10 @@ pub fn wire_count_u16(n: usize, what: &str) -> u16 {
 }
 
 /// A borrowed view over an encoded mailbox bundle: iterates `(to, inner
-/// frame)` pairs straight out of the frame buffer without materializing a
-/// `Vec<BundleEntry>`. Each inner frame slice decodes with [`decode`] (which
-/// rejects nested bundles); consumers that only route by destination never
-/// pay for decoding the message bodies at all.
+/// frame)` pairs straight out of the frame buffer without materializing
+/// the entries. Each inner frame slice decodes with [`decode_bundle_entry`]
+/// (or [`decode`]); consumers that only route by destination never pay for
+/// decoding the message bodies at all.
 #[derive(Debug, Clone)]
 pub struct BundleView<'a> {
     from_shard: u32,
@@ -299,21 +240,13 @@ pub struct BundleView<'a> {
 /// Opens a borrowed iterator over a bundle frame. Errors if the frame is
 /// not a bundle header; per-entry truncation surfaces lazily from the
 /// iterator.
-pub fn bundle_view(frame: &[u8]) -> Result<BundleView<'_>, DecodeError> {
-    let mut buf = frame;
-    if buf.remaining() < 9 {
-        return Err(DecodeError::Truncated);
-    }
-    let tag = buf.get_u8();
-    if tag != wire::MAILBOX_BUNDLE {
-        return Err(DecodeError::BadTag(tag));
-    }
-    let from_shard = buf.get_u32_le();
-    let remaining_entries = buf.get_u32_le();
+pub fn bundle_view(mut frame: &[u8]) -> Result<BundleView<'_>, DecodeError> {
+    let from_shard = take_header(&mut frame, wire::MAILBOX_BUNDLE)?;
+    let remaining_entries = u32::take(&mut frame)?;
     Ok(BundleView {
         from_shard,
         remaining_entries,
-        rest: buf,
+        rest: frame,
     })
 }
 
@@ -331,6 +264,18 @@ impl<'a> BundleView<'a> {
     pub fn is_empty(&self) -> bool {
         self.remaining_entries == 0
     }
+
+    /// The next `to:u32 len:u32 frame` entry.
+    fn take_entry(&mut self) -> Result<(NodeId, &'a [u8]), DecodeError> {
+        let (to, len) = <(NodeId, usize)>::take(&mut self.rest)?;
+        let inner = take_slice(&mut self.rest, len)?;
+        // Nested bundles are forbidden on the wire; reject before a caller
+        // recurses into them.
+        if inner.first() == Some(&wire::MAILBOX_BUNDLE) {
+            return Err(DecodeError::BadTag(wire::MAILBOX_BUNDLE));
+        }
+        Ok((to, inner))
+    }
 }
 
 impl<'a> Iterator for BundleView<'a> {
@@ -342,356 +287,120 @@ impl<'a> Iterator for BundleView<'a> {
             return None;
         }
         self.remaining_entries -= 1;
-        if self.rest.remaining() < 8 {
+        let entry = self.take_entry();
+        if entry.is_err() {
             self.remaining_entries = 0;
-            return Some(Err(DecodeError::Truncated));
         }
-        let to = self.rest.get_u32_le();
-        let len = self.rest.get_u32_le() as usize;
-        if self.rest.remaining() < len {
-            self.remaining_entries = 0;
-            return Some(Err(DecodeError::Truncated));
-        }
-        // lint:allow(wire-panic) bounds checked: remaining >= len two lines above
-        let inner = &self.rest[..len];
-        self.rest.advance(len);
-        // Nested bundles are forbidden on the wire; reject before a caller
-        // recurses into `decode`.
-        if inner.first() == Some(&wire::MAILBOX_BUNDLE) {
-            self.remaining_entries = 0;
-            return Some(Err(DecodeError::BadTag(wire::MAILBOX_BUNDLE)));
-        }
-        Some(Ok((to, inner)))
+        Some(entry)
     }
 }
 
-/// Serializes a descriptor list (`count:u16 descriptor*`). Exposed so the
-/// simulator's shard exchange can serialize view snapshots with the same
-/// encoding gossip frames use.
-pub fn put_descriptors(buf: &mut BytesMut, descs: &[Descriptor<SharedProfile>]) {
-    buf.put_u16_le(wire_count_u16(descs.len(), "descriptor count"));
-    for d in descs {
-        buf.put_u32_le(d.node);
-        buf.put_u32_le(d.age);
-        put_profile(buf, &d.payload);
-    }
+/// Decodes one single-message frame into `(sender, payload, item)`: `item`
+/// is the news content the frame carried, for the receiver to keep so it
+/// can forward the item; `None` for gossip. A mailbox bundle is not a
+/// single message and is refused ([`bundle_view`] opens one).
+pub fn decode(frame: &[u8]) -> Result<(NodeId, Payload, Option<NewsItem>), DecodeError> {
+    decode_bundle_entry(frame, &mut NewsDecodeCache::default())
 }
 
-/// Inverse of [`put_descriptors`].
-pub fn get_descriptors(buf: &mut &[u8]) -> Result<Vec<Descriptor<SharedProfile>>, DecodeError> {
-    if buf.remaining() < 2 {
-        return Err(DecodeError::Truncated);
-    }
-    let count = buf.get_u16_le() as usize;
-    let mut descriptors = Vec::with_capacity(count.min(1024));
-    for _ in 0..count {
-        if buf.remaining() < 8 {
-            return Err(DecodeError::Truncated);
+/// One decoded value and the bytes it was decoded from.
+#[derive(Debug)]
+struct Memo<'a, T> {
+    bytes: &'a [u8],
+    value: Option<T>,
+}
+
+impl<T> Default for Memo<'_, T> {
+    fn default() -> Self {
+        Self {
+            bytes: &[],
+            value: None,
         }
-        let node = buf.get_u32_le();
-        let age = buf.get_u32_le();
-        let payload = SharedProfile::new(get_profile(buf)?);
-        descriptors.push(Descriptor { node, age, payload });
-    }
-    Ok(descriptors)
-}
-
-/// Serializes one profile (`len:u16 (item:u64 timestamp:u32 score:f32)*`).
-/// Exposed alongside [`put_descriptors`] so the simulator's shard
-/// checkpoints reuse the gossip wire encoding (f32 scores round-trip
-/// bit-exactly).
-pub fn put_profile(buf: &mut BytesMut, p: &Profile) {
-    buf.put_u16_le(wire_count_u16(p.len(), "profile entry count"));
-    for e in p.entries() {
-        buf.put_u64_le(e.item);
-        buf.put_u32_le(e.timestamp);
-        buf.put_f32_le(e.score);
     }
 }
 
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u16_le(wire_count_u16(s.len(), "string field length"));
-    buf.put_slice(s.as_bytes());
-}
-
-/// Decodes one frame into `(sender, message)`. For bundle frames the
-/// "sender" is the emitting shard's index.
-pub fn decode(mut buf: &[u8]) -> Result<(NodeId, WireMessage), DecodeError> {
-    if buf.remaining() < 5 {
-        return Err(DecodeError::Truncated);
-    }
-    let tag = buf.get_u8();
-    let from = buf.get_u32_le();
-    match tag {
-        wire::RPS_REQUEST | wire::RPS_RESPONSE | wire::WUP_REQUEST | wire::WUP_RESPONSE => {
-            let descriptors = get_descriptors(&mut buf)?;
-            Ok((
-                from,
-                WireMessage::Gossip {
-                    kind: tag,
-                    descriptors,
-                },
-            ))
-        }
-        wire::MAILBOX_BUNDLE => {
-            if buf.remaining() < 4 {
-                return Err(DecodeError::Truncated);
+impl<'a, T: Clone> Memo<'a, T> {
+    /// The next value in `buf`: the remembered one when `buf` starts with
+    /// its bytes, else `parse`'s, which is remembered in turn. Layouts are
+    /// length-prefixed, hence prefix-free, so a match is exactly the span
+    /// `parse` would read, and it decodes to the same value.
+    fn take(
+        &mut self,
+        buf: &mut &'a [u8],
+        parse: impl FnOnce(&mut &'a [u8]) -> Result<T, DecodeError>,
+    ) -> Result<T, DecodeError> {
+        if let Some(value) = &self.value {
+            if let Some(rest) = buf.strip_prefix(self.bytes) {
+                *buf = rest;
+                return Ok(value.clone());
             }
-            let count = buf.get_u32_le() as usize;
-            let mut entries = Vec::with_capacity(count.min(4096));
-            for _ in 0..count {
-                if buf.remaining() < 8 {
-                    return Err(DecodeError::Truncated);
-                }
-                let to = buf.get_u32_le();
-                let len = buf.get_u32_le() as usize;
-                if buf.remaining() < len {
-                    return Err(DecodeError::Truncated);
-                }
-                // lint:allow(wire-panic) bounds checked: remaining >= len just above
-                let (inner_from, message) = decode(&buf[..len])?;
-                if matches!(message, WireMessage::Bundle(_)) {
-                    // Bundles never nest.
-                    return Err(DecodeError::BadTag(wire::MAILBOX_BUNDLE));
-                }
-                buf.advance(len);
-                entries.push(BundleEntry {
-                    to,
-                    from: inner_from,
-                    message,
-                });
-            }
-            Ok((from, WireMessage::Bundle(entries)))
         }
-        wire::NEWS => {
-            if buf.remaining() < 8 {
-                return Err(DecodeError::Truncated);
-            }
-            let source = buf.get_u32_le();
-            let created_at = buf.get_u32_le();
-            let title = get_str(&mut buf)?;
-            let description = get_str(&mut buf)?;
-            let link = get_str(&mut buf)?;
-            if buf.remaining() < 3 {
-                return Err(DecodeError::Truncated);
-            }
-            let dislikes = buf.get_u8();
-            let hops = buf.get_u16_le();
-            let profile = SharedProfile::new(get_profile(&mut buf)?);
-            let item = NewsItem {
-                title,
-                description,
-                link,
-                source,
-                created_at,
-            };
-            Ok((
-                from,
-                WireMessage::News {
-                    item,
-                    profile,
-                    dislikes,
-                    hops,
-                },
-            ))
-        }
-        other => Err(DecodeError::BadTag(other)),
+        let mut rest = *buf;
+        let value = parse(&mut rest)?;
+        self.bytes = take_slice(buf, buf.len() - rest.len())?;
+        self.value = Some(value.clone());
+        Ok(value)
     }
 }
 
 /// Per-bundle news-decode memo. A delivery round fans one item out to many
 /// receivers, so a bundle's news entries repeat the same item-content
-/// bytes, and sibling fan-out copies repeat identical profile bytes. Byte
-/// equality against the last-decoded span is exact — the decoders are pure
-/// functions of the bytes — so a hit reuses the previous result: the item
-/// header (skipping three string allocations and the content hash) and the
-/// shared profile (skipping the entry parse, the allocation and the norm
-/// recompute). Profile reuse also restores the sender-side `Arc` sharing
-/// that encoding flattened; receivers treat it copy-on-write either way.
+/// bytes, and sibling fan-out copies repeat identical forwarding bytes.
+/// A hit reuses the previous result: the item header (skipping three string
+/// allocations and the content hash) and the forwarding state (skipping the
+/// profile parse, its allocation and the norm recompute). Profile reuse
+/// also restores the sender-side `Arc` sharing that encoding flattened;
+/// receivers treat it copy-on-write either way. The memo borrows the
+/// bundle it decodes, so remembering a span copies nothing.
 #[derive(Debug, Default)]
-pub struct NewsDecodeCache {
-    item_bytes: Vec<u8>,
-    item_header: Option<ItemHeader>,
-    profile_bytes: Vec<u8>,
-    profile: Option<SharedProfile>,
+pub struct NewsDecodeCache<'a> {
+    item: Memo<'a, ItemHeader>,
+    forwarding: Memo<'a, Forwarding>,
 }
 
-/// Decodes one bundle inner frame straight to its protocol payload, using
-/// `cache` to short-circuit repeated news content within the bundle. The
-/// third return is the news item's content when it was decoded fresh (the
-/// caller must register it with its item store); `None` for gossip frames
-/// and for cache hits — a hit means an entry with identical content bytes
-/// was already yielded through this cache.
-pub fn decode_bundle_entry(
-    mut buf: &[u8],
-    cache: &mut NewsDecodeCache,
+/// Decodes one single-message frame (a bundle's inner frame) straight to
+/// its protocol payload, using `cache` to short-circuit repeated news
+/// content within the bundle. The third return is the news item's content
+/// when it was decoded fresh (the caller must register it with its item
+/// store); `None` for gossip frames and for cache hits — a hit means an
+/// entry with identical content bytes was already yielded through this
+/// cache.
+pub fn decode_bundle_entry<'a>(
+    mut buf: &'a [u8],
+    cache: &mut NewsDecodeCache<'a>,
 ) -> Result<(NodeId, Payload, Option<NewsItem>), DecodeError> {
-    if buf.remaining() < 5 {
-        return Err(DecodeError::Truncated);
-    }
-    let tag = buf.get_u8();
-    let from = buf.get_u32_le();
-    match tag {
-        wire::RPS_REQUEST | wire::RPS_RESPONSE | wire::WUP_REQUEST | wire::WUP_RESPONSE => {
-            let d = get_descriptors(&mut buf)?;
-            let payload = match tag {
-                wire::RPS_REQUEST => Payload::RpsRequest(d),
-                wire::RPS_RESPONSE => Payload::RpsResponse(d),
-                wire::WUP_REQUEST => Payload::WupRequest(d),
-                _ => Payload::WupResponse(d),
-            };
-            Ok((from, payload, None))
-        }
+    let (tag, from) = <(u8, NodeId)>::take(&mut buf)?;
+    let mut fresh = None;
+    let payload = match tag {
+        wire::RPS_REQUEST => Payload::RpsRequest(Wire::take(&mut buf)?),
+        wire::RPS_RESPONSE => Payload::RpsResponse(Wire::take(&mut buf)?),
+        wire::WUP_REQUEST => Payload::WupRequest(Wire::take(&mut buf)?),
+        wire::WUP_RESPONSE => Payload::WupResponse(Wire::take(&mut buf)?),
         wire::NEWS => {
-            // Delimit the content span (source, created_at, three
-            // length-prefixed strings) without parsing it yet.
-            let start = buf;
-            if buf.remaining() < 8 {
-                return Err(DecodeError::Truncated);
-            }
-            buf.advance(8);
-            for _ in 0..3 {
-                if buf.remaining() < 2 {
-                    return Err(DecodeError::Truncated);
-                }
-                let len = buf.get_u16_le() as usize;
-                if buf.remaining() < len {
-                    return Err(DecodeError::Truncated);
-                }
-                buf.advance(len);
-            }
-            // lint:allow(wire-panic) in bounds: buf is a strict suffix of start after the advances above
-            let content = &start[..start.len() - buf.len()];
-            if buf.remaining() < 3 {
-                return Err(DecodeError::Truncated);
-            }
-            let dislikes = buf.get_u8();
-            let hops = buf.get_u16_le();
-            // Delimit the profile span (`len:u16` + 16 bytes per entry).
-            if buf.remaining() < 2 {
-                return Err(DecodeError::Truncated);
-            }
-            // lint:allow(wire-panic) bounds checked: remaining >= 2 just above
-            let n_entries = u16::from_le_bytes([buf[0], buf[1]]) as usize;
-            let profile_len = 2 + n_entries * 16;
-            if buf.remaining() < profile_len {
-                return Err(DecodeError::Truncated);
-            }
-            // lint:allow(wire-panic) bounds checked: remaining >= profile_len just above
-            let profile_span = &buf[..profile_len];
-
-            let (header, fresh_item) = match cache.item_header {
-                Some(h) if cache.item_bytes == content => (h, None),
-                _ => {
-                    let mut cbuf = content;
-                    let source = cbuf.get_u32_le();
-                    let created_at = cbuf.get_u32_le();
-                    let title = get_str(&mut cbuf)?;
-                    let description = get_str(&mut cbuf)?;
-                    let link = get_str(&mut cbuf)?;
-                    let item = NewsItem {
-                        title,
-                        description,
-                        link,
-                        source,
-                        created_at,
-                    };
-                    let header = item.header();
-                    cache.item_bytes.clear();
-                    cache.item_bytes.extend_from_slice(content);
-                    cache.item_header = Some(header);
-                    (header, Some(item))
-                }
-            };
-            let profile = match &cache.profile {
-                Some(p) if cache.profile_bytes == profile_span => SharedProfile::clone(p),
-                _ => {
-                    let mut pbuf = profile_span;
-                    let p = SharedProfile::new(get_profile(&mut pbuf)?);
-                    cache.profile_bytes.clear();
-                    cache.profile_bytes.extend_from_slice(profile_span);
-                    cache.profile = Some(SharedProfile::clone(&p));
-                    p
-                }
-            };
-            Ok((
-                from,
-                Payload::News(NewsMessage {
-                    header,
-                    profile,
-                    dislikes,
-                    hops,
-                }),
-                fresh_item,
-            ))
+            let header = cache.item.take(&mut buf, |buf| {
+                let item = NewsItem::take(buf)?;
+                Ok(fresh.insert(item).header())
+            })?;
+            let Forwarding {
+                dislikes,
+                hops,
+                profile,
+            } = cache.forwarding.take(&mut buf, Forwarding::take)?;
+            Payload::News(NewsMessage {
+                header,
+                profile,
+                dislikes,
+                hops,
+            })
         }
-        other => Err(DecodeError::BadTag(other)),
-    }
-}
-
-/// Inverse of [`put_profile`]. Enforces the [`Profile`] score invariant —
-/// finite, in `[0, 1]` — on what is untrusted input here.
-pub fn get_profile(buf: &mut &[u8]) -> Result<Profile, DecodeError> {
-    if buf.remaining() < 2 {
-        return Err(DecodeError::Truncated);
-    }
-    let len = buf.get_u16_le() as usize;
-    let mut entries = Vec::with_capacity(len.min(4096));
-    for _ in 0..len {
-        if buf.remaining() < 16 {
-            return Err(DecodeError::Truncated);
-        }
-        let item = buf.get_u64_le();
-        let timestamp = buf.get_u32_le();
-        let score = buf.get_f32_le();
-        // Similarity ranks by `partial_cmp` and expects it to succeed; one
-        // `NaN` here would be one datagram that panics the receiver.
-        if !(0.0..=1.0).contains(&score) {
-            return Err(DecodeError::BadScore(score.to_bits()));
-        }
-        entries.push(ProfileEntry {
-            item,
-            timestamp,
-            score,
-        });
-    }
-    // Wire profiles are serialized from sorted storage, so this takes the
-    // allocation-reusing sorted path on every well-formed frame.
-    Ok(Profile::from_vec(entries))
-}
-
-fn get_str(buf: &mut &[u8]) -> Result<String, DecodeError> {
-    if buf.remaining() < 2 {
-        return Err(DecodeError::Truncated);
-    }
-    let len = buf.get_u16_le() as usize;
-    if buf.remaining() < len {
-        return Err(DecodeError::Truncated);
-    }
-    // lint:allow(wire-panic) bounds checked: remaining >= len just above
-    let bytes = buf[..len].to_vec();
-    buf.advance(len);
-    String::from_utf8(bytes).map_err(|_| DecodeError::BadUtf8)
+        other => return Err(DecodeError::BadTag(other)),
+    };
+    Ok((from, payload, fresh))
 }
 
 // ---------------------------------------------------------------------------
 // Anti-entropy frames (scuttlebutt digest/delta reconciliation)
 // ---------------------------------------------------------------------------
-//
-// ```text
-// digest       := DIGEST:u8 from:u32 count:u32 (node:u32 incarnation:u32 max_version:u64)*
-// delta        := DELTA:u8 from:u32 count:u32 delta_entry*
-// delta_entry  := node:u32 incarnation:u32 version:u64 kind:u8 payload
-// payload      := heartbeat:u32            (kind 0)
-//               | profile_digest:u64       (kind 1)
-//               | item:u32 published_at:u32 (kind 2)
-// ```
-//
-// Entries for one node are emitted in ascending version order so that a
-// budget-truncated delta always leaves the receiver's per-node max version
-// at a resumable point: the next digest advertises exactly the cut, and the
-// following delta resumes from there. Out-of-order emission would let the
-// digest max leapfrog unsent versions and stall convergence forever.
 
 /// One line of an anti-entropy digest: the highest `(incarnation, version)`
 /// the sender holds for `node`.
@@ -701,6 +410,8 @@ pub struct DigestLine {
     pub incarnation: u32,
     pub max_version: u64,
 }
+
+crate::wire_codec! { struct DigestLine { node, incarnation, max_version } }
 
 /// Bytes each digest line occupies on the wire.
 pub const DIGEST_LINE_BYTES: usize = 16;
@@ -716,6 +427,14 @@ pub enum DeltaValue {
     NewsKey { item: u32, published_at: u32 },
 }
 
+crate::wire_codec! {
+    enum DeltaValue {
+        0 => Heartbeat(cycle),
+        1 => ProfileDigest(digest),
+        2 => NewsKey { item, published_at },
+    }
+}
+
 /// One versioned entry of an anti-entropy delta.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeltaEntry {
@@ -724,6 +443,8 @@ pub struct DeltaEntry {
     pub version: u64,
     pub value: DeltaValue,
 }
+
+crate::wire_codec! { struct DeltaEntry { node, incarnation, version, value } }
 
 /// Frame header bytes shared by digest and delta frames
 /// (`tag:u8 from:u32 count:u32`).
@@ -740,48 +461,30 @@ impl DeltaEntry {
     }
 }
 
+/// Encodes a `tag from count item*` anti-entropy frame, capped at
+/// [`MAX_FRAME`].
+fn encode_anti_entropy<T: Wire>(
+    tag: u8,
+    from: NodeId,
+    items: &[T],
+    item_bytes: usize,
+) -> Result<Bytes, FrameTooLarge> {
+    let mut buf = BytesMut::with_capacity(ANTI_ENTROPY_HEADER_BYTES + items.len() * item_bytes);
+    (tag, from).put(&mut buf);
+    put_seq(items, &mut buf);
+    datagram(buf)
+}
+
 /// Encodes an anti-entropy digest frame. Digests summarize whole states and
 /// are not budget-packed, so [`MAX_FRAME`] is the only cap.
 pub fn encode_digest(from: NodeId, lines: &[DigestLine]) -> Result<Bytes, FrameTooLarge> {
-    let mut buf =
-        BytesMut::with_capacity(ANTI_ENTROPY_HEADER_BYTES + lines.len() * DIGEST_LINE_BYTES);
-    buf.put_u8(wire::DIGEST);
-    buf.put_u32_le(from);
-    buf.put_u32_le(wire_count_u32(lines.len(), "digest line count"));
-    for line in lines {
-        buf.put_u32_le(line.node);
-        buf.put_u32_le(line.incarnation);
-        buf.put_u64_le(line.max_version);
-    }
-    if buf.len() > MAX_FRAME {
-        return Err(FrameTooLarge(buf.len()));
-    }
-    Ok(buf.freeze())
+    encode_anti_entropy(wire::DIGEST, from, lines, DIGEST_LINE_BYTES)
 }
 
 /// Inverse of [`encode_digest`].
 pub fn decode_digest(mut buf: &[u8]) -> Result<(NodeId, Vec<DigestLine>), DecodeError> {
-    if buf.remaining() < ANTI_ENTROPY_HEADER_BYTES {
-        return Err(DecodeError::Truncated);
-    }
-    let tag = buf.get_u8();
-    if tag != wire::DIGEST {
-        return Err(DecodeError::BadTag(tag));
-    }
-    let from = buf.get_u32_le();
-    let count = buf.get_u32_le() as usize;
-    let mut lines = Vec::with_capacity(count.min(4096));
-    for _ in 0..count {
-        if buf.remaining() < DIGEST_LINE_BYTES {
-            return Err(DecodeError::Truncated);
-        }
-        lines.push(DigestLine {
-            node: buf.get_u32_le(),
-            incarnation: buf.get_u32_le(),
-            max_version: buf.get_u64_le(),
-        });
-    }
-    Ok((from, lines))
+    let from = take_header(&mut buf, wire::DIGEST)?;
+    Ok((from, Wire::take(&mut buf)?))
 }
 
 /// Encodes an anti-entropy delta frame. The caller is responsible for
@@ -789,94 +492,19 @@ pub fn decode_digest(mut buf: &[u8]) -> Result<(NodeId, Vec<DigestLine>), Decode
 /// [`ANTI_ENTROPY_HEADER_BYTES`] give exact sizes); [`MAX_FRAME`] still
 /// applies as the transport's hard cap.
 pub fn encode_delta(from: NodeId, entries: &[DeltaEntry]) -> Result<Bytes, FrameTooLarge> {
-    let mut buf = BytesMut::with_capacity(ANTI_ENTROPY_HEADER_BYTES + entries.len() * 25);
-    buf.put_u8(wire::DELTA);
-    buf.put_u32_le(from);
-    buf.put_u32_le(wire_count_u32(entries.len(), "delta entry count"));
-    for entry in entries {
-        buf.put_u32_le(entry.node);
-        buf.put_u32_le(entry.incarnation);
-        buf.put_u64_le(entry.version);
-        match entry.value {
-            DeltaValue::Heartbeat(cycle) => {
-                buf.put_u8(0);
-                buf.put_u32_le(cycle);
-            }
-            DeltaValue::ProfileDigest(digest) => {
-                buf.put_u8(1);
-                buf.put_u64_le(digest);
-            }
-            DeltaValue::NewsKey { item, published_at } => {
-                buf.put_u8(2);
-                buf.put_u32_le(item);
-                buf.put_u32_le(published_at);
-            }
-        }
-    }
-    if buf.len() > MAX_FRAME {
-        return Err(FrameTooLarge(buf.len()));
-    }
-    Ok(buf.freeze())
+    encode_anti_entropy(wire::DELTA, from, entries, 25)
 }
 
 /// Inverse of [`encode_delta`].
 pub fn decode_delta(mut buf: &[u8]) -> Result<(NodeId, Vec<DeltaEntry>), DecodeError> {
-    if buf.remaining() < ANTI_ENTROPY_HEADER_BYTES {
-        return Err(DecodeError::Truncated);
-    }
-    let tag = buf.get_u8();
-    if tag != wire::DELTA {
-        return Err(DecodeError::BadTag(tag));
-    }
-    let from = buf.get_u32_le();
-    let count = buf.get_u32_le() as usize;
-    let mut entries = Vec::with_capacity(count.min(4096));
-    for _ in 0..count {
-        if buf.remaining() < 17 {
-            return Err(DecodeError::Truncated);
-        }
-        let node = buf.get_u32_le();
-        let incarnation = buf.get_u32_le();
-        let version = buf.get_u64_le();
-        let kind = buf.get_u8();
-        let value = match kind {
-            0 => {
-                if buf.remaining() < 4 {
-                    return Err(DecodeError::Truncated);
-                }
-                DeltaValue::Heartbeat(buf.get_u32_le())
-            }
-            1 => {
-                if buf.remaining() < 8 {
-                    return Err(DecodeError::Truncated);
-                }
-                DeltaValue::ProfileDigest(buf.get_u64_le())
-            }
-            2 => {
-                if buf.remaining() < 8 {
-                    return Err(DecodeError::Truncated);
-                }
-                DeltaValue::NewsKey {
-                    item: buf.get_u32_le(),
-                    published_at: buf.get_u32_le(),
-                }
-            }
-            other => return Err(DecodeError::BadTag(other)),
-        };
-        entries.push(DeltaEntry {
-            node,
-            incarnation,
-            version,
-            value,
-        });
-    }
-    Ok((from, entries))
+    let from = take_header(&mut buf, wire::DELTA)?;
+    Ok((from, Wire::take(&mut buf)?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use whatsup_core::ItemId;
+    use whatsup_core::{Descriptor, ItemId, Profile, ProfileEntry};
 
     fn profile(items: &[(ItemId, f32)]) -> Profile {
         Profile::from_entries(items.iter().map(|&(item, score)| ProfileEntry {
@@ -908,9 +536,7 @@ mod tests {
         ] {
             let payload = make(descs.clone());
             let frame = encode(42, &payload, |_| None).unwrap();
-            let (from, wire) = decode(&frame).unwrap();
-            assert_eq!(from, 42);
-            assert_eq!(wire.try_into_payload().unwrap(), payload);
+            assert_eq!(decode(&frame).unwrap(), (42, payload, None));
         }
     }
 
@@ -929,10 +555,12 @@ mod tests {
             Some(content.clone())
         })
         .unwrap();
-        let (from, wire) = decode(&frame).unwrap();
-        assert_eq!(from, 1);
-        let decoded = wire.try_into_payload().unwrap();
-        assert_eq!(decoded, payload, "id recomputed from content must match");
+        let decoded = decode(&frame).unwrap();
+        assert_eq!(
+            decoded,
+            (1, payload, Some(item)),
+            "id recomputed from content must match"
+        );
     }
 
     #[test]
@@ -955,21 +583,12 @@ mod tests {
     }
 
     #[test]
-    fn bundle_is_not_a_payload() {
+    fn bundle_is_not_a_single_message() {
         let frame = encode_bundle(0, &[], |_| None);
-        let (_, wire) = decode(&frame).unwrap();
-        assert_eq!(wire.try_into_payload(), Err(DecodeError::BundlePayload));
-    }
-
-    #[test]
-    fn hand_built_gossip_kind_is_a_typed_error() {
-        // `decode` never produces this, but a hand-assembled WireMessage
-        // can — the conversion must not be a panic site.
-        let wire = WireMessage::Gossip {
-            kind: 0xEE,
-            descriptors: vec![],
-        };
-        assert_eq!(wire.try_into_payload(), Err(DecodeError::BadTag(0xEE)));
+        assert_eq!(
+            decode(&frame),
+            Err(DecodeError::BadTag(wire::MAILBOX_BUNDLE))
+        );
     }
 
     #[test]
@@ -999,6 +618,23 @@ mod tests {
         assert_eq!(big.len() - small.len(), 100 * 16);
     }
 
+    /// `(to, from, payload)` per entry.
+    type Mail = Vec<(NodeId, NodeId, Payload)>;
+
+    /// The entries of a bundle, each inner frame decoded on its own.
+    fn unbundle(frame: &[u8]) -> Result<(u32, Mail), DecodeError> {
+        let view = bundle_view(frame)?;
+        let shard = view.from_shard();
+        let entries = view
+            .map(|entry| {
+                let (to, inner) = entry?;
+                let (from, payload, _) = decode(inner)?;
+                Ok((to, from, payload))
+            })
+            .collect::<Result<_, DecodeError>>()?;
+        Ok((shard, entries))
+    }
+
     #[test]
     fn bundle_roundtrip_mixed_entries() {
         let item = NewsItem::new("hello", "world", "https://n/1", 3, 9);
@@ -1013,32 +649,19 @@ mod tests {
             age: 1,
             payload: SharedProfile::new(profile(&[(2, 0.0)])),
         }]);
-        let entries = vec![(5u32, 1u32, news.clone()), (6u32, 2u32, gossip.clone())];
+        let entries = vec![(5u32, 1u32, news), (6u32, 2u32, gossip)];
         let content = item.clone();
         let frame = encode_bundle(3, &entries, move |id| {
             assert_eq!(id, content.id());
             Some(content.clone())
         });
-        let (shard, wire) = decode(&frame).unwrap();
-        assert_eq!(shard, 3);
-        let WireMessage::Bundle(decoded) = wire else {
-            panic!("expected bundle")
-        };
-        assert_eq!(decoded.len(), 2);
-        assert_eq!((decoded[0].to, decoded[0].from), (5, 1));
-        assert_eq!((decoded[1].to, decoded[1].from), (6, 2));
-        assert_eq!(decoded[0].message.clone().try_into_payload().unwrap(), news);
-        assert_eq!(
-            decoded[1].message.clone().try_into_payload().unwrap(),
-            gossip
-        );
+        assert_eq!(unbundle(&frame).unwrap(), (3, entries));
     }
 
     #[test]
     fn empty_bundle_roundtrips() {
         let frame = encode_bundle(0, &[], |_| None);
-        let (_, wire) = decode(&frame).unwrap();
-        assert_eq!(wire, WireMessage::Bundle(vec![]));
+        assert_eq!(unbundle(&frame).unwrap(), (0, vec![]));
     }
 
     #[test]
@@ -1054,7 +677,7 @@ mod tests {
         )];
         let frame = encode_bundle(0, &entries, |_| None);
         for cut in [4, 8, 12, frame.len() - 1] {
-            assert!(decode(&frame[..cut]).is_err(), "cut at {cut} must fail");
+            assert!(unbundle(&frame[..cut]).is_err(), "cut at {cut} must fail");
         }
     }
 

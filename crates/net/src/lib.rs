@@ -3,10 +3,15 @@
 //! The paper evaluates its Java prototype on a ModelNet-emulated cluster and
 //! on PlanetLab. This crate holds the pieces a deployed peer is made of:
 //!
-//! * [`codec`] — a compact binary wire format. News items travel as content
-//!   (title/description/link); the 8-byte id is *computed* by receivers, as
-//!   §II-A specifies. Encoded sizes drive the bandwidth accounting of
-//!   Fig. 8b.
+//! * [`wire`] — the workspace's one binary codec: the [`wire::Wire`] trait,
+//!   its primitive impls, the [`wire_codec!`] declaration macro and the
+//!   layouts of the core types that cross any wire. The simulator's shard
+//!   exchange declares its frames with it too.
+//! * [`codec`] — the datagram layouts built on it: gossip, news, mailbox
+//!   bundles and the anti-entropy digest/delta frames. News items travel
+//!   as content (title/description/link); the 8-byte id is *computed* by
+//!   receivers, as §II-A specifies. Encoded sizes drive the bandwidth
+//!   accounting of Fig. 8b.
 //! * [`peer`] — one [`Peer`]: `whatsup-core`'s sans-io node between the
 //!   codec and the traffic counters. The caller supplies its RNG and its
 //!   opinions; it keeps no loss coin and no delivery log.
@@ -27,8 +32,8 @@ pub mod codec;
 pub mod link;
 pub mod peer;
 pub mod stats;
+pub mod wire;
 
-pub use codec::WireMessage;
 pub use link::{Link, Router, RouterLink, UdpLink};
 pub use peer::Peer;
 pub use stats::{TrafficSnapshot, TrafficStats};

@@ -7,7 +7,7 @@
 //! lossy network drops, and when the peer ticks. A [`Peer`] only turns
 //! frames into protocol calls and protocol output back into frames.
 
-use crate::codec::{self, WireMessage};
+use crate::codec;
 use crate::stats::TrafficStats;
 use bytes::Bytes;
 use rand::Rng;
@@ -67,11 +67,11 @@ impl Peer {
     /// shard-exchange bundle (a simulator batch, never a peer datagram) —
     /// which is then dropped, never answered: robustness over crash.
     pub fn decode(&mut self, frame: &[u8]) -> Option<(NodeId, Payload)> {
-        let (from, wire) = codec::decode(frame).ok()?;
-        if let WireMessage::News { item, .. } = &wire {
-            self.items.entry(item.id()).or_insert_with(|| item.clone());
+        let (from, payload, item) = codec::decode(frame).ok()?;
+        if let Some(item) = item {
+            self.items.entry(item.id()).or_insert(item);
         }
-        Some((from, wire.try_into_payload().ok()?))
+        Some((from, payload))
     }
 
     /// Hands one decoded message to the node and encodes its replies and
@@ -188,7 +188,7 @@ mod tests {
         for (_, frame) in &forwards {
             assert!(matches!(
                 codec::decode(frame),
-                Ok((_, WireMessage::News { item: fwd, .. })) if fwd == item
+                Ok((_, Payload::News(_), Some(fwd))) if fwd == item
             ));
         }
     }

@@ -8,22 +8,20 @@
 //! `decode`/`bundle_view`/`decode_digest`/`decode_delta` from the network,
 //! so every slice index on those paths must be bounds-checked. Checkpoint
 //! frames are covered through their building blocks: shard checkpoints
-//! (see `whatsup_sim::engine::shard`) store node state as
-//! `put_profile`/`put_descriptors` spans, so corrupting those spans and
-//! feeding `get_profile`/`get_descriptors` exercises exactly the parsing a
-//! checkpoint restore performs (the engine's `.expect` on top is a trusted
-//! -path policy choice, not a parsing path).
+//! (see `whatsup_sim::engine::shard`) store node state as [`Profile`] and
+//! descriptor-list [`Wire`] spans, so corrupting those spans and taking
+//! them back exercises exactly the parsing a checkpoint restore performs.
 
 use proptest::prelude::*;
-use whatsup_core::message::wire;
+use whatsup_core::message::wire as tag;
 use whatsup_core::{
     Descriptor, NewsItem, NewsMessage, NodeId, Payload, Profile, ProfileEntry, SharedProfile,
 };
 use whatsup_net::codec::{
     bundle_view, decode, decode_bundle_entry, decode_delta, decode_digest, encode, encode_bundle,
-    encode_delta, encode_digest, get_descriptors, get_profile, DecodeError, DeltaEntry, DeltaValue,
-    DigestLine, NewsDecodeCache,
+    encode_delta, encode_digest, DecodeError, DeltaEntry, DeltaValue, DigestLine, NewsDecodeCache,
 };
+use whatsup_net::wire::{self, Wire};
 
 fn profile(entries: &[(u64, u32, bool)]) -> Profile {
     Profile::from_entries(
@@ -67,22 +65,22 @@ fn news_payload(item: &NewsItem, entries: &[(u64, u32, bool)]) -> Payload {
 /// One valid frame of every wire kind, built from the generated entries:
 /// the four gossip kinds, a news frame, a mailbox bundle mixing gossip and
 /// news, an anti-entropy digest and delta, and the checkpoint span
-/// building blocks (a `put_profile` span and a `put_descriptors` span).
+/// building blocks (a profile span and a descriptor-list span).
 fn all_frames(from: NodeId, entries: &[(u64, u32, bool)]) -> Vec<Vec<u8>> {
     let item = news_item(entries.len() as u64, from);
     let resolve = |id| (id == item.id()).then(|| item.clone());
     let mut frames: Vec<Vec<u8>> = Vec::new();
     for kind in [
-        wire::RPS_REQUEST,
-        wire::RPS_RESPONSE,
-        wire::WUP_REQUEST,
-        wire::WUP_RESPONSE,
+        tag::RPS_REQUEST,
+        tag::RPS_RESPONSE,
+        tag::WUP_REQUEST,
+        tag::WUP_RESPONSE,
     ] {
         let descs = vec![descriptor(from, entries)];
         let payload = match kind {
-            wire::RPS_REQUEST => Payload::RpsRequest(descs),
-            wire::RPS_RESPONSE => Payload::RpsResponse(descs),
-            wire::WUP_REQUEST => Payload::WupRequest(descs),
+            tag::RPS_REQUEST => Payload::RpsRequest(descs),
+            tag::RPS_RESPONSE => Payload::RpsResponse(descs),
+            tag::WUP_REQUEST => Payload::WupRequest(descs),
             _ => Payload::WupResponse(descs),
         };
         frames.push(encode(from, &payload, resolve).unwrap().to_vec());
@@ -135,12 +133,8 @@ fn all_frames(from: NodeId, entries: &[(u64, u32, bool)]) -> Vec<Vec<u8>> {
     ];
     frames.push(encode_delta(from, &delta).unwrap().to_vec());
     // Checkpoint span building blocks (what a shard checkpoint embeds).
-    let mut buf = bytes::BytesMut::new();
-    whatsup_net::codec::put_profile(&mut buf, &profile(entries));
-    frames.push(buf.to_vec());
-    let mut buf = bytes::BytesMut::new();
-    whatsup_net::codec::put_descriptors(&mut buf, &[descriptor(from, entries)]);
-    frames.push(buf.to_vec());
+    frames.push(wire::encode(&profile(entries)));
+    frames.push(wire::encode(&vec![descriptor(from, entries)]));
     frames
 }
 
@@ -148,22 +142,25 @@ fn all_frames(from: NodeId, entries: &[(u64, u32, bool)]) -> Vec<Vec<u8>> {
 /// outcomes are `Ok` or a typed error; a panic fails the test by
 /// unwinding.
 fn exercise_all_decoders(buf: &[u8]) {
-    if let Ok((_, msg)) = decode(buf) {
-        let _ = msg.try_into_payload();
-    }
-    if let Ok(view) = bundle_view(buf) {
-        let mut cache = NewsDecodeCache::default();
-        for entry in view {
-            let Ok((_, inner)) = entry else { break };
-            let _ = decode_bundle_entry(inner, &mut cache);
-        }
-    }
+    let _ = decode(buf);
+    let _ = unbundle(buf);
     let _ = decode_digest(buf);
     let _ = decode_delta(buf);
-    let mut cursor = buf;
-    let _ = get_profile(&mut cursor);
-    let mut cursor = buf;
-    let _ = get_descriptors(&mut cursor);
+    let _ = Profile::take(&mut &buf[..]);
+    let _ = Vec::<Descriptor<SharedProfile>>::take(&mut &buf[..]);
+}
+
+/// Decodes every entry of a bundle frame through one news cache, as a
+/// receiving shard does; the number of entries.
+fn unbundle(buf: &[u8]) -> Result<usize, DecodeError> {
+    let mut cache = NewsDecodeCache::default();
+    let mut count = 0;
+    for entry in bundle_view(buf)? {
+        let (_, inner) = entry?;
+        decode_bundle_entry(inner, &mut cache)?;
+        count += 1;
+    }
+    Ok(count)
 }
 
 fn profile_strategy() -> impl Strategy<Value = Vec<(u64, u32, bool)>> {
@@ -243,10 +240,13 @@ fn every_prefix_and_single_bit_flip_is_panic_free() {
                     frame.len()
                 );
             }
-            if frame[0] == wire::DIGEST {
+            if frame[0] == tag::MAILBOX_BUNDLE {
+                assert!(unbundle(prefix).is_err(), "bundle prefix of {cut} bytes");
+            }
+            if frame[0] == tag::DIGEST {
                 assert!(decode_digest(prefix).is_err());
             }
-            if frame[0] == wire::DELTA {
+            if frame[0] == tag::DELTA {
                 assert!(decode_delta(prefix).is_err());
             }
         }
@@ -345,8 +345,7 @@ fn never_seen_item_ids_cannot_grow_the_slot_table_without_bound() {
             (0..len).map(|k| (id(frame, k), 1, k % 3 != 2)).collect();
         let sent = Payload::WupRequest(vec![descriptor(7, &entries)]);
         let bytes = encode(7, &sent, |_| None).expect("3 500 entries fit a datagram");
-        let (_, wire) = decode(&bytes).expect("well-formed frame");
-        match wire.try_into_payload().expect("valid payload") {
+        match decode(&bytes).expect("well-formed frame").1 {
             Payload::WupRequest(mut descriptors) => descriptors.remove(0).payload,
             other => panic!("a WUP request decodes as one, not {other:?}"),
         }
@@ -385,12 +384,8 @@ fn never_seen_item_ids_cannot_grow_the_slot_table_without_bound() {
         });
         let resolve = |id| (id == item.id()).then(|| item.clone());
         let bytes = encode(7, &sent, resolve).expect("3 500 entries fit a datagram");
-        match decode(&bytes)
-            .expect("well-formed frame")
-            .1
-            .try_into_payload()
-        {
-            Ok(Payload::News(news)) => news.profile,
+        match decode(&bytes).expect("well-formed frame").1 {
+            Payload::News(news) => news.profile,
             other => panic!("a news frame decodes as one, not {other:?}"),
         }
     };

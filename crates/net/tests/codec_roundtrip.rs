@@ -10,11 +10,12 @@
 use proptest::prelude::*;
 use whatsup_core::message::wire;
 use whatsup_core::{
-    Descriptor, NewsItem, NewsMessage, NodeId, Payload, Profile, ProfileEntry, SharedProfile,
+    ColdStart, Descriptor, NewsItem, NewsMessage, NodeId, Payload, Profile, ProfileEntry,
+    SharedProfile,
 };
 use whatsup_net::codec::{
     bundle_view, decode, decode_bundle_entry, decode_delta, decode_digest, encode, encode_bundle,
-    encode_delta, encode_digest, DeltaEntry, DeltaValue, DigestLine, NewsDecodeCache, WireMessage,
+    encode_delta, encode_digest, DecodeError, DeltaEntry, DeltaValue, DigestLine, NewsDecodeCache,
     ANTI_ENTROPY_HEADER_BYTES,
 };
 
@@ -96,9 +97,7 @@ proptest! {
         let payload = gossip_payload(kind, descriptors(&specs));
         let frame = encode(from, &payload, |_| None).unwrap();
         prop_assert_eq!(frame[0], payload.wire_id(), "tag is the stable wire id");
-        let (decoded_from, wire) = decode(&frame).unwrap();
-        prop_assert_eq!(decoded_from, from);
-        prop_assert_eq!(wire.try_into_payload().unwrap(), payload);
+        prop_assert_eq!(decode(&frame).unwrap(), (from, payload, None));
     }
 
     /// News frames roundtrip with the id recomputed from content.
@@ -122,16 +121,9 @@ proptest! {
         })
         .unwrap();
         prop_assert_eq!(frame[0], wire::NEWS);
-        let (decoded_from, wire) = decode(&frame).unwrap();
-        prop_assert_eq!(decoded_from, from);
-        // The decoded wire form carries the full item; the payload view
-        // recomputes the id from that content.
-        if let WireMessage::News { item: decoded_item, .. } = &wire {
-            prop_assert_eq!(decoded_item, &item);
-        } else {
-            prop_assert!(false, "expected a news frame");
-        }
-        prop_assert_eq!(wire.try_into_payload().unwrap(), payload);
+        // The frame carries the full item; the payload's id is recomputed
+        // from that content.
+        prop_assert_eq!(decode(&frame).unwrap(), (from, payload, Some(item)));
     }
 
     /// Mailbox bundles roundtrip entry-exact: addressing, order, and every
@@ -163,26 +155,26 @@ proptest! {
         }
         let frame = encode_bundle(shard, &entries, |id| items.get(&id).cloned());
         prop_assert_eq!(frame[0], wire::MAILBOX_BUNDLE);
-        let (decoded_shard, wire) = decode(&frame).unwrap();
-        prop_assert_eq!(decoded_shard, shard);
-        let WireMessage::Bundle(decoded) = wire else {
-            panic!("expected a bundle frame");
-        };
-        prop_assert_eq!(decoded.len(), entries.len());
-        for (got, (to, from, payload)) in decoded.into_iter().zip(entries) {
-            prop_assert_eq!(got.to, to);
-            prop_assert_eq!(got.from, from);
-            prop_assert_eq!(got.message.try_into_payload().unwrap(), payload);
+        prop_assert_eq!(decode(&frame), Err(DecodeError::BadTag(wire::MAILBOX_BUNDLE)));
+        let view = bundle_view(&frame).unwrap();
+        prop_assert_eq!(view.from_shard(), shard);
+        prop_assert_eq!(view.len(), entries.len());
+        for (got, (to, from, payload)) in view.zip(entries) {
+            let (got_to, inner) = got.unwrap();
+            prop_assert_eq!(got_to, to);
+            let (got_from, got_payload, _) = decode(inner).unwrap();
+            prop_assert_eq!(got_from, from);
+            prop_assert_eq!(got_payload, payload);
         }
     }
 
-    /// The zero-copy bundle path (`bundle_view` + `decode_bundle_entry`
-    /// with its per-bundle news cache) must be invisible: over bundles
-    /// mixing every wire variant — drawn from small item/profile pools so
-    /// fan-out-style repetition drives the cache hit paths — it yields
-    /// exactly the entries the plain `decode` path yields, registers every
-    /// distinct news content (and nothing else), and the decoded entries
-    /// re-encode to the original frame byte-for-byte.
+    /// The per-bundle news cache of `decode_bundle_entry` must be
+    /// invisible: over bundles mixing every wire variant — drawn from small
+    /// item/profile pools so fan-out-style repetition drives the cache hit
+    /// paths — it yields exactly what a one-shot `decode` of each entry
+    /// yields, registers every distinct news content (and nothing else),
+    /// and the decoded entries re-encode to the original frame
+    /// byte-for-byte.
     #[test]
     fn zero_copy_bundle_decode_is_byte_exact(
         shard in 0u32..64,
@@ -219,18 +211,17 @@ proptest! {
         }
         let frame = encode_bundle(shard, &entries, |id| items.get(&id).cloned());
 
-        // Reference: the materializing decode path.
-        let (decoded_shard, wire_msg) = decode(&frame).unwrap();
-        prop_assert_eq!(decoded_shard, shard);
-        let WireMessage::Bundle(plain) = wire_msg else {
-            panic!("expected a bundle frame");
-        };
-        let plain: Vec<(NodeId, NodeId, Payload)> = plain
-            .into_iter()
-            .map(|e| (e.to, e.from, e.message.try_into_payload().unwrap()))
+        // Reference: a one-shot decode of each entry.
+        let plain: Vec<(NodeId, NodeId, Payload)> = bundle_view(&frame)
+            .unwrap()
+            .map(|entry| {
+                let (to, inner) = entry.unwrap();
+                let (from, payload, _) = decode(inner).unwrap();
+                (to, from, payload)
+            })
             .collect();
 
-        // Zero-copy path, through the shared per-bundle news cache.
+        // Through the shared per-bundle news cache.
         let view = bundle_view(&frame).unwrap();
         prop_assert_eq!(view.from_shard(), shard);
         let mut cache = NewsDecodeCache::default();
@@ -244,7 +235,7 @@ proptest! {
             }
             streamed.push((to, from, payload));
         }
-        prop_assert_eq!(&streamed, &plain, "zero-copy path must match plain decode");
+        prop_assert_eq!(&streamed, &plain, "the cache must match one-shot decodes");
         prop_assert_eq!(&streamed, &entries, "decode must invert encode");
 
         // Every distinct news content surfaced as fresh at least once (so
@@ -285,12 +276,13 @@ proptest! {
         let single = encode(from, &payload, |_| None).unwrap();
         let entries = vec![(9u32, from, payload)];
         let bundle = encode_bundle(0, &entries, |_| None);
-        for frame in [&single[..], &bundle[..]] {
-            let cut = ((frame.len() as f64) * cut_fraction) as usize;
-            if cut < frame.len() {
-                prop_assert!(decode(&frame[..cut]).is_err(), "cut at {} must fail", cut);
-            }
-        }
+        let cut = ((single.len() as f64) * cut_fraction) as usize;
+        prop_assert!(decode(&single[..cut]).is_err(), "cut at {} must fail", cut);
+        let cut = ((bundle.len() as f64) * cut_fraction) as usize;
+        let unbundled = bundle_view(&bundle[..cut]).and_then(|view| {
+            view.map(|entry| decode(entry?.1)).collect::<Result<Vec<_>, _>>()
+        });
+        prop_assert!(unbundled.is_err(), "bundle cut at {} must fail", cut);
     }
 }
 
@@ -406,4 +398,124 @@ proptest! {
             prop_assert!(decode_delta(&delta_frame[..delta_cut]).is_err());
         }
     }
+}
+
+/// Every layout byte for byte: fixed inputs encode to the frames the codec
+/// wrote before its layouts were declared with `wire_codec!`. A layout
+/// change that both directions make alike passes every roundtrip property;
+/// it cannot pass this.
+#[test]
+fn frames_match_their_recorded_bytes() {
+    let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
+    let profile = |entries: &[(u64, u32, f32)]| {
+        let entries = entries
+            .iter()
+            .map(|&(item, timestamp, score)| ProfileEntry {
+                item,
+                timestamp,
+                score,
+            });
+        SharedProfile::new(Profile::from_entries(entries))
+    };
+    let descs = vec![
+        Descriptor {
+            node: 3,
+            age: 1,
+            payload: profile(&[(10, 7, 1.0), (0x0102_0304_0506_0708, 9, 0.25)]),
+        },
+        Descriptor {
+            node: 0xdead,
+            age: 0,
+            payload: profile(&[]),
+        },
+    ];
+    let item = NewsItem::new("Title", "déjà", "https://x/1", 17, 42);
+    let resolve = |id: u64| (id == item.id()).then(|| item.clone());
+    let news = Payload::News(NewsMessage {
+        header: item.header(),
+        profile: profile(&[(5, 3, 0.5)]),
+        dislikes: 2,
+        hops: 513,
+    });
+    let views = "0200030000000100000002000a00000000000000070000000000803f\
+                 0807060504030201090000000000803eadde0000000000000000";
+    for kind in 1u8..5 {
+        let frame = encode(0x0a0b_0c0d, &gossip_payload(kind, descs.clone()), resolve).unwrap();
+        assert_eq!(
+            hex(&frame),
+            format!("0{kind}0d0c0b0a{views}"),
+            "gossip kind {kind}"
+        );
+    }
+    let news_body = "110000002a00000005005469746c65060064c3a96ac3a00b0068747470733a2f2f782f31\
+                     02010201000500000000000000030000000000003f";
+    assert_eq!(
+        hex(&encode(9, &news, resolve).unwrap()),
+        format!("0509000000{news_body}")
+    );
+    let entries = [
+        (4, 9, news.clone()),
+        (5, 3, Payload::WupResponse(descs[..1].to_vec())),
+    ];
+    assert_eq!(
+        hex(&encode_bundle(2, &entries, resolve)),
+        format!(
+            "06020000000200000004000000\
+             3e0000000509000000{news_body}05000000310000000403000000\
+             0100030000000100000002000a00000000000000070000000000803f\
+             0807060504030201090000000000803e"
+        )
+    );
+    let lines = [
+        DigestLine {
+            node: 1,
+            incarnation: 2,
+            max_version: 3,
+        },
+        DigestLine {
+            node: 0x1000,
+            incarnation: 0,
+            max_version: u64::MAX,
+        },
+    ];
+    assert_eq!(
+        hex(&encode_digest(6, &lines).unwrap()),
+        "070600000002000000010000000200000003000000000000000010000000000000ffffffffffffffff"
+    );
+    let deltas = [
+        DeltaEntry {
+            node: 1,
+            incarnation: 2,
+            version: 3,
+            value: DeltaValue::Heartbeat(4),
+        },
+        DeltaEntry {
+            node: 5,
+            incarnation: 6,
+            version: 7,
+            value: DeltaValue::ProfileDigest(0x1122_3344_5566_7788),
+        },
+        DeltaEntry {
+            node: 8,
+            incarnation: 9,
+            version: 10,
+            value: DeltaValue::NewsKey {
+                item: 11,
+                published_at: 12,
+            },
+        },
+    ];
+    assert_eq!(
+        hex(&encode_delta(6, &deltas).unwrap()),
+        "08060000000300000001000000020000000300000000000000000400000005000000060000000700000000\
+         00000001887766554433221108000000090000000a00000000000000020b0000000c000000"
+    );
+    let snapshot = ColdStart {
+        rps_view: descs.clone(),
+        wup_view: descs[1..].to_vec(),
+    };
+    assert_eq!(
+        hex(&whatsup_net::wire::encode(&snapshot)),
+        format!("{views}0100adde0000000000000000")
+    );
 }

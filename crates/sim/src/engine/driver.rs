@@ -14,7 +14,7 @@ use crate::engine::exchange::socket::DIAL_RETRY_WINDOW;
 use crate::engine::exchange::stream::{Peer, StreamLink};
 use crate::engine::exchange::supervisor::Supervised;
 use crate::engine::exchange::{
-    roundtrip, Command, InlineLink, NewsOutcome, Outbound, Reply, ShardLink, Supervision,
+    answer, roundtrip, Command, InlineLink, NewsOutcome, Outbound, Reply, ShardLink, Supervision,
     ThreadLink, TransportError,
 };
 use crate::engine::node_stream;
@@ -159,16 +159,6 @@ fn build(
     (core, inits)
 }
 
-fn expect_outbound(replies: Vec<Reply>) -> Vec<Outbound> {
-    replies
-        .into_iter()
-        .map(|r| match r {
-            Reply::Outbound(o) => o,
-            other => panic!("expected Outbound, got {other:?}"),
-        })
-        .collect()
-}
-
 /// The bundles destined for `dest`, one per source shard in shard order.
 fn bundles_for(outs: &[Outbound], dest: usize) -> Vec<Bytes> {
     outs.iter().map(|o| o.bundles[dest].clone()).collect()
@@ -181,13 +171,15 @@ fn fetch_snapshot(
     id: NodeId,
 ) -> Result<Bytes, TransportError> {
     let owner = core.partition.shard_of(id);
-    let reply = roundtrip(t, vec![(owner, Command::TakeSnapshots { ids: vec![id] })])?
-        .pop()
-        .expect("one snapshot reply");
-    let Reply::Snapshots(mut frames) = reply else {
-        panic!("expected Snapshots");
-    };
-    Ok(frames.pop().expect("one snapshot frame"))
+    let batch = vec![(owner, Command::TakeSnapshots { ids: vec![id] })];
+    let [frame] = roundtrip(
+        t,
+        batch,
+        answer!(Reply::Snapshots(f) => <[Bytes; 1]>::try_from(f).ok()?),
+    )?
+    .pop()
+    .expect("one reply per command");
+    Ok(frame)
 }
 
 /// Admits a node cloning `reference`'s interests: cold start from a random
@@ -214,7 +206,7 @@ fn join_clone(
             )
         })
         .collect();
-    roundtrip(t, batch)?;
+    roundtrip(t, batch, answer!(Reply::Ack => ()))?;
     core.liked_this_cycle.push(0);
     core.ledger.joined();
     Ok(id)
@@ -236,7 +228,7 @@ fn apply_event(
             let batch = (0..t.len())
                 .map(|s| (s, Command::SwapInterests { a, b }))
                 .collect();
-            roundtrip(t, batch)?;
+            roundtrip(t, batch, answer!(Reply::Ack => ()))?;
         }
         Event::ResetNode { node } => {
             let n = core.partition.total();
@@ -247,7 +239,7 @@ fn apply_event(
             let reset = Command::ApplyChurn {
                 resets: vec![(node, snapshot)],
             };
-            roundtrip(t, vec![(owner, reset)])?;
+            roundtrip(t, vec![(owner, reset)], answer!(Reply::Ack => ()))?;
             core.ledger.crashed(core.cycle, 1);
         }
     }
@@ -269,7 +261,7 @@ fn run_cycle(core: &mut DriverCore, t: &mut [impl ShardLink]) -> Result<(), Tran
     let collect = (0..shards)
         .map(|s| (s, Command::Collect { cycle }))
         .collect();
-    let mut outs = expect_outbound(roundtrip(t, collect)?);
+    let mut outs = roundtrip(t, collect, answer!(Reply::Outbound(o) => o))?;
     loop {
         let sent: u64 = outs.iter().map(|o| o.sent).sum();
         if sent == 0 {
@@ -287,7 +279,7 @@ fn run_cycle(core: &mut DriverCore, t: &mut [impl ShardLink]) -> Result<(), Tran
                 )
             })
             .collect();
-        outs = expect_outbound(roundtrip(t, batch)?);
+        outs = roundtrip(t, batch, answer!(Reply::Outbound(o) => o))?;
     }
 
     // --- Churn phase ------------------------------------------------------
@@ -298,14 +290,8 @@ fn run_cycle(core: &mut DriverCore, t: &mut [impl ShardLink]) -> Result<(), Tran
         let decide = (0..shards)
             .map(|s| (s, Command::ChurnDecide { cycle }))
             .collect();
-        let decisions = roundtrip(t, decide)?;
-        let mut pairs: Vec<(NodeId, NodeId)> = Vec::new();
-        for reply in decisions {
-            let Reply::ChurnDecisions(p) = reply else {
-                panic!("expected ChurnDecisions");
-            };
-            pairs.extend(p);
-        }
+        let decisions = roundtrip(t, decide, answer!(Reply::ChurnDecisions(p) => p))?;
+        let pairs: Vec<(NodeId, NodeId)> = decisions.into_iter().flatten().collect();
         core.ledger.crashed(cycle, pairs.len() as u64);
         if !pairs.is_empty() {
             let mut wanted: Vec<Vec<NodeId>> = vec![Vec::new(); shards];
@@ -323,12 +309,9 @@ fn run_cycle(core: &mut DriverCore, t: &mut [impl ShardLink]) -> Result<(), Tran
                 .map(|(s, w)| (s, Command::TakeSnapshots { ids: w.clone() }))
                 .collect();
             let targets: Vec<usize> = batch.iter().map(|(s, _)| *s).collect();
-            let replies = roundtrip(t, batch)?;
+            let replies = roundtrip(t, batch, answer!(Reply::Snapshots(f) => f))?;
             let mut snapshots: BTreeMap<NodeId, Bytes> = BTreeMap::new();
-            for (s, reply) in targets.into_iter().zip(replies) {
-                let Reply::Snapshots(frames) = reply else {
-                    panic!("expected Snapshots");
-                };
+            for (s, frames) in targets.into_iter().zip(replies) {
                 for (&id, frame) in wanted[s].iter().zip(frames) {
                     snapshots.insert(id, frame);
                 }
@@ -343,13 +326,14 @@ fn run_cycle(core: &mut DriverCore, t: &mut [impl ShardLink]) -> Result<(), Tran
                 .filter(|(_, r)| !r.is_empty())
                 .map(|(s, r)| (s, Command::ApplyChurn { resets: r }))
                 .collect();
-            roundtrip(t, batch)?;
+            roundtrip(t, batch, answer!(Reply::Ack => ()))?;
         }
     }
 
     // --- Publication phase ------------------------------------------------
     if !core.plan.at_cycle[cycle as usize].is_empty() {
-        roundtrip(t, (0..shards).map(|s| (s, Command::BeginNews)).collect())?;
+        let batch = (0..shards).map(|s| (s, Command::BeginNews)).collect();
+        roundtrip(t, batch, answer!(Reply::Ack => ()))?;
     }
     for k in 0..core.plan.at_cycle[cycle as usize].len() {
         let index = core.plan.at_cycle[cycle as usize][k];
@@ -385,16 +369,15 @@ fn disseminate(
         .published(index, source, &core.oracle.interested(index));
 
     let owner = core.partition.shard_of(source);
-    let reply = roundtrip(t, vec![(owner, Command::Publish { cycle, item })])?
-        .pop()
-        .expect("one publish reply");
-    let Reply::Published {
-        first_forward_hop,
-        out,
-    } = reply
-    else {
-        panic!("expected Published");
-    };
+    let published =
+        answer!(Reply::Published { first_forward_hop, out } => (first_forward_hop, out));
+    let (first_forward_hop, out) = roundtrip(
+        t,
+        vec![(owner, Command::Publish { cycle, item })],
+        published,
+    )?
+    .pop()
+    .expect("one reply per command");
     // Fig. 6 forwarding record for the source's own publication.
     if let Some(hop) = first_forward_hop {
         let liked = core.oracle.likes(source, item_id);
@@ -431,12 +414,10 @@ fn disseminate(
                 )
             })
             .collect();
-        let replies = roundtrip(t, batch)?;
+        let delivered = answer!(Reply::NewsDelivered { out, outcomes } => (out, outcomes));
+        let replies = roundtrip(t, batch, delivered)?;
         let mut next_outs: Vec<Outbound> = (0..shards).map(|_| Outbound::empty(shards)).collect();
-        for (&dest, reply) in active.iter().zip(replies) {
-            let Reply::NewsDelivered { out, outcomes } = reply else {
-                panic!("expected NewsDelivered");
-            };
+        for (&dest, (out, outcomes)) in active.iter().zip(replies) {
             fold_outcomes(core, cycle, index, &outcomes);
             next_outs[dest] = out;
         }
@@ -478,10 +459,8 @@ fn drive(
     while core.cycle < core.cfg.cycles {
         run_cycle(core, t)?;
         if checkpoint_every.is_some_and(|every| core.cycle.is_multiple_of(every)) {
-            roundtrip(
-                t,
-                (0..t.len()).map(|s| (s, Command::TakeCheckpoint)).collect(),
-            )?;
+            let batch = (0..t.len()).map(|s| (s, Command::TakeCheckpoint)).collect();
+            roundtrip(t, batch, answer!(Reply::Checkpoint(_) => ()))?;
         }
     }
     Ok(())
@@ -1027,5 +1006,37 @@ mod tests {
     fn global_protocols_rejected() {
         let d = tiny_dataset();
         let _ = Simulation::new(&d, Protocol::Cascade, quick_cfg());
+    }
+
+    /// A worker that acknowledges every command, whatever it asked for.
+    struct AckLink;
+
+    impl ShardLink for AckLink {
+        fn endpoint(&self) -> String {
+            "ack-only worker".into()
+        }
+
+        fn send(&mut self, _: Command) -> Result<(), TransportError> {
+            Ok(())
+        }
+
+        fn recv(&mut self) -> Result<Reply, TransportError> {
+            Ok(Reply::Ack)
+        }
+    }
+
+    #[test]
+    fn a_reply_of_the_wrong_variant_is_an_error_naming_the_worker() {
+        let d = tiny_dataset();
+        let scenario = Scenario::from_config(&quick_cfg());
+        let protocol = Protocol::WhatsUp { f_like: 5 };
+        let (mut core, _) = build(&d, protocol, quick_cfg(), scenario, None);
+        let err = run_cycle(&mut core, &mut [AckLink]).expect_err("Ack does not answer Collect");
+        assert!(!err.kind.is_retryable(), "{err}");
+        assert_eq!(
+            err.to_string(),
+            "shard worker ack-only worker: malformed frame — \
+             invalid frame: reply does not answer its command"
+        );
     }
 }

@@ -15,14 +15,17 @@
 //! opened and (TCP) deadline-armed. `supervisor::Supervised` wraps a
 //! restartable link and is a `ShardLink` itself.
 //!
-//! Every frame goes through one codec (`wire`): each command, reply, init
-//! and checkpoint layout is declared once, with `wire_codec!`, next to
-//! its type, and decoding is fallible. Mailbox traffic and view snapshots
-//! embed the `whatsup-net` wire codec's encodings, so the two stacks share
-//! one message format. Connecting, the handshake, a peer vanishing, a
-//! frame truncated on the wire and a reply that does not decode all
-//! surface as a typed [`TransportError`] naming the endpoint, and a worker
-//! handed a frame that does not decode exits with a one-line
+//! Every frame goes through the workspace's one binary codec
+//! (`whatsup_net::wire`): each command, reply, init and checkpoint layout
+//! is declared once, with `wire_codec!`, next to its type (`wire` holds
+//! the two written by hand), and decoding is fallible. Mailbox traffic and
+//! view snapshots are the peers' own gossip and news encodings, so the two
+//! stacks share one message format. Connecting, the handshake, a peer
+//! vanishing, a frame truncated on the wire, a reply that does not decode
+//! and one that does not answer its command (`unpack`) all surface as a
+//! typed [`TransportError`] naming the endpoint, and a worker handed a
+//! frame that does not decode, mailbox bundles included, exits with a
+//! one-line
 //! [`stream::WorkerError`]. A command that decodes but does not fit the
 //! shard (a node it does not own) still panics it.
 
@@ -35,15 +38,15 @@ pub use supervisor::Supervision;
 
 mod wire;
 
-pub(crate) use wire::{decode, encode, ensure, wire_codec, Wire};
+pub(crate) use whatsup_net::wire::{decode, encode, ensure};
+pub(crate) use whatsup_net::wire_codec;
 
 use crate::engine::shard::ShardState;
 use bytes::Bytes;
 use std::fmt;
 use std::io;
 use std::sync::mpsc;
-use whatsup_core::beep::{BeepConfig, DislikeRule, TargetPool};
-use whatsup_core::{ColdStart, ItemId, Metric, NewsItem, NodeId, Params, RpsConfig};
+use whatsup_core::{ItemId, NewsItem, NodeId};
 use whatsup_net::codec::DecodeError;
 
 /// A transport-level failure: the conversation with a shard worker could
@@ -248,7 +251,7 @@ pub struct NewsOutcome {
 pub enum Reply {
     Outbound(Outbound),
     ChurnDecisions(Vec<(NodeId, NodeId)>),
-    /// Snapshots in request order (encoded [`ColdStart`]s).
+    /// Snapshots in request order (encoded [`whatsup_core::ColdStart`]s).
     Snapshots(Vec<Bytes>),
     Ack,
     Published {
@@ -296,17 +299,53 @@ pub(crate) trait ShardLink {
 /// The lockstep round-trip — the one send-all/receive-all loop of the
 /// engine. `batch` names at most one command per shard; every command is
 /// sent before the first reply is read (the shards compute in parallel),
-/// and the replies come back in batch order.
-pub(crate) fn roundtrip<L: ShardLink>(
+/// and the replies come back in batch order, each unpacked with `pick`
+/// (see [`unpack`]).
+pub(crate) fn roundtrip<L: ShardLink, T>(
     links: &mut [L],
     batch: Vec<(usize, Command)>,
-) -> Result<Vec<Reply>, TransportError> {
+    pick: impl Fn(Reply) -> Option<T>,
+) -> Result<Vec<T>, TransportError> {
     let targets: Vec<usize> = batch.iter().map(|(s, _)| *s).collect();
     for (s, cmd) in batch {
         links[s].send(cmd)?;
     }
-    targets.into_iter().map(|s| links[s].recv()).collect()
+    targets
+        .into_iter()
+        .map(|s| {
+            let reply = links[s].recv()?;
+            unpack(&links[s], reply, &pick)
+        })
+        .collect()
 }
+
+/// The one way a reply is unpacked: `pick` returns what the command's
+/// answer carries, or `None` when `reply` is another variant. A worker
+/// that answers a command with a well-formed reply of the wrong variant is
+/// a protocol fault naming `link`, and not retryable — a restarted worker
+/// would answer alike.
+pub(crate) fn unpack<T>(
+    link: &impl ShardLink,
+    reply: Reply,
+    pick: impl FnOnce(Reply) -> Option<T>,
+) -> Result<T, TransportError> {
+    pick(reply).ok_or_else(|| TransportError {
+        endpoint: link.endpoint(),
+        kind: TransportErrorKind::Decode(DecodeError::Invalid("reply does not answer its command")),
+    })
+}
+
+/// The picker [`unpack`] takes for a command answered by the reply
+/// `pattern`: `Some(value)` for it, `None` for any other reply.
+macro_rules! answer {
+    ($pattern:pat => $value:expr) => {
+        |reply: $crate::engine::exchange::Reply| match reply {
+            $pattern => Some($value),
+            _ => None,
+        }
+    };
+}
+pub(crate) use answer;
 
 /// Single-shard fast path: the shard is driven in place on the calling
 /// thread — `send` runs the command, the reply waits for `recv`. No codec,
@@ -432,23 +471,10 @@ wire_codec! {
 wire_codec! { struct Outbound { sent, local, bundles } }
 wire_codec! { struct NewsOutcome { receiver, first, forward } }
 wire_codec! { struct FirstReception { hop, sender_liked, receiver_likes, dislikes } }
-wire_codec! { struct NewsItem { title, description, link, source, created_at } }
-
-wire_codec! {
-    struct Params {
-        rps, rps_period, wup_view_size, metric, profile_window, beep, cold_start_items,
-        obfuscation_epsilon,
-    }
-}
-wire_codec! { struct RpsConfig { view_size, exchange_len } }
-wire_codec! { struct BeepConfig { f_like, like_pool, like_entire_view, dislike } }
-wire_codec! { enum Metric { 0 => Wup, 1 => Cosine, 2 => Jaccard } }
-wire_codec! { enum TargetPool { 0 => Wup, 1 => Rps } }
-wire_codec! { enum DislikeRule { 0 => Drop, 1 => Forward { fanout, ttl, oriented } } }
 
 /// Encodes a reply frame.
 pub fn encode_reply(reply: &Reply) -> Vec<u8> {
-    wire::encode(reply)
+    encode(reply)
 }
 
 /// Decodes a command frame this process encoded.
@@ -457,17 +483,7 @@ pub fn encode_reply(reply: &Reply) -> Vec<u8> {
 /// Panics on a malformed frame. The worker loop decodes untrusted frames
 /// fallibly instead ([`stream::serve_stream`]).
 pub fn decode_command(frame: &[u8]) -> Command {
-    wire::decode(frame).expect("malformed command frame")
-}
-
-/// Serializes a view snapshot with the wire codec's descriptor encoding.
-pub fn encode_cold_start(cs: &ColdStart) -> Bytes {
-    Bytes::from(wire::encode(cs))
-}
-
-/// Inverse of [`encode_cold_start`].
-pub fn decode_cold_start(frame: &[u8]) -> Result<ColdStart, DecodeError> {
-    wire::decode(frame)
+    decode(frame).expect("malformed command frame")
 }
 
 #[cfg(test)]
@@ -482,6 +498,7 @@ mod tests {
     use rand_chacha::ChaCha8Rng;
     use std::cell::RefCell;
     use std::rc::Rc;
+    use whatsup_core::{Metric, Params};
     use whatsup_datasets::{LikeMatrix, LikeStore};
 
     /// A link that records every call in a log shared by all shards and
@@ -524,14 +541,9 @@ mod tests {
         let batch = [3, 0, 2]
             .map(|s| (s, Command::Collect { cycle: 7 }))
             .to_vec();
-        let replies = roundtrip(&mut links, batch).expect("mock links cannot fail");
-        let sent: Vec<u64> = replies
-            .iter()
-            .map(|r| match r {
-                Reply::Outbound(o) => o.sent,
-                other => panic!("expected Outbound, got {other:?}"),
-            })
-            .collect();
+        let replies = roundtrip(&mut links, batch, answer!(Reply::Outbound(o) => o))
+            .expect("mock links cannot fail");
+        let sent: Vec<u64> = replies.iter().map(|o| o.sent).collect();
         assert_eq!(sent, [3, 0, 2], "replies come back in batch order");
         assert_eq!(
             *calls.borrow(),

@@ -49,8 +49,12 @@ pub const HANDSHAKE_MAGIC: u32 = 0x5755_5053;
 /// `Published` reply without a forward hop), a news outcome is its
 /// receiver and two `Option`s instead of a packed flag byte, the `Drop`
 /// dislike rule carries no padding, and a sparse like store sends
-/// `n_items`, then its offsets and items as counted sequences.
-pub const PROTOCOL_VERSION: u16 = 5;
+/// `n_items`, then its offsets and items as counted sequences; v6 moves the
+/// codec into `whatsup_net`, where a news item has one layout for every
+/// wire — the news frame's content order (`source`, `created_at`, title,
+/// description, link) — so `Publish` commands and checkpoints carry items
+/// in that order.
+pub const PROTOCOL_VERSION: u16 = 6;
 
 /// How long the driver waits for a TCP connect to a worker.
 pub const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
@@ -434,8 +438,8 @@ pub enum WorkerError {
     /// The driver vanished mid-conversation: EOF or I/O error before
     /// `Stop`. A driver killed mid-run lands here.
     ConnectionLost(io::Error),
-    /// A command frame, or a snapshot or checkpoint frame inside one, did
-    /// not decode.
+    /// A command frame, or a snapshot, checkpoint or mailbox bundle inside
+    /// one, did not decode.
     Malformed(DecodeError),
 }
 

@@ -32,7 +32,7 @@
 //! A crash *during* recovery simply burns another restart from the same
 //! budget and tries again; exhaustion surfaces the original error.
 
-use super::{Command, Reply, ShardLink, TransportError};
+use super::{answer, unpack, Command, Reply, ShardLink, TransportError};
 use bytes::Bytes;
 use std::time::Duration;
 use whatsup_core::fnv1a64;
@@ -238,10 +238,12 @@ impl<L: Restartable> ShardLink for Supervised<L> {
             },
         };
         if matches!(cmd, Command::TakeCheckpoint) {
-            let Reply::Checkpoint(cp) = &reply else {
-                panic!("expected a checkpoint reply");
-            };
-            self.checkpoint = Some(cp.clone());
+            let cp = unpack(
+                &self.link,
+                reply.clone(),
+                answer!(Reply::Checkpoint(cp) => cp),
+            )?;
+            self.checkpoint = Some(cp);
             self.log.clear();
         } else {
             self.log.push(cmd);
@@ -282,6 +284,9 @@ mod tests {
         inbox: VecDeque<Reply>,
         faults: VecDeque<Fault>,
         restart_count: u32,
+        /// Answer `TakeCheckpoint` with `Ack`: a well-formed reply of the
+        /// wrong variant.
+        ack_checkpoints: bool,
     }
 
     impl MockLink {
@@ -309,6 +314,7 @@ mod tests {
                     local: 0,
                     bundles: Vec::new(),
                 }),
+                Command::TakeCheckpoint if self.ack_checkpoints => Reply::Ack,
                 Command::TakeCheckpoint => {
                     Reply::Checkpoint(Bytes::copy_from_slice(&self.counter.to_le_bytes()))
                 }
@@ -375,7 +381,7 @@ mod tests {
     /// One round-trip of `cmd` to every shard.
     fn all(t: &mut Links, cmd: Command) -> Vec<Reply> {
         let batch = (0..t.len()).map(|s| (s, cmd.clone())).collect();
-        roundtrip(t, batch).expect("supervised round-trip")
+        roundtrip(t, batch, Some).expect("supervised round-trip")
     }
 
     fn bump(t: &mut Links) {
@@ -390,12 +396,9 @@ mod tests {
     }
 
     fn counter(t: &mut Links, shard: usize) -> u64 {
-        let replies =
-            roundtrip(t, vec![(shard, Command::Collect { cycle: 0 })]).expect("counter probe");
-        let Reply::Outbound(o) = &replies[0] else {
-            panic!("expected outbound");
-        };
-        o.sent
+        let batch = vec![(shard, Command::Collect { cycle: 0 })];
+        let replies = roundtrip(t, batch, answer!(Reply::Outbound(o) => o)).expect("counter probe");
+        replies[0].sent
     }
 
     fn restarts_used(t: &Links) -> u32 {
@@ -452,7 +455,8 @@ mod tests {
         t[0].link
             .faults
             .extend([Fault::RecvIo, Fault::RestartIo, Fault::RestartIo]);
-        let err = roundtrip(&mut t, vec![(0, Command::BeginNews)]).expect_err("budget exhausted");
+        let err =
+            roundtrip(&mut t, vec![(0, Command::BeginNews)], Some).expect_err("budget exhausted");
         // The surfaced error is the ORIGINAL conversation failure, not the
         // last redial failure — that is what names the actual fault.
         assert_eq!(err.to_string(), t[0].link.err().to_string());
@@ -466,8 +470,8 @@ mod tests {
         t[0].link
             .faults
             .extend([Fault::RecvIo, Fault::RestartVersionSkew]);
-        let err =
-            roundtrip(&mut t, vec![(0, Command::BeginNews)]).expect_err("version skew is fatal");
+        let err = roundtrip(&mut t, vec![(0, Command::BeginNews)], Some)
+            .expect_err("version skew is fatal");
         assert!(
             matches!(err.kind, TransportErrorKind::HandshakeVersion { .. }),
             "the skew must surface, not be retried or masked: {err}"
@@ -534,5 +538,17 @@ mod tests {
             .all(|l| l.log.len() == 1 && matches!(l.log[0], Command::BeginNews)));
         t[1].link.faults.push_back(Fault::RecvIo);
         assert_eq!(counter(&mut t, 1), 4, "restore(3) + replay(1)");
+    }
+
+    #[test]
+    fn a_checkpoint_answered_by_another_reply_is_a_fatal_error() {
+        let mut t = links(1, 3, 1);
+        t[0].link.ack_checkpoints = true;
+        let err = roundtrip(&mut t, vec![(0, Command::TakeCheckpoint)], Some)
+            .expect_err("an Ack does not answer TakeCheckpoint");
+        assert!(!err.kind.is_retryable(), "{err}");
+        assert_eq!(err.endpoint, "mock worker");
+        assert!(t[0].checkpoint.is_none());
+        assert_eq!(restarts_used(&t), 0);
     }
 }

@@ -13,7 +13,7 @@
 
 use std::collections::BTreeMap;
 use whatsup_core::{ItemId, NewsItem, NodeId, Payload};
-use whatsup_net::codec;
+use whatsup_net::codec::{self, DecodeError};
 
 /// One addressed in-flight message.
 #[derive(Debug, Clone, PartialEq)]
@@ -191,29 +191,27 @@ pub fn encode_shard_bundle(
 /// `frame` and converted straight into its payload. Each *distinct* news
 /// content is passed to `register` once per repetition run (the receiving
 /// shard caches it so its nodes can re-forward the item later); consecutive
-/// entries with identical content or profile bytes decode through a
+/// entries with identical content or forwarding bytes decode through a
 /// [`codec::NewsDecodeCache`], which turns a fan-out's repeated copies into
 /// `Arc` clones of one parse.
 ///
-/// # Panics
-/// Panics on malformed frames: bundles only travel the engine's own
-/// transports, so corruption is an engine bug.
+/// A frame that does not decode is an error; the entries before the bad
+/// one have already reached `sink`.
 pub fn decode_shard_bundle_each(
     frame: &[u8],
     register: &mut impl FnMut(NewsItem),
     mut sink: impl FnMut(NodeId, NodeId, Payload),
-) {
-    let view = codec::bundle_view(frame).expect("malformed shard bundle");
+) -> Result<(), DecodeError> {
     let mut cache = codec::NewsDecodeCache::default();
-    for entry in view {
-        let (to, inner) = entry.expect("malformed shard bundle entry");
-        let (from, payload, fresh_item) =
-            codec::decode_bundle_entry(inner, &mut cache).expect("malformed bundled message");
+    for entry in codec::bundle_view(frame)? {
+        let (to, inner) = entry?;
+        let (from, payload, fresh_item) = codec::decode_bundle_entry(inner, &mut cache)?;
         if let Some(item) = fresh_item {
             register(item);
         }
         sink(to, from, payload);
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -291,7 +289,8 @@ mod tests {
         let mut mail = Vec::new();
         decode_shard_bundle_each(&frame, &mut |i| registered.push(i), |to, from, payload| {
             mail.push(MailEntry { to, from, payload })
-        });
+        })
+        .unwrap();
         assert_eq!(mail.len(), 2);
         assert_eq!((mail[0].to, mail[0].from), (7, 4));
         assert_eq!(mail[0].payload, entries[0].2);

@@ -158,12 +158,15 @@
 //! A conversation is hello, handshake, then strictly alternating command
 //! and reply frames until `Stop` (no reply); [`Command`] and [`Reply`]
 //! list every frame, and `exchange::stream::PROTOCOL_VERSION` changes with
-//! any layout. Each layout is declared once, with `wire_codec!` next to
-//! its type, and both directions are generated from it (`exchange::wire`
-//! tabulates the encoding). A frame that does not decode — truncated, an
+//! any layout. There is one binary codec in the workspace,
+//! `whatsup_net::wire` (which tabulates the encoding): each layout is
+//! declared once, with `wire_codec!` next to its type, and both directions
+//! are generated from it. A frame that does not decode — truncated, an
 //! unknown tag, a count its bytes cannot hold — is a typed error: a
-//! [`TransportError`] on the driver, a one-line exit 1 on the worker.
-//! Mailbox traffic rides inside them as *bundles* (see
+//! [`TransportError`] on the driver, a one-line exit 1 on the worker. So
+//! is a well-formed reply that does not answer its command: the driver
+//! unpacks every reply through one helper, `exchange::unpack`.
+//! Mailbox traffic rides inside the commands as *bundles* (see
 //! `whatsup_net::codec`): `tag=MAILBOX_BUNDLE`, `from_shard:u32`,
 //! `count:u32`, then `count` entries of
 //! `to:u32 len:u32 frame`, where `frame` is the standard single-message
@@ -172,7 +175,8 @@
 //! expressible on the real network. Bundles are wire-encoded on every
 //! link, value links included. News frames carry full item content;
 //! receiving shards recompute ids and cache content for re-forwarding,
-//! exactly like real receivers.
+//! exactly like real receivers. A bundle that does not decode ends the
+//! worker like any other malformed frame.
 //!
 //! Ordering guarantees, which make the exchange invisible to the results:
 //!
@@ -254,9 +258,10 @@
 //!   the entries, and the next hop that actually aggregates builds its
 //!   merged profile straight from the shared predecessor. Cross-shard,
 //!   the per-bundle `codec::NewsDecodeCache` restores that sharing on the
-//!   receiving side: consecutive bundle entries with byte-identical item
-//!   content or profile spans reuse one parse (byte equality is exact —
-//!   the decoders are pure functions of the bytes).
+//!   receiving side: a bundle entry whose item content or forwarding span
+//!   (dislikes, hops, profile) starts with the bytes last decoded reuses
+//!   that parse (a prefix match is exact — the layouts are length-prefixed,
+//!   and the decoders pure functions of the bytes).
 //! * **Profile fingerprints** — every [`whatsup_core::Profile`] maintains
 //!   a 128-bit Bloom fingerprint of its rated items at mutation time; the
 //!   similarity metrics reject provably disjoint pairs before the scalar

@@ -8,7 +8,7 @@
 //! and transports (see the module docs of [`crate::engine`]).
 
 use crate::engine::exchange::{
-    self, ensure, wire_codec, Command, FirstReception, NewsOutcome, Outbound, Reply,
+    decode, encode, ensure, wire_codec, Command, FirstReception, NewsOutcome, Outbound, Reply,
 };
 use crate::engine::mailbox::{decode_shard_bundle_each, MailEntry, Mailbox};
 use crate::engine::partition::Partition;
@@ -170,12 +170,6 @@ struct NodeRecord {
 }
 
 wire_codec! { struct NodeRecord { profile, views, seen, stats } }
-
-wire_codec! {
-    struct NodeStats {
-        rps_sent, wup_sent, news_sent, news_received, news_duplicates, news_liked, published,
-    }
-}
 
 /// A fresh node whose views start at its bootstrap `contacts`, every one
 /// carrying the `empty` profile: the RPS view gets all of them, the WUP
@@ -369,7 +363,7 @@ impl ShardState {
     /// rejoin view `snapshot` and builds the node from it (§II-D cold
     /// start).
     pub fn admit(&mut self, reference: NodeId, snapshot: Option<&[u8]>) -> Result<(), DecodeError> {
-        let snapshot = snapshot.map(exchange::decode_cold_start).transpose()?;
+        let snapshot: Option<ColdStart> = snapshot.map(decode).transpose()?;
         self.oracle.add_clone_of(reference);
         let id = self.partition.push_node();
         if let Some(snapshot) = snapshot {
@@ -394,7 +388,7 @@ impl ShardState {
     /// inline driver, the channel workers and the worker processes.
     ///
     /// # Panics
-    /// Panics if a snapshot or checkpoint frame inside `cmd` does not
+    /// Panics if a snapshot, checkpoint or bundle inside `cmd` does not
     /// decode; the worker loop uses the fallible [`Self::try_handle`].
     pub fn handle(&mut self, cmd: Command) -> Reply {
         self.try_handle(cmd)
@@ -402,17 +396,20 @@ impl ShardState {
     }
 
     /// [`Self::handle`], with a frame nested in `cmd` that does not decode
-    /// returned as an error before it changes any state.
+    /// returned as an error. A snapshot or checkpoint is refused before it
+    /// changes any state; a bundle that breaks off midway leaves the mail
+    /// before the bad entry queued, so the shard must not be driven further
+    /// (the worker loop exits).
     pub(crate) fn try_handle(&mut self, cmd: Command) -> Result<Reply, DecodeError> {
         Ok(match cmd {
             Command::Collect { cycle } => Reply::Outbound(self.collect(cycle)),
             Command::DeliverGossip { cycle, bundles } => {
-                Reply::Outbound(self.deliver_gossip(cycle, &bundles))
+                Reply::Outbound(self.deliver_gossip(cycle, &bundles)?)
             }
             Command::ChurnDecide { cycle } => Reply::ChurnDecisions(self.churn_decide(cycle)),
             Command::TakeSnapshots { ids } => Reply::Snapshots(
                 ids.iter()
-                    .map(|&id| exchange::encode_cold_start(&self.snapshot_of(id)))
+                    .map(|&id| Bytes::from(encode(&self.snapshot_of(id))))
                     .collect(),
             ),
             Command::ApplyChurn { resets } => {
@@ -439,7 +436,7 @@ impl ShardState {
                 cycle,
                 item,
                 bundles,
-            } => self.deliver_news(cycle, item, &bundles),
+            } => self.deliver_news(cycle, item, &bundles)?,
             Command::TakeCheckpoint => Reply::Checkpoint(self.encode_checkpoint()),
             Command::Restore { frame } => {
                 self.restore_checkpoint(&frame)?;
@@ -494,7 +491,7 @@ impl ShardState {
                 })
                 .collect(),
         };
-        Bytes::from(exchange::encode(&checkpoint))
+        Bytes::from(encode(&checkpoint))
     }
 
     /// Replaces this shard's dynamic state with a checkpoint frame
@@ -505,7 +502,7 @@ impl ShardState {
     /// empty (guaranteed at the checkpointed boundary), phase RNGs
     /// re-derived on first use.
     pub fn restore_checkpoint(&mut self, frame: &[u8]) -> Result<(), DecodeError> {
-        let cp: Checkpoint = exchange::decode(frame)?;
+        let cp: Checkpoint = decode(frame)?;
         let n_nodes = cp.nodes.len();
         let range = cp.partition.try_range(self.index).unwrap_or_default();
         let fits = range.len() == n_nodes && cp.channel_bad.len() == n_nodes;
@@ -617,7 +614,7 @@ impl ShardState {
     }
 
     /// One gossip delivery round over the owned receivers, ascending.
-    fn deliver_gossip(&mut self, cycle: u32, bundles: &[Bytes]) -> Outbound {
+    fn deliver_gossip(&mut self, cycle: u32, bundles: &[Bytes]) -> Result<Outbound, DecodeError> {
         let Self {
             index,
             pending_local,
@@ -631,7 +628,7 @@ impl ShardState {
             pending_local,
             known_items,
             |to, from, payload| mailbox.push_parts(to, from, payload),
-        );
+        )?;
         let receivers = self.mailbox.take_receivers();
         let base = self.base();
         let seed = self.seed;
@@ -668,7 +665,7 @@ impl ShardState {
         }
         mailbox.restore_receiver_buf(receivers);
         mailbox.recycle();
-        self.route_out()
+        Ok(self.route_out())
     }
 
     /// Churn decisions for the owned nodes: `(crasher, rejoin contact)` per
@@ -692,7 +689,7 @@ impl ShardState {
     fn apply_churn(&mut self, resets: &[(NodeId, Bytes)]) -> Result<(), DecodeError> {
         let snapshots = resets
             .iter()
-            .map(|(id, frame)| Ok((*id, exchange::decode_cold_start(frame)?)))
+            .map(|(id, frame)| Ok((*id, decode::<ColdStart>(frame)?)))
             .collect::<Result<Vec<_>, DecodeError>>()?;
         for (id, snapshot) in snapshots {
             let mut fresh = WhatsUpNode::new(id, self.params.clone());
@@ -743,7 +740,12 @@ impl ShardState {
     /// handles in the drain (see "Duplicates booked at the mailbox" in the
     /// engine docs). A receiver whose mail was all booked reports no
     /// outcome; it had nothing to report.
-    fn deliver_news(&mut self, cycle: u32, item_id: ItemId, bundles: &[Bytes]) -> Reply {
+    fn deliver_news(
+        &mut self,
+        cycle: u32,
+        item_id: ItemId,
+        bundles: &[Bytes],
+    ) -> Result<Reply, DecodeError> {
         self.contacted.track(item_id);
         let base = self.base();
         let seed = self.seed;
@@ -781,7 +783,7 @@ impl ShardState {
                     node_stats[local].book_duplicate(from, to);
                 }
             },
-        );
+        )?;
         let receivers = mailbox.take_receivers();
         let mut outcomes = Vec::with_capacity(receivers.len());
         let oracle: &Oracle = oracle;
@@ -846,7 +848,7 @@ impl ShardState {
         mailbox.restore_receiver_buf(receivers);
         mailbox.recycle();
         let out = self.route_out();
-        Reply::NewsDelivered { out, outcomes }
+        Ok(Reply::NewsDelivered { out, outcomes })
     }
 }
 
@@ -855,14 +857,14 @@ impl ShardState {
 /// takes slot `index` — and adds each news content the bundles carry to
 /// `known_items`. With contiguous ascending shard ranges this reproduces
 /// the global `(sender id, emission order)` mailbox order of a
-/// single-shard run.
+/// single-shard run. A bundle that does not decode is an error.
 fn merge_inbound(
     index: usize,
     bundles: &[Bytes],
     pending_local: &mut Vec<MailEntry>,
     known_items: &mut impl Extend<(ItemId, NewsItem)>,
     mut sink: impl FnMut(NodeId, NodeId, Payload),
-) {
+) -> Result<(), DecodeError> {
     let mut register = |item: NewsItem| known_items.extend([(item.id(), item)]);
     for (src, bundle) in bundles.iter().enumerate() {
         if src == index {
@@ -870,9 +872,10 @@ fn merge_inbound(
                 sink(entry.to, entry.from, entry.payload);
             }
         } else if !bundle.is_empty() {
-            decode_shard_bundle_each(bundle, &mut register, &mut sink);
+            decode_shard_bundle_each(bundle, &mut register, &mut sink)?;
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -909,7 +912,8 @@ mod tests {
             pending_local,
             known_items,
             |to, from, payload| mailbox.push_parts(to, from, payload),
-        );
+        )
+        .unwrap();
         let receivers = shard.mailbox.take_receivers();
         let base = shard.base();
         let seed = shard.seed;
@@ -1086,7 +1090,7 @@ mod tests {
                 Bytes::new(),
                 Bytes::new(),
             ];
-            match shard.deliver_news(CYCLE, id, &bundles) {
+            match shard.deliver_news(CYCLE, id, &bundles).unwrap() {
                 Reply::NewsDelivered { outcomes, .. } => outcomes,
                 other => panic!("unexpected {other:?}"),
             }
@@ -1101,7 +1105,9 @@ mod tests {
         assert!(shard.mailbox.is_empty());
         // A new item starts a new record.
         let other = items[1].id();
-        shard.deliver_news(CYCLE, other, &[Bytes::new(), Bytes::new(), Bytes::new()]);
+        shard
+            .deliver_news(CYCLE, other, &[Bytes::new(), Bytes::new(), Bytes::new()])
+            .unwrap();
         assert!(!shard.contacted.contains(2));
         assert_eq!(shard.contacted.touched, Vec::<usize>::new());
     }

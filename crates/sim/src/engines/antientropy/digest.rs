@@ -17,8 +17,7 @@ pub struct DigestIndex<'a> {
 impl<'a> DigestIndex<'a> {
     pub fn new(lines: &'a [DigestLine]) -> Self {
         debug_assert!(
-            // lint:allow(wire-panic) in bounds: windows(2) yields exactly-2-element slices
-            lines.windows(2).all(|w| w[0].node < w[1].node),
+            lines.is_sorted_by(|a, b| a.node < b.node),
             "digest lines must be sorted by node"
         );
         DigestIndex { lines }
@@ -26,11 +25,10 @@ impl<'a> DigestIndex<'a> {
 
     /// The advertised `(incarnation, max_version)` for `node`.
     pub fn advertised(&self, node: NodeId) -> (u32, u64) {
-        match self.lines.binary_search_by_key(&node, |l| l.node) {
-            // lint:allow(wire-panic) in bounds: binary_search Ok index is always valid
-            Ok(i) => (self.lines[i].incarnation, self.lines[i].max_version),
-            Err(_) => (0, 0),
-        }
+        let found = self.lines.binary_search_by_key(&node, |l| l.node).ok();
+        found
+            .and_then(|i| self.lines.get(i))
+            .map_or((0, 0), |l| (l.incarnation, l.max_version))
     }
 
     /// The version floor to send from for `rec` (owned by `node`):

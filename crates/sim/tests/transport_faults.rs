@@ -669,10 +669,21 @@ fn tagged(tag: u8, rest: &[&[u8]]) -> Vec<u8> {
     frame
 }
 
+/// A cycle-0 `DeliverGossip` to shard 0 of two: its own (empty) slot,
+/// then `bundle` from shard 1.
+fn deliver_gossip(bundle: &[u8]) -> Vec<u8> {
+    let len = u32::try_from(bundle.len()).expect("a small bundle");
+    let counts = [0u32, 2, 0, len].map(u32::to_le_bytes);
+    let mut frame = tagged(2, &counts.each_ref().map(|c| &c[..]));
+    frame.extend_from_slice(bundle);
+    frame
+}
+
 /// Hostile streams — each a sequence of frames a driver could send — and
 /// what they exercise. The first six once crashed the worker (unknown
 /// opcode, truncation, counts no frame can hold, a garbage init); the last
-/// two carry well-formed commands whose nested frames do not decode.
+/// four carry well-formed commands whose nested frames do not decode, the
+/// final two being mailbox bundles from shard 1.
 fn hostile_streams() -> Vec<(&'static str, Vec<Vec<u8>>)> {
     let handshake = real_handshake();
     let stream = |cmd: Vec<u8>| vec![handshake.clone(), cmd];
@@ -704,6 +715,23 @@ fn hostile_streams() -> Vec<(&'static str, Vec<Vec<u8>>)> {
         (
             "Restore with a garbage checkpoint",
             stream(tagged(14, &[&3u32.to_le_bytes(), &[1, 2, 3]])),
+        ),
+        (
+            "DeliverGossip with a 3-byte junk bundle",
+            stream(deliver_gossip(&[1, 2, 3])),
+        ),
+        (
+            "DeliverGossip with a junk frame in a bundle",
+            stream(deliver_gossip(&tagged(
+                6,
+                &[
+                    &1u32.to_le_bytes(),
+                    &1u32.to_le_bytes(),
+                    &0u32.to_le_bytes(),
+                    &3u32.to_le_bytes(),
+                    &[9, 9, 9],
+                ],
+            ))),
         ),
     ]
 }

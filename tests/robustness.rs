@@ -187,11 +187,9 @@ fn nan_scores_on_the_wire_are_dropped_not_fatal() {
             peer.decode(&frame).is_none(),
             "a poisoned frame must be dropped, not answered: {payload:?}"
         );
-        let delivered = codec::decode(&frame)
-            .and_then(|(from, wire)| Ok((from, wire.try_into_payload()?)))
-            .map(|(from, payload)| {
-                node.on_message(from, payload, 2, &oracle, &mut stats, &mut rng)
-            });
+        let delivered = codec::decode(&frame).map(|(from, payload, _)| {
+            node.on_message(from, payload, 2, &oracle, &mut stats, &mut rng)
+        });
         assert!(delivered.is_err(), "the codec must reject {payload:?}");
     }
     assert_eq!(
@@ -275,8 +273,8 @@ fn hostile_item_ids_in_gossip_merge_like_the_pairwise_ranking() {
     for descriptors in frames {
         let frame = codec::encode(8, &Payload::WupRequest(descriptors), |_| None)
             .expect("frame fits a datagram");
-        let (from, wire) = codec::decode(&frame).expect("well-formed frame");
-        let Payload::WupRequest(received) = wire.try_into_payload().expect("valid payload") else {
+        let (from, payload, _) = codec::decode(&frame).expect("well-formed frame");
+        let Payload::WupRequest(received) = payload else {
             panic!("a WUP request decodes as one");
         };
         expected.on_response(

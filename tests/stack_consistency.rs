@@ -174,8 +174,9 @@ fn wire_codec_carries_simulated_dissemination() {
     let resolver = |id: ItemId| (id == item.id()).then(|| item.clone());
     for m in &out {
         let bytes = whatsup::net::codec::encode(0, &m.payload, resolver).unwrap();
-        let (from, wire) = whatsup::net::codec::decode(&bytes).unwrap();
+        let (from, payload, content) = whatsup::net::codec::decode(&bytes).unwrap();
         assert_eq!(from, 0);
-        assert_eq!(wire.try_into_payload().unwrap(), m.payload);
+        assert_eq!(payload, m.payload);
+        assert_eq!(content.as_ref(), Some(&item), "news carries its content");
     }
 }
