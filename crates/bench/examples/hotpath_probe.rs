@@ -71,11 +71,11 @@ fn main() {
         shards,
         ..Default::default()
     };
+    let runner = Runner::new(&d, Protocol::WhatsUp { f_like: 5 }).config(sim_cfg);
     let started = Instant::now();
     let report = if std::env::var("PROBE_MEM").is_ok() {
         // Per-component heap accounting at end of run (diagnostics).
-        let mut sim =
-            whatsup_sim::Simulation::new(&d, Protocol::WhatsUp { f_like: 5 }, sim_cfg.clone());
+        let mut sim = runner.build();
         eprintln!(
             "after sim build:   standing {:>8.1} MiB",
             status_mb("VmRSS:")
@@ -99,9 +99,7 @@ fn main() {
         }
         sim.into_report()
     } else {
-        Runner::new(&d, Protocol::WhatsUp { f_like: 5 })
-            .config(sim_cfg)
-            .run()
+        runner.run()
     };
     let secs = started.elapsed().as_secs_f64();
     println!(

@@ -3,8 +3,8 @@
 //!
 //! [`TABLE`] maps an id (`fig3` … `fig11`, `table1` … `table6`,
 //! `ablations`) to a title and a declaration, written once on a [`Board`]:
-//! the **job grid** it reads (each [`Job`] a dataset × protocol × config,
-//! optionally with a scenario timeline and a stepped observation), the
+//! the **job grid** it reads (each [`Job`] a dataset × protocol × config ×
+//! scenario, optionally with a stepped observation), the
 //! **pins** it extracts from those jobs — named headline numbers, each with
 //! a tolerance and, where the paper states one, the published value — and
 //! the text of whatever its figure shows beyond them. The jobs of all
@@ -47,7 +47,7 @@ use whatsup_datasets::{paper_workloads, survey, Dataset, SurveyConfig};
 use whatsup_metrics::table::human_count;
 use whatsup_metrics::{IrScores, TextTable};
 use whatsup_sim::analysis::{self, OverlayStats};
-use whatsup_sim::scenario::{Scenario, TimedEvent};
+use whatsup_sim::scenario::Scenario;
 use whatsup_sim::{pool_map, Protocol, Runner, SimConfig, SimReport};
 
 /// Base seed of every dataset and run.
@@ -125,8 +125,8 @@ pub struct Job {
     pub data: Data,
     pub protocol: Protocol,
     pub cfg: SimConfig,
-    /// Event timeline added to the scenario `cfg` describes.
-    pub events: Vec<TimedEvent>,
+    /// Loss, churn and the event timeline (default: none of them).
+    pub scenario: Scenario,
     pub observe: Observe,
 }
 
@@ -144,7 +144,7 @@ impl Job {
                 seed: SEED,
                 ..Default::default()
             },
-            events: Vec::new(),
+            scenario: Scenario::default(),
             observe: Observe::Report,
         }
     }
@@ -156,10 +156,9 @@ impl Job {
     }
 
     fn run(&self, ctx: &Ctx) -> Outcome {
-        let scenario = Scenario::from_config(&self.cfg).with_events(self.events.clone());
         let runner = Runner::new(ctx.data(self.data), self.protocol)
             .config(self.cfg.clone())
-            .scenario(scenario);
+            .scenario(self.scenario.clone());
         if self.observe == Observe::Report {
             return Outcome {
                 report: runner.run(),

@@ -12,8 +12,8 @@ use whatsup_metrics::{mean, std_dev, Series, SeriesSet};
 use whatsup_net::TrafficSnapshot;
 use whatsup_sim::analysis::{self, BinnedSeries, MeanSeries, OverlayStats};
 use whatsup_sim::record::HopProfile;
-use whatsup_sim::scenario::{Event, TimedEvent};
-use whatsup_sim::{Fabric, Protocol, Runner, SimConfig, SimReport};
+use whatsup_sim::scenario::{ChurnModel, Event, LossModel, TimedEvent};
+use whatsup_sim::{Fabric, Protocol, Runner, Scenario, SimReport};
 
 pub static TABLE: &[Entry] = &[
     Entry {
@@ -291,7 +291,7 @@ fn fig7_job(ctx: &Ctx, p: Protocol, rep: u64) -> Job {
         Event::SwapInterests { a, b },
     ];
     let at = FIG7_EVENT_AT;
-    job.events = events.map(|event| TimedEvent { at, event }).to_vec();
+    job.scenario.events = events.map(|event| TimedEvent { at, event }).to_vec();
     // Joiners take the next free id, and this run has exactly one.
     job.observe = Observe::Watch([reference, n, a]);
     job
@@ -409,11 +409,9 @@ fn fig8(ctx: &Ctx, b: &mut Board) {
             let emu = emu.expect("emulated fabric");
             // PlanetLab analogue: real sockets + 25% loss (the paper
             // measured up to 30% effective loss at small fanouts).
-            let lossy = SimConfig {
-                loss: 0.25,
-                ..job.cfg.clone()
-            };
-            let udp = runner.config(lossy).deploy(Fabric::Udp, FIG8_CYCLE_MS);
+            let mut lossy = Scenario::default();
+            lossy.environment.loss = LossModel::Constant { p: 0.25 };
+            let udp = runner.scenario(lossy).deploy(Fabric::Udp, FIG8_CYCLE_MS);
             let udp = udp.expect("loopback UDP");
             let measured = [&r.get(job).report, &emu.report, &udp.report].map(f1);
             for (curve, y) in f1_curves.iter_mut().zip(measured) {
@@ -663,7 +661,8 @@ fn table6(_: &Ctx, b: &mut Board) {
         (0.50, 3, 0.07, 0.55),
         (0.50, 6, 0.45, 0.44),
     ] {
-        let job = survey_job(whatsup(f)).with(|c| c.loss = loss);
+        let mut job = survey_job(whatsup(f));
+        job.scenario.environment.loss = LossModel::Constant { p: loss };
         let row = format!("loss{:.0}.f{f}", loss * 100.0);
         b.scores(&row, &job, [Some(precision), Some(recall), None]);
     }
@@ -705,7 +704,10 @@ fn ablations(_: &Ctx, b: &mut Board) {
         b.scores(&format!("epsilon{epsilon}"), &job, [None; 3]);
     }
     for churn in [0.0, 0.01, 0.02, 0.05, 0.10] {
-        let job = whatsup10().with(|c| c.churn_per_cycle = churn);
+        let mut job = whatsup10();
+        if churn > 0.0 {
+            job.scenario.environment.churn = ChurnModel::Uniform { per_cycle: churn };
+        }
         b.scores(&format!("churn{churn}"), &job, [None; 3]);
     }
     b.note(

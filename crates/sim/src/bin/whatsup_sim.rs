@@ -68,7 +68,8 @@ use whatsup_metrics::table::{f2, human_count};
 use whatsup_metrics::TextTable;
 use whatsup_sim::record::Series;
 use whatsup_sim::{
-    Protocol, Runner, ScenarioFile, Summary, Supervision, Transport, REPORT_SCHEMA_VERSION,
+    Protocol, Runner, ScenarioFile, SimConfig, Summary, Supervision, Transport,
+    REPORT_SCHEMA_VERSION,
 };
 
 fn usage() -> ExitCode {
@@ -401,8 +402,12 @@ fn run(args: &[String]) -> ExitCode {
         Transport::Socket(workers) => workers.len(),
         _ => shards.unwrap_or(file.config.shards),
     };
+    let config = SimConfig {
+        shards: shards.unwrap_or(file.config.shards),
+        ..file.config.clone()
+    };
     let mut runner = Runner::new(&dataset, protocol)
-        .config(file.config.clone())
+        .config(config)
         .scenario(file.scenario.clone())
         .transport(transport);
     if supervise {
@@ -411,9 +416,6 @@ fn run(args: &[String]) -> ExitCode {
             max_restarts.unwrap_or(defaults.max_restarts),
             checkpoint_every.unwrap_or(defaults.checkpoint_every),
         );
-    }
-    if let Some(n) = shards {
-        runner = runner.shards(n);
     }
     let report = match runner.try_run() {
         Ok(report) => report,

@@ -201,8 +201,6 @@ pub struct SimConfig {
     /// Items published at cycles `< measure_from` warm the profiles/topology
     /// but are excluded from the reported metrics.
     pub measure_from: u32,
-    /// Per-message loss probability (gossip and news alike, §V-E).
-    pub loss: f64,
     /// RNG seed; every run is a pure function of (dataset, config).
     pub seed: u64,
     /// Random contacts seeded into each node's views at bootstrap.
@@ -217,9 +215,6 @@ pub struct SimConfig {
     /// Randomized-response obfuscation level (§VII privacy extension);
     /// `None`/0 shares true profiles.
     pub obfuscation: Option<f64>,
-    /// Churn: expected fraction of nodes that crash and rejoin fresh per
-    /// cycle (profile, views and seen-set lost; cold start on return).
-    pub churn_per_cycle: f64,
     /// Engine shards the node table is partitioned into (contiguous id
     /// ranges, each run by its own worker). `0` = one shard per available
     /// core; the count is clamped to the population size. Pure execution
@@ -246,11 +241,10 @@ pub struct SimConfig {
 
 serde::json_codec! {
     struct SimConfig {
-        cycles: default, publish_from: default, measure_from: default, loss: default,
-        seed: default, bootstrap_degree: default, profile_window: default,
-        ttl_override: default, wup_view_override: default, obfuscation: default,
-        churn_per_cycle: default, shards: default, datagram_budget: default,
-        phi_threshold: default, down_cycles: default,
+        cycles: default, publish_from: default, measure_from: default, seed: default,
+        bootstrap_degree: default, profile_window: default, ttl_override: default,
+        wup_view_override: default, obfuscation: default, shards: default,
+        datagram_budget: default, phi_threshold: default, down_cycles: default,
     }
 }
 
@@ -260,14 +254,12 @@ impl Default for SimConfig {
             cycles: 65,
             publish_from: 3,
             measure_from: 20,
-            loss: 0.0,
             seed: 0x000a_ce0f_5eed,
             bootstrap_degree: 8,
             profile_window: None,
             ttl_override: None,
             wup_view_override: None,
             obfuscation: None,
-            churn_per_cycle: 0.0,
             shards: 1,
             datagram_budget: 1400,
             phi_threshold: 1.0,
@@ -317,15 +309,6 @@ impl SimConfig {
         }
     }
 
-    /// Uniform per-cycle publication schedule: dataset item index → cycle.
-    /// Items are spread evenly over `[publish_from, cycles)`.
-    pub fn schedule(&self, n_items: usize) -> Vec<u32> {
-        let span = (self.cycles.saturating_sub(self.publish_from)).max(1) as usize;
-        (0..n_items)
-            .map(|i| self.publish_from + (i * span / n_items.max(1)) as u32)
-            .collect()
-    }
-
     pub fn validate(&self) -> Result<(), String> {
         if self.publish_from >= self.cycles {
             return Err("publish_from must precede the end of the run".into());
@@ -344,14 +327,8 @@ impl SimConfig {
                 self.publish_from, self.measure_from
             ));
         }
-        if !(0.0..=1.0).contains(&self.loss) {
-            return Err("loss must be a probability".into());
-        }
         if self.bootstrap_degree == 0 {
             return Err("bootstrap degree must be ≥ 1".into());
-        }
-        if !(0.0..=1.0).contains(&self.churn_per_cycle) {
-            return Err("churn must be a probability".into());
         }
         // Smallest useful datagram: the frame header plus one maximal delta
         // entry, or no entry could ever be packed.
@@ -371,28 +348,6 @@ impl SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn schedule_is_monotone_and_in_range() {
-        let cfg = SimConfig {
-            cycles: 65,
-            publish_from: 3,
-            ..Default::default()
-        };
-        let s = cfg.schedule(1000);
-        assert_eq!(s.len(), 1000);
-        assert!(s.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(s[0], 3);
-        assert!(*s.last().unwrap() < 65);
-    }
-
-    #[test]
-    fn schedule_handles_fewer_items_than_cycles() {
-        let cfg = SimConfig::default();
-        let s = cfg.schedule(3);
-        assert_eq!(s.len(), 3);
-        assert!(s.iter().all(|&c| c >= cfg.publish_from && c < cfg.cycles));
-    }
 
     #[test]
     fn protocol_labels_and_fanouts() {
@@ -448,11 +403,6 @@ mod tests {
         let bad = SimConfig {
             publish_from: 99,
             cycles: 50,
-            ..Default::default()
-        };
-        assert!(bad.validate().is_err());
-        let bad = SimConfig {
-            loss: 1.5,
             ..Default::default()
         };
         assert!(bad.validate().is_err());

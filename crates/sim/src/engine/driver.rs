@@ -46,11 +46,11 @@ pub(crate) struct DriverCore {
     oracle: Oracle,
     /// Records, counters and series; fed from the phase replies the driver
     /// already folds, so there is no dedicated counter round-trip. Lives on
-    /// the core (not `run_cycle`) so interactive mutators between cycles
-    /// are booked under the next cycle.
+    /// the core (not `run_cycle`) because it outlives every cycle: the
+    /// report is rendered from it once the run ends.
     ledger: Ledger,
-    /// Driving-thread RNG for bootstrap and the interactive mutators; the
-    /// cycle phases use [`node_stream`] exclusively.
+    /// Driving-thread RNG for bootstrap and the timeline events; the cycle
+    /// phases use [`node_stream`] exclusively.
     rng: ChaCha8Rng,
     cycle: u32,
     /// Liked first receptions per node during the current cycle (Fig. 7c).
@@ -182,36 +182,6 @@ fn fetch_snapshot(
     Ok(frame)
 }
 
-/// Admits a node cloning `reference`'s interests: cold start from a random
-/// contact's views (drawn from the driver RNG), state built on the owning
-/// (last) shard. Returns the joiner's id.
-fn join_clone(
-    core: &mut DriverCore,
-    t: &mut [impl ShardLink],
-    reference: NodeId,
-) -> Result<NodeId, TransportError> {
-    let contact = core.rng.gen_range(0..core.partition.total()) as NodeId;
-    let snapshot = fetch_snapshot(core, t, contact)?;
-    let id = core.oracle.add_clone_of(reference);
-    core.partition.push_node();
-    let last = t.len() - 1;
-    let batch = (0..t.len())
-        .map(|s| {
-            (
-                s,
-                Command::Admit {
-                    reference,
-                    snapshot: (s == last).then(|| snapshot.clone()),
-                },
-            )
-        })
-        .collect();
-    roundtrip(t, batch, answer!(Reply::Ack => ()))?;
-    core.liked_this_cycle.push(0);
-    core.ledger.joined();
-    Ok(id)
-}
-
 /// Applies one timeline event through the transport (see the engine module
 /// docs for when events fire and which RNG they draw from).
 fn apply_event(
@@ -220,8 +190,29 @@ fn apply_event(
     event: Event,
 ) -> Result<(), TransportError> {
     match event {
+        // A node cloning `reference`'s interests (§V-C): cold start from a
+        // random contact's views, state built on the last shard while every
+        // shard's oracle copy and partition stay in lockstep.
         Event::JoinClone { reference } => {
-            join_clone(core, t, reference)?;
+            let contact = core.rng.gen_range(0..core.partition.total()) as NodeId;
+            let snapshot = fetch_snapshot(core, t, contact)?;
+            core.oracle.add_clone_of(reference);
+            core.partition.push_node();
+            let last = t.len() - 1;
+            let batch = (0..t.len())
+                .map(|s| {
+                    (
+                        s,
+                        Command::Admit {
+                            reference,
+                            snapshot: (s == last).then(|| snapshot.clone()),
+                        },
+                    )
+                })
+                .collect();
+            roundtrip(t, batch, answer!(Reply::Ack => ()))?;
+            core.liked_this_cycle.push(0);
+            core.ledger.joined();
         }
         Event::SwapInterests { a, b } => {
             core.oracle.swap_interests(a, b);
@@ -553,22 +544,13 @@ pub struct Simulation {
 }
 
 impl Simulation {
-    /// Builds a simulation with `cfg.shards` in-process shards under the
-    /// legacy scenario the config describes (uniform publications, constant
-    /// loss, uniform churn). Prefer routing through [`crate::Runner`] —
-    /// this constructor is the engine-internal entry point.
+    /// Builds a simulation with `cfg.shards` in-process shards running
+    /// `scenario` — what [`crate::Runner::build`] and
+    /// [`crate::Runner::run`] construct.
     ///
     /// # Panics
     /// Panics if `protocol` is one of the global engines (cascade, pub/sub,
-    /// centralized — use [`crate::Runner`] or
-    /// [`crate::engines::run_protocol`]) or if the config is invalid.
-    pub fn new(dataset: &Dataset, protocol: Protocol, cfg: SimConfig) -> Self {
-        let scenario = Scenario::from_config(&cfg);
-        Self::with_scenario(dataset, protocol, cfg, scenario)
-    }
-
-    /// Builds a simulation running `scenario` (the scenario's environment
-    /// replaces the config's `loss`/`churn_per_cycle` knobs).
+    /// centralized) or if the config or scenario is invalid.
     pub(crate) fn with_scenario(
         dataset: &Dataset,
         protocol: Protocol,
@@ -580,10 +562,11 @@ impl Simulation {
         Self { core, shards }
     }
 
-    /// [`Simulation::new`] with the oracle's dense/sparse representation
-    /// forced (`true` = CSR, `false` = bit-plane) instead of chosen by
-    /// byte cost. Test hook for the representation-equivalence properties;
-    /// reports must be byte-identical either way.
+    /// A simulation of [`Scenario::default`] with the oracle's
+    /// dense/sparse representation forced (`true` = CSR, `false` =
+    /// bit-plane) instead of chosen by byte cost. Test hook for the
+    /// representation-equivalence properties; reports must be
+    /// byte-identical either way.
     #[doc(hidden)]
     pub fn new_with_forced_store(
         dataset: &Dataset,
@@ -591,7 +574,7 @@ impl Simulation {
         cfg: SimConfig,
         sparse: bool,
     ) -> Self {
-        let scenario = Scenario::from_config(&cfg);
+        let scenario = Scenario::default();
         let (core, inits) = build(dataset, protocol, cfg, scenario, Some(sparse));
         let shards = inits.into_iter().map(ShardState::from_init).collect();
         Self { core, shards }
@@ -693,43 +676,6 @@ impl Simulation {
         }
     }
 
-    /// Crashes `id` and rejoins it fresh (cold start from a random contact
-    /// drawn from the engine RNG). Equivalent to a
-    /// [`crate::scenario::Event::ResetNode`] timeline event.
-    pub fn reset_node(&mut self, id: NodeId) {
-        apply_event(
-            &mut self.core,
-            &mut InlineLink::over(&mut self.shards),
-            Event::ResetNode { node: id },
-        )
-        .expect("inline links cannot fail");
-    }
-
-    /// Registers a node joining mid-run (§V-C): interests mirror
-    /// `reference`, views inherited from a random contact, cold-start
-    /// profile from the contact's RPS view (§II-D). The node joins the last
-    /// shard; every shard's oracle copy and partition stay in lockstep.
-    /// Equivalent to a [`crate::scenario::Event::JoinClone`] timeline event.
-    pub fn add_joining_node(&mut self, reference: NodeId) -> NodeId {
-        join_clone(
-            &mut self.core,
-            &mut InlineLink::over(&mut self.shards),
-            reference,
-        )
-        .expect("inline links cannot fail")
-    }
-
-    /// Swaps the ground-truth interests of two nodes (§V-C). Equivalent to
-    /// a [`crate::scenario::Event::SwapInterests`] timeline event.
-    pub fn swap_interests(&mut self, a: NodeId, b: NodeId) {
-        apply_event(
-            &mut self.core,
-            &mut InlineLink::over(&mut self.shards),
-            Event::SwapInterests { a, b },
-        )
-        .expect("inline links cannot fail");
-    }
-
     /// Mean live similarity between `id`'s profile and the *current*
     /// profiles of its WUP view members.
     pub fn live_view_similarity(&self, id: NodeId) -> f64 {
@@ -810,10 +756,26 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{ChurnModel, Environment, LossModel, TimedEvent};
+    use crate::Runner;
     use whatsup_datasets::{survey, SurveyConfig};
 
     fn tiny_dataset() -> Dataset {
         survey::generate(&SurveyConfig::paper().scaled(0.12), 42)
+    }
+
+    fn simulation(d: &Dataset, protocol: Protocol, cfg: SimConfig) -> Simulation {
+        Runner::new(d, protocol).config(cfg).build()
+    }
+
+    /// `events` at the start of cycle `at`, in list order.
+    fn events_at(at: u32, events: &[Event]) -> Scenario {
+        Scenario::default().with_events(
+            events
+                .iter()
+                .map(|&event| TimedEvent { at, event })
+                .collect(),
+        )
     }
 
     fn quick_cfg() -> SimConfig {
@@ -828,7 +790,7 @@ mod tests {
     #[test]
     fn whatsup_run_produces_sane_report() {
         let d = tiny_dataset();
-        let sim = Simulation::new(&d, Protocol::WhatsUp { f_like: 5 }, quick_cfg());
+        let sim = simulation(&d, Protocol::WhatsUp { f_like: 5 }, quick_cfg());
         let report = sim.run();
         assert_eq!(report.n_nodes, d.n_users());
         assert!(report.measured_items() > 0);
@@ -842,8 +804,8 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let d = tiny_dataset();
-        let r1 = Simulation::new(&d, Protocol::WhatsUp { f_like: 4 }, quick_cfg()).run();
-        let r2 = Simulation::new(&d, Protocol::WhatsUp { f_like: 4 }, quick_cfg()).run();
+        let r1 = simulation(&d, Protocol::WhatsUp { f_like: 4 }, quick_cfg()).run();
+        let r2 = simulation(&d, Protocol::WhatsUp { f_like: 4 }, quick_cfg()).run();
         assert_eq!(r1.scores(), r2.scores());
         assert_eq!(r1.news_messages, r2.news_messages);
         assert_eq!(r1.gossip_messages, r2.gossip_messages);
@@ -853,13 +815,13 @@ mod tests {
     #[test]
     fn sharded_run_matches_single_shard() {
         let d = tiny_dataset();
-        let single = Simulation::new(&d, Protocol::WhatsUp { f_like: 5 }, quick_cfg()).run();
+        let single = simulation(&d, Protocol::WhatsUp { f_like: 5 }, quick_cfg()).run();
         for shards in [2usize, 3] {
             let cfg = SimConfig {
                 shards,
                 ..quick_cfg()
             };
-            let sim = Simulation::new(&d, Protocol::WhatsUp { f_like: 5 }, cfg);
+            let sim = simulation(&d, Protocol::WhatsUp { f_like: 5 }, cfg);
             assert_eq!(sim.n_shards(), shards);
             let sharded = sim.run();
             assert_eq!(single, sharded, "{shards} shards diverged");
@@ -873,14 +835,14 @@ mod tests {
             shards: 10_000_000,
             ..quick_cfg()
         };
-        let sim = Simulation::new(&d, Protocol::WhatsUp { f_like: 5 }, cfg);
+        let sim = simulation(&d, Protocol::WhatsUp { f_like: 5 }, cfg);
         assert_eq!(sim.n_shards(), d.n_users());
     }
 
     #[test]
     fn gossip_floods_with_high_recall_low_precision() {
         let d = tiny_dataset();
-        let gossip = Simulation::new(&d, Protocol::Gossip { fanout: 5 }, quick_cfg()).run();
+        let gossip = simulation(&d, Protocol::Gossip { fanout: 5 }, quick_cfg()).run();
         let s = gossip.scores();
         assert!(s.recall > 0.9, "homogeneous gossip must flood: {s:?}");
         // Flooding precision ≈ mean like rate (well below 0.6).
@@ -890,8 +852,8 @@ mod tests {
     #[test]
     fn whatsup_beats_gossip_precision_at_same_fanout() {
         let d = tiny_dataset();
-        let wu = Simulation::new(&d, Protocol::WhatsUp { f_like: 5 }, quick_cfg()).run();
-        let go = Simulation::new(&d, Protocol::Gossip { fanout: 5 }, quick_cfg()).run();
+        let wu = simulation(&d, Protocol::WhatsUp { f_like: 5 }, quick_cfg()).run();
+        let go = simulation(&d, Protocol::Gossip { fanout: 5 }, quick_cfg()).run();
         assert!(
             wu.scores().precision > go.scores().precision,
             "whatsup {:?} vs gossip {:?}",
@@ -903,12 +865,14 @@ mod tests {
     #[test]
     fn loss_degrades_recall() {
         let d = tiny_dataset();
-        let clean = Simulation::new(&d, Protocol::WhatsUp { f_like: 3 }, quick_cfg()).run();
-        let lossy_cfg = SimConfig {
-            loss: 0.5,
-            ..quick_cfg()
-        };
-        let lossy = Simulation::new(&d, Protocol::WhatsUp { f_like: 3 }, lossy_cfg).run();
+        let clean = simulation(&d, Protocol::WhatsUp { f_like: 3 }, quick_cfg()).run();
+        let lossy = Runner::new(&d, Protocol::WhatsUp { f_like: 3 })
+            .config(quick_cfg())
+            .scenario(Scenario::default().with_environment(Environment {
+                loss: LossModel::Constant { p: 0.5 },
+                churn: ChurnModel::None,
+            }))
+            .run();
         assert!(
             lossy.scores().recall < clean.scores().recall,
             "50% loss must hurt recall: clean {:?} lossy {:?}",
@@ -920,7 +884,7 @@ mod tests {
     #[test]
     fn dislike_counters_stay_within_ttl() {
         let d = tiny_dataset();
-        let report = Simulation::new(&d, Protocol::WhatsUp { f_like: 5 }, quick_cfg()).run();
+        let report = simulation(&d, Protocol::WhatsUp { f_like: 5 }, quick_cfg()).run();
         let dist = report.dislike_distribution(4);
         assert!((dist.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         for r in &report.items {
@@ -931,7 +895,7 @@ mod tests {
     #[test]
     fn overlay_graph_has_out_degree_bounded_by_view() {
         let d = tiny_dataset();
-        let mut sim = Simulation::new(&d, Protocol::WhatsUp { f_like: 5 }, quick_cfg());
+        let mut sim = simulation(&d, Protocol::WhatsUp { f_like: 5 }, quick_cfg());
         for _ in 0..10 {
             sim.step();
         }
@@ -945,15 +909,16 @@ mod tests {
     #[test]
     fn joining_node_integrates() {
         let d = tiny_dataset();
-        let mut sim = Simulation::new(&d, Protocol::WhatsUp { f_like: 5 }, quick_cfg());
-        for _ in 0..6 {
+        let mut sim = Runner::new(&d, Protocol::WhatsUp { f_like: 5 })
+            .config(quick_cfg())
+            .scenario(events_at(6, &[Event::JoinClone { reference: 0 }]))
+            .build();
+        for _ in 0..quick_cfg().cycles {
             sim.step();
         }
-        let joiner = sim.add_joining_node(0);
-        assert_eq!(joiner as usize, d.n_users());
-        for _ in 6..quick_cfg().cycles as usize {
-            sim.step();
-        }
+        // The joiner takes the next free id.
+        assert_eq!(sim.n_nodes(), d.n_users() + 1);
+        let joiner = d.n_users() as NodeId;
         // The joiner must have acquired neighbors and a profile.
         assert!(!sim.node(joiner).wup_neighbor_ids().is_empty());
         assert!(sim.live_view_similarity(joiner) >= 0.0);
@@ -966,15 +931,18 @@ mod tests {
             shards: 3,
             ..quick_cfg()
         };
-        let mut sim = Simulation::new(&d, Protocol::WhatsUp { f_like: 5 }, cfg);
-        for _ in 0..6 {
+        let events = [
+            Event::JoinClone { reference: 0 },
+            Event::SwapInterests { a: 1, b: 2 },
+        ];
+        let mut sim = Runner::new(&d, Protocol::WhatsUp { f_like: 5 })
+            .config(cfg)
+            .scenario(events_at(6, &events))
+            .build();
+        for _ in 0..quick_cfg().cycles {
             sim.step();
         }
-        let joiner = sim.add_joining_node(0);
-        sim.swap_interests(1, 2);
-        for _ in 6..quick_cfg().cycles as usize {
-            sim.step();
-        }
+        let joiner = d.n_users() as NodeId;
         assert!(!sim.node(joiner).wup_neighbor_ids().is_empty());
         assert!(sim.live_view_similarity(joiner) >= 0.0);
     }
@@ -982,7 +950,7 @@ mod tests {
     #[test]
     fn measured_flag_follows_threshold() {
         let d = tiny_dataset();
-        let report = Simulation::new(&d, Protocol::WhatsUp { f_like: 4 }, quick_cfg()).run();
+        let report = simulation(&d, Protocol::WhatsUp { f_like: 4 }, quick_cfg()).run();
         for r in &report.items {
             assert_eq!(r.measured, r.published_at >= quick_cfg().measure_from);
         }
@@ -991,12 +959,14 @@ mod tests {
     #[test]
     fn churn_keeps_running_and_degrades_gracefully() {
         let d = tiny_dataset();
-        let churny = SimConfig {
-            churn_per_cycle: 0.05,
-            ..quick_cfg()
-        };
-        let a = Simulation::new(&d, Protocol::WhatsUp { f_like: 5 }, churny.clone()).run();
-        let b = Simulation::new(&d, Protocol::WhatsUp { f_like: 5 }, churny).run();
+        let churny = Runner::new(&d, Protocol::WhatsUp { f_like: 5 })
+            .config(quick_cfg())
+            .scenario(Scenario::default().with_environment(Environment {
+                loss: LossModel::Constant { p: 0.0 },
+                churn: ChurnModel::Uniform { per_cycle: 0.05 },
+            }));
+        let a = churny.clone().run();
+        let b = churny.run();
         assert_eq!(a, b, "churn must stay deterministic");
         assert!(a.scores().recall > 0.0);
     }
@@ -1005,7 +975,7 @@ mod tests {
     #[should_panic(expected = "does not run on the node engine")]
     fn global_protocols_rejected() {
         let d = tiny_dataset();
-        let _ = Simulation::new(&d, Protocol::Cascade, quick_cfg());
+        let _ = simulation(&d, Protocol::Cascade, quick_cfg());
     }
 
     /// A worker that acknowledges every command, whatever it asked for.
@@ -1028,7 +998,7 @@ mod tests {
     #[test]
     fn a_reply_of_the_wrong_variant_is_an_error_naming_the_worker() {
         let d = tiny_dataset();
-        let scenario = Scenario::from_config(&quick_cfg());
+        let scenario = Scenario::default();
         let protocol = Protocol::WhatsUp { f_like: 5 };
         let (mut core, _) = build(&d, protocol, quick_cfg(), scenario, None);
         let err = run_cycle(&mut core, &mut [AckLink]).expect_err("Ack does not answer Collect");

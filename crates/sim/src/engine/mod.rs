@@ -398,8 +398,8 @@
 //!   [`node_stream`]`(seed, node, cycle, phase)` — never from a shared
 //!   generator, and never dependent on how many other nodes exist, where
 //!   the shard boundaries fall, or which link moves the bundles.
-//!   Adding nodes (`add_joining_node`) therefore never shifts the streams
-//!   of existing nodes;
+//!   Adding nodes (a `JoinClone` event, a mass join) therefore never
+//!   shifts the streams of existing nodes;
 //! * mailbox contents and the driver folds follow the fixed total orders
 //!   above;
 //! * the environment's coins — message loss, channel transitions, crashes
@@ -412,11 +412,6 @@
 //! * the wire codec is lossless for everything behavior depends on
 //!   (profiles round-trip entry-exact, scores bit-exact, item ids are
 //!   recomputed from identical content).
-//!
-//! The interactive mutators (`add_joining_node`, `swap_interests`,
-//! `reset_node`) draw from a dedicated engine RNG on the driving thread and
-//! are deterministic in call order. They run through the same shard
-//! commands as the scenario events below, so they work on every link.
 //!
 //! The contract is *enforced statically* by the in-tree `whatsup-lint`
 //! pass (`cargo run -p whatsup-lint -- --check`, a blocking CI gate):

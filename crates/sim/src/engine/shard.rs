@@ -278,27 +278,28 @@ impl ShardState {
         self.partition.range(self.index).start
     }
 
-    fn local(&self, id: NodeId) -> usize {
-        let local = id
-            .checked_sub(self.base())
-            .expect("node not owned by this shard") as usize;
-        assert!(local < self.nodes.len(), "node not owned by this shard");
-        local
+    /// The slot of owned node `id`. A command naming a node this shard
+    /// does not own decodes but does not fit the shard: an error, which
+    /// the worker loop reports like a frame that does not decode.
+    fn local(&self, id: NodeId) -> Result<usize, DecodeError> {
+        id.checked_sub(self.base())
+            .map(|local| local as usize)
+            .filter(|&local| local < self.nodes.len())
+            .ok_or(DecodeError::Invalid("node not owned by this shard"))
     }
 
     /// The owned node `id`.
+    ///
+    /// # Panics
+    /// Panics if this shard does not own `id`.
     pub fn node(&self, id: NodeId) -> &WhatsUpNode {
-        &self.nodes[self.local(id)]
+        let local = self.local(id).expect("node not owned by this shard");
+        &self.nodes[local]
     }
 
     /// The owned nodes, in id order.
     pub fn nodes(&self) -> &[WhatsUpNode] {
         &self.nodes
-    }
-
-    /// View snapshot of an owned node.
-    pub fn snapshot_of(&self, id: NodeId) -> ColdStart {
-        self.node(id).views_snapshot()
     }
 
     /// Heap accounting by component (diagnostics; backs the byte-budget
@@ -307,23 +308,21 @@ impl ShardState {
     /// excluding the nodes' own live profiles.
     #[doc(hidden)]
     pub fn memory_breakdown(&self) -> Vec<(&'static str, usize)> {
-        use std::collections::HashSet; // lint:allow(det-map) diagnostics only, result order is fixed below
         let mut profiles = 0usize;
         let mut seen = 0usize;
         let mut caches = 0usize;
-        // lint:allow(det-map) dedup probe for byte totals; never iterated
-        let mut pinned: HashSet<usize> = HashSet::new();
-        // lint:allow(det-map) membership probe only; never iterated
-        let own: HashSet<usize> = self
+        let mut pinned = std::collections::BTreeSet::new();
+        let mut own: Vec<usize> = self
             .nodes
             .iter()
             .map(|n| n.profile().entries().as_ptr() as usize)
             .collect();
+        own.sort_unstable();
         let mut snapshot_bytes = 0usize;
         for node in &self.nodes {
             let (p, s, c) = node.debug_heap_stats(&mut |shared| {
                 let key = shared.entries().as_ptr() as usize;
-                if !own.contains(&key) && pinned.insert(key) {
+                if own.binary_search(&key).is_err() && pinned.insert(key) {
                     // The Arc block (counts + Profile struct) plus what the
                     // profile owns: the entries buffer (capacity) and, once
                     // a merge has scored it, its bit planes.
@@ -389,17 +388,19 @@ impl ShardState {
     ///
     /// # Panics
     /// Panics if a snapshot, checkpoint or bundle inside `cmd` does not
-    /// decode; the worker loop uses the fallible [`Self::try_handle`].
+    /// decode, or if `cmd` names a node this shard does not own; the
+    /// worker loop uses the fallible [`Self::try_handle`].
     pub fn handle(&mut self, cmd: Command) -> Reply {
         self.try_handle(cmd)
             .expect("malformed frame inside a command")
     }
 
-    /// [`Self::handle`], with a frame nested in `cmd` that does not decode
-    /// returned as an error. A snapshot or checkpoint is refused before it
-    /// changes any state; a bundle that breaks off midway leaves the mail
-    /// before the bad entry queued, so the shard must not be driven further
-    /// (the worker loop exits).
+    /// [`Self::handle`], with a frame nested in `cmd` that does not decode,
+    /// or a node id the shard does not own (`TakeSnapshots`, `ApplyChurn`,
+    /// `Publish`), returned as an error. Snapshots, checkpoints and ids are
+    /// refused before they change any state; a bundle that breaks off
+    /// midway leaves the mail before the bad entry queued, so the shard
+    /// must not be driven further (the worker loop exits).
     pub(crate) fn try_handle(&mut self, cmd: Command) -> Result<Reply, DecodeError> {
         Ok(match cmd {
             Command::Collect { cycle } => Reply::Outbound(self.collect(cycle)),
@@ -409,8 +410,11 @@ impl ShardState {
             Command::ChurnDecide { cycle } => Reply::ChurnDecisions(self.churn_decide(cycle)),
             Command::TakeSnapshots { ids } => Reply::Snapshots(
                 ids.iter()
-                    .map(|&id| Bytes::from(encode(&self.snapshot_of(id))))
-                    .collect(),
+                    .map(|&id| {
+                        let node = &self.nodes[self.local(id)?];
+                        Ok(Bytes::from(encode(&node.views_snapshot())))
+                    })
+                    .collect::<Result<_, DecodeError>>()?,
             ),
             Command::ApplyChurn { resets } => {
                 self.apply_churn(&resets)?;
@@ -431,7 +435,7 @@ impl ShardState {
                 self.phase_rngs.iter_mut().for_each(|r| *r = None);
                 Reply::Ack
             }
-            Command::Publish { cycle, item } => self.publish(cycle, item),
+            Command::Publish { cycle, item } => self.publish(cycle, item)?,
             Command::DeliverNews {
                 cycle,
                 item,
@@ -689,12 +693,11 @@ impl ShardState {
     fn apply_churn(&mut self, resets: &[(NodeId, Bytes)]) -> Result<(), DecodeError> {
         let snapshots = resets
             .iter()
-            .map(|(id, frame)| Ok((*id, decode::<ColdStart>(frame)?)))
+            .map(|(id, frame)| Ok((*id, self.local(*id)?, decode::<ColdStart>(frame)?)))
             .collect::<Result<Vec<_>, DecodeError>>()?;
-        for (id, snapshot) in snapshots {
+        for (id, local, snapshot) in snapshots {
             let mut fresh = WhatsUpNode::new(id, self.params.clone());
             fresh.cold_start(snapshot, &self.oracle);
-            let local = self.local(id);
             self.nodes[local] = fresh;
             // A rejoining node is a fresh instance: its counters restart
             // with it, exactly as when they lived inside the node.
@@ -707,11 +710,10 @@ impl ShardState {
     /// Publishes `item` from its source node (owned by this shard), drawing
     /// from the source's NEWS stream (shared with its deliveries this
     /// cycle).
-    fn publish(&mut self, cycle: u32, item: NewsItem) -> Reply {
-        let item_id = item.id();
-        self.known_items.insert(item_id, item.clone());
+    fn publish(&mut self, cycle: u32, item: NewsItem) -> Result<Reply, DecodeError> {
         let source = item.source;
-        let local = self.local(source);
+        let local = self.local(source)?;
+        self.known_items.insert(item.id(), item.clone());
         let seed = self.seed;
         let out = {
             let rng = self.phase_rngs[local]
@@ -725,10 +727,10 @@ impl ShardState {
         self.emit_scratch
             .extend(out.into_iter().map(|m| (source, m)));
         let out = self.route_out();
-        Reply::Published {
+        Ok(Reply::Published {
             first_forward_hop,
             out,
-        }
+        })
     }
 
     /// One news (BFS) delivery round over the owned receivers, ascending,

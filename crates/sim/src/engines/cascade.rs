@@ -78,20 +78,28 @@ pub fn run_scenario(dataset: &Dataset, cfg: &SimConfig, scenario: &Scenario) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{ChurnModel, Environment, LossModel};
     use whatsup_datasets::{digg, DiggConfig};
 
     fn dataset() -> Dataset {
         digg::generate(&DiggConfig::paper().scaled(0.15), 9)
     }
 
-    fn run(dataset: &Dataset, cfg: &SimConfig) -> SimReport {
-        run_scenario(dataset, cfg, &Scenario::from_config(cfg))
+    /// The cascade under constant loss `p` on the default config.
+    fn run(dataset: &Dataset, p: f64) -> SimReport {
+        let environment = Environment {
+            loss: LossModel::Constant { p },
+            churn: ChurnModel::None,
+        };
+        crate::Runner::new(dataset, Protocol::Cascade)
+            .scenario(Scenario::default().with_environment(environment))
+            .run()
     }
 
     #[test]
     fn cascade_reaches_fewer_than_interested() {
         let d = dataset();
-        let r = run(&d, &SimConfig::default());
+        let r = run(&d, 0.0);
         let s = r.scores();
         assert!(s.recall < 0.9, "cascade recall should be limited: {s:?}");
         assert!(s.precision > 0.0);
@@ -101,8 +109,8 @@ mod tests {
     #[test]
     fn cascade_is_deterministic() {
         let d = dataset();
-        let a = run(&d, &SimConfig::default());
-        let b = run(&d, &SimConfig::default());
+        let a = run(&d, 0.0);
+        let b = run(&d, 0.0);
         assert_eq!(a.scores(), b.scores());
         assert_eq!(a.news_messages_all, b.news_messages_all);
     }
@@ -110,14 +118,8 @@ mod tests {
     #[test]
     fn loss_reduces_reach() {
         let d = dataset();
-        let clean = run(&d, &SimConfig::default());
-        let lossy = run(
-            &d,
-            &SimConfig {
-                loss: 0.6,
-                ..Default::default()
-            },
-        );
+        let clean = run(&d, 0.0);
+        let lossy = run(&d, 0.6);
         assert!(lossy.scores().recall <= clean.scores().recall);
     }
 
@@ -126,13 +128,13 @@ mod tests {
     fn requires_social_graph() {
         let mut d = dataset();
         d.social = None;
-        let _ = run(&d, &SimConfig::default());
+        let _ = run(&d, 0.0);
     }
 
     #[test]
     fn series_reconciles_with_item_records() {
         let d = dataset();
-        let r = run(&d, &SimConfig::default());
+        let r = run(&d, 0.0);
         assert_eq!(r.series.len(), r.cycles as usize);
         let all = r.series.pooled(0, r.cycles);
         assert_eq!(all.news_sent, r.news_messages_all);
@@ -150,7 +152,7 @@ mod tests {
     #[test]
     fn reached_bounded_by_population() {
         let d = dataset();
-        let r = run(&d, &SimConfig::default());
+        let r = run(&d, 0.0);
         for item in &r.items {
             assert!((item.reached as usize) < d.n_users());
             assert!(item.hits <= item.reached);

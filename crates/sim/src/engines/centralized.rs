@@ -243,7 +243,9 @@ mod tests {
     }
 
     fn run(dataset: &Dataset, f_like: usize, cfg: &SimConfig) -> SimReport {
-        run_scenario(dataset, f_like, cfg, &Scenario::from_config(cfg))
+        crate::Runner::new(dataset, Protocol::CWhatsUp { f_like })
+            .config(cfg.clone())
+            .run()
     }
 
     #[test]

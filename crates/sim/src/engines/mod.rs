@@ -21,12 +21,11 @@
 //! per-cycle and supports the full scenario grid, which is what makes its
 //! recovery metrics comparable against BEEP's.
 //!
-//! Every engine takes the resolved [`crate::Scenario`], draws loss, churn
+//! Every engine takes the run's [`crate::Scenario`], draws loss, churn
 //! and schedule through `crate::environment`, and books its run into the
 //! `crate::record` ledger that renders the report — an engine is its
-//! state machine plus message handling, nothing else.
-//!
-//! [`run_protocol`] dispatches uniformly so sweeps and harnesses treat all
+//! state machine plus message handling, nothing else. [`crate::Runner`]
+//! dispatches to them uniformly, so sweeps and harnesses treat all
 //! protocols alike.
 
 pub mod antientropy;
@@ -34,42 +33,3 @@ pub mod cascade;
 pub mod centralized;
 pub mod pubsub;
 pub mod swarm;
-
-use crate::config::{Protocol, SimConfig};
-use crate::record::SimReport;
-use crate::runner::Runner;
-use whatsup_datasets::Dataset;
-
-/// Runs any protocol over a dataset and returns its report (the classic
-/// entry point, kept as a thin [`Runner`] shorthand).
-pub fn run_protocol(dataset: &Dataset, protocol: Protocol, cfg: &SimConfig) -> SimReport {
-    Runner::new(dataset, protocol).config(cfg.clone()).run()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use whatsup_datasets::{digg, DiggConfig};
-
-    #[test]
-    fn dispatch_covers_all_protocols() {
-        let d = digg::generate(&DiggConfig::paper().scaled(0.06), 3);
-        let cfg = SimConfig {
-            cycles: 12,
-            publish_from: 1,
-            measure_from: 4,
-            ..Default::default()
-        };
-        for p in [
-            Protocol::WhatsUp { f_like: 3 },
-            Protocol::Cascade,
-            Protocol::CPubSub,
-            Protocol::CWhatsUp { f_like: 3 },
-            Protocol::AntiEntropy { fanout: 3 },
-        ] {
-            let r = run_protocol(&d, p, &cfg);
-            assert_eq!(r.protocol, p.label());
-            assert!(r.measured_items() > 0, "{} produced no items", p.label());
-        }
-    }
-}

@@ -81,14 +81,14 @@ mod tests {
         survey::generate(&SurveyConfig::paper().scaled(0.15), 21)
     }
 
-    fn run(dataset: &Dataset, cfg: &SimConfig) -> SimReport {
-        run_scenario(dataset, cfg, &Scenario::from_config(cfg))
+    fn run(dataset: &Dataset) -> SimReport {
+        crate::Runner::new(dataset, Protocol::CPubSub).run()
     }
 
     #[test]
     fn recall_is_one_by_construction() {
         let d = dataset();
-        let r = run(&d, &SimConfig::default());
+        let r = run(&d);
         let s = r.scores();
         assert!(
             (s.recall - 1.0).abs() < 1e-9,
@@ -100,7 +100,7 @@ mod tests {
     #[test]
     fn messages_equal_subscriber_deliveries() {
         let d = dataset();
-        let r = run(&d, &SimConfig::default());
+        let r = run(&d);
         for item in &r.items {
             assert_eq!(item.news_sent, item.reached as u64);
         }
@@ -126,7 +126,7 @@ mod tests {
         // Feeds are coarser than latent topics, so precision must sit well
         // below the in-topic like probability and above the raw like rate.
         let d = dataset();
-        let r = run(&d, &SimConfig::default());
+        let r = run(&d);
         let p = r.scores().precision;
         let rate = d.likes.like_rate();
         assert!(
@@ -139,7 +139,7 @@ mod tests {
     #[test]
     fn series_reconciles_with_item_records() {
         let d = dataset();
-        let r = run(&d, &SimConfig::default());
+        let r = run(&d);
         assert_eq!(r.series.len(), r.cycles as usize);
         let all = r.series.pooled(0, r.cycles);
         assert_eq!(all.news_sent, r.news_messages_all);
@@ -157,8 +157,8 @@ mod tests {
     #[test]
     fn deterministic() {
         let d = dataset();
-        let a = run(&d, &SimConfig::default());
-        let b = run(&d, &SimConfig::default());
+        let a = run(&d);
+        let b = run(&d);
         assert_eq!(a.scores(), b.scores());
     }
 }

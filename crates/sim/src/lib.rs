@@ -48,7 +48,6 @@ pub mod scenario;
 pub use config::{Protocol, SimConfig, Transport};
 pub use engine::exchange::Supervision;
 pub use engine::Simulation;
-pub use engines::run_protocol;
 pub use engines::swarm::{Deployment, Fabric};
 pub use oracle::Oracle;
 pub use record::{ItemRecord, SimReport, Summary, WindowReport, REPORT_SCHEMA_VERSION};

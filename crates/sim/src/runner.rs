@@ -1,10 +1,12 @@
-//! The [`Runner`]: one typed entry point for every workload.
+//! The [`Runner`]: the one entry point for every run.
 //!
-//! Every way of executing a simulation — any protocol (node-based or
-//! global baseline), any [`Scenario`], any shard count, any
-//! [`Transport`] (in-process threads, `sim-shard-worker` child
-//! processes, or remote socket workers) — is expressed as one builder
-//! chain:
+//! A run is described one way. [`SimConfig`] says how long the run is and
+//! how it executes (cycles, seed, node overrides, shard count); the
+//! [`Scenario`] says what happens in it (publication workload, message
+//! loss and churn, timeline events, measurement windows); the
+//! [`Transport`] says where the shards execute (in-process threads,
+//! `sim-shard-worker` child processes, or remote socket workers). Any
+//! protocol, node-based or global baseline, runs as one builder chain:
 //!
 //! ```no_run
 //! use whatsup_sim::{Runner, Protocol, SimConfig};
@@ -13,18 +15,17 @@
 //! #     &whatsup_datasets::SurveyConfig::paper().scaled(0.1), 42);
 //!
 //! let report = Runner::new(&dataset, Protocol::WhatsUp { f_like: 10 })
-//!     .config(SimConfig { cycles: 65, ..Default::default() })
+//!     .config(SimConfig { cycles: 65, shards: 4, ..Default::default() })
 //!     .scenario(Scenario::default().with_workload(
 //!         Workload::FlashCrowd { at: 30, fraction: 0.25 }))
-//!     .shards(4)
 //!     .run();
 //! ```
 //!
-//! `run_protocol`, the `whatsup-sim` CLI and the `paper` bench harness
-//! (every figure and table of the evaluation) all route through here.
-//! Reports are a pure function of `(dataset, protocol, config, scenario)` —
-//! bit-identical across shard counts and transports (see the engine module
-//! docs for the contract).
+//! The `whatsup-sim` CLI and the `paper` bench harness (every figure and
+//! table of the evaluation) both route through here. Reports are a pure
+//! function of `(dataset, protocol, config, scenario)` — bit-identical
+//! across shard counts and transports (see the engine module docs for the
+//! contract).
 //!
 //! The same chain ending in [`Runner::deploy`] instead of `run` executes
 //! the run on a live swarm (paper §V-D) — the workspace's one wall-clock
@@ -100,53 +101,36 @@ pub struct Runner<'a> {
     dataset: &'a Dataset,
     protocol: Protocol,
     cfg: SimConfig,
-    scenario: Option<Scenario>,
+    scenario: Scenario,
     transport: Transport,
     supervision: Option<Supervision>,
 }
 
 impl<'a> Runner<'a> {
-    /// A runner with the default config and the scenario the config
-    /// describes (uniform workload, constant loss, uniform churn).
+    /// A runner with the default config and [`Scenario::default`]:
+    /// uniform publications, no loss, no churn, no events.
     pub fn new(dataset: &'a Dataset, protocol: Protocol) -> Self {
         Self {
             dataset,
             protocol,
             cfg: SimConfig::default(),
-            scenario: None,
+            scenario: Scenario::default(),
             transport: Transport::InProcess,
             supervision: None,
         }
     }
 
-    /// Replaces the whole run configuration — including the `shards` and
-    /// `seed` fields, so call it *before* the [`Runner::shards`] /
-    /// [`Runner::seed`] shorthands.
+    /// Replaces the run configuration: length, seed, node overrides and
+    /// shard count ([`SimConfig::shards`], a pure execution knob).
     pub fn config(mut self, cfg: SimConfig) -> Self {
         self.cfg = cfg;
         self
     }
 
-    /// Runs an explicit scenario. Its environment *replaces* the config's
-    /// `loss`/`churn_per_cycle` knobs (without this call, those knobs
-    /// become the scenario via [`Scenario::from_config`]).
+    /// Replaces the scenario: workload, environment (message loss and
+    /// churn), timeline events and measurement windows.
     pub fn scenario(mut self, scenario: Scenario) -> Self {
-        self.scenario = Some(scenario);
-        self
-    }
-
-    /// Engine shard count (`0` = one per core). A pure execution knob:
-    /// reports are bit-identical for every value. Writes into the current
-    /// config — apply after [`Runner::config`], which replaces it.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.cfg.shards = shards;
-        self
-    }
-
-    /// RNG seed override. Writes into the current config — apply after
-    /// [`Runner::config`], which replaces it.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
+        self.scenario = scenario;
         self
     }
 
@@ -196,12 +180,6 @@ impl<'a> Runner<'a> {
         self
     }
 
-    fn resolved_scenario(&self) -> Scenario {
-        self.scenario
-            .clone()
-            .unwrap_or_else(|| Scenario::from_config(&self.cfg))
-    }
-
     /// Builds a steppable in-process [`Simulation`] (node-based protocols
     /// only). Scenario events fire automatically as the cycles advance.
     ///
@@ -215,8 +193,7 @@ impl<'a> Runner<'a> {
             self.transport == Transport::InProcess,
             "build() is in-process; external transports run to completion via run()"
         );
-        let scenario = self.resolved_scenario();
-        Simulation::with_scenario(self.dataset, self.protocol, self.cfg, scenario)
+        Simulation::with_scenario(self.dataset, self.protocol, self.cfg, self.scenario)
     }
 
     /// Runs to completion and reports; `Err` only for external-transport
@@ -226,7 +203,7 @@ impl<'a> Runner<'a> {
     /// # Panics
     /// Panics if the config or scenario is invalid.
     pub fn try_run(self) -> io::Result<SimReport> {
-        let scenario = self.resolved_scenario();
+        let scenario = self.scenario;
         match self.protocol {
             // Global baselines walk a server-side model once per item: the
             // workload schedule applies (and constant loss, to cascade);
@@ -309,12 +286,11 @@ impl<'a> Runner<'a> {
     /// # Panics
     /// Panics if the config or scenario is invalid.
     pub fn deploy(self, fabric: Fabric, cycle_ms: u64) -> io::Result<Deployment> {
-        let scenario = self.resolved_scenario();
         swarm::deploy(
             self.dataset,
             self.protocol,
             &self.cfg,
-            &scenario,
+            &self.scenario,
             fabric,
             cycle_ms,
         )
@@ -345,9 +321,12 @@ impl<'a> Runner<'a> {
             shards,
             report: Runner {
                 protocol,
+                cfg: SimConfig {
+                    shards,
+                    ..self.cfg.clone()
+                },
                 ..self.clone()
             }
-            .shards(shards)
             .run(),
         })
     }
@@ -427,26 +406,18 @@ mod tests {
     }
 
     #[test]
-    fn runner_matches_legacy_entry_points() {
-        let d = dataset();
-        let via_runner = Runner::new(&d, Protocol::WhatsUp { f_like: 4 })
-            .config(cfg())
-            .run();
-        let via_engine = Simulation::new(&d, Protocol::WhatsUp { f_like: 4 }, cfg()).run();
-        assert_eq!(via_runner, via_engine);
-    }
-
-    #[test]
-    fn runner_dispatches_global_protocols() {
+    fn runner_dispatches_every_engine() {
         let d = digg::generate(&DiggConfig::paper().scaled(0.06), 3);
         for p in [
+            Protocol::WhatsUp { f_like: 3 },
             Protocol::Cascade,
             Protocol::CPubSub,
             Protocol::CWhatsUp { f_like: 3 },
+            Protocol::AntiEntropy { fanout: 3 },
         ] {
             let r = Runner::new(&d, p).config(cfg()).run();
             assert_eq!(r.protocol, p.label());
-            assert!(r.measured_items() > 0);
+            assert!(r.measured_items() > 0, "{} produced no items", p.label());
         }
     }
 
@@ -478,11 +449,7 @@ mod tests {
             .config(cfg())
             .scenario(Scenario::default().with_environment(lossy))
             .run();
-        let via_knob = Runner::new(&d, Protocol::Cascade)
-            .config(SimConfig { loss: 0.6, ..cfg() })
-            .run();
         let lossless = Runner::new(&d, Protocol::Cascade).config(cfg()).run();
-        assert_eq!(format!("{via_scenario:?}"), format!("{via_knob:?}"));
         assert_ne!(via_scenario, lossless);
         let reached = |r: &SimReport| r.items.iter().map(|i| i.reached).sum::<u32>();
         assert!(reached(&via_scenario) < reached(&lossless));
@@ -495,8 +462,7 @@ mod tests {
             .config(cfg())
             .run();
         let four = Runner::new(&d, Protocol::WhatsUp { f_like: 4 })
-            .config(cfg())
-            .shards(4)
+            .config(SimConfig { shards: 4, ..cfg() })
             .run();
         assert_eq!(one, four);
     }

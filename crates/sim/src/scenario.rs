@@ -101,7 +101,12 @@
 //! ```
 //!
 //! `config` accepts any subset of [`SimConfig`]'s fields (missing fields
-//! take their defaults).
+//! take their defaults), and `scenario` may be left out, which runs
+//! [`Scenario::default`]. The two blocks do not overlap: `config` says how
+//! long the run is and how it executes, `scenario` says what happens in
+//! it. Message loss and churn are environment models only, so a `config`
+//! that sets `loss` is rejected like any other undeclared key
+//! (`config.loss: unknown key`).
 //!
 //! ## Protocol selection
 //!
@@ -129,7 +134,7 @@ use whatsup_datasets::{DiggConfig, SurveyConfig, SyntheticConfig};
 #[derive(Debug, Clone, PartialEq)]
 pub enum Workload {
     /// Items spread evenly over `[publish_from, cycles)` (the paper's
-    /// methodology, and the legacy `SimConfig::schedule`).
+    /// methodology, and every other workload's base layout).
     Uniform,
     /// A breaking-news spike: every `⌈1/fraction⌉`-th item publishes at
     /// cycle `at`; the rest keep their uniform slot. The stride selection
@@ -161,7 +166,10 @@ impl Workload {
     pub fn schedule(&self, cfg: &SimConfig, topics: &[u32]) -> Vec<u32> {
         let n = topics.len();
         let clamp = |c: u32| c.clamp(cfg.publish_from, cfg.cycles.saturating_sub(1));
-        let uniform = cfg.schedule(n);
+        let span = cfg.cycles.saturating_sub(cfg.publish_from).max(1) as usize;
+        let uniform: Vec<u32> = (0..n)
+            .map(|i| cfg.publish_from + (i * span / n.max(1)) as u32)
+            .collect();
         match *self {
             Workload::Uniform => uniform,
             Workload::FlashCrowd { at, fraction } => {
@@ -223,8 +231,8 @@ impl Workload {
 /// across shard boundaries.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LossModel {
-    /// Independent per-message loss with a fixed probability (the legacy
-    /// `SimConfig::loss`).
+    /// Independent per-message loss with a fixed probability (paper §V-E;
+    /// `p: 0` is the lossless default).
     Constant { p: f64 },
     /// Bursty loss: each node's inbound channel is a two-state Markov chain
     /// (Good/Bad) advanced once per cycle; messages drop with `p_good` or
@@ -268,8 +276,8 @@ crate::engine::exchange::wire_codec! {
 pub enum ChurnModel {
     /// A stable population.
     None,
-    /// Every cycle each node crashes (and rejoins cold) with this
-    /// probability (the legacy `SimConfig::churn_per_cycle`).
+    /// Every cycle each node crashes (and rejoins cold: profile, views and
+    /// seen-set lost) with this probability.
     Uniform { per_cycle: f64 },
     /// A correlated failure: at cycle `at`, each node crashes with
     /// probability `fraction` — one burst, then quiet.
@@ -504,27 +512,6 @@ impl Default for Scenario {
 }
 
 impl Scenario {
-    /// The legacy scenario a bare [`SimConfig`] describes: uniform
-    /// publications, constant loss, uniform churn, no events. Runs built
-    /// from it are bit-identical to the pre-scenario engine.
-    pub fn from_config(cfg: &SimConfig) -> Self {
-        Self {
-            workload: Workload::Uniform,
-            environment: Environment {
-                loss: LossModel::Constant { p: cfg.loss },
-                churn: if cfg.churn_per_cycle > 0.0 {
-                    ChurnModel::Uniform {
-                        per_cycle: cfg.churn_per_cycle,
-                    }
-                } else {
-                    ChurnModel::None
-                },
-            },
-            events: Vec::new(),
-            measurements: Vec::new(),
-        }
-    }
-
     pub fn with_workload(mut self, workload: Workload) -> Self {
         self.workload = workload;
         self
@@ -713,8 +700,8 @@ impl Scenario {
     /// (their server is reliable by assumption). Timeline events, bursty
     /// loss, partitions, crash waves, mass joins and measurement windows
     /// have no counterpart there and are rejected rather than silently
-    /// ignored. Uniform churn passes for config-knob parity and is not
-    /// consulted, as is constant loss on the two centralized engines.
+    /// ignored. Uniform churn passes and is not consulted, as is constant
+    /// loss on the two centralized engines.
     pub fn validate_for_global(&self, protocol: &Protocol) -> Result<(), String> {
         if !protocol.is_global() {
             return Ok(());
@@ -856,15 +843,14 @@ pub struct ScenarioFile {
 }
 
 // A missing `config` block is the default config, and a missing `scenario`
-// block the scenario that config describes: its loss/churn knobs must not
-// be silently discarded (the library path without `.scenario()` resolves
-// the same way).
+// block the default scenario (uniform publications, no loss, no churn) —
+// what a `Runner` without `.scenario()` runs.
 serde::json_codec! {
     struct ScenarioFile {
         dataset,
         protocol,
         config = SimConfig::default(),
-        scenario = Scenario::from_config(&config),
+        scenario = Scenario::default(),
     }
 }
 
@@ -896,10 +882,31 @@ mod tests {
     }
 
     #[test]
-    fn uniform_matches_legacy_schedule() {
-        let c = cfg();
-        let topics = vec![0u32; 50];
-        assert_eq!(Workload::Uniform.schedule(&c, &topics), c.schedule(50));
+    fn uniform_schedule_is_monotone_and_in_range() {
+        let c = SimConfig {
+            cycles: 65,
+            publish_from: 3,
+            ..Default::default()
+        };
+        let s = Workload::Uniform.schedule(&c, &[0; 1000]);
+        assert_eq!(s.len(), 1000);
+        assert!(s.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(s[0], 3);
+        assert!(*s.last().unwrap() < 65);
+        // 50 items over the 16 cycles [4, 20): item i sits at 4 + ⌊16·i/50⌋.
+        let s = Workload::Uniform.schedule(&cfg(), &[0; 50]);
+        assert!(s
+            .iter()
+            .enumerate()
+            .all(|(i, &c)| c == 4 + (16 * i / 50) as u32));
+    }
+
+    #[test]
+    fn uniform_schedule_handles_fewer_items_than_cycles() {
+        let c = SimConfig::default();
+        let s = Workload::Uniform.schedule(&c, &[0; 3]);
+        assert_eq!(s.len(), 3);
+        assert!(s.iter().all(|&x| x >= c.publish_from && x < c.cycles));
     }
 
     #[test]
@@ -956,7 +963,7 @@ mod tests {
             }
         }
         // Other topics keep the uniform slots.
-        let uniform = c.schedule(90);
+        let uniform = Workload::Uniform.schedule(&c, &topics);
         for (i, &cycle) in s.iter().enumerate() {
             if topics[i] != 1 {
                 assert_eq!(cycle, uniform[i]);
@@ -977,21 +984,6 @@ mod tests {
         assert_eq!(join.joins_at(5), 4);
         assert_eq!(join.joins_at(6), 0);
         assert_eq!(ChurnModel::Uniform { per_cycle: 0.1 }.crash_rate(99), 0.1);
-    }
-
-    #[test]
-    fn from_config_mirrors_legacy_knobs() {
-        let c = SimConfig {
-            loss: 0.2,
-            churn_per_cycle: 0.05,
-            ..cfg()
-        };
-        let s = Scenario::from_config(&c);
-        assert_eq!(s.workload, Workload::Uniform);
-        assert_eq!(s.environment.loss, LossModel::Constant { p: 0.2 });
-        assert_eq!(s.environment.churn, ChurnModel::Uniform { per_cycle: 0.05 });
-        assert!(s.events.is_empty());
-        assert!(s.validate(&c).is_ok());
     }
 
     #[test]
@@ -1060,25 +1052,34 @@ mod tests {
     }
 
     #[test]
-    fn missing_scenario_block_inherits_the_config_knobs() {
-        // Without an explicit scenario, the config's loss/churn knobs must
-        // become the scenario — exactly like the library path without
-        // `.scenario()`.
+    fn missing_scenario_block_is_the_default_scenario() {
+        // Without a scenario block the run is lossless and churn-free —
+        // exactly like a `Runner` without `.scenario()`.
         let file = ScenarioFile::from_json_str(
             r#"{"dataset": {"kind": "survey", "scale": 0.1, "seed": 1},
                 "protocol": {"kind": "whatsup", "f_like": 4},
-                "config": {"cycles": 30, "loss": 0.3, "churn_per_cycle": 0.05}}"#,
+                "config": {"cycles": 30}}"#,
         )
         .unwrap();
-        assert_eq!(file.scenario, Scenario::from_config(&file.config));
-        assert_eq!(
-            file.scenario.environment.loss,
-            LossModel::Constant { p: 0.3 }
-        );
-        assert_eq!(
-            file.scenario.environment.churn,
-            ChurnModel::Uniform { per_cycle: 0.05 }
-        );
+        assert_eq!(file.scenario, Scenario::default());
+    }
+
+    #[test]
+    fn loss_in_the_config_block_is_rejected() {
+        // Loss lives in the scenario's environment only: a config that
+        // still sets it is an error naming the key, never a knob the
+        // scenario block silently overrides.
+        let err = ScenarioFile::from_json_str(
+            r#"{"dataset": {"kind": "survey", "scale": 0.1, "seed": 1},
+                "protocol": {"kind": "whatsup", "f_like": 4},
+                "config": {"cycles": 30, "loss": 0.9},
+                "scenario": {"workload": {"kind": "uniform"},
+                             "environment": {"loss": {"kind": "constant", "p": 0.1},
+                                             "churn": {"kind": "none"}}}}"#,
+        )
+        .unwrap_err()
+        .to_string();
+        assert!(err.contains("config.loss: unknown key"), "{err}");
     }
 
     #[test]
@@ -1120,14 +1121,13 @@ mod tests {
             churn: ChurnModel::None,
         });
         assert!(bursty.validate_for_global(&global).is_err());
-        // The legacy config knobs stay expressible (engines document
-        // ignoring them).
-        let legacy = Scenario::from_config(&SimConfig {
-            loss: 0.2,
-            churn_per_cycle: 0.05,
-            ..cfg()
+        // Constant loss and uniform churn stay expressible (the engines
+        // document which of them they consult).
+        let uniform = Scenario::default().with_environment(Environment {
+            loss: LossModel::Constant { p: 0.2 },
+            churn: ChurnModel::Uniform { per_cycle: 0.05 },
         });
-        assert!(legacy.validate_for_global(&global).is_ok());
+        assert!(uniform.validate_for_global(&global).is_ok());
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! system stays within a modest gap.
 
 use whatsup_datasets::{survey, SurveyConfig};
-use whatsup_sim::config::{Protocol, SimConfig};
-use whatsup_sim::engines::run_protocol;
+use whatsup_sim::{Protocol, Runner, SimConfig};
 
 #[test]
 fn centralized_trades_recall_for_precision() {
@@ -15,8 +14,9 @@ fn centralized_trades_recall_for_precision() {
         measure_from: 14,
         ..Default::default()
     };
-    let c = run_protocol(&d, Protocol::CWhatsUp { f_like: 10 }, &cfg);
-    let w = run_protocol(&d, Protocol::WhatsUp { f_like: 10 }, &cfg);
+    let run = |p| Runner::new(&d, p).config(cfg.clone()).run();
+    let c = run(Protocol::CWhatsUp { f_like: 10 });
+    let w = run(Protocol::WhatsUp { f_like: 10 });
     let (cs, ws) = (c.scores(), w.scores());
     assert!(
         cs.precision > ws.precision,

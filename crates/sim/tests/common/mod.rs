@@ -48,3 +48,14 @@ pub fn assert_clean_exit(child: Child, who: &str) {
     );
     assert!(!stderr.contains("panicked"), "{who} panicked: {stderr}");
 }
+
+/// Constant message loss `p` and uniform churn `per_cycle` on the default
+/// workload: the noise the transport and shard-count tests run under.
+#[allow(dead_code)]
+pub fn noise(p: f64, per_cycle: f64) -> whatsup_sim::Scenario {
+    use whatsup_sim::scenario::{ChurnModel, Environment, LossModel};
+    whatsup_sim::Scenario::default().with_environment(Environment {
+        loss: LossModel::Constant { p },
+        churn: ChurnModel::Uniform { per_cycle },
+    })
+}

@@ -9,7 +9,8 @@ use proptest::prelude::*;
 use rand::RngCore;
 use whatsup_datasets::{survey, SurveyConfig};
 use whatsup_sim::engine::{node_stream, phase};
-use whatsup_sim::{Protocol, Runner, SimConfig, SimReport};
+use whatsup_sim::scenario::{Event, TimedEvent};
+use whatsup_sim::{Protocol, Runner, Scenario, SimConfig, SimReport};
 
 fn dataset() -> whatsup_datasets::Dataset {
     survey::generate(&SurveyConfig::paper().scaled(0.12), 42)
@@ -24,16 +25,17 @@ fn cfg() -> SimConfig {
     }
 }
 
-fn run_with_shards(shards: usize, base: SimConfig) -> SimReport {
-    let cfg = SimConfig { shards, ..base };
+fn run_with_shards(shards: usize, scenario: Scenario) -> SimReport {
+    let cfg = SimConfig { shards, ..cfg() };
     Runner::new(&dataset(), Protocol::WhatsUp { f_like: 5 })
         .config(cfg)
+        .scenario(scenario)
         .run()
 }
 
 #[test]
 fn report_is_bit_identical_across_shard_counts() {
-    let single = run_with_shards(1, cfg());
+    let single = run_with_shards(1, Scenario::default());
     // The per-cycle series is part of the report, so the equality below
     // pins it too — but assert it is actually there and reconciles with
     // the whole-run counters, or the pin would be vacuous.
@@ -62,7 +64,7 @@ fn report_is_bit_identical_across_shard_counts() {
             .sum::<u64>()
     );
     for shards in [2, 4] {
-        let sharded = run_with_shards(shards, cfg());
+        let sharded = run_with_shards(shards, Scenario::default());
         assert_eq!(
             single, sharded,
             "1-shard and {shards}-shard runs must produce identical reports"
@@ -72,11 +74,7 @@ fn report_is_bit_identical_across_shard_counts() {
 
 #[test]
 fn report_is_bit_identical_across_shard_counts_with_loss_and_churn() {
-    let noisy = SimConfig {
-        loss: 0.2,
-        churn_per_cycle: 0.03,
-        ..cfg()
-    };
+    let noisy = common::noise(0.2, 0.03);
     let single = run_with_shards(1, noisy.clone());
     for shards in [2, 4] {
         let sharded = run_with_shards(shards, noisy.clone());
@@ -96,17 +94,17 @@ fn multiprocess_transport_matches_in_process() {
         cycles: 12,
         publish_from: 2,
         measure_from: 5,
-        loss: 0.1,
-        churn_per_cycle: 0.02,
         shards: 2,
         ..Default::default()
     };
     let in_process = Runner::new(&d, Protocol::WhatsUp { f_like: 4 })
         .config(base.clone())
+        .scenario(common::noise(0.1, 0.02))
         .run();
     let worker = std::path::Path::new(env!("CARGO_BIN_EXE_sim-shard-worker"));
     let multi_process = Runner::new(&d, Protocol::WhatsUp { f_like: 4 })
         .config(base)
+        .scenario(common::noise(0.1, 0.02))
         .multiprocess(worker)
         .try_run()
         .expect("worker processes run");
@@ -123,19 +121,19 @@ fn socket_transport_matches_in_process() {
         cycles: 12,
         publish_from: 2,
         measure_from: 5,
-        loss: 0.1,
-        churn_per_cycle: 0.02,
         shards: 2,
         ..Default::default()
     };
     let in_process = Runner::new(&d, Protocol::WhatsUp { f_like: 4 })
         .config(base.clone())
+        .scenario(common::noise(0.1, 0.02))
         .run();
     // Workers first, then the driver dials them (shard k = k-th address).
     let (w1, a1) = common::spawn_listen_worker();
     let (w2, a2) = common::spawn_listen_worker();
     let socket = Runner::new(&d, Protocol::WhatsUp { f_like: 4 })
         .config(base)
+        .scenario(common::noise(0.1, 0.02))
         .socket([a1, a2])
         .try_run()
         .expect("socket workers run");
@@ -166,19 +164,20 @@ proptest! {
             publish_from: 2,
             measure_from: 5,
             seed,
-            loss,
-            churn_per_cycle: churn,
             shards: 2,
             ..Default::default()
         };
+        let noise = common::noise(loss, churn);
         let reference = Runner::new(&d, Protocol::WhatsUp { f_like: 4 })
             .config(base.clone())
+            .scenario(noise.clone())
             .run();
         let worker = std::path::Path::new(env!("CARGO_BIN_EXE_sim-shard-worker"));
         prop_assert_eq!(reference.series.len(), reference.cycles as usize,
             "the per-cycle series must cover the run");
         let process = Runner::new(&d, Protocol::WhatsUp { f_like: 4 })
             .config(base.clone())
+            .scenario(noise.clone())
             .multiprocess(worker)
             .try_run()
             .expect("worker processes run");
@@ -189,6 +188,7 @@ proptest! {
         let (w2, a2) = common::spawn_listen_worker();
         let socket = Runner::new(&d, Protocol::WhatsUp { f_like: 4 })
             .config(base)
+            .scenario(noise)
             .socket([a1, a2])
             .try_run()
             .expect("socket workers run");
@@ -215,16 +215,22 @@ fn joining_node_does_not_shift_existing_streams() {
     let mut a = Runner::new(&small, Protocol::WhatsUp { f_like: 5 })
         .config(cfg())
         .build();
+    let joins = vec![
+        TimedEvent {
+            at: 3,
+            event: Event::JoinClone { reference: 0 },
+        };
+        5
+    ];
     let mut b = Runner::new(&large, Protocol::WhatsUp { f_like: 5 })
         .config(cfg())
+        .scenario(Scenario::default().with_events(joins))
         .build();
-    for _ in 0..3 {
+    for _ in 0..4 {
         a.step();
         b.step();
     }
-    for _ in 0..5 {
-        b.add_joining_node(0);
-    }
+    assert_eq!(b.n_nodes(), large.n_users() + 5, "the joiners arrived");
     for node in [0u32, 7, 101] {
         for cycle in [3u32, 9, 17] {
             for ph in [phase::CYCLE, phase::GOSSIP, phase::CHURN, phase::NEWS] {
@@ -239,24 +245,28 @@ fn joining_node_does_not_shift_existing_streams() {
 }
 
 #[test]
-fn interactive_mutators_match_across_shard_counts() {
+fn timeline_events_match_across_shard_counts() {
     // Joiners and interest swaps touch every shard's oracle copy and the
     // partition; the traces they feed (Fig. 7) must not see the shard count.
     let d = survey::generate(&SurveyConfig::paper().scaled(0.1), 55);
+    let events = [
+        Event::JoinClone { reference: 0 },
+        Event::SwapInterests { a: 1, b: 2 },
+    ];
+    let scenario =
+        Scenario::default().with_events(events.map(|event| TimedEvent { at: 8, event }).to_vec());
+    // The joiner takes the next free id.
+    let j = d.n_users() as u32;
     let run = |shards: usize| {
         let cfg = SimConfig { shards, ..cfg() };
         let mut sim = Runner::new(&d, Protocol::WhatsUp { f_like: 4 })
             .config(cfg)
+            .scenario(scenario.clone())
             .build();
         let mut trace = Vec::new();
-        let mut joiner = None;
         while sim.current_cycle() < 18 {
-            if sim.current_cycle() == 8 {
-                joiner = Some(sim.add_joining_node(0));
-                sim.swap_interests(1, 2);
-            }
             sim.step();
-            if let Some(j) = joiner {
+            if sim.n_nodes() > j as usize {
                 trace.push((
                     sim.interest_view_similarity(j).to_bits(),
                     sim.liked_receptions_last_cycle(j),
@@ -316,20 +326,18 @@ proptest! {
             publish_from: 2,
             measure_from: 5,
             seed,
-            loss,
-            churn_per_cycle: churn,
             ..Default::default()
         };
-        let reference = Runner::new(&d, Protocol::WhatsUp { f_like: 4 })
-            .config(base.clone())
-            .shards(1)
-            .run();
+        let run = |shards: usize| {
+            Runner::new(&d, Protocol::WhatsUp { f_like: 4 })
+                .config(SimConfig { shards, ..base.clone() })
+                .scenario(common::noise(loss, churn))
+                .run()
+        };
+        let reference = run(1);
         prop_assert_eq!(reference.series.len(), reference.cycles as usize);
         for shards in [2usize, 4] {
-            let sharded = Runner::new(&d, Protocol::WhatsUp { f_like: 4 })
-                .config(base.clone())
-                .shards(shards)
-                .run();
+            let sharded = run(shards);
             prop_assert_eq!(&reference, &sharded, "shards={} diverged", shards);
         }
     }

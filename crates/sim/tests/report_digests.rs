@@ -79,8 +79,7 @@ fn full_scenario() -> Scenario {
 }
 
 /// What the one-shot engines accept: the workload schedule and constant
-/// loss. The config carries the same loss, so the digest is the same
-/// whether an engine reads the knob or the scenario.
+/// loss.
 fn global_scenario(loss: f64) -> Scenario {
     Scenario::default()
         .with_workload(BURST)
@@ -113,9 +112,8 @@ fn whatsup_report_bytes_are_pinned_at_one_and_three_shards() {
     let d = dataset();
     for shards in [1, 3] {
         let report = Runner::new(&d, Protocol::WhatsUp { f_like: 4 })
-            .config(cfg())
+            .config(SimConfig { shards, ..cfg() })
             .scenario(full_scenario())
-            .shards(shards)
             .run();
         assert_eq!(report.windows.len(), 2);
         check(&format!("whatsup/{shards}"), &report, 0x1c1d_3779_d0d4_011b);
@@ -136,15 +134,14 @@ fn anti_entropy_report_bytes_are_pinned() {
 #[test]
 fn global_engine_report_bytes_are_pinned() {
     let d = dataset();
-    let lossy = SimConfig { loss: 0.3, ..cfg() };
     for (protocol, expected) in [
         (Protocol::Cascade, 0xea21_30e1_ed20_32e8_u64),
         (Protocol::CPubSub, 0x5e2e_94e2_0f5e_79e7),
         (Protocol::CWhatsUp { f_like: 3 }, 0x09bc_923a_32b5_b37f),
     ] {
         let report = Runner::new(&d, protocol)
-            .config(lossy.clone())
-            .scenario(global_scenario(lossy.loss))
+            .config(cfg())
+            .scenario(global_scenario(0.3))
             .run();
         check(&protocol.label(), &report, expected);
     }

@@ -144,7 +144,7 @@ const DATASET_KINDS: [DatasetKind; 3] = [
 fn config_from(
     (cycles, publish_from, measure_from, down_cycles): (u32, u32, u32, u32),
     (seed, bootstrap_degree, shards, datagram_budget): (u64, usize, usize, usize),
-    (loss, churn_per_cycle, phi_threshold, obfuscation): (f64, f64, f64, f64),
+    (phi_threshold, obfuscation): (f64, f64),
     (mask, profile_window, ttl, wup_view): (u8, u32, u8, usize),
 ) -> SimConfig {
     let some = |bit: u8| mask & (1 << bit) != 0;
@@ -152,14 +152,12 @@ fn config_from(
         cycles,
         publish_from,
         measure_from,
-        loss,
         seed,
         bootstrap_degree,
         profile_window: some(0).then_some(profile_window),
         ttl_override: some(1).then_some(ttl),
         wup_view_override: some(2).then_some(wup_view),
         obfuscation: some(3).then_some(obfuscation),
-        churn_per_cycle,
         shards,
         datagram_budget,
         phi_threshold,
@@ -188,7 +186,7 @@ proptest! {
             (0u64..(1 << 53) + 1, 0usize..64, 0usize..16, 0usize..65_536),
         ),
         cfg_rest in (
-            (0.0f64..1.0, 0.0f64..1.0, 0.0f64..8.0, 0.0f64..1.0),
+            (0.0f64..8.0, 0.0f64..1.0),
             (0u8..16, 0u32..100, 0u8..255, 0usize..100),
         ),
     ) {
@@ -242,9 +240,11 @@ fn committed_scenario_is_bit_identical_across_shards_and_transports() {
     let dataset = file.dataset.build();
     let run_with = |shards: usize| -> SimReport {
         Runner::new(&dataset, file.protocol)
-            .config(file.config.clone())
+            .config(SimConfig {
+                shards,
+                ..file.config.clone()
+            })
             .scenario(file.scenario.clone())
-            .shards(shards)
             .run()
     };
     let reference = run_with(1);
@@ -278,9 +278,11 @@ fn committed_scenario_is_bit_identical_across_shards_and_transports() {
     }
     let worker = std::path::Path::new(env!("CARGO_BIN_EXE_sim-shard-worker"));
     let multiprocess = Runner::new(&dataset, file.protocol)
-        .config(file.config.clone())
+        .config(SimConfig {
+            shards: 2,
+            ..file.config.clone()
+        })
         .scenario(file.scenario.clone())
-        .shards(2)
         .multiprocess(worker)
         .try_run()
         .expect("worker processes run");
@@ -547,9 +549,11 @@ fn composite_scenario_is_bit_identical_across_shard_counts() {
     };
     let run_with = |shards: usize| {
         Runner::new(&dataset, Protocol::WhatsUp { f_like: 4 })
-            .config(cfg.clone())
+            .config(SimConfig {
+                shards,
+                ..cfg.clone()
+            })
             .scenario(scenario.clone())
-            .shards(shards)
             .run()
     };
     let reference = run_with(1);
@@ -608,9 +612,11 @@ fn bursty_loss_degrades_recall() {
     );
 }
 
-/// The legacy knobs and the explicit legacy scenario are the same run.
+/// A runner without `.scenario()` runs the default scenario, and a noisy
+/// one differs from it: the environment is the only place loss and churn
+/// come from.
 #[test]
-fn legacy_config_knobs_equal_explicit_scenario() {
+fn default_scenario_is_the_implicit_one() {
     let dataset = whatsup_datasets::survey::generate(
         &whatsup_datasets::SurveyConfig::paper().scaled(0.08),
         9,
@@ -619,16 +625,12 @@ fn legacy_config_knobs_equal_explicit_scenario() {
         cycles: 12,
         publish_from: 2,
         measure_from: 5,
-        loss: 0.15,
-        churn_per_cycle: 0.03,
         ..Default::default()
     };
-    let implicit = Runner::new(&dataset, Protocol::WhatsUp { f_like: 4 })
-        .config(cfg.clone())
-        .run();
-    let explicit = Runner::new(&dataset, Protocol::WhatsUp { f_like: 4 })
-        .config(cfg.clone())
-        .scenario(Scenario::from_config(&cfg))
-        .run();
+    let runner = Runner::new(&dataset, Protocol::WhatsUp { f_like: 4 }).config(cfg);
+    let implicit = runner.clone().run();
+    let explicit = runner.clone().scenario(Scenario::default()).run();
     assert_eq!(implicit, explicit);
+    let noisy = runner.scenario(common::noise(0.15, 0.03)).run();
+    assert_ne!(implicit, noisy);
 }

@@ -7,17 +7,20 @@
 
 mod common;
 
+use bytes::Bytes;
 use serde::Json;
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
+use whatsup_core::{ColdStart, NewsItem};
+use whatsup_net::wire::encode;
 use whatsup_sim::engine::exchange::stream::{
     encode_handshake, encode_hello, read_frame, run_worker, write_frame, WorkerError,
     HANDSHAKE_MAGIC, PROTOCOL_VERSION,
 };
 use whatsup_sim::engine::exchange::TransportErrorKind;
-use whatsup_sim::engine::{Partition, ShardInit};
+use whatsup_sim::engine::{Command, Partition, ShardInit};
 use whatsup_sim::scenario::{ChurnModel, LossModel};
 use whatsup_sim::{Oracle, Protocol, Runner, SimConfig, Supervision};
 
@@ -344,8 +347,10 @@ fn supervised_process_run_survives_a_worker_killed_mid_run() {
     );
     let d = dataset();
     let survived = Runner::new(&d, Protocol::WhatsUp { f_like: 4 })
-        .config(recovery_cfg())
-        .shards(2)
+        .config(SimConfig {
+            shards: 2,
+            ..recovery_cfg()
+        })
         .multiprocess(&script)
         .supervision(test_supervision())
         .try_run();
@@ -379,8 +384,10 @@ fn supervised_process_run_survives_a_crash_during_recovery() {
     );
     let d = dataset();
     let survived = Runner::new(&d, Protocol::WhatsUp { f_like: 4 })
-        .config(recovery_cfg())
-        .shards(1)
+        .config(SimConfig {
+            shards: 1,
+            ..recovery_cfg()
+        })
         .multiprocess(&script)
         .supervision(test_supervision())
         .try_run();
@@ -681,13 +688,17 @@ fn deliver_gossip(bundle: &[u8]) -> Vec<u8> {
 
 /// Hostile streams — each a sequence of frames a driver could send — and
 /// what they exercise. The first six once crashed the worker (unknown
-/// opcode, truncation, counts no frame can hold, a garbage init); the last
-/// four carry well-formed commands whose nested frames do not decode, the
-/// final two being mailbox bundles from shard 1.
+/// opcode, truncation, counts no frame can hold, a garbage init); the next
+/// four carry well-formed commands whose nested frames do not decode, two
+/// of them mailbox bundles from shard 1; the last three decode entirely
+/// but name a node shard 0 does not own.
 fn hostile_streams() -> Vec<(&'static str, Vec<Vec<u8>>)> {
     let handshake = real_handshake();
     let stream = |cmd: Vec<u8>| vec![handshake.clone(), cmd];
     let max = u32::MAX.to_le_bytes();
+    let foreign = 1_000_000;
+    let snapshot = Bytes::from(encode(&ColdStart::default()));
+    let item = NewsItem::new("title", "description", "link", foreign, 0);
     vec![
         ("unknown opcode", stream(vec![99])),
         ("truncated Collect", stream(tagged(1, &[&[0, 0]]))),
@@ -732,6 +743,20 @@ fn hostile_streams() -> Vec<(&'static str, Vec<Vec<u8>>)> {
                     &[9, 9, 9],
                 ],
             ))),
+        ),
+        (
+            "TakeSnapshots of a foreign node",
+            stream(encode(&Command::TakeSnapshots { ids: vec![foreign] })),
+        ),
+        (
+            "ApplyChurn of a foreign node",
+            stream(encode(&Command::ApplyChurn {
+                resets: vec![(foreign, snapshot)],
+            })),
+        ),
+        (
+            "Publish from a foreign node",
+            stream(encode(&Command::Publish { cycle: 0, item })),
         ),
     ]
 }

@@ -33,16 +33,16 @@
 //! ```
 //! use whatsup::prelude::*;
 //!
-//! // A small survey-like workload and a 30-cycle simulated run.
-//! let dataset = whatsup::datasets::survey::generate(
-//!     &SurveyConfig::paper().scaled(0.1), 42);
-//! let cfg = SimConfig { cycles: 30, publish_from: 2, measure_from: 10,
-//!                       ..Default::default() };
-//! let report = run_protocol(&dataset, Protocol::WhatsUp { f_like: 5 }, &cfg);
+//! // A small survey-like workload: 30 cycles (`SimConfig`) on a network
+//! // that drops 10% of the messages (`Scenario`).
+//! let dataset = whatsup::datasets::survey::generate(&SurveyConfig::paper().scaled(0.1), 42);
+//! let cfg = SimConfig { cycles: 30, publish_from: 2, measure_from: 10, ..Default::default() };
+//! let lossy = Environment { loss: LossModel::Constant { p: 0.1 }, churn: ChurnModel::None };
+//! let report = Runner::new(&dataset, Protocol::WhatsUp { f_like: 5 }).config(cfg)
+//!     .scenario(Scenario::default().with_environment(lossy)).run();
 //! let scores = report.scores();
 //! assert!(scores.f1 > 0.0);
-//! println!("precision {:.2} recall {:.2} F1 {:.2}",
-//!          scores.precision, scores.recall, scores.f1);
+//! println!("precision {:.2} recall {:.2} F1 {:.2}", scores.precision, scores.recall, scores.f1);
 //! ```
 
 pub use whatsup_core as core;
@@ -63,7 +63,7 @@ pub mod prelude {
         ChurnModel, Environment, Event, LossModel, TimedEvent, Workload,
     };
     pub use whatsup_sim::{
-        run_protocol, Deployment, Fabric, Protocol, Runner, Scenario, ScenarioFile, SimConfig,
-        SimReport, Simulation,
+        Deployment, Fabric, Protocol, Runner, Scenario, ScenarioFile, SimConfig, SimReport,
+        Simulation,
     };
 }

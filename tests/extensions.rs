@@ -16,26 +16,39 @@ fn cfg() -> SimConfig {
     }
 }
 
+/// `protocol` on `d` for `cfg`'s run, over the `environment` network.
+fn run(d: &Dataset, protocol: Protocol, cfg: SimConfig, environment: Environment) -> SimReport {
+    Runner::new(d, protocol)
+        .config(cfg)
+        .scenario(Scenario::default().with_environment(environment))
+        .run()
+}
+
+/// A lossless network where each node crash-rejoins with `per_cycle`
+/// probability every cycle.
+fn churn(per_cycle: f64) -> Environment {
+    Environment {
+        loss: LossModel::Constant { p: 0.0 },
+        churn: ChurnModel::Uniform { per_cycle },
+    }
+}
+
 #[test]
 fn obfuscation_trades_accuracy_gracefully() {
     let d = survey(0.2, 41);
-    let clear = run_protocol(&d, Protocol::WhatsUp { f_like: 8 }, &cfg());
-    let mild = run_protocol(
-        &d,
-        Protocol::WhatsUp { f_like: 8 },
-        &SimConfig {
-            obfuscation: Some(0.3),
+    let at = |obfuscation| {
+        let cfg = SimConfig {
+            obfuscation,
             ..cfg()
-        },
-    );
-    let heavy = run_protocol(
-        &d,
-        Protocol::WhatsUp { f_like: 8 },
-        &SimConfig {
-            obfuscation: Some(0.9),
-            ..cfg()
-        },
-    );
+        };
+        run(
+            &d,
+            Protocol::WhatsUp { f_like: 8 },
+            cfg,
+            Environment::default(),
+        )
+    };
+    let (clear, mild, heavy) = (at(None), at(Some(0.3)), at(Some(0.9)));
     // §VII: "obfuscation provides a trade-off between the accuracy of
     // recommendation and the disclosure of personal data" — quality must
     // decline with noise, but mild noise must not destroy the system.
@@ -117,15 +130,13 @@ fn shared_profiles_differ_from_true_under_obfuscation() {
 #[test]
 fn moderate_churn_is_absorbed() {
     let d = survey(0.2, 43);
-    let stable = run_protocol(&d, Protocol::WhatsUp { f_like: 8 }, &cfg());
-    let churny = run_protocol(
+    let stable = run(
         &d,
         Protocol::WhatsUp { f_like: 8 },
-        &SimConfig {
-            churn_per_cycle: 0.01,
-            ..cfg()
-        },
+        cfg(),
+        Environment::default(),
     );
+    let churny = run(&d, Protocol::WhatsUp { f_like: 8 }, cfg(), churn(0.01));
     assert!(
         churny.scores().f1 > 0.75 * stable.scores().f1,
         "1%/cycle churn must be absorbed: stable {:?} churny {:?}",
@@ -137,15 +148,13 @@ fn moderate_churn_is_absorbed() {
 #[test]
 fn heavy_churn_degrades_but_never_panics() {
     let d = survey(0.12, 44);
-    let heavy = run_protocol(
+    let heavy = run(&d, Protocol::WhatsUp { f_like: 6 }, cfg(), churn(0.25));
+    let stable = run(
         &d,
         Protocol::WhatsUp { f_like: 6 },
-        &SimConfig {
-            churn_per_cycle: 0.25,
-            ..cfg()
-        },
+        cfg(),
+        Environment::default(),
     );
-    let stable = run_protocol(&d, Protocol::WhatsUp { f_like: 6 }, &cfg());
     assert!(
         heavy.scores().recall < stable.scores().recall,
         "25%/cycle churn must hurt: stable {:?} heavy {:?}",
@@ -157,15 +166,11 @@ fn heavy_churn_degrades_but_never_panics() {
 #[test]
 fn churn_and_loss_compose() {
     let d = survey(0.12, 45);
-    let r = run_protocol(
-        &d,
-        Protocol::WhatsUp { f_like: 6 },
-        &SimConfig {
-            churn_per_cycle: 0.05,
-            loss: 0.2,
-            ..cfg()
-        },
-    );
+    let lossy_churn = Environment {
+        loss: LossModel::Constant { p: 0.2 },
+        ..churn(0.05)
+    };
+    let r = run(&d, Protocol::WhatsUp { f_like: 6 }, cfg(), lossy_churn);
     assert!(
         r.scores().recall > 0.0,
         "combined failure modes must not deadlock"

@@ -18,11 +18,28 @@ fn cfg() -> SimConfig {
     }
 }
 
+/// `protocol` on `d` in the shared run shape, under constant message loss
+/// `p` (paper §V-E).
+fn run_lossy(d: &Dataset, protocol: Protocol, p: f64) -> SimReport {
+    Runner::new(d, protocol)
+        .config(cfg())
+        .scenario(Scenario::default().with_environment(Environment {
+            loss: LossModel::Constant { p },
+            churn: ChurnModel::None,
+        }))
+        .run()
+}
+
+/// `protocol` on `d` in the shared run shape, on a lossless network.
+fn run(d: &Dataset, protocol: Protocol) -> SimReport {
+    run_lossy(d, protocol, 0.0)
+}
+
 #[test]
 fn wup_metric_beats_cosine_on_f1() {
     let d = survey(0.25, 11);
-    let wup = run_protocol(&d, Protocol::WhatsUp { f_like: 8 }, &cfg());
-    let cos = run_protocol(&d, Protocol::WhatsUpCos { f_like: 8 }, &cfg());
+    let wup = run(&d, Protocol::WhatsUp { f_like: 8 });
+    let cos = run(&d, Protocol::WhatsUpCos { f_like: 8 });
     assert!(
         wup.scores().f1 >= cos.scores().f1 - 0.02,
         "§V-A: the WUP metric should not lose to cosine: {:?} vs {:?}",
@@ -45,8 +62,8 @@ fn beep_beats_cf_at_low_fanout_and_cost() {
     // k-nearest topology is still fragmented but BEEP's dislike path
     // already routes items across it.
     let d = survey(0.25, 12);
-    let wu = run_protocol(&d, Protocol::WhatsUp { f_like: 5 }, &cfg());
-    let cf = run_protocol(&d, Protocol::CfWup { k: 5 }, &cfg());
+    let wu = run(&d, Protocol::WhatsUp { f_like: 5 });
+    let cf = run(&d, Protocol::CfWup { k: 5 });
     assert!(
         wu.scores().f1 > cf.scores().f1,
         "§V-B: amplification+orientation must beat plain CF at small fanout: {:?} vs {:?}",
@@ -56,8 +73,8 @@ fn beep_beats_cf_at_low_fanout_and_cost() {
     // Table III compares each approach at its best config: WhatsUp at
     // fLIKE=10 matches CF-Wup at k=19 in F1 with far fewer messages
     // ("less than two thirds the message cost").
-    let wu10 = run_protocol(&d, Protocol::WhatsUp { f_like: 10 }, &cfg());
-    let cf19 = run_protocol(&d, Protocol::CfWup { k: 19 }, &cfg());
+    let wu10 = run(&d, Protocol::WhatsUp { f_like: 10 });
+    let cf19 = run(&d, Protocol::CfWup { k: 19 });
     assert!(
         wu10.scores().f1 + 0.05 >= cf19.scores().f1,
         "best-config F1 must be comparable: {:?} vs {:?}",
@@ -75,8 +92,8 @@ fn beep_beats_cf_at_low_fanout_and_cost() {
 #[test]
 fn gossip_has_best_recall_worst_precision() {
     let d = survey(0.25, 13);
-    let go = run_protocol(&d, Protocol::Gossip { fanout: 6 }, &cfg());
-    let wu = run_protocol(&d, Protocol::WhatsUp { f_like: 6 }, &cfg());
+    let go = run(&d, Protocol::Gossip { fanout: 6 });
+    let wu = run(&d, Protocol::WhatsUp { f_like: 6 });
     assert!(go.scores().recall >= wu.scores().recall - 0.02);
     assert!(go.scores().precision < wu.scores().precision);
     // Flooding precision sits at the mean like rate of the workload.
@@ -92,8 +109,8 @@ fn gossip_has_best_recall_worst_precision() {
 #[test]
 fn whatsup_needs_fewer_messages_than_gossip() {
     let d = survey(0.25, 14);
-    let go = run_protocol(&d, Protocol::Gossip { fanout: 10 }, &cfg());
-    let wu = run_protocol(&d, Protocol::WhatsUp { f_like: 10 }, &cfg());
+    let go = run(&d, Protocol::Gossip { fanout: 10 });
+    let wu = run(&d, Protocol::WhatsUp { f_like: 10 });
     assert!(
         wu.messages_per_user() < go.messages_per_user(),
         "Table III: WhatsUp must be cheaper: {} vs {}",
@@ -106,9 +123,7 @@ fn whatsup_needs_fewer_messages_than_gossip() {
 fn f1_grows_with_fanout_then_plateaus() {
     let d = survey(0.2, 15);
     let f1 = pool_map(&[2, 6, 12], |&f_like| {
-        run_protocol(&d, Protocol::WhatsUp { f_like }, &cfg())
-            .scores()
-            .f1
+        run(&d, Protocol::WhatsUp { f_like }).scores().f1
     });
     assert!(f1[1] > f1[0], "F1 should rise from starved fanouts: {f1:?}");
     let (gain_low, gain_high) = (f1[1] - f1[0], f1[2] - f1[1]);
@@ -121,8 +136,8 @@ fn f1_grows_with_fanout_then_plateaus() {
 #[test]
 fn cascade_on_digg_trades_recall_for_nothing() {
     let d = whatsup::datasets::digg::generate(&DiggConfig::paper().scaled(0.2), 16);
-    let cascade = run_protocol(&d, Protocol::Cascade, &cfg());
-    let wu = run_protocol(&d, Protocol::WhatsUp { f_like: 10 }, &cfg());
+    let cascade = run(&d, Protocol::Cascade);
+    let wu = run(&d, Protocol::WhatsUp { f_like: 10 });
     // Table V: comparable precision, much lower recall for cascade.
     assert!(
         cascade.scores().recall < wu.scores().recall / 1.5,
@@ -136,8 +151,8 @@ fn cascade_on_digg_trades_recall_for_nothing() {
 #[test]
 fn pubsub_has_full_recall_but_lower_precision_than_whatsup() {
     let d = survey(0.25, 17);
-    let ps = run_protocol(&d, Protocol::CPubSub, &cfg());
-    let wu = run_protocol(&d, Protocol::WhatsUp { f_like: 10 }, &cfg());
+    let ps = run(&d, Protocol::CPubSub);
+    let wu = run(&d, Protocol::WhatsUp { f_like: 10 });
     assert!((ps.scores().recall - 1.0).abs() < 1e-9);
     assert!(
         wu.scores().precision > ps.scores().precision,
@@ -150,11 +165,9 @@ fn pubsub_has_full_recall_but_lower_precision_than_whatsup() {
 #[test]
 fn loss_tolerance_shape_of_table_vi() {
     let d = survey(0.2, 18);
-    let f6_clean = run_protocol(&d, Protocol::WhatsUp { f_like: 6 }, &cfg());
-    let lossy = SimConfig { loss: 0.2, ..cfg() };
-    let f6_lossy = run_protocol(&d, Protocol::WhatsUp { f_like: 6 }, &lossy);
-    let very_lossy = SimConfig { loss: 0.5, ..cfg() };
-    let f3_very = run_protocol(&d, Protocol::WhatsUp { f_like: 3 }, &very_lossy);
+    let f6_clean = run(&d, Protocol::WhatsUp { f_like: 6 });
+    let f6_lossy = run_lossy(&d, Protocol::WhatsUp { f_like: 6 }, 0.2);
+    let f3_very = run_lossy(&d, Protocol::WhatsUp { f_like: 3 }, 0.5);
     // 20% loss at fanout 6: negligible recall damage (paper: 0.82 → 0.80).
     assert!(
         f6_lossy.scores().recall > f6_clean.scores().recall - 0.15,
@@ -173,7 +186,7 @@ fn loss_tolerance_shape_of_table_vi() {
 #[test]
 fn synthetic_communities_reach_high_precision() {
     let d = whatsup::datasets::synthetic::generate(&SyntheticConfig::paper().scaled(0.1), 19);
-    let wu = run_protocol(&d, Protocol::WhatsUp { f_like: 10 }, &cfg());
+    let wu = run(&d, Protocol::WhatsUp { f_like: 10 });
     // Disjoint communities are the easy case (Fig. 3a): precision far above
     // the global like rate.
     assert!(

@@ -16,6 +16,17 @@ fn cfg() -> SimConfig {
     }
 }
 
+/// `protocol` on `d` for `cfg`'s run, under constant message loss `p`.
+fn run(d: &Dataset, protocol: Protocol, cfg: SimConfig, p: f64) -> SimReport {
+    Runner::new(d, protocol)
+        .config(cfg)
+        .scenario(Scenario::default().with_environment(Environment {
+            loss: LossModel::Constant { p },
+            churn: ChurnModel::None,
+        }))
+        .run()
+}
+
 #[test]
 fn graceful_degradation_under_increasing_loss() {
     // Recall must degrade monotonically-ish (within noise) and never
@@ -23,8 +34,7 @@ fn graceful_degradation_under_increasing_loss() {
     let d = survey(0.2, 31);
     let mut recalls = Vec::new();
     for loss in [0.0, 0.05, 0.2, 0.5] {
-        let c = SimConfig { loss, ..cfg() };
-        let r = run_protocol(&d, Protocol::WhatsUp { f_like: 6 }, &c);
+        let r = run(&d, Protocol::WhatsUp { f_like: 6 }, cfg(), loss);
         recalls.push((loss, r.scores().recall));
     }
     assert!(
@@ -40,11 +50,7 @@ fn graceful_degradation_under_increasing_loss() {
 #[test]
 fn extreme_loss_starves_but_never_panics() {
     let d = survey(0.12, 32);
-    let c = SimConfig {
-        loss: 0.95,
-        ..cfg()
-    };
-    let r = run_protocol(&d, Protocol::WhatsUp { f_like: 4 }, &c);
+    let r = run(&d, Protocol::WhatsUp { f_like: 4 }, cfg(), 0.95);
     let s = r.scores();
     assert!(
         s.recall < 0.4,
@@ -57,7 +63,7 @@ fn zero_fanout_views_still_terminate() {
     // Minimal fanout (1) with a tiny view: the epidemic barely moves but
     // the simulation must terminate and produce consistent records.
     let d = survey(0.12, 33);
-    let r = run_protocol(&d, Protocol::WhatsUp { f_like: 1 }, &cfg());
+    let r = run(&d, Protocol::WhatsUp { f_like: 1 }, cfg(), 0.0);
     for item in &r.items {
         assert!(item.hits <= item.reached);
         assert!((item.reached as usize) < d.n_users());
@@ -82,7 +88,7 @@ fn dense_publication_burst_is_handled() {
         measure_from: 10,
         ..c
     };
-    let r = run_protocol(&d, Protocol::WhatsUp { f_like: 6 }, &c2);
+    let r = run(&d, Protocol::WhatsUp { f_like: 6 }, c2, 0.0);
     assert!(r.measured_items() == d.n_items());
     assert!(r.scores().recall > 0.0);
 }
@@ -109,7 +115,7 @@ fn every_protocol_survives_every_dataset() {
             Protocol::NoAmplification { fanout: 4 },
             Protocol::NoOrientation { f_like: 4 },
         ] {
-            let r = run_protocol(d, p, &quick);
+            let r = run(d, p, quick.clone(), 0.0);
             assert!(
                 r.measured_items() > 0,
                 "{} on {} produced no measured items",
@@ -118,7 +124,7 @@ fn every_protocol_survives_every_dataset() {
             );
         }
         if d.social.is_some() {
-            let r = run_protocol(d, Protocol::Cascade, &quick);
+            let r = run(d, Protocol::Cascade, quick.clone(), 0.0);
             assert!(r.measured_items() > 0);
         }
     }
