@@ -30,14 +30,13 @@ pub fn most_popular_items(
     // Profiles are tiny (window-bounded); a flat vec beats a hash map here.
     let mut tally: Vec<(ItemId, u32, Timestamp)> = Vec::new();
     for d in descriptors {
-        for id in d.payload.liked_items() {
-            let ts = d.payload.get(id).map(|e| e.timestamp).unwrap_or(0);
-            match tally.iter_mut().find(|(i, _, _)| *i == id) {
+        for e in d.payload.entries().filter(|e| e.score > 0.5) {
+            match tally.iter_mut().find(|(i, _, _)| *i == e.item) {
                 Some((_, count, newest)) => {
                     *count += 1;
-                    *newest = (*newest).max(ts);
+                    *newest = (*newest).max(e.timestamp);
                 }
-                None => tally.push((id, 1, ts)),
+                None => tally.push((e.item, 1, e.timestamp)),
             }
         }
     }

@@ -20,7 +20,7 @@ use crate::item::{ItemId, NewsItem, Timestamp};
 use crate::message::{NewsMessage, OutMessage, Payload};
 use crate::obfuscation::Obfuscation;
 use crate::params::Params;
-use crate::profile::{Profile, ProfileEntry, SharedProfile};
+use crate::profile::{Profile, ProfileEntry, Run, SharedProfile};
 use crate::seen::SeenSet;
 use crate::similarity::Prepared;
 use rand::Rng;
@@ -105,15 +105,21 @@ pub struct WhatsUpNode {
     params: Params,
     rps: Rps<SharedProfile>,
     wup: Clustering<SharedProfile>,
-    /// The true profile, copy-on-write. With obfuscation off the disclosed
-    /// profile *is* this allocation — descriptors hand out `Arc` clones,
-    /// and the next mutation clones via `Arc::make_mut` only while a
-    /// recipient still holds the snapshot.
-    profile: SharedProfile,
+    /// The true profile: one sorted vector, never handed out, so a
+    /// mutation never copies it.
+    profile: Profile,
+    /// With obfuscation off, the true profile again, as the frozen runs
+    /// its disclosed snapshots share: one per disclosure that found new
+    /// ratings, plus the refiltered remains of runs the window purge cut
+    /// through. Merged by id with `pending`, the runs are exactly
+    /// `profile` — ids disjoint, at most window + 1 runs. Empty under
+    /// obfuscation, whose snapshots are flat.
+    history: Vec<Run>,
+    /// Ratings made since the last disclosure, sorted by id.
+    pending: Vec<ProfileEntry>,
     obfuscation: Obfuscation,
-    /// Memoized disclosed-profile snapshot under obfuscation (the
-    /// obfuscation-off path shares [`Self::profile`] directly and never
-    /// uses this); invalidated whenever `profile` mutates.
+    /// Memoized disclosed-profile snapshot; dropped whenever `profile`
+    /// mutates.
     shared_cache: Option<SharedProfile>,
     seen: SeenSet,
 }
@@ -144,7 +150,9 @@ impl WhatsUpNode {
             params,
             rps,
             wup,
-            profile: SharedProfile::new(Profile::new()),
+            profile: Profile::new(),
+            history: Vec::new(),
+            pending: Vec::new(),
             obfuscation,
             shared_cache: None,
             seen: SeenSet::new(),
@@ -159,24 +167,70 @@ impl WhatsUpNode {
     ///
     /// The snapshot is memoized until the profile next mutates; obfuscation
     /// is a pure function of `(secret, node, profile)`, so the cache is
-    /// exact.
+    /// exact. With obfuscation off it is the true profile held as the
+    /// history's runs: the pending ratings are frozen into one more run,
+    /// and the snapshot shares every run with the versions before it. A
+    /// history grown past window + 1 runs — a node disclosing more than
+    /// once a cycle — restarts as one run.
     fn shared_profile(&mut self) -> SharedProfile {
-        if self.obfuscation.is_off() {
-            // The disclosed profile *is* the true profile: share the
-            // allocation instead of copying it (see the `profile` field).
-            return SharedProfile::clone(&self.profile);
-        }
         if let Some(cached) = &self.shared_cache {
             return SharedProfile::clone(cached);
         }
-        let shared = SharedProfile::new(self.obfuscation.share(self.id, &self.profile));
+        let shared = if self.obfuscation.is_off() {
+            let pending = std::mem::take(&mut self.pending);
+            self.history
+                .extend((!pending.is_empty()).then(|| Run::from(pending)));
+            if self.history.len() > self.params.profile_window as usize + 1 {
+                self.history = vec![self.profile.entries().copied().collect()];
+            }
+            Profile::snapshot(Box::from(&self.history[..]), &self.profile)
+        } else {
+            self.obfuscation.share(self.id, &self.profile)
+        };
+        let shared = SharedProfile::new(shared);
         self.shared_cache = Some(SharedProfile::clone(&shared));
         shared
     }
 
-    /// Marks the disclosed-profile snapshot stale after a profile mutation.
+    /// Records the user's opinion on `item` in the profile and, with
+    /// obfuscation off, in the pending run. Re-rating an entry that sits
+    /// in a frozen run restarts the history as one pending run, so no two
+    /// runs share an id.
+    fn rate(&mut self, item: ItemId, timestamp: Timestamp, liked: bool) {
+        let entry = ProfileEntry {
+            item,
+            timestamp,
+            score: f32::from(u8::from(liked)),
+        };
+        let replaced = self.profile.contains(item);
+        self.profile.upsert(entry);
+        if self.obfuscation.is_off() {
+            match self.pending.binary_search_by_key(&item, |e| e.item) {
+                Ok(i) => self.pending[i] = entry,
+                Err(_) if replaced => {
+                    self.history.clear();
+                    self.pending = self.profile.entries().copied().collect();
+                }
+                Err(i) => self.pending.insert(i, entry),
+            }
+        }
+        self.invalidate_shared();
+    }
+
+    /// Marks the disclosed-profile snapshot stale after a profile mutation
+    /// — every one ends here, so this is also where the history is checked
+    /// against the profile.
     fn invalidate_shared(&mut self) {
         self.shared_cache = None;
+        debug_assert!(
+            !self.obfuscation.is_off() || {
+                let runs = self.history.iter().flat_map(|run| run.iter());
+                let mut merged: Vec<ProfileEntry> = runs.chain(&self.pending).copied().collect();
+                merged.sort_by_key(|e| e.item);
+                self.profile.entries().eq(&merged)
+            },
+            "the history merged by id differs from the profile"
+        );
     }
 
     /// Releases memory that stopped paying its way at the last cycle
@@ -185,14 +239,9 @@ impl WhatsUpNode {
     ///
     /// Capacity slack: profile entry slots doubled by sorted inserts and
     /// seen-set run slack from merges are trimmed to fit. The profile is
-    /// only trimmed while uniquely owned — the within-cycle phase order
-    /// guarantees that here (gossip discloses *before* news mutates, and
-    /// the first mutation un-shares via `Arc::make_mut`); trimming a
-    /// shared allocation would copy it instead.
+    /// never shared (snapshots hold runs), so trimming never copies.
     pub fn compact(&mut self) {
-        if let Some(p) = SharedProfile::get_mut(&mut self.profile) {
-            p.trim_capacity();
-        }
+        self.profile.trim_capacity();
         self.seen.trim_capacity();
     }
 
@@ -255,13 +304,11 @@ impl WhatsUpNode {
     /// popular items found in the inherited RPS view.
     pub fn cold_start(&mut self, inherited: ColdStart, opinions: &impl Opinions) {
         let popular = most_popular_items(&inherited.rps_view, self.params.cold_start_items);
-        let profile = SharedProfile::make_mut(&mut self.profile);
         for (item, ts) in popular {
             let liked = opinions.likes(self.id, item);
-            profile.rate(item, ts, liked);
+            self.rate(item, ts, liked);
             self.seen.insert(item);
         }
-        self.invalidate_shared();
         self.rps.seed(inherited.rps_view);
         self.wup.seed(inherited.wup_view);
     }
@@ -274,26 +321,36 @@ impl WhatsUpNode {
         }
     }
 
-    /// Memory accounting (diagnostics): own-profile heap bytes (entries
-    /// and planes), seen-set heap bytes, per-node bookkeeping bytes (the
-    /// view vectors), and a visit of every profile snapshot this node pins
-    /// — view descriptors, the disclosed-snapshot memo. Visited `Arc`s may
-    /// repeat; callers dedup by address.
+    /// Memory accounting (diagnostics): own-profile heap bytes (entries,
+    /// layout, the pending run and the history's run pointers), seen-set
+    /// heap bytes, per-node bookkeeping bytes (the view vectors), a visit
+    /// of every profile snapshot this node pins — view descriptors, the
+    /// disclosed-snapshot memo — and one of every run those snapshots and
+    /// the history hold. Visited `Arc`s may repeat; callers dedup by
+    /// address.
     #[doc(hidden)]
-    pub fn debug_heap_stats(&self, visit: &mut dyn FnMut(&SharedProfile)) -> (usize, usize, usize) {
-        for d in self.rps.view().entries() {
-            visit(&d.payload);
+    pub fn debug_heap_stats(
+        &self,
+        visit: &mut dyn FnMut(&SharedProfile),
+        visit_run: &mut dyn FnMut(&Run),
+    ) -> (usize, usize, usize) {
+        let views = [self.rps.view(), self.wup.view()].map(|view| view.entries());
+        for snapshot in views
+            .iter()
+            .flat_map(|v| v.iter().map(|d| &d.payload))
+            .chain(&self.shared_cache)
+        {
+            visit(snapshot);
+            snapshot.runs().iter().for_each(&mut *visit_run);
         }
-        for d in self.wup.view().entries() {
-            visit(&d.payload);
-        }
-        if let Some(c) = &self.shared_cache {
-            visit(c);
-        }
+        self.history.iter().for_each(&mut *visit_run);
         let descriptor = std::mem::size_of::<whatsup_gossip::Descriptor<SharedProfile>>();
         let views =
             (self.rps.view().entries().len() + self.wup.view().entries().len()) * descriptor;
-        (self.profile.heap_bytes(), self.seen.capacity_bytes(), views)
+        let own = self.profile.heap_bytes()
+            + self.pending.capacity() * std::mem::size_of::<ProfileEntry>()
+            + self.history.capacity() * std::mem::size_of::<Run>();
+        (own, self.seen.capacity_bytes(), views)
     }
 
     /// Full behavioral state of this node, for checkpointing. Everything
@@ -302,7 +359,7 @@ impl WhatsUpNode {
     /// profile)` and is rebuilt by [`WhatsUpNode::from_state`].
     pub fn export_state(&self) -> NodeState {
         NodeState {
-            profile: self.profile.entries().to_vec(),
+            profile: self.profile.entries().copied().collect(),
             rps_view: self.rps.view().entries().to_vec(),
             wup_view: self.wup.view().entries().to_vec(),
             seen: self.seen.to_sorted_vec(),
@@ -320,7 +377,11 @@ impl WhatsUpNode {
     /// Panics if `params` violates the Table II invariants.
     pub fn from_state(id: NodeId, params: Params, state: NodeState) -> Self {
         let mut node = Self::new(id, params);
-        node.profile = SharedProfile::new(Profile::from_entries(state.profile));
+        node.profile = Profile::from_entries(state.profile);
+        if node.obfuscation.is_off() {
+            node.pending = node.profile.entries().copied().collect();
+        }
+        node.invalidate_shared();
         node.rps.seed(state.rps_view);
         node.wup.seed(state.wup_view);
         node.seen = SeenSet::from_sorted(state.seen);
@@ -335,11 +396,21 @@ impl WhatsUpNode {
         stats: &mut NodeStats,
         rng: &mut impl Rng,
     ) -> Vec<OutMessage> {
-        // Copy-on-write: touch the profile allocation only when the purge
-        // would actually remove an entry.
+        // The history drops the runs wholly below the cutoff and refilters
+        // the ones it cuts through; nothing is touched when the purge would
+        // remove nothing.
         let cutoff = now.saturating_sub(self.params.profile_window);
         if self.profile.any_older_than(cutoff) {
-            SharedProfile::make_mut(&mut self.profile).purge_older_than(cutoff);
+            self.profile.purge_older_than(cutoff);
+            let kept = |e: &ProfileEntry| e.timestamp >= cutoff;
+            self.pending.retain(kept);
+            self.history.retain_mut(|run| {
+                let survivors = run.iter().filter(|e| kept(e)).count();
+                if 0 < survivors && survivors < run.len() {
+                    *run = run.iter().copied().filter(kept).collect();
+                }
+                survivors > 0
+            });
             self.invalidate_shared();
         }
         let mut out = Vec::with_capacity(2);
@@ -404,13 +475,14 @@ impl WhatsUpNode {
     /// against the *true* profile (split borrow: no clone). With `answer`
     /// (a request) returns the view to send back, as it was before the
     /// merge, with the (possibly obfuscated) shared snapshot — the payload
-    /// that travels; otherwise an empty vector, and no snapshot is taken.
+    /// that travels; otherwise an empty vector. With obfuscation off the
+    /// snapshot holds the true profile's entries, laid out when it was
+    /// taken, and the merge scores against it: one layout per version.
     ///
     /// The profile is prepared once for the ~70 candidates of the merge:
-    /// snapshots with bit planes — any binary one that has been scored
-    /// before, i.e. everything a view has held for a merge — are counted
-    /// against the profile's own planes, and one that has none is walked
-    /// pairwise. The candidates are scored by reference; the merge moves
+    /// snapshots with bit planes — a node's own disclosure from the start,
+    /// a decoded one once it has been scored before — are counted against
+    /// the profile's own planes, and one that has none is walked pairwise. The candidates are scored by reference; the merge moves
     /// the survivors of the old view and of `received` into the new view
     /// and clones only those that join from the RPS view ([`Clustering`]'s
     /// merge).
@@ -420,19 +492,44 @@ impl WhatsUpNode {
         answer: bool,
     ) -> Vec<Descriptor<SharedProfile>> {
         let metric = self.params.metric;
-        let shared = answer.then(|| self.shared_profile());
+        let shared = self.shared_profile();
         let Self {
-            wup, rps, profile, ..
+            wup,
+            rps,
+            profile,
+            obfuscation,
+            ..
         } = self;
-        let scorer = Prepared::new(profile);
+        let own = if obfuscation.is_off() {
+            &shared
+        } else {
+            &*profile
+        };
+        let scorer = Prepared::new(own);
         let sim = |_own: &SharedProfile, cand: &SharedProfile| scorer.score(metric, cand);
         let rps_candidates = rps.view().entries();
-        match shared {
-            Some(shared) => wup.on_request(received, rps_candidates, shared, &sim),
-            None => {
-                wup.on_response(received, rps_candidates, profile, &sim);
-                Vec::new()
-            }
+        if answer {
+            wup.on_request(
+                received,
+                rps_candidates,
+                SharedProfile::clone(&shared),
+                &sim,
+            )
+        } else {
+            wup.on_response(received, rps_candidates, &shared, &sim);
+            Vec::new()
+        }
+    }
+
+    /// `item_profile` with what this node discloses folded in (`None` if
+    /// that is empty): the obfuscated snapshot, or with obfuscation off the
+    /// true profile itself — folded without taking a snapshot, since news
+    /// discloses nothing gossip has not.
+    fn fold_disclosed(&mut self, item_profile: &Profile) -> Option<Profile> {
+        let fold = |user: &Profile| (!user.is_empty()).then(|| item_profile.aggregated_with(user));
+        match self.obfuscation.is_off() {
+            true => fold(&self.profile),
+            false => fold(&self.shared_profile()),
         }
     }
 
@@ -449,10 +546,8 @@ impl WhatsUpNode {
         let header = item.header();
         self.seen.insert(header.id);
         stats.published += 1;
-        SharedProfile::make_mut(&mut self.profile).rate(header.id, header.created_at, true);
-        self.invalidate_shared();
-        let mut item_profile = Profile::new();
-        item_profile.aggregate_user_profile(&self.shared_profile());
+        self.rate(header.id, header.created_at, true);
+        let mut item_profile = self.fold_disclosed(&Profile::new()).unwrap_or_default();
         item_profile.purge_older_than(now.saturating_sub(self.params.profile_window));
         let decision = beep::decide(
             &self.params.beep,
@@ -496,24 +591,12 @@ impl WhatsUpNode {
             // order. What is folded is the *shared* profile: item profiles
             // travel the network, so they disclose whatever gossip does.
             // Copy-on-write: build the merged profile straight from the
-            // shared predecessor, never cloning it first. With obfuscation
-            // off the disclosed profile *is* the true profile — fold it
-            // directly instead of materializing the snapshot.
-            if self.obfuscation.is_off() {
-                if !self.profile.is_empty() {
-                    msg.profile = SharedProfile::new(msg.profile.aggregated_with(&self.profile));
-                }
-            } else {
-                let shared = self.shared_profile();
-                if !shared.is_empty() {
-                    msg.profile = SharedProfile::new(msg.profile.aggregated_with(&shared));
-                }
+            // shared predecessor, never cloning it first.
+            if let Some(folded) = self.fold_disclosed(&msg.profile) {
+                msg.profile = SharedProfile::new(folded);
             }
-            SharedProfile::make_mut(&mut self.profile).rate(id, msg.header.created_at, true);
-        } else {
-            SharedProfile::make_mut(&mut self.profile).rate(id, msg.header.created_at, false);
         }
-        self.invalidate_shared();
+        self.rate(id, msg.header.created_at, liked);
         // Purge non-recent entries from the item profile before forwarding
         // (lines 8–10). Copy the shared profile only when the purge would
         // actually remove something — the read-only scan is cheap and the
@@ -788,13 +871,32 @@ mod tests {
         let mut n = WhatsUpNode::new(0, Params::whatsup(2));
         n.seed_views([(5, Profile::new())], [(6, Profile::new())]);
         // An old rating that must fall out of the 13-cycle window.
-        SharedProfile::make_mut(&mut n.profile).rate(99, 0, true);
+        n.rate(99, 0, true);
         let mut st = NodeStats::default();
         let out = n.on_cycle(50, &mut st, &mut rng());
         assert_eq!(out.len(), 2);
         assert!(matches!(out[0].payload, Payload::RpsRequest(_)));
         assert!(matches!(out[1].payload, Payload::WupRequest(_)));
         assert!(n.profile().is_empty(), "window purge removes stale entries");
+    }
+
+    #[test]
+    fn disclosed_history_stays_bounded_and_equal_to_the_profile() {
+        let mut n = WhatsUpNode::new(0, Params::whatsup(2));
+        let window = n.params.profile_window as usize;
+        // One disclosure per rating: more runs than the window allows.
+        for item in 0..3 * window as u64 {
+            n.rate(item, 5, true);
+            let snapshot = n.shared_profile();
+            assert!(snapshot.runs().len() <= window + 1);
+            assert_eq!(*snapshot, *n.profile());
+        }
+        // Re-rating an entry of a frozen run restarts the history.
+        n.rate(0, 6, false);
+        let snapshot = n.shared_profile();
+        assert_eq!(snapshot.runs().len(), 1);
+        assert_eq!(*snapshot, *n.profile());
+        assert_eq!(snapshot.get(0).map(|e| e.score), Some(0.0));
     }
 
     #[test]
@@ -831,11 +933,8 @@ mod tests {
         // likes disjoint items. After a WUP exchange offering both, node 0's
         // view (size 2 here) must retain candidate 1.
         let mut n = WhatsUpNode::new(0, Params::whatsup(1));
-        {
-            let p = SharedProfile::make_mut(&mut n.profile);
-            p.rate(2, 10, true);
-            p.rate(4, 10, true);
-        }
+        n.rate(2, 10, true);
+        n.rate(4, 10, true);
         n.seed_views([], [(9, Profile::new())]);
         let offered = vec![
             Descriptor::fresh(1, SharedProfile::new(liked_profile(&[2, 4]))),

@@ -80,7 +80,7 @@ impl Obfuscation {
         if self.is_off() {
             return profile.clone();
         }
-        Profile::from_entries(profile.entries().iter().map(|e| ProfileEntry {
+        Profile::from_entries(profile.entries().map(|e| ProfileEntry {
             item: e.item,
             timestamp: e.timestamp,
             score: self.shared_score(node, e.item, e.score),
@@ -130,7 +130,7 @@ mod tests {
         let p = liked(&items);
         let o = Obfuscation::randomized_response(1.0, 42);
         let shared = o.share(5, &p);
-        let flips = shared.entries().iter().filter(|e| e.score < 0.5).count() as f64 / 2000.0;
+        let flips = shared.entries().filter(|e| e.score < 0.5).count() as f64 / 2000.0;
         assert!(
             (flips - o.expected_flip_rate()).abs() < 0.05,
             "flip rate {flips} should be ≈ {}",
@@ -159,7 +159,7 @@ mod tests {
         let o = Obfuscation::randomized_response(1.0, 13);
         let s = o.share(2, &p);
         assert_eq!(s.len(), p.len());
-        for (a, b) in s.entries().iter().zip(p.entries()) {
+        for (a, b) in s.entries().zip(p.entries()) {
             assert_eq!(a.item, b.item);
             assert_eq!(a.timestamp, b.timestamp);
         }
@@ -193,7 +193,7 @@ mod tests {
             let lo = Obfuscation::randomized_response(0.2, secret);
             let hi = Obfuscation::randomized_response(0.9, secret);
             let flips = |o: &Obfuscation| {
-                o.share(1, &p).entries().iter().filter(|e| e.score < 0.5).count()
+                o.share(1, &p).entries().filter(|e| e.score < 0.5).count()
             };
             prop_assert!(flips(&hi) > flips(&lo));
         }

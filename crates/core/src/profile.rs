@@ -14,13 +14,21 @@
 //! by the profile window — tens to hundreds of entries), so sorted vectors
 //! beat hash maps on both memory and the merge-join scans that dominate
 //! similarity computation.
+//!
+//! A profile a node discloses is read-only and held as frozen id-sorted
+//! [`Run`]s with disjoint ids, one per disclosure that found new ratings.
+//! Entries enter a user profile only at the current cycle and leave only
+//! through the window (§II-E), so successive versions share their runs,
+//! and a new one costs only the ratings made since the last. Readers take
+//! the entries in id order from [`Profile::entries`].
 
 use crate::item::{ItemId, Timestamp};
 #[doc(hidden)]
 pub use crate::planes::slot_table_bytes;
 use crate::planes::{Layout, Planes, Weights};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Opinion strength for an item: `1.0` = interesting, `0.0` = not.
 /// User profiles only ever store the two extremes; item profiles hold
@@ -39,8 +47,12 @@ pub struct ProfileEntry {
     pub score: Score,
 }
 
+/// A frozen, id-sorted run of entries, shared by every snapshot holding it.
+pub type Run = Arc<[ProfileEntry]>;
+
 /// A profile: sorted-by-item-id vector of entries, unique per item, scores
-/// finite and in `[0, 1]` (see [`ProfileEntry`]).
+/// finite and in `[0, 1]` (see [`ProfileEntry`]) — or, read-only, the same
+/// entries as runs ([`Self::snapshot`]).
 ///
 /// The Euclidean norm of the score vector is memoized at mutation time:
 /// similarity scoring reads it on every candidate ranking (the hottest loop
@@ -56,7 +68,7 @@ pub struct ProfileEntry {
 /// recompute to catch such a stale cache before it skews similarity, and
 /// [`Self::any_older_than`] does the same for the oldest timestamp.
 pub struct Profile {
-    entries: Vec<ProfileEntry>,
+    entries: Store,
     /// Memoized `‖scores‖₂`; maintained by every mutating method. Never
     /// serialized — it is derived state, and a deserializer must recompute
     /// it from `entries` (as the wire codec does via `from_entries`) rather
@@ -89,7 +101,8 @@ pub struct Profile {
     oldest: Timestamp,
     /// The entries laid out for the counting path of `crate::similarity`:
     /// bit planes if the profile is binary, weights otherwise. Built on
-    /// demand ([`Self::layout`], [`Self::planes_when_rescored`]);
+    /// demand ([`Self::layout`], [`Self::planes_when_rescored`]) — a
+    /// snapshot's when it is taken ([`Self::snapshot`]);
     /// `Some(None)` records that the build declined (see [`Planes::build`],
     /// [`Weights::build`]). Derived state: never serialized, never
     /// compared, not copied by `Clone`, dropped by every mutation — and
@@ -101,11 +114,21 @@ pub struct Profile {
     scored_before: AtomicBool,
 }
 
+/// Where a profile keeps its entries.
+#[derive(Clone)]
+enum Store {
+    /// One vector sorted by id.
+    Flat(Vec<ProfileEntry>),
+    /// A snapshot's runs, pairwise disjoint in ids: read-only, a mutation
+    /// flattens them first.
+    Runs(Box<[Run]>),
+}
+
 /// The empty profile; its oldest timestamp is the one no cutoff is above.
 impl Default for Profile {
     fn default() -> Self {
         Self {
-            entries: Vec::new(),
+            entries: Store::Flat(Vec::new()),
             norm: 0.0,
             fingerprint: 0,
             likes: 0,
@@ -117,17 +140,18 @@ impl Default for Profile {
     }
 }
 
-/// Entries fully determine a profile; the memoized norm is derived state
-/// and deliberately excluded so equality cannot be broken by a stale cache.
+/// Entries fully determine a profile, whichever form holds them; the
+/// memoized norm is derived state and deliberately excluded so equality
+/// cannot be broken by a stale cache.
 impl PartialEq for Profile {
     fn eq(&self, other: &Self) -> bool {
-        self.entries == other.entries
+        self.entries().eq(other.entries())
     }
 }
 
 /// The layout stays behind: a profile is cloned to be mutated (the
-/// copy-on-write `Arc::make_mut` of a node's own profile or of an item
-/// profile to purge), and a mutation drops it anyway.
+/// copy-on-write `Arc::make_mut` of an item profile to purge), and a
+/// mutation drops it anyway. A snapshot's clone shares its runs.
 impl Clone for Profile {
     fn clone(&self) -> Self {
         Self {
@@ -144,12 +168,49 @@ impl Clone for Profile {
 impl std::fmt::Debug for Profile {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Profile")
-            .field("entries", &self.entries)
+            .field("entries", &self.entries().collect::<Vec<_>>())
             .field("norm", &self.norm)
             .field("fingerprint", &self.fingerprint)
             .finish()
     }
 }
+
+/// A profile's entries in ascending item-id order ([`Profile::entries`]):
+/// one slice walked in place, or a snapshot's runs merged by id.
+pub struct Entries<'a> {
+    /// The one slice, when there is one.
+    one: std::slice::Iter<'a, ProfileEntry>,
+    /// What is left of each run, none of them empty, when there are more.
+    runs: Vec<&'a [ProfileEntry]>,
+}
+
+impl<'a> Iterator for Entries<'a> {
+    type Item = &'a ProfileEntry;
+
+    fn next(&mut self) -> Option<&'a ProfileEntry> {
+        if self.runs.is_empty() {
+            return self.one.next();
+        }
+        // At most window + 1 runs: a scan of their heads beats a heap.
+        let (k, _) = (self.runs.iter().enumerate())
+            .filter_map(|(k, run)| Some((k, run.first()?.item)))
+            .min_by_key(|&(_, item)| item)?;
+        let (head, rest) = self.runs[k].split_first()?;
+        if rest.is_empty() {
+            self.runs.swap_remove(k);
+        } else {
+            self.runs[k] = rest;
+        }
+        Some(head)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.one.len() + self.runs.iter().map(|run| run.len()).sum::<usize>();
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for Entries<'_> {}
 
 /// Whether `score` is exactly `0` (`-0.0` included) or `1`. No
 /// short-circuit: the derived-state scan calls this per entry, and a
@@ -165,9 +226,9 @@ fn is_binary(score: Score) -> bool {
 /// canonicalized to `+0.0`: `Sum for f64` folds from `-0.0`, which would
 /// otherwise make recomputed empties bitwise-distinct from the
 /// `Default`-constructed cache.
-fn norm_of(entries: &[ProfileEntry]) -> f64 {
+fn norm_of<'a>(entries: impl IntoIterator<Item = &'a ProfileEntry>) -> f64 {
     let n = entries
-        .iter()
+        .into_iter()
         .map(|e| (e.score as f64) * (e.score as f64))
         .sum::<f64>()
         .sqrt();
@@ -194,23 +255,23 @@ fn fingerprint_bit(item: ItemId) -> u128 {
 
 /// Fingerprint of an entry slice — the single definition shared by the
 /// mutation-time recompute and the [`Profile::fingerprint`] debug assertion.
-fn fingerprint_of(entries: &[ProfileEntry]) -> u128 {
+fn fingerprint_of<'a>(entries: impl IntoIterator<Item = &'a ProfileEntry>) -> u128 {
     entries
-        .iter()
+        .into_iter()
         .fold(0u128, |fp, e| fp | fingerprint_bit(e.item))
 }
 
-/// The oldest timestamp of an entry slice, `Timestamp::MAX` if it is empty
-/// — the rescan [`Profile::upsert`] falls back on.
-fn oldest_of(entries: &[ProfileEntry]) -> Timestamp {
+/// The oldest timestamp of some entries, `Timestamp::MAX` if there are
+/// none — the rescan [`Profile::upsert`] falls back on.
+fn oldest_of<'a>(entries: impl IntoIterator<Item = &'a ProfileEntry>) -> Timestamp {
     entries
-        .iter()
+        .into_iter()
         .fold(Timestamp::MAX, |oldest, e| oldest.min(e.timestamp))
 }
 
 /// A profile shared immutably across views, messages and threads.
 /// Gossip descriptors carry these so exchanges and merges never deep-clone
-/// entry vectors.
+/// entry vectors; a node's own snapshots further share their runs.
 pub type SharedProfile = std::sync::Arc<Profile>;
 
 impl Profile {
@@ -242,17 +303,35 @@ impl Profile {
             return Self::from_entries(entries);
         }
         let mut p = Self {
-            entries,
+            entries: Store::Flat(entries),
             ..Self::default()
         };
         p.recompute_norm();
         p
     }
 
+    /// The read-only snapshot of `live` that a node discloses, held as
+    /// `runs`: id-sorted, pairwise disjoint in ids, together exactly
+    /// `live`'s entries. The derived state is `live`'s, and the layout is
+    /// built now, from `live`'s entries, so scoring never walks the runs.
+    pub(crate) fn snapshot(runs: Box<[Run]>, live: &Profile) -> Self {
+        let snapshot = Self {
+            entries: Store::Runs(runs),
+            layout: OnceLock::from(live.build_layout()),
+            scored_before: AtomicBool::new(false),
+            ..*live
+        };
+        debug_assert!(
+            snapshot.entries().eq(live.entries()),
+            "runs differ from the profile they snapshot"
+        );
+        snapshot
+    }
+
     /// Recomputes the memoized derived state (norm, fingerprint, like and
     /// non-binary counts, oldest timestamp) and drops the layout.
     fn recompute_norm(&mut self) {
-        self.fingerprint = fingerprint_of(&self.entries);
+        self.fingerprint = fingerprint_of(self.parts().flatten());
         self.recompute_scores();
     }
 
@@ -263,7 +342,7 @@ impl Profile {
     fn recompute_scores(&mut self) {
         let mut sum = 0.0f64;
         let (mut likes, mut non_binary, mut oldest) = (0, 0, Timestamp::MAX);
-        for e in &self.entries {
+        for e in self.flat().iter() {
             let s = e.score as f64;
             sum += s * s;
             likes += u32::from(e.score > 0.5);
@@ -278,6 +357,18 @@ impl Profile {
         self.drop_layout();
     }
 
+    /// The entry vector every mutation edits: a snapshot's runs merged
+    /// into one first.
+    fn vec(&mut self) -> &mut Vec<ProfileEntry> {
+        if let Store::Runs(_) = self.entries {
+            self.entries = Store::Flat(self.entries().copied().collect());
+        }
+        match &mut self.entries {
+            Store::Flat(entries) => entries,
+            Store::Runs(_) => unreachable!("flattened above"),
+        }
+    }
+
     /// Every mutation ends here: a layout describes the entries it was
     /// built from.
     fn drop_layout(&mut self) {
@@ -288,31 +379,82 @@ impl Profile {
     /// Insert/replace without touching the derived-state caches; callers
     /// must [`Self::recompute_norm`] before the profile is observable again.
     fn upsert_unnormed(&mut self, e: ProfileEntry) {
-        match self.entries.binary_search_by_key(&e.item, |x| x.item) {
-            Ok(i) => self.entries[i] = e,
-            Err(i) => self.entries.insert(i, e),
+        let entries = self.vec();
+        match entries.binary_search_by_key(&e.item, |x| x.item) {
+            Ok(i) => entries[i] = e,
+            Err(i) => entries.insert(i, e),
         }
     }
 
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.parts().map(<[ProfileEntry]>::len).sum()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// Entries in ascending item-id order.
-    pub fn entries(&self) -> &[ProfileEntry] {
-        &self.entries
+    pub fn entries(&self) -> Entries<'_> {
+        let one = self.as_slice();
+        let runs = one
+            .is_none()
+            .then(|| self.runs().iter().map(|run| &run[..]));
+        Entries {
+            one: one.unwrap_or_default().iter(),
+            runs: runs.into_iter().flatten().collect(),
+        }
+    }
+
+    /// The entries as one id-sorted slice, unless they are held as more
+    /// than one run.
+    pub(crate) fn as_slice(&self) -> Option<&[ProfileEntry]> {
+        match &self.entries {
+            Store::Flat(entries) => Some(entries),
+            Store::Runs(runs) => match &**runs {
+                [] => Some(&[]),
+                [one] => Some(one),
+                _ => None,
+            },
+        }
+    }
+
+    /// The entries as one id-sorted slice, merged from the runs if need be.
+    fn flat(&self) -> Cow<'_, [ProfileEntry]> {
+        self.as_slice()
+            .map_or_else(|| self.entries().copied().collect(), Cow::Borrowed)
+    }
+
+    /// The id-sorted slices holding the entries, in no particular order.
+    fn parts(&self) -> impl Iterator<Item = &[ProfileEntry]> {
+        let flat = match &self.entries {
+            Store::Flat(entries) => &entries[..],
+            Store::Runs(_) => &[],
+        };
+        std::iter::once(flat).chain(self.runs().iter().map(|run| &run[..]))
+    }
+
+    /// A snapshot's runs; none for a flat profile — memory diagnostics
+    /// and tests.
+    #[doc(hidden)]
+    pub fn runs(&self) -> &[Run] {
+        match &self.entries {
+            Store::Flat(_) => &[],
+            Store::Runs(runs) => runs,
+        }
     }
 
     /// Heap bytes this profile owns: the allocated (not occupied) entry
-    /// slots plus the layout, if built — memory diagnostics only.
+    /// slots, the run pointers (not the runs, which snapshots share: see
+    /// [`Self::runs`]) and the layout, if built — memory diagnostics only.
     #[doc(hidden)]
     pub fn heap_bytes(&self) -> usize {
         let layout = self.built_layout().flatten().map_or(0, Layout::heap_bytes);
-        self.entries.capacity() * std::mem::size_of::<ProfileEntry>() + layout
+        let entries = match &self.entries {
+            Store::Flat(entries) => entries.capacity() * std::mem::size_of::<ProfileEntry>(),
+            Store::Runs(runs) => std::mem::size_of_val(&**runs),
+        };
+        entries + layout
     }
 
     /// Heap bytes of the planes, `0` while there are none (not built yet,
@@ -329,15 +471,17 @@ impl Profile {
     /// influences behavior — memory hygiene only (see
     /// `WhatsUpNode::compact`).
     pub fn trim_capacity(&mut self) {
-        self.entries.shrink_to_fit();
+        if let Store::Flat(entries) = &mut self.entries {
+            entries.shrink_to_fit();
+        }
     }
 
     /// Looks up an entry by item id.
     pub fn get(&self, item: ItemId) -> Option<&ProfileEntry> {
-        self.entries
-            .binary_search_by_key(&item, |e| e.item)
-            .ok()
-            .map(|i| &self.entries[i])
+        self.parts().find_map(|part| {
+            let i = part.binary_search_by_key(&item, |e| e.item).ok()?;
+            part.get(i)
+        })
     }
 
     /// Whether the profile contains an opinion on `item`.
@@ -360,19 +504,19 @@ impl Profile {
     /// except when a replace moves the oldest entry forward: that one
     /// rescans.
     pub fn upsert(&mut self, e: ProfileEntry) {
-        match self.entries.binary_search_by_key(&e.item, |x| x.item) {
+        match self.vec().binary_search_by_key(&e.item, |x| x.item) {
             Ok(i) => {
-                let old = std::mem::replace(&mut self.entries[i], e);
+                let old = std::mem::replace(&mut self.vec()[i], e);
                 self.likes -= u32::from(old.score > 0.5);
                 self.non_binary -= u32::from(!is_binary(old.score));
                 self.oldest = if old.timestamp == self.oldest && e.timestamp > old.timestamp {
-                    oldest_of(&self.entries)
+                    oldest_of(self.parts().flatten())
                 } else {
                     self.oldest.min(e.timestamp)
                 };
             }
             Err(i) => {
-                self.entries.insert(i, e);
+                self.vec().insert(i, e);
                 self.fingerprint |= fingerprint_bit(e.item);
                 self.oldest = self.oldest.min(e.timestamp);
             }
@@ -382,7 +526,7 @@ impl Profile {
         self.norm = if self.non_binary == 0 {
             f64::from(self.likes).sqrt()
         } else {
-            norm_of(&self.entries)
+            norm_of(self.entries())
         };
         self.drop_layout();
     }
@@ -406,13 +550,14 @@ impl Profile {
     }
 
     fn add_to_news_profile_unnormed(&mut self, e: ProfileEntry) {
-        match self.entries.binary_search_by_key(&e.item, |x| x.item) {
+        let entries = self.vec();
+        match entries.binary_search_by_key(&e.item, |x| x.item) {
             Ok(i) => {
-                let cur = &mut self.entries[i];
+                let cur = &mut entries[i];
                 cur.score = (cur.score + e.score) / 2.0;
                 cur.timestamp = cur.timestamp.max(e.timestamp);
             }
-            Err(i) => self.entries.insert(i, e),
+            Err(i) => entries.insert(i, e),
         }
     }
 
@@ -436,7 +581,7 @@ impl Profile {
     /// The merged item set is the union of the two, so its fingerprint is
     /// the OR of theirs; only the score-derived state is rescanned.
     pub fn aggregated_with(&self, user: &Profile) -> Profile {
-        let (a, b) = (self.entries(), user.entries());
+        let (a, b) = (self.flat(), user.flat());
         let mut merged = Vec::with_capacity(a.len() + b.len());
         let (mut i, mut j) = (0, 0);
         while i < a.len() && j < b.len() {
@@ -464,7 +609,7 @@ impl Profile {
         merged.extend_from_slice(&a[i..]);
         merged.extend_from_slice(&b[j..]);
         let mut p = Self {
-            entries: merged,
+            entries: Store::Flat(merged),
             fingerprint: self.fingerprint | user.fingerprint,
             ..Self::default()
         };
@@ -477,7 +622,7 @@ impl Profile {
     /// survives.
     pub fn purge_older_than(&mut self, cutoff: Timestamp) {
         if self.any_older_than(cutoff) {
-            self.entries.retain(|e| e.timestamp >= cutoff);
+            self.vec().retain(|e| e.timestamp >= cutoff);
             self.recompute_norm();
         }
     }
@@ -489,7 +634,7 @@ impl Profile {
     pub(crate) fn any_older_than(&self, cutoff: Timestamp) -> bool {
         debug_assert_eq!(
             self.oldest < cutoff,
-            self.entries.iter().any(|e| e.timestamp < cutoff),
+            self.parts().flatten().any(|e| e.timestamp < cutoff),
             "stale oldest timestamp: a construction path skipped recompute_norm"
         );
         self.oldest < cutoff
@@ -498,16 +643,13 @@ impl Profile {
     /// Item ids the profile *likes* (score > 0.5 — exact 1.0 for user
     /// profiles; majority opinion for item profiles).
     pub fn liked_items(&self) -> impl Iterator<Item = ItemId> + '_ {
-        self.entries
-            .iter()
-            .filter(|e| e.score > 0.5)
-            .map(|e| e.item)
+        self.entries().filter(|e| e.score > 0.5).map(|e| e.item)
     }
 
     /// Number of liked items (memoized; O(1)).
     pub fn like_count(&self) -> usize {
         debug_assert!(
-            self.likes as usize == self.liked_items().count(),
+            self.likes as usize == self.parts().flatten().filter(|e| e.score > 0.5).count(),
             "stale like count: a construction path skipped recompute_norm"
         );
         self.likes as usize
@@ -517,11 +659,17 @@ impl Profile {
     /// weights otherwise — and shared by every scorer of this allocation,
     /// on every thread.
     pub(crate) fn layout(&self) -> Option<&Layout> {
-        let build = || match self.is_binary() {
-            true => Planes::build(&self.entries).map(Layout::Planes),
-            false => Weights::build(&self.entries).map(Layout::Weights),
-        };
-        self.layout.get_or_init(build).as_ref()
+        self.layout.get_or_init(|| self.build_layout()).as_ref()
+    }
+
+    /// Planes if the profile is binary, weights otherwise (`None` if the
+    /// build declines).
+    fn build_layout(&self) -> Option<Layout> {
+        let entries = self.flat();
+        match self.is_binary() {
+            true => Planes::build(&entries).map(Layout::Planes),
+            false => Weights::build(&entries).map(Layout::Weights),
+        }
     }
 
     /// The layout if one was asked for: `Some(None)` if its build
@@ -562,8 +710,10 @@ impl Profile {
 
     /// Euclidean norm of the score vector (memoized; O(1)).
     pub fn norm(&self) -> f64 {
+        // A snapshot's norm is its live profile's, checked when it was
+        // taken: only a slice is rescanned.
         debug_assert!(
-            self.norm.to_bits() == norm_of(&self.entries).to_bits(),
+            (self.as_slice()).is_none_or(|e| self.norm.to_bits() == norm_of(e).to_bits()),
             "stale norm cache: a construction path skipped recompute_norm"
         );
         self.norm
@@ -575,7 +725,7 @@ impl Profile {
     /// rated item — the zero-rejection fast path in `crate::similarity`.
     pub fn fingerprint(&self) -> u128 {
         debug_assert!(
-            self.fingerprint == fingerprint_of(&self.entries),
+            self.fingerprint == fingerprint_of(self.parts().flatten()),
             "stale fingerprint cache: a construction path skipped recompute_norm"
         );
         self.fingerprint
@@ -583,13 +733,14 @@ impl Profile {
 
     /// The most recent timestamp in the profile, if any.
     pub fn newest_timestamp(&self) -> Option<Timestamp> {
-        self.entries.iter().map(|e| e.timestamp).max()
+        self.parts().flatten().map(|e| e.timestamp).max()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::similarity::{reference, Metric, Prepared};
     use proptest::prelude::*;
 
     fn e(item: ItemId, t: Timestamp, s: Score) -> ProfileEntry {
@@ -603,7 +754,7 @@ mod tests {
     /// [`Profile::any_older_than`] by its definition, at each cutoff.
     fn older_by_scan(p: &Profile, cutoffs: &[Timestamp]) {
         for &c in cutoffs {
-            let scan = p.entries().iter().any(|x| x.timestamp < c);
+            let scan = p.entries().any(|x| x.timestamp < c);
             assert_eq!(p.any_older_than(c), scan, "cutoff {c}");
         }
         assert_eq!(p.oldest, oldest_of(p.entries()));
@@ -616,7 +767,7 @@ mod tests {
         p.rate(10, 1, false);
         p.rate(20, 2, true);
         p.rate(10, 3, true); // re-rating replaces
-        let ids: Vec<ItemId> = p.entries().iter().map(|x| x.item).collect();
+        let ids: Vec<ItemId> = p.entries().map(|x| x.item).collect();
         assert_eq!(ids, vec![10, 20, 30]);
         assert_eq!(p.get(10).unwrap().score, 1.0);
         assert_eq!(p.get(10).unwrap().timestamp, 3);
@@ -685,7 +836,7 @@ mod tests {
             for (item, t, liked) in ops {
                 p.rate(item, t, liked);
             }
-            let ids: Vec<ItemId> = p.entries().iter().map(|x| x.item).collect();
+            let ids: Vec<ItemId> = p.entries().map(|x| x.item).collect();
             let mut sorted = ids.clone();
             sorted.sort_unstable();
             sorted.dedup();
@@ -723,7 +874,6 @@ mod tests {
             for profile in [&p, &ip] {
                 let expected = profile
                     .entries()
-                    .iter()
                     .map(|x| (x.score as f64) * (x.score as f64))
                     .sum::<f64>()
                     .sqrt();
@@ -757,7 +907,7 @@ mod tests {
                 folded.add_to_news_profile(entry);
             }
             let bits = |p: &Profile| -> Vec<(ItemId, Timestamp, u32)> {
-                p.entries().iter().map(|x| (x.item, x.timestamp, x.score.to_bits())).collect()
+                p.entries().map(|x| (x.item, x.timestamp, x.score.to_bits())).collect()
             };
             prop_assert_eq!(bits(&merged), bits(&folded));
             prop_assert_eq!(merged.norm().to_bits(), folded.norm().to_bits());
@@ -792,12 +942,12 @@ mod tests {
                 older_by_scan(&p, &cutoffs);
                 prop_assert_eq!(p.like_count(), p.liked_items().count());
                 prop_assert_eq!(p.norm().to_bits(), norm_of(p.entries()).to_bits());
-                let rescanned = Profile::from_entries(p.entries().to_vec());
+                let rescanned = Profile::from_entries(p.entries().copied());
                 prop_assert_eq!(
                     (p.likes, p.non_binary, p.fingerprint),
                     (rescanned.likes, rescanned.non_binary, rescanned.fingerprint)
                 );
-                let binary = p.entries().iter().all(|x| is_binary(x.score));
+                let binary = p.entries().all(|x| is_binary(x.score));
                 prop_assert_eq!(p.non_binary == 0, binary);
                 prop_assert!(binary || p.planes().is_none());
             }
@@ -816,9 +966,75 @@ mod tests {
             let before = p.len();
             p.purge_older_than(cutoff);
             prop_assert!(p.len() <= before);
-            prop_assert!(p.entries().iter().all(|x| x.timestamp >= cutoff));
+            prop_assert!(p.entries().all(|x| x.timestamp >= cutoff));
             older_by_scan(&p, &cutoffs);
             prop_assert!(!p.any_older_than(cutoff));
+        }
+
+        /// A snapshot of random runs reads as the flat profile of the same
+        /// entries: order (and so `==`, `Debug` and every ordered reader),
+        /// lookups, derived state by bits, planes, every score against the
+        /// reference, either side of it — and a mutation of a copy.
+        #[test]
+        fn a_snapshot_reads_as_its_flat_profile(
+            raw in prop::collection::vec((0u64..160, 0u32..30, prop::bool::ANY), 0..120),
+            n_runs in 1usize..8,
+            deal in 1u64..1_000,
+            cand in prop::collection::vec((0u64..160, prop::bool::ANY), 0..60),
+            cutoffs in prop::collection::vec(0u32..32, 4..5),
+        ) {
+            let binary = |&(i, t, liked): &(u64, u32, bool)| e(i, t, f32::from(u8::from(liked)));
+            let flat = Profile::from_entries(raw.iter().map(binary));
+            let mut dealt = vec![Vec::new(); n_runs];
+            for x in flat.entries() {
+                dealt[(x.item.wrapping_mul(deal) >> 3) as usize % n_runs].push(*x);
+            }
+            let snapshot = Profile::snapshot(dealt.into_iter().map(Run::from).collect(), &flat);
+            prop_assert!(snapshot.entries().eq(flat.entries()));
+            prop_assert!(snapshot == flat);
+            prop_assert!(flat == snapshot);
+            prop_assert_eq!(format!("{snapshot:?}"), format!("{flat:?}"));
+            prop_assert_eq!(snapshot.entries().len(), flat.len());
+            prop_assert_eq!((snapshot.len(), snapshot.is_empty()), (flat.len(), flat.is_empty()));
+            for item in 0..161 {
+                prop_assert_eq!(snapshot.get(item), flat.get(item));
+            }
+            prop_assert!(snapshot.liked_items().eq(flat.liked_items()));
+            prop_assert_eq!(snapshot.newest_timestamp(), flat.newest_timestamp());
+            prop_assert_eq!(snapshot.norm().to_bits(), flat.norm().to_bits());
+            prop_assert_eq!(snapshot.fingerprint(), flat.fingerprint());
+            prop_assert_eq!(snapshot.like_count(), flat.like_count());
+            prop_assert_eq!(snapshot.oldest, flat.oldest);
+            older_by_scan(&snapshot, &cutoffs);
+
+            let cand = Profile::from_entries(cand.iter().map(|&(i, liked)| binary(&(i, 0, liked))));
+            let overlap = |p: &Profile| p.planes().zip(cand.planes()).map(|(a, b)| a.overlap(b));
+            prop_assert_eq!(overlap(&snapshot), overlap(&flat));
+            for metric in [Metric::Wup, Metric::Cosine, Metric::Jaccard] {
+                let by_reference = |pn: &Profile, pc: &Profile| match metric {
+                    Metric::Wup => reference::wup_similarity(pn, pc),
+                    Metric::Cosine => reference::cosine_similarity(pn, pc),
+                    Metric::Jaccard => reference::jaccard_similarity(pn, pc),
+                };
+                let pairs = [
+                    (&snapshot, &cand, &flat, &cand),
+                    (&cand, &snapshot, &cand, &flat),
+                    (&snapshot, &snapshot, &flat, &flat),
+                ];
+                for (pn, pc, flat_pn, flat_pc) in pairs {
+                    let expected = by_reference(flat_pn, flat_pc);
+                    for _ in 0..2 {
+                        prop_assert_eq!(Prepared::new(pn).score(metric, pc).to_bits(), expected.to_bits());
+                    }
+                    prop_assert_eq!(by_reference(pn, pc).to_bits(), expected.to_bits());
+                }
+            }
+
+            let (mut copy, mut reference_copy) = (snapshot.clone(), flat.clone());
+            copy.rate(7, 31, true);
+            reference_copy.rate(7, 31, true);
+            prop_assert!(copy.runs().is_empty() && copy == reference_copy);
+            prop_assert_eq!(copy.norm().to_bits(), reference_copy.norm().to_bits());
         }
     }
 }

@@ -120,12 +120,14 @@
 //!   the slot table — one pass, which also finds the span the layout
 //!   covers — and fills the words in a second; that pays for a node's own
 //!   profile or a snapshot sitting in a view, not for a descriptor decoded
-//!   from a frame, ranked once and dropped. So the fixed
-//!   side is laid out as soon as one candidate has planes to be scored
-//!   with, and a *candidate* the second time a scorer meets it; its first
-//!   score is walked. (Building eagerly made runs whose shards exchange
-//!   encoded bundles up to 2× slower.) Which of the exact paths a score
-//!   took is history; its bits are not.
+//!   from a frame, ranked once and dropped. So a snapshot a node
+//!   discloses is laid out when it is taken (`Profile::snapshot`: it will
+//!   be its owner's fixed side and others' candidate), any other fixed
+//!   side as soon as one candidate has planes to be scored with, and any
+//!   other *candidate* the second time a scorer meets it; its first score
+//!   is walked. (Building every decoded descriptor eagerly made runs whose
+//!   shards exchange encoded bundles up to 2× slower.) Which of the exact
+//!   paths a score took is history; its bits are not.
 //! * **Only what is scored again registers ids.** Item ids map to bit
 //!   positions through one process-wide, append-only, bounded table, in
 //!   order of first sight (see `crate::planes`; the numbering cannot reach
@@ -158,7 +160,7 @@
 //!   account.
 
 use crate::planes::{Layout, Planes};
-use crate::profile::Profile;
+use crate::profile::{Profile, ProfileEntry};
 
 /// Metric selector: which similarity a node family uses for clustering,
 /// BEEP orientation and CF neighbor ranking.
@@ -204,27 +206,38 @@ struct JoinSums {
     common_likes: usize,
 }
 
+/// The merge-join of two profiles' entries in id order: two slices when
+/// both have one, a snapshot's runs merged on the fly otherwise.
 #[inline]
 fn merge_join(pn: &Profile, pc: &Profile) -> JoinSums {
-    let (a, b) = (pn.entries(), pc.entries());
+    match (pn.as_slice(), pc.as_slice()) {
+        (Some(a), Some(b)) => join(a.iter(), b.iter()),
+        _ => join(pn.entries(), pc.entries()),
+    }
+}
+
+#[inline]
+fn join<'a>(
+    mut a: impl Iterator<Item = &'a ProfileEntry>,
+    mut b: impl Iterator<Item = &'a ProfileEntry>,
+) -> JoinSums {
     let mut sums = JoinSums {
         dot: 0.0,
         sub_norm2: 0.0,
         common_likes: 0,
     };
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        let (ea, eb) = (&a[i], &b[j]);
+    let (mut next_a, mut next_b) = (a.next(), b.next());
+    while let (Some(ea), Some(eb)) = (next_a, next_b) {
         match ea.item.cmp(&eb.item) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Less => next_a = a.next(),
+            std::cmp::Ordering::Greater => next_b = b.next(),
             std::cmp::Ordering::Equal => {
                 let (sa, sb) = (ea.score as f64, eb.score as f64);
                 sums.dot += sa * sb;
                 sums.sub_norm2 += sa * sa;
                 sums.common_likes += usize::from(ea.score > 0.5 && eb.score > 0.5);
-                i += 1;
-                j += 1;
+                next_a = a.next();
+                next_b = b.next();
             }
         }
     }
@@ -811,7 +824,7 @@ mod tests {
             for pc in [&all, &some] {
                 assert_scorer_matches_reference(&scorer, pn, pc);
             }
-            assert_eq!(weighs(pn), *weighed, "{:?}", pn.entries()[0]);
+            assert_eq!(weighs(pn), *weighed, "{:?}", pn.entries().next());
             assert_eq!(declined_to_weigh(pn), !*weighed);
         }
     }
@@ -1136,7 +1149,7 @@ mod tests {
             for (pc, laid_out) in &cands {
                 if *laid_out {
                     prop_assert!(pc.planes().is_some());
-                    met |= pc.entries().iter().any(|e| pn.contains(e.item));
+                    met |= pc.entries().any(|e| pn.contains(e.item));
                 }
             }
             for k in 0..scorers {

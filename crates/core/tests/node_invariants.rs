@@ -104,7 +104,6 @@ proptest! {
                 prop_assert!(node
                     .profile()
                     .entries()
-                    .iter()
                     .all(|e| e.timestamp >= cutoff || e.timestamp == 0 && cutoff == 0));
             }
         }
@@ -359,7 +358,7 @@ proptest! {
                 wup_view.iter().map(|d| (d.node, d.payload.clone())),
             );
             let mut state = seeded.export_state();
-            state.profile = profile_of(&own).entries().to_vec();
+            state.profile = profile_of(&own).entries().copied().collect();
             let mut node = WhatsUpNode::from_state(ME, params.clone(), state.clone());
 
             let mut expected = Clustering::new(ME, ClusteringConfig { view_size: params.wup_view_size });

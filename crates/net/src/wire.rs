@@ -305,7 +305,7 @@ impl Wire for Profile {
 
     fn put(&self, buf: &mut BytesMut) {
         wire_count_u16(self.len(), "profile entry count").put(buf);
-        self.entries().iter().for_each(|e| e.put(buf));
+        self.entries().for_each(|e| e.put(buf));
     }
 
     fn take(buf: &mut &[u8]) -> Result<Self, DecodeError> {

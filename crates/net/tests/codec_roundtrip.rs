@@ -519,3 +519,51 @@ fn frames_match_their_recorded_bytes() {
         format!("{views}0100adde0000000000000000")
     );
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The snapshot a node discloses — its rating history's runs, after
+    /// random batches of first receptions, one disclosure a cycle and the
+    /// window purge — encodes to the bytes of the flat profile of the same
+    /// entries, and decodes to an equal profile.
+    #[test]
+    fn a_disclosed_snapshot_encodes_as_its_flat_profile(
+        batches in prop::collection::vec(
+            prop::collection::vec((0u64..400, 0u32..40), 0..12),
+            1..30,
+        ),
+    ) {
+        use rand::SeedableRng;
+        use whatsup_core::{NodeStats, Params, WhatsUpNode};
+        use whatsup_net::wire;
+
+        let mut node = WhatsUpNode::new(0, Params::whatsup(2));
+        node.seed_views([], [(1, Profile::new())]);
+        let likes = |_: NodeId, item: u64| !item.is_multiple_of(3);
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
+        let mut stats = NodeStats::default();
+        for (cycle, batch) in (0u32..).zip(&batches) {
+            for &(title, created_at) in batch {
+                let item = news_item(title, 0, 9, created_at.min(cycle));
+                let news = NewsMessage {
+                    header: item.header(),
+                    profile: SharedProfile::default(),
+                    dislikes: 0,
+                    hops: 0,
+                };
+                node.on_message(2, Payload::News(news), cycle, &likes, &mut stats, &mut rng);
+            }
+            let out = node.on_cycle(cycle + 1, &mut stats, &mut rng);
+            let own = out.iter().find_map(|m| match &m.payload {
+                Payload::WupRequest(descriptors) => descriptors.last(),
+                _ => None,
+            });
+            let snapshot = &own.expect("a WUP request with the own descriptor").payload;
+            let flat = Profile::from_entries(node.profile().entries().copied());
+            let bytes = wire::encode(&**snapshot);
+            prop_assert_eq!(&bytes, &wire::encode(&flat));
+            prop_assert_eq!(&wire::decode::<Profile>(&bytes).unwrap(), &flat);
+        }
+    }
+}

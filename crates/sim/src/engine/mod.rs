@@ -273,8 +273,9 @@
 //!   hold only the scores 0 and 1, so a WUP merge scores each candidate
 //!   by intersecting bit planes (`whatsup_core::similarity`, "Counting
 //!   path for binary profiles"). The planes are derived state of the
-//!   profile allocation, built once — for a snapshot, the second time a
-//!   merge ranks it — and shared by every view slot that pins it; the
+//!   profile allocation, built once — for a node's own snapshot when it
+//!   is taken, for a decoded one the second time a merge ranks it — and
+//!   shared by every view slot that pins it; the
 //!   counts are exact, so the ranking — and every downstream bit — is
 //!   what the entry-walking reference produces.
 //! * **Clone-free view merges** — a WUP or RPS merge takes the old view
@@ -339,7 +340,7 @@
 //! | standing state                | 100 k example | grows with                  |
 //! |-------------------------------|--------------:|-----------------------------|
 //! | own profiles                  |      ~210 MiB | rated items per node        |
-//! | pinned view snapshots         |      ~260 MiB | view size × profile size    |
+//! | pinned view snapshots (†)     |      ~260 MiB | view size × runs, ratings   |
 //! | seen sets                     |       ~95 MiB | receptions per node (8 B/id)|
 //! | view descriptors              |       ~60 MiB | view size                   |
 //! | item records (driver)         |      ~120 MiB | receptions per item         |
@@ -355,14 +356,22 @@
 //!   capacity slack from amortized growth is trimmed to fit (capacities
 //!   never influence behavior, so this is invisible to reports).
 //! * **Snapshot sharing** — a disclosed profile is one `Arc` allocation
-//!   shared by every view slot and in-flight message that references it;
+//!   shared by every view slot and in-flight message that references it,
+//!   and the versions of one node's profile share their entries: a
+//!   snapshot holds the frozen id-sorted runs of its owner's ratings, one
+//!   per disclosure, so a new version costs the ratings made since the
+//!   last, not a copy of the window (`whatsup_core::profile`, "runs"). The
+//!   live profile is never handed out, so rating never copies it.
 //!   "pinned view snapshots" counts each allocation once, bit planes
-//!   included (a few words beside a KiB-sized entry vector; the item →
-//!   slot table they are numbered by is the breakdown's "slot table"
-//!   row, one per process). Cross-shard the decode cache restores the
-//!   sharing on the receiving side. An item profile's weights — a
-//!   non-zero mask and 64 × `u32` per spanned 64-slot word — are shared
-//!   the same way, alive while any copy holds the item profile.
+//!   included (a few words per snapshot; the item → slot table they are
+//!   numbered by is the breakdown's "slot table" row, one per process),
+//!   and each run once, whichever snapshots and node histories hold it.
+//!   (†) The ~260 MiB was measured when each version was a whole copy;
+//!   on perfbench's `stress-1shard` sharing runs cut the row from 5.4 to
+//!   2.1 MiB. A snapshot decoded from another shard's bundle is flat and
+//!   shares nothing. An item profile's weights — a non-zero mask and
+//!   64 × `u32` per spanned 64-slot word — are shared like a snapshot's
+//!   planes, alive while any copy holds the item profile.
 //! * **Sparse oracle** — [`crate::Oracle`] holds likes as CSR or dense
 //!   bit-plane, chosen by measured byte cost
 //!   (`whatsup_datasets::LikeStore`), and is **process-`Arc`-shared**:

@@ -20,8 +20,10 @@ use crate::oracle::Oracle;
 use crate::scenario::{ChurnModel, LossModel};
 use bytes::{Bytes, BytesMut};
 use rand_chacha::ChaCha8Rng;
+use std::collections::BTreeSet;
 // lint:allow(det-map) import for the probe-only item store annotated below
 use std::collections::HashMap;
+use std::sync::Arc;
 use whatsup_core::{
     ColdStart, ItemId, NewsItem, NodeId, NodeState, NodeStats, Opinions, OutMessage, Params,
     Payload, Profile, SharedProfile, WhatsUpNode,
@@ -305,36 +307,38 @@ impl ShardState {
     /// Heap accounting by component (diagnostics; backs the byte-budget
     /// table in the engine module docs). Returns `(component, bytes)`
     /// rows. Snapshot bytes count each distinct pinned profile `Arc` once,
-    /// excluding the nodes' own live profiles.
+    /// and each distinct run the snapshots and the nodes' histories share
+    /// once.
     #[doc(hidden)]
     pub fn memory_breakdown(&self) -> Vec<(&'static str, usize)> {
         let mut profiles = 0usize;
         let mut seen = 0usize;
         let mut caches = 0usize;
-        let mut pinned = std::collections::BTreeSet::new();
-        let mut own: Vec<usize> = self
-            .nodes
-            .iter()
-            .map(|n| n.profile().entries().as_ptr() as usize)
-            .collect();
-        own.sort_unstable();
-        let mut snapshot_bytes = 0usize;
+        let (mut snapshots, mut runs) = (BTreeSet::new(), BTreeSet::new());
+        let (mut snapshot_bytes, mut run_bytes) = (0usize, 0usize);
         for node in &self.nodes {
-            let (p, s, c) = node.debug_heap_stats(&mut |shared| {
-                let key = shared.entries().as_ptr() as usize;
-                if own.binary_search(&key).is_err() && pinned.insert(key) {
+            let (p, s, c) = node.debug_heap_stats(
+                &mut |shared| {
                     // The Arc block (counts + Profile struct) plus what the
-                    // profile owns: the entries buffer (capacity) and, once
-                    // a merge has scored it, its bit planes.
-                    snapshot_bytes += shared.heap_bytes()
-                        + std::mem::size_of::<whatsup_core::profile::Profile>()
-                        + 16;
-                }
-            });
+                    // profile owns: a flat entries buffer (capacity) or the
+                    // run pointers, and, once built, its layout.
+                    if snapshots.insert(Arc::as_ptr(shared) as usize) {
+                        snapshot_bytes += shared.heap_bytes()
+                            + std::mem::size_of::<whatsup_core::profile::Profile>()
+                            + 16;
+                    }
+                },
+                &mut |run| {
+                    if runs.insert(run.as_ptr() as usize) {
+                        run_bytes += std::mem::size_of_val(&**run) + 16;
+                    }
+                },
+            );
             profiles += p;
             seen += s;
             caches += c;
         }
+        let snapshot_bytes = snapshot_bytes + run_bytes;
         vec![
             ("own profiles", profiles),
             ("pinned snapshots", snapshot_bytes),
@@ -360,17 +364,20 @@ impl ShardState {
     /// cloned from `reference`. Every shard updates its partition and
     /// oracle copies; the owning (last) shard additionally receives the
     /// rejoin view `snapshot` and builds the node from it (§II-D cold
-    /// start).
+    /// start). A snapshot that does not decode or is sent to another shard
+    /// than the last, and a `reference` outside the population, are errors
+    /// that change no state.
     pub fn admit(&mut self, reference: NodeId, snapshot: Option<&[u8]>) -> Result<(), DecodeError> {
         let snapshot: Option<ColdStart> = snapshot.map(decode).transpose()?;
+        let last = self.index + 1 == self.partition.n_shards();
+        ensure(
+            snapshot.is_none() || last,
+            "joiners belong to the last shard",
+        )?;
+        self.check_population(&[reference], "admission reference")?;
         self.oracle.add_clone_of(reference);
         let id = self.partition.push_node();
         if let Some(snapshot) = snapshot {
-            assert_eq!(
-                self.index + 1,
-                self.partition.n_shards(),
-                "joiners belong to the last shard"
-            );
             let mut node = WhatsUpNode::new(id, self.params.clone());
             node.cold_start(snapshot, &self.oracle);
             self.nodes.push(node);
@@ -383,21 +390,30 @@ impl ShardState {
         Ok(())
     }
 
+    /// Refuses, as `what`, any id of `ids` that names no node of the
+    /// population (on any shard).
+    fn check_population(&self, ids: &[NodeId], what: &'static str) -> Result<(), DecodeError> {
+        let n = self.oracle.n_nodes();
+        ensure(ids.iter().all(|&id| (id as usize) < n), what)
+    }
+
     /// Executes one phase command. The single entry point shared by the
     /// inline driver, the channel workers and the worker processes.
     ///
     /// # Panics
     /// Panics if a snapshot, checkpoint or bundle inside `cmd` does not
-    /// decode, or if `cmd` names a node this shard does not own; the
-    /// worker loop uses the fallible [`Self::try_handle`].
+    /// decode, or if `cmd` does not fit the shard (see
+    /// [`Self::try_handle`], which the worker loop uses).
     pub fn handle(&mut self, cmd: Command) -> Reply {
         self.try_handle(cmd)
             .expect("malformed frame inside a command")
     }
 
     /// [`Self::handle`], with a frame nested in `cmd` that does not decode,
-    /// or a node id the shard does not own (`TakeSnapshots`, `ApplyChurn`,
-    /// `Publish`), returned as an error. Snapshots, checkpoints and ids are
+    /// a node id the shard does not own (`TakeSnapshots`, `ApplyChurn`,
+    /// `Publish`), an id outside the population (`Admit`'s reference,
+    /// `SwapInterests`) or a joiner's snapshot sent to another shard than
+    /// the last, returned as an error. Snapshots, checkpoints and ids are
     /// refused before they change any state; a bundle that breaks off
     /// midway leaves the mail before the bad entry queued, so the shard
     /// must not be driven further (the worker loop exits).
@@ -428,6 +444,7 @@ impl ShardState {
                 Reply::Ack
             }
             Command::SwapInterests { a, b } => {
+                self.check_population(&[a, b], "interest swap")?;
                 self.oracle.swap_interests(a, b);
                 Reply::Ack
             }
@@ -516,7 +533,7 @@ impl ShardState {
             .zip(cp.nodes)
             .map(|(id, record)| {
                 let state = NodeState {
-                    profile: record.profile.entries().to_vec(),
+                    profile: record.profile.entries().copied().collect(),
                     rps_view: record.views.rps_view,
                     wup_view: record.views.wup_view,
                     seen: record.seen,

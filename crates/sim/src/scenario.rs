@@ -697,19 +697,33 @@ impl Scenario {
     /// engines, which walk a server-side model once per item. What each
     /// honours: **cascade** — the workload schedule and constant message
     /// loss; **pub/sub** and **C-WhatsUp** — the workload schedule only
-    /// (their server is reliable by assumption). Timeline events, bursty
-    /// loss, partitions, crash waves, mass joins and measurement windows
-    /// have no counterpart there and are rejected rather than silently
-    /// ignored. Uniform churn passes and is not consulted, as is constant
-    /// loss on the two centralized engines.
+    /// (their server is reliable by assumption). Everything else has no
+    /// counterpart there and is rejected rather than silently ignored:
+    /// timeline events, bursty loss, partitions, crash waves, mass joins,
+    /// measurement windows, uniform churn (their nodes never fail), and a
+    /// non-zero constant loss on the two centralized engines.
     pub fn validate_for_global(&self, protocol: &Protocol) -> Result<(), String> {
         if !protocol.is_global() {
             return Ok(());
         }
         let engine = format!("global {} engine", protocol.label());
         self.validate_unscripted(&engine)?;
-        if !matches!(self.environment.loss, LossModel::Constant { .. }) {
-            return Err(format!("only constant loss is expressible on the {engine}"));
+        let reads_loss = matches!(protocol, Protocol::Cascade);
+        match self.environment.loss {
+            LossModel::Constant { p } if p > 0.0 && !reads_loss => {
+                return Err(format!(
+                    "the {engine} never loses a message: loss.p must be 0"
+                ));
+            }
+            LossModel::Constant { .. } => {}
+            _ => return Err(format!("only constant loss is expressible on the {engine}")),
+        }
+        if let ChurnModel::Uniform { per_cycle } = self.environment.churn {
+            if per_cycle > 0.0 {
+                return Err(format!(
+                    "the {engine} has no failing nodes: churn.per_cycle must be 0"
+                ));
+            }
         }
         if let ChurnModel::CrashWave { .. } = self.environment.churn {
             return Err(format!("crash waves cannot fire on the {engine}"));
@@ -1121,13 +1135,35 @@ mod tests {
             churn: ChurnModel::None,
         });
         assert!(bursty.validate_for_global(&global).is_err());
-        // Constant loss and uniform churn stay expressible (the engines
-        // document which of them they consult).
-        let uniform = Scenario::default().with_environment(Environment {
-            loss: LossModel::Constant { p: 0.2 },
-            churn: ChurnModel::Uniform { per_cycle: 0.05 },
-        });
-        assert!(uniform.validate_for_global(&global).is_ok());
+        // A knob an engine never reads is refused, naming the engine and
+        // the field: constant loss on the two centralized engines, and
+        // uniform churn on all three. At zero either passes, and cascade
+        // reads its loss.
+        let env = |p, per_cycle| {
+            Scenario::default().with_environment(Environment {
+                loss: LossModel::Constant { p },
+                churn: ChurnModel::Uniform { per_cycle },
+            })
+        };
+        let cascade = Protocol::Cascade;
+        let c_whatsup = Protocol::CWhatsUp { f_like: 3 };
+        for protocol in [global, c_whatsup] {
+            let err = env(0.2, 0.0).validate_for_global(&protocol).unwrap_err();
+            let engine = protocol.label();
+            assert!(err.contains(&engine) && err.contains("loss.p"), "{err}");
+            assert_eq!(err.lines().count(), 1, "{err}");
+        }
+        assert!(env(0.2, 0.0).validate_for_global(&cascade).is_ok());
+        for protocol in [global, c_whatsup, cascade] {
+            let err = env(0.0, 0.05).validate_for_global(&protocol).unwrap_err();
+            let engine = protocol.label();
+            assert!(
+                err.contains(&engine) && err.contains("churn.per_cycle"),
+                "{err}"
+            );
+            assert_eq!(err.lines().count(), 1, "{err}");
+            assert!(env(0.0, 0.0).validate_for_global(&protocol).is_ok());
+        }
     }
 
     #[test]

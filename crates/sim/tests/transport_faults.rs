@@ -690,8 +690,10 @@ fn deliver_gossip(bundle: &[u8]) -> Vec<u8> {
 /// what they exercise. The first six once crashed the worker (unknown
 /// opcode, truncation, counts no frame can hold, a garbage init); the next
 /// four carry well-formed commands whose nested frames do not decode, two
-/// of them mailbox bundles from shard 1; the last three decode entirely
-/// but name a node shard 0 does not own.
+/// of them mailbox bundles from shard 1; the next three decode entirely
+/// but name a node shard 0 does not own; the last three decode but do not
+/// fit shard 0 of two in a four-node run (a joiner's snapshot belongs to
+/// the last shard; ids beyond the population).
 fn hostile_streams() -> Vec<(&'static str, Vec<Vec<u8>>)> {
     let handshake = real_handshake();
     let stream = |cmd: Vec<u8>| vec![handshake.clone(), cmd];
@@ -757,6 +759,24 @@ fn hostile_streams() -> Vec<(&'static str, Vec<Vec<u8>>)> {
         (
             "Publish from a foreign node",
             stream(encode(&Command::Publish { cycle: 0, item })),
+        ),
+        (
+            "Admit with a snapshot to a shard other than the last",
+            stream(encode(&Command::Admit {
+                reference: 0,
+                snapshot: Some(Bytes::from(encode(&ColdStart::default()))),
+            })),
+        ),
+        (
+            "Admit cloning a node outside the population",
+            stream(encode(&Command::Admit {
+                reference: foreign,
+                snapshot: None,
+            })),
+        ),
+        (
+            "SwapInterests outside the population",
+            stream(encode(&Command::SwapInterests { a: 1, b: foreign })),
         ),
     ]
 }

@@ -8,7 +8,9 @@ Both files hold the rows scale_engine saves: objects with named columns
 peak_rss_mb}. Rows are keyed by (nodes, shards, workload).
 
 For every fresh row with a committed counterpart the script prints the
-wall-clock (secs) delta — informational. It FAILS (exit 1) when:
+wall-clock (secs) delta, and the row's `secs` and `peak_rss_mb` as a
+ratio to the fresh 1-shard row of the same size and workload (the
+sharding penalty) — both informational. It FAILS (exit 1) when:
 
 * the `messages` column diverges: the message count is a pure function of
   the simulation (same seed, same protocol), so a mismatch is a
@@ -42,6 +44,11 @@ def load_rows(path):
     return keyed
 
 
+def ratio(value, one_shard):
+    """`value` over the 1-shard row's, as `1.23x` (`-` if that is 0)."""
+    return f"{value / one_shard:.2f}x" if one_shard else "-"
+
+
 def main():
     if len(sys.argv) != 3:
         sys.exit(__doc__)
@@ -49,7 +56,8 @@ def main():
     fresh = load_rows(sys.argv[2])
     failures = []
     print(f"{'nodes':>8} {'shards':>6} {'wload':>8} "
-          f"{'base secs':>10} {'new secs':>9} {'delta':>8} {'rss delta':>9}  messages")
+          f"{'base secs':>10} {'new secs':>9} {'delta':>8} {'rss delta':>9} "
+          f"{'secs/1sh':>8} {'rss/1sh':>7}  messages")
     for key in sorted(fresh):
         nodes, shards, wload = key
         new = fresh[key]
@@ -58,6 +66,9 @@ def main():
             failures.append(f"row {key} missing from the committed baseline")
             continue
         delta = (new["secs"] - base["secs"]) / base["secs"] * 100.0 if base["secs"] else 0.0
+        one = fresh.get((nodes, 1, wload))
+        secs_x = ratio(new["secs"], one["secs"]) if one else "-"
+        rss_x = ratio(new["rss"], one["rss"]) if one else "-"
         rss_delta = (new["rss"] - base["rss"]) / base["rss"] if base["rss"] else 0.0
         verdict = "ok"
         if new["messages"] != base["messages"]:
@@ -76,7 +87,7 @@ def main():
             )
         print(f"{nodes:>8} {shards:>6} {wload:>8} "
               f"{base['secs']:>10.3f} {new['secs']:>9.3f} {delta:>+7.1f}% "
-              f"{rss_delta * 100.0:>+8.1f}%  {verdict}")
+              f"{rss_delta * 100.0:>+8.1f}% {secs_x:>8} {rss_x:>7}  {verdict}")
     if failures:
         print("\n" + "\n".join(failures), file=sys.stderr)
         sys.exit(1)

@@ -241,7 +241,7 @@ fn hostile_item_ids_in_gossip_merge_like_the_pairwise_ranking() {
         ME,
         params.clone(),
         NodeState {
-            profile: own.entries().to_vec(),
+            profile: own.entries().copied().collect(),
             rps_view: Vec::new(),
             wup_view: Vec::new(),
             seen: Vec::new(),
