@@ -6,11 +6,17 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
+use std::sync::Arc;
 use whatsup_core::beep::select_most_similar_k;
 use whatsup_core::prelude::*;
 use whatsup_core::similarity::{jaccard_similarity, Prepared};
 use whatsup_datasets::{survey, SurveyConfig};
 use whatsup_sim::{Protocol, Runner, SimConfig};
+
+/// The item index of the node benches: the ids `profile_with` rates.
+fn dense_index() -> Arc<ItemIndexMap> {
+    Arc::new((0..512).zip(0..).collect())
+}
 
 fn profile_with(n: usize, offset: u64) -> Profile {
     Profile::from_entries((0..n as u64).map(|i| ProfileEntry {
@@ -38,11 +44,19 @@ fn bench_similarity(c: &mut Criterion) {
     group.finish();
 }
 
+fn hash(words: [u64; 3]) -> u64 {
+    fnv1a64(&words.map(u64::to_le_bytes).concat())
+}
+
+/// The item index of a universe of `universe` content-hashed ids.
+fn universe_index(universe: u64) -> ItemIndexMap {
+    (0..universe).map(|i| hash([i, 0, 0])).zip(0..).collect()
+}
+
 /// A profile over a universe of `universe` content-hashed ids: it rates a
 /// `seed`-drawn `keep_of_twenty`/20 of them, with scores in quarters if
 /// `real`, else 0 or 1.
 fn rated(universe: u64, seed: u64, keep_of_twenty: u64, real: bool) -> Profile {
-    let hash = |words: [u64; 3]| fnv1a64(&words.map(u64::to_le_bytes).concat());
     let draw = |item: u64, salt: u64| hash([item, seed, salt]) >> 20;
     Profile::from_entries(
         (0..universe)
@@ -87,7 +101,8 @@ fn bench_one_vs_many(c: &mut Criterion) {
         // that already exist; `_cold` clones all 71 profiles first — a
         // clone leaves the planes behind — and merges twice: the first
         // pass walks every candidate, the second builds all 71 pairs of
-        // planes, slot-table lookups included, and counts.
+        // planes, index lookups included, and counts.
+        let index = universe_index(universe);
         let own = rated(universe, 0, if universe > 100 { 13 } else { 16 }, false);
         let merges: Vec<Vec<Profile>> = (0..16)
             .map(|v| {
@@ -97,7 +112,7 @@ fn bench_one_vs_many(c: &mut Criterion) {
             })
             .collect();
         let score_all = |own: &Profile, candidates: &[Profile]| {
-            let scorer = Prepared::new(black_box(own));
+            let scorer = Prepared::new(black_box(own), &index);
             candidates
                 .iter()
                 .map(|pc| scorer.score(Metric::Wup, pc))
@@ -140,7 +155,7 @@ fn bench_one_vs_many(c: &mut Criterion) {
             })
         });
         let orient = |item_profile: &Profile, view: &[Profile]| {
-            let scorer = Prepared::new(black_box(item_profile));
+            let scorer = Prepared::new(black_box(item_profile), &index);
             view.iter()
                 .map(|pc| scorer.score(Metric::Wup, pc))
                 .sum::<f64>()
@@ -183,6 +198,7 @@ fn bench_one_vs_many(c: &mut Criterion) {
 fn bench_beep(c: &mut Criterion) {
     let mut group = c.benchmark_group("beep");
     for (regime, universe) in [("deep", 200u64), ("shallow", 41)] {
+        let index = universe_index(universe);
         let item_profile = rated(universe, 0, 16, true);
         let views: Vec<View<SharedProfile>> = (0..64u64)
             .map(|v| {
@@ -195,7 +211,7 @@ fn bench_beep(c: &mut Criterion) {
             })
             .collect();
         let orient = |fresh: &Profile, at: usize| {
-            select_most_similar_k(fresh, &views[at], Metric::Wup, 1, at as u64)
+            select_most_similar_k(fresh, &index, &views[at], Metric::Wup, 1, at as u64)
         };
         for at in (0..views.len()).chain(0..views.len()) {
             orient(&item_profile.clone(), at);
@@ -255,8 +271,9 @@ fn bench_profile_ops(c: &mut Criterion) {
 
 fn bench_node_paths(c: &mut Criterion) {
     let mut group = c.benchmark_group("node");
+    let items = dense_index();
     let make_node = || {
-        let mut node = WhatsUpNode::new(0, Params::whatsup(10));
+        let mut node = WhatsUpNode::new(0, Params::whatsup(10), Arc::clone(&items));
         node.seed_views(
             (1..=30).map(|i| (i, profile_with(64, i as u64 * 5))),
             (1..=20).map(|i| (i, profile_with(64, i as u64 * 5))),
@@ -311,6 +328,7 @@ fn bench_node_paths(c: &mut Criterion) {
 /// view's snapshots are — and the ranking decides which 20 survive.
 fn bench_view_merge(c: &mut Criterion) {
     let mut group = c.benchmark_group("view");
+    let items = dense_index();
     let mut merge_row = |name: &str, own: Profile, payload: &dyn Fn(NodeId) -> SharedProfile| {
         let descriptors =
             |nodes: std::ops::RangeInclusive<NodeId>| -> Vec<Descriptor<SharedProfile>> {
@@ -322,7 +340,7 @@ fn bench_view_merge(c: &mut Criterion) {
             wup_view: descriptors(21..=40),
             seen: Vec::new(),
         };
-        let node = WhatsUpNode::from_state(0, Params::whatsup(10), state);
+        let node = WhatsUpNode::from_state(0, Params::whatsup(10), Arc::clone(&items), state);
         let received = descriptors(35..=55);
         group.bench_function(name, |bench| {
             bench.iter_batched(

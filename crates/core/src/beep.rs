@@ -15,6 +15,7 @@
 //! list out, so the paper's CF and gossip baselines are alternative
 //! [`BeepConfig`]s rather than separate protocol stacks.
 
+use crate::item::ItemIndexMap;
 use crate::profile::{Profile, SharedProfile};
 use crate::similarity::{Metric, Prepared};
 use rand::Rng;
@@ -72,6 +73,8 @@ pub struct ForwardDecision {
 /// * `liked` — the receiving user's opinion (`iLike`).
 /// * `dislikes` — the counter `dI` carried by the received copy.
 /// * `item_profile` — the copy's aggregated profile (used by orientation).
+/// * `items` — the run's item index (numbers the layouts orientation
+///   scores with).
 /// * `wup_view`, `rps_view` — the node's current views.
 #[allow(clippy::too_many_arguments)] // Algorithm 2 takes the full context
 pub fn decide(
@@ -79,6 +82,7 @@ pub fn decide(
     liked: bool,
     dislikes: u8,
     item_profile: &Profile,
+    items: &ItemIndexMap,
     wup_view: &View<SharedProfile>,
     rps_view: &View<SharedProfile>,
     metric: Metric,
@@ -116,7 +120,7 @@ pub fn decide(
                 // The salt decorrelates tie-breaking: with an immature item
                 // profile every candidate scores 0, and a fixed tie order
                 // would funnel all disliked traffic to the same nodes.
-                select_most_similar_k(item_profile, rps_view, metric, fanout, rng.gen())
+                select_most_similar_k(item_profile, items, rps_view, metric, fanout, rng.gen())
             } else {
                 rps_view.sample_ids(fanout, rng)
             };
@@ -133,10 +137,11 @@ pub fn decide(
 /// `salt`; an empty view yields `None`.
 pub fn select_most_similar(
     item_profile: &Profile,
+    items: &ItemIndexMap,
     rps_view: &View<SharedProfile>,
     metric: Metric,
 ) -> Option<NodeId> {
-    select_most_similar_k(item_profile, rps_view, metric, 1, 0)
+    select_most_similar_k(item_profile, items, rps_view, metric, 1, 0)
         .into_iter()
         .next()
 }
@@ -147,6 +152,7 @@ pub fn select_most_similar(
 /// candidates do not collapse onto a global order.
 pub fn select_most_similar_k(
     item_profile: &Profile,
+    items: &ItemIndexMap,
     rps_view: &View<SharedProfile>,
     metric: Metric,
     k: usize,
@@ -160,7 +166,7 @@ pub fn select_most_similar_k(
     // prepared once and the candidates stream past it. The tie mix is
     // precomputed per candidate; a sort comparator would otherwise
     // re-derive it O(n log n) times.
-    let scorer = Prepared::new(item_profile);
+    let scorer = Prepared::new(item_profile, items);
     let scored = rps_view.entries().iter().map(|d| {
         (
             scorer.score(metric, &d.payload),
@@ -217,6 +223,11 @@ mod tests {
         ChaCha8Rng::seed_from_u64(5)
     }
 
+    /// The run's item index of these tests: ids 0..64.
+    fn items() -> ItemIndexMap {
+        (0..64).zip(0..).collect()
+    }
+
     fn profile(likes: &[u64]) -> Profile {
         Profile::from_entries(likes.iter().map(|&i| ProfileEntry {
             item: i,
@@ -248,6 +259,7 @@ mod tests {
 
     #[test]
     fn liked_item_amplifies_from_wup() {
+        let items = items();
         let wup = view(&[(1, &[]), (2, &[]), (3, &[])]);
         let rps = view(&[(9, &[])]);
         let d = decide(
@@ -255,6 +267,7 @@ mod tests {
             true,
             0,
             &Profile::new(),
+            &items,
             &wup,
             &rps,
             Metric::Wup,
@@ -267,6 +280,7 @@ mod tests {
 
     #[test]
     fn disliked_item_is_oriented_and_counted() {
+        let items = items();
         // Item profile likes {1,2}; node 8's profile matches, node 9's not.
         let wup = view(&[(1, &[])]);
         let rps = view(&[(8, &[1, 2]), (9, &[50])]);
@@ -276,6 +290,7 @@ mod tests {
             false,
             1,
             &item_profile,
+            &items,
             &wup,
             &rps,
             Metric::Wup,
@@ -287,12 +302,14 @@ mod tests {
 
     #[test]
     fn ttl_exhaustion_drops() {
+        let items = items();
         let rps = view(&[(8, &[1])]);
         let d = decide(
             &whatsup_cfg(),
             false,
             4,
             &profile(&[1]),
+            &items,
             &view(&[]),
             &rps,
             Metric::Wup,
@@ -304,6 +321,7 @@ mod tests {
 
     #[test]
     fn cf_forwards_entire_view_and_drops_dislikes() {
+        let items = items();
         let cfg = BeepConfig {
             f_like: 3,
             like_pool: TargetPool::Wup,
@@ -317,6 +335,7 @@ mod tests {
             true,
             0,
             &Profile::new(),
+            &items,
             &wup,
             &rps,
             Metric::Wup,
@@ -328,6 +347,7 @@ mod tests {
             false,
             0,
             &Profile::new(),
+            &items,
             &wup,
             &rps,
             Metric::Wup,
@@ -338,6 +358,7 @@ mod tests {
 
     #[test]
     fn gossip_forwards_dislikes_uniformly() {
+        let items = items();
         let cfg = BeepConfig {
             f_like: 2,
             like_pool: TargetPool::Rps,
@@ -354,6 +375,7 @@ mod tests {
             false,
             7,
             &Profile::new(),
+            &items,
             &view(&[]),
             &rps,
             Metric::Wup,
@@ -365,15 +387,16 @@ mod tests {
 
     #[test]
     fn orientation_tie_break_is_deterministic_per_salt() {
+        let items = items();
         let rps = view(&[(5, &[1]), (3, &[1])]);
-        let a = select_most_similar(&profile(&[1]), &rps, Metric::Wup);
-        let b = select_most_similar(&profile(&[1]), &rps, Metric::Wup);
+        let a = select_most_similar(&profile(&[1]), &items, &rps, Metric::Wup);
+        let b = select_most_similar(&profile(&[1]), &items, &rps, Metric::Wup);
         assert_eq!(a, b, "same salt, same pick");
         assert!(matches!(a, Some(3) | Some(5)));
         // Different salts must be able to pick different tied candidates.
         let picks: std::collections::HashSet<NodeId> = (0..32u64)
             .filter_map(|salt| {
-                select_most_similar_k(&profile(&[1]), &rps, Metric::Wup, 1, salt)
+                select_most_similar_k(&profile(&[1]), &items, &rps, Metric::Wup, 1, salt)
                     .into_iter()
                     .next()
             })
@@ -383,11 +406,12 @@ mod tests {
 
     #[test]
     fn top_k_orientation_orders_by_similarity() {
+        let items = items();
         // Node 8 matches both liked items, node 5 one (tied at 1.0 under
         // the asymmetric metric), node 3 none — 3 must always rank last.
         let rps = view(&[(5, &[1]), (3, &[50]), (8, &[1, 2])]);
         let ip = profile(&[1, 2]);
-        let sel = select_most_similar_k(&ip, &rps, Metric::Wup, 2, 0);
+        let sel = select_most_similar_k(&ip, &items, &rps, Metric::Wup, 2, 0);
         let mut sorted = sel.clone();
         sorted.sort_unstable();
         assert_eq!(
@@ -395,13 +419,14 @@ mod tests {
             vec![5, 8],
             "zero-match candidate excluded from top 2"
         );
-        let all = select_most_similar_k(&ip, &rps, Metric::Wup, 10, 0);
+        let all = select_most_similar_k(&ip, &items, &rps, Metric::Wup, 10, 0);
         assert_eq!(all.len(), 3, "k larger than view returns everything");
         assert_eq!(*all.last().unwrap(), 3, "worst match last");
     }
 
     #[test]
     fn widened_dislike_fanout_sends_multiple_oriented_copies() {
+        let items = items();
         let cfg = BeepConfig {
             f_like: 3,
             like_pool: TargetPool::Wup,
@@ -418,6 +443,7 @@ mod tests {
             false,
             0,
             &profile(&[7]),
+            &items,
             &view(&[]),
             &rps,
             Metric::Wup,
@@ -431,6 +457,7 @@ mod tests {
 
     #[test]
     fn the_single_pick_heads_the_sorted_ranking() {
+        let items = items();
         // Scores tie in groups (likes of 0–3 of the item's four items), so
         // the tie mix and the first-of-equals rule decide most picks.
         let likes: Vec<Vec<u64>> = (0..12u64).map(|n| (1..=n % 4).collect()).collect();
@@ -440,20 +467,22 @@ mod tests {
         let rps = view(&entries);
         let item = profile(&[1, 2, 3, 4]);
         for salt in 0..64u64 {
-            let sorted = select_most_similar_k(&item, &rps, Metric::Wup, 12, salt);
-            let single = select_most_similar_k(&item, &rps, Metric::Wup, 1, salt);
+            let sorted = select_most_similar_k(&item, &items, &rps, Metric::Wup, 12, salt);
+            let single = select_most_similar_k(&item, &items, &rps, Metric::Wup, 1, salt);
             assert_eq!(single, sorted[..1], "salt {salt}");
         }
     }
 
     #[test]
     fn empty_rps_view_yields_no_target() {
-        let sel = select_most_similar(&profile(&[1]), &View::new(1), Metric::Wup);
+        let items = items();
+        let sel = select_most_similar(&profile(&[1]), &items, &View::new(1), Metric::Wup);
         assert_eq!(sel, None);
     }
 
     #[test]
     fn fanout_larger_than_view_takes_all() {
+        let items = items();
         let cfg = BeepConfig {
             f_like: 10,
             ..whatsup_cfg()
@@ -464,6 +493,7 @@ mod tests {
             true,
             0,
             &Profile::new(),
+            &items,
             &wup,
             &View::new(1),
             Metric::Wup,

@@ -108,27 +108,6 @@ impl std::hash::Hasher for IdHasher {
 /// `BuildHasher` plugging [`IdHasher`] into `HashSet`/`HashMap`.
 pub type BuildIdHasher = std::hash::BuildHasherDefault<IdHasher>;
 
-impl IdHasher {
-    /// A hasher started from a random key, to be the `BuildHasher` of a
-    /// table whose ids arrive from the wire (the bit planes' slot table):
-    /// still one SplitMix64 round per lookup, but which ids share a bucket
-    /// depends on a value no peer sees. The key never reaches a result —
-    /// such a table is probed by id, never iterated.
-    pub(crate) fn keyed() -> Self {
-        use std::hash::{BuildHasher, RandomState};
-        Self(RandomState::new().hash_one(0u64))
-    }
-}
-
-/// Builds copies of itself: how a key gets into every lookup of a table.
-impl std::hash::BuildHasher for IdHasher {
-    type Hasher = Self;
-
-    fn build_hasher(&self) -> Self {
-        *self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -10,6 +10,13 @@ use crate::hash::Fnv1a;
 /// 8-byte content identifier of a news item (§II-A).
 pub type ItemId = u64;
 
+/// The run's item index: every item id of a run, numbered densely (the
+/// dataset index) before cycle 0. One map per run, shared by `Arc`: the
+/// oracle resolves ids through it, and every node numbers the bit planes
+/// of its profiles by it (see `crate::planes`).
+// lint:allow(det-map) BuildIdHasher keys, probe-only; serialization sorts the pairs first
+pub type ItemIndexMap = std::collections::HashMap<ItemId, u32, crate::hash::BuildIdHasher>;
+
 /// Logical time. In simulation this is the gossip-cycle index; in the
 /// network runtimes it is coarse wall-clock ticks of one gossip period.
 pub type Timestamp = u32;

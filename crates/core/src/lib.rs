@@ -24,16 +24,20 @@
 //! ```
 //! use whatsup_core::prelude::*;
 //! use rand::SeedableRng;
+//! use std::sync::Arc;
 //!
+//! let item = NewsItem::new("hello", "a first item", "https://example.org", 0, 0);
+//! // The run's item index: every item id, numbered densely, one `Arc`
+//! // shared by all the nodes of the run.
+//! let items = Arc::new(ItemIndexMap::from_iter([(item.id(), 0)]));
 //! let params = Params::default();
 //! let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
-//! let mut alice = WhatsUpNode::new(0, params.clone());
-//! let mut bob = WhatsUpNode::new(1, params);
+//! let mut alice = WhatsUpNode::new(0, params.clone(), Arc::clone(&items));
+//! let mut bob = WhatsUpNode::new(1, params, items);
 //! // Introduce them to each other (RPS and WUP views).
 //! alice.seed_views([(1, Profile::new())], [(1, Profile::new())]);
 //! bob.seed_views([(0, Profile::new())], [(0, Profile::new())]);
 //!
-//! let item = NewsItem::new("hello", "a first item", "https://example.org", 0, 0);
 //! let mut stats = NodeStats::default(); // counters live with the caller
 //! let out = alice.publish(&item, 0, &mut stats, &mut rng);
 //! assert!(!out.is_empty()); // the item leaves Alice immediately
@@ -63,7 +67,7 @@ pub mod prelude {
     pub use crate::beep::{BeepConfig, ForwardDecision};
     pub use crate::bootstrap::{most_popular_items, ColdStart};
     pub use crate::hash::fnv1a64;
-    pub use crate::item::{ItemHeader, ItemId, NewsItem, Timestamp};
+    pub use crate::item::{ItemHeader, ItemId, ItemIndexMap, NewsItem, Timestamp};
     pub use crate::message::{NewsMessage, OutMessage, Payload};
     pub use crate::node::{NodeState, NodeStats, Opinions, WhatsUpNode};
     pub use crate::obfuscation::Obfuscation;

@@ -16,7 +16,7 @@
 
 use crate::beep::{self, ForwardDecision};
 use crate::bootstrap::{most_popular_items, ColdStart};
-use crate::item::{ItemId, NewsItem, Timestamp};
+use crate::item::{ItemId, ItemIndexMap, NewsItem, Timestamp};
 use crate::message::{NewsMessage, OutMessage, Payload};
 use crate::obfuscation::Obfuscation;
 use crate::params::Params;
@@ -24,6 +24,7 @@ use crate::profile::{Profile, ProfileEntry, Run, SharedProfile};
 use crate::seen::SeenSet;
 use crate::similarity::Prepared;
 use rand::Rng;
+use std::sync::Arc;
 use whatsup_gossip::{Clustering, ClusteringConfig, Descriptor, NodeId, Rps};
 
 /// Oracle answering "would this user like this item?" (the `iLike` predicate
@@ -122,15 +123,23 @@ pub struct WhatsUpNode {
     /// mutates.
     shared_cache: Option<SharedProfile>,
     seen: SeenSet,
+    /// The run's item index, which numbers the layouts of every profile
+    /// this node scores (see `crate::planes`).
+    items: Arc<ItemIndexMap>,
 }
 
 impl WhatsUpNode {
     /// Creates a node with empty views and an empty profile.
     ///
+    /// `items` is the run's item index. One index per run: every node of a
+    /// run must be given the same `Arc` — the layouts of the profiles the
+    /// nodes exchange are numbered by it, and a pair of layouts is counted
+    /// only when both are numbered by one index. A node never changes it.
+    ///
     /// # Panics
     /// Panics if `params` violates the Table II invariants
     /// (see [`Params::validate`]).
-    pub fn new(id: NodeId, params: Params) -> Self {
+    pub fn new(id: NodeId, params: Params, items: Arc<ItemIndexMap>) -> Self {
         params.validate().expect("invalid WhatsUp parameters");
         let rps = Rps::new(id, params.rps);
         let wup = Clustering::new(
@@ -156,6 +165,7 @@ impl WhatsUpNode {
             obfuscation,
             shared_cache: None,
             seen: SeenSet::new(),
+            items,
         }
     }
 
@@ -183,7 +193,7 @@ impl WhatsUpNode {
             if self.history.len() > self.params.profile_window as usize + 1 {
                 self.history = vec![self.profile.entries().copied().collect()];
             }
-            Profile::snapshot(Box::from(&self.history[..]), &self.profile)
+            Profile::snapshot(Box::from(&self.history[..]), &self.profile, &self.items)
         } else {
             self.obfuscation.share(self.id, &self.profile)
         };
@@ -373,10 +383,17 @@ impl WhatsUpNode {
     /// recomputed from the exact same entries. A restored node is
     /// behaviorally indistinguishable from the one that was exported.
     ///
+    /// `items` is the run's item index, as for [`Self::new`].
+    ///
     /// # Panics
     /// Panics if `params` violates the Table II invariants.
-    pub fn from_state(id: NodeId, params: Params, state: NodeState) -> Self {
-        let mut node = Self::new(id, params);
+    pub fn from_state(
+        id: NodeId,
+        params: Params,
+        items: Arc<ItemIndexMap>,
+        state: NodeState,
+    ) -> Self {
+        let mut node = Self::new(id, params, items);
         node.profile = Profile::from_entries(state.profile);
         if node.obfuscation.is_off() {
             node.pending = node.profile.entries().copied().collect();
@@ -498,6 +515,7 @@ impl WhatsUpNode {
             rps,
             profile,
             obfuscation,
+            items,
             ..
         } = self;
         let own = if obfuscation.is_off() {
@@ -505,7 +523,7 @@ impl WhatsUpNode {
         } else {
             &*profile
         };
-        let scorer = Prepared::new(own);
+        let scorer = Prepared::new(own, items);
         let sim = |_own: &SharedProfile, cand: &SharedProfile| scorer.score(metric, cand);
         let rps_candidates = rps.view().entries();
         if answer {
@@ -554,6 +572,7 @@ impl WhatsUpNode {
             true,
             0,
             &item_profile,
+            &self.items,
             self.wup.view(),
             self.rps.view(),
             self.params.metric,
@@ -610,6 +629,7 @@ impl WhatsUpNode {
             liked,
             msg.dislikes,
             &msg.profile,
+            &self.items,
             self.wup.view(),
             self.rps.view(),
             self.params.metric,
@@ -706,7 +726,7 @@ mod tests {
 
     #[test]
     fn publish_fans_out_to_wup_view() {
-        let mut n = WhatsUpNode::new(0, Params::whatsup(2));
+        let mut n = WhatsUpNode::new(0, Params::whatsup(2), Default::default());
         n.seed_views(
             [],
             [
@@ -737,7 +757,7 @@ mod tests {
     #[test]
     fn liked_reception_updates_profile_and_amplifies() {
         // Node 0 likes even items (Parity).
-        let mut n = WhatsUpNode::new(0, Params::whatsup(2));
+        let mut n = WhatsUpNode::new(0, Params::whatsup(2), Default::default());
         n.seed_views(
             [(9, Profile::new())],
             [
@@ -769,7 +789,7 @@ mod tests {
     fn disliked_reception_orients_once() {
         // Node 0 dislikes odd items; RPS node 8's profile matches the item
         // profile, node 9's does not.
-        let mut n = WhatsUpNode::new(0, Params::whatsup(2));
+        let mut n = WhatsUpNode::new(0, Params::whatsup(2), Default::default());
         n.seed_views(
             [(8, liked_profile(&[100])), (9, liked_profile(&[200]))],
             [(1, Profile::new())],
@@ -788,7 +808,7 @@ mod tests {
 
     #[test]
     fn ttl_exhausted_dislike_is_dropped() {
-        let mut n = WhatsUpNode::new(0, Params::whatsup(2));
+        let mut n = WhatsUpNode::new(0, Params::whatsup(2), Default::default());
         n.seed_views([(8, liked_profile(&[1]))], [(1, Profile::new())]);
         let mut st = NodeStats::default();
         let out = n.on_message(
@@ -806,7 +826,7 @@ mod tests {
 
     #[test]
     fn duplicates_are_dropped_silently() {
-        let mut n = WhatsUpNode::new(0, Params::whatsup(2));
+        let mut n = WhatsUpNode::new(0, Params::whatsup(2), Default::default());
         n.seed_views([], [(1, Profile::new()), (2, Profile::new())]);
         let mut st = NodeStats::default();
         let first = n.on_message(
@@ -835,7 +855,7 @@ mod tests {
     fn item_profile_aggregates_likers_history() {
         // Node 0 (likes even) has item 2 in its profile; when it likes item
         // 4, the outgoing item profile must contain item 2 as well.
-        let mut n = WhatsUpNode::new(0, Params::whatsup(1));
+        let mut n = WhatsUpNode::new(0, Params::whatsup(1), Default::default());
         n.seed_views([], [(1, Profile::new())]);
         let mut st = NodeStats::default();
         n.on_message(
@@ -868,7 +888,7 @@ mod tests {
 
     #[test]
     fn on_cycle_gossips_and_purges() {
-        let mut n = WhatsUpNode::new(0, Params::whatsup(2));
+        let mut n = WhatsUpNode::new(0, Params::whatsup(2), Default::default());
         n.seed_views([(5, Profile::new())], [(6, Profile::new())]);
         // An old rating that must fall out of the 13-cycle window.
         n.rate(99, 0, true);
@@ -882,7 +902,7 @@ mod tests {
 
     #[test]
     fn disclosed_history_stays_bounded_and_equal_to_the_profile() {
-        let mut n = WhatsUpNode::new(0, Params::whatsup(2));
+        let mut n = WhatsUpNode::new(0, Params::whatsup(2), Default::default());
         let window = n.params.profile_window as usize;
         // One disclosure per rating: more runs than the window allows.
         for item in 0..3 * window as u64 {
@@ -901,8 +921,8 @@ mod tests {
 
     #[test]
     fn rps_request_produces_response_and_merge() {
-        let mut a = WhatsUpNode::new(0, Params::whatsup(2));
-        let mut b = WhatsUpNode::new(1, Params::whatsup(2));
+        let mut a = WhatsUpNode::new(0, Params::whatsup(2), Default::default());
+        let mut b = WhatsUpNode::new(1, Params::whatsup(2), Default::default());
         a.seed_views([(1, Profile::new())], []);
         b.seed_views([(0, Profile::new())], []);
         let mut r = rng();
@@ -932,7 +952,7 @@ mod tests {
         // Node 0 likes items {2,4}. Candidate 1 likes the same; candidate 3
         // likes disjoint items. After a WUP exchange offering both, node 0's
         // view (size 2 here) must retain candidate 1.
-        let mut n = WhatsUpNode::new(0, Params::whatsup(1));
+        let mut n = WhatsUpNode::new(0, Params::whatsup(1), Default::default());
         n.rate(2, 10, true);
         n.rate(4, 10, true);
         n.seed_views([], [(9, Profile::new())]);
@@ -956,7 +976,7 @@ mod tests {
 
     #[test]
     fn cold_start_builds_popular_profile() {
-        let mut veteran = WhatsUpNode::new(0, Params::whatsup(2));
+        let mut veteran = WhatsUpNode::new(0, Params::whatsup(2), Default::default());
         veteran.seed_views(
             [
                 (1, liked_profile(&[10, 12])),
@@ -965,7 +985,7 @@ mod tests {
             ],
             [(1, liked_profile(&[10]))],
         );
-        let mut joiner = WhatsUpNode::new(42, Params::whatsup(2));
+        let mut joiner = WhatsUpNode::new(42, Params::whatsup(2), Default::default());
         joiner.cold_start(veteran.views_snapshot(), &Parity);
         // 3 most popular: 10 (3 likes), 12 and 14 (1 like each).
         assert_eq!(joiner.profile().len(), 3);
@@ -979,7 +999,7 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let run = || {
-            let mut n = WhatsUpNode::new(0, Params::whatsup(3));
+            let mut n = WhatsUpNode::new(0, Params::whatsup(3), Default::default());
             n.seed_views(
                 (1..20).map(|i| (i, liked_profile(&[i as u64]))),
                 (1..8).map(|i| (i, liked_profile(&[i as u64]))),
@@ -1006,7 +1026,7 @@ mod tests {
 
     #[test]
     fn gossip_params_forward_disliked_items_randomly() {
-        let mut n = WhatsUpNode::new(0, Params::gossip(3));
+        let mut n = WhatsUpNode::new(0, Params::gossip(3), Default::default());
         n.seed_views((1..10).map(|i| (i, Profile::new())), []);
         // Node 0 dislikes odd items but homogeneous gossip forwards anyway.
         let mut st = NodeStats::default();
@@ -1023,7 +1043,7 @@ mod tests {
 
     #[test]
     fn stats_add_up() {
-        let mut n = WhatsUpNode::new(0, Params::whatsup(2));
+        let mut n = WhatsUpNode::new(0, Params::whatsup(2), Default::default());
         n.seed_views([(1, Profile::new())], [(2, Profile::new())]);
         let mut r = rng();
         let mut st = NodeStats::default();

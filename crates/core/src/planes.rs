@@ -10,89 +10,51 @@
 //! real-valued profile laid out over the same numbering ([`Weights`]) is
 //! summed by walking a binary candidate's set bits.
 //!
-//! The shared numbering is the **slot table**: one process-wide,
-//! append-only map item id → slot, slots handed out in order of first
-//! sight. It is process-wide because the two profiles of a score belong to
-//! different nodes (and, under the thread link, to shards on different
-//! threads) and must agree on the bit an item owns; it is consulted only
-//! while a layout is *built* (when that happens is the caller's decision,
-//! see `Profile::planes_when_rescored`), never while it is scored. Slot
-//! numbers depend on who asked first — on thread interleaving, even — and
-//! that must never show: a layout only ever yields sums over an
-//! intersection, which no renumbering changes.
+//! The shared numbering is the run's **item index** ([`ItemIndexMap`]):
+//! every item id of a run, numbered densely before cycle 0. The paper
+//! numbers nothing — an item is the hash of its content (§II-A) — so the
+//! numbering is this implementation's, and it never shows: a layout only
+//! ever yields sums over an intersection, which no renumbering changes.
+//! The two profiles of a score belong to different nodes, so every node of
+//! a run holds the same index, and a pair is only ever counted between
+//! layouts numbered by one (debug builds check it, [`Numbering`]). The
+//! index is complete and read-only while the run lasts, so a build looks
+//! its ids up without a lock, and an id the index does not know — one a
+//! peer put on the wire — has no slot: a binary profile holding one
+//! declines its planes, and weights leave it out, since no candidate with
+//! planes can rate it.
 //!
-//! Every item profile allocation looks the non-zero-scored ~60 % of its
-//! ~90–300 ids up once, at its first BEEP orientation (and registers none:
-//! only [`Planes`] take the exclusive lock), so the table's hasher is on
-//! the news hot path, where SipHash cost more than counting saves. The
-//! ids are wire-supplied, so its replacement is keyed
-//! ([`IdHasher::keyed`]), and the table bounded whatever a peer sends.
-//! That one lookup pass also tracks the lowest and highest slot placed,
-//! so the span of the layout costs no walk of its own ([`word_span`]);
-//! planes likewise take theirs in one pass over their slots, and record
-//! their end slot, the highest they rate plus one, which [`Weights::sums`]
-//! compares per candidate instead of recounting it from the last word.
+//! The one lookup pass of a build also tracks the lowest and highest slot
+//! placed, so the span of the layout costs no walk of its own
+//! ([`word_span`]).
 
-use crate::hash::IdHasher;
-use crate::item::ItemId;
+use crate::item::ItemIndexMap;
 use crate::profile::ProfileEntry;
-// lint:allow(det-map) the slot table: probed by id, never iterated; slot numbers only ever yield sums over intersections
-use std::collections::HashMap;
-use std::sync::{LazyLock, RwLock};
 
-/// Most item ids the slot table registers. Item ids arrive from the wire,
-/// so the table must not grow with what a peer sends: at this size it
-/// stays under 9 MiB (a 2¹⁹-bucket table at the standard map's ⅞ load),
-/// and a profile holding an id it has no room for gets no layout.
-const SLOT_CAPACITY: usize = 7 << 16;
-
-// lint:allow(det-map) see the import: keyed hasher because ids are wire-supplied
-type SlotMap = HashMap<ItemId, u32, IdHasher>;
-static SLOTS: LazyLock<RwLock<SlotMap>> =
-    LazyLock::new(|| RwLock::new(SlotMap::with_hasher(IdHasher::keyed())));
-
-/// Heap bytes of the slot table (memory diagnostics).
-pub fn slot_table_bytes() -> usize {
-    let table = SLOTS.read().expect("slot table lock poisoned");
-    table.capacity() * (std::mem::size_of::<(ItemId, u32)>() + 1)
+/// Which index a layout's slots are numbered by — its address, in debug
+/// builds only: a pair of layouts is counted only when both are numbered
+/// by the run's one index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Numbering {
+    #[cfg(debug_assertions)]
+    index: usize,
 }
 
-/// The slot of `item`, the next free one if the table has never seen it
-/// (`None` if there is none).
-fn slot_or_next(table: &mut SlotMap, item: ItemId) -> Option<u32> {
-    let next = table.len();
-    if next < SLOT_CAPACITY {
-        Some(*table.entry(item).or_insert(next as u32))
-    } else {
-        table.get(&item).copied()
-    }
-}
-
-/// The slot of every entry, registering ids seen for the first time:
-/// one pass under the shared lock, and the exclusive lock only from the
-/// first unregistered id on. `None` when the table is full and an id is
-/// not in it.
-fn slots_of(entries: &[ProfileEntry]) -> Option<Vec<u32>> {
-    let mut slots = Vec::with_capacity(entries.len());
-    {
-        let table = SLOTS.read().expect("slot table lock poisoned");
-        slots.extend(entries.iter().map_while(|e| table.get(&e.item).copied()));
-    }
-    if slots.len() < entries.len() {
-        let mut table = SLOTS.write().expect("slot table lock poisoned");
-        for e in &entries[slots.len()..] {
-            slots.push(slot_or_next(&mut table, e.item)?);
+impl Numbering {
+    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
+    fn of(index: &ItemIndexMap) -> Self {
+        Self {
+            #[cfg(debug_assertions)]
+            index: std::ptr::from_ref(index) as usize,
         }
     }
-    Some(slots)
 }
 
 /// The words `first..end` of 64 slots that `placed` slots, the lowest `lo`
-/// and the highest `hi`, touch — unless they were first seen so far apart
+/// and the highest `hi`, touch — unless they are numbered so far apart
 /// that the span holds more words than there are slots: such a profile is
-/// cheaper to walk than to lay out, and the bound keeps wire-supplied ids
-/// from sizing an allocation. A build tracks `lo` and `hi` while it places
-/// the slots, so the span costs no walk of its own.
+/// cheaper to walk than to lay out. A build tracks `lo` and `hi` while it
+/// places the slots, so the span costs no walk of its own.
 fn word_span((lo, hi): (u32, u32), placed: usize) -> Option<(u32, u32)> {
     if placed == 0 {
         return Some((0, 0));
@@ -120,29 +82,31 @@ fn shared_words<'a, A, B>(
 }
 
 /// The rated and liked item sets of one binary profile, as bit sets over
-/// the slot table's numbering, trimmed to the words the profile touches.
+/// the item index's numbering, trimmed to the words the profile touches.
 #[derive(Debug)]
 pub(crate) struct Planes {
     /// Position of `words[0]` in the untrimmed bit sets: it covers slots
     /// `64 · first_word ..`.
     first_word: u32,
-    /// One past the highest slot the profile rates (`0` if it rates
-    /// none), recorded at build: what [`Weights::sums`] compares with
-    /// the table size its weights were built at.
-    end_slot: u32,
     /// `[rated, liked]` bits of 64 consecutive slots.
     words: Box<[[u64; 2]]>,
+    numbering: Numbering,
 }
 
 impl Planes {
-    /// Planes of `entries`, whose scores must all be `0` or `1`. Declines
-    /// (`None`) when the slot table has no room for one of the ids, and
-    /// when the planes would span more words than the profile has entries
-    /// (see [`word_span`]).
-    pub(crate) fn build(entries: &[ProfileEntry]) -> Option<Self> {
-        let slots = slots_of(entries)?;
-        let (lo, hi) = slots.iter().fold((u32::MAX, 0), |b, &slot| widen(b, slot));
-        let (first_word, end_word) = word_span((lo, hi), slots.len())?;
+    /// Planes of `entries`, whose scores must all be `0` or `1`, over
+    /// `index`. Declines (`None`) when the index does not know one of the
+    /// ids, and when the planes would span more words than the profile has
+    /// entries (see [`word_span`]). The one pass that looks the ids up
+    /// also tracks the span.
+    pub(crate) fn build(entries: &[ProfileEntry], index: &ItemIndexMap) -> Option<Self> {
+        let (mut slots, mut bounds) = (Vec::with_capacity(entries.len()), (u32::MAX, 0));
+        for e in entries {
+            let slot = *index.get(&e.item)?;
+            slots.push(slot);
+            bounds = widen(bounds, slot);
+        }
+        let (first_word, end_word) = word_span(bounds, slots.len())?;
         let mut words = vec![[0u64; 2]; (end_word - first_word) as usize].into_boxed_slice();
         for (e, slot) in entries.iter().zip(slots) {
             let word = &mut words[(slot / 64 - first_word) as usize];
@@ -154,14 +118,15 @@ impl Planes {
         }
         Some(Self {
             first_word,
-            end_slot: if entries.is_empty() { 0 } else { hi + 1 },
             words,
+            numbering: Numbering::of(index),
         })
     }
 
     /// `(|liked ∩ cand.liked|, |liked ∩ cand.rated|)`: for binary profiles
     /// the metrics' `Σ pn·pc` and `Σ pn²` over the common items.
     pub(crate) fn overlap(&self, cand: &Planes) -> (u32, u32) {
+        debug_assert_eq!(self.numbering, cand.numbering, "planes of two indexes");
         let (mut both_liked, mut liked_and_rated) = (0, 0);
         let shared = shared_words(
             (self.first_word, &self.words),
@@ -192,48 +157,39 @@ fn fixed_point(score: f32) -> Option<u32> {
 }
 
 /// A real-valued profile laid out by slot, to be summed against the planes
-/// of binary candidates. Its ids arrive with every news frame, so unlike
-/// [`Planes`] it registers none and leaves out what the table does not
-/// know; an entry scored exactly 0 adds nothing to a sum and is left out
-/// too, unlooked-up (see "Only what is scored again registers ids" in
-/// [`crate::similarity`]).
+/// of binary candidates. An entry scored exactly 0 adds nothing to a sum
+/// and is left out, unlooked-up; so is one whose id the index does not
+/// know, which no candidate with planes rates.
 pub(crate) struct Weights {
     /// Position of `words[0]` in the untrimmed layout, as in [`Planes`].
     first_word: u32,
     /// Per 64 consecutive slots: the mask of those holding a non-zero
     /// weight, and `score · 2²⁰` of the entry owning each of them.
     words: Box<[(u64, [u32; 64])]>,
-    /// The size of the slot table when a non-zero entry's id was left out:
-    /// planes that end below it cannot rate that id. `u32::MAX` when none
-    /// was.
-    complete_below: u32,
+    numbering: Numbering,
 }
 
 impl Weights {
-    /// Weights of the non-zero entries whose ids the slot table knows.
-    /// Declines (`None`) unless every score is a whole multiple of 2⁻²⁰ in
-    /// `[0, 1]` and there are at most 2¹³ of them — what makes
-    /// [`Self::sums`] exact — and when the layout would span more words
-    /// than it places entries (see [`word_span`]). The one pass that looks
-    /// the ids up also tracks the span.
-    pub(crate) fn build(entries: &[ProfileEntry]) -> Option<Self> {
+    /// Weights of the non-zero entries whose ids `index` knows. Declines
+    /// (`None`) unless every score is a whole multiple of 2⁻²⁰ in `[0, 1]`
+    /// and there are at most 2¹³ of them — what makes [`Self::sums`] exact
+    /// — and when the layout would span more words than it places entries
+    /// (see [`word_span`]). The one pass that looks the ids up also tracks
+    /// the span.
+    pub(crate) fn build(entries: &[ProfileEntry], index: &ItemIndexMap) -> Option<Self> {
         if entries.len() > MAX_WEIGHED {
             return None;
         }
-        let (mut placed, mut complete_below) = (Vec::with_capacity(entries.len()), u32::MAX);
+        let mut placed = Vec::with_capacity(entries.len());
         let mut bounds = (u32::MAX, 0);
-        let table = SLOTS.read().expect("slot table lock poisoned");
         for e in entries {
-            match (fixed_point(e.score)?, table.get(&e.item)) {
-                (0, _) => {}
-                (q, Some(&slot)) => {
-                    placed.push((slot, q));
-                    bounds = widen(bounds, slot);
-                }
-                (_, None) => complete_below = table.len() as u32,
+            let q = fixed_point(e.score)?;
+            let known = if q == 0 { None } else { index.get(&e.item) };
+            if let Some(&slot) = known {
+                placed.push((slot, q));
+                bounds = widen(bounds, slot);
             }
         }
-        drop(table);
         let (first_word, end_word) = word_span(bounds, placed.len())?;
         let mut words = vec![(0, [0; 64]); (end_word - first_word) as usize].into_boxed_slice();
         for (slot, q) in placed {
@@ -244,20 +200,17 @@ impl Weights {
         Some(Self {
             first_word,
             words,
-            complete_below,
+            numbering: Numbering::of(index),
         })
     }
 
     /// The metrics' `(Σ pn·pc, Σ pn²)` over the items `cand` rated, as the
     /// reference's f64 accumulation yields them, bit for bit (see
-    /// "Exactness of weights" in [`crate::similarity`]) — `None` for a
-    /// candidate that may rate an id this layout left out. Walks the set
+    /// "Exactness of weights" in [`crate::similarity`]). Walks the set
     /// bits of the candidate's `rated` plane that carry a non-zero weight;
     /// whether an item is liked is a mask, not a branch.
-    pub(crate) fn sums(&self, cand: &Planes) -> Option<(f64, f64)> {
-        if cand.end_slot > self.complete_below {
-            return None;
-        }
+    pub(crate) fn sums(&self, cand: &Planes) -> (f64, f64) {
+        debug_assert_eq!(self.numbering, cand.numbering, "layouts of two indexes");
         let (mut dot, mut sub_norm2) = (0u64, 0u64);
         let shared = shared_words(
             (self.first_word, &self.words),
@@ -274,7 +227,7 @@ impl Weights {
             }
         }
         let unit = 1.0 / f64::from(ONE);
-        Some((dot as f64 * unit, sub_norm2 as f64 * (unit * unit)))
+        (dot as f64 * unit, sub_norm2 as f64 * (unit * unit))
     }
 }
 
@@ -296,18 +249,13 @@ impl Layout {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Registers `ids` in the order given under one hold of the exclusive
-    /// lock: never-seen ids get consecutive slots in that order, whatever the
-    /// other tests of the process register meanwhile.
-    pub(crate) fn register_in_order(ids: impl IntoIterator<Item = ItemId>) {
-        let mut table = SLOTS.write().expect("slot table lock poisoned");
-        for id in ids {
-            slot_or_next(&mut table, id).expect("room in the slot table");
-        }
+    /// An index numbering `ids` in the order given.
+    fn index_of(ids: impl IntoIterator<Item = u64>) -> ItemIndexMap {
+        ids.into_iter().zip(0..).collect()
     }
 
     fn entries(ids: impl IntoIterator<Item = u64>) -> Vec<ProfileEntry> {
@@ -328,30 +276,22 @@ pub(crate) mod tests {
         ((end - first) as usize <= slots.count()).then_some((first, end))
     }
 
-    /// The slot the table holds for `item`.
-    fn slot(item: ItemId) -> Option<u32> {
-        SLOTS.read().unwrap().get(&item).copied()
-    }
-
     proptest! {
         /// The one-pass builds against the definitions they replace:
         /// weights span what [`word_span_by_walks`] makes of the slots of
         /// their non-zero, known entries, and decline exactly when it does;
-        /// planes likewise, and the end slot they record is the one their
-        /// last word's leading zeros give.
+        /// planes likewise.
         #[test]
         fn one_pass_spans_match_their_definition(
             picks in prop::collection::vec((0u64..400, 0usize..5), 0..40),
             binary in prop::collection::vec(0u64..300, 0..40),
         ) {
-            // 300 consecutive slots the weights may find, and 100 ids the
-            // table never sees.
-            let weighed_base = 7u64 << 40;
-            register_in_order(weighed_base..weighed_base + 300);
+            // 300 consecutive slots, and 100 ids the index does not know.
+            let index = index_of(0..300);
             let mut weighed: Vec<ProfileEntry> = picks
                 .iter()
-                .map(|&(i, class)| ProfileEntry {
-                    item: weighed_base + i,
+                .map(|&(item, class)| ProfileEntry {
+                    item,
                     timestamp: 0,
                     score: [0.0, 0.25, 0.5, 0.75, 1.0][class],
                 })
@@ -361,35 +301,26 @@ pub(crate) mod tests {
             let placed = weighed
                 .iter()
                 .filter(|e| e.score != 0.0)
-                .filter_map(|e| slot(e.item));
-            let layout = Weights::build(&weighed).map(|w| {
+                .filter_map(|e| index.get(&e.item).copied());
+            let layout = Weights::build(&weighed, &index).map(|w| {
                 (w.first_word, w.first_word + w.words.len() as u32)
             });
             prop_assert_eq!(layout, word_span_by_walks(placed));
 
-            let planes_base = 8u64 << 40;
-            register_in_order(planes_base..planes_base + 300);
             let mut rated: Vec<ProfileEntry> = binary
                 .iter()
-                .map(|&i| ProfileEntry {
-                    item: planes_base + i,
+                .map(|&item| ProfileEntry {
+                    item,
                     timestamp: 0,
-                    score: (i % 2) as f32,
+                    score: (item % 2) as f32,
                 })
                 .collect();
             rated.sort_by_key(|e| e.item);
             rated.dedup_by_key(|e| e.item);
-            let slots = rated.iter().filter_map(|e| slot(e.item));
-            let planes = Planes::build(&rated);
-            let span = planes
-                .as_ref()
+            let slots = rated.iter().filter_map(|e| index.get(&e.item).copied());
+            let span = Planes::build(&rated, &index)
                 .map(|p| (p.first_word, p.first_word + p.words.len() as u32));
             prop_assert_eq!(span, word_span_by_walks(slots));
-            if let Some(p) = planes {
-                let end = 64 * (p.first_word + p.words.len() as u32);
-                let recomputed = p.words.last().map_or(0, |w| end - w[0].leading_zeros());
-                prop_assert_eq!(p.end_slot, recomputed);
-            }
         }
     }
 
@@ -407,17 +338,17 @@ pub(crate) mod tests {
 
     #[test]
     fn overlap_is_taken_over_the_shared_words_only() {
-        // 640 ids registered in one step: ten consecutive words of slots
-        // (eleven if the run starts inside a word).
+        // 640 ids numbered from slot 30: eleven words of slots, the first
+        // and the last of them partly used.
+        let index = index_of((0..30).chain(2 << 40..(2 << 40) + 640));
         let base = 2u64 << 40;
-        Planes::build(&entries(base..base + 640)).expect("room for 640 ids");
         let spans = [0..640u64, 0..100, 50..300, 100..101, 290..640, 600..640];
         for a in &spans {
             let own = entries((base + a.start..base + a.end).step_by(2));
-            let own_planes = Planes::build(&own).expect("dense span");
+            let own_planes = Planes::build(&own, &index).expect("dense span");
             for b in &spans {
                 let cand = entries((base + b.start..base + b.end).step_by(5));
-                let cand_planes = Planes::build(&cand).expect("dense span");
+                let cand_planes = Planes::build(&cand, &index).expect("dense span");
                 assert_eq!(
                     own_planes.overlap(&cand_planes),
                     overlap_by_search(&own, &cand),
@@ -425,8 +356,8 @@ pub(crate) mod tests {
                 );
             }
         }
-        let empty = Planes::build(&[]).expect("nothing to register");
-        let all = Planes::build(&entries(base..base + 640)).expect("registered above");
+        let empty = Planes::build(&[], &index).expect("nothing to look up");
+        let all = Planes::build(&entries(base..base + 640), &index).expect("dense span");
         assert_eq!(empty.overlap(&all), (0, 0));
         assert_eq!(all.overlap(&empty), (0, 0));
         assert!(empty.words.is_empty());
@@ -460,7 +391,7 @@ pub(crate) mod tests {
     #[test]
     fn weights_are_summed_over_the_shared_words_only() {
         let base = 3u64 << 40;
-        Planes::build(&entries(base..base + 640)).expect("room for 640 ids");
+        let index = index_of((0..7).chain(base..base + 640));
         // Scores k/16 by item id, zero included.
         let weighed = |ids: std::ops::Range<u64>| -> Vec<ProfileEntry> {
             let scored = |item| ProfileEntry {
@@ -486,13 +417,13 @@ pub(crate) mod tests {
         let spans = [0..640u64, 0..100, 50..300, 290..640, 600..640];
         for a in &spans {
             let own = weighed(a.clone());
-            let own_weights = Weights::build(&own).expect("dense span of sixteenths");
+            let own_weights = Weights::build(&own, &index).expect("dense span of sixteenths");
             for b in &spans {
                 let cand = entries((base + b.start..base + b.end).step_by(5));
-                let cand_planes = Planes::build(&cand).expect("dense span");
+                let cand_planes = Planes::build(&cand, &index).expect("dense span");
                 assert_eq!(
                     own_weights.sums(&cand_planes),
-                    Some(sums_by_search(&own, &cand)),
+                    sums_by_search(&own, &cand),
                     "{a:?} against {b:?}"
                 );
             }
@@ -500,12 +431,11 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn weights_register_nothing_and_turn_away_planes_laid_out_since() {
+    fn weights_leave_out_what_the_index_does_not_know() {
         let base = 4u64 << 40;
-        let known = |table: &SlotMap, id: u64| table.contains_key(&id);
-        register_in_order(base..base + 64);
-        let before = Planes::build(&entries(base..base + 64)).expect("one step");
-        // Half an item profile the table knows, half it has never seen.
+        let index = index_of(base..base + 64);
+        let known = Planes::build(&entries(base..base + 64), &index).expect("one word");
+        // Half an item profile the index knows, half it does not.
         let halves = |score: f32| -> Vec<ProfileEntry> {
             let scored = |item| ProfileEntry {
                 item,
@@ -514,31 +444,35 @@ pub(crate) mod tests {
             };
             (base + 32..base + 96).map(scored).collect()
         };
-        let weights = Weights::build(&halves(0.75)).expect("32 entries in two words at most");
-        assert!(!known(&SLOTS.read().unwrap(), base + 64));
-        assert_eq!(weights.sums(&before), Some((0.75 * 21.0, 0.5625 * 32.0)));
-        // A candidate that registers ids of the other half rates what the
-        // weights left out, and any other laid out since may, for all they
-        // know; one laid out before cannot.
-        let since = Planes::build(&entries(base + 64..base + 74)).expect("one step");
-        let unrelated = Planes::build(&entries((5 << 40)..(5 << 40) + 3)).expect("one step");
-        assert_eq!(weights.sums(&since), None);
-        assert_eq!(weights.sums(&unrelated), None);
-        assert_eq!(weights.sums(&before), Some((0.75 * 21.0, 0.5625 * 32.0)));
-        // Weights that left nothing out turn nobody away.
-        let complete = Weights::build(&halves(0.5)[32..42]).expect("one step");
-        assert_eq!(complete.sums(&since), Some((0.5 * 7.0, 0.25 * 10.0)));
-        assert_eq!(complete.sums(&unrelated), Some((0.0, 0.0)));
-        // Nor do weights whose only unknown ids are scored 0: such an entry
-        // adds nothing to a sum, so it is neither looked up nor laid out.
+        let weights = Weights::build(&halves(0.75), &index).expect("32 entries in one word");
+        assert_eq!(weights.words.len(), 1);
+        assert_eq!(weights.sums(&known), (0.75 * 21.0, 0.5625 * 32.0));
+        // What the weights left out, no candidate with planes rates: one
+        // that rates an id the index does not know declines its planes.
+        assert!(Planes::build(&entries(base + 60..base + 70), &index).is_none());
+        // An entry scored 0 adds nothing to a sum, known or not.
         let mut zeros = halves(0.0);
         zeros[0].score = 0.5;
-        let sparse = Weights::build(&zeros).expect("one entry placed");
+        let sparse = Weights::build(&zeros, &index).expect("one entry placed");
         assert_eq!(sparse.words.len(), 1);
-        assert_eq!(sparse.sums(&since), Some((0.0, 0.0)));
-        // Nor do weights that know no id at all: nothing to sum.
-        let strangers = Weights::build(&entries((6 << 40)..(6 << 40) + 9)).expect("scores 0, 1");
-        assert_eq!(strangers.sums(&before), Some((0.0, 0.0)));
-        assert!(!known(&SLOTS.read().unwrap(), 6 << 40));
+        assert_eq!(sparse.sums(&known), (0.0, 0.25), "rated, not liked");
+        // Weights that know no id at all have nothing to sum.
+        let strangers = Weights::build(&entries((6 << 40)..(6 << 40) + 9), &index);
+        assert!(strangers.expect("scores 0, 1").words.is_empty());
+    }
+
+    /// The slots of an index past 458 752 ids — the most the process-wide
+    /// table this index replaced could hold — are laid out like any other.
+    #[test]
+    fn an_index_of_half_a_million_ids_lays_out_its_highest() {
+        let index = index_of(0..500_000);
+        let top = entries(499_800..500_000);
+        let planes = Planes::build(&top, &index).expect("the highest ids have slots");
+        assert_eq!(planes.first_word, 499_800 / 64);
+        assert_eq!(planes.overlap(&planes), overlap_by_search(&top, &top));
+        let halved = top.iter().map(|e| ProfileEntry { score: 0.5, ..*e });
+        let weights = Weights::build(&halved.collect::<Vec<_>>(), &index).expect("known ids");
+        let liked = top.iter().filter(|e| e.score == 1.0).count() as f64;
+        assert_eq!(weights.sums(&planes), (0.5 * liked, 0.25 * 200.0));
     }
 }

@@ -22,9 +22,7 @@
 //! and a new one costs only the ratings made since the last. Readers take
 //! the entries in id order from [`Profile::entries`].
 
-use crate::item::{ItemId, Timestamp};
-#[doc(hidden)]
-pub use crate::planes::slot_table_bytes;
+use crate::item::{ItemId, ItemIndexMap, Timestamp};
 use crate::planes::{Layout, Planes, Weights};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -99,8 +97,9 @@ pub struct Profile {
     /// by the same scan as the norm and kept by [`Self::upsert`]; derived
     /// state like the norm.
     oldest: Timestamp,
-    /// The entries laid out for the counting path of `crate::similarity`:
-    /// bit planes if the profile is binary, weights otherwise. Built on
+    /// The entries laid out for the counting path of `crate::similarity`,
+    /// over the run's item index: bit planes if the profile is binary,
+    /// weights otherwise. Built on
     /// demand ([`Self::layout`], [`Self::planes_when_rescored`]) — a
     /// snapshot's when it is taken ([`Self::snapshot`]);
     /// `Some(None)` records that the build declined (see [`Planes::build`],
@@ -313,11 +312,12 @@ impl Profile {
     /// The read-only snapshot of `live` that a node discloses, held as
     /// `runs`: id-sorted, pairwise disjoint in ids, together exactly
     /// `live`'s entries. The derived state is `live`'s, and the layout is
-    /// built now, from `live`'s entries, so scoring never walks the runs.
-    pub(crate) fn snapshot(runs: Box<[Run]>, live: &Profile) -> Self {
+    /// built now, from `live`'s entries over the node's `index`, so
+    /// scoring never walks the runs.
+    pub(crate) fn snapshot(runs: Box<[Run]>, live: &Profile, index: &ItemIndexMap) -> Self {
         let snapshot = Self {
             entries: Store::Runs(runs),
-            layout: OnceLock::from(live.build_layout()),
+            layout: OnceLock::from(live.build_layout(index)),
             scored_before: AtomicBool::new(false),
             ..*live
         };
@@ -655,20 +655,23 @@ impl Profile {
         self.likes as usize
     }
 
-    /// The layout, built now if need be — planes if the profile is binary,
-    /// weights otherwise — and shared by every scorer of this allocation,
-    /// on every thread.
-    pub(crate) fn layout(&self) -> Option<&Layout> {
-        self.layout.get_or_init(|| self.build_layout()).as_ref()
+    /// The layout over `index`, built now if need be — planes if the
+    /// profile is binary, weights otherwise — and shared by every scorer
+    /// of this allocation, on every thread. Every scorer of a run asks
+    /// with the run's one index.
+    pub(crate) fn layout(&self, index: &ItemIndexMap) -> Option<&Layout> {
+        self.layout
+            .get_or_init(|| self.build_layout(index))
+            .as_ref()
     }
 
     /// Planes if the profile is binary, weights otherwise (`None` if the
     /// build declines).
-    fn build_layout(&self) -> Option<Layout> {
+    fn build_layout(&self, index: &ItemIndexMap) -> Option<Layout> {
         let entries = self.flat();
         match self.is_binary() {
-            true => Planes::build(&entries).map(Layout::Planes),
-            false => Weights::build(&entries).map(Layout::Weights),
+            true => Planes::build(&entries, index).map(Layout::Planes),
+            false => Weights::build(&entries, index).map(Layout::Weights),
         }
     }
 
@@ -681,8 +684,8 @@ impl Profile {
     /// The bit planes of a *binary* profile, built now if need be. `None`
     /// for one whose build declined, and for a profile holding any other
     /// score (whose weights it builds instead).
-    pub(crate) fn planes(&self) -> Option<&Planes> {
-        match self.layout()? {
+    pub(crate) fn planes(&self, index: &ItemIndexMap) -> Option<&Planes> {
+        match self.layout(index)? {
             Layout::Planes(planes) => Some(planes),
             Layout::Weights(_) => None,
         }
@@ -698,14 +701,14 @@ impl Profile {
     /// the second time it is asked — [`Self::planes`] (see "Built for what
     /// is scored again" in `crate::similarity`). The first ask answers
     /// `None` and the caller walks the entries — same bits.
-    pub(crate) fn planes_when_rescored(&self) -> Option<&Planes> {
+    pub(crate) fn planes_when_rescored(&self, index: &ItemIndexMap) -> Option<&Planes> {
         // Relaxed: the flag publishes nothing. Two threads asking at once
         // cost one walk more or one build earlier, never a wrong score.
         let first_ask = || !self.scored_before.swap(true, Ordering::Relaxed);
         if !self.is_binary() || self.built_layout().is_none() && first_ask() {
             return None;
         }
-        self.planes()
+        self.planes(index)
     }
 
     /// Euclidean norm of the score vector (memoized; O(1)).
@@ -949,7 +952,7 @@ mod tests {
                 );
                 let binary = p.entries().all(|x| is_binary(x.score));
                 prop_assert_eq!(p.non_binary == 0, binary);
-                prop_assert!(binary || p.planes().is_none());
+                prop_assert!(binary || p.planes(&(0..12).zip(0..).collect()).is_none());
             }
         }
 
@@ -989,7 +992,8 @@ mod tests {
             for x in flat.entries() {
                 dealt[(x.item.wrapping_mul(deal) >> 3) as usize % n_runs].push(*x);
             }
-            let snapshot = Profile::snapshot(dealt.into_iter().map(Run::from).collect(), &flat);
+            let index: ItemIndexMap = (0..160).zip(0..).collect();
+            let snapshot = Profile::snapshot(dealt.into_iter().map(Run::from).collect(), &flat, &index);
             prop_assert!(snapshot.entries().eq(flat.entries()));
             prop_assert!(snapshot == flat);
             prop_assert!(flat == snapshot);
@@ -1008,7 +1012,7 @@ mod tests {
             older_by_scan(&snapshot, &cutoffs);
 
             let cand = Profile::from_entries(cand.iter().map(|&(i, liked)| binary(&(i, 0, liked))));
-            let overlap = |p: &Profile| p.planes().zip(cand.planes()).map(|(a, b)| a.overlap(b));
+            let overlap = |p: &Profile| p.planes(&index).zip(cand.planes(&index)).map(|(a, b)| a.overlap(b));
             prop_assert_eq!(overlap(&snapshot), overlap(&flat));
             for metric in [Metric::Wup, Metric::Cosine, Metric::Jaccard] {
                 let by_reference = |pn: &Profile, pc: &Profile| match metric {
@@ -1024,7 +1028,7 @@ mod tests {
                 for (pn, pc, flat_pn, flat_pc) in pairs {
                     let expected = by_reference(flat_pn, flat_pc);
                     for _ in 0..2 {
-                        prop_assert_eq!(Prepared::new(pn).score(metric, pc).to_bits(), expected.to_bits());
+                        prop_assert_eq!(Prepared::new(pn, &index).score(metric, pc).to_bits(), expected.to_bits());
                     }
                     prop_assert_eq!(by_reference(pn, pc).to_bits(), expected.to_bits());
                 }

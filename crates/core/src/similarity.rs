@@ -109,7 +109,7 @@
 //! * **Layouts belong to the profile.** Planes and weights alike are
 //!   derived state of a [`Profile`] allocation — built on demand, never
 //!   serialized or compared, dropped by every mutation — and [`Prepared`]
-//!   keeps nothing but the profile. Every view slot and message pinning a
+//!   keeps nothing but references. Every view slot and message pinning a
 //!   snapshot shares one pair of planes (16 bytes per 64 slots spanned),
 //!   and a node keeps no scoring state of its own. Every copy of an item
 //!   profile shares one set of weights (264 bytes per 64 slots spanned):
@@ -117,48 +117,40 @@
 //!   chain, which forward it unchanged, orient it with the weights the
 //!   first of them built, on whichever thread.
 //! * **Built for what is scored again.** Building looks every id up in
-//!   the slot table — one pass, which also finds the span the layout
-//!   covers — and fills the words in a second; that pays for a node's own
-//!   profile or a snapshot sitting in a view, not for a descriptor decoded
-//!   from a frame, ranked once and dropped. So a snapshot a node
-//!   discloses is laid out when it is taken (`Profile::snapshot`: it will
-//!   be its owner's fixed side and others' candidate), any other fixed
-//!   side as soon as one candidate has planes to be scored with, and any
-//!   other *candidate* the second time a scorer meets it; its first score
-//!   is walked. (Building every decoded descriptor eagerly made runs whose
-//!   shards exchange encoded bundles up to 2× slower.) Which of the exact
-//!   paths a score took is history; its bits are not.
-//! * **Only what is scored again registers ids.** Item ids map to bit
-//!   positions through one process-wide, append-only, bounded table, in
-//!   order of first sight (see `crate::planes`; the numbering cannot reach
-//!   a result, since only sums over an intersection leave a layout). Planes
-//!   register their ids, so a peer's one-shot descriptors never reach the
-//!   table. An item profile, which arrives with every news frame, registers
-//!   nothing: its weights are laid out over the ids the table knows, and
-//!   an entry scored exactly 0 — a product of 0 whatever the candidate
-//!   says — is not even looked up. That loses no term — a candidate has
-//!   planes only once every id it holds has a slot — except to a candidate
-//!   laid out *after* the weights (its second sight falling inside any
-//!   later orientation of the same allocation), which may have registered
-//!   a non-zero entry's id they left out: such weights remember how large
-//!   the table was and turn away planes that reach beyond — planes record
-//!   the highest slot they rate when they are built, so that is one
-//!   comparison per candidate — however long they stay cached. (An item profile still binary — its source's own
-//!   snapshot — is a binary fixed side like any other, and gets planes.)
+//!   the run's item index (`crate::planes`) — one pass, which also finds
+//!   the span the layout covers — and fills the words in a second; that
+//!   pays for a node's own profile or a snapshot sitting in a view, not
+//!   for a descriptor decoded from a frame, ranked once and dropped. So a
+//!   snapshot a node discloses is laid out when it is taken
+//!   (`Profile::snapshot`: it will be its owner's fixed side and others'
+//!   candidate), any other fixed side as soon as one candidate has planes
+//!   to be scored with, and any other *candidate* the second time a
+//!   scorer meets it; its first score is walked. (Building every decoded
+//!   descriptor eagerly made runs whose shards exchange encoded bundles up
+//!   to 2× slower.) Which of the exact paths a score took is history; its
+//!   bits are not.
+//! * **One numbering per run.** A slot is an item's position in the run's
+//!   index, which every node of the run holds and [`Prepared`] is given:
+//!   complete before cycle 0 and read-only after, so a build takes no
+//!   lock and registers nothing, and two layouts of a run always agree on
+//!   the bit an item owns (debug builds assert it where a pair is
+//!   counted). An id the index does not know has no slot: planes holding
+//!   one decline, and weights leave it out — an entry scored exactly 0,
+//!   a product of 0 whatever the candidate says, is not even looked up.
+//!   That loses no term, since a candidate has planes only if the index
+//!   knows every id it rates.
 //! * **It declines rather than degrades.** A pair is walked pairwise —
 //!   same bits, the merge-join's speed — when the candidate has no planes
-//!   (a score that is neither 0 nor 1, a first meeting, an id the full
-//!   table does not know) or was laid out after weights that left a
-//!   non-zero entry's id out; when the fixed side holds a score that is no
-//!   whole multiple of 2⁻²⁰ in `[0, 1]` (`-0.0` and non-finite values
-//!   included) or more than 2¹³ entries, zeros counted; and when either
-//!   side's ids were first seen so far apart that its layout would span
-//!   more 64-slot words than it places entries (a weighed side places its
-//!   non-zero ones), which also keeps wire-supplied ids from sizing an
-//!   allocation. A declined build is remembered by the allocation: no
-//!   scorer asks it again, and no candidate gets planes built on its
-//!   account.
+//!   (a score that is neither 0 nor 1, a first meeting, an id the index
+//!   does not know); when the fixed side holds a score that is no whole
+//!   multiple of 2⁻²⁰ in `[0, 1]` (`-0.0` and non-finite values included)
+//!   or more than 2¹³ entries, zeros counted; and when either side's ids
+//!   are numbered so far apart that its layout would span more 64-slot
+//!   words than it places entries (a weighed side places its non-zero
+//!   ones). A declined build is remembered by the allocation: no scorer
+//!   asks it again, and no candidate gets planes built on its account.
 
+use crate::item::ItemIndexMap;
 use crate::planes::{Layout, Planes};
 use crate::profile::{Profile, ProfileEntry};
 
@@ -295,14 +287,17 @@ pub fn jaccard_similarity(pn: &Profile, pc: &Profile) -> f64 {
 /// or weights — belongs to the profile allocation, and is built on the
 /// first candidate of any scorer that gets past the fingerprint rejection
 /// and has planes, so a scorer that only ever meets disjoint or
-/// first-sight candidates costs nothing.
+/// first-sight candidates costs nothing. Layouts are numbered by `index`,
+/// the run's item index: every scorer of the profiles it meets must be
+/// given the same one (see "One numbering per run" in the module docs).
 pub struct Prepared<'a> {
     pn: &'a Profile,
+    index: &'a ItemIndexMap,
 }
 
 impl<'a> Prepared<'a> {
-    pub fn new(pn: &'a Profile) -> Self {
-        Self { pn }
+    pub fn new(pn: &'a Profile, index: &'a ItemIndexMap) -> Self {
+        Self { pn, index }
     }
 
     /// [`Metric::score`]`(pn, pc)`.
@@ -340,25 +335,24 @@ impl<'a> Prepared<'a> {
         if matches!(self.pn.built_layout(), Some(None)) {
             return None;
         }
-        let theirs = pc.planes_when_rescored()?;
-        Some((self.pn.layout()?, theirs))
+        let theirs = pc.planes_when_rescored(self.index)?;
+        Some((self.pn.layout(self.index)?, theirs))
     }
 
     /// `(Σ pn·pc, Σ pn²)` over the common items: planes against planes are
     /// counted, weights against planes summed, and anything else walked.
     fn sums(&self, pc: &Profile) -> (f64, f64) {
-        let laid_out = match self.layouts(pc) {
+        match self.layouts(pc) {
             Some((Layout::Planes(own), theirs)) => {
                 let (dot, sub_norm2) = own.overlap(theirs);
-                Some((f64::from(dot), f64::from(sub_norm2)))
+                (f64::from(dot), f64::from(sub_norm2))
             }
             Some((Layout::Weights(own), theirs)) => own.sums(theirs),
-            None => None,
-        };
-        laid_out.unwrap_or_else(|| {
-            let sums = merge_join(self.pn, pc);
-            (sums.dot, sums.sub_norm2)
-        })
+            None => {
+                let sums = merge_join(self.pn, pc);
+                (sums.dot, sums.sub_norm2)
+            }
+        }
     }
 }
 
@@ -524,6 +518,11 @@ mod tests {
         assert!((s - expected).abs() < 1e-6);
     }
 
+    /// An index numbering `ids` in the order given.
+    fn index_of(ids: impl IntoIterator<Item = u64>) -> ItemIndexMap {
+        ids.into_iter().zip(0..).collect()
+    }
+
     /// Item ids for the scorer tests, from a small shared universe (so
     /// profiles overlap): dense ids from 0 (dataset style) or content
     /// hashes.
@@ -584,8 +583,9 @@ mod tests {
             profile(&[1, 2], &[0]),
             profile(&[7], &[]),
         ];
+        let index = index_of(0..8);
         for pn in &profiles {
-            let scorer = Prepared::new(pn);
+            let scorer = Prepared::new(pn, &index);
             for pc in &profiles {
                 assert_scorer_matches_reference(&scorer, pn, pc);
             }
@@ -608,41 +608,26 @@ mod tests {
         };
         let plain = profile(&[1, 2, 5], &[3]);
         let unrated = profile(&[1, 3, 5], &[9]);
+        let index = index_of(0..10);
         for score in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
             let weird = odd(score);
             for (pn, pc) in [(&plain, &weird), (&weird, &plain), (&unrated, &weird)] {
-                let scorer = Prepared::new(pn);
+                let scorer = Prepared::new(pn, &index);
                 assert_scorer_matches_reference(&scorer, pn, pc);
                 assert!(!weighs(pn));
             }
         }
     }
 
-    /// The first of `n` item ids no test has used yet — ids the slot
-    /// table has never seen, whatever the other tests of this process
-    /// (which run in parallel and share the table) have registered.
-    fn fresh_ids(n: u64) -> u64 {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static NEXT: AtomicU64 = AtomicU64::new(1 << 40);
-        NEXT.fetch_add(n, Ordering::Relaxed)
-    }
-
-    /// Registers `ids` with the slot table in one step, so that they get
-    /// consecutive slots, in the order given, no matter what other tests
-    /// register meanwhile.
-    fn register(ids: impl IntoIterator<Item = u64>) {
-        crate::planes::tests::register_in_order(ids);
-    }
-
     #[test]
     fn planes_follow_the_profile_through_clones_and_mutations() {
-        let base = fresh_ids(64);
-        register(base..base + 64);
+        let base = 1 << 40;
+        let index = index_of(base..base + 64);
         let ids = |offsets: &[u64]| offsets.iter().map(|o| base + o).collect::<Vec<_>>();
         let other = profile(&ids(&[1, 2, 3, 9, 20]), &ids(&[4, 5]));
         let check = |p: &Profile| {
-            assert_scorer_matches_reference(&Prepared::new(p), p, &other);
-            assert_scorer_matches_reference(&Prepared::new(&other), &other, p);
+            assert_scorer_matches_reference(&Prepared::new(p, &index), p, &other);
+            assert_scorer_matches_reference(&Prepared::new(&other, &index), &other, p);
         };
         let original = profile(&ids(&[1, 2, 3, 4]), &ids(&[9, 10]));
         check(&original);
@@ -683,24 +668,24 @@ mod tests {
         // again.
         let mut folded = original.aggregated_with(&profile(&ids(&[9]), &[]));
         assert_eq!(folded.get(base + 9).unwrap().score, 0.5);
-        assert!(folded.planes().is_none());
+        assert!(folded.planes(&index).is_none());
         check(&folded);
         folded.rate(base + 9, 0, true);
-        assert!(folded.planes().is_some());
+        assert!(folded.planes(&index).is_some());
         check(&folded);
         // Folding disjoint binary profiles stays binary.
         let merged = original.aggregated_with(&profile(&ids(&[30, 31]), &ids(&[32])));
-        assert!(merged.planes().is_some());
+        assert!(merged.planes(&index).is_some());
         check(&merged);
     }
 
     #[test]
     fn a_candidate_is_walked_once_then_counted() {
-        let base = fresh_ids(16);
-        register(base..base + 16);
+        let base = 1 << 40;
+        let index = index_of(base..base + 16);
         let own = profile(&[base, base + 1, base + 2], &[base + 3]);
         let mut snapshot = profile(&[base + 1, base + 2, base + 5], &[base]);
-        let scorer = Prepared::new(&own);
+        let scorer = Prepared::new(&own, &index);
         // Scored once — a decoded descriptor dropped after its merge —
         // nothing is built on either side.
         let first = scorer.score(Metric::Wup, &snapshot);
@@ -722,19 +707,19 @@ mod tests {
     }
 
     #[test]
-    fn ids_first_seen_far_apart_decline() {
+    fn ids_numbered_far_apart_decline() {
         // Two ids 30 words of slots apart: the planes of a profile holding
         // both would be mostly padding.
-        let base = fresh_ids(2_000);
-        register(base..base + 1_921);
+        let base = 1 << 40;
+        let index = index_of(base..base + 1_921);
         let near = profile(&[base, base + 1, base + 2], &[]);
         let wide = profile(&[base, base + 1], &[base + 1_920]);
         let far = profile(&[base + 1_919], &[base + 1_920]);
-        assert!(near.planes().is_some());
-        assert!(wide.planes().is_none(), "31 words for 3 entries");
-        assert!(far.planes().is_some());
+        assert!(near.planes(&index).is_some());
+        assert!(wide.planes(&index).is_none(), "31 words for 3 entries");
+        assert!(far.planes(&index).is_some());
         for pn in [&near, &wide, &far] {
-            let scorer = Prepared::new(pn);
+            let scorer = Prepared::new(pn, &index);
             for pc in [&near, &wide, &far] {
                 assert_scorer_matches_reference(&scorer, pn, pc);
             }
@@ -764,8 +749,8 @@ mod tests {
 
     #[test]
     fn a_real_valued_fixed_side_builds_planes_for_no_first_sight_candidate() {
-        let base = fresh_ids(16);
-        register(base..base + 16);
+        let base = 1 << 40;
+        let index = index_of(base..base + 16);
         let mut item_profile = profile(&[base, base + 1], &[]);
         item_profile.add_to_news_profile(ProfileEntry {
             item: base + 1,
@@ -775,7 +760,7 @@ mod tests {
         let candidates: Vec<Profile> = (0..4)
             .map(|k| profile(&[base + 1, base + 2 + k], &[base + 6 + k]))
             .collect();
-        let scorer = Prepared::new(&item_profile);
+        let scorer = Prepared::new(&item_profile, &index);
         // First sight — a descriptor decoded for this one orientation: the
         // candidate is walked, nothing is built on either side.
         let first: Vec<u64> = candidates
@@ -797,12 +782,12 @@ mod tests {
 
     #[test]
     fn weighing_declines_at_each_boundary_of_its_exactness() {
-        let base = fresh_ids(8_200);
-        register(base..base + 8_193);
+        let base = 1 << 40;
+        let index = index_of(base..base + 8_193);
         let all = profile(&(base..base + 8_193).collect::<Vec<_>>(), &[]);
         let some = profile(&[base, base + 2, base + 64], &[base + 1, base + 65]);
         for pc in [&all, &some] {
-            assert!(pc.planes().is_some());
+            assert!(pc.planes(&index).is_some());
         }
         let unit = 0.5f32.powi(20);
         // (fixed side, whether it is weighed). The sums of the 8192-entry
@@ -820,7 +805,7 @@ mod tests {
             (item_profile(base..base + 8_193, 0.5, 1.0 - unit), false),
         ];
         for (pn, weighed) in &cases {
-            let scorer = Prepared::new(pn);
+            let scorer = Prepared::new(pn, &index);
             for pc in [&all, &some] {
                 assert_scorer_matches_reference(&scorer, pn, pc);
             }
@@ -831,10 +816,10 @@ mod tests {
 
     #[test]
     fn only_a_binary_candidate_with_planes_is_weighed_against() {
-        let base = fresh_ids(16);
-        register(base..base + 16);
+        let base = 1 << 40;
+        let index = index_of(base..base + 16);
         let pn = item_profile(base..base + 12, 0.5, 0.75);
-        let scorer = Prepared::new(&pn);
+        let scorer = Prepared::new(&pn, &index);
         // A real-valued candidate (one item profile ranked against
         // another) has no planes, however often it is scored.
         let real = item_profile(base + 4..base + 16, 0.25, 0.5);
@@ -855,42 +840,40 @@ mod tests {
     }
 
     #[test]
-    fn an_id_registered_in_mid_orientation_is_walked_not_lost() {
-        let base = fresh_ids(32);
-        register(base..base + 16);
-        // The item profile rates eight ids no profile was laid out with.
+    fn an_id_the_index_does_not_know_is_walked_not_lost() {
+        let base = 1 << 40;
+        let index = index_of(base..base + 16);
+        // The item profile rates eight ids the index does not know.
         let pn = item_profile(base + 8..base + 24, 0.5, 0.75);
-        let scorer = Prepared::new(&pn);
+        let scorer = Prepared::new(&pn, &index);
         let seen = profile(&[base + 8, base + 9], &[base + 10]);
-        assert!(seen.planes().is_some());
+        assert!(seen.planes(&index).is_some());
         assert_scorer_matches_reference(&scorer, &pn, &seen);
         assert!(weighs(&pn));
-        // A snapshot rating three of them comes by a second time while the
-        // orientation runs: its planes give them slots the weights lack.
-        let newcomer = profile(&[base + 20], &[base + 21, base + 22]);
-        assert!(reference::wup_similarity(&pn, &newcomer) > 0.0);
+        // A snapshot rating three of them has no planes, however often it
+        // is scored: it is walked, and scores what the reference does.
+        let stranger = profile(&[base + 20], &[base + 21, base + 22]);
+        assert!(reference::wup_similarity(&pn, &stranger) > 0.0);
         for _ in 0..2 {
-            assert_scorer_matches_reference(&scorer, &pn, &newcomer);
+            assert_scorer_matches_reference(&scorer, &pn, &stranger);
         }
-        assert!(newcomer.plane_bytes() > 0);
-        assert_scorer_matches_reference(&scorer, &pn, &seen);
+        assert!(matches!(stranger.built_layout(), Some(None)));
         // The weights stay with the item profile: the next node to orient
-        // it — down a dislike chain — reuses them, and they still turn the
-        // newcomer away.
+        // it — down a dislike chain — reuses them.
         let bytes = pn.heap_bytes();
-        assert_scorer_matches_reference(&Prepared::new(&pn), &pn, &newcomer);
-        assert_scorer_matches_reference(&Prepared::new(&pn), &pn, &seen);
+        assert_scorer_matches_reference(&Prepared::new(&pn, &index), &pn, &stranger);
+        assert_scorer_matches_reference(&Prepared::new(&pn, &index), &pn, &seen);
         assert_eq!(pn.heap_bytes(), bytes);
     }
 
     #[test]
     fn a_layout_is_built_once_per_allocation_and_dropped_by_mutations() {
-        let base = fresh_ids(16);
-        register(base..base + 16);
+        let base = 1 << 40;
+        let index = index_of(base..base + 16);
         let seen = profile(&[base + 1, base + 2], &[base + 3]);
-        assert!(seen.planes().is_some());
+        assert!(seen.planes(&index).is_some());
         let orient = |pn: &Profile| {
-            assert_scorer_matches_reference(&Prepared::new(pn), pn, &seen);
+            assert_scorer_matches_reference(&Prepared::new(pn, &index), pn, &seen);
             weighs(pn)
         };
         let mut pn = item_profile(base..base + 8, 0.5, 0.75);
@@ -924,26 +907,26 @@ mod tests {
         });
         assert!(pn.built_layout().is_none());
         assert!(orient(&pn));
-        assert_scorer_matches_reference(&Prepared::new(&pn), &pn, &seen);
+        assert_scorer_matches_reference(&Prepared::new(&pn, &index), &pn, &seen);
     }
 
     #[test]
     fn two_threads_orienting_one_item_profile_both_get_the_reference() {
-        let base = fresh_ids(64);
-        register(base..base + 64);
+        let base = 1 << 40;
+        let index = index_of(base..base + 64);
         let pn = crate::profile::SharedProfile::new(item_profile(base..base + 48, 0.5, 0.75));
         let view: Vec<Profile> = (0..30)
             .map(|k| profile(&[base + k, base + k + 11], &[base + k + 23]))
             .collect();
-        assert!(view.iter().all(|pc| pc.planes().is_some()));
+        assert!(view.iter().all(|pc| pc.planes(&index).is_some()));
         let barrier = std::sync::Barrier::new(2);
         std::thread::scope(|scope| {
             for _ in 0..2 {
                 let copy = crate::profile::SharedProfile::clone(&pn);
-                let (view, barrier) = (&view, &barrier);
+                let (view, barrier, index) = (&view, &barrier, &index);
                 scope.spawn(move || {
                     barrier.wait();
-                    let scorer = Prepared::new(&copy);
+                    let scorer = Prepared::new(&copy, index);
                     for pc in view {
                         assert_scorer_matches_reference(&scorer, &copy, pc);
                     }
@@ -954,10 +937,10 @@ mod tests {
     }
 
     #[test]
-    fn ids_first_seen_far_apart_are_not_weighed() {
+    fn ids_numbered_far_apart_are_not_weighed() {
         // As for planes: 31 words of layout for 3 entries.
-        let base = fresh_ids(2_000);
-        register(base..base + 1_921);
+        let base = 1 << 40;
+        let index = index_of(base..base + 1_921);
         let wide = Profile::from_entries([(base, 0.5), (base + 1, 1.0), (base + 1_920, 0.25)].map(
             |(item, score)| ProfileEntry {
                 item,
@@ -966,8 +949,8 @@ mod tests {
             },
         ));
         let pc = profile(&[base, base + 2], &[base + 1]);
-        assert!(pc.planes().is_some());
-        let scorer = Prepared::new(&wide);
+        assert!(pc.planes(&index).is_some());
+        let scorer = Prepared::new(&wide, &index);
         assert_scorer_matches_reference(&scorer, &wide, &pc);
         assert!(declined_to_weigh(&wide));
     }
@@ -1066,8 +1049,9 @@ mod tests {
             ),
         ) {
             let (fixed_max, cand_max) = [(300, 300), (1, 300), (300, 2), (40, 40)][shape];
+            let index = index_of((0..256).map(|raw| spread(kind, raw)));
             let pn = spread_profile(kind, &fixed[..fixed.len().min(fixed_max)]);
-            let scorer = Prepared::new(&pn);
+            let scorer = Prepared::new(&pn, &index);
             for raw in &cands {
                 let pc = spread_profile(kind, &raw[..raw.len().min(cand_max)]);
                 assert_scorer_matches_reference(&scorer, &pn, &pc);
@@ -1084,11 +1068,9 @@ mod tests {
         /// layout — over binary candidates (`-0.0` included). Its scores
         /// are whole multiples of 2⁻²⁰ — a few coarse averages, as a short
         /// path leaves them, or arbitrary ones — zeros included, and it
-        /// rates ids the slot table never saw: scored 0, which the weights
+        /// rates ids the index does not know: scored 0, which the weights
         /// skip, or ¼, which they leave out. A candidate that rates some of
-        /// those is not laid out up front: its second score registers them,
-        /// after the weights were built, and they must turn it away.
-        /// `decline` spoils the weights: a `-0.0`, a score that is no
+        /// those has no planes and is walked. `decline` spoils the weights: a `-0.0`, a score that is no
         /// multiple of 2⁻²⁰, or 2¹³ + 1 entries. Each profile draws its
         /// other ids from its own 512-slot window of 1024 consecutive
         /// slots, so the layouts overlap fully, in part, in one word or not
@@ -1110,10 +1092,9 @@ mod tests {
                 1..8,
             ),
         ) {
-            let base = fresh_ids(1_024);
-            register(base..base + 1_024);
-            // Never registered but by the candidates that rate them.
-            let never_seen = fresh_ids(16 + 8_193);
+            let base = 1 << 40;
+            let index = index_of(base..base + 1_024);
+            let never_seen = 2 << 40;
             let entry = |item, score| ProfileEntry { item, timestamp: 0, score };
             let units = |q: u32| if coarse { q >> 17 << 17 } else { q };
             let mut entries: Vec<ProfileEntry> = fixed
@@ -1146,15 +1127,13 @@ mod tests {
                 })
                 .collect();
             let mut met = false;
-            for (pc, laid_out) in &cands {
-                if *laid_out {
-                    prop_assert!(pc.planes().is_some());
-                    met |= pc.entries().any(|e| pn.contains(e.item));
-                }
+            for (pc, known) in &cands {
+                prop_assert_eq!(pc.planes(&index).is_some(), *known);
+                met |= *known && pc.entries().any(|e| pn.contains(e.item));
             }
             for k in 0..scorers {
                 let copy = crate::profile::SharedProfile::clone(&pn);
-                let scorer = Prepared::new(&copy);
+                let scorer = Prepared::new(&copy, &index);
                 for (pc, _) in cands.iter().cycle().skip(k).take(cands.len()) {
                     assert_scorer_matches_reference(&scorer, &pn, pc);
                 }
@@ -1162,68 +1141,61 @@ mod tests {
             if decline != 0 {
                 prop_assert!(!weighs(&pn));
                 prop_assert!(!met || declined_to_weigh(&pn));
-            } else if cands.iter().all(|(_, laid_out)| *laid_out) {
+            } else {
                 prop_assert_eq!(weighs(&pn), met);
                 prop_assert!(!declined_to_weigh(&pn));
             }
         }
 
-        /// The counting path against the scan-only reference, by bits, in
-        /// both directions of every pair — over binary profiles (`-0.0`
-        /// included) with empty and one-entry sides, and with one side
-        /// made real-valued (which must then have no planes and fall
-        /// back). The same pair is built over three id ranges whose slots
-        /// were handed out in different orders — ascending with the item,
-        /// descending, evens before odds — and must score the same bits
-        /// under each: the slot numbering shows in no result.
+        /// The numbering contract: a slot is whatever the run's index says,
+        /// and no score shows which. Random binary and real-valued profiles
+        /// (`-0.0`, empty and one-entry sides included) are scored under
+        /// two indexes of their ids — a random permutation of them, and one
+        /// that leaves some out, so that profiles rating those are walked —
+        /// fresh allocations under each, both directions of the pair and
+        /// the fixed side against itself, every candidate twice (walked,
+        /// then counted where the layouts allow), against the scan-only
+        /// reference by bits for all three metrics.
         #[test]
-        fn counting_path_is_bit_identical_to_reference(
+        fn every_numbering_scores_the_reference(
             shape in 0usize..4,
             real_valued in 0usize..3,
-            ea in prop::collection::vec((0u64..96, 0u32..4), 0..80),
-            eb in prop::collection::vec((0u64..96, 0u32..4), 0..80),
+            ea in prop::collection::vec((0u64..96, 0u32..6), 0..80),
+            eb in prop::collection::vec((0u64..96, 0u32..6), 0..80),
+            order in prop::collection::vec(0u64..1 << 32, 96..97),
+            left_out in prop::collection::btree_set(0u64..96, 1..12),
         ) {
             let (a_max, b_max) = [(80, 80), (0, 80), (1, 80), (80, 1)][shape];
             let (ea, eb) = (&ea[..ea.len().min(a_max)], &eb[..eb.len().min(b_max)]);
-            let mut per_numbering = Vec::new();
-            for numbering in 0..3 {
-                let base = fresh_ids(96);
-                let id_of = |i: u64| if numbering == 1 { base + 95 - i } else { base + i };
-                if numbering == 2 {
-                    register((0..96).step_by(2).chain((1..96).step_by(2)).map(id_of));
-                } else {
-                    register(base..base + 96);
-                }
-                let build = |raw: &[(u64, u32)], real: bool| {
-                    let mut p = Profile::from_entries(raw.iter().map(|&(i, class)| ProfileEntry {
-                        item: id_of(i),
-                        timestamp: 0,
-                        score: [0.0, 1.0, -0.0, 1.0][class as usize],
-                    }));
-                    if let (true, Some(first)) = (real, raw.first()) {
-                        p.upsert(ProfileEntry { item: id_of(first.0), timestamp: 0, score: 0.25 });
-                    }
-                    p
+            let mut permuted: Vec<u64> = (0..96).collect();
+            permuted.sort_by_key(|&i| order[i as usize]);
+            let partial = (0..96).filter(|i| !left_out.contains(i));
+            let build = |raw: &[(u64, u32)], real: bool| {
+                let scores = match real {
+                    true => [0.0, 1.0, 0.5, 0.25, 0.5, 0.75],
+                    false => [0.0, 1.0, -0.0, 1.0, 0.0, 1.0],
                 };
+                Profile::from_entries(raw.iter().map(|&(item, class)| ProfileEntry {
+                    item,
+                    timestamp: 0,
+                    score: scores[class as usize],
+                }))
+            };
+            for index in [index_of(permuted), index_of(partial)] {
                 let a = build(ea, real_valued == 1);
                 let b = build(eb, real_valued == 2);
-                for (p, real) in [(&a, real_valued == 1), (&b, real_valued == 2)] {
-                    if real && !p.is_empty() {
-                        prop_assert!(p.planes().is_none());
-                    } else if p.len() >= 3 || p.len() == 1 {
-                        // (Two entries may straddle three words and decline.)
-                        prop_assert!(p.planes().is_some());
+                for (pn, pc) in [(&a, &b), (&b, &a), (&a, &a)] {
+                    let scorer = Prepared::new(pn, &index);
+                    for _ in 0..2 {
+                        assert_scorer_matches_reference(&scorer, pn, pc);
                     }
                 }
-                assert_scorer_matches_reference(&Prepared::new(&a), &a, &b);
-                assert_scorer_matches_reference(&Prepared::new(&b), &b, &a);
-                let scorer = Prepared::new(&a);
-                per_numbering.push(
-                    [Metric::Wup, Metric::Cosine, Metric::Jaccard].map(|m| scorer.score(m, &b).to_bits()),
-                );
+                for p in [&a, &b] {
+                    let known = p.entries().all(|e| index.contains_key(&e.item));
+                    let binary = p.entries().all(|e| e.score == 0.0 || e.score == 1.0);
+                    prop_assert!(known && binary || p.planes(&index).is_none());
+                }
             }
-            prop_assert_eq!(per_numbering[0], per_numbering[1]);
-            prop_assert_eq!(per_numbering[0], per_numbering[2]);
         }
     }
 }

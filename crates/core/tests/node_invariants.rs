@@ -15,6 +15,11 @@ impl Opinions for Mix {
     }
 }
 
+/// A run's item index over the ids these tests rate, `0..60`.
+fn items() -> std::sync::Arc<ItemIndexMap> {
+    std::sync::Arc::new((0..60).zip(0..).collect())
+}
+
 fn profile_of(items: &[(u64, bool)]) -> Profile {
     Profile::from_entries(items.iter().map(|&(i, liked)| ProfileEntry {
         item: i,
@@ -60,7 +65,7 @@ proptest! {
     ) {
         let params = Params::whatsup(3);
         let window = params.profile_window;
-        let mut node = WhatsUpNode::new(7, params);
+        let mut node = WhatsUpNode::new(7, params, items());
         node.seed_views(
             (0..5).map(|i| (i, Profile::new())),
             (0..3).map(|i| (i, Profile::new())),
@@ -115,7 +120,7 @@ proptest! {
         item in 0u64..100,
         copies in 2usize..6,
     ) {
-        let mut node = WhatsUpNode::new(1, Params::whatsup(2));
+        let mut node = WhatsUpNode::new(1, Params::whatsup(2), items());
         node.seed_views(
             (2..8).map(|i| (i, Profile::new())),
             (2..6).map(|i| (i, Profile::new())),
@@ -179,7 +184,8 @@ proptest! {
         }
         // The salt-keyed tie order, read off the function itself: against
         // an empty item profile every candidate scores 0.
-        let tie_order = select_most_similar_k(&Profile::new(), &rps, Metric::Wup, rps.len(), salt);
+        let items = items();
+        let tie_order = select_most_similar_k(&Profile::new(), &items, &rps, Metric::Wup, rps.len(), salt);
         prop_assert_eq!(tie_order.len(), rps.len());
         for metric in [Metric::Wup, Metric::Cosine, Metric::Jaccard] {
             let mut ranked = tie_order.clone();
@@ -189,7 +195,7 @@ proptest! {
                 score(b).partial_cmp(&score(a)).unwrap()
             });
             for k in [1, 3] {
-                let picked = select_most_similar_k(&item_profile, &rps, metric, k, salt);
+                let picked = select_most_similar_k(&item_profile, &items, &rps, metric, k, salt);
                 let expected = &ranked[..k.min(ranked.len())];
                 prop_assert_eq!(&picked[..], expected, "{} k={}", metric.label(), k);
             }
@@ -201,7 +207,7 @@ proptest! {
 fn window_purge_enables_reintegration() {
     // §II-E: a user inactive for a full window has an empty profile and is
     // treated as new — and can still receive and rate items afterwards.
-    let mut node = WhatsUpNode::new(0, Params::whatsup(2));
+    let mut node = WhatsUpNode::new(0, Params::whatsup(2), items());
     node.seed_views(
         (1..6).map(|i| (i, Profile::new())),
         (1..4).map(|i| (i, Profile::new())),
@@ -262,7 +268,7 @@ fn window_purge_enables_reintegration() {
 fn item_profile_windowing_applies_in_flight() {
     // Algorithm 1 lines 8–10: stale entries are purged from the *item*
     // profile before forwarding.
-    let mut node = WhatsUpNode::new(0, Params::whatsup(1));
+    let mut node = WhatsUpNode::new(0, Params::whatsup(1), items());
     node.seed_views([], [(1, Profile::new())]);
     let mut rng = ChaCha8Rng::seed_from_u64(5);
     let mut stats = NodeStats::default();
@@ -346,20 +352,22 @@ proptest! {
             .collect();
         let (views, received) = descriptors.split_at(descriptors.len() * 2 / 3);
         let (wup_view, rps_view) = views.split_at(views.len() / 2);
+        let items = items();
         for metric in [Metric::Wup, Metric::Cosine, Metric::Jaccard] {
             let params = Params {
                 metric,
                 obfuscation_epsilon: if obfuscated { 0.3 } else { 0.0 },
                 ..Params::whatsup(4)
             };
-            let mut seeded = WhatsUpNode::new(ME, params.clone());
+            let mut seeded = WhatsUpNode::new(ME, params.clone(), std::sync::Arc::clone(&items));
             seeded.seed_views_arcs(
                 rps_view.iter().map(|d| (d.node, d.payload.clone())),
                 wup_view.iter().map(|d| (d.node, d.payload.clone())),
             );
             let mut state = seeded.export_state();
             state.profile = profile_of(&own).entries().copied().collect();
-            let mut node = WhatsUpNode::from_state(ME, params.clone(), state.clone());
+            let items = std::sync::Arc::clone(&items);
+            let mut node = WhatsUpNode::from_state(ME, params.clone(), items, state.clone());
 
             let mut expected = Clustering::new(ME, ClusteringConfig { view_size: params.wup_view_size });
             expected.seed(state.wup_view.clone());

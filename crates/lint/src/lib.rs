@@ -7,12 +7,13 @@
 //! `HashMap` in a report path or reading a wall clock inside an engine.
 //! This crate is the compile-adjacent gate: a small hand-rolled token
 //! scanner (no crates.io access, so no `syn`; see [`scan`]) walks every
-//! `.rs` file in the workspace and enforces six rules with per-crate
+//! `.rs` file in the workspace and enforces seven rules with per-crate
 //! scopes (see [`rules::Config::workspace_default`]):
 //!
 //! | rule | contract |
 //! |------|----------|
 //! | `det-map` | no `HashMap`/`HashSet` in determinism-critical crates |
+//! | `det-global` | no process-global mutable state (`static mut`, `thread_local!`, statics of cells, locks and atomics) in the same crates |
 //! | `det-clock` | no `Instant::now`/`SystemTime` outside the swarm executor, its links and socket deadlines |
 //! | `wire-panic` | no panicking decode of untrusted wire input |
 //! | `wire-cast` | no truncating `as` casts on wire length/count fields |

@@ -5,13 +5,19 @@ use crate::scan::{scan, TokKind, Token};
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// The six contract rules. Names (the `lint:allow` keys) are kebab-case.
+/// The seven contract rules. Names (the `lint:allow` keys) are kebab-case.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
     /// No `HashMap`/`HashSet` in determinism-critical code: report paths
     /// must never depend on unspecified iteration order. Use `BTreeMap`/
     /// `BTreeSet` or annotate a probe-only/sorted-before-iteration use.
     DetMap,
+    /// No process-global mutable state in determinism-critical code: no
+    /// `static mut`, no `thread_local!`, and no `static` whose type names
+    /// a lazy or once cell, a lock, a `Cell`/`RefCell` or an atomic. What
+    /// every run of a process shares is where a result can come to depend
+    /// on what ran before it, or on which thread got there first.
+    DetGlobal,
     /// No wall-clock reads (`Instant::now`, `SystemTime`) outside the swarm
     /// executor, its datagram links and the socket-transport deadline
     /// code: simulated time is the only clock the engines may see.
@@ -33,8 +39,9 @@ pub enum Rule {
     EnvDraw,
 }
 
-pub const ALL_RULES: [Rule; 6] = [
+pub const ALL_RULES: [Rule; 7] = [
     Rule::DetMap,
+    Rule::DetGlobal,
     Rule::DetClock,
     Rule::WirePanic,
     Rule::WireCast,
@@ -46,6 +53,7 @@ impl Rule {
     pub fn name(self) -> &'static str {
         match self {
             Rule::DetMap => "det-map",
+            Rule::DetGlobal => "det-global",
             Rule::DetClock => "det-clock",
             Rule::WirePanic => "wire-panic",
             Rule::WireCast => "wire-cast",
@@ -113,9 +121,9 @@ impl Config {
 
     /// This repository's contract, one scope per rule:
     ///
-    /// * `det-map` — the determinism-critical crates: `core`, `gossip`,
-    ///   `metrics`, and all of `sim` (engine, engines, scenario pipeline —
-    ///   everything that feeds a `SimReport`).
+    /// * `det-map` and `det-global` — the determinism-critical crates:
+    ///   `core`, `gossip`, `metrics`, and all of `sim` (engine, engines,
+    ///   scenario pipeline — everything that feeds a `SimReport`).
     /// * `det-clock` — everywhere except the wall-clock swarm executor
     ///   (`crates/sim/src/engines/swarm.rs`), the datagram links whose
     ///   router holds frames on a deadline heap (`crates/net/src/link.rs`),
@@ -138,18 +146,17 @@ impl Config {
     ///   links take their coins from the swarm executor.
     pub fn workspace_default() -> Self {
         let mut scopes = BTreeMap::new();
-        scopes.insert(
-            Rule::DetMap,
-            Scope {
-                include: vec![
-                    "crates/core/src/".into(),
-                    "crates/gossip/src/".into(),
-                    "crates/metrics/src/".into(),
-                    "crates/sim/src/".into(),
-                ],
-                exclude: vec![],
-            },
-        );
+        let determinism_critical = Scope {
+            include: vec![
+                "crates/core/src/".into(),
+                "crates/gossip/src/".into(),
+                "crates/metrics/src/".into(),
+                "crates/sim/src/".into(),
+            ],
+            exclude: vec![],
+        };
+        scopes.insert(Rule::DetMap, determinism_critical.clone());
+        scopes.insert(Rule::DetGlobal, determinism_critical);
         scopes.insert(
             Rule::DetClock,
             Scope {
@@ -283,6 +290,16 @@ pub fn check_file(rel_path: &str, source: &str, config: &Config) -> Vec<Finding>
                         emit(rule, t.line);
                     }
                 }
+                Rule::DetGlobal => {
+                    let global = match t.text.as_str() {
+                        "static" => mutable_static(toks, i),
+                        "thread_local" => next_punct(toks, i) == Some('!'),
+                        _ => false,
+                    };
+                    if t.kind == TokKind::Ident && global {
+                        emit(rule, t.line);
+                    }
+                }
                 Rule::DetClock => {
                     if t.kind == TokKind::Ident && t.text == "SystemTime" {
                         emit(rule, t.line);
@@ -361,6 +378,34 @@ pub fn check_file(rel_path: &str, source: &str, config: &Config) -> Vec<Finding>
     // unit of fixing/annotating is the line.
     findings.dedup_by(|a, b| a.rule == b.rule && a.line == b.line);
     findings
+}
+
+/// True when the `static` item at `i` holds mutable state: it is `static
+/// mut`, or its type — the tokens up to the `=` or `;` that ends it, outside
+/// brackets — names an interior-mutability type.
+fn mutable_static(toks: &[Token], i: usize) -> bool {
+    if matches_seq(toks, i + 1, &["mut"]) {
+        return true;
+    }
+    let mut depth = 0i32;
+    for t in &toks[i + 1..] {
+        match t.kind {
+            TokKind::Punct('(' | '[') => depth += 1,
+            TokKind::Punct(')' | ']') => depth -= 1,
+            TokKind::Punct('=' | ';') if depth <= 0 => return false,
+            TokKind::Ident
+                if t.text.starts_with("Atomic")
+                    || matches!(
+                        t.text.as_str(),
+                        "LazyLock" | "OnceLock" | "Mutex" | "RwLock" | "Cell" | "RefCell"
+                    ) =>
+            {
+                return true
+            }
+            _ => {}
+        }
+    }
+    false
 }
 
 /// True when one of the 8 tokens before `i` is a length/count identifier —

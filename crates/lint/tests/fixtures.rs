@@ -36,6 +36,30 @@ fn det_map_flags_hash_collections() {
 }
 
 #[test]
+fn det_global_flags_process_global_mutable_state() {
+    // `static mut` (5), an atomic (6), a lazy lock (7), `thread_local!`
+    // (8) and the cell it declares (9), a lock inside an array type (11);
+    // the `use` lines name the types without declaring state.
+    let global = |line| (Rule::DetGlobal, line, false);
+    assert_eq!(
+        findings("det_global.rs"),
+        [5, 6, 7, 8, 9, 11].map(global).to_vec()
+    );
+    // Plain and array statics, `'static` lifetimes, atomics and locks
+    // held in fields, and test-only statics are no process-global state.
+    assert_eq!(findings("det_global_clean.rs"), vec![]);
+    // Under the workspace contract the rule covers the determinism-critical
+    // crates, as `det-map` does.
+    let source = fixture("det_global.rs");
+    let config = Config::workspace_default();
+    let hits = |path: &str| check_file(path, &source, &config).len();
+    assert_eq!(hits("crates/core/src/planes.rs"), 6);
+    assert_eq!(hits("crates/sim/src/engine/shard.rs"), 6);
+    assert_eq!(hits("crates/net/src/peer.rs"), 0);
+    assert_eq!(hits("crates/datasets/src/survey.rs"), 0);
+}
+
+#[test]
 fn det_clock_flags_wall_clock_reads() {
     // Line 1 imports `Instant` without calling `::now` — not a read, not
     // flagged. Line 3 names `SystemTime`, line 4 calls `Instant::now()`.

@@ -124,9 +124,10 @@ mod tests {
     /// `N` peers, each knowing every other one in both views.
     fn peers() -> Vec<Peer> {
         let traffic = Arc::new(TrafficStats::new());
+        let items = Arc::default();
         (0..N)
             .map(|id| {
-                let mut node = WhatsUpNode::new(id, Params::whatsup(3));
+                let mut node = WhatsUpNode::new(id, Params::whatsup(3), Arc::clone(&items));
                 let others = || {
                     (0..N)
                         .filter(move |&c| c != id)

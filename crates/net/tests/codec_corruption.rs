@@ -324,21 +324,21 @@ fn out_of_range_scores_are_rejected_by_every_profile_decoder() {
     }
 }
 
-/// A peer chooses the item ids it sends, and scoring a binary profile
-/// registers its ids in a process-wide table (the bit planes' numbering).
-/// That table must stop growing: frame after frame of never-seen ids —
-/// 3 500 a datagram, half a million in all — fills it to its fixed
-/// capacity and no further; later strangers get no planes and are scored
-/// by walking, bit-identically; ids registered while there was room keep
-/// theirs. The item profile of a news frame, oriented once, registers
-/// nothing at all.
+/// A peer chooses the item ids it sends, and the bit planes number only
+/// the ids of the run's item index. Frame after frame of never-seen ids —
+/// 3 500 a datagram — gets no layout, on either side of a score, and is
+/// scored by walking, bit-identically; one stranger is enough to turn a
+/// snapshot of known ids away. The item profile of a news frame is
+/// weighed over the ids the index knows. Known ids are counted as before.
 #[test]
-fn never_seen_item_ids_cannot_grow_the_slot_table_without_bound() {
-    use whatsup_core::profile::slot_table_bytes;
+fn never_seen_item_ids_get_no_layout_and_score_the_reference() {
     use whatsup_core::similarity::{reference, Metric, Prepared};
+    use whatsup_core::ItemIndexMap;
 
     const PER_FRAME: u64 = 3_500;
     let id = |frame: u64, k: u64| 0xfeed_0000_0000 + frame * PER_FRAME + k;
+    // The run's item index: the ids of frame 0.
+    let index: ItemIndexMap = (0..PER_FRAME).map(|k| id(0, k)).zip(0..).collect();
     // A binary profile of `len` ids of `frame`, as a receiver decodes it.
     let received = |frame: u64, len: u64| {
         let entries: Vec<(u64, u32, bool)> =
@@ -351,12 +351,12 @@ fn never_seen_item_ids_cannot_grow_the_slot_table_without_bound() {
         }
     };
     // Twice: a candidate is walked the first time it is scored and gets
-    // its planes — its ids their slots — the second.
+    // its planes, if it can have any, the second.
     let score = |own: &Profile, candidate: &Profile| {
         let walked = reference::wup_similarity(own, candidate);
         assert!(walked > 0.0, "they share likes");
         for _ in 0..2 {
-            let scored = Prepared::new(own).score(Metric::Wup, candidate);
+            let scored = Prepared::new(own, &index).score(Metric::Wup, candidate);
             assert_eq!(scored.to_bits(), walked.to_bits());
         }
     };
@@ -365,10 +365,9 @@ fn never_seen_item_ids_cannot_grow_the_slot_table_without_bound() {
     score(&first_own, &first);
     assert!(first_own.plane_bytes() > 0 && first.plane_bytes() > 0);
 
-    // The news route: item profiles of never-seen ids with scores that can
-    // be weighed, each oriented against a view of snapshots with planes —
-    // forty frames' worth, which as candidates would have grown the table
-    // some sixteenfold.
+    // The news route: item profiles of never-seen ids but four, with
+    // scores that can be weighed, each oriented against a snapshot with
+    // planes.
     let item = news_item(3, 7);
     let oriented = |frame: u64| {
         let averaged = (0..PER_FRAME).map(|k| ProfileEntry {
@@ -389,36 +388,21 @@ fn never_seen_item_ids_cannot_grow_the_slot_table_without_bound() {
             other => panic!("a news frame decodes as one, not {other:?}"),
         }
     };
-    let before_news = slot_table_bytes();
-    for frame in 1_000..1_040 {
+    for frame in 1_000..1_010 {
         score(&oriented(frame), &first);
     }
-    assert_eq!(slot_table_bytes(), before_news, "oriented ids registered");
 
-    let mut sizes = Vec::new();
-    for frame in 1..150 {
-        score(&received(frame, 4), &received(frame, PER_FRAME));
-        sizes.push(slot_table_bytes());
+    // Strangers on either side of a score: no planes, walked.
+    for frame in 1..20 {
+        let (own, candidate) = (received(frame, 4), received(frame, PER_FRAME));
+        score(&own, &candidate);
+        assert_eq!(own.plane_bytes() + candidate.plane_bytes(), 0);
     }
-    let full = *sizes.last().expect("149 frames");
-    assert!(full <= 9 << 20, "the slot table holds {full} bytes");
-    assert_eq!(
-        sizes[sizes.len() - 10],
-        full,
-        "still growing at 500 000 ids"
-    );
-
-    // No room left: strangers on either side of a score decline…
-    let (late_own, late) = (received(150, 4), received(150, 40));
-    score(&late_own, &late);
-    let mut mixed = (*late).clone();
-    mixed.rate(id(0, 0), 1, true);
+    let mut mixed = (*first).clone();
+    mixed.rate(id(20, 0), 1, true);
     score(&first_own, &mixed);
-    for stranger in [&*late_own, &*late, &mixed] {
-        assert_eq!(stranger.plane_bytes(), 0);
-    }
-    assert_eq!(slot_table_bytes(), full);
-    // …and known ids are counted as before, in a fresh decode.
+    assert_eq!(mixed.plane_bytes(), 0, "one stranger declines the planes");
+    // Known ids are counted as before, in a fresh decode.
     let again = received(0, PER_FRAME);
     score(&first_own, &again);
     assert!(again.plane_bytes() > 0);

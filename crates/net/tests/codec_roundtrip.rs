@@ -538,7 +538,7 @@ proptest! {
         use whatsup_core::{NodeStats, Params, WhatsUpNode};
         use whatsup_net::wire;
 
-        let mut node = WhatsUpNode::new(0, Params::whatsup(2));
+        let mut node = WhatsUpNode::new(0, Params::whatsup(2), Default::default());
         node.seed_views([], [(1, Profile::new())]);
         let likes = |_: NodeId, item: u64| !item.is_multiple_of(3);
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);

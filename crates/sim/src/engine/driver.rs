@@ -612,8 +612,11 @@ impl Simulation {
         }
         let (records, per_node) = self.core.ledger.heap_bytes();
         totals.push(("item records", records));
-        // Process-wide, so counted here once and not per shard.
-        totals.push(("slot table", whatsup_core::profile::slot_table_bytes()));
+        // The run's item index: one `Arc`, shared by the oracle and every
+        // node, so counted here once and not per shard.
+        let items = self.core.oracle.id_map();
+        let entry = std::mem::size_of::<(whatsup_core::ItemId, u32)>() + 1;
+        totals.push(("item index", items.capacity() * entry));
         totals.push((
             "driver per-node",
             per_node + self.core.liked_this_cycle.capacity() * 4,

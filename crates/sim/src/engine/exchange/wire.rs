@@ -7,9 +7,9 @@
 //! [`Oracle`] in canonical id-map order behind a dense/sparse tag.
 
 use crate::engine::partition::Partition;
-use crate::oracle::{ItemIndexMap, Oracle};
+use crate::oracle::Oracle;
 use bytes::BytesMut;
-use whatsup_core::ItemId;
+use whatsup_core::{ItemId, ItemIndexMap};
 use whatsup_datasets::{CsrLikes, LikeMatrix, LikeStore};
 use whatsup_net::codec::DecodeError;
 use whatsup_net::wire::{put_seq, Wire};

@@ -272,12 +272,13 @@
 //! * **Counted view-merge scores** — user profiles and gossip snapshots
 //!   hold only the scores 0 and 1, so a WUP merge scores each candidate
 //!   by intersecting bit planes (`whatsup_core::similarity`, "Counting
-//!   path for binary profiles"). The planes are derived state of the
-//!   profile allocation, built once — for a node's own snapshot when it
-//!   is taken, for a decoded one the second time a merge ranks it — and
-//!   shared by every view slot that pins it; the
-//!   counts are exact, so the ranking — and every downstream bit — is
-//!   what the entry-walking reference produces.
+//!   path"). The planes are derived state of the profile allocation,
+//!   built once — for a node's own snapshot when it is taken, for a
+//!   decoded one the second time a merge ranks it — and shared by every
+//!   view slot that pins it, its bits numbered by the run's item index
+//!   (the oracle's, which every node holds). The counts are exact, so the
+//!   ranking — and every downstream bit — is what the entry-walking
+//!   reference produces.
 //! * **Clone-free view merges** — a WUP or RPS merge takes the old view
 //!   out of the node and deduplicates and scores own view ∪ received ∪
 //!   (WUP only) RPS view *by reference*; the WUP merge ranks on one packed
@@ -363,8 +364,8 @@
 //!   last, not a copy of the window (`whatsup_core::profile`, "runs"). The
 //!   live profile is never handed out, so rating never copies it.
 //!   "pinned view snapshots" counts each allocation once, bit planes
-//!   included (a few words per snapshot; the item → slot table they are
-//!   numbered by is the breakdown's "slot table" row, one per process),
+//!   included (a few words per snapshot; the run's item index they are
+//!   numbered by is the breakdown's "item index" row, counted once),
 //!   and each run once, whichever snapshots and node histories hold it.
 //!   (†) The ~260 MiB was measured when each version was a whole copy;
 //!   on perfbench's `stress-1shard` sharing runs cut the row from 5.4 to
@@ -386,8 +387,8 @@
 //! Ownership is strictly two-tier. **Shard-owned** (per shard, moves
 //! with its partition): node protocol stacks, mailbox arena and scratch,
 //! phase RNGs, per-node stats. **Process-shared** (one per process,
-//! `Arc`): the oracle and the dataset's item table. Nothing is globally
-//! mutable — a shard can be checkpointed, moved, or restored from its
+//! `Arc`): the oracle (and the item index in it, which every node holds)
+//! and the dataset's item table. Nothing is globally mutable — a shard can be checkpointed, moved, or restored from its
 //! own frame alone (`exchange::supervisor::Supervised`).
 //!
 //! [`partition::Partition`] is load-aware: `Partition::plan` consumes
@@ -426,7 +427,8 @@
 //! pass (`cargo run -p whatsup-lint -- --check`, a blocking CI gate):
 //! `det-map` forbids `HashMap`/`HashSet` in the crates that feed a
 //! `SimReport` — unspecified iteration order is exactly the kind of
-//! nondeterminism the property tests can miss — and `det-clock` forbids
+//! nondeterminism the property tests can miss — `det-global` forbids
+//! process-global mutable state there, and `det-clock` forbids
 //! `Instant::now`/`SystemTime` outside the wall-clock swarm executor
 //! (`crate::engines::swarm`), its datagram links and the socket
 //! deadlines, so simulated time stays the only clock the engines can

@@ -23,10 +23,11 @@ use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeSet;
 // lint:allow(det-map) import for the probe-only item store annotated below
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 use whatsup_core::{
-    ColdStart, ItemId, NewsItem, NodeId, NodeState, NodeStats, Opinions, OutMessage, Params,
-    Payload, Profile, SharedProfile, WhatsUpNode,
+    ColdStart, ItemId, ItemIndexMap, NewsItem, NodeId, NodeState, NodeStats, Opinions, OutMessage,
+    Params, Payload, Profile, SharedProfile, WhatsUpNode,
 };
 use whatsup_net::codec::{self, DecodeError};
 
@@ -173,16 +174,18 @@ struct NodeRecord {
 
 wire_codec! { struct NodeRecord { profile, views, seen, stats } }
 
-/// A fresh node whose views start at its bootstrap `contacts`, every one
-/// carrying the `empty` profile: the RPS view gets all of them, the WUP
-/// view the first half (at least one).
+/// A fresh node of the run whose item index is `items`, its views
+/// starting at its bootstrap `contacts`, every one carrying the `empty`
+/// profile: the RPS view gets all of them, the WUP view the first half (at
+/// least one).
 pub(crate) fn bootstrapped(
     id: NodeId,
     params: &Params,
+    items: &Arc<ItemIndexMap>,
     contacts: &[NodeId],
     empty: &SharedProfile,
 ) -> WhatsUpNode {
-    let mut node = WhatsUpNode::new(id, params.clone());
+    let mut node = WhatsUpNode::new(id, params.clone(), Arc::clone(items));
     let wup_take = (contacts.len() / 2).max(1);
     let descriptor = |&c: &NodeId| (c, SharedProfile::clone(empty));
     node.seed_views_arcs(
@@ -247,7 +250,9 @@ impl ShardState {
         let nodes: Vec<WhatsUpNode> = range
             .clone()
             .zip(&init.bootstrap)
-            .map(|(id, contacts)| bootstrapped(id, &init.params, contacts, &empty))
+            .map(|(id, contacts)| {
+                bootstrapped(id, &init.params, init.oracle.id_map(), contacts, &empty)
+            })
             .collect();
         let n_local = nodes.len();
         Self {
@@ -378,7 +383,8 @@ impl ShardState {
         self.oracle.add_clone_of(reference);
         let id = self.partition.push_node();
         if let Some(snapshot) = snapshot {
-            let mut node = WhatsUpNode::new(id, self.params.clone());
+            let items = Arc::clone(self.oracle.id_map());
+            let mut node = WhatsUpNode::new(id, self.params.clone(), items);
             node.cold_start(snapshot, &self.oracle);
             self.nodes.push(node);
             self.node_stats.push(NodeStats::default());
@@ -529,6 +535,7 @@ impl ShardState {
         let fits = range.len() == n_nodes && cp.channel_bad.len() == n_nodes;
         ensure(fits, "checkpoint of another shard")?;
         ensure(cp.oracle.n_nodes() == cp.partition.total(), "oracle size")?;
+        let items = cp.oracle.id_map();
         let (nodes, node_stats) = range
             .zip(cp.nodes)
             .map(|(id, record)| {
@@ -538,7 +545,8 @@ impl ShardState {
                     wup_view: record.views.wup_view,
                     seen: record.seen,
                 };
-                let node = WhatsUpNode::from_state(id, self.params.clone(), state);
+                let node =
+                    WhatsUpNode::from_state(id, self.params.clone(), Arc::clone(items), state);
                 (node, record.stats)
             })
             .unzip();
@@ -636,6 +644,7 @@ impl ShardState {
 
     /// One gossip delivery round over the owned receivers, ascending.
     fn deliver_gossip(&mut self, cycle: u32, bundles: &[Bytes]) -> Result<Outbound, DecodeError> {
+        let owned = self.partition.range(self.index);
         let Self {
             index,
             pending_local,
@@ -645,6 +654,8 @@ impl ShardState {
         } = self;
         merge_inbound(
             *index,
+            owned,
+            false,
             bundles,
             pending_local,
             known_items,
@@ -713,7 +724,8 @@ impl ShardState {
             .map(|(id, frame)| Ok((*id, self.local(*id)?, decode::<ColdStart>(frame)?)))
             .collect::<Result<Vec<_>, DecodeError>>()?;
         for (id, local, snapshot) in snapshots {
-            let mut fresh = WhatsUpNode::new(id, self.params.clone());
+            let items = Arc::clone(self.oracle.id_map());
+            let mut fresh = WhatsUpNode::new(id, self.params.clone(), items);
             fresh.cold_start(snapshot, &self.oracle);
             self.nodes[local] = fresh;
             // A rejoining node is a fresh instance: its counters restart
@@ -772,6 +784,7 @@ impl ShardState {
         let cut = partition_cut(loss, cycle, self.partition.total());
         let Self {
             index,
+            partition,
             nodes,
             node_stats,
             phase_rngs,
@@ -787,6 +800,8 @@ impl ShardState {
         let news_stream = |id: NodeId| move || node_stream(seed, id, cycle, phase::NEWS);
         merge_inbound(
             *index,
+            partition.range(*index),
+            true,
             bundles,
             pending_local,
             known_items,
@@ -836,7 +851,7 @@ impl ShardState {
                     return;
                 }
                 let Payload::News(news) = &payload else {
-                    unreachable!("only news flows in the publication phase")
+                    unreachable!("merge_inbound admits only news in a news round")
                 };
                 debug_assert_eq!(news.header.id, item_id);
                 let (hop, dislikes) = (news.hops + 1, news.dislikes);
@@ -876,22 +891,37 @@ impl ShardState {
 /// takes slot `index` — and adds each news content the bundles carry to
 /// `known_items`. With contiguous ascending shard ranges this reproduces
 /// the global `(sender id, emission order)` mailbox order of a
-/// single-shard run. A bundle that does not decode is an error.
+/// single-shard run. A bundle that does not decode is an error, and so is
+/// an entry for a node outside `owned`, or of the other round (`news`
+/// tells which this is); the entries before it have reached `sink`.
 fn merge_inbound(
     index: usize,
+    owned: Range<NodeId>,
+    news: bool,
     bundles: &[Bytes],
     pending_local: &mut Vec<MailEntry>,
     known_items: &mut impl Extend<(ItemId, NewsItem)>,
     mut sink: impl FnMut(NodeId, NodeId, Payload),
 ) -> Result<(), DecodeError> {
     let mut register = |item: NewsItem| known_items.extend([(item.id(), item)]);
+    let what = ["news in a gossip round", "gossip in a news round"][usize::from(news)];
     for (src, bundle) in bundles.iter().enumerate() {
         if src == index {
             for entry in pending_local.drain(..) {
                 sink(entry.to, entry.from, entry.payload);
             }
         } else if !bundle.is_empty() {
-            decode_shard_bundle_each(bundle, &mut register, &mut sink)?;
+            let mut fits = Ok(());
+            decode_shard_bundle_each(bundle, &mut register, |to, from, payload| {
+                if fits.is_ok() {
+                    fits = ensure(owned.contains(&to), "mail for a node of another shard")
+                        .and(ensure(matches!(payload, Payload::News(_)) == news, what));
+                    if fits.is_ok() {
+                        sink(to, from, payload);
+                    }
+                }
+            })?;
+            fits?;
         }
     }
     Ok(())
@@ -920,6 +950,7 @@ mod tests {
     ) -> Reply {
         let ShardState {
             index,
+            partition,
             pending_local,
             known_items,
             mailbox,
@@ -927,6 +958,8 @@ mod tests {
         } = shard;
         merge_inbound(
             *index,
+            partition.range(*index),
+            true,
             bundles,
             pending_local,
             known_items,

@@ -7,8 +7,9 @@
 //! instant, as in a real deployment. Only transport and timing are the
 //! swarm's own; the rest is the simulator's code:
 //!
-//! * node parameters, bootstrap overlay, publication plan and ground truth
-//!   from [`SimConfig::build_params`], `crate::environment` and [`Oracle`];
+//! * node parameters, bootstrap overlay, publication plan, ground truth
+//!   and item index from [`SimConfig::build_params`], `crate::environment`
+//!   and [`Oracle`] (every peer holds the oracle's index);
 //! * protocol randomness from [`node_stream`]: CYCLE for a tick, NEWS for
 //!   a cycle's publications and receptions — and for the one loss coin,
 //!   [`dropped`] at the receiver under a Gilbert–Elliott bit each peer
@@ -209,7 +210,8 @@ impl Swarm<'_> {
     }
 
     fn fresh(&self, id: NodeId, contacts: &[NodeId]) -> Peer {
-        let node = bootstrapped(id, self.params, contacts, &Default::default());
+        let items = self.oracle.id_map();
+        let node = bootstrapped(id, self.params, items, contacts, &Default::default());
         Peer::new(node, Arc::clone(&self.traffic))
     }
 

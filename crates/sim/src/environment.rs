@@ -22,11 +22,10 @@
 
 use crate::config::SimConfig;
 use crate::engine::{node_stream, phase};
-use crate::oracle::ItemIndexMap;
 use crate::scenario::{Event, LossModel, Scenario};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
-use whatsup_core::{ItemId, NewsItem, NodeId};
+use whatsup_core::{ItemId, ItemIndexMap, NewsItem, NodeId};
 use whatsup_datasets::Dataset;
 
 /// Advances the Gilbert–Elliott channel chains of the nodes `base..` (one

@@ -10,31 +10,23 @@
 //! Both are row *aliases*: `alias[node]` names the matrix row holding the
 //! node's current interests. The matrix itself never changes.
 
-// lint:allow(det-map) import for the probe-only id map annotated below
-use std::collections::HashMap;
 use std::sync::Arc;
-use whatsup_core::hash::BuildIdHasher;
-use whatsup_core::{ItemId, NodeId, Opinions};
+use whatsup_core::{ItemId, ItemIndexMap, NodeId, Opinions};
 use whatsup_datasets::{LikeMatrix, LikeStore};
-
-/// The item content-hash → dataset-index map, keyed with the deterministic
-/// integer hasher: it is probed on every news reception, and its iteration
-/// order never escapes (serialization sorts the pairs first).
-// lint:allow(det-map) BuildIdHasher keys, probe-only; serialization sorts the pairs first
-pub type ItemIndexMap = HashMap<ItemId, u32, BuildIdHasher>;
 
 /// Ground-truth oracle mapping protocol-level ids to dataset rows/columns.
 ///
 /// Everything immutable is shared (`Arc`): the like store — dense
 /// bit-plane or compressed sparse rows, whichever [`LikeStore`] measured
-/// smaller — and the id map, so the sharded engine hands every shard in
-/// the process the *same* copy. The alias vector is logically per-clone
+/// smaller — and the run's item index, so the sharded engine hands every
+/// shard in the process the *same* copy, and every node the index with it
+/// ([`Oracle::id_map`]). The alias vector is logically per-clone
 /// but copy-on-write: lockstep runs without joins or interest swaps never
 /// materialize a second copy.
 #[derive(Debug, Clone)]
 pub struct Oracle {
     store: Arc<LikeStore>,
-    /// Item content-hash → dataset item index.
+    /// The run's item index: content hash → dataset item index.
     id_to_index: Arc<ItemIndexMap>,
     /// Node → like-store row (identity for the initial population).
     alias: Arc<Vec<u32>>,
@@ -91,8 +83,9 @@ impl Oracle {
         &self.alias
     }
 
-    /// The item content-hash → dataset index map.
-    pub fn id_map(&self) -> &ItemIndexMap {
+    /// The run's item index (content hash → dataset index), the `Arc`
+    /// every node of the run numbers its layouts by.
+    pub fn id_map(&self) -> &Arc<ItemIndexMap> {
         &self.id_to_index
     }
 
@@ -216,7 +209,7 @@ mod tests {
         let parts = |alias: Vec<u32>, map: ItemIndexMap| {
             Oracle::restore(o.store().clone(), map, alias).map(|r| r.alias().to_vec())
         };
-        let map = || o.id_map().clone();
+        let map = || ItemIndexMap::clone(o.id_map());
         assert_eq!(parts(vec![2, 2, 0], map()), Some(vec![2, 2, 0]));
         assert_eq!(parts(vec![0, 3], map()), None, "row 3 of 3");
         let past = ItemIndexMap::from_iter([(100u64, 2u32)]);

@@ -61,7 +61,7 @@ proptest! {
         clone_of in 0u32..30,
     ) {
         let m = matrix(30, 50, seed, density as u8);
-        let map = whatsup_sim::oracle::ItemIndexMap::from_iter(
+        let map = whatsup_core::ItemIndexMap::from_iter(
             (0..50).map(|i| (1_000 + i as u64, i)),
         );
         let mut dense = Oracle::new_forced(m.clone(), map.clone(), false);

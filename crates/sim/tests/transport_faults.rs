@@ -9,17 +9,19 @@ mod common;
 
 use bytes::Bytes;
 use serde::Json;
+use std::collections::BTreeMap;
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
-use whatsup_core::{ColdStart, NewsItem};
+use whatsup_core::{ColdStart, NewsItem, NewsMessage, Payload, SharedProfile};
 use whatsup_net::wire::encode;
 use whatsup_sim::engine::exchange::stream::{
     encode_handshake, encode_hello, read_frame, run_worker, write_frame, WorkerError,
     HANDSHAKE_MAGIC, PROTOCOL_VERSION,
 };
 use whatsup_sim::engine::exchange::TransportErrorKind;
+use whatsup_sim::engine::mailbox::encode_shard_bundle;
 use whatsup_sim::engine::{Command, Partition, ShardInit};
 use whatsup_sim::scenario::{ChurnModel, LossModel};
 use whatsup_sim::{Oracle, Protocol, Runner, SimConfig, Supervision};
@@ -691,9 +693,11 @@ fn deliver_gossip(bundle: &[u8]) -> Vec<u8> {
 /// opcode, truncation, counts no frame can hold, a garbage init); the next
 /// four carry well-formed commands whose nested frames do not decode, two
 /// of them mailbox bundles from shard 1; the next three decode entirely
-/// but name a node shard 0 does not own; the last three decode but do not
+/// but name a node shard 0 does not own; the next three decode but do not
 /// fit shard 0 of two in a four-node run (a joiner's snapshot belongs to
-/// the last shard; ids beyond the population).
+/// the last shard; ids beyond the population); the last three carry
+/// bundles from shard 1 that decode but do not fit the round (mail for a
+/// node of shard 1, gossip in a news round, news in a gossip round).
 fn hostile_streams() -> Vec<(&'static str, Vec<Vec<u8>>)> {
     let handshake = real_handshake();
     let stream = |cmd: Vec<u8>| vec![handshake.clone(), cmd];
@@ -701,6 +705,23 @@ fn hostile_streams() -> Vec<(&'static str, Vec<Vec<u8>>)> {
     let foreign = 1_000_000;
     let snapshot = Bytes::from(encode(&ColdStart::default()));
     let item = NewsItem::new("title", "description", "link", foreign, 0);
+    // Shard 1's mail to `to`, as one bundle entry from node 2.
+    let from_shard_1 = |to, payload| {
+        let items = BTreeMap::from([(item.id(), item.clone())]);
+        vec![
+            Bytes::new(),
+            encode_shard_bundle(1, &[(to, 2, payload)], &items),
+        ]
+    };
+    let gossip = || Payload::RpsRequest(Vec::new());
+    let news = || {
+        Payload::News(NewsMessage {
+            header: item.header(),
+            profile: SharedProfile::default(),
+            dislikes: 0,
+            hops: 1,
+        })
+    };
     vec![
         ("unknown opcode", stream(vec![99])),
         ("truncated Collect", stream(tagged(1, &[&[0, 0]]))),
@@ -758,7 +779,10 @@ fn hostile_streams() -> Vec<(&'static str, Vec<Vec<u8>>)> {
         ),
         (
             "Publish from a foreign node",
-            stream(encode(&Command::Publish { cycle: 0, item })),
+            stream(encode(&Command::Publish {
+                cycle: 0,
+                item: item.clone(),
+            })),
         ),
         (
             "Admit with a snapshot to a shard other than the last",
@@ -777,6 +801,28 @@ fn hostile_streams() -> Vec<(&'static str, Vec<Vec<u8>>)> {
         (
             "SwapInterests outside the population",
             stream(encode(&Command::SwapInterests { a: 1, b: foreign })),
+        ),
+        (
+            "DeliverGossip with mail for a node of another shard",
+            stream(encode(&Command::DeliverGossip {
+                cycle: 0,
+                bundles: from_shard_1(3, gossip()),
+            })),
+        ),
+        (
+            "DeliverNews with a gossip frame in a bundle",
+            stream(encode(&Command::DeliverNews {
+                cycle: 0,
+                item: item.id(),
+                bundles: from_shard_1(0, gossip()),
+            })),
+        ),
+        (
+            "DeliverGossip with a news frame in a bundle",
+            stream(encode(&Command::DeliverGossip {
+                cycle: 0,
+                bundles: from_shard_1(1, news()),
+            })),
         ),
     ]
 }

@@ -74,7 +74,7 @@ fn shared_profiles_differ_from_true_under_obfuscation() {
     use whatsup::core::prelude::*;
     let mut params = whatsup::core::Params::whatsup(2);
     params.obfuscation_epsilon = 1.0;
-    let mut node = WhatsUpNode::new(3, params);
+    let mut node = WhatsUpNode::new(3, params, Default::default());
     node.seed_views([(1, Profile::new())], [(1, Profile::new())]);
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(9);
     let mut stats = NodeStats::default();

@@ -1,6 +1,7 @@
 //! Failure-injection integration tests: the paper's robustness story
 //! (§V-E) plus degraded-mode behaviors the system must survive.
 
+use std::sync::Arc;
 use whatsup::prelude::*;
 
 fn survey(scale: f64, seed: u64) -> Dataset {
@@ -147,8 +148,9 @@ fn nan_scores_on_the_wire_are_dropped_not_fatal() {
     let victim: NodeId = item0.source;
     let oracle = |node: NodeId, _: ItemId| node == victim;
     let params = Params::whatsup(6);
+    let items = Arc::new(ItemIndexMap::from_iter([(item0.id(), 0), (other.id(), 1)]));
     let seeded = || {
-        let mut node = WhatsUpNode::new(victim, params.clone());
+        let mut node = WhatsUpNode::new(victim, params.clone(), Arc::clone(&items));
         node.seed_views(
             (0..8).filter(|&n| n != victim).map(|n| (n, Profile::new())),
             (0..4).filter(|&n| n != victim).map(|n| (n, Profile::new())),
@@ -206,12 +208,13 @@ fn nan_scores_on_the_wire_are_dropped_not_fatal() {
 }
 
 /// Item ids are whatever a peer puts on the wire, and the counting path of
-/// the WUP merge numbers them in a process-wide table. Gossip frames whose
-/// (binary) profiles carry thousands of never-seen ids, the ids `0` and
-/// `u64::MAX`, and ids first seen so far apart that their bit planes would
-/// be mostly padding must be handled like any other: decoded, merged — the
-/// wide profile declining its planes and being ranked pairwise — and the
-/// view left exactly as a ranking by the pairwise metric leaves it.
+/// the WUP merge numbers them by the run's item index. Gossip frames whose
+/// (binary) profiles carry thousands of ids the index does not know, the
+/// ids `0` and `u64::MAX`, and ids numbered so far apart that their bit
+/// planes would be mostly padding must be handled like any other: decoded,
+/// merged — the profiles of unknown ids and the wide one declining their
+/// planes and being ranked pairwise — and the view left exactly as a
+/// ranking by the pairwise metric leaves it.
 #[test]
 fn hostile_item_ids_in_gossip_merge_like_the_pairwise_ranking() {
     use whatsup::gossip::{Clustering, ClusteringConfig};
@@ -233,13 +236,17 @@ fn hostile_item_ids_in_gossip_merge_like_the_pairwise_ranking() {
                 .chain(dislikes.iter().map(entry(0.0))),
         )
     };
-    // Ids no other test of this process uses.
     let id = |k: u64| 0x0bad_1d00_0000_0000 + k;
-    let own = binary(&[0, u64::MAX, id(1), id(2), id(3_000)], &[id(3)]);
+    // The run's item index: the extremes of the id space, then `id(k)` at
+    // slot `k + 1`.
+    let index = [0, u64::MAX].into_iter().chain((1..3_410).map(id));
+    let items = Arc::new(ItemIndexMap::from_iter(index.zip(0..)));
+    let own = binary(&[0, u64::MAX, id(1), id(2)], &[id(3)]);
     let params = Params::whatsup(2);
     let mut node = WhatsUpNode::from_state(
         ME,
         params.clone(),
+        items,
         NodeState {
             profile: own.entries().copied().collect(),
             rps_view: Vec::new(),
@@ -254,20 +261,20 @@ fn hostile_item_ids_in_gossip_merge_like_the_pairwise_ranking() {
         },
     );
 
-    let crowd: Vec<u64> = (10..3_510).map(id).collect();
+    let crowd: Vec<u64> = (0..3_500).map(|k| 0x0bad_5700_0000_0000 + k).collect();
     let frames = [
         // The extremes of the id space, liked and disliked.
         vec![
             Descriptor::fresh(1, SharedProfile::new(binary(&[0, id(1)], &[u64::MAX]))),
             Descriptor::fresh(2, SharedProfile::new(binary(&[u64::MAX], &[0, id(2)]))),
         ],
-        // 3 500 ids nobody has seen, in one profile (a full datagram).
+        // 3 500 ids the index does not know, in one profile (a full
+        // datagram).
         vec![Descriptor::fresh(
             3,
             SharedProfile::new(binary(&crowd, &[id(1)])),
         )],
-        // An id seen first and an id seen last: 50-odd words of slots
-        // apart, for a profile of three entries.
+        // Ids 53 words of slots apart, for a profile of three entries.
         vec![
             Descriptor::fresh(4, SharedProfile::new(binary(&[id(1), id(3_400)], &[id(2)]))),
             Descriptor::fresh(5, SharedProfile::new(binary(&[id(2), id(3)], &[id(1)]))),
@@ -275,7 +282,6 @@ fn hostile_item_ids_in_gossip_merge_like_the_pairwise_ranking() {
     ];
     let mut rng = <rand_chacha::ChaCha8Rng as rand::SeedableRng>::seed_from_u64(37);
     let mut stats = NodeStats::default();
-    let table_before = whatsup::core::profile::slot_table_bytes();
     for descriptors in frames {
         let frame = codec::encode(8, &Payload::WupRequest(descriptors), |_| None)
             .expect("frame fits a datagram");
@@ -313,22 +319,27 @@ fn hostile_item_ids_in_gossip_merge_like_the_pairwise_ranking() {
     let view = node.export_state().wup_view;
     assert_eq!(view.len(), 4, "view of 4, five candidates: {view:?}");
     let planes_of = |n: NodeId| {
-        let d = view.iter().find(|d| d.node == n).expect("kept");
-        d.payload.plane_bytes()
+        view.iter()
+            .find(|d| d.node == n)
+            .map(|d| d.payload.plane_bytes())
     };
-    assert!(planes_of(5) > 0, "a compact binary snapshot is counted");
-    assert_eq!(planes_of(4), 0, "a wide one declines and is walked");
-    // 3 500 new ids cost what a few thousand table entries cost (the
-    // other tests of this process register theirs meanwhile).
-    let grown = whatsup::core::profile::slot_table_bytes() - table_before;
-    assert!(grown < 1 << 20, "slot table grew by {grown} bytes");
+    assert!(
+        planes_of(5) > Some(0),
+        "a compact binary snapshot is counted"
+    );
+    for walked in [3, 4] {
+        assert!(
+            planes_of(walked).unwrap_or(0) == 0,
+            "{walked} declines and is walked"
+        );
+    }
 }
 
-/// The slot table is shared by every thread that builds planes (shards
-/// under the thread link do). Four threads, released together, build
-/// planes over overlapping id sets — their own profiles and ones all four
-/// share — and every score, within and across threads, must be the
-/// reference's: an id that two threads register at once gets one slot.
+/// The run's item index is shared by every thread that builds planes
+/// (shards under the thread link are). Four threads, released together,
+/// build planes over overlapping id sets — their own profiles and ones all
+/// four share — and every score, within and across threads, must be the
+/// reference's.
 #[test]
 fn concurrent_plane_builds_agree_on_every_slot() {
     use std::sync::Barrier;
@@ -336,9 +347,9 @@ fn concurrent_plane_builds_agree_on_every_slot() {
 
     const THREADS: u64 = 4;
     let id = |k: u64| 0x5107_7ab1_0000_0000 + k;
+    let index = ItemIndexMap::from_iter((0..400).map(id).zip(0..));
     // Thread `t` profile `k`: 40 ids out of a universe of 400, a stride
-    // apart, so that any two profiles share some and the registration
-    // order of the universe is up to the race.
+    // apart, so that any two profiles share some.
     let build = |t: u64, k: u64| {
         Profile::from_entries((0..40u64).map(|i| ProfileEntry {
             item: id((t * 7 + k * 13 + i * (k % 5 + 1)) % 400),
@@ -351,7 +362,7 @@ fn concurrent_plane_builds_agree_on_every_slot() {
         }))
     };
     let check = |pn: &Profile, pc: &Profile| {
-        let scorer = Prepared::new(pn);
+        let scorer = Prepared::new(pn, &index);
         for (metric, slow) in [
             (Metric::Wup, reference::wup_similarity(pn, pc)),
             (Metric::Cosine, reference::cosine_similarity(pn, pc)),
@@ -395,8 +406,7 @@ fn concurrent_plane_builds_agree_on_every_slot() {
     }
     // The scores above were counted, not walked: (nearly) every profile
     // has been scored twice as a candidate and has its planes — short of
-    // a pair the fingerprints reject, or a span the simulations running
-    // beside this test stretched.
+    // a pair the fingerprints reject.
     for profiles in per_thread.iter().chain([&shared]) {
         let counted = profiles.iter().filter(|p| p.plane_bytes() > 0).count();
         assert!(counted >= 12, "{counted} of 16 profiles have planes");

@@ -162,12 +162,13 @@ fn wire_codec_carries_simulated_dissemination() {
     use rand::SeedableRng;
     use whatsup::core::prelude::*;
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
-    let mut node = WhatsUpNode::new(0, whatsup::core::Params::whatsup(2));
+    let item = NewsItem::new("t", "d", "https://l", 0, 0);
+    let items = std::sync::Arc::new(ItemIndexMap::from_iter([(item.id(), 0)]));
+    let mut node = WhatsUpNode::new(0, whatsup::core::Params::whatsup(2), items);
     node.seed_views(
         [(1, Profile::new())],
         [(1, Profile::new()), (2, Profile::new())],
     );
-    let item = NewsItem::new("t", "d", "https://l", 0, 0);
     let mut stats = NodeStats::default();
     let out = node.publish(&item, 0, &mut stats, &mut rng);
     assert!(!out.is_empty());
