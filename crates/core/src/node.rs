@@ -243,18 +243,6 @@ impl WhatsUpNode {
         );
     }
 
-    /// Releases memory that stopped paying its way at the last cycle
-    /// boundary. Called by the engine at each cycle start; reports are
-    /// byte-identical with or without it.
-    ///
-    /// Capacity slack: profile entry slots doubled by sorted inserts and
-    /// seen-set run slack from merges are trimmed to fit. The profile is
-    /// never shared (snapshots hold runs), so trimming never copies.
-    pub fn compact(&mut self) {
-        self.profile.trim_capacity();
-        self.seen.trim_capacity();
-    }
-
     pub fn id(&self) -> NodeId {
         self.id
     }
@@ -279,7 +267,7 @@ impl WhatsUpNode {
 
     /// Whether this node already received (or published) `item`.
     pub fn has_seen(&self, item: ItemId) -> bool {
-        self.seen.contains(item)
+        self.seen.contains(item, &self.items)
     }
 
     /// Seeds both views directly — test/bootstrap helper. Each profile is
@@ -317,7 +305,7 @@ impl WhatsUpNode {
         for (item, ts) in popular {
             let liked = opinions.likes(self.id, item);
             self.rate(item, ts, liked);
-            self.seen.insert(item);
+            self.seen.insert(item, &self.items);
         }
         self.rps.seed(inherited.rps_view);
         self.wup.seed(inherited.wup_view);
@@ -372,7 +360,7 @@ impl WhatsUpNode {
             profile: self.profile.entries().copied().collect(),
             rps_view: self.rps.view().entries().to_vec(),
             wup_view: self.wup.view().entries().to_vec(),
-            seen: self.seen.to_sorted_vec(),
+            seen: self.seen.to_sorted_vec(&self.items),
         }
     }
 
@@ -401,7 +389,7 @@ impl WhatsUpNode {
         node.invalidate_shared();
         node.rps.seed(state.rps_view);
         node.wup.seed(state.wup_view);
-        node.seen = SeenSet::from_sorted(state.seen);
+        node.seen = SeenSet::from_sorted(state.seen, &node.items);
         node
     }
 
@@ -562,7 +550,7 @@ impl WhatsUpNode {
         rng: &mut impl Rng,
     ) -> Vec<OutMessage> {
         let header = item.header();
-        self.seen.insert(header.id);
+        self.seen.insert(header.id, &self.items);
         stats.published += 1;
         self.rate(header.id, header.created_at, true);
         let mut item_profile = self.fold_disclosed(&Profile::new()).unwrap_or_default();
@@ -597,7 +585,7 @@ impl WhatsUpNode {
     ) -> Vec<OutMessage> {
         let id = msg.header.id;
         // SIR: a node receiving an item it has already received drops it.
-        if !self.seen.insert(id) {
+        if !self.seen.insert(id, &self.items) {
             stats.book_duplicate(from, self.id);
             return Vec::new();
         }

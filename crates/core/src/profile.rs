@@ -467,15 +467,6 @@ impl Profile {
         }
     }
 
-    /// Releases entry-slot slack left by amortized growth. Capacity never
-    /// influences behavior — memory hygiene only (see
-    /// `WhatsUpNode::compact`).
-    pub fn trim_capacity(&mut self) {
-        if let Store::Flat(entries) = &mut self.entries {
-            entries.shrink_to_fit();
-        }
-    }
-
     /// Looks up an entry by item id.
     pub fn get(&self, item: ItemId) -> Option<&ProfileEntry> {
         self.parts().find_map(|part| {

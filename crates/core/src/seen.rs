@@ -1,34 +1,32 @@
-//! Compact exact set of already-received item ids (the SIR "removed"
-//! state).
+//! Exact set of already-received item ids (the SIR "removed" state).
 //!
 //! A node sees every item exactly once per lifetime, so the set only ever
-//! grows — and at scale it dominates per-node memory if kept as a hash
-//! set (~48 B/entry with `std`'s table overhead). [`SeenSet`] stores the
-//! same ids as a sorted run plus a small unsorted recent window: 8 B per
-//! id amortized, probes are a binary search over the run plus a linear
-//! scan of at most [`RECENT_CAP`] recent ids, and the recent window is
-//! merged into the run when it fills.
+//! grows. Every id a run publishes has a dense slot in the run's item
+//! index ([`ItemIndexMap`]), which every node already holds, so
+//! [`SeenSet`] keeps one bit per slot: a word vector grown to the highest
+//! slot received, probed and set in O(1). Ids the index does not know —
+//! a live peer built with an empty index, a hostile id — go to an ordered
+//! spill instead, so an unknown id never grows the bits.
 //!
 //! The set is **exact** — never probabilistic. `insert`/`contains` answer
 //! identically to a `HashSet<ItemId>`, which is what keeps the engine's
-//! dedup behavior (and therefore its reports) bit-identical to the
-//! hash-set implementation it replaced.
+//! dedup behavior (and therefore its reports) bit-identical. Both take the
+//! index: one set must always be probed with the one index its node holds.
+//! The checkpoint form is the ascending id list ([`SeenSet::to_sorted_vec`],
+//! [`SeenSet::from_sorted`]), so it does not depend on the numbering.
 
-use crate::item::ItemId;
+use std::collections::BTreeSet;
 
-/// Recent-window capacity before a merge into the sorted run. Small
-/// enough that the linear probe stays cache-resident; large enough that
-/// the O(n) merge amortizes to O(log n) per insert for realistic n.
-const RECENT_CAP: usize = 32;
+use crate::item::{ItemId, ItemIndexMap};
 
-/// Sorted-run + recent-window set of item ids. See the module docs.
+/// Item-index bitset plus an ordered spill. See the module docs.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SeenSet {
-    /// Ascending, deduplicated.
-    sorted: Vec<ItemId>,
-    /// Insertion order, deduplicated against `sorted` and itself; merged
-    /// into `sorted` when it reaches [`RECENT_CAP`].
-    recent: Vec<ItemId>,
+    /// Bit `s % 64` of word `s / 64` is set once the item at slot `s` was
+    /// received; no trailing word is all zero.
+    bits: Vec<u64>,
+    /// Received ids the index does not know.
+    spill: BTreeSet<ItemId>,
 }
 
 impl SeenSet {
@@ -41,62 +39,67 @@ impl SeenSet {
     ///
     /// # Panics
     /// Debug-asserts the input is strictly ascending.
-    pub fn from_sorted(sorted: Vec<ItemId>) -> Self {
+    pub fn from_sorted(sorted: Vec<ItemId>, index: &ItemIndexMap) -> Self {
         debug_assert!(sorted.windows(2).all(|w| w[0] < w[1]));
-        Self {
-            sorted,
-            recent: Vec::new(),
+        let mut set = Self::new();
+        for id in sorted {
+            set.insert(id, index);
         }
+        set
     }
 
     pub fn len(&self) -> usize {
-        self.sorted.len() + self.recent.len()
+        let bits: u32 = self.bits.iter().map(|w| w.count_ones()).sum();
+        bits as usize + self.spill.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty() && self.recent.is_empty()
+        self.bits.is_empty() && self.spill.is_empty()
     }
 
-    pub fn contains(&self, item: ItemId) -> bool {
-        self.sorted.binary_search(&item).is_ok() || self.recent.contains(&item)
+    pub fn contains(&self, item: ItemId, index: &ItemIndexMap) -> bool {
+        match index.get(&item) {
+            Some(&slot) => self.has_slot(slot),
+            None => self.spill.contains(&item),
+        }
+    }
+
+    fn has_slot(&self, slot: u32) -> bool {
+        let word = self.bits.get(slot as usize / 64);
+        word.is_some_and(|w| w >> (slot % 64) & 1 != 0)
     }
 
     /// Inserts `item`, returning whether it was new (the `HashSet::insert`
     /// contract).
-    pub fn insert(&mut self, item: ItemId) -> bool {
-        if self.contains(item) {
-            return false;
+    pub fn insert(&mut self, item: ItemId, index: &ItemIndexMap) -> bool {
+        let Some(&slot) = index.get(&item) else {
+            return self.spill.insert(item);
+        };
+        let (word, bit) = (slot as usize / 64, 1 << (slot % 64));
+        if word >= self.bits.len() {
+            self.bits.resize(word + 1, 0);
         }
-        if self.recent.len() == RECENT_CAP {
-            self.merge();
-        }
-        self.recent.push(item);
-        true
+        let fresh = self.bits[word] & bit == 0;
+        self.bits[word] |= bit;
+        fresh
     }
 
-    /// Folds the recent window into the sorted run.
-    fn merge(&mut self) {
-        self.sorted.append(&mut self.recent);
-        self.sorted.sort_unstable();
-    }
-
-    /// Allocated heap bytes (capacity, not length) — memory diagnostics.
+    /// Heap bytes: the allocated bitset words plus the spilled ids (8 B
+    /// each, tree nodes not counted) — memory diagnostics.
     #[doc(hidden)]
     pub fn capacity_bytes(&self) -> usize {
-        (self.sorted.capacity() + self.recent.capacity()) * std::mem::size_of::<ItemId>()
+        (self.bits.capacity() + self.spill.len()) * std::mem::size_of::<u64>()
     }
 
-    /// Releases the sorted run's capacity slack left by merges. The recent
-    /// window is already bounded by [`RECENT_CAP`] and is left alone.
-    /// Answers are unaffected — memory hygiene only.
-    pub fn trim_capacity(&mut self) {
-        self.sorted.shrink_to_fit();
-    }
-
-    /// All ids, ascending (the canonical export form).
-    pub fn to_sorted_vec(&self) -> Vec<ItemId> {
-        let mut all = self.sorted.clone();
-        all.extend_from_slice(&self.recent);
+    /// All ids, ascending (the canonical export form). Walks the whole
+    /// index — checkpoints only.
+    pub fn to_sorted_vec(&self, index: &ItemIndexMap) -> Vec<ItemId> {
+        let mut all: Vec<ItemId> = index
+            .iter()
+            .filter(|&(_, &slot)| self.has_slot(slot))
+            .map(|(&id, _)| id)
+            .chain(self.spill.iter().copied())
+            .collect();
         all.sort_unstable();
         all
     }
@@ -106,48 +109,52 @@ impl SeenSet {
 mod tests {
     use super::*;
 
+    fn index_of(ids: impl IntoIterator<Item = ItemId>) -> ItemIndexMap {
+        ids.into_iter().zip(0..).collect()
+    }
+
     #[test]
     fn insert_contains_len() {
+        let index = index_of([7, 100]);
         let mut s = SeenSet::new();
         assert!(s.is_empty());
-        assert!(s.insert(7));
-        assert!(!s.insert(7), "duplicate rejected");
-        assert!(s.insert(3));
-        assert!(s.contains(7));
-        assert!(s.contains(3));
-        assert!(!s.contains(4));
+        assert!(s.insert(7, &index));
+        assert!(!s.insert(7, &index), "duplicate rejected");
+        assert!(s.insert(3, &index), "unknown id spills");
+        assert!(!s.insert(3, &index));
+        assert!(s.contains(7, &index));
+        assert!(s.contains(3, &index));
+        assert!(!s.contains(4, &index));
+        assert!(!s.contains(100, &index));
         assert_eq!(s.len(), 2);
     }
 
     #[test]
-    fn merge_preserves_exactness() {
+    fn bits_grow_to_the_highest_slot_only() {
+        let index = index_of(1000..1200);
         let mut s = SeenSet::new();
-        // Enough inserts to force several merges, interleaved with
-        // duplicate probes across the run/window boundary.
-        for i in 0..10 * RECENT_CAP as u64 {
-            let id = i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 3;
-            assert!(s.insert(id));
-            assert!(!s.insert(id));
-            assert!(s.contains(id));
-        }
-        assert_eq!(s.len(), 10 * RECENT_CAP);
-        let v = s.to_sorted_vec();
-        assert!(v.windows(2).all(|w| w[0] < w[1]), "ascending, deduped");
-        assert_eq!(v.len(), s.len());
+        s.insert(1000 + 130, &index);
+        assert_eq!(s.bits.len(), 3);
+        s.insert(1000 + 5, &index);
+        s.insert(42, &index);
+        assert_eq!(
+            s.bits.len(),
+            3,
+            "a lower slot or an unknown id adds no word"
+        );
     }
 
     #[test]
     fn roundtrips_through_sorted_vec() {
+        let index = index_of([9, 5, 7]);
         let mut s = SeenSet::new();
         for id in [9, 1, 5, 3, 7] {
-            s.insert(id);
+            s.insert(id, &index);
         }
-        let v = s.to_sorted_vec();
+        let v = s.to_sorted_vec(&index);
         assert_eq!(v, vec![1, 3, 5, 7, 9]);
-        let r = SeenSet::from_sorted(v);
+        let r = SeenSet::from_sorted(v, &index);
+        assert_eq!(r, s);
         assert_eq!(r.len(), 5);
-        for id in [9, 1, 5, 3, 7] {
-            assert!(r.contains(id));
-        }
     }
 }

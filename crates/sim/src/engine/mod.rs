@@ -331,7 +331,7 @@
 //! At scale the footprint is **standing live state, not transient
 //! spikes**: peak RSS equals the standing RSS at every cycle boundary
 //! (measured by the counting-allocator probe in
-//! `bench/examples/hotpath_probe.rs`), and allocator overhead is ~10% of
+//! `bench/examples/hotpath_probe.rs`), and allocator overhead is ~12% of
 //! RSS — so the only levers that matter are the bytes the protocol
 //! actually keeps alive. The budget below is the measured breakdown of a
 //! 100 k-node, 10-cycle uniform run (1 shard,
@@ -340,9 +340,9 @@
 //!
 //! | standing state                | 100 k example | grows with                  |
 //! |-------------------------------|--------------:|-----------------------------|
-//! | own profiles                  |      ~210 MiB | rated items per node        |
+//! | own profiles                  |      ~260 MiB | rated items per node        |
 //! | pinned view snapshots (†)     |      ~260 MiB | view size × runs, ratings   |
-//! | seen sets                     |       ~95 MiB | receptions per node (8 B/id)|
+//! | seen sets                     |        ~5 MiB | items published (1 bit each)|
 //! | view descriptors              |       ~60 MiB | view size                   |
 //! | item records (driver)         |      ~120 MiB | receptions per item         |
 //! | mailbox arena + scratch       |       ~40 MiB | peak per-round traffic      |
@@ -351,11 +351,20 @@
 //!
 //! What keeps each row tight:
 //!
-//! * **Exact-fit compaction** — at every cycle start
-//!   ([`shard::ShardState`]'s collect) each node runs
-//!   [`whatsup_core::WhatsUpNode::compact`]: profile and seen-set
-//!   capacity slack from amortized growth is trimmed to fit (capacities
-//!   never influence behavior, so this is invisible to reports).
+//! * **One bit per item** — a node's received set
+//!   ([`whatsup_core::SeenSet`]) is a bitset over the run's item index,
+//!   grown to the highest slot received; only ids the index does not
+//!   know take a spill entry.
+//! * **No per-cycle trimming** — capacity slack from amortized growth is
+//!   kept. Shrinking a vector whose length is steady from cycle to cycle
+//!   (a live profile's entries) only forces a regrow-and-move at its next
+//!   rating, and the freed blocks fragment the heap: on perfbench's
+//!   `paper-1shard` (2-vCPU Xeon, glibc 2.36) dropping the exact-fit pass
+//!   the engine ran at every cycle start lowered peak RSS from 11.2 to
+//!   10.3 MiB on its own, while the accounted "own profiles" row rose by
+//!   the kept slack (0.78 → 0.92 MiB). In the 100 k example, together
+//!   with the bitset, the gap between RSS and live heap fell from 226 to
+//!   115 MiB and the own-profiles row rose from ~225 MiB.
 //! * **Snapshot sharing** — a disclosed profile is one `Arc` allocation
 //!   shared by every view slot and in-flight message that references it,
 //!   and the versions of one node's profile share their entries: a

@@ -524,8 +524,9 @@ impl ShardState {
     /// Replaces this shard's dynamic state with a checkpoint frame
     /// (recovery path — the shard was just rebuilt from its original init).
     /// The frame is decoded and checked against the shard in full first: a
-    /// frame that does not decode, or describes another shard, is an error
-    /// and leaves the state as it was. Transient state is reset: mailboxes
+    /// frame that does not decode, describes another shard, or lists a
+    /// node's seen ids out of ascending order is an error and leaves the
+    /// state as it was. Transient state is reset: mailboxes
     /// empty (guaranteed at the checkpointed boundary), phase RNGs
     /// re-derived on first use.
     pub fn restore_checkpoint(&mut self, frame: &[u8]) -> Result<(), DecodeError> {
@@ -535,6 +536,8 @@ impl ShardState {
         let fits = range.len() == n_nodes && cp.channel_bad.len() == n_nodes;
         ensure(fits, "checkpoint of another shard")?;
         ensure(cp.oracle.n_nodes() == cp.partition.total(), "oracle size")?;
+        let ascending = |r: &NodeRecord| r.seen.windows(2).all(|w| w[0] < w[1]);
+        ensure(cp.nodes.iter().all(ascending), "seen ids not ascending")?;
         let items = cp.oracle.id_map();
         let (nodes, node_stats) = range
             .zip(cp.nodes)
@@ -613,11 +616,6 @@ impl ShardState {
 
     /// Collect phase: every owned node's cycle tick, in id order.
     fn collect(&mut self, cycle: u32) -> Outbound {
-        // Cycle start: trim last cycle's allocation slack before growing
-        // again (capacities never influence behavior — see
-        // `WhatsUpNode::compact`). This keeps standing memory proportional
-        // to live state instead of ratcheting to every Vec's high-water.
-        self.nodes.iter_mut().for_each(WhatsUpNode::compact);
         // Fresh gossip-phase streams for the delivery rounds that follow,
         // and this cycle's channel states for the loss coins.
         self.phase_rngs.iter_mut().for_each(|r| *r = None);

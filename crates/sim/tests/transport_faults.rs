@@ -14,7 +14,10 @@ use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
-use whatsup_core::{ColdStart, NewsItem, NewsMessage, Payload, SharedProfile};
+use whatsup_core::{
+    ColdStart, ItemId, NewsItem, NewsMessage, NodeStats, Payload, Profile, SharedProfile,
+};
+use whatsup_net::codec::DecodeError;
 use whatsup_net::wire::encode;
 use whatsup_sim::engine::exchange::stream::{
     encode_handshake, encode_hello, read_frame, run_worker, write_frame, WorkerError,
@@ -22,7 +25,7 @@ use whatsup_sim::engine::exchange::stream::{
 };
 use whatsup_sim::engine::exchange::TransportErrorKind;
 use whatsup_sim::engine::mailbox::encode_shard_bundle;
-use whatsup_sim::engine::{Command, Partition, ShardInit};
+use whatsup_sim::engine::{Command, Partition, ShardInit, ShardState};
 use whatsup_sim::scenario::{ChurnModel, LossModel};
 use whatsup_sim::{Oracle, Protocol, Runner, SimConfig, Supervision};
 
@@ -645,12 +648,12 @@ fn killing_the_driver_leaves_no_zombie_and_no_backtrace() {
 // Worker-side faults: hostile command streams end in a typed error
 // ---------------------------------------------------------------------------
 
-/// The handshake frame a driver sends shard 0 of a four-node run.
-fn real_handshake() -> Vec<u8> {
+/// Shard 0 of two in a four-node run whose one item is id 7.
+fn shard_0_init() -> ShardInit {
     let likes = whatsup_datasets::LikeMatrix::new(4, 1);
     let ids = [(7u64, 0u32)].into_iter().collect();
     let partition = Partition::new(4, 2);
-    let init = ShardInit {
+    ShardInit {
         index: 0,
         bootstrap: partition.range(0).map(|id| vec![(id + 1) % 4]).collect(),
         partition,
@@ -659,8 +662,84 @@ fn real_handshake() -> Vec<u8> {
         churn: ChurnModel::None,
         params: whatsup_core::Params::whatsup(2),
         oracle: Oracle::new(likes, ids),
-    };
-    encode_handshake(&init)
+    }
+}
+
+/// The handshake frame a driver sends shard 0 of a four-node run.
+fn real_handshake() -> Vec<u8> {
+    encode_handshake(&shard_0_init())
+}
+
+/// A checkpoint frame laid out as `ShardState::encode_checkpoint` writes
+/// it, so a test can put in it what that encoder never would.
+struct Checkpoint {
+    partition: Partition,
+    channel_bad: Vec<bool>,
+    known_items: Vec<NewsItem>,
+    oracle: Oracle,
+    nodes: Vec<NodeRecord>,
+}
+
+whatsup_net::wire_codec! { struct Checkpoint { partition, channel_bad, known_items, oracle, nodes } }
+
+struct NodeRecord {
+    profile: Profile,
+    views: ColdStart,
+    seen: Vec<ItemId>,
+    stats: NodeStats,
+}
+
+whatsup_net::wire_codec! { struct NodeRecord { profile, views, seen, stats } }
+
+/// A checkpoint of [`shard_0_init`]'s shard at cycle 0, except that its
+/// first node has received `seen`, in that order.
+fn checkpoint_with_seen(seen: &[ItemId]) -> Vec<u8> {
+    let init = shard_0_init();
+    let owned = init.partition.range(0).len();
+    let nodes = (0..owned)
+        .map(|local| NodeRecord {
+            profile: Profile::new(),
+            views: ColdStart::default(),
+            seen: if local == 0 {
+                seen.to_vec()
+            } else {
+                Vec::new()
+            },
+            stats: NodeStats::default(),
+        })
+        .collect();
+    encode(&Checkpoint {
+        partition: init.partition,
+        channel_bad: vec![false; owned],
+        known_items: Vec::new(),
+        oracle: init.oracle,
+        nodes,
+    })
+}
+
+#[test]
+fn restore_refuses_seen_ids_out_of_order_and_keeps_the_state() {
+    let mut shard = ShardState::from_init(shard_0_init());
+    let ascending = checkpoint_with_seen(&[3, 7]);
+    shard
+        .restore_checkpoint(&ascending)
+        .expect("ascending ids restore");
+    let restored = shard.encode_checkpoint();
+    assert!(
+        shard.nodes()[0].has_seen(3),
+        "an id the index does not know"
+    );
+    assert!(shard.nodes()[0].has_seen(7), "the indexed item");
+    for seen in [&[7, 3][..], &[7, 7]] {
+        let err = shard.restore_checkpoint(&checkpoint_with_seen(seen));
+        let refused = matches!(err, Err(DecodeError::Invalid("seen ids not ascending")));
+        assert!(refused, "{seen:?}: {err:?}");
+        assert_eq!(
+            shard.encode_checkpoint(),
+            restored,
+            "{seen:?}: state untouched"
+        );
+    }
 }
 
 /// A handshake header at the current version followed by `init`.
@@ -695,9 +774,11 @@ fn deliver_gossip(bundle: &[u8]) -> Vec<u8> {
 /// of them mailbox bundles from shard 1; the next three decode entirely
 /// but name a node shard 0 does not own; the next three decode but do not
 /// fit shard 0 of two in a four-node run (a joiner's snapshot belongs to
-/// the last shard; ids beyond the population); the last three carry
+/// the last shard; ids beyond the population); the next three carry
 /// bundles from shard 1 that decode but do not fit the round (mail for a
-/// node of shard 1, gossip in a news round, news in a gossip round).
+/// node of shard 1, gossip in a news round, news in a gossip round); the
+/// last restores a checkpoint that decodes but whose seen ids are out of
+/// order.
 fn hostile_streams() -> Vec<(&'static str, Vec<Vec<u8>>)> {
     let handshake = real_handshake();
     let stream = |cmd: Vec<u8>| vec![handshake.clone(), cmd];
@@ -822,6 +903,12 @@ fn hostile_streams() -> Vec<(&'static str, Vec<Vec<u8>>)> {
             stream(encode(&Command::DeliverGossip {
                 cycle: 0,
                 bundles: from_shard_1(1, news()),
+            })),
+        ),
+        (
+            "Restore with seen ids out of order",
+            stream(encode(&Command::Restore {
+                frame: Bytes::from(checkpoint_with_seen(&[7, 3])),
             })),
         ),
     ]
