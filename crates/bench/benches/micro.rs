@@ -9,7 +9,7 @@ use std::hint::black_box;
 use std::sync::Arc;
 use whatsup_core::beep::select_most_similar_k;
 use whatsup_core::prelude::*;
-use whatsup_core::similarity::{jaccard_similarity, Prepared};
+use whatsup_core::similarity::Prepared;
 use whatsup_datasets::{survey, SurveyConfig};
 use whatsup_sim::{Protocol, Runner, SimConfig};
 
@@ -36,9 +36,6 @@ fn bench_similarity(c: &mut Criterion) {
         });
         group.bench_function(format!("cosine/{n}"), |bench| {
             bench.iter(|| black_box(cosine_similarity(black_box(&a), black_box(&b))))
-        });
-        group.bench_function(format!("jaccard/{n}"), |bench| {
-            bench.iter(|| black_box(jaccard_similarity(black_box(&a), black_box(&b))))
         });
     }
     group.finish();

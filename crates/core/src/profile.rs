@@ -82,8 +82,8 @@ pub struct Profile {
     /// it is derived state: never serialized, always rebuilt from
     /// `entries`.
     fingerprint: u128,
-    /// Number of entries with `score > 0.5` ([`Self::like_count`]), kept
-    /// by every mutating method. Derived state like the norm.
+    /// Number of entries with `score > 0.5`, kept by every mutating
+    /// method. Derived state like the norm.
     likes: u32,
     /// Number of entries whose score is neither `0` nor `1`. Zero — the
     /// profile is *binary* — for everything [`Self::rate`] builds: every
@@ -631,21 +631,6 @@ impl Profile {
         self.oldest < cutoff
     }
 
-    /// Item ids the profile *likes* (score > 0.5 — exact 1.0 for user
-    /// profiles; majority opinion for item profiles).
-    pub fn liked_items(&self) -> impl Iterator<Item = ItemId> + '_ {
-        self.entries().filter(|e| e.score > 0.5).map(|e| e.item)
-    }
-
-    /// Number of liked items (memoized; O(1)).
-    pub fn like_count(&self) -> usize {
-        debug_assert!(
-            self.likes as usize == self.parts().flatten().filter(|e| e.score > 0.5).count(),
-            "stale like count: a construction path skipped recompute_norm"
-        );
-        self.likes as usize
-    }
-
     /// The layout over `index`, built now if need be — planes if the
     /// profile is binary, weights otherwise — and shared by every scorer
     /// of this allocation, on every thread. Every scorer of a run asks
@@ -800,9 +785,7 @@ mod tests {
     #[test]
     fn likes_and_norm() {
         let p = Profile::from_entries([e(1, 0, 1.0), e(2, 0, 0.0), e(3, 0, 1.0)]);
-        let likes: Vec<ItemId> = p.liked_items().collect();
-        assert_eq!(likes, vec![1, 3]);
-        assert_eq!(p.like_count(), 2);
+        assert_eq!(p.likes, 2);
         assert!((p.norm() - (2.0f64).sqrt()).abs() < 1e-9);
     }
 
@@ -907,7 +890,7 @@ mod tests {
             prop_assert_eq!(merged.norm().to_bits(), folded.norm().to_bits());
             prop_assert_eq!(merged.fingerprint(), folded.fingerprint());
             prop_assert_eq!(merged.fingerprint, fingerprint_of(merged.entries()));
-            prop_assert_eq!(merged.like_count(), folded.like_count());
+            prop_assert_eq!(merged.likes, folded.likes);
             prop_assert_eq!(merged.non_binary, folded.non_binary);
             older_by_scan(&merged, &cutoffs);
             older_by_scan(&folded, &cutoffs);
@@ -920,8 +903,8 @@ mod tests {
         /// The incrementally kept counts and oldest timestamp — and the
         /// binary profile's norm derived from the counts — against a fresh
         /// scan, as ratings and real values replace one another and
-        /// timestamps move both ways. `norm()`, `like_count()` and
-        /// `any_older_than()` debug-assert their caches; the reference
+        /// timestamps move both ways. `norm()` and `any_older_than()`
+        /// debug-assert their caches; the reference
         /// expressions are repeated here so the property also holds in
         /// release builds.
         #[test]
@@ -934,7 +917,8 @@ mod tests {
             for &(item, class, t) in &ops {
                 p.upsert(e(item, t, [0.0, 1.0, -0.0, 0.5, 0.75][class as usize]));
                 older_by_scan(&p, &cutoffs);
-                prop_assert_eq!(p.like_count(), p.liked_items().count());
+                let likes = p.entries().filter(|e| e.score > 0.5).count();
+                prop_assert_eq!(p.likes as usize, likes);
                 prop_assert_eq!(p.norm().to_bits(), norm_of(p.entries()).to_bits());
                 let rescanned = Profile::from_entries(p.entries().copied());
                 prop_assert_eq!(
@@ -994,22 +978,20 @@ mod tests {
             for item in 0..161 {
                 prop_assert_eq!(snapshot.get(item), flat.get(item));
             }
-            prop_assert!(snapshot.liked_items().eq(flat.liked_items()));
             prop_assert_eq!(snapshot.newest_timestamp(), flat.newest_timestamp());
             prop_assert_eq!(snapshot.norm().to_bits(), flat.norm().to_bits());
             prop_assert_eq!(snapshot.fingerprint(), flat.fingerprint());
-            prop_assert_eq!(snapshot.like_count(), flat.like_count());
+            prop_assert_eq!(snapshot.likes, flat.likes);
             prop_assert_eq!(snapshot.oldest, flat.oldest);
             older_by_scan(&snapshot, &cutoffs);
 
             let cand = Profile::from_entries(cand.iter().map(|&(i, liked)| binary(&(i, 0, liked))));
             let overlap = |p: &Profile| p.planes(&index).zip(cand.planes(&index)).map(|(a, b)| a.overlap(b));
             prop_assert_eq!(overlap(&snapshot), overlap(&flat));
-            for metric in [Metric::Wup, Metric::Cosine, Metric::Jaccard] {
+            for metric in [Metric::Wup, Metric::Cosine] {
                 let by_reference = |pn: &Profile, pc: &Profile| match metric {
                     Metric::Wup => reference::wup_similarity(pn, pc),
                     Metric::Cosine => reference::cosine_similarity(pn, pc),
-                    Metric::Jaccard => reference::jaccard_similarity(pn, pc),
                 };
                 let pairs = [
                     (&snapshot, &cand, &flat, &cand),

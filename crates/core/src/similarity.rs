@@ -15,16 +15,14 @@
 //! restrictive tastes and boosting small profiles (cold start, §II-D).
 //!
 //! Cosine similarity, the baseline the paper compares against throughout
-//! (CF-Cos, WhatsUp-Cos), plus Jaccard — mentioned in §VI among the classic
-//! choices — are implemented on the same merge-join skeleton.
+//! (CF-Cos, WhatsUp-Cos), is implemented on the same merge-join skeleton.
 //!
 //! The pairwise functions are allocation-free scans over the two sorted
 //! entry vectors: one linear merge-join over the common items
-//! (`O(|Pn| + |Pc|)`), the very one the [`reference`] runs; Jaccard takes
-//! its union by inclusion–exclusion over the liked counts. [`Prepared`]
-//! walks only the pairs its counting paths decline (6 506 of the 1.67 M
-//! it scores past the fingerprint on perfbench's `paper-1shard`, seed 1),
-//! so the plain join is all its fallback needs.
+//! (`O(|Pn| + |Pc|)`), the very one the [`reference`] runs. [`Prepared`]
+//! walks only the pairs its counting paths decline (none on perfbench's
+//! `paper-1shard`, 1 123 of 1.16 M past the fingerprint on
+//! `stress-1shard`, seed 1), so the plain join is all its fallback needs.
 //!
 //! ## Fingerprint fast path
 //!
@@ -35,9 +33,7 @@
 //!
 //! * **wup**: no common item ⇒ `‖sub(Pn,Pc)‖² = 0` ⇒ zero denominator ⇒ 0;
 //! * **cosine**: no common item ⇒ `dot = 0` ⇒ `0/denom = +0.0` (or the
-//!   zero-denominator guard) — bit-identical to the scan's result;
-//! * **jaccard**: no common item ⇒ `common_likes = 0` ⇒ `0/union = +0.0`
-//!   (or the empty-union guard).
+//!   zero-denominator guard) — bit-identical to the scan's result.
 //!
 //! False positives (fingerprints collide but item sets are disjoint) fall
 //! through to the exact merge-join; false negatives are impossible, so the
@@ -72,17 +68,14 @@
 //!
 //! * **Binary fixed side (WUP merge): counts.** `dot = |liked_n ∩
 //!   liked_c|`, `‖sub(Pn,Pc)‖² = |liked_n ∩ rated_c|`: planes against
-//!   planes, 64 items to an `&` and a `count_ones`. Jaccard likewise
-//!   (`common = dot`, `union = likes_n + likes_c − dot`).
+//!   planes, 64 items to an `&` and a `count_ones`.
 //! * **Real-valued fixed side (BEEP orientation): integer weights.** The
 //!   item profile is laid out by slot once per allocation,
 //!   `q[slot] = score · 2²⁰` beside a mask of the slots whose `q` is not
 //!   0, and a candidate is scored by walking the set bits of its `rated`
 //!   plane under that mask: `‖sub‖² += q²`, and `dot += q` where the
 //!   `liked` bit is set (a mask, not a branch). A slot the item profile
-//!   does not rate, or rates 0, adds nothing and is not visited. Jaccard
-//!   needs the common *likes*, which weights do not give, and stays
-//!   pairwise.
+//!   does not rate, or rates 0, adds nothing and is not visited.
 //!
 //! Nothing selects a path but the two profiles themselves; the fingerprint
 //! rejection stays in front, and the sums feed the same `ratio(..)`
@@ -163,8 +156,6 @@ pub enum Metric {
     Wup,
     /// Classic cosine similarity (WhatsUp-Cos, CF-Cos).
     Cosine,
-    /// Jaccard index over liked sets (extra baseline, §VI).
-    Jaccard,
 }
 
 impl Metric {
@@ -174,7 +165,6 @@ impl Metric {
         match self {
             Metric::Wup => wup_similarity(pn, pc),
             Metric::Cosine => cosine_similarity(pn, pc),
-            Metric::Jaccard => jaccard_similarity(pn, pc),
         }
     }
 
@@ -183,7 +173,6 @@ impl Metric {
         match self {
             Metric::Wup => "wup",
             Metric::Cosine => "cos",
-            Metric::Jaccard => "jac",
         }
     }
 }
@@ -194,8 +183,6 @@ struct JoinSums {
     dot: f64,
     /// Σ pn² (‖sub(Pn,Pc)‖²).
     sub_norm2: f64,
-    /// Items both profiles score > 0.5 (common likes).
-    common_likes: usize,
 }
 
 /// The merge-join of two profiles' entries in id order: two slices when
@@ -216,7 +203,6 @@ fn join<'a>(
     let mut sums = JoinSums {
         dot: 0.0,
         sub_norm2: 0.0,
-        common_likes: 0,
     };
     let (mut next_a, mut next_b) = (a.next(), b.next());
     while let (Some(ea), Some(eb)) = (next_a, next_b) {
@@ -227,7 +213,6 @@ fn join<'a>(
                 let (sa, sb) = (ea.score as f64, eb.score as f64);
                 sums.dot += sa * sb;
                 sums.sub_norm2 += sa * sa;
-                sums.common_likes += usize::from(ea.score > 0.5 && eb.score > 0.5);
                 next_a = a.next();
                 next_b = b.next();
             }
@@ -244,7 +229,7 @@ fn provably_disjoint(pn: &Profile, pc: &Profile) -> bool {
 }
 
 /// `dot / denom`, or 0 when the denominator vanishes (no overlap, a side
-/// with no likes, an empty union).
+/// with no likes).
 #[inline]
 fn ratio(dot: f64, denom: f64) -> f64 {
     if denom <= 0.0 {
@@ -269,14 +254,6 @@ pub fn cosine_similarity(pn: &Profile, pc: &Profile) -> f64 {
         return 0.0;
     }
     reference::cosine_similarity(pn, pc)
-}
-
-/// Jaccard index over the *liked* item sets.
-pub fn jaccard_similarity(pn: &Profile, pc: &Profile) -> f64 {
-    if provably_disjoint(pn, pc) {
-        return 0.0;
-    }
-    reference::jaccard_similarity(pn, pc)
 }
 
 /// One fixed profile `pn`, prepared to be scored against many candidates
@@ -311,19 +288,7 @@ impl<'a> Prepared<'a> {
                 ratio(dot, sub_norm2.sqrt() * pc.norm())
             }
             Metric::Cosine => ratio(self.sums(pc).0, self.pn.norm() * pc.norm()),
-            Metric::Jaccard => self.jaccard(pc),
         }
-    }
-
-    /// Jaccard needs the union, which a walk of one side cannot see: it is
-    /// counted when both profiles have planes and stays pairwise otherwise.
-    fn jaccard(&self, pc: &Profile) -> f64 {
-        let Some((Layout::Planes(own), theirs)) = self.layouts(pc) else {
-            return jaccard_similarity(self.pn, pc);
-        };
-        let (common_likes, _) = own.overlap(theirs);
-        let union_likes = self.pn.like_count() + pc.like_count() - common_likes as usize;
-        ratio(f64::from(common_likes), union_likes as f64)
     }
 
     /// The fixed side's layout and the candidate's planes, when both exist
@@ -371,14 +336,6 @@ pub mod reference {
     pub fn cosine_similarity(pn: &Profile, pc: &Profile) -> f64 {
         ratio(merge_join(pn, pc).dot, pn.norm() * pc.norm())
     }
-
-    /// The union of the liked sets, by inclusion–exclusion over likes
-    /// counted here, not the profiles' memoized counts.
-    pub fn jaccard_similarity(pn: &Profile, pc: &Profile) -> f64 {
-        let common = merge_join(pn, pc).common_likes;
-        let union = pn.liked_items().count() + pc.liked_items().count() - common;
-        ratio(common as f64, union as f64)
-    }
 }
 
 #[cfg(test)]
@@ -409,7 +366,6 @@ mod tests {
         let p = profile(&[1, 2, 3], &[]);
         assert!((wup_similarity(&p, &p) - 1.0).abs() < 1e-9);
         assert!((cosine_similarity(&p, &p) - 1.0).abs() < 1e-9);
-        assert!((jaccard_similarity(&p, &p) - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -418,7 +374,6 @@ mod tests {
         let b = profile(&[3, 4], &[]);
         assert_eq!(wup_similarity(&a, &b), 0.0);
         assert_eq!(cosine_similarity(&a, &b), 0.0);
-        assert_eq!(jaccard_similarity(&a, &b), 0.0);
     }
 
     #[test]
@@ -475,17 +430,10 @@ mod tests {
     }
 
     #[test]
-    fn jaccard_counts_union() {
-        let a = profile(&[1, 2], &[]);
-        let b = profile(&[2, 3], &[]);
-        assert!((jaccard_similarity(&a, &b) - 1.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn empty_profiles_are_zero_everywhere() {
         let e = Profile::new();
         let p = profile(&[1], &[]);
-        for m in [Metric::Wup, Metric::Cosine, Metric::Jaccard] {
+        for m in [Metric::Wup, Metric::Cosine] {
             assert_eq!(m.score(&e, &p), 0.0);
             assert_eq!(m.score(&p, &e), 0.0);
             assert_eq!(m.score(&e, &e), 0.0);
@@ -561,7 +509,6 @@ mod tests {
         let pairs = [
             (Metric::Wup, reference::wup_similarity(pn, pc)),
             (Metric::Cosine, reference::cosine_similarity(pn, pc)),
-            (Metric::Jaccard, reference::jaccard_similarity(pn, pc)),
             (Metric::Wup, Metric::Wup.score(pn, pc)),
             (Metric::Cosine, Metric::Cosine.score(pn, pc)),
         ];
@@ -959,7 +906,6 @@ mod tests {
     fn metric_labels() {
         assert_eq!(Metric::Wup.label(), "wup");
         assert_eq!(Metric::Cosine.label(), "cos");
-        assert_eq!(Metric::Jaccard.label(), "jac");
     }
 
     proptest! {
@@ -976,7 +922,7 @@ mod tests {
             let b_dislikes: Vec<u64> = db.difference(&lb).copied().collect();
             let a = profile(&a_likes, &a_dislikes);
             let b = profile(&b_likes, &b_dislikes);
-            for m in [Metric::Wup, Metric::Cosine, Metric::Jaccard] {
+            for m in [Metric::Wup, Metric::Cosine] {
                 let s = m.score(&a, &b);
                 prop_assert!((0.0..=1.0 + 1e-9).contains(&s), "{} out of range: {s}", m.label());
             }
@@ -1010,7 +956,6 @@ mod tests {
             for (fast, slow) in [
                 (wup_similarity(&a, &b), reference::wup_similarity(&a, &b)),
                 (cosine_similarity(&a, &b), reference::cosine_similarity(&a, &b)),
-                (jaccard_similarity(&a, &b), reference::jaccard_similarity(&a, &b)),
                 (wup_similarity(&b, &a), reference::wup_similarity(&b, &a)),
             ] {
                 prop_assert_eq!(fast.to_bits(), slow.to_bits(),

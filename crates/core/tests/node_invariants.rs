@@ -187,7 +187,7 @@ proptest! {
         let items = items();
         let tie_order = select_most_similar_k(&Profile::new(), &items, &rps, Metric::Wup, rps.len(), salt);
         prop_assert_eq!(tie_order.len(), rps.len());
-        for metric in [Metric::Wup, Metric::Cosine, Metric::Jaccard] {
+        for metric in [Metric::Wup, Metric::Cosine] {
             let mut ranked = tie_order.clone();
             // Stable: equal scores keep the tie order.
             ranked.sort_by(|&a, &b| {
@@ -353,7 +353,7 @@ proptest! {
         let (views, received) = descriptors.split_at(descriptors.len() * 2 / 3);
         let (wup_view, rps_view) = views.split_at(views.len() / 2);
         let items = items();
-        for metric in [Metric::Wup, Metric::Cosine, Metric::Jaccard] {
+        for metric in [Metric::Wup, Metric::Cosine] {
             let params = Params {
                 metric,
                 obfuscation_epsilon: if obfuscated { 0.3 } else { 0.0 },

@@ -22,14 +22,12 @@
 pub mod digg;
 pub mod matrix;
 pub mod spec;
-pub mod store;
 pub mod survey;
 pub mod synthetic;
 
 pub use digg::DiggConfig;
 pub use matrix::LikeMatrix;
 pub use spec::{Dataset, DatasetStats, ItemSpec};
-pub use store::{CsrLikes, LikeStore};
 pub use survey::SurveyConfig;
 pub use synthetic::SyntheticConfig;
 

@@ -2,7 +2,8 @@
 //!
 //! Stored as a row-major bitset (one row per user). At paper scale the
 //! largest matrix is 3180 × 2000 bits ≈ 800 kB — small enough to clone per
-//! experiment, large enough that a `Vec<Vec<bool>>` would hurt.
+//! experiment, large enough that a `Vec<Vec<bool>>` would hurt. It is the
+//! one form of the ground truth: the oracle holds it, a worker gets its words.
 
 /// A dense boolean matrix over `users × items`.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -361,7 +361,7 @@ crate::wire_codec! {
 }
 crate::wire_codec! { struct RpsConfig { view_size, exchange_len } }
 crate::wire_codec! { struct BeepConfig { f_like, like_pool, like_entire_view, dislike } }
-crate::wire_codec! { enum Metric { 0 => Wup, 1 => Cosine, 2 => Jaccard } }
+crate::wire_codec! { enum Metric { 0 => Wup, 1 => Cosine } }
 crate::wire_codec! { enum TargetPool { 0 => Wup, 1 => Rps } }
 crate::wire_codec! { enum DislikeRule { 0 => Drop, 1 => Forward { fanout, ttl, oriented } } }
 

@@ -94,16 +94,12 @@ fn resolve_shards(requested: usize, n: usize) -> usize {
 
 /// Builds the driver core and one init per shard from `(dataset, protocol,
 /// config, scenario)` — shared by the in-process constructor and the
-/// multi-process runner so both start from identical state. `force_store`
-/// overrides the oracle's dense/sparse byte-cost choice (`Some(true)` =
-/// CSR, `Some(false)` = bit-plane); the equivalence property tests use it
-/// to pin both representations to the same reports.
+/// multi-process runner so both start from identical state.
 fn build(
     dataset: &Dataset,
     protocol: Protocol,
     cfg: SimConfig,
     scenario: Scenario,
-    force_store: Option<bool>,
 ) -> (DriverCore, Vec<ShardInit>) {
     cfg.validate().expect("invalid simulation config");
     scenario.validate(&cfg).expect("invalid scenario");
@@ -114,10 +110,7 @@ fn build(
     assert!(n > 0, "dataset has no users");
     scenario.validate_events(n).expect("invalid scenario");
     let plan = Publications::plan(dataset, &scenario, &cfg);
-    let oracle = match force_store {
-        None => Oracle::new(dataset.likes.clone(), plan.id_to_index()),
-        Some(sparse) => Oracle::new_forced(dataset.likes.clone(), plan.id_to_index(), sparse),
-    };
+    let oracle = Oracle::new(dataset.likes.clone(), plan.id_to_index());
 
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
     let bootstrap = bootstrap_contacts(&mut rng, n, cfg.bootstrap_degree);
@@ -497,7 +490,7 @@ pub(crate) fn run_external(
         }
         cfg.shards = workers.len();
     }
-    let (mut core, inits) = build(dataset, protocol, cfg, scenario, None);
+    let (mut core, inits) = build(dataset, protocol, cfg, scenario);
     // On any error from here on, dropping the links stops the workers
     // (children are killed and reaped, connections closed), so none
     // lingers behind an aborted run.
@@ -557,25 +550,7 @@ impl Simulation {
         cfg: SimConfig,
         scenario: Scenario,
     ) -> Self {
-        let (core, inits) = build(dataset, protocol, cfg, scenario, None);
-        let shards = inits.into_iter().map(ShardState::from_init).collect();
-        Self { core, shards }
-    }
-
-    /// A simulation of [`Scenario::default`] with the oracle's
-    /// dense/sparse representation forced (`true` = CSR, `false` =
-    /// bit-plane) instead of chosen by byte cost. Test hook for the
-    /// representation-equivalence properties; reports must be
-    /// byte-identical either way.
-    #[doc(hidden)]
-    pub fn new_with_forced_store(
-        dataset: &Dataset,
-        protocol: Protocol,
-        cfg: SimConfig,
-        sparse: bool,
-    ) -> Self {
-        let scenario = Scenario::default();
-        let (core, inits) = build(dataset, protocol, cfg, scenario, Some(sparse));
+        let (core, inits) = build(dataset, protocol, cfg, scenario);
         let shards = inits.into_iter().map(ShardState::from_init).collect();
         Self { core, shards }
     }
@@ -1003,7 +978,7 @@ mod tests {
         let d = tiny_dataset();
         let scenario = Scenario::default();
         let protocol = Protocol::WhatsUp { f_like: 5 };
-        let (mut core, _) = build(&d, protocol, quick_cfg(), scenario, None);
+        let (mut core, _) = build(&d, protocol, quick_cfg(), scenario);
         let err = run_cycle(&mut core, &mut [AckLink]).expect_err("Ack does not answer Collect");
         assert!(!err.kind.is_retryable(), "{err}");
         assert_eq!(

@@ -347,7 +347,7 @@
 //! | item records (driver)         |      ~120 MiB | receptions per item         |
 //! | mailbox arena + scratch       |       ~40 MiB | peak per-round traffic      |
 //! | item-profile weights          |     in flight | spanned words (264 B each)  |
-//! | oracle (CSR)                  |   likes-sized | non-zero likes (4 B each)   |
+//! | oracle (like matrix)          |    n × m bits | users (n) × items (m)       |
 //!
 //! What keeps each row tight:
 //!
@@ -382,9 +382,8 @@
 //!   shares nothing. An item profile's weights — a non-zero mask and
 //!   64 × `u32` per spanned 64-slot word — are shared like a snapshot's
 //!   planes, alive while any copy holds the item profile.
-//! * **Sparse oracle** — [`crate::Oracle`] holds likes as CSR or dense
-//!   bit-plane, chosen by measured byte cost
-//!   (`whatsup_datasets::LikeStore`), and is **process-`Arc`-shared**:
+//! * **One shared oracle** — [`crate::Oracle`] holds the dataset's like
+//!   matrix, one bit per (user, item), and is **process-`Arc`-shared**:
 //!   in-process links hand every shard one pointer. Only the stream
 //!   links (child process / socket) pay one copy per worker, which is
 //!   the price of actually being distributed.

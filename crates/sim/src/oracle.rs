@@ -12,68 +12,51 @@
 
 use std::sync::Arc;
 use whatsup_core::{ItemId, ItemIndexMap, NodeId, Opinions};
-use whatsup_datasets::{LikeMatrix, LikeStore};
+use whatsup_datasets::LikeMatrix;
 
 /// Ground-truth oracle mapping protocol-level ids to dataset rows/columns.
 ///
-/// Everything immutable is shared (`Arc`): the like store — dense
-/// bit-plane or compressed sparse rows, whichever [`LikeStore`] measured
-/// smaller — and the run's item index, so the sharded engine hands every
-/// shard in the process the *same* copy, and every node the index with it
-/// ([`Oracle::id_map`]). The alias vector is logically per-clone
-/// but copy-on-write: lockstep runs without joins or interest swaps never
-/// materialize a second copy.
+/// Everything immutable is shared (`Arc`): the like matrix and the run's
+/// item index, so the sharded engine hands every shard in the process the
+/// *same* copy, and every node the index with it ([`Oracle::id_map`]).
+/// The alias vector is logically per-clone but copy-on-write: lockstep
+/// runs without joins or interest swaps never materialize a second copy.
 #[derive(Debug, Clone)]
 pub struct Oracle {
-    store: Arc<LikeStore>,
+    likes: Arc<LikeMatrix>,
     /// The run's item index: content hash → dataset item index.
     id_to_index: Arc<ItemIndexMap>,
-    /// Node → like-store row (identity for the initial population).
+    /// Node → matrix row (identity for the initial population).
     alias: Arc<Vec<u32>>,
 }
 
 impl Oracle {
-    /// Builds from a dense matrix, choosing the cheaper representation
-    /// internally.
+    /// The oracle of a run's initial population over `matrix`.
     pub fn new(matrix: LikeMatrix, id_to_index: ItemIndexMap) -> Self {
-        Self::from_store(LikeStore::from_matrix(&matrix), id_to_index)
-    }
-
-    /// Builds with the representation forced (`true` = CSR, `false` =
-    /// dense bit-plane) instead of chosen by byte cost. Test hook for the
-    /// dense ≡ sparse equivalence properties — both must answer (and
-    /// report) identically.
-    #[doc(hidden)]
-    pub fn new_forced(matrix: LikeMatrix, id_to_index: ItemIndexMap, sparse: bool) -> Self {
-        let store = if sparse {
-            LikeStore::Sparse(whatsup_datasets::CsrLikes::from_matrix(&matrix))
-        } else {
-            LikeStore::Dense(matrix)
-        };
-        Self::from_store(store, id_to_index)
-    }
-
-    /// Builds from an already-chosen like store.
-    pub fn from_store(store: LikeStore, id_to_index: ItemIndexMap) -> Self {
-        let alias = (0..store.n_users() as u32).collect();
+        let alias = (0..matrix.n_users() as u32).collect();
         Self {
-            store: Arc::new(store),
+            likes: Arc::new(matrix),
             id_to_index: Arc::new(id_to_index),
             alias: Arc::new(alias),
         }
     }
 
     /// Rebuilds an oracle from serialized parts, preserving a non-identity
-    /// alias (shard-worker init path); `None` if an alias entry names a row,
-    /// or the id map an item, outside the store.
-    pub fn restore(store: LikeStore, id_to_index: ItemIndexMap, alias: Vec<u32>) -> Option<Self> {
-        let valid = alias.iter().all(|&r| (r as usize) < store.n_users())
-            && id_to_index
-                .values()
-                .all(|&i| (i as usize) < store.n_items());
+    /// alias (shard-worker init and checkpoint path). `ids` is the item
+    /// index as the encoder writes it, in strictly ascending id order.
+    /// `None` unless it is that, one-to-one (planes and seen sets number
+    /// items by it: two ids on one index would pass for each other) and
+    /// within the matrix, and every alias entry names a matrix row.
+    pub fn restore(likes: LikeMatrix, ids: Vec<(ItemId, u32)>, alias: Vec<u32>) -> Option<Self> {
+        let mut indices: Vec<usize> = ids.iter().map(|&(_, i)| i as usize).collect();
+        indices.sort_unstable();
+        let valid = ids.windows(2).all(|w| w[0].0 < w[1].0)
+            && indices.windows(2).all(|w| w[0] < w[1])
+            && indices.last().is_none_or(|&i| i < likes.n_items())
+            && alias.iter().all(|&r| (r as usize) < likes.n_users());
         valid.then(|| Self {
-            store: Arc::new(store),
-            id_to_index: Arc::new(id_to_index),
+            likes: Arc::new(likes),
+            id_to_index: Arc::new(ids.into_iter().collect()),
             alias: Arc::new(alias),
         })
     }
@@ -94,9 +77,9 @@ impl Oracle {
         self.alias.len()
     }
 
-    /// The shared like store.
-    pub fn store(&self) -> &LikeStore {
-        &self.store
+    /// The shared like matrix.
+    pub fn matrix(&self) -> &LikeMatrix {
+        &self.likes
     }
 
     /// Dataset index of an item id, if known.
@@ -107,7 +90,7 @@ impl Oracle {
     /// Ground-truth opinion by dataset item *index*.
     pub fn likes_index(&self, node: NodeId, index: u32) -> bool {
         let row = self.alias[node as usize] as usize;
-        self.store.likes(row, index as usize)
+        self.likes.likes(row, index as usize)
     }
 
     /// Nodes interested in item `index` under the current aliasing.
@@ -204,15 +187,28 @@ mod tests {
     }
 
     #[test]
-    fn restore_refuses_rows_and_items_past_the_store() {
+    fn restore_refuses_rows_items_and_indices_the_encoder_never_writes() {
         let o = oracle();
-        let parts = |alias: Vec<u32>, map: ItemIndexMap| {
-            Oracle::restore(o.store().clone(), map, alias).map(|r| r.alias().to_vec())
+        let parts = |alias: Vec<u32>, ids: &[(u64, u32)]| {
+            Oracle::restore(o.matrix().clone(), ids.to_vec(), alias).map(|r| r.alias().to_vec())
         };
-        let map = || ItemIndexMap::clone(o.id_map());
-        assert_eq!(parts(vec![2, 2, 0], map()), Some(vec![2, 2, 0]));
-        assert_eq!(parts(vec![0, 3], map()), None, "row 3 of 3");
-        let past = ItemIndexMap::from_iter([(100u64, 2u32)]);
-        assert_eq!(parts(vec![0], past), None, "item 2 of 2");
+        let ids = [(100, 0), (200, 1)];
+        assert_eq!(parts(vec![2, 2, 0], &ids), Some(vec![2, 2, 0]));
+        assert_eq!(parts(vec![0], &[]), Some(vec![0]), "an empty index");
+        assert_eq!(parts(vec![0, 3], &ids), None, "row 3 of 3");
+        let refused: [(&[(u64, u32)], &str); 4] = [
+            (&[(100, 2)], "item 2 of 2"),
+            (&[(100, 1), (200, 1)], "two ids, one index"),
+            (&[(200, 1), (100, 0)], "ids descending"),
+            (&[(100, 0), (100, 1)], "one id twice"),
+        ];
+        for (ids, what) in refused {
+            assert_eq!(parts(vec![0], ids), None, "{what}");
+        }
+        let restored = Oracle::restore(o.matrix().clone(), ids.to_vec(), vec![0, 1, 2]);
+        assert_eq!(
+            restored.map(|r| r.id_map().clone()),
+            Some(o.id_map().clone())
+        );
     }
 }

@@ -15,7 +15,8 @@ use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use whatsup_core::{
-    ColdStart, ItemId, NewsItem, NewsMessage, NodeStats, Payload, Profile, SharedProfile,
+    BeepConfig, ColdStart, ItemId, NewsItem, NewsMessage, NodeId, NodeStats, Payload, Profile,
+    RpsConfig, SharedProfile,
 };
 use whatsup_net::codec::DecodeError;
 use whatsup_net::wire::encode;
@@ -742,6 +743,89 @@ fn restore_refuses_seen_ids_out_of_order_and_keeps_the_state() {
     }
 }
 
+/// A [`ShardInit`] frame laid out as the driver writes it, with the params'
+/// metric tag and the oracle spelled out, so a test can put in them what
+/// the driver never would.
+struct InitFrame {
+    index: usize,
+    partition: Partition,
+    seed: u64,
+    loss: LossModel,
+    churn: ChurnModel,
+    params: ParamsFrame,
+    oracle: OracleFrame,
+    bootstrap: Vec<Vec<NodeId>>,
+}
+
+whatsup_net::wire_codec! {
+    struct InitFrame { index, partition, seed, loss, churn, params, oracle, bootstrap }
+}
+
+struct ParamsFrame {
+    rps: RpsConfig,
+    rps_period: u32,
+    wup_view_size: usize,
+    metric: u8,
+    profile_window: u32,
+    beep: BeepConfig,
+    cold_start_items: usize,
+    obfuscation_epsilon: f64,
+}
+
+whatsup_net::wire_codec! {
+    struct ParamsFrame {
+        rps, rps_period, wup_view_size, metric, profile_window, beep, cold_start_items,
+        obfuscation_epsilon,
+    }
+}
+
+struct OracleFrame {
+    n_users: usize,
+    n_items: usize,
+    words: Vec<u64>,
+    ids: Vec<(ItemId, u32)>,
+    alias: Vec<u32>,
+}
+
+whatsup_net::wire_codec! { struct OracleFrame { n_users, n_items, words, ids, alias } }
+
+/// [`shard_0_init`]'s init frame with metric tag `metric` and item index
+/// `ids` (its one item is id 7 at index 0, and its metric WUP, tag 0).
+fn init_with(metric: u8, ids: &[(ItemId, u32)]) -> Vec<u8> {
+    let init = shard_0_init();
+    let (params, likes) = (init.params, init.oracle.matrix());
+    encode(&InitFrame {
+        index: init.index,
+        partition: init.partition,
+        seed: init.seed,
+        loss: init.loss,
+        churn: init.churn,
+        params: ParamsFrame {
+            rps: params.rps,
+            rps_period: params.rps_period,
+            wup_view_size: params.wup_view_size,
+            metric,
+            profile_window: params.profile_window,
+            beep: params.beep,
+            cold_start_items: params.cold_start_items,
+            obfuscation_epsilon: params.obfuscation_epsilon,
+        },
+        oracle: OracleFrame {
+            n_users: likes.n_users(),
+            n_items: likes.n_items(),
+            words: likes.words().to_vec(),
+            ids: ids.to_vec(),
+            alias: init.oracle.alias().to_vec(),
+        },
+        bootstrap: init.bootstrap,
+    })
+}
+
+#[test]
+fn the_init_mirror_writes_what_the_driver_writes() {
+    assert_eq!(init_with(0, &[(7, 0)]), encode(&shard_0_init()));
+}
+
 /// A handshake header at the current version followed by `init`.
 fn handshake_with(init: &[u8]) -> Vec<u8> {
     let mut frame = HANDSHAKE_MAGIC.to_le_bytes().to_vec();
@@ -777,8 +861,9 @@ fn deliver_gossip(bundle: &[u8]) -> Vec<u8> {
 /// the last shard; ids beyond the population); the next three carry
 /// bundles from shard 1 that decode but do not fit the round (mail for a
 /// node of shard 1, gossip in a news round, news in a gossip round); the
-/// last restores a checkpoint that decodes but whose seen ids are out of
-/// order.
+/// next restores a checkpoint that decodes but whose seen ids are out of
+/// order; the last two are inits the decoder refuses: two item ids on one
+/// index, and a metric tag no metric has.
 fn hostile_streams() -> Vec<(&'static str, Vec<Vec<u8>>)> {
     let handshake = real_handshake();
     let stream = |cmd: Vec<u8>| vec![handshake.clone(), cmd];
@@ -910,6 +995,14 @@ fn hostile_streams() -> Vec<(&'static str, Vec<Vec<u8>>)> {
             stream(encode(&Command::Restore {
                 frame: Bytes::from(checkpoint_with_seen(&[7, 3])),
             })),
+        ),
+        (
+            "init whose item index gives two ids one slot",
+            vec![handshake_with(&init_with(0, &[(7, 0), (8, 0)]))],
+        ),
+        (
+            "init whose params name metric tag 2",
+            vec![handshake_with(&init_with(2, &[(7, 0)]))],
         ),
     ]
 }

@@ -366,7 +366,6 @@ fn concurrent_plane_builds_agree_on_every_slot() {
         for (metric, slow) in [
             (Metric::Wup, reference::wup_similarity(pn, pc)),
             (Metric::Cosine, reference::cosine_similarity(pn, pc)),
-            (Metric::Jaccard, reference::jaccard_similarity(pn, pc)),
         ] {
             let fast = scorer.score(metric, pc);
             assert_eq!(fast.to_bits(), slow.to_bits(), "{pn:?} vs {pc:?}");
