@@ -96,9 +96,9 @@ fn bench_one_vs_many(c: &mut Criterion) {
         // merge (view slots pin them, and with obfuscation off they are
         // the owners' live profiles), so the steady state scores planes
         // that already exist; `_cold` clones all 71 profiles first — a
-        // clone leaves the planes behind — and merges twice: the first
-        // pass walks every candidate, the second builds all 71 pairs of
-        // planes, index lookups included, and counts.
+        // clone leaves the planes behind — and merges once: a candidate is
+        // laid out the first time it is scored, so that one pass builds
+        // all 71 pairs of planes, index lookups included, and counts.
         let index = universe_index(universe);
         let own = rated(universe, 0, if universe > 100 { 13 } else { 16 }, false);
         let merges: Vec<Vec<Profile>> = (0..16)
@@ -128,7 +128,7 @@ fn bench_one_vs_many(c: &mut Criterion) {
                     next = (next + 1) % merges.len();
                     (own.clone(), merges[next].clone())
                 },
-                |(own, candidates)| score_all(&own, &candidates) + score_all(&own, &candidates),
+                |(own, candidates)| score_all(&own, &candidates),
                 BatchSize::SmallInput,
             )
         });
@@ -189,7 +189,7 @@ fn bench_one_vs_many(c: &mut Criterion) {
 /// it: a fresh clone of the item profile (its weights built on the way)
 /// picks one of a 30-entry RPS view — scoring, tie mixes and the ranking
 /// loop — over the profiles of `prepared_1x30`. The views are warm: every
-/// snapshot has been scored twice before, so it carries planes, as the
+/// snapshot has been scored before, so it carries planes, as the
 /// snapshots a view keeps do. Every iteration takes the next of 64 views
 /// and salts its ties anew.
 fn bench_beep(c: &mut Criterion) {
@@ -210,7 +210,7 @@ fn bench_beep(c: &mut Criterion) {
         let orient = |fresh: &Profile, at: usize| {
             select_most_similar_k(fresh, &index, &views[at], Metric::Wup, 1, at as u64)
         };
-        for at in (0..views.len()).chain(0..views.len()) {
+        for at in 0..views.len() {
             orient(&item_profile.clone(), at);
         }
         let mut next = 0;
@@ -321,7 +321,7 @@ fn bench_node_paths(c: &mut Criterion) {
 /// `merge_scored`: the node rates 64 items and every node's descriptor
 /// carries its own 64-entry binary profile (one allocation per node,
 /// shared by both views and the response), so scores differ and are
-/// counted on planes — built by the first iterations, then reused, as a
+/// counted on planes — built by the first iteration, then reused, as a
 /// view's snapshots are — and the ranking decides which 20 survive.
 fn bench_view_merge(c: &mut Criterion) {
     let mut group = c.benchmark_group("view");

@@ -132,22 +132,10 @@ pub fn decide(
     }
 }
 
-/// `selectMostSimilarNode(P^I, RPS)` (Algorithm 2, line 27): the RPS entry
-/// whose profile is closest to the item profile. Deterministic for a given
-/// `salt`; an empty view yields `None`.
-pub fn select_most_similar(
-    item_profile: &Profile,
-    items: &ItemIndexMap,
-    rps_view: &View<SharedProfile>,
-    metric: Metric,
-) -> Option<NodeId> {
-    select_most_similar_k(item_profile, items, rps_view, metric, 1, 0)
-        .into_iter()
-        .next()
-}
-
-/// The `k` RPS entries closest to the item profile (BEEP uses `k = 1`; the
-/// no-amplification ablation widens the dislike path to match `fLIKE`).
+/// The `k` RPS entries closest to the item profile:
+/// `selectMostSimilarNode(P^I, RPS)` (Algorithm 2, line 27) is `k = 1`,
+/// and the no-amplification ablation widens the dislike path to match
+/// `fLIKE`. An empty view yields no entry.
 /// Ties break on a salt-keyed mix of the node id, so equal-scoring
 /// candidates do not collapse onto a global order.
 pub fn select_most_similar_k(
@@ -389,10 +377,10 @@ mod tests {
     fn orientation_tie_break_is_deterministic_per_salt() {
         let items = items();
         let rps = view(&[(5, &[1]), (3, &[1])]);
-        let a = select_most_similar(&profile(&[1]), &items, &rps, Metric::Wup);
-        let b = select_most_similar(&profile(&[1]), &items, &rps, Metric::Wup);
+        let a = select_most_similar_k(&profile(&[1]), &items, &rps, Metric::Wup, 1, 0);
+        let b = select_most_similar_k(&profile(&[1]), &items, &rps, Metric::Wup, 1, 0);
         assert_eq!(a, b, "same salt, same pick");
-        assert!(matches!(a, Some(3) | Some(5)));
+        assert!(matches!(a[..], [3] | [5]));
         // Different salts must be able to pick different tied candidates.
         let picks: std::collections::HashSet<NodeId> = (0..32u64)
             .filter_map(|salt| {
@@ -476,8 +464,8 @@ mod tests {
     #[test]
     fn empty_rps_view_yields_no_target() {
         let items = items();
-        let sel = select_most_similar(&profile(&[1]), &items, &View::new(1), Metric::Wup);
-        assert_eq!(sel, None);
+        let sel = select_most_similar_k(&profile(&[1]), &items, &View::new(1), Metric::Wup, 1, 0);
+        assert!(sel.is_empty());
     }
 
     #[test]

@@ -485,9 +485,10 @@ impl WhatsUpNode {
     /// taken, and the merge scores against it: one layout per version.
     ///
     /// The profile is prepared once for the ~70 candidates of the merge:
-    /// snapshots with bit planes — a node's own disclosure from the start,
-    /// a decoded one once it has been scored before — are counted against
-    /// the profile's own planes, and one that has none is walked pairwise. The candidates are scored by reference; the merge moves
+    /// snapshots with bit planes — a node's own disclosure from when it
+    /// was taken, a decoded one from its first score — are counted against
+    /// the profile's own planes, and one that can have none is walked
+    /// pairwise. The candidates are scored by reference; the merge moves
     /// the survivors of the old view and of `received` into the new view
     /// and clones only those that join from the RPS view ([`Clustering`]'s
     /// merge).

@@ -25,7 +25,6 @@
 use crate::item::{ItemId, ItemIndexMap, Timestamp};
 use crate::planes::{Layout, Planes, Weights};
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Opinion strength for an item: `1.0` = interesting, `0.0` = not.
@@ -100,17 +99,14 @@ pub struct Profile {
     /// The entries laid out for the counting path of `crate::similarity`,
     /// over the run's item index: bit planes if the profile is binary,
     /// weights otherwise. Built on
-    /// demand ([`Self::layout`], [`Self::planes_when_rescored`]) — a
-    /// snapshot's when it is taken ([`Self::snapshot`]);
+    /// first use ([`Self::layout`], [`Self::planes`]) — a snapshot's when
+    /// it is taken ([`Self::snapshot`]);
     /// `Some(None)` records that the build declined (see [`Planes::build`],
     /// [`Weights::build`]). Derived state: never serialized, never
     /// compared, not copied by `Clone`, dropped by every mutation — and
     /// shared, once built, by every holder of a [`SharedProfile`] on every
     /// thread.
     layout: OnceLock<Option<Layout>>,
-    /// Whether a one-vs-many scorer has met this profile as a candidate
-    /// before (see [`Self::planes_when_rescored`]). Reset with the layout.
-    scored_before: AtomicBool,
 }
 
 /// Where a profile keeps its entries.
@@ -134,7 +130,6 @@ impl Default for Profile {
             non_binary: 0,
             oldest: Timestamp::MAX,
             layout: OnceLock::new(),
-            scored_before: AtomicBool::new(false),
         }
     }
 }
@@ -156,7 +151,6 @@ impl Clone for Profile {
         Self {
             entries: self.entries.clone(),
             layout: OnceLock::new(),
-            scored_before: AtomicBool::new(false),
             ..*self
         }
     }
@@ -318,7 +312,6 @@ impl Profile {
         let snapshot = Self {
             entries: Store::Runs(runs),
             layout: OnceLock::from(live.build_layout(index)),
-            scored_before: AtomicBool::new(false),
             ..*live
         };
         debug_assert!(
@@ -373,7 +366,6 @@ impl Profile {
     /// built from.
     fn drop_layout(&mut self) {
         self.layout.take();
-        *self.scored_before.get_mut() = false;
     }
 
     /// Insert/replace without touching the derived-state caches; callers
@@ -659,8 +651,11 @@ impl Profile {
 
     /// The bit planes of a *binary* profile, built now if need be. `None`
     /// for one whose build declined, and for a profile holding any other
-    /// score (whose weights it builds instead).
+    /// score, which builds nothing here.
     pub(crate) fn planes(&self, index: &ItemIndexMap) -> Option<&Planes> {
+        if !self.is_binary() {
+            return None;
+        }
         match self.layout(index)? {
             Layout::Planes(planes) => Some(planes),
             Layout::Weights(_) => None,
@@ -671,20 +666,6 @@ impl Profile {
     /// builds, and the only kind of profile that can have planes.
     fn is_binary(&self) -> bool {
         self.non_binary == 0
-    }
-
-    /// The planes a *candidate* is scored with: those it has, or — from
-    /// the second time it is asked — [`Self::planes`] (see "Built for what
-    /// is scored again" in `crate::similarity`). The first ask answers
-    /// `None` and the caller walks the entries — same bits.
-    pub(crate) fn planes_when_rescored(&self, index: &ItemIndexMap) -> Option<&Planes> {
-        // Relaxed: the flag publishes nothing. Two threads asking at once
-        // cost one walk more or one build earlier, never a wrong score.
-        let first_ask = || !self.scored_before.swap(true, Ordering::Relaxed);
-        if !self.is_binary() || self.built_layout().is_none() && first_ask() {
-            return None;
-        }
-        self.planes(index)
     }
 
     /// Euclidean norm of the score vector (memoized; O(1)).

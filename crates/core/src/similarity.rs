@@ -109,19 +109,22 @@
 //!   the receivers of its `f_like` siblings and the nodes down a dislike
 //!   chain, which forward it unchanged, orient it with the weights the
 //!   first of them built, on whichever thread.
-//! * **Built for what is scored again.** Building looks every id up in
-//!   the run's item index (`crate::planes`) — one pass, which also finds
-//!   the span the layout covers — and fills the words in a second; that
-//!   pays for a node's own profile or a snapshot sitting in a view, not
-//!   for a descriptor decoded from a frame, ranked once and dropped. So a
-//!   snapshot a node discloses is laid out when it is taken
-//!   (`Profile::snapshot`: it will be its owner's fixed side and others'
-//!   candidate), any other fixed side as soon as one candidate has planes
-//!   to be scored with, and any other *candidate* the second time a
-//!   scorer meets it; its first score is walked. (Building every decoded
-//!   descriptor eagerly made runs whose shards exchange encoded bundles up
-//!   to 2× slower.) Which of the exact paths a score took is history; its
-//!   bits are not.
+//! * **Built on first use.** Building looks every id up in the run's
+//!   item index (`crate::planes`), a read-only hash map that takes no
+//!   lock — one pass, which also finds the span the layout covers — and
+//!   fills the words in a second. A snapshot a node discloses is laid out
+//!   when it is taken (`Profile::snapshot`: it will be its owner's fixed
+//!   side and others' candidate), any other candidate the first time a
+//!   score of it gets past the fingerprint rejection, and any other fixed
+//!   side as soon as one candidate has planes to be scored with. That
+//!   includes a descriptor decoded from a frame, which may be ranked once
+//!   and dropped. Against walking a candidate's first score, perfbench's
+//!   multi-shard workloads, which decode such descriptors, ran faster
+//!   (2-vCPU Xeon, 16 alternated pairs, medians: `scale-2shard` wall
+//!   5.74 → 5.31 µs/msg, `scale-pipe` cpu 9.92 → 9.30, each lower in 15
+//!   of 16 pairs), and the 1-shard ones, whose candidates are nearly all
+//!   snapshots laid out when taken, ran within noise. Which of the exact
+//!   paths a score took is history; its bits are not.
 //! * **One numbering per run.** A slot is an item's position in the run's
 //!   index, which every node of the run holds and [`Prepared`] is given:
 //!   complete before cycle 0 and read-only after, so a build takes no
@@ -134,13 +137,12 @@
 //!   knows every id it rates.
 //! * **It declines rather than degrades.** A pair is walked pairwise —
 //!   same bits, the merge-join's speed — when the candidate has no planes
-//!   (a score that is neither 0 nor 1, a first meeting, an id the index
-//!   does not know); when the fixed side holds a score that is no whole
-//!   multiple of 2⁻²⁰ in `[0, 1]` (`-0.0` and non-finite values included)
-//!   or more than 2¹³ entries, zeros counted; and when either side's ids
-//!   are numbered so far apart that its layout would span more 64-slot
-//!   words than it places entries (a weighed side places its non-zero
-//!   ones). A declined build is remembered by the allocation: no scorer
+//!   (a score that is neither 0 nor 1, an id the index does not know);
+//!   when the fixed side holds a score that is no whole multiple of 2⁻²⁰
+//!   in `[0, 1]` (`-0.0` and non-finite values included) or more than 2¹³
+//!   entries, zeros counted; and when either side's ids are numbered so
+//!   far apart that its layout would span more 64-slot words than it
+//!   places entries (a weighed side places its non-zero ones). A declined build is remembered by the allocation: no scorer
 //!   asks it again, and no candidate gets planes built on its account.
 
 use crate::item::ItemIndexMap;
@@ -260,11 +262,13 @@ pub fn cosine_similarity(pn: &Profile, pc: &Profile) -> f64 {
 /// (see "One-vs-many scoring" in the module docs). Every score is
 /// bit-identical to [`Metric::score`]`(pn, candidate)`.
 ///
-/// The scorer keeps no state of its own: the fixed side's layout — planes
-/// or weights — belongs to the profile allocation, and is built on the
-/// first candidate of any scorer that gets past the fingerprint rejection
-/// and has planes, so a scorer that only ever meets disjoint or
-/// first-sight candidates costs nothing. Layouts are numbered by `index`,
+/// The scorer keeps no state of its own: the layouts — the fixed side's
+/// planes or weights, a candidate's planes — belong to the profile
+/// allocations, and are built the first time a score gets past the
+/// fingerprint rejection: a binary candidate's first, the fixed side's
+/// once a candidate has planes. So a scorer that only ever meets disjoint
+/// candidates, or ones that can have no planes, builds nothing of the
+/// fixed side's. Layouts are numbered by `index`,
 /// the run's item index: every scorer of the profiles it meets must be
 /// given the same one (see "One numbering per run" in the module docs).
 pub struct Prepared<'a> {
@@ -292,15 +296,16 @@ impl<'a> Prepared<'a> {
     }
 
     /// The fixed side's layout and the candidate's planes, when both exist
-    /// (see "Counting path" in the module docs). The fixed side is asked
-    /// first, from memoized state: one whose build declined costs a
-    /// candidate nothing here, and gets no candidate's planes built on its
-    /// account. Its own layout is built once a candidate has planes.
+    /// (see "Counting path" in the module docs), each built on first use.
+    /// The fixed side is asked first, from memoized state: one whose build
+    /// declined costs a candidate nothing here, and gets no candidate's
+    /// planes built on its account. Its own layout is built once a
+    /// candidate has planes.
     fn layouts<'b>(&self, pc: &'b Profile) -> Option<(&'a Layout, &'b Planes)> {
         if matches!(self.pn.built_layout(), Some(None)) {
             return None;
         }
-        let theirs = pc.planes_when_rescored(self.index)?;
+        let theirs = pc.planes(self.index)?;
         Some((self.pn.layout(self.index)?, theirs))
     }
 
@@ -627,28 +632,30 @@ mod tests {
     }
 
     #[test]
-    fn a_candidate_is_walked_once_then_counted() {
+    fn a_candidate_is_counted_from_its_first_score() {
         let base = 1 << 40;
         let index = index_of(base..base + 16);
         let own = profile(&[base, base + 1, base + 2], &[base + 3]);
         let mut snapshot = profile(&[base + 1, base + 2, base + 5], &[base]);
         let scorer = Prepared::new(&own, &index);
         // Scored once — a decoded descriptor dropped after its merge —
-        // nothing is built on either side.
-        let first = scorer.score(Metric::Wup, &snapshot);
-        assert_eq!(own.plane_bytes() + snapshot.plane_bytes(), 0);
-        // Scored again — a snapshot a view holds — both are.
+        // both sides are laid out, and the count is the reference's.
+        let walked = reference::wup_similarity(&own, &snapshot);
         assert_eq!(
             scorer.score(Metric::Wup, &snapshot).to_bits(),
-            first.to_bits()
+            walked.to_bits()
         );
         assert!(own.plane_bytes() > 0 && snapshot.plane_bytes() > 0);
         assert_scorer_matches_reference(&scorer, &own, &snapshot);
-        // A mutation starts the count again.
+        // A mutation drops the candidate's planes; its next score builds
+        // them again.
         snapshot.rate(base + 6, 0, true);
-        let _ = scorer.score(Metric::Wup, &snapshot);
         assert_eq!(snapshot.plane_bytes(), 0);
-        let _ = scorer.score(Metric::Wup, &snapshot);
+        let walked = reference::wup_similarity(&own, &snapshot);
+        assert_eq!(
+            scorer.score(Metric::Wup, &snapshot).to_bits(),
+            walked.to_bits()
+        );
         assert!(snapshot.plane_bytes() > 0);
         assert_scorer_matches_reference(&scorer, &own, &snapshot);
     }
@@ -695,7 +702,7 @@ mod tests {
     }
 
     #[test]
-    fn a_real_valued_fixed_side_builds_planes_for_no_first_sight_candidate() {
+    fn a_real_valued_fixed_side_weighs_each_candidate_from_its_first_score() {
         let base = 1 << 40;
         let index = index_of(base..base + 16);
         let mut item_profile = profile(&[base, base + 1], &[]);
@@ -708,23 +715,19 @@ mod tests {
             .map(|k| profile(&[base + 1, base + 2 + k], &[base + 6 + k]))
             .collect();
         let scorer = Prepared::new(&item_profile, &index);
-        // First sight — a descriptor decoded for this one orientation: the
-        // candidate is walked, nothing is built on either side.
-        let first: Vec<u64> = candidates
-            .iter()
-            .map(|pc| scorer.score(Metric::Wup, pc).to_bits())
-            .collect();
-        assert!(candidates.iter().all(|pc| pc.plane_bytes() == 0));
-        assert!(item_profile.built_layout().is_none());
-        // Second sight — a snapshot an RPS view holds: the candidates get
-        // planes, the item profile weights, and never planes of its own.
-        for (pc, first) in candidates.iter().zip(first) {
-            assert_eq!(scorer.score(Metric::Wup, pc).to_bits(), first);
+        // Each candidate scored once — a descriptor decoded for this one
+        // orientation: it gets planes, the item profile weights, and never
+        // planes of its own; every score is the reference's.
+        for pc in &candidates {
+            let walked = reference::wup_similarity(&item_profile, pc);
+            assert_eq!(scorer.score(Metric::Wup, pc).to_bits(), walked.to_bits());
             assert!(pc.plane_bytes() > 0);
+            assert!(weighs(&item_profile));
+        }
+        assert_eq!(item_profile.plane_bytes(), 0);
+        for pc in &candidates {
             assert_scorer_matches_reference(&scorer, &item_profile, pc);
         }
-        assert!(weighs(&item_profile));
-        assert_eq!(item_profile.plane_bytes(), 0);
     }
 
     #[test]
@@ -768,16 +771,17 @@ mod tests {
         let pn = item_profile(base..base + 12, 0.5, 0.75);
         let scorer = Prepared::new(&pn, &index);
         // A real-valued candidate (one item profile ranked against
-        // another) has no planes, however often it is scored.
+        // another) has no planes, however often it is scored, and asking
+        // for them builds no weights of its own.
         let real = item_profile(base + 4..base + 16, 0.25, 0.5);
         for _ in 0..2 {
             assert_scorer_matches_reference(&scorer, &pn, &real);
         }
         assert!(pn.built_layout().is_none(), "nothing to weigh against");
-        // A binary one has them from its second score on.
+        assert!(real.built_layout().is_none());
+        // A binary one has them from its first score on.
         let binary = profile(&[base + 1, base + 2], &[base + 3]);
-        let walked = scorer.score(Metric::Wup, &binary);
-        assert!(pn.built_layout().is_none() && binary.plane_bytes() == 0);
+        let walked = reference::wup_similarity(&pn, &binary);
         assert_eq!(
             scorer.score(Metric::Wup, &binary).to_bits(),
             walked.to_bits()
@@ -1098,9 +1102,9 @@ mod tests {
         /// two indexes of their ids — a random permutation of them, and one
         /// that leaves some out, so that profiles rating those are walked —
         /// fresh allocations under each, both directions of the pair and
-        /// the fixed side against itself, every candidate twice (walked,
-        /// then counted where the layouts allow), against the scan-only
-        /// reference by bits for all three metrics.
+        /// the fixed side against itself, every candidate twice (laying
+        /// out, then reusing, where the layouts allow), against the
+        /// scan-only reference by bits for both metrics.
         #[test]
         fn every_numbering_scores_the_reference(
             shape in 0usize..4,

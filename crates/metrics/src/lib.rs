@@ -3,7 +3,7 @@
 //! This crate provides the *user metrics* and *system metrics* of the paper
 //! (§IV-C): precision, recall and F1-Score per news item and aggregated over a
 //! workload, plus the statistical plumbing used by every experiment harness —
-//! histograms, percentile summaries, x/y series for the figures, and ASCII
+//! histograms, means and deviations, x/y series for the figures, and ASCII
 //! table rendering for the tables.
 //!
 //! Everything here is plain data with no protocol knowledge, so it is reused
@@ -20,5 +20,5 @@ pub use cycles::{CycleSeries, CycleStats, RecoveryMetrics};
 pub use hist::Histogram;
 pub use ir::{IrAggregate, IrScores, ItemOutcome};
 pub use series::{Series, SeriesSet};
-pub use stats::{mean, percentile, std_dev, Summary};
+pub use stats::{mean, std_dev};
 pub use table::TextTable;

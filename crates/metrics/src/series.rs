@@ -20,54 +20,6 @@ impl Series {
     pub fn push(&mut self, x: f64, y: f64) {
         self.points.push((x, y));
     }
-
-    /// Maximum y value, or `None` for an empty series.
-    pub fn max_y(&self) -> Option<f64> {
-        self.points.iter().map(|&(_, y)| y).fold(None, |acc, y| {
-            Some(match acc {
-                None => y,
-                Some(m) => m.max(y),
-            })
-        })
-    }
-
-    /// The x at which y is maximal (first in case of ties).
-    pub fn argmax(&self) -> Option<(f64, f64)> {
-        let mut best: Option<(f64, f64)> = None;
-        for &(x, y) in &self.points {
-            match best {
-                Some((_, by)) if y <= by => {}
-                _ => best = Some((x, y)),
-            }
-        }
-        best
-    }
-
-    /// Linear interpolation of y at `x`; clamps outside the x-range.
-    /// Points must be pushed in increasing x order.
-    pub fn interpolate(&self, x: f64) -> Option<f64> {
-        if self.points.is_empty() {
-            return None;
-        }
-        if x <= self.points[0].0 {
-            return Some(self.points[0].1);
-        }
-        if x >= self.points[self.points.len() - 1].0 {
-            return Some(self.points[self.points.len() - 1].1);
-        }
-        for w in self.points.windows(2) {
-            let (x0, y0) = w[0];
-            let (x1, y1) = w[1];
-            if x >= x0 && x <= x1 {
-                if x1 == x0 {
-                    return Some(y0);
-                }
-                let t = (x - x0) / (x1 - x0);
-                return Some(y0 * (1.0 - t) + y1 * t);
-            }
-        }
-        None
-    }
 }
 
 /// A figure: a set of curves sharing axes, renderable as aligned text columns
@@ -147,23 +99,6 @@ mod tests {
         s.push(2.0, 0.6);
         s.push(3.0, 0.4);
         s
-    }
-
-    #[test]
-    fn max_and_argmax() {
-        let s = sample();
-        assert_eq!(s.max_y(), Some(0.6));
-        assert_eq!(s.argmax(), Some((2.0, 0.6)));
-        assert_eq!(Series::new("e").max_y(), None);
-    }
-
-    #[test]
-    fn interpolation() {
-        let s = sample();
-        assert_eq!(s.interpolate(1.5), Some(0.4));
-        assert_eq!(s.interpolate(0.0), Some(0.2)); // clamp low
-        assert_eq!(s.interpolate(9.0), Some(0.4)); // clamp high
-        assert_eq!(Series::new("e").interpolate(1.0), None);
     }
 
     #[test]

@@ -406,6 +406,9 @@ fn run(args: &[String]) -> ExitCode {
         shards: shards.unwrap_or(file.config.shards),
         ..file.config.clone()
     };
+    if let Err(e) = config.validate_protocol(&protocol) {
+        return fail("invalid protocol override", format!("{path}: {e}"));
+    }
     let mut runner = Runner::new(&dataset, protocol)
         .config(config)
         .scenario(file.scenario.clone())
@@ -506,6 +509,9 @@ fn compare(args: &[String]) -> ExitCode {
     let anti = Protocol::AntiEntropy {
         fanout: fanout.or(file.protocol.fanout()).unwrap_or(3),
     };
+    if let Err(e) = file.config.validate_protocol(&anti) {
+        return fail("invalid comparison", format!("{path}: {e}"));
+    }
     let run_one = |protocol: Protocol| {
         Runner::new(&dataset, protocol)
             .config(file.config.clone())

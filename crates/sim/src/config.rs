@@ -190,7 +190,8 @@ impl Protocol {
     }
 }
 
-/// Simulation run configuration.
+/// Simulation run configuration. A field that the run's protocol never
+/// reads must keep its default ([`SimConfig::validate_protocol`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Total gossip cycles. The paper's profile window of 13 cycles is 1/5
@@ -297,9 +298,18 @@ impl SimConfig {
     }
 
     /// Checks `protocol`'s knobs under this config: the node parameters
-    /// of the gossip stack (view sizes capacity-guarded), and the fanout
-    /// of anti-entropy, which runs its own engine.
+    /// of the gossip stack (view sizes capacity-guarded), the fanout of
+    /// anti-entropy, which runs its own engine, and that no field is set
+    /// that `protocol`'s engine never reads ([`Self::unread_by`]) — a knob
+    /// that changes nothing is refused, in one line naming the protocol
+    /// and the field.
     pub fn validate_protocol(&self, protocol: &Protocol) -> Result<(), String> {
+        if let Some(field) = self.unread_by(protocol) {
+            return Err(format!(
+                "{} never reads config.{field}: leave it at its default",
+                protocol.label()
+            ));
+        }
         match self.build_params(protocol) {
             Some(params) => params.validate(),
             None if *protocol == (Protocol::AntiEntropy { fanout: 0 }) => {
@@ -307,6 +317,45 @@ impl SimConfig {
             }
             None => Ok(()),
         }
+    }
+
+    /// The first field set away from its default that `protocol`'s engine
+    /// never reads. The node knobs (`bootstrap_degree` and the overrides
+    /// of [`Self::build_params`]) mean nothing to the global baselines,
+    /// which have no node views (C-WhatsUp keeps its own 13-cycle window),
+    /// nor to anti-entropy, which knows its full membership; the dislike
+    /// TTL nothing to CF, whose dislikes drop; and the anti-entropy knobs
+    /// nothing to any other engine.
+    fn unread_by(&self, protocol: &Protocol) -> Option<&'static str> {
+        let default = Self::default();
+        let ttl = ("ttl_override", self.ttl_override.is_some());
+        let node = [
+            (
+                "bootstrap_degree",
+                self.bootstrap_degree != default.bootstrap_degree,
+            ),
+            ("profile_window", self.profile_window.is_some()),
+            ttl,
+            ("wup_view_override", self.wup_view_override.is_some()),
+            ("obfuscation", self.obfuscation.is_some()),
+        ];
+        let anti_entropy = [
+            (
+                "datagram_budget",
+                self.datagram_budget != default.datagram_budget,
+            ),
+            ("phi_threshold", self.phi_threshold != default.phi_threshold),
+            ("down_cycles", self.down_cycles != default.down_cycles),
+        ];
+        let cf = [ttl];
+        let unread: &[&[(&'static str, bool)]] = match protocol {
+            Protocol::AntiEntropy { .. } => &[&node],
+            p if p.is_global() => &[&node, &anti_entropy],
+            Protocol::CfWup { .. } | Protocol::CfCos { .. } => &[&cf, &anti_entropy],
+            _ => &[&anti_entropy],
+        };
+        let mut knobs = unread.iter().flat_map(|knobs| knobs.iter());
+        knobs.find(|&&(_, set)| set).map(|&(field, _)| field)
     }
 
     pub fn validate(&self) -> Result<(), String> {
@@ -381,6 +430,64 @@ mod tests {
         let no = Protocol::NoOrientation { f_like: 5 }.node_params().unwrap();
         assert_ne!(wu.beep, na.beep);
         assert_ne!(wu.beep, no.beep);
+    }
+
+    #[test]
+    fn a_knob_the_engine_never_reads_is_refused() {
+        let protocols = [
+            Protocol::WhatsUp { f_like: 3 },
+            Protocol::WhatsUpCos { f_like: 3 },
+            Protocol::CfWup { k: 5 },
+            Protocol::CfCos { k: 5 },
+            Protocol::Gossip { fanout: 3 },
+            Protocol::Cascade,
+            Protocol::CPubSub,
+            Protocol::CWhatsUp { f_like: 3 },
+            Protocol::NoAmplification { fanout: 3 },
+            Protocol::NoOrientation { f_like: 3 },
+            Protocol::AntiEntropy { fanout: 3 },
+        ];
+        // Whose engine reads each field: the node stack all but the dislike
+        // TTL, which only a forwarding dislike rule reads; anti-entropy its
+        // own three.
+        let reads = |field: &str, p: &Protocol| match field {
+            "ttl_override" => p.node_params().is_some_and(|params| params.ttl().is_some()),
+            "datagram_budget" | "phi_threshold" | "down_cycles" => {
+                matches!(p, Protocol::AntiEntropy { .. })
+            }
+            _ => p.node_params().is_some(),
+        };
+        let set = |edit: fn(&mut SimConfig)| {
+            let mut cfg = SimConfig::default();
+            edit(&mut cfg);
+            cfg
+        };
+        let knobs = [
+            ("bootstrap_degree", set(|c| c.bootstrap_degree = 4)),
+            ("profile_window", set(|c| c.profile_window = Some(13))),
+            ("ttl_override", set(|c| c.ttl_override = Some(4))),
+            ("wup_view_override", set(|c| c.wup_view_override = Some(12))),
+            ("obfuscation", set(|c| c.obfuscation = Some(0.0))),
+            ("datagram_budget", set(|c| c.datagram_budget = 512)),
+            ("phi_threshold", set(|c| c.phi_threshold = 2.0)),
+            ("down_cycles", set(|c| c.down_cycles = 3)),
+        ];
+        for (field, cfg) in &knobs {
+            for protocol in &protocols {
+                let verdict = cfg.validate_protocol(protocol);
+                if reads(field, protocol) {
+                    assert_eq!(verdict, Ok(()), "{field} on {protocol:?}");
+                    continue;
+                }
+                let err = verdict.expect_err(field);
+                assert!(err.contains(&protocol.label()), "{err}");
+                assert!(err.contains(&format!("config.{field}")), "{err}");
+                assert_eq!(err.lines().count(), 1, "{err}");
+            }
+        }
+        for protocol in &protocols {
+            assert_eq!(SimConfig::default().validate_protocol(protocol), Ok(()));
+        }
     }
 
     #[test]

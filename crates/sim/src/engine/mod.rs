@@ -274,7 +274,7 @@
 //!   by intersecting bit planes (`whatsup_core::similarity`, "Counting
 //!   path"). The planes are derived state of the profile allocation,
 //!   built once — for a node's own snapshot when it is taken, for a
-//!   decoded one the second time a merge ranks it — and shared by every
+//!   decoded one the first time a merge ranks it — and shared by every
 //!   view slot that pins it, its bits numbered by the run's item index
 //!   (the oracle's, which every node holds). The counts are exact, so the
 //!   ranking — and every downstream bit — is what the entry-walking

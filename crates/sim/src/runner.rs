@@ -187,12 +187,13 @@ impl<'a> Runner<'a> {
     /// Panics for protocols without a steppable node engine (cascade,
     /// pub/sub, centralized, anti-entropy — use [`Runner::run`]), if a
     /// non-in-process transport was configured, or if the config/scenario
-    /// is invalid.
+    /// is invalid ([`SimConfig::validate_protocol`] included).
     pub fn build(self) -> Simulation {
         assert!(
             self.transport == Transport::InProcess,
             "build() is in-process; external transports run to completion via run()"
         );
+        self.validate_protocol();
         Simulation::with_scenario(self.dataset, self.protocol, self.cfg, self.scenario)
     }
 
@@ -201,8 +202,10 @@ impl<'a> Runner<'a> {
     /// that dies mid-run — the error names the failing endpoint).
     ///
     /// # Panics
-    /// Panics if the config or scenario is invalid.
+    /// Panics if the config or scenario is invalid
+    /// ([`SimConfig::validate_protocol`] included).
     pub fn try_run(self) -> io::Result<SimReport> {
+        self.validate_protocol();
         let scenario = self.scenario;
         match self.protocol {
             // Global baselines walk a server-side model once per item: the
@@ -284,8 +287,10 @@ impl<'a> Runner<'a> {
     /// up or fails mid-run.
     ///
     /// # Panics
-    /// Panics if the config or scenario is invalid.
+    /// Panics if the config or scenario is invalid
+    /// ([`SimConfig::validate_protocol`] included).
     pub fn deploy(self, fabric: Fabric, cycle_ms: u64) -> io::Result<Deployment> {
+        self.validate_protocol();
         swarm::deploy(
             self.dataset,
             self.protocol,
@@ -294,6 +299,14 @@ impl<'a> Runner<'a> {
             fabric,
             cycle_ms,
         )
+    }
+
+    /// The protocol's knobs under the config, checked once by every way
+    /// to run: a field the protocol's engine never reads is refused.
+    fn validate_protocol(&self) {
+        if let Err(e) = self.cfg.validate_protocol(&self.protocol) {
+            panic!("invalid protocol knobs: {e}");
+        }
     }
 
     /// Runs this runner across a shards × fanout grid on the job pool —
@@ -419,6 +432,27 @@ mod tests {
             assert_eq!(r.protocol, p.label());
             assert!(r.measured_items() > 0, "{} produced no items", p.label());
         }
+    }
+
+    #[test]
+    fn every_way_to_run_refuses_a_knob_its_engine_never_reads() {
+        // C-WhatsUp keeps its own 13-cycle window: a profile window would
+        // change nothing, whichever way the run goes.
+        let d = dataset();
+        let window = SimConfig {
+            profile_window: Some(5),
+            ..cfg()
+        };
+        let refused = |run: fn(Runner)| {
+            let runner = Runner::new(&d, Protocol::CWhatsUp { f_like: 3 }).config(window.clone());
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(runner)))
+                .expect_err("the knob is refused");
+            let message = panic.downcast_ref::<String>().expect("a formatted message");
+            assert!(message.contains("config.profile_window"), "{message}");
+        };
+        refused(|r| drop(r.try_run()));
+        refused(|r| drop(r.build()));
+        refused(|r| drop(r.deploy(Fabric::Emulated, 1)));
     }
 
     #[test]

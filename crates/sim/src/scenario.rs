@@ -120,8 +120,10 @@
 //! scuttlebutt digest/delta engine (`crate::engines::antientropy`), which
 //! runs under the full scenario grid like the gossip stack and additionally
 //! reads the `datagram_budget`, `phi_threshold` and `down_cycles` config
-//! fields. The `whatsup-sim run --protocol anti-entropy` flag overrides the
-//! file's protocol from the CLI, and `whatsup-sim compare` runs both.
+//! fields. A config field the chosen engine never reads must keep its
+//! default (`SimConfig::validate_protocol`). The `whatsup-sim run
+//! --protocol anti-entropy` flag overrides the file's protocol from the
+//! CLI, and `whatsup-sim compare` runs both.
 
 use crate::config::{Protocol, SimConfig};
 use serde::json::Error;
