@@ -332,7 +332,7 @@ fn bench_view_merge(c: &mut Criterion) {
                 nodes.map(|i| Descriptor::fresh(i, payload(i))).collect()
             };
         let state = NodeState {
-            profile: own.entries().copied().collect(),
+            profile: own.entries().collect(),
             rps_view: descriptors(1..=30),
             wup_view: descriptors(21..=40),
             seen: Vec::new(),

@@ -11,11 +11,47 @@ use crate::hash::Fnv1a;
 pub type ItemId = u64;
 
 /// The run's item index: every item id of a run, numbered densely (the
-/// dataset index) before cycle 0. One map per run, shared by `Arc`: the
+/// dataset index) before cycle 0. One index per run, shared by `Arc`: the
 /// oracle resolves ids through it, and every node numbers the bit planes
-/// of its profiles by it (see `crate::planes`).
+/// of its profiles by it (see `crate::planes`). It reads as its id → slot
+/// map; the slot → id table beside it turns a packed snapshot's planes
+/// back into ids (see `crate::profile`).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ItemIndexMap {
+    slots: Slots,
+    /// The id of each slot; `0` where no id has the slot.
+    ids: Vec<ItemId>,
+}
+
+impl ItemIndexMap {
+    /// The id numbered `slot`; only asked of slots the index gave out.
+    pub(crate) fn id_of(&self, slot: u32) -> ItemId {
+        self.ids[slot as usize]
+    }
+}
+
 // lint:allow(det-map) BuildIdHasher keys, probe-only; serialization sorts the pairs first
-pub type ItemIndexMap = std::collections::HashMap<ItemId, u32, crate::hash::BuildIdHasher>;
+type Slots = std::collections::HashMap<ItemId, u32, crate::hash::BuildIdHasher>;
+
+impl std::ops::Deref for ItemIndexMap {
+    type Target = Slots;
+
+    fn deref(&self) -> &Self::Target {
+        &self.slots
+    }
+}
+
+/// `(id, slot)` pairs; a later pair for an id replaces an earlier one.
+impl FromIterator<(ItemId, u32)> for ItemIndexMap {
+    fn from_iter<I: IntoIterator<Item = (ItemId, u32)>>(pairs: I) -> Self {
+        let slots: Slots = pairs.into_iter().collect();
+        let mut ids = vec![0; slots.values().max().map_or(0, |&top| top as usize + 1)];
+        for (&id, &slot) in &slots {
+            ids[slot as usize] = id;
+        }
+        Self { slots, ids }
+    }
+}
 
 /// Logical time. In simulation this is the gossip-cycle index; in the
 /// network runtimes it is coarse wall-clock ticks of one gossip period.

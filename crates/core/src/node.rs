@@ -20,7 +20,7 @@ use crate::item::{ItemId, ItemIndexMap, NewsItem, Timestamp};
 use crate::message::{NewsMessage, OutMessage, Payload};
 use crate::obfuscation::Obfuscation;
 use crate::params::Params;
-use crate::profile::{Profile, ProfileEntry, Run, SharedProfile};
+use crate::profile::{Profile, ProfileEntry, SharedProfile};
 use crate::seen::SeenSet;
 use crate::similarity::Prepared;
 use rand::Rng;
@@ -109,15 +109,6 @@ pub struct WhatsUpNode {
     /// The true profile: one sorted vector, never handed out, so a
     /// mutation never copies it.
     profile: Profile,
-    /// With obfuscation off, the true profile again, as the frozen runs
-    /// its disclosed snapshots share: one per disclosure that found new
-    /// ratings, plus the refiltered remains of runs the window purge cut
-    /// through. Merged by id with `pending`, the runs are exactly
-    /// `profile` — ids disjoint, at most window + 1 runs. Empty under
-    /// obfuscation, whose snapshots are flat.
-    history: Vec<Run>,
-    /// Ratings made since the last disclosure, sorted by id.
-    pending: Vec<ProfileEntry>,
     obfuscation: Obfuscation,
     /// Memoized disclosed-profile snapshot; dropped whenever `profile`
     /// mutates.
@@ -160,8 +151,6 @@ impl WhatsUpNode {
             rps,
             wup,
             profile: Profile::new(),
-            history: Vec::new(),
-            pending: Vec::new(),
             obfuscation,
             shared_cache: None,
             seen: SeenSet::new(),
@@ -177,23 +166,14 @@ impl WhatsUpNode {
     ///
     /// The snapshot is memoized until the profile next mutates; obfuscation
     /// is a pure function of `(secret, node, profile)`, so the cache is
-    /// exact. With obfuscation off it is the true profile held as the
-    /// history's runs: the pending ratings are frozen into one more run,
-    /// and the snapshot shares every run with the versions before it. A
-    /// history grown past window + 1 runs — a node disclosing more than
-    /// once a cycle — restarts as one run.
+    /// exact. With obfuscation off it is the true profile packed into its
+    /// planes and timestamps ([`Profile::snapshot`]).
     fn shared_profile(&mut self) -> SharedProfile {
         if let Some(cached) = &self.shared_cache {
             return SharedProfile::clone(cached);
         }
         let shared = if self.obfuscation.is_off() {
-            let pending = std::mem::take(&mut self.pending);
-            self.history
-                .extend((!pending.is_empty()).then(|| Run::from(pending)));
-            if self.history.len() > self.params.profile_window as usize + 1 {
-                self.history = vec![self.profile.entries().copied().collect()];
-            }
-            Profile::snapshot(Box::from(&self.history[..]), &self.profile, &self.items)
+            Profile::snapshot(&self.profile, &self.items)
         } else {
             self.obfuscation.share(self.id, &self.profile)
         };
@@ -202,45 +182,11 @@ impl WhatsUpNode {
         shared
     }
 
-    /// Records the user's opinion on `item` in the profile and, with
-    /// obfuscation off, in the pending run. Re-rating an entry that sits
-    /// in a frozen run restarts the history as one pending run, so no two
-    /// runs share an id.
+    /// Records the user's opinion on `item`; the disclosed-profile
+    /// snapshot is stale after it, as after every profile mutation.
     fn rate(&mut self, item: ItemId, timestamp: Timestamp, liked: bool) {
-        let entry = ProfileEntry {
-            item,
-            timestamp,
-            score: f32::from(u8::from(liked)),
-        };
-        let replaced = self.profile.contains(item);
-        self.profile.upsert(entry);
-        if self.obfuscation.is_off() {
-            match self.pending.binary_search_by_key(&item, |e| e.item) {
-                Ok(i) => self.pending[i] = entry,
-                Err(_) if replaced => {
-                    self.history.clear();
-                    self.pending = self.profile.entries().copied().collect();
-                }
-                Err(i) => self.pending.insert(i, entry),
-            }
-        }
-        self.invalidate_shared();
-    }
-
-    /// Marks the disclosed-profile snapshot stale after a profile mutation
-    /// — every one ends here, so this is also where the history is checked
-    /// against the profile.
-    fn invalidate_shared(&mut self) {
+        self.profile.rate(item, timestamp, liked);
         self.shared_cache = None;
-        debug_assert!(
-            !self.obfuscation.is_off() || {
-                let runs = self.history.iter().flat_map(|run| run.iter());
-                let mut merged: Vec<ProfileEntry> = runs.chain(&self.pending).copied().collect();
-                merged.sort_by_key(|e| e.item);
-                self.profile.entries().eq(&merged)
-            },
-            "the history merged by id differs from the profile"
-        );
     }
 
     pub fn id(&self) -> NodeId {
@@ -319,36 +265,21 @@ impl WhatsUpNode {
         }
     }
 
-    /// Memory accounting (diagnostics): own-profile heap bytes (entries,
-    /// layout, the pending run and the history's run pointers), seen-set
-    /// heap bytes, per-node bookkeeping bytes (the view vectors), a visit
-    /// of every profile snapshot this node pins — view descriptors, the
-    /// disclosed-snapshot memo — and one of every run those snapshots and
-    /// the history hold. Visited `Arc`s may repeat; callers dedup by
-    /// address.
+    /// Memory accounting (diagnostics): own-profile heap bytes (entries
+    /// and layout), seen-set heap bytes, per-node bookkeeping bytes (the
+    /// view vectors), and a visit of every profile snapshot this node pins
+    /// — view descriptors, the disclosed-snapshot memo. Visited `Arc`s may
+    /// repeat; callers dedup by address.
     #[doc(hidden)]
-    pub fn debug_heap_stats(
-        &self,
-        visit: &mut dyn FnMut(&SharedProfile),
-        visit_run: &mut dyn FnMut(&Run),
-    ) -> (usize, usize, usize) {
+    pub fn debug_heap_stats(&self, visit: &mut dyn FnMut(&SharedProfile)) -> (usize, usize, usize) {
         let views = [self.rps.view(), self.wup.view()].map(|view| view.entries());
-        for snapshot in views
-            .iter()
-            .flat_map(|v| v.iter().map(|d| &d.payload))
+        (views.iter().flat_map(|v| v.iter().map(|d| &d.payload)))
             .chain(&self.shared_cache)
-        {
-            visit(snapshot);
-            snapshot.runs().iter().for_each(&mut *visit_run);
-        }
-        self.history.iter().for_each(&mut *visit_run);
+            .for_each(visit);
         let descriptor = std::mem::size_of::<whatsup_gossip::Descriptor<SharedProfile>>();
         let views =
             (self.rps.view().entries().len() + self.wup.view().entries().len()) * descriptor;
-        let own = self.profile.heap_bytes()
-            + self.pending.capacity() * std::mem::size_of::<ProfileEntry>()
-            + self.history.capacity() * std::mem::size_of::<Run>();
-        (own, self.seen.capacity_bytes(), views)
+        (self.profile.heap_bytes(), self.seen.capacity_bytes(), views)
     }
 
     /// Full behavioral state of this node, for checkpointing. Everything
@@ -357,7 +288,7 @@ impl WhatsUpNode {
     /// profile)` and is rebuilt by [`WhatsUpNode::from_state`].
     pub fn export_state(&self) -> NodeState {
         NodeState {
-            profile: self.profile.entries().copied().collect(),
+            profile: self.profile.entries().collect(),
             rps_view: self.rps.view().entries().to_vec(),
             wup_view: self.wup.view().entries().to_vec(),
             seen: self.seen.to_sorted_vec(&self.items),
@@ -383,10 +314,6 @@ impl WhatsUpNode {
     ) -> Self {
         let mut node = Self::new(id, params, items);
         node.profile = Profile::from_entries(state.profile);
-        if node.obfuscation.is_off() {
-            node.pending = node.profile.entries().copied().collect();
-        }
-        node.invalidate_shared();
         node.rps.seed(state.rps_view);
         node.wup.seed(state.wup_view);
         node.seen = SeenSet::from_sorted(state.seen, &node.items);
@@ -401,22 +328,11 @@ impl WhatsUpNode {
         stats: &mut NodeStats,
         rng: &mut impl Rng,
     ) -> Vec<OutMessage> {
-        // The history drops the runs wholly below the cutoff and refilters
-        // the ones it cuts through; nothing is touched when the purge would
-        // remove nothing.
+        // Nothing is touched when the purge would remove nothing.
         let cutoff = now.saturating_sub(self.params.profile_window);
         if self.profile.any_older_than(cutoff) {
             self.profile.purge_older_than(cutoff);
-            let kept = |e: &ProfileEntry| e.timestamp >= cutoff;
-            self.pending.retain(kept);
-            self.history.retain_mut(|run| {
-                let survivors = run.iter().filter(|e| kept(e)).count();
-                if 0 < survivors && survivors < run.len() {
-                    *run = run.iter().copied().filter(kept).collect();
-                }
-                survivors > 0
-            });
-            self.invalidate_shared();
+            self.shared_cache = None;
         }
         let mut out = Vec::with_capacity(2);
         let shared = self.shared_profile();
@@ -890,22 +806,24 @@ mod tests {
     }
 
     #[test]
-    fn disclosed_history_stays_bounded_and_equal_to_the_profile() {
-        let mut n = WhatsUpNode::new(0, Params::whatsup(2), Default::default());
-        let window = n.params.profile_window as usize;
-        // One disclosure per rating: more runs than the window allows.
-        for item in 0..3 * window as u64 {
-            n.rate(item, 5, true);
+    fn a_disclosed_snapshot_is_packed_and_equal_to_the_profile() {
+        let items: ItemIndexMap = (0..40).zip(0..).collect();
+        let mut n = WhatsUpNode::new(0, Params::whatsup(2), Arc::new(items));
+        // One disclosure per rating, re-ratings and window purges among them.
+        for (now, item) in (0..30).chain([3, 4, 29, 35]).enumerate() {
+            let now = now as u32;
+            n.on_cycle(now, &mut NodeStats::default(), &mut rng());
+            n.rate(item, now, item % 3 != 0);
             let snapshot = n.shared_profile();
-            assert!(snapshot.runs().len() <= window + 1);
             assert_eq!(*snapshot, *n.profile());
+            assert_eq!(snapshot.norm().to_bits(), n.profile().norm().to_bits());
+            // Timestamps and planes: nothing of the entries is kept.
+            let packed = 4 * snapshot.len() + snapshot.plane_bytes();
+            assert_eq!(snapshot.heap_bytes(), packed, "{snapshot:?}");
+            assert!(snapshot.plane_bytes() > 0);
         }
-        // Re-rating an entry of a frozen run restarts the history.
-        n.rate(0, 6, false);
-        let snapshot = n.shared_profile();
-        assert_eq!(snapshot.runs().len(), 1);
-        assert_eq!(*snapshot, *n.profile());
-        assert_eq!(snapshot.get(0).map(|e| e.score), Some(0.0));
+        assert!(n.profile().len() < 30, "the window purged some");
+        assert_eq!(n.shared_profile().get(3).map(|e| e.score), Some(0.0));
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! placed, so the span of the layout costs no walk of its own
 //! ([`word_span`]).
 
-use crate::item::ItemIndexMap;
+use crate::item::{ItemIndexMap, Timestamp};
 use crate::profile::ProfileEntry;
 
 /// Which index a layout's slots are numbered by — its address, in debug
@@ -100,6 +100,44 @@ impl Planes {
     /// entries (see [`word_span`]). The one pass that looks the ids up
     /// also tracks the span.
     pub(crate) fn build(entries: &[ProfileEntry], index: &ItemIndexMap) -> Option<Self> {
+        Self::lay_out(entries, index).map(|(planes, _)| planes)
+    }
+
+    /// [`Self::build`], and the entries' timestamps in slot order: what a
+    /// packed snapshot keeps besides the planes, which hold every id (by
+    /// slot) and every score. Each timestamp is written at its entry's
+    /// rank among the rated slots. Also declines a score of `-0.0`, which
+    /// the planes would give back as `0.0`, and an entry whose slot the
+    /// index gives back as another id.
+    pub(crate) fn pack(
+        entries: &[ProfileEntry],
+        index: &ItemIndexMap,
+    ) -> Option<(Self, Box<[Timestamp]>)> {
+        let (planes, slots) = Self::lay_out(entries, index)?;
+        let mut rated = 0;
+        let before: Vec<usize> = (planes.words.iter())
+            .map(|[word, _]| {
+                let before = rated;
+                rated += word.count_ones() as usize;
+                before
+            })
+            .collect();
+        let mut times = vec![0; entries.len()].into_boxed_slice();
+        for (e, slot) in entries.iter().zip(slots) {
+            let exact = e.score == 1.0 || e.score.to_bits() == 0;
+            if !exact || index.id_of(slot) != e.item {
+                return None;
+            }
+            let word = (slot / 64 - planes.first_word) as usize;
+            let below = planes.words[word][0] & ((1u64 << (slot % 64)) - 1);
+            times[before[word] + below.count_ones() as usize] = e.timestamp;
+        }
+        Some((planes, times))
+    }
+
+    /// The planes, and the slot of each entry in `entries`' order. The one
+    /// pass that looks the ids up also tracks the span.
+    fn lay_out(entries: &[ProfileEntry], index: &ItemIndexMap) -> Option<(Self, Vec<u32>)> {
         let (mut slots, mut bounds) = (Vec::with_capacity(entries.len()), (u32::MAX, 0));
         for e in entries {
             let slot = *index.get(&e.item)?;
@@ -108,7 +146,7 @@ impl Planes {
         }
         let (first_word, end_word) = word_span(bounds, slots.len())?;
         let mut words = vec![[0u64; 2]; (end_word - first_word) as usize].into_boxed_slice();
-        for (e, slot) in entries.iter().zip(slots) {
+        for (e, &slot) in entries.iter().zip(&slots) {
             let word = &mut words[(slot / 64 - first_word) as usize];
             let bit = 1u64 << (slot % 64);
             word[0] |= bit;
@@ -116,10 +154,23 @@ impl Planes {
                 word[1] |= bit;
             }
         }
-        Some(Self {
+        let planes = Self {
             first_word,
             words,
             numbering: Numbering::of(index),
+        };
+        Some((planes, slots))
+    }
+
+    /// The rated slots in ascending order, each with whether it is liked.
+    pub(crate) fn rated(&self) -> impl Iterator<Item = (u32, bool)> + '_ {
+        (self.words.iter().zip(self.first_word..)).flat_map(|(&[rated, liked], word)| {
+            let mut rest = rated;
+            std::iter::from_fn(move || {
+                let bit = (rest != 0).then(|| rest.trailing_zeros())?;
+                rest &= rest - 1;
+                Some((word * 64 + bit, liked >> bit & 1 == 1))
+            })
         })
     }
 

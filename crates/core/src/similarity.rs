@@ -17,12 +17,13 @@
 //! Cosine similarity, the baseline the paper compares against throughout
 //! (CF-Cos, WhatsUp-Cos), is implemented on the same merge-join skeleton.
 //!
-//! The pairwise functions are allocation-free scans over the two sorted
-//! entry vectors: one linear merge-join over the common items
-//! (`O(|Pn| + |Pc|)`), the very one the [`reference`] runs. [`Prepared`]
-//! walks only the pairs its counting paths decline (none on perfbench's
-//! `paper-1shard`, 1 123 of 1.16 M past the fingerprint on
-//! `stress-1shard`, seed 1), so the plain join is all its fallback needs.
+//! The pairwise functions scan the two profiles' entries in id order —
+//! a packed snapshot's rebuilt first (`crate::profile`) — in one linear
+//! merge-join over the common items (`O(|Pn| + |Pc|)`), the very one the
+//! [`reference`] runs. [`Prepared`] walks only the pairs its counting
+//! paths decline (none on perfbench's `paper-1shard`, 1 123 of 1.16 M
+//! past the fingerprint on `stress-1shard`, seed 1), so the plain join is
+//! all its fallback needs.
 //!
 //! ## Fingerprint fast path
 //!
@@ -100,11 +101,15 @@
 //!   copy's path in any perfbench workload holds twenty likers (the build
 //!   declined nothing there). It checks both conditions all the same.
 //! * **Layouts belong to the profile.** Planes and weights alike are
-//!   derived state of a [`Profile`] allocation — built on demand, never
-//!   serialized or compared, dropped by every mutation — and [`Prepared`]
-//!   keeps nothing but references. Every view slot and message pinning a
-//!   snapshot shares one pair of planes (16 bytes per 64 slots spanned),
-//!   and a node keeps no scoring state of its own. Every copy of an item
+//!   derived state of a flat [`Profile`] allocation — built on demand,
+//!   never serialized or compared, dropped by every mutation — and
+//!   [`Prepared`] keeps nothing but references. A snapshot a node
+//!   discloses is packed: its planes (16 bytes per 64 slots spanned) are
+//!   its ids and scores, and besides them it keeps one timestamp per
+//!   entry, so every view slot and message pinning it shares the one
+//!   allocation scoring reads, and a node keeps no scoring state of its
+//!   own. A walked pair rebuilds a packed side's entries in id order, so
+//!   the join sums in the reference's order. Every copy of an item
 //!   profile shares one set of weights (264 bytes per 64 slots spanned):
 //!   the receivers of its `f_like` siblings and the nodes down a dislike
 //!   chain, which forward it unchanged, orient it with the weights the
@@ -187,21 +192,16 @@ struct JoinSums {
     sub_norm2: f64,
 }
 
-/// The merge-join of two profiles' entries in id order: two slices when
-/// both have one, a snapshot's runs merged on the fly otherwise.
+/// The merge-join of two profiles' entries in id order: a flat profile's
+/// walked in place, a packed snapshot's rebuilt first.
 #[inline]
 fn merge_join(pn: &Profile, pc: &Profile) -> JoinSums {
-    match (pn.as_slice(), pc.as_slice()) {
-        (Some(a), Some(b)) => join(a.iter(), b.iter()),
-        _ => join(pn.entries(), pc.entries()),
-    }
+    join(&pn.flat(), &pc.flat())
 }
 
 #[inline]
-fn join<'a>(
-    mut a: impl Iterator<Item = &'a ProfileEntry>,
-    mut b: impl Iterator<Item = &'a ProfileEntry>,
-) -> JoinSums {
+fn join(a: &[ProfileEntry], b: &[ProfileEntry]) -> JoinSums {
+    let (mut a, mut b) = (a.iter(), b.iter());
     let mut sums = JoinSums {
         dot: 0.0,
         sub_norm2: 0.0,

@@ -365,7 +365,7 @@ proptest! {
                 wup_view.iter().map(|d| (d.node, d.payload.clone())),
             );
             let mut state = seeded.export_state();
-            state.profile = profile_of(&own).entries().copied().collect();
+            state.profile = profile_of(&own).entries().collect();
             let items = std::sync::Arc::clone(&items);
             let mut node = WhatsUpNode::from_state(ME, params.clone(), items, state.clone());
 

@@ -560,10 +560,97 @@ proptest! {
                 _ => None,
             });
             let snapshot = &own.expect("a WUP request with the own descriptor").payload;
-            let flat = Profile::from_entries(node.profile().entries().copied());
+            let flat = Profile::from_entries(node.profile().entries());
             let bytes = wire::encode(&**snapshot);
             prop_assert_eq!(&bytes, &wire::encode(&flat));
             prop_assert_eq!(&wire::decode::<Profile>(&bytes).unwrap(), &flat);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// A node whose views hold its peers' packed snapshots — planes over
+    /// an index of content-hash ids, numbered in publication order, not
+    /// in id order — exports a state whose views and profile encode and
+    /// decode to flat profiles that restore a node with equal views, and
+    /// every view profile scores the same against the profile either way.
+    #[test]
+    fn a_node_state_with_packed_views_roundtrips(
+        receptions in prop::collection::vec((0usize..4, 0u64..60), 20..120),
+        seed in 0u64..1_000,
+    ) {
+        use rand::SeedableRng;
+        use std::sync::Arc;
+        use whatsup_core::similarity::{Metric, Prepared};
+        use whatsup_core::{ItemIndexMap, NodeState, NodeStats, Params, WhatsUpNode};
+        use whatsup_net::wire;
+
+        let items: Vec<NewsItem> = (0..60).map(|k| news_item(k, k, 9, k as u32 / 10)).collect();
+        let index = Arc::new(items.iter().map(NewsItem::id).zip(0..).collect::<ItemIndexMap>());
+        let params = Params::whatsup(2);
+        let mut nodes: Vec<WhatsUpNode> = (0..4u32)
+            .map(|id| {
+                let mut node = WhatsUpNode::new(id, params.clone(), Arc::clone(&index));
+                let peers = (0..4).filter(|&p| p != id).map(|p| (p, Profile::new()));
+                node.seed_views(peers.clone(), peers);
+                node
+            })
+            .collect();
+        let likes = |node: NodeId, item: u64| (item ^ u64::from(node)).is_multiple_of(3);
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let mut stats = NodeStats::default();
+        for (cycle, chunk) in (0u32..).zip(receptions.chunks(10)) {
+            for &(to, k) in chunk {
+                let news = NewsMessage {
+                    header: items[k as usize].header(),
+                    profile: SharedProfile::default(),
+                    dislikes: 0,
+                    hops: 0,
+                };
+                nodes[to].on_message(9, Payload::News(news), cycle, &likes, &mut stats, &mut rng);
+            }
+            // Every request is answered, and every answer merged.
+            for from in 0..4u32 {
+                for request in nodes[from as usize].on_cycle(cycle, &mut stats, &mut rng) {
+                    let to = request.to as usize;
+                    let replies = nodes[to].on_message(from, request.payload, cycle, &likes, &mut stats, &mut rng);
+                    for reply in replies {
+                        nodes[from as usize].on_message(to as u32, reply.payload, cycle, &likes, &mut stats, &mut rng);
+                    }
+                }
+            }
+        }
+        let mut packed_views = 0;
+        for node in &nodes {
+            let state = node.export_state();
+            let views = ColdStart { rps_view: state.rps_view.clone(), wup_view: state.wup_view.clone() };
+            let profiles = views.rps_view.iter().chain(&views.wup_view).map(|d| &d.payload);
+            for p in profiles.clone().filter(|p| !p.is_empty()) {
+                prop_assert_eq!(p.heap_bytes(), 4 * p.len() + p.plane_bytes(), "not packed: {:?}", p);
+                packed_views += 1;
+            }
+            let views: ColdStart = wire::decode(&wire::encode(&views)).unwrap();
+            let own: Profile = wire::decode(&wire::encode(node.profile())).unwrap();
+            let decoded = NodeState {
+                profile: own.entries().collect(),
+                rps_view: views.rps_view,
+                wup_view: views.wup_view,
+                seen: state.seen.clone(),
+            };
+            prop_assert_eq!(&decoded, &state);
+            let restored = WhatsUpNode::from_state(node.id(), params.clone(), Arc::clone(&index), decoded.clone());
+            prop_assert_eq!(&restored.export_state(), &state);
+            let flat = decoded.rps_view.iter().chain(&decoded.wup_view).map(|d| &d.payload);
+            for (packed, flat) in profiles.zip(flat) {
+                for metric in [Metric::Wup, Metric::Cosine] {
+                    let score = |p: &Profile| Prepared::new(node.profile(), &index).score(metric, p);
+                    prop_assert_eq!(score(packed).to_bits(), score(flat).to_bits());
+                    prop_assert_eq!(metric.score(node.profile(), packed).to_bits(), metric.score(&own, flat).to_bits());
+                }
+            }
+        }
+        prop_assert!(packed_views > 0, "no view holds a rated snapshot");
     }
 }

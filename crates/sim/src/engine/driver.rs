@@ -588,10 +588,12 @@ impl Simulation {
         let (records, per_node) = self.core.ledger.heap_bytes();
         totals.push(("item records", records));
         // The run's item index: one `Arc`, shared by the oracle and every
-        // node, so counted here once and not per shard.
+        // node, so counted here once and not per shard. Its id → slot map,
+        // and its slot → id table, one id per slot of the dense index.
         let items = self.core.oracle.id_map();
         let entry = std::mem::size_of::<(whatsup_core::ItemId, u32)>() + 1;
-        totals.push(("item index", items.capacity() * entry));
+        let ids = items.len() * std::mem::size_of::<whatsup_core::ItemId>();
+        totals.push(("item index", items.capacity() * entry + ids));
         totals.push((
             "driver per-node",
             per_node + self.core.liked_this_cycle.capacity() * 4,

@@ -26,8 +26,10 @@
 //! typed [`TransportError`] naming the endpoint, and a worker handed a
 //! frame that does not decode, mailbox bundles included, exits with a
 //! one-line
-//! [`stream::WorkerError`]. A command that decodes but does not fit the
-//! shard (a node it does not own) still panics it.
+//! [`stream::WorkerError`]. So does one handed a command that decodes but
+//! does not fit the shard (a node it does not own): the shard's
+//! `try_handle` refuses it like a frame that does not decode, and the
+//! worker exits 1.
 
 pub(crate) mod process;
 pub(crate) mod socket;

@@ -335,13 +335,14 @@
 //! RSS — so the only levers that matter are the bytes the protocol
 //! actually keeps alive. The budget below is the measured breakdown of a
 //! 100 k-node, 10-cycle uniform run (1 shard,
-//! `Simulation::memory_breakdown`); absolute numbers scale with nodes ×
-//! cycles × publication rate, the *shape* is what to remember:
+//! `Simulation::memory_breakdown`, 817 MiB peak RSS, 694 MiB live heap);
+//! absolute numbers scale with nodes × cycles × publication rate, the
+//! *shape* is what to remember:
 //!
 //! | standing state                | 100 k example | grows with                  |
 //! |-------------------------------|--------------:|-----------------------------|
-//! | own profiles                  |      ~260 MiB | rated items per node        |
-//! | pinned view snapshots (†)     |      ~260 MiB | view size × runs, ratings   |
+//! | own profiles                  |      ~245 MiB | rated items per node (16 B) |
+//! | pinned view snapshots         |      ~150 MiB | versions pinned × ratings   |
 //! | seen sets                     |        ~5 MiB | items published (1 bit each)|
 //! | view descriptors              |       ~60 MiB | view size                   |
 //! | item records (driver)         |      ~120 MiB | receptions per item         |
@@ -365,23 +366,25 @@
 //!   the kept slack (0.78 → 0.92 MiB). In the 100 k example, together
 //!   with the bitset, the gap between RSS and live heap fell from 226 to
 //!   115 MiB and the own-profiles row rose from ~225 MiB.
-//! * **Snapshot sharing** — a disclosed profile is one `Arc` allocation
+//! * **Packed snapshots** — a disclosed profile is one `Arc` allocation
 //!   shared by every view slot and in-flight message that references it,
-//!   and the versions of one node's profile share their entries: a
-//!   snapshot holds the frozen id-sorted runs of its owner's ratings, one
-//!   per disclosure, so a new version costs the ratings made since the
-//!   last, not a copy of the window (`whatsup_core::profile`, "runs"). The
-//!   live profile is never handed out, so rating never copies it.
-//!   "pinned view snapshots" counts each allocation once, bit planes
-//!   included (a few words per snapshot; the run's item index they are
-//!   numbered by is the breakdown's "item index" row, counted once),
-//!   and each run once, whichever snapshots and node histories hold it.
-//!   (†) The ~260 MiB was measured when each version was a whole copy;
-//!   on perfbench's `stress-1shard` sharing runs cut the row from 5.4 to
-//!   2.1 MiB. A snapshot decoded from another shard's bundle is flat and
-//!   shares nothing. An item profile's weights — a non-zero mask and
-//!   64 × `u32` per spanned 64-slot word — are shared like a snapshot's
-//!   planes, alive while any copy holds the item profile.
+//!   and it keeps no copy of its entries: the bit planes it is scored
+//!   with hold every id (by slot) and every score, so besides them it
+//!   keeps one 4-byte timestamp per entry, in slot order, and a pointer
+//!   to the run's item index, whose slot → id table rebuilds the
+//!   id-ordered entries for the encoder, walked pairs and cold start
+//!   (`whatsup_core::profile`). The live profile is never handed out, so
+//!   rating never copies it, and it is all a node keeps of its own
+//!   ratings. "pinned view snapshots" counts each allocation once,
+//!   planes included; the index is the breakdown's "item index" row,
+//!   counted once. In the 100 k example, packing cut that row from
+//!   251 MiB of per-disclosure runs, which the versions of one node
+//!   shared, to 150 MiB, "own profiles" from 258 to 244 MiB (the runs'
+//!   per-node bookkeeping) and peak RSS from 926 to 817 MiB. A snapshot
+//!   decoded from another shard's bundle, and one whose planes decline,
+//!   is flat: 16 bytes an entry. An item profile's weights — a non-zero
+//!   mask and 64 × `u32` per spanned 64-slot word — are shared like a
+//!   snapshot's planes, alive while any copy holds the item profile.
 //! * **One shared oracle** — [`crate::Oracle`] holds the dataset's like
 //!   matrix, one bit per (user, item), and is **process-`Arc`-shared**:
 //!   in-process links hand every shard one pointer. Only the stream

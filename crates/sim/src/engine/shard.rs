@@ -311,39 +311,29 @@ impl ShardState {
 
     /// Heap accounting by component (diagnostics; backs the byte-budget
     /// table in the engine module docs). Returns `(component, bytes)`
-    /// rows. Snapshot bytes count each distinct pinned profile `Arc` once,
-    /// and each distinct run the snapshots and the nodes' histories share
-    /// once.
+    /// rows. Snapshot bytes count each distinct pinned profile `Arc` once.
     #[doc(hidden)]
     pub fn memory_breakdown(&self) -> Vec<(&'static str, usize)> {
         let mut profiles = 0usize;
         let mut seen = 0usize;
         let mut caches = 0usize;
-        let (mut snapshots, mut runs) = (BTreeSet::new(), BTreeSet::new());
-        let (mut snapshot_bytes, mut run_bytes) = (0usize, 0usize);
+        let mut snapshots = BTreeSet::new();
+        let mut snapshot_bytes = 0usize;
         for node in &self.nodes {
-            let (p, s, c) = node.debug_heap_stats(
-                &mut |shared| {
-                    // The Arc block (counts + Profile struct) plus what the
-                    // profile owns: a flat entries buffer (capacity) or the
-                    // run pointers, and, once built, its layout.
-                    if snapshots.insert(Arc::as_ptr(shared) as usize) {
-                        snapshot_bytes += shared.heap_bytes()
-                            + std::mem::size_of::<whatsup_core::profile::Profile>()
-                            + 16;
-                    }
-                },
-                &mut |run| {
-                    if runs.insert(run.as_ptr() as usize) {
-                        run_bytes += std::mem::size_of_val(&**run) + 16;
-                    }
-                },
-            );
+            let (p, s, c) = node.debug_heap_stats(&mut |shared| {
+                // The Arc block (counts + Profile struct) plus what the
+                // profile owns: a flat entries buffer (capacity) or a
+                // packed snapshot's timestamps, and, once built, its layout.
+                if snapshots.insert(Arc::as_ptr(shared) as usize) {
+                    snapshot_bytes += shared.heap_bytes()
+                        + std::mem::size_of::<whatsup_core::profile::Profile>()
+                        + 16;
+                }
+            });
             profiles += p;
             seen += s;
             caches += c;
         }
-        let snapshot_bytes = snapshot_bytes + run_bytes;
         vec![
             ("own profiles", profiles),
             ("pinned snapshots", snapshot_bytes),
@@ -543,7 +533,7 @@ impl ShardState {
             .zip(cp.nodes)
             .map(|(id, record)| {
                 let state = NodeState {
-                    profile: record.profile.entries().copied().collect(),
+                    profile: record.profile.entries().collect(),
                     rps_view: record.views.rps_view,
                     wup_view: record.views.wup_view,
                     seen: record.seen,

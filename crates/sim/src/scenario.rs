@@ -873,16 +873,46 @@ serde::json_codec! {
 impl ScenarioFile {
     /// Parses a scenario file and validates it, protocol knobs included
     /// (view sizes are capacity-guarded before anything allocates them).
-    pub fn from_json_str(text: &str) -> Result<Self, Error> {
+    pub fn from_json_str(text: &str) -> Result<Self, FileError> {
         let file = Self::from_json_exact(&serde::json::parse(text)?)?;
-        file.scenario.validate(&file.config).map_err(Error::new)?;
-        file.config.validate().map_err(Error::new)?;
+        file.scenario
+            .validate(&file.config)
+            .map_err(FileError::Invalid)?;
+        file.config.validate().map_err(FileError::Invalid)?;
         file.config
             .validate_protocol(&file.protocol)
-            .map_err(Error::new)?;
+            .map_err(FileError::Invalid)?;
         Ok(file)
     }
 }
+
+/// Why [`ScenarioFile::from_json_str`] refuses a file.
+#[derive(Debug)]
+pub enum FileError {
+    /// The text is not the JSON of a scenario file; printed `json error:`
+    /// and the path of the field.
+    Json(Error),
+    /// It is, and a check refuses what it asks for; printed as the
+    /// check's message alone.
+    Invalid(String),
+}
+
+impl From<Error> for FileError {
+    fn from(e: Error) -> Self {
+        Self::Json(e)
+    }
+}
+
+impl std::fmt::Display for FileError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Json(e) => e.fmt(f),
+            Self::Invalid(message) => f.write_str(message),
+        }
+    }
+}
+
+impl std::error::Error for FileError {}
 
 #[cfg(test)]
 mod tests {

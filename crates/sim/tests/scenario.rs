@@ -428,8 +428,29 @@ fn cli_runs_the_committed_scenario_identically() {
         .expect("spawn whatsup-sim run");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
+    let path = fanless.display();
+    assert_eq!(
+        stderr,
+        format!("whatsup-sim: invalid scenario: {path}: anti-entropy needs a fanout ≥ 1\n"),
+        "a refusal of well-formed JSON is no json error"
+    );
+    // A file that is not JSON is one line too, and that one is a json
+    // error.
+    let broken = dir.join("trailing_comma.json");
+    std::fs::write(&broken, committed.replacen("}", ",}", 1)).unwrap();
+    let out = std::process::Command::new(cli)
+        .arg("run")
+        .arg(&broken)
+        .output()
+        .expect("spawn whatsup-sim run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert_eq!(stderr.lines().count(), 1, "{stderr}");
-    assert!(stderr.contains("fanout ≥ 1"), "{stderr}");
+    let prefix = format!(
+        "whatsup-sim: invalid scenario: {}: json error: ",
+        broken.display()
+    );
+    assert!(stderr.starts_with(&prefix), "{stderr}");
 
     // The sweep subcommand emits one row per grid cell through the same
     // Runner path; cells differing only in shard count are identical.

@@ -1,20 +1,25 @@
-//! Disclosed profiles share their owner's past cycles. A node discloses a
+//! Disclosed profiles keep no copy of their entries. A node discloses a
 //! snapshot of its profile every cycle, and views keep several versions
-//! of each node's profile alive; held as frozen runs, one per disclosure,
-//! the versions of one node share every entry they have in common. This
-//! pins that sharing by a count of entries, which — unlike RSS — does not
-//! depend on the allocator or the machine.
+//! of each node's profile alive; a snapshot is packed into the bit planes
+//! it is scored with and one timestamp per entry, so the versions a run
+//! pins cost a fraction of the entries they hold. This pins that by a
+//! count of bytes the snapshots own, which — unlike RSS — does not depend
+//! on the allocator or the machine.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use whatsup_datasets::{survey, SurveyConfig};
 use whatsup_sim::{Protocol, Runner, SimConfig};
 
-/// After a 20-cycle survey run, the entries the views pin — each run
-/// counted once — are at most half of the entries the pinned snapshots
-/// hold between them, each snapshot counted once.
+/// Bytes of one ⟨id, t, s⟩ entry held flat.
+const ENTRY_BYTES: usize = 16;
+
+/// After a 20-cycle survey run, the pinned snapshots — each counted once —
+/// own at most half the bytes their entries take held flat, and every
+/// one of them is packed: its own bytes are its planes and 4 bytes an
+/// entry.
 #[test]
-fn pinned_snapshots_share_their_runs() {
+fn pinned_snapshots_are_packed() {
     let d = survey::generate(&SurveyConfig::paper().scaled(0.12), 42);
     let cfg = SimConfig {
         cycles: 20,
@@ -29,32 +34,25 @@ fn pinned_snapshots_share_their_runs() {
     for _ in 0..20 {
         sim.step();
     }
-    let (mut snapshots, mut runs) = (BTreeSet::new(), BTreeSet::new());
-    let (mut logical, mut distinct) = (0usize, 0usize);
+    let mut snapshots = BTreeSet::new();
+    let (mut logical, mut owned) = (0usize, 0usize);
     for id in 0..sim.n_nodes() as u32 {
         let views = sim.node(id).views_snapshot();
         for d in views.rps_view.iter().chain(&views.wup_view) {
             if !snapshots.insert(Arc::as_ptr(&d.payload)) {
                 continue;
             }
-            logical += d.payload.len();
-            // A flat snapshot is one run of its own.
-            distinct += d.payload.len() - d.payload.runs().iter().map(|r| r.len()).sum::<usize>();
-            for run in d.payload.runs() {
-                if runs.insert(run.as_ptr()) {
-                    distinct += run.len();
-                }
-            }
+            let (entries, bytes) = (d.payload.len(), d.payload.heap_bytes());
+            assert_eq!(bytes, 4 * entries + d.payload.plane_bytes(), "not packed");
+            logical += entries * ENTRY_BYTES;
+            owned += bytes;
         }
     }
     assert!(
-        logical > 10_000,
-        "{logical} pinned entries: too small a run to tell"
+        logical > 10_000 * ENTRY_BYTES,
+        "{logical} pinned entry bytes: too small a run to tell"
     );
-    let ratio = distinct as f64 / logical as f64;
-    eprintln!("distinct/logical pinned entries: {distinct}/{logical} = {ratio:.3}");
-    assert!(
-        ratio <= 0.5,
-        "{distinct} distinct of {logical} pinned entries"
-    );
+    let ratio = owned as f64 / logical as f64;
+    eprintln!("owned/flat pinned bytes: {owned}/{logical} = {ratio:.3}");
+    assert!(ratio <= 0.5, "{owned} bytes own {logical} bytes of entries");
 }

@@ -248,7 +248,7 @@ fn hostile_item_ids_in_gossip_merge_like_the_pairwise_ranking() {
         params.clone(),
         items,
         NodeState {
-            profile: own.entries().copied().collect(),
+            profile: own.entries().collect(),
             rps_view: Vec::new(),
             wup_view: Vec::new(),
             seen: Vec::new(),
