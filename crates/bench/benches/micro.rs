@@ -13,15 +13,18 @@ use whatsup_core::similarity::Prepared;
 use whatsup_datasets::{survey, SurveyConfig};
 use whatsup_sim::{Protocol, Runner, SimConfig};
 
-/// The item index of the node benches: the ids `profile_with` rates.
+/// The item index of the node benches: the ids `profile_with` rates, item
+/// `k` created at time `k / 3`, so the profiles a node discloses pack.
 fn dense_index() -> Arc<ItemIndexMap> {
-    Arc::new((0..512).zip(0..).collect())
+    Arc::new((0..512).map(|k| (k, k as u32, k as u32 / 3)).collect())
 }
 
+/// `n` entries, on every third id from `offset`, each stamped with its
+/// item's creation time in [`dense_index`].
 fn profile_with(n: usize, offset: u64) -> Profile {
     Profile::from_entries((0..n as u64).map(|i| ProfileEntry {
         item: offset + i * 3,
-        timestamp: i as u32,
+        timestamp: ((offset + i * 3) / 3) as u32,
         score: if i % 3 == 0 { 0.0 } else { 1.0 },
     }))
 }

@@ -14,19 +14,27 @@ pub type ItemId = u64;
 /// dataset index) before cycle 0. One index per run, shared by `Arc`: the
 /// oracle resolves ids through it, and every node numbers the bit planes
 /// of its profiles by it (see `crate::planes`). It reads as its id → slot
-/// map; the slot → id table beside it turns a packed snapshot's planes
-/// back into ids (see `crate::profile`).
+/// map; beside it, two columns by slot — the id and the creation time its
+/// source stamped the item with — turn a packed snapshot's planes back
+/// into ⟨id, t, s⟩ entries (see `crate::profile`).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ItemIndexMap {
     slots: Slots,
-    /// The id of each slot; `0` where no id has the slot.
+    /// The id, and the creation time, of each slot given out; `0` where
+    /// none was.
     ids: Vec<ItemId>,
+    created: Vec<Timestamp>,
 }
 
 impl ItemIndexMap {
     /// The id numbered `slot`; only asked of slots the index gave out.
     pub(crate) fn id_of(&self, slot: u32) -> ItemId {
         self.ids[slot as usize]
+    }
+
+    /// When the item numbered `slot` was created; only asked of given slots.
+    pub fn created_at(&self, slot: u32) -> Timestamp {
+        self.created[slot as usize]
     }
 }
 
@@ -41,15 +49,26 @@ impl std::ops::Deref for ItemIndexMap {
     }
 }
 
-/// `(id, slot)` pairs; a later pair for an id replaces an earlier one.
+/// `(id, slot, creation time)` triples; a later triple for an id or a
+/// slot replaces an earlier one.
+impl FromIterator<(ItemId, u32, Timestamp)> for ItemIndexMap {
+    fn from_iter<I: IntoIterator<Item = (ItemId, u32, Timestamp)>>(triples: I) -> Self {
+        let mut index = Self::default();
+        for (id, slot, t) in triples {
+            let (at, len) = (slot as usize, index.ids.len().max(slot as usize + 1));
+            index.ids.resize(len, 0);
+            index.created.resize(len, 0);
+            (index.ids[at], index.created[at]) = (id, t);
+            index.slots.insert(id, slot);
+        }
+        index
+    }
+}
+
+/// `(id, slot)` pairs, every item created at time `0`.
 impl FromIterator<(ItemId, u32)> for ItemIndexMap {
     fn from_iter<I: IntoIterator<Item = (ItemId, u32)>>(pairs: I) -> Self {
-        let slots: Slots = pairs.into_iter().collect();
-        let mut ids = vec![0; slots.values().max().map_or(0, |&top| top as usize + 1)];
-        for (&id, &slot) in &slots {
-            ids[slot as usize] = id;
-        }
-        Self { slots, ids }
+        pairs.into_iter().map(|(id, slot)| (id, slot, 0)).collect()
     }
 }
 

@@ -167,7 +167,7 @@ impl WhatsUpNode {
     /// The snapshot is memoized until the profile next mutates; obfuscation
     /// is a pure function of `(secret, node, profile)`, so the cache is
     /// exact. With obfuscation off it is the true profile packed into its
-    /// planes and timestamps ([`Profile::snapshot`]).
+    /// planes ([`Profile::snapshot`]).
     fn shared_profile(&mut self) -> SharedProfile {
         if let Some(cached) = &self.shared_cache {
             return SharedProfile::clone(cached);
@@ -807,23 +807,33 @@ mod tests {
 
     #[test]
     fn a_disclosed_snapshot_is_packed_and_equal_to_the_profile() {
-        let items: ItemIndexMap = (0..40).zip(0..).collect();
+        // Item k is created at time k, and rated stamped with it.
+        let items: ItemIndexMap = (0..40).map(|k| (k, k as u32, k as u32)).collect();
         let mut n = WhatsUpNode::new(0, Params::whatsup(2), Arc::new(items));
         // One disclosure per rating, re-ratings and window purges among them.
-        for (now, item) in (0..30).chain([3, 4, 29, 35]).enumerate() {
+        for (now, item) in (0..30).chain([27, 28, 29, 35]).enumerate() {
             let now = now as u32;
             n.on_cycle(now, &mut NodeStats::default(), &mut rng());
-            n.rate(item, now, item % 3 != 0);
+            n.rate(item, item as u32, item % 3 != 0);
             let snapshot = n.shared_profile();
             assert_eq!(*snapshot, *n.profile());
             assert_eq!(snapshot.norm().to_bits(), n.profile().norm().to_bits());
-            // Timestamps and planes: nothing of the entries is kept.
-            let packed = 4 * snapshot.len() + snapshot.plane_bytes();
-            assert_eq!(snapshot.heap_bytes(), packed, "{snapshot:?}");
+            // Planes alone: nothing of the entries is kept.
+            assert_eq!(
+                snapshot.heap_bytes(),
+                snapshot.plane_bytes(),
+                "{snapshot:?}"
+            );
             assert!(snapshot.plane_bytes() > 0);
         }
         assert!(n.profile().len() < 30, "the window purged some");
-        assert_eq!(n.shared_profile().get(3).map(|e| e.score), Some(0.0));
+        assert_eq!(n.shared_profile().get(27).map(|e| e.score), Some(0.0));
+        // An entry stamped at another time than its item's creation keeps
+        // the snapshot flat, and it still reads as the profile.
+        n.rate(35, 36, true);
+        let snapshot = n.shared_profile();
+        assert_eq!(*snapshot, *n.profile());
+        assert!(snapshot.heap_bytes() >= 16 * snapshot.len() + snapshot.plane_bytes());
     }
 
     #[test]

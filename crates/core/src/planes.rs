@@ -28,7 +28,7 @@
 //! placed, so the span of the layout costs no walk of its own
 //! ([`word_span`]).
 
-use crate::item::{ItemIndexMap, Timestamp};
+use crate::item::ItemIndexMap;
 use crate::profile::ProfileEntry;
 
 /// Which index a layout's slots are numbered by — its address, in debug
@@ -103,36 +103,18 @@ impl Planes {
         Self::lay_out(entries, index).map(|(planes, _)| planes)
     }
 
-    /// [`Self::build`], and the entries' timestamps in slot order: what a
-    /// packed snapshot keeps besides the planes, which hold every id (by
-    /// slot) and every score. Each timestamp is written at its entry's
-    /// rank among the rated slots. Also declines a score of `-0.0`, which
-    /// the planes would give back as `0.0`, and an entry whose slot the
-    /// index gives back as another id.
-    pub(crate) fn pack(
-        entries: &[ProfileEntry],
-        index: &ItemIndexMap,
-    ) -> Option<(Self, Box<[Timestamp]>)> {
+    /// [`Self::build`], for planes that with the index are a whole packed
+    /// snapshot. Also declines a score of `-0.0`, which the planes would
+    /// give back as `0.0`, and an entry whose slot the index gives back as
+    /// another id or another time than the entry's.
+    pub(crate) fn pack(entries: &[ProfileEntry], index: &ItemIndexMap) -> Option<Self> {
         let (planes, slots) = Self::lay_out(entries, index)?;
-        let mut rated = 0;
-        let before: Vec<usize> = (planes.words.iter())
-            .map(|[word, _]| {
-                let before = rated;
-                rated += word.count_ones() as usize;
-                before
-            })
-            .collect();
-        let mut times = vec![0; entries.len()].into_boxed_slice();
-        for (e, slot) in entries.iter().zip(slots) {
-            let exact = e.score == 1.0 || e.score.to_bits() == 0;
-            if !exact || index.id_of(slot) != e.item {
-                return None;
-            }
-            let word = (slot / 64 - planes.first_word) as usize;
-            let below = planes.words[word][0] & ((1u64 << (slot % 64)) - 1);
-            times[before[word] + below.count_ones() as usize] = e.timestamp;
-        }
-        Some((planes, times))
+        let exact = |(e, &slot): (&ProfileEntry, &u32)| {
+            (e.score == 1.0 || e.score.to_bits() == 0)
+                && index.id_of(slot) == e.item
+                && index.created_at(slot) == e.timestamp
+        };
+        entries.iter().zip(&slots).all(exact).then_some(planes)
     }
 
     /// The planes, and the slot of each entry in `entries`' order. The one

@@ -18,12 +18,12 @@
 //! A profile a node discloses ([`Profile::snapshot`]) is read-only and
 //! only ever scored, through the bit planes it is laid out as when taken.
 //! Those planes already hold every id (by its slot in the run's item
-//! index) and every score, so the snapshot keeps, besides them, only the
-//! timestamps in slot order and the index, which maps slots back to ids:
-//! 4 bytes an entry where a copy of the entries costs 16. Readers that
-//! need the ⟨id, t, s⟩ triples in id order — the encoder, walked pairs,
-//! cold start, `==` and `Debug` — get them rebuilt from
-//! [`Profile::entries`].
+//! index) and every score, and a node stamps each entry with its item's
+//! creation time (§II-A), which the index keeps once per item. So the
+//! snapshot keeps its planes, an entry count and the index alone: a few
+//! bits an entry where a copy costs 16. Readers that need the ⟨id, t, s⟩
+//! triples in id order — the encoder, walked pairs, cold start, `==` and
+//! `Debug` — get them rebuilt from [`Profile::entries`].
 
 use crate::item::{ItemId, ItemIndexMap, Timestamp};
 use crate::planes::{Layout, Planes, Weights};
@@ -49,7 +49,7 @@ pub struct ProfileEntry {
 
 /// A profile: sorted-by-item-id vector of entries, unique per item, scores
 /// finite and in `[0, 1]` (see [`ProfileEntry`]) — or, read-only, the same
-/// entries packed into planes and timestamps ([`Self::snapshot`]).
+/// entries packed into planes ([`Self::snapshot`]).
 ///
 /// The Euclidean norm of the score vector is memoized at mutation time:
 /// similarity scoring reads it on every candidate ranking (the hottest loop
@@ -114,11 +114,11 @@ pub struct Profile {
 enum Store {
     /// One vector sorted by id.
     Flat(Vec<ProfileEntry>),
-    /// A snapshot: its ids and scores are the planes in the layout, and
-    /// these the timestamps in slot order and the index numbering the
-    /// slots. Read-only: a mutation flattens it first.
+    /// A snapshot: its ids and scores are the planes in the layout, its
+    /// timestamps the creation times the index numbering the slots keeps,
+    /// and `len` its entry count. Read-only: a mutation flattens it first.
     Packed {
-        times: Box<[Timestamp]>,
+        len: usize,
         index: Arc<ItemIndexMap>,
     },
 }
@@ -272,16 +272,16 @@ impl Profile {
 
     /// The read-only snapshot of `live` that a node discloses. The
     /// derived state is `live`'s, and the layout is built now over the
-    /// node's `index`: planes, which with the timestamps in slot order and
-    /// the index are the whole snapshot. One whose planes decline stays
-    /// flat, a copy of `live` with what its layout build gave.
+    /// node's `index`: planes, which with the index are the whole
+    /// snapshot. One whose planes decline to pack (see [`Planes::pack`])
+    /// stays flat, a copy of `live` with what its layout build gave.
     pub(crate) fn snapshot(live: &Profile, index: &Arc<ItemIndexMap>) -> Self {
         let entries = live.flat();
         let packed = live.is_binary().then(|| Planes::pack(&entries, index));
         let snapshot = match packed.flatten() {
-            Some((planes, times)) => Self {
+            Some(planes) => Self {
                 entries: Store::Packed {
-                    times,
+                    len: entries.len(),
                     index: Arc::clone(index),
                 },
                 layout: OnceLock::from(Some(Layout::Planes(planes))),
@@ -364,7 +364,7 @@ impl Profile {
     pub fn len(&self) -> usize {
         match &self.entries {
             Store::Flat(entries) => entries.len(),
-            Store::Packed { times, .. } => times.len(),
+            Store::Packed { len, .. } => *len,
         }
     }
 
@@ -388,38 +388,36 @@ impl Profile {
     }
 
     /// The entries as one id-sorted slice: a packed snapshot's rebuilt,
-    /// id by slot and score from its planes, timestamp by rank, then
-    /// sorted by id.
+    /// id and creation time by slot from the index, score from its planes,
+    /// then sorted by id.
     pub(crate) fn flat(&self) -> Cow<'_, [ProfileEntry]> {
-        let (times, index) = match &self.entries {
+        let (len, index) = match &self.entries {
             Store::Flat(entries) => return Cow::Borrowed(entries),
-            Store::Packed { times, index } => (times, index),
+            Store::Packed { len, index } => (*len, index),
         };
         let Some(Some(Layout::Planes(planes))) = self.built_layout() else {
             unreachable!("a packed profile keeps its planes");
         };
-        let mut entries = Vec::with_capacity(times.len());
-        entries.extend(
-            (planes.rated().zip(&times[..])).map(|((slot, liked), &timestamp)| ProfileEntry {
-                item: index.id_of(slot),
-                timestamp,
-                score: f32::from(u8::from(liked)),
-            }),
-        );
+        let mut entries = Vec::with_capacity(len);
+        entries.extend(planes.rated().map(|(slot, liked)| ProfileEntry {
+            item: index.id_of(slot),
+            timestamp: index.created_at(slot),
+            score: f32::from(u8::from(liked)),
+        }));
         entries.sort_unstable_by_key(|e| e.item);
         Cow::Owned(entries)
     }
 
     /// Heap bytes this profile owns: the allocated (not occupied) entry
-    /// slots or a packed snapshot's timestamps (not the index, which every
-    /// node of the run shares), and the layout, if built — memory
-    /// diagnostics only.
+    /// slots of a flat profile — a packed snapshot owns none, and not the
+    /// index, which every node of the run shares — and the layout, if
+    /// built. Memory diagnostics only.
     #[doc(hidden)]
     pub fn heap_bytes(&self) -> usize {
         let layout = self.built_layout().flatten().map_or(0, Layout::heap_bytes);
         let entries = match &self.entries {
             Store::Flat(entries) => entries.capacity() * std::mem::size_of::<ProfileEntry>(),
-            Store::Packed { times, .. } => std::mem::size_of_val(&**times),
+            Store::Packed { .. } => 0,
         };
         entries + layout
     }
@@ -918,31 +916,40 @@ mod tests {
         /// against the reference, either side of it — and a mutation of a
         /// copy. The ids are content hashes, as `NewsItem::id` makes them,
         /// and the index numbers them in publication order, so slot order
-        /// is not id order. Some profiles hold an id the index does not
-        /// know, and some span more words than they have entries: their
-        /// planes decline, and the snapshot stays flat.
+        /// is not id order; item `k` is created at time `k`, and every
+        /// entry is stamped with its item's creation time — except, in
+        /// half the cases, one stamped later, whose snapshot stays flat.
+        /// Some profiles hold an id the index does not know, and some span
+        /// more words than they have entries: their planes decline, and
+        /// the snapshot stays flat too.
         #[test]
         fn a_snapshot_reads_as_its_flat_profile(
-            raw in prop::collection::vec((0usize..160, 0u32..30, prop::bool::ANY), 0..120),
-            stranger in (prop::bool::ANY, 0u32..30),
+            raw in prop::collection::vec((0usize..160, prop::bool::ANY), 0..120),
+            stranger in prop::bool::ANY,
+            off in (prop::bool::ANY, 0usize..160, 1u32..30),
             cand in prop::collection::vec((0usize..160, prop::bool::ANY), 0..60),
-            cutoffs in prop::collection::vec(0u32..32, 4..5),
+            cutoffs in prop::collection::vec(0u32..192, 4..5),
         ) {
-            let stranger = stranger.0.then_some(stranger.1);
+            let off = off.0.then_some((off.1, off.2));
             let ids: Vec<ItemId> = (0..161)
                 .map(|k| crate::item::NewsItem::new(format!("t{k}"), "", "", 0, k).id())
                 .collect();
-            let index = Arc::new(ids[..160].iter().copied().zip(0..).collect::<ItemIndexMap>());
+            let index = Arc::new(ids[..160].iter().copied().zip(0..).map(|(id, k)| (id, k, k)).collect::<ItemIndexMap>());
             let binary = |(k, t, liked): (usize, u32, bool)| e(ids[k], t, f32::from(u8::from(liked)));
+            let created = |(k, liked): (usize, bool)| binary((k, k as u32, liked));
             let flat = Profile::from_entries(
-                raw.iter().copied().map(binary).chain(stranger.map(|t| binary((160, t, true)))),
+                raw.iter().copied().map(created)
+                    .chain(stranger.then(|| created((160, true))))
+                    .chain(off.map(|(k, late)| binary((k, k as u32 + late, true)))),
             );
             let snapshot = Profile::snapshot(&flat, &index);
             let packed = Planes::pack(&flat.flat(), &index).is_some();
+            let planes = Planes::build(&flat.flat(), &index).is_some();
+            prop_assert_eq!(packed, planes && off.is_none());
             prop_assert_eq!(snapshot.as_slice().is_none(), packed);
-            prop_assert_eq!(snapshot.planes(&index).is_some(), packed);
+            prop_assert_eq!(snapshot.planes(&index).is_some(), planes);
             if packed {
-                prop_assert_eq!(snapshot.heap_bytes(), 4 * flat.len() + snapshot.plane_bytes());
+                prop_assert_eq!(snapshot.heap_bytes(), snapshot.plane_bytes());
             }
             prop_assert!(snapshot.entries().eq(flat.entries()));
             prop_assert!(snapshot == flat);
@@ -960,7 +967,7 @@ mod tests {
             prop_assert_eq!(snapshot.oldest, flat.oldest);
             older_by_scan(&snapshot, &cutoffs);
 
-            let cand = Profile::from_entries(cand.iter().map(|&(k, liked)| binary((k, 0, liked))));
+            let cand = Profile::from_entries(cand.iter().copied().map(created));
             let overlap = |p: &Profile| p.planes(&index).zip(cand.planes(&index)).map(|(a, b)| a.overlap(b));
             prop_assert_eq!(overlap(&snapshot), overlap(&flat));
             for metric in [Metric::Wup, Metric::Cosine] {
@@ -984,8 +991,8 @@ mod tests {
 
             let (mut copy, mut reference_copy) = (snapshot.clone(), flat.clone());
             prop_assert!(copy.as_slice().is_some() && copy == snapshot);
-            copy.rate(ids[7], 31, true);
-            reference_copy.rate(ids[7], 31, true);
+            copy.rate(ids[7], 191, true);
+            reference_copy.rate(ids[7], 191, true);
             prop_assert!(copy == reference_copy);
             prop_assert_eq!(copy.norm().to_bits(), reference_copy.norm().to_bits());
         }

@@ -105,8 +105,9 @@
 //!   never serialized or compared, dropped by every mutation — and
 //!   [`Prepared`] keeps nothing but references. A snapshot a node
 //!   discloses is packed: its planes (16 bytes per 64 slots spanned) are
-//!   its ids and scores, and besides them it keeps one timestamp per
-//!   entry, so every view slot and message pinning it shares the one
+//!   its ids and scores, and it keeps nothing besides them — its
+//!   timestamps are its items' creation times, which the run's item index
+//!   keeps — so every view slot and message pinning it shares the one
 //!   allocation scoring reads, and a node keeps no scoring state of its
 //!   own. A walked pair rebuilds a packed side's entries in id order, so
 //!   the join sums in the reference's order. Every copy of an item

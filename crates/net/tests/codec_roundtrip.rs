@@ -523,31 +523,42 @@ fn frames_match_their_recorded_bytes() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The snapshot a node discloses — its rating history's runs, after
-    /// random batches of first receptions, one disclosure a cycle and the
-    /// window purge — encodes to the bytes of the flat profile of the same
-    /// entries, and decodes to an equal profile.
+    /// The snapshot a node discloses, after random batches of first
+    /// receptions, one disclosure a cycle and the window purge, encodes to
+    /// the bytes of the flat profile of the same entries, and decodes to an
+    /// equal profile. The node's index numbers its items with their
+    /// creation times, so its snapshots pack. In half the cases a peer also
+    /// sends one item stamped at another time than its creation: every
+    /// snapshot holding that entry stays flat, and encodes the same.
     #[test]
     fn a_disclosed_snapshot_encodes_as_its_flat_profile(
-        batches in prop::collection::vec(
-            prop::collection::vec((0u64..400, 0u32..40), 0..12),
-            1..30,
-        ),
+        batches in prop::collection::vec(prop::collection::vec(0usize..400, 0..12), 1..30),
+        off in (prop::bool::ANY, 0u32..30, 1u32..20),
     ) {
         use rand::SeedableRng;
-        use whatsup_core::{NodeStats, Params, WhatsUpNode};
+        use std::sync::Arc;
+        use whatsup_core::{ItemHeader, ItemIndexMap, NodeStats, Params, WhatsUpNode};
         use whatsup_net::wire;
 
-        let mut node = WhatsUpNode::new(0, Params::whatsup(2), Default::default());
+        // Item 400 is the one a peer sends stamped `late` cycles late.
+        let items: Vec<NewsItem> = (0..401).map(|k| news_item(k, 0, 9, k as u32 % 40)).collect();
+        let index: ItemIndexMap = (items.iter().zip(0..))
+            .map(|(item, slot)| (item.id(), slot, item.created_at))
+            .collect();
+        let (off, (at, late)) = (items[400].header(), (off.0.then_some(off.1), off.2));
+        let mut node = WhatsUpNode::new(0, Params::whatsup(2), Arc::new(index));
         node.seed_views([], [(1, Profile::new())]);
         let likes = |_: NodeId, item: u64| !item.is_multiple_of(3);
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
         let mut stats = NodeStats::default();
         for (cycle, batch) in (0u32..).zip(&batches) {
-            for &(title, created_at) in batch {
-                let item = news_item(title, 0, 9, created_at.min(cycle));
+            let stamped = (at == Some(cycle)).then_some(ItemHeader {
+                created_at: off.created_at + late,
+                ..off
+            });
+            for header in batch.iter().map(|&k| items[k].header()).chain(stamped) {
                 let news = NewsMessage {
-                    header: item.header(),
+                    header,
                     profile: SharedProfile::default(),
                     dislikes: 0,
                     hops: 0,
@@ -564,6 +575,12 @@ proptest! {
             let bytes = wire::encode(&**snapshot);
             prop_assert_eq!(&bytes, &wire::encode(&flat));
             prop_assert_eq!(&wire::decode::<Profile>(&bytes).unwrap(), &flat);
+            let (owned, planes) = (snapshot.heap_bytes(), snapshot.plane_bytes());
+            if flat.get(off.id).is_some_and(|e| e.timestamp != off.created_at) {
+                prop_assert!(owned >= 16 * flat.len() + planes, "packed: {:?}", snapshot);
+            } else if planes > 0 {
+                prop_assert_eq!(owned, planes, "not packed: {:?}", snapshot);
+            }
         }
     }
 }
@@ -588,7 +605,10 @@ proptest! {
         use whatsup_net::wire;
 
         let items: Vec<NewsItem> = (0..60).map(|k| news_item(k, k, 9, k as u32 / 10)).collect();
-        let index = Arc::new(items.iter().map(NewsItem::id).zip(0..).collect::<ItemIndexMap>());
+        let index: ItemIndexMap = (items.iter().zip(0..))
+            .map(|(item, slot)| (item.id(), slot, item.created_at))
+            .collect();
+        let index = Arc::new(index);
         let params = Params::whatsup(2);
         let mut nodes: Vec<WhatsUpNode> = (0..4u32)
             .map(|id| {
@@ -628,7 +648,7 @@ proptest! {
             let views = ColdStart { rps_view: state.rps_view.clone(), wup_view: state.wup_view.clone() };
             let profiles = views.rps_view.iter().chain(&views.wup_view).map(|d| &d.payload);
             for p in profiles.clone().filter(|p| !p.is_empty()) {
-                prop_assert_eq!(p.heap_bytes(), 4 * p.len() + p.plane_bytes(), "not packed: {:?}", p);
+                prop_assert_eq!(p.heap_bytes(), p.plane_bytes(), "not packed: {:?}", p);
                 packed_views += 1;
             }
             let views: ColdStart = wire::decode(&wire::encode(&views)).unwrap();

@@ -589,11 +589,16 @@ impl Simulation {
         totals.push(("item records", records));
         // The run's item index: one `Arc`, shared by the oracle and every
         // node, so counted here once and not per shard. Its id → slot map,
-        // and its slot → id table, one id per slot of the dense index.
+        // and its slot → id and slot → creation-time columns, one id and
+        // one time per slot of the dense index.
         let items = self.core.oracle.id_map();
         let entry = std::mem::size_of::<(whatsup_core::ItemId, u32)>() + 1;
-        let ids = items.len() * std::mem::size_of::<whatsup_core::ItemId>();
-        totals.push(("item index", items.capacity() * entry + ids));
+        let columns = std::mem::size_of::<whatsup_core::ItemId>()
+            + std::mem::size_of::<whatsup_core::Timestamp>();
+        totals.push((
+            "item index",
+            items.capacity() * entry + items.len() * columns,
+        ));
         totals.push((
             "driver per-node",
             per_node + self.core.liked_this_cycle.capacity() * 4,

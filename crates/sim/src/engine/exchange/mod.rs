@@ -667,7 +667,9 @@ mod tests {
                 likes.set(user, item, rng.gen());
             }
         }
-        let ids = items.iter().map(NewsItem::id).zip(0..).collect();
+        let ids = (items.iter().zip(0..))
+            .map(|(item, slot)| (item.id(), slot, item.created_at))
+            .collect();
         let mut oracle = Oracle::new(likes, ids);
         oracle.swap_interests(0, rng.gen_range(0..n as NodeId));
         let partition = Partition::new(n, shards);
@@ -770,7 +772,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// The codec over random commands, replies, inits and checkpoints:
-        /// values round-trip, every strict prefix
+        /// values round-trip — a decoded init's item index gives every slot
+        /// its item's creation time — every strict prefix
         /// is refused, a flipped byte never panics the decoder, and a
         /// restored checkpoint re-encodes to the same bytes.
         #[test]
@@ -796,6 +799,11 @@ mod tests {
                 let frame = encode(&init);
                 let back: ShardInit = decode(&frame).unwrap();
                 prop_assert_eq!(encode(&back), frame.clone());
+                let index = back.oracle.id_map();
+                for item in &items {
+                    let slot = index.get(&item.id()).copied();
+                    prop_assert_eq!(slot.map(|s| index.created_at(s)), Some(item.created_at));
+                }
                 hostile_variants_of(&frame, mask, &mut |f| {
                     decode::<ShardInit>(f).is_ok_and(|init| init.check().is_ok())
                 });

@@ -54,8 +54,9 @@ pub const HANDSHAKE_MAGIC: u32 = 0x5755_5053;
 /// wire — the news frame's content order (`source`, `created_at`, title,
 /// description, link) — so `Publish` commands and checkpoints carry items
 /// in that order; v7 drops the like-store tag again (an oracle is always
-/// the dense matrix) and metric tag 2, a metric no run could select.
-pub const PROTOCOL_VERSION: u16 = 7;
+/// the dense matrix) and metric tag 2, a metric no run could select; v8
+/// adds the item index's creation times to oracle frames, one per id.
+pub const PROTOCOL_VERSION: u16 = 8;
 
 /// How long the driver waits for a TCP connect to a worker.
 pub const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);

@@ -25,24 +25,34 @@ impl Wire for Partition {
     }
 }
 
-/// The like matrix, then the item index and the alias:
+/// The like matrix, then the item index, its creation times and the
+/// alias:
 ///
 /// ```text
-/// oracle := n_users:u32 n_items:u32 words:Vec<u64> ids:Vec<(u64, u32)> alias:Vec<u32>
+/// oracle := n_users:u32 n_items:u32 words:Vec<u64> ids:Vec<(u64, u32)>
+///           created:Vec<u32> alias:Vec<u32>
 /// ```
 ///
 /// The id map travels sorted (a `HashMap` iterates in no fixed order), so
 /// equal oracles encode to equal bytes, and a decoder refuses ids that are
-/// not strictly ascending ([`Oracle::restore`]).
+/// not strictly ascending ([`Oracle::restore`]). `created[i]` is the
+/// creation time of the item `ids[i]` names; a decoder refuses a column
+/// of another length than the ids'.
 impl Wire for Oracle {
     fn put(&self, buf: &mut BytesMut) {
         let m = self.matrix();
         m.n_users().put(buf);
         m.n_items().put(buf);
         put_seq(m.words(), buf);
-        let mut ids: Vec<(ItemId, u32)> = self.id_map().iter().map(|(&k, &v)| (k, v)).collect();
+        let index = self.id_map();
+        let mut ids: Vec<(ItemId, u32)> = index.iter().map(|(&k, &v)| (k, v)).collect();
         ids.sort_unstable();
         ids.put(buf);
+        let created: Vec<u32> = ids
+            .iter()
+            .map(|&(_, slot)| index.created_at(slot))
+            .collect();
+        put_seq(&created, buf);
         put_seq(self.alias(), buf);
     }
 
@@ -50,9 +60,10 @@ impl Wire for Oracle {
         let (n_users, n_items) = (usize::take(buf)?, usize::take(buf)?);
         let likes = LikeMatrix::from_words(n_users, n_items, Vec::take(buf)?)
             .ok_or(DecodeError::Invalid("like-matrix shape"))?;
-        let ids = Vec::take(buf)?;
-        Oracle::restore(likes, ids, Vec::take(buf)?).ok_or(DecodeError::Invalid(
-            "oracle row past the like matrix, or item index not ascending and one-to-one",
+        let (ids, created) = (Vec::take(buf)?, Vec::take(buf)?);
+        Oracle::restore(likes, ids, created, Vec::take(buf)?).ok_or(DecodeError::Invalid(
+            "oracle row past the like matrix, item index not ascending and one-to-one, \
+             or creation times not one per item",
         ))
     }
 }

@@ -335,14 +335,14 @@
 //! RSS — so the only levers that matter are the bytes the protocol
 //! actually keeps alive. The budget below is the measured breakdown of a
 //! 100 k-node, 10-cycle uniform run (1 shard,
-//! `Simulation::memory_breakdown`, 817 MiB peak RSS, 694 MiB live heap);
+//! `Simulation::memory_breakdown`, 773 MiB peak RSS, 602 MiB live heap);
 //! absolute numbers scale with nodes × cycles × publication rate, the
 //! *shape* is what to remember:
 //!
 //! | standing state                | 100 k example | grows with                  |
 //! |-------------------------------|--------------:|-----------------------------|
 //! | own profiles                  |      ~245 MiB | rated items per node (16 B) |
-//! | pinned view snapshots         |      ~150 MiB | versions pinned × ratings   |
+//! | pinned view snapshots         |       ~58 MiB | versions pinned × span      |
 //! | seen sets                     |        ~5 MiB | items published (1 bit each)|
 //! | view descriptors              |       ~60 MiB | view size                   |
 //! | item records (driver)         |      ~120 MiB | receptions per item         |
@@ -369,9 +369,11 @@
 //! * **Packed snapshots** — a disclosed profile is one `Arc` allocation
 //!   shared by every view slot and in-flight message that references it,
 //!   and it keeps no copy of its entries: the bit planes it is scored
-//!   with hold every id (by slot) and every score, so besides them it
-//!   keeps one 4-byte timestamp per entry, in slot order, and a pointer
-//!   to the run's item index, whose slot → id table rebuilds the
+//!   with (16 bytes per 64 slots spanned) hold every id (by slot) and
+//!   every score, and a node stamps each entry with its item's creation
+//!   time, which the run's item index keeps once per item. So besides
+//!   its planes a snapshot keeps an entry count and a pointer to the
+//!   index, whose slot → id and slot → creation-time columns rebuild the
 //!   id-ordered entries for the encoder, walked pairs and cold start
 //!   (`whatsup_core::profile`). The live profile is never handed out, so
 //!   rating never copies it, and it is all a node keeps of its own
@@ -379,10 +381,11 @@
 //!   planes included; the index is the breakdown's "item index" row,
 //!   counted once. In the 100 k example, packing cut that row from
 //!   251 MiB of per-disclosure runs, which the versions of one node
-//!   shared, to 150 MiB, "own profiles" from 258 to 244 MiB (the runs'
-//!   per-node bookkeeping) and peak RSS from 926 to 817 MiB. A snapshot
-//!   decoded from another shard's bundle, and one whose planes decline,
-//!   is flat: 16 bytes an entry. An item profile's weights — a non-zero
+//!   shared, to 150 MiB with one 4-byte timestamp per entry, and to
+//!   58 MiB with none; peak RSS went 926 → 817 → 773 MiB. A snapshot
+//!   decoded from another shard's bundle, one whose planes decline and
+//!   one holding an entry stamped at another time than its item's
+//!   creation are flat: 16 bytes an entry. An item profile's weights — a non-zero
 //!   mask and 64 × `u32` per spanned 64-slot word — are shared like a
 //!   snapshot's planes, alive while any copy holds the item profile.
 //! * **One shared oracle** — [`crate::Oracle`] holds the dataset's like

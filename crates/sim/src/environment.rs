@@ -251,9 +251,12 @@ impl Publications {
         }
     }
 
-    /// The id → item index map an [`crate::Oracle`] is built over.
+    /// The id → item index map an [`crate::Oracle`] is built over, with
+    /// each item's creation time: the cycle it is published in.
     pub(crate) fn id_to_index(&self) -> ItemIndexMap {
-        let map: ItemIndexMap = self.ids.iter().copied().zip(0..).collect();
+        let map: ItemIndexMap = (self.ids.iter().zip(&self.items).zip(0..))
+            .map(|((&id, item), slot)| (id, slot, item.created_at))
+            .collect();
         assert_eq!(map.len(), self.ids.len(), "item id (hash) collision");
         map
     }

@@ -11,7 +11,7 @@
 //! node's current interests. The matrix itself never changes.
 
 use std::sync::Arc;
-use whatsup_core::{ItemId, ItemIndexMap, NodeId, Opinions};
+use whatsup_core::{ItemId, ItemIndexMap, NodeId, Opinions, Timestamp};
 use whatsup_datasets::LikeMatrix;
 
 /// Ground-truth oracle mapping protocol-level ids to dataset rows/columns.
@@ -24,7 +24,8 @@ use whatsup_datasets::LikeMatrix;
 #[derive(Debug, Clone)]
 pub struct Oracle {
     likes: Arc<LikeMatrix>,
-    /// The run's item index: content hash → dataset item index.
+    /// The run's item index: content hash → dataset item index, and each
+    /// item's creation time.
     id_to_index: Arc<ItemIndexMap>,
     /// Node → matrix row (identity for the initial population).
     alias: Arc<Vec<u32>>,
@@ -43,20 +44,29 @@ impl Oracle {
 
     /// Rebuilds an oracle from serialized parts, preserving a non-identity
     /// alias (shard-worker init and checkpoint path). `ids` is the item
-    /// index as the encoder writes it, in strictly ascending id order.
-    /// `None` unless it is that, one-to-one (planes and seen sets number
+    /// index as the encoder writes it, in strictly ascending id order, and
+    /// `created` the creation time of each of its items, in that order.
+    /// `None` unless `ids` is that, one-to-one (planes and seen sets number
     /// items by it: two ids on one index would pass for each other) and
-    /// within the matrix, and every alias entry names a matrix row.
-    pub fn restore(likes: LikeMatrix, ids: Vec<(ItemId, u32)>, alias: Vec<u32>) -> Option<Self> {
+    /// within the matrix, `created` is as long, and every alias entry names
+    /// a matrix row.
+    pub fn restore(
+        likes: LikeMatrix,
+        ids: Vec<(ItemId, u32)>,
+        created: Vec<Timestamp>,
+        alias: Vec<u32>,
+    ) -> Option<Self> {
         let mut indices: Vec<usize> = ids.iter().map(|&(_, i)| i as usize).collect();
         indices.sort_unstable();
         let valid = ids.windows(2).all(|w| w[0].0 < w[1].0)
             && indices.windows(2).all(|w| w[0] < w[1])
             && indices.last().is_none_or(|&i| i < likes.n_items())
+            && created.len() == ids.len()
             && alias.iter().all(|&r| (r as usize) < likes.n_users());
+        let index = ids.into_iter().zip(created);
         valid.then(|| Self {
             likes: Arc::new(likes),
-            id_to_index: Arc::new(ids.into_iter().collect()),
+            id_to_index: Arc::new(index.map(|((id, slot), t)| (id, slot, t)).collect()),
             alias: Arc::new(alias),
         })
     }
@@ -144,7 +154,7 @@ mod tests {
         m.set(1, 1, true);
         m.set(2, 0, true);
         m.set(2, 1, true);
-        let map = ItemIndexMap::from_iter([(100u64, 0u32), (200u64, 1u32)]);
+        let map = ItemIndexMap::from_iter([(100u64, 0u32, 3), (200u64, 1u32, 5)]);
         Oracle::new(m, map)
     }
 
@@ -190,7 +200,9 @@ mod tests {
     fn restore_refuses_rows_items_and_indices_the_encoder_never_writes() {
         let o = oracle();
         let parts = |alias: Vec<u32>, ids: &[(u64, u32)]| {
-            Oracle::restore(o.matrix().clone(), ids.to_vec(), alias).map(|r| r.alias().to_vec())
+            let created = vec![0; ids.len()];
+            Oracle::restore(o.matrix().clone(), ids.to_vec(), created, alias)
+                .map(|r| r.alias().to_vec())
         };
         let ids = [(100, 0), (200, 1)];
         assert_eq!(parts(vec![2, 2, 0], &ids), Some(vec![2, 2, 0]));
@@ -205,10 +217,20 @@ mod tests {
         for (ids, what) in refused {
             assert_eq!(parts(vec![0], ids), None, "{what}");
         }
-        let restored = Oracle::restore(o.matrix().clone(), ids.to_vec(), vec![0, 1, 2]);
-        assert_eq!(
-            restored.map(|r| r.id_map().clone()),
-            Some(o.id_map().clone())
-        );
+        let restore = |created: &[Timestamp]| {
+            Oracle::restore(
+                o.matrix().clone(),
+                ids.to_vec(),
+                created.to_vec(),
+                vec![0, 1, 2],
+            )
+        };
+        let restored = restore(&[3, 5]).map(|r| r.id_map().clone());
+        assert_eq!(restored, Some(o.id_map().clone()));
+        let created = restored.map(|index| [index.created_at(0), index.created_at(1)]);
+        assert_eq!(created, Some([3, 5]), "every slot its creation time");
+        for created in [&[3][..], &[3, 5, 5]] {
+            assert!(restore(created).is_none(), "{created:?}: not one per id");
+        }
     }
 }

@@ -677,7 +677,7 @@ struct Checkpoint {
     partition: Partition,
     channel_bad: Vec<bool>,
     known_items: Vec<NewsItem>,
-    oracle: Oracle,
+    oracle: OracleFrame,
     nodes: Vec<NodeRecord>,
 }
 
@@ -695,6 +695,12 @@ whatsup_net::wire_codec! { struct NodeRecord { profile, views, seen, stats } }
 /// A checkpoint of [`shard_0_init`]'s shard at cycle 0, except that its
 /// first node has received `seen`, in that order.
 fn checkpoint_with_seen(seen: &[ItemId]) -> Vec<u8> {
+    checkpoint_with(seen, &[0])
+}
+
+/// [`checkpoint_with_seen`], and an item index whose one item has the
+/// creation times `created`.
+fn checkpoint_with(seen: &[ItemId], created: &[u32]) -> Vec<u8> {
     let init = shard_0_init();
     let owned = init.partition.range(0).len();
     let nodes = (0..owned)
@@ -713,7 +719,7 @@ fn checkpoint_with_seen(seen: &[ItemId]) -> Vec<u8> {
         partition: init.partition,
         channel_bad: vec![false; owned],
         known_items: Vec::new(),
-        oracle: init.oracle,
+        oracle: oracle_with(&[(7, 0)], created),
         nodes,
     })
 }
@@ -739,6 +745,27 @@ fn restore_refuses_seen_ids_out_of_order_and_keeps_the_state() {
             shard.encode_checkpoint(),
             restored,
             "{seen:?}: state untouched"
+        );
+    }
+}
+
+#[test]
+fn restore_refuses_creation_times_not_one_per_id_and_keeps_the_state() {
+    let mut shard = ShardState::from_init(shard_0_init());
+    shard
+        .restore_checkpoint(&checkpoint_with(&[7], &[0]))
+        .expect("one creation time for the one id restores");
+    let restored = shard.encode_checkpoint();
+    for created in [&[][..], &[0, 0]] {
+        let err = shard.restore_checkpoint(&checkpoint_with(&[3, 7], created));
+        assert!(
+            matches!(err, Err(DecodeError::Invalid(_))),
+            "{created:?}: {err:?}"
+        );
+        assert_eq!(
+            shard.encode_checkpoint(),
+            restored,
+            "{created:?}: state untouched"
         );
     }
 }
@@ -784,16 +811,33 @@ struct OracleFrame {
     n_items: usize,
     words: Vec<u64>,
     ids: Vec<(ItemId, u32)>,
+    created: Vec<u32>,
     alias: Vec<u32>,
 }
 
-whatsup_net::wire_codec! { struct OracleFrame { n_users, n_items, words, ids, alias } }
+whatsup_net::wire_codec! { struct OracleFrame { n_users, n_items, words, ids, created, alias } }
 
-/// [`shard_0_init`]'s init frame with metric tag `metric` and item index
-/// `ids` (its one item is id 7 at index 0, and its metric WUP, tag 0).
-fn init_with(metric: u8, ids: &[(ItemId, u32)]) -> Vec<u8> {
+/// [`shard_0_init`]'s oracle with item index `ids` and creation times
+/// `created` (its one item is id 7 at index 0, created at 0).
+fn oracle_with(ids: &[(ItemId, u32)], created: &[u32]) -> OracleFrame {
+    let oracle = shard_0_init().oracle;
+    let likes = oracle.matrix();
+    OracleFrame {
+        n_users: likes.n_users(),
+        n_items: likes.n_items(),
+        words: likes.words().to_vec(),
+        ids: ids.to_vec(),
+        created: created.to_vec(),
+        alias: oracle.alias().to_vec(),
+    }
+}
+
+/// [`shard_0_init`]'s init frame with metric tag `metric` and an oracle
+/// of item index `ids` and creation times `created` (its metric is WUP,
+/// tag 0).
+fn init_with(metric: u8, ids: &[(ItemId, u32)], created: &[u32]) -> Vec<u8> {
     let init = shard_0_init();
-    let (params, likes) = (init.params, init.oracle.matrix());
+    let params = init.params;
     encode(&InitFrame {
         index: init.index,
         partition: init.partition,
@@ -810,20 +854,14 @@ fn init_with(metric: u8, ids: &[(ItemId, u32)]) -> Vec<u8> {
             cold_start_items: params.cold_start_items,
             obfuscation_epsilon: params.obfuscation_epsilon,
         },
-        oracle: OracleFrame {
-            n_users: likes.n_users(),
-            n_items: likes.n_items(),
-            words: likes.words().to_vec(),
-            ids: ids.to_vec(),
-            alias: init.oracle.alias().to_vec(),
-        },
+        oracle: oracle_with(ids, created),
         bootstrap: init.bootstrap,
     })
 }
 
 #[test]
 fn the_init_mirror_writes_what_the_driver_writes() {
-    assert_eq!(init_with(0, &[(7, 0)]), encode(&shard_0_init()));
+    assert_eq!(init_with(0, &[(7, 0)], &[0]), encode(&shard_0_init()));
 }
 
 /// A handshake header at the current version followed by `init`.
@@ -862,8 +900,9 @@ fn deliver_gossip(bundle: &[u8]) -> Vec<u8> {
 /// bundles from shard 1 that decode but do not fit the round (mail for a
 /// node of shard 1, gossip in a news round, news in a gossip round); the
 /// next restores a checkpoint that decodes but whose seen ids are out of
-/// order; the last two are inits the decoder refuses: two item ids on one
-/// index, and a metric tag no metric has.
+/// order; the last three are inits the decoder refuses: two item ids on
+/// one index, a metric tag no metric has, and a creation-time column
+/// longer than the item index.
 fn hostile_streams() -> Vec<(&'static str, Vec<Vec<u8>>)> {
     let handshake = real_handshake();
     let stream = |cmd: Vec<u8>| vec![handshake.clone(), cmd];
@@ -998,11 +1037,15 @@ fn hostile_streams() -> Vec<(&'static str, Vec<Vec<u8>>)> {
         ),
         (
             "init whose item index gives two ids one slot",
-            vec![handshake_with(&init_with(0, &[(7, 0), (8, 0)]))],
+            vec![handshake_with(&init_with(0, &[(7, 0), (8, 0)], &[0, 0]))],
         ),
         (
             "init whose params name metric tag 2",
-            vec![handshake_with(&init_with(2, &[(7, 0)]))],
+            vec![handshake_with(&init_with(2, &[(7, 0)], &[0]))],
+        ),
+        (
+            "init whose item index has two creation times for one id",
+            vec![handshake_with(&init_with(0, &[(7, 0)], &[0, 0]))],
         ),
     ]
 }
