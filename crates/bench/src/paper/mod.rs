@@ -191,9 +191,9 @@ impl Job {
 }
 
 /// One cycle's `(similarity, liked receptions)` of the three watched nodes.
-pub type Sample = [(f64, f64); 3];
+pub(crate) type Sample = [(f64, f64); 3];
 /// A number read off a `T`.
-pub type Stat<T> = fn(&T) -> f64;
+pub(crate) type Stat<T> = fn(&T) -> f64;
 
 /// What a [`Job`] produced.
 #[derive(Debug, Clone, PartialEq)]
@@ -201,7 +201,7 @@ pub struct Outcome {
     pub report: SimReport,
     /// Set under [`Observe::Overlay`].
     pub overlay: Option<OverlayStats>,
-    /// One [`Sample`] per cycle under [`Observe::Watch`].
+    /// One `Sample` per cycle under [`Observe::Watch`].
     pub trace: Vec<Sample>,
 }
 
@@ -260,7 +260,7 @@ pub struct Board<'a> {
 impl Board<'_> {
     /// Declares `jobs` and, once they have run, pins `value` of their
     /// outcomes (same order) under `key`.
-    pub fn pin_over(
+    pub(crate) fn pin_over(
         &mut self,
         key: impl Into<String>,
         tol: Tol,
@@ -282,7 +282,7 @@ impl Board<'_> {
         });
     }
 
-    /// [`Board::pin_over`] for a number read off one job's report.
+    /// `Board::pin_over` for a number read off one job's report.
     pub fn pin(
         &mut self,
         key: impl Into<String>,

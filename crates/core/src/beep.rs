@@ -61,7 +61,7 @@ pub struct BeepConfig {
 
 /// Outcome of Algorithm 2 for one received copy.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ForwardDecision {
+pub(crate) struct ForwardDecision {
     /// Nodes to send the copy to (empty = drop).
     pub targets: Vec<NodeId>,
     /// The dislike counter to stamp on the outgoing copies.
@@ -77,7 +77,7 @@ pub struct ForwardDecision {
 ///   scores with).
 /// * `wup_view`, `rps_view` — the node's current views.
 #[allow(clippy::too_many_arguments)] // Algorithm 2 takes the full context
-pub fn decide(
+pub(crate) fn decide(
     config: &BeepConfig,
     liked: bool,
     dislikes: u8,

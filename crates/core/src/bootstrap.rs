@@ -23,7 +23,7 @@ pub struct ColdStart {
 /// profiles, each with the freshest timestamp observed for it. Popularity is
 /// the number of profiles liking the item; ties break on higher id
 /// (an arbitrary but deterministic rule).
-pub fn most_popular_items(
+pub(crate) fn most_popular_items(
     descriptors: &[Descriptor<SharedProfile>],
     k: usize,
 ) -> Vec<(ItemId, Timestamp)> {

@@ -26,7 +26,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// Incremental FNV-1a hasher for hashing an item's fields without
 /// concatenating them into a temporary buffer.
 #[derive(Debug, Clone)]
-pub struct Fnv1a(u64);
+pub(crate) struct Fnv1a(u64);
 
 impl Default for Fnv1a {
     fn default() -> Self {
@@ -35,13 +35,13 @@ impl Default for Fnv1a {
 }
 
 impl Fnv1a {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Feeds bytes into the hash.
     #[inline]
-    pub fn update(&mut self, bytes: &[u8]) -> &mut Self {
+    fn update(&mut self, bytes: &[u8]) -> &mut Self {
         for &b in bytes {
             self.0 ^= b as u64;
             self.0 = self.0.wrapping_mul(PRIME);
@@ -52,14 +52,14 @@ impl Fnv1a {
     /// Feeds a length-prefixed field, so that ("ab","c") and ("a","bc")
     /// hash differently.
     #[inline]
-    pub fn update_field(&mut self, bytes: &[u8]) -> &mut Self {
+    pub(crate) fn update_field(&mut self, bytes: &[u8]) -> &mut Self {
         self.update(&(bytes.len() as u32).to_le_bytes());
         self.update(bytes)
     }
 
     /// Final hash value.
     #[inline]
-    pub fn finish(&self) -> u64 {
+    pub(crate) fn finish(&self) -> u64 {
         self.0
     }
 }

@@ -55,7 +55,7 @@ pub mod hash;
 pub mod item;
 pub mod message;
 pub mod node;
-pub mod obfuscation;
+pub(crate) mod obfuscation;
 pub mod params;
 mod planes;
 pub mod profile;
@@ -64,15 +64,14 @@ pub mod similarity;
 
 /// Convenient re-exports of the whole public surface.
 pub mod prelude {
-    pub use crate::beep::{BeepConfig, ForwardDecision};
-    pub use crate::bootstrap::{most_popular_items, ColdStart};
+    pub use crate::beep::BeepConfig;
+    pub use crate::bootstrap::ColdStart;
     pub use crate::hash::fnv1a64;
     pub use crate::item::{ItemHeader, ItemId, ItemIndexMap, NewsItem, Timestamp};
     pub use crate::message::{NewsMessage, OutMessage, Payload};
     pub use crate::node::{NodeState, NodeStats, Opinions, WhatsUpNode};
-    pub use crate::obfuscation::Obfuscation;
     pub use crate::params::Params;
-    pub use crate::profile::{Profile, ProfileEntry, Score, SharedProfile};
+    pub use crate::profile::{Profile, ProfileEntry, SharedProfile};
     pub use crate::seen::SeenSet;
     pub use crate::similarity::{cosine_similarity, wup_similarity, Metric};
     pub use whatsup_gossip::{Descriptor, NodeId, RpsConfig, View};

@@ -28,37 +28,29 @@ use whatsup_gossip::NodeId;
 
 /// Obfuscation policy for everything a node shares.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Obfuscation {
+pub(crate) struct Obfuscation {
     /// Randomized-response noise level in `[0, 1]`: the probability that an
     /// entry's shared score is replaced by a coin flip. 0 = share truth.
-    pub epsilon: f64,
+    pub(crate) epsilon: f64,
     /// Per-node secret seeding the deterministic coins. In a deployment
     /// this is local and never shared.
-    pub secret: u64,
+    pub(crate) secret: u64,
 }
 
 impl Obfuscation {
-    /// No obfuscation (the paper's base system).
-    pub fn off() -> Self {
-        Self {
-            epsilon: 0.0,
-            secret: 0,
-        }
-    }
-
     /// Randomized response at noise level `epsilon`.
-    pub fn randomized_response(epsilon: f64, secret: u64) -> Self {
+    pub(crate) fn randomized_response(epsilon: f64, secret: u64) -> Self {
         assert!((0.0..=1.0).contains(&epsilon), "epsilon is a probability");
         Self { epsilon, secret }
     }
 
-    pub fn is_off(&self) -> bool {
+    pub(crate) fn is_off(&self) -> bool {
         self.epsilon <= 0.0
     }
 
     /// The score the node *shares* for an entry (its true score, or a
     /// consistent lie).
-    pub fn shared_score(&self, node: NodeId, item: ItemId, truth: f32) -> f32 {
+    fn shared_score(&self, node: NodeId, item: ItemId, truth: f32) -> f32 {
         if self.is_off() {
             return truth;
         }
@@ -76,7 +68,7 @@ impl Obfuscation {
 
     /// The obfuscated snapshot of a profile, as shared in gossip
     /// descriptors and folded into item profiles.
-    pub fn share(&self, node: NodeId, profile: &Profile) -> Profile {
+    pub(crate) fn share(&self, node: NodeId, profile: &Profile) -> Profile {
         if self.is_off() {
             return profile.clone();
         }
@@ -85,12 +77,6 @@ impl Obfuscation {
             timestamp: e.timestamp,
             score: self.shared_score(node, e.item, e.score),
         }))
-    }
-
-    /// Expected fraction of shared entries whose reported opinion differs
-    /// from the truth (binary profiles): `ε/2`.
-    pub fn expected_flip_rate(&self) -> f64 {
-        self.epsilon / 2.0
     }
 }
 
@@ -119,7 +105,7 @@ mod tests {
     #[test]
     fn off_is_identity() {
         let p = liked(&[1, 2, 3]);
-        let o = Obfuscation::off();
+        let o = Obfuscation::randomized_response(0.0, 0);
         assert_eq!(o.share(5, &p), p);
         assert!(o.is_off());
     }
@@ -131,10 +117,10 @@ mod tests {
         let o = Obfuscation::randomized_response(1.0, 42);
         let shared = o.share(5, &p);
         let flips = shared.entries().filter(|e| e.score < 0.5).count() as f64 / 2000.0;
+        // ε = 1 flips each shared opinion with probability ε/2.
         assert!(
-            (flips - o.expected_flip_rate()).abs() < 0.05,
-            "flip rate {flips} should be ≈ {}",
-            o.expected_flip_rate()
+            (flips - 0.5).abs() < 0.05,
+            "flip rate {flips} should be ≈ 0.5"
         );
     }
 

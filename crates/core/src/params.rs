@@ -8,7 +8,7 @@ use whatsup_gossip::RpsConfig;
 /// capacity guard, far above any plausible experiment (the paper's views
 /// hold a few dozen peers), so a typo'd scenario file or sweep axis cannot
 /// make every node preallocate gigabytes of view storage.
-pub const MAX_VIEW_SIZE: usize = 10_000;
+const MAX_VIEW_SIZE: usize = 10_000;
 
 /// All per-node tunables. `Params::default()` reproduces Table II with the
 /// survey-optimal `fLIKE = 10`.
@@ -33,7 +33,7 @@ pub struct Params {
     pub cold_start_items: usize,
     /// Randomized-response noise on everything the node *shares* (profiles
     /// in gossip descriptors and item-profile contributions); 0 = off.
-    /// The privacy extension of §VII — see [`crate::obfuscation`].
+    /// The privacy extension of §VII — see `crate::obfuscation`.
     pub obfuscation_epsilon: f64,
 }
 
@@ -128,7 +128,7 @@ impl Params {
     }
 
     /// Validates the invariants the paper states (§IV-D): `WUPvs ≥ fLIKE`,
-    /// non-zero window and fanout — and view sizes within [`MAX_VIEW_SIZE`].
+    /// non-zero window and fanout — and view sizes within `MAX_VIEW_SIZE`.
     pub fn validate(&self) -> Result<(), String> {
         if self.beep.f_like == 0 {
             return Err("fLIKE must be ≥ 1".into());

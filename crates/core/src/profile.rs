@@ -33,7 +33,7 @@ use std::sync::{Arc, OnceLock};
 /// Opinion strength for an item: `1.0` = interesting, `0.0` = not.
 /// User profiles only ever store the two extremes; item profiles hold
 /// averaged intermediate values.
-pub type Score = f32;
+type Score = f32;
 
 /// One `<id, t, s>` triple. Invariant: `score` is finite and in `[0, 1]` —
 /// ratings are 0 or 1, `addToNewsProfile` averages stay in between, and
@@ -61,7 +61,7 @@ pub struct ProfileEntry {
 /// history that produced them. Equality is
 /// defined over `entries` alone (see the manual `PartialEq` below), so a
 /// path that bypasses the mutating methods cannot break `==`;
-/// [`Self::norm`] additionally debug-asserts the cache against a fresh
+/// `Self::norm` additionally debug-asserts the cache against a fresh
 /// recompute to catch such a stale cache before it skews similarity, and
 /// [`Self::any_older_than`] does the same for the oldest timestamp.
 pub struct Profile {
@@ -641,7 +641,7 @@ impl Profile {
     }
 
     /// Euclidean norm of the score vector (memoized; O(1)).
-    pub fn norm(&self) -> f64 {
+    pub(crate) fn norm(&self) -> f64 {
         // A snapshot's norm is its live profile's, checked when it was
         // taken: only a slice is rescanned.
         debug_assert!(
@@ -656,18 +656,13 @@ impl Profile {
     ///
     /// `a.fingerprint() & b.fingerprint() == 0` proves `a` and `b` share no
     /// rated item — the zero-rejection fast path in `crate::similarity`.
-    pub fn fingerprint(&self) -> u128 {
+    pub(crate) fn fingerprint(&self) -> u128 {
         // Likewise for a snapshot's fingerprint.
         debug_assert!(
             (self.as_slice()).is_none_or(|e| self.fingerprint == fingerprint_of(e.iter().copied())),
             "stale fingerprint cache: a construction path skipped recompute_norm"
         );
         self.fingerprint
-    }
-
-    /// The most recent timestamp in the profile, if any.
-    pub fn newest_timestamp(&self) -> Option<Timestamp> {
-        self.entries().map(|e| e.timestamp).max()
     }
 }
 
@@ -749,12 +744,11 @@ mod tests {
         let p = Profile::new();
         assert!(p.is_empty());
         assert_eq!(p.norm(), 0.0);
-        assert_eq!(p.newest_timestamp(), None);
         let snapshot = Profile::snapshot(&p, &Arc::default());
         assert!(snapshot.as_slice().is_none(), "nothing to look up: packed");
         assert!(snapshot.is_empty() && snapshot == p);
         assert_eq!(format!("{snapshot:?}"), format!("{p:?}"));
-        assert_eq!((snapshot.get(0), snapshot.newest_timestamp()), (None, None));
+        assert_eq!(snapshot.get(0), None);
         assert_eq!(snapshot.heap_bytes(), 0);
     }
 
@@ -960,7 +954,6 @@ mod tests {
             for &item in &ids {
                 prop_assert_eq!(snapshot.get(item), flat.get(item));
             }
-            prop_assert_eq!(snapshot.newest_timestamp(), flat.newest_timestamp());
             prop_assert_eq!(snapshot.norm().to_bits(), flat.norm().to_bits());
             prop_assert_eq!(snapshot.fingerprint(), flat.fingerprint());
             prop_assert_eq!(snapshot.likes, flat.likes);

@@ -28,7 +28,7 @@
 //! ## Fingerprint fast path
 //!
 //! Before the scan, every metric consults the profiles' memoized 128-bit
-//! Bloom fingerprints ([`Profile::fingerprint`]): if the two fingerprints
+//! Bloom fingerprints (`Profile::fingerprint`): if the two fingerprints
 //! share no bit, the profiles share no *rated* item, and each metric is
 //! exactly `0.0` without touching an entry —
 //!

@@ -100,7 +100,7 @@ impl LikeMatrix {
     }
 
     /// Number of items `user` likes.
-    pub fn user_like_count(&self, user: usize) -> usize {
+    fn user_like_count(&self, user: usize) -> usize {
         let row = &self.bits[user * self.words_per_row..(user + 1) * self.words_per_row];
         row.iter().map(|w| w.count_ones() as usize).sum()
     }
@@ -118,7 +118,7 @@ impl LikeMatrix {
 
     /// Number of common likes between two users (cosine numerator over
     /// ground-truth binary vectors).
-    pub fn common_likes(&self, a: usize, b: usize) -> usize {
+    fn common_likes(&self, a: usize, b: usize) -> usize {
         let ra = &self.bits[a * self.words_per_row..(a + 1) * self.words_per_row];
         let rb = &self.bits[b * self.words_per_row..(b + 1) * self.words_per_row];
         ra.iter()
@@ -128,7 +128,7 @@ impl LikeMatrix {
     }
 
     /// Ground-truth cosine similarity between two users' like vectors.
-    pub fn user_cosine(&self, a: usize, b: usize) -> f64 {
+    fn user_cosine(&self, a: usize, b: usize) -> f64 {
         let common = self.common_likes(a, b) as f64;
         let (la, lb) = (
             self.user_like_count(a) as f64,

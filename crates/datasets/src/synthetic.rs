@@ -121,24 +121,6 @@ pub fn generate(cfg: &SyntheticConfig, seed: u64) -> Dataset {
     d
 }
 
-/// The community of each user under the given config/seed (test/analysis
-/// helper; communities are contiguous index ranges).
-pub fn user_communities(cfg: &SyntheticConfig, seed: u64) -> Vec<u32> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let sizes = community_sizes(
-        cfg.n_communities,
-        cfg.min_community,
-        cfg.max_community,
-        cfg.n_users,
-        &mut rng,
-    );
-    let mut community = Vec::with_capacity(cfg.n_users);
-    for (c, &size) in sizes.iter().enumerate() {
-        community.extend(std::iter::repeat_n(c as u32, size));
-    }
-    community
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,7 +149,20 @@ mod tests {
     fn block_structure_dominates() {
         let cfg = small();
         let d = generate(&cfg, 3);
-        let communities = user_communities(&cfg, 3);
+        // The generator's first draws lay out the communities as
+        // contiguous index ranges.
+        let sizes = community_sizes(
+            cfg.n_communities,
+            cfg.min_community,
+            cfg.max_community,
+            cfg.n_users,
+            &mut ChaCha8Rng::seed_from_u64(3),
+        );
+        let communities: Vec<u32> = sizes
+            .iter()
+            .enumerate()
+            .flat_map(|(c, &size)| std::iter::repeat_n(c as u32, size))
+            .collect();
         let mut in_c = 0u64;
         let mut in_c_likes = 0u64;
         let mut out_c = 0u64;

@@ -126,11 +126,6 @@ impl<P: Clone> Clustering<P> {
         self.view.contains(node)
     }
 
-    /// Drops a peer believed failed.
-    pub fn evict(&mut self, node: NodeId) {
-        self.view.remove(node);
-    }
-
     fn exchange_payload(&self, own_payload: P) -> Vec<Descriptor<P>> {
         let mut payload: Vec<Descriptor<P>> = self.view.entries().to_vec();
         payload.push(Descriptor::fresh(self.id, own_payload));

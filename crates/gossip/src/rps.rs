@@ -31,16 +31,6 @@ impl Default for RpsConfig {
     }
 }
 
-impl RpsConfig {
-    /// Config with `view_size` and the canonical half-view exchange length.
-    pub fn with_view_size(view_size: usize) -> Self {
-        Self {
-            view_size,
-            exchange_len: (view_size / 2).max(1),
-        }
-    }
-}
-
 /// The per-node RPS protocol state machine.
 #[derive(Debug, Clone)]
 pub struct Rps<P> {
@@ -107,11 +97,6 @@ impl<P: Clone> Rps<P> {
         self.merge(received, rng);
     }
 
-    /// Drops a peer believed failed; RPS heals by resampling on later rounds.
-    pub fn evict(&mut self, node: NodeId) {
-        self.view.remove(node);
-    }
-
     fn exchange_payload(&self, own_payload: P, rng: &mut impl Rng) -> Vec<Descriptor<P>> {
         let mut payload = self
             .view
@@ -165,6 +150,14 @@ mod tests {
         ChaCha8Rng::seed_from_u64(99)
     }
 
+    /// A view of `view_size` that ships half of it per exchange.
+    fn half_view(view_size: usize) -> RpsConfig {
+        RpsConfig {
+            view_size,
+            exchange_len: (view_size / 2).max(1),
+        }
+    }
+
     fn descriptors(ids: &[NodeId]) -> Vec<Descriptor<u8>> {
         ids.iter().map(|&i| Descriptor::fresh(i, 0)).collect()
     }
@@ -177,7 +170,7 @@ mod tests {
 
     #[test]
     fn seed_excludes_self() {
-        let mut rps: Rps<u8> = Rps::new(1, RpsConfig::with_view_size(4));
+        let mut rps: Rps<u8> = Rps::new(1, half_view(4));
         rps.seed(descriptors(&[1, 2, 3]));
         assert!(!rps.view().contains(1));
         assert_eq!(rps.view().len(), 2);
@@ -185,7 +178,7 @@ mod tests {
 
     #[test]
     fn initiate_targets_oldest_and_ships_self() {
-        let mut rps: Rps<u8> = Rps::new(0, RpsConfig::with_view_size(4));
+        let mut rps: Rps<u8> = Rps::new(0, half_view(4));
         rps.seed(descriptors(&[1, 2]));
         // Age node 1 artificially by two extra rounds of no contact with 2:
         // insert 2 freshly again after aging once.
@@ -218,7 +211,7 @@ mod tests {
 
     #[test]
     fn merge_never_contains_self() {
-        let mut rps: Rps<u8> = Rps::new(9, RpsConfig::with_view_size(8));
+        let mut rps: Rps<u8> = Rps::new(9, half_view(8));
         rps.seed(descriptors(&[1, 2]));
         rps.on_response(descriptors(&[9, 9, 3]), &mut rng());
         assert!(!rps.view().contains(9));
@@ -226,7 +219,7 @@ mod tests {
 
     #[test]
     fn on_request_returns_payload_with_self() {
-        let mut rps: Rps<u8> = Rps::new(4, RpsConfig::with_view_size(6));
+        let mut rps: Rps<u8> = Rps::new(4, half_view(6));
         rps.seed(descriptors(&[1, 2, 3]));
         let resp = rps.on_request(descriptors(&[5]), 42, &mut rng());
         assert!(resp.iter().any(|d| d.node == 4 && d.payload == 42));
@@ -272,14 +265,6 @@ mod tests {
         assert!(diverse >= n as usize / 2);
     }
 
-    #[test]
-    fn evict_removes_peer() {
-        let mut rps: Rps<u8> = Rps::new(0, RpsConfig::with_view_size(4));
-        rps.seed(descriptors(&[1, 2]));
-        rps.evict(1);
-        assert!(!rps.view().contains(1));
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -303,7 +288,7 @@ mod tests {
                     .map(|&(node, age)| Descriptor { node, age, payload: Arc::new(node) })
                     .collect()
             };
-            let mut fast = Rps::new(self_id, RpsConfig::with_view_size(view_size));
+            let mut fast = Rps::new(self_id, half_view(view_size));
             fast.seed(arcs(&own));
             let mut slow = fast.clone();
             let received = arcs(&received);

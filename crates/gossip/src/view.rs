@@ -78,7 +78,7 @@ impl<P: Clone> View<P> {
     }
 
     /// Ages every entry by one cycle.
-    pub fn age_all(&mut self) {
+    pub(crate) fn age_all(&mut self) {
         for d in &mut self.entries {
             d.age = d.age.saturating_add(1);
         }
@@ -145,7 +145,7 @@ impl<P: Clone> View<P> {
     /// Replaces the whole content with `entries` (already ≤ capacity, one per
     /// node). Used by the merge procedures which compute the next view in
     /// full.
-    pub fn replace_with(&mut self, entries: Vec<Descriptor<P>>) {
+    pub(crate) fn replace_with(&mut self, entries: Vec<Descriptor<P>>) {
         debug_assert!(entries.len() <= self.capacity, "merge overflow");
         debug_assert!(
             {
@@ -170,7 +170,7 @@ impl<P: Clone> View<P> {
 /// table (expected O(n)) rather than by searching the output once per
 /// candidate. The table only answers "seen before, how fresh, and where";
 /// it is never iterated, so the output order owes nothing to it.
-pub fn dedup_freshest<I>(candidates: I, self_id: NodeId) -> Vec<usize>
+pub(crate) fn dedup_freshest<I>(candidates: I, self_id: NodeId) -> Vec<usize>
 where
     I: IntoIterator<Item = (NodeId, u32)>,
     I::IntoIter: ExactSizeIterator,

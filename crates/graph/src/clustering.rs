@@ -12,7 +12,7 @@ use crate::Graph;
 ///
 /// Defined as `2·T / (k·(k-1))` where `T` is the number of edges among `u`'s
 /// `k` neighbors; 0 when `k < 2`.
-pub fn local_coefficient(g: &Graph, u: u32) -> f64 {
+fn local_coefficient(g: &Graph, u: u32) -> f64 {
     let neigh = g.neighbors(u);
     let k = neigh.len();
     if k < 2 {

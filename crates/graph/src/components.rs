@@ -9,14 +9,14 @@ use crate::Graph;
 
 /// Disjoint-set forest with union by rank and path halving.
 #[derive(Debug, Clone)]
-pub struct UnionFind {
+struct UnionFind {
     parent: Vec<u32>,
     rank: Vec<u8>,
     count: usize,
 }
 
 impl UnionFind {
-    pub fn new(n: usize) -> Self {
+    fn new(n: usize) -> Self {
         Self {
             parent: (0..n as u32).collect(),
             rank: vec![0; n],
@@ -25,7 +25,7 @@ impl UnionFind {
     }
 
     /// Representative of `x`'s set.
-    pub fn find(&mut self, mut x: u32) -> u32 {
+    fn find(&mut self, mut x: u32) -> u32 {
         while self.parent[x as usize] != x {
             let grand = self.parent[self.parent[x as usize] as usize];
             self.parent[x as usize] = grand;
@@ -35,7 +35,7 @@ impl UnionFind {
     }
 
     /// Merges the sets of `a` and `b`; returns true if they were distinct.
-    pub fn union(&mut self, a: u32, b: u32) -> bool {
+    fn union(&mut self, a: u32, b: u32) -> bool {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra == rb {
             return false;
@@ -54,13 +54,8 @@ impl UnionFind {
     }
 
     /// Number of disjoint sets remaining.
-    pub fn set_count(&self) -> usize {
+    fn set_count(&self) -> usize {
         self.count
-    }
-
-    /// Whether `a` and `b` are in the same set.
-    pub fn connected(&mut self, a: u32, b: u32) -> bool {
-        self.find(a) == self.find(b)
     }
 }
 
@@ -71,21 +66,6 @@ pub fn weakly_connected_components(g: &Graph) -> usize {
         uf.union(u, v);
     }
     uf.set_count()
-}
-
-/// Sizes of all weakly connected components, descending.
-pub fn wcc_sizes(g: &Graph) -> Vec<usize> {
-    let mut uf = UnionFind::new(g.len());
-    for (u, v) in g.edges() {
-        uf.union(u, v);
-    }
-    let mut sizes = std::collections::HashMap::new();
-    for v in 0..g.len() as u32 {
-        *sizes.entry(uf.find(v)).or_insert(0usize) += 1;
-    }
-    let mut out: Vec<usize> = sizes.into_values().collect();
-    out.sort_unstable_by(|a, b| b.cmp(a));
-    out
 }
 
 #[cfg(test)]
@@ -106,33 +86,45 @@ mod tests {
     }
 
     #[test]
-    fn sizes_sorted_desc() {
-        let g = Graph::from_edges(6, [(0, 1), (1, 2), (3, 4)]);
-        assert_eq!(wcc_sizes(&g), vec![3, 2, 1]);
-    }
-
-    #[test]
     fn union_find_basics() {
         let mut uf = UnionFind::new(4);
         assert!(uf.union(0, 1));
         assert!(!uf.union(1, 0));
-        assert!(uf.connected(0, 1));
-        assert!(!uf.connected(0, 2));
+        assert_eq!(uf.find(0), uf.find(1));
+        assert_ne!(uf.find(0), uf.find(2));
         assert_eq!(uf.set_count(), 3);
     }
 
     proptest! {
         #[test]
-        fn component_count_matches_sizes(
+        fn component_count_matches_a_search(
             n in 1usize..30,
             edges in prop::collection::vec((0u32..30, 0u32..30), 0..60)
         ) {
             let edges: Vec<(u32, u32)> =
                 edges.into_iter().map(|(u, v)| (u % n as u32, v % n as u32)).collect();
             let g = Graph::from_edges(n, edges);
-            let sizes = wcc_sizes(&g);
-            prop_assert_eq!(sizes.len(), weakly_connected_components(&g));
-            prop_assert_eq!(sizes.iter().sum::<usize>(), n);
+            // Reference: count the searches over the undirected closure.
+            let sym = g.symmetric_closure();
+            let mut seen = vec![false; n];
+            let mut searches = 0;
+            for s in 0..n {
+                if seen[s] {
+                    continue;
+                }
+                searches += 1;
+                seen[s] = true;
+                let mut stack = vec![s as u32];
+                while let Some(u) = stack.pop() {
+                    for &v in sym.neighbors(u) {
+                        if !seen[v as usize] {
+                            seen[v as usize] = true;
+                            stack.push(v);
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(weakly_connected_components(&g), searches);
         }
     }
 }

@@ -1,66 +1,8 @@
-//! Random graph generators for the dataset substrates.
-//!
-//! * [`preferential_attachment`] — Barabási–Albert-style graph for the
-//!   Digg-like explicit social network (cascade baseline). Real follower
-//!   graphs are hub-dominated; preferential attachment reproduces the heavy
-//!   tail that makes cascade recall collapse (§V-C, Table V).
-//! * [`community_sizes`] — draws community sizes in a fixed range matching
-//!   the Arxiv decomposition used by the paper (21 communities, 31–1036
-//!   users).
-//! * [`random_regular`] — each node picks `k` distinct random out-neighbors;
-//!   used as a neutral bootstrap overlay in tests.
+//! Random structure for the dataset substrates: [`community_sizes`] draws
+//! community sizes in a fixed range matching the Arxiv decomposition used
+//! by the paper (21 communities, 31–1036 users).
 
-use crate::Graph;
-use rand::seq::SliceRandom;
 use rand::Rng;
-
-/// Undirected (symmetrized) preferential-attachment graph: nodes arrive one
-/// by one and attach `m` edges to existing nodes with probability
-/// proportional to current degree.
-///
-/// # Panics
-/// Panics if `n == 0` or `m == 0`.
-pub fn preferential_attachment(n: usize, m: usize, rng: &mut impl Rng) -> Graph {
-    assert!(n > 0 && m > 0, "preferential attachment needs n > 0, m > 0");
-    let mut g = Graph::new(n);
-    if n == 1 {
-        return g;
-    }
-    // Repeated-nodes trick: `targets` holds each node once per unit of degree,
-    // so sampling uniformly from it is degree-proportional sampling.
-    let mut targets: Vec<u32> = Vec::with_capacity(2 * n * m);
-    let seed = (m + 1).min(n);
-    // Seed clique among the first `seed` nodes.
-    for u in 0..seed as u32 {
-        for v in 0..seed as u32 {
-            if u < v {
-                g.add_edge(u, v);
-                g.add_edge(v, u);
-                targets.push(u);
-                targets.push(v);
-            }
-        }
-    }
-    for u in seed as u32..n as u32 {
-        let mut chosen: Vec<u32> = Vec::with_capacity(m);
-        let mut guard = 0;
-        while chosen.len() < m && guard < 100 * m {
-            guard += 1;
-            let v = *targets.choose(rng).expect("non-empty targets");
-            if v != u && !chosen.contains(&v) {
-                chosen.push(v);
-            }
-        }
-        for &v in &chosen {
-            g.add_edge(u, v);
-            g.add_edge(v, u);
-            targets.push(u);
-            targets.push(v);
-        }
-    }
-    g.dedup();
-    g
-}
 
 /// Draws `count` community sizes uniformly in `[min_size, max_size]`, then
 /// rescales them so they sum to exactly `total` (each stays ≥ 1).
@@ -101,54 +43,14 @@ pub fn community_sizes(
     sizes
 }
 
-/// Each node gets `k` distinct random out-neighbors (directed).
-pub fn random_regular(n: usize, k: usize, rng: &mut impl Rng) -> Graph {
-    assert!(k < n, "need k < n distinct neighbors");
-    let mut g = Graph::new(n);
-    let mut candidates: Vec<u32> = (0..n as u32).collect();
-    for u in 0..n as u32 {
-        candidates.shuffle(rng);
-        let mut added = 0;
-        for &v in candidates.iter() {
-            if v != u {
-                g.add_edge(u, v);
-                added += 1;
-                if added == k {
-                    break;
-                }
-            }
-        }
-    }
-    g
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::components::weakly_connected_components;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
     fn rng() -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(42)
-    }
-
-    #[test]
-    fn pa_is_connected_and_symmetric() {
-        let g = preferential_attachment(200, 3, &mut rng());
-        assert_eq!(weakly_connected_components(&g), 1);
-        for (u, v) in g.edges() {
-            assert!(g.neighbors(v).contains(&u), "edge {u}->{v} not symmetric");
-        }
-    }
-
-    #[test]
-    fn pa_has_heavy_tail() {
-        let g = preferential_attachment(1000, 2, &mut rng());
-        let mut degrees: Vec<usize> = (0..g.len() as u32).map(|u| g.out_degree(u)).collect();
-        degrees.sort_unstable_by(|a, b| b.cmp(a));
-        // The top hub should dominate the median degree by a wide margin.
-        assert!(degrees[0] >= 5 * degrees[g.len() / 2].max(1));
     }
 
     #[test]
@@ -163,21 +65,5 @@ mod tests {
     fn community_sizes_exact_fit() {
         let sizes = community_sizes(4, 1, 1, 4, &mut rng());
         assert_eq!(sizes, vec![1, 1, 1, 1]);
-    }
-
-    #[test]
-    fn random_regular_degrees() {
-        let g = random_regular(50, 7, &mut rng());
-        for u in 0..50u32 {
-            assert_eq!(g.out_degree(u), 7);
-            assert!(!g.neighbors(u).contains(&u));
-        }
-    }
-
-    #[test]
-    fn generators_are_deterministic() {
-        let a = preferential_attachment(100, 2, &mut rng());
-        let b = preferential_attachment(100, 2, &mut rng());
-        assert_eq!(a, b);
     }
 }

@@ -3,12 +3,11 @@
 //! The paper's evaluation analyzes the *implicit social network* that WUP
 //! builds: the fraction of nodes in the largest strongly connected component
 //! (Fig. 4), the number of weakly connected components, and the average
-//! clustering coefficient (§V-A). The dataset generators additionally need an
-//! explicit social graph (Digg cascade baseline) and community structures
-//! (Arxiv synthetic workload). This crate provides those algorithms and
-//! generators on a compact adjacency-list representation.
+//! clustering coefficient (§V-A). This crate provides those analytics on a
+//! compact adjacency-list representation, plus the community sizes of the
+//! synthetic Arxiv workload ([`generate::community_sizes`]). The Digg
+//! cascade baseline's follower graph is built by the dataset crate.
 
-pub mod bfs;
 pub mod clustering;
 pub mod components;
 pub mod generate;
@@ -85,7 +84,7 @@ impl Graph {
 
     /// Returns the graph with every edge also reversed (symmetric closure) —
     /// the undirected view used by clustering-coefficient and WCC analyses.
-    pub fn symmetric_closure(&self) -> Graph {
+    pub(crate) fn symmetric_closure(&self) -> Graph {
         let mut g = Graph::new(self.len());
         for (u, list) in self.adj.iter().enumerate() {
             for &v in list {
@@ -109,7 +108,7 @@ impl Graph {
     }
 
     /// Iterates over all directed edges.
-    pub fn edges(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+    pub(crate) fn edges(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
         self.adj
             .iter()
             .enumerate()

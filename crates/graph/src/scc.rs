@@ -23,7 +23,7 @@ impl SccDecomposition {
     }
 
     /// Size of the largest component; 0 for an empty graph.
-    pub fn largest(&self) -> usize {
+    fn largest(&self) -> usize {
         self.sizes.iter().copied().max().unwrap_or(0) as usize
     }
 

@@ -6,8 +6,8 @@
 //! but nothing in the compiler stops a new change from iterating a
 //! `HashMap` in a report path or reading a wall clock inside an engine.
 //! This crate is the compile-adjacent gate: a small hand-rolled token
-//! scanner (no crates.io access, so no `syn`; see [`scan`]) walks every
-//! `.rs` file in the workspace and enforces seven rules with per-crate
+//! scanner (no crates.io access, so no `syn`; see `scan.rs`) walks every
+//! `.rs` file in the workspace and enforces eight rules with per-crate
 //! scopes (see [`rules::Config::workspace_default`]):
 //!
 //! | rule | contract |
@@ -19,6 +19,7 @@
 //! | `wire-cast` | no truncating `as` casts on wire length/count fields |
 //! | `safety-comment` | every `unsafe` carries a `// SAFETY:` line |
 //! | `env-draw` | no `gen_bool(` in `crates/sim/src` outside its environment module, nor in `crates/net/src` |
+//! | `dead-pub` | no `pub fn` that no other `.rs` file names (a `pub use` re-export does not count) |
 //!
 //! Sites that are individually safe carry an inline escape hatch —
 //! `// lint:allow(<rule>) <reason>` — which suppresses the finding but
@@ -31,10 +32,11 @@
 //! json` emits a machine-readable report.
 
 pub mod rules;
-pub mod scan;
+mod scan;
 
 pub use rules::{check_file, Config, Finding, Rule, Scope};
 
+use rules::{check_scanned, Callers};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -49,19 +51,30 @@ pub struct Report {
 }
 
 /// Walks `root` for `.rs` files (skipping `target/`, VCS metadata and the
-/// lint fixtures) and lints each against `config`. File order is sorted,
-/// so output is deterministic.
+/// lint fixtures) and lints each against `config`; every file walked is a
+/// possible caller for `dead-pub`. File order is sorted, so output is
+/// deterministic.
 pub fn lint_workspace(root: &Path, config: &Config) -> std::io::Result<Report> {
     let mut files = Vec::new();
     collect_rs_files(root, root, &mut files)?;
     files.sort();
-    let mut report = Report::default();
+    let mut scanned = Vec::with_capacity(files.len());
     for rel in files {
         let source = fs::read_to_string(root.join(&rel))?;
-        let rel_str = rel
+        let rel = rel
             .to_string_lossy()
             .replace(std::path::MAIN_SEPARATOR, "/");
-        for finding in check_file(&rel_str, &source, config) {
+        let tokens = scan::scan(&source);
+        scanned.push((rel, source, tokens));
+    }
+    let mut callers = Callers::default();
+    for (file, (_, _, tokens)) in scanned.iter().enumerate() {
+        callers.add(file, tokens);
+    }
+    let mut report = Report::default();
+    for (file, (rel, source, tokens)) in scanned.iter().enumerate() {
+        let named_elsewhere = |name: &str| callers.elsewhere(file, name);
+        for finding in check_scanned(rel, source, tokens, config, &named_elsewhere) {
             if finding.allowed.is_some() {
                 report.allowed.push(finding);
             } else {

@@ -1,11 +1,11 @@
 //! The rule set: what each check means, where it applies, and the token
 //! passes that implement it.
 
-use crate::scan::{scan, TokKind, Token};
+use crate::scan::{scan, Scan, TokKind, Token};
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// The seven contract rules. Names (the `lint:allow` keys) are kebab-case.
+/// The eight contract rules. Names (the `lint:allow` keys) are kebab-case.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
     /// No `HashMap`/`HashSet` in determinism-critical code: report paths
@@ -37,9 +37,15 @@ pub enum Rule {
     /// once, so an engine or a peer that flips its own can no longer drift
     /// from the others.
     EnvDraw,
+    /// No `pub fn` that no other file names: public means called from
+    /// outside. Every other scanned file counts as a caller — tests,
+    /// benches, examples and other crates alike — except through a `pub
+    /// use`, which re-exports a name without calling it. Functions only: a
+    /// type can be reached through a public signature without being named.
+    DeadPub,
 }
 
-pub const ALL_RULES: [Rule; 7] = [
+const ALL_RULES: [Rule; 8] = [
     Rule::DetMap,
     Rule::DetGlobal,
     Rule::DetClock,
@@ -47,6 +53,7 @@ pub const ALL_RULES: [Rule; 7] = [
     Rule::WireCast,
     Rule::SafetyComment,
     Rule::EnvDraw,
+    Rule::DeadPub,
 ];
 
 impl Rule {
@@ -59,10 +66,11 @@ impl Rule {
             Rule::WireCast => "wire-cast",
             Rule::SafetyComment => "safety-comment",
             Rule::EnvDraw => "env-draw",
+            Rule::DeadPub => "dead-pub",
         }
     }
 
-    pub fn from_name(name: &str) -> Option<Rule> {
+    fn from_name(name: &str) -> Option<Rule> {
         ALL_RULES.iter().copied().find(|r| r.name() == name)
     }
 }
@@ -144,6 +152,9 @@ impl Config {
     ///   `crates/sim/src/environment.rs`, the one place the loss/churn
     ///   coins are flipped, and all of `crates/net/src`, whose peers and
     ///   links take their coins from the swarm executor.
+    /// * `dead-pub` — every workspace crate's shipped code, the shims
+    ///   excepted (they mirror upstream crates' APIs); its callers are
+    ///   searched in every scanned file, `perfbench/src` included.
     pub fn workspace_default() -> Self {
         let mut scopes = BTreeMap::new();
         let determinism_critical = Scope {
@@ -196,6 +207,13 @@ impl Config {
                 exclude: vec!["crates/sim/src/environment.rs".into()],
             },
         );
+        scopes.insert(
+            Rule::DeadPub,
+            Scope {
+                include: vec!["crates/".into(), "src/".into()],
+                exclude: vec!["crates/shims/".into()],
+            },
+        );
         Config { scopes }
     }
 }
@@ -222,7 +240,53 @@ fn harness_path(rel_path: &str) -> bool {
 }
 
 /// Lints one file. `rel_path` is workspace-relative with `/` separators.
+/// `dead-pub` needs the other files, so only [`crate::lint_workspace`]
+/// applies it.
 pub fn check_file(rel_path: &str, source: &str, config: &Config) -> Vec<Finding> {
+    check_scanned(rel_path, source, &scan(source), config, &|_| true)
+}
+
+/// Which files name each identifier: the first file that does, and
+/// whether another one does too. Tokens of a `pub use` are left out.
+#[derive(Debug, Default)]
+pub(crate) struct Callers<'a>(BTreeMap<&'a str, (usize, bool)>);
+
+impl<'a> Callers<'a> {
+    pub(crate) fn add(&mut self, file: usize, scan: &'a Scan) {
+        let toks = &scan.tokens;
+        let mut i = 0;
+        while i < toks.len() {
+            if toks[i].text == "pub" && reexport(toks, i) {
+                while i < toks.len() && toks[i].kind != TokKind::Punct(';') {
+                    i += 1;
+                }
+            } else if toks[i].kind == TokKind::Ident {
+                self.0
+                    .entry(&toks[i].text)
+                    .and_modify(|(first, more)| *more |= *first != file)
+                    .or_insert((file, false));
+            }
+            i += 1;
+        }
+    }
+
+    /// True when a file other than `file` names `name`.
+    pub(crate) fn elsewhere(&self, file: usize, name: &str) -> bool {
+        self.0
+            .get(name)
+            .is_some_and(|&(first, more)| more || first != file)
+    }
+}
+
+/// Lints one scanned file; `named_elsewhere` tells `dead-pub` whether some
+/// other file names an identifier.
+pub(crate) fn check_scanned(
+    rel_path: &str,
+    source: &str,
+    scan: &Scan,
+    config: &Config,
+    named_elsewhere: &dyn Fn(&str) -> bool,
+) -> Vec<Finding> {
     if harness_path(rel_path) {
         return Vec::new();
     }
@@ -235,7 +299,6 @@ pub fn check_file(rel_path: &str, source: &str, config: &Config) -> Vec<Finding>
         return Vec::new();
     }
 
-    let scan = scan(source);
     let lines: Vec<&str> = source.lines().collect();
     let excerpt = |line: u32| -> String {
         lines
@@ -362,6 +425,12 @@ pub fn check_file(rel_path: &str, source: &str, config: &Config) -> Vec<Finding>
                         emit(rule, t.line);
                     }
                 }
+                Rule::DeadPub => {
+                    if t.text == "pub" && pub_fn_name(toks, i).is_some_and(|n| !named_elsewhere(n))
+                    {
+                        emit(rule, t.line);
+                    }
+                }
                 Rule::SafetyComment => {
                     if t.kind == TokKind::Ident && t.text == "unsafe" {
                         let documented = (t.line.saturating_sub(3)..=t.line)
@@ -406,6 +475,33 @@ fn mutable_static(toks: &[Token], i: usize) -> bool {
         }
     }
     false
+}
+
+/// The name the `pub fn` at `i` declares, past any `const`, `async`,
+/// `unsafe` or `extern` qualifier; `None` for any other item, and for
+/// `pub(crate)` or `pub(super)`.
+fn pub_fn_name(toks: &[Token], i: usize) -> Option<&str> {
+    let mut j = i + 1;
+    while toks.get(j).is_some_and(|t| {
+        t.kind == TokKind::Ident
+            && matches!(t.text.as_str(), "const" | "async" | "unsafe" | "extern")
+    }) {
+        j += 1;
+    }
+    let name = toks.get(j + 1)?;
+    (matches_seq(toks, j, &["fn"]) && name.kind == TokKind::Ident).then_some(name.text.as_str())
+}
+
+/// True when the `pub` at `i` starts a re-export: `pub use` or `pub(…) use`.
+fn reexport(toks: &[Token], i: usize) -> bool {
+    let mut j = i + 1;
+    if toks.get(j).is_some_and(|t| t.kind == TokKind::Punct('(')) {
+        while toks.get(j).is_some_and(|t| t.kind != TokKind::Punct(')')) {
+            j += 1;
+        }
+        j += 1;
+    }
+    matches_seq(toks, j, &["use"])
 }
 
 /// True when one of the 8 tokens before `i` is a length/count identifier —

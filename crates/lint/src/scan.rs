@@ -21,7 +21,7 @@ use std::collections::BTreeSet;
 
 /// What a token is, at the granularity the rules need.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TokKind {
+pub(crate) enum TokKind {
     /// Identifier or keyword (including raw identifiers, without the `r#`).
     Ident,
     /// Numeric literal (kept as one token so look-back windows count it
@@ -35,7 +35,7 @@ pub enum TokKind {
 
 /// One scanned token.
 #[derive(Debug, Clone)]
-pub struct Token {
+pub(crate) struct Token {
     pub kind: TokKind,
     pub text: String,
     /// 1-based source line.
@@ -47,7 +47,7 @@ pub struct Token {
 
 /// One `// lint:allow(<rules>) <reason>` comment.
 #[derive(Debug, Clone)]
-pub struct AllowSite {
+pub(crate) struct AllowSite {
     /// Line the comment sits on.
     pub line: u32,
     /// Rule names inside the parentheses, as written.
@@ -61,7 +61,7 @@ pub struct AllowSite {
 
 /// Scanner output for one file.
 #[derive(Debug, Default)]
-pub struct Scan {
+pub(crate) struct Scan {
     pub tokens: Vec<Token>,
     pub allows: Vec<AllowSite>,
     /// Lines whose trailing/standalone line comment contains `SAFETY:`.
@@ -71,7 +71,7 @@ pub struct Scan {
 }
 
 /// Scans `source` into tokens plus the comment-borne metadata above.
-pub fn scan(source: &str) -> Scan {
+pub(crate) fn scan(source: &str) -> Scan {
     let bytes = source.as_bytes();
     let mut out = Scan::default();
     let mut i = 0usize;

@@ -125,6 +125,54 @@ fn env_draw_flags_coins_flipped_outside_the_environment() {
 }
 
 #[test]
+fn dead_pub_flags_functions_no_other_file_names() {
+    // A small workspace: `crates/a` and one shim. Its own test module and
+    // a `pub use` call nothing; another file's tests do; `pub(crate)` and
+    // the shims are never findings.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/dead_pub");
+    let report = lint_workspace(&root, &Config::workspace_default()).unwrap();
+    let hits: Vec<(Rule, &str, u32)> = report
+        .violations
+        .iter()
+        .map(|f| (f.rule, f.path.as_str(), f.line))
+        .collect();
+    assert_eq!(
+        hits,
+        vec![
+            (Rule::DeadPub, "crates/a/src/helpers.rs", 2),
+            (Rule::DeadPub, "crates/a/src/lib.rs", 5),
+        ]
+    );
+    assert_eq!(report.files_scanned, 4);
+    // A single file has no other files to call it: `check_file` leaves the
+    // rule to `lint_workspace`.
+    let lib = std::fs::read_to_string(root.join("crates/a/src/lib.rs")).unwrap();
+    assert_eq!(
+        check_file("crates/a/src/lib.rs", &lib, &Config::all_everywhere()),
+        vec![]
+    );
+}
+
+#[test]
+fn dead_pub_covers_shipped_code_of_every_workspace_crate() {
+    // Under the workspace contract the rule covers every crate's `src/`
+    // and the facade, but not the shims; harness paths are never linted,
+    // and `perfbench/src` only calls.
+    let scope = &Config::workspace_default().scopes[&Rule::DeadPub];
+    for path in [
+        "src/lib.rs",
+        "crates/core/src/profile.rs",
+        "crates/sim/src/bin/whatsup_sim.rs",
+        "crates/lint/src/rules.rs",
+    ] {
+        assert!(scope.matches(path), "{path}");
+    }
+    for path in ["crates/shims/rand/src/lib.rs", "perfbench/src/main.rs"] {
+        assert!(!scope.matches(path), "{path}");
+    }
+}
+
+#[test]
 fn allow_hatch_suppresses_with_reason_and_records() {
     // Trailing (line 1) and standalone (line 3 → 4) allows with reasons
     // suppress but stay in the report; a reasonless allow (line 8) does

@@ -33,12 +33,12 @@ impl Histogram {
     }
 
     /// Width of one bin.
-    pub fn bin_width(&self) -> f64 {
+    fn bin_width(&self) -> f64 {
         (self.hi - self.lo) / self.counts.len() as f64
     }
 
     /// Index of the bin a value falls into (clamped).
-    pub fn bin_of(&self, x: f64) -> usize {
+    fn bin_of(&self, x: f64) -> usize {
         if x <= self.lo {
             return 0;
         }
@@ -99,69 +99,48 @@ impl Histogram {
 
 /// Per-bin mean of a y-value keyed by an x-value — the "recall vs popularity"
 /// (Fig. 10) and "F1 vs sociability" (Fig. 11) shape: bucket items/users by x
-/// and average their y within each bucket.
+/// and average their y within each bucket. A [`Histogram`] of x plus the sum
+/// of y in each of its bins.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BinnedMean {
-    lo: f64,
-    hi: f64,
+    x: Histogram,
     sums: Vec<f64>,
-    counts: Vec<u64>,
 }
 
 impl BinnedMean {
     pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0 && lo < hi);
         Self {
-            lo,
-            hi,
+            x: Histogram::new(lo, hi, bins),
             sums: vec![0.0; bins],
-            counts: vec![0; bins],
         }
-    }
-
-    fn bin_of(&self, x: f64) -> usize {
-        if x <= self.lo {
-            return 0;
-        }
-        let w = (self.hi - self.lo) / self.sums.len() as f64;
-        (((x - self.lo) / w) as usize).min(self.sums.len() - 1)
     }
 
     /// Records a `(x, y)` observation.
     pub fn record(&mut self, x: f64, y: f64) {
-        let i = self.bin_of(x);
+        let i = self.x.bin_of(x);
+        self.x.counts[i] += 1;
         self.sums[i] += y;
-        self.counts[i] += 1;
     }
 
     /// `(bin center, mean y, samples)` for every non-empty bin.
     pub fn rows(&self) -> Vec<(f64, f64, u64)> {
-        let w = (self.hi - self.lo) / self.sums.len() as f64;
         self.sums
             .iter()
-            .zip(&self.counts)
+            .zip(self.x.counts())
             .enumerate()
             .filter(|(_, (_, &c))| c > 0)
-            .map(|(i, (&s, &c))| (self.lo + (i as f64 + 0.5) * w, s / c as f64, c))
+            .map(|(i, (&s, &c))| (self.x.bin_center(i), s / c as f64, c))
             .collect()
     }
 
     /// Fraction of all samples per bin (the background distribution curves in
     /// Figs. 10–11).
     pub fn distribution(&self) -> Vec<(f64, f64)> {
-        let total: u64 = self.counts.iter().sum();
-        let w = (self.hi - self.lo) / self.sums.len() as f64;
-        self.counts
-            .iter()
+        self.x
+            .fractions()
+            .into_iter()
             .enumerate()
-            .map(|(i, &c)| {
-                let frac = if total == 0 {
-                    0.0
-                } else {
-                    c as f64 / total as f64
-                };
-                (self.lo + (i as f64 + 0.5) * w, frac)
-            })
+            .map(|(i, frac)| (self.x.bin_center(i), frac))
             .collect()
     }
 }

@@ -127,23 +127,6 @@ impl IrAggregate {
         }
     }
 
-    /// Macro-averaged scores: unweighted mean of per-item precision/recall.
-    /// Items that reached nobody contribute precision 0, matching the paper's
-    /// treatment of items lost by the network.
-    pub fn macro_avg(&self) -> IrScores {
-        if self.outcomes.is_empty() {
-            return IrScores::default();
-        }
-        let n = self.outcomes.len() as f64;
-        let precision = self.outcomes.iter().map(|o| o.precision()).sum::<f64>() / n;
-        let recall = self.outcomes.iter().map(|o| o.recall()).sum::<f64>() / n;
-        IrScores {
-            precision,
-            recall,
-            f1: f1(precision, recall),
-        }
-    }
-
     /// Merges another aggregate into this one.
     pub fn merge(&mut self, other: &IrAggregate) {
         self.outcomes.extend_from_slice(&other.outcomes);
@@ -213,16 +196,6 @@ mod tests {
     }
 
     #[test]
-    fn macro_weighs_items_equally() {
-        let mut agg = IrAggregate::new();
-        agg.push(ItemOutcome::new(10, 20, 10)); // p=0.5 r=1.0
-        agg.push(ItemOutcome::new(10, 10, 10)); // p=1.0 r=1.0
-        let mac = agg.macro_avg();
-        assert!((mac.precision - 0.75).abs() < 1e-12);
-        assert!((mac.recall - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn merge_concatenates() {
         let mut a = IrAggregate::new();
         a.push(ItemOutcome::new(1, 1, 1));
@@ -236,6 +209,5 @@ mod tests {
     fn empty_aggregate_is_zero() {
         let agg = IrAggregate::new();
         assert_eq!(agg.micro(), IrScores::default());
-        assert_eq!(agg.macro_avg(), IrScores::default());
     }
 }

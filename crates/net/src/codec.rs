@@ -27,7 +27,7 @@
 //! addressed single-message frames, concatenated in `(sender, emission
 //! order)` order by the emitting shard. Bundles travel over pipes,
 //! channels and the shard-exchange TCP sockets — not UDP — so
-//! [`MAX_FRAME`] applies to single-message frames only, and bundles never
+//! `MAX_FRAME` applies to single-message frames only, and bundles never
 //! nest.
 //!
 //! The sharded engine's transports (`sim-shard-worker`, one shard per
@@ -51,7 +51,7 @@ use whatsup_core::{ItemHeader, NewsItem, NewsMessage, NodeId, Payload, SharedPro
 /// Maximum single-message frame size we allow on the wire (UDP datagram
 /// safety margin). Mailbox bundles are exempt — they are batches for
 /// stream-like transports.
-pub const MAX_FRAME: usize = 60 * 1024;
+pub(crate) const MAX_FRAME: usize = 60 * 1024;
 
 /// Encoding error: the only failure mode is an oversized frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -141,7 +141,7 @@ pub fn encode(
 }
 
 /// Appends the single-message frame for `payload` to `buf` without the
-/// [`MAX_FRAME`] check (bundle building blocks; datagram callers use
+/// `MAX_FRAME` check (bundle building blocks; datagram callers use
 /// [`encode`]).
 pub fn encode_into(
     buf: &mut BytesMut,
@@ -171,7 +171,7 @@ pub fn encode_into(
 
 /// Encodes a mailbox bundle from shard `from_shard`: every `(to, from,
 /// payload)` triple as an embedded single-message frame, in the given
-/// order. No [`MAX_FRAME`] cap — bundles travel pipes/channels, and each
+/// order. No `MAX_FRAME` cap — bundles travel pipes/channels, and each
 /// embedded message stays individually datagram-sized by construction of
 /// the protocol.
 pub fn encode_bundle(
@@ -214,13 +214,13 @@ pub fn encode_bundle_into(
 /// *silent* `as` truncation would corrupt the frame for every later field,
 /// so the narrowing is checked and panics with the field name instead.
 /// Decode paths never use these: untrusted input gets typed errors.
-pub fn wire_count_u32(n: usize, what: &str) -> u32 {
+pub(crate) fn wire_count_u32(n: usize, what: &str) -> u32 {
     // lint:allow(wire-panic) encode path: loud failure beats silent wire truncation
     u32::try_from(n).unwrap_or_else(|_| panic!("{what} {n} exceeds u32 wire bound"))
 }
 
 /// As [`wire_count_u32`], for `u16` wire fields.
-pub fn wire_count_u16(n: usize, what: &str) -> u16 {
+pub(crate) fn wire_count_u16(n: usize, what: &str) -> u16 {
     // lint:allow(wire-panic) encode path: loud failure beats silent wire truncation
     u16::try_from(n).unwrap_or_else(|_| panic!("{what} {n} exceeds u16 wire bound"))
 }
@@ -414,7 +414,7 @@ pub struct DigestLine {
 crate::wire_codec! { struct DigestLine { node, incarnation, max_version } }
 
 /// Bytes each digest line occupies on the wire.
-pub const DIGEST_LINE_BYTES: usize = 16;
+const DIGEST_LINE_BYTES: usize = 16;
 
 /// The versioned value carried by one delta entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -476,7 +476,7 @@ fn encode_anti_entropy<T: Wire>(
 }
 
 /// Encodes an anti-entropy digest frame. Digests summarize whole states and
-/// are not budget-packed, so [`MAX_FRAME`] is the only cap.
+/// are not budget-packed, so `MAX_FRAME` is the only cap.
 pub fn encode_digest(from: NodeId, lines: &[DigestLine]) -> Result<Bytes, FrameTooLarge> {
     encode_anti_entropy(wire::DIGEST, from, lines, DIGEST_LINE_BYTES)
 }
@@ -489,7 +489,7 @@ pub fn decode_digest(mut buf: &[u8]) -> Result<(NodeId, Vec<DigestLine>), Decode
 
 /// Encodes an anti-entropy delta frame. The caller is responsible for
 /// budget-packing the entry list ([`DeltaEntry::wire_bytes`] +
-/// [`ANTI_ENTROPY_HEADER_BYTES`] give exact sizes); [`MAX_FRAME`] still
+/// [`ANTI_ENTROPY_HEADER_BYTES`] give exact sizes); `MAX_FRAME` still
 /// applies as the transport's hard cap.
 pub fn encode_delta(from: NodeId, entries: &[DeltaEntry]) -> Result<Bytes, FrameTooLarge> {
     encode_anti_entropy(wire::DELTA, from, entries, 25)

@@ -4,7 +4,7 @@
 //! * [`Router`] — a ModelNet-like emulated fabric ("an emulated network of
 //!   245 nodes deployed on a 25-node cluster equipped with the ModelNet
 //!   network emulator"): every frame crosses one router thread that holds
-//!   it for a uniform [`LATENCY_MS`] delay before it reaches the
+//!   it for a uniform `LATENCY_MS` delay before it reaches the
 //!   receiver's inbox;
 //! * [`UdpLink`] — one real UDP socket per peer on the loopback interface,
 //!   the PlanetLab analogue.
@@ -26,7 +26,7 @@ use whatsup_core::NodeId;
 
 /// One-way latency band of the emulated fabric, in milliseconds (uniform,
 /// both ends included).
-pub const LATENCY_MS: (u64, u64) = (1, 8);
+const LATENCY_MS: (u64, u64) = (1, 8);
 
 /// A peer's endpoint on a datagram network.
 pub trait Link: Send {

@@ -113,7 +113,7 @@ impl Protocol {
     /// centralized): they run on a server model, not the per-node gossip
     /// stack, so per-cycle scenario events and environment models cannot
     /// apply to them.
-    pub fn is_global(&self) -> bool {
+    pub(crate) fn is_global(&self) -> bool {
         matches!(
             self,
             Protocol::Cascade | Protocol::CPubSub | Protocol::CWhatsUp { .. }
@@ -153,7 +153,7 @@ impl Protocol {
 
     /// Node parameters for protocols that run on the `whatsup-core` stack;
     /// `None` for the global engines (cascade, pub/sub, centralized).
-    pub fn node_params(&self) -> Option<Params> {
+    fn node_params(&self) -> Option<Params> {
         match *self {
             Protocol::WhatsUp { f_like } => Some(Params::whatsup(f_like)),
             Protocol::WhatsUpCos { f_like } => Some(Params::whatsup_cos(f_like)),
@@ -271,7 +271,7 @@ impl Default for SimConfig {
 
 impl SimConfig {
     /// Node parameters for `protocol` with this config's overrides applied.
-    pub fn build_params(&self, protocol: &Protocol) -> Option<whatsup_core::Params> {
+    pub(crate) fn build_params(&self, protocol: &Protocol) -> Option<whatsup_core::Params> {
         let mut params = protocol.node_params()?;
         if let Some(w) = self.profile_window {
             params.profile_window = w;

@@ -567,11 +567,6 @@ impl Simulation {
         self.core.partition.total()
     }
 
-    /// Number of engine shards this simulation runs on.
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Aggregated per-component heap accounting across shards
     /// (diagnostics; see `ShardState::memory_breakdown`).
     #[doc(hidden)]
@@ -661,12 +656,6 @@ impl Simulation {
         }
     }
 
-    /// Mean live similarity between `id`'s profile and the *current*
-    /// profiles of its WUP view members.
-    pub fn live_view_similarity(&self, id: NodeId) -> f64 {
-        self.view_similarity_against(id, self.node(id).profile())
-    }
-
     /// Fig. 7's y-axis: mean similarity between `id`'s *ground-truth
     /// interest profile* (its opinions on the items of the current profile
     /// window) and the live profiles of its WUP view members. Using the
@@ -682,7 +671,7 @@ impl Simulation {
     /// every item published within the current profile window. Uses the
     /// per-cycle publication index, so the scan is O(window · items/cycle),
     /// not O(total items).
-    pub fn ground_truth_profile(&self, id: NodeId) -> Profile {
+    fn ground_truth_profile(&self, id: NodeId) -> Profile {
         let window = self.core.params.profile_window;
         let now = self.core.cycle;
         let cutoff = now.saturating_sub(window);
@@ -716,7 +705,7 @@ impl Simulation {
     }
 
     /// The current WUP overlay as a directed graph (Fig. 4 analyses).
-    pub fn wup_overlay(&self) -> Graph {
+    pub(crate) fn wup_overlay(&self) -> Graph {
         let n = self.core.partition.total();
         let mut g = Graph::new(n);
         for shard in &self.shards {
@@ -807,7 +796,7 @@ mod tests {
                 ..quick_cfg()
             };
             let sim = simulation(&d, Protocol::WhatsUp { f_like: 5 }, cfg);
-            assert_eq!(sim.n_shards(), shards);
+            assert_eq!(sim.shards.len(), shards);
             let sharded = sim.run();
             assert_eq!(single, sharded, "{shards} shards diverged");
         }
@@ -821,7 +810,7 @@ mod tests {
             ..quick_cfg()
         };
         let sim = simulation(&d, Protocol::WhatsUp { f_like: 5 }, cfg);
-        assert_eq!(sim.n_shards(), d.n_users());
+        assert_eq!(sim.shards.len(), d.n_users());
     }
 
     #[test]
@@ -906,7 +895,7 @@ mod tests {
         let joiner = d.n_users() as NodeId;
         // The joiner must have acquired neighbors and a profile.
         assert!(!sim.node(joiner).wup_neighbor_ids().is_empty());
-        assert!(sim.live_view_similarity(joiner) >= 0.0);
+        assert!(sim.view_similarity_against(joiner, sim.node(joiner).profile()) >= 0.0);
     }
 
     #[test]
@@ -929,7 +918,7 @@ mod tests {
         }
         let joiner = d.n_users() as NodeId;
         assert!(!sim.node(joiner).wup_neighbor_ids().is_empty());
-        assert!(sim.live_view_similarity(joiner) >= 0.0);
+        assert!(sim.view_similarity_against(joiner, sim.node(joiner).profile()) >= 0.0);
     }
 
     #[test]

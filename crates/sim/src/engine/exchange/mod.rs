@@ -23,7 +23,7 @@
 //! stacks share one message format. Connecting, the handshake, a peer
 //! vanishing, a frame truncated on the wire, a reply that does not decode
 //! and one that does not answer its command (`unpack`) all surface as a
-//! typed [`TransportError`] naming the endpoint, and a worker handed a
+//! typed `TransportError` naming the endpoint, and a worker handed a
 //! frame that does not decode, mailbox bundles included, exits with a
 //! one-line
 //! [`stream::WorkerError`]. So does one handed a command that decodes but
@@ -56,7 +56,7 @@ use whatsup_net::codec::DecodeError;
 /// `host:port` address, a child pid, a thread index) so a distributed
 /// failure names the machine that caused it.
 #[derive(Debug)]
-pub struct TransportError {
+pub(crate) struct TransportError {
     /// Human-readable worker endpoint, e.g. `10.0.0.2:7401` or
     /// `sim-shard-worker pid 4242 (shard 1)`.
     pub endpoint: String,
@@ -89,7 +89,7 @@ impl TransportErrorKind {
     /// mask a version-skewed deployment instead of reporting it. So would a
     /// peer that passed the handshake and then sent a frame that does not
     /// decode.
-    pub fn is_retryable(&self) -> bool {
+    pub(crate) fn is_retryable(&self) -> bool {
         match self {
             TransportErrorKind::Io(_) | TransportErrorKind::WorkerExit(_) => true,
             TransportErrorKind::HandshakeMagic
@@ -100,7 +100,7 @@ impl TransportErrorKind {
 }
 
 impl TransportError {
-    pub fn io(endpoint: impl Into<String>, err: io::Error) -> Self {
+    pub(crate) fn io(endpoint: impl Into<String>, err: io::Error) -> Self {
         Self {
             endpoint: endpoint.into(),
             kind: TransportErrorKind::Io(err),
@@ -109,7 +109,7 @@ impl TransportError {
 
     /// An `Io` error for a peer that closed the connection at a frame
     /// boundary where more frames were required.
-    pub fn closed(endpoint: impl Into<String>, what: &str) -> Self {
+    pub(crate) fn closed(endpoint: impl Into<String>, what: &str) -> Self {
         Self::io(
             endpoint,
             io::Error::new(io::ErrorKind::UnexpectedEof, what.to_string()),

@@ -59,7 +59,7 @@ pub const HANDSHAKE_MAGIC: u32 = 0x5755_5053;
 pub const PROTOCOL_VERSION: u16 = 8;
 
 /// How long the driver waits for a TCP connect to a worker.
-pub const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
+pub(crate) const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// How long either side waits for the other's half of the handshake
 /// before declaring the peer dead or foreign. Sockets arm it as a read
@@ -70,14 +70,14 @@ pub const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
 /// Upper bound on a single frame, as a guard against garbage length
 /// prefixes from a confused peer (a real init frame for a million-node
 /// run stays well under this).
-pub const MAX_FRAME_LEN: usize = 1 << 28;
+const MAX_FRAME_LEN: usize = 1 << 28;
 
 // ---------------------------------------------------------------------------
 // Framing
 // ---------------------------------------------------------------------------
 
 /// Writes one `len:u32` + payload frame and flushes. A frame over
-/// [`MAX_FRAME_LEN`] is an [`io::ErrorKind::InvalidInput`] error and
+/// `MAX_FRAME_LEN` is an [`io::ErrorKind::InvalidInput`] error and
 /// nothing is written: the peer's [`read_frame`] would refuse it mid-run
 /// (and past 4 GiB the prefix would silently truncate).
 pub fn write_frame(w: &mut impl Write, frame: &[u8]) -> io::Result<()> {
@@ -180,7 +180,7 @@ pub fn encode_handshake(init: &ShardInit) -> Vec<u8> {
 
 /// Validates magic + version, then decodes the carried [`ShardInit`] and
 /// checks it describes a shard that can be built.
-pub fn decode_handshake(frame: &[u8]) -> Result<ShardInit, TransportErrorKind> {
+fn decode_handshake(frame: &[u8]) -> Result<ShardInit, TransportErrorKind> {
     // The hello is the first 6 bytes, `magic:u32 version:u16`.
     let (hello, init) = frame.split_at_checked(6).unwrap_or((frame, &[]));
     match decode_hello(hello)? {

@@ -15,7 +15,7 @@
 //! `TakeCheckpoint` round-trip every [`Supervision::checkpoint_every`]
 //! cycles; the wrapper keeps the reply on its way up) and the log of
 //! every command answered since. When the conversation fails with a
-//! *retryable* error ([`super::TransportErrorKind::is_retryable`]):
+//! *retryable* error (`super::TransportErrorKind::is_retryable`):
 //!
 //! 1. back off (bounded exponential, deterministic jitter);
 //! 2. `Restartable::restart`: respawn the child or redial the address

@@ -35,7 +35,7 @@ impl Wire for Partition {
 ///
 /// The id map travels sorted (a `HashMap` iterates in no fixed order), so
 /// equal oracles encode to equal bytes, and a decoder refuses ids that are
-/// not strictly ascending ([`Oracle::restore`]). `created[i]` is the
+/// not strictly ascending (`Oracle::restore`). `created[i]` is the
 /// creation time of the item `ids[i]` names; a decoder refuses a column
 /// of another length than the ids'.
 impl Wire for Oracle {

@@ -17,7 +17,7 @@ use whatsup_net::codec::{self, DecodeError};
 
 /// One addressed in-flight message.
 #[derive(Debug, Clone, PartialEq)]
-pub struct MailEntry {
+pub(crate) struct MailEntry {
     pub to: NodeId,
     pub from: NodeId,
     pub payload: Payload,
@@ -161,7 +161,7 @@ impl Mailbox {
     }
 
     /// Adds a slot for a node appended to this shard's range.
-    pub fn grow(&mut self) {
+    pub(crate) fn grow(&mut self) {
         self.heads.push(NONE);
         self.tails.push(NONE);
     }

@@ -98,7 +98,7 @@
 //!   unreachable or mute worker fails the run cleanly instead of hanging
 //!   it. Mid-run, a worker that loses its driver (EOF/broken pipe before
 //!   `Stop`) exits non-zero with a one-line message; a driver that loses a
-//!   worker surfaces a typed [`exchange::TransportError`] naming the
+//!   worker surfaces a typed `exchange::TransportError` naming the
 //!   endpoint, and dropping the links stops (and, for child processes,
 //!   kills + reaps) the surviving workers. A completed run sends `Stop`
 //!   and waits for each worker to exit 0 / close its end.
@@ -114,7 +114,7 @@
 //! A stream link can be wrapped, per shard, in
 //! `exchange::supervisor::Supervised` ([`crate::Runner::supervised`],
 //! `whatsup-sim run --supervise`), which turns a crashed or hung worker
-//! from a fatal [`exchange::TransportError`] into a recoverable event —
+//! from a fatal `exchange::TransportError` into a recoverable event —
 //! without changing a single byte of the final report. The wrapper is a
 //! link itself, so nothing above it changes. Three pieces:
 //!
@@ -141,7 +141,7 @@
 //!   budget (`max_restarts` per shard) bounds the loop; when it is
 //!   exhausted the *original* error surfaces, not the last recovery
 //!   attempt's. Fatal errors (handshake magic/version skew —
-//!   [`exchange::TransportErrorKind::is_retryable`]) are never retried.
+//!   `exchange::TransportErrorKind::is_retryable`) are never retried.
 //! * **Hang detection** — supervised TCP connections arm read/write
 //!   deadlines, so a frozen worker trips a timeout (a retryable I/O
 //!   error) instead of hanging the run; pipes cannot arm deadlines and
@@ -163,7 +163,7 @@
 //! declared once, with `wire_codec!` next to its type, and both directions
 //! are generated from it. A frame that does not decode — truncated, an
 //! unknown tag, a count its bytes cannot hold — is a typed error: a
-//! [`TransportError`] on the driver, a one-line exit 1 on the worker. So
+//! `TransportError` on the driver, a one-line exit 1 on the worker. So
 //! is a well-formed reply that does not answer its command: the driver
 //! unpacks every reply through one helper, `exchange::unpack`.
 //! Mailbox traffic rides inside the commands as *bundles* (see
@@ -485,7 +485,7 @@ pub mod partition;
 pub mod shard;
 
 pub use driver::{planned_shard_node_counts, Simulation};
-pub use exchange::{Command, Reply, Supervision, TransportError};
+pub use exchange::{Command, Reply, Supervision};
 pub use partition::Partition;
 pub use shard::{ShardInit, ShardState};
 
@@ -506,7 +506,7 @@ pub mod phase {
     /// News delivery (BEEP decisions + loss coins).
     pub const NEWS: u8 = 3;
     /// Gilbert–Elliott channel-state transition (scenario loss models).
-    pub const CHANNEL: u8 = 4;
+    pub(crate) const CHANNEL: u8 = 4;
 }
 
 /// SplitMix64 finalizer.

@@ -37,7 +37,7 @@ impl Partition {
 
     /// Load-aware split: sizes the initial ranges against the population
     /// the run will *end* with. Every join — mass-join bursts, flash-crowd
-    /// clones — lands on the last shard ([`Partition::push_node`]), so a
+    /// clones — lands on the last shard (`Partition::push_node`), so a
     /// balanced initial split leaves the last shard carrying all
     /// `expected_joins` extra nodes for the rest of the run. This planner
     /// instead balances `n + expected_joins` across the shards and assigns
@@ -78,7 +78,7 @@ impl Partition {
         Self { starts }
     }
 
-    pub fn n_shards(&self) -> usize {
+    pub(crate) fn n_shards(&self) -> usize {
         self.starts.len() - 1
     }
 
@@ -97,7 +97,7 @@ impl Partition {
     /// # Panics
     /// Panics for ids outside the population (a message addressed to an
     /// unknown node is an engine bug, not a recoverable condition).
-    pub fn shard_of(&self, id: NodeId) -> usize {
+    pub(crate) fn shard_of(&self, id: NodeId) -> usize {
         assert!(
             (id as usize) < self.total(),
             "message addressed to unknown node {id}"
@@ -107,20 +107,20 @@ impl Partition {
 
     /// Registers one node joining at the end of the id space (owned by the
     /// last shard). Returns the new node's id.
-    pub fn push_node(&mut self) -> NodeId {
+    pub(crate) fn push_node(&mut self) -> NodeId {
         let id = *self.starts.last().expect("non-empty boundaries");
         *self.starts.last_mut().expect("non-empty boundaries") = id + 1;
         id
     }
 
     /// The raw boundaries (serialization support).
-    pub fn starts(&self) -> &[NodeId] {
+    pub(crate) fn starts(&self) -> &[NodeId] {
         &self.starts
     }
 
     /// Rebuilds a partition from its boundaries; `None` unless they start
     /// at 0 and never decrease, with at least one shard.
-    pub fn from_starts(starts: Vec<NodeId>) -> Option<Self> {
+    pub(crate) fn from_starts(starts: Vec<NodeId>) -> Option<Self> {
         let valid = starts.len() >= 2
             && starts.first() == Some(&0)
             && starts.windows(2).all(|w| w[0] <= w[1]);

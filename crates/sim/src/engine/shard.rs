@@ -362,7 +362,7 @@ impl ShardState {
     /// start). A snapshot that does not decode or is sent to another shard
     /// than the last, and a `reference` outside the population, are errors
     /// that change no state.
-    pub fn admit(&mut self, reference: NodeId, snapshot: Option<&[u8]>) -> Result<(), DecodeError> {
+    fn admit(&mut self, reference: NodeId, snapshot: Option<&[u8]>) -> Result<(), DecodeError> {
         let snapshot: Option<ColdStart> = snapshot.map(decode).transpose()?;
         let last = self.index + 1 == self.partition.n_shards();
         ensure(

@@ -24,7 +24,7 @@ impl<'a> DigestIndex<'a> {
     }
 
     /// The advertised `(incarnation, max_version)` for `node`.
-    pub fn advertised(&self, node: NodeId) -> (u32, u64) {
+    fn advertised(&self, node: NodeId) -> (u32, u64) {
         let found = self.lines.binary_search_by_key(&node, |l| l.node).ok();
         found
             .and_then(|i| self.lines.get(i))
@@ -34,7 +34,7 @@ impl<'a> DigestIndex<'a> {
     /// The version floor to send from for `rec` (owned by `node`):
     /// `Some(after)` means "send every entry with `version > after`",
     /// `None` means the peer is already as fresh as (or fresher than) us.
-    pub fn version_floor(&self, node: NodeId, rec: &NodeRecord) -> Option<u64> {
+    pub(crate) fn version_floor(&self, node: NodeId, rec: &NodeRecord) -> Option<u64> {
         let (inc, max_version) = self.advertised(node);
         if rec.incarnation > inc {
             // The peer holds a dead incarnation: resend everything.

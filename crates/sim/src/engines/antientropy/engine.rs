@@ -61,7 +61,7 @@ impl DetectionReport {
 ///
 /// # Panics
 /// Panics if the config or scenario is invalid.
-pub fn run_scenario(
+pub(crate) fn run_scenario(
     dataset: &Dataset,
     cfg: &SimConfig,
     scenario: &Scenario,
@@ -70,7 +70,7 @@ pub fn run_scenario(
     run_with_detection(dataset, cfg, scenario, fanout).0
 }
 
-/// [`run_scenario`] plus the phi-accrual [`DetectionReport`].
+/// `run_scenario` plus the phi-accrual [`DetectionReport`].
 pub fn run_with_detection(
     dataset: &Dataset,
     cfg: &SimConfig,

@@ -48,7 +48,8 @@
 pub mod delta;
 pub mod digest;
 pub mod engine;
-pub mod phi;
+pub(crate) mod phi;
 pub mod state;
 
-pub use engine::{run_scenario, run_with_detection, DetectionReport};
+pub(crate) use engine::run_scenario;
+pub use engine::{run_with_detection, DetectionReport};

@@ -57,12 +57,12 @@ impl PeerHistory {
 
 /// One node's phi-accrual detector over all of its peers.
 #[derive(Debug, Clone, Default)]
-pub struct PhiDetector {
+pub(crate) struct PhiDetector {
     peers: Vec<PeerHistory>,
 }
 
 impl PhiDetector {
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         PhiDetector {
             peers: vec![PeerHistory::default(); n],
         }
@@ -79,7 +79,7 @@ impl PhiDetector {
     /// Feeds one observed heartbeat for `peer`. Only a strictly newer
     /// `(incarnation, version)` counts as an arrival; replays of state the
     /// observer already had do not reset staleness.
-    pub fn observe(&mut self, peer: NodeId, incarnation: u32, version: u64, cycle: u32) {
+    pub(crate) fn observe(&mut self, peer: NodeId, incarnation: u32, version: u64, cycle: u32) {
         let h = self.peer_mut(peer);
         if (incarnation, version) > h.last_seen {
             h.last_seen = (incarnation, version);
@@ -88,20 +88,13 @@ impl PhiDetector {
     }
 
     /// Current suspicion level for `peer` at `now`.
-    pub fn phi(&self, peer: NodeId, now: u32) -> f64 {
+    pub(crate) fn phi(&self, peer: NodeId, now: u32) -> f64 {
         self.peers.get(peer as usize).map_or(0.0, |h| h.phi(now))
     }
 
     /// Whether `peer` is suspected at `now` under `threshold`.
-    pub fn suspects(&self, peer: NodeId, now: u32, threshold: f64) -> bool {
+    pub(crate) fn suspects(&self, peer: NodeId, now: u32, threshold: f64) -> bool {
         self.phi(peer, now) > threshold
-    }
-
-    /// Clears all history (the observer itself crashed and cold-starts).
-    pub fn reset(&mut self) {
-        self.peers
-            .iter_mut()
-            .for_each(|h| *h = PeerHistory::default());
     }
 }
 

@@ -31,7 +31,7 @@ impl NodeRecord {
     /// entries for owner `node`. Ascending order is the convergence
     /// invariant: a budget cut mid-list leaves `max_version` at exactly
     /// the last applied entry, so the next digest resumes from the cut.
-    pub fn entries_after(&self, node: NodeId, after: u64) -> Vec<DeltaEntry> {
+    pub(crate) fn entries_after(&self, node: NodeId, after: u64) -> Vec<DeltaEntry> {
         let mut out = Vec::new();
         if let Some((v, cycle)) = self.heartbeat {
             if v > after {
@@ -90,7 +90,7 @@ impl Replica {
     }
 
     /// Allocates the next version of this replica's own record.
-    pub fn bump(&mut self) -> u64 {
+    pub(crate) fn bump(&mut self) -> u64 {
         self.next_version += 1;
         self.next_version
     }

@@ -22,7 +22,7 @@ use whatsup_datasets::Dataset;
 ///
 /// # Panics
 /// Panics if the dataset has no explicit social graph.
-pub fn run_scenario(dataset: &Dataset, cfg: &SimConfig, scenario: &Scenario) -> SimReport {
+pub(crate) fn run_scenario(dataset: &Dataset, cfg: &SimConfig, scenario: &Scenario) -> SimReport {
     let graph = dataset
         .social
         .as_ref()

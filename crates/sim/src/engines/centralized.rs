@@ -33,7 +33,7 @@ const F_DISLIKE: usize = 1;
 /// Runs C-WhatsUp with like-fanout `f_like` under `scenario`'s publication
 /// schedule. The server is reliable (the paper compares against the
 /// ideal), so the scenario's environment is not consulted.
-pub fn run_scenario(
+pub(crate) fn run_scenario(
     dataset: &Dataset,
     f_like: usize,
     cfg: &SimConfig,

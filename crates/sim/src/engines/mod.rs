@@ -6,8 +6,8 @@
 //! | Engine | Assumptions | Message complexity | Failure model |
 //! |---|---|---|---|
 //! | **BEEP gossip** (`crate::engine`, protocols `whatsup`/`gossip`/`cf_*`) | Per-node state only; partial views via RPS/WUP sampling; no global knowledge | Per item: `O(reached · fanout)` push copies, plus a steady `O(n · view)` gossip layer per cycle | Crash-stop with instant cold rejoin from a contact's view; hard timeouts implicit in view aging; loses profile/view/seen state |
-//! | **Cascade** ([`cascade`]) | Explicit social graph, global knowledge of edges; forwards only on likes | Per item: `O(Σ likers' degrees)` — bounded by the likers' neighborhoods, which caps recall | Nodes never fail (a non-zero uniform churn is refused); honours the workload schedule and *constant* message loss (one coin per delivery attempt) |
-//! | **Centralized pub/sub & C-WhatsUp** ([`pubsub`], [`centralized`]) | Omniscient reliable server; complete subscription/interest knowledge | Per item: exactly one message per subscriber (pub/sub) or per selected receiver (C-WhatsUp) | None: the server is assumed reliable; honours the workload schedule only (a non-zero constant loss or uniform churn is refused by validation) |
+//! | **Cascade** (`cascade`) | Explicit social graph, global knowledge of edges; forwards only on likes | Per item: `O(Σ likers' degrees)` — bounded by the likers' neighborhoods, which caps recall | Nodes never fail (a non-zero uniform churn is refused); honours the workload schedule and *constant* message loss (one coin per delivery attempt) |
+//! | **Centralized pub/sub & C-WhatsUp** (`pubsub`, `centralized`) | Omniscient reliable server; complete subscription/interest knowledge | Per item: exactly one message per subscriber (pub/sub) or per selected receiver (C-WhatsUp) | None: the server is assumed reliable; honours the workload schedule only (a non-zero constant loss or uniform churn is refused by validation) |
 //! | **Anti-entropy** ([`antientropy`]) | Full membership list known; only *state* is reconciled; versioned single-writer records | Per cycle: `O(n · fanout)` datagrams of ≤ `datagram_budget` bytes each, independent of item count (keys batch into deltas); eventual delivery | Phi-accrual suspicion from heartbeat inter-arrival history — a continuous scale, no hard timeout; crashes have real downtime and rejoin with a bumped incarnation |
 //! | **Swarm** ([`swarm`], [`crate::Runner::deploy`]) | The BEEP gossip stack, one thread per node against the wall clock, real wire frames over an emulated router or loopback UDP; no driver | As BEEP gossip; an epidemic runs at link latency instead of as a within-cycle BFS, so it may cross a cycle boundary | Constant, bursty and partition loss at the receiver; crash-stop with instant cold rejoin from the contact's id alone; no timeline events or mass joins |
 //!
@@ -31,7 +31,7 @@
 //! protocols alike.
 
 pub mod antientropy;
-pub mod cascade;
-pub mod centralized;
-pub mod pubsub;
+pub(crate) mod cascade;
+pub(crate) mod centralized;
+pub(crate) mod pubsub;
 pub mod swarm;

@@ -18,7 +18,7 @@ use crate::scenario::Scenario;
 use whatsup_datasets::Dataset;
 
 /// Subscription table: `subscribers[topic]` = users liking ≥ 1 item of it.
-pub fn subscriptions(dataset: &Dataset) -> Vec<Vec<u32>> {
+fn subscriptions(dataset: &Dataset) -> Vec<Vec<u32>> {
     let n = dataset.n_users();
     let mut subs: Vec<Vec<u32>> = vec![Vec::new(); dataset.n_pubsub_topics() as usize];
     for (topic, list) in subs.iter_mut().enumerate() {
@@ -40,7 +40,7 @@ pub fn subscriptions(dataset: &Dataset) -> Vec<Vec<u32>> {
 /// Runs the C-Pub/Sub baseline under `scenario`'s publication schedule.
 /// The centralized server is assumed reliable (the paper treats it as the
 /// ideal reference), so the scenario's environment is not consulted.
-pub fn run_scenario(dataset: &Dataset, cfg: &SimConfig, scenario: &Scenario) -> SimReport {
+pub(crate) fn run_scenario(dataset: &Dataset, cfg: &SimConfig, scenario: &Scenario) -> SimReport {
     let subs = subscriptions(dataset);
     let plan = Publications::plan(dataset, scenario, cfg);
     let mut ledger = Ledger::open(&plan.cycle_of, cfg, 0);

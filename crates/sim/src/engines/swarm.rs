@@ -8,7 +8,7 @@
 //! swarm's own; the rest is the simulator's code:
 //!
 //! * node parameters, bootstrap overlay, publication plan, ground truth
-//!   and item index from [`SimConfig::build_params`], `crate::environment`
+//!   and item index from `SimConfig::build_params`, `crate::environment`
 //!   and [`Oracle`] (every peer holds the oracle's index);
 //! * protocol randomness from [`node_stream`]: CYCLE for a tick, NEWS for
 //!   a cycle's publications and receptions — and for the one loss coin,
@@ -21,7 +21,7 @@
 //!   replayed into one ledger after the run.
 //!
 //! Timeline events and mass joins need a driver to fire them, and are
-//! refused up front ([`Scenario::validate_unscripted`]). After the last
+//! refused up front (`Scenario::validate_unscripted`). After the last
 //! cycle peers only receive, for `DRAIN_CYCLES` more, so news in flight
 //! lands; those receptions fall in the last cycle, which keeps
 //! `report.cycles == cfg.cycles`.

@@ -12,11 +12,11 @@
 //! * [`engine::Simulation`] — node-based protocols sharing the
 //!   `whatsup-core` stack: WhatsUp, WhatsUp-Cos, CF-WUP, CF-Cos and
 //!   homogeneous gossip (all expressed as [`whatsup_core::Params`]).
-//! * [`engines::cascade`] — dissemination over the explicit social graph
+//! * `engines::cascade` — dissemination over the explicit social graph
 //!   (Digg baseline).
-//! * [`engines::pubsub`] — C-Pub/Sub, the ideal centralized topic-based
+//! * `engines::pubsub` — C-Pub/Sub, the ideal centralized topic-based
 //!   publish/subscribe.
-//! * [`engines::centralized`] — C-WhatsUp, the centralized variant with
+//! * `engines::centralized` — C-WhatsUp, the centralized variant with
 //!   global knowledge (§IV-B, Fig. 9).
 //! * [`engines::antientropy`] — scuttlebutt anti-entropy: versioned
 //!   per-node state reconciled through digest/delta exchanges packed to a

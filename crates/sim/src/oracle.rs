@@ -50,7 +50,7 @@ impl Oracle {
     /// items by it: two ids on one index would pass for each other) and
     /// within the matrix, `created` is as long, and every alias entry names
     /// a matrix row.
-    pub fn restore(
+    pub(crate) fn restore(
         likes: LikeMatrix,
         ids: Vec<(ItemId, u32)>,
         created: Vec<Timestamp>,
@@ -121,7 +121,7 @@ impl Oracle {
 
     /// Registers a joining node whose interests mirror `reference`'s current
     /// row. Returns the new node id.
-    pub fn add_clone_of(&mut self, reference: NodeId) -> NodeId {
+    pub(crate) fn add_clone_of(&mut self, reference: NodeId) -> NodeId {
         let row = self.alias[reference as usize];
         let alias = Arc::make_mut(&mut self.alias);
         alias.push(row);
@@ -129,7 +129,7 @@ impl Oracle {
     }
 
     /// Swaps the interests of two nodes (§V-C's "changing node" experiment).
-    pub fn swap_interests(&mut self, a: NodeId, b: NodeId) {
+    pub(crate) fn swap_interests(&mut self, a: NodeId, b: NodeId) {
         Arc::make_mut(&mut self.alias).swap(a as usize, b as usize);
     }
 }

@@ -141,7 +141,7 @@ pub struct WindowReport {
 
 impl SimReport {
     /// IR aggregate over measured items.
-    pub fn aggregate(&self) -> IrAggregate {
+    fn aggregate(&self) -> IrAggregate {
         let mut agg = IrAggregate::new();
         for r in self.items.iter().filter(|r| r.measured) {
             agg.push(r.outcome());
@@ -160,7 +160,7 @@ impl SimReport {
     /// measurement boundary). Because every epidemic completes within its
     /// publication cycle, this item-based pool equals the series' pooled
     /// reception counters over the same window.
-    pub fn aggregate_window(&self, from: u32, until: u32) -> IrAggregate {
+    fn aggregate_window(&self, from: u32, until: u32) -> IrAggregate {
         let mut agg = IrAggregate::new();
         for r in self
             .items
@@ -175,7 +175,7 @@ impl SimReport {
     /// Builds one resolved measurement window over this report: the
     /// window-scoped item aggregate plus the series' pooled traffic, with
     /// `recovery` attached for event-anchored windows.
-    pub fn window_report(
+    fn window_report(
         &self,
         name: &str,
         from: u32,

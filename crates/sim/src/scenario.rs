@@ -165,7 +165,7 @@ impl Workload {
     /// [`Workload::TopicHotspot`] reads it). Every returned cycle lies in
     /// `[publish_from, cycles)`; the mapping is a pure function of its
     /// inputs.
-    pub fn schedule(&self, cfg: &SimConfig, topics: &[u32]) -> Vec<u32> {
+    pub(crate) fn schedule(&self, cfg: &SimConfig, topics: &[u32]) -> Vec<u32> {
         let n = topics.len();
         let clamp = |c: u32| c.clamp(cfg.publish_from, cfg.cycles.saturating_sub(1));
         let span = cfg.cycles.saturating_sub(cfg.publish_from).max(1) as usize;
@@ -309,7 +309,7 @@ crate::engine::exchange::wire_codec! {
 
 impl ChurnModel {
     /// The per-node crash probability at `cycle`.
-    pub fn crash_rate(&self, cycle: u32) -> f64 {
+    pub(crate) fn crash_rate(&self, cycle: u32) -> f64 {
         match *self {
             ChurnModel::Uniform { per_cycle } => per_cycle,
             ChurnModel::CrashWave { at, fraction } if cycle == at => fraction,
@@ -318,7 +318,7 @@ impl ChurnModel {
     }
 
     /// Number of nodes joining at the start of `cycle`.
-    pub fn joins_at(&self, cycle: u32) -> u32 {
+    pub(crate) fn joins_at(&self, cycle: u32) -> u32 {
         match *self {
             ChurnModel::MassJoin { at, count } if cycle == at => count,
             _ => 0,
@@ -484,7 +484,7 @@ serde::json_codec! { struct Measurement { name, window: flatten } }
 /// Upper bound on one mass-join burst — a capacity guard, far above any
 /// plausible experiment, so a typo'd scenario file cannot ask the engine to
 /// allocate millions of nodes.
-pub const MAX_MASS_JOIN: usize = 100_000;
+const MAX_MASS_JOIN: usize = 100_000;
 
 /// A complete workload description: what publishes when, under which
 /// network conditions, with which choreographed population changes.
@@ -526,11 +526,6 @@ impl Scenario {
 
     pub fn with_events(mut self, events: Vec<TimedEvent>) -> Self {
         self.events = events;
-        self
-    }
-
-    pub fn with_measurements(mut self, measurements: Vec<Measurement>) -> Self {
-        self.measurements = measurements;
         self
     }
 
@@ -679,7 +674,7 @@ impl Scenario {
     /// arrivals. The error names the first offender and the `engine`
     /// refusing it. The first half of [`Scenario::validate_for_global`],
     /// and all a swarm ([`crate::Runner::deploy`]) asks.
-    pub fn validate_unscripted(&self, engine: &str) -> Result<(), String> {
+    pub(crate) fn validate_unscripted(&self, engine: &str) -> Result<(), String> {
         if let Some(e) = self.events.first() {
             return Err(format!(
                 "timeline event {} at cycle {} cannot fire on the {engine}",
@@ -745,7 +740,7 @@ impl Scenario {
     /// ([`crate::engine::partition::Partition::plan`]) uses this to size
     /// the last shard — the one all joiners land on — for its *final*
     /// population instead of its initial one.
-    pub fn expected_joins(&self) -> usize {
+    pub(crate) fn expected_joins(&self) -> usize {
         let mass = match self.environment.churn {
             ChurnModel::MassJoin { count, .. } => count as usize,
             _ => 0,
@@ -1357,7 +1352,10 @@ mod tests {
     #[test]
     fn measurement_validation_rejects_bad_windows() {
         let c = cfg();
-        let with = |m: Measurement| Scenario::default().with_measurements(vec![m]);
+        let with = |m: Measurement| Scenario {
+            measurements: vec![m],
+            ..Scenario::default()
+        };
         // Empty range.
         assert!(with(Measurement {
             name: "w".into(),
@@ -1402,16 +1400,19 @@ mod tests {
         })
         .validate(&c)
         .is_err());
-        let dup = Scenario::default().with_measurements(vec![
-            Measurement {
-                name: "w".into(),
-                window: WindowSpec::Cycles { from: 0, until: 5 },
-            },
-            Measurement {
-                name: "w".into(),
-                window: WindowSpec::Cycles { from: 5, until: 9 },
-            },
-        ]);
+        let dup = Scenario {
+            measurements: vec![
+                Measurement {
+                    name: "w".into(),
+                    window: WindowSpec::Cycles { from: 0, until: 5 },
+                },
+                Measurement {
+                    name: "w".into(),
+                    window: WindowSpec::Cycles { from: 5, until: 9 },
+                },
+            ],
+            ..Scenario::default()
+        };
         assert!(dup.validate(&c).is_err());
         let good = with(Measurement {
             name: "w".into(),

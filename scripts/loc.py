@@ -14,6 +14,9 @@ there — and for every extra DIR given over `DIR/**/*.rs`:
 * public items — lines among those that declare a `pub fn`, `pub struct`,
   `pub enum` or `pub trait` (`pub(crate)` items are not public).
 
+A last row totals the facade and the workspace crates, shims excepted:
+the two numbers ROADMAP tracks.
+
 Record the output in CHANGES.md with every PR; CI prints it.
 """
 
@@ -47,7 +50,10 @@ def main():
     rows = [(str(c), count_crate(c)) for c in crates]
     if (repo / "src").is_dir():
         rows.insert(0, (". (facade)", count_crate(repo)))
+    tracked = [n for name, n in rows if not name.startswith("crates/shims/")]
+    total = tuple(sum(col) for col in zip(*tracked))
     rows += [(d.rstrip("/"), count(pathlib.Path(d))) for d in sys.argv[1:]]
+    rows.append(("total (non-shim crates)", total))
     width = max(len(name) for name, _ in rows)
     print(f"{'crate':<{width}}  non-test lines  pub items")
     for name, (lines, items) in rows:

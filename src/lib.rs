@@ -22,7 +22,7 @@
 //! |---|---|
 //! | [`core`](whatsup_core) | profiles, similarity metrics, WUP+BEEP node (sans-io) |
 //! | [`gossip`](whatsup_gossip) | random peer sampling + clustering substrate |
-//! | [`graph`](whatsup_graph) | SCC/WCC/clustering-coefficient analytics, generators |
+//! | [`graph`](whatsup_graph) | SCC/WCC/clustering-coefficient analytics, synthetic community sizes |
 //! | [`datasets`](whatsup_datasets) | synthetic Arxiv/Digg/survey workloads |
 //! | [`sim`](whatsup_sim) | cycle simulator, baselines, scenario grammar, the job pool, the wall-clock swarm executor |
 //! | [`net`](whatsup_net) | wire codec, deployed peer, emulated-router and UDP datagram links |
