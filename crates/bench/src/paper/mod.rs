@@ -682,7 +682,6 @@ mod tests {
     fn equal_jobs_run_once_and_paper_config_matches_section_iv() {
         let job = Job::paper(Data::Survey, Protocol::WhatsUp { f_like: 10 });
         assert_eq!(job.cfg.cycles, 65);
-        assert!(job.cfg.validate().is_ok());
         // table3 ∪ table4 ∪ table6: the fLIKE=10 run is shared by the first two.
         let ctx = Ctx::new(0.1);
         let ids = ["table3", "table4", "table6"].map(String::from);

@@ -495,27 +495,6 @@ impl Profile {
         });
     }
 
-    /// `addToNewsProfile` (Algorithm 1, lines 18–22): folds one user-profile
-    /// entry into this *item* profile — averaging with the existing score if
-    /// present, inserting otherwise. Averaging keeps the freshest timestamp
-    /// so the window purge reflects the most recent supporting opinion.
-    pub fn add_to_news_profile(&mut self, e: ProfileEntry) {
-        self.add_to_news_profile_unnormed(e);
-        self.recompute_norm();
-    }
-
-    fn add_to_news_profile_unnormed(&mut self, e: ProfileEntry) {
-        let entries = self.vec();
-        match entries.binary_search_by_key(&e.item, |x| x.item) {
-            Ok(i) => {
-                let cur = &mut entries[i];
-                cur.score = (cur.score + e.score) / 2.0;
-                cur.timestamp = cur.timestamp.max(e.timestamp);
-            }
-            Err(i) => entries.insert(i, e),
-        }
-    }
-
     /// Folds an entire user profile into this item profile (Algorithm 1,
     /// lines 3–4 and 15–16): [`Self::aggregated_with`], in place.
     pub fn aggregate_user_profile(&mut self, user: &Profile) {
@@ -529,9 +508,10 @@ impl Profile {
     /// `self` untouched: the copy-on-write news path builds the next hop's
     /// item profile straight from a shared (`Arc`ed) predecessor. Every
     /// liked reception runs it, so it is one linear merge of the two sorted
-    /// entry vectors under the per-item rule of
-    /// [`Self::add_to_news_profile`] — entries and derived state are those
-    /// of folding the user's entries in one by one.
+    /// entry vectors under the per-item rule of `addToNewsProfile`
+    /// (Algorithm 1, lines 18–22: average an item both hold, keeping the
+    /// freshest timestamp) — entries and derived state are those of folding
+    /// the user's entries in one by one.
     ///
     /// The merged item set is the union of the two, so its fingerprint is
     /// the OR of theirs; only the score-derived state is rescanned.
@@ -663,6 +643,27 @@ impl Profile {
             "stale fingerprint cache: a construction path skipped recompute_norm"
         );
         self.fingerprint
+    }
+}
+
+#[cfg(test)]
+impl Profile {
+    /// `addToNewsProfile` (Algorithm 1, lines 18–22): folds one user-profile
+    /// entry into this *item* profile — averaging with the existing score if
+    /// present, inserting otherwise. Averaging keeps the freshest timestamp
+    /// so the window purge reflects the most recent supporting opinion.
+    /// The reference [`Self::aggregated_with`] is tested against.
+    pub(crate) fn add_to_news_profile(&mut self, e: ProfileEntry) {
+        let entries = self.vec();
+        match entries.binary_search_by_key(&e.item, |x| x.item) {
+            Ok(i) => {
+                let cur = &mut entries[i];
+                cur.score = (cur.score + e.score) / 2.0;
+                cur.timestamp = cur.timestamp.max(e.timestamp);
+            }
+            Err(i) => entries.insert(i, e),
+        }
+        self.recompute_norm();
     }
 }
 

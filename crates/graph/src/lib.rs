@@ -31,15 +31,6 @@ impl Graph {
         }
     }
 
-    /// Builds a graph from an edge list.
-    pub fn from_edges(n: usize, edges: impl IntoIterator<Item = (u32, u32)>) -> Self {
-        let mut g = Self::new(n);
-        for (u, v) in edges {
-            g.add_edge(u, v);
-        }
-        g
-    }
-
     /// Number of nodes.
     pub fn len(&self) -> usize {
         self.adj.len()
@@ -47,11 +38,6 @@ impl Graph {
 
     pub fn is_empty(&self) -> bool {
         self.adj.is_empty()
-    }
-
-    /// Total number of directed edges.
-    pub fn edge_count(&self) -> usize {
-        self.adj.iter().map(|a| a.len()).sum()
     }
 
     /// Adds the directed edge `u -> v`.
@@ -113,6 +99,25 @@ impl Graph {
             .iter()
             .enumerate()
             .flat_map(|(u, list)| list.iter().map(move |&v| (u as u32, v)))
+    }
+}
+
+/// Test-only constructors and counts, the references the crate's tests
+/// build and check graphs with.
+#[cfg(test)]
+impl Graph {
+    /// Builds a graph from an edge list.
+    pub(crate) fn from_edges(n: usize, edges: impl IntoIterator<Item = (u32, u32)>) -> Self {
+        let mut g = Self::new(n);
+        for (u, v) in edges {
+            g.add_edge(u, v);
+        }
+        g
+    }
+
+    /// Total number of directed edges.
+    pub(crate) fn edge_count(&self) -> usize {
+        self.adj.iter().map(|a| a.len()).sum()
     }
 }
 

@@ -19,7 +19,7 @@
 //! | `wire-cast` | no truncating `as` casts on wire length/count fields |
 //! | `safety-comment` | every `unsafe` carries a `// SAFETY:` line |
 //! | `env-draw` | no `gen_bool(` in `crates/sim/src` outside its environment module, nor in `crates/net/src` |
-//! | `dead-pub` | no `pub fn` that no other `.rs` file names (a `pub use` re-export does not count) |
+//! | `dead-pub` | no `pub fn` that no other `.rs` file names (a `pub use` re-export and another file's `#[cfg(test)]` items do not count) |
 //!
 //! Sites that are individually safe carry an inline escape hatch —
 //! `// lint:allow(<rule>) <reason>` — which suppresses the finding but
@@ -68,8 +68,8 @@ pub fn lint_workspace(root: &Path, config: &Config) -> std::io::Result<Report> {
         scanned.push((rel, source, tokens));
     }
     let mut callers = Callers::default();
-    for (file, (_, _, tokens)) in scanned.iter().enumerate() {
-        callers.add(file, tokens);
+    for (file, (rel, _, tokens)) in scanned.iter().enumerate() {
+        callers.add(file, rel, tokens);
     }
     let mut report = Report::default();
     for (file, (rel, source, tokens)) in scanned.iter().enumerate() {

@@ -247,12 +247,16 @@ pub fn check_file(rel_path: &str, source: &str, config: &Config) -> Vec<Finding>
 }
 
 /// Which files name each identifier: the first file that does, and
-/// whether another one does too. Tokens of a `pub use` are left out.
+/// whether another one does too. Tokens of a `pub use` are left out, and
+/// so are those of a `#[cfg(test)]` item in shipped code: a function only
+/// a unit test calls is test code. Files under a harness path (`tests/`,
+/// `benches/`, `examples/`) are callers whole.
 #[derive(Debug, Default)]
 pub(crate) struct Callers<'a>(BTreeMap<&'a str, (usize, bool)>);
 
 impl<'a> Callers<'a> {
-    pub(crate) fn add(&mut self, file: usize, scan: &'a Scan) {
+    pub(crate) fn add(&mut self, file: usize, rel_path: &str, scan: &'a Scan) {
+        let harness = harness_path(rel_path);
         let toks = &scan.tokens;
         let mut i = 0;
         while i < toks.len() {
@@ -260,7 +264,7 @@ impl<'a> Callers<'a> {
                 while i < toks.len() && toks[i].kind != TokKind::Punct(';') {
                     i += 1;
                 }
-            } else if toks[i].kind == TokKind::Ident {
+            } else if toks[i].kind == TokKind::Ident && (harness || !toks[i].in_test) {
                 self.0
                     .entry(&toks[i].text)
                     .and_modify(|(first, more)| *more |= *first != file)

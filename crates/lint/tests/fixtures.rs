@@ -154,6 +154,21 @@ fn dead_pub_flags_functions_no_other_file_names() {
 }
 
 #[test]
+fn dead_pub_counts_integration_tests_but_not_unit_tests_as_callers() {
+    // `crates/b`: one `pub fn` named only in another file's test module,
+    // one named by an integration test under `tests/`.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/dead_pub_test_callers");
+    let report = lint_workspace(&root, &Config::workspace_default()).unwrap();
+    let hits: Vec<(Rule, &str, u32)> = report
+        .violations
+        .iter()
+        .map(|f| (f.rule, f.path.as_str(), f.line))
+        .collect();
+    assert_eq!(hits, vec![(Rule::DeadPub, "crates/b/src/lib.rs", 4)]);
+    assert_eq!(report.files_scanned, 3);
+}
+
+#[test]
 fn dead_pub_covers_shipped_code_of_every_workspace_crate() {
     // Under the workspace contract the rule covers every crate's `src/`
     // and the facade, but not the shims; harness paths are never linted,

@@ -61,6 +61,10 @@
 //!   unless at least one window carries recovery metrics.
 //! * `echo` parses, validates and re-renders a scenario file in canonical
 //!   form (round-trip check / formatter).
+//!
+//! The CLI checks its flags only: the library refuses a file or a run
+//! (`ScenarioFile::from_json_str`, then the `Runner`), and the CLI prints
+//! the refusal as one stderr line, exit 1.
 
 use serde::Json;
 use std::process::ExitCode;
@@ -167,22 +171,6 @@ fn resolve_transport(
 fn load(path: &str) -> Result<ScenarioFile, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     ScenarioFile::from_json_str(&text).map_err(|e| format!("{path}: {e}"))
-}
-
-/// Loads a scenario file and runs every validation that needs the dataset
-/// size — shared by `run` and `sweep`.
-fn load_for_run(path: &str) -> Result<(ScenarioFile, whatsup_datasets::Dataset), String> {
-    let file = load(path)?;
-    file.scenario
-        .validate_for_global(&file.protocol)
-        .map_err(|e| format!("{path}: {e}"))?;
-    let dataset = file.dataset.build();
-    // Event node ids can only be range-checked once the dataset size is
-    // known — catch them here instead of panicking mid-run.
-    file.scenario
-        .validate_events(dataset.n_users())
-        .map_err(|e| format!("{path}: {e}"))?;
-    Ok((file, dataset))
 }
 
 /// Maps a `--protocol` override name onto a [`Protocol`], inheriting the
@@ -292,8 +280,8 @@ fn sweep(args: &[String]) -> ExitCode {
         _ => None,
     });
     let Some(path) = path else { return usage() };
-    let (file, dataset) = match load_for_run(&path) {
-        Ok(loaded) => loaded,
+    let file = match load(&path) {
+        Ok(file) => file,
         Err(e) => return fail("invalid scenario", e),
     };
     // A fanout axis on a knob-less protocol would silently run identical
@@ -308,19 +296,17 @@ fn sweep(args: &[String]) -> ExitCode {
             ),
         );
     }
-    // Every fanout's protocol knobs pass the same checks as the file's
-    // own, view-size capacity guard included, before the first cell runs.
-    for &f in &fanouts {
-        if let Err(e) = file.config.validate_protocol(&file.protocol.with_fanout(f)) {
-            return fail("invalid sweep", format!("--fanouts {f}: {e}"));
-        }
-    }
     // No --shards axis = the file's own shard count, a 1×F grid.
     let shard_counts = shard_counts.unwrap_or_else(|| vec![file.config.shards]);
-    let cells = Runner::new(&dataset, file.protocol)
+    let dataset = file.dataset.build();
+    let swept = Runner::new(&dataset, file.protocol)
         .config(file.config.clone())
         .scenario(file.scenario.clone())
         .grid_sweep(&shard_counts, &fanouts);
+    let cells = match swept {
+        Ok(cells) => cells,
+        Err(e) => return fail("sweep failed", e),
+    };
     // JSON Lines: one compact row per grid cell, in grid order.
     let mut rows = String::new();
     for cell in &cells {
@@ -379,15 +365,8 @@ fn run(args: &[String]) -> ExitCode {
             "--max-restarts/--checkpoint-every need --supervise",
         );
     }
-    if supervise && transport == Transport::InProcess {
-        return fail(
-            "invalid transport",
-            "--supervise needs an external transport (--multiprocess or --transport socket) — \
-             in-process shards have no workers to restart",
-        );
-    }
-    let (file, dataset) = match load_for_run(&path) {
-        Ok(loaded) => loaded,
+    let file = match load(&path) {
+        Ok(file) => file,
         Err(e) => return fail("invalid scenario", e),
     };
     let protocol = match protocol_override.as_deref() {
@@ -406,9 +385,7 @@ fn run(args: &[String]) -> ExitCode {
         shards: shards.unwrap_or(file.config.shards),
         ..file.config.clone()
     };
-    if let Err(e) = config.validate_protocol(&protocol) {
-        return fail("invalid protocol override", format!("{path}: {e}"));
-    }
+    let dataset = file.dataset.build();
     let mut runner = Runner::new(&dataset, protocol)
         .config(config)
         .scenario(file.scenario.clone())
@@ -491,8 +468,8 @@ fn compare(args: &[String]) -> ExitCode {
         _ => None,
     });
     let Some(path) = path else { return usage() };
-    let (file, dataset) = match load_for_run(&path) {
-        Ok(loaded) => loaded,
+    let file = match load(&path) {
+        Ok(file) => file,
         Err(e) => return fail("invalid scenario", e),
     };
     if matches!(file.protocol, Protocol::AntiEntropy { .. }) {
@@ -509,22 +486,22 @@ fn compare(args: &[String]) -> ExitCode {
     let anti = Protocol::AntiEntropy {
         fanout: fanout.or(file.protocol.fanout()).unwrap_or(3),
     };
-    if let Err(e) = file.config.validate_protocol(&anti) {
-        return fail("invalid comparison", format!("{path}: {e}"));
-    }
+    let dataset = file.dataset.build();
     let run_one = |protocol: Protocol| {
         Runner::new(&dataset, protocol)
             .config(file.config.clone())
             .scenario(file.scenario.clone())
             .try_run()
     };
-    let baseline = match run_one(file.protocol) {
-        Ok(report) => report,
-        Err(e) => return fail("baseline run failed", e),
-    };
+    // Anti-entropy first: reading the file checked the baseline's knobs,
+    // so a refusal of the other side's comes before either side runs.
     let anti_report = match run_one(anti) {
         Ok(report) => report,
         Err(e) => return fail("anti-entropy run failed", e),
+    };
+    let baseline = match run_one(file.protocol) {
+        Ok(report) => report,
+        Err(e) => return fail("baseline run failed", e),
     };
     let mut table = TextTable::new(
         format!(

@@ -191,7 +191,7 @@ impl Protocol {
 }
 
 /// Simulation run configuration. A field that the run's protocol never
-/// reads must keep its default ([`SimConfig::validate_protocol`]).
+/// reads must keep its default, or the run is refused.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Total gossip cycles. The paper's profile window of 13 cycles is 1/5
@@ -303,7 +303,7 @@ impl SimConfig {
     /// that `protocol`'s engine never reads ([`Self::unread_by`]) — a knob
     /// that changes nothing is refused, in one line naming the protocol
     /// and the field.
-    pub fn validate_protocol(&self, protocol: &Protocol) -> Result<(), String> {
+    pub(crate) fn validate_protocol(&self, protocol: &Protocol) -> Result<(), String> {
         if let Some(field) = self.unread_by(protocol) {
             return Err(format!(
                 "{} never reads config.{field}: leave it at its default",
@@ -358,7 +358,8 @@ impl SimConfig {
         knobs.find(|&&(_, set)| set).map(|&(field, _)| field)
     }
 
-    pub fn validate(&self) -> Result<(), String> {
+    /// Checks the run's shape and the engine knobs' ranges.
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.publish_from >= self.cycles {
             return Err("publish_from must precede the end of the run".into());
         }

@@ -101,14 +101,10 @@ fn build(
     cfg: SimConfig,
     scenario: Scenario,
 ) -> (DriverCore, Vec<ShardInit>) {
-    cfg.validate().expect("invalid simulation config");
-    scenario.validate(&cfg).expect("invalid scenario");
     let params = cfg
         .build_params(&protocol)
-        .expect("protocol does not run on the node engine");
+        .expect("the runner admits node protocols only");
     let n = dataset.n_users();
-    assert!(n > 0, "dataset has no users");
-    scenario.validate_events(n).expect("invalid scenario");
     let plan = Publications::plan(dataset, &scenario, &cfg);
     let oracle = Oracle::new(dataset.likes.clone(), plan.id_to_index());
 
@@ -476,18 +472,6 @@ pub(crate) fn run_external(
     supervision: Option<Supervision>,
 ) -> io::Result<SimReport> {
     if let Transport::Socket(workers) = transport {
-        if workers.is_empty() {
-            return Err(io::Error::other(
-                "socket transport needs at least one worker address",
-            ));
-        }
-        if workers.len() > dataset.n_users() {
-            return Err(io::Error::other(format!(
-                "{} socket workers for {} nodes — shards cannot outnumber nodes",
-                workers.len(),
-                dataset.n_users()
-            )));
-        }
         cfg.shards = workers.len();
     }
     let (mut core, inits) = build(dataset, protocol, cfg, scenario);
@@ -539,11 +523,7 @@ pub struct Simulation {
 impl Simulation {
     /// Builds a simulation with `cfg.shards` in-process shards running
     /// `scenario` — what [`crate::Runner::build`] and
-    /// [`crate::Runner::run`] construct.
-    ///
-    /// # Panics
-    /// Panics if `protocol` is one of the global engines (cascade, pub/sub,
-    /// centralized) or if the config or scenario is invalid.
+    /// [`crate::Runner::run`] construct once their check admits the run.
     pub(crate) fn with_scenario(
         dataset: &Dataset,
         protocol: Protocol,

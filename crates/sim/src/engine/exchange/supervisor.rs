@@ -116,12 +116,9 @@ pub(crate) struct Supervised<L> {
 
 impl<L: Restartable> Supervised<L> {
     /// Wraps the link of `shard` (the index only seeds the backoff
-    /// jitter).
-    ///
-    /// # Panics
-    /// Panics if `sup.checkpoint_every` is 0.
+    /// jitter) under a supervision the runner's check admitted
+    /// (`checkpoint_every` ≥ 1).
     pub(crate) fn new(link: L, shard: usize, sup: Supervision) -> Self {
-        assert!(sup.checkpoint_every >= 1, "checkpoint cadence must be ≥ 1");
         Self {
             link,
             shard,

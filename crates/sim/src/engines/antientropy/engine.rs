@@ -23,6 +23,7 @@ use crate::environment::{
 };
 use crate::oracle::Oracle;
 use crate::record::{Ledger, Reception, SimReport};
+use crate::runner::{Runner, Way};
 use crate::scenario::{Event, Scenario};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -57,34 +58,28 @@ impl DetectionReport {
     }
 }
 
-/// Runs anti-entropy under an explicit scenario.
-///
-/// # Panics
-/// Panics if the config or scenario is invalid.
-pub(crate) fn run_scenario(
-    dataset: &Dataset,
-    cfg: &SimConfig,
-    scenario: &Scenario,
-    fanout: usize,
-) -> SimReport {
-    run_with_detection(dataset, cfg, scenario, fanout).0
-}
-
-/// `run_scenario` plus the phi-accrual [`DetectionReport`].
+/// Runs anti-entropy under `scenario` and reports, with the phi-accrual
+/// [`DetectionReport`]. Panics with the one line of a refused run.
 pub fn run_with_detection(
     dataset: &Dataset,
     cfg: &SimConfig,
     scenario: &Scenario,
     fanout: usize,
 ) -> (SimReport, DetectionReport) {
-    cfg.validate().expect("invalid simulation config");
-    scenario.validate(cfg).expect("invalid scenario");
-    let n = dataset.n_users();
-    assert!(n > 0, "dataset has no users");
-    cfg.validate_protocol(&Protocol::AntiEntropy { fanout })
-        .expect("invalid protocol");
-    scenario.validate_events(n).expect("invalid scenario");
+    let runner = Runner::new(dataset, Protocol::AntiEntropy { fanout })
+        .config(cfg.clone())
+        .scenario(scenario.clone());
+    runner.check(Way::Run).unwrap_or_else(|e| panic!("{e}"));
+    run_scenario(dataset, cfg, scenario, fanout)
+}
 
+/// [`run_with_detection`] of a run the runner's check admitted.
+pub(crate) fn run_scenario(
+    dataset: &Dataset,
+    cfg: &SimConfig,
+    scenario: &Scenario,
+    fanout: usize,
+) -> (SimReport, DetectionReport) {
     let mut engine = Engine::new(dataset, cfg, scenario, fanout);
     for cycle in 0..cfg.cycles {
         engine.run_cycle(cycle);

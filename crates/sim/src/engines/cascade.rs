@@ -16,17 +16,15 @@ use std::collections::VecDeque;
 use whatsup_datasets::Dataset;
 
 /// Runs the cascade baseline under `scenario`'s publication schedule and
-/// (constant) loss model — the caller validates the scenario
-/// ([`crate::Runner`] does). Loss coins come from one run-wide stream
-/// seeded with `cfg.seed`, one per delivery attempt in BFS order.
-///
-/// # Panics
-/// Panics if the dataset has no explicit social graph.
+/// (constant) loss model, on a dataset with an explicit social graph — a
+/// run [`crate::Runner`]'s check admitted. Loss coins come from one
+/// run-wide stream seeded with `cfg.seed`, one per delivery attempt in
+/// BFS order.
 pub(crate) fn run_scenario(dataset: &Dataset, cfg: &SimConfig, scenario: &Scenario) -> SimReport {
     let graph = dataset
         .social
         .as_ref()
-        .expect("cascade requires a dataset with an explicit social graph");
+        .expect("the runner admits cascade on a social graph only");
     let n = dataset.n_users();
     let loss = scenario.environment.loss;
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);

@@ -15,13 +15,10 @@
 //! server-side model once per item, and everything an item causes is
 //! booked under its publication cycle — so they do report a per-cycle
 //! series, with the full population live every cycle and no gossip
-//! traffic. [`crate::Scenario::validate_for_global`] rejects what they
-//! cannot honour (timeline events, bursty loss or partitions, crash waves,
-//! mass joins, measurement windows) and what they would never read
-//! (uniform churn; constant loss on pub/sub and C-WhatsUp), one line
-//! naming the engine and the field. The anti-entropy engine *is*
-//! per-cycle and supports the full scenario grid, which is what makes its
-//! recovery metrics comparable against BEEP's.
+//! traffic. The runner refuses what they cannot honour or would never read
+//! (see its module docs), one line naming the engine and the knob. The
+//! anti-entropy engine *is* per-cycle and supports the full scenario grid,
+//! which is what makes its recovery metrics comparable against BEEP's.
 //!
 //! Every engine takes the run's [`crate::Scenario`], draws loss, churn
 //! and schedule through `crate::environment`, and books its run into the

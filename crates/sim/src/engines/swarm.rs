@@ -20,10 +20,10 @@
 //! * the report from the `record` ledger: each peer logs its bookings,
 //!   replayed into one ledger after the run.
 //!
-//! Timeline events and mass joins need a driver to fire them, and are
-//! refused up front (`Scenario::validate_unscripted`). After the last
-//! cycle peers only receive, for `DRAIN_CYCLES` more, so news in flight
-//! lands; those receptions fall in the last cycle, which keeps
+//! Timeline events and mass joins need a driver to fire them, and the
+//! runner's check refuses them up front. After the last cycle peers only
+//! receive, for `DRAIN_CYCLES` more, so news in flight lands; those
+//! receptions fall in the last cycle, which keeps
 //! `report.cycles == cfg.cycles`.
 
 use crate::config::{Protocol, SimConfig};
@@ -84,7 +84,7 @@ enum Booking {
 }
 
 /// Runs `scenario` on a swarm over `fabric`, one cycle every `cycle_ms`
-/// (see [`crate::Runner::deploy`]).
+/// (see [`crate::Runner::deploy`], whose check admitted the run).
 pub(crate) fn deploy(
     dataset: &Dataset,
     protocol: Protocol,
@@ -93,17 +93,9 @@ pub(crate) fn deploy(
     fabric: Fabric,
     cycle_ms: u64,
 ) -> io::Result<Deployment> {
-    cfg.validate().expect("invalid simulation config");
-    scenario.validate(cfg).expect("invalid scenario");
-    let unsupported = |e: String| io::Error::new(io::ErrorKind::Unsupported, e);
-    scenario.validate_unscripted("swarm").map_err(unsupported)?;
     let params = cfg
         .build_params(&protocol)
-        .ok_or_else(|| unsupported(format!("{} has no node to deploy", protocol.label())))?;
-    if cycle_ms == 0 {
-        let e = "a swarm cycle lasts at least 1 ms";
-        return Err(io::Error::new(io::ErrorKind::InvalidInput, e));
-    }
+        .expect("the runner deploys node protocols only");
     let n = dataset.n_users();
     let plan = Publications::plan(dataset, scenario, cfg);
     let oracle = Oracle::new(dataset.likes.clone(), plan.id_to_index());

@@ -37,6 +37,14 @@
 //! deterministic, the pool changes nothing but wall-clock time.
 //! [`Runner::grid_sweep`] (the `whatsup-sim sweep` subcommand) and the
 //! `paper` harness are its users.
+//!
+//! A run is refused in one place, `check`, before anything executes: a
+//! malformed config or scenario, a knob its engine never reads (a config
+//! field, a scenario model, a transport, a supervision), an event naming a
+//! node the run will not have, or what the way to run cannot express.
+//! Every way to run asks it once — every method below,
+//! [`antientropy::run_with_detection`] and [`crate::ScenarioFile`]'s
+//! reader, which has no population yet — and no engine asks again.
 
 use crate::config::{Protocol, SimConfig, Transport};
 use crate::engine::driver::run_external;
@@ -84,6 +92,89 @@ pub fn pool_map<T: Sync, R: Send>(jobs: &[T], run: impl Fn(&T) -> R + Sync) -> V
     });
     done.sort_unstable_by_key(|&(i, _)| i);
     done.into_iter().map(|(_, result)| result).collect()
+}
+
+/// How a run is asked to execute: stepped ([`Runner::build`]), run to
+/// completion, or deployed on a swarm ticking every so many ms.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Way {
+    Step,
+    Run,
+    Deploy(u64),
+}
+
+/// Refuses a run (see the module docs) in one line naming the knob and the
+/// engine: `Unsupported` where the engine cannot express the request,
+/// `InvalidInput` otherwise. Without a `dataset`, no population checks.
+pub(crate) fn check(
+    protocol: Protocol,
+    cfg: &SimConfig,
+    scenario: &Scenario,
+    dataset: Option<&Dataset>,
+    transport: &Transport,
+    supervision: Option<&Supervision>,
+    way: Way,
+) -> io::Result<()> {
+    use io::ErrorKind::{InvalidInput, Unsupported};
+    let invalid = |e: String| io::Error::new(InvalidInput, e);
+    let unsupported = |e: String| io::Error::new(Unsupported, e);
+    cfg.validate().map_err(invalid)?;
+    scenario.validate(cfg).map_err(invalid)?;
+    cfg.validate_protocol(&protocol).map_err(invalid)?;
+    let label = protocol.label();
+    if let Way::Deploy(_) = way {
+        scenario.validate_unscripted("swarm").map_err(unsupported)?;
+    } else if protocol.is_global() {
+        let engine = format!("global {label} engine");
+        scenario.validate_unscripted(&engine).map_err(unsupported)?;
+        let for_global = scenario.validate_for_global(&protocol);
+        for_global.map_err(unsupported)?;
+    }
+    // The engines with no node of the gossip stack: one loop in this process.
+    let nodeless = protocol.is_global() || matches!(protocol, Protocol::AntiEntropy { .. });
+    // Where a run executes unless a node protocol runs on shard workers.
+    let home = match way {
+        Way::Deploy(_) => "a swarm".to_string(),
+        _ if nodeless => format!("the {label} engine"),
+        _ => "the in-process transport".into(),
+    };
+    let (carrier, workers) = match transport {
+        Transport::InProcess => (None, None),
+        Transport::Process(_) => (Some("process"), None),
+        Transport::Socket(workers) => (Some("socket"), Some(workers.len())),
+    };
+    Err(if let (Way::Deploy(_), true) = (way, nodeless) {
+        unsupported(format!("{label} has no node to deploy"))
+    } else if let (Way::Step, true) = (way, nodeless) {
+        unsupported(format!("{label} does not run on the node engine"))
+    } else if let (Way::Step, Some(t)) = (way, carrier) {
+        unsupported(format!("a stepped run has no shard for the {t} transport"))
+    } else if let (Some(t), true) = (carrier, way != Way::Run || nodeless) {
+        unsupported(format!("{home} has no shard for the {t} transport"))
+    } else if carrier.is_none() && supervision.is_some() {
+        invalid(format!("{home} has no worker to supervise"))
+    } else if supervision.is_some_and(|sup| sup.checkpoint_every == 0) {
+        invalid("supervision checkpoints every ≥ 1 cycles".into())
+    } else if workers == Some(0) {
+        invalid("socket transport needs at least one worker address".into())
+    } else if way == Way::Deploy(0) {
+        invalid("a swarm cycle lasts at least 1 ms".into())
+    } else if let Some(dataset) = dataset {
+        let n = dataset.n_users();
+        if n == 0 {
+            invalid("dataset has no users".into())
+        } else if let Some(w) = workers.filter(|&w| w > n) {
+            invalid(format!(
+                "{w} socket workers for {n} nodes — shards cannot outnumber nodes"
+            ))
+        } else if protocol == Protocol::Cascade && dataset.social.is_none() {
+            unsupported("cascade requires a dataset with an explicit social graph".into())
+        } else {
+            return scenario.validate_events(n).map_err(invalid);
+        }
+    } else {
+        return Ok(());
+    })
 }
 
 /// One cell of [`Runner::grid_sweep`]; `report.fanout` names its column.
@@ -134,8 +225,8 @@ impl<'a> Runner<'a> {
         self
     }
 
-    /// Selects how the shard workers execute. Only meaningful for
-    /// node-based protocols (the global baselines have no shards).
+    /// Selects how the shard workers execute: node-based protocols run to
+    /// completion only, as the other engines have no shards.
     pub fn transport(mut self, transport: Transport) -> Self {
         self.transport = transport;
         self
@@ -165,10 +256,10 @@ impl<'a> Runner<'a> {
     /// Supervises the external transports: crashed or hung shard workers
     /// are restarted (respawned children / redialed addresses) and
     /// recovered by checkpoint/replay, up to `max_restarts` restarts per
-    /// shard, with a checkpoint every `checkpoint_every` cycles.
+    /// shard, with a checkpoint every `checkpoint_every` (≥ 1) cycles.
     /// Determinism makes recovery exact — a supervised run that survives
-    /// faults reports bit-identically to an undisturbed one. Ignored by
-    /// the in-process transport (nothing external can crash).
+    /// faults reports bit-identically to an undisturbed one. Refused where
+    /// there is no worker to restart.
     pub fn supervised(self, max_restarts: u32, checkpoint_every: u32) -> Self {
         self.supervision(Supervision::new(max_restarts, checkpoint_every))
     }
@@ -180,97 +271,74 @@ impl<'a> Runner<'a> {
         self
     }
 
+    /// [`check`] on this runner.
+    pub(crate) fn check(&self, way: Way) -> io::Result<()> {
+        check(
+            self.protocol,
+            &self.cfg,
+            &self.scenario,
+            Some(self.dataset),
+            &self.transport,
+            self.supervision.as_ref(),
+            way,
+        )
+    }
+
     /// Builds a steppable in-process [`Simulation`] (node-based protocols
     /// only). Scenario events fire automatically as the cycles advance.
     ///
     /// # Panics
-    /// Panics for protocols without a steppable node engine (cascade,
-    /// pub/sub, centralized, anti-entropy — use [`Runner::run`]), if a
-    /// non-in-process transport was configured, or if the config/scenario
-    /// is invalid ([`SimConfig::validate_protocol`] included).
+    /// Panics with the one line of a refused run, a global or anti-entropy
+    /// protocol and an external transport included.
     pub fn build(self) -> Simulation {
-        assert!(
-            self.transport == Transport::InProcess,
-            "build() is in-process; external transports run to completion via run()"
-        );
-        self.validate_protocol();
+        self.check(Way::Step).unwrap_or_else(|e| panic!("{e}"));
         Simulation::with_scenario(self.dataset, self.protocol, self.cfg, self.scenario)
     }
 
-    /// Runs to completion and reports; `Err` only for external-transport
-    /// failures (a worker that cannot be spawned, dialed or handshaken, or
-    /// that dies mid-run — the error names the failing endpoint).
+    /// Runs to completion and reports.
     ///
-    /// # Panics
-    /// Panics if the config or scenario is invalid
-    /// ([`SimConfig::validate_protocol`] included).
+    /// `Err` for a refused run (see the module docs) and for external-transport
+    /// failures: a worker that cannot be spawned, dialed or handshaken, or
+    /// that dies mid-run — the error names the failing endpoint.
     pub fn try_run(self) -> io::Result<SimReport> {
-        self.validate_protocol();
-        let scenario = self.scenario;
-        match self.protocol {
-            // Global baselines walk a server-side model once per item: the
-            // workload schedule applies (and constant loss, to cascade);
-            // everything else is rejected here rather than ignored.
-            p if p.is_global() => {
-                self.cfg.validate().expect("invalid simulation config");
-                scenario.validate(&self.cfg).expect("invalid scenario");
-                scenario
-                    .validate_for_global(&self.protocol)
-                    .expect("scenario not expressible on a global engine");
-                let (d, cfg) = (self.dataset, &self.cfg);
-                Ok(match self.protocol {
-                    Protocol::Cascade => cascade::run_scenario(d, cfg, &scenario),
-                    Protocol::CPubSub => pubsub::run_scenario(d, cfg, &scenario),
-                    Protocol::CWhatsUp { f_like } => {
-                        centralized::run_scenario(d, f_like, cfg, &scenario)
-                    }
-                    _ => unreachable!("matched above"),
-                })
-            }
-            // Anti-entropy runs its own single-process engine: the full
-            // scenario grid applies, but there is no sharded transport
-            // (reports are bit-identical across repeated runs, which is
-            // the determinism contract the compare path needs).
+        self.check(Way::Run)?;
+        self.execute()
+    }
+
+    /// Runs a checked runner to completion on its protocol's engine.
+    fn execute(self) -> io::Result<SimReport> {
+        let (d, cfg, scenario) = (self.dataset, &self.cfg, &self.scenario);
+        Ok(match self.protocol {
+            Protocol::Cascade => cascade::run_scenario(d, cfg, scenario),
+            Protocol::CPubSub => pubsub::run_scenario(d, cfg, scenario),
+            Protocol::CWhatsUp { f_like } => centralized::run_scenario(d, f_like, cfg, scenario),
             Protocol::AntiEntropy { fanout } => {
-                if self.transport != Transport::InProcess {
-                    return Err(io::Error::new(
-                        io::ErrorKind::Unsupported,
-                        "the anti-entropy engine is in-process only; drop --worker/--workers",
-                    ));
-                }
-                Ok(antientropy::run_scenario(
-                    self.dataset,
-                    &self.cfg,
-                    &scenario,
-                    fanout,
-                ))
+                antientropy::run_scenario(d, cfg, scenario, fanout).0
             }
             node_protocol => match self.transport {
                 Transport::InProcess => {
-                    Ok(
-                        Simulation::with_scenario(self.dataset, node_protocol, self.cfg, scenario)
-                            .run(),
+                    Simulation::with_scenario(d, node_protocol, self.cfg, self.scenario).run()
+                }
+                external => {
+                    return run_external(
+                        d,
+                        node_protocol,
+                        self.cfg,
+                        self.scenario,
+                        &external,
+                        self.supervision,
                     )
                 }
-                external => run_external(
-                    self.dataset,
-                    node_protocol,
-                    self.cfg,
-                    scenario,
-                    &external,
-                    self.supervision,
-                ),
             },
-        }
+        })
     }
 
     /// Runs to completion and reports.
     ///
     /// # Panics
-    /// Panics if the config or scenario is invalid, or on worker I/O
-    /// failures (use [`Runner::try_run`] to handle those).
+    /// Panics with [`Runner::try_run`]'s `Err` as its one line.
     pub fn run(self) -> SimReport {
-        self.try_run().expect("shard worker transport failed")
+        self.try_run().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Deploys the run instead of simulating it — the one wall-clock entry
@@ -278,19 +346,14 @@ impl<'a> Runner<'a> {
     /// `fabric` and ticking every `cycle_ms` ([`crate::engines::swarm`]).
     /// The report comes from the plan, environment draws and ledger
     /// [`Runner::run`] uses; beside it, the traffic and wall-clock time a
-    /// simulation has no use for. The execution knobs (shards, transport,
-    /// supervision) do not apply.
+    /// simulation has no use for.
     ///
-    /// `Err` for what no swarm can express — a global or anti-entropy
-    /// protocol, timeline events or mass joins (`Unsupported`, naming the
-    /// offender), a zero `cycle_ms` — and for a fabric that cannot be set
-    /// up or fails mid-run.
-    ///
-    /// # Panics
-    /// Panics if the config or scenario is invalid
-    /// ([`SimConfig::validate_protocol`] included).
+    /// `Err` for a refused run (a swarm has no global or
+    /// anti-entropy node, timeline events, mass joins, transport or
+    /// supervision) and for a fabric that cannot be set up or fails
+    /// mid-run. Shards do not apply: a swarm runs one peer per node.
     pub fn deploy(self, fabric: Fabric, cycle_ms: u64) -> io::Result<Deployment> {
-        self.validate_protocol();
+        self.check(Way::Deploy(cycle_ms))?;
         swarm::deploy(
             self.dataset,
             self.protocol,
@@ -301,23 +364,21 @@ impl<'a> Runner<'a> {
         )
     }
 
-    /// The protocol's knobs under the config, checked once by every way
-    /// to run: a field the protocol's engine never reads is refused.
-    fn validate_protocol(&self) {
-        if let Err(e) = self.cfg.validate_protocol(&self.protocol) {
-            panic!("invalid protocol knobs: {e}");
-        }
-    }
-
     /// Runs this runner across a shards × fanout grid on the job pool —
     /// the `whatsup-sim sweep` subcommand's engine — in grid order, shard
     /// count outermost. An empty `fanouts` keeps the protocol's own knob.
+    ///
+    /// `Err` if any cell is refused, before the first runs, or fails.
     ///
     /// A protocol without a fanout knob ignores the fanout axis
     /// ([`Protocol::with_fanout`] is the identity there), so every cell of
     /// a row would be identical — callers should reject that combination
     /// up front, as the CLI does.
-    pub fn grid_sweep(&self, shard_counts: &[usize], fanouts: &[usize]) -> Vec<SweepCell> {
+    pub fn grid_sweep(
+        &self,
+        shard_counts: &[usize],
+        fanouts: &[usize],
+    ) -> io::Result<Vec<SweepCell>> {
         let protocols: Vec<Protocol> = if fanouts.is_empty() {
             vec![self.protocol]
         } else {
@@ -326,22 +387,28 @@ impl<'a> Runner<'a> {
                 .map(|&f| self.protocol.with_fanout(f))
                 .collect()
         };
-        let cells: Vec<(usize, Protocol)> = shard_counts
+        let cell = |shards, protocol| Runner {
+            protocol,
+            cfg: SimConfig {
+                shards,
+                ..self.cfg.clone()
+            },
+            ..self.clone()
+        };
+        let cells: Vec<Runner> = shard_counts
             .iter()
-            .flat_map(|&s| protocols.iter().map(move |&p| (s, p)))
+            .flat_map(|&s| protocols.iter().map(move |&p| cell(s, p)))
             .collect();
-        pool_map(&cells, |&(shards, protocol)| SweepCell {
-            shards,
-            report: Runner {
-                protocol,
-                cfg: SimConfig {
-                    shards,
-                    ..self.cfg.clone()
-                },
-                ..self.clone()
-            }
-            .run(),
+        for cell in &cells {
+            cell.check(Way::Run)?;
+        }
+        pool_map(&cells, |cell| {
+            let shards = cell.cfg.shards;
+            let report = cell.clone().execute()?;
+            Ok(SweepCell { shards, report })
         })
+        .into_iter()
+        .collect()
     }
 }
 
@@ -395,7 +462,7 @@ mod tests {
     fn grid_sweep_covers_every_cell_and_shards_stay_invisible() {
         let d = dataset();
         let base = Runner::new(&d, Protocol::WhatsUp { f_like: 0 }).config(cfg());
-        let cells = base.grid_sweep(&[1, 2], &[3, 5]);
+        let cells = base.grid_sweep(&[1, 2], &[3, 5]).expect("admitted");
         let grid: Vec<_> = cells.iter().map(|c| (c.shards, c.report.fanout)).collect();
         assert_eq!(
             grid,
@@ -413,7 +480,8 @@ mod tests {
         // An empty fanout axis keeps the protocol's own knob.
         let own = Runner::new(&d, Protocol::WhatsUp { f_like: 4 })
             .config(cfg())
-            .grid_sweep(&[1], &[]);
+            .grid_sweep(&[1], &[])
+            .expect("admitted");
         assert_eq!(own.len(), 1);
         assert_eq!(own[0].report.fanout, Some(4));
     }
@@ -434,25 +502,175 @@ mod tests {
         }
     }
 
+    /// The ways to run a refusal table row goes through.
+    #[derive(Debug, Clone, Copy)]
+    enum Entry {
+        Build,
+        TryRun,
+        Sweep,
+        Deploy,
+    }
+
+    /// Runs `runner` the `entry` way and returns its refusal: the `Err`'s
+    /// kind and line, or `build`'s panic line (no kind).
+    fn refusal(runner: Runner, entry: Entry) -> (Option<io::ErrorKind>, String) {
+        let err = match entry {
+            Entry::Build => {
+                let run = std::panic::AssertUnwindSafe(|| drop(runner.build()));
+                let panic = std::panic::catch_unwind(run).expect_err("build refuses");
+                let line = panic.downcast_ref::<String>().expect("a formatted line");
+                return (None, line.clone());
+            }
+            Entry::TryRun => runner.try_run().map(drop),
+            Entry::Sweep => runner.grid_sweep(&[1, 2], &[]).map(drop),
+            Entry::Deploy => runner.deploy(Fabric::Emulated, 1).map(drop),
+        };
+        let err = err.expect_err("the run is refused");
+        (Some(err.kind()), err.to_string())
+    }
+
     #[test]
-    fn every_way_to_run_refuses_a_knob_its_engine_never_reads() {
-        // C-WhatsUp keeps its own 13-cycle window: a profile window would
-        // change nothing, whichever way the run goes.
+    fn every_way_to_run_refuses_alike() {
+        use io::ErrorKind::{InvalidInput, Unsupported};
+        use Entry::{Build, Deploy, Sweep, TryRun};
         let d = dataset();
-        let window = SimConfig {
-            profile_window: Some(5),
-            ..cfg()
+        let runner = |protocol| Runner::new(&d, protocol).config(cfg());
+        let whatsup = Protocol::WhatsUp { f_like: 3 };
+        let with_loss = |loss| {
+            Scenario::default().with_environment(Environment {
+                loss,
+                churn: ChurnModel::None,
+            })
         };
-        let refused = |run: fn(Runner)| {
-            let runner = Runner::new(&d, Protocol::CWhatsUp { f_like: 3 }).config(window.clone());
-            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(runner)))
-                .expect_err("the knob is refused");
-            let message = panic.downcast_ref::<String>().expect("a formatted message");
-            assert!(message.contains("config.profile_window"), "{message}");
+        let joining = |reference| {
+            Scenario::default().with_events(vec![TimedEvent {
+                at: 5,
+                event: Event::JoinClone { reference },
+            }])
         };
-        refused(|r| drop(r.try_run()));
-        refused(|r| drop(r.build()));
-        refused(|r| drop(r.deploy(Fabric::Emulated, 1)));
+        let every_way: &[Entry] = &[Build, TryRun, Sweep, Deploy];
+        let to_completion: &[Entry] = &[TryRun, Sweep];
+        let simulated: &[Entry] = &[Build, TryRun, Sweep];
+        // (row, runner, kind, what the line names, the ways that refuse it
+        // with this line)
+        let rows = [
+            (
+                "bad config shape",
+                runner(whatsup).config(SimConfig {
+                    publish_from: 16,
+                    ..cfg()
+                }),
+                InvalidInput,
+                "publish_from",
+                every_way,
+            ),
+            (
+                "bad scenario model",
+                runner(whatsup).scenario(with_loss(LossModel::Constant { p: 1.5 })),
+                InvalidInput,
+                "loss must be a probability",
+                every_way,
+            ),
+            (
+                "a config knob the engine never reads",
+                runner(Protocol::CWhatsUp { f_like: 3 }).config(SimConfig {
+                    profile_window: Some(5),
+                    ..cfg()
+                }),
+                InvalidInput,
+                "C-WhatsUp never reads config.profile_window",
+                every_way,
+            ),
+            (
+                "a scenario knob a global engine never reads",
+                runner(Protocol::CPubSub).scenario(with_loss(LossModel::Constant { p: 0.2 })),
+                Unsupported,
+                "global C-Pub/Sub engine never loses a message: loss.p",
+                to_completion,
+            ),
+            (
+                "an event id out of range",
+                runner(whatsup).scenario(joining(10_000)),
+                InvalidInput,
+                "join reference 10000 is out of range",
+                simulated,
+            ),
+            (
+                "an external transport on a global engine",
+                runner(Protocol::Cascade).multiprocess("sim-shard-worker"),
+                Unsupported,
+                "the Cascade engine has no shard for the process transport",
+                to_completion,
+            ),
+            (
+                "an external transport on anti-entropy",
+                runner(Protocol::AntiEntropy { fanout: 3 }).socket(["127.0.0.1:1"]),
+                Unsupported,
+                "the Anti-Entropy engine has no shard for the socket transport",
+                to_completion,
+            ),
+            (
+                "a supervision without workers",
+                runner(whatsup).supervised(3, 2),
+                InvalidInput,
+                "the in-process transport has no worker to supervise",
+                simulated,
+            ),
+            (
+                "a supervision on a global engine",
+                runner(Protocol::CPubSub).supervised(3, 2),
+                InvalidInput,
+                "the C-Pub/Sub engine has no worker to supervise",
+                to_completion,
+            ),
+            (
+                "a scripted scenario on a global engine",
+                runner(Protocol::CWhatsUp { f_like: 3 }).scenario(joining(0)),
+                Unsupported,
+                "cannot fire on the global C-WhatsUp engine",
+                to_completion,
+            ),
+            (
+                "a scripted scenario on a swarm",
+                runner(whatsup).scenario(joining(0)),
+                Unsupported,
+                "cannot fire on the swarm",
+                &[Deploy],
+            ),
+            (
+                "a transport on a swarm",
+                runner(whatsup).multiprocess("sim-shard-worker"),
+                Unsupported,
+                "a swarm has no shard for the process transport",
+                &[Deploy],
+            ),
+            (
+                "a supervision on a swarm",
+                runner(whatsup).supervised(3, 2),
+                InvalidInput,
+                "a swarm has no worker to supervise",
+                &[Deploy],
+            ),
+        ];
+        for (row, runner, kind, names, entries) in rows {
+            let lines: Vec<String> = entries
+                .iter()
+                .map(|&entry| {
+                    let (got, line) = refusal(runner.clone(), entry);
+                    assert!(
+                        got.is_none_or(|got| got == kind),
+                        "{row}, {entry:?}: {got:?}"
+                    );
+                    line
+                })
+                .collect();
+            let line = &lines[0];
+            assert!(line.contains(names), "{row}: {line}");
+            assert_eq!(line.lines().count(), 1, "{row}: {line}");
+            for (entry, other) in entries.iter().zip(&lines) {
+                assert_eq!(other, line, "{row}: {entry:?} refuses otherwise");
+            }
+        }
     }
 
     #[test]

@@ -115,17 +115,18 @@
 //! `"no_amplification"`, `"no_orientation"` (knob `f_like`/`fanout`),
 //! `"cf_wup"`, `"cf_cos"` (knob `k`), `"gossip"` (knob `fanout`); the
 //! global-knowledge baselines — `"cascade"`, `"c_pub_sub"`, `"c_whatsup"`
-//! (no per-cycle events or environment models; scenario validation rejects
-//! those combinations); and `"anti_entropy"` (knob `fanout`) — the
-//! scuttlebutt digest/delta engine (`crate::engines::antientropy`), which
-//! runs under the full scenario grid like the gossip stack and additionally
-//! reads the `datagram_budget`, `phi_threshold` and `down_cycles` config
-//! fields. A config field the chosen engine never reads must keep its
-//! default (`SimConfig::validate_protocol`). The `whatsup-sim run
-//! --protocol anti-entropy` flag overrides the file's protocol from the
-//! CLI, and `whatsup-sim compare` runs both.
+//! (no per-cycle events or environment models); and `"anti_entropy"`
+//! (knob `fanout`) — the scuttlebutt digest/delta engine
+//! (`crate::engines::antientropy`), which runs under the full scenario
+//! grid like the gossip stack and additionally reads the
+//! `datagram_budget`, `phi_threshold` and `down_cycles` config fields.
+//! Reading a file refuses what the `runner` module docs list, a run's
+//! population aside. The `whatsup-sim run --protocol anti-entropy` flag
+//! overrides the file's protocol from the CLI, and `whatsup-sim compare`
+//! runs both.
 
-use crate::config::{Protocol, SimConfig};
+use crate::config::{Protocol, SimConfig, Transport};
+use crate::runner::{check, Way};
 use serde::json::Error;
 use serde::Json;
 use whatsup_core::NodeId;
@@ -530,7 +531,7 @@ impl Scenario {
     }
 
     /// Checks every model parameter against `cfg`'s run shape.
-    pub fn validate(&self, cfg: &SimConfig) -> Result<(), String> {
+    pub(crate) fn validate(&self, cfg: &SimConfig) -> Result<(), String> {
         let prob = |p: f64, what: &str| {
             if (0.0..=1.0).contains(&p) {
                 Ok(())
@@ -670,10 +671,8 @@ impl Scenario {
     }
 
     /// Checks that this scenario scripts nothing an executor without a
-    /// driving thread could fire: no timeline events and no mass-join
-    /// arrivals. The error names the first offender and the `engine`
-    /// refusing it. The first half of [`Scenario::validate_for_global`],
-    /// and all a swarm ([`crate::Runner::deploy`]) asks.
+    /// driving thread could fire (timeline events, mass joins), naming the
+    /// first offender and the `engine` refusing it.
     pub(crate) fn validate_unscripted(&self, engine: &str) -> Result<(), String> {
         if let Some(e) = self.events.first() {
             return Err(format!(
@@ -690,21 +689,15 @@ impl Scenario {
         Ok(())
     }
 
-    /// Checks that this scenario is expressible on the global baseline
-    /// engines, which walk a server-side model once per item. What each
-    /// honours: **cascade** — the workload schedule and constant message
-    /// loss; **pub/sub** and **C-WhatsUp** — the workload schedule only
-    /// (their server is reliable by assumption). Everything else has no
-    /// counterpart there and is rejected rather than silently ignored:
-    /// timeline events, bursty loss, partitions, crash waves, mass joins,
-    /// measurement windows, uniform churn (their nodes never fail), and a
-    /// non-zero constant loss on the two centralized engines.
-    pub fn validate_for_global(&self, protocol: &Protocol) -> Result<(), String> {
+    /// Checks that this scenario's environment and windows are expressible
+    /// on the global baseline engines, which honour the workload schedule
+    /// and, on cascade alone, constant loss (the `engines` module docs'
+    /// table): anything else is refused rather than silently ignored.
+    pub(crate) fn validate_for_global(&self, protocol: &Protocol) -> Result<(), String> {
         if !protocol.is_global() {
             return Ok(());
         }
         let engine = format!("global {} engine", protocol.label());
-        self.validate_unscripted(&engine)?;
         let reads_loss = matches!(protocol, Protocol::Cascade);
         match self.environment.loss {
             LossModel::Constant { p } if p > 0.0 && !reads_loss => {
@@ -757,9 +750,7 @@ impl Scenario {
     /// actually have when the event fires: `initial_nodes`, plus the mass
     /// join once its cycle has passed, plus every `JoinClone` that fired
     /// earlier (events execute ordered by cycle, list order within one).
-    /// Call it once the dataset size is known — invalid ids would otherwise
-    /// surface as index panics deep inside the engine.
-    pub fn validate_events(&self, initial_nodes: usize) -> Result<(), String> {
+    pub(crate) fn validate_events(&self, initial_nodes: usize) -> Result<(), String> {
         let mut order: Vec<usize> = (0..self.events.len()).collect();
         order.sort_by_key(|&i| self.events[i].at);
         let mass = |cycle: u32| match self.environment.churn {
@@ -866,17 +857,21 @@ serde::json_codec! {
 }
 
 impl ScenarioFile {
-    /// Parses a scenario file and validates it, protocol knobs included
-    /// (view sizes are capacity-guarded before anything allocates them).
+    /// Parses a scenario file and refuses what the runner would refuse of
+    /// its in-process run but the population checks, protocol knobs
+    /// included (view sizes are capacity-guarded before any allocation).
     pub fn from_json_str(text: &str) -> Result<Self, FileError> {
         let file = Self::from_json_exact(&serde::json::parse(text)?)?;
-        file.scenario
-            .validate(&file.config)
-            .map_err(FileError::Invalid)?;
-        file.config.validate().map_err(FileError::Invalid)?;
-        file.config
-            .validate_protocol(&file.protocol)
-            .map_err(FileError::Invalid)?;
+        check(
+            file.protocol,
+            &file.config,
+            &file.scenario,
+            None,
+            &Transport::InProcess,
+            None,
+            Way::Run,
+        )
+        .map_err(|e| FileError::Invalid(e.to_string()))?;
         Ok(file)
     }
 }
@@ -1131,7 +1126,6 @@ mod tests {
             at: 2,
             event: Event::ResetNode { node: 0 },
         }]);
-        assert!(with_events.validate_for_global(&global).is_err());
         assert!(with_events.validate_for_global(&node).is_ok());
         // The unscripted half names what it refuses, and lets crash waves
         // through: a swarm's peers flip those coins themselves.
