@@ -15,6 +15,7 @@
 //! list out, so the paper's CF and gossip baselines are alternative
 //! [`BeepConfig`]s rather than separate protocol stacks.
 
+use crate::hash::mix64;
 use crate::item::ItemIndexMap;
 use crate::profile::{Profile, SharedProfile};
 use crate::similarity::{Metric, Prepared};
@@ -193,10 +194,7 @@ pub fn select_most_similar_k(
 /// SplitMix64-style avalanche for salt-keyed tie-breaking.
 #[inline]
 fn tie_mix(salt: u64, node: NodeId) -> u64 {
-    let mut x = salt ^ (node as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
+    mix64(salt ^ (node as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
 }
 
 #[cfg(test)]

@@ -64,13 +64,20 @@ impl Fnv1a {
     }
 }
 
-/// SplitMix64 finalizer: one avalanche round, full 64-bit diffusion.
+/// The SplitMix64 finalizer: one avalanche round, full 64-bit diffusion.
+/// The one copy core and the simulator share; each caller mixes its own
+/// inputs into `x` first.
+#[inline]
+pub fn mix64(x: u64) -> u64 {
+    let z = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// SplitMix64: the golden-ratio increment, then [`mix64`].
 #[inline]
 fn splitmix64(v: u64) -> u64 {
-    let mut z = v.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    mix64(v.wrapping_add(0x9e37_79b9_7f4a_7c15))
 }
 
 /// Deterministic integer hasher for id-keyed tables on hot paths (the

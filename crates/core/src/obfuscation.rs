@@ -22,6 +22,7 @@
 //! Plausible deniability: with flip probability `ε`, an observed *like*
 //! carries likelihood ratio `(1 − ε/2) / (ε/2)` instead of certainty.
 
+use crate::hash::mix64;
 use crate::item::ItemId;
 use crate::profile::{Profile, ProfileEntry};
 use whatsup_gossip::NodeId;
@@ -83,10 +84,7 @@ impl Obfuscation {
 /// Deterministic per-(secret, node, item) coin: SplitMix64 avalanche.
 #[inline]
 fn coin(secret: u64, node: NodeId, item: ItemId) -> u64 {
-    let mut x = secret ^ (node as u64).rotate_left(17) ^ item.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
+    mix64(secret ^ (node as u64).rotate_left(17) ^ item.wrapping_mul(0x9e37_79b9_7f4a_7c15))
 }
 
 #[cfg(test)]

@@ -25,6 +25,7 @@
 //! triples in id order — the encoder, walked pairs, cold start, `==` and
 //! `Debug` — get them rebuilt from [`Profile::entries`].
 
+use crate::hash::mix64;
 use crate::item::{ItemId, ItemIndexMap, Timestamp};
 use crate::planes::{Layout, Planes, Weights};
 use std::borrow::Cow;
@@ -206,11 +207,7 @@ fn norm_of(entries: impl IntoIterator<Item = ProfileEntry>) -> f64 {
 /// equal fingerprints.
 #[inline]
 fn fingerprint_bit(item: ItemId) -> u128 {
-    let mut z = item.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
-    1u128 << (z & 127)
+    1u128 << (mix64(item.wrapping_add(0x9e37_79b9_7f4a_7c15)) & 127)
 }
 
 /// Fingerprint of an entry slice — the single definition shared by the

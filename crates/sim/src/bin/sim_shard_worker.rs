@@ -15,7 +15,7 @@
 //! free one), prints `LISTEN <actual-addr>` on stdout so launchers can
 //! discover the port, serves exactly one driver connection, and exits —
 //! workers never outlive their run. Start the workers first, then the
-//! driver (`whatsup-sim run … --transport socket --workers addr,…`).
+//! driver (`whatsup-sim run … --workers addr,…`).
 //!
 //! Exit status: `0` after an orderly `Stop`; `1` with a one-line stderr
 //! message when the driver vanishes mid-run (EOF/broken pipe) or the

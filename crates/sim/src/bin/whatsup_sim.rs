@@ -3,8 +3,7 @@
 //! ```text
 //! whatsup-sim run <scenario.json> [--out <report.json>] [--shards N]
 //!                 [--protocol anti-entropy]
-//!                 [--multiprocess <sim-shard-worker path>]
-//!                 [--transport socket --workers host:port,…]
+//!                 [--multiprocess <sim-shard-worker path> | --workers host:port,…]
 //!                 [--supervise [--max-restarts N] [--checkpoint-every C]]
 //! whatsup-sim compare <scenario.json> [--fanout F] [--out <table.txt>]
 //! whatsup-sim render <report.json> [--out <table.txt>]
@@ -21,12 +20,12 @@
 //!   series and the scenario's resolved measurement windows (recovery
 //!   table included). Reports are a pure function of the file:
 //!   bit-identical across `--shards` values and across the in-process,
-//!   child-process and socket transports. `--transport socket` dials
-//!   already-running `sim-shard-worker --listen` processes, one address
-//!   per shard, in shard order — start the workers first, then the driver
-//!   (see the engine module docs' "distributed topology" section). With an
-//!   explicit `--shards N`, N must equal the worker count — a mismatch is
-//!   a usage error caught before any dialing. `--supervise` (external
+//!   child-process (`--multiprocess`) and socket (`--workers`) transports.
+//!   `--workers` dials already-running `sim-shard-worker --listen`
+//!   processes, one address per shard, in shard order — start the workers
+//!   first, then the driver (see the engine module docs' "distributed
+//!   topology" section); a shard count other than 1 or the worker count
+//!   is refused before any dialing. `--supervise` (external
 //!   transports only) turns worker crashes and hangs into checkpoint/replay
 //!   recoveries: every `--checkpoint-every` cycles (default 5) each shard's
 //!   state is snapshotted, and a failed worker is restarted — respawned
@@ -40,10 +39,10 @@
 //!   the alternative engine without editing the file.
 //! * `compare` runs the scenario file twice — once under the file's own
 //!   protocol and once under anti-entropy at the same fanout (or
-//!   `--fanout`) — and renders one side-by-side text-table row per
-//!   protocol: messages sent, recall/precision/F1 and time-to-recover
-//!   (from the first recovery window). This is the head-to-head the
-//!   anti-entropy engine exists for.
+//!   `--fanout`), on its one shard — and renders one side-by-side
+//!   text-table row per protocol: messages sent, recall/precision/F1 and
+//!   time-to-recover (from the first recovery window). This is the
+//!   head-to-head the anti-entropy engine exists for.
 //! * `render` re-reads a report JSON written by `run`, exactly as `check`
 //!   does, and renders its per-cycle `series` and resolved measurement
 //!   `windows` as aligned text tables (the `whatsup-metrics` table format)
@@ -52,8 +51,9 @@
 //!   grid (`Runner::grid_sweep`: the same Runner path, cells in parallel
 //!   on the workspace's one job pool), emitting one JSON row per cell
 //!   (JSON Lines: `{"shards": …, "fanout": …, "report": …}`). Omitting
-//!   `--fanouts` keeps the file's own protocol knob; omitting `--shards`
-//!   sweeps only the file's shard count.
+//!   `--fanouts` keeps the file's own protocol knob (a protocol without
+//!   one refuses the axis); omitting `--shards` sweeps only the file's
+//!   shard count.
 //! * `check` reads a report produced by `run` — the CI smoke test: the
 //!   `schema_version` gate, then the one report schema (`Summary`, which
 //!   `run` encodes; an unknown key is an error), then `Summary::validate`.
@@ -79,9 +79,8 @@ use whatsup_sim::{
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  whatsup-sim run <scenario.json> [--out <report.json>] [--shards N] \
-         [--protocol anti-entropy] [--multiprocess <worker>] \
-         [--transport in-process|process|socket] \
-         [--workers host:port,...] [--supervise [--max-restarts N] [--checkpoint-every C]]\n  \
+         [--protocol anti-entropy] [--multiprocess <worker> | --workers host:port,...] \
+         [--supervise [--max-restarts N] [--checkpoint-every C]]\n  \
          whatsup-sim compare <scenario.json> [--fanout F] [--out <table.txt>]\n  \
          whatsup-sim render <report.json> [--out <table.txt>]\n  \
          whatsup-sim sweep <scenario.json> [--shards N,N,...] \
@@ -106,65 +105,6 @@ fn main() -> ExitCode {
         Some("check") => check(&args[1..]),
         Some("echo") => echo(&args[1..]),
         _ => usage(),
-    }
-}
-
-/// Folds the `--transport` / `--multiprocess` / `--workers` flags into one
-/// [`Transport`], rejecting contradictory combinations.
-fn resolve_transport(
-    kind: Option<String>,
-    worker: Option<String>,
-    workers: Option<String>,
-    shards: Option<usize>,
-) -> Result<Transport, String> {
-    // `--multiprocess <path>` keeps working as a shorthand for
-    // `--transport process` with the worker path attached.
-    let kind = match (kind.as_deref(), &worker) {
-        (None, Some(_)) => "process",
-        (Some(k), _) => k,
-        (None, None) => "in-process",
-    };
-    match kind {
-        "in-process" => {
-            if workers.is_some() {
-                return Err("--workers only applies to --transport socket".into());
-            }
-            if worker.is_some() {
-                return Err("--multiprocess conflicts with --transport in-process".into());
-            }
-            Ok(Transport::InProcess)
-        }
-        "process" => {
-            if workers.is_some() {
-                return Err("--workers only applies to --transport socket".into());
-            }
-            let worker = worker.ok_or("--transport process needs --multiprocess <worker path>")?;
-            Ok(Transport::Process(worker.into()))
-        }
-        "socket" => {
-            if worker.is_some() {
-                return Err("--multiprocess conflicts with --transport socket".into());
-            }
-            let list = workers.ok_or("--transport socket needs --workers host:port,...")?;
-            let list = Transport::parse_workers(&list)?;
-            // The shard count *is* the worker count on the socket
-            // transport; an explicit --shards must agree. Caught here, so
-            // a mismatched invocation fails before any worker is dialed.
-            if let Some(n) = shards {
-                if n != list.len() {
-                    return Err(format!(
-                        "--shards {n} does not match the {} --workers address(es) — on \
-                         --transport socket the shard count is the worker count (drop \
-                         --shards or pass one address per shard)",
-                        list.len()
-                    ));
-                }
-            }
-            Ok(Transport::Socket(list))
-        }
-        other => Err(format!(
-            "unknown transport '{other}' (expected in-process, process or socket)"
-        )),
     }
 }
 
@@ -260,6 +200,25 @@ fn numbers(it: &mut Args) -> Option<Vec<usize>> {
     parts.iter().map(|p| p.parse::<usize>().ok()).collect()
 }
 
+/// A `--workers host:port,host:port,…` list: one address per shard.
+fn parse_workers(list: &str) -> Result<Vec<String>, String> {
+    let workers: Vec<String> = list
+        .split(',')
+        .map(str::trim)
+        .filter(|s| !s.is_empty())
+        .map(String::from)
+        .collect();
+    if workers.is_empty() {
+        return Err("worker list is empty".into());
+    }
+    for w in &workers {
+        if !w.contains(':') {
+            return Err(format!("worker address '{w}' is not host:port"));
+        }
+    }
+    Ok(workers)
+}
+
 /// One `sweep` output line: a grid cell and its report.
 struct SweepRow {
     shards: usize,
@@ -284,18 +243,6 @@ fn sweep(args: &[String]) -> ExitCode {
         Ok(file) => file,
         Err(e) => return fail("invalid scenario", e),
     };
-    // A fanout axis on a knob-less protocol would silently run identical
-    // cells — reject it instead.
-    if !fanouts.is_empty() && file.protocol.fanout().is_none() {
-        return fail(
-            "invalid sweep",
-            format!(
-                "{}: protocol {} has no fanout knob — drop --fanouts",
-                path,
-                file.protocol.label()
-            ),
-        );
-    }
     // No --shards axis = the file's own shard count, a 1×F grid.
     let shard_counts = shard_counts.unwrap_or_else(|| vec![file.config.shards]);
     let dataset = file.dataset.build();
@@ -331,7 +278,6 @@ fn run(args: &[String]) -> ExitCode {
     let mut out = None;
     let mut shards = None;
     let mut worker = None;
-    let mut transport_kind = None;
     let mut workers = None;
     let mut supervise = false;
     let mut max_restarts = None;
@@ -342,22 +288,29 @@ fn run(args: &[String]) -> ExitCode {
         "--shards" => number(it).map(|n| shards = Some(n)),
         "--protocol" => value(it).map(|v| protocol_override = Some(v)),
         "--multiprocess" => value(it).map(|v| worker = Some(v)),
-        "--transport" => value(it).map(|v| transport_kind = Some(v)),
         "--workers" => value(it).map(|v| workers = Some(v)),
         "--supervise" => {
             supervise = true;
             Some(())
         }
         "--max-restarts" => number(it).map(|n| max_restarts = Some(n)),
-        "--checkpoint-every" => number(it)
-            .filter(|&n| n > 0)
-            .map(|n| checkpoint_every = Some(n)),
+        "--checkpoint-every" => number(it).map(|n| checkpoint_every = Some(n)),
         _ => None,
     });
     let Some(path) = path else { return usage() };
-    let transport = match resolve_transport(transport_kind, worker, workers, shards) {
-        Ok(t) => t,
-        Err(e) => return fail("invalid transport", e),
+    let transport = match (worker, workers) {
+        (None, None) => Transport::InProcess,
+        (Some(worker), None) => Transport::Process(worker.into()),
+        (None, Some(list)) => match parse_workers(&list) {
+            Ok(list) => Transport::Socket(list),
+            Err(e) => return fail("invalid transport", e),
+        },
+        (Some(_), Some(_)) => {
+            return fail(
+                "invalid transport",
+                "--multiprocess and --workers name two transports",
+            )
+        }
     };
     if (max_restarts.is_some() || checkpoint_every.is_some()) && !supervise {
         return fail(
@@ -376,11 +329,6 @@ fn run(args: &[String]) -> ExitCode {
             Err(e) => return fail("invalid protocol override", e),
         },
     };
-    // On the socket transport the shard count *is* the worker count.
-    let requested_shards = match &transport {
-        Transport::Socket(workers) => workers.len(),
-        _ => shards.unwrap_or(file.config.shards),
-    };
     let config = SimConfig {
         shards: shards.unwrap_or(file.config.shards),
         ..file.config.clone()
@@ -392,23 +340,19 @@ fn run(args: &[String]) -> ExitCode {
         .transport(transport);
     if supervise {
         let defaults = Supervision::default();
-        runner = runner.supervised(
+        runner = runner.supervision(Supervision::new(
             max_restarts.unwrap_or(defaults.max_restarts),
             checkpoint_every.unwrap_or(defaults.checkpoint_every),
-        );
+        ));
     }
-    let report = match runner.try_run() {
+    let report = match runner.clone().try_run() {
         Ok(report) => report,
         Err(e) => return fail("run failed", e),
     };
     // One-line run summary (stderr, never part of the report): peak RSS
     // and where the nodes ended up. Shard counts live here and not in the
     // report because the report is byte-identical across shard counts.
-    let shard_counts = whatsup_sim::engine::planned_shard_node_counts(
-        dataset.n_users(),
-        requested_shards,
-        &file.scenario,
-    );
+    let shard_counts = runner.planned_shard_node_counts();
     eprintln!(
         "run: {} cycles, {} messages, peak rss {:.1} MiB, {} shard(s) with {:?} nodes",
         report.cycles,
@@ -464,7 +408,7 @@ fn compare(args: &[String]) -> ExitCode {
     let mut fanout = None;
     let path = parse_args(args, |flag, it| match flag {
         "--out" => value(it).map(|v| out = Some(v)),
-        "--fanout" => number(it).filter(|&f| f > 0).map(|f| fanout = Some(f)),
+        "--fanout" => number(it).map(|f| fanout = Some(f)),
         _ => None,
     });
     let Some(path) = path else { return usage() };
@@ -482,24 +426,29 @@ fn compare(args: &[String]) -> ExitCode {
         );
     }
     // The anti-entropy side runs at the file protocol's fanout unless
-    // --fanout overrides it, so the head-to-head is knob-for-knob fair.
+    // --fanout overrides it, so the head-to-head is knob-for-knob fair; it
+    // has no shards, so it runs on one whatever the file's count.
     let anti = Protocol::AntiEntropy {
         fanout: fanout.or(file.protocol.fanout()).unwrap_or(3),
     };
     let dataset = file.dataset.build();
-    let run_one = |protocol: Protocol| {
+    let run_one = |protocol: Protocol, config: SimConfig| {
         Runner::new(&dataset, protocol)
-            .config(file.config.clone())
+            .config(config)
             .scenario(file.scenario.clone())
             .try_run()
     };
     // Anti-entropy first: reading the file checked the baseline's knobs,
     // so a refusal of the other side's comes before either side runs.
-    let anti_report = match run_one(anti) {
+    let one_shard = SimConfig {
+        shards: 1,
+        ..file.config.clone()
+    };
+    let anti_report = match run_one(anti, one_shard) {
         Ok(report) => report,
         Err(e) => return fail("anti-entropy run failed", e),
     };
-    let baseline = match run_one(file.protocol) {
+    let baseline = match run_one(file.protocol, file.config.clone()) {
         Ok(report) => report,
         Err(e) => return fail("baseline run failed", e),
     };
@@ -670,5 +619,25 @@ fn echo(args: &[String]) -> ExitCode {
             ExitCode::SUCCESS
         }
         Err(e) => fail("invalid scenario", e),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn worker_lists_parse_and_reject_junk() {
+        assert_eq!(
+            parse_workers("10.0.0.1:7000, 10.0.0.2:7000 ,localhost:9"),
+            Ok(vec![
+                "10.0.0.1:7000".to_string(),
+                "10.0.0.2:7000".to_string(),
+                "localhost:9".to_string(),
+            ])
+        );
+        assert!(parse_workers("").is_err());
+        assert!(parse_workers(" , ,").is_err());
+        assert!(parse_workers("127.0.0.1:1,no-port").is_err());
     }
 }

@@ -7,7 +7,8 @@ use whatsup_core::{Metric, Params};
 /// Where the engine's shard workers execute. A pure execution knob, like
 /// [`SimConfig::shards`]: reports are bit-identical across all variants
 /// (see the `engine` module docs for the determinism contract and the
-/// distributed topology).
+/// distributed topology). Only the node engine has shards; the runner
+/// refuses an external transport anywhere else.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum Transport {
     /// Shard worker threads inside this process (a single shard runs
@@ -18,31 +19,11 @@ pub enum Transport {
     /// over stdio pipes.
     Process(PathBuf),
     /// Already-listening `sim-shard-worker --listen` processes, frames
-    /// over TCP. One `host:port` address per shard, in shard order — the
-    /// shard count *is* the worker count, overriding [`SimConfig::shards`].
-    /// Workers start first, the driver dials second.
+    /// over TCP. One `host:port` address per shard, in shard order: the
+    /// shard count is the worker count, and a [`SimConfig::shards`] other
+    /// than 1 or the worker count is refused. Workers start first, the
+    /// driver dials second.
     Socket(Vec<String>),
-}
-
-impl Transport {
-    /// Parses the CLI's `--workers host:port,host:port,…` list.
-    pub fn parse_workers(list: &str) -> Result<Vec<String>, String> {
-        let workers: Vec<String> = list
-            .split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .map(String::from)
-            .collect();
-        if workers.is_empty() {
-            return Err("worker list is empty".into());
-        }
-        for w in &workers {
-            if !w.contains(':') {
-                return Err(format!("worker address '{w}' is not host:port"));
-            }
-        }
-        Ok(workers)
-    }
 }
 
 /// One protocol under evaluation (§IV-B). Everything the paper's Figs. 3–11
@@ -217,10 +198,12 @@ pub struct SimConfig {
     /// `None`/0 shares true profiles.
     pub obfuscation: Option<f64>,
     /// Engine shards the node table is partitioned into (contiguous id
-    /// ranges, each run by its own worker). `0` = one shard per available
-    /// core; the count is clamped to the population size. Pure execution
-    /// knob: reports are bit-identical for every value. Ignored under
-    /// [`Transport::Socket`], where the shard count is the worker count.
+    /// ranges, each run by its own worker), at least 1 and clamped to the
+    /// population size. Pure execution knob: reports are bit-identical for
+    /// every value. Only the node engine has shards, so every other engine
+    /// and a swarm refuse a value other than 1; on [`Transport::Socket`]
+    /// the shard count is the worker count, and a value other than 1 or
+    /// the worker count is refused.
     pub shards: usize,
     /// Anti-entropy only: datagram byte budget deltas are greedily packed
     /// to (chitchat-style UDP sizing). Partial deltas are first-class; a
@@ -380,6 +363,9 @@ impl SimConfig {
         if self.bootstrap_degree == 0 {
             return Err("bootstrap degree must be ≥ 1".into());
         }
+        if self.shards == 0 {
+            return Err("shards must be ≥ 1".into());
+        }
         // Smallest useful datagram: the frame header plus one maximal delta
         // entry, or no entry could ever be packed.
         if self.datagram_budget < 64 {
@@ -529,6 +515,11 @@ mod tests {
             ..Default::default()
         };
         assert!(bad.validate().is_err());
+        let bad = SimConfig {
+            shards: 0,
+            ..Default::default()
+        };
+        assert!(bad.validate().is_err());
     }
 
     #[test]
@@ -563,20 +554,5 @@ mod tests {
             ..Default::default()
         };
         assert!(ok.validate().is_ok());
-    }
-
-    #[test]
-    fn worker_lists_parse_and_reject_junk() {
-        assert_eq!(
-            Transport::parse_workers("10.0.0.1:7000, 10.0.0.2:7000 ,localhost:9"),
-            Ok(vec![
-                "10.0.0.1:7000".to_string(),
-                "10.0.0.2:7000".to_string(),
-                "localhost:9".to_string(),
-            ])
-        );
-        assert!(Transport::parse_workers("").is_err());
-        assert!(Transport::parse_workers(" , ,").is_err());
-        assert!(Transport::parse_workers("127.0.0.1:1,no-port").is_err());
     }
 }

@@ -66,40 +66,16 @@ impl DriverCore {
     }
 }
 
-/// The per-shard node counts a run over `n` nodes with `requested` shards
-/// (0 = auto) and `scenario` will *end* with: the load-aware initial
-/// split, plus every scheduled join on the last shard. Run-summary
-/// instrumentation for the CLI — the engine computes the same partition
-/// in `build`, and the counts never appear in [`SimReport`] (which must
-/// stay byte-identical across shard counts).
-pub fn planned_shard_node_counts(n: usize, requested: usize, scenario: &Scenario) -> Vec<usize> {
-    let joins = scenario.expected_joins();
-    let partition = Partition::plan(n, resolve_shards(requested, n), joins);
-    let mut counts: Vec<usize> = (0..partition.n_shards())
-        .map(|s| partition.range(s).len())
-        .collect();
-    *counts.last_mut().expect("at least one shard") += joins;
-    counts
-}
-
-/// Resolves the configured shard count: `0` = one per available core,
-/// always clamped to the population size.
-fn resolve_shards(requested: usize, n: usize) -> usize {
-    let auto = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    let s = if requested == 0 { auto } else { requested };
-    s.clamp(1, n)
-}
-
 /// Builds the driver core and one init per shard from `(dataset, protocol,
-/// config, scenario)` — shared by the in-process constructor and the
-/// multi-process runner so both start from identical state.
+/// config, scenario)` over the run's `shards` (the runner resolves the
+/// count) — shared by the in-process constructor and the multi-process
+/// runner so both start from identical state.
 fn build(
     dataset: &Dataset,
     protocol: Protocol,
     cfg: SimConfig,
     scenario: Scenario,
+    shards: usize,
 ) -> (DriverCore, Vec<ShardInit>) {
     let params = cfg
         .build_params(&protocol)
@@ -114,7 +90,7 @@ fn build(
     // Load-aware split: the last shard absorbs every scheduled join, so
     // plan its initial range against the final population. Boundaries
     // never affect results — any contiguous split is bit-identical.
-    let partition = Partition::plan(n, resolve_shards(cfg.shards, n), scenario.expected_joins());
+    let partition = Partition::plan(n, shards, scenario.expected_joins());
     let inits = (0..partition.n_shards())
         .map(|s| ShardInit {
             index: s,
@@ -456,25 +432,23 @@ fn shutdown_all(links: Vec<impl ShardLink>) -> Result<(), TransportError> {
     outcome
 }
 
-/// Builds and runs a whole simulation on external shard workers, one
-/// stream link each (see [`Transport`] for where they live; on
-/// [`Transport::Socket`] the shard count *is* the worker count, overriding
-/// `cfg.shards`). Events flow to the workers as phase commands, so the
-/// full scenario grammar works across process boundaries. With
-/// `supervision`, crashed or hung workers are restarted and recovered by
-/// checkpoint/replay instead of failing the run (see [`Supervised`]).
+/// Builds and runs a whole simulation on `shards` external shard workers,
+/// one stream link each (see [`Transport`] for where they live; on
+/// [`Transport::Socket`] the runner passes one shard per worker). Events
+/// flow to the workers as phase commands, so the full scenario grammar
+/// works across process boundaries. With `supervision`, crashed or hung
+/// workers are restarted and recovered by checkpoint/replay instead of
+/// failing the run (see [`Supervised`]).
 pub(crate) fn run_external(
     dataset: &Dataset,
     protocol: Protocol,
-    mut cfg: SimConfig,
+    cfg: SimConfig,
     scenario: Scenario,
+    shards: usize,
     transport: &Transport,
     supervision: Option<Supervision>,
 ) -> io::Result<SimReport> {
-    if let Transport::Socket(workers) = transport {
-        cfg.shards = workers.len();
-    }
-    let (mut core, inits) = build(dataset, protocol, cfg, scenario);
+    let (mut core, inits) = build(dataset, protocol, cfg, scenario, shards);
     // On any error from here on, dropping the links stops the workers
     // (children are killed and reaped, connections closed), so none
     // lingers behind an aborted run.
@@ -521,7 +495,7 @@ pub struct Simulation {
 }
 
 impl Simulation {
-    /// Builds a simulation with `cfg.shards` in-process shards running
+    /// Builds a simulation with `shards` in-process shards running
     /// `scenario` — what [`crate::Runner::build`] and
     /// [`crate::Runner::run`] construct once their check admits the run.
     pub(crate) fn with_scenario(
@@ -529,8 +503,9 @@ impl Simulation {
         protocol: Protocol,
         cfg: SimConfig,
         scenario: Scenario,
+        shards: usize,
     ) -> Self {
-        let (core, inits) = build(dataset, protocol, cfg, scenario);
+        let (core, inits) = build(dataset, protocol, cfg, scenario, shards);
         let shards = inits.into_iter().map(ShardState::from_init).collect();
         Self { core, shards }
     }
@@ -954,7 +929,7 @@ mod tests {
         let d = tiny_dataset();
         let scenario = Scenario::default();
         let protocol = Protocol::WhatsUp { f_like: 5 };
-        let (mut core, _) = build(&d, protocol, quick_cfg(), scenario);
+        let (mut core, _) = build(&d, protocol, quick_cfg(), scenario, 1);
         let err = run_cycle(&mut core, &mut [AckLink]).expect_err("Ack does not answer Collect");
         assert!(!err.kind.is_retryable(), "{err}");
         assert_eq!(

@@ -37,10 +37,11 @@ use bytes::Bytes;
 use std::time::Duration;
 use whatsup_core::fnv1a64;
 
-/// Supervision knobs. The two first-class ones (restart budget, checkpoint
-/// cadence) are what [`crate::Runner::supervised`] and the CLI expose;
-/// the rest have defaults tuned for real deployments and are overridable
-/// through [`crate::Runner::supervision`] (tests shrink them).
+/// Supervision knobs, handed to [`crate::Runner::supervision`]. The two
+/// first-class ones (restart budget, checkpoint cadence) are what
+/// [`Supervision::new`] and the CLI set; the rest have defaults tuned for
+/// real deployments and are overridable field by field (tests shrink
+/// them).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Supervision {
     /// Restarts allowed *per shard* before the run gives up and surfaces
@@ -76,7 +77,7 @@ impl Default for Supervision {
 }
 
 impl Supervision {
-    /// The convenience constructor behind `Runner::supervised`.
+    /// The two first-class knobs, every other one at its default.
     pub fn new(max_restarts: u32, checkpoint_every: u32) -> Self {
         Self {
             max_restarts,

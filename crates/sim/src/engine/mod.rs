@@ -80,11 +80,13 @@
 //! * **Launch order** — *workers first, then driver*, but only loosely:
 //!   each worker binds its `--listen` address, prints `LISTEN <addr>` on
 //!   stdout, and blocks in accept; the driver dials every address
-//!   (`--transport socket --workers host:port,…`), retrying refused or
+//!   (`whatsup-sim run --workers host:port,…`), retrying refused or
 //!   unreachable dials over a bounded window (3 s; supervised runs use
 //!   [`Supervision::dial_window`]), so workers that come up moments after
 //!   the driver still get their shard. The `k`-th address becomes shard
-//!   `k`, and the shard count *is* the worker count.
+//!   `k`: one address per shard, so the shard count is the worker count,
+//!   and a `config.shards` other than 1 or the worker count is refused
+//!   before any dial.
 //! * **Handshake** (frame layouts: [`exchange::stream`]) — as soon as the
 //!   stream exists the worker sends a versioned *hello*; the driver
 //!   validates it and answers with a versioned *handshake* carrying the
@@ -112,7 +114,7 @@
 //! # Supervision & recovery
 //!
 //! A stream link can be wrapped, per shard, in
-//! `exchange::supervisor::Supervised` ([`crate::Runner::supervised`],
+//! `exchange::supervisor::Supervised` ([`crate::Runner::supervision`],
 //! `whatsup-sim run --supervise`), which turns a crashed or hung worker
 //! from a fatal `exchange::TransportError` into a recoverable event —
 //! without changing a single byte of the final report. The wrapper is a
@@ -484,13 +486,14 @@ pub mod mailbox;
 pub mod partition;
 pub mod shard;
 
-pub use driver::{planned_shard_node_counts, Simulation};
+pub use driver::Simulation;
 pub use exchange::{Command, Reply, Supervision};
 pub use partition::Partition;
 pub use shard::{ShardInit, ShardState};
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use whatsup_core::hash::mix64;
 use whatsup_core::NodeId;
 
 /// Phase tags for [`node_stream`] derivation. Distinct phases of the same
@@ -507,14 +510,6 @@ pub mod phase {
     pub const NEWS: u8 = 3;
     /// Gilbert–Elliott channel-state transition (scenario loss models).
     pub(crate) const CHANNEL: u8 = 4;
-}
-
-/// SplitMix64 finalizer.
-#[inline]
-fn mix64(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// The counter-based per-node RNG stream for one `(cycle, phase)`.

@@ -27,6 +27,7 @@ use crate::runner::{Runner, Way};
 use crate::scenario::{Event, Scenario};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use whatsup_core::hash::mix64;
 use whatsup_core::NodeId;
 use whatsup_datasets::Dataset;
 use whatsup_net::codec::{DeltaEntry, DeltaValue};
@@ -172,14 +173,12 @@ impl<'a> Engine<'a> {
     /// Opaque-on-the-wire profile digest: a hash of the node's identity
     /// and interest epoch (the wire never carries profile content).
     fn profile_digest(&self, id: NodeId) -> u64 {
-        let mut h = self.cfg.seed
-            ^ (u64::from(id) << 32)
-            ^ (u64::from(self.profile_epoch[id as usize]) << 8)
-            ^ u64::from(self.incarnation[id as usize]);
-        // SplitMix64 finalizer.
-        h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        h ^ (h >> 31)
+        mix64(
+            self.cfg.seed
+                ^ (u64::from(id) << 32)
+                ^ (u64::from(self.profile_epoch[id as usize]) << 8)
+                ^ u64::from(self.incarnation[id as usize]),
+        )
     }
 
     fn run_cycle(&mut self, cycle: u32) {

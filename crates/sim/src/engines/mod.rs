@@ -3,13 +3,13 @@
 //!
 //! # Engine comparison
 //!
-//! | Engine | Assumptions | Message complexity | Failure model |
-//! |---|---|---|---|
-//! | **BEEP gossip** (`crate::engine`, protocols `whatsup`/`gossip`/`cf_*`) | Per-node state only; partial views via RPS/WUP sampling; no global knowledge | Per item: `O(reached · fanout)` push copies, plus a steady `O(n · view)` gossip layer per cycle | Crash-stop with instant cold rejoin from a contact's view; hard timeouts implicit in view aging; loses profile/view/seen state |
-//! | **Cascade** (`cascade`) | Explicit social graph, global knowledge of edges; forwards only on likes | Per item: `O(Σ likers' degrees)` — bounded by the likers' neighborhoods, which caps recall | Nodes never fail (a non-zero uniform churn is refused); honours the workload schedule and *constant* message loss (one coin per delivery attempt) |
-//! | **Centralized pub/sub & C-WhatsUp** (`pubsub`, `centralized`) | Omniscient reliable server; complete subscription/interest knowledge | Per item: exactly one message per subscriber (pub/sub) or per selected receiver (C-WhatsUp) | None: the server is assumed reliable; honours the workload schedule only (a non-zero constant loss or uniform churn is refused by validation) |
-//! | **Anti-entropy** ([`antientropy`]) | Full membership list known; only *state* is reconciled; versioned single-writer records | Per cycle: `O(n · fanout)` datagrams of ≤ `datagram_budget` bytes each, independent of item count (keys batch into deltas); eventual delivery | Phi-accrual suspicion from heartbeat inter-arrival history — a continuous scale, no hard timeout; crashes have real downtime and rejoin with a bumped incarnation |
-//! | **Swarm** ([`swarm`], [`crate::Runner::deploy`]) | The BEEP gossip stack, one thread per node against the wall clock, real wire frames over an emulated router or loopback UDP; no driver | As BEEP gossip; an epidemic runs at link latency instead of as a within-cycle BFS, so it may cross a cycle boundary | Constant, bursty and partition loss at the receiver; crash-stop with instant cold rejoin from the contact's id alone; no timeline events or mass joins |
+//! | Engine | Assumptions | Message complexity | Failure model | Shards |
+//! |---|---|---|---|---|
+//! | **BEEP gossip** (`crate::engine`, protocols `whatsup`/`gossip`/`cf_*`) | Per-node state only; partial views via RPS/WUP sampling; no global knowledge | Per item: `O(reached · fanout)` push copies, plus a steady `O(n · view)` gossip layer per cycle | Crash-stop with instant cold rejoin from a contact's view; hard timeouts implicit in view aging; loses profile/view/seen state | `config.shards` in-process or on child processes; one per socket worker |
+//! | **Cascade** (`cascade`) | Explicit social graph, global knowledge of edges; forwards only on likes | Per item: `O(Σ likers' degrees)` — bounded by the likers' neighborhoods, which caps recall | Nodes never fail (a non-zero uniform churn is refused); honours the workload schedule and *constant* message loss (one coin per delivery attempt) | 1 (another count is refused) |
+//! | **Centralized pub/sub & C-WhatsUp** (`pubsub`, `centralized`) | Omniscient reliable server; complete subscription/interest knowledge | Per item: exactly one message per subscriber (pub/sub) or per selected receiver (C-WhatsUp) | None: the server is assumed reliable; honours the workload schedule only (a non-zero constant loss or uniform churn is refused by validation) | 1 (another count is refused) |
+//! | **Anti-entropy** ([`antientropy`]) | Full membership list known; only *state* is reconciled; versioned single-writer records | Per cycle: `O(n · fanout)` datagrams of ≤ `datagram_budget` bytes each, independent of item count (keys batch into deltas); eventual delivery | Phi-accrual suspicion from heartbeat inter-arrival history — a continuous scale, no hard timeout; crashes have real downtime and rejoin with a bumped incarnation | 1 (another count is refused) |
+//! | **Swarm** ([`swarm`], [`crate::Runner::deploy`]) | The BEEP gossip stack, one thread per node against the wall clock, real wire frames over an emulated router or loopback UDP; no driver | As BEEP gossip; an epidemic runs at link latency instead of as a within-cycle BFS, so it may cross a cycle boundary | Constant, bursty and partition loss at the receiver; crash-stop with instant cold rejoin from the contact's id alone; no timeline events or mass joins | 1 (another count is refused): one peer per node |
 //!
 //! Cascade and the centralized engines do not run per-cycle: they walk a
 //! server-side model once per item, and everything an item causes is

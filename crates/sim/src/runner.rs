@@ -5,7 +5,9 @@
 //! [`Scenario`] says what happens in it (publication workload, message
 //! loss and churn, timeline events, measurement windows); the
 //! [`Transport`] says where the shards execute (in-process threads,
-//! `sim-shard-worker` child processes, or remote socket workers). Any
+//! `sim-shard-worker` child processes, or remote socket workers). The
+//! runner alone decides how many shards a run executes on: one per socket
+//! worker, otherwise `config.shards` clamped to the population. Any
 //! protocol, node-based or global baseline, runs as one builder chain:
 //!
 //! ```no_run
@@ -39,17 +41,21 @@
 //! `paper` harness are its users.
 //!
 //! A run is refused in one place, `check`, before anything executes: a
-//! malformed config or scenario, a knob its engine never reads (a config
-//! field, a scenario model, a transport, a supervision), an event naming a
-//! node the run will not have, or what the way to run cannot express.
-//! Every way to run asks it once — every method below,
-//! [`antientropy::run_with_detection`] and [`crate::ScenarioFile`]'s
-//! reader, which has no population yet — and no engine asks again.
+//! malformed config or scenario (`shards: 0` included), a knob its engine
+//! never reads (a config field, a scenario model, a transport, a
+//! supervision, a shard count other than 1 on an engine or a swarm
+//! without shards, a sweep's fanout axis on a protocol without a fanout
+//! knob), a socket run whose `config.shards` is neither 1 nor its worker
+//! count, an event naming a node the run will not have, or what the way
+//! to run cannot express. Every way to run asks it once — every method
+//! below, [`antientropy::run_with_detection`] and
+//! [`crate::ScenarioFile`]'s reader, which has no population yet — and no
+//! engine asks again.
 
 use crate::config::{Protocol, SimConfig, Transport};
 use crate::engine::driver::run_external;
 use crate::engine::exchange::Supervision;
-use crate::engine::Simulation;
+use crate::engine::{Partition, Simulation};
 use crate::engines::swarm::{self, Deployment, Fabric};
 use crate::engines::{antientropy, cascade, centralized, pubsub};
 use crate::record::SimReport;
@@ -95,11 +101,13 @@ pub fn pool_map<T: Sync, R: Send>(jobs: &[T], run: impl Fn(&T) -> R + Sync) -> V
 }
 
 /// How a run is asked to execute: stepped ([`Runner::build`]), run to
-/// completion, or deployed on a swarm ticking every so many ms.
+/// completion, alone or as a [`Runner::grid_sweep`] cell on a fanout axis,
+/// or deployed on a swarm ticking every so many ms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Way {
     Step,
     Run,
+    FanoutSweep,
     Deploy(u64),
 }
 
@@ -143,20 +151,35 @@ pub(crate) fn check(
         Transport::Process(_) => (Some("process"), None),
         Transport::Socket(workers) => (Some("socket"), Some(workers.len())),
     };
+    let to_completion = matches!(way, Way::Run | Way::FanoutSweep);
+    let shards = cfg.shards;
     Err(if let (Way::Deploy(_), true) = (way, nodeless) {
         unsupported(format!("{label} has no node to deploy"))
     } else if let (Way::Step, true) = (way, nodeless) {
         unsupported(format!("{label} does not run on the node engine"))
     } else if let (Way::Step, Some(t)) = (way, carrier) {
         unsupported(format!("a stepped run has no shard for the {t} transport"))
-    } else if let (Some(t), true) = (carrier, way != Way::Run || nodeless) {
+    } else if let (Some(t), true) = (carrier, !to_completion || nodeless) {
         unsupported(format!("{home} has no shard for the {t} transport"))
+    } else if shards != 1 && (nodeless || matches!(way, Way::Deploy(_))) {
+        unsupported(format!(
+            "{home} has no shards: config.shards must be 1, not {shards}"
+        ))
+    } else if way == Way::FanoutSweep && protocol.fanout().is_none() {
+        invalid(format!(
+            "{label} has no fanout knob for the sweep's fanout axis"
+        ))
     } else if carrier.is_none() && supervision.is_some() {
         invalid(format!("{home} has no worker to supervise"))
     } else if supervision.is_some_and(|sup| sup.checkpoint_every == 0) {
         invalid("supervision checkpoints every ≥ 1 cycles".into())
     } else if workers == Some(0) {
         invalid("socket transport needs at least one worker address".into())
+    } else if let Some(w) = workers.filter(|&w| shards != 1 && shards != w) {
+        invalid(format!(
+            "config.shards is {shards} for {w} socket workers — the socket transport runs \
+             one shard per worker"
+        ))
     } else if way == Way::Deploy(0) {
         invalid("a swarm cycle lasts at least 1 ms".into())
     } else if let Some(dataset) = dataset {
@@ -180,8 +203,9 @@ pub(crate) fn check(
 /// One cell of [`Runner::grid_sweep`]; `report.fanout` names its column.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepCell {
-    /// Engine shard count the cell ran on (a pure execution knob — cells
-    /// that differ only in `shards` carry identical reports).
+    /// Engine shard count the cell ran on, as the runner resolved it (a
+    /// pure execution knob — cells that differ only in `shards` carry
+    /// identical reports).
     pub shards: usize,
     pub report: SimReport,
 }
@@ -212,7 +236,8 @@ impl<'a> Runner<'a> {
     }
 
     /// Replaces the run configuration: length, seed, node overrides and
-    /// shard count ([`SimConfig::shards`], a pure execution knob).
+    /// shard count ([`SimConfig::shards`], a pure execution knob of the
+    /// node engine).
     pub fn config(mut self, cfg: SimConfig) -> Self {
         self.cfg = cfg;
         self
@@ -242,7 +267,8 @@ impl<'a> Runner<'a> {
     /// Shorthand for [`Runner::transport`] with [`Transport::Socket`]:
     /// runs the shards on already-listening `sim-shard-worker --listen`
     /// processes, one `host:port` address per shard (the shard count is
-    /// the worker count; workers must be started before the run).
+    /// the worker count, and a `config.shards` other than 1 or the worker
+    /// count is refused; workers must be started before the run).
     pub fn socket<I, S>(self, workers: I) -> Self
     where
         I: IntoIterator<Item = S>,
@@ -256,19 +282,43 @@ impl<'a> Runner<'a> {
     /// Supervises the external transports: crashed or hung shard workers
     /// are restarted (respawned children / redialed addresses) and
     /// recovered by checkpoint/replay, up to `max_restarts` restarts per
-    /// shard, with a checkpoint every `checkpoint_every` (≥ 1) cycles.
-    /// Determinism makes recovery exact — a supervised run that survives
-    /// faults reports bit-identically to an undisturbed one. Refused where
-    /// there is no worker to restart.
-    pub fn supervised(self, max_restarts: u32, checkpoint_every: u32) -> Self {
-        self.supervision(Supervision::new(max_restarts, checkpoint_every))
-    }
-
-    /// [`Runner::supervised`] with full control over the supervision knobs
-    /// (hang deadline, restart backoff, dial window).
+    /// shard, with a checkpoint every `checkpoint_every` (≥ 1) cycles
+    /// ([`Supervision::new`] sets those two and defaults the hang
+    /// deadline, restart backoff and dial window). Determinism makes
+    /// recovery exact — a supervised run that survives faults reports
+    /// bit-identically to an undisturbed one. Refused where there is no
+    /// worker to restart.
     pub fn supervision(mut self, supervision: Supervision) -> Self {
         self.supervision = Some(supervision);
         self
+    }
+
+    /// The shard count the run executes on, decided here alone: one shard
+    /// per socket worker, otherwise `config.shards` clamped to the
+    /// population.
+    fn shards(&self) -> usize {
+        match &self.transport {
+            Transport::Socket(workers) => workers.len(),
+            _ => self.cfg.shards.min(self.dataset.n_users()),
+        }
+    }
+
+    /// The per-shard node counts an admitted run ends with: the load-aware
+    /// initial split over [`Runner`]'s shard count, plus every scheduled
+    /// join on the last shard. Run-summary instrumentation for the CLI —
+    /// the engine builds the same partition, and the counts never appear
+    /// in [`SimReport`] (which stays byte-identical across shard counts).
+    ///
+    /// # Panics
+    /// On a runner the check refuses for having no shard or no node.
+    pub fn planned_shard_node_counts(&self) -> Vec<usize> {
+        let joins = self.scenario.expected_joins();
+        let partition = Partition::plan(self.dataset.n_users(), self.shards(), joins);
+        let mut counts: Vec<usize> = (0..partition.n_shards())
+            .map(|s| partition.range(s).len())
+            .collect();
+        *counts.last_mut().expect("at least one shard") += joins;
+        counts
     }
 
     /// [`check`] on this runner.
@@ -292,7 +342,8 @@ impl<'a> Runner<'a> {
     /// protocol and an external transport included.
     pub fn build(self) -> Simulation {
         self.check(Way::Step).unwrap_or_else(|e| panic!("{e}"));
-        Simulation::with_scenario(self.dataset, self.protocol, self.cfg, self.scenario)
+        let shards = self.shards();
+        Simulation::with_scenario(self.dataset, self.protocol, self.cfg, self.scenario, shards)
     }
 
     /// Runs to completion and reports.
@@ -307,6 +358,7 @@ impl<'a> Runner<'a> {
 
     /// Runs a checked runner to completion on its protocol's engine.
     fn execute(self) -> io::Result<SimReport> {
+        let shards = self.shards();
         let (d, cfg, scenario) = (self.dataset, &self.cfg, &self.scenario);
         Ok(match self.protocol {
             Protocol::Cascade => cascade::run_scenario(d, cfg, scenario),
@@ -317,7 +369,8 @@ impl<'a> Runner<'a> {
             }
             node_protocol => match self.transport {
                 Transport::InProcess => {
-                    Simulation::with_scenario(d, node_protocol, self.cfg, self.scenario).run()
+                    Simulation::with_scenario(d, node_protocol, self.cfg, self.scenario, shards)
+                        .run()
                 }
                 external => {
                     return run_external(
@@ -325,6 +378,7 @@ impl<'a> Runner<'a> {
                         node_protocol,
                         self.cfg,
                         self.scenario,
+                        shards,
                         &external,
                         self.supervision,
                     )
@@ -349,9 +403,9 @@ impl<'a> Runner<'a> {
     /// simulation has no use for.
     ///
     /// `Err` for a refused run (a swarm has no global or
-    /// anti-entropy node, timeline events, mass joins, transport or
-    /// supervision) and for a fabric that cannot be set up or fails
-    /// mid-run. Shards do not apply: a swarm runs one peer per node.
+    /// anti-entropy node, timeline events, mass joins, transport,
+    /// supervision or shard count other than 1) and for a fabric that
+    /// cannot be set up or fails mid-run: a swarm runs one peer per node.
     pub fn deploy(self, fabric: Fabric, cycle_ms: u64) -> io::Result<Deployment> {
         self.check(Way::Deploy(cycle_ms))?;
         swarm::deploy(
@@ -368,12 +422,9 @@ impl<'a> Runner<'a> {
     /// the `whatsup-sim sweep` subcommand's engine — in grid order, shard
     /// count outermost. An empty `fanouts` keeps the protocol's own knob.
     ///
-    /// `Err` if any cell is refused, before the first runs, or fails.
-    ///
-    /// A protocol without a fanout knob ignores the fanout axis
-    /// ([`Protocol::with_fanout`] is the identity there), so every cell of
-    /// a row would be identical — callers should reject that combination
-    /// up front, as the CLI does.
+    /// `Err` if any cell is refused, before the first runs, or fails. A
+    /// fanout axis on a protocol without a fanout knob is refused: every
+    /// cell of a row would be identical.
     pub fn grid_sweep(
         &self,
         shard_counts: &[usize],
@@ -399,11 +450,16 @@ impl<'a> Runner<'a> {
             .iter()
             .flat_map(|&s| protocols.iter().map(move |&p| cell(s, p)))
             .collect();
+        let way = if fanouts.is_empty() {
+            Way::Run
+        } else {
+            Way::FanoutSweep
+        };
         for cell in &cells {
-            cell.check(Way::Run)?;
+            cell.check(way)?;
         }
         pool_map(&cells, |cell| {
-            let shards = cell.cfg.shards;
+            let shards = cell.shards();
             let report = cell.clone().execute()?;
             Ok(SweepCell { shards, report })
         })
@@ -502,12 +558,14 @@ mod tests {
         }
     }
 
-    /// The ways to run a refusal table row goes through.
+    /// The ways to run a refusal table row goes through: `Sweep` over two
+    /// shard counts, `FanoutSweep` over one shard count and a fanout axis.
     #[derive(Debug, Clone, Copy)]
     enum Entry {
         Build,
         TryRun,
         Sweep,
+        FanoutSweep,
         Deploy,
     }
 
@@ -523,6 +581,7 @@ mod tests {
             }
             Entry::TryRun => runner.try_run().map(drop),
             Entry::Sweep => runner.grid_sweep(&[1, 2], &[]).map(drop),
+            Entry::FanoutSweep => runner.grid_sweep(&[1], &[3, 5]).map(drop),
             Entry::Deploy => runner.deploy(Fabric::Emulated, 1).map(drop),
         };
         let err = err.expect_err("the run is refused");
@@ -532,7 +591,7 @@ mod tests {
     #[test]
     fn every_way_to_run_refuses_alike() {
         use io::ErrorKind::{InvalidInput, Unsupported};
-        use Entry::{Build, Deploy, Sweep, TryRun};
+        use Entry::{Build, Deploy, FanoutSweep, Sweep, TryRun};
         let d = dataset();
         let runner = |protocol| Runner::new(&d, protocol).config(cfg());
         let whatsup = Protocol::WhatsUp { f_like: 3 };
@@ -551,6 +610,7 @@ mod tests {
         let every_way: &[Entry] = &[Build, TryRun, Sweep, Deploy];
         let to_completion: &[Entry] = &[TryRun, Sweep];
         let simulated: &[Entry] = &[Build, TryRun, Sweep];
+        let sharded = |shards| SimConfig { shards, ..cfg() };
         // (row, runner, kind, what the line names, the ways that refuse it
         // with this line)
         let rows = [
@@ -611,14 +671,14 @@ mod tests {
             ),
             (
                 "a supervision without workers",
-                runner(whatsup).supervised(3, 2),
+                runner(whatsup).supervision(Supervision::new(3, 2)),
                 InvalidInput,
                 "the in-process transport has no worker to supervise",
                 simulated,
             ),
             (
                 "a supervision on a global engine",
-                runner(Protocol::CPubSub).supervised(3, 2),
+                runner(Protocol::CPubSub).supervision(Supervision::new(3, 2)),
                 InvalidInput,
                 "the C-Pub/Sub engine has no worker to supervise",
                 to_completion,
@@ -646,10 +706,73 @@ mod tests {
             ),
             (
                 "a supervision on a swarm",
-                runner(whatsup).supervised(3, 2),
+                runner(whatsup).supervision(Supervision::new(3, 2)),
                 InvalidInput,
                 "a swarm has no worker to supervise",
                 &[Deploy],
+            ),
+            (
+                "a socket run whose shards are neither 1 nor its workers",
+                runner(whatsup).config(sharded(2)).socket([
+                    "127.0.0.1:1",
+                    "127.0.0.1:2",
+                    "127.0.0.1:3",
+                ]),
+                InvalidInput,
+                "config.shards is 2 for 3 socket workers",
+                to_completion,
+            ),
+            (
+                "no shard at all",
+                runner(whatsup).config(sharded(0)),
+                InvalidInput,
+                "shards must be ≥ 1",
+                // A sweep sets each cell's shard count itself.
+                &[Build, TryRun, Deploy],
+            ),
+            (
+                "shards on cascade",
+                runner(Protocol::Cascade).config(sharded(2)),
+                Unsupported,
+                "the Cascade engine has no shards: config.shards must be 1, not 2",
+                // The sweep's 1-shard cell is refused first: this survey
+                // dataset has no social graph.
+                &[TryRun],
+            ),
+            (
+                "shards on C-Pub/Sub",
+                runner(Protocol::CPubSub).config(sharded(2)),
+                Unsupported,
+                "the C-Pub/Sub engine has no shards: config.shards must be 1, not 2",
+                to_completion,
+            ),
+            (
+                "shards on C-WhatsUp",
+                runner(Protocol::CWhatsUp { f_like: 3 }).config(sharded(2)),
+                Unsupported,
+                "the C-WhatsUp engine has no shards: config.shards must be 1, not 2",
+                to_completion,
+            ),
+            (
+                "shards on anti-entropy",
+                runner(Protocol::AntiEntropy { fanout: 3 }).config(sharded(2)),
+                Unsupported,
+                "the Anti-Entropy engine has no shards: config.shards must be 1, not 2",
+                to_completion,
+            ),
+            (
+                "shards on a swarm",
+                runner(whatsup).config(sharded(2)),
+                Unsupported,
+                "a swarm has no shards: config.shards must be 1, not 2",
+                &[Deploy],
+            ),
+            (
+                "a fanout axis on a protocol without a fanout knob",
+                runner(Protocol::CPubSub),
+                InvalidInput,
+                "C-Pub/Sub has no fanout knob for the sweep's fanout axis",
+                &[FanoutSweep],
             ),
         ];
         for (row, runner, kind, names, entries) in rows {
@@ -671,6 +794,122 @@ mod tests {
                 assert_eq!(other, line, "{row}: {entry:?} refuses otherwise");
             }
         }
+    }
+
+    /// The config rows of the knob matrix: every [`SimConfig`] field, set
+    /// to a strong non-default value, against one engine of each kind,
+    /// under as much of a constant-loss, uniform-churn environment as the
+    /// engine honours. A cell is refused in one line naming the field, or
+    /// it runs and moves the report (semantic), or it leaves the report
+    /// bit-identical (execution) — which only `shards` on the node engine
+    /// may. A field an engine reads whose report does not move is a
+    /// silent knob: `SILENT` names the known ones, so the test fails on a
+    /// new one and on one that stops being silent.
+    #[test]
+    fn every_config_knob_is_refused_or_moves_the_report() {
+        use serde::Json;
+        #[derive(Debug, PartialEq)]
+        enum Outcome {
+            Refused,
+            Semantic,
+            Execution,
+        }
+        let d = digg::generate(&DiggConfig::paper().scaled(0.06), 3);
+        let set = |edit: fn(&mut SimConfig)| {
+            let mut cfg = cfg();
+            edit(&mut cfg);
+            cfg
+        };
+        let knobs = [
+            ("cycles", set(|c| c.cycles = 20)),
+            ("publish_from", set(|c| c.publish_from = 5)),
+            ("measure_from", set(|c| c.measure_from = 9)),
+            ("seed", set(|c| c.seed = 99)),
+            ("bootstrap_degree", set(|c| c.bootstrap_degree = 2)),
+            ("profile_window", set(|c| c.profile_window = Some(2))),
+            ("ttl_override", set(|c| c.ttl_override = Some(1))),
+            ("wup_view_override", set(|c| c.wup_view_override = Some(30))),
+            ("obfuscation", set(|c| c.obfuscation = Some(0.9))),
+            ("shards", set(|c| c.shards = 3)),
+            ("datagram_budget", set(|c| c.datagram_budget = 64)),
+            ("phi_threshold", set(|c| c.phi_threshold = 0.2)),
+            ("down_cycles", set(|c| c.down_cycles = 1)),
+        ];
+        let fields: Vec<&str> = knobs.iter().map(|&(field, _)| field).collect();
+        assert_eq!(
+            fields,
+            SimConfig::FIELDS,
+            "one strong value per config field"
+        );
+        let whatsup = Protocol::WhatsUp { f_like: 3 };
+        let engines = [
+            whatsup,
+            Protocol::Cascade,
+            Protocol::CPubSub,
+            Protocol::CWhatsUp { f_like: 3 },
+            Protocol::AntiEntropy { fanout: 3 },
+        ];
+        let environment = |p: Protocol| {
+            let (loss, churn) = (
+                LossModel::Constant { p: 0.1 },
+                ChurnModel::Uniform { per_cycle: 0.05 },
+            );
+            let (loss, churn) = match p {
+                Protocol::Cascade => (loss, ChurnModel::None),
+                p if p.is_global() => (LossModel::Constant { p: 0.0 }, ChurnModel::None),
+                _ => (loss, churn),
+            };
+            Scenario::default().with_environment(Environment { loss, churn })
+        };
+        // C-Pub/Sub draws no random number: its schedule and deliveries
+        // are a function of the dataset and the cycle bounds alone, yet it
+        // takes a seed like every engine.
+        const SILENT: [(&str, &str); 1] = [("seed", "C-Pub/Sub")];
+        let expected = |field: &str, p: Protocol| {
+            if SILENT.contains(&(field, p.label().as_str())) {
+                return Outcome::Execution;
+            }
+            let reads = match field {
+                "cycles" | "publish_from" | "measure_from" | "seed" => true,
+                "datagram_budget" | "phi_threshold" | "down_cycles" => {
+                    matches!(p, Protocol::AntiEntropy { .. })
+                }
+                _ => p == whatsup,
+            };
+            match (reads, field) {
+                (false, _) => Outcome::Refused,
+                (true, "shards") => Outcome::Execution,
+                (true, _) => Outcome::Semantic,
+            }
+        };
+        let run = |p: Protocol, cfg: &SimConfig| {
+            let runner = Runner::new(&d, p).config(cfg.clone());
+            let report = runner.scenario(environment(p)).try_run();
+            report.map(|report| format!("{report:?}"))
+        };
+        let mut wrong = Vec::new();
+        for p in engines {
+            let base = run(p, &cfg()).expect("the default config runs");
+            for (field, cfg) in &knobs {
+                let outcome = match run(p, cfg) {
+                    Err(e) => {
+                        let line = e.to_string();
+                        if !line.contains(field) || line.lines().count() != 1 {
+                            wrong.push(format!("{field} on {}: refused as {line}", p.label()));
+                        }
+                        Outcome::Refused
+                    }
+                    Ok(report) if report == base => Outcome::Execution,
+                    Ok(_) => Outcome::Semantic,
+                };
+                let want = expected(field, p);
+                if outcome != want {
+                    let label = p.label();
+                    wrong.push(format!("{field} on {label}: {outcome:?}, not {want:?}"));
+                }
+            }
+        }
+        assert!(wrong.is_empty(), "{}", wrong.join("\n"));
     }
 
     #[test]

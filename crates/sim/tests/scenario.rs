@@ -344,7 +344,7 @@ fn cli_runs_the_committed_scenario_identically() {
     let (w2, a2) = common::spawn_listen_worker();
     assert_eq!(
         reference,
-        run_cli(&["--transport", "socket", "--workers", &format!("{a1},{a2}")]),
+        run_cli(&["--workers", &format!("{a1},{a2}")]),
         "socket CLI run changed the report"
     );
     common::assert_clean_exit(w1, "worker 1");
@@ -484,7 +484,7 @@ fn cli_socket_summary_counts_one_shard_per_worker() {
     let (w1, a1) = common::spawn_listen_worker();
     let (w2, a2) = common::spawn_listen_worker();
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_whatsup-sim"))
-        .args(["run", COMMITTED, "--transport", "socket", "--workers"])
+        .args(["run", COMMITTED, "--workers"])
         .arg(format!("{a1},{a2}"))
         .output()
         .expect("spawn whatsup-sim");
@@ -510,6 +510,45 @@ fn cli_socket_summary_counts_one_shard_per_worker() {
         2,
         "one node count per worker: {summary}"
     );
+}
+
+/// A socket run whose shard count is neither 1 nor its worker count is
+/// refused by the runner in one stderr line, exit 1, before any worker is
+/// dialed: the two listeners named by `--workers` never see a connection.
+#[test]
+fn cli_refuses_a_socket_shard_count_other_than_its_workers_before_dialing() {
+    let listeners: Vec<std::net::TcpListener> = (0..2)
+        .map(|_| std::net::TcpListener::bind("127.0.0.1:0").expect("bind a loopback port"))
+        .collect();
+    let addrs: Vec<String> = listeners
+        .iter()
+        .map(|l| l.local_addr().unwrap().to_string())
+        .collect();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_whatsup-sim"))
+        .args([
+            "run",
+            COMMITTED,
+            "--shards",
+            "4",
+            "--workers",
+            &addrs.join(","),
+        ])
+        .output()
+        .expect("spawn whatsup-sim");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(
+        stderr,
+        "whatsup-sim: run failed: config.shards is 4 for 2 socket workers — the socket \
+         transport runs one shard per worker\n"
+    );
+    assert!(out.stdout.is_empty());
+    for listener in &listeners {
+        listener.set_nonblocking(true).unwrap();
+        let accepted = listener.accept().map(drop);
+        let refused = accepted.expect_err("no worker may be dialed");
+        assert_eq!(refused.kind(), std::io::ErrorKind::WouldBlock);
+    }
 }
 
 /// A denser composite than the committed file — diurnal workload, timed

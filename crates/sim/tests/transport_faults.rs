@@ -588,14 +588,7 @@ fn killing_the_driver_leaves_no_zombie_and_no_backtrace() {
         "/../../scenarios/flash_crowd_crash_wave.json"
     );
     let mut driver = std::process::Command::new(cli)
-        .args([
-            "run",
-            committed,
-            "--transport",
-            "socket",
-            "--workers",
-            &addr,
-        ])
+        .args(["run", committed, "--workers", &addr])
         .stdout(std::process::Stdio::null())
         .stderr(std::process::Stdio::null())
         .spawn()

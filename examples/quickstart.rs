@@ -20,15 +20,13 @@ fn main() {
     );
 
     // 2. A simulation shape: 65 gossip cycles, items published throughout,
-    //    metrics over items published after the clustering ramp. `shards: 0`
-    //    partitions the node table across one engine shard per core —
-    //    results are bit-identical for every shard count, so this is purely
-    //    a throughput knob.
+    //    metrics over items published after the clustering ramp, on one
+    //    engine shard (results are bit-identical for every shard count).
     let cfg = SimConfig {
         cycles: 65,
         publish_from: 3,
         measure_from: 20,
-        shards: 0,
+        shards: 1,
         ..Default::default()
     };
 
