@@ -132,8 +132,14 @@ pub struct Job {
 
 impl Job {
     /// `protocol` on `data` in the paper's simulation shape: 65 cycles,
-    /// window 13 = 1/5 of the run, measurement after the clustering ramp.
+    /// window 13 = 1/5 of the run, measurement after the clustering ramp,
+    /// seeded with [`SEED`] — but for C-Pub/Sub, which draws no random
+    /// number and refuses a seed.
     pub fn paper(data: Data, protocol: Protocol) -> Self {
+        let seed = match protocol {
+            Protocol::CPubSub => SimConfig::default().seed,
+            _ => SEED,
+        };
         Self {
             data,
             protocol,
@@ -141,7 +147,7 @@ impl Job {
                 cycles: 65,
                 publish_from: 3,
                 measure_from: 20,
-                seed: SEED,
+                seed,
                 ..Default::default()
             },
             scenario: Scenario::default(),

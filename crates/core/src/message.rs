@@ -17,8 +17,9 @@ pub struct NewsMessage {
     pub header: ItemHeader,
     /// The aggregated item profile, shared copy-on-write: fanning one
     /// reception out to `fLIKE` targets clones the `Arc`, not the entries;
-    /// the next hop that actually aggregates copies once via
-    /// [`Profile::aggregated_with`].
+    /// the next hop that actually aggregates builds a new one, folded in
+    /// slot space from the liker's planes (`Profile::folded`) or merged
+    /// flat ([`Profile::aggregated_with`]).
     pub profile: SharedProfile,
     /// Dislike counter `dI`.
     pub dislikes: u8,

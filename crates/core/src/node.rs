@@ -101,8 +101,9 @@ pub struct WhatsUpNode {
     params: Params,
     rps: Rps<SharedProfile>,
     wup: Clustering<SharedProfile>,
-    /// The true profile: one sorted vector, never handed out, so a
-    /// mutation never copies it.
+    /// The true profile: one sorted vector and its planes over `items`,
+    /// kept current through every rating and window purge, never handed
+    /// out, so a mutation never copies it.
     profile: Profile,
     obfuscation: Obfuscation,
     /// Memoized disclosed-profile snapshot; dropped whenever `profile`
@@ -177,10 +178,11 @@ impl WhatsUpNode {
         shared
     }
 
-    /// Records the user's opinion on `item`; the disclosed-profile
-    /// snapshot is stale after it, as after every profile mutation.
+    /// Records the user's opinion on `item`, keeping the profile's planes
+    /// current; the disclosed-profile snapshot is stale after it, as after
+    /// every profile mutation.
     fn rate(&mut self, item: ItemId, timestamp: Timestamp, liked: bool) {
-        self.profile.rate(item, timestamp, liked);
+        self.profile.rate_in(&self.items, item, timestamp, liked);
         self.shared_cache = None;
     }
 
@@ -326,7 +328,7 @@ impl WhatsUpNode {
         // Nothing is touched when the purge would remove nothing.
         let cutoff = now.saturating_sub(self.params.profile_window);
         if self.profile.any_older_than(cutoff) {
-            self.profile.purge_older_than(cutoff);
+            self.profile.purge_in(&self.items, cutoff);
             self.shared_cache = None;
         }
         let mut out = Vec::with_capacity(2);
@@ -440,15 +442,18 @@ impl WhatsUpNode {
     }
 
     /// `item_profile` with what this node discloses folded in (`None` if
-    /// that is empty): the obfuscated snapshot, or with obfuscation off the
-    /// true profile itself — folded without taking a snapshot, since news
-    /// discloses nothing gossip has not.
+    /// that is empty). With obfuscation off that is the true profile
+    /// itself — folded without taking a snapshot, since news discloses
+    /// nothing gossip has not — and the fold runs in slot space, from the
+    /// profile's kept-current planes ([`Profile::folded`]). The obfuscated
+    /// snapshot is merged flat.
     fn fold_disclosed(&mut self, item_profile: &Profile) -> Option<Profile> {
-        let fold = |user: &Profile| (!user.is_empty()).then(|| item_profile.aggregated_with(user));
-        match self.obfuscation.is_off() {
-            true => fold(&self.profile),
-            false => fold(&self.shared_profile()),
+        if self.obfuscation.is_off() {
+            let own = &self.profile;
+            return (!own.is_empty()).then(|| item_profile.folded(own, &self.items));
         }
+        let shared = self.shared_profile();
+        (!shared.is_empty()).then(|| item_profile.merged(&shared))
     }
 
     /// Publishes a new item (Algorithm 1, `generateNewsItem`): the source
@@ -829,6 +834,107 @@ mod tests {
         let snapshot = n.shared_profile();
         assert_eq!(*snapshot, *n.profile());
         assert!(snapshot.heap_bytes() >= 16 * snapshot.len() + snapshot.plane_bytes());
+    }
+
+    /// Item profiles travel folded: over an index dense enough for their
+    /// weights to fit, every copy a node forwards — published, folded by
+    /// likers, oriented by dislikers down their chains — carries the
+    /// packed weights its fold produced, equal to the flat merge of the
+    /// copy it received with the node's profile, and no weights are ever
+    /// laid out from an item profile's entries to orient it. With
+    /// obfuscation on, a node folds its obfuscated share flat: what it
+    /// forwards is that merge, laid out on its first orientation.
+    #[test]
+    fn folded_item_profiles_are_oriented_with_the_weights_they_were_folded_to() {
+        let news_items: Vec<NewsItem> = (0..64)
+            .map(|k| NewsItem::new(format!("n{k}"), "", "", 0, k / 8))
+            .collect();
+        let index: ItemIndexMap = (news_items.iter().zip(0..))
+            .map(|(item, slot)| (item.id(), slot, item.created_at))
+            .collect();
+        let index = Arc::new(index);
+        let id = |k: usize| news_items[k].id();
+        let slot_of = |item: ItemId| index.get(&item).copied().unwrap_or(64) as usize;
+        let likes = |node: NodeId, item: ItemId| !(node as usize + slot_of(item)).is_multiple_of(3);
+        for obfuscated in [false, true] {
+            let mut params = Params::whatsup(2);
+            params.obfuscation_epsilon = if obfuscated { 0.3 } else { 0.0 };
+            let mut nodes: Vec<WhatsUpNode> = (0..8u32)
+                .map(|n| WhatsUpNode::new(n, params.clone(), Arc::clone(&index)))
+                .collect();
+            for (n, node) in nodes.iter_mut().enumerate() {
+                for k in (0..48).filter(|k| (k + n) % 4 != 0) {
+                    let liked = likes(n as NodeId, id(k));
+                    node.rate(id(k), news_items[k].created_at, liked);
+                    node.seen.insert(id(k), &node.items);
+                }
+            }
+            let snapshots: Vec<SharedProfile> =
+                nodes.iter_mut().map(|n| n.shared_profile()).collect();
+            for (n, node) in nodes.iter_mut().enumerate() {
+                let others = (0..8)
+                    .filter(|&o| o != n)
+                    .map(|o| (o as NodeId, SharedProfile::clone(&snapshots[o])));
+                node.seed_views_arcs(others.clone(), others.take(4));
+            }
+            let built = crate::planes::WEIGHTS_BUILT.with(std::cell::Cell::get);
+            let (mut rng, mut stats) = (rng(), NodeStats::default());
+            let (mut forwarded, mut oriented) = (0, 0);
+            for (k, item) in news_items.iter().enumerate().skip(48) {
+                let source = k % 8;
+                let mut queue: std::collections::VecDeque<(NodeId, OutMessage)> = nodes[source]
+                    .publish(item, 8, &mut stats, &mut rng)
+                    .into_iter()
+                    .map(|m| (source as NodeId, m))
+                    .collect();
+                while let Some((from, m)) = queue.pop_front() {
+                    let Payload::News(received) = m.payload else {
+                        panic!("news only")
+                    };
+                    let to = &mut nodes[m.to as usize];
+                    let disclosed = match obfuscated {
+                        true => to.shared_profile(),
+                        false => SharedProfile::new(to.profile.clone()),
+                    };
+                    let fresh = !to.has_seen(received.header.id);
+                    let liked = likes(to.id(), received.header.id);
+                    let incoming = SharedProfile::clone(&received.profile);
+                    let out = to.on_message(
+                        from,
+                        Payload::News(received),
+                        8,
+                        &likes,
+                        &mut stats,
+                        &mut rng,
+                    );
+                    oriented += usize::from(fresh && !liked && !out.is_empty());
+                    for next in out {
+                        let Payload::News(msg) = &next.payload else {
+                            panic!("news only")
+                        };
+                        let expected = match fresh && liked {
+                            true => incoming.merged(&disclosed),
+                            false => (*incoming).clone(),
+                        };
+                        assert_eq!(*msg.profile, expected);
+                        assert_eq!(msg.profile.norm().to_bits(), expected.norm().to_bits());
+                        assert_eq!(msg.profile.is_packed(), !obfuscated);
+                        forwarded += 1;
+                        queue.push_back((m.to, next));
+                    }
+                }
+            }
+            assert!(
+                forwarded > 50 && oriented > 5,
+                "{forwarded} copies, {oriented} oriented"
+            );
+            let laid_out = crate::planes::WEIGHTS_BUILT.with(std::cell::Cell::get) - built;
+            assert_eq!(
+                laid_out == 0,
+                !obfuscated,
+                "{laid_out} item profiles weighed from entries"
+            );
+        }
     }
 
     #[test]

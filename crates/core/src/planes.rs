@@ -1,6 +1,6 @@
 //! Bit planes of a binary profile, and the weights of a real-valued one:
-//! the two [`Layout`]s a profile allocation keeps as derived state (see
-//! "Counting path" in [`crate::similarity`]).
+//! the two [`Layout`]s a profile keeps (see "Counting path" in
+//! [`crate::similarity`]).
 //!
 //! A profile whose scores are all exactly 0 or 1 is two item sets — what
 //! it *rated* and what it *liked* — and every similarity sum between two
@@ -14,15 +14,23 @@
 //! every item id of a run, numbered densely before cycle 0. The paper
 //! numbers nothing — an item is the hash of its content (§II-A) — so the
 //! numbering is this implementation's, and it never shows: a layout only
-//! ever yields sums over an intersection, which no renumbering changes.
-//! The two profiles of a score belong to different nodes, so every node of
-//! a run holds the same index, and a pair is only ever counted between
-//! layouts numbered by one (debug builds check it, [`Numbering`]). The
-//! index is complete and read-only while the run lasts, so a build looks
-//! its ids up without a lock, and an id the index does not know — one a
-//! peer put on the wire — has no slot: a binary profile holding one
-//! declines its planes, and weights leave it out, since no candidate with
-//! planes can rate it.
+//! ever yields sums over an intersection, and entries rebuilt in id order,
+//! which no renumbering changes. The two profiles of a score belong to
+//! different nodes, so every node of a run holds the same index, and a
+//! pair is only ever counted between layouts numbered by one (debug builds
+//! check it, [`Numbering`]). The index is complete and read-only while the
+//! run lasts, so a build looks its ids up without a lock, and an id the
+//! index does not know — one a peer put on the wire — has no slot: a
+//! binary profile holding one declines its planes, and weights leave it
+//! out, since no candidate with planes can rate it.
+//!
+//! Both layouts are kept word-wise as well as built: a node's planes
+//! follow its ratings and window purges in place ([`Planes::keep`]), an
+//! item profile's weights are folded from the liker's planes without a
+//! lookup ([`Weights::fold`]) and purged by slot ([`Weights::retain`]).
+//! Every such path leaves the words [`Planes::build`] and
+//! [`Weights::build`] would lay out from the entries, or declines where
+//! they would.
 //!
 //! The one lookup pass of a build also tracks the lowest and highest slot
 //! placed, so the span of the layout costs no walk of its own
@@ -81,13 +89,45 @@ fn shared_words<'a, A, B>(
         .zip(b.get((from - b_first) as usize..).unwrap_or_default())
 }
 
+/// `words` without the unused words at either end — `used` tells — and
+/// the position of its first word, `first` before the trim. All unused is
+/// empty at word 0, where a build of no entries starts.
+fn trim<W: Copy>(first: &mut u32, words: &mut Box<[W]>, used: impl Fn(&W) -> bool) {
+    let Some(lo) = words.iter().position(&used) else {
+        (*first, *words) = (0, Box::default());
+        return;
+    };
+    let hi = words.iter().rposition(&used).unwrap_or(lo) + 1;
+    if lo > 0 || hi < words.len() {
+        *first += lo as u32;
+        *words = words[lo..hi].into();
+    }
+}
+
+/// Whether the index gives `e` back from `slot` as it is: the same id,
+/// and the item's creation time as its timestamp (a node stamps what it
+/// rates with it, §II-A).
+fn from_index(e: &ProfileEntry, slot: u32, index: &ItemIndexMap) -> bool {
+    index.id_of(slot) == e.item && index.created_at(slot) == e.timestamp
+}
+
+/// Whether binary planes give `e` back as it is from `slot`: besides
+/// [`from_index`], a score of `+0.0` or `1`, not the `-0.0` they would
+/// give back as `+0.0`.
+fn exact_binary(e: &ProfileEntry, slot: u32, index: &ItemIndexMap) -> bool {
+    (e.score == 1.0 || e.score.to_bits() == 0) && from_index(e, slot, index)
+}
+
 /// The rated and liked item sets of one binary profile, as bit sets over
 /// the item index's numbering, trimmed to the words the profile touches.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Planes {
     /// Position of `words[0]` in the untrimmed bit sets: it covers slots
     /// `64 · first_word ..`.
     first_word: u32,
+    /// Entries the planes and the index do not give back as they are (see
+    /// [`Self::is_pack`]).
+    inexact: u32,
     /// `[rated, liked]` bits of 64 consecutive slots.
     words: Box<[[u64; 2]]>,
     numbering: Numbering,
@@ -98,50 +138,95 @@ impl Planes {
     /// `index`. Declines (`None`) when the index does not know one of the
     /// ids, and when the planes would span more words than the profile has
     /// entries (see [`word_span`]). The one pass that looks the ids up
-    /// also tracks the span.
+    /// also tracks the span, and counts the entries the planes would not
+    /// give back as they are.
     pub(crate) fn build(entries: &[ProfileEntry], index: &ItemIndexMap) -> Option<Self> {
-        Self::lay_out(entries, index).map(|(planes, _)| planes)
-    }
-
-    /// [`Self::build`], for planes that with the index are a whole packed
-    /// snapshot. Also declines a score of `-0.0`, which the planes would
-    /// give back as `0.0`, and an entry whose slot the index gives back as
-    /// another id or another time than the entry's.
-    pub(crate) fn pack(entries: &[ProfileEntry], index: &ItemIndexMap) -> Option<Self> {
-        let (planes, slots) = Self::lay_out(entries, index)?;
-        let exact = |(e, &slot): (&ProfileEntry, &u32)| {
-            (e.score == 1.0 || e.score.to_bits() == 0)
-                && index.id_of(slot) == e.item
-                && index.created_at(slot) == e.timestamp
-        };
-        entries.iter().zip(&slots).all(exact).then_some(planes)
-    }
-
-    /// The planes, and the slot of each entry in `entries`' order. The one
-    /// pass that looks the ids up also tracks the span.
-    fn lay_out(entries: &[ProfileEntry], index: &ItemIndexMap) -> Option<(Self, Vec<u32>)> {
         let (mut slots, mut bounds) = (Vec::with_capacity(entries.len()), (u32::MAX, 0));
+        let mut inexact = 0;
         for e in entries {
             let slot = *index.get(&e.item)?;
             slots.push(slot);
             bounds = widen(bounds, slot);
+            inexact += u32::from(!exact_binary(e, slot, index));
         }
         let (first_word, end_word) = word_span(bounds, slots.len())?;
-        let mut words = vec![[0u64; 2]; (end_word - first_word) as usize].into_boxed_slice();
-        for (e, &slot) in entries.iter().zip(&slots) {
-            let word = &mut words[(slot / 64 - first_word) as usize];
-            let bit = 1u64 << (slot % 64);
-            word[0] |= bit;
-            if e.score == 1.0 {
-                word[1] |= bit;
-            }
-        }
-        let planes = Self {
+        let mut planes = Self {
             first_word,
-            words,
+            inexact,
+            words: vec![[0u64; 2]; (end_word - first_word) as usize].into_boxed_slice(),
             numbering: Numbering::of(index),
         };
-        Some((planes, slots))
+        for (e, &slot) in entries.iter().zip(&slots) {
+            planes.set(slot, e.score == 1.0);
+        }
+        Some(planes)
+    }
+
+    /// Whether the planes and the index are the whole profile: every id
+    /// has the slot it came from, every timestamp is its item's creation
+    /// time, and every score is `+0.0` or `1`. Such planes are what a
+    /// packed snapshot keeps, and what an item profile is folded from.
+    pub(crate) fn is_pack(&self) -> bool {
+        self.inexact == 0
+    }
+
+    /// Marks `slot` rated, and liked or not; its word must be spanned.
+    fn set(&mut self, slot: u32, liked: bool) {
+        let word = &mut self.words[(slot / 64 - self.first_word) as usize];
+        let bit = 1u64 << (slot % 64);
+        word[0] |= bit;
+        word[1] = word[1] & !bit | (bit & 0u64.wrapping_sub(u64::from(liked)));
+    }
+
+    /// Keeps the planes of a profile of `len` entries current through one
+    /// change to its entries: `removed` gone, then `added` placed — a
+    /// rating, a re-rating, a window purge. `false` when they must go
+    /// instead, where [`Self::build`] of the changed entries declines: an
+    /// id the index does not know, or a span wider than `len` words. Kept,
+    /// the words are those of that build.
+    pub(crate) fn keep(
+        &mut self,
+        index: &ItemIndexMap,
+        removed: impl IntoIterator<Item = ProfileEntry>,
+        added: Option<ProfileEntry>,
+        len: usize,
+    ) -> bool {
+        for e in removed {
+            let Some(&slot) = index.get(&e.item) else {
+                return false;
+            };
+            let at = (slot / 64).checked_sub(self.first_word);
+            let Some(word) = at.and_then(|at| self.words.get_mut(at as usize)) else {
+                return false;
+            };
+            let bit = 1u64 << (slot % 64);
+            (word[0], word[1]) = (word[0] & !bit, word[1] & !bit);
+            self.inexact -= u32::from(!exact_binary(&e, slot, index));
+        }
+        if let Some(e) = added {
+            let Some(&slot) = index.get(&e.item) else {
+                return false;
+            };
+            self.cover(slot / 64);
+            self.set(slot, e.score == 1.0);
+            self.inexact += u32::from(!exact_binary(&e, slot, index));
+        }
+        trim(&mut self.first_word, &mut self.words, |w| w[0] != 0);
+        self.words.len() <= len
+    }
+
+    /// Widens the span to hold word `word`.
+    fn cover(&mut self, word: u32) {
+        let end = self.first_word + self.words.len() as u32;
+        if self.words.is_empty() {
+            (self.first_word, self.words) = (word, Box::new([[0; 2]]));
+        } else if word < self.first_word || word >= end {
+            let first = self.first_word.min(word);
+            let mut words = vec![[0u64; 2]; (end.max(word + 1) - first) as usize];
+            let at = (self.first_word - first) as usize;
+            words[at..at + self.words.len()].copy_from_slice(&self.words);
+            (self.first_word, self.words) = (first, words.into_boxed_slice());
+        }
     }
 
     /// The rated slots in ascending order, each with whether it is liked.
@@ -189,27 +274,97 @@ fn fixed_point(score: f32) -> Option<u32> {
     (q <= ONE && (q as f32).to_bits() == scaled.to_bits()).then_some(q)
 }
 
+/// The score `q / 2²⁰`, exactly: `q ≤ 2²⁰` needs 21 of an f32's 24 bits,
+/// and the division is by a power of two.
+pub(crate) fn score_of(q: u32) -> f32 {
+    q as f32 / ONE as f32
+}
+
+/// What the derived state of a weighed profile counts: its entries, those
+/// scored above ½ and those scored neither 0 nor 1. Kept through a fold
+/// and a purge by what they change, where a profile rescans its entries.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct Counts {
+    pub(crate) len: usize,
+    pub(crate) likes: u32,
+    pub(crate) non_binary: u32,
+}
+
+impl Counts {
+    /// Counts a score of weight `q` in.
+    fn add(&mut self, q: u32) {
+        self.likes += u32::from(q > ONE / 2);
+        self.non_binary += u32::from(q != 0 && q != ONE);
+    }
+
+    /// Counts a score of weight `q` out.
+    fn remove(&mut self, q: u32) {
+        self.likes -= u32::from(q > ONE / 2);
+        self.non_binary -= u32::from(q != 0 && q != ONE);
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// How many times this thread laid weights out from entries.
+    pub(crate) static WEIGHTS_BUILT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// One word of [`Weights`]: 64 consecutive slots.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct WeightWord {
+    /// The slots the profile holds, zeros included.
+    held: u64,
+    /// The held slots whose `q` is not 0: all a sum visits.
+    weighed: u64,
+    /// `score · 2²⁰` of the entry owning each slot (0 where none does).
+    q: [u32; 64],
+}
+
+impl WeightWord {
+    const EMPTY: Self = Self {
+        held: 0,
+        weighed: 0,
+        q: [0; 64],
+    };
+
+    /// Holds `bit` at weight `q`.
+    fn hold(&mut self, bit: u32, q: u32) {
+        let mask = 1u64 << bit;
+        self.held |= mask;
+        self.weighed = self.weighed & !mask | (mask & 0u64.wrapping_sub(u64::from(q != 0)));
+        self.q[bit as usize] = q;
+    }
+}
+
 /// A real-valued profile laid out by slot, to be summed against the planes
-/// of binary candidates. An entry scored exactly 0 adds nothing to a sum
-/// and is left out, unlooked-up; so is one whose id the index does not
-/// know, which no candidate with planes rates.
+/// of binary candidates: every entry the index knows, zeros included. One
+/// whose id the index does not know is left out; no candidate with planes
+/// rates it. Built from entries ([`Self::build`]) or folded from a
+/// liker's planes ([`Self::fold`]), the words are the same.
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Weights {
     /// Position of `words[0]` in the untrimmed layout, as in [`Planes`].
     first_word: u32,
-    /// Per 64 consecutive slots: the mask of those holding a non-zero
-    /// weight, and `score · 2²⁰` of the entry owning each of them.
-    words: Box<[(u64, [u32; 64])]>,
+    /// Per 64 consecutive slots: which the profile holds, which of those
+    /// weigh anything, and `score · 2²⁰` of each.
+    words: Box<[WeightWord]>,
+    /// `Σ q²` over the slots held: the squared norm in units of 2⁻⁴⁰.
+    /// Exact, with at most [`MAX_WEIGHED`] of them.
+    sum_q2: u64,
     numbering: Numbering,
 }
 
 impl Weights {
-    /// Weights of the non-zero entries whose ids `index` knows. Declines
-    /// (`None`) unless every score is a whole multiple of 2⁻²⁰ in `[0, 1]`
-    /// and there are at most 2¹³ of them — what makes [`Self::sums`] exact
-    /// — and when the layout would span more words than it places entries
+    /// Weights of the entries whose ids `index` knows. Declines (`None`)
+    /// unless every score is a whole multiple of 2⁻²⁰ in `[0, 1]` and
+    /// there are at most 2¹³ of them — what makes [`Self::sums`] exact —
+    /// and when the layout would span more words than it places entries
     /// (see [`word_span`]). The one pass that looks the ids up also tracks
     /// the span.
     pub(crate) fn build(entries: &[ProfileEntry], index: &ItemIndexMap) -> Option<Self> {
+        #[cfg(test)]
+        WEIGHTS_BUILT.with(|built| built.set(built.get() + 1));
         if entries.len() > MAX_WEIGHED {
             return None;
         }
@@ -217,31 +372,167 @@ impl Weights {
         let mut bounds = (u32::MAX, 0);
         for e in entries {
             let q = fixed_point(e.score)?;
-            let known = if q == 0 { None } else { index.get(&e.item) };
-            if let Some(&slot) = known {
+            if let Some(&slot) = index.get(&e.item) {
                 placed.push((slot, q));
                 bounds = widen(bounds, slot);
             }
         }
         let (first_word, end_word) = word_span(bounds, placed.len())?;
-        let mut words = vec![(0, [0; 64]); (end_word - first_word) as usize].into_boxed_slice();
+        let mut words = vec![WeightWord::EMPTY; (end_word - first_word) as usize];
+        let mut sum_q2 = 0;
         for (slot, q) in placed {
-            let (nonzero, weights) = &mut words[(slot / 64 - first_word) as usize];
-            *nonzero |= 1 << (slot % 64);
-            weights[(slot % 64) as usize] = q;
+            words[(slot / 64 - first_word) as usize].hold(slot % 64, q);
+            sum_q2 += u64::from(q) * u64::from(q);
         }
+        let words = words.into_boxed_slice();
         Some(Self {
             first_word,
             words,
+            sum_q2,
             numbering: Numbering::of(index),
         })
+    }
+
+    /// The weights of an item profile with a liker's profile folded in by
+    /// `addToNewsProfile`'s rule (Algorithm 1: average an item both hold,
+    /// take the liker's opinion on one only it holds), word by word, and
+    /// the fold's [`Counts`]. `item` is `None` for an empty item profile,
+    /// `counts` its counts, and `own` the liker's planes, which must be a
+    /// pack ([`Planes::is_pack`]). Declines what a fold from entries could
+    /// not weigh or would rather keep flat: an average that is no whole
+    /// multiple of 2⁻²⁰, more than 2¹³ entries, a span wider than the
+    /// entries (see [`word_span`]), or words taking more than twice the
+    /// bytes of the entries they hold.
+    pub(crate) fn fold(
+        item: Option<&Weights>,
+        counts: Counts,
+        own: &Planes,
+    ) -> Option<(Weights, Counts)> {
+        debug_assert!(own.is_pack(), "folded from planes that are not the profile");
+        let rated: u32 = own.words.iter().map(|w| w[0].count_ones()).sum();
+        if rated as usize > MAX_WEIGHED {
+            return None;
+        }
+        let spans = [
+            item.map(|w| (w.first_word, w.words.len())),
+            Some((own.first_word, own.words.len())),
+        ];
+        let spans = spans.into_iter().flatten().filter(|&(_, len)| len > 0);
+        let (first, end) = spans.fold((u32::MAX, 0), |(first, end), (at, len)| {
+            (first.min(at), end.max(at + len as u32))
+        });
+        let mut words = Vec::with_capacity(end.saturating_sub(first) as usize);
+        let mut sum_q2 = 0;
+        if let Some(item) = item.filter(|w| !w.words.is_empty()) {
+            debug_assert_eq!(item.numbering, own.numbering, "layouts of two indexes");
+            words.resize((item.first_word - first) as usize, WeightWord::EMPTY);
+            words.extend_from_slice(&item.words);
+            sum_q2 = item.sum_q2;
+        }
+        words.resize(end.saturating_sub(first) as usize, WeightWord::EMPTY);
+        let mut counts = counts;
+        let own_words = words.get_mut(own.first_word.wrapping_sub(first) as usize..);
+        for (&[rated, liked], word) in own.words.iter().zip(own_words.unwrap_or_default()) {
+            let mut rest = rated;
+            while rest != 0 {
+                let bit = rest.trailing_zeros();
+                rest &= rest - 1;
+                let own_q = ONE & 0u32.wrapping_sub((liked >> bit & 1) as u32);
+                let q = word.q[bit as usize];
+                let folded = if word.held >> bit & 1 == 1 {
+                    let sum = q + own_q;
+                    if sum % 2 == 1 {
+                        return None;
+                    }
+                    counts.remove(q);
+                    sum_q2 -= u64::from(q) * u64::from(q);
+                    sum / 2
+                } else {
+                    counts.len += 1;
+                    own_q
+                };
+                counts.add(folded);
+                sum_q2 += u64::from(folded) * u64::from(folded);
+                word.hold(bit, folded);
+            }
+        }
+        let weights = Self {
+            first_word: if words.is_empty() { 0 } else { first },
+            words: words.into_boxed_slice(),
+            sum_q2,
+            numbering: own.numbering,
+        };
+        weights.fits(counts.len).then_some((weights, counts))
+    }
+
+    /// Whether the weights of `len` entries may be a profile's whole
+    /// store: at most 2¹³ entries, a span no wider than the entries, and
+    /// words of at most twice the bytes the entries take flat.
+    pub(crate) fn fits(&self, len: usize) -> bool {
+        let (bytes, flat) = (
+            std::mem::size_of_val(&*self.words),
+            len * std::mem::size_of::<ProfileEntry>(),
+        );
+        len <= MAX_WEIGHED && self.words.len() <= len && bytes <= 2 * flat
+    }
+
+    /// Drops the held slots `keep` turns away, trimming the span as a
+    /// build of what is left would, and counts what is left.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(u32) -> bool) -> Counts {
+        let mut counts = Counts::default();
+        for (at, word) in (self.first_word..).zip(self.words.iter_mut()) {
+            let mut rest = word.held;
+            while rest != 0 {
+                let bit = rest.trailing_zeros();
+                rest &= rest - 1;
+                let q = word.q[bit as usize];
+                if keep(at * 64 + bit) {
+                    counts.len += 1;
+                    counts.add(q);
+                } else {
+                    (word.held, word.weighed) =
+                        (word.held & !(1 << bit), word.weighed & !(1 << bit));
+                    self.sum_q2 -= u64::from(q) * u64::from(q);
+                    word.q[bit as usize] = 0;
+                }
+            }
+        }
+        trim(&mut self.first_word, &mut self.words, |word| word.held != 0);
+        counts
+    }
+
+    /// The held slots in ascending order, each with its `q`.
+    pub(crate) fn held(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        (self.words.iter().zip(self.first_word..)).flat_map(|(word, at)| {
+            let mut rest = word.held;
+            std::iter::from_fn(move || {
+                let bit = (rest != 0).then(|| rest.trailing_zeros())?;
+                rest &= rest - 1;
+                Some((at * 64 + bit, word.q[bit as usize]))
+            })
+        })
+    }
+
+    /// `‖scores‖₂` of the slots held, as the reference scan yields it, bit
+    /// for bit: every partial sum of its `s²` is a whole number of 2⁻⁴⁰
+    /// units no greater than 2⁵³, exact in any order, and so is `Σ q²`.
+    /// An empty (all-zero) profile's is `+0.0`, as the scan's.
+    pub(crate) fn norm(&self) -> f64 {
+        let unit = 1.0 / f64::from(ONE);
+        let n = (self.sum_q2 as f64 * (unit * unit)).sqrt();
+        if n == 0.0 {
+            0.0
+        } else {
+            n
+        }
     }
 
     /// The metrics' `(Σ pn·pc, Σ pn²)` over the items `cand` rated, as the
     /// reference's f64 accumulation yields them, bit for bit (see
     /// "Exactness of weights" in [`crate::similarity`]). Walks the set
-    /// bits of the candidate's `rated` plane that carry a non-zero weight;
-    /// whether an item is liked is a mask, not a branch.
+    /// bits of the candidate's `rated` plane the profile holds at a
+    /// non-zero weight — one at 0 adds nothing — and whether an item is
+    /// liked is a mask, not a branch.
     pub(crate) fn sums(&self, cand: &Planes) -> (f64, f64) {
         debug_assert_eq!(self.numbering, cand.numbering, "layouts of two indexes");
         let (mut dot, mut sub_norm2) = (0u64, 0u64);
@@ -249,12 +540,12 @@ impl Weights {
             (self.first_word, &self.words),
             (cand.first_word, &cand.words),
         );
-        for ((nonzero, q), [rated, liked]) in shared {
-            let mut rest = rated & nonzero;
+        for (word, [rated, liked]) in shared {
+            let mut rest = rated & word.weighed;
             while rest != 0 {
                 let bit = rest.trailing_zeros() % 64;
                 rest &= rest - 1;
-                let weight = u64::from(q[bit as usize]);
+                let weight = u64::from(word.q[bit as usize]);
                 sub_norm2 += weight * weight;
                 dot += weight & 0u64.wrapping_sub(liked >> bit & 1);
             }
@@ -264,8 +555,11 @@ impl Weights {
     }
 }
 
-/// What a profile allocation is laid out as (`Profile::layout`): planes if
-/// every score is 0 or 1, weights otherwise.
+/// What a profile is laid out as (`Profile::layout`): planes if every
+/// score is 0 or 1, weights otherwise — or, for a packed profile, what it
+/// was packed as: a disclosed snapshot's planes, a folded item profile's
+/// weights.
+#[derive(Debug, Clone)]
 pub(crate) enum Layout {
     Planes(Planes),
     Weights(Weights),
@@ -312,8 +606,8 @@ mod tests {
     proptest! {
         /// The one-pass builds against the definitions they replace:
         /// weights span what [`word_span_by_walks`] makes of the slots of
-        /// their non-zero, known entries, and decline exactly when it does;
-        /// planes likewise.
+        /// their known entries, zeros included, and decline exactly when
+        /// it does; planes likewise.
         #[test]
         fn one_pass_spans_match_their_definition(
             picks in prop::collection::vec((0u64..400, 0usize..5), 0..40),
@@ -331,10 +625,7 @@ mod tests {
                 .collect();
             weighed.sort_by_key(|e| e.item);
             weighed.dedup_by_key(|e| e.item);
-            let placed = weighed
-                .iter()
-                .filter(|e| e.score != 0.0)
-                .filter_map(|e| index.get(&e.item).copied());
+            let placed = weighed.iter().filter_map(|e| index.get(&e.item).copied());
             let layout = Weights::build(&weighed, &index).map(|w| {
                 (w.first_word, w.first_word + w.words.len() as u32)
             });

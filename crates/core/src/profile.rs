@@ -10,24 +10,38 @@
 //!   path; scores are reals in `[0, 1]`, updated by averaging
 //!   (`addToNewsProfile`, Algorithm 1).
 //!
-//! Profiles are stored as vectors sorted by item id. They are small (bounded
-//! by the profile window — tens to hundreds of entries), so sorted vectors
-//! beat hash maps on both memory and the merge-join scans that dominate
-//! similarity computation.
+//! A profile keeps its entries in one of two stores:
 //!
-//! A profile a node discloses ([`Profile::snapshot`]) is read-only and
-//! only ever scored, through the bit planes it is laid out as when taken.
-//! Those planes already hold every id (by its slot in the run's item
-//! index) and every score, and a node stamps each entry with its item's
-//! creation time (§II-A), which the index keeps once per item. So the
-//! snapshot keeps its planes, an entry count and the index alone: a few
-//! bits an entry where a copy costs 16. Readers that need the ⟨id, t, s⟩
-//! triples in id order — the encoder, walked pairs, cold start, `==` and
-//! `Debug` — get them rebuilt from [`Profile::entries`].
+//! * **Flat**: one vector sorted by item id. Profiles are small (bounded by
+//!   the profile window — tens to hundreds of entries), so a sorted vector
+//!   beats a hash map on memory and on the merge-join scans of a walked
+//!   pair. A node's own profile is flat, and so is every profile built
+//!   from entries: decoded from a frame, restored from a checkpoint, or
+//!   merged flat where a fold cannot run in slot space.
+//! * **Packed**: the profile's [`Layout`] over the run's item index is its
+//!   whole store — ids and scores are slots and bits or weights, and a
+//!   node stamps each entry with its item's creation time (§II-A), which
+//!   the index keeps once per item. Two kinds exist, both read-only to
+//!   everything but a window purge: the snapshot a node discloses
+//!   ([`Profile::snapshot`]), its planes copied from the node's own, and
+//!   an item profile a node folded ([`Profile::folded`]), its weights
+//!   folded word-wise from the liker's planes. Either costs a few bits or
+//!   bytes an entry where a flat copy costs 16.
+//!
+//! Readers that need the ⟨id, t, s⟩ triples in id order — the encoder,
+//! walked pairs, cold start, `==` and `Debug` — get a packed profile's
+//! rebuilt from [`Profile::entries`], so no reader tells the stores apart.
+//!
+//! Who builds a layout: a flat profile's is built on first use
+//! ([`Profile::layout`]) and is derived state, like the norm. The node's
+//! own planes are kept current through its ratings and window purges
+//! ([`Profile::rate_in`], [`Profile::purge_in`]); every other mutation
+//! drops a flat profile's layout. A packed profile's layout is built when
+//! the profile is: copied from the node's planes, or folded.
 
 use crate::hash::mix64;
 use crate::item::{ItemId, ItemIndexMap, Timestamp};
-use crate::planes::{Layout, Planes, Weights};
+use crate::planes::{score_of, Counts, Layout, Planes, Weights};
 use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 
@@ -49,15 +63,16 @@ pub struct ProfileEntry {
 }
 
 /// A profile: sorted-by-item-id vector of entries, unique per item, scores
-/// finite and in `[0, 1]` (see [`ProfileEntry`]) — or, read-only, the same
-/// entries packed into planes ([`Self::snapshot`]).
+/// finite and in `[0, 1]` (see [`ProfileEntry`]) — or the same entries
+/// packed into a layout ([`Self::snapshot`], [`Self::folded`]).
 ///
 /// The Euclidean norm of the score vector is memoized at mutation time:
 /// similarity scoring reads it on every candidate ranking (the hottest loop
 /// in the system), while mutations are comparatively rare. The cache is
 /// recomputed with a full deterministic scan on every mutation — or, for
 /// a profile of 0/1 scores, from the like count, which gives the scan's
-/// bits (see [`Self::upsert`]) — so two profiles with equal entries
+/// bits (see [`Self::upsert`]); a folded item profile's from its weights'
+/// `Σ q²`, likewise exact — so two profiles with equal entries
 /// always carry bit-identical cached norms regardless of the operation
 /// history that produced them. Equality is
 /// defined over `entries` alone (see the manual `PartialEq` below), so a
@@ -99,15 +114,15 @@ pub struct Profile {
     oldest: Timestamp,
     /// The entries laid out for the counting path of `crate::similarity`,
     /// over the run's item index: bit planes if the profile is binary,
-    /// weights otherwise. Built on
-    /// first use ([`Self::layout`], [`Self::planes`]) — a snapshot's when
-    /// it is taken ([`Self::snapshot`]);
-    /// `Some(None)` records that the build declined (see [`Planes::build`],
-    /// [`Weights::build`]). Derived state of a flat profile: never
-    /// serialized, never compared, not copied by `Clone`, dropped by every
-    /// mutation — and shared, once built, by every holder of a
-    /// [`SharedProfile`] on every thread. A packed profile's planes are
-    /// its ids and scores, and live as long as it does.
+    /// weights otherwise. A flat profile's is built on first use
+    /// ([`Self::layout`], [`Self::planes`]); `Some(None)` records that the
+    /// build declined (see [`Planes::build`], [`Weights::build`]). It is
+    /// derived state there: never serialized, never compared, kept current
+    /// by [`Self::rate_in`] and [`Self::purge_in`]
+    /// while it is planes, dropped by every other mutation — and shared,
+    /// once built, by every holder of a [`SharedProfile`] on every thread.
+    /// A packed profile's layout is its ids and scores, and lives as long
+    /// as it does.
     layout: OnceLock<Option<Layout>>,
 }
 
@@ -115,9 +130,11 @@ pub struct Profile {
 enum Store {
     /// One vector sorted by id.
     Flat(Vec<ProfileEntry>),
-    /// A snapshot: its ids and scores are the planes in the layout, its
-    /// timestamps the creation times the index numbering the slots keeps,
-    /// and `len` its entry count. Read-only: a mutation flattens it first.
+    /// The layout is the store: its ids and scores are the planes or the
+    /// weights in it, its timestamps the creation times the index
+    /// numbering the slots keeps, and `len` its entry count. A window
+    /// purge of weights stays packed; any other mutation flattens it
+    /// first.
     Packed {
         len: usize,
         index: Arc<ItemIndexMap>,
@@ -148,14 +165,27 @@ impl PartialEq for Profile {
     }
 }
 
-/// The layout stays behind: a profile is cloned to be mutated (the
-/// copy-on-write `Arc::make_mut` of an item profile to purge), and a
-/// mutation drops it anyway. A packed snapshot's clone is flat.
+/// A copy, layout included — a packed profile's layout is its entries, so
+/// the copy-on-write `Arc::make_mut` of an item profile to purge stays
+/// packed, and a node's planes stay current through its mutations —
+/// except a flat profile's weights: that is an item profile `make_mut`
+/// copies to purge, which would drop them.
 impl Clone for Profile {
     fn clone(&self) -> Self {
+        let entries = match &self.entries {
+            Store::Flat(entries) => Store::Flat(entries.clone()),
+            Store::Packed { len, index } => Store::Packed {
+                len: *len,
+                index: Arc::clone(index),
+            },
+        };
+        let layout = match (&entries, self.layout.get()) {
+            (Store::Flat(_), Some(Some(Layout::Weights(_)))) => OnceLock::new(),
+            _ => self.layout.clone(),
+        };
         Self {
-            entries: Store::Flat(self.flat().into_owned()),
-            layout: OnceLock::new(),
+            entries,
+            layout,
             ..*self
         }
     }
@@ -226,6 +256,15 @@ fn oldest_of(entries: impl IntoIterator<Item = ProfileEntry>) -> Timestamp {
         .fold(Timestamp::MAX, |oldest, e| oldest.min(e.timestamp))
 }
 
+/// A rating: score 1 if liked, 0 if not.
+fn rating(item: ItemId, timestamp: Timestamp, liked: bool) -> ProfileEntry {
+    ProfileEntry {
+        item,
+        timestamp,
+        score: if liked { 1.0 } else { 0.0 },
+    }
+}
+
 /// A profile shared immutably across views, messages and threads.
 /// Gossip descriptors carry these so exchanges and merges never deep-clone
 /// entry vectors.
@@ -268,25 +307,25 @@ impl Profile {
     }
 
     /// The read-only snapshot of `live` that a node discloses. The
-    /// derived state is `live`'s, and the layout is built now over the
-    /// node's `index`: planes, which with the index are the whole
-    /// snapshot. One whose planes decline to pack (see [`Planes::pack`])
-    /// stays flat, a copy of `live` with what its layout build gave.
+    /// derived state is `live`'s, and so are the planes over the node's
+    /// `index`: built on `live` if it has none yet, kept current there
+    /// by [`Self::rate_in`] and [`Self::purge_in`], and copied word for
+    /// word — with the index, the whole snapshot. One whose planes are
+    /// not a pack (see [`Planes::is_pack`]) stays flat, a copy of `live`
+    /// with a copy of its layout.
     pub(crate) fn snapshot(live: &Profile, index: &Arc<ItemIndexMap>) -> Self {
-        let entries = live.flat();
-        let packed = live.is_binary().then(|| Planes::pack(&entries, index));
-        let snapshot = match packed.flatten() {
-            Some(planes) => Self {
+        let snapshot = match live.planes(index) {
+            Some(planes) if planes.is_pack() => Self {
                 entries: Store::Packed {
-                    len: entries.len(),
+                    len: live.len(),
                     index: Arc::clone(index),
                 },
-                layout: OnceLock::from(Some(Layout::Planes(planes))),
+                layout: OnceLock::from(Some(Layout::Planes(planes.clone()))),
                 ..*live
             },
-            None => Self {
-                entries: Store::Flat(entries.to_vec()),
-                layout: OnceLock::from(live.build_layout(index)),
+            _ => Self {
+                entries: Store::Flat(live.flat().into_owned()),
+                layout: OnceLock::from(live.layout(index).cloned()),
                 ..*live
             },
         };
@@ -298,7 +337,7 @@ impl Profile {
     }
 
     /// Recomputes the memoized derived state (norm, fingerprint, like and
-    /// non-binary counts, oldest timestamp) and drops the layout.
+    /// non-binary counts, oldest timestamp) of a flat profile.
     fn recompute_norm(&mut self) {
         self.fingerprint = fingerprint_of(self.entries());
         self.recompute_scores();
@@ -323,11 +362,10 @@ impl Profile {
         self.likes = likes;
         self.non_binary = non_binary;
         self.oldest = oldest;
-        self.drop_layout();
     }
 
-    /// The entry vector every mutation edits: a packed snapshot's
-    /// entries rebuilt first.
+    /// The entry vector every mutation edits: a packed profile's entries
+    /// rebuilt first. Its layout stays: it still lays out these entries.
     fn vec(&mut self) -> &mut Vec<ProfileEntry> {
         if let Store::Packed { .. } = self.entries {
             self.entries = Store::Flat(self.flat().into_owned());
@@ -338,14 +376,35 @@ impl Profile {
         }
     }
 
-    /// Every mutation ends here: a layout describes the entries it was
-    /// built from. Only a flat profile's is derived state.
+    /// A mutation that keeps no layout ends here: a layout describes the
+    /// entries it was built from. Only a flat profile's is derived state.
     fn drop_layout(&mut self) {
         debug_assert!(
             self.as_slice().is_some(),
-            "a packed profile's planes dropped"
+            "a packed profile's layout dropped"
         );
         self.layout.take();
+    }
+
+    /// After a flat profile's entries changed — `removed` gone, `added`
+    /// placed — keeps its planes over `index` current (see
+    /// [`Planes::keep`]), or drops its layout where they cannot be: a
+    /// layout that is no planes, a profile that is no longer binary, a
+    /// build that would decline.
+    fn keep_planes(
+        &mut self,
+        index: &ItemIndexMap,
+        removed: impl IntoIterator<Item = ProfileEntry>,
+        added: Option<ProfileEntry>,
+    ) {
+        let (len, binary) = (self.len(), self.is_binary());
+        let kept = match self.layout.get_mut() {
+            Some(Some(Layout::Planes(planes))) => binary && planes.keep(index, removed, added, len),
+            _ => false,
+        };
+        if !kept {
+            self.drop_layout();
+        }
     }
 
     /// Insert/replace without touching the derived-state caches; callers
@@ -384,29 +443,35 @@ impl Profile {
         }
     }
 
-    /// The entries as one id-sorted slice: a packed snapshot's rebuilt,
-    /// id and creation time by slot from the index, score from its planes,
-    /// then sorted by id.
+    /// The entries as one id-sorted slice: a packed profile's rebuilt, id
+    /// and creation time by slot from the index, score from its planes or
+    /// weights, then sorted by id.
     pub(crate) fn flat(&self) -> Cow<'_, [ProfileEntry]> {
         let (len, index) = match &self.entries {
             Store::Flat(entries) => return Cow::Borrowed(entries),
             Store::Packed { len, index } => (*len, index),
         };
-        let Some(Some(Layout::Planes(planes))) = self.built_layout() else {
-            unreachable!("a packed profile keeps its planes");
-        };
-        let mut entries = Vec::with_capacity(len);
-        entries.extend(planes.rated().map(|(slot, liked)| ProfileEntry {
+        let entry = |slot, score| ProfileEntry {
             item: index.id_of(slot),
             timestamp: index.created_at(slot),
-            score: f32::from(u8::from(liked)),
-        }));
+            score,
+        };
+        let mut entries = Vec::with_capacity(len);
+        match self.built_layout() {
+            Some(Some(Layout::Planes(planes))) => entries.extend(
+                (planes.rated()).map(|(slot, liked)| entry(slot, f32::from(u8::from(liked)))),
+            ),
+            Some(Some(Layout::Weights(weights))) => {
+                entries.extend(weights.held().map(|(slot, q)| entry(slot, score_of(q))))
+            }
+            _ => unreachable!("a packed profile keeps its layout"),
+        }
         entries.sort_unstable_by_key(|e| e.item);
         Cow::Owned(entries)
     }
 
     /// Heap bytes this profile owns: the allocated (not occupied) entry
-    /// slots of a flat profile — a packed snapshot owns none, and not the
+    /// slots of a flat profile — a packed profile owns none, and not the
     /// index, which every node of the run shares — and the layout, if
     /// built. Memory diagnostics only.
     #[doc(hidden)]
@@ -456,7 +521,14 @@ impl Profile {
     /// except when a replace moves the oldest entry forward: that one
     /// rescans.
     pub fn upsert(&mut self, e: ProfileEntry) {
-        match self.vec().binary_search_by_key(&e.item, |x| x.item) {
+        self.put(e);
+        self.drop_layout();
+    }
+
+    /// [`Self::upsert`] but for the layout, which is the caller's to keep
+    /// or drop; returns the entry `e` replaced.
+    fn put(&mut self, e: ProfileEntry) -> Option<ProfileEntry> {
+        let replaced = match self.vec().binary_search_by_key(&e.item, |x| x.item) {
             Ok(i) => {
                 let old = std::mem::replace(&mut self.vec()[i], e);
                 self.likes -= u32::from(old.score > 0.5);
@@ -466,13 +538,15 @@ impl Profile {
                 } else {
                     self.oldest.min(e.timestamp)
                 };
+                Some(old)
             }
             Err(i) => {
                 self.vec().insert(i, e);
                 self.fingerprint |= fingerprint_bit(e.item);
                 self.oldest = self.oldest.min(e.timestamp);
+                None
             }
-        }
+        };
         self.likes += u32::from(e.score > 0.5);
         self.non_binary += u32::from(!is_binary(e.score));
         self.norm = if self.non_binary == 0 {
@@ -480,16 +554,28 @@ impl Profile {
         } else {
             norm_of(self.entries())
         };
-        self.drop_layout();
+        replaced
     }
 
     /// Records the user's opinion on an item (Algorithm 1, lines 5/7/14).
     pub fn rate(&mut self, item: ItemId, timestamp: Timestamp, liked: bool) {
-        self.upsert(ProfileEntry {
-            item,
-            timestamp,
-            score: if liked { 1.0 } else { 0.0 },
-        });
+        self.upsert(rating(item, timestamp, liked));
+    }
+
+    /// [`Self::rate`] for a node's own profile: its planes over `index`,
+    /// if built, are kept current rather than dropped (see
+    /// [`Planes::keep`]), so its next snapshot copies them and its next
+    /// fold reads them.
+    pub(crate) fn rate_in(
+        &mut self,
+        index: &ItemIndexMap,
+        item: ItemId,
+        timestamp: Timestamp,
+        liked: bool,
+    ) {
+        let e = rating(item, timestamp, liked);
+        let replaced = self.put(e);
+        self.keep_planes(index, replaced, Some(e));
     }
 
     /// Folds an entire user profile into this item profile (Algorithm 1,
@@ -503,16 +589,27 @@ impl Profile {
 
     /// This item profile with an entire user profile folded in, leaving
     /// `self` untouched: the copy-on-write news path builds the next hop's
-    /// item profile straight from a shared (`Arc`ed) predecessor. Every
-    /// liked reception runs it, so it is one linear merge of the two sorted
-    /// entry vectors under the per-item rule of `addToNewsProfile`
-    /// (Algorithm 1, lines 18–22: average an item both hold, keeping the
-    /// freshest timestamp) — entries and derived state are those of folding
-    /// the user's entries in one by one.
+    /// item profile straight from a shared (`Arc`ed) predecessor, under
+    /// the per-item rule of `addToNewsProfile` (Algorithm 1, lines 18–22:
+    /// average an item both hold, keeping the freshest timestamp) —
+    /// entries and derived state are those of folding the user's entries
+    /// in one by one. A folded item profile knows the run's index, and is
+    /// folded again in slot space where it can be ([`Self::folded`]);
+    /// any other is merged flat ([`Self::merged`]).
+    pub fn aggregated_with(&self, user: &Profile) -> Profile {
+        match &self.entries {
+            Store::Packed { index, .. } => self.folded(user, index),
+            Store::Flat(_) => self.merged(user),
+        }
+    }
+
+    /// [`Self::aggregated_with`] as one linear merge of the two sorted
+    /// entry vectors: the flat form of every fold, and the reference
+    /// [`Self::folded`] is held to.
     ///
     /// The merged item set is the union of the two, so its fingerprint is
     /// the OR of theirs; only the score-derived state is rescanned.
-    pub fn aggregated_with(&self, user: &Profile) -> Profile {
+    pub(crate) fn merged(&self, user: &Profile) -> Profile {
         let (a, b) = (self.flat(), user.flat());
         let mut merged = Vec::with_capacity(a.len() + b.len());
         let (mut i, mut j) = (0, 0);
@@ -549,14 +646,125 @@ impl Profile {
         p
     }
 
+    /// This item profile with a node's own profile `own` folded in, in
+    /// slot space where the run's `index` can express the result: the item
+    /// profile
+    /// is a folded one (or empty), `own` has planes that are a pack, and
+    /// the fold's weights fit (see [`Weights::fold`]). The result is then
+    /// packed, its weights folded word-wise from `own`'s planes — no id
+    /// looked up, no entry sorted — and its derived state follows from the
+    /// two profiles': the fingerprint is the OR of theirs, the oldest
+    /// timestamp the older of theirs (a common item keeps its creation
+    /// time), the counts and `Σ q²` what the fold changed. Anything else
+    /// is the flat merge. Either way the entries and derived state are
+    /// [`Self::merged`]'s, bit for bit.
+    pub(crate) fn folded(&self, own: &Profile, index: &Arc<ItemIndexMap>) -> Profile {
+        let folded = self
+            .fold_in_slots(own, index)
+            .unwrap_or_else(|| self.merged(own));
+        #[cfg(debug_assertions)]
+        {
+            let merged = self.merged(own);
+            let bits = |p: &Profile| -> Vec<(ItemId, Timestamp, u32)> {
+                (p.entries()
+                    .map(|e| (e.item, e.timestamp, e.score.to_bits())))
+                .collect()
+            };
+            let derived = |p: &Profile| {
+                let counts = (p.likes, p.non_binary, p.oldest);
+                (p.norm.to_bits(), p.fingerprint, counts)
+            };
+            assert_eq!(bits(&folded), bits(&merged), "a fold in slots differs");
+            assert_eq!(
+                derived(&folded),
+                derived(&merged),
+                "a fold in slots differs"
+            );
+        }
+        folded
+    }
+
+    /// The slot-space half of [`Self::folded`]: `None` where the flat
+    /// merge must do.
+    fn fold_in_slots(&self, own: &Profile, index: &Arc<ItemIndexMap>) -> Option<Profile> {
+        let item = match (&self.entries, self.built_layout()) {
+            (Store::Packed { .. }, Some(Some(Layout::Weights(weights)))) => Some(weights),
+            _ if self.is_empty() => None,
+            _ => return None,
+        };
+        let planes = own.planes(index).filter(|planes| planes.is_pack())?;
+        let counts = Counts {
+            len: self.len(),
+            likes: self.likes,
+            non_binary: self.non_binary,
+        };
+        let (weights, counts) = Weights::fold(item, counts, planes)?;
+        Some(Self {
+            entries: Store::Packed {
+                len: counts.len,
+                index: Arc::clone(index),
+            },
+            norm: weights.norm(),
+            fingerprint: self.fingerprint | own.fingerprint,
+            likes: counts.likes,
+            non_binary: counts.non_binary,
+            oldest: self.oldest.min(own.oldest),
+            layout: OnceLock::from(Some(Layout::Weights(weights))),
+        })
+    }
+
     /// Removes entries strictly older than `cutoff` (profile window, §II-E).
     /// `cutoff = now - window`; an entry stamped exactly at the cutoff
-    /// survives.
+    /// survives. A folded item profile is purged in slot space and stays
+    /// packed while its weights fit (see [`Weights::fits`]); any other
+    /// profile is flat, or flattened, and loses its layout.
     pub fn purge_older_than(&mut self, cutoff: Timestamp) {
-        if self.any_older_than(cutoff) {
+        if self.any_older_than(cutoff) && !self.purge_packed(cutoff) {
             self.vec().retain(|e| e.timestamp >= cutoff);
             self.recompute_norm();
+            self.drop_layout();
         }
+    }
+
+    /// [`Self::purge_older_than`] of a node's own profile: its planes over
+    /// `index`, if built, are kept current rather than dropped.
+    pub(crate) fn purge_in(&mut self, index: &ItemIndexMap, cutoff: Timestamp) {
+        if self.any_older_than(cutoff) {
+            let removed: Vec<ProfileEntry> = (self.vec())
+                .extract_if(.., |e| e.timestamp < cutoff)
+                .collect();
+            self.recompute_norm();
+            self.keep_planes(index, removed, None);
+        }
+    }
+
+    /// [`Self::purge_older_than`] of a folded item profile by slot: an
+    /// entry's timestamp is its slot's creation time. `false` — with the
+    /// purge done to the weights, which still lay the entries out — if
+    /// the profile is no folded one, or its weights no longer fit.
+    fn purge_packed(&mut self, cutoff: Timestamp) -> bool {
+        let (Store::Packed { len, index }, Some(Some(Layout::Weights(weights)))) =
+            (&mut self.entries, self.layout.get_mut())
+        else {
+            return false;
+        };
+        let (mut fingerprint, mut oldest) = (0, Timestamp::MAX);
+        let counts = weights.retain(|slot| {
+            let created = index.created_at(slot);
+            if created >= cutoff {
+                fingerprint |= fingerprint_bit(index.id_of(slot));
+                oldest = oldest.min(created);
+            }
+            created >= cutoff
+        });
+        if !weights.fits(counts.len) {
+            return false;
+        }
+        *len = counts.len;
+        self.norm = weights.norm();
+        (self.fingerprint, self.oldest) = (fingerprint, oldest);
+        (self.likes, self.non_binary) = (counts.likes, counts.non_binary);
+        true
     }
 
     /// Whether [`Self::purge_older_than`] would remove an entry — asked
@@ -575,7 +783,7 @@ impl Profile {
     /// The layout over `index`, built now if need be — planes if the
     /// profile is binary, weights otherwise — and shared by every scorer
     /// of this allocation, on every thread. Every scorer of a run asks
-    /// with the run's one index.
+    /// with the run's one index. A packed profile's is its store.
     pub(crate) fn layout(&self, index: &ItemIndexMap) -> Option<&Layout> {
         self.layout
             .get_or_init(|| self.build_layout(index))
@@ -599,8 +807,9 @@ impl Profile {
     }
 
     /// The bit planes of a *binary* profile, built now if need be. `None`
-    /// for one whose build declined, and for a profile holding any other
-    /// score, which builds nothing here.
+    /// for one whose build declined, for a folded item profile (its
+    /// layout is weights, whatever its scores), and for a profile holding
+    /// any other score, which builds nothing here.
     pub(crate) fn planes(&self, index: &ItemIndexMap) -> Option<&Planes> {
         if !self.is_binary() {
             return None;
@@ -619,8 +828,8 @@ impl Profile {
 
     /// Euclidean norm of the score vector (memoized; O(1)).
     pub(crate) fn norm(&self) -> f64 {
-        // A snapshot's norm is its live profile's, checked when it was
-        // taken: only a slice is rescanned.
+        // A packed profile's norm is checked where it is made: only a
+        // slice is rescanned.
         debug_assert!(
             (self.as_slice())
                 .is_none_or(|e| self.norm.to_bits() == norm_of(e.iter().copied()).to_bits()),
@@ -634,7 +843,7 @@ impl Profile {
     /// `a.fingerprint() & b.fingerprint() == 0` proves `a` and `b` share no
     /// rated item — the zero-rejection fast path in `crate::similarity`.
     pub(crate) fn fingerprint(&self) -> u128 {
-        // Likewise for a snapshot's fingerprint.
+        // Likewise for a packed profile's fingerprint.
         debug_assert!(
             (self.as_slice()).is_none_or(|e| self.fingerprint == fingerprint_of(e.iter().copied())),
             "stale fingerprint cache: a construction path skipped recompute_norm"
@@ -645,6 +854,11 @@ impl Profile {
 
 #[cfg(test)]
 impl Profile {
+    /// Whether the layout is the store.
+    pub(crate) fn is_packed(&self) -> bool {
+        self.as_slice().is_none()
+    }
+
     /// `addToNewsProfile` (Algorithm 1, lines 18–22): folds one user-profile
     /// entry into this *item* profile — averaging with the existing score if
     /// present, inserting otherwise. Averaging keeps the freshest timestamp
@@ -661,6 +875,7 @@ impl Profile {
             Err(i) => entries.insert(i, e),
         }
         self.recompute_norm();
+        self.drop_layout();
     }
 }
 
@@ -685,6 +900,66 @@ mod tests {
             assert_eq!(p.any_older_than(c), scan, "cutoff {c}");
         }
         assert_eq!(p.oldest, oldest_of(p.entries()));
+    }
+
+    /// A run's index for the slot-space tests: 160 items with content-hash
+    /// ids, numbered in publication order (so slot order is not id order),
+    /// item `k` created at time `k / 3`; and 40 more ids it does not know.
+    fn fold_index() -> (Vec<ItemId>, Arc<ItemIndexMap>) {
+        let ids: Vec<ItemId> = (0..200)
+            .map(|k| crate::item::NewsItem::new(format!("f{k}"), "", "", 0, k / 3).id())
+            .collect();
+        let index = (ids[..160].iter().zip(0..))
+            .map(|(&id, k)| (id, k, k / 3))
+            .collect();
+        (ids, Arc::new(index))
+    }
+
+    /// A node's own-profile history, `(kind, k, liked)` drawn by the
+    /// tests, as the single mutations it makes: a rating of item `k` (a
+    /// re-rating if it is rated), a flipped re-rating of the `k`-th entry,
+    /// a window purge at `k / 12`, a cold start's three ratings, a rating
+    /// of an id the index does not know, or one stamped a cycle after its
+    /// item's creation.
+    fn own_steps(steps: &[(u8, usize, bool)]) -> impl Iterator<Item = (u8, usize, bool)> + '_ {
+        steps.iter().flat_map(|&(kind, k, liked)| match kind {
+            3 => vec![
+                (0, k, liked),
+                (0, (k + 1) % 160, liked),
+                (0, (k + 2) % 160, liked),
+            ],
+            _ => vec![(kind, k, liked)],
+        })
+    }
+
+    /// One of [`own_steps`]' mutations.
+    fn own_step(
+        own: &mut Profile,
+        ids: &[ItemId],
+        index: &ItemIndexMap,
+        (kind, k, liked): (u8, usize, bool),
+    ) {
+        let created = |k: usize| (k / 3) as Timestamp;
+        match kind {
+            0 => own.rate_in(index, ids[k], created(k), liked),
+            1 if !own.is_empty() => {
+                let e = own.entries().nth(k % own.len()).expect("k % len < len");
+                own.rate_in(index, e.item, e.timestamp, e.score != 1.0);
+            }
+            2 => own.purge_in(index, created(k / 4)),
+            4 => own.rate_in(index, ids[160 + k % 40], 0, liked),
+            5 => own.rate_in(index, ids[k], created(k) + 1, liked),
+            _ => {}
+        }
+    }
+
+    /// A binary profile of `(k, liked)` ratings stamped at creation time.
+    fn rated(ids: &[ItemId], ratings: &[(usize, bool)]) -> Profile {
+        Profile::from_entries(
+            ratings
+                .iter()
+                .map(|&(k, liked)| rating(ids[k], (k / 3) as Timestamp, liked)),
+        )
     }
 
     #[test]
@@ -902,6 +1177,151 @@ mod tests {
             prop_assert!(!p.any_older_than(cutoff));
         }
 
+        /// The planes a node keeps current are the planes of its entries:
+        /// after every rating, re-rating, window purge, cold start, rating
+        /// of an id the index does not know and rating stamped off its
+        /// item's creation time, planes that were built before the step
+        /// are there after it exactly when [`Planes::build`] of the flat
+        /// entries lays them out, and equal that build word for word —
+        /// their count of entries they do not give back included.
+        #[test]
+        fn kept_planes_are_the_planes_of_the_entries(
+            steps in prop::collection::vec((0u8..6, 0usize..160, prop::bool::ANY), 1..80),
+        ) {
+            let (ids, index) = fold_index();
+            let mut own = Profile::new();
+            for step in own_steps(&steps) {
+                let kept = own.planes(&index).is_some();
+                own_step(&mut own, &ids, &index, step);
+                let built = Planes::build(&own.flat(), &index);
+                let planes = match own.built_layout() {
+                    Some(Some(Layout::Planes(planes))) => Some(planes),
+                    _ => None,
+                };
+                if kept {
+                    prop_assert_eq!(planes, built.as_ref(), "after {:?}", step);
+                }
+                let flat = Profile::from_entries(own.entries());
+                prop_assert_eq!(own.norm().to_bits(), flat.norm().to_bits());
+                prop_assert_eq!((own.likes, own.oldest), (flat.likes, flat.oldest));
+            }
+        }
+
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The slot-space fold against the flat merge it replaces, by bits:
+        /// entries, norm, fingerprint, like and non-binary counts and the
+        /// oldest timestamp. The own side has a random history (see
+        /// [`own_step`]) — planes that are a pack, or none because of an id
+        /// the index does not know, or not a pack because of an entry
+        /// stamped off its creation time — or is its obfuscated share. The
+        /// item side is empty; folded from up to three likers; folded from
+        /// one liker of items 0–39 and then `deep` dislikers of item 0, so
+        /// that its score halves past 2⁻²⁰; or flat — dyadic, non-dyadic, or
+        /// holding an id the index does not know or an off-time stamp. A
+        /// packed result's weights are the [`Weights::build`] of the flat
+        /// merge's entries word for word, and its scores against binary
+        /// candidates are the reference's for both metrics, with no layout
+        /// built; and a window purge of it is the flat purge.
+        #[test]
+        fn a_fold_in_slots_is_the_flat_merge(
+            steps in prop::collection::vec((0u8..4, 0usize..160, prop::bool::ANY), 1..90),
+            spoil in (0u8..6, 0usize..160),
+            item_kind in 0u8..6,
+            likers in prop::collection::vec(prop::collection::vec((0usize..160, prop::bool::ANY), 1..40), 1..4),
+            deep in 0usize..24,
+            flat_entries in prop::collection::vec((0usize..160, 0u32..9), 1..30),
+            obfuscated in prop::bool::ANY,
+            cands in prop::collection::vec(prop::collection::vec((0usize..160, prop::bool::ANY), 0..40), 1..5),
+            cutoff in 0u32..56,
+        ) {
+            let (ids, index) = fold_index();
+            let mut own = Profile::new();
+            own.planes(&index);
+            for step in own_steps(&steps) {
+                own_step(&mut own, &ids, &index, step);
+            }
+            // In a third of the cases, one rating of an id the index does
+            // not know, or one stamped off its item's creation time.
+            own_step(&mut own, &ids, &index, (spoil.0, spoil.1, true));
+            let item = match item_kind {
+                0 => Profile::new(),
+                1 => likers.iter().fold(Profile::new(), |item, liker| item.folded(&rated(&ids, liker), &index)),
+                2 => {
+                    let first: Vec<(usize, bool)> = (0..40).map(|k| (k, true)).collect();
+                    let first = Profile::new().folded(&rated(&ids, &first), &index);
+                    (0..deep).fold(first, |item, _| item.folded(&rated(&ids, &[(0, false)]), &index))
+                }
+                kind => Profile::from_entries(flat_entries.iter().map(|&(k, eighths)| {
+                    let score = if kind == 4 { eighths as f32 / 9.0 } else { eighths as f32 / 8.0 };
+                    let e = ProfileEntry { item: ids[k], timestamp: (k / 3) as Timestamp, score };
+                    match kind {
+                        5 if k % 2 == 0 => ProfileEntry { item: ids[160 + k % 40], ..e },
+                        5 => ProfileEntry { timestamp: e.timestamp + 1, ..e },
+                        _ => e,
+                    }
+                })),
+            };
+            let shared = crate::obfuscation::Obfuscation::randomized_response(0.5, 7).share(3, &own);
+            let disclosed = if obfuscated { &shared } else { &own };
+            let folded = item.folded(disclosed, &index);
+            let merged = item.merged(disclosed);
+            let bits = |p: &Profile| -> Vec<(ItemId, Timestamp, u32)> {
+                p.entries().map(|x| (x.item, x.timestamp, x.score.to_bits())).collect()
+            };
+            prop_assert_eq!(bits(&folded), bits(&merged));
+            prop_assert_eq!(folded.norm().to_bits(), merged.norm().to_bits());
+            prop_assert_eq!(folded.fingerprint(), merged.fingerprint());
+            prop_assert_eq!((folded.likes, folded.non_binary), (merged.likes, merged.non_binary));
+            prop_assert_eq!(folded.oldest, merged.oldest);
+            prop_assert_eq!(folded.len(), merged.len());
+            let packed = folded.as_slice().is_none();
+            if packed {
+                let item_in_slots = item.is_empty() || item.as_slice().is_none();
+                let own_pack = disclosed.planes(&index).is_some_and(Planes::is_pack);
+                prop_assert!(item_in_slots && own_pack, "folded in slots from {:?}", item);
+                let Some(Some(Layout::Weights(weights))) = folded.built_layout() else {
+                    panic!("a packed fold keeps its weights");
+                };
+                prop_assert_eq!(Some(weights), Weights::build(&merged.flat(), &index).as_ref());
+            }
+            if item_kind == 2 {
+                prop_assert_eq!(item.as_slice().is_none(), deep <= 20, "a score of 2⁻²¹ has no weight");
+            }
+            let layout = folded.built_layout().flatten().map(|l| l as *const Layout);
+            for cand in &cands {
+                let cand = rated(&ids, cand);
+                for metric in [Metric::Wup, Metric::Cosine] {
+                    let expected = match metric {
+                        Metric::Wup => reference::wup_similarity(&merged, &cand),
+                        Metric::Cosine => reference::cosine_similarity(&merged, &cand),
+                    };
+                    let score = Prepared::new(&folded, &index).score(metric, &cand);
+                    prop_assert_eq!(score.to_bits(), expected.to_bits());
+                }
+            }
+            if packed {
+                prop_assert_eq!(folded.built_layout().flatten().map(|l| l as *const Layout), layout);
+            }
+            // A window purge by slot is the flat purge, and stays packed
+            // while its weights fit.
+            let (mut purged, mut flat) = (folded.clone(), merged.clone());
+            purged.purge_older_than(cutoff);
+            flat.purge_older_than(cutoff);
+            prop_assert_eq!(bits(&purged), bits(&flat));
+            prop_assert_eq!(purged.norm().to_bits(), flat.norm().to_bits());
+            prop_assert_eq!(purged.fingerprint(), flat.fingerprint());
+            prop_assert_eq!((purged.likes, purged.non_binary, purged.oldest), (flat.likes, flat.non_binary, flat.oldest));
+            prop_assert_eq!(purged.len(), flat.len());
+            if let Some(Some(Layout::Weights(weights))) = purged.built_layout().filter(|_| purged.is_packed()) {
+                prop_assert!(packed && weights.fits(flat.len()));
+                prop_assert_eq!(Some(weights), Weights::build(&flat.flat(), &index).as_ref());
+            }
+        }
+
         /// A snapshot reads as the flat profile it was taken of: order (and
         /// so `==`, `Debug` and every ordered reader), length, lookups, the
         /// newest timestamp, derived state by bits, planes, every score
@@ -935,7 +1355,7 @@ mod tests {
                     .chain(off.map(|(k, late)| binary((k, k as u32 + late, true)))),
             );
             let snapshot = Profile::snapshot(&flat, &index);
-            let packed = Planes::pack(&flat.flat(), &index).is_some();
+            let packed = Planes::build(&flat.flat(), &index).is_some_and(|p| p.is_pack());
             let planes = Planes::build(&flat.flat(), &index).is_some();
             prop_assert_eq!(packed, planes && off.is_none());
             prop_assert_eq!(snapshot.as_slice().is_none(), packed);
@@ -981,7 +1401,8 @@ mod tests {
             }
 
             let (mut copy, mut reference_copy) = (snapshot.clone(), flat.clone());
-            prop_assert!(copy.as_slice().is_some() && copy == snapshot);
+            prop_assert_eq!(copy.as_slice().is_none(), packed);
+            prop_assert!(copy == snapshot);
             copy.rate(ids[7], 191, true);
             reference_copy.rate(ids[7], 191, true);
             prop_assert!(copy == reference_copy);

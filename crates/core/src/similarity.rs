@@ -71,12 +71,13 @@
 //!   liked_c|`, `‖sub(Pn,Pc)‖² = |liked_n ∩ rated_c|`: planes against
 //!   planes, 64 items to an `&` and a `count_ones`.
 //! * **Real-valued fixed side (BEEP orientation): integer weights.** The
-//!   item profile is laid out by slot once per allocation,
-//!   `q[slot] = score · 2²⁰` beside a mask of the slots whose `q` is not
-//!   0, and a candidate is scored by walking the set bits of its `rated`
-//!   plane under that mask: `‖sub‖² += q²`, and `dot += q` where the
-//!   `liked` bit is set (a mask, not a branch). A slot the item profile
-//!   does not rate, or rates 0, adds nothing and is not visited.
+//!   item profile is laid out by slot, `q[slot] = score · 2²⁰` beside a
+//!   mask of the slots it holds, zeros included, and one of those whose
+//!   `q` is not 0. A candidate is scored by walking the set bits of its
+//!   `rated` plane under the second mask: `‖sub‖² += q²`, and `dot += q`
+//!   where the `liked` bit is set (a mask, not a branch). A slot the item
+//!   profile does not hold, or holds at 0, adds nothing and is not
+//!   visited.
 //!
 //! Nothing selects a path but the two profiles themselves; the fingerprint
 //! rejection stays in front, and the sums feed the same `ratio(..)`
@@ -96,51 +97,54 @@
 //!   is `q² · 2⁻⁴⁰`; with at most 2¹³ entries every partial sum of the
 //!   reference is a whole number of such units no greater than 2⁵³ —
 //!   exact, hence order-free — and `(Σq) · 2⁻²⁰`, `(Σq²) · 2⁻⁴⁰` are its
-//!   bits. Item profiles qualify by construction: `addToNewsProfile`
-//!   halves, so a score that met `k` opinions is a multiple of 2⁻ᵏ, and no
-//!   copy's path in any perfbench workload holds twenty likers (the build
-//!   declined nothing there). It checks both conditions all the same.
-//! * **Layouts belong to the profile.** Planes and weights alike are
-//!   derived state of a flat [`Profile`] allocation — built on demand,
-//!   never serialized or compared, dropped by every mutation — and
-//!   [`Prepared`] keeps nothing but references. A snapshot a node
-//!   discloses is packed: its planes (16 bytes per 64 slots spanned) are
-//!   its ids and scores, and it keeps nothing besides them — its
-//!   timestamps are its items' creation times, which the run's item index
-//!   keeps — so every view slot and message pinning it shares the one
-//!   allocation scoring reads, and a node keeps no scoring state of its
-//!   own. A walked pair rebuilds a packed side's entries in id order, so
-//!   the join sums in the reference's order. Every copy of an item
-//!   profile shares one set of weights (264 bytes per 64 slots spanned):
-//!   the receivers of its `f_like` siblings and the nodes down a dislike
-//!   chain, which forward it unchanged, orient it with the weights the
-//!   first of them built, on whichever thread.
-//! * **Built on first use.** Building looks every id up in the run's
-//!   item index (`crate::planes`), a read-only hash map that takes no
-//!   lock — one pass, which also finds the span the layout covers — and
-//!   fills the words in a second. A snapshot a node discloses is laid out
-//!   when it is taken (`Profile::snapshot`: it will be its owner's fixed
-//!   side and others' candidate), any other candidate the first time a
-//!   score of it gets past the fingerprint rejection, and any other fixed
-//!   side as soon as one candidate has planes to be scored with. That
-//!   includes a descriptor decoded from a frame, which may be ranked once
-//!   and dropped. Against walking a candidate's first score, perfbench's
-//!   multi-shard workloads, which decode such descriptors, ran faster
-//!   (2-vCPU Xeon, 16 alternated pairs, medians: `scale-2shard` wall
-//!   5.74 → 5.31 µs/msg, `scale-pipe` cpu 9.92 → 9.30, each lower in 15
-//!   of 16 pairs), and the 1-shard ones, whose candidates are nearly all
-//!   snapshots laid out when taken, ran within noise. Which of the exact
-//!   paths a score took is history; its bits are not.
+//!   bits. The same holds for the item profile's own norm, which a fold
+//!   derives from its `Σq²`. Item profiles qualify by construction:
+//!   `addToNewsProfile` halves, so a score that met `k` opinions is a
+//!   multiple of 2⁻ᵏ, and a fold that would make a score finer than 2⁻²⁰
+//!   stays flat. Every layout checks both conditions.
+//! * **Layouts belong to the profile.** [`Prepared`] keeps nothing but
+//!   references; planes and weights are the profile's. A flat profile's
+//!   layout is derived state, built on first use (below), never
+//!   serialized or compared; a node's own planes are kept current through
+//!   its ratings and window purges, and every other mutation drops a
+//!   layout. A *packed* profile's layout is its store (`crate::profile`):
+//!   a snapshot a node discloses is its planes (16 bytes per 64 slots
+//!   spanned), copied from the node's own, and an item profile a node
+//!   folds is its weights (272 bytes per 64 slots spanned), folded
+//!   word-wise from the liker's planes — ids are slots, timestamps the
+//!   items' creation times, which the run's item index keeps. Every view
+//!   slot and message pinning one shares the one allocation scoring reads,
+//!   on whichever thread: the receivers of an item's `f_like` siblings and
+//!   the nodes down a dislike chain, which forward it unchanged, orient it
+//!   with the weights its fold produced, and no orientation of a folded
+//!   item profile lays anything out. A walked pair rebuilds a packed
+//!   side's entries in id order, so the join sums in the reference's
+//!   order.
+//! * **Built on first use** — what is not packed. Building looks every id
+//!   up in the run's item index (`crate::planes`), a read-only hash map
+//!   that takes no lock — one pass, which also finds the span the layout
+//!   covers — and fills the words in a second. A node's own planes are
+//!   built at its first snapshot (or first fold) and kept current after;
+//!   any other candidate is laid out the first time a score of it gets
+//!   past the fingerprint rejection, and any other fixed side — an item
+//!   profile a node kept flat, or a copy decoded from another shard's
+//!   bundle before a liker folds it — as soon as one candidate has planes
+//!   to be scored with. That includes a descriptor decoded from a frame,
+//!   which may be ranked once and dropped. Against walking a candidate's
+//!   first score, perfbench's multi-shard workloads, which decode such
+//!   descriptors, ran faster (2-vCPU Xeon, 16 alternated pairs, medians:
+//!   `scale-2shard` wall 5.74 → 5.31 µs/msg, `scale-pipe` cpu 9.92 →
+//!   9.30, each lower in 15 of 16 pairs). Which of the exact paths a
+//!   score took is history; its bits are not.
 //! * **One numbering per run.** A slot is an item's position in the run's
 //!   index, which every node of the run holds and [`Prepared`] is given:
 //!   complete before cycle 0 and read-only after, so a build takes no
 //!   lock and registers nothing, and two layouts of a run always agree on
 //!   the bit an item owns (debug builds assert it where a pair is
 //!   counted). An id the index does not know has no slot: planes holding
-//!   one decline, and weights leave it out — an entry scored exactly 0,
-//!   a product of 0 whatever the candidate says, is not even looked up.
-//!   That loses no term, since a candidate has planes only if the index
-//!   knows every id it rates.
+//!   one decline, and built weights leave it out. That loses no term,
+//!   since a candidate has planes only if the index knows every id it
+//!   rates; a fold stays flat rather than leave one out.
 //! * **It declines rather than degrades.** A pair is walked pairwise —
 //!   same bits, the merge-join's speed — when the candidate has no planes
 //!   (a score that is neither 0 nor 1, an id the index does not know);
@@ -148,8 +152,9 @@
 //!   in `[0, 1]` (`-0.0` and non-finite values included) or more than 2¹³
 //!   entries, zeros counted; and when either side's ids are numbered so
 //!   far apart that its layout would span more 64-slot words than it
-//!   places entries (a weighed side places its non-zero ones). A declined build is remembered by the allocation: no scorer
-//!   asks it again, and no candidate gets planes built on its account.
+//!   places entries. A declined build is remembered by the allocation: no
+//!   scorer asks it again, and no candidate gets planes built on its
+//!   account.
 
 use crate::item::ItemIndexMap;
 use crate::planes::{Layout, Planes};
@@ -586,9 +591,9 @@ mod tests {
         check(&original);
         assert!(original.plane_bytes() > 0, "a binary profile is counted");
 
-        // A clone starts without planes and builds its own.
+        // A clone is a copy, planes included.
         let mut shared = crate::profile::SharedProfile::new(original.clone());
-        assert_eq!(shared.plane_bytes(), 0);
+        assert_eq!(shared.plane_bytes(), original.plane_bytes());
         check(&shared);
         assert!(shared.plane_bytes() > 0);
 
@@ -837,7 +842,8 @@ mod tests {
             pn.built_layout().flatten().map(|l| l as *const Layout),
             built
         );
-        // A clone leaves the layout behind; every mutation drops it.
+        // A clone leaves a flat profile's weights behind; every mutation
+        // drops them.
         assert!(pn.clone().built_layout().is_none());
         pn.purge_older_than(0);
         assert!(pn.built_layout().is_some(), "a purge that removes nothing");

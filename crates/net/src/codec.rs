@@ -45,6 +45,7 @@
 
 use crate::wire::{put_seq, take_slice, Wire};
 use bytes::{Bytes, BytesMut};
+use std::borrow::Borrow;
 use whatsup_core::message::wire;
 use whatsup_core::{ItemHeader, NewsItem, NewsMessage, NodeId, Payload, SharedProfile};
 
@@ -142,12 +143,12 @@ pub fn encode(
 
 /// Appends the single-message frame for `payload` to `buf` without the
 /// `MAX_FRAME` check (bundle building blocks; datagram callers use
-/// [`encode`]).
-pub fn encode_into(
+/// [`encode`]), resolving news content by loan or by value.
+pub fn encode_into<R: Borrow<NewsItem>>(
     buf: &mut BytesMut,
     from: NodeId,
     payload: &Payload,
-    resolve: impl Fn(u64) -> Option<NewsItem>,
+    resolve: impl Fn(u64) -> Option<R>,
 ) {
     (payload.wire_id(), from).put(buf);
     match payload {
@@ -158,7 +159,7 @@ pub fn encode_into(
         Payload::News(msg) => {
             let item =
                 resolve(msg.header.id).expect("news content must be resolvable for encoding"); // lint:allow(wire-panic) encode path: the emitting node holds the content it forwards
-            item.put(buf);
+            item.borrow().put(buf);
             let forwarding = Forwarding {
                 dislikes: msg.dislikes,
                 hops: msg.hops,
@@ -184,16 +185,17 @@ pub fn encode_bundle(
     buf.freeze()
 }
 
-/// Appends a mailbox bundle to `buf` (same frame as [`encode_bundle`]).
-/// Each inner message is encoded directly into `buf` after a 4-byte length
-/// placeholder that is patched once the message's true size is known — one
-/// pass, no staging buffer, no second copy. Callers that reuse `buf` across
-/// rounds amortize the allocation to zero in steady state.
-pub fn encode_bundle_into(
+/// Appends a mailbox bundle to `buf` (same frame as [`encode_bundle`]),
+/// resolving news content by loan or by value. Each inner message is
+/// encoded directly into `buf` after a 4-byte length placeholder that is
+/// patched once the message's true size is known — one pass, no staging
+/// buffer, no second copy. Callers that reuse `buf` across rounds amortize
+/// the allocation to zero in steady state.
+pub fn encode_bundle_into<R: Borrow<NewsItem>>(
     buf: &mut BytesMut,
     from_shard: u32,
     entries: &[(NodeId, NodeId, Payload)],
-    resolve: impl Fn(u64) -> Option<NewsItem>,
+    resolve: impl Fn(u64) -> Option<R>,
 ) {
     (wire::MAILBOX_BUNDLE, from_shard).put(buf);
     entries.len().put(buf);

@@ -674,3 +674,87 @@ proptest! {
         prop_assert!(packed_views > 0, "no view holds a rated snapshot");
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The `f_like` siblings of a liked reception share one item-profile
+    /// allocation — packed, folded in slot space from the liker's planes.
+    /// A bundle of them is byte-identical to the bundle of the same
+    /// entries with every profile a flat copy in an allocation of its own,
+    /// and it decodes to equal payloads.
+    #[test]
+    fn folded_copies_encode_as_their_flat_profiles(
+        ratings in prop::collection::vec(0usize..80, 1..40),
+        receptions in prop::collection::vec((0usize..80, 0usize..3), 1..12),
+        seed in 0u64..1_000,
+    ) {
+        use rand::SeedableRng;
+        use std::sync::Arc;
+        use whatsup_core::{ItemIndexMap, NodeStats, Params, WhatsUpNode};
+        use whatsup_net::codec::encode_bundle_into;
+
+        let items: Vec<NewsItem> = (0..80).map(|k| news_item(k, 7, 3, k as u32 / 8)).collect();
+        let index: ItemIndexMap = (items.iter().zip(0..))
+            .map(|(item, slot)| (item.id(), slot, item.created_at))
+            .collect();
+        let known: std::collections::HashMap<u64, NewsItem> =
+            items.iter().map(|item| (item.id(), item.clone())).collect();
+        let index = Arc::new(index);
+        let mut nodes: Vec<WhatsUpNode> = (0..3u32)
+            .map(|id| {
+                let mut node = WhatsUpNode::new(id, Params::whatsup(3), Arc::clone(&index));
+                let peers = (10..16).map(|p| (p, Profile::new()));
+                node.seed_views(peers.clone(), peers);
+                node
+            })
+            .collect();
+        let likes = |node: NodeId, item: u64| !(item ^ u64::from(node)).is_multiple_of(3);
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let mut stats = NodeStats::default();
+        let news = |k: usize, profile: SharedProfile| NewsMessage {
+            header: items[k].header(),
+            profile,
+            dislikes: 0,
+            hops: 0,
+        };
+        for (i, &k) in ratings.iter().enumerate() {
+            let node = &mut nodes[i % 3];
+            node.on_message(9, Payload::News(news(k, SharedProfile::default())), 10, &likes, &mut stats, &mut rng);
+        }
+        // Each item reaches a node with an empty profile, and its first
+        // forward the next node: a fold from nothing, then one of weights.
+        let mut entries: Vec<(NodeId, NodeId, Payload)> = Vec::new();
+        for &(k, at) in &receptions {
+            let mut payload = Payload::News(news(k, SharedProfile::default()));
+            for hop in [at, (at + 1) % 3] {
+                let out = nodes[hop].on_message(9, payload, 10, &likes, &mut stats, &mut rng);
+                let Some(first) = out.first() else { break };
+                payload = first.payload.clone();
+                entries.extend(out.into_iter().map(|m| (m.to, nodes[hop].id(), m.payload)));
+            }
+        }
+        let shared = entries.windows(2).any(|w| match (&w[0].2, &w[1].2) {
+            (Payload::News(a), Payload::News(b)) => SharedProfile::ptr_eq(&a.profile, &b.profile),
+            _ => false,
+        });
+        let flat: Vec<(NodeId, NodeId, Payload)> = entries
+            .iter()
+            .map(|(to, from, payload)| {
+                let Payload::News(msg) = payload else { unreachable!("news only") };
+                let copy = Profile::from_entries(msg.profile.entries());
+                let msg = NewsMessage { profile: SharedProfile::new(copy), ..msg.clone() };
+                (*to, *from, Payload::News(msg))
+            })
+            .collect();
+        let mut frame = bytes::BytesMut::new();
+        encode_bundle_into(&mut frame, 1, &entries, |id| known.get(&id));
+        prop_assert_eq!(&frame[..], &encode_bundle(1, &flat, |id| known.get(&id).cloned())[..]);
+        for (got, (to, from, payload)) in bundle_view(&frame).unwrap().zip(flat) {
+            let (got_to, inner) = got.unwrap();
+            let (got_from, got_payload, _) = decode(inner).unwrap();
+            prop_assert_eq!((got_to, got_from, got_payload), (to, from, payload));
+        }
+        prop_assert!(entries.is_empty() || shared, "no reception was liked");
+    }
+}

@@ -39,7 +39,9 @@
 //!   the alternative engine without editing the file.
 //! * `compare` runs the scenario file twice — once under the file's own
 //!   protocol and once under anti-entropy at the same fanout (or
-//!   `--fanout`), on its one shard — and renders one side-by-side
+//!   `--fanout`), with the knobs of the file's config that anti-entropy
+//!   reads ([`Runner::compare`]: the node knobs and the shard count stay
+//!   with the file's side) — and renders one side-by-side
 //!   text-table row per protocol: messages sent, recall/precision/F1 and
 //!   time-to-recover (from the first recovery window). This is the
 //!   head-to-head the anti-entropy engine exists for.
@@ -426,31 +428,18 @@ fn compare(args: &[String]) -> ExitCode {
         );
     }
     // The anti-entropy side runs at the file protocol's fanout unless
-    // --fanout overrides it, so the head-to-head is knob-for-knob fair; it
-    // has no shards, so it runs on one whatever the file's count.
+    // --fanout overrides it, so the head-to-head is knob-for-knob fair; the
+    // runner gives it the knobs of the file's config its engine reads.
     let anti = Protocol::AntiEntropy {
         fanout: fanout.or(file.protocol.fanout()).unwrap_or(3),
     };
     let dataset = file.dataset.build();
-    let run_one = |protocol: Protocol, config: SimConfig| {
-        Runner::new(&dataset, protocol)
-            .config(config)
-            .scenario(file.scenario.clone())
-            .try_run()
-    };
-    // Anti-entropy first: reading the file checked the baseline's knobs,
-    // so a refusal of the other side's comes before either side runs.
-    let one_shard = SimConfig {
-        shards: 1,
-        ..file.config.clone()
-    };
-    let anti_report = match run_one(anti, one_shard) {
-        Ok(report) => report,
-        Err(e) => return fail("anti-entropy run failed", e),
-    };
-    let baseline = match run_one(file.protocol, file.config.clone()) {
-        Ok(report) => report,
-        Err(e) => return fail("baseline run failed", e),
+    let runner = Runner::new(&dataset, file.protocol)
+        .config(file.config)
+        .scenario(file.scenario);
+    let (baseline, anti_report) = match runner.compare(anti) {
+        Ok(reports) => reports,
+        Err(e) => return fail("comparison failed", e),
     };
     let mut table = TextTable::new(
         format!(

@@ -171,6 +171,10 @@ impl Protocol {
     }
 }
 
+/// A [`SimConfig`] field some engine never reads: its name, and how to copy
+/// its value from the second config into the first.
+pub(crate) type UnreadField = (&'static str, fn(&mut SimConfig, &SimConfig));
+
 /// Simulation run configuration. A field that the run's protocol never
 /// reads must keep its default, or the run is refused.
 #[derive(Debug, Clone, PartialEq)]
@@ -303,42 +307,57 @@ impl SimConfig {
     }
 
     /// The first field set away from its default that `protocol`'s engine
-    /// never reads. The node knobs (`bootstrap_degree` and the overrides
-    /// of [`Self::build_params`]) mean nothing to the global baselines,
-    /// which have no node views (C-WhatsUp keeps its own 13-cycle window),
-    /// nor to anti-entropy, which knows its full membership; the dislike
-    /// TTL nothing to CF, whose dislikes drop; and the anti-entropy knobs
-    /// nothing to any other engine.
+    /// never reads ([`Self::unread_fields`]): each field is copied into one
+    /// default config, compared and copied back.
     fn unread_by(&self, protocol: &Protocol) -> Option<&'static str> {
-        let default = Self::default();
-        let ttl = ("ttl_override", self.ttl_override.is_some());
-        let node = [
-            (
-                "bootstrap_degree",
-                self.bootstrap_degree != default.bootstrap_degree,
-            ),
-            ("profile_window", self.profile_window.is_some()),
-            ttl,
-            ("wup_view_override", self.wup_view_override.is_some()),
-            ("obfuscation", self.obfuscation.is_some()),
+        let (default, mut probe) = (Self::default(), Self::default());
+        Self::unread_fields(protocol).find_map(|(field, copy)| {
+            copy(&mut probe, self);
+            let set = probe != default;
+            copy(&mut probe, &default);
+            set.then_some(field)
+        })
+    }
+
+    /// The fields `protocol`'s engine never reads, each with how to copy it
+    /// from one config into another. The node knobs (`bootstrap_degree` and the
+    /// overrides of [`Self::build_params`]) mean nothing to the global
+    /// baselines, which have no node views (C-WhatsUp keeps its own
+    /// 13-cycle window), nor to anti-entropy, which knows its full
+    /// membership; the dislike TTL nothing to CF, whose dislikes drop; the
+    /// anti-entropy knobs nothing to any other engine; and the seed
+    /// nothing to C-Pub/Sub, which draws no random number: its schedule
+    /// and deliveries are a function of the dataset and the cycle bounds
+    /// alone.
+    pub(crate) fn unread_fields(protocol: &Protocol) -> impl Iterator<Item = UnreadField> {
+        const SEED: UnreadField = ("seed", |c, d| c.seed = d.seed);
+        const TTL: UnreadField = ("ttl_override", |c, d| c.ttl_override = d.ttl_override);
+        const NODE: &[UnreadField] = &[
+            ("bootstrap_degree", |c, d| {
+                c.bootstrap_degree = d.bootstrap_degree
+            }),
+            ("profile_window", |c, d| c.profile_window = d.profile_window),
+            TTL,
+            ("wup_view_override", |c, d| {
+                c.wup_view_override = d.wup_view_override
+            }),
+            ("obfuscation", |c, d| c.obfuscation = d.obfuscation),
         ];
-        let anti_entropy = [
-            (
-                "datagram_budget",
-                self.datagram_budget != default.datagram_budget,
-            ),
-            ("phi_threshold", self.phi_threshold != default.phi_threshold),
-            ("down_cycles", self.down_cycles != default.down_cycles),
+        const ANTI_ENTROPY: &[UnreadField] = &[
+            ("datagram_budget", |c, d| {
+                c.datagram_budget = d.datagram_budget
+            }),
+            ("phi_threshold", |c, d| c.phi_threshold = d.phi_threshold),
+            ("down_cycles", |c, d| c.down_cycles = d.down_cycles),
         ];
-        let cf = [ttl];
-        let unread: &[&[(&'static str, bool)]] = match protocol {
-            Protocol::AntiEntropy { .. } => &[&node],
-            p if p.is_global() => &[&node, &anti_entropy],
-            Protocol::CfWup { .. } | Protocol::CfCos { .. } => &[&cf, &anti_entropy],
-            _ => &[&anti_entropy],
+        let unread: &[&[UnreadField]] = match protocol {
+            Protocol::AntiEntropy { .. } => &[NODE],
+            Protocol::CPubSub => &[&[SEED], NODE, ANTI_ENTROPY],
+            p if p.is_global() => &[NODE, ANTI_ENTROPY],
+            Protocol::CfWup { .. } | Protocol::CfCos { .. } => &[&[TTL], ANTI_ENTROPY],
+            _ => &[ANTI_ENTROPY],
         };
-        let mut knobs = unread.iter().flat_map(|knobs| knobs.iter());
-        knobs.find(|&&(_, set)| set).map(|&(field, _)| field)
+        unread.iter().flat_map(|fields| fields.iter().copied())
     }
 
     /// Checks the run's shape and the engine knobs' ranges.

@@ -11,6 +11,7 @@
 //! cross-shard traffic uses exactly the deployment stack's message
 //! encoding.
 
+use bytes::BytesMut;
 use std::collections::BTreeMap;
 use whatsup_core::{ItemId, NewsItem, NodeId, Payload};
 use whatsup_net::codec::{self, DecodeError};
@@ -183,7 +184,9 @@ pub fn encode_shard_bundle(
     entries: &[(NodeId, NodeId, Payload)],
     items: &BTreeMap<ItemId, NewsItem>,
 ) -> bytes::Bytes {
-    codec::encode_bundle(from_shard, entries, |id| items.get(&id).cloned())
+    let mut buf = BytesMut::with_capacity(16 + entries.len() * 128);
+    codec::encode_bundle_into(&mut buf, from_shard, entries, |id| items.get(&id));
+    buf.freeze()
 }
 
 /// Streams a wire bundle's mail entries to `sink` without materializing an

@@ -258,9 +258,9 @@
 //!   aggregated profile as an `Arc` ([`whatsup_core::SharedProfile`]):
 //!   fanning one reception out to `fLIKE` targets clones the pointer, not
 //!   the entries, and the next hop that actually aggregates builds its
-//!   merged profile straight from the shared predecessor. Cross-shard,
-//!   the per-bundle `codec::NewsDecodeCache` restores that sharing on the
-//!   receiving side: a bundle entry whose item content or forwarding span
+//!   merged profile straight from the shared predecessor — word-wise, in
+//!   slot space (`whatsup_core::profile`). Cross-shard, the per-bundle
+//!   `codec::NewsDecodeCache` restores that sharing on the receiving side: a bundle entry whose item content or forwarding span
 //!   (dislikes, hops, profile) starts with the bytes last decoded reuses
 //!   that parse (a prefix match is exact — the layouts are length-prefixed,
 //!   and the decoders pure functions of the bytes).
@@ -343,13 +343,13 @@
 //!
 //! | standing state                | 100 k example | grows with                  |
 //! |-------------------------------|--------------:|-----------------------------|
-//! | own profiles                  |      ~245 MiB | rated items per node (16 B) |
+//! | own profiles                  |      ~245 MiB | rated items per node (16 B) + spanned words (16 B) |
 //! | pinned view snapshots         |       ~58 MiB | versions pinned × span      |
 //! | seen sets                     |        ~5 MiB | items published (1 bit each)|
 //! | view descriptors              |       ~60 MiB | view size                   |
 //! | item records (driver)         |      ~120 MiB | receptions per item         |
 //! | mailbox arena + scratch       |       ~40 MiB | peak per-round traffic      |
-//! | item-profile weights          |     in flight | spanned words (264 B each)  |
+//! | item profiles                 |     in flight | spanned words (272 B each)  |
 //! | oracle (like matrix)          |    n × m bits | users (n) × items (m)       |
 //!
 //! What keeps each row tight:
@@ -378,18 +378,27 @@
 //!   index, whose slot → id and slot → creation-time columns rebuild the
 //!   id-ordered entries for the encoder, walked pairs and cold start
 //!   (`whatsup_core::profile`). The live profile is never handed out, so
-//!   rating never copies it, and it is all a node keeps of its own
-//!   ratings. "pinned view snapshots" counts each allocation once,
-//!   planes included; the index is the breakdown's "item index" row,
+//!   rating never copies it; besides its entries it keeps its own planes,
+//!   current through every rating and window purge, and a snapshot copies
+//!   them word for word instead of looking every id up again (the "own
+//!   profiles" row counts them, as it counts the entries). "pinned view
+//!   snapshots" counts each allocation once, planes included; the index is the breakdown's "item index" row,
 //!   counted once. In the 100 k example, packing cut that row from
 //!   251 MiB of per-disclosure runs, which the versions of one node
 //!   shared, to 150 MiB with one 4-byte timestamp per entry, and to
 //!   58 MiB with none; peak RSS went 926 → 817 → 773 MiB. A snapshot
 //!   decoded from another shard's bundle, one whose planes decline and
 //!   one holding an entry stamped at another time than its item's
-//!   creation are flat: 16 bytes an entry. An item profile's weights — a non-zero
-//!   mask and 64 × `u32` per spanned 64-slot word — are shared like a
-//!   snapshot's planes, alive while any copy holds the item profile.
+//!   creation are flat: 16 bytes an entry.
+//! * **Packed item profiles** — an item profile a node folds is its
+//!   weights alone — per spanned 64-slot word, a mask of the slots held,
+//!   one of those weighing anything and 64 × `u32` — folded word-wise from
+//!   the liker's planes and shared like a snapshot's planes, alive while
+//!   any copy holds it. The fold
+//!   keeps it flat (16 bytes an entry, weights laid out on its first
+//!   orientation) where the index cannot express it, and where its words
+//!   would take more than twice the bytes of its entries; so does a
+//!   decoded copy, until a liker folds it.
 //! * **One shared oracle** — [`crate::Oracle`] holds the dataset's like
 //!   matrix, one bit per (user, item), and is **process-`Arc`-shared**:
 //!   in-process links hand every shard one pointer. Only the stream

@@ -591,7 +591,7 @@ impl ShardState {
                 }
                 self.encode_buf.clear();
                 codec::encode_bundle_into(&mut self.encode_buf, self.index as u32, entries, |id| {
-                    self.known_items.get(&id).cloned()
+                    self.known_items.get(&id)
                 });
                 entries.clear();
                 Bytes::copy_from_slice(&self.encode_buf)

@@ -138,8 +138,7 @@ pub(crate) fn check(
         let for_global = scenario.validate_for_global(&protocol);
         for_global.map_err(unsupported)?;
     }
-    // The engines with no node of the gossip stack: one loop in this process.
-    let nodeless = protocol.is_global() || matches!(protocol, Protocol::AntiEntropy { .. });
+    let nodeless = nodeless(protocol);
     // Where a run executes unless a node protocol runs on shard workers.
     let home = match way {
         Way::Deploy(_) => "a swarm".to_string(),
@@ -198,6 +197,29 @@ pub(crate) fn check(
     } else {
         return Ok(());
     })
+}
+
+/// Whether `protocol` runs on an engine with no node of the gossip stack:
+/// one loop in this process, with no shards.
+fn nodeless(protocol: Protocol) -> bool {
+    protocol.is_global() || matches!(protocol, Protocol::AntiEntropy { .. })
+}
+
+/// The config `protocol`'s engine runs under when a run of `cfg` swaps its
+/// protocol for `protocol`: every field that engine never reads
+/// ([`SimConfig::unread_fields`]) back at its default, and the shard count
+/// at 1 on an engine without shards. So a knob of one side is never the
+/// other side's refusal. The one place a config is projected onto another
+/// protocol; [`Runner::compare`] runs its second side under it.
+pub(crate) fn project(protocol: Protocol, cfg: &SimConfig) -> SimConfig {
+    let (mut projected, default) = (cfg.clone(), SimConfig::default());
+    for (_, copy) in SimConfig::unread_fields(&protocol) {
+        copy(&mut projected, &default);
+    }
+    if nodeless(protocol) {
+        projected.shards = 1;
+    }
+    projected
 }
 
 /// One cell of [`Runner::grid_sweep`]; `report.fanout` names its column.
@@ -418,6 +440,26 @@ impl<'a> Runner<'a> {
         )
     }
 
+    /// Runs this run and the same run under `other` side by side: same
+    /// dataset and scenario, `other` in process under the config projected
+    /// onto the knobs its engine reads ([`project`]). Both are checked
+    /// before either runs. Returns `(this run's report, other's)`.
+    ///
+    /// `Err` if either side is refused or fails.
+    pub fn compare(self, other: Protocol) -> io::Result<(SimReport, SimReport)> {
+        let other = Runner {
+            protocol: other,
+            cfg: project(other, &self.cfg),
+            transport: Transport::InProcess,
+            supervision: None,
+            ..self.clone()
+        };
+        other.check(Way::Run)?;
+        self.check(Way::Run)?;
+        let other = other.execute()?;
+        Ok((self.execute()?, other))
+    }
+
     /// Runs this runner across a shards × fanout grid on the job pool —
     /// the `whatsup-sim sweep` subcommand's engine — in grid order, shard
     /// count outermost. An empty `fanouts` keeps the protocol's own knob.
@@ -540,6 +582,42 @@ mod tests {
             .expect("admitted");
         assert_eq!(own.len(), 1);
         assert_eq!(own[0].report.fanout, Some(4));
+    }
+
+    /// `compare` runs the other side under the config projected onto the
+    /// knobs its engine reads: a node knob and a shard count that
+    /// anti-entropy would refuse are left to the node side, whose report
+    /// is a plain run's, and the anti-entropy report is a plain run of the
+    /// config without them.
+    #[test]
+    fn compare_projects_the_config_onto_the_other_engine() {
+        let d = dataset();
+        let knobbed = SimConfig {
+            bootstrap_degree: 4,
+            obfuscation: Some(0.1),
+            shards: 2,
+            ..cfg()
+        };
+        let anti = Protocol::AntiEntropy { fanout: 3 };
+        let refused = Runner::new(&d, anti).config(knobbed.clone()).try_run();
+        assert!(refused.is_err(), "anti-entropy reads no node knob");
+        let runner = Runner::new(&d, Protocol::WhatsUp { f_like: 3 }).config(knobbed);
+        let (node, other) = runner.clone().compare(anti).expect("both sides run");
+        assert_eq!(format!("{node:?}"), format!("{:?}", runner.run()));
+        let plain = Runner::new(&d, anti).config(cfg()).run();
+        assert_eq!(format!("{other:?}"), format!("{plain:?}"));
+        // The other way round, anti-entropy's own knobs stay behind.
+        let budget = SimConfig {
+            datagram_budget: 512,
+            ..cfg()
+        };
+        let (_, node) = (Runner::new(&d, anti).config(budget))
+            .compare(Protocol::Gossip { fanout: 3 })
+            .expect("both sides run");
+        let plain = Runner::new(&d, Protocol::Gossip { fanout: 3 })
+            .config(cfg())
+            .run();
+        assert_eq!(format!("{node:?}"), format!("{plain:?}"));
     }
 
     #[test]
@@ -803,8 +881,7 @@ mod tests {
     /// it runs and moves the report (semantic), or it leaves the report
     /// bit-identical (execution) — which only `shards` on the node engine
     /// may. A field an engine reads whose report does not move is a
-    /// silent knob: `SILENT` names the known ones, so the test fails on a
-    /// new one and on one that stops being silent.
+    /// silent knob, and fails the test: it must be refused instead.
     #[test]
     fn every_config_knob_is_refused_or_moves_the_report() {
         use serde::Json;
@@ -861,16 +938,10 @@ mod tests {
             };
             Scenario::default().with_environment(Environment { loss, churn })
         };
-        // C-Pub/Sub draws no random number: its schedule and deliveries
-        // are a function of the dataset and the cycle bounds alone, yet it
-        // takes a seed like every engine.
-        const SILENT: [(&str, &str); 1] = [("seed", "C-Pub/Sub")];
         let expected = |field: &str, p: Protocol| {
-            if SILENT.contains(&(field, p.label().as_str())) {
-                return Outcome::Execution;
-            }
             let reads = match field {
-                "cycles" | "publish_from" | "measure_from" | "seed" => true,
+                "cycles" | "publish_from" | "measure_from" => true,
+                "seed" => p != Protocol::CPubSub,
                 "datagram_budget" | "phi_threshold" | "down_cycles" => {
                     matches!(p, Protocol::AntiEntropy { .. })
                 }

@@ -306,6 +306,67 @@ fn committed_scenario_is_bit_identical_across_shards_and_transports() {
     common::assert_clean_exit(w2, "worker 2");
 }
 
+/// `compare` on a file that sets a node knob anti-entropy never reads —
+/// the committed scenario with `"bootstrap_degree": 4` — runs the
+/// anti-entropy side under the knobs it reads and exits 0, and its
+/// baseline row is a plain run of the file.
+#[test]
+fn cli_compares_a_file_that_sets_a_node_knob() {
+    let cli = env!("CARGO_BIN_EXE_whatsup-sim");
+    let committed = std::fs::read_to_string(COMMITTED).unwrap();
+    let knobbed = committed.replacen(
+        "\"cycles\": 14,",
+        "\"cycles\": 14, \"bootstrap_degree\": 4,",
+        1,
+    );
+    assert_ne!(knobbed, committed, "fixture drifted: no cycles line");
+    let dir = std::env::temp_dir().join("whatsup_sim_cli_compare_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("bootstrap_degree_4.json");
+    std::fs::write(&path, &knobbed).unwrap();
+    let out = std::process::Command::new(cli)
+        .arg("compare")
+        .arg(&path)
+        .output()
+        .expect("spawn whatsup-sim compare");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let table = String::from_utf8(out.stdout).unwrap();
+    let rows: Vec<Vec<&str>> = table
+        .lines()
+        .filter(|line| line.starts_with('|'))
+        .map(|line| {
+            line.split('|')
+                .map(str::trim)
+                .filter(|c| !c.is_empty())
+                .collect()
+        })
+        .collect();
+    assert_eq!(rows.len(), 3, "a header and two rows: {table}");
+
+    let file = ScenarioFile::from_json_str(&knobbed).expect("the file reads");
+    assert_eq!(file.config.bootstrap_degree, 4);
+    let dataset = file.dataset.build();
+    let plain = Runner::new(&dataset, file.protocol)
+        .config(file.config)
+        .scenario(file.scenario)
+        .run();
+    use whatsup_metrics::table::{f2, human_count};
+    let scores = plain.scores();
+    let messages = plain.news_messages_all + plain.gossip_messages;
+    let expected = [
+        plain.protocol.clone(),
+        human_count(messages as f64),
+        human_count(plain.news_messages_all as f64),
+        human_count(plain.gossip_messages as f64),
+        f2(scores.recall),
+        f2(scores.precision),
+        f2(scores.f1),
+    ];
+    assert_eq!(rows[1][..7], expected, "{table}");
+    assert_eq!(rows[2][0], "Anti-Entropy", "{table}");
+}
+
 /// The same pin through the CLI: `whatsup-sim run` output is byte-identical
 /// across `--shards` values and transports, and `check` accepts it.
 #[test]
