@@ -21,9 +21,9 @@
 //! a packed snapshot's rebuilt first (`crate::profile`) — in one linear
 //! merge-join over the common items (`O(|Pn| + |Pc|)`), the very one the
 //! [`reference`] runs. [`Prepared`] walks only the pairs its counting
-//! paths decline (none on perfbench's `paper-1shard`, 1 123 of 1.16 M
-//! past the fingerprint on `stress-1shard`, seed 1), so the plain join is
-//! all its fallback needs.
+//! paths decline — none past the fingerprint on perfbench's `paper-1shard`,
+//! `scale-1shard` or `stress-1shard` (1.67 M, 2.50 M and 1.16 M scores,
+//! seed 1) — so the plain join is all its fallback needs.
 //!
 //! ## Fingerprint fast path
 //!

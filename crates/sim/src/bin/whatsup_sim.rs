@@ -2,13 +2,11 @@
 //!
 //! ```text
 //! whatsup-sim run <scenario.json> [--out <report.json>] [--shards N]
-//!                 [--protocol anti-entropy]
 //!                 [--multiprocess <sim-shard-worker path> | --workers host:port,…]
 //!                 [--supervise [--max-restarts N] [--checkpoint-every C]]
-//! whatsup-sim compare <scenario.json> [--fanout F] [--out <table.txt>]
-//! whatsup-sim render <report.json> [--out <table.txt>]
-//! whatsup-sim sweep <scenario.json> [--shards N,N,…] [--fanouts F,F,…]
-//!                   [--out <rows.jsonl>]
+//! whatsup-sim render <report.json | rows.jsonl> [--out <table.txt>]
+//! whatsup-sim sweep <scenario.json> [--protocols file,KIND,…] [--shards N,N,…]
+//!                   [--fanouts F,F,…] [--out <rows.jsonl>]
 //! whatsup-sim check <report.json> [--require-recovery]
 //! whatsup-sim echo <scenario.json>
 //! ```
@@ -32,30 +30,22 @@
 //!   child, or redialed address once a replacement listener takes it over —
 //!   up to `--max-restarts` times per shard (default 3), with the run's
 //!   report staying bit-identical to an undisturbed one (see the engine
-//!   module docs' "supervision & recovery" section). `--protocol
-//!   anti-entropy` overrides the file's protocol with the scuttlebutt
-//!   anti-entropy engine (fanout taken from the file's protocol knob when
-//!   it has one) — the quick way to replay a committed BEEP scenario under
-//!   the alternative engine without editing the file.
-//! * `compare` runs the scenario file twice — once under the file's own
-//!   protocol and once under anti-entropy at the same fanout (or
-//!   `--fanout`), with the knobs of the file's config that anti-entropy
-//!   reads ([`Runner::compare`]: the node knobs and the shard count stay
-//!   with the file's side) — and renders one side-by-side
-//!   text-table row per protocol: messages sent, recall/precision/F1 and
-//!   time-to-recover (from the first recovery window). This is the
-//!   head-to-head the anti-entropy engine exists for.
+//!   module docs' "supervision & recovery" section). A file names one
+//!   protocol; `sweep` is the way to run it under another.
 //! * `render` re-reads a report JSON written by `run`, exactly as `check`
 //!   does, and renders its per-cycle `series` and resolved measurement
 //!   `windows` as aligned text tables (the `whatsup-metrics` table format)
-//!   — the human view of a report that was archived as JSON.
-//! * `sweep` runs the scenario file across a `--shards` × `--fanouts`
-//!   grid (`Runner::grid_sweep`: the same Runner path, cells in parallel
-//!   on the workspace's one job pool), emitting one JSON row per cell
-//!   (JSON Lines: `{"shards": …, "fanout": …, "report": …}`). Omitting
-//!   `--fanouts` keeps the file's own protocol knob (a protocol without
-//!   one refuses the axis); omitting `--shards` sweeps only the file's
-//!   shard count.
+//!   — the human view of a report that was archived as JSON. Given the
+//!   rows `sweep` wrote, it renders them side by side instead, one table
+//!   row per cell: messages sent, recall/precision/F1 and time-to-recover
+//!   (from the first recovery window).
+//! * `sweep` runs the scenario file across a `--protocols` × `--shards` ×
+//!   `--fanouts` grid (`Runner::grid_sweep`: cells in parallel on the
+//!   workspace's one job pool), emitting one JSON row per cell (JSON Lines:
+//!   `{"report": …, "shards": …}`). A `--protocols` entry is `file` (the
+//!   file's own protocol) or a protocol `"kind"` of the scenario grammar
+//!   at the file protocol's fanout knob, or the first `--fanouts` value.
+//!   An omitted axis keeps the file's own protocol, shard count or knob.
 //! * `check` reads a report produced by `run` — the CI smoke test: the
 //!   `schema_version` gate, then the one report schema (`Summary`, which
 //!   `run` encodes; an unknown key is an error), then `Summary::validate`.
@@ -68,6 +58,7 @@
 //! (`ScenarioFile::from_json_str`, then the `Runner`), and the CLI prints
 //! the refusal as one stderr line, exit 1.
 
+use serde::json::Value;
 use serde::Json;
 use std::process::ExitCode;
 use whatsup_metrics::table::{f2, human_count};
@@ -81,11 +72,10 @@ use whatsup_sim::{
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  whatsup-sim run <scenario.json> [--out <report.json>] [--shards N] \
-         [--protocol anti-entropy] [--multiprocess <worker> | --workers host:port,...] \
+         [--multiprocess <worker> | --workers host:port,...] \
          [--supervise [--max-restarts N] [--checkpoint-every C]]\n  \
-         whatsup-sim compare <scenario.json> [--fanout F] [--out <table.txt>]\n  \
-         whatsup-sim render <report.json> [--out <table.txt>]\n  \
-         whatsup-sim sweep <scenario.json> [--shards N,N,...] \
+         whatsup-sim render <report.json | rows.jsonl> [--out <table.txt>]\n  \
+         whatsup-sim sweep <scenario.json> [--protocols file,KIND,...] [--shards N,N,...] \
          [--fanouts F,F,...] [--out <rows.jsonl>]\n  whatsup-sim check <report.json> \
          [--require-recovery]\n  whatsup-sim echo <scenario.json>"
     );
@@ -101,7 +91,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("run") => run(&args[1..]),
-        Some("compare") => compare(&args[1..]),
         Some("render") => render(&args[1..]),
         Some("sweep") => sweep(&args[1..]),
         Some("check") => check(&args[1..]),
@@ -115,17 +104,20 @@ fn load(path: &str) -> Result<ScenarioFile, String> {
     ScenarioFile::from_json_str(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Maps a `--protocol` override name onto a [`Protocol`], inheriting the
-/// scenario file's fanout knob where the override needs one.
-fn parse_protocol_override(name: &str, file_protocol: Protocol) -> Result<Protocol, String> {
-    match name {
-        "anti-entropy" | "anti_entropy" => Ok(Protocol::AntiEntropy {
-            fanout: file_protocol.fanout().unwrap_or(3),
-        }),
-        other => Err(format!(
-            "unknown protocol override '{other}' (supported: anti-entropy)"
-        )),
+/// A `--protocols` entry: `file` is the file's own protocol, any other a
+/// protocol `"kind"` of the scenario grammar, read by the grammar's codec
+/// at `fanout` under each of the grammar's knob names (a kind reads the
+/// one it has, if any).
+fn named_protocol(name: &str, file: Protocol, fanout: Option<usize>) -> Result<Protocol, String> {
+    if name == "file" {
+        return Ok(file);
     }
+    let mut fields = vec![("kind", name.to_string().to_json())];
+    if let Some(f) = fanout {
+        fields.extend(["f_like", "k", "fanout"].map(|knob| (knob, f.to_json())));
+    }
+    let protocol = Protocol::from_json(&Value::object(fields));
+    protocol.map_err(|e| format!("{name}: {e}"))
 }
 
 /// Writes `text` to `out` (or stdout when `None`), treating a broken pipe
@@ -187,15 +179,19 @@ fn number<T: std::str::FromStr>(it: &mut Args) -> Option<T> {
     it.next()?.parse().ok()
 }
 
+/// The trimmed, non-empty items of an `a, b,c`-style comma list.
+fn items(list: &str) -> Vec<String> {
+    list.split(',')
+        .map(str::trim)
+        .filter(|s| !s.is_empty())
+        .map(String::from)
+        .collect()
+}
+
 /// A flag's value, parsed as a `1,2,4`-style comma list of non-negative
 /// integers.
 fn numbers(it: &mut Args) -> Option<Vec<usize>> {
-    let parts: Vec<&str> = it
-        .next()?
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .collect();
+    let parts = items(it.next()?);
     if parts.is_empty() {
         return None;
     }
@@ -204,12 +200,7 @@ fn numbers(it: &mut Args) -> Option<Vec<usize>> {
 
 /// A `--workers host:port,host:port,…` list: one address per shard.
 fn parse_workers(list: &str) -> Result<Vec<String>, String> {
-    let workers: Vec<String> = list
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(String::from)
-        .collect();
+    let workers = items(list);
     if workers.is_empty() {
         return Err("worker list is empty".into());
     }
@@ -221,22 +212,24 @@ fn parse_workers(list: &str) -> Result<Vec<String>, String> {
     Ok(workers)
 }
 
-/// One `sweep` output line: a grid cell and its report.
+/// One `sweep` output line: a grid cell's shard count and its report,
+/// which names the cell's protocol and fanout.
 struct SweepRow {
     shards: usize,
-    fanout: Option<usize>,
     report: Summary,
 }
 
-serde::json_codec! { struct SweepRow { shards, fanout, report } }
+serde::json_codec! { struct SweepRow { shards, report } }
 
 fn sweep(args: &[String]) -> ExitCode {
     let mut out = None;
-    let mut shard_counts: Option<Vec<usize>> = None;
+    let mut kinds: Vec<String> = Vec::new();
+    let mut shard_counts: Vec<usize> = Vec::new();
     let mut fanouts: Vec<usize> = Vec::new();
     let path = parse_args(args, |flag, it| match flag {
         "--out" => value(it).map(|v| out = Some(v)),
-        "--shards" => numbers(it).map(|l| shard_counts = Some(l)),
+        "--protocols" => value(it).map(|v| kinds = items(&v)),
+        "--shards" => numbers(it).map(|l| shard_counts = l),
         "--fanouts" => numbers(it).map(|l| fanouts = l),
         _ => None,
     });
@@ -245,13 +238,19 @@ fn sweep(args: &[String]) -> ExitCode {
         Ok(file) => file,
         Err(e) => return fail("invalid scenario", e),
     };
-    // No --shards axis = the file's own shard count, a 1×F grid.
-    let shard_counts = shard_counts.unwrap_or_else(|| vec![file.config.shards]);
+    let fanout = fanouts.first().copied().or(file.protocol.fanout());
+    let protocols: Result<Vec<Protocol>, String> = (kinds.iter())
+        .map(|name| named_protocol(name, file.protocol, fanout))
+        .collect();
+    let protocols = match protocols {
+        Ok(protocols) => protocols,
+        Err(e) => return fail("invalid protocol", e),
+    };
     let dataset = file.dataset.build();
     let swept = Runner::new(&dataset, file.protocol)
-        .config(file.config.clone())
-        .scenario(file.scenario.clone())
-        .grid_sweep(&shard_counts, &fanouts);
+        .config(file.config)
+        .scenario(file.scenario)
+        .grid_sweep(&protocols, &shard_counts, &fanouts);
     let cells = match swept {
         Ok(cells) => cells,
         Err(e) => return fail("sweep failed", e),
@@ -261,19 +260,12 @@ fn sweep(args: &[String]) -> ExitCode {
     for cell in &cells {
         let row = SweepRow {
             shards: cell.shards,
-            fanout: cell.report.fanout,
             report: cell.report.summary(),
         };
         rows.push_str(&row.to_json().to_string());
         rows.push('\n');
     }
-    let note = format!(
-        "{} rows ({} shard counts × {} fanouts)",
-        cells.len(),
-        shard_counts.len(),
-        fanouts.len().max(1)
-    );
-    emit(&rows, out.as_deref(), &note)
+    emit(&rows, out.as_deref(), &format!("{} rows", cells.len()))
 }
 
 fn run(args: &[String]) -> ExitCode {
@@ -284,11 +276,9 @@ fn run(args: &[String]) -> ExitCode {
     let mut supervise = false;
     let mut max_restarts = None;
     let mut checkpoint_every = None;
-    let mut protocol_override = None;
     let path = parse_args(args, |flag, it| match flag {
         "--out" => value(it).map(|v| out = Some(v)),
         "--shards" => number(it).map(|n| shards = Some(n)),
-        "--protocol" => value(it).map(|v| protocol_override = Some(v)),
         "--multiprocess" => value(it).map(|v| worker = Some(v)),
         "--workers" => value(it).map(|v| workers = Some(v)),
         "--supervise" => {
@@ -324,19 +314,12 @@ fn run(args: &[String]) -> ExitCode {
         Ok(file) => file,
         Err(e) => return fail("invalid scenario", e),
     };
-    let protocol = match protocol_override.as_deref() {
-        None => file.protocol,
-        Some(name) => match parse_protocol_override(name, file.protocol) {
-            Ok(p) => p,
-            Err(e) => return fail("invalid protocol override", e),
-        },
-    };
     let config = SimConfig {
         shards: shards.unwrap_or(file.config.shards),
         ..file.config.clone()
     };
     let dataset = file.dataset.build();
-    let mut runner = Runner::new(&dataset, protocol)
+    let mut runner = Runner::new(&dataset, file.protocol)
         .config(config)
         .scenario(file.scenario.clone())
         .transport(transport);
@@ -375,105 +358,23 @@ fn run(args: &[String]) -> ExitCode {
     emit(&json, out.as_deref(), &note)
 }
 
-/// One `compare` table row: traffic, scores and recovery speed of a
-/// finished report. Time-to-recover comes from the first window carrying
-/// recovery metrics — `-` when the scenario declares none, `never` when
-/// recall did not climb back within the run.
-fn comparison_row(report: &whatsup_sim::SimReport) -> Vec<String> {
-    let s = report.scores();
-    let messages = report.news_messages_all + report.gossip_messages;
-    let ttr = report
-        .windows
-        .iter()
-        .find_map(|w| w.recovery.as_ref())
-        .map_or_else(
-            || "-".to_string(),
-            |r| {
-                r.time_to_recover()
-                    .map_or_else(|| "never".to_string(), |t| t.to_string())
-            },
-        );
-    vec![
-        report.protocol.clone(),
-        human_count(messages as f64),
-        human_count(report.news_messages_all as f64),
-        human_count(report.gossip_messages as f64),
-        f2(s.recall),
-        f2(s.precision),
-        f2(s.f1),
-        ttr,
-    ]
+/// The text of the report file at `path`.
+fn read(path: &str) -> Result<String, ExitCode> {
+    std::fs::read_to_string(path).map_err(|e| fail("cannot read report", format!("{path}: {e}")))
 }
 
-fn compare(args: &[String]) -> ExitCode {
-    let mut out = None;
-    let mut fanout = None;
-    let path = parse_args(args, |flag, it| match flag {
-        "--out" => value(it).map(|v| out = Some(v)),
-        "--fanout" => number(it).map(|f| fanout = Some(f)),
-        _ => None,
-    });
-    let Some(path) = path else { return usage() };
-    let file = match load(&path) {
-        Ok(file) => file,
-        Err(e) => return fail("invalid scenario", e),
-    };
-    if matches!(file.protocol, Protocol::AntiEntropy { .. }) {
-        return fail(
-            "invalid comparison",
-            format!(
-                "{path}: the file's protocol already is anti-entropy — point compare at the \
-                 scenario's BEEP/gossip form"
-            ),
-        );
-    }
-    // The anti-entropy side runs at the file protocol's fanout unless
-    // --fanout overrides it, so the head-to-head is knob-for-knob fair; the
-    // runner gives it the knobs of the file's config its engine reads.
-    let anti = Protocol::AntiEntropy {
-        fanout: fanout.or(file.protocol.fanout()).unwrap_or(3),
-    };
-    let dataset = file.dataset.build();
-    let runner = Runner::new(&dataset, file.protocol)
-        .config(file.config)
-        .scenario(file.scenario);
-    let (baseline, anti_report) = match runner.compare(anti) {
-        Ok(reports) => reports,
-        Err(e) => return fail("comparison failed", e),
-    };
-    let mut table = TextTable::new(
-        format!(
-            "{} vs {} on {} ({} nodes, {} cycles)",
-            baseline.protocol,
-            anti_report.protocol,
-            baseline.dataset,
-            baseline.n_nodes,
-            baseline.cycles
-        ),
-        &[
-            "Protocol",
-            "Messages",
-            "News",
-            "Gossip",
-            "Recall",
-            "Precision",
-            "F1",
-            "TimeToRecover",
-        ],
-    );
-    table.row(&comparison_row(&baseline));
-    table.row(&comparison_row(&anti_report));
-    emit(&table.render(), out.as_deref(), "comparison table (2 rows)")
+/// Reads a report written by `run` to `path`, given its text: its
+/// `schema_version` first (under another version the rest of the shape
+/// cannot be trusted), then the one [`Summary`] schema, unknown keys
+/// included, then what the types cannot say ([`Summary::validate`]).
+/// Failures are reported here.
+fn read_report(path: &str, text: &str, require_recovery: bool) -> Result<Summary, ExitCode> {
+    let value = serde::json::parse(text).map_err(|e| fail("report is not valid JSON", e))?;
+    summary(path, &value, require_recovery)
 }
 
-/// Reads a report written by `run`: its `schema_version` first (under
-/// another version the rest of the shape cannot be trusted), then the one
-/// [`Summary`] schema, unknown keys included, then what the types cannot
-/// say ([`Summary::validate`]). Failures are reported here.
-fn read_report(path: &str, require_recovery: bool) -> Result<Summary, ExitCode> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| fail("cannot read report", format!("{path}: {e}")))?;
-    let value = serde::json::parse(&text).map_err(|e| fail("report is not valid JSON", e))?;
+/// [`read_report`] on a report's parsed JSON; `at` names it in errors.
+fn summary(at: &str, value: &Value, require_recovery: bool) -> Result<Summary, ExitCode> {
     let unsupported = match value.get("schema_version").and_then(|v| v.as_u64()) {
         Some(v) if v == u64::from(REPORT_SCHEMA_VERSION) => None,
         Some(v) => Some(format!(
@@ -486,12 +387,91 @@ fn read_report(path: &str, require_recovery: bool) -> Result<Summary, ExitCode> 
         ),
     };
     if let Some(e) = unsupported {
-        return Err(fail("report schema", format!("{path}: {e}")));
+        return Err(fail("report schema", format!("{at}: {e}")));
     }
-    let shape = |e: String| fail("report shape", format!("{path}: {e}"));
-    let summary = Summary::from_json_exact(&value).map_err(|e| shape(e.to_string()))?;
+    let shape = |e: String| fail("report shape", format!("{at}: {e}"));
+    let summary = Summary::from_json_exact(value).map_err(|e| shape(e.to_string()))?;
     summary.validate(require_recovery).map_err(shape)?;
     Ok(summary)
+}
+
+/// The rows `sweep` wrote to `path`, given its text, if its first line is
+/// one: each row's report read as [`read_report`] reads a report.
+/// `Ok(None)` for a file that is not sweep rows.
+fn read_rows(path: &str, text: &str) -> Result<Option<Vec<SweepRow>>, ExitCode> {
+    // A line and its report, if the line is an object holding one.
+    let row = |line: &str| {
+        let value = serde::json::parse(line).ok()?;
+        let report = value.get("report")?.clone();
+        Some((value, report))
+    };
+    if text.lines().next().and_then(row).is_none() {
+        return Ok(None);
+    }
+    let rows = text.lines().enumerate().map(|(i, line)| {
+        let at = format!("{path}:{}", i + 1);
+        let (value, report) =
+            row(line).ok_or_else(|| fail("sweep row", format!("{at}: not a row")))?;
+        summary(&at, &report, false)?;
+        SweepRow::from_json_exact(&value).map_err(|e| fail("sweep row", format!("{at}: {e}")))
+    });
+    rows.collect::<Result<_, _>>().map(Some)
+}
+
+/// The side-by-side table of a sweep's rows: one row per cell — traffic,
+/// scores and the time-to-recover of its first recovery window (`-` when
+/// the scenario declares none, `never` when recall did not climb back
+/// within the run). A cell is named by its protocol, and by its fanout and
+/// shard count too where another cell runs the same protocol.
+fn side_by_side(rows: &[SweepRow]) -> String {
+    // Grid order runs a protocol's cells one after another.
+    let mut protocols: Vec<&str> = rows.iter().map(|r| r.report.protocol.as_str()).collect();
+    protocols.dedup();
+    let first = &rows[0].report;
+    let mut table = TextTable::new(
+        format!(
+            "{} on {} ({} nodes, {} cycles)",
+            protocols.join(" vs "),
+            first.dataset,
+            first.n_nodes,
+            first.cycles
+        ),
+        &[
+            "Protocol",
+            "Messages",
+            "News",
+            "Gossip",
+            "Recall",
+            "Precision",
+            "F1",
+            "TimeToRecover",
+        ],
+    );
+    for SweepRow { shards, report: r } in rows {
+        let mut name = r.protocol.clone();
+        let same_protocol = rows.iter().filter(|o| o.report.protocol == r.protocol);
+        if same_protocol.count() > 1 {
+            let fanout = r.fanout.map_or_else(String::new, |f| format!(" f={f}"));
+            name = format!("{name}{fanout} shards={shards}");
+        }
+        let recovery = r.windows.iter().find_map(|w| w.recovery.as_ref());
+        let ttr = match recovery.map(|r| r.time_to_recover) {
+            None => "-".to_string(),
+            Some(None) => "never".to_string(),
+            Some(Some(t)) => t.to_string(),
+        };
+        table.row(&[
+            name,
+            human_count((r.news_messages_all + r.gossip_messages) as f64),
+            human_count(r.news_messages_all as f64),
+            human_count(r.gossip_messages as f64),
+            f2(r.scores.recall),
+            f2(r.scores.precision),
+            f2(r.scores.f1),
+            ttr,
+        ]);
+    }
+    table.render()
 }
 
 fn render(args: &[String]) -> ExitCode {
@@ -501,7 +481,19 @@ fn render(args: &[String]) -> ExitCode {
         _ => None,
     });
     let Some(path) = path else { return usage() };
-    let summary = match read_report(&path, false) {
+    let text = match read(&path) {
+        Ok(text) => text,
+        Err(code) => return code,
+    };
+    match read_rows(&path, &text) {
+        Ok(Some(rows)) => {
+            let note = format!("{} sweep cells side by side", rows.len());
+            return emit(&side_by_side(&rows), out.as_deref(), &note);
+        }
+        Ok(None) => {}
+        Err(code) => return code,
+    }
+    let summary = match read_report(&path, &text, false) {
         Ok(summary) => summary,
         Err(code) => return code,
     };
@@ -572,7 +564,8 @@ fn check(args: &[String]) -> ExitCode {
         _ => None,
     });
     let Some(path) = path else { return usage() };
-    let summary = match read_report(&path, require_recovery) {
+    let report = read(&path).and_then(|text| read_report(&path, &text, require_recovery));
+    let summary = match report {
         Ok(summary) => summary,
         Err(code) => return code,
     };

@@ -38,19 +38,23 @@
 //! workspace: a scoped work queue as wide as the machine. Each run being
 //! deterministic, the pool changes nothing but wall-clock time.
 //! [`Runner::grid_sweep`] (the `whatsup-sim sweep` subcommand) and the
-//! `paper` harness are its users.
+//! `paper` harness are its users. The sweep is also the one way to put
+//! protocols side by side: its cells are protocols × shard counts ×
+//! fanouts, each under the config projected onto its engine (`project`).
 //!
 //! A run is refused in one place, `check`, before anything executes: a
 //! malformed config or scenario (`shards: 0` included), a knob its engine
 //! never reads (a config field, a scenario model, a transport, a
 //! supervision, a shard count other than 1 on an engine or a swarm
-//! without shards, a sweep's fanout axis on a protocol without a fanout
-//! knob), a socket run whose `config.shards` is neither 1 nor its worker
-//! count, an event naming a node the run will not have, or what the way
-//! to run cannot express. Every way to run asks it once — every method
-//! below, [`antientropy::run_with_detection`] and
-//! [`crate::ScenarioFile`]'s reader, which has no population yet — and no
-//! engine asks again.
+//! without shards), a socket run whose `config.shards` is neither 1 nor
+//! its worker count, an event naming a node the run will not have, or
+//! what the way to run cannot express. Every way to run asks it once —
+//! every method below, each sweep cell, [`antientropy::run_with_detection`]
+//! and [`crate::ScenarioFile`]'s reader, which has no population yet — and
+//! no engine asks again. A sweep is a set of such runs: a knob or shard
+//! axis that no cell's engine reads stays in every cell's config for
+//! `check` to refuse, and a fanout axis that no cell's protocol has is
+//! refused before the cells are laid out.
 
 use crate::config::{Protocol, SimConfig, Transport};
 use crate::engine::driver::run_external;
@@ -101,13 +105,12 @@ pub fn pool_map<T: Sync, R: Send>(jobs: &[T], run: impl Fn(&T) -> R + Sync) -> V
 }
 
 /// How a run is asked to execute: stepped ([`Runner::build`]), run to
-/// completion, alone or as a [`Runner::grid_sweep`] cell on a fanout axis,
-/// or deployed on a swarm ticking every so many ms.
+/// completion (alone or as a [`Runner::grid_sweep`] cell), or deployed on
+/// a swarm ticking every so many ms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Way {
     Step,
     Run,
-    FanoutSweep,
     Deploy(u64),
 }
 
@@ -150,7 +153,6 @@ pub(crate) fn check(
         Transport::Process(_) => (Some("process"), None),
         Transport::Socket(workers) => (Some("socket"), Some(workers.len())),
     };
-    let to_completion = matches!(way, Way::Run | Way::FanoutSweep);
     let shards = cfg.shards;
     Err(if let (Way::Deploy(_), true) = (way, nodeless) {
         unsupported(format!("{label} has no node to deploy"))
@@ -158,15 +160,11 @@ pub(crate) fn check(
         unsupported(format!("{label} does not run on the node engine"))
     } else if let (Way::Step, Some(t)) = (way, carrier) {
         unsupported(format!("a stepped run has no shard for the {t} transport"))
-    } else if let (Some(t), true) = (carrier, !to_completion || nodeless) {
+    } else if let (Some(t), true) = (carrier, way != Way::Run || nodeless) {
         unsupported(format!("{home} has no shard for the {t} transport"))
     } else if shards != 1 && (nodeless || matches!(way, Way::Deploy(_))) {
         unsupported(format!(
             "{home} has no shards: config.shards must be 1, not {shards}"
-        ))
-    } else if way == Way::FanoutSweep && protocol.fanout().is_none() {
-        invalid(format!(
-            "{label} has no fanout knob for the sweep's fanout axis"
         ))
     } else if carrier.is_none() && supervision.is_some() {
         invalid(format!("{home} has no worker to supervise"))
@@ -205,29 +203,36 @@ fn nodeless(protocol: Protocol) -> bool {
     protocol.is_global() || matches!(protocol, Protocol::AntiEntropy { .. })
 }
 
-/// The config `protocol`'s engine runs under when a run of `cfg` swaps its
-/// protocol for `protocol`: every field that engine never reads
-/// ([`SimConfig::unread_fields`]) back at its default, and the shard count
-/// at 1 on an engine without shards. So a knob of one side is never the
-/// other side's refusal. The one place a config is projected onto another
-/// protocol; [`Runner::compare`] runs its second side under it.
-pub(crate) fn project(protocol: Protocol, cfg: &SimConfig) -> SimConfig {
+/// The config `protocol`'s cell of a sweep over `protocols` runs under:
+/// every field its engine never reads ([`SimConfig::unread_fields`]) that
+/// another engine of the sweep reads back at its default, and on an engine
+/// without shards the shard count at 1 where another engine has shards.
+/// So a knob of one cell is never another cell's refusal, while a knob or
+/// shard count that no engine of the sweep reads stays for [`check`] to
+/// refuse — and a sweep of one protocol runs its cells unprojected. The one
+/// place a config is projected onto another protocol.
+pub(crate) fn project(protocol: Protocol, cfg: &SimConfig, protocols: &[Protocol]) -> SimConfig {
     let (mut projected, default) = (cfg.clone(), SimConfig::default());
-    for (_, copy) in SimConfig::unread_fields(&protocol) {
-        copy(&mut projected, &default);
+    let read_by_another =
+        |field| (protocols.iter()).any(|p| SimConfig::unread_fields(p).all(|(f, _)| f != field));
+    for (field, copy) in SimConfig::unread_fields(&protocol) {
+        if read_by_another(field) {
+            copy(&mut projected, &default);
+        }
     }
-    if nodeless(protocol) {
+    if nodeless(protocol) && !protocols.iter().all(|&p| nodeless(p)) {
         projected.shards = 1;
     }
     projected
 }
 
-/// One cell of [`Runner::grid_sweep`]; `report.fanout` names its column.
+/// One cell of [`Runner::grid_sweep`]; `report.protocol` and
+/// `report.fanout` name its protocol and column.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepCell {
     /// Engine shard count the cell ran on, as the runner resolved it (a
     /// pure execution knob — cells that differ only in `shards` carry
-    /// identical reports).
+    /// identical reports; 1 on an engine without shards).
     pub shards: usize,
     pub report: SimReport,
 }
@@ -440,65 +445,63 @@ impl<'a> Runner<'a> {
         )
     }
 
-    /// Runs this run and the same run under `other` side by side: same
-    /// dataset and scenario, `other` in process under the config projected
-    /// onto the knobs its engine reads ([`project`]). Both are checked
-    /// before either runs. Returns `(this run's report, other's)`.
+    /// Runs this runner across a protocols × shard counts × fanouts grid on
+    /// the job pool — the `whatsup-sim sweep` subcommand's engine — in grid
+    /// order, protocol outermost. An empty axis keeps the runner's own
+    /// protocol, shard count or knob. Each cell runs under the config
+    /// projected onto its engine ([`project`]); a protocol whose engine
+    /// does not read an axis (shards, a fanout knob) gets one cell for it.
     ///
-    /// `Err` if either side is refused or fails.
-    pub fn compare(self, other: Protocol) -> io::Result<(SimReport, SimReport)> {
-        let other = Runner {
-            protocol: other,
-            cfg: project(other, &self.cfg),
-            transport: Transport::InProcess,
-            supervision: None,
-            ..self.clone()
-        };
-        other.check(Way::Run)?;
-        self.check(Way::Run)?;
-        let other = other.execute()?;
-        Ok((self.execute()?, other))
-    }
-
-    /// Runs this runner across a shards × fanout grid on the job pool —
-    /// the `whatsup-sim sweep` subcommand's engine — in grid order, shard
-    /// count outermost. An empty `fanouts` keeps the protocol's own knob.
-    ///
-    /// `Err` if any cell is refused, before the first runs, or fails. A
-    /// fanout axis on a protocol without a fanout knob is refused: every
-    /// cell of a row would be identical.
+    /// `Err` if any cell is refused, before the first runs, or fails: an
+    /// axis or config knob that no cell's engine reads is refused in one
+    /// line naming it.
     pub fn grid_sweep(
         &self,
+        protocols: &[Protocol],
         shard_counts: &[usize],
         fanouts: &[usize],
     ) -> io::Result<Vec<SweepCell>> {
-        let protocols: Vec<Protocol> = if fanouts.is_empty() {
-            vec![self.protocol]
-        } else {
-            fanouts
-                .iter()
-                .map(|&f| self.protocol.with_fanout(f))
-                .collect()
+        let protocols = match protocols {
+            [] => std::slice::from_ref(&self.protocol),
+            protocols => protocols,
         };
-        let cell = |shards, protocol| Runner {
-            protocol,
-            cfg: SimConfig {
-                shards,
-                ..self.cfg.clone()
-            },
-            ..self.clone()
+        if !fanouts.is_empty() && protocols.iter().all(|p| p.fanout().is_none()) {
+            let label = protocols[0].label();
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("{label} has no fanout knob for the sweep's fanout axis"),
+            ));
+        }
+        let shard_counts = match shard_counts {
+            [] => std::slice::from_ref(&self.cfg.shards),
+            shard_counts => shard_counts,
         };
-        let cells: Vec<Runner> = shard_counts
-            .iter()
-            .flat_map(|&s| protocols.iter().map(move |&p| cell(s, p)))
-            .collect();
-        let way = if fanouts.is_empty() {
-            Way::Run
-        } else {
-            Way::FanoutSweep
-        };
+        // `with_fanout` leaves a protocol without a fanout knob as it is,
+        // and `project` pins a shard count nothing reads: such copies are
+        // equal, and collapse into one cell.
+        let mut cells: Vec<Runner> = Vec::new();
+        for &protocol in protocols {
+            for &shards in shard_counts {
+                let cfg = SimConfig {
+                    shards,
+                    ..self.cfg.clone()
+                };
+                let cfg = project(protocol, &cfg, protocols);
+                let fanned = fanouts.iter().map(|&f| protocol.with_fanout(f));
+                for protocol in fanned.chain(fanouts.is_empty().then_some(protocol)) {
+                    if !(cells.iter()).any(|c| c.protocol == protocol && c.cfg == cfg) {
+                        let cfg = cfg.clone();
+                        cells.push(Runner {
+                            protocol,
+                            cfg,
+                            ..self.clone()
+                        });
+                    }
+                }
+            }
+        }
         for cell in &cells {
-            cell.check(way)?;
+            cell.check(Way::Run)?;
         }
         pool_map(&cells, |cell| {
             let shards = cell.shards();
@@ -559,38 +562,62 @@ mod tests {
     #[test]
     fn grid_sweep_covers_every_cell_and_shards_stay_invisible() {
         let d = dataset();
-        let base = Runner::new(&d, Protocol::WhatsUp { f_like: 0 }).config(cfg());
-        let cells = base.grid_sweep(&[1, 2], &[3, 5]).expect("admitted");
-        let grid: Vec<_> = cells.iter().map(|c| (c.shards, c.report.fanout)).collect();
+        let whatsup = Protocol::WhatsUp { f_like: 0 };
+        let anti = Protocol::AntiEntropy { fanout: 1 };
+        let protocols = [whatsup, anti, Protocol::CPubSub];
+        let base = Runner::new(&d, whatsup).config(cfg());
+        let cells = base.grid_sweep(&protocols, &[1, 2], &[3, 5]);
+        let cells = cells.expect("admitted");
+        let grid: Vec<_> = (cells.iter())
+            .map(|c| (c.report.protocol.as_str(), c.shards, c.report.fanout))
+            .collect();
+        // Anti-entropy reads no shard count and C-Pub/Sub no fanout: one
+        // cell each for that axis, not one per value.
         assert_eq!(
             grid,
-            [(1, Some(3)), (1, Some(5)), (2, Some(3)), (2, Some(5))]
+            [
+                ("WhatsUp", 1, Some(3)),
+                ("WhatsUp", 1, Some(5)),
+                ("WhatsUp", 2, Some(3)),
+                ("WhatsUp", 2, Some(5)),
+                ("Anti-Entropy", 1, Some(3)),
+                ("Anti-Entropy", 1, Some(5)),
+                ("C-Pub/Sub", 1, None),
+            ]
         );
         // Same fanout, different shard count → bit-identical report.
         assert_eq!(cells[0].report, cells[2].report);
         assert_eq!(cells[1].report, cells[3].report);
         assert_ne!(cells[0].report.scores(), cells[1].report.scores());
-        // A pooled cell is the plain run of the same protocol.
+        // A pooled cell is the plain run of the same protocol, under the
+        // config projected onto its engine.
         let alone = Runner::new(&d, Protocol::WhatsUp { f_like: 5 })
             .config(cfg())
             .run();
         assert_eq!(cells[1].report, alone);
-        // An empty fanout axis keeps the protocol's own knob.
+        for (cell, fanout) in cells[4..6].iter().zip([3, 5]) {
+            let anti = Protocol::AntiEntropy { fanout };
+            let sharded = SimConfig { shards: 2, ..cfg() };
+            let projected = project(anti, &sharded, &protocols);
+            let alone = Runner::new(&d, anti).config(projected).run();
+            assert_eq!(cell.report, alone);
+        }
+        // Empty axes keep the runner's own protocol and knob.
         let own = Runner::new(&d, Protocol::WhatsUp { f_like: 4 })
             .config(cfg())
-            .grid_sweep(&[1], &[])
+            .grid_sweep(&[], &[1], &[])
             .expect("admitted");
         assert_eq!(own.len(), 1);
         assert_eq!(own[0].report.fanout, Some(4));
     }
 
-    /// `compare` runs the other side under the config projected onto the
-    /// knobs its engine reads: a node knob and a shard count that
-    /// anti-entropy would refuse are left to the node side, whose report
-    /// is a plain run's, and the anti-entropy report is a plain run of the
-    /// config without them.
+    /// Each cell runs under the config projected onto the knobs its
+    /// engine reads: a node knob and a shard count that anti-entropy would
+    /// refuse are left to the node cell, whose report is a plain run's,
+    /// and the anti-entropy report is a plain run of the config without
+    /// them.
     #[test]
-    fn compare_projects_the_config_onto_the_other_engine() {
+    fn grid_sweep_projects_the_config_onto_each_engine() {
         let d = dataset();
         let knobbed = SimConfig {
             bootstrap_degree: 4,
@@ -601,23 +628,26 @@ mod tests {
         let anti = Protocol::AntiEntropy { fanout: 3 };
         let refused = Runner::new(&d, anti).config(knobbed.clone()).try_run();
         assert!(refused.is_err(), "anti-entropy reads no node knob");
-        let runner = Runner::new(&d, Protocol::WhatsUp { f_like: 3 }).config(knobbed);
-        let (node, other) = runner.clone().compare(anti).expect("both sides run");
-        assert_eq!(format!("{node:?}"), format!("{:?}", runner.run()));
+        let whatsup = Protocol::WhatsUp { f_like: 3 };
+        let runner = Runner::new(&d, whatsup).config(knobbed);
+        let cells = runner.grid_sweep(&[whatsup, anti], &[], &[]);
+        let [node, other] = &cells.expect("both cells run")[..] else {
+            panic!("one cell per protocol")
+        };
+        assert_eq!(format!("{:?}", node.report), format!("{:?}", runner.run()));
         let plain = Runner::new(&d, anti).config(cfg()).run();
-        assert_eq!(format!("{other:?}"), format!("{plain:?}"));
+        assert_eq!(format!("{:?}", other.report), format!("{plain:?}"));
         // The other way round, anti-entropy's own knobs stay behind.
         let budget = SimConfig {
             datagram_budget: 512,
             ..cfg()
         };
-        let (_, node) = (Runner::new(&d, anti).config(budget))
-            .compare(Protocol::Gossip { fanout: 3 })
-            .expect("both sides run");
-        let plain = Runner::new(&d, Protocol::Gossip { fanout: 3 })
-            .config(cfg())
-            .run();
-        assert_eq!(format!("{node:?}"), format!("{plain:?}"));
+        let gossip = Protocol::Gossip { fanout: 3 };
+        let cells = (Runner::new(&d, anti).config(budget))
+            .grid_sweep(&[anti, gossip], &[], &[])
+            .expect("both cells run");
+        let plain = Runner::new(&d, gossip).config(cfg()).run();
+        assert_eq!(format!("{:?}", cells[1].report), format!("{plain:?}"));
     }
 
     #[test]
@@ -636,16 +666,18 @@ mod tests {
         }
     }
 
-    /// The ways to run a refusal table row goes through: `Sweep` over two
-    /// shard counts, `FanoutSweep` over one shard count and a fanout axis.
+    /// The ways to run a refusal table row goes through: a `Sweep` over
+    /// protocols (none: the runner's own), shard counts and fanouts.
     #[derive(Debug, Clone, Copy)]
     enum Entry {
         Build,
         TryRun,
-        Sweep,
-        FanoutSweep,
+        Sweep(&'static [Protocol], &'static [usize], &'static [usize]),
         Deploy,
     }
+
+    /// The runner's own protocol over two shard counts.
+    const SHARD_SWEEP: Entry = Entry::Sweep(&[], &[1, 2], &[]);
 
     /// Runs `runner` the `entry` way and returns its refusal: the `Err`'s
     /// kind and line, or `build`'s panic line (no kind).
@@ -658,8 +690,9 @@ mod tests {
                 return (None, line.clone());
             }
             Entry::TryRun => runner.try_run().map(drop),
-            Entry::Sweep => runner.grid_sweep(&[1, 2], &[]).map(drop),
-            Entry::FanoutSweep => runner.grid_sweep(&[1], &[3, 5]).map(drop),
+            Entry::Sweep(protocols, shards, fanouts) => {
+                runner.grid_sweep(protocols, shards, fanouts).map(drop)
+            }
             Entry::Deploy => runner.deploy(Fabric::Emulated, 1).map(drop),
         };
         let err = err.expect_err("the run is refused");
@@ -669,7 +702,7 @@ mod tests {
     #[test]
     fn every_way_to_run_refuses_alike() {
         use io::ErrorKind::{InvalidInput, Unsupported};
-        use Entry::{Build, Deploy, FanoutSweep, Sweep, TryRun};
+        use Entry::{Build, Deploy, Sweep, TryRun};
         let d = dataset();
         let runner = |protocol| Runner::new(&d, protocol).config(cfg());
         let whatsup = Protocol::WhatsUp { f_like: 3 };
@@ -685,9 +718,11 @@ mod tests {
                 event: Event::JoinClone { reference },
             }])
         };
-        let every_way: &[Entry] = &[Build, TryRun, Sweep, Deploy];
-        let to_completion: &[Entry] = &[TryRun, Sweep];
-        let simulated: &[Entry] = &[Build, TryRun, Sweep];
+        let every_way: &[Entry] = &[Build, TryRun, SHARD_SWEEP, Deploy];
+        let to_completion: &[Entry] = &[TryRun, SHARD_SWEEP];
+        let simulated: &[Entry] = &[Build, TryRun, SHARD_SWEEP];
+        const ANTI: Protocol = Protocol::AntiEntropy { fanout: 3 };
+        const C_WHATSUP: Protocol = Protocol::CWhatsUp { f_like: 3 };
         let sharded = |shards| SimConfig { shards, ..cfg() };
         // (row, runner, kind, what the line names, the ways that refuse it
         // with this line)
@@ -850,7 +885,35 @@ mod tests {
                 runner(Protocol::CPubSub),
                 InvalidInput,
                 "C-Pub/Sub has no fanout knob for the sweep's fanout axis",
-                &[FanoutSweep],
+                &[Sweep(&[], &[1], &[3, 5])],
+            ),
+            (
+                "a config knob that no cell reads",
+                runner(C_WHATSUP).config(SimConfig {
+                    profile_window: Some(5),
+                    ..cfg()
+                }),
+                InvalidInput,
+                "C-WhatsUp never reads config.profile_window",
+                &[Sweep(&[C_WHATSUP, ANTI], &[1], &[])],
+            ),
+            (
+                "a fanout axis that no cell's protocol has",
+                runner(Protocol::CPubSub),
+                InvalidInput,
+                "C-Pub/Sub has no fanout knob for the sweep's fanout axis",
+                &[Sweep(
+                    &[Protocol::CPubSub, Protocol::Cascade],
+                    &[1],
+                    &[3, 5],
+                )],
+            ),
+            (
+                "a shard axis when every protocol is nodeless",
+                runner(ANTI),
+                Unsupported,
+                "the Anti-Entropy engine has no shards: config.shards must be 1, not 2",
+                &[Sweep(&[ANTI, Protocol::CPubSub], &[1, 2], &[])],
             ),
         ];
         for (row, runner, kind, names, entries) in rows {

@@ -121,9 +121,9 @@
 //! grid like the gossip stack and additionally reads the
 //! `datagram_budget`, `phi_threshold` and `down_cycles` config fields.
 //! Reading a file refuses what the `runner` module docs list, a run's
-//! population aside. The `whatsup-sim run --protocol anti-entropy` flag
-//! overrides the file's protocol from the CLI, and `whatsup-sim compare`
-//! runs both.
+//! population aside. A file names one protocol; to put it side by side
+//! with others, `whatsup-sim sweep --protocols file,anti_entropy` runs
+//! each named `"kind"` (or `file`, the file's own) on the same scenario.
 
 use crate::config::{Protocol, SimConfig, Transport};
 use crate::runner::{check, Way};

@@ -306,13 +306,55 @@ fn committed_scenario_is_bit_identical_across_shards_and_transports() {
     common::assert_clean_exit(w2, "worker 2");
 }
 
-/// `compare` on a file that sets a node knob anti-entropy never reads —
-/// the committed scenario with `"bootstrap_degree": 4` — runs the
-/// anti-entropy side under the knobs it reads and exits 0, and its
+/// `whatsup-sim sweep <file> --protocols file,anti_entropy`, then `render`
+/// on its rows: the side-by-side table, as text.
+fn side_by_side(file: &std::path::Path, rows_name: &str) -> String {
+    let cli = env!("CARGO_BIN_EXE_whatsup-sim");
+    let dir = std::env::temp_dir().join("whatsup_sim_cli_side_by_side_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let rows = dir.join(rows_name);
+    let out = std::process::Command::new(cli)
+        .arg("sweep")
+        .arg(file)
+        .args(["--protocols", "file,anti_entropy", "--out"])
+        .arg(&rows)
+        .output()
+        .expect("spawn whatsup-sim sweep");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let out = std::process::Command::new(cli)
+        .arg("render")
+        .arg(&rows)
+        .output()
+        .expect("spawn whatsup-sim render");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    String::from_utf8(out.stdout).unwrap()
+}
+
+/// The committed scenario side by side with anti-entropy at the file's
+/// fanout, pinned as text: the table is a pure function of the file.
+#[test]
+fn cli_puts_the_committed_scenario_side_by_side_with_anti_entropy() {
+    let table = side_by_side(std::path::Path::new(COMMITTED), "committed.jsonl");
+    assert_eq!(
+        table,
+        "\
+== WhatsUp vs Anti-Entropy on survey (61 nodes, 14 cycles) ==
+|     Protocol | Messages | News | Gossip | Recall | Precision |   F1 | TimeToRecover |
+---------------------------------------------------------------------------------------
+|      WhatsUp |     8.4k | 5.3k |   3.2k |   0.56 |      0.54 | 0.55 |             0 |
+| Anti-Entropy |    14.3k | 5.9k |   8.4k |   0.80 |      0.34 | 0.48 |             0 |
+"
+    );
+}
+
+/// A sweep of a file that sets a node knob anti-entropy never reads — the
+/// committed scenario with `"bootstrap_degree": 4` — runs the
+/// anti-entropy cell under the knobs it reads and exits 0, and its
 /// baseline row is a plain run of the file.
 #[test]
-fn cli_compares_a_file_that_sets_a_node_knob() {
-    let cli = env!("CARGO_BIN_EXE_whatsup-sim");
+fn cli_sweeps_a_file_that_sets_a_node_knob() {
     let committed = std::fs::read_to_string(COMMITTED).unwrap();
     let knobbed = committed.replacen(
         "\"cycles\": 14,",
@@ -320,18 +362,11 @@ fn cli_compares_a_file_that_sets_a_node_knob() {
         1,
     );
     assert_ne!(knobbed, committed, "fixture drifted: no cycles line");
-    let dir = std::env::temp_dir().join("whatsup_sim_cli_compare_test");
+    let dir = std::env::temp_dir().join("whatsup_sim_cli_side_by_side_test");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("bootstrap_degree_4.json");
     std::fs::write(&path, &knobbed).unwrap();
-    let out = std::process::Command::new(cli)
-        .arg("compare")
-        .arg(&path)
-        .output()
-        .expect("spawn whatsup-sim compare");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(0), "{stderr}");
-    let table = String::from_utf8(out.stdout).unwrap();
+    let table = side_by_side(&path, "bootstrap_degree_4.jsonl");
     let rows: Vec<Vec<&str>> = table
         .lines()
         .filter(|line| line.starts_with('|'))
