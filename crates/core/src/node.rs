@@ -101,9 +101,10 @@ pub struct WhatsUpNode {
     params: Params,
     rps: Rps<SharedProfile>,
     wup: Clustering<SharedProfile>,
-    /// The true profile: one sorted vector and its planes over `items`,
-    /// kept current through every rating and window purge, never handed
-    /// out, so a mutation never copies it.
+    /// The true profile: its planes over `items` alone, rated and purged
+    /// in place (flat only while the index cannot give its entries back,
+    /// see `crate::profile`), never handed out, so a mutation never copies
+    /// it.
     profile: Profile,
     obfuscation: Obfuscation,
     /// Memoized disclosed-profile snapshot; dropped whenever `profile`
@@ -146,7 +147,7 @@ impl WhatsUpNode {
             params,
             rps,
             wup,
-            profile: Profile::new(),
+            profile: Profile::own([], &items),
             obfuscation,
             shared_cache: None,
             seen: SeenSet::new(),
@@ -178,9 +179,9 @@ impl WhatsUpNode {
         shared
     }
 
-    /// Records the user's opinion on `item`, keeping the profile's planes
-    /// current; the disclosed-profile snapshot is stale after it, as after
-    /// every profile mutation.
+    /// Records the user's opinion on `item` in the profile's planes; the
+    /// disclosed-profile snapshot is stale after it, as after every
+    /// profile mutation.
     fn rate(&mut self, item: ItemId, timestamp: Timestamp, liked: bool) {
         self.profile.rate_in(&self.items, item, timestamp, liked);
         self.shared_cache = None;
@@ -310,7 +311,7 @@ impl WhatsUpNode {
         state: NodeState,
     ) -> Self {
         let mut node = Self::new(id, params, items);
-        node.profile = Profile::from_entries(state.profile);
+        node.profile = Profile::own(state.profile, &node.items);
         node.rps.seed(state.rps_view);
         node.wup.seed(state.wup_view);
         node.seen = SeenSet::from_sorted(state.seen, &node.items);
@@ -445,7 +446,7 @@ impl WhatsUpNode {
     /// that is empty). With obfuscation off that is the true profile
     /// itself — folded without taking a snapshot, since news discloses
     /// nothing gossip has not — and the fold runs in slot space, from the
-    /// profile's kept-current planes ([`Profile::folded`]). The obfuscated
+    /// planes the profile is ([`Profile::folded`]). The obfuscated
     /// snapshot is merged flat.
     fn fold_disclosed(&mut self, item_profile: &Profile) -> Option<Profile> {
         if self.obfuscation.is_off() {
@@ -934,6 +935,76 @@ mod tests {
                 !obfuscated,
                 "{laid_out} item profiles weighed from entries"
             );
+        }
+    }
+
+    /// A node's own profile does not fall back to its flat vector
+    /// unseen: in a small run whose every rating the index gives back —
+    /// eight nodes, four items a cycle over 24 cycles, so the window
+    /// purges — each node's profile is packed, its planes alone, after
+    /// every `on_cycle` and `on_message`; so is a joiner's after its cold
+    /// start, and every node's after `from_state(export_state())`.
+    #[test]
+    fn every_exact_own_profile_stays_packed() {
+        let news_items: Vec<NewsItem> = (0..96)
+            .map(|k| NewsItem::new(format!("p{k}"), "", "", 0, k / 4))
+            .collect();
+        let index: ItemIndexMap = (news_items.iter().zip(0..))
+            .map(|(item, slot)| (item.id(), slot, item.created_at))
+            .collect();
+        let index = Arc::new(index);
+        let likes = |node: NodeId, item: ItemId| !(u64::from(node) ^ item).is_multiple_of(3);
+        let packed = |node: &WhatsUpNode| {
+            let own = node.profile();
+            let exact = crate::planes::Planes::build(&own.flat(), &index);
+            assert!(exact.is_some_and(|p| p.is_pack()), "{own:?}");
+            own.is_packed() && own.heap_bytes() == own.plane_bytes()
+        };
+        let params = Params::whatsup(2);
+        let mut nodes: Vec<WhatsUpNode> = (0..8u32)
+            .map(|n| WhatsUpNode::new(n, params.clone(), Arc::clone(&index)))
+            .collect();
+        for (n, node) in nodes.iter_mut().enumerate() {
+            let others = (0..8u32)
+                .filter(|&o| o as usize != n)
+                .map(|o| (o, Profile::new()));
+            node.seed_views(others.clone(), others.take(3));
+        }
+        let (mut rng, mut stats) = (rng(), NodeStats::default());
+        let mut queue = std::collections::VecDeque::new();
+        for (k, item) in news_items.iter().enumerate() {
+            let now = item.created_at;
+            if k % 4 == 0 {
+                for (n, node) in nodes.iter_mut().enumerate() {
+                    let out = node.on_cycle(now, &mut stats, &mut rng);
+                    assert!(packed(node), "node {n} after on_cycle at {now}");
+                    queue.extend(out.into_iter().map(|m| (n as NodeId, m)));
+                }
+            }
+            let source = k % 8;
+            let out = nodes[source].publish(item, now, &mut stats, &mut rng);
+            queue.extend(out.into_iter().map(|m| (source as NodeId, m)));
+            while let Some((from, m)) = queue.pop_front() {
+                let to = m.to;
+                let node = &mut nodes[to as usize];
+                let out = node.on_message(from, m.payload, now, &likes, &mut stats, &mut rng);
+                assert!(packed(node), "node {to} after on_message at {now}");
+                queue.extend(out.into_iter().map(|r| (to, r)));
+            }
+        }
+        assert!(stats.news_received > 200 && nodes.iter().all(|n| n.profile().len() > 8));
+        assert!(
+            !nodes[0].profile().contains(news_items[0].id()),
+            "the window purged"
+        );
+        let mut joiner = WhatsUpNode::new(8, params.clone(), Arc::clone(&index));
+        joiner.cold_start(nodes[0].views_snapshot(), &likes);
+        assert!(!joiner.profile().is_empty() && packed(&joiner));
+        for node in nodes.iter().chain([&joiner]) {
+            let state = node.export_state();
+            let restored =
+                WhatsUpNode::from_state(node.id(), params.clone(), Arc::clone(&index), state);
+            assert!(packed(&restored) && restored.profile() == node.profile());
         }
     }
 

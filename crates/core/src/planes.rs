@@ -24,13 +24,14 @@
 //! binary profile holding one declines its planes, and weights leave it
 //! out, since no candidate with planes can rate it.
 //!
-//! Both layouts are kept word-wise as well as built: a node's planes
-//! follow its ratings and window purges in place ([`Planes::keep`]), an
-//! item profile's weights are folded from the liker's planes without a
-//! lookup ([`Weights::fold`]) and purged by slot ([`Weights::retain`]).
-//! Every such path leaves the words [`Planes::build`] and
-//! [`Weights::build`] would lay out from the entries, or declines where
-//! they would.
+//! Both layouts are kept word-wise as well as built: a node's planes are
+//! its own profile's whole store, rated and purged in place
+//! ([`Planes::rate`], [`Planes::retain`]), an item profile's weights are
+//! folded from the liker's planes without a lookup ([`Weights::fold`])
+//! and purged by slot ([`Weights::retain`]). Every such path leaves the
+//! words [`Planes::build`] and [`Weights::build`] would lay out from the
+//! entries, and says where they would decline ([`Planes::fits`],
+//! [`Weights::fits`]).
 //!
 //! The one lookup pass of a build also tracks the lowest and highest slot
 //! placed, so the span of the layout costs no walk of its own
@@ -178,40 +179,44 @@ impl Planes {
         word[1] = word[1] & !bit | (bit & 0u64.wrapping_sub(u64::from(liked)));
     }
 
-    /// Keeps the planes of a profile of `len` entries current through one
-    /// change to its entries: `removed` gone, then `added` placed — a
-    /// rating, a re-rating, a window purge. `false` when they must go
-    /// instead, where [`Self::build`] of the changed entries declines: an
-    /// id the index does not know, or a span wider than `len` words. Kept,
-    /// the words are those of that build.
-    pub(crate) fn keep(
-        &mut self,
-        index: &ItemIndexMap,
-        removed: impl IntoIterator<Item = ProfileEntry>,
-        added: Option<ProfileEntry>,
-        len: usize,
-    ) -> bool {
-        for e in removed {
-            let Some(&slot) = index.get(&e.item) else {
-                return false;
-            };
-            let at = (slot / 64).checked_sub(self.first_word);
-            let Some(word) = at.and_then(|at| self.words.get_mut(at as usize)) else {
-                return false;
-            };
-            let bit = 1u64 << (slot % 64);
-            (word[0], word[1]) = (word[0] & !bit, word[1] & !bit);
-            self.inexact -= u32::from(!exact_binary(&e, slot, index));
-        }
-        if let Some(e) = added {
-            let Some(&slot) = index.get(&e.item) else {
-                return false;
-            };
-            self.cover(slot / 64);
-            self.set(slot, e.score == 1.0);
-            self.inexact += u32::from(!exact_binary(&e, slot, index));
+    /// Rates `slot`, liked or not, widening the span to its word; whether
+    /// it was rated before, and if so, liked. The planes of a node's own
+    /// packed profile follow its ratings through this, in place.
+    pub(crate) fn rate(&mut self, slot: u32, liked: bool) -> Option<bool> {
+        self.cover(slot / 64);
+        let word = self.words[(slot / 64 - self.first_word) as usize];
+        let bit = 1u64 << (slot % 64);
+        let before = (word[0] & bit != 0).then_some(word[1] & bit != 0);
+        self.set(slot, liked);
+        before
+    }
+
+    /// Drops the rated slots `keep` turns away, trimming the span as a
+    /// build of what is left would, and counts what is left. Only planes
+    /// that are a pack are purged by slot.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(u32) -> bool) -> Counts {
+        debug_assert!(self.is_pack(), "planes purged by slot are the profile");
+        let mut counts = Counts::default();
+        for (at, word) in (self.first_word..).zip(self.words.iter_mut()) {
+            let mut rest = word[0];
+            while rest != 0 {
+                let bit = rest.trailing_zeros();
+                rest &= rest - 1;
+                if keep(at * 64 + bit) {
+                    counts.len += 1;
+                    counts.likes += (word[1] >> bit & 1) as u32;
+                } else {
+                    (word[0], word[1]) = (word[0] & !(1 << bit), word[1] & !(1 << bit));
+                }
+            }
         }
         trim(&mut self.first_word, &mut self.words, |w| w[0] != 0);
+        counts
+    }
+
+    /// Whether the planes of `len` entries are what [`Self::build`] would
+    /// lay out rather than decline: a span no wider than the entries.
+    pub(crate) fn fits(&self, len: usize) -> bool {
         self.words.len() <= len
     }
 
@@ -280,9 +285,10 @@ pub(crate) fn score_of(q: u32) -> f32 {
     q as f32 / ONE as f32
 }
 
-/// What the derived state of a weighed profile counts: its entries, those
-/// scored above ½ and those scored neither 0 nor 1. Kept through a fold
-/// and a purge by what they change, where a profile rescans its entries.
+/// What the derived state of a profile laid out by slot counts: its
+/// entries, those scored above ½ and those scored neither 0 nor 1. Kept
+/// through a fold and a purge by what they change, where a flat profile
+/// rescans its entries.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub(crate) struct Counts {
     pub(crate) len: usize,
@@ -363,6 +369,19 @@ impl Weights {
     /// (see [`word_span`]). The one pass that looks the ids up also tracks
     /// the span.
     pub(crate) fn build(entries: &[ProfileEntry], index: &ItemIndexMap) -> Option<Self> {
+        Self::lay_out(entries, index, false)
+    }
+
+    /// [`Self::build`] of entries the index gives back as they are (see
+    /// [`from_index`]): the weights are then the whole profile, and a
+    /// flat item profile folds in slot space from them. Declines where
+    /// one entry is not given back.
+    pub(crate) fn pack(entries: &[ProfileEntry], index: &ItemIndexMap) -> Option<Self> {
+        Self::lay_out(entries, index, true)
+    }
+
+    /// [`Self::build`], or with `exact` [`Self::pack`].
+    fn lay_out(entries: &[ProfileEntry], index: &ItemIndexMap, exact: bool) -> Option<Self> {
         #[cfg(test)]
         WEIGHTS_BUILT.with(|built| built.set(built.get() + 1));
         if entries.len() > MAX_WEIGHED {
@@ -372,9 +391,13 @@ impl Weights {
         let mut bounds = (u32::MAX, 0);
         for e in entries {
             let q = fixed_point(e.score)?;
-            if let Some(&slot) = index.get(&e.item) {
-                placed.push((slot, q));
-                bounds = widen(bounds, slot);
+            match index.get(&e.item) {
+                Some(&slot) if !exact || from_index(e, slot, index) => {
+                    placed.push((slot, q));
+                    bounds = widen(bounds, slot);
+                }
+                _ if exact => return None,
+                _ => {}
             }
         }
         let (first_word, end_word) = word_span(bounds, placed.len())?;

@@ -12,32 +12,36 @@
 //!
 //! A profile keeps its entries in one of two stores:
 //!
-//! * **Flat**: one vector sorted by item id. Profiles are small (bounded by
-//!   the profile window — tens to hundreds of entries), so a sorted vector
-//!   beats a hash map on memory and on the merge-join scans of a walked
-//!   pair. A node's own profile is flat, and so is every profile built
-//!   from entries: decoded from a frame, restored from a checkpoint, or
-//!   merged flat where a fold cannot run in slot space.
 //! * **Packed**: the profile's [`Layout`] over the run's item index is its
 //!   whole store — ids and scores are slots and bits or weights, and a
 //!   node stamps each entry with its item's creation time (§II-A), which
-//!   the index keeps once per item. Two kinds exist, both read-only to
-//!   everything but a window purge: the snapshot a node discloses
-//!   ([`Profile::snapshot`]), its planes copied from the node's own, and
-//!   an item profile a node folded ([`Profile::folded`]), its weights
-//!   folded word-wise from the liker's planes. Either costs a few bits or
-//!   bytes an entry where a flat copy costs 16.
+//!   the index keeps once per item. Three kinds exist. A node's own
+//!   profile is its planes, which its ratings and window purges edit in
+//!   place ([`Profile::rate_in`], [`Profile::purge_in`]). The snapshot a
+//!   node discloses ([`Profile::snapshot`]) is a copy of those planes, and
+//!   an item profile a node folded ([`Profile::folded`]) is its weights,
+//!   folded word-wise from the liker's planes; both are read-only to
+//!   everything but a window purge. Each costs a few bits or bytes an
+//!   entry where a flat copy costs 16.
+//! * **Flat**: one vector sorted by item id. Every profile built from
+//!   entries is flat: decoded from a frame, or merged where a fold cannot
+//!   run in slot space. A node's own profile is flat only while the index
+//!   cannot give its entries back — an id the index does not know, an
+//!   entry stamped at another time than its item's creation, a `-0.0` —
+//!   or its planes would span more words than it has entries; it packs
+//!   again at the first rating or purge after which it can.
 //!
 //! Readers that need the ⟨id, t, s⟩ triples in id order — the encoder,
-//! walked pairs, cold start, `==` and `Debug` — get a packed profile's
-//! rebuilt from [`Profile::entries`], so no reader tells the stores apart.
+//! walked pairs, cold start, a checkpoint, obfuscation, `==` and `Debug` —
+//! get a packed profile's rebuilt from [`Profile::entries`], so no reader
+//! tells the stores apart.
 //!
 //! Who builds a layout: a flat profile's is built on first use
-//! ([`Profile::layout`]) and is derived state, like the norm. The node's
-//! own planes are kept current through its ratings and window purges
-//! ([`Profile::rate_in`], [`Profile::purge_in`]); every other mutation
-//! drops a flat profile's layout. A packed profile's layout is built when
-//! the profile is: copied from the node's planes, or folded.
+//! ([`Profile::layout`]) and is derived state, like the norm; a node's own
+//! flat profile builds it at each of its ratings and purges, to see
+//! whether it packs, and every other mutation drops it. A packed
+//! profile's layout is built when the profile is: rated into, copied from
+//! the node's planes, or folded.
 
 use crate::hash::mix64;
 use crate::item::{ItemId, ItemIndexMap, Timestamp};
@@ -64,7 +68,8 @@ pub struct ProfileEntry {
 
 /// A profile: sorted-by-item-id vector of entries, unique per item, scores
 /// finite and in `[0, 1]` (see [`ProfileEntry`]) — or the same entries
-/// packed into a layout ([`Self::snapshot`], [`Self::folded`]).
+/// packed into a layout (a node's own, [`Self::snapshot`],
+/// [`Self::folded`]).
 ///
 /// The Euclidean norm of the score vector is memoized at mutation time:
 /// similarity scoring reads it on every candidate ranking (the hottest loop
@@ -117,12 +122,11 @@ pub struct Profile {
     /// weights otherwise. A flat profile's is built on first use
     /// ([`Self::layout`], [`Self::planes`]); `Some(None)` records that the
     /// build declined (see [`Planes::build`], [`Weights::build`]). It is
-    /// derived state there: never serialized, never compared, kept current
-    /// by [`Self::rate_in`] and [`Self::purge_in`]
-    /// while it is planes, dropped by every other mutation — and shared,
-    /// once built, by every holder of a [`SharedProfile`] on every thread.
-    /// A packed profile's layout is its ids and scores, and lives as long
-    /// as it does.
+    /// derived state there: never serialized, never compared, built again
+    /// by [`Self::rate_in`] and [`Self::purge_in`], dropped by every other
+    /// mutation — and shared, once built, by every holder of a
+    /// [`SharedProfile`] on every thread. A packed profile's layout is its
+    /// ids and scores, and lives as long as it does.
     layout: OnceLock<Option<Layout>>,
 }
 
@@ -132,8 +136,10 @@ enum Store {
     Flat(Vec<ProfileEntry>),
     /// The layout is the store: its ids and scores are the planes or the
     /// weights in it, its timestamps the creation times the index
-    /// numbering the slots keeps, and `len` its entry count. A window
-    /// purge of weights stays packed; any other mutation flattens it
+    /// numbering the slots keeps, and `len` its entry count. A node's own
+    /// planes are rated and purged in place ([`Profile::rate_in`],
+    /// [`Profile::purge_in`]), a window purge keeps any packed profile
+    /// packed while its layout fits, and any other mutation flattens it
     /// first.
     Packed {
         len: usize,
@@ -167,9 +173,9 @@ impl PartialEq for Profile {
 
 /// A copy, layout included — a packed profile's layout is its entries, so
 /// the copy-on-write `Arc::make_mut` of an item profile to purge stays
-/// packed, and a node's planes stay current through its mutations —
-/// except a flat profile's weights: that is an item profile `make_mut`
-/// copies to purge, which would drop them.
+/// packed, and so does a copy of a node's own profile — except a flat
+/// profile's weights: that is an item profile `make_mut` copies to purge,
+/// which would drop them.
 impl Clone for Profile {
     fn clone(&self) -> Self {
         let entries = match &self.entries {
@@ -308,11 +314,10 @@ impl Profile {
 
     /// The read-only snapshot of `live` that a node discloses. The
     /// derived state is `live`'s, and so are the planes over the node's
-    /// `index`: built on `live` if it has none yet, kept current there
-    /// by [`Self::rate_in`] and [`Self::purge_in`], and copied word for
-    /// word — with the index, the whole snapshot. One whose planes are
-    /// not a pack (see [`Planes::is_pack`]) stays flat, a copy of `live`
-    /// with a copy of its layout.
+    /// `index`: a packed `live`'s store (built on a flat one if it has
+    /// none yet), copied word for word — with the index, the whole
+    /// snapshot. One whose planes are not a pack (see [`Planes::is_pack`])
+    /// stays flat, a copy of `live` with a copy of its layout.
     pub(crate) fn snapshot(live: &Profile, index: &Arc<ItemIndexMap>) -> Self {
         let snapshot = match live.planes(index) {
             Some(planes) if planes.is_pack() => Self {
@@ -386,24 +391,47 @@ impl Profile {
         self.layout.take();
     }
 
-    /// After a flat profile's entries changed — `removed` gone, `added`
-    /// placed — keeps its planes over `index` current (see
-    /// [`Planes::keep`]), or drops its layout where they cannot be: a
-    /// layout that is no planes, a profile that is no longer binary, a
-    /// build that would decline.
-    fn keep_planes(
-        &mut self,
-        index: &ItemIndexMap,
-        removed: impl IntoIterator<Item = ProfileEntry>,
-        added: Option<ProfileEntry>,
-    ) {
-        let (len, binary) = (self.len(), self.is_binary());
-        let kept = match self.layout.get_mut() {
-            Some(Some(Layout::Planes(planes))) => binary && planes.keep(index, removed, added, len),
-            _ => false,
-        };
-        if !kept {
-            self.drop_layout();
+    /// A node's own profile over the run's `index`, from entries — a
+    /// checkpoint's, or none: packed where its planes are a pack, flat
+    /// otherwise (see [`Self::pack_in`]).
+    pub(crate) fn own(
+        entries: impl IntoIterator<Item = ProfileEntry>,
+        index: &Arc<ItemIndexMap>,
+    ) -> Self {
+        let mut own = Self::from_entries(entries);
+        own.pack_in(index);
+        own
+    }
+
+    /// After a node's own flat profile changed: its layout over `index`
+    /// built again, and the profile packed into it where that is planes
+    /// that are a pack ([`Planes::is_pack`]) — the index gives every
+    /// entry back, and they span no more words than there are entries.
+    fn pack_in(&mut self, index: &Arc<ItemIndexMap>) {
+        self.layout = OnceLock::from(self.build_layout(index));
+        if let Some(Some(Layout::Planes(planes))) = self.built_layout() {
+            if planes.is_pack() {
+                self.entries = Store::Packed {
+                    len: self.len(),
+                    index: Arc::clone(index),
+                };
+            }
+        }
+    }
+
+    /// Debug builds: a node's own profile after a rating or a purge has
+    /// the derived state of a flat rescan of its entries, and is packed
+    /// exactly where a build of their planes over `index` is a pack.
+    fn check_own(&self, index: &ItemIndexMap) {
+        if cfg!(debug_assertions) {
+            let flat = Self::from_entries(self.entries());
+            let derived = |p: &Profile| {
+                let counts = (p.likes, p.non_binary, p.oldest, p.len());
+                (p.norm.to_bits(), p.fingerprint, counts)
+            };
+            assert_eq!(derived(self), derived(&flat), "an own profile's state");
+            let pack = Planes::build(&flat.flat(), index).is_some_and(|p| p.is_pack());
+            assert_eq!(self.as_slice().is_none(), pack, "an own profile packs");
         }
     }
 
@@ -471,9 +499,9 @@ impl Profile {
     }
 
     /// Heap bytes this profile owns: the allocated (not occupied) entry
-    /// slots of a flat profile — a packed profile owns none, and not the
-    /// index, which every node of the run shares — and the layout, if
-    /// built. Memory diagnostics only.
+    /// slots of a flat profile — a packed profile, a node's own included,
+    /// owns none, and not the index, which every node of the run shares —
+    /// and the layout, if built. Memory diagnostics only.
     #[doc(hidden)]
     pub fn heap_bytes(&self) -> usize {
         let layout = self.built_layout().flatten().map_or(0, Layout::heap_bytes);
@@ -525,10 +553,10 @@ impl Profile {
         self.drop_layout();
     }
 
-    /// [`Self::upsert`] but for the layout, which is the caller's to keep
-    /// or drop; returns the entry `e` replaced.
-    fn put(&mut self, e: ProfileEntry) -> Option<ProfileEntry> {
-        let replaced = match self.vec().binary_search_by_key(&e.item, |x| x.item) {
+    /// [`Self::upsert`] but for the layout, which is the caller's to
+    /// build again or drop.
+    fn put(&mut self, e: ProfileEntry) {
+        match self.vec().binary_search_by_key(&e.item, |x| x.item) {
             Ok(i) => {
                 let old = std::mem::replace(&mut self.vec()[i], e);
                 self.likes -= u32::from(old.score > 0.5);
@@ -538,15 +566,13 @@ impl Profile {
                 } else {
                     self.oldest.min(e.timestamp)
                 };
-                Some(old)
             }
             Err(i) => {
                 self.vec().insert(i, e);
                 self.fingerprint |= fingerprint_bit(e.item);
                 self.oldest = self.oldest.min(e.timestamp);
-                None
             }
-        };
+        }
         self.likes += u32::from(e.score > 0.5);
         self.non_binary += u32::from(!is_binary(e.score));
         self.norm = if self.non_binary == 0 {
@@ -554,7 +580,6 @@ impl Profile {
         } else {
             norm_of(self.entries())
         };
-        replaced
     }
 
     /// Records the user's opinion on an item (Algorithm 1, lines 5/7/14).
@@ -562,20 +587,62 @@ impl Profile {
         self.upsert(rating(item, timestamp, liked));
     }
 
-    /// [`Self::rate`] for a node's own profile: its planes over `index`,
-    /// if built, are kept current rather than dropped (see
-    /// [`Planes::keep`]), so its next snapshot copies them and its next
-    /// fold reads them.
+    /// [`Self::rate`] for a node's own profile over the run's `index`. A
+    /// packed one sets the rating's bits in place where the index gives it
+    /// back, so its next snapshot copies them and its next fold reads
+    /// them; any other rating goes into the flat vector, which then packs
+    /// if it can ([`Self::pack_in`]).
     pub(crate) fn rate_in(
         &mut self,
-        index: &ItemIndexMap,
+        index: &Arc<ItemIndexMap>,
         item: ItemId,
         timestamp: Timestamp,
         liked: bool,
     ) {
         let e = rating(item, timestamp, liked);
-        let replaced = self.put(e);
-        self.keep_planes(index, replaced, Some(e));
+        if !self.rate_packed(index, e) {
+            self.put(e);
+            match index.contains_key(&item) || !self.is_binary() {
+                true => self.pack_in(index),
+                // The planes of an id the index does not know decline.
+                false => self.layout = OnceLock::from(None),
+            }
+        }
+        self.check_own(index);
+    }
+
+    /// The packed half of [`Self::rate_in`]: `false`, with nothing
+    /// changed, for a flat profile and for a rating the index does not
+    /// give back from its slot. The derived state follows from what the
+    /// rating changed, as in [`Self::upsert`]: a re-rating keeps the item
+    /// and its creation time. Planes the rating widens past the entries
+    /// are what a build would decline: the profile goes flat.
+    fn rate_packed(&mut self, index: &ItemIndexMap, e: ProfileEntry) -> bool {
+        let (Store::Packed { len, .. }, Some(Some(Layout::Planes(planes)))) =
+            (&mut self.entries, self.layout.get_mut())
+        else {
+            return false;
+        };
+        let exact = |slot: &&u32| index.created_at(**slot) == e.timestamp;
+        let Some(&slot) = index.get(&e.item).filter(exact) else {
+            return false;
+        };
+        let liked = e.score == 1.0;
+        match planes.rate(slot, liked) {
+            Some(was_liked) => self.likes -= u32::from(was_liked),
+            None => {
+                *len += 1;
+                self.fingerprint |= fingerprint_bit(e.item);
+                self.oldest = self.oldest.min(e.timestamp);
+            }
+        }
+        self.likes += u32::from(liked);
+        self.norm = f64::from(self.likes).sqrt();
+        if !planes.fits(*len) {
+            self.entries = Store::Flat(self.flat().into_owned());
+            self.layout = OnceLock::from(None);
+        }
+        true
     }
 
     /// Folds an entire user profile into this item profile (Algorithm 1,
@@ -647,10 +714,10 @@ impl Profile {
     }
 
     /// This item profile with a node's own profile `own` folded in, in
-    /// slot space where the run's `index` can express the result: the item
-    /// profile
-    /// is a folded one (or empty), `own` has planes that are a pack, and
-    /// the fold's weights fit (see [`Weights::fold`]). The result is then
+    /// slot space where the run's `index` can express the result: `own`
+    /// has planes that are a pack, the item profile is a folded one, empty,
+    /// or flat with weights that are the whole of it ([`Weights::pack`]),
+    /// and the fold's weights fit (see [`Weights::fold`]). The result is then
     /// packed, its weights folded word-wise from `own`'s planes — no id
     /// looked up, no entry sorted — and its derived state follows from the
     /// two profiles': the fingerprint is the OR of theirs, the oldest
@@ -687,12 +754,17 @@ impl Profile {
     /// The slot-space half of [`Self::folded`]: `None` where the flat
     /// merge must do.
     fn fold_in_slots(&self, own: &Profile, index: &Arc<ItemIndexMap>) -> Option<Profile> {
+        let planes = own.planes(index).filter(|planes| planes.is_pack())?;
+        let packed;
         let item = match (&self.entries, self.built_layout()) {
             (Store::Packed { .. }, Some(Some(Layout::Weights(weights)))) => Some(weights),
             _ if self.is_empty() => None,
+            (Store::Flat(entries), _) => {
+                packed = Weights::pack(entries, index)?;
+                Some(&packed)
+            }
             _ => return None,
         };
-        let planes = own.planes(index).filter(|planes| planes.is_pack())?;
         let counts = Counts {
             len: self.len(),
             likes: self.likes,
@@ -715,9 +787,9 @@ impl Profile {
 
     /// Removes entries strictly older than `cutoff` (profile window, §II-E).
     /// `cutoff = now - window`; an entry stamped exactly at the cutoff
-    /// survives. A folded item profile is purged in slot space and stays
-    /// packed while its weights fit (see [`Weights::fits`]); any other
-    /// profile is flat, or flattened, and loses its layout.
+    /// survives. A packed profile is purged in slot space and stays packed
+    /// while its layout fits (see [`Planes::fits`], [`Weights::fits`]);
+    /// any other profile is flat, or flattened, and loses its layout.
     pub fn purge_older_than(&mut self, cutoff: Timestamp) {
         if self.any_older_than(cutoff) && !self.purge_packed(cutoff) {
             self.vec().retain(|e| e.timestamp >= cutoff);
@@ -726,42 +798,55 @@ impl Profile {
         }
     }
 
-    /// [`Self::purge_older_than`] of a node's own profile: its planes over
-    /// `index`, if built, are kept current rather than dropped.
-    pub(crate) fn purge_in(&mut self, index: &ItemIndexMap, cutoff: Timestamp) {
+    /// [`Self::purge_older_than`] of a node's own profile over the run's
+    /// `index`: a packed one's planes purged in place, a flat one's vector,
+    /// which then packs if it can ([`Self::pack_in`]).
+    pub(crate) fn purge_in(&mut self, index: &Arc<ItemIndexMap>, cutoff: Timestamp) {
         if self.any_older_than(cutoff) {
-            let removed: Vec<ProfileEntry> = (self.vec())
-                .extract_if(.., |e| e.timestamp < cutoff)
-                .collect();
-            self.recompute_norm();
-            self.keep_planes(index, removed, None);
+            if !self.purge_packed(cutoff) {
+                self.vec().retain(|e| e.timestamp >= cutoff);
+                self.recompute_norm();
+                self.pack_in(index);
+            }
+            self.check_own(index);
         }
     }
 
-    /// [`Self::purge_older_than`] of a folded item profile by slot: an
-    /// entry's timestamp is its slot's creation time. `false` — with the
-    /// purge done to the weights, which still lay the entries out — if
-    /// the profile is no folded one, or its weights no longer fit.
+    /// [`Self::purge_older_than`] of a packed profile by slot: an entry's
+    /// timestamp is its slot's creation time. `false` — with the purge
+    /// done to the layout, which still lays the entries out — if the
+    /// profile is flat, or its layout no longer fits.
     fn purge_packed(&mut self, cutoff: Timestamp) -> bool {
-        let (Store::Packed { len, index }, Some(Some(Layout::Weights(weights)))) =
+        let (Store::Packed { len, index }, Some(Some(layout))) =
             (&mut self.entries, self.layout.get_mut())
         else {
             return false;
         };
         let (mut fingerprint, mut oldest) = (0, Timestamp::MAX);
-        let counts = weights.retain(|slot| {
+        let keep = |slot| {
             let created = index.created_at(slot);
             if created >= cutoff {
                 fingerprint |= fingerprint_bit(index.id_of(slot));
                 oldest = oldest.min(created);
             }
             created >= cutoff
-        });
-        if !weights.fits(counts.len) {
+        };
+        let (counts, fits, norm) = match layout {
+            Layout::Planes(planes) => {
+                let counts = planes.retain(keep);
+                let norm = f64::from(counts.likes).sqrt();
+                (counts, planes.fits(counts.len), norm)
+            }
+            Layout::Weights(weights) => {
+                let counts = weights.retain(keep);
+                (counts, weights.fits(counts.len), weights.norm())
+            }
+        };
+        if !fits {
             return false;
         }
         *len = counts.len;
-        self.norm = weights.norm();
+        self.norm = norm;
         (self.fingerprint, self.oldest) = (fingerprint, oldest);
         (self.likes, self.non_binary) = (counts.likes, counts.non_binary);
         true
@@ -919,8 +1004,9 @@ mod tests {
     /// tests, as the single mutations it makes: a rating of item `k` (a
     /// re-rating if it is rated), a flipped re-rating of the `k`-th entry,
     /// a window purge at `k / 12`, a cold start's three ratings, a rating
-    /// of an id the index does not know, or one stamped a cycle after its
-    /// item's creation.
+    /// of an id the index does not know, one stamped a cycle after its
+    /// item's creation, or a restore from its checkpointed entries — with
+    /// the `k`-th entry's `0` turned `-0.0` unless `liked`.
     fn own_steps(steps: &[(u8, usize, bool)]) -> impl Iterator<Item = (u8, usize, bool)> + '_ {
         steps.iter().flat_map(|&(kind, k, liked)| match kind {
             3 => vec![
@@ -936,21 +1022,55 @@ mod tests {
     fn own_step(
         own: &mut Profile,
         ids: &[ItemId],
-        index: &ItemIndexMap,
-        (kind, k, liked): (u8, usize, bool),
+        index: &Arc<ItemIndexMap>,
+        step: (u8, usize, bool),
     ) {
         let created = |k: usize| (k / 3) as Timestamp;
-        match kind {
-            0 => own.rate_in(index, ids[k], created(k), liked),
-            1 if !own.is_empty() => {
+        match step {
+            (0, k, liked) => own.rate_in(index, ids[k], created(k), liked),
+            (1, k, _) if !own.is_empty() => {
                 let e = own.entries().nth(k % own.len()).expect("k % len < len");
                 own.rate_in(index, e.item, e.timestamp, e.score != 1.0);
             }
-            2 => own.purge_in(index, created(k / 4)),
-            4 => own.rate_in(index, ids[160 + k % 40], 0, liked),
-            5 => own.rate_in(index, ids[k], created(k) + 1, liked),
+            (2, k, _) => own.purge_in(index, created(k / 4)),
+            (4, k, liked) => own.rate_in(index, ids[160 + k % 40], 0, liked),
+            (5, k, liked) => own.rate_in(index, ids[k], created(k) + 1, liked),
+            (6, k, liked) => *own = Profile::own(restored(own, k, liked), index),
             _ => {}
         }
+    }
+
+    /// [`own_step`] by the flat profile's own mutations, [`Profile::rate`]
+    /// and [`Profile::purge_older_than`]: the reference an own profile is
+    /// held to.
+    fn flat_step(flat: &mut Profile, ids: &[ItemId], step: (u8, usize, bool)) {
+        let created = |k: usize| (k / 3) as Timestamp;
+        match step {
+            (0, k, liked) => flat.rate(ids[k], created(k), liked),
+            (1, k, _) if !flat.is_empty() => {
+                let e = flat.entries().nth(k % flat.len()).expect("k % len < len");
+                flat.rate(e.item, e.timestamp, e.score != 1.0);
+            }
+            (2, k, _) => flat.purge_older_than(created(k / 4)),
+            (4, k, liked) => flat.rate(ids[160 + k % 40], 0, liked),
+            (5, k, liked) => flat.rate(ids[k], created(k) + 1, liked),
+            (6, k, liked) => *flat = Profile::from_entries(restored(flat, k, liked)),
+            _ => {}
+        }
+    }
+
+    /// A checkpoint of `p`'s entries, the `k`-th one's `0` turned `-0.0`
+    /// unless `liked`.
+    fn restored(p: &Profile, k: usize, liked: bool) -> Vec<ProfileEntry> {
+        let mut entries: Vec<ProfileEntry> = p.entries().collect();
+        let len = entries.len();
+        if let Some(e) = entries
+            .get_mut(k % len.max(1))
+            .filter(|e| !liked && e.score == 0.0)
+        {
+            e.score = -0.0;
+        }
+        entries
     }
 
     /// A binary profile of `(k, liked)` ratings stamped at creation time.
@@ -1177,40 +1297,68 @@ mod tests {
             prop_assert!(!p.any_older_than(cutoff));
         }
 
-        /// The planes a node keeps current are the planes of its entries:
-        /// after every rating, re-rating, window purge, cold start, rating
-        /// of an id the index does not know and rating stamped off its
-        /// item's creation time, planes that were built before the step
-        /// are there after it exactly when [`Planes::build`] of the flat
-        /// entries lays them out, and equal that build word for word —
-        /// their count of entries they do not give back included.
-        #[test]
-        fn kept_planes_are_the_planes_of_the_entries(
-            steps in prop::collection::vec((0u8..6, 0usize..160, prop::bool::ANY), 1..80),
-        ) {
-            let (ids, index) = fold_index();
-            let mut own = Profile::new();
-            for step in own_steps(&steps) {
-                let kept = own.planes(&index).is_some();
-                own_step(&mut own, &ids, &index, step);
-                let built = Planes::build(&own.flat(), &index);
-                let planes = match own.built_layout() {
-                    Some(Some(Layout::Planes(planes))) => Some(planes),
-                    _ => None,
-                };
-                if kept {
-                    prop_assert_eq!(planes, built.as_ref(), "after {:?}", step);
-                }
-                let flat = Profile::from_entries(own.entries());
-                prop_assert_eq!(own.norm().to_bits(), flat.norm().to_bits());
-                prop_assert_eq!((own.likes, own.oldest), (flat.likes, flat.oldest));
-            }
-        }
-
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// A node's own profile reads as the flat profile [`Profile::rate`]
+        /// and [`Profile::purge_older_than`] build, after every rating,
+        /// re-rating, window purge, cold start, rating of an id the index
+        /// does not know, rating stamped off its item's creation time and
+        /// restore from a checkpoint holding a `-0.0`: its entries by
+        /// bits, length, norm bits, fingerprint, likes, oldest timestamp
+        /// and `any_older_than`; its snapshot's entries and length, all
+        /// the wire codec writes; every `Prepared` score either side of
+        /// it, against the reference by bits, for both metrics; and it is
+        /// packed — its planes alone — exactly where [`Planes::build`] of
+        /// the flat entries is a pack.
+        #[test]
+        fn an_own_profile_reads_as_its_flat_reference(
+            steps in prop::collection::vec((0u8..7, 0usize..160, prop::bool::ANY), 1..80),
+            cands in prop::collection::vec(prop::collection::vec((0usize..160, prop::bool::ANY), 0..40), 1..3),
+            cutoffs in prop::collection::vec(0u32..56, 3..4),
+        ) {
+            let (ids, index) = fold_index();
+            let cands: Vec<Profile> = cands.iter().map(|cand| rated(&ids, cand)).collect();
+            let bits = |p: &Profile| -> Vec<(ItemId, Timestamp, u32)> {
+                p.entries().map(|x| (x.item, x.timestamp, x.score.to_bits())).collect()
+            };
+            let (mut own, mut flat) = (Profile::own([], &index), Profile::new());
+            for step in own_steps(&steps) {
+                own_step(&mut own, &ids, &index, step);
+                flat_step(&mut flat, &ids, step);
+                prop_assert!(flat.as_slice().is_some(), "the reference stays flat");
+                prop_assert_eq!(bits(&own), bits(&flat), "after {:?}", step);
+                prop_assert_eq!((own.len(), own.entries().len()), (flat.len(), flat.len()));
+                prop_assert_eq!(own.norm().to_bits(), flat.norm().to_bits());
+                prop_assert_eq!(own.fingerprint(), flat.fingerprint());
+                prop_assert_eq!((own.likes, own.oldest), (flat.likes, flat.oldest));
+                older_by_scan(&own, &cutoffs);
+                for &c in &cutoffs {
+                    prop_assert_eq!(own.any_older_than(c), flat.any_older_than(c));
+                }
+                let snapshot = Profile::snapshot(&own, &index);
+                prop_assert_eq!((snapshot.len(), bits(&snapshot)), (flat.len(), bits(&flat)));
+                for cand in &cands {
+                    for metric in [Metric::Wup, Metric::Cosine] {
+                        let by_reference = |pn: &Profile, pc: &Profile| match metric {
+                            Metric::Wup => reference::wup_similarity(pn, pc),
+                            Metric::Cosine => reference::cosine_similarity(pn, pc),
+                        };
+                        let score = Prepared::new(&own, &index).score(metric, cand);
+                        prop_assert_eq!(score.to_bits(), by_reference(&flat, cand).to_bits());
+                        let score = Prepared::new(cand, &index).score(metric, &own);
+                        prop_assert_eq!(score.to_bits(), by_reference(cand, &flat).to_bits());
+                    }
+                }
+                let pack = Planes::build(&flat.flat(), &index).is_some_and(|p| p.is_pack());
+                prop_assert_eq!(own.is_packed(), pack, "after {:?}", step);
+                if pack {
+                    prop_assert_eq!(own.heap_bytes(), own.plane_bytes());
+                }
+            }
+        }
 
         /// The slot-space fold against the flat merge it replaces, by bits:
         /// entries, norm, fingerprint, like and non-binary counts and the
@@ -1221,7 +1369,9 @@ mod tests {
         /// item side is empty; folded from up to three likers; folded from
         /// one liker of items 0–39 and then `deep` dislikers of item 0, so
         /// that its score halves past 2⁻²⁰; or flat — dyadic, non-dyadic, or
-        /// holding an id the index does not know or an off-time stamp. A
+        /// holding an id the index does not know or an off-time stamp. The
+        /// fold runs in slots exactly where both sides can, a flat item
+        /// side through [`Weights::pack`], and the merge's weights fit. A
         /// packed result's weights are the [`Weights::build`] of the flat
         /// merge's entries word for word, and its scores against binary
         /// candidates are the reference's for both metrics, with no layout
@@ -1279,9 +1429,14 @@ mod tests {
             prop_assert_eq!(folded.oldest, merged.oldest);
             prop_assert_eq!(folded.len(), merged.len());
             let packed = folded.as_slice().is_none();
+            let item_in_slots = item.is_empty() || item.as_slice().is_none()
+                || Weights::pack(&item.flat(), &index).is_some();
+            let own_pack = disclosed.planes(&index).is_some_and(Planes::is_pack);
+            if item_in_slots && own_pack {
+                let fits = Weights::pack(&merged.flat(), &index).is_some_and(|w| w.fits(merged.len()));
+                prop_assert_eq!(packed, fits, "folded in slots from {:?}", item);
+            }
             if packed {
-                let item_in_slots = item.is_empty() || item.as_slice().is_none();
-                let own_pack = disclosed.planes(&index).is_some_and(Planes::is_pack);
                 prop_assert!(item_in_slots && own_pack, "folded in slots from {:?}", item);
                 let Some(Some(Layout::Weights(weights))) = folded.built_layout() else {
                     panic!("a packed fold keeps its weights");

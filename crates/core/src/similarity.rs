@@ -18,7 +18,7 @@
 //! (CF-Cos, WhatsUp-Cos), is implemented on the same merge-join skeleton.
 //!
 //! The pairwise functions scan the two profiles' entries in id order —
-//! a packed snapshot's rebuilt first (`crate::profile`) — in one linear
+//! a packed profile's rebuilt first (`crate::profile`) — in one linear
 //! merge-join over the common items (`O(|Pn| + |Pc|)`), the very one the
 //! [`reference`] runs. [`Prepared`] walks only the pairs its counting
 //! paths decline — none past the fingerprint on perfbench's `paper-1shard`,
@@ -105,27 +105,27 @@
 //! * **Layouts belong to the profile.** [`Prepared`] keeps nothing but
 //!   references; planes and weights are the profile's. A flat profile's
 //!   layout is derived state, built on first use (below), never
-//!   serialized or compared; a node's own planes are kept current through
-//!   its ratings and window purges, and every other mutation drops a
-//!   layout. A *packed* profile's layout is its store (`crate::profile`):
-//!   a snapshot a node discloses is its planes (16 bytes per 64 slots
-//!   spanned), copied from the node's own, and an item profile a node
-//!   folds is its weights (272 bytes per 64 slots spanned), folded
-//!   word-wise from the liker's planes — ids are slots, timestamps the
-//!   items' creation times, which the run's item index keeps. Every view
+//!   serialized or compared, and dropped by a mutation. A *packed*
+//!   profile's layout is its store (`crate::profile`): a node's own
+//!   profile is its planes (16 bytes per 64 slots spanned), rated and
+//!   purged in place, a snapshot a node discloses is a copy of them, and
+//!   an item profile a node folds is its weights (272 bytes per 64 slots
+//!   spanned), folded word-wise from the liker's planes — ids are slots,
+//!   timestamps the items' creation times, which the run's item index
+//!   keeps. Every view
 //!   slot and message pinning one shares the one allocation scoring reads,
 //!   on whichever thread: the receivers of an item's `f_like` siblings and
 //!   the nodes down a dislike chain, which forward it unchanged, orient it
 //!   with the weights its fold produced, and no orientation of a folded
 //!   item profile lays anything out. A walked pair rebuilds a packed
 //!   side's entries in id order, so the join sums in the reference's
-//!   order.
+//!   order; so does Fig. 7's pairwise score of a node's own profile.
 //! * **Built on first use** — what is not packed. Building looks every id
 //!   up in the run's item index (`crate::planes`), a read-only hash map
 //!   that takes no lock — one pass, which also finds the span the layout
-//!   covers — and fills the words in a second. A node's own planes are
-//!   built at its first snapshot (or first fold) and kept current after;
-//!   any other candidate is laid out the first time a score of it gets
+//!   covers — and fills the words in a second. A node's own profile is
+//!   packed from its first rating, and builds its planes only at a
+//!   rating or purge that leaves it flat; any other candidate is laid out the first time a score of it gets
 //!   past the fingerprint rejection, and any other fixed side — an item
 //!   profile a node kept flat, or a copy decoded from another shard's
 //!   bundle before a liker folds it — as soon as one candidate has planes

@@ -29,6 +29,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
 use std::io;
+use whatsup_core::similarity::Prepared;
 use whatsup_core::{NodeId, Opinions, Params, Profile, WhatsUpNode};
 use whatsup_datasets::Dataset;
 use whatsup_graph::Graph;
@@ -645,6 +646,9 @@ impl Simulation {
         }))
     }
 
+    /// Scored like a WUP merge ranks its candidates: `reference` laid out
+    /// once over the run's index, each neighbor's packed profile counted
+    /// from its planes, with the pairwise scores' bits.
     fn view_similarity_against(&self, id: NodeId, reference: &Profile) -> f64 {
         let node = self.node(id);
         let metric = node.params().metric;
@@ -652,9 +656,10 @@ impl Simulation {
         if neighbors.is_empty() {
             return 0.0;
         }
+        let scorer = Prepared::new(reference, self.core.oracle.id_map());
         let sum: f64 = neighbors
             .iter()
-            .map(|&nb| metric.score(reference, self.node(nb).profile()))
+            .map(|&nb| scorer.score(metric, self.node(nb).profile()))
             .sum();
         sum / neighbors.len() as f64
     }

@@ -333,17 +333,17 @@
 //! At scale the footprint is **standing live state, not transient
 //! spikes**: peak RSS equals the standing RSS at every cycle boundary
 //! (measured by the counting-allocator probe in
-//! `bench/examples/hotpath_probe.rs`), and allocator overhead is ~12% of
+//! `bench/examples/hotpath_probe.rs`), and allocator overhead is ~20% of
 //! RSS — so the only levers that matter are the bytes the protocol
 //! actually keeps alive. The budget below is the measured breakdown of a
 //! 100 k-node, 10-cycle uniform run (1 shard,
-//! `Simulation::memory_breakdown`, 773 MiB peak RSS, 602 MiB live heap);
+//! `Simulation::memory_breakdown`, 459 MiB peak RSS, 365 MiB live heap);
 //! absolute numbers scale with nodes × cycles × publication rate, the
 //! *shape* is what to remember:
 //!
 //! | standing state                | 100 k example | grows with                  |
 //! |-------------------------------|--------------:|-----------------------------|
-//! | own profiles                  |      ~245 MiB | rated items per node (16 B) + spanned words (16 B) |
+//! | own profiles                  |        ~8 MiB | spanned words (16 B each)   |
 //! | pinned view snapshots         |       ~58 MiB | versions pinned × span      |
 //! | seen sets                     |        ~5 MiB | items published (1 bit each)|
 //! | view descriptors              |       ~60 MiB | view size                   |
@@ -358,16 +358,20 @@
 //!   ([`whatsup_core::SeenSet`]) is a bitset over the run's item index,
 //!   grown to the highest slot received; only ids the index does not
 //!   know take a spill entry.
-//! * **No per-cycle trimming** — capacity slack from amortized growth is
-//!   kept. Shrinking a vector whose length is steady from cycle to cycle
-//!   (a live profile's entries) only forces a regrow-and-move at its next
-//!   rating, and the freed blocks fragment the heap: on perfbench's
-//!   `paper-1shard` (2-vCPU Xeon, glibc 2.36) dropping the exact-fit pass
-//!   the engine ran at every cycle start lowered peak RSS from 11.2 to
-//!   10.3 MiB on its own, while the accounted "own profiles" row rose by
-//!   the kept slack (0.78 → 0.92 MiB). In the 100 k example, together
-//!   with the bitset, the gap between RSS and live heap fell from 226 to
-//!   115 MiB and the own-profiles row rose from ~225 MiB.
+//! * **An own profile is its planes** — a node's own profile keeps no
+//!   entry vector: its rated and liked bit planes over the run's item
+//!   index (16 bytes per 64 slots spanned) are its whole store, set by
+//!   each rating and cleared by each window purge in place, and the
+//!   index gives back each id and its creation time, with which a node
+//!   stamps what it rates. Only a profile the index cannot give back —
+//!   an id it does not know, an entry stamped at another time, a
+//!   `-0.0` from a checkpoint — or whose planes would span more words
+//!   than it has entries is a flat vector, until a rating or purge lets
+//!   it pack again. The sorted entry vector this replaced cost 16 bytes
+//!   an entry plus capacity slack that trimming could not return (a
+//!   `shrink_to_fit` after each purge raised perfbench's `stress-1shard`
+//!   peak RSS). In the 100 k example the row went from 252 MiB, vectors
+//!   and planes, to 8 MiB, and peak RSS from 720 to 459 MiB.
 //! * **Packed snapshots** — a disclosed profile is one `Arc` allocation
 //!   shared by every view slot and in-flight message that references it,
 //!   and it keeps no copy of its entries: the bit planes it is scored
@@ -378,13 +382,11 @@
 //!   index, whose slot → id and slot → creation-time columns rebuild the
 //!   id-ordered entries for the encoder, walked pairs and cold start
 //!   (`whatsup_core::profile`). The live profile is never handed out, so
-//!   rating never copies it; besides its entries it keeps its own planes,
-//!   current through every rating and window purge, and a snapshot copies
-//!   them word for word instead of looking every id up again (the "own
-//!   profiles" row counts them, as it counts the entries). "pinned view
-//!   snapshots" counts each allocation once, planes included; the index is the breakdown's "item index" row,
-//!   counted once. In the 100 k example, packing cut that row from
-//!   251 MiB of per-disclosure runs, which the versions of one node
+//!   rating never copies it, and a snapshot copies its planes word for
+//!   word instead of looking every id up again. "pinned view snapshots"
+//!   counts each allocation once, planes included; the index is the
+//!   breakdown's "item index" row, counted once. In the 100 k example,
+//!   packing cut that row from 251 MiB of per-disclosure runs, which the versions of one node
 //!   shared, to 150 MiB with one 4-byte timestamp per entry, and to
 //!   58 MiB with none; peak RSS went 926 → 817 → 773 MiB. A snapshot
 //!   decoded from another shard's bundle, one whose planes decline and
@@ -398,7 +400,8 @@
 //!   keeps it flat (16 bytes an entry, weights laid out on its first
 //!   orientation) where the index cannot express it, and where its words
 //!   would take more than twice the bytes of its entries; so does a
-//!   decoded copy, until a liker folds it.
+//!   decoded copy. A liker folds a flat one in slot space again where
+//!   the index gives back every entry and the fold's weights fit.
 //! * **One shared oracle** — [`crate::Oracle`] holds the dataset's like
 //!   matrix, one bit per (user, item), and is **process-`Arc`-shared**:
 //!   in-process links hand every shard one pointer. Only the stream

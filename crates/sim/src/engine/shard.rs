@@ -1113,6 +1113,45 @@ mod tests {
         }
     }
 
+    /// A node's own profile costs its spanned words alone: after every
+    /// cycle of a small survey run with churn, whose rejoins cold start
+    /// from decoded views, the "own profiles" row is at most 16 B per
+    /// word the nodes' planes span. One own profile that fell back to its
+    /// flat vector would keep every report and digest, and break this.
+    #[test]
+    fn the_own_profiles_row_is_the_spanned_words() {
+        use crate::scenario::Environment;
+        use whatsup_datasets::{survey, SurveyConfig};
+        let d = survey::generate(&SurveyConfig::paper().scaled(0.12), 42);
+        let cfg = crate::SimConfig {
+            cycles: 20,
+            publish_from: 2,
+            measure_from: 8,
+            ..Default::default()
+        };
+        let mut sim = crate::Runner::new(&d, crate::Protocol::WhatsUp { f_like: 5 })
+            .config(cfg)
+            .scenario(crate::Scenario::default().with_environment(Environment {
+                loss: LossModel::Constant { p: 0.0 },
+                churn: ChurnModel::Uniform { per_cycle: 0.05 },
+            }))
+            .build();
+        for cycle in 0..20 {
+            sim.step();
+            let rows = sim.memory_breakdown();
+            let own = rows.iter().find(|(name, _)| *name == "own profiles");
+            let words: usize = (0..sim.n_nodes() as NodeId)
+                .map(|id| sim.node(id).profile().plane_bytes())
+                .sum();
+            let own = own.expect("an own-profiles row").1;
+            assert!(
+                own <= words,
+                "cycle {cycle}: {own} B for {words} B of words"
+            );
+            assert!(cycle < 4 || own > 0, "cycle {cycle}: nothing rated");
+        }
+    }
+
     #[test]
     fn a_copy_to_a_contacted_node_is_booked_at_the_merge() {
         let (init, items) = middle_shard(3, LossModel::Constant { p: 0.0 });
