@@ -77,9 +77,9 @@ fn workloads() -> [(&'static str, Workload); 2] {
 }
 
 /// Ceiling for the `WHATSUP_SCALE_QUICK` smoke row (100k nodes, 1 shard,
-/// uniform): the committed row's peak RSS (458 MiB) plus 15 % headroom
+/// uniform): the committed row's peak RSS (350 MiB) plus 15 % headroom
 /// for allocator and host noise. A run past this is a memory regression.
-const QUICK_RSS_CEILING_MB: f64 = 527.0;
+const QUICK_RSS_CEILING_MB: f64 = 403.0;
 
 /// The process's peak resident set in MiB (`VmHWM`, Linux); 0 elsewhere.
 fn peak_rss_mb() -> f64 {

@@ -605,6 +605,10 @@ mod tests {
         ChaCha8Rng::seed_from_u64(11)
     }
 
+    fn score_of(profile: &Profile, item: ItemId) -> Option<f32> {
+        profile.entries().find(|e| e.item == item).map(|e| e.score)
+    }
+
     /// Opinions oracle: node n likes item i iff i % 2 == n % 2.
     struct Parity;
     impl Opinions for Parity {
@@ -682,7 +686,7 @@ mod tests {
             &mut rng(),
         );
         assert_eq!(out.len(), 2, "fLIKE copies");
-        assert_eq!(n.profile().get(4).unwrap().score, 1.0);
+        assert_eq!(score_of(n.profile(), 4), Some(1.0));
         for m in &out {
             if let Payload::News(nm) = &m.payload {
                 assert_eq!(nm.dislikes, 1, "like path keeps the counter");
@@ -709,7 +713,7 @@ mod tests {
         if let Payload::News(nm) = &out[0].payload {
             assert_eq!(nm.dislikes, 1);
         }
-        assert_eq!(n.profile().get(5).unwrap().score, 0.0);
+        assert_eq!(score_of(n.profile(), 5), Some(0.0));
     }
 
     #[test]
@@ -727,7 +731,7 @@ mod tests {
         );
         assert!(out.is_empty());
         // Profile still records the dislike.
-        assert_eq!(n.profile().get(5).unwrap().score, 0.0);
+        assert_eq!(score_of(n.profile(), 5), Some(0.0));
     }
 
     #[test]
@@ -828,7 +832,7 @@ mod tests {
             assert!(snapshot.plane_bytes() > 0);
         }
         assert!(n.profile().len() < 30, "the window purged some");
-        assert_eq!(n.shared_profile().get(27).map(|e| e.score), Some(0.0));
+        assert_eq!(score_of(&n.shared_profile(), 27), Some(0.0));
         // An entry stamped at another time than its item's creation keeps
         // the snapshot flat, and it still reads as the profile.
         n.rate(35, 36, true);
@@ -1080,7 +1084,7 @@ mod tests {
         assert_eq!(joiner.profile().len(), 3);
         assert!(joiner.profile().contains(10));
         // Node 42 likes even items, so all three are rated like.
-        assert_eq!(joiner.profile().get(10).unwrap().score, 1.0);
+        assert_eq!(score_of(joiner.profile(), 10), Some(1.0));
         assert!(!joiner.rps_neighbor_ids().is_empty());
         assert!(!joiner.wup_neighbor_ids().is_empty());
     }

@@ -522,16 +522,9 @@ impl Profile {
         }
     }
 
-    /// Looks up an entry by item id.
-    pub fn get(&self, item: ItemId) -> Option<ProfileEntry> {
-        let entries = self.flat();
-        let i = entries.binary_search_by_key(&item, |e| e.item).ok()?;
-        entries.get(i).copied()
-    }
-
     /// Whether the profile contains an opinion on `item`.
     pub fn contains(&self, item: ItemId) -> bool {
-        self.get(item).is_some()
+        self.flat().binary_search_by_key(&item, |e| e.item).is_ok()
     }
 
     /// Inserts or replaces the entry for `e.item` (§II-B: "each profile
@@ -1091,8 +1084,8 @@ mod tests {
         p.rate(10, 3, true); // re-rating replaces
         let ids: Vec<ItemId> = p.entries().map(|x| x.item).collect();
         assert_eq!(ids, vec![10, 20, 30]);
-        assert_eq!(p.get(10).unwrap().score, 1.0);
-        assert_eq!(p.get(10).unwrap().timestamp, 3);
+        let entry = p.entries().find(|x| x.item == 10).unwrap();
+        assert_eq!((entry.score, entry.timestamp), (1.0, 3));
     }
 
     #[test]
@@ -1100,11 +1093,12 @@ mod tests {
         let mut item_profile = Profile::new();
         item_profile.add_to_news_profile(e(1, 0, 1.0));
         item_profile.add_to_news_profile(e(1, 5, 0.0));
-        let entry = item_profile.get(1).unwrap();
+        let entry = item_profile.entries().find(|x| x.item == 1).unwrap();
         assert_eq!(entry.score, 0.5);
         assert_eq!(entry.timestamp, 5, "freshest timestamp kept");
         item_profile.add_to_news_profile(e(1, 2, 1.0));
-        assert_eq!(item_profile.get(1).unwrap().score, 0.75);
+        let entry = item_profile.entries().find(|x| x.item == 1).unwrap();
+        assert_eq!(entry.score, 0.75);
     }
 
     #[test]
@@ -1113,7 +1107,8 @@ mod tests {
         let mut item_profile = Profile::new();
         item_profile.aggregate_user_profile(&user);
         assert_eq!(item_profile.len(), 2);
-        assert_eq!(item_profile.get(2).unwrap().score, 0.0);
+        let entry = item_profile.entries().find(|x| x.item == 2).unwrap();
+        assert_eq!(entry.score, 0.0);
     }
 
     #[test]
@@ -1141,7 +1136,7 @@ mod tests {
         assert!(snapshot.as_slice().is_none(), "nothing to look up: packed");
         assert!(snapshot.is_empty() && snapshot == p);
         assert_eq!(format!("{snapshot:?}"), format!("{p:?}"));
-        assert_eq!(snapshot.get(0), None);
+        assert!(!snapshot.contains(0));
         assert_eq!(snapshot.heap_bytes(), 0);
     }
 
@@ -1149,7 +1144,7 @@ mod tests {
     fn from_entries_keeps_last_per_item() {
         let p = Profile::from_entries([e(1, 0, 1.0), e(1, 9, 0.0)]);
         assert_eq!(p.len(), 1);
-        assert_eq!(p.get(1).unwrap().score, 0.0);
+        assert_eq!(p.entries().find(|x| x.item == 1).unwrap().score, 0.0);
     }
 
     proptest! {
@@ -1525,7 +1520,7 @@ mod tests {
             prop_assert_eq!(snapshot.entries().len(), flat.len());
             prop_assert_eq!((snapshot.len(), snapshot.is_empty()), (flat.len(), flat.is_empty()));
             for &item in &ids {
-                prop_assert_eq!(snapshot.get(item), flat.get(item));
+                prop_assert_eq!(snapshot.contains(item), flat.contains(item));
             }
             prop_assert_eq!(snapshot.norm().to_bits(), flat.norm().to_bits());
             prop_assert_eq!(snapshot.fingerprint(), flat.fingerprint());

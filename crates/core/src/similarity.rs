@@ -625,7 +625,10 @@ mod tests {
         // weighed instead. Re-rating the item makes the profile binary
         // again.
         let mut folded = original.aggregated_with(&profile(&ids(&[9]), &[]));
-        assert_eq!(folded.get(base + 9).unwrap().score, 0.5);
+        assert_eq!(
+            folded.entries().find(|x| x.item == base + 9).unwrap().score,
+            0.5
+        );
         assert!(folded.planes(&index).is_none());
         check(&folded);
         folded.rate(base + 9, 0, true);

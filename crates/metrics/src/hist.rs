@@ -1,4 +1,4 @@
-//! Fixed-bin histograms for the distribution figures (Tables IV, Figs. 6, 10, 11).
+//! Fixed-bin histograms for the distribution figures (Figs. 10, 11).
 
 /// A histogram over `[lo, hi)` with uniformly sized bins.
 ///
@@ -77,23 +77,6 @@ impl Histogram {
             .iter()
             .map(|&c| c as f64 / total as f64)
             .collect()
-    }
-
-    /// Merges another histogram with identical geometry.
-    ///
-    /// # Panics
-    /// Panics if the ranges or bin counts differ.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.lo, other.lo, "histogram lo mismatch");
-        assert_eq!(self.hi, other.hi, "histogram hi mismatch");
-        assert_eq!(
-            self.counts.len(),
-            other.counts.len(),
-            "histogram bins mismatch"
-        );
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
     }
 }
 
@@ -180,25 +163,6 @@ mod tests {
         }
         let sum: f64 = h.fractions().iter().sum();
         assert!((sum - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_adds_counts() {
-        let mut a = Histogram::new(0.0, 1.0, 2);
-        a.record(0.1);
-        let mut b = Histogram::new(0.0, 1.0, 2);
-        b.record(0.9);
-        b.record(0.8);
-        a.merge(&b);
-        assert_eq!(a.counts(), &[1, 2]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn merge_rejects_geometry_mismatch() {
-        let mut a = Histogram::new(0.0, 1.0, 2);
-        let b = Histogram::new(0.0, 2.0, 2);
-        a.merge(&b);
     }
 
     #[test]

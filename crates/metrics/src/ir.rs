@@ -81,10 +81,14 @@ impl IrScores {
     }
 }
 
-/// Accumulates [`ItemOutcome`]s over a workload.
+/// Accumulates [`ItemOutcome`]s over a workload: the item count and the
+/// three counts pooled as each outcome is pushed.
 #[derive(Debug, Clone, Default)]
 pub struct IrAggregate {
-    outcomes: Vec<ItemOutcome>,
+    items: usize,
+    hits: usize,
+    reached: usize,
+    interested: usize,
 }
 
 impl IrAggregate {
@@ -94,42 +98,32 @@ impl IrAggregate {
 
     /// Records the outcome of one item's dissemination.
     pub fn push(&mut self, outcome: ItemOutcome) {
-        self.outcomes.push(outcome);
+        self.items += 1;
+        self.hits += outcome.hits;
+        self.reached += outcome.reached;
+        self.interested += outcome.interested;
     }
 
     /// Number of items recorded.
     pub fn len(&self) -> usize {
-        self.outcomes.len()
+        self.items
     }
 
     pub fn is_empty(&self) -> bool {
-        self.outcomes.is_empty()
-    }
-
-    /// All recorded outcomes, in insertion order.
-    pub fn outcomes(&self) -> &[ItemOutcome] {
-        &self.outcomes
+        self.items == 0
     }
 
     /// Micro-averaged scores: counts are pooled across items before dividing,
     /// so items reaching many users weigh proportionally more. This matches
     /// the headline precision/recall numbers of the paper's tables.
     pub fn micro(&self) -> IrScores {
-        let hits: usize = self.outcomes.iter().map(|o| o.hits).sum();
-        let reached: usize = self.outcomes.iter().map(|o| o.reached).sum();
-        let interested: usize = self.outcomes.iter().map(|o| o.interested).sum();
-        let precision = ratio(hits, reached);
-        let recall = ratio(hits, interested);
+        let precision = ratio(self.hits, self.reached);
+        let recall = ratio(self.hits, self.interested);
         IrScores {
             precision,
             recall,
             f1: f1(precision, recall),
         }
-    }
-
-    /// Merges another aggregate into this one.
-    pub fn merge(&mut self, other: &IrAggregate) {
-        self.outcomes.extend_from_slice(&other.outcomes);
     }
 }
 
@@ -193,16 +187,6 @@ mod tests {
         let micro = agg.micro();
         assert!((micro.precision - 0.5).abs() < 1e-12);
         assert!((micro.recall - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_concatenates() {
-        let mut a = IrAggregate::new();
-        a.push(ItemOutcome::new(1, 1, 1));
-        let mut b = IrAggregate::new();
-        b.push(ItemOutcome::new(2, 2, 2));
-        a.merge(&b);
-        assert_eq!(a.len(), 2);
     }
 
     #[test]

@@ -511,10 +511,6 @@ impl Simulation {
         Self { core, shards }
     }
 
-    pub fn protocol(&self) -> Protocol {
-        self.core.protocol
-    }
-
     pub fn current_cycle(&self) -> u32 {
         self.core.cycle
     }
@@ -821,8 +817,8 @@ mod tests {
         let report = simulation(&d, Protocol::WhatsUp { f_like: 5 }, quick_cfg()).run();
         let dist = report.dislike_distribution(4);
         assert!((dist.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        for r in &report.items {
-            assert!(r.dislikes_at_liked_reception.iter().all(|&x| x <= 4));
+        for books in [&report.measured, &report.warmup] {
+            assert!(books.dislikes.iter().skip(4 + 1).all(|&c| c == 0));
         }
     }
 

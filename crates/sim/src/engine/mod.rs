@@ -333,11 +333,11 @@
 //! At scale the footprint is **standing live state, not transient
 //! spikes**: peak RSS equals the standing RSS at every cycle boundary
 //! (measured by the counting-allocator probe in
-//! `bench/examples/hotpath_probe.rs`), and allocator overhead is ~20% of
+//! `bench/examples/hotpath_probe.rs`), and allocator overhead is ~30% of
 //! RSS — so the only levers that matter are the bytes the protocol
 //! actually keeps alive. The budget below is the measured breakdown of a
 //! 100 k-node, 10-cycle uniform run (1 shard,
-//! `Simulation::memory_breakdown`, 459 MiB peak RSS, 365 MiB live heap);
+//! `Simulation::memory_breakdown`, 351 MiB peak RSS, 243 MiB live heap);
 //! absolute numbers scale with nodes × cycles × publication rate, the
 //! *shape* is what to remember:
 //!
@@ -347,7 +347,7 @@
 //! | pinned view snapshots         |       ~58 MiB | versions pinned × span      |
 //! | seen sets                     |        ~5 MiB | items published (1 bit each)|
 //! | view descriptors              |       ~60 MiB | view size                   |
-//! | item records (driver)         |      ~120 MiB | receptions per item         |
+//! | item records (driver)         |     < 0.1 MiB | items, largest hop/counter  |
 //! | mailbox arena + scratch       |       ~40 MiB | peak per-round traffic      |
 //! | item profiles                 |     in flight | spanned words (272 B each)  |
 //! | oracle (like matrix)          |    n × m bits | users (n) × items (m)       |
@@ -407,10 +407,14 @@
 //!   in-process links hand every shard one pointer. Only the stream
 //!   links (child process / socket) pay one copy per worker, which is
 //!   the price of actually being distributed.
-//! * **Report data is sacred** — item records (per-reception hop and
-//!   opinion vectors) feed `SimReport` and cannot be thinned without
-//!   changing results; they are driver-owned and exist once regardless
-//!   of shard count.
+//! * **The books count** — an item record is its fixed-size counters,
+//!   and the distributions Table IV and Fig. 6 plot are histograms of
+//!   counts keyed by the raw dislike counter and hop, one set over the
+//!   measured items and one over the warmup items
+//!   ([`crate::record::Histograms`]), so no book grows with an item's
+//!   receptions. The readers clamp when they read, so one histogram
+//!   answers for any bound. The books are driver-owned and exist once
+//!   regardless of shard count.
 //!
 //! Ownership is strictly two-tier. **Shard-owned** (per shard, moves
 //! with its partition): node protocol stacks, mailbox arena and scratch,

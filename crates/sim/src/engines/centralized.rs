@@ -279,8 +279,12 @@ mod tests {
     fn dislike_counters_bounded_by_ttl() {
         let d = dataset();
         let r = run(&d, 4, &cfg());
-        for item in &r.items {
-            assert!(item.dislikes_at_liked_reception.iter().all(|&x| x <= TTL));
+        for books in [&r.measured, &r.warmup] {
+            assert!(books
+                .dislikes
+                .iter()
+                .skip(usize::from(TTL) + 1)
+                .all(|&c| c == 0));
         }
     }
 

@@ -4,6 +4,12 @@
 //! report's one on-disk form, [`Summary`]: what `whatsup-sim run` writes
 //! and `sweep` nests, and what `check` and `render` decode. Its
 //! `json_codec!` blocks are the only place a report key is declared.
+//!
+//! Every book is a fixed-size count or a histogram of counts: an item's
+//! record holds its counters, and the distributions Table IV and Fig. 6
+//! plot are [`Histograms`] over the measured and the warmup items, keyed
+//! by the raw dislike counter and hop. The readers clamp when they read,
+//! so a histogram answers for any bound.
 
 use crate::config::{Protocol, SimConfig};
 use crate::scenario::{Scenario, WindowSpec};
@@ -34,15 +40,6 @@ pub struct ItemRecord {
     /// News copies sent for this item (including lost ones — the paper's
     /// "number of sent messages").
     pub news_sent: u64,
-    /// Dislike-counter value carried by the copy that first reached each
-    /// node that *liked* the item (Table IV's distribution).
-    pub dislikes_at_liked_reception: Vec<u8>,
-    /// `(hop, by_like)` for every forwarding action (Fig. 6 "Forward by …").
-    /// The hop is the distance of the forwarding node from the source.
-    pub forward_hops: Vec<(u16, bool)>,
-    /// `(hop, by_like)` for every first reception (Fig. 6 "Infection by …"),
-    /// classified by the *sender's* opinion.
-    pub infection_hops: Vec<(u16, bool)>,
     /// Whether this item counts towards the reported metrics (published
     /// after the measurement threshold).
     pub measured: bool,
@@ -87,6 +84,41 @@ impl NodeIr {
     }
 }
 
+/// Exact counts of the events Table IV and Fig. 6 read, over the measured
+/// or the warmup items, each keyed by its raw value: a count does not
+/// depend on the order its events were booked in, and a reader clamps
+/// when it reads. Each vector ends at the largest key booked.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Histograms {
+    /// Liked first receptions per dislike counter of the delivering copy
+    /// (Table IV).
+    pub dislikes: Vec<u64>,
+    /// Forwards per hop distance of the forwarding node from the source,
+    /// as `[by dislike, by like]` (Fig. 6 "Forward by …").
+    pub forwards: Vec<[u64; 2]>,
+    /// First receptions per hop, as `[by dislike, by like]` of the
+    /// *sender's* opinion (Fig. 6 "Infection by …").
+    pub infections: Vec<[u64; 2]>,
+}
+
+impl Histograms {
+    fn heap_bytes(&self) -> usize {
+        self.dislikes.capacity() * std::mem::size_of::<u64>()
+            + (self.forwards.capacity() + self.infections.capacity())
+                * std::mem::size_of::<[u64; 2]>()
+    }
+}
+
+/// Sums `counts` into `0..=max` buckets, clamping every key above `max`
+/// into the last one.
+fn clamped<T>(counts: &[T], max: usize, count: impl Fn(&T) -> u64) -> Vec<u64> {
+    let mut buckets = vec![0u64; max + 1];
+    for (key, c) in counts.iter().enumerate() {
+        buckets[key.min(max)] += count(c);
+    }
+    buckets
+}
+
 /// Aggregated result of one simulation run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimReport {
@@ -98,6 +130,10 @@ pub struct SimReport {
     pub cycles: u32,
     /// Per-item records (measured and warmup items alike).
     pub items: Vec<ItemRecord>,
+    /// Table IV and Fig. 6 events of the measured items.
+    pub measured: Histograms,
+    /// The same events of the warmup items.
+    pub warmup: Histograms,
     /// Per-node counters over measured items (empty for engines that do not
     /// track them).
     pub per_node: Vec<NodeIr>,
@@ -286,14 +322,8 @@ impl SimReport {
     /// Table IV: fraction of liked receptions per dislike-counter value
     /// `0..=max_ttl` (anything above the last bucket is clamped into it).
     pub fn dislike_distribution(&self, max_ttl: usize) -> Vec<f64> {
-        let mut counts = vec![0u64; max_ttl + 1];
-        let mut total = 0u64;
-        for r in self.items.iter().filter(|r| r.measured) {
-            for &d in &r.dislikes_at_liked_reception {
-                counts[(d as usize).min(max_ttl)] += 1;
-                total += 1;
-            }
-        }
+        let counts = clamped(&self.measured.dislikes, max_ttl, |&c| c);
+        let total: u64 = counts.iter().sum();
         if total == 0 {
             return vec![0.0; max_ttl + 1];
         }
@@ -304,39 +334,23 @@ impl SimReport {
     }
 
     /// Fig. 6 series: per-hop counts of (forward by like, infection by like,
-    /// forward by dislike, infection by dislike), averaged per measured item.
+    /// forward by dislike, infection by dislike), averaged per measured item
+    /// (hops above `max_hops` are clamped into the last bucket).
     pub fn hop_profile(&self, max_hops: usize) -> HopProfile {
-        let mut p = HopProfile::new(max_hops);
         let measured = self.measured_items().max(1) as f64;
-        for r in self.items.iter().filter(|r| r.measured) {
-            for &(h, like) in &r.forward_hops {
-                let h = (h as usize).min(max_hops);
-                if like {
-                    p.forward_like[h] += 1.0;
-                } else {
-                    p.forward_dislike[h] += 1.0;
-                }
-            }
-            for &(h, like) in &r.infection_hops {
-                let h = (h as usize).min(max_hops);
-                if like {
-                    p.infection_like[h] += 1.0;
-                } else {
-                    p.infection_dislike[h] += 1.0;
-                }
-            }
+        let per_item = |counts: &[[u64; 2]], like: bool| {
+            clamped(counts, max_hops, |c| c[usize::from(like)])
+                .into_iter()
+                .map(|c| c as f64 / measured)
+                .collect()
+        };
+        let h = &self.measured;
+        HopProfile {
+            forward_like: per_item(&h.forwards, true),
+            forward_dislike: per_item(&h.forwards, false),
+            infection_like: per_item(&h.infections, true),
+            infection_dislike: per_item(&h.infections, false),
         }
-        for v in [
-            &mut p.forward_like,
-            &mut p.forward_dislike,
-            &mut p.infection_like,
-            &mut p.infection_dislike,
-        ] {
-            for x in v.iter_mut() {
-                *x /= measured;
-            }
-        }
-        p
     }
 }
 
@@ -526,14 +540,19 @@ pub(crate) struct Reception {
     pub dislikes: Option<u8>,
 }
 
-/// The run's books: per-item records, per-node and per-cycle counters and
-/// the measured/all message totals, fed by the events of whichever engine
-/// runs, and the only way to a [`SimReport`]. An event names the cycle it
-/// is booked under, so per-cycle engines pass the running cycle and the
-/// one-shot engines, which walk items in dataset order, the item's
-/// publication cycle.
+/// The run's books: per-item records, the Table IV and Fig. 6 histograms,
+/// per-node and per-cycle counters and the measured/all message totals,
+/// fed by the events of whichever engine runs, and the only way to a
+/// [`SimReport`]. Every book is a count, folded as its event is booked:
+/// nothing grows with the receptions of an item, and no result depends on
+/// the order events arrive in. An event names the cycle it is booked
+/// under, so per-cycle engines pass the running cycle and the one-shot
+/// engines, which walk items in dataset order, the item's publication
+/// cycle.
 pub(crate) struct Ledger {
     records: Vec<ItemRecord>,
+    measured: Histograms,
+    warmup: Histograms,
     /// Empty for engines that do not track per-node counters.
     per_node: Vec<NodeIr>,
     /// Counter blocks of the cycles touched so far (index = cycle).
@@ -545,11 +564,12 @@ pub(crate) struct Ledger {
     news_measured: u64,
 }
 
-fn slot(cycles: &mut Vec<CycleStats>, cycle: u32) -> &mut CycleStats {
-    if cycles.len() <= cycle as usize {
-        cycles.resize(cycle as usize + 1, CycleStats::default());
+/// The entry under `key`, growing `books` with zeros to reach it.
+fn slot<T: Clone + Default>(books: &mut Vec<T>, key: u32) -> &mut T {
+    if books.len() <= key as usize {
+        books.resize(key as usize + 1, T::default());
     }
-    &mut cycles[cycle as usize]
+    &mut books[key as usize]
 }
 
 impl Ledger {
@@ -567,6 +587,8 @@ impl Ledger {
                     ..ItemRecord::default()
                 })
                 .collect(),
+            measured: Histograms::default(),
+            warmup: Histograms::default(),
             per_node: vec![NodeIr::default(); tracked_nodes],
             cycles: Vec::new(),
             ended: 0,
@@ -609,15 +631,27 @@ impl Ledger {
         slot(&mut self.cycles, cycle).gossip_sent += messages;
     }
 
+    /// The histograms item `index` books into.
+    fn histograms(&mut self, index: u32) -> &mut Histograms {
+        if self.records[index as usize].measured {
+            &mut self.measured
+        } else {
+            &mut self.warmup
+        }
+    }
+
     /// `node` receives item `index` for the first time.
     pub(crate) fn first_reception(&mut self, cycle: u32, index: u32, node: NodeId, r: Reception) {
+        let h = self.histograms(index);
+        if let Some((hop, sender_liked)) = r.hop {
+            slot(&mut h.infections, hop.into())[usize::from(sender_liked)] += 1;
+        }
+        if let (true, Some(d)) = (r.likes, r.dislikes) {
+            *slot(&mut h.dislikes, d.into()) += 1;
+        }
         let rec = &mut self.records[index as usize];
         rec.reached += 1;
-        rec.infection_hops.extend(r.hop);
-        if r.likes {
-            rec.hits += 1;
-            rec.dislikes_at_liked_reception.extend(r.dislikes);
-        }
+        rec.hits += u32::from(r.likes);
         if rec.measured {
             if let Some(node) = self.per_node.get_mut(node as usize) {
                 node.received += 1;
@@ -631,7 +665,7 @@ impl Ledger {
 
     /// A node at hop distance `hop` forwarded item `index` (Fig. 6).
     pub(crate) fn forwarded(&mut self, index: u32, hop: u16, liked: bool) {
-        self.records[index as usize].forward_hops.push((hop, liked));
+        slot(&mut self.histograms(index).forwards, hop.into())[usize::from(liked)] += 1;
     }
 
     pub(crate) fn crashed(&mut self, cycle: u32, nodes: u64) {
@@ -653,18 +687,12 @@ impl Ledger {
         self.ended = cycle + 1;
     }
 
-    /// `(item records, per-node counters)` heap bytes (diagnostics).
+    /// `(item records and histograms, per-node counters)` heap bytes
+    /// (diagnostics).
     pub(crate) fn heap_bytes(&self) -> (usize, usize) {
-        let records = self
-            .records
-            .iter()
-            .map(|r| {
-                std::mem::size_of::<ItemRecord>()
-                    + r.dislikes_at_liked_reception.capacity()
-                    + (r.forward_hops.capacity() + r.infection_hops.capacity())
-                        * std::mem::size_of::<(u16, bool)>()
-            })
-            .sum();
+        let records = self.records.capacity() * std::mem::size_of::<ItemRecord>()
+            + self.measured.heap_bytes()
+            + self.warmup.heap_bytes();
         let per_node = self.per_node.capacity() * std::mem::size_of::<NodeIr>();
         (records, per_node)
     }
@@ -688,6 +716,8 @@ impl Ledger {
             n_nodes,
             cycles: self.ended,
             items: self.records,
+            measured: self.measured,
+            warmup: self.warmup,
             per_node: self.per_node,
             news_messages: self.news_measured,
             news_messages_all: self.news_all,
@@ -729,15 +759,6 @@ pub struct HopProfile {
 }
 
 impl HopProfile {
-    fn new(max_hops: usize) -> Self {
-        Self {
-            forward_like: vec![0.0; max_hops + 1],
-            forward_dislike: vec![0.0; max_hops + 1],
-            infection_like: vec![0.0; max_hops + 1],
-            infection_dislike: vec![0.0; max_hops + 1],
-        }
-    }
-
     /// Mean hop distance of infections (the paper reports ≈5 on the survey).
     pub fn mean_infection_hop(&self) -> f64 {
         let mut weighted = 0.0;
@@ -762,6 +783,8 @@ impl HopProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::Measurement;
+    use proptest::prelude::*;
     use serde::json::Value;
 
     fn record(measured: bool) -> ItemRecord {
@@ -772,9 +795,6 @@ mod tests {
             reached: 20,
             hits: 10,
             news_sent: 100,
-            dislikes_at_liked_reception: vec![0, 0, 1, 2],
-            forward_hops: vec![(0, true), (1, false)],
-            infection_hops: vec![(1, true), (2, false)],
             measured,
         }
     }
@@ -787,6 +807,8 @@ mod tests {
             n_nodes: 100,
             cycles: 65,
             items: vec![record(true), record(false)],
+            measured: Histograms::default(),
+            warmup: Histograms::default(),
             per_node: vec![NodeIr {
                 received: 10,
                 hits: 5,
@@ -831,26 +853,91 @@ mod tests {
         assert!((r.messages_per_user() - 1.0).abs() < 1e-12);
     }
 
+    /// Books events over two items, the first measured and the second
+    /// warmup: `receptions` as `(item, receiver, hop, dislikes, receiver
+    /// likes, sender liked)` first receptions, and `forwards` as `(item,
+    /// hop, liked)`.
+    fn booked(
+        receptions: &[(u32, NodeId, u16, u8, bool, bool)],
+        forwards: &[(u32, u16, bool)],
+    ) -> SimReport {
+        let cfg = SimConfig {
+            measure_from: 10,
+            ..SimConfig::default()
+        };
+        let mut ledger = Ledger::open(&[10, 9], &cfg, 0);
+        let likers: Vec<NodeId> = (0..20).collect();
+        ledger.published(0, 99, &likers);
+        ledger.published(1, 99, &likers);
+        for &(index, node, hop, dislikes, likes, sender_liked) in receptions {
+            let reception = Reception {
+                likes,
+                hop: Some((hop, sender_liked)),
+                dislikes: Some(dislikes),
+            };
+            ledger.first_reception(10, index, node, reception);
+        }
+        for &(index, hop, liked) in forwards {
+            ledger.forwarded(index, hop, liked);
+        }
+        ledger.end_cycle(10, 100);
+        ledger.into_report(
+            Protocol::WhatsUp { f_like: 10 },
+            "survey".into(),
+            100,
+            &Scenario::default(),
+        )
+    }
+
     #[test]
     fn dislike_distribution_normalizes() {
-        let r = report();
+        let r = booked(
+            &[
+                (0, 1, 1, 0, true, true),
+                (0, 2, 1, 0, true, true),
+                (0, 3, 2, 1, true, false),
+                (0, 4, 3, 2, true, false),
+                // Not liked, or not measured: no Table IV entry.
+                (0, 5, 1, 3, false, true),
+                (1, 1, 1, 3, true, true),
+            ],
+            &[],
+        );
         let d = r.dislike_distribution(4);
         assert_eq!(d.len(), 5);
         assert!((d.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         assert!((d[0] - 0.5).abs() < 1e-12);
         assert!((d[1] - 0.25).abs() < 1e-12);
+        assert_eq!(d[3], 0.0);
+        // Counters above the last bucket are clamped into it.
+        assert_eq!(r.dislike_distribution(1), vec![0.5, 0.5]);
+        assert_eq!(r.warmup.dislikes, vec![0, 0, 0, 1]);
     }
 
     #[test]
     fn hop_profile_buckets() {
-        let r = report();
+        let r = booked(
+            &[
+                (0, 1, 1, 0, true, true),
+                (0, 2, 2, 0, false, false),
+                (1, 3, 7, 0, true, true),
+            ],
+            &[(0, 0, true), (0, 1, false), (1, 5, true)],
+        );
         let p = r.hop_profile(30);
         assert!((p.forward_like[0] - 1.0).abs() < 1e-12);
         assert!((p.forward_dislike[1] - 1.0).abs() < 1e-12);
         assert!((p.infection_like[1] - 1.0).abs() < 1e-12);
         assert!((p.infection_dislike[2] - 1.0).abs() < 1e-12);
+        assert_eq!(
+            p.forward_like.iter().sum::<f64>(),
+            1.0,
+            "the warmup forward is not read"
+        );
         let mean = p.mean_infection_hop();
         assert!((mean - 1.5).abs() < 1e-12);
+        // Hops above the last bucket are clamped into it.
+        assert_eq!(r.hop_profile(1).infection_dislike, vec![0.0, 1.0]);
     }
 
     #[test]
@@ -988,5 +1075,235 @@ mod tests {
             plain.validate(true),
             Err("windows: no window carries recovery metrics".into())
         );
+    }
+
+    /// One item's books as they were kept before they became counts: a
+    /// list per item, read by the loops the readers ran then.
+    #[derive(Clone, Default)]
+    struct Lists {
+        published_at: u32,
+        measured: bool,
+        interested: usize,
+        reached: usize,
+        hits: usize,
+        dislikes_at_liked_reception: Vec<u8>,
+        forward_hops: Vec<(u16, bool)>,
+        infection_hops: Vec<(u16, bool)>,
+    }
+
+    /// Micro-averaged scores over `items`, summed from a list of outcomes
+    /// as `IrAggregate` once kept it.
+    fn pooled<'a>(items: impl Iterator<Item = &'a Lists>) -> IrScores {
+        let outcomes: Vec<ItemOutcome> = items
+            .map(|r| ItemOutcome::new(r.interested, r.reached, r.hits))
+            .collect();
+        let hits: usize = outcomes.iter().map(|o| o.hits).sum();
+        let reached: usize = outcomes.iter().map(|o| o.reached).sum();
+        let interested: usize = outcomes.iter().map(|o| o.interested).sum();
+        let ratio = |n: usize, d: usize| if d == 0 { 0.0 } else { n as f64 / d as f64 };
+        IrScores::from_pr(ratio(hits, reached), ratio(hits, interested))
+    }
+
+    fn reference_dislikes(lists: &[Lists], max_ttl: usize) -> Vec<f64> {
+        let mut counts = vec![0u64; max_ttl + 1];
+        let mut total = 0u64;
+        for r in lists.iter().filter(|r| r.measured) {
+            for &d in &r.dislikes_at_liked_reception {
+                counts[(d as usize).min(max_ttl)] += 1;
+                total += 1;
+            }
+        }
+        if total == 0 {
+            return vec![0.0; max_ttl + 1];
+        }
+        counts
+            .into_iter()
+            .map(|c| c as f64 / total as f64)
+            .collect()
+    }
+
+    fn reference_hops(lists: &[Lists], max_hops: usize) -> HopProfile {
+        let mut p = HopProfile {
+            forward_like: vec![0.0; max_hops + 1],
+            forward_dislike: vec![0.0; max_hops + 1],
+            infection_like: vec![0.0; max_hops + 1],
+            infection_dislike: vec![0.0; max_hops + 1],
+        };
+        let measured = lists.iter().filter(|r| r.measured).count().max(1) as f64;
+        for r in lists.iter().filter(|r| r.measured) {
+            for &(h, like) in &r.forward_hops {
+                let h = (h as usize).min(max_hops);
+                if like {
+                    p.forward_like[h] += 1.0;
+                } else {
+                    p.forward_dislike[h] += 1.0;
+                }
+            }
+            for &(h, like) in &r.infection_hops {
+                let h = (h as usize).min(max_hops);
+                if like {
+                    p.infection_like[h] += 1.0;
+                } else {
+                    p.infection_dislike[h] += 1.0;
+                }
+            }
+        }
+        for v in [
+            &mut p.forward_like,
+            &mut p.forward_dislike,
+            &mut p.infection_like,
+            &mut p.infection_dislike,
+        ] {
+            for x in v.iter_mut() {
+                *x /= measured;
+            }
+        }
+        p
+    }
+
+    /// Bit for bit: a float compare that tells `0.0` from `-0.0` and
+    /// matches NaN with itself.
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn hop_bits(p: &HopProfile) -> [Vec<u64>; 4] {
+        [
+            &p.forward_like,
+            &p.forward_dislike,
+            &p.infection_like,
+            &p.infection_dislike,
+        ]
+        .map(|v| bits(v))
+    }
+
+    fn score_bits(s: IrScores) -> [u64; 3] {
+        [s.precision, s.recall, s.f1].map(f64::to_bits)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The ledger's histograms against the per-item lists they
+        /// replaced, bit for bit: random events on measured and warmup
+        /// items, booked in any interleaving, with hops past the read
+        /// bound and dislike counters above the TTL, read at bounds
+        /// below, at and above the largest key.
+        #[test]
+        fn histograms_read_as_the_per_item_lists_did(
+            schedule in prop::collection::vec((0u32..8, 0u32..12, 0u32..1 << 12), 1..7),
+            events in prop::collection::vec(
+                ((0usize..7, 0u8..3, 0u32..12, 0u16..40), (0u8..12, 0u8..8)),
+                0..160,
+            ),
+            bounds in (0usize..4, 0usize..4),
+        ) {
+            const NODES: u32 = 12;
+            let cfg = SimConfig {
+                measure_from: 4,
+                ..SimConfig::default()
+            };
+            let cycle_of: Vec<u32> = schedule.iter().map(|&(at, _, _)| at).collect();
+            let mut ledger = Ledger::open(&cycle_of, &cfg, NODES as usize);
+            let mut lists = vec![Lists::default(); schedule.len()];
+            let likes = |index: usize, node: u32| schedule[index].2 >> node & 1 == 1;
+            for (index, &(at, source, _)) in schedule.iter().enumerate() {
+                let likers: Vec<NodeId> = (0..NODES).filter(|&u| likes(index, u)).collect();
+                ledger.published(index as u32, source, &likers);
+                let list = &mut lists[index];
+                list.published_at = at;
+                list.measured = at >= cfg.measure_from;
+                list.interested = likers.iter().filter(|&&u| u != source).count();
+            }
+            let mut received = std::collections::BTreeSet::new();
+            for ((index, kind, node, hop), (dislikes, flags)) in events {
+                let index = index % schedule.len();
+                let (at, source, _) = schedule[index];
+                let list = &mut lists[index];
+                let liked = flags & 1 == 1;
+                if kind == 0 {
+                    ledger.forwarded(index as u32, hop, liked);
+                    list.forward_hops.push((hop, liked));
+                    continue;
+                }
+                // A first reception, once per receiver and never at the source.
+                if node == source || !received.insert((index, node)) {
+                    continue;
+                }
+                let reception = Reception {
+                    likes: likes(index, node),
+                    hop: (flags & 2 == 0).then_some((hop, liked)),
+                    dislikes: (flags & 4 == 0).then_some(dislikes),
+                };
+                ledger.first_reception(at, index as u32, node, reception);
+                list.reached += 1;
+                list.infection_hops.extend(reception.hop);
+                if reception.likes {
+                    list.hits += 1;
+                    list.dislikes_at_liked_reception.extend(reception.dislikes);
+                }
+            }
+            let last = cycle_of.iter().copied().max().unwrap_or(0);
+            ledger.end_cycle(last, NODES as usize);
+            let windows = [(0, 4), (2, 6), (4, 8), (7, 8)];
+            let scenario = Scenario {
+                measurements: windows
+                    .iter()
+                    .map(|&(from, until)| Measurement {
+                        name: format!("{from}-{until}"),
+                        window: WindowSpec::Cycles { from, until },
+                    })
+                    .collect(),
+                ..Scenario::default()
+            };
+            let report = ledger.into_report(
+                Protocol::WhatsUp { f_like: 5 },
+                "random".into(),
+                NODES as usize,
+                &scenario,
+            );
+
+            let max_dislike = lists
+                .iter()
+                .flat_map(|r| &r.dislikes_at_liked_reception)
+                .map(|&d| usize::from(d))
+                .max()
+                .unwrap_or(0);
+            let max_hop = lists
+                .iter()
+                .flat_map(|r| r.forward_hops.iter().chain(&r.infection_hops))
+                .map(|&(h, _)| usize::from(h))
+                .max()
+                .unwrap_or(0);
+            let (below, above) = bounds;
+            let around = |max: usize| [max.saturating_sub(below + 1), max, max + above];
+            for k in around(max_dislike) {
+                prop_assert_eq!(
+                    bits(&report.dislike_distribution(k)),
+                    bits(&reference_dislikes(&lists, k)),
+                    "dislike_distribution({})", k
+                );
+            }
+            for k in around(max_hop) {
+                prop_assert_eq!(
+                    hop_bits(&report.hop_profile(k)),
+                    hop_bits(&reference_hops(&lists, k)),
+                    "hop_profile({})", k
+                );
+            }
+            prop_assert_eq!(
+                score_bits(report.scores()),
+                score_bits(pooled(lists.iter().filter(|r| r.measured)))
+            );
+            prop_assert_eq!(
+                report.measured_items(),
+                lists.iter().filter(|r| r.measured).count()
+            );
+            for (w, &(from, until)) in report.windows.iter().zip(&windows) {
+                let inside = || lists.iter().filter(|r| (from..until).contains(&r.published_at));
+                prop_assert_eq!(w.items as usize, inside().count());
+                prop_assert_eq!(score_bits(w.scores), score_bits(pooled(inside())));
+            }
+        }
     }
 }

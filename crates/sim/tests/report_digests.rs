@@ -1,9 +1,19 @@
 //! Cross-commit byte identity for every engine: one FNV-1a digest of the
 //! `Debug` rendering of the report per engine, under the richest scenario
-//! the engine accepts. The constants were recorded at the commit *before*
-//! the environment/ledger extraction, so they pin that refactor — and any
-//! later one — to the bytes the per-engine bookkeeping used to produce. A
-//! digest may only change together with a stated behaviour change.
+//! the engine accepts. The constants were first recorded at the commit
+//! *before* the environment/ledger extraction, so they pinned that
+//! refactor — and every later one — to the bytes the per-engine
+//! bookkeeping used to produce. A digest may only change together with a
+//! stated behaviour change, or a stated change of the report's shape.
+//!
+//! All five moved once, when the ledger began to book Table IV and Fig. 6
+//! as histograms (`SimReport::measured` and `warmup`) instead of three
+//! per-reception lists in every `ItemRecord`: the `Debug` rendering lost
+//! the lists and gained the histograms. Before the constants were
+//! re-recorded, a copy of the engine kept both books side by side and
+//! checked that `dislike_distribution` and `hop_profile` read the same
+//! bits from each, on these five reports and on every paper-harness
+//! report; no other field changed.
 
 use whatsup_datasets::{digg, Dataset, DiggConfig};
 use whatsup_sim::scenario::{
@@ -116,7 +126,7 @@ fn whatsup_report_bytes_are_pinned_at_one_and_three_shards() {
             .scenario(full_scenario())
             .run();
         assert_eq!(report.windows.len(), 2);
-        check(&format!("whatsup/{shards}"), &report, 0x1c1d_3779_d0d4_011b);
+        check(&format!("whatsup/{shards}"), &report, 0x0066_07ba_e153_6041);
     }
 }
 
@@ -128,7 +138,7 @@ fn anti_entropy_report_bytes_are_pinned() {
         .scenario(full_scenario())
         .run();
     assert_eq!(report.windows.len(), 2);
-    check("anti-entropy", &report, 0xcdfe_73fa_454f_08c7);
+    check("anti-entropy", &report, 0x52cc_34cb_88b6_9ba3);
 }
 
 #[test]
@@ -136,9 +146,9 @@ fn global_engine_report_bytes_are_pinned() {
     let d = dataset();
     // Only cascade reads a loss; the centralized engines refuse one.
     for (protocol, loss, expected) in [
-        (Protocol::Cascade, 0.3, 0xea21_30e1_ed20_32e8_u64),
-        (Protocol::CPubSub, 0.0, 0x5e2e_94e2_0f5e_79e7),
-        (Protocol::CWhatsUp { f_like: 3 }, 0.0, 0x09bc_923a_32b5_b37f),
+        (Protocol::Cascade, 0.3, 0xbd91_efda_fe76_71b6_u64),
+        (Protocol::CPubSub, 0.0, 0x1835_6f23_3ef8_bac9),
+        (Protocol::CWhatsUp { f_like: 3 }, 0.0, 0x0d32_abe3_df41_0db6),
     ] {
         // C-Pub/Sub draws no random number, and refuses a seed.
         let seed = match protocol {
