@@ -249,10 +249,7 @@ fn bench_profile_ops(c: &mut Criterion) {
     group.bench_function("aggregate_item_profile", |bench| {
         bench.iter_batched(
             || profile_with(128, 64),
-            |mut item_profile| {
-                item_profile.aggregate_user_profile(black_box(&big));
-                item_profile
-            },
+            |item_profile| item_profile.aggregated_with(black_box(&big)),
             BatchSize::SmallInput,
         )
     });

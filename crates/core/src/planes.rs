@@ -26,12 +26,11 @@
 //!
 //! Both layouts are kept word-wise as well as built: a node's planes are
 //! its own profile's whole store, rated and purged in place
-//! ([`Planes::rate`], [`Planes::retain`]), an item profile's weights are
-//! folded from the liker's planes without a lookup ([`Weights::fold`])
-//! and purged by slot ([`Weights::retain`]). Every such path leaves the
-//! words [`Planes::build`] and [`Weights::build`] would lay out from the
-//! entries, and says where they would decline ([`Planes::fits`],
-//! [`Weights::fits`]).
+//! ([`Planes::rate`], [`Planes::retain`]), and an item profile's weights
+//! are folded from the liker's planes without a lookup
+//! ([`Weights::fold`]). Each such path leaves the words [`Planes::build`]
+//! and [`Weights::build`] would lay out from the entries, and says where
+//! they would decline ([`Planes::fits`], [`Weights::fits`]).
 //!
 //! The one lookup pass of a build also tracks the lowest and highest slot
 //! placed, so the span of the layout costs no walk of its own
@@ -90,15 +89,16 @@ fn shared_words<'a, A, B>(
         .zip(b.get((from - b_first) as usize..).unwrap_or_default())
 }
 
-/// `words` without the unused words at either end — `used` tells — and
+/// Plane `words` without the words at either end that rate nothing, and
 /// the position of its first word, `first` before the trim. All unused is
 /// empty at word 0, where a build of no entries starts.
-fn trim<W: Copy>(first: &mut u32, words: &mut Box<[W]>, used: impl Fn(&W) -> bool) {
-    let Some(lo) = words.iter().position(&used) else {
+fn trim(first: &mut u32, words: &mut Box<[[u64; 2]]>) {
+    let used = |w: &[u64; 2]| w[0] != 0;
+    let Some(lo) = words.iter().position(used) else {
         (*first, *words) = (0, Box::default());
         return;
     };
-    let hi = words.iter().rposition(&used).unwrap_or(lo) + 1;
+    let hi = words.iter().rposition(used).unwrap_or(lo) + 1;
     if lo > 0 || hi < words.len() {
         *first += lo as u32;
         *words = words[lo..hi].into();
@@ -210,7 +210,7 @@ impl Planes {
                 }
             }
         }
-        trim(&mut self.first_word, &mut self.words, |w| w[0] != 0);
+        trim(&mut self.first_word, &mut self.words);
         counts
     }
 
@@ -287,8 +287,8 @@ pub(crate) fn score_of(q: u32) -> f32 {
 
 /// What the derived state of a profile laid out by slot counts: its
 /// entries, those scored above ½ and those scored neither 0 nor 1. Kept
-/// through a fold and a purge by what they change, where a flat profile
-/// rescans its entries.
+/// through a fold into weights and a purge of a node's planes by what
+/// they change, where a flat profile rescans its entries.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub(crate) struct Counts {
     pub(crate) len: usize,
@@ -497,31 +497,6 @@ impl Weights {
             len * std::mem::size_of::<ProfileEntry>(),
         );
         len <= MAX_WEIGHED && self.words.len() <= len && bytes <= 2 * flat
-    }
-
-    /// Drops the held slots `keep` turns away, trimming the span as a
-    /// build of what is left would, and counts what is left.
-    pub(crate) fn retain(&mut self, mut keep: impl FnMut(u32) -> bool) -> Counts {
-        let mut counts = Counts::default();
-        for (at, word) in (self.first_word..).zip(self.words.iter_mut()) {
-            let mut rest = word.held;
-            while rest != 0 {
-                let bit = rest.trailing_zeros();
-                rest &= rest - 1;
-                let q = word.q[bit as usize];
-                if keep(at * 64 + bit) {
-                    counts.len += 1;
-                    counts.add(q);
-                } else {
-                    (word.held, word.weighed) =
-                        (word.held & !(1 << bit), word.weighed & !(1 << bit));
-                    self.sum_q2 -= u64::from(q) * u64::from(q);
-                    word.q[bit as usize] = 0;
-                }
-            }
-        }
-        trim(&mut self.first_word, &mut self.words, |word| word.held != 0);
-        counts
     }
 
     /// The held slots in ascending order, each with its `q`.

@@ -20,16 +20,24 @@
 //!   place ([`Profile::rate_in`], [`Profile::purge_in`]). The snapshot a
 //!   node discloses ([`Profile::snapshot`]) is a copy of those planes, and
 //!   an item profile a node folded ([`Profile::folded`]) is its weights,
-//!   folded word-wise from the liker's planes; both are read-only to
-//!   everything but a window purge. Each costs a few bits or bytes an
-//!   entry where a flat copy costs 16.
+//!   folded word-wise from the liker's planes; both are read-only. Each
+//!   costs a few bits or bytes an entry where a flat copy costs 16.
 //! * **Flat**: one vector sorted by item id. Every profile built from
-//!   entries is flat: decoded from a frame, or merged where a fold cannot
-//!   run in slot space. A node's own profile is flat only while the index
-//!   cannot give its entries back — an id the index does not know, an
-//!   entry stamped at another time than its item's creation, a `-0.0` —
-//!   or its planes would span more words than it has entries; it packs
-//!   again at the first rating or purge after which it can.
+//!   entries is flat: decoded from a frame, merged where a fold cannot
+//!   run in slot space, or purged. A node's own profile is flat only while
+//!   the index cannot give its entries back — an id the index does not
+//!   know, an entry stamped at another time than its item's creation, a
+//!   `-0.0` — or its planes would span more words than it has entries; it
+//!   packs again at the first rating or purge after which it can.
+//!
+//! One rule keeps the derived state (norm, fingerprint, like and
+//! non-binary counts, oldest timestamp): a flat profile rescans its
+//! entries after every mutation; a packed one is edited in place by slot
+//! — a rating or a purge of a node's own planes, a fold into an item
+//! profile's weights — and keeps counts of what the edit changed. A
+//! window purge of anything but a node's own planes flattens first: an
+//! item profile purged before forwarding (Algorithm 1, lines 8–10) packs
+//! again at its next fold.
 //!
 //! Readers that need the ⟨id, t, s⟩ triples in id order — the encoder,
 //! walked pairs, cold start, a checkpoint, obfuscation, `==` and `Debug` —
@@ -73,11 +81,11 @@ pub struct ProfileEntry {
 ///
 /// The Euclidean norm of the score vector is memoized at mutation time:
 /// similarity scoring reads it on every candidate ranking (the hottest loop
-/// in the system), while mutations are comparatively rare. The cache is
-/// recomputed with a full deterministic scan on every mutation — or, for
-/// a profile of 0/1 scores, from the like count, which gives the scan's
-/// bits (see [`Self::upsert`]); a folded item profile's from its weights'
-/// `Σ q²`, likewise exact — so two profiles with equal entries
+/// in the system), while mutations are comparatively rare. A flat profile
+/// recomputes it with a full deterministic scan on every mutation; a
+/// packed one from its counts — a node's planes from the like count,
+/// whose square root is the scan's bits, a folded item profile from its
+/// weights' `Σ q²`, likewise exact — so two profiles with equal entries
 /// always carry bit-identical cached norms regardless of the operation
 /// history that produced them. Equality is
 /// defined over `entries` alone (see the manual `PartialEq` below), so a
@@ -85,6 +93,10 @@ pub struct ProfileEntry {
 /// `Self::norm` additionally debug-asserts the cache against a fresh
 /// recompute to catch such a stale cache before it skews similarity, and
 /// [`Self::any_older_than`] does the same for the oldest timestamp.
+///
+/// A clone is a copy, layout included: a packed profile's layout is its
+/// entries, and a flat one's is derived state that still lays them out.
+#[derive(Clone)]
 pub struct Profile {
     entries: Store,
     /// Memoized `‖scores‖₂`; maintained by every mutating method. Never
@@ -102,8 +114,7 @@ pub struct Profile {
     /// it is derived state: never serialized, always rebuilt from
     /// `entries`.
     fingerprint: u128,
-    /// Number of entries with `score > 0.5`, kept by every mutating
-    /// method. Derived state like the norm.
+    /// Number of entries with `score > 0.5`. Derived state like the norm.
     likes: u32,
     /// Number of entries whose score is neither `0` nor `1`. Zero — the
     /// profile is *binary* — for everything [`Self::rate`] builds: every
@@ -113,8 +124,7 @@ pub struct Profile {
     non_binary: u32,
     /// The oldest entry's timestamp, `Timestamp::MAX` while there is none:
     /// what [`Self::any_older_than`] compares a window cutoff with, on
-    /// every first reception of an item and at every cycle start. Computed
-    /// by the same scan as the norm and kept by [`Self::upsert`]; derived
+    /// every first reception of an item and at every cycle start. Derived
     /// state like the norm.
     oldest: Timestamp,
     /// The entries laid out for the counting path of `crate::similarity`,
@@ -131,16 +141,16 @@ pub struct Profile {
 }
 
 /// Where a profile keeps its entries.
+#[derive(Clone)]
 enum Store {
-    /// One vector sorted by id.
+    /// One vector sorted by id, rescanned after every mutation.
     Flat(Vec<ProfileEntry>),
     /// The layout is the store: its ids and scores are the planes or the
     /// weights in it, its timestamps the creation times the index
-    /// numbering the slots keeps, and `len` its entry count. A node's own
-    /// planes are rated and purged in place ([`Profile::rate_in`],
-    /// [`Profile::purge_in`]), a window purge keeps any packed profile
-    /// packed while its layout fits, and any other mutation flattens it
-    /// first.
+    /// numbering the slots keeps, and `len` its entry count. Only a node's
+    /// own planes are edited in place, rated and purged by slot
+    /// ([`Profile::rate_in`], [`Profile::purge_in`]) with counts kept; any
+    /// other mutation flattens the profile first.
     Packed {
         len: usize,
         index: Arc<ItemIndexMap>,
@@ -168,32 +178,6 @@ impl Default for Profile {
 impl PartialEq for Profile {
     fn eq(&self, other: &Self) -> bool {
         self.entries().eq(other.entries())
-    }
-}
-
-/// A copy, layout included — a packed profile's layout is its entries, so
-/// the copy-on-write `Arc::make_mut` of an item profile to purge stays
-/// packed, and so does a copy of a node's own profile — except a flat
-/// profile's weights: that is an item profile `make_mut` copies to purge,
-/// which would drop them.
-impl Clone for Profile {
-    fn clone(&self) -> Self {
-        let entries = match &self.entries {
-            Store::Flat(entries) => Store::Flat(entries.clone()),
-            Store::Packed { len, index } => Store::Packed {
-                len: *len,
-                index: Arc::clone(index),
-            },
-        };
-        let layout = match (&entries, self.layout.get()) {
-            (Store::Flat(_), Some(Some(Layout::Weights(_)))) => OnceLock::new(),
-            _ => self.layout.clone(),
-        };
-        Self {
-            entries,
-            layout,
-            ..*self
-        }
     }
 }
 
@@ -254,14 +238,6 @@ fn fingerprint_of(entries: impl IntoIterator<Item = ProfileEntry>) -> u128 {
         .fold(0u128, |fp, e| fp | fingerprint_bit(e.item))
 }
 
-/// The oldest timestamp of some entries, `Timestamp::MAX` if there are
-/// none — the rescan [`Profile::upsert`] falls back on.
-fn oldest_of(entries: impl IntoIterator<Item = ProfileEntry>) -> Timestamp {
-    entries
-        .into_iter()
-        .fold(Timestamp::MAX, |oldest, e| oldest.min(e.timestamp))
-}
-
 /// A rating: score 1 if liked, 0 if not.
 fn rating(item: ItemId, timestamp: Timestamp, liked: bool) -> ProfileEntry {
     ProfileEntry {
@@ -284,22 +260,27 @@ impl Profile {
 
     /// Builds from arbitrary-order entries; keeps the last entry per item.
     pub fn from_entries(entries: impl IntoIterator<Item = ProfileEntry>) -> Self {
-        let mut p = Self::new();
-        for e in entries {
-            p.upsert_unnormed(e);
-        }
-        p.recompute_norm();
-        p
+        let mut entries: Vec<ProfileEntry> = entries.into_iter().collect();
+        // Stable: of one item's entries, the last given stays last, and
+        // takes the place of the run's first.
+        entries.sort_by_key(|e| e.item);
+        entries.dedup_by(|later, kept| {
+            let same = later.item == kept.item;
+            if same {
+                *kept = *later;
+            }
+            same
+        });
+        Self::from_vec(entries)
     }
 
     /// Builds from an owned entry vector, reusing the allocation when the
     /// vector is already sorted by strictly ascending item id — the form
     /// every serialized profile arrives in, since profiles are encoded from
-    /// sorted storage. Decoding hot paths call this to skip the per-entry
-    /// binary-search rebuild of [`Self::from_entries`]; unsorted input
-    /// (possible only from an untrusted wire peer) falls back to the full
-    /// rebuild, so the sortedness invariant cannot be violated from
-    /// outside.
+    /// sorted storage. Decoding hot paths call this to skip the sort of
+    /// [`Self::from_entries`]; unsorted input (possible only from an
+    /// untrusted wire peer) falls back to it, so the sortedness invariant
+    /// cannot be violated from outside.
     pub fn from_vec(entries: Vec<ProfileEntry>) -> Self {
         if entries.windows(2).any(|w| w[0].item >= w[1].item) {
             return Self::from_entries(entries);
@@ -342,28 +323,25 @@ impl Profile {
     }
 
     /// Recomputes the memoized derived state (norm, fingerprint, like and
-    /// non-binary counts, oldest timestamp) of a flat profile.
+    /// non-binary counts, oldest timestamp) of a flat profile: the one
+    /// scan every flat mutation ends in. The norm accumulator runs the
+    /// exact op sequence of [`norm_of`] (ascending entry order,
+    /// `sum += s·s`, then `sqrt`), so the cache is bit-identical to the
+    /// reference recompute.
     fn recompute_norm(&mut self) {
-        self.fingerprint = fingerprint_of(self.entries());
-        self.recompute_scores();
-    }
-
-    /// [`Self::recompute_norm`] for a caller that knows the fingerprint.
-    /// The norm accumulator runs the exact op sequence of [`norm_of`]
-    /// (ascending entry order, `sum += s·s`, then `sqrt`), so the cache
-    /// stays bit-identical to the reference recompute.
-    fn recompute_scores(&mut self) {
-        let mut sum = 0.0f64;
+        let (mut sum, mut fingerprint) = (0.0f64, 0);
         let (mut likes, mut non_binary, mut oldest) = (0, 0, Timestamp::MAX);
         for e in self.flat().iter() {
             let s = e.score as f64;
             sum += s * s;
+            fingerprint |= fingerprint_bit(e.item);
             likes += u32::from(e.score > 0.5);
             non_binary += u32::from(!is_binary(e.score));
             oldest = oldest.min(e.timestamp);
         }
         let n = sum.sqrt();
         self.norm = if n == 0.0 { 0.0 } else { n };
+        self.fingerprint = fingerprint;
         self.likes = likes;
         self.non_binary = non_binary;
         self.oldest = oldest;
@@ -432,16 +410,6 @@ impl Profile {
             assert_eq!(derived(self), derived(&flat), "an own profile's state");
             let pack = Planes::build(&flat.flat(), index).is_some_and(|p| p.is_pack());
             assert_eq!(self.as_slice().is_none(), pack, "an own profile packs");
-        }
-    }
-
-    /// Insert/replace without touching the derived-state caches; callers
-    /// must [`Self::recompute_norm`] before the profile is observable again.
-    fn upsert_unnormed(&mut self, e: ProfileEntry) {
-        let entries = self.vec();
-        match entries.binary_search_by_key(&e.item, |x| x.item) {
-            Ok(i) => entries[i] = e,
-            Err(i) => entries.insert(i, e),
         }
     }
 
@@ -528,19 +496,9 @@ impl Profile {
     }
 
     /// Inserts or replaces the entry for `e.item` (§II-B: "each profile
-    /// contains only a single entry for a given identifier").
-    ///
-    /// The fingerprint and the two counts are updated incrementally — an
-    /// OR-fold over the item set is order-independent, a replace keeps the
-    /// item set unchanged, an insert adds exactly one bit, and a count
-    /// loses the replaced entry and gains the new one. The norm of a
-    /// binary profile follows from the like count: its squares are 0s and
-    /// 1s, whose f64 sum is exact in any order, so `sqrt(likes)` is what
-    /// the scan returns, bit for bit. Any other profile gets the full
-    /// reference scan (f64 summation is order-sensitive, so only the
-    /// canonical scan is bit-exact). The oldest timestamp can only fall,
-    /// except when a replace moves the oldest entry forward: that one
-    /// rescans.
+    /// contains only a single entry for a given identifier"). A packed
+    /// profile is flattened first; the derived state is rescanned
+    /// ([`Self::recompute_norm`]) and the layout dropped.
     pub fn upsert(&mut self, e: ProfileEntry) {
         self.put(e);
         self.drop_layout();
@@ -549,30 +507,12 @@ impl Profile {
     /// [`Self::upsert`] but for the layout, which is the caller's to
     /// build again or drop.
     fn put(&mut self, e: ProfileEntry) {
-        match self.vec().binary_search_by_key(&e.item, |x| x.item) {
-            Ok(i) => {
-                let old = std::mem::replace(&mut self.vec()[i], e);
-                self.likes -= u32::from(old.score > 0.5);
-                self.non_binary -= u32::from(!is_binary(old.score));
-                self.oldest = if old.timestamp == self.oldest && e.timestamp > old.timestamp {
-                    oldest_of(self.entries())
-                } else {
-                    self.oldest.min(e.timestamp)
-                };
-            }
-            Err(i) => {
-                self.vec().insert(i, e);
-                self.fingerprint |= fingerprint_bit(e.item);
-                self.oldest = self.oldest.min(e.timestamp);
-            }
+        let entries = self.vec();
+        match entries.binary_search_by_key(&e.item, |x| x.item) {
+            Ok(i) => entries[i] = e,
+            Err(i) => entries.insert(i, e),
         }
-        self.likes += u32::from(e.score > 0.5);
-        self.non_binary += u32::from(!is_binary(e.score));
-        self.norm = if self.non_binary == 0 {
-            f64::from(self.likes).sqrt()
-        } else {
-            norm_of(self.entries())
-        };
+        self.recompute_norm();
     }
 
     /// Records the user's opinion on an item (Algorithm 1, lines 5/7/14).
@@ -607,9 +547,10 @@ impl Profile {
     /// The packed half of [`Self::rate_in`]: `false`, with nothing
     /// changed, for a flat profile and for a rating the index does not
     /// give back from its slot. The derived state follows from what the
-    /// rating changed, as in [`Self::upsert`]: a re-rating keeps the item
-    /// and its creation time. Planes the rating widens past the entries
-    /// are what a build would decline: the profile goes flat.
+    /// rating changed: a re-rating keeps the item and its creation time,
+    /// and the norm of 0/1 scores is `sqrt(likes)`, the scan's bits (a sum
+    /// of 0s and 1s is exact in any order). Planes the rating widens past
+    /// the entries are what a build would decline: the profile goes flat.
     fn rate_packed(&mut self, index: &ItemIndexMap, e: ProfileEntry) -> bool {
         let (Store::Packed { len, .. }, Some(Some(Layout::Planes(planes)))) =
             (&mut self.entries, self.layout.get_mut())
@@ -638,22 +579,13 @@ impl Profile {
         true
     }
 
-    /// Folds an entire user profile into this item profile (Algorithm 1,
-    /// lines 3–4 and 15–16): [`Self::aggregated_with`], in place.
-    pub fn aggregate_user_profile(&mut self, user: &Profile) {
-        if user.is_empty() {
-            return;
-        }
-        *self = self.aggregated_with(user);
-    }
-
-    /// This item profile with an entire user profile folded in, leaving
-    /// `self` untouched: the copy-on-write news path builds the next hop's
-    /// item profile straight from a shared (`Arc`ed) predecessor, under
-    /// the per-item rule of `addToNewsProfile` (Algorithm 1, lines 18–22:
-    /// average an item both hold, keeping the freshest timestamp) —
-    /// entries and derived state are those of folding the user's entries
-    /// in one by one. A folded item profile knows the run's index, and is
+    /// This item profile with an entire user profile folded in (Algorithm
+    /// 1, lines 3–4 and 15–16), leaving `self` untouched: the
+    /// copy-on-write news path builds the next hop's item profile straight
+    /// from a shared (`Arc`ed) predecessor, under the per-item rule of
+    /// `addToNewsProfile` (Algorithm 1, lines 18–22: average an item both
+    /// hold, keeping the freshest timestamp) — entries and derived state
+    /// are those of folding the user's entries in one by one. A folded item profile knows the run's index, and is
     /// folded again in slot space where it can be ([`Self::folded`]);
     /// any other is merged flat ([`Self::merged`]).
     pub fn aggregated_with(&self, user: &Profile) -> Profile {
@@ -666,9 +598,6 @@ impl Profile {
     /// [`Self::aggregated_with`] as one linear merge of the two sorted
     /// entry vectors: the flat form of every fold, and the reference
     /// [`Self::folded`] is held to.
-    ///
-    /// The merged item set is the union of the two, so its fingerprint is
-    /// the OR of theirs; only the score-derived state is rescanned.
     pub(crate) fn merged(&self, user: &Profile) -> Profile {
         let (a, b) = (self.flat(), user.flat());
         let mut merged = Vec::with_capacity(a.len() + b.len());
@@ -697,13 +626,7 @@ impl Profile {
         }
         merged.extend_from_slice(&a[i..]);
         merged.extend_from_slice(&b[j..]);
-        let mut p = Self {
-            entries: Store::Flat(merged),
-            fingerprint: self.fingerprint | user.fingerprint,
-            ..Self::default()
-        };
-        p.recompute_scores();
-        p
+        Self::from_vec(merged)
     }
 
     /// This item profile with a node's own profile `own` folded in, in
@@ -780,11 +703,12 @@ impl Profile {
 
     /// Removes entries strictly older than `cutoff` (profile window, §II-E).
     /// `cutoff = now - window`; an entry stamped exactly at the cutoff
-    /// survives. A packed profile is purged in slot space and stays packed
-    /// while its layout fits (see [`Planes::fits`], [`Weights::fits`]);
-    /// any other profile is flat, or flattened, and loses its layout.
+    /// survives. A purge that removes anything leaves the profile flat —
+    /// a packed one is flattened first — rescanned, and without a layout:
+    /// a folded item profile packs again at its next fold. Only a node's
+    /// own planes are purged by slot ([`Self::purge_in`]).
     pub fn purge_older_than(&mut self, cutoff: Timestamp) {
-        if self.any_older_than(cutoff) && !self.purge_packed(cutoff) {
+        if self.any_older_than(cutoff) {
             self.vec().retain(|e| e.timestamp >= cutoff);
             self.recompute_norm();
             self.drop_layout();
@@ -805,12 +729,12 @@ impl Profile {
         }
     }
 
-    /// [`Self::purge_older_than`] of a packed profile by slot: an entry's
-    /// timestamp is its slot's creation time. `false` — with the purge
-    /// done to the layout, which still lays the entries out — if the
-    /// profile is flat, or its layout no longer fits.
+    /// [`Self::purge_in`] of a node's own packed planes by slot: an
+    /// entry's timestamp is its slot's creation time. `false` — with the
+    /// purge done to the planes, which still lay the entries out — if the
+    /// profile is flat, or its planes no longer fit.
     fn purge_packed(&mut self, cutoff: Timestamp) -> bool {
-        let (Store::Packed { len, index }, Some(Some(layout))) =
+        let (Store::Packed { len, index }, Some(Some(Layout::Planes(planes)))) =
             (&mut self.entries, self.layout.get_mut())
         else {
             return false;
@@ -824,22 +748,12 @@ impl Profile {
             }
             created >= cutoff
         };
-        let (counts, fits, norm) = match layout {
-            Layout::Planes(planes) => {
-                let counts = planes.retain(keep);
-                let norm = f64::from(counts.likes).sqrt();
-                (counts, planes.fits(counts.len), norm)
-            }
-            Layout::Weights(weights) => {
-                let counts = weights.retain(keep);
-                (counts, weights.fits(counts.len), weights.norm())
-            }
-        };
-        if !fits {
+        let counts = planes.retain(keep);
+        if !planes.fits(counts.len) {
             return false;
         }
         *len = counts.len;
-        self.norm = norm;
+        self.norm = f64::from(counts.likes).sqrt();
         (self.fingerprint, self.oldest) = (fingerprint, oldest);
         (self.likes, self.non_binary) = (counts.likes, counts.non_binary);
         true
@@ -977,7 +891,8 @@ mod tests {
             let scan = p.entries().any(|x| x.timestamp < c);
             assert_eq!(p.any_older_than(c), scan, "cutoff {c}");
         }
-        assert_eq!(p.oldest, oldest_of(p.entries()));
+        let oldest = p.entries().map(|x| x.timestamp).min();
+        assert_eq!(p.oldest, oldest.unwrap_or(Timestamp::MAX));
     }
 
     /// A run's index for the slot-space tests: 160 items with content-hash
@@ -1104,8 +1019,7 @@ mod tests {
     #[test]
     fn aggregate_folds_every_entry() {
         let user = Profile::from_entries([e(1, 0, 1.0), e(2, 0, 0.0)]);
-        let mut item_profile = Profile::new();
-        item_profile.aggregate_user_profile(&user);
+        let item_profile = Profile::new().aggregated_with(&user);
         assert_eq!(item_profile.len(), 2);
         let entry = item_profile.entries().find(|x| x.item == 2).unwrap();
         assert_eq!(entry.score, 0.0);
@@ -1189,7 +1103,7 @@ mod tests {
             for &(item, t, liked) in &ops {
                 ip.add_to_news_profile(e(item, t, if liked { 1.0 } else { 0.5 }));
             }
-            ip.aggregate_user_profile(&p);
+            ip = ip.aggregated_with(&p);
             ip.purge_older_than(cutoff);
             for profile in [&p, &ip] {
                 let expected = profile
@@ -1237,15 +1151,10 @@ mod tests {
             prop_assert_eq!(merged.non_binary, folded.non_binary);
             older_by_scan(&merged, &cutoffs);
             older_by_scan(&folded, &cutoffs);
-            let mut in_place = item.clone();
-            in_place.aggregate_user_profile(&user);
-            prop_assert_eq!(bits(&in_place), bits(&folded));
-            older_by_scan(&in_place, &cutoffs);
         }
 
-        /// The incrementally kept counts and oldest timestamp — and the
-        /// binary profile's norm derived from the counts — against a fresh
-        /// scan, as ratings and real values replace one another and
+        /// The counts, norm and oldest timestamp an upsert leaves against a
+        /// fresh scan, as ratings and real values replace one another and
         /// timestamps move both ways. `norm()` and `any_older_than()`
         /// debug-assert their caches; the reference
         /// expressions are repeated here so the property also holds in
@@ -1292,6 +1201,48 @@ mod tests {
             prop_assert!(!p.any_older_than(cutoff));
         }
 
+        /// [`Profile::from_entries`] of entries in any order, ids repeated,
+        /// keeps the last entry given per item — a `BTreeMap` filled in
+        /// order is the reference — with the derived state of a scan of
+        /// those entries; and [`Profile::from_vec`] of the same input,
+        /// unsorted or sorted with its duplicates, builds the same.
+        #[test]
+        fn from_entries_keeps_the_last_entry_per_item(
+            raw in prop::collection::vec((0u64..24, 0u32..50, 0usize..5), 0..60),
+        ) {
+            let given: Vec<ProfileEntry> = raw
+                .iter()
+                .map(|&(item, t, class)| e(item, t, [0.0, 1.0, -0.0, 0.5, 0.75][class]))
+                .collect();
+            let last: std::collections::BTreeMap<ItemId, ProfileEntry> =
+                given.iter().map(|x| (x.item, *x)).collect();
+            let bits = |p: &Profile| -> Vec<(ItemId, Timestamp, u32)> {
+                p.entries().map(|x| (x.item, x.timestamp, x.score.to_bits())).collect()
+            };
+            let expected: Vec<(ItemId, Timestamp, u32)> =
+                last.values().map(|x| (x.item, x.timestamp, x.score.to_bits())).collect();
+            let scanned = {
+                let kept = || last.values().copied();
+                let likes = kept().filter(|x| x.score > 0.5).count() as u32;
+                let non_binary = kept().filter(|x| !is_binary(x.score)).count() as u32;
+                let oldest = kept().map(|x| x.timestamp).min().unwrap_or(Timestamp::MAX);
+                (norm_of(kept()).to_bits(), fingerprint_of(kept()), likes, non_binary, oldest)
+            };
+            let derived = |p: &Profile| {
+                (p.norm().to_bits(), p.fingerprint(), p.likes, p.non_binary, p.oldest)
+            };
+            let mut sorted = given.clone();
+            sorted.sort_by_key(|x| x.item);
+            for p in [
+                Profile::from_entries(given.iter().copied()),
+                Profile::from_vec(given.clone()),
+                Profile::from_vec(sorted),
+            ] {
+                prop_assert_eq!(bits(&p), expected.clone());
+                prop_assert_eq!(p.len(), last.len());
+                prop_assert_eq!(derived(&p), scanned);
+            }
+        }
     }
 
     proptest! {
@@ -1370,7 +1321,9 @@ mod tests {
         /// packed result's weights are the [`Weights::build`] of the flat
         /// merge's entries word for word, and its scores against binary
         /// candidates are the reference's for both metrics, with no layout
-        /// built; and a window purge of it is the flat purge.
+        /// built. A window purge of it is a fresh flat build of what
+        /// survives, and folds again as the flat merge, in slots where it
+        /// can.
         #[test]
         fn a_fold_in_slots_is_the_flat_merge(
             steps in prop::collection::vec((0u8..4, 0usize..160, prop::bool::ANY), 1..90),
@@ -1456,20 +1409,34 @@ mod tests {
             if packed {
                 prop_assert_eq!(folded.built_layout().flatten().map(|l| l as *const Layout), layout);
             }
-            // A window purge by slot is the flat purge, and stays packed
-            // while its weights fit.
+            // A window purge that removes anything leaves a flat profile
+            // with no layout: a fresh build of the entries that survive,
+            // by bits and by derived state. Folding it again — the swarm's
+            // path, where an epidemic crosses cycles — packs it where the
+            // fold runs in slots, and is the flat merge either way.
             let (mut purged, mut flat) = (folded.clone(), merged.clone());
             purged.purge_older_than(cutoff);
             flat.purge_older_than(cutoff);
+            let derived = |p: &Profile| {
+                (p.norm().to_bits(), p.fingerprint(), p.likes, p.non_binary, p.oldest, p.len())
+            };
             prop_assert_eq!(bits(&purged), bits(&flat));
-            prop_assert_eq!(purged.norm().to_bits(), flat.norm().to_bits());
-            prop_assert_eq!(purged.fingerprint(), flat.fingerprint());
-            prop_assert_eq!((purged.likes, purged.non_binary, purged.oldest), (flat.likes, flat.non_binary, flat.oldest));
-            prop_assert_eq!(purged.len(), flat.len());
-            if let Some(Some(Layout::Weights(weights))) = purged.built_layout().filter(|_| purged.is_packed()) {
-                prop_assert!(packed && weights.fits(flat.len()));
-                prop_assert_eq!(Some(weights), Weights::build(&flat.flat(), &index).as_ref());
+            prop_assert_eq!(derived(&purged), derived(&flat));
+            if folded.any_older_than(cutoff) {
+                prop_assert!(!purged.is_packed() && purged.built_layout().is_none());
+                let fresh = Profile::from_entries(folded.entries().filter(|x| x.timestamp >= cutoff));
+                prop_assert_eq!(bits(&purged), bits(&fresh));
+                prop_assert_eq!(derived(&purged), derived(&fresh));
+            } else {
+                prop_assert_eq!(purged.is_packed(), packed);
             }
+            let (refolded, remerged) = (purged.folded(disclosed, &index), flat.merged(disclosed));
+            prop_assert_eq!(bits(&refolded), bits(&remerged));
+            prop_assert_eq!(derived(&refolded), derived(&remerged));
+            let purged_in_slots = purged.is_empty() || purged.is_packed()
+                || Weights::pack(&purged.flat(), &index).is_some();
+            let fits = Weights::pack(&remerged.flat(), &index).is_some_and(|w| w.fits(remerged.len()));
+            prop_assert_eq!(refolded.is_packed(), purged_in_slots && own_pack && fits);
         }
 
         /// A snapshot reads as the flat profile it was taken of: order (and

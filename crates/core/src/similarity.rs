@@ -42,6 +42,13 @@
 //! below stays the exact reference — a property test asserts bit-identical
 //! f64 output across random profile pairs.
 //!
+//! The fingerprint earns its 16 bytes a profile and its bit per rescanned
+//! entry: on seed 1 it rejects 27 % (`paper-1shard`), 39 % (`scale-1shard`)
+//! and 47 % (`stress-1shard`) of the pairs `Prepared` scores before any
+//! layout is read, and without it `stress-1shard` ran 5.6 % slower a
+//! message (0.629 → 0.664 µs median over 10 alternating perfbench pairs
+//! on a shared 2-vCPU box, lower in only 2 of them).
+//!
 //! ## One-vs-many scoring
 //!
 //! Both of the paper's mechanisms rank *many* candidates against *one*
@@ -845,9 +852,14 @@ mod tests {
             pn.built_layout().flatten().map(|l| l as *const Layout),
             built
         );
-        // A clone leaves a flat profile's weights behind; every mutation
-        // drops them.
-        assert!(pn.clone().built_layout().is_none());
+        // A clone keeps a flat profile's weights; every mutation drops
+        // them.
+        let weights = |p: &Profile| match p.built_layout() {
+            Some(Some(Layout::Weights(weights))) => Some(weights.clone()),
+            _ => None,
+        };
+        assert!(weights(&pn).is_some());
+        assert_eq!(weights(&pn.clone()), weights(&pn));
         pn.purge_older_than(0);
         assert!(pn.built_layout().is_some(), "a purge that removes nothing");
         pn.purge_older_than(4);

@@ -20,9 +20,7 @@ use crate::oracle::Oracle;
 use crate::scenario::{ChurnModel, LossModel};
 use bytes::{Bytes, BytesMut};
 use rand_chacha::ChaCha8Rng;
-use std::collections::BTreeSet;
-// lint:allow(det-map) import for the probe-only item store annotated below
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 use std::sync::Arc;
 use whatsup_core::{
@@ -221,9 +219,9 @@ pub struct ShardState {
     /// into the mailboxes at this shard's slot of the next deliver.
     pending_local: Vec<MailEntry>,
     /// News content this shard can re-encode (learned from publishes and
-    /// inbound news frames, like a real receiver).
-    // lint:allow(det-map) BuildIdHasher keys, probed by id only; checkpoint encode sorts entries
-    known_items: HashMap<ItemId, NewsItem, whatsup_core::hash::BuildIdHasher>,
+    /// inbound news frames, like a real receiver), in id order — the
+    /// order a checkpoint lists them in.
+    known_items: BTreeMap<ItemId, NewsItem>,
     /// Route-phase staging, reused round-over-round (capacity kept): the
     /// emissions of the current phase loop, and the per-destination-shard
     /// buckets [`Self::route_out`] groups them into.
@@ -269,7 +267,7 @@ impl ShardState {
             phase_rngs: vec![None; n_local],
             mailbox: Mailbox::new(range),
             pending_local: Vec::new(),
-            known_items: HashMap::default(), // lint:allow(det-map) see field declaration
+            known_items: BTreeMap::new(),
             emit_scratch: Vec::new(),
             route_scratch: Vec::new(),
             encode_buf: BytesMut::new(),
@@ -485,8 +483,7 @@ impl ShardState {
             self.mailbox.is_empty() && self.pending_local.is_empty(),
             "checkpoint requires an empty mailbox (cycle boundary)"
         );
-        let mut known_items: Vec<NewsItem> = self.known_items.values().cloned().collect();
-        known_items.sort_unstable_by_key(NewsItem::id);
+        let known_items = self.known_items.values().cloned().collect();
         let nodes = self.nodes.iter().zip(&self.node_stats);
         let checkpoint = Checkpoint {
             partition: self.partition.clone(),
@@ -922,7 +919,6 @@ mod tests {
     use crate::environment::bootstrap_contacts;
     use proptest::prelude::*;
     use rand::{Rng, RngCore, SeedableRng};
-    use std::collections::BTreeMap;
     use whatsup_core::{NewsMessage, ProfileEntry};
     use whatsup_datasets::LikeMatrix;
 

@@ -81,7 +81,7 @@ pub(crate) fn run_scenario(
                 dataset.likes.likes(u, index as usize),
             );
         }
-        item_profile.aggregate_user_profile(&profiles[source as usize]);
+        item_profile = item_profile.aggregated_with(&profiles[source as usize]);
 
         // Queue of pending deliveries: (user, dislike counter, hop).
         // A selected user that already received the item is simply not
@@ -144,7 +144,7 @@ pub(crate) fn run_scenario(
             ledger.first_reception(published_at, index, user, reception);
             if likes {
                 // Fold the liker into the item (community) profile.
-                item_profile.aggregate_user_profile(&profiles[u]);
+                item_profile = item_profile.aggregated_with(&profiles[u]);
                 ledger.forwarded(index, hop, true);
                 // The server replaces WhatsUp's gossip-sampled WUP view by
                 // the exact global top-2·fLIKE similarity pools, then — like
